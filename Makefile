@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-json benchgate benchgate-record benchgate-record-metrics api-smoke fuzz examples docs chaos ci
+.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke bench-json benchgate benchgate-record benchgate-record-metrics api-smoke fuzz examples docs chaos ci
 
 all: build
 
@@ -48,6 +48,14 @@ bench:
 # One iteration per benchmark: checks the harness wiring, not the numbers.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The end-to-end benchmark (bench/, BENCHMARK.json) at a tenth of its
+# size: all four workloads, each in its own process, exit status
+# non-zero when any correctness check fails (Dijkstra oracle, store-log
+# recovery, query schema). Checks the wiring and the checks, not the
+# numbers.
+bench-e2e-smoke:
+	$(GO) run ./bench -workload all -seconds 2
 
 # Transport-security benchmark matrix, the live-churn workload, the
 # intra-node sharding sweep, and the concurrent-query load, recorded as
@@ -135,4 +143,4 @@ docs:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/multiprocess
 
-ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-json chaos benchgate api-smoke
+ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-e2e-smoke bench-json chaos benchgate api-smoke

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"provnet/internal/queryapi"
 )
 
 // docFiles are the markdown files whose links the docs CI job keeps
@@ -88,6 +90,108 @@ func TestDocLinks(t *testing.T) {
 					t.Errorf("%s: link %q: no heading with anchor %q in %s", src, link, frag, path)
 				}
 			}
+		}
+	}
+}
+
+var (
+	inventoryName = regexp.MustCompile("`([a-z][a-z0-9_]*)(\\{[^`]*\\})?`")
+	seriesLiteral = regexp.MustCompile(`"(provnet_[a-z0-9_]+)"`)
+)
+
+// documentedSeries reads the series names out of the first column of
+// the "Metric inventory" tables of docs/OBSERVABILITY.md.
+func documentedSeries(t *testing.T) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inventory, ok := strings.Cut(string(raw), "## Metric inventory")
+	if !ok {
+		t.Fatal("docs/OBSERVABILITY.md: no Metric inventory section")
+	}
+	inventory, _, _ = strings.Cut(inventory, "\n## ")
+	names := map[string]bool{}
+	for _, line := range strings.Split(inventory, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[2:], " | ")
+		for _, m := range inventoryName.FindAllStringSubmatch(cell, -1) {
+			names["provnet_"+m[1]] = true
+		}
+	}
+	return names
+}
+
+// TestMetricInventory keeps docs/OBSERVABILITY.md and the code from
+// drifting apart: the series a metrics-on network registers (with a
+// durable store and the query API mounted), and every provnet_* name a
+// non-test source file spells out — the ones registered only by a TCP
+// transport, the termination detector or the CLI — must each have a row
+// in the inventory, and every row must name a series the source knows.
+func TestMetricInventory(t *testing.T) {
+	documented := documentedSeries(t)
+
+	m := NewMetrics()
+	store, err := OpenStoreLog(t.TempDir(), StoreLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(BestPath, WithGraph(LineGraph(3)), WithMetrics(m), WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	queryapi.NewServer(n).Handler()
+	if _, err := n.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := m.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]string{} // series → where it was found
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			known[f[2]] = "registered by a metrics-on network"
+		}
+	}
+	if len(known) < 30 {
+		t.Fatalf("only %d series registered; is the registry wired?", len(known))
+	}
+
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, .bench_out
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range seriesLiteral.FindAllStringSubmatch(string(raw), -1) {
+			if _, ok := known[m[1]]; !ok {
+				known[m[1]] = "named in " + path
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, where := range known {
+		if !documented[name] {
+			t.Errorf("%s (%s) is missing from the inventory in docs/OBSERVABILITY.md", name, where)
+		}
+	}
+	for name := range documented {
+		if _, ok := known[name]; !ok {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which nothing registers", name)
 		}
 	}
 }

@@ -205,6 +205,17 @@ type Node struct {
 	// Keyed dest → tuple key; owned by this node's scheduler task like
 	// pendingRetract, so no lock.
 	exports map[string]map[string]BatchItem
+
+	// view is this node's slice of the latest published ReadView (nil
+	// before the first publish) and dirt what the engine reported since,
+	// per predicate; touched says dirt is not empty. Changes are tracked
+	// only once there is a view to patch, so a batch run that publishes
+	// once pays nothing. Written by onEngineUpdate on this node's
+	// scheduler task and by the driver at quiescence, so no lock (see
+	// buildView).
+	view    *NodeView
+	dirt    map[string]*tableDirt
+	touched bool
 }
 
 // takeRetracts drains the node's pending withdrawals.
@@ -376,10 +387,19 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.allNodes = append([]string(nil), names...)
 	sort.Strings(n.allNodes)
 
+	// Only the RSA says operator and the session handshake ever read a
+	// key pair; the other schemes register the security level alone and
+	// skip a 1024-bit key generation per principal. Under RSA the keys
+	// come off the deterministic stream in the same order as ever.
+	needKeys := cfg.Auth == auth.SchemeRSA || cfg.SessionAuth
 	for _, name := range names {
 		level := int64(1)
 		if l, ok := cfg.Levels[name]; ok {
 			level = l
+		}
+		if !needKeys {
+			n.dir.SetLevel(name, level)
+			continue
 		}
 		if err := n.dir.AddPrincipal(name, level); err != nil {
 			return nil, err
@@ -484,10 +504,11 @@ func (n *Network) addNode(name string, saysSemantics bool) error {
 // tuple's provenance stale (the store keeps the history; the flag records
 // that the network no longer derives the tuple — §4.2's offline story
 // extended to churn), insertions/removals stream to live subscriptions,
-// and every kind — including annotation-only merges — feeds the durable
-// Store's event log. It is called from the owning node's scheduler task;
-// the provenance store, the Store, and the driver's subscription registry
-// are concurrency-safe.
+// and every kind — including annotation-only merges, which change a
+// row's provenance expression — marks the row dirty for the next
+// ReadView and feeds the durable Store's event log. It is called from
+// the owning node's scheduler task; the provenance store, the Store, and
+// the driver's subscription registry are concurrency-safe.
 func (n *Network) onEngineUpdate(name string, t data.Tuple, kind engine.UpdateKind) {
 	nd := n.nodes[name]
 	if nd != nil {
@@ -499,6 +520,9 @@ func (n *Network) onEngineUpdate(name string, t data.Tuple, kind engine.UpdateKi
 		}
 	}
 	n.mutGen.Add(1)
+	if nd != nil && nd.view != nil {
+		nd.markViewDirty(t, kind == engine.UpdateExpired)
+	}
 	if n.store != nil && n.storeErr.Load() == nil {
 		ev := StoreEvent{Node: name, Tuple: t, At: n.clock}
 		switch kind {

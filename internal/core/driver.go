@@ -65,8 +65,9 @@ type Driver struct {
 	subs  map[*Subscription]struct{}
 	nsubs atomic.Int32
 
-	// view is the latest published copy-on-write table snapshot; readers
-	// (the HTTP query API) load it lock-free. viewSeq/viewGen track the
+	// view is the latest published copy-on-write table snapshot, sharing
+	// its unchanged nodes and tables with its predecessor; readers (the
+	// HTTP query API) load it lock-free. viewSeq/viewGen track the
 	// last published snapshot's sequence and the mutation generation it
 	// captured (guarded by runMu) so content-identical republishes keep
 	// their Seq.
@@ -382,18 +383,22 @@ func (d *Driver) quiesce() error {
 	return err
 }
 
-// publishViewLocked rebuilds and publishes the read view if table content
-// changed since the last publish (requires runMu). Content-identical
-// republishes keep the existing view and its Seq, so a (Seq, body) pair
-// identifies one snapshot.
+// publishViewLocked publishes the successor of the current read view if
+// table content changed since the last publish (requires runMu): the
+// previous view patched with the rows the engines reported changed.
+// Content-identical republishes keep the existing view and its Seq, so a
+// (Seq, body) pair identifies one snapshot.
 func (d *Driver) publishViewLocked() {
 	gen := d.n.mutGen.Load()
-	if cur := d.view.Load(); cur.Seq != 0 && gen == d.viewGen {
+	cur := d.view.Load()
+	if cur.Seq != 0 && gen == d.viewGen {
 		return
 	}
 	d.viewSeq++
 	d.viewGen = gen
-	d.view.Store(d.n.buildView(d.viewSeq, gen))
+	v := d.n.buildView(cur, d.viewSeq, gen)
+	d.view.Store(v)
+	d.n.viewPublished(v)
 }
 
 // AwaitQuiescence blocks until the network has re-converged: no queued

@@ -36,6 +36,9 @@ type netMetrics struct {
 	deltasIn      *obs.Counter
 	deltasOut     *obs.Counter
 
+	viewRebuilt *obs.Counter
+	viewShared  *obs.Counter
+
 	roundSec  *obs.Histogram
 	sealSec   *obs.Histogram
 	verifySec *obs.Histogram
@@ -87,6 +90,8 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 		shadowEvicted: m.Counter("provnet_engine_shadow_evictions_total", "Prune-shadow rows evicted by the per-group cap."),
 		deltasIn:      m.Counter("provnet_scheduler_deltas_in_total", "Inbound datagrams drained and applied by import phases."),
 		deltasOut:     m.Counter("provnet_scheduler_deltas_out_total", "Outbound frames sealed and shipped by export phases."),
+		viewRebuilt:   m.Counter("provnet_view_rows_rebuilt_total", "ReadView rows rendered from the engines at publish (whole-table rebuilds plus patched rows)."),
+		viewShared:    m.Counter("provnet_view_tables_shared_total", "Tables a published ReadView shares unchanged with its predecessor."),
 		roundSec:      m.Histogram("provnet_scheduler_round_seconds", "Wall time of one scheduler round.", obs.DefLatencyNanos, 1e-9),
 		sealSec:       m.Histogram("provnet_crypto_seal_seconds", "Per-round time sealing outbound frames (signatures, MACs, handshakes).", obs.DefLatencyNanos, 1e-9),
 		verifySec:     m.Histogram("provnet_crypto_verify_seconds", "Per-round time decoding and authenticating inbound datagrams.", obs.DefLatencyNanos, 1e-9),

@@ -14,7 +14,7 @@ import (
 // byte-identical tables and the same report counters — observing the
 // system must not change what it computes.
 func TestMetricsDoNotPerturb(t *testing.T) {
-	run := func(m *obs.Metrics) (string, *Report) {
+	run := func(m *obs.Metrics) (*Network, string, *Report) {
 		n, err := NewNetwork(Config{
 			Source:  BestPath,
 			Graph:   topo.Line(5),
@@ -28,12 +28,12 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n.Driver().ReadView().Dump(), rep
+		return n, n.Driver().ReadView().Dump(), rep
 	}
 
-	baseDump, baseRep := run(nil)
+	base, baseDump, baseRep := run(nil)
 	m := obs.New()
-	gotDump, gotRep := run(m)
+	got, gotDump, gotRep := run(m)
 
 	if gotDump != baseDump {
 		t.Errorf("tables diverge with metrics enabled:\n--- without ---\n%s\n--- with ---\n%s", baseDump, gotDump)
@@ -63,6 +63,8 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 		"provnet_crypto_verify_seconds_count",
 		"provnet_scheduler_deltas_in_total",
 		"provnet_scheduler_deltas_out_total",
+		"provnet_view_rows_rebuilt_total",
+		"provnet_view_tables_shared_total",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("missing series %s in exposition:\n%s", series, text)
@@ -94,6 +96,29 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 	}
 	if !sawQuiesce {
 		t.Error("no quiesce record in flight recorder")
+	}
+
+	// The one publish so far was the full build: every row rendered,
+	// nothing to share. A flap then publishes a patched view — the same
+	// one with and without the registry — that shares most tables.
+	rebuilt := m.Counter("provnet_view_rows_rebuilt_total", "")
+	shared := m.Counter("provnet_view_tables_shared_total", "")
+	if rows := int64(strings.Count(gotDump, "\n") + 1); rebuilt.Value() != rows || shared.Value() != 0 {
+		t.Errorf("first publish: %d rows rebuilt, %d tables shared; want %d, 0", rebuilt.Value(), shared.Value(), rows)
+	}
+	for _, n := range []*Network{base, got} {
+		if err := n.Driver().CutLink("n3", "n4"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := base.Driver().ReadView(), got.Driver().ReadView(); a.Dump() != b.Dump() || a.Seq != 2 || b.Seq != 2 {
+		t.Errorf("patched views diverge with metrics enabled (Seq %d/%d):\n--- without ---\n%s\n--- with ---\n%s", a.Seq, b.Seq, a.Dump(), b.Dump())
+	}
+	if shared.Value() == 0 {
+		t.Error("no table shared across a one-link flap")
 	}
 }
 

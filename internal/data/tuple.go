@@ -1,7 +1,7 @@
 package data
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -129,40 +129,80 @@ func cloneValues(vs []Value) []Value {
 	return out
 }
 
-// SortTuples orders tuples by predicate, asserter, then argument order. It
-// is used to produce deterministic output in tools and tests.
-func SortTuples(ts []Tuple) {
-	less := func(a, b Tuple) bool {
-		if a.Pred != b.Pred {
-			return a.Pred < b.Pred
-		}
-		if a.Asserter != b.Asserter {
-			return a.Asserter < b.Asserter
-		}
-		n := len(a.Args)
-		if len(b.Args) < n {
-			n = len(b.Args)
-		}
-		for i := 0; i < n; i++ {
-			if c := a.Args[i].Compare(b.Args[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return len(a.Args) < len(b.Args)
+// CompareTuples is the total order of tuples: predicate, asserter, then
+// the arguments pairwise by Value.Compare (shorter argument list first).
+// Value.Compare is numeric, so Int 1 ties with Float 1.0 (and two ints
+// beyond 2^53 tie through their float forms); such ties are broken by
+// kind, then by the exact integer, so that tuples which are not
+// bit-identical never compare 0 and a sort has exactly one result
+// whatever order its input arrived in. NaN stays unordered, as in
+// Value.Compare.
+func CompareTuples(a, b Tuple) int {
+	if c := strings.Compare(a.Pred, b.Pred); c != 0 {
+		return c
 	}
-	if len(ts) <= 24 {
-		insertionSortTuples(ts, less)
-		return
+	if c := strings.Compare(a.Asserter, b.Asserter); c != 0 {
+		return c
 	}
-	sort.SliceStable(ts, func(i, j int) bool { return less(ts[i], ts[j]) })
+	n := min(len(a.Args), len(b.Args))
+	for i := 0; i < n; i++ {
+		if c := a.Args[i].Compare(b.Args[i]); c != 0 {
+			return c
+		}
+	}
+	if len(a.Args) != len(b.Args) {
+		if len(a.Args) < len(b.Args) {
+			return -1
+		}
+		return 1
+	}
+	for i := range a.Args {
+		if c := tieBreak(a.Args[i], b.Args[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
-func insertionSortTuples(ts []Tuple, less func(a, b Tuple) bool) {
-	// Small slices keep the branch-friendly stable insertion sort; large
-	// ones (whole-table view snapshots) would go quadratic on it, so they
-	// fall through to sort.SliceStable above.
+// tieBreak orders two values that Value.Compare ties.
+func tieBreak(a, b Value) int {
+	switch {
+	case a.Kind != b.Kind:
+		if a.Kind < b.Kind {
+			return -1
+		}
+		return 1
+	case a.Kind == KindInt && a.Int != b.Int:
+		if a.Int < b.Int {
+			return -1
+		}
+		return 1
+	case a.Kind == KindList:
+		for i := range a.List { // Compare tied, so the lengths agree
+			if c := tieBreak(a.List[i], b.List[i]); c != 0 {
+				return c
+			}
+		}
+	}
+	return 0
+}
+
+// SortTuples sorts tuples by CompareTuples. It is used to produce
+// deterministic output in views, tools and tests.
+func SortTuples(ts []Tuple) {
+	if len(ts) <= 24 {
+		insertionSortTuples(ts)
+		return
+	}
+	slices.SortFunc(ts, CompareTuples)
+}
+
+func insertionSortTuples(ts []Tuple) {
+	// Small slices keep the branch-friendly insertion sort; large ones
+	// (whole-table view snapshots) would go quadratic on it, so they fall
+	// through to slices.SortFunc above.
 	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && less(ts[j], ts[j-1]); j-- {
+		for j := i; j > 0 && CompareTuples(ts[j], ts[j-1]) < 0; j-- {
 			ts[j], ts[j-1] = ts[j-1], ts[j]
 		}
 	}

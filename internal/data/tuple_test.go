@@ -99,3 +99,65 @@ func TestSortTuples(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareTuplesTotalOrder pins the order views and merges rely on:
+// tuples Value.Compare ties — Int 1 against Float 1.0, at the top level
+// or inside a list, and integers beyond float64's 53 bits — still have
+// one order, so sorting any permutation of them gives the same slice.
+func TestCompareTuplesTotalOrder(t *testing.T) {
+	big := int64(1) << 53
+	ordered := []Tuple{ // strictly ascending
+		NewTuple("p"),
+		NewTuple("p", Int(1)),
+		NewTuple("p", Float(1)),
+		NewTuple("p", Int(1), Int(2)),
+		NewTuple("p", Int(1), Float(2)),
+		NewTuple("p", Float(1), Int(2)),
+		NewTuple("p", Float(1), Float(2)),
+		NewTuple("p", Float(1.5)),
+		NewTuple("p", Int(big)),
+		NewTuple("p", Int(big+1)),
+		NewTuple("p", Bool(true)),
+		NewTuple("p", Str("a")),
+		NewTuple("p", List(Int(1), Str("x"))),
+		NewTuple("p", List(Float(1), Str("x"))),
+		NewTuple("p", List(Float(1), Str("y"))),
+		NewTuple("p", Int(1)).Says("alice"),
+		NewTuple("p", Float(1)).Says("alice"),
+		NewTuple("q", Int(0)),
+	}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			want := 0
+			switch {
+			case i < j:
+				want = -1
+			case i > j:
+				want = 1
+			}
+			if got := CompareTuples(a, b); got != want {
+				t.Errorf("CompareTuples(%v, %v) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	// Both sort paths (insertion below 25 elements, slices.SortFunc above)
+	// restore the order from any permutation.
+	for _, copies := range []int{1, 3} {
+		var want []Tuple
+		for _, tu := range ordered {
+			for c := 0; c < copies; c++ {
+				want = append(want, tu)
+			}
+		}
+		got := make([]Tuple, len(want))
+		for i := range want {
+			got[(i*7+3)%len(want)] = want[i] // 7 is coprime to 18 and 54
+		}
+		SortTuples(got)
+		for i := range want {
+			if CompareTuples(got[i], want[i]) != 0 {
+				t.Fatalf("%d copies: sorted[%d] = %v, want %v", copies, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -268,8 +268,9 @@ func (e *Engine) recomputeAggRules(only map[string]bool, sink func(dead data.Tup
 			}
 			if sink != nil {
 				sink(dead)
-			} else if tbl.Delete(dead) {
-				e.notify(dead, UpdateRetracted)
+			} else if en := tbl.Get(dead); en != nil {
+				tbl.kill(en)
+				e.notify(en.Tuple, UpdateRetracted)
 			}
 		}
 		// Emit fresh or changed groups.

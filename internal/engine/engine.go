@@ -99,9 +99,12 @@ type Config struct {
 	Hook ProvHook
 	// OnUpdate, when set, observes every table change, classified by
 	// UpdateKind (insertion, retraction, soft-state expiry, or an
-	// annotation-only merge of an alternative derivation). It is called
-	// synchronously from the engine's (single) driving goroutine;
-	// implementations must not call back into the engine.
+	// annotation-only merge of an alternative derivation). t is always
+	// the stored row's own tuple, never an Equal one the caller supplied
+	// (Int 2 and Float 2.0 are Equal), so an observer keeping a sorted
+	// copy of a table can match rows exactly. It is called synchronously
+	// from the engine's (single) driving goroutine; implementations must
+	// not call back into the engine.
 	OnUpdate func(t data.Tuple, kind UpdateKind)
 	// Shards partitions each evaluation wave's deltas by hash of
 	// (predicate, join-key columns) across this many read-only eval
@@ -685,7 +688,7 @@ func (e *Engine) insertFrom(t data.Tuple, ann Annotation, origin string, hash ui
 		if changed {
 			e.Stats.Merges++
 			e.queue = append(e.queue, entry)
-			e.notify(t, UpdateAnnotation)
+			e.notify(entry.Tuple, UpdateAnnotation)
 		}
 	}
 }
@@ -993,7 +996,7 @@ func (e *Engine) Count(pred string) int {
 	if !ok {
 		return 0
 	}
-	return len(tbl.Live(e.now))
+	return tbl.LiveCount(e.now)
 }
 
 // Has reports whether the exact tuple is currently stored and live.
@@ -1007,6 +1010,22 @@ func (e *Engine) storedLive(t data.Tuple) bool {
 	}
 	en := tbl.Get(t)
 	return en != nil && !en.Dead && !en.expired(e.now)
+}
+
+// Lookup finds the stored row equal to t with one table probe. It returns
+// the row's own tuple (the canonical stored copy, never the caller's t),
+// its annotation, and whether the row is live and unexpired; all zero
+// when no such row is stored.
+func (e *Engine) Lookup(t data.Tuple) (canonical data.Tuple, ann Annotation, live bool) {
+	tbl, ok := e.tables[t.Pred]
+	if !ok {
+		return data.Tuple{}, nil, false
+	}
+	en := tbl.Get(t)
+	if en == nil || en.expired(e.now) {
+		return data.Tuple{}, nil, false
+	}
+	return en.Tuple, en.Ann, true
 }
 
 // AnnotationOf returns the annotation of a stored tuple, or nil.
@@ -1070,7 +1089,7 @@ func (e *Engine) ArenaHighWater() int64 {
 func (e *Engine) Predicates() []string {
 	var out []string
 	for name, tbl := range e.tables { //provlint:allow mapiter collected names are sorted before returning
-		if len(tbl.Live(e.now)) > 0 {
+		if tbl.anyLive(e.now) {
 			out = append(out, name)
 		}
 	}

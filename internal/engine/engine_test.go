@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"provnet/internal/data"
@@ -566,5 +567,60 @@ func TestInsertImportedBatch(t *testing.T) {
 		"reachable(a, b)", "reachable(a, c)")
 	if err := e.InsertImportedBatch(nil); err != nil {
 		t.Fatal("empty batch must be a no-op, got error")
+	}
+}
+
+// TestLookupAndLiveCounts pins the view-facing accessors: Lookup answers
+// with the stored row's own tuple, its annotation and liveness in one
+// probe, and Count / Predicates / Lookup all stop seeing a soft-state row
+// the moment the clock passes its expiry, swept or not.
+func TestLookupAndLiveCounts(t *testing.T) {
+	e := newNode(t, "a", `materialize(event, 10, infinity, keys(1,2)).`, false)
+	stored := data.NewTuple("event", data.Str("a"), data.Int(2))
+	e.InsertFact(stored)
+	e.InsertFact(data.NewTuple("fact", data.Str("a")))
+	e.RunToFixpoint()
+
+	// Float 2.0 is Equal to the stored Int 2: same row, stored form back.
+	got, _, live := e.Lookup(data.NewTuple("event", data.Str("a"), data.Float(2)))
+	if !live || got.Args[1].Kind != data.KindInt || &got.Args[0] != &stored.Args[0] {
+		t.Errorf("Lookup(float form) = %v live=%v, want the stored int row", got, live)
+	}
+	if _, _, live := e.Lookup(data.NewTuple("event", data.Str("a"), data.Int(3))); live {
+		t.Error("Lookup found a row that was never stored")
+	}
+	if _, _, live := e.Lookup(data.NewTuple("nosuch", data.Int(1))); live {
+		t.Error("Lookup found a row in a table that does not exist")
+	}
+	if e.Count("event") != 1 || fmt.Sprint(e.Predicates()) != "[event fact]" {
+		t.Errorf("Count = %d, Predicates = %v", e.Count("event"), e.Predicates())
+	}
+
+	e.SetNow(10) // expired, not yet swept
+	if _, _, live := e.Lookup(stored); live {
+		t.Error("Lookup sees an expired row")
+	}
+	if e.Count("event") != 0 || fmt.Sprint(e.Predicates()) != "[fact]" {
+		t.Errorf("after expiry: Count = %d, Predicates = %v", e.Count("event"), e.Predicates())
+	}
+}
+
+// TestOnUpdateReportsStoredTuple pins the observer contract patched views
+// rest on: whatever Equal form a caller retracts or re-derives a row
+// under, OnUpdate names the row by the tuple the table holds.
+func TestOnUpdateReportsStoredTuple(t *testing.T) {
+	var seen []string
+	e := newNode(t, "a", "", false)
+	e.SetOnUpdate(func(tu data.Tuple, kind UpdateKind) {
+		seen = append(seen, fmt.Sprintf("%s %s/%s", kind, tu, tu.Args[1].Kind))
+	})
+	e.InsertFact(data.NewTuple("p", data.Str("a"), data.Int(2)))
+	e.RunToFixpoint()
+	e.RetractFacts(data.NewTuple("p", data.Str("a"), data.Float(2)))
+	e.InsertFact(data.NewTuple("p", data.Str("a"), data.Float(2)))
+	e.RunToFixpoint()
+	want := []string{"added p(a, 2)/int", "retracted p(a, 2)/int", "added p(a, 2)/float"}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("updates = %q, want %q", seen, want)
 	}
 }

@@ -426,10 +426,10 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 		if en.supported() {
 			continue // other support keeps the row alive
 		}
-		tbl.Delete(t)
+		tbl.kill(en)
 		pend.deleted.add(t)
 		e.Stats.Retracted++
-		e.notify(t, UpdateRetracted)
+		e.notify(en.Tuple, UpdateRetracted)
 		if ps != nil {
 			// The group hash embeds the predicate (and asserter), so
 			// groups never collide across pruned predicates.
@@ -620,7 +620,7 @@ func (e *Engine) insertWithSupport(t data.Tuple, ann Annotation, localSupport bo
 		if changed {
 			e.Stats.Merges++
 			e.queue = append(e.queue, entry)
-			e.notify(t, UpdateAnnotation)
+			e.notify(entry.Tuple, UpdateAnnotation)
 		}
 	}
 }

@@ -373,6 +373,27 @@ func (t *Table) Live(now float64) []data.Tuple {
 	return out
 }
 
+// LiveCount counts the live, unexpired rows without copying them.
+func (t *Table) LiveCount(now float64) int {
+	n := 0
+	for _, en := range t.order {
+		if !en.Dead && !en.expired(now) {
+			n++
+		}
+	}
+	return n
+}
+
+// anyLive reports whether the table holds a live, unexpired row.
+func (t *Table) anyLive(now float64) bool {
+	for _, en := range t.order {
+		if !en.Dead && !en.expired(now) {
+			return true
+		}
+	}
+	return false
+}
+
 // Entries returns the live entries in insertion order, so full-table
 // scans (and the joins built on them) are deterministic. When every
 // stored entry is live and unexpired the internal order slice is returned
