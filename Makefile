@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke bench-json benchgate benchgate-record benchgate-record-metrics api-smoke fuzz examples docs chaos ci
+.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke benchgate benchgate-record benchgate-record-metrics api-smoke fuzz examples docs chaos ci
 
 all: build
 
@@ -57,15 +57,6 @@ bench-smoke:
 bench-e2e-smoke:
 	$(GO) run ./bench -workload all -seconds 2
 
-# Transport-security benchmark matrix, the live-churn workload, the
-# intra-node sharding sweep, and the concurrent-query load, recorded as
-# CI artifacts.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr2.json
-	$(GO) run ./cmd/benchjson -live -n 16 -runs 3 -out BENCH_pr3.json
-	$(GO) run ./cmd/benchjson -shard -n 8 -runs 3 -out BENCH_pr4.json
-	$(GO) run ./cmd/benchjson -queryload -out BENCH_pr6.json
-
 # Hot-path perf regression gate: rerun the fan-in and churn windows
 # and compare against the checked-in BENCH_pr7.json baseline. The
 # allocation bound is tight (allocs/op is near-deterministic); the
@@ -113,19 +104,19 @@ api-smoke:
 # The CI chaos job: the fault-injection convergence suite under the
 # race detector (faultnet schedules, ack/retransmit reliability,
 # termination soundness, the SIGKILL/cold-restart reconvergence pin —
-# each sweeping faultnet seeds 1-3), an ack-path fuzz burst, and the
-# chaos benchmark cell comparing the credit detector against the idle
-# heuristic under seeded frame loss (BENCH_pr10.json).
+# each sweeping faultnet seeds 1-3) and an ack-path fuzz burst. The TCP
+# path's numbers are `go run ./bench -probe tcp3`.
 chaos:
 	$(GO) test -race -shuffle=on ./internal/faultnet ./internal/nettcp
 	$(GO) test -race -shuffle=on -run 'TestTermination|TestIdleHeuristicFalseFixpoint|TestResupplyReplaysExports' ./internal/core
 	$(GO) test -race -timeout 15m -run 'TestCrashRestartReconverges|TestMultiprocessMatchesSingleProcess' ./cmd/provnet
 	$(GO) test -run '^$$' -fuzz FuzzAckRetransmit -fuzztime 30s ./internal/nettcp
-	$(GO) run ./cmd/benchjson -chaos -n 10 -out BENCH_pr10.json
 
-# Wire-decoder fuzzing (v1-v4 + handshake frames), same budget as CI.
+# Wire-decoder fuzzing (v1-v4 + handshake frames) and the retraction
+# collision fuzzer, same budget as CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine
 
 # Format/vet gate over examples/ plus the documented quickstart as a
 # smoke test, so the entry point can't silently rot.
@@ -143,4 +134,4 @@ docs:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/multiprocess
 
-ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-e2e-smoke bench-json chaos benchgate api-smoke
+ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-e2e-smoke chaos benchgate api-smoke

@@ -175,8 +175,8 @@ func BenchmarkFig4Batching(b *testing.B) {
 // initial convergence + route-refresh cycles re-converging over the
 // established sessions; see internal/benchwork): per-tuple RSA (the
 // paper's scheme), per-batch RSA (PR 1's amortization), and the session
-// transport (one RSA handshake per link, HMAC per envelope) with and
-// without pipelined crypto. Read signatures/op — the session stack pays
+// transport (one RSA handshake per link, HMAC per envelope). Read
+// signatures/op — the session stack pays
 // RSA only at handshake time, so over the link lifetime it does ≥10×
 // fewer signature operations than even per-batch RSA — plus macs/op and
 // wire_MB/op.
@@ -203,7 +203,7 @@ func BenchmarkSessionAuth(b *testing.B) {
 
 // BenchmarkLiveCutLink measures the live-network lifecycle under link
 // churn: one CutLink through the driver, incremental re-convergence vs
-// a full restart on the cut topology (the BENCH_pr3.json workload).
+// a full restart on the cut topology.
 func BenchmarkLiveCutLink(b *testing.B) {
 	for _, m := range benchwork.Modes() {
 		b.Run(m.Name, func(b *testing.B) {
@@ -402,29 +402,5 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 		if _, err := env.Encode(sealer, "b"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkShardedEval measures intra-node delta-queue sharding
-// (Config.EngineShards) on the wide fan-in workload, where one hub
-// node's rule evaluation — a large delta wave self-joined against
-// itself — dominates and the transport layer is negligible. Tables,
-// stats, and export order are bit-identical across shard counts (see
-// internal/core.TestShardedMatchesSerial); eval_ms/op is the run-to-
-// fixpoint time excluding network construction. The wall-clock win
-// needs multicore hardware, like the node-level scheduler's.
-func BenchmarkShardedEval(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("engineshards=%d", shards), func(b *testing.B) {
-			var evalNs, derivs int64
-			for i := 0; i < b.N; i++ {
-				cfg := provnet.Config{EngineShards: shards}
-				rep := benchwork.ShardedFanIn(b.Fatal, cfg, 8, 64, 6, int64(5000+i))
-				evalNs += rep.CompletionTime.Nanoseconds()
-				derivs += rep.Derivations
-			}
-			b.ReportMetric(float64(evalNs)/float64(b.N)/1e6, "eval_ms/op")
-			b.ReportMetric(float64(derivs)/float64(b.N), "derivations/op")
-		})
 	}
 }

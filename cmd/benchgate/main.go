@@ -1,7 +1,7 @@
 // Command benchgate is the hot-path performance regression gate. It
 // runs the two allocation-sensitive workloads — the wide fan-in join
-// (sharded-fanin, the BENCH_pr4 workload at engineshards=1) and the
-// Best-Path refresh churn (bestpath-churn) — under a GOMAXPROCS sweep,
+// (sharded-fanin) and the Best-Path refresh churn (bestpath-churn) —
+// under a GOMAXPROCS sweep,
 // measuring wall-clock and allocations over exactly the evaluation
 // window: the staged benchwork entry points exclude topology
 // construction and principal key generation, so the numbers track the
@@ -93,7 +93,7 @@ func main() {
 	for _, procs := range procsList {
 		o.Cells = append(o.Cells,
 			measure("sharded-fanin", procs, *runs, func(i int) func() *provnet.Report {
-				cfg := withMetrics(provnet.Config{EngineShards: 1})
+				cfg := withMetrics(provnet.Config{})
 				return benchwork.ShardedFanInStaged(fatal, cfg, 8, 64, 6, int64(4000+i))
 			}),
 			measure("bestpath-churn", procs, *runs, func(i int) func() *provnet.Report {

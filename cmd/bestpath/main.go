@@ -16,9 +16,7 @@
 // ordering of the three variants and overheads shrinking as N grows — is
 // the reproduction target. See EXPERIMENTS.md.
 //
-// Scheduler/transport knobs come from internal/cliflags, including
-// -engineshards (intra-node delta-queue sharding; bit-identical results
-// at any setting).
+// Scheduler/transport knobs come from internal/cliflags.
 package main
 
 import (

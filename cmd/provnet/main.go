@@ -11,10 +11,7 @@
 // -churn N, the converged network cuts N random links through the live
 // driver and re-converges incrementally before printing tables; the
 // scheduler/transport knobs (-auth, -session, -sequential, -unbatched,
-// -workers, -rekey, -pipelined, -engineshards) are shared with the
-// other commands via internal/cliflags. -engineshards k shards each
-// node's delta queue across k intra-node eval workers; results are
-// bit-identical to serial evaluation at any setting.
+// -rekey) are shared with the other commands via internal/cliflags.
 //
 // With -http the converged process stays up and serves the /v1 query
 // API (traceback, tables, bestpath, SSE subscriptions; see docs/API.md)

@@ -28,8 +28,8 @@ import (
 )
 
 // Sealer seals and opens envelopes travelling a directed (src,dst) link.
-// Implementations must be safe for concurrent use: the parallel and
-// pipelined schedulers seal and open from many goroutines at once.
+// Implementations must be safe for concurrent use: the parallel
+// scheduler seals and opens from many goroutines at once.
 type Sealer interface {
 	// Scheme identifies the implementation.
 	Scheme() Scheme
@@ -171,8 +171,7 @@ func deriveSessionKey(secret []byte, src, dst string, epoch uint64) []byte {
 // session for the src→dst link at the current epoch. It reports whether a
 // handshake frame must be shipped before the next data envelope, and the
 // epoch that frame must carry. Key derivation here is cheap symmetric
-// work; the RSA cost lives in SealHandshake so the pipelined scheduler
-// can run it off the evaluation path.
+// work; the RSA cost lives in SealHandshake, on the sealing path.
 func (s *SessionSealer) EnsureSession(src, dst string) (needHandshake bool, epoch uint64, err error) {
 	secret := s.dir.sessionSecret(src)
 	if secret == nil {

@@ -1,7 +1,6 @@
 // Package benchwork defines the benchmark workloads shared by the
-// pinned tests, the Benchmark* harnesses, and cmd/benchjson — one
-// definition each, so the CI-recorded BENCH_pr2.json / BENCH_pr3.json
-// always measure exactly what the tests pin.
+// pinned tests, the Benchmark* harnesses, and cmd/benchgate — one
+// definition each, so the gate measures exactly what the tests pin.
 //
 // Two churn workloads coexist. BestPathChurn is the PR-2 workload:
 // batch-style refresh cycles (keyed link-fact replacement, then a full
@@ -9,7 +8,7 @@
 // API replaces. LiveCutLink and LiveBestPathChurn drive the same
 // Best-Path computation through the live driver: SetLink/CutLink feed
 // deltas into the running engines and the network re-converges
-// incrementally, which BENCH_pr3.json compares against a full restart.
+// incrementally, which LiveCutLink compares against a full restart.
 package benchwork
 
 import (
@@ -34,13 +33,12 @@ type Mode struct {
 }
 
 // Modes returns the matrix: the paper's per-tuple RSA, PR 1's per-batch
-// RSA, and the session transport with and without pipelined crypto.
+// RSA, and the session transport.
 func Modes() []Mode {
 	return []Mode{
 		{"rsa-per-tuple", func(c *provnet.Config) { c.Unbatched = true }},
 		{"rsa-per-batch", func(c *provnet.Config) {}},
 		{"session-mac", func(c *provnet.Config) { c.SessionAuth = true }},
-		{"session-mac-pipelined", func(c *provnet.Config) { c.SessionAuth = true; c.PipelinedCrypto = true }},
 	}
 }
 
@@ -134,14 +132,13 @@ func LiveBestPathChurn(fatal func(...any), cfg provnet.Config, nodes, cycles, ke
 	return rep
 }
 
-// ShardedFanInSource is the wide fan-in workload behind
-// BenchmarkShardedEval and BENCH_pr4.json: spoke nodes ship edge
-// readings to a single hub, which computes the two-hop join and a
-// per-source fan-out count. Nearly all work is the hub's intra-node
-// rule evaluation — one huge delta wave self-joined against itself —
-// so the transport layer is negligible and Config.EngineShards is the
-// knob that matters, unlike the Best-Path workloads where per-round
-// crypto and inter-node scheduling dominate.
+// ShardedFanInSource is the wide fan-in workload behind benchgate's
+// "sharded-fanin" cell (the name BENCH_pr7.json recorded it under):
+// spoke nodes ship edge readings to a single hub, which computes the
+// two-hop join and a per-source fan-out count. Nearly all work is the
+// hub's rule evaluation — one huge delta wave self-joined against
+// itself — so the transport layer is negligible, unlike the Best-Path
+// workloads where per-round crypto and inter-node scheduling dominate.
 const ShardedFanInSource = `
 materialize(item, infinity, infinity, keys(1,2,3,4)).
 materialize(feed, infinity, infinity, keys(1,2,3)).
@@ -152,21 +149,14 @@ j1 two(@H, X, Z) :- feed(@H, X, Y), feed(@H, Y, Z).
 c1 fan(@H, X, count<*>) :- two(@H, X, Z).
 `
 
-// FanInHub is the hub node name of the ShardedFanIn workload.
+// FanInHub is the hub node name of the fan-in workload.
 const FanInHub = "hub"
 
-// ShardedFanIn runs the wide fan-in workload: a random directed edge
-// set over vertices vertices (out-degree degree), spread as item facts
-// across spokes source nodes, all feeding the hub's two-hop join. It
-// returns the final report; callers vary cfg.EngineShards to measure
-// intra-node sharding (results are bit-identical across shard counts).
-func ShardedFanIn(fatal func(...any), cfg provnet.Config, spokes, vertices, degree int, seed int64) *provnet.Report {
-	return ShardedFanInStaged(fatal, cfg, spokes, vertices, degree, seed)()
-}
-
-// ShardedFanInStaged splits ShardedFanIn into setup and measurement: it
-// builds the network and enqueues the full edge set, then returns a
-// one-shot closure that runs to the distributed fixpoint — the
+// ShardedFanInStaged sets up the wide fan-in workload — a random
+// directed edge set over vertices vertices (out-degree degree), spread
+// as item facts across spokes source nodes, all feeding the hub's
+// two-hop join — and returns a one-shot closure that runs it to the
+// distributed fixpoint: the
 // evaluation window cmd/benchgate times and allocation-counts, free of
 // topology construction and principal key generation.
 func ShardedFanInStaged(fatal func(...any), cfg provnet.Config, spokes, vertices, degree int, seed int64) func() *provnet.Report {
@@ -214,7 +204,7 @@ func spokeNames(n int) []string {
 }
 
 // CutLinkResult compares one live CutLink re-convergence against a full
-// restart on the cut topology — the BENCH_pr3.json record.
+// restart on the cut topology.
 type CutLinkResult struct {
 	// Cut is the removed link (one that carried installed best paths).
 	CutFrom, CutTo string

@@ -1,7 +1,7 @@
 // Package cliflags defines the flag set shared by every provnet command
 // — scheduler, transport-security, live-churn, and multi-process
-// transport knobs — once, so cmd/provnet, cmd/bestpath, cmd/traceq, and
-// cmd/benchjson cannot drift apart. It also hosts the
+// transport knobs — once, so cmd/provnet, cmd/bestpath, and cmd/traceq
+// cannot drift apart. It also hosts the
 // topology/auth/provenance spec parsers the commands used to copy, and
 // the distributed-run helpers behind -listen/-self/-peers (see
 // docs/ARCHITECTURE.md for the multi-process deployment model) and the
@@ -35,11 +35,8 @@ type Flags struct {
 	Rekey   int
 
 	// Scheduler.
-	Sequential   bool
-	Unbatched    bool
-	Workers      int
-	Pipelined    bool
-	EngineShards int
+	Sequential bool
+	Unbatched  bool
 
 	// Live churn scenario: cut Churn random links (seeded by ChurnSeed)
 	// after initial convergence and re-converge incrementally.
@@ -95,9 +92,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Rekey, "rekey", 0, "rotate session keys every N rounds (0 = never; needs -session)")
 	fs.BoolVar(&f.Sequential, "sequential", false, "run nodes sequentially within each round (A/B baseline)")
 	fs.BoolVar(&f.Unbatched, "unbatched", false, "ship one signed envelope per tuple instead of per-round batches")
-	fs.IntVar(&f.Workers, "workers", 0, "scheduler worker goroutines per phase (0 = GOMAXPROCS)")
-	fs.BoolVar(&f.Pipelined, "pipelined", false, "seal/verify on a crypto stage overlapping rule evaluation")
-	fs.IntVar(&f.EngineShards, "engineshards", 0, "shard each node's delta queue across N intra-node eval workers (0/1 = serial; results identical)")
 	fs.IntVar(&f.Churn, "churn", 0, "after convergence, cut this many random links and re-converge incrementally")
 	fs.Int64Var(&f.ChurnSeed, "churnseed", 1, "rng seed for -churn link selection")
 	fs.StringVar(&f.Store, "store", "", "durable store-log directory: append every table change, recoverable after a crash")
@@ -412,9 +406,6 @@ func (f *Flags) Apply(cfg *provnet.Config) error {
 	cfg.RekeyRounds = f.Rekey
 	cfg.Sequential = f.Sequential
 	cfg.Unbatched = f.Unbatched
-	cfg.Workers = f.Workers
-	cfg.PipelinedCrypto = f.Pipelined
-	cfg.EngineShards = f.EngineShards
 	if f.Metrics {
 		cfg.Metrics = provnet.NewMetrics()
 	}

@@ -94,14 +94,12 @@ type Config struct {
 	// Seed drives deterministic key generation.
 	Seed int64
 
-	// Sequential disables the parallel round scheduler and runs nodes one
-	// after another within each round, as the seed implementation did.
-	// Results (tables, rounds, transport stats) are identical either way;
-	// the knob exists for A/B measurement and debugging.
+	// Sequential disables the parallel round scheduler (a pool of
+	// GOMAXPROCS workers per phase) and runs nodes one after another
+	// within each round, as the seed implementation did. Results (tables,
+	// rounds, transport stats) are identical either way; it is the
+	// reference schedule the pool is pinned against.
 	Sequential bool
-	// Workers caps the scheduler's worker goroutines per phase
-	// (0 = GOMAXPROCS). Ignored when Sequential is set.
-	Workers int
 	// Unbatched ships one signed envelope per exported tuple, as the seed
 	// implementation did, instead of one batched envelope per (src,dst)
 	// pair per round. A/B knob for the Figure 4 bandwidth experiments.
@@ -117,23 +115,6 @@ type Config struct {
 	// link — every N scheduler rounds (0 = one key per link for the whole
 	// run). Only meaningful with SessionAuth.
 	RekeyRounds int
-	// PipelinedCrypto moves sealing and verification into a dedicated
-	// crypto worker stage that overlaps rule evaluation, instead of
-	// running them inline in the export/import phases. Results are
-	// bit-identical either way (see TestTransportSchedulesMatch); the
-	// knob exists for A/B measurement.
-	PipelinedCrypto bool
-	// EngineShards shards each node's delta queue for intra-node
-	// parallelism: every engine partitions its evaluation waves by hash
-	// of (predicate, join-key columns) across this many read-only eval
-	// workers inside RunToFixpoint, merging emissions through a
-	// deterministic ordered-commit stage (0 or 1 = serial). Results —
-	// tables, aggregates, provenance, export order, stats — are
-	// bit-identical for every value (see TestShardedMatchesSerial). It
-	// composes with the node-level scheduler knobs: Workers parallelizes
-	// across nodes, EngineShards inside each node's fixpoint, and
-	// PipelinedCrypto overlaps crypto with both.
-	EngineShards int
 
 	// Transport overrides the message substrate (nil = a fresh in-memory
 	// netsim.Network). Supplying an internal/nettcp transport — together
@@ -488,7 +469,6 @@ func (n *Network) addNode(name string, saysSemantics bool) error {
 		OnUpdate: func(t data.Tuple, kind engine.UpdateKind) {
 			n.onEngineUpdate(name, t, kind)
 		},
-		Shards: n.cfg.EngineShards,
 	})
 	if err := eng.LoadProgram(n.prog); err != nil {
 		return err
@@ -673,30 +653,16 @@ func (n *Network) Run(maxRounds int) (*Report, error) {
 }
 
 // runRound executes one export phase and one import phase, reporting
-// whether any node made progress. With PipelinedCrypto the sealing and
-// verification halves of each phase run on a dedicated crypto stage
-// overlapping rule evaluation; results are bit-identical either way.
-// ctx is honored mid-round: both phases abort between node tasks when it
-// is cancelled.
+// whether any node made progress. ctx is honored mid-round: both phases
+// abort between node tasks when it is cancelled.
 func (n *Network) runRound(ctx context.Context) (bool, error) {
-	if n.nm == nil {
-		return n.runRoundInner(ctx)
+	var start time.Time
+	if n.nm != nil {
+		start = time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
+		n.nm.roundStart()
 	}
-	start := time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
-	n.nm.roundStart()
-	progress, err := n.runRoundInner(ctx)
-	if err == nil {
-		n.nm.roundEnd(n, "round", start)
-	}
-	return progress, err
-}
-
-func (n *Network) runRoundInner(ctx context.Context) (bool, error) {
 	if n.session != nil {
 		n.session.BeginRound()
-	}
-	if n.cfg.PipelinedCrypto {
-		return n.runRoundPipelined(ctx)
 	}
 	exported, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
 		retracts := node.takeRetracts()
@@ -721,6 +687,9 @@ func (n *Network) runRoundInner(ctx context.Context) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	if n.nm != nil {
+		n.nm.roundEnd(n, "round", start)
+	}
 	return exported || imported, nil
 }
 
@@ -729,15 +698,27 @@ func (n *Network) runRoundInner(ctx context.Context) (bool, error) {
 func (n *Network) importPhase(ctx context.Context) (bool, error) {
 	return n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
 		msgs := n.net.Drain(name)
+		var start time.Time
+		if n.nm != nil {
+			start = time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
+			n.nm.deltasIn.Add(int64(len(msgs)))
+		}
 		var ds []*delivery
 		for _, msg := range msgs {
 			d, err := n.decodeVerify(name, msg)
 			if err != nil {
-				return false, err
+				// Decoding precedes authentication, so anyone who can
+				// reach the socket can send garbage: drop and count it
+				// like unverifiable input, never fail the run.
+				n.rejectedSig.Add(1)
+				continue
 			}
 			if d != nil {
 				ds = append(ds, d)
 			}
+		}
+		if n.nm != nil {
+			n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
 		}
 		if err := n.deliverAll(name, node, ds); err != nil {
 			return false, err
@@ -822,19 +803,11 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 // in-flight data still lands), but no node evaluates — repair and
 // re-propagation wait for the wave to quiesce.
 func (n *Network) runRetractRound(ctx context.Context) error {
-	if n.nm == nil {
-		return n.runRetractRoundInner(ctx)
+	var start time.Time
+	if n.nm != nil {
+		start = time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
+		n.nm.roundStart()
 	}
-	start := time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
-	n.nm.roundStart()
-	err := n.runRetractRoundInner(ctx)
-	if err == nil {
-		n.nm.roundEnd(n, "retract", start)
-	}
-	return err
-}
-
-func (n *Network) runRetractRoundInner(ctx context.Context) error {
 	if n.session != nil {
 		n.session.BeginRound()
 	}
@@ -852,158 +825,21 @@ func (n *Network) runRetractRoundInner(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	_, err = n.importPhase(ctx)
-	return err
+	if _, err := n.importPhase(ctx); err != nil {
+		return err
+	}
+	if n.nm != nil {
+		n.nm.roundEnd(n, "retract", start)
+	}
+	return nil
 }
 
-// cryptoWorkers sizes the pipelined crypto stage's worker pool.
-func (n *Network) cryptoWorkers() int {
-	w := n.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(n.order) {
-		w = len(n.order)
-	}
-	return w
-}
-
-// runRoundPipelined runs one round with sealing and verification off the
-// evaluation path. The export phase is a two-stage pipeline: evaluation
-// workers run nodes to their local fixpoints and hand prepared frames to
-// crypto workers, which seal and ship them while other nodes are still
-// evaluating. The import phase mirrors it: crypto workers drain and
-// authenticate each node's inbox, handing verified deliveries to
-// insertion workers as they complete. Determinism is preserved because
-// each node's frames are sealed and sent by a single crypto task (the
-// fabric orders concurrent senders), and errors/progress are collected
-// per node and resolved in scheduler order.
-func (n *Network) runRoundPipelined(ctx context.Context) (bool, error) {
-	// Export: evaluation stage → sealing stage.
-	type sealJob struct {
-		idx    int
-		name   string
-		frames []outFrame
-	}
-	jobs := make(chan sealJob, len(n.order))
-	sealErrs := make([]error, len(n.order))
-	var sealWG sync.WaitGroup
-	for w := 0; w < n.cryptoWorkers(); w++ {
-		sealWG.Add(1)
-		go func() {
-			defer sealWG.Done()
-			for j := range jobs {
-				sealErrs[j.idx] = n.sealAndSend(j.name, j.frames)
-			}
-		}()
-	}
-	exported, evalErr := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-		retracts := node.takeRetracts()
-		exports := node.Engine.RunToFixpoint()
-		if len(retracts) == 0 && len(exports) == 0 {
-			return false, nil
-		}
-		frames, err := n.buildRetractFrames(name, retracts)
-		if err != nil {
-			return false, err
-		}
-		dataFrames, err := n.buildExportFrames(name, exports)
-		if err != nil {
-			return false, err
-		}
-		jobs <- sealJob{idx: n.idx[name], name: name, frames: append(frames, dataFrames...)}
-		return true, nil
-	})
-	close(jobs)
-	sealWG.Wait()
-	if evalErr != nil {
-		return false, evalErr
-	}
-	for i := range n.order {
-		if sealErrs[i] != nil {
-			return false, sealErrs[i]
-		}
-	}
-
-	// Import: verification stage → insertion stage.
-	type insertJob struct {
-		idx        int
-		name       string
-		deliveries []*delivery
-	}
-	inserts := make(chan insertJob, len(n.order))
-	verifyErrs := make([]error, len(n.order))
-	insertErrs := make([]error, len(n.order))
-	imported := make([]bool, len(n.order))
-	var verifyWG, insertWG sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < n.cryptoWorkers(); w++ {
-		verifyWG.Add(1)
-		go func() {
-			defer verifyWG.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(n.order) || ctx.Err() != nil {
-					return
-				}
-				name := n.order[i]
-				msgs := n.net.Drain(name)
-				imported[i] = len(msgs) > 0
-				var ds []*delivery
-				for _, msg := range msgs {
-					d, err := n.decodeVerify(name, msg)
-					if err != nil {
-						verifyErrs[i] = err
-						ds = nil
-						break
-					}
-					if d != nil {
-						ds = append(ds, d)
-					}
-				}
-				if len(ds) > 0 {
-					inserts <- insertJob{idx: i, name: name, deliveries: ds}
-				}
-			}
-		}()
-	}
-	insertWorkers := n.cryptoWorkers()
-	if n.cfg.Sequential {
-		insertWorkers = 1
-	}
-	for w := 0; w < insertWorkers; w++ {
-		insertWG.Add(1)
-		go func() {
-			defer insertWG.Done()
-			for j := range inserts {
-				insertErrs[j.idx] = n.deliverAll(j.name, n.nodes[j.name], j.deliveries)
-			}
-		}()
-	}
-	verifyWG.Wait()
-	close(inserts)
-	insertWG.Wait()
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	progress := exported
-	for i := range n.order {
-		if verifyErrs[i] != nil {
-			return false, verifyErrs[i]
-		}
-		if insertErrs[i] != nil {
-			return false, insertErrs[i]
-		}
-		progress = progress || imported[i]
-	}
-	return progress, nil
-}
-
-// forEachNode applies f to every node, sequentially or on a worker pool
-// per the configuration. It returns the OR of the progress flags and the
-// first error in scheduler (node registration) order. A cancelled ctx
-// aborts between node tasks (the mid-round cancellation point of the
-// lifecycle API) and reports the context's error.
+// forEachNode applies f to every node: on a pool of GOMAXPROCS workers,
+// or one after another under Config.Sequential (the reference schedule
+// the pool is pinned against). It returns the OR of the progress flags
+// and the first error in scheduler (node registration) order. A
+// cancelled ctx aborts between node tasks (the mid-round cancellation
+// point of the lifecycle API) and reports the context's error.
 func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Node) (bool, error)) (bool, error) {
 	if n.cfg.Sequential || len(n.order) == 1 {
 		progress := false
@@ -1019,10 +855,7 @@ func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Nod
 		}
 		return progress, nil
 	}
-	workers := n.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(n.order) {
 		workers = len(n.order)
 	}
@@ -1062,8 +895,8 @@ func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Nod
 	return progress, nil
 }
 
-// outFrame is one outbound datagram prepared by the evaluation stage and
-// sealed/shipped by the crypto stage. Exactly one of the frame kinds is
+// outFrame is one outbound datagram prepared from a node's exports and
+// sealed/shipped by sealAndSend. Exactly one of the frame kinds is
 // set: a session handshake, a v1 envelope, a v2 batch, a v3 session data
 // or retract frame, or a v4 retract envelope.
 type outFrame struct {
@@ -1212,27 +1045,20 @@ func (n *Network) buildExportFrames(from string, exports []engine.Export) ([]out
 // sealAndSend performs the cryptographic half of the export path: it
 // seals each prepared frame (handshake RSA, per-envelope signature, or
 // session MAC) and ships it. All of one sender's frames go through a
-// single call, preserving per-sender send order however the crypto stage
-// is scheduled.
+// single call, preserving per-sender send order.
 func (n *Network) sealAndSend(from string, frames []outFrame) error {
-	if n.nm == nil {
-		return n.sealAndSendInner(from, frames)
+	var start time.Time
+	if n.nm != nil {
+		start = time.Now() //provlint:allow detpath metrics seal timing, outside the deterministic state
+		n.nm.deltasOut.Add(int64(len(frames)))
 	}
-	start := time.Now() //provlint:allow detpath metrics seal timing, outside the deterministic state
-	n.nm.deltasOut.Add(int64(len(frames)))
-	err := n.sealAndSendInner(from, frames)
-	n.nm.sealNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics seal timing, outside the deterministic state
-	return err
-}
-
-func (n *Network) sealAndSendInner(from string, frames []outFrame) error {
 	if len(frames) > 0 {
 		n.markActive(from)
 	}
+	var err error
 	for i := range frames {
 		f := &frames[i]
 		var payload []byte
-		var err error
 		handshake := false
 		switch {
 		case f.handshake:
@@ -1262,14 +1088,17 @@ func (n *Network) sealAndSendInner(from string, frames []outFrame) error {
 		default:
 			err = errors.New("core: empty export frame")
 		}
-		if err != nil {
-			return err
+		if err == nil {
+			err = n.net.SendTagged(from, f.dst, payload, handshake)
 		}
-		if err := n.net.SendTagged(from, f.dst, payload, handshake); err != nil {
-			return err
+		if err != nil {
+			break
 		}
 	}
-	return nil
+	if n.nm != nil {
+		n.nm.sealNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics seal timing, outside the deterministic state
+	}
+	return err
 }
 
 // delivery is one verified inbound payload awaiting engine insertion.
@@ -1292,19 +1121,9 @@ type delivery struct {
 // here (installing the inbound session); unverifiable input is dropped
 // and counted, as a router drops what it cannot authenticate. A nil
 // delivery with nil error means the datagram was fully handled or
-// dropped.
+// dropped; an error means it was malformed, which the caller drops and
+// counts the same way.
 func (n *Network) decodeVerify(name string, msg netsim.Message) (*delivery, error) {
-	if n.nm == nil {
-		return n.decodeVerifyInner(name, msg)
-	}
-	start := time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
-	n.nm.deltasIn.Inc()
-	d, err := n.decodeVerifyInner(name, msg)
-	n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
-	return d, err
-}
-
-func (n *Network) decodeVerifyInner(name string, msg netsim.Message) (*delivery, error) {
 	p := msg.Payload
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty datagram", ErrBadEnvelope)

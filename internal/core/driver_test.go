@@ -35,7 +35,7 @@ func snapshotPreds(n *Network, preds ...string) string {
 // TestLiveMatchesBatch pins the compatibility half of the lifecycle API:
 // driving the §6 Best-Path workload through Start/AwaitQuiescence yields
 // tables, rounds, transport stats, and crypto counters bit-identical to
-// the batch Run(0), across all four transport schedules.
+// the batch Run(0), across all three transport schedules.
 func TestLiveMatchesBatch(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -44,7 +44,6 @@ func TestLiveMatchesBatch(t *testing.T) {
 		{"rsa-per-tuple", func(c *Config) { c.Unbatched = true }},
 		{"rsa-per-batch", func(c *Config) {}},
 		{"session-mac", func(c *Config) { c.SessionAuth = true }},
-		{"session-mac-pipelined", func(c *Config) { c.SessionAuth = true; c.PipelinedCrypto = true }},
 	}
 	for _, s := range schedules {
 		t.Run(s.name, func(t *testing.T) {
@@ -198,15 +197,15 @@ func TestCutLinkReconverges(t *testing.T) {
 }
 
 // TestCutLinkAcrossTransports runs the cut-reconverge-equals-restart
-// check under the session and pipelined transports, where retractions
-// ride v3 retract frames instead of v4 envelopes.
+// check under the session transport, where retractions ride v3 retract
+// frames instead of v4 envelopes, and under the sequential per-tuple
+// baseline.
 func TestCutLinkAcrossTransports(t *testing.T) {
 	for _, s := range []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"session", func(c *Config) { c.SessionAuth = true }},
-		{"session-pipelined", func(c *Config) { c.SessionAuth = true; c.PipelinedCrypto = true }},
 		{"sequential-unbatched", func(c *Config) { c.Sequential = true; c.Unbatched = true }},
 	} {
 		t.Run(s.name, func(t *testing.T) {

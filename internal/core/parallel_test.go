@@ -28,8 +28,9 @@ func snapshot(t *testing.T, n *Network) string {
 // TestParallelMatchesSequential asserts the tentpole invariant: the
 // parallel worker-pool scheduler produces exactly the same fixpoint
 // tables, round count, and transport stats as the sequential baseline,
-// across program/topology/wire-format variants. Run with -race this also
-// exercises the fabric and signer under concurrency.
+// across program/topology/wire-format variants (TestMain makes the pool
+// at least four workers wide). Run with -race this also exercises the
+// fabric and signer under concurrency.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -69,7 +70,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 				par := tc.cfg
 				par.Sequential = false
-				par.Workers = 4
 				par.Unbatched = unbatched
 				nPar, repPar := mustRun(t, par)
 
@@ -121,25 +121,5 @@ func TestBatchingReducesMessagesAndBytes(t *testing.T) {
 	}
 	if repB.Signed >= repU.Signed {
 		t.Errorf("batched signatures = %d, want < unbatched %d", repB.Signed, repU.Signed)
-	}
-}
-
-// TestParallelWorkerKnob pins down the Workers knob: any worker count
-// produces the same result.
-func TestParallelWorkerKnob(t *testing.T) {
-	g := topo.RandomConnected(topo.Options{N: 8, AvgOutDegree: 3, MaxCost: 5, Seed: 11})
-	var want string
-	var wantRounds int
-	for i, workers := range []int{1, 2, 8, 64} {
-		cfg := Config{Source: BestPath, Graph: g, Workers: workers}
-		n, rep := mustRun(t, cfg)
-		got := snapshot(t, n)
-		if i == 0 {
-			want, wantRounds = got, rep.Rounds
-			continue
-		}
-		if got != want || rep.Rounds != wantRounds {
-			t.Fatalf("workers=%d diverged (rounds %d vs %d)", workers, rep.Rounds, wantRounds)
-		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // "reachable(a, c)", "path(a, c, [a,b,c], 2)", or with an asserter prefix
 // "b says reachable(a, c)". Bare lowercase identifiers are string
 // constants, numbers are int/float, quoted strings are strings, and
-// [...] are lists.
+// [...] are lists, nested at most maxValueDepth deep.
 func ParseTuple(s string) (data.Tuple, error) {
 	s = strings.TrimSpace(s)
 	asserter := ""
@@ -34,8 +34,14 @@ func ParseTuple(s string) (data.Tuple, error) {
 	return t, nil
 }
 
+// maxValueDepth bounds list nesting in parsed tuple text, matching the
+// wire decoder's bound (internal/data): every level re-scans its
+// contents, so unbounded nesting is quadratic in the input.
+const maxValueDepth = 32
+
 // parseValueList splits a comma-separated argument list, honouring
-// brackets and quotes.
+// brackets and quotes. The outermost scan sees every bracket of the
+// argument list, so it is the one that enforces maxValueDepth.
 func parseValueList(s string) ([]data.Value, error) {
 	var args []data.Value
 	depth := 0
@@ -63,6 +69,9 @@ func parseValueList(s string) ([]data.Value, error) {
 			inStr = true
 		case c == '[':
 			depth++
+			if depth > maxValueDepth {
+				return nil, fmt.Errorf("lists nested deeper than %d", maxValueDepth)
+			}
 		case c == ']':
 			depth--
 		case c == ',' && depth == 0:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"provnet/internal/data"
@@ -50,4 +51,36 @@ func TestParseTupleRoundTripsWithString(t *testing.T) {
 	if !got.Equal(orig) {
 		t.Errorf("round trip: %v != %v", got, orig)
 	}
+}
+
+// TestParseTupleDepthLimit pins the nesting bound of tuple text (the
+// /v1/traceback?tuple= path): maxValueDepth levels parse — and survive
+// the wire codec, so the two bounds agree — one more is rejected before
+// any nested re-scan.
+func TestParseTupleDepthLimit(t *testing.T) {
+	nested := func(depth int) string {
+		return "p(" + strings.Repeat("[", depth) + "a" + strings.Repeat("]", depth) + ")"
+	}
+	got, err := ParseTuple(nested(maxValueDepth))
+	if err != nil {
+		t.Fatalf("depth %d: %v", maxValueDepth, err)
+	}
+	if back, _, err := data.DecodeTuple(data.EncodeTuple(got)); err != nil || !back.Equal(got) {
+		t.Errorf("depth %d does not round-trip the wire codec: %v", maxValueDepth, err)
+	}
+	if _, err := ParseTuple(nested(maxValueDepth + 1)); err == nil {
+		t.Errorf("depth %d parsed, want an error", maxValueDepth+1)
+	}
+	if _, _, err := data.DecodeTuple(data.EncodeTuple(data.NewTuple("p", deepList(maxValueDepth+1)))); err == nil {
+		t.Errorf("wire codec accepts depth %d: the text and wire bounds disagree", maxValueDepth+1)
+	}
+}
+
+// deepList nests an int inside depth lists.
+func deepList(depth int) data.Value {
+	v := data.Int(0)
+	for i := 0; i < depth; i++ {
+		v = data.List(v)
+	}
+	return v
 }

@@ -101,7 +101,7 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 						n, err := NewNetwork(Config{
 							Source: p.source, Graph: g, LinkNoCost: p.noCost,
 							Prov: mode, Auth: auth.SchemeNone,
-							Sequential: sequential, Workers: 4,
+							Sequential: sequential,
 						})
 						if err != nil {
 							t.Fatal(err)

@@ -506,6 +506,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	if b, err := sessRetr.Encode(session, "b"); err == nil {
 		f.Add(b)
 	}
+	// A v1 envelope whose tuple argument is 64 nested {KindList, 1}
+	// headers: past the codec's depth bound, so an error, not a recursion.
+	tooDeep := &Envelope{From: "a", Tuple: data.NewTuple("p", deepList(64)), Scheme: auth.SchemeRSA}
+	if b, err := tooDeep.Encode(sealer, "b"); err == nil {
+		f.Add(b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{2, 0})

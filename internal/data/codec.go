@@ -19,7 +19,7 @@ import (
 //	bool   -> uint8
 //	float  -> 8-byte little-endian IEEE 754
 //	string -> uvarint length, bytes
-//	list   -> uvarint count, values
+//	list   -> uvarint count, values (nested at most maxValueDepth deep)
 //	tuple  := string(pred) string(asserter) uvarint(arity) values
 
 var (
@@ -50,9 +50,20 @@ func AppendValue(b []byte, v Value) []byte {
 	return b
 }
 
+// maxValueDepth bounds list nesting in decoded values. The decoder
+// recurses per level and runs before any signature check, so without a
+// bound a few megabytes of list headers overflow the stack. The
+// programs' lists are path vectors, depth 1.
+const maxValueDepth = 32
+
 // DecodeValue decodes one value from b, returning it and the number of
-// bytes consumed.
+// bytes consumed. Lists nested deeper than maxValueDepth are ErrCorrupt.
 func DecodeValue(b []byte) (Value, int, error) {
+	return decodeValue(b, 0)
+}
+
+// decodeValue is DecodeValue inside depth enclosing lists.
+func decodeValue(b []byte, depth int) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, ErrShortBuffer
 	}
@@ -83,6 +94,9 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		return Str(s), n + m, nil
 	case KindList:
+		if depth == maxValueDepth {
+			return Value{}, 0, fmt.Errorf("%w: lists nested deeper than %d", ErrCorrupt, maxValueDepth)
+		}
 		cnt, m := binary.Uvarint(b[n:])
 		if m <= 0 {
 			return Value{}, 0, ErrCorrupt
@@ -93,7 +107,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		vs := make([]Value, 0, cnt)
 		for i := uint64(0); i < cnt; i++ {
-			e, m, err := DecodeValue(b[n:])
+			e, m, err := decodeValue(b[n:], depth+1)
 			if err != nil {
 				return Value{}, 0, err
 			}

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -145,5 +147,32 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeValueDepthLimit pins the nesting bound: a list nested
+// maxValueDepth deep decodes, one level more is ErrCorrupt — the decoder
+// recurses per level and runs on unauthenticated input.
+func TestDecodeValueDepthLimit(t *testing.T) {
+	nested := func(depth int) []byte {
+		v := Int(7)
+		for i := 0; i < depth; i++ {
+			v = List(v)
+		}
+		return AppendValue(nil, v)
+	}
+	atLimit := nested(maxValueDepth)
+	if _, n, err := DecodeValue(atLimit); err != nil || n != len(atLimit) {
+		t.Errorf("depth %d: n=%d err=%v, want a full decode", maxValueDepth, n, err)
+	}
+	if _, _, err := DecodeValue(nested(maxValueDepth + 1)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("depth %d: err = %v, want ErrCorrupt", maxValueDepth+1, err)
+	}
+	// The same bound holds for a tuple argument, and far past it: 1 MiB
+	// of 2-byte list headers is an error, not a deep recursion.
+	deep := bytes.Repeat([]byte{byte(KindList), 1}, 1<<19)
+	tu := append(AppendString(AppendString(nil, "p"), ""), 1)
+	if _, _, err := DecodeTuple(append(tu, deep...)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("1 MiB of list headers: err = %v, want ErrCorrupt", err)
 	}
 }

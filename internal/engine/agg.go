@@ -207,7 +207,7 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 	// The emitted head's argument slice escapes into the stored table, so
 	// it comes from the persistent slab of the commit-stage scratch
 	// (emission always runs on the driving goroutine).
-	args := e.scratchFor(0).allocVals(len(g.groupArgs))
+	args := e.scratchBuf().allocVals(len(g.groupArgs))
 	copy(args, g.groupArgs)
 	args[st.rule.agg.argIdx] = val
 	head := data.Tuple{Pred: st.rule.headPred, Args: args}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"provnet/internal/data"
@@ -101,7 +102,7 @@ b1 best(@N,Y,min<C>) :- cost(@N,Y,C).
 		{true, 1, 5}, {true, 3, 9},
 	}
 	run := func() (string, Stats) {
-		e := newShardedNode(t, "n", prog, 1, 4)
+		e := cappedEngine(t, "n", prog, 4)
 		for _, o := range script {
 			tu := data.NewTuple("link", data.Str("n"),
 				data.Str(fmt.Sprintf("y%d", o.y)), data.Int(int64(o.c)))
@@ -125,4 +126,70 @@ b1 best(@N,Y,min<C>) :- cost(@N,Y,C).
 	if gotStats != wantStats {
 		t.Fatalf("stats diverged: unmasked %+v, masked %+v", wantStats, gotStats)
 	}
+}
+
+// FuzzRetractCollisions generalises the pin above to fuzz input: one op
+// script of inserts, retractions, fixpoints and expiry (shadow cap 2, so
+// eviction and the re-derivation fallback run too) is replayed with full
+// hashes and with every structural hash squeezed to 3 bits, and the two
+// runs must agree on the table snapshot after every step, on every
+// fixpoint's exports (order included), and on the final stats.
+func FuzzRetractCollisions(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 8, 0, 5, 1, 1, 2, 8, 3, 0})
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 8, 2, 0, 3, 1, 0, 1, 8, 3, 7, 0, 9, 9})
+	f.Add([]byte{0, 1, 1, 0, 2, 1, 0, 1, 1, 8, 0, 3, 3, 3, 2, 2, 0, 4, 4})
+	f.Add([]byte{0, 1, 2, 8, 0, 5, 1, 1, 2, 8, 3, 0, 0, 3, 3, 1, 1, 2})
+	const fuzzProg = `
+materialize(link, 16, infinity, keys(1,2,3)).
+materialize(cost, infinity, infinity, keys(1,2,3)).
+materialize(m, infinity, infinity, keys(1,2)).
+aggSelection(cost, keys(1,2), min, 3).
+c1 cost(@N,Y,C) :- link(@N,Y,C).
+m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
+`
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// run returns one line per step: the exports of a fixpoint step
+		// (empty otherwise) and the table snapshot after it.
+		run := func() ([]string, Stats) {
+			e := cappedEngine(t, "n", fuzzProg, 2)
+			now := 0.0
+			var steps []string
+			for i := 0; i+2 < len(ops); i += 3 {
+				op, y, c := ops[i]%4, ops[i+1], ops[i+2]
+				link := data.NewTuple("link", data.Str("n"),
+					data.Str(fmt.Sprintf("y%d", y%3)), data.Int(int64(c%9)))
+				var exports strings.Builder
+				switch op {
+				case 0:
+					e.InsertFact(link)
+				case 1:
+					e.RetractFacts(link)
+				case 2:
+					for _, ex := range e.RunToFixpoint() {
+						fmt.Fprintf(&exports, "%s<-%s\n", ex.Dest, ex.Tuple)
+					}
+				case 3:
+					now += float64(c % 8)
+					e.Expire(now)
+				}
+				steps = append(steps, exports.String()+"--\n"+snapshotEngine(e))
+			}
+			e.RunToFixpoint()
+			steps = append(steps, snapshotEngine(e))
+			return steps, e.Stats
+		}
+
+		wantSteps, wantStats := run()
+		restore := data.LimitHashBitsForTesting(3)
+		defer restore()
+		gotSteps, gotStats := run()
+		for i := range wantSteps {
+			if gotSteps[i] != wantSteps[i] {
+				t.Fatalf("step %d diverged\n--- unmasked ---\n%s--- masked ---\n%s", i, wantSteps[i], gotSteps[i])
+			}
+		}
+		if gotStats != wantStats {
+			t.Fatalf("stats diverged: unmasked %+v, masked %+v", wantStats, gotStats)
+		}
+	})
 }

@@ -14,7 +14,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"provnet/internal/data"
 	"provnet/internal/datalog"
@@ -106,13 +105,6 @@ type Config struct {
 	// from the engine's (single) driving goroutine; implementations must
 	// not call back into the engine.
 	OnUpdate func(t data.Tuple, kind UpdateKind)
-	// Shards partitions each evaluation wave's deltas by hash of
-	// (predicate, join-key columns) across this many read-only eval
-	// workers inside RunToFixpoint (0 or 1 = serial). Emissions always
-	// commit through a deterministic ordered stage, so tables,
-	// aggregates, provenance annotations, and export order are
-	// bit-identical for every shard count.
-	Shards int
 	// ShadowCap bounds the aggregate-selection prune shadow per group
 	// (0 = DefaultShadowCap, <0 = unbounded). Overflow evicts the
 	// least-competitive candidate; a revival that may have lost
@@ -147,12 +139,7 @@ type Engine struct {
 	byPred   map[string][]atomRef
 	aggState map[string]*aggGroupState // keyed by rule label + group key
 
-	// shards is the intra-node eval parallelism (>=1); shardCols maps
-	// each body predicate to the argument positions that participate in
-	// joins, the hash basis for partitioning waves across shards.
 	// shadowCap is Config.ShadowCap, resolved per pruneSpec at load.
-	shards    int
-	shardCols map[string][]int
 	shadowCap int
 
 	queue   []*Entry
@@ -173,14 +160,14 @@ type Engine struct {
 	// destIDs caches interned destination-symbol ids (see destID).
 	destIDs map[string]uint32
 
-	// scratches holds one reusable evalScratch per eval worker; firedBuf
-	// is the reused per-wave firing table. maxVars/maxAtoms/maxProbe are
-	// the scratch sizes required by the loaded rules.
-	scratches []*evalScratch
-	firedBuf  [][]pending
-	maxVars   int
-	maxAtoms  int
-	maxProbe  int
+	// scratch is the reusable evalScratch; firedBuf is the reused
+	// per-wave firing table. maxVars/maxAtoms/maxProbe are the scratch
+	// sizes required by the loaded rules.
+	scratch  *evalScratch
+	firedBuf [][]pending
+	maxVars  int
+	maxAtoms int
+	maxProbe int
 
 	// pend accumulates over-deletion state between BeginRetract* and the
 	// CompleteRetract that repairs it (see retract.go).
@@ -338,10 +325,6 @@ func New(cfg Config) *Engine {
 	if hook == nil {
 		hook = NoProv{}
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	_, noProv := hook.(NoProv)
 	return &Engine{
 		self:          cfg.Self,
@@ -349,7 +332,6 @@ func New(cfg Config) *Engine {
 		hook:          hook,
 		noProv:        noProv,
 		onUpdate:      cfg.OnUpdate,
-		shards:        shards,
 		shadowCap:     cfg.ShadowCap,
 		tables:        make(map[string]*Table),
 		decls:         make(map[string]*datalog.MaterializeDecl),
@@ -358,7 +340,6 @@ func New(cfg Config) *Engine {
 		aggState:      make(map[string]*aggGroupState),
 		deps:          make(map[uint64][]*depEntry),
 		destIDs:       make(map[string]uint32),
-		shardCols:     make(map[string][]int),
 	}
 }
 
@@ -461,7 +442,6 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		for i, a := range cr.atoms {
 			e.byPred[a.pred] = append(e.byPred[a.pred], atomRef{rule: cr, atom: i})
 		}
-		e.recordShardCols(cr)
 		if cr.nvars > e.maxVars {
 			e.maxVars = cr.nvars
 		}
@@ -473,69 +453,6 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		}
 	}
 	return nil
-}
-
-// recordShardCols folds rule cr's join structure into the per-predicate
-// shard-key columns: for every body atom, the argument positions whose
-// variable occurs in more than one place within the rule's atoms (a join
-// key). Deltas hash on (predicate, those columns) when waves are
-// partitioned across shards, keeping tuples that join with each other on
-// the same worker. The choice only affects locality — evaluation is
-// read-only and commits are ordered, so any partition is correct.
-func (e *Engine) recordShardCols(cr *compiledRule) {
-	occ := make(map[int]int)
-	for _, a := range cr.atoms {
-		if a.says != nil && !a.says.isConst && a.says.slot >= 0 {
-			occ[a.says.slot]++
-		}
-		for _, p := range a.args {
-			if !p.isConst && p.slot >= 0 {
-				occ[p.slot]++
-			}
-		}
-	}
-	for _, a := range cr.atoms {
-		cols := e.shardCols[a.pred]
-		for i, p := range a.args {
-			if p.isConst || p.slot < 0 || occ[p.slot] < 2 {
-				continue
-			}
-			seen := false
-			for _, c := range cols {
-				if c == i {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				cols = append(cols, i)
-			}
-		}
-		sort.Ints(cols)
-		e.shardCols[a.pred] = cols
-	}
-}
-
-// shardOf maps a delta tuple to its evaluation shard: the structural
-// hash of the join-key columns (the whole tuple when the predicate has
-// none recorded). The choice only affects locality — evaluation is
-// read-only and commits are ordered, so any partition is correct.
-func (e *Engine) shardOf(t data.Tuple) int {
-	cols := e.shardCols[t.Pred]
-	h := t.Hash()
-	if len(cols) > 0 {
-		ok := true
-		for _, c := range cols {
-			if c >= len(t.Args) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			h = t.HashCols(cols)
-		}
-	}
-	return int(h % uint64(e.shards))
 }
 
 // table returns (creating if needed) the table for pred, configured from
@@ -556,7 +473,6 @@ func (e *Engine) table(pred string) *Table {
 		maxSize = d.MaxSize
 	}
 	t = NewTable(pred, keyCols, ttl, maxSize)
-	t.concurrent = e.shards > 1
 	e.tables[pred] = t
 	return t
 }
@@ -787,16 +703,12 @@ func (ps *pruneSpec) dropShadow(g *pruneGroupState, t data.Tuple) {
 // work, returning (and clearing) the exports destined to other nodes.
 //
 // The queue drains in waves: each wave takes the current delta batch,
-// evaluates every live entry read-only against the stored tables —
-// partitioned by shardOf across Config.Shards workers when sharding is
-// on — and then commits the collected firings through emit in batch
-// order. Because evaluation never writes and the commit stage replays
-// emissions in the deterministic wave order, tables, aggregates,
-// provenance annotations, export order, and stats are bit-identical for
-// every shard count; the FIFO queue the waves replace processed entries
-// in this same breadth-first order. Two visibility edges are pinned
-// down deterministically where the FIFO left them to arrival order: a
-// tuple derived mid-wave becomes joinable only from the next wave (the
+// evaluates every live entry read-only against the stored tables, and
+// then commits the collected firings through emit in batch order; the
+// FIFO queue the waves replace processed entries in this same
+// breadth-first order. Two visibility edges are pinned down
+// deterministically where the FIFO left them to arrival order: a tuple
+// derived mid-wave becomes joinable only from the next wave (the
 // FIFO exposed it to the remainder of the current batch), and an entry
 // primary-key-replaced by an earlier commit of its own wave still
 // commits its collected firings (the FIFO fired or skipped it depending
@@ -819,9 +731,11 @@ func (e *Engine) RunToFixpoint() []Export {
 }
 
 // runWave evaluates one delta batch and commits its firings in order.
-// Firings accumulate in per-worker pending arenas (reused across waves);
-// the fired table maps each live entry to its arena span so the commit
-// replay runs in deterministic wave order.
+// Firings accumulate in the scratch's pending arena (reused across
+// waves); the fired table maps each live entry to its arena span so the
+// commit replay runs in wave order. An arena regrowth leaves earlier
+// spans pointing at the old backing array, whose contents are final —
+// the spans stay valid.
 func (e *Engine) runWave(batch []*Entry) {
 	live := batch[:0]
 	for _, en := range batch {
@@ -839,16 +753,12 @@ func (e *Engine) runWave(batch []*Entry) {
 	} else {
 		fired = fired[:len(live)]
 	}
-	if e.shards > 1 && len(live) > 1 {
-		e.evalWaveSharded(live, fired)
-	} else {
-		sc := e.scratchFor(0)
-		sc.pend = sc.pend[:0]
-		sc.resetWave()
-		for i, en := range live {
-			s, t := e.evalEntry(en, sc)
-			fired[i] = sc.pend[s:t:t]
-		}
+	sc := e.scratchBuf()
+	sc.pend = sc.pend[:0]
+	sc.resetWave()
+	for i, en := range live {
+		s, t := e.evalEntry(en, sc)
+		fired[i] = sc.pend[s:t:t]
 	}
 	for i := range fired {
 		for _, p := range fired[i] {
@@ -867,44 +777,6 @@ func (e *Engine) evalEntry(en *Entry, sc *evalScratch) (int, int) {
 		e.evalDelta(ref.rule, ref.atom, en, &sc.pend, sc)
 	}
 	return start, len(sc.pend)
-}
-
-// evalWaveSharded partitions the wave by shardOf and evaluates each
-// shard on its own worker. Workers only read engine state (tables,
-// compiled rules, the clock) and write disjoint fired slots, so the
-// only synchronization needed is the tables' lazy-index lock and the
-// final barrier. Each worker appends into its own scratch arena; an
-// arena regrowth leaves earlier spans pointing at the old backing array,
-// whose contents are final — the spans stay valid.
-func (e *Engine) evalWaveSharded(live []*Entry, fired [][]pending) {
-	shards := make([][]int, e.shards)
-	for i, en := range live {
-		s := e.shardOf(en.Tuple)
-		shards[s] = append(shards[s], i)
-	}
-	// Materialize every worker's scratch before spawning: scratchFor
-	// mutates the engine's scratch list and must stay single-threaded.
-	for w := range shards {
-		e.scratchFor(w)
-	}
-	var wg sync.WaitGroup
-	for w, idxs := range shards {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, idxs []int) {
-			defer wg.Done()
-			sc := e.scratches[w]
-			sc.pend = sc.pend[:0]
-			sc.resetWave()
-			for _, i := range idxs {
-				s, t := e.evalEntry(live[i], sc)
-				fired[i] = sc.pend[s:t:t]
-			}
-		}(w, idxs)
-	}
-	wg.Wait()
 }
 
 // Pending reports whether the engine has queued work.
@@ -1071,18 +943,15 @@ func (e *Engine) ShadowEvictions() int64 {
 
 // ArenaHighWater reports the total capacity, in elements, of the eval
 // scratch arenas (persistent value/annotation slabs, wave arenas, and
-// the pending-firing buffers) across all eval workers — the steady-state
-// memory the hot path has grown to.
+// the pending-firing buffer) — the steady-state memory the hot path has
+// grown to.
 func (e *Engine) ArenaHighWater() int64 {
-	var n int64
-	for _, sc := range e.scratches {
-		if sc == nil {
-			continue
-		}
-		n += int64(cap(sc.valArena) + cap(sc.waveVals))
-		n += int64(cap(sc.annArena) + cap(sc.waveAnns) + cap(sc.pend))
+	sc := e.scratch
+	if sc == nil {
+		return 0
 	}
-	return n
+	return int64(cap(sc.valArena)+cap(sc.waveVals)) +
+		int64(cap(sc.annArena)+cap(sc.waveAnns)+cap(sc.pend))
 }
 
 // Predicates returns the names of all tables with live tuples.

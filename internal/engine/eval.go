@@ -8,11 +8,9 @@ import (
 
 // pending is one rule firing captured during read-only evaluation,
 // awaiting the ordered-commit stage. Capturing firings instead of
-// committing them inline is what lets a wave of deltas evaluate on
-// several shard workers at once while tables, aggregates, provenance
-// annotations, and export order stay bit-identical for every shard
-// count: evaluation never writes, and the commit replay happens in
-// deterministic wave order on the driving goroutine.
+// committing them inline is what gives a wave its semantics: evaluation
+// never writes, so every delta of the wave joins against the same stored
+// state, and the commit replay happens in wave order.
 type pending struct {
 	r    *compiledRule
 	head data.Tuple
@@ -23,12 +21,11 @@ type pending struct {
 	body     []AnnTuple
 }
 
-// evalScratch is the reusable per-worker evaluation state: one variable
+// evalScratch is the engine's reusable evaluation state: one variable
 // environment and trail sized for the largest rule, a probe-value buffer
 // sized for the widest precompiled probe, a body buffer for the longest
-// rule, and the pending arena a wave's firings append into. One scratch
-// exists per eval worker (serial engines use worker 0) and lives for the
-// engine's lifetime, so steady-state evaluation performs no per-delta
+// rule, and the pending arena a wave's firings append into. It lives for
+// the engine's lifetime, so steady-state evaluation performs no per-delta
 // allocation beyond the firings themselves.
 type evalScratch struct {
 	env   env
@@ -172,20 +169,17 @@ func (sc *evalScratch) resetWave() {
 	sc.waveAnnsUsed = 0
 }
 
-// scratchFor returns worker i's scratch, (re)creating it when a program
-// load grew the required sizes.
-func (e *Engine) scratchFor(i int) *evalScratch {
-	for len(e.scratches) <= i {
-		e.scratches = append(e.scratches, nil)
-	}
-	sc := e.scratches[i]
+// scratchBuf returns the engine's eval scratch, (re)creating it when a
+// program load grew the required sizes.
+func (e *Engine) scratchBuf() *evalScratch {
+	sc := e.scratch
 	if sc == nil || len(sc.env.vals) < e.maxVars || len(sc.probe) < e.maxProbe || len(sc.body) < e.maxAtoms {
 		sc = &evalScratch{
 			env:   env{vals: make([]data.Value, e.maxVars), bound: make([]bool, e.maxVars)},
 			probe: make([]data.Value, e.maxProbe),
 			body:  make([]AnnTuple, e.maxAtoms),
 		}
-		e.scratches[i] = sc
+		e.scratch = sc
 	}
 	return sc
 }
@@ -193,7 +187,7 @@ func (e *Engine) scratchFor(i int) *evalScratch {
 // evalDelta runs rule r with the delta entry bound at body atom atomIdx,
 // joining the remaining atoms against the stored tables (semi-naive
 // evaluation). With a non-nil sink, firings are collected instead of
-// committed (the sharded wave path); a nil sink commits through emit.
+// committed (the wave path); a nil sink commits through emit.
 // The scratch's environment is restored (all slots unbound) on return.
 func (e *Engine) evalDelta(r *compiledRule, atomIdx int, delta *Entry, sink *[]pending, sc *evalScratch) {
 	if !e.ruleActive(r) {
@@ -216,13 +210,10 @@ func (e *Engine) evalDelta(r *compiledRule, atomIdx int, delta *Entry, sink *[]p
 // evalFull evaluates rule r from scratch over the stored tables (used for
 // aggregate recomputation and DRed re-derivation). sink as in evalDelta.
 func (e *Engine) evalFull(r *compiledRule, sink *[]pending) {
-	e.evalFullScratch(r, sink, e.scratchFor(0))
-}
-
-func (e *Engine) evalFullScratch(r *compiledRule, sink *[]pending, sc *evalScratch) {
 	if !e.ruleActive(r) {
 		return
 	}
+	sc := e.scratchBuf()
 	env := &sc.env
 	if (r.ctxSlot < 0 || env.bindOrCheck(r.ctxSlot, data.Str(e.self), &sc.trail)) &&
 		(r.locSlot < 0 || env.bindOrCheck(r.locSlot, data.Str(e.self), &sc.trail)) {
@@ -248,8 +239,7 @@ func (e *Engine) ruleActive(r *compiledRule) bool {
 
 // evalSteps walks the rule plan from step si; atom skipAtom is already
 // bound (the delta), -1 for full evaluation. It only reads engine state
-// (tables are probed, never created), so shard workers may run it
-// concurrently between commit stages. Probes follow the rule's
+// (tables are probed, never created). Probes follow the rule's
 // precompiled plan: the bound columns and their value sources were
 // resolved at compile time, so a probe fills a reused value buffer and
 // hashes it — no per-probe allocation.
@@ -368,7 +358,7 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 	// Re-derivations of an already-stored row — the common case in a
 	// recursive fixpoint — reuse the stored canonical tuple and its
 	// cached hash instead of materializing a fresh argument slice. The
-	// lookup is a pure read, safe from concurrent shard workers.
+	// lookup is a pure read.
 	// Aggregate heads skip it: their aggregate argument holds the
 	// per-contribution value, which almost never matches the stored
 	// aggregated row, and aggContribute copies what it keeps — so their

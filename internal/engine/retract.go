@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sort"
-	"sync"
 
 	"provnet/internal/data"
 )
@@ -657,55 +656,21 @@ func (ps *pruneSpec) addShadowRow(g *pruneGroupState, row shadowRow) {
 // downstream consequences re-propagate); previously withdrawn exports
 // that are still derivable are re-shipped to their destinations.
 //
-// The phase shards like RunToFixpoint's waves: rules are evaluated
-// read-only on up to Config.Shards workers (the shard unit here is the
-// rule — each rule's full evaluation is one independent read-only
-// pass), then the collected firings commit in rule order under the
-// rederive filter, so the repair is bit-identical for every shard
-// count. The over-delete walk itself stays serial: its per-entry
-// support arithmetic (localSupport / origin mutation) is
-// order-dependent, and the walk is index lookups, not rule evaluation —
-// there is nothing expensive to parallelize.
+// The phase has RunToFixpoint's wave shape: every rule is evaluated
+// read-only against the over-deleted tables first, then the collected
+// firings commit in rule order under the rederive filter, so no rule
+// sees another's repairs mid-phase. The over-delete walk before it is
+// index lookups, not rule evaluation.
 func (e *Engine) rederiveDeleted(p *retractPending) {
-	var rules []*compiledRule
+	var fired []pending
 	for _, r := range e.rules {
 		if r.agg == nil {
-			rules = append(rules, r)
-		}
-	}
-	fired := make([][]pending, len(rules))
-	if e.shards > 1 && len(rules) > 1 {
-		workers := e.shards
-		if workers > len(rules) {
-			workers = len(rules)
-		}
-		// Materialize worker scratches before spawning (single-threaded
-		// mutation of the scratch list).
-		for w := 0; w < workers; w++ {
-			e.scratchFor(w)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sc := e.scratches[w]
-				for i := w; i < len(rules); i += workers {
-					e.evalFullScratch(rules[i], &fired[i], sc)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i, r := range rules {
-			e.evalFull(r, &fired[i])
+			e.evalFull(r, &fired)
 		}
 	}
 	e.rederive = &rederiveState{deleted: p.deleted, shipped: p.shipped}
-	for i := range fired {
-		for _, pd := range fired[i] {
-			e.emit(pd.r, pd.head, pd.headHash, pd.dest, pd.body)
-		}
+	for _, pd := range fired {
+		e.emit(pd.r, pd.head, pd.headHash, pd.dest, pd.body)
 	}
 	e.rederive = nil
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"provnet/internal/data"
@@ -8,6 +10,12 @@ import (
 )
 
 func retractEngine(t *testing.T, self, src string) *Engine {
+	t.Helper()
+	return cappedEngine(t, self, src, 0)
+}
+
+// cappedEngine builds an engine with an explicit prune-shadow cap.
+func cappedEngine(t testing.TB, self, src string, shadowCap int) *Engine {
 	t.Helper()
 	prog, err := datalog.Parse(src)
 	if err != nil {
@@ -17,11 +25,22 @@ func retractEngine(t *testing.T, self, src string) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Self: self})
+	e := New(Config{Self: self, ShadowCap: shadowCap})
 	if err := e.LoadProgram(localized); err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// snapshotEngine renders every live tuple of an engine, sorted.
+func snapshotEngine(e *Engine) string {
+	var b strings.Builder
+	for _, pred := range e.Predicates() {
+		for _, tu := range e.Tuples(pred) {
+			fmt.Fprintf(&b, "%s\n", tu)
+		}
+	}
+	return b.String()
 }
 
 const reachProg = `

@@ -3,7 +3,6 @@ package engine
 import (
 	"strconv"
 	"strings"
-	"sync"
 
 	"provnet/internal/data"
 )
@@ -167,16 +166,9 @@ type Table struct {
 	// dirty counts dead entries still parked in order, so scans know
 	// whether the fast no-filter path applies.
 	dirty int
-	// indexes: signature ("2,4") → column index. With concurrent set (the
-	// owning engine shards its waves), the lazy build happens under mu:
-	// sharded evaluation probes tables from several read-only workers at
-	// once, and the build is the one mutation that can happen during a
-	// probe. All other writes occur in the serial commit and maintenance
-	// phases, separated from eval by the wave barrier. A serial engine
-	// leaves concurrent unset and skips the lock on the probe hot path.
-	concurrent bool
-	mu         sync.Mutex
-	indexes    map[string]*colIndex
+	// indexes: signature ("2,4") → column index, built lazily on the
+	// first probe (the one table mutation a read-only eval can cause).
+	indexes map[string]*colIndex
 
 	// arena is the current Entry slab: entries are carved out of chunks
 	// (one malloc per chunk, not per row). Chunks are never reused or
@@ -460,22 +452,15 @@ func (t *Table) compact() {
 	}
 	t.order = liveOrder
 	t.dirty = 0
-	if t.concurrent {
-		t.mu.Lock()
-	}
 	for sig := range t.indexes { //provlint:allow mapiter clearing every index; order cannot escape
 		delete(t.indexes, sig)
-	}
-	if t.concurrent {
-		t.mu.Unlock()
 	}
 }
 
 // Lookup returns the live entries whose columns cols equal vals, using a
 // lazily built hash index. An empty cols scans the whole table. Buckets
 // hold entries in insertion order, so join order — and therefore
-// emission and export order — is deterministic. Safe for concurrent
-// probes (the sharded eval phase); mutations stay single-threaded.
+// emission and export order — is deterministic.
 func (t *Table) Lookup(cols []int, vals []data.Value, now float64) []*Entry {
 	if len(cols) == 0 {
 		return t.Entries(now)
@@ -512,10 +497,6 @@ func (t *Table) LookupSig(sig string, cols []int, vals []data.Value, probe uint6
 // index returns the lazily built column index for sig, building it on
 // first use.
 func (t *Table) index(sig string, cols []int) *colIndex {
-	if t.concurrent {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	idx, ok := t.indexes[sig]
 	if !ok {
 		idx = &colIndex{cols: append([]int(nil), cols...), buckets: make(map[uint64][]*Entry)}
@@ -544,15 +525,9 @@ func matchCols(tu data.Tuple, cols []int, vals []data.Value) bool {
 
 // indexInsert adds a new entry to every existing index.
 func (t *Table) indexInsert(en *Entry) {
-	if t.concurrent {
-		t.mu.Lock()
-	}
 	for _, idx := range t.indexes { //provlint:allow mapiter independent per-index inserts; order cannot escape
 		h := en.Tuple.HashArgs(idx.cols)
 		idx.buckets[h] = append(idx.buckets[h], en)
-	}
-	if t.concurrent {
-		t.mu.Unlock()
 	}
 }
 

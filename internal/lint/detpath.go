@@ -11,10 +11,10 @@ import (
 // randomness (any math/rand import), or formatting a map value
 // directly (fmt sorts keys since Go 1.12, but pointer- and NaN-keyed
 // maps still render run-dependent bytes). Bit-identical replay —
-// parallel ≡ sequential ≡ sharded ≡ TCP, and storelog recovery ≡ the
+// parallel ≡ sequential ≡ TCP, and storelog recovery ≡ the
 // live run — only holds if every input reaches the engine through the
 // explicit event stream. Timing for metrics is legitimate and lives
-// behind per-site annotations (the scheduler's instrumented wrappers,
+// behind per-site annotations (the scheduler's round and phase timers,
 // the driver's epoch clock).
 var DetPath = &Analyzer{
 	Name: "detpath",

@@ -254,6 +254,11 @@ func TestTracebackBadParams(t *testing.T) {
 	for _, q := range []string{"", "&maxdepth=3", "&offline=0", "&offline=false", "&offline=1", "&offline=true"} {
 		get(t, base+q, http.StatusOK)
 	}
+	// Tuple text nested past the value-depth bound is a 400, not a parse.
+	deep := queryEscape("p(" + strings.Repeat("[", 33) + "a" + strings.Repeat("]", 33) + ")")
+	if res := get(t, srv.URL+"/v1/traceback?node=n0&tuple="+deep, http.StatusBadRequest); !strings.Contains(res.Error, "nested deeper") {
+		t.Errorf("33-deep tuple: error = %q, want the nesting bound", res.Error)
+	}
 }
 
 // TestSubscribeDisconnectReleasesSubscription pins the SSE cleanup path:

@@ -17,7 +17,6 @@ type Option func(*Config)
 //	n, err := provnet.New(provnet.BestPath,
 //		provnet.WithGraph(g),
 //		provnet.WithProv(provnet.ProvDistributed),
-//		provnet.WithShards(4),
 //		provnet.WithStore(store))
 //
 // NewNetwork is the equivalent legacy constructor taking a literal
@@ -77,9 +76,6 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // WithSequential runs nodes one after another within each round.
 func WithSequential() Option { return func(c *Config) { c.Sequential = true } }
 
-// WithWorkers caps the scheduler's worker goroutines per phase.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
 // WithUnbatched ships one signed envelope per exported tuple.
 func WithUnbatched() Option { return func(c *Config) { c.Unbatched = true } }
 
@@ -89,13 +85,6 @@ func WithSessionAuth() Option { return func(c *Config) { c.SessionAuth = true } 
 
 // WithRekeyRounds rotates session keys every n scheduler rounds.
 func WithRekeyRounds(n int) Option { return func(c *Config) { c.RekeyRounds = n } }
-
-// WithPipelinedCrypto overlaps sealing/verification with evaluation.
-func WithPipelinedCrypto() Option { return func(c *Config) { c.PipelinedCrypto = true } }
-
-// WithShards shards each node's delta queue across n intra-node eval
-// workers (Config.EngineShards); results are bit-identical at any count.
-func WithShards(n int) Option { return func(c *Config) { c.EngineShards = n } }
 
 // WithTransport overrides the message substrate, and optionally names
 // the node(s) this process hosts (Config.LocalNodes) for multi-process

@@ -1,6 +1,7 @@
 package provnet
 
 import (
+	"reflect"
 	"testing"
 
 	"provnet/internal/auth"
@@ -14,13 +15,12 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 	store := NewMemStore()
 
 	cfg := Config{
-		Source:       BestPath,
-		Graph:        g,
-		Auth:         AuthNone,
-		Prov:         ProvDistributed,
-		Seed:         5,
-		Sequential:   true,
-		EngineShards: 2,
+		Source:     BestPath,
+		Graph:      g,
+		Auth:       AuthNone,
+		Prov:       ProvDistributed,
+		Seed:       5,
+		Sequential: true,
 	}
 	legacy, err := NewNetwork(cfg)
 	if err != nil {
@@ -34,7 +34,6 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 		WithProv(ProvDistributed),
 		WithSeed(5),
 		WithSequential(),
-		WithShards(2),
 		WithStore(store),
 	)
 	if err != nil {
@@ -66,17 +65,24 @@ func TestOptionsCoverConfig(t *testing.T) {
 	for _, o := range []Option{
 		WithLinkNoCost(), WithExtraNodes("x9"), WithKeyBits(512),
 		WithAuthProv(), WithOffline(3.5), WithSampleEvery(2),
-		WithLevels(map[string]int64{"a": 2}), WithWorkers(3),
+		WithLevels(map[string]int64{"a": 2}),
 		WithUnbatched(), WithSessionAuth(), WithRekeyRounds(7),
-		WithPipelinedCrypto(), WithAuth(AuthHMAC),
+		WithAuth(AuthHMAC),
 	} {
 		o(&c)
 	}
 	switch {
 	case !c.LinkNoCost, len(c.ExtraNodes) != 1, c.KeyBits != 512,
 		!c.AuthProv, c.Offline == nil || *c.Offline != 3.5, c.SampleEvery != 2,
-		c.Levels["a"] != 2, c.Workers != 3, !c.Unbatched, !c.SessionAuth,
-		c.RekeyRounds != 7, !c.PipelinedCrypto, c.Auth != auth.SchemeHMAC:
+		c.Levels["a"] != 2, !c.Unbatched, !c.SessionAuth,
+		c.RekeyRounds != 7, c.Auth != auth.SchemeHMAC:
 		t.Fatalf("option failed to set its field: %+v", c)
+	}
+	// The three parallelism knobs were deleted for want of a measured win
+	// (CHANGES.md, PR 16); bringing one back should be a loud decision.
+	for _, gone := range []string{"Workers", "PipelinedCrypto", "EngineShards"} {
+		if _, ok := reflect.TypeOf(c).FieldByName(gone); ok {
+			t.Errorf("Config.%s is back: it needs a gated bench/ claim first", gone)
+		}
 	}
 }

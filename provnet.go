@@ -11,12 +11,12 @@
 // transport to session authentication: one RSA handshake per (src,dst)
 // link establishes a session key and every subsequent envelope is sealed
 // with a cheap per-link HMAC (rotating every Config.RekeyRounds rounds),
-// amortizing the hostile-world signature cost; Config.PipelinedCrypto
-// overlaps that sealing/verification work with rule evaluation, and
-// Config.EngineShards shards each node's delta queue across intra-node
-// eval workers (bit-identical results at any shard count). Running
-// the network executes the program as a distributed stream computation to
-// a fixpoint, after which results and provenance can be queried:
+// amortizing the hostile-world signature cost. Running the network
+// executes the program as a distributed stream computation to a
+// fixpoint — each round every node evaluates, then every node imports,
+// on one pool of GOMAXPROCS workers (Config.Sequential is the reference
+// schedule it is pinned against) — after which results and provenance
+// can be queried:
 //
 //	g := provnet.RandomGraph(provnet.TopoOptions{N: 20, AvgOutDegree: 3, MaxCost: 10, Seed: 1})
 //	cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.BestPath)

@@ -104,12 +104,10 @@ func TestSessionAuthAmortizesSignatures(t *testing.T) {
 	}
 }
 
-// TestLiveChurnBeatsRestart pins the BENCH_pr3.json claim on the shared
+// TestLiveChurnBeatsRestart pins the live-churn claim on the shared
 // benchwork workload: after a single CutLink, incremental re-convergence
 // through the live driver costs strictly fewer transport bytes than a
-// full restart on every seed, and fewer scheduler rounds in aggregate
-// (CI records the same workload, n=16 over seeds 3000..3002, as the
-// BENCH_pr3.json artifact).
+// full restart on every seed, and fewer scheduler rounds in aggregate.
 func TestLiveChurnBeatsRestart(t *testing.T) {
 	totalLive, totalRestart := 0, 0
 	for seed := int64(3000); seed < 3003; seed++ {
