@@ -112,7 +112,7 @@ chaos:
 	$(GO) test -race -timeout 15m -run 'TestCrashRestartReconverges|TestMultiprocessMatchesSingleProcess' ./cmd/provnet
 	$(GO) test -run '^$$' -fuzz FuzzAckRetransmit -fuzztime 30s ./internal/nettcp
 
-# Wire-decoder fuzzing (v1-v4 + handshake frames) and the retraction
+# Wire-decoder fuzzing (every frame kind, one decoder) and the retraction
 # collision fuzzer, same budget as CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core

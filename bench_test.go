@@ -24,7 +24,6 @@ import (
 	"provnet/internal/auth"
 	"provnet/internal/benchwork"
 	"provnet/internal/core"
-	"provnet/internal/data"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
@@ -384,23 +383,4 @@ func BenchmarkMoonwalk(b *testing.B) {
 		msgs += int64(stats.Messages)
 	}
 	b.ReportMetric(float64(msgs)/float64(b.N), "query_messages/op")
-}
-
-// BenchmarkEnvelopeEncode measures the wire layer with RSA signing (the
-// per-tuple cost the paper attributes to authenticated communication).
-func BenchmarkEnvelopeEncode(b *testing.B) {
-	dir := auth.NewDeterministicDirectory(1)
-	dir.SetKeyBits(1024) // the paper's key size
-	if err := dir.AddPrincipal("a", 1); err != nil {
-		b.Fatal(err)
-	}
-	sealer := auth.SignerSealer{S: auth.NewRSASigner(dir)}
-	tu := data.NewTuple("path", data.Str("a"), data.Str("c"), data.Strings("a", "b", "c"), data.Int(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env := &core.Envelope{From: "a", Tuple: tu, Scheme: auth.SchemeRSA}
-		if _, err := env.Encode(sealer, "b"); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -88,7 +88,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Auth, "auth", "none", "says implementation: none, hmac, rsa, session (= rsa + -session)")
 	fs.IntVar(&f.KeyBits, "keybits", 1024, "RSA modulus size")
-	fs.BoolVar(&f.Session, "session", false, "session transport: one RSA handshake per link, then HMAC session MACs (wire v3)")
+	fs.BoolVar(&f.Session, "session", false, "session transport: one RSA handshake per link, then HMAC session MACs")
 	fs.IntVar(&f.Rekey, "rekey", 0, "rotate session keys every N rounds (0 = never; needs -session)")
 	fs.BoolVar(&f.Sequential, "sequential", false, "run nodes sequentially within each round (A/B baseline)")
 	fs.BoolVar(&f.Unbatched, "unbatched", false, "ship one signed envelope per tuple instead of per-round batches")

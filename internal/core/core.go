@@ -100,16 +100,16 @@ type Config struct {
 	// rounds, transport stats) are identical either way; it is the
 	// reference schedule the pool is pinned against.
 	Sequential bool
-	// Unbatched ships one signed envelope per exported tuple, as the seed
-	// implementation did, instead of one batched envelope per (src,dst)
-	// pair per round. A/B knob for the Figure 4 bandwidth experiments.
+	// Unbatched ships one sealed data frame per exported tuple, as the
+	// seed implementation did, instead of one per (src,dst) pair per
+	// round. A/B knob for the Figure 4 bandwidth experiments.
 	Unbatched bool
-	// SessionAuth switches the transport to the session-security stack
-	// (wire version 3): one RSA handshake per (src,dst) link transports a
-	// per-link session key, and every subsequent envelope is sealed with
-	// a cheap HMAC under that key instead of a per-envelope signature.
-	// A/B knob against the per-envelope says schemes; v1/v2 datagrams
-	// are still decoded (and verified under Auth) for compatibility.
+	// SessionAuth switches the transport to the session-security stack:
+	// one RSA handshake per (src,dst) link transports a per-link session
+	// key, and every subsequent frame is sealed with a cheap HMAC under
+	// that key instead of a per-envelope signature. A/B knob against the
+	// per-envelope says schemes; a receiver opens data with the sealer it
+	// is configured with and no other.
 	SessionAuth bool
 	// RekeyRounds rotates session keys — with a fresh handshake per live
 	// link — every N scheduler rounds (0 = one key per link for the whole
@@ -185,7 +185,7 @@ type Node struct {
 	// exports per destination, replayed when a peer process restarts.
 	// Keyed dest → tuple key; owned by this node's scheduler task like
 	// pendingRetract, so no lock.
-	exports map[string]map[string]BatchItem
+	exports map[string]map[string]engine.Imported
 
 	// view is this node's slice of the latest published ReadView (nil
 	// before the first publish) and dirt what the engine reported since,
@@ -224,14 +224,15 @@ type Network struct {
 	// for global quiescence. Written between phases by the drain loop.
 	draining bool
 	// signer implements the per-principal says operator (used by
-	// authenticated provenance and the legacy wire formats).
+	// authenticated provenance and the per-envelope transport).
 	signer auth.Signer
-	// sealer is the transport sealer for outbound traffic: the legacy
-	// adapter over signer, or the session sealer when SessionAuth is on.
+	// sealer seals and opens data, retract and handshake frames: control,
+	// or the session sealer when SessionAuth is on.
 	sealer auth.Sealer
-	// legacy seals/opens v1/v2 datagrams — kept separate so a session
-	// deployment still verifies traffic from pre-session senders.
-	legacy auth.Sealer
+	// control is the per-envelope adapter over signer. Termination frames
+	// are sealed with it under every configuration: a token must verify
+	// before any session exists, and across restarts that lose them.
+	control auth.Sealer
 	// session is non-nil iff SessionAuth is configured.
 	session *auth.SessionSealer
 	// store is Config.Store (nil = in-memory only). storeErr latches the
@@ -334,12 +335,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown auth scheme %v", cfg.Auth)
 	}
-	n.legacy = auth.SignerSealer{S: n.signer}
+	n.control = auth.SignerSealer{S: n.signer}
+	n.sealer = n.control
 	if cfg.SessionAuth {
 		n.session = auth.NewSessionSealer(n.dir, cfg.RekeyRounds)
 		n.sealer = n.session
-	} else {
-		n.sealer = n.legacy
 	}
 
 	// Collect the node set: topology nodes, fact placements, extras.
@@ -703,7 +703,7 @@ func (n *Network) importPhase(ctx context.Context) (bool, error) {
 			start = time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
 			n.nm.deltasIn.Add(int64(len(msgs)))
 		}
-		var ds []*delivery
+		var ds []*frame
 		for _, msg := range msgs {
 			d, err := n.decodeVerify(name, msg)
 			if err != nil {
@@ -895,151 +895,107 @@ func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Nod
 	return progress, nil
 }
 
-// outFrame is one outbound datagram prepared from a node's exports and
-// sealed/shipped by sealAndSend. Exactly one of the frame kinds is
-// set: a session handshake, a v1 envelope, a v2 batch, a v3 session data
-// or retract frame, or a v4 retract envelope.
+// outFrame is one outbound frame prepared from a node's exports, sealed
+// and shipped to dst by sealAndSend.
 type outFrame struct {
-	dst       string
-	handshake bool
-	epoch     uint64 // handshake frames only
-	env       *Envelope
-	batch     *BatchEnvelope
-	sess      *SessionEnvelope
-	retr      *RetractEnvelope
+	dst string
+	*frame
 }
 
-// buildRetractFrames turns a node's pending withdrawals into wire frames
-// in deterministic (first-withdrawal per destination) order: one retract
-// envelope per destination, ahead of the round's data frames so receivers
-// withdraw before they integrate new state. Under the session transport
-// the retract batch rides a session frame (reserving a handshake if the
-// link has none yet); otherwise it is a signed v4 envelope.
+// reserveSession appends the handshake frame that must precede from's
+// next frame to dest, when the session transport is on and the link is
+// new or rekeyed. The RSA work waits for sealAndSend.
+func (n *Network) reserveSession(frames []outFrame, from, dest string) ([]outFrame, error) {
+	if n.session == nil {
+		return frames, nil
+	}
+	need, epoch, err := n.session.EnsureSession(from, dest)
+	if err != nil {
+		return nil, err
+	}
+	if need {
+		frames = append(frames, outFrame{dest, &frame{kind: kindHandshake, from: from, epoch: epoch}})
+	}
+	return frames, nil
+}
+
+// buildRetractFrames turns a node's pending withdrawals into frames in
+// deterministic (first-withdrawal per destination) order: one retract
+// frame per destination, ahead of the round's data frames so receivers
+// withdraw before they integrate new state.
 func (n *Network) buildRetractFrames(from string, ws []engine.Withdrawal) ([]outFrame, error) {
 	if len(ws) == 0 {
 		return nil, nil
 	}
-	groups := make(map[string][]data.Tuple)
+	groups := make(map[string][]engine.Imported)
 	var dests []string
 	node := n.nodes[from]
 	for _, w := range ws {
 		if _, ok := groups[w.Dest]; !ok {
 			dests = append(dests, w.Dest)
 		}
-		groups[w.Dest] = append(groups[w.Dest], w.Tuple)
+		groups[w.Dest] = append(groups[w.Dest], engine.Imported{Tuple: w.Tuple})
 		if n.cfg.Resupply && node.exports != nil {
 			delete(node.exports[w.Dest], w.Tuple.Key()) //provlint:allow keystring export-log key, resupply path only
 		}
 	}
 	var frames []outFrame
 	for _, dest := range dests {
-		tuples := groups[dest]
-		if n.session != nil {
-			need, epoch, err := n.session.EnsureSession(from, dest)
-			if err != nil {
-				return nil, err
-			}
-			if need {
-				frames = append(frames, outFrame{dst: dest, handshake: true, epoch: epoch})
-			}
-			env := &SessionEnvelope{From: from, ProvMode: n.cfg.Prov, Retract: true}
-			for _, t := range tuples {
-				env.Items = append(env.Items, BatchItem{Tuple: t})
-			}
-			frames = append(frames, outFrame{dst: dest, sess: env})
-			continue
+		var err error
+		if frames, err = n.reserveSession(frames, from, dest); err != nil {
+			return nil, err
 		}
-		frames = append(frames, outFrame{dst: dest, retr: &RetractEnvelope{
-			From: from, Scheme: n.cfg.Auth, Tuples: tuples,
-		}})
+		frames = append(frames, outFrame{dest, &frame{kind: kindRetract, from: from, items: groups[dest]}})
 	}
 	return frames, nil
 }
 
-// buildExportFrames turns one node's round exports into wire frames in
-// deterministic send order, deferring all cryptographic work (signing,
-// MACing, handshake RSA) to sealAndSend. Under the session transport it
-// also decides — and reserves — the handshake frames that must precede
-// the first data frame on a new or rekeyed link.
+// buildExportFrames turns one node's round exports into data frames in
+// deterministic (first-export per destination) send order, deferring all
+// cryptographic work (signing, MACing, handshake RSA) to sealAndSend.
 func (n *Network) buildExportFrames(from string, exports []engine.Export) ([]outFrame, error) {
 	node := n.nodes[from]
-	item := func(ex engine.Export) BatchItem {
-		it := BatchItem{Tuple: ex.Tuple, Prov: node.Tracker.Export(ex.Tuple, ex.Ann)}
+	groups := make(map[string][]engine.Imported)
+	var dests []string
+	for _, ex := range exports {
+		it := engine.Imported{Tuple: ex.Tuple, Prov: node.Tracker.Export(ex.Tuple, ex.Ann)}
 		if n.cfg.Resupply {
 			if node.exports == nil {
-				node.exports = make(map[string]map[string]BatchItem)
+				node.exports = make(map[string]map[string]engine.Imported)
 			}
 			perDest := node.exports[ex.Dest]
 			if perDest == nil {
-				perDest = make(map[string]BatchItem)
+				perDest = make(map[string]engine.Imported)
 				node.exports[ex.Dest] = perDest
 			}
 			perDest[ex.Tuple.Key()] = it //provlint:allow keystring export-log key, resupply path only
 		}
-		return it
-	}
-	if n.session == nil && n.cfg.Unbatched {
-		// Seed behavior: one v1 envelope per tuple, in export order.
-		frames := make([]outFrame, 0, len(exports))
-		for _, ex := range exports {
-			it := item(ex)
-			frames = append(frames, outFrame{dst: ex.Dest, env: &Envelope{
-				From: from, Tuple: it.Tuple, ProvMode: n.cfg.Prov, Prov: it.Prov, Scheme: n.cfg.Auth,
-			}})
-		}
-		return frames, nil
-	}
-	groups := make(map[string][]engine.Export)
-	var dests []string // first-export order, for deterministic sends
-	for _, ex := range exports {
 		if _, ok := groups[ex.Dest]; !ok {
 			dests = append(dests, ex.Dest)
 		}
-		groups[ex.Dest] = append(groups[ex.Dest], ex)
+		groups[ex.Dest] = append(groups[ex.Dest], it)
 	}
 	var frames []outFrame
 	for _, dest := range dests {
-		group := groups[dest]
-		if n.session != nil {
-			need, epoch, err := n.session.EnsureSession(from, dest)
-			if err != nil {
-				return nil, err
-			}
-			if need {
-				frames = append(frames, outFrame{dst: dest, handshake: true, epoch: epoch})
-			}
-			if n.cfg.Unbatched {
-				for _, ex := range group {
-					frames = append(frames, outFrame{dst: dest, sess: &SessionEnvelope{
-						From: from, ProvMode: n.cfg.Prov, Items: []BatchItem{item(ex)},
-					}})
-				}
-				continue
-			}
-			env := &SessionEnvelope{From: from, ProvMode: n.cfg.Prov}
-			for _, ex := range group {
-				env.Items = append(env.Items, item(ex))
-			}
-			frames = append(frames, outFrame{dst: dest, sess: env})
+		var err error
+		if frames, err = n.reserveSession(frames, from, dest); err != nil {
+			return nil, err
+		}
+		items := groups[dest]
+		if !n.cfg.Unbatched {
+			frames = append(frames, n.dataFrame(from, dest, items))
 			continue
 		}
-		if len(group) == 1 {
-			// A one-tuple batch costs a byte more than the v1 envelope
-			// (the item-count varint); ship the cheaper format so batching
-			// is never worse than the baseline on sparse traffic.
-			it := item(group[0])
-			frames = append(frames, outFrame{dst: dest, env: &Envelope{
-				From: from, Tuple: it.Tuple, ProvMode: n.cfg.Prov, Prov: it.Prov, Scheme: n.cfg.Auth,
-			}})
-			continue
+		for i := range items {
+			frames = append(frames, n.dataFrame(from, dest, items[i:i+1]))
 		}
-		env := &BatchEnvelope{From: from, ProvMode: n.cfg.Prov, Scheme: n.cfg.Auth}
-		for _, ex := range group {
-			env.Items = append(env.Items, item(ex))
-		}
-		frames = append(frames, outFrame{dst: dest, batch: env})
 	}
 	return frames, nil
+}
+
+// dataFrame frames items as what from says to dest.
+func (n *Network) dataFrame(from, dest string, items []engine.Imported) outFrame {
+	return outFrame{dest, &frame{kind: kindData, from: from, mode: n.cfg.Prov, items: items}}
 }
 
 // sealAndSend performs the cryptographic half of the export path: it
@@ -1056,42 +1012,15 @@ func (n *Network) sealAndSend(from string, frames []outFrame) error {
 		n.markActive(from)
 	}
 	var err error
-	for i := range frames {
-		f := &frames[i]
+	for _, f := range frames {
 		var payload []byte
-		handshake := false
-		switch {
-		case f.handshake:
-			var blob []byte
-			blob, err = n.session.SealHandshake(from, f.dst, f.epoch)
-			if err == nil {
-				payload = EncodeHandshakeFrame(blob)
-				handshake = true
-			}
-		case f.env != nil:
-			payload, err = f.env.Encode(n.sealer, f.dst)
-			if err == nil && n.cfg.Auth != auth.SchemeNone {
-				n.signed.Add(1)
-			}
-		case f.batch != nil:
-			payload, err = f.batch.Encode(n.sealer, f.dst)
-			if err == nil && n.cfg.Auth != auth.SchemeNone {
-				n.signed.Add(1)
-			}
-		case f.sess != nil:
-			payload, err = f.sess.Encode(n.sealer, f.dst)
-		case f.retr != nil:
-			payload, err = f.retr.Encode(n.sealer, f.dst)
-			if err == nil && n.cfg.Auth != auth.SchemeNone {
-				n.signed.Add(1)
-			}
-		default:
-			err = errors.New("core: empty export frame")
+		if payload, err = f.seal(n.sealer, f.dst); err != nil {
+			break
 		}
-		if err == nil {
-			err = n.net.SendTagged(from, f.dst, payload, handshake)
+		if n.session == nil && n.cfg.Auth != auth.SchemeNone {
+			n.signed.Add(1)
 		}
-		if err != nil {
+		if err = n.net.SendTagged(from, f.dst, payload, f.kind == kindHandshake); err != nil {
 			break
 		}
 	}
@@ -1101,128 +1030,44 @@ func (n *Network) sealAndSend(from string, frames []outFrame) error {
 	return err
 }
 
-// delivery is one verified inbound payload awaiting engine insertion.
-type delivery struct {
-	// from is the authenticated sender, recorded as the support origin of
-	// every inserted tuple (and the support a retraction removes).
-	from  string
-	items []BatchItem
-	// batchable marks batch-layout arrivals (v2/v3), inserted through
-	// InsertImportedBatch on the common path; v1 singles keep the seed's
-	// per-tuple insert.
-	batchable bool
-	// retract marks a withdrawal batch: items name tuples losing the
-	// sender's support instead of gaining it.
-	retract bool
-}
-
-// decodeVerify decodes and authenticates one datagram at node name,
-// dispatching on the wire version byte. Handshake frames are consumed
-// here (installing the inbound session); unverifiable input is dropped
-// and counted, as a router drops what it cannot authenticate. A nil
-// delivery with nil error means the datagram was fully handled or
-// dropped; an error means it was malformed, which the caller drops and
-// counts the same way.
-func (n *Network) decodeVerify(name string, msg netsim.Message) (*delivery, error) {
-	p := msg.Payload
-	if len(p) == 0 {
-		return nil, fmt.Errorf("%w: empty datagram", ErrBadEnvelope)
+// decodeVerify decodes and authenticates one datagram at node name and
+// returns the data or retract frame to deliver. Handshake and termination
+// frames are consumed here; unverifiable input is dropped and counted, as
+// a router drops what it cannot authenticate. A nil frame with nil error
+// means the datagram was fully handled or dropped; an error means it was
+// malformed, which the caller drops and counts the same way.
+func (n *Network) decodeVerify(name string, msg netsim.Message) (*frame, error) {
+	f, err := decodeFrame(msg.Payload)
+	if err != nil {
+		return nil, err
 	}
-	switch p[0] {
-	case wireVersionSession:
-		if n.session == nil {
-			// Session frames without a session transport configured:
-			// nothing can open them, drop.
-			n.rejectedSig.Add(1)
-			return nil, nil
-		}
-		if len(p) < 2 {
-			return nil, fmt.Errorf("%w: truncated session frame", ErrBadEnvelope)
-		}
-		switch p[1] {
-		case frameHandshake:
-			blob, err := DecodeHandshakeFrame(p)
-			if err == nil {
-				_, err = n.session.AcceptHandshake(name, blob)
-			}
-			if err != nil {
-				n.rejectedSig.Add(1) // corrupt or forged handshake: drop
-			}
-			return nil, nil
-		case frameData, frameRetract:
-			env, err := DecodeSessionEnvelope(p)
-			if err != nil {
-				return nil, err
-			}
-			if err := env.Open(n.session, name); err != nil {
-				n.rejectedSig.Add(1) // bad MAC or no session: drop
-				return nil, nil
-			}
-			return &delivery{from: env.From, items: env.Items, batchable: true, retract: env.Retract}, nil
-		default:
-			return nil, fmt.Errorf("%w: unknown session frame kind %d", ErrBadEnvelope, p[1])
-		}
-	case wireVersionBatch:
-		env, err := DecodeBatchEnvelope(p)
-		if err != nil {
-			return nil, err
-		}
-		if n.cfg.Auth != auth.SchemeNone {
+	// The receiver's own configuration picks the sealer, never the frame:
+	// a session deployment opens data with session keys only.
+	sealer := n.sealer
+	switch f.kind {
+	case kindToken, kindTerminate:
+		sealer = n.control
+	case kindData, kindRetract:
+		if n.session == nil && n.cfg.Auth != auth.SchemeNone {
 			n.checked.Add(1)
-			if err := env.Verify(n.legacy, name); err != nil {
-				n.rejectedSig.Add(1) // drop the whole batch: nothing in it is trustworthy
-				return nil, nil
-			}
 		}
-		return &delivery{from: env.From, items: env.Items, batchable: true}, nil
-	case wireVersionControl:
-		cf, err := DecodeControlFrame(p)
-		if err != nil {
-			return nil, err
-		}
-		// Control frames are always sealed with the legacy sealer (they
-		// must verify across restarts, before any session exists).
-		if n.cfg.Auth != auth.SchemeNone {
-			if err := cf.Verify(n.legacy, name); err != nil {
-				n.rejectedSig.Add(1) // a forged token could fake a fixpoint
-				return nil, nil
-			}
-		}
-		if td := n.term.Load(); td != nil {
-			td.handleControl(name, cf)
-		}
+	}
+	if err := f.open(sealer, name); err != nil {
+		// Nothing in an unopened frame is trustworthy: a forged batch must
+		// add no state, a forged withdrawal remove none, a forged token
+		// fake no fixpoint.
+		n.rejectedSig.Add(1)
 		return nil, nil
-	case wireVersionRetract:
-		env, err := DecodeRetractEnvelope(p)
-		if err != nil {
-			return nil, err
-		}
-		if n.cfg.Auth != auth.SchemeNone {
-			n.checked.Add(1)
-			if err := env.Verify(n.legacy, name); err != nil {
-				n.rejectedSig.Add(1) // a forged withdrawal must not remove state
-				return nil, nil
-			}
-		}
-		items := make([]BatchItem, len(env.Tuples))
-		for i, t := range env.Tuples {
-			items[i] = BatchItem{Tuple: t}
-		}
-		return &delivery{from: env.From, items: items, batchable: true, retract: true}, nil
-	default:
-		env, err := DecodeEnvelope(p)
-		if err != nil {
-			return nil, err
-		}
-		if n.cfg.Auth != auth.SchemeNone {
-			n.checked.Add(1)
-			if err := env.Verify(n.legacy, name); err != nil {
-				n.rejectedSig.Add(1)
-				return nil, nil
-			}
-		}
-		return &delivery{from: env.From, items: []BatchItem{{Tuple: env.Tuple, Prov: env.Prov}}, batchable: false}, nil
 	}
+	switch f.kind {
+	case kindData, kindRetract:
+		return f, nil
+	case kindToken, kindTerminate:
+		if td := n.term.Load(); td != nil {
+			td.handleControl(name, f)
+		}
+	}
+	return nil, nil
 }
 
 // deliverAll applies one node's round deliveries: data deliveries insert
@@ -1232,13 +1077,13 @@ func (n *Network) decodeVerify(name string, msg netsim.Message) (*delivery, erro
 // another frame (a zombie route) and amplifying churn traffic; the
 // origin-support model makes insert-vs-retract of different senders
 // commute, so deferring retractions does not change the fixpoint.
-func (n *Network) deliverAll(name string, node *Node, ds []*delivery) error {
+func (n *Network) deliverAll(name string, node *Node, ds []*frame) error {
 	if len(ds) > 0 {
 		n.markActive(name)
 	}
 	var inbound []engine.InboundRetraction
 	for _, d := range ds {
-		if d.retract {
+		if d.kind == kindRetract {
 			for _, it := range d.items {
 				inbound = append(inbound, engine.InboundRetraction{From: d.from, Tuple: it.Tuple})
 			}
@@ -1261,42 +1106,26 @@ func (n *Network) deliverAll(name string, node *Node, ds []*delivery) error {
 	return nil
 }
 
-// deliver filters and inserts one verified data delivery at node name: a
-// single engine batch on the common path, or per-tuple trust gating when
-// an import filter is configured.
-func (n *Network) deliver(name string, node *Node, d *delivery) error {
-	if d.batchable && (n.cfg.ImportFilter == nil || n.cfg.Prov != provenance.ModeCondensed) {
-		delta := make([]engine.Imported, len(d.items))
-		for i, it := range d.items {
-			delta[i] = engine.Imported{Tuple: it.Tuple, Prov: it.Prov}
-		}
-		return node.Engine.InsertImportedBatchFrom(d.from, delta)
+// deliver inserts one verified data frame at node name: a single engine
+// batch on the common path, or per-tuple trust gating (§3) when an import
+// filter is configured. The annotation reconstructed for the admission
+// check is reused for the insert, so the provenance payload is
+// deserialized only once.
+func (n *Network) deliver(name string, node *Node, d *frame) error {
+	if n.cfg.ImportFilter == nil || n.cfg.Prov != provenance.ModeCondensed {
+		return node.Engine.InsertImportedBatchFrom(d.from, d.items)
 	}
 	for _, it := range d.items {
-		if err := n.importTuple(name, node, d.from, it.Tuple, it.Prov); err != nil {
+		ann, err := node.Tracker.Import(it.Tuple, it.Prov)
+		if err != nil {
 			return err
 		}
+		if !n.cfg.ImportFilter(name, it.Tuple, node.Tracker.PolyOf(ann)) {
+			n.rejectedFilter.Add(1)
+			continue
+		}
+		node.Engine.InsertImportedAnnFrom(d.from, it.Tuple, ann)
 	}
-	return nil
-}
-
-// importTuple applies the trust gate (§3) and inserts one received
-// tuple. When the gate is active the annotation reconstructed for the
-// admission check is reused for the insert, so the provenance payload is
-// deserialized only once.
-func (n *Network) importTuple(name string, node *Node, from string, t data.Tuple, prov []byte) error {
-	if n.cfg.ImportFilter == nil || n.cfg.Prov != provenance.ModeCondensed {
-		return node.Engine.InsertImportedFrom(from, t, prov)
-	}
-	ann, err := node.Tracker.Import(t, prov)
-	if err != nil {
-		return err
-	}
-	if !n.cfg.ImportFilter(name, t, node.Tracker.PolyOf(ann)) {
-		n.rejectedFilter.Add(1)
-		return nil
-	}
-	node.Engine.InsertImportedAnnFrom(from, t, ann)
 	return nil
 }
 
@@ -1377,26 +1206,15 @@ func (n *Network) resupplyAll() error {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
-			if n.session != nil {
-				need, epoch, err := n.session.EnsureSession(name, dest)
-				if err != nil {
-					return err
-				}
-				if need {
-					frames = append(frames, outFrame{dst: dest, handshake: true, epoch: epoch})
-				}
-				env := &SessionEnvelope{From: name, ProvMode: n.cfg.Prov}
-				for _, k := range keys {
-					env.Items = append(env.Items, perDest[k])
-				}
-				frames = append(frames, outFrame{dst: dest, sess: env})
-				continue
+			items := make([]engine.Imported, len(keys))
+			for i, k := range keys {
+				items[i] = perDest[k]
 			}
-			env := &BatchEnvelope{From: name, ProvMode: n.cfg.Prov, Scheme: n.cfg.Auth}
-			for _, k := range keys {
-				env.Items = append(env.Items, perDest[k])
+			var err error
+			if frames, err = n.reserveSession(frames, name, dest); err != nil {
+				return err
 			}
-			frames = append(frames, outFrame{dst: dest, batch: env})
+			frames = append(frames, n.dataFrame(name, dest, items))
 		}
 		if len(frames) == 0 {
 			continue

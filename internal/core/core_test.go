@@ -7,6 +7,7 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
+	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/semiring"
 	"provnet/internal/topo"
@@ -224,12 +225,9 @@ func TestTamperedEnvelopeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forge a message: correct format, wrong signature.
-	env := &Envelope{
-		From:   "b",
-		Tuple:  data.NewTuple("reachable", data.Str("a"), data.Str("zz")),
-		Scheme: auth.SchemeRSA,
-	}
-	forged, err := env.Encode(auth.SignerSealer{S: auth.NoneSigner{}}, "a") // empty signature
+	env := &frame{kind: kindData, from: "b", items: []engine.Imported{
+		{Tuple: data.NewTuple("reachable", data.Str("a"), data.Str("zz"))}}}
+	forged, err := env.seal(auth.SignerSealer{S: auth.NoneSigner{}}, "a") // empty signature
 	if err != nil {
 		t.Fatal(err)
 	}

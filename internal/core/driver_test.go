@@ -197,8 +197,8 @@ func TestCutLinkReconverges(t *testing.T) {
 }
 
 // TestCutLinkAcrossTransports runs the cut-reconverge-equals-restart
-// check under the session transport, where retractions ride v3 retract
-// frames instead of v4 envelopes, and under the sequential per-tuple
+// check under the session transport, where retract frames carry session
+// MACs instead of signatures, and under the sequential per-tuple
 // baseline.
 func TestCutLinkAcrossTransports(t *testing.T) {
 	for _, s := range []struct {

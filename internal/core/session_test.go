@@ -5,6 +5,7 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
+	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
@@ -125,55 +126,78 @@ func TestSessionRekeyBoundaries(t *testing.T) {
 	}
 }
 
-// TestSessionFallbackDecodesLegacy injects seed-era v1 and v2 datagrams
-// into a session-mode network: the receiver must fall back to the
-// per-envelope verifier and import them (the v3→v1/v2 negotiation path).
-func TestSessionFallbackDecodesLegacy(t *testing.T) {
+// TestSessionRefusesSignedData pins that the receiver's configuration
+// picks the sealer, never the frame: a data frame correctly RSA-signed by
+// b, injected into a session-mode network, is dropped and counted and
+// pollutes no table. Only session keys open data here.
+func TestSessionRefusesSignedData(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
 		Auth: auth.SchemeRSA, KeyBits: 512, SessionAuth: true}
+	clean, _ := mustRun(t, cfg)
+
 	n, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A legacy v1 envelope, properly signed under the says scheme.
-	v1 := &Envelope{From: "b", Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("legacy1")),
-		Scheme: auth.SchemeRSA}
-	p1, err := v1.Encode(n.legacy, "a")
+	signed := &frame{kind: kindData, from: "b", items: []engine.Imported{
+		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("signed"))}}}
+	p, err := signed.seal(n.control, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A legacy v2 batch.
-	v2 := &BatchEnvelope{From: "b", Scheme: auth.SchemeRSA, Items: []BatchItem{
-		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("legacy2"))},
-	}}
-	p2, err := v2.Encode(n.legacy, "a")
-	if err != nil {
-		t.Fatal(err)
+	if f, err := decodeFrame(p); err != nil || f.open(n.control, "a") != nil {
+		t.Fatalf("the injected frame must be correctly signed: %v", err)
 	}
-	for _, p := range [][]byte{p1, p2} {
-		if err := n.Transport().Send("b", "a", p); err != nil {
-			t.Fatal(err)
-		}
+	if err := n.Transport().Send("b", "a", p); err != nil {
+		t.Fatal(err)
 	}
 	rep, err := n.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RejectedSig != 0 {
-		t.Errorf("rejected = %d, want 0", rep.RejectedSig)
+	if rep.RejectedSig != 1 {
+		t.Errorf("RejectedSig = %d, want 1", rep.RejectedSig)
 	}
-	found := map[string]bool{}
-	for _, tu := range n.Tuples("a", "reachable") {
-		found[tu.Args[1].Str] = true
+	if got, want := snapshot(t, n), snapshot(t, clean); got != want {
+		t.Errorf("a per-envelope-signed frame reached a session network's tables\n--- clean ---\n%s--- got ---\n%s", want, got)
 	}
-	if !found["legacy1"] || !found["legacy2"] {
-		t.Errorf("legacy envelopes not imported; got %v", found)
+}
+
+// TestKindFlippedFrameRejected replays a data frame correctly signed by b
+// with its kind byte changed to retract: the tag covers the kind, so the
+// frame is dropped, counted, and withdraws nothing. (The flip that parses
+// — token to terminate — is in TestEnvelopeTamperDetection.)
+func TestKindFlippedFrameRejected(t *testing.T) {
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+		Auth: auth.SchemeRSA, KeyBits: 512}
+	n, _ := mustRun(t, cfg)
+	want := snapshot(t, n)
+	said := &frame{kind: kindData, from: "b", items: []engine.Imported{
+		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("c"))}}}
+	p, err := said.seal(n.sealer, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p[0] = kindRetract
+	if err := n.Transport().Send("b", "a", p); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := n.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RejectedSig != 1 {
+		t.Errorf("RejectedSig = %d, want 1", rep.RejectedSig)
+	}
+	if got := snapshot(t, n); got != want {
+		t.Errorf("a kind-flipped frame changed the tables\n--- before ---\n%s--- after ---\n%s", want, got)
 	}
 }
 
 // TestSessionDropsUnverifiableInput floods a session-mode network with
-// corrupted and truncated v3 frames: every one must be dropped cleanly
-// (counted, no panic, no table pollution) and the run still completes.
+// corrupted and truncated session traffic: every datagram must be dropped
+// cleanly (counted, no panic, no table pollution) and the run still
+// completes.
 func TestSessionDropsUnverifiableInput(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
 		Auth: auth.SchemeRSA, KeyBits: 512, SessionAuth: true}
@@ -181,14 +205,17 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A forged handshake frame (garbage blob), a truncated handshake, and
-	// a data frame for a link that never shook hands.
-	orphan := &SessionEnvelope{From: "b",
-		Items: []BatchItem{{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("forged"))}}}
-	orphanPayload := append(orphan.sealedPrefix(), 0) // zero-length tag
+	// A forged handshake (garbage blob), an empty one, and a data frame
+	// with an empty tag on a link that never shook hands.
+	orphan := &frame{kind: kindData, from: "b", items: []engine.Imported{
+		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("forged"))}}}
+	orphanPayload, err := orphan.seal(auth.SignerSealer{S: auth.NoneSigner{}}, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := [][]byte{
-		EncodeHandshakeFrame([]byte{0xde, 0xad, 0xbe, 0xef}),
-		EncodeHandshakeFrame([]byte{0x01})[:2],
+		{kindHandshake, 0xde, 0xad, 0xbe, 0xef},
+		{kindHandshake},
 		orphanPayload,
 	}
 	for _, p := range bad {
@@ -200,10 +227,8 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The truncated frame ([3] alone after cutting the kind byte's blob)
-	// decodes as an empty handshake and is dropped; all three count.
-	if rep.RejectedSig == 0 {
-		t.Errorf("rejected = %d, want > 0", rep.RejectedSig)
+	if rep.RejectedSig != int64(len(bad)) {
+		t.Errorf("rejected = %d, want %d", rep.RejectedSig, len(bad))
 	}
 	for _, tu := range n.Tuples("a", "reachable") {
 		if tu.Args[1].Str == "forged" {
@@ -213,8 +238,8 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 }
 
 // TestMalformedDatagramsAreDropped pins that decoding, which precedes
-// authentication, cannot stop a node: one garbage payload per wire
-// version byte (and per session frame kind) is dropped and counted like
+// authentication, cannot stop a node: one garbage payload per frame kind,
+// an unknown kind and an empty datagram are dropped and counted like
 // unverifiable input, the run succeeds, and the tables match a run that
 // never saw them.
 func TestMalformedDatagramsAreDropped(t *testing.T) {
@@ -228,14 +253,11 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 	}
 	garbage := [][]byte{
 		{},
-		{wireVersion, 0xff},
-		{wireVersionBatch, 0xff},
-		{wireVersionSession},
-		{wireVersionSession, frameData, 0xff},
-		{wireVersionSession, frameRetract, 0xff},
-		{wireVersionSession, 0x7f},
-		{wireVersionRetract, 0xff},
-		{wireVersionControl, ctrlToken, 0xff},
+		{kindData, 0xff},
+		{kindRetract, 0xff},
+		{kindHandshake, 0xff},
+		{kindToken, 0xff},
+		{kindTerminate, 0xff},
 		{0xee, 0xff},
 	}
 	for _, p := range garbage {
@@ -256,8 +278,8 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 }
 
 // TestSessionFramesRejectedWithoutSessionAuth pins the downgrade path: a
-// network running the per-envelope transport drops v3 frames it cannot
-// open instead of erroring or panicking.
+// network running the per-envelope transport drops handshake frames it
+// cannot open instead of erroring or panicking.
 func TestSessionFramesRejectedWithoutSessionAuth(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
 		Auth: auth.SchemeRSA, KeyBits: 512}
@@ -265,7 +287,7 @@ func TestSessionFramesRejectedWithoutSessionAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Transport().Send("b", "a", EncodeHandshakeFrame([]byte{1, 2, 3})); err != nil {
+	if err := n.Transport().Send("b", "a", []byte{kindHandshake, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := n.Run(0)
@@ -273,7 +295,7 @@ func TestSessionFramesRejectedWithoutSessionAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.RejectedSig == 0 {
-		t.Error("v3 frame must be dropped and counted when session auth is off")
+		t.Error("a handshake frame must be dropped and counted when session auth is off")
 	}
 }
 

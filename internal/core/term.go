@@ -38,9 +38,10 @@ package core
 //
 // On declaration the root broadcasts a terminate frame to every other
 // node and flushes its transport so the broadcast outlives the process.
-// All control traffic rides wire v5 frames (docs/WIRE.md) sealed with
-// the legacy signature sealer — session keys may not exist yet on a
-// restarted link, signatures always verify.
+// All control traffic rides token and terminate frames (docs/WIRE.md)
+// sealed with the per-envelope signer under every configuration —
+// session keys may not exist yet on a restarted link, signatures always
+// verify.
 
 import (
 	"context"
@@ -76,7 +77,7 @@ type TermDetector struct {
 	mu sync.Mutex
 	// tokens holds at most one received token per hosted node, awaiting
 	// quiescence to forward. Keyed by the node the token arrived at.
-	tokens map[string]*ControlFrame
+	tokens map[string]*frame
 	// lastWave tracks the highest wave each hosted node forwarded;
 	// stale and duplicate tokens are dropped (safe: counters are
 	// cumulative, a dropped token destroys no state).
@@ -114,7 +115,7 @@ func (n *Network) StartTermination(ctx context.Context, cfg TermConfig) *TermDet
 		cfg:      cfg,
 		ring:     n.allNodes,
 		acts:     make(map[string]*atomic.Uint64, len(n.order)),
-		tokens:   make(map[string]*ControlFrame),
+		tokens:   make(map[string]*frame),
 		lastWave: make(map[string]uint64),
 		done:     make(chan struct{}),
 		stopped:  make(chan struct{}),
@@ -201,10 +202,10 @@ func (td *TermDetector) quiescent() bool {
 	return td.n.Driver().Quiet()
 }
 
-// handleControl routes a verified v5 frame received at hosted node `at`.
-// Called from import-phase goroutines.
-func (td *TermDetector) handleControl(at string, cf *ControlFrame) {
-	if cf.Terminate {
+// handleControl routes a verified token or terminate frame received at
+// hosted node `at`. Called from import-phase goroutines.
+func (td *TermDetector) handleControl(at string, cf *frame) {
+	if cf.kind == kindTerminate {
 		td.declareLocal()
 		return
 	}
@@ -216,20 +217,20 @@ func (td *TermDetector) handleControl(at string, cf *ControlFrame) {
 		td.completeWaveLocked(cf)
 		return
 	}
-	if cf.Wave <= td.lastWave[at] {
+	if cf.wave <= td.lastWave[at] {
 		return // stale or duplicate: counters are cumulative, drop is safe
 	}
 	td.tokens[at] = cf
 }
 
 // completeWaveLocked processes a token arriving back at the root.
-func (td *TermDetector) completeWaveLocked(cf *ControlFrame) {
-	if !td.launched || cf.Wave != td.rootWave {
+func (td *TermDetector) completeWaveLocked(cf *frame) {
+	if !td.launched || cf.wave != td.rootWave {
 		return // a wave we already timed out and restarted
 	}
 	td.launched = false
 	td.waves.Add(1)
-	total := cf.Acts
+	total := cf.acts
 	same := td.haveTotal && total == td.lastTotal
 	td.lastTotal, td.haveTotal = total, true
 	if same {
@@ -279,18 +280,15 @@ func (td *TermDetector) step() {
 	// Forward every held token: stamp the hosted node's counter into
 	// the running sum and pass it on.
 	td.mu.Lock()
-	var sends []*ControlFrame
-	var froms []string
+	var sends []*frame
 	for _, at := range td.n.order { // deterministic order; n.order is fixed
 		cf, ok := td.tokens[at]
 		if !ok {
 			continue
 		}
 		delete(td.tokens, at)
-		td.lastWave[at] = cf.Wave
-		out := &ControlFrame{From: at, Wave: cf.Wave, Acts: cf.Acts + td.acts[at].Load(), Scheme: td.n.cfg.Auth}
-		sends = append(sends, out)
-		froms = append(froms, at)
+		td.lastWave[at] = cf.wave
+		sends = append(sends, &frame{kind: kindToken, from: at, wave: cf.wave, acts: cf.acts + td.acts[at].Load()})
 	}
 	// Root launch: no wave outstanding, start the next one with the
 	// root's own stamp.
@@ -298,22 +296,20 @@ func (td *TermDetector) step() {
 		td.rootWave++
 		td.launched = true
 		td.waveStart = now
-		out := &ControlFrame{From: root, Wave: td.rootWave, Acts: td.acts[root].Load(), Scheme: td.n.cfg.Auth}
-		sends = append(sends, out)
-		froms = append(froms, root)
+		sends = append(sends, &frame{kind: kindToken, from: root, wave: td.rootWave, acts: td.acts[root].Load()})
 	}
 	td.mu.Unlock()
 
-	for i, cf := range sends {
-		td.sendControl(cf, froms[i], td.succ(froms[i]))
+	for _, cf := range sends {
+		td.sendControl(cf, td.succ(cf.from))
 	}
 }
 
 // sendControl seals and ships one control frame.
-func (td *TermDetector) sendControl(cf *ControlFrame, from, to string) {
-	payload, err := cf.Encode(td.n.legacy, to)
+func (td *TermDetector) sendControl(cf *frame, to string) {
+	payload, err := cf.seal(td.n.control, to)
 	if err == nil {
-		err = td.n.net.Send(from, to, payload)
+		err = td.n.net.Send(cf.from, to, payload)
 	}
 	if err != nil {
 		td.mu.Lock()
@@ -334,8 +330,7 @@ func (td *TermDetector) broadcastTerminate(wave uint64) {
 		if _, hosted := td.acts[name]; hosted {
 			continue // co-hosted nodes learn via declareLocal below
 		}
-		cf := &ControlFrame{From: root, Terminate: true, Wave: wave, Scheme: td.n.cfg.Auth}
-		td.sendControl(cf, root, name)
+		td.sendControl(&frame{kind: kindTerminate, from: root, wave: wave}, name)
 	}
 	if fl, ok := td.n.net.(Flusher); ok {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -8,7 +8,7 @@ import (
 )
 
 // Transport is the message substrate the scheduler runs over: named nodes
-// exchange opaque datagrams (the wire v1–v4 frames of wire.go). Two
+// exchange opaque datagrams (the frames of wire.go). Two
 // implementations exist: internal/netsim, the in-memory fabric every
 // single-process run uses, and internal/nettcp, a real TCP backend that
 // lets N OS processes host one node each (see docs/ARCHITECTURE.md).

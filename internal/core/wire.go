@@ -8,671 +8,249 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
+	"provnet/internal/engine"
 	"provnet/internal/provenance"
 )
 
-// wireBufs pools the prefix scratch buffers used by envelope encoding
-// and verification: every Encode/Verify serializes the authenticated
-// prefix, seals or checks it, and throws it away. Sealers hash the
-// prefix without retaining it, so the buffer can be recycled; only the
-// final datagram is freshly sized, because transports retain it.
+// This file is the whole datagram format (docs/WIRE.md is its byte-level
+// specification): one frame type, one seal, one decoder, one open.
+//
+//	kind                   one byte, below
+//	From                   string — the sending node / principal
+//	body                   by kind
+//	tag                    bytes — auth.Sealer tag over every byte before it
+//
+// A handshake frame is the exception: the kind byte and then the
+// auth.SessionSealer handshake blob, which names its own endpoints and
+// carries its own signature, so it has neither From nor tag.
+//
+// The receiver never re-encodes what it parsed: the tag is checked over
+// the received bytes, so the signer and the verifier cannot disagree
+// about what was signed.
+
+// Frame kinds: the first byte of every datagram.
+const (
+	// kindData is what a node says: the tuples it exports to one
+	// destination in one round (or one tuple, under Config.Unbatched),
+	// each with its mode-specific provenance payload.
+	kindData byte = 1 + iota
+	// kindRetract withdraws tuples the sender no longer derives (link
+	// churn); the receiver removes the sender's support for each.
+	kindRetract
+	// kindHandshake installs a session key for one directed link.
+	kindHandshake
+	// kindToken is the termination detector's circulating wave token;
+	// kindTerminate the root's fixpoint declaration (see term.go). They
+	// never carry tuples and never mark activity.
+	kindToken
+	kindTerminate
+)
+
+// ErrBadEnvelope reports a datagram that does not parse.
+var ErrBadEnvelope = errors.New("core: bad envelope")
+
+// frame is one datagram, built by the export path or parsed by
+// decodeFrame. Which fields are meaningful depends on kind.
+type frame struct {
+	kind byte
+	from string
+	// mode tags the provenance payload encoding of every item (data).
+	mode provenance.Mode
+	// items are the shipped (data) or withdrawn (retract) tuples; retract
+	// frames carry no provenance payloads.
+	items []engine.Imported
+	// wave numbers the detection attempt and acts is the running sum of
+	// the activity counters stamped into it (token, terminate).
+	wave, acts uint64
+	// epoch is the session epoch a handshake frame is reserved for; the
+	// sender's seal turns it into blob, which is all the receiver sees.
+	epoch uint64
+	blob  []byte
+	// signed and tag are set by decodeFrame: the received bytes the tag
+	// covers, and the tag. Both alias the datagram.
+	signed, tag []byte
+}
+
+// handshaker is the part of auth.SessionSealer a handshake frame needs.
+type handshaker interface {
+	SealHandshake(src, dst string, epoch uint64) ([]byte, error)
+	AcceptHandshake(self string, blob []byte) (string, error)
+}
+
+var errNoSessionTransport = errors.New("core: handshake frame without a session transport")
+
+// wireBufs pools the scratch buffers seal serializes into: sealers hash
+// the bytes without retaining them, so only the final datagram is
+// freshly sized (transports retain it).
 var wireBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
 }}
 
-func getWireBuf() *[]byte { return wireBufs.Get().(*[]byte) }
-
-// putWireBuf returns a (possibly regrown) prefix to the pool. Oversized
-// one-off batches are dropped so the pool cannot hoard them.
-func putWireBuf(bp *[]byte, grown []byte) {
-	if cap(grown) > 1<<20 {
-		return
-	}
-	*bp = grown[:0]
-	wireBufs.Put(bp)
-}
-
-// sealDatagram is the shared tail of every Encode: seal the prefix,
-// materialize the exact-size datagram, and recycle the scratch.
-func sealDatagram(sealer auth.Sealer, from, to string, bp *[]byte, prefix []byte, what string) ([]byte, []byte, error) {
-	sig, err := sealer.Seal(from, to, prefix)
-	if err != nil {
-		putWireBuf(bp, prefix)
-		return nil, nil, fmt.Errorf("core: sealing %s from %s: %w", what, from, err)
-	}
-	out := make([]byte, 0, len(prefix)+len(sig)+binary.MaxVarintLen64)
-	out = append(out, prefix...)
-	out = data.AppendBytes(out, sig)
-	putWireBuf(bp, prefix)
-	return out, sig, nil
-}
-
-// This file defines the wire formats, all built around auth.Sealer: every
-// datagram is a sealed payload whose tag is produced by the configured
-// Sealer on export and checked on import. Three versions coexist:
-//
-//	v1  one tuple per datagram, per-envelope tag (the seed format)
-//	v2  one batch per (src,dst) pair per round, one tag per batch
-//	v3  session transport: handshake frames carrying RSA-wrapped session
-//	    keys, and session-MAC data envelopes (same batch layout as v2,
-//	    sealed with the per-link session key instead of a signature)
-//
-// Receivers dispatch on the version byte, so a v3 deployment still
-// decodes v1/v2 datagrams from older senders.
-
-// Envelope is the v1 on-the-wire unit: one derived tuple shipped to
-// another node, with its provenance payload and the sender's seal. Its
-// encoded size is what the bandwidth metrics charge, so the envelope
-// carries exactly what the paper's modified P2 shipped: the tuple, the
-// (optional) condensed or full provenance, and the (optional) tag.
-type Envelope struct {
-	// From is the sending node / principal.
-	From string
-	// Tuple is the shipped fact.
-	Tuple data.Tuple
-	// ProvMode tags the provenance payload encoding.
-	ProvMode provenance.Mode
-	// Prov is the mode-specific provenance payload (may be empty).
-	Prov []byte
-	// Scheme identifies the says implementation used.
-	Scheme auth.Scheme
-	// Sig authenticates everything before it, sealed by From.
-	Sig []byte
-}
-
-// Wire format tags (first byte of every datagram). Version 1 is the
-// seed's one-tuple-per-datagram envelope; version 2 packs every tuple a
-// node exports to one destination in a round under a single seal; version
-// 3 is the session transport (handshake and session-MAC frames,
-// distinguished by a kind byte); version 4 is the retraction envelope of
-// the live-network lifecycle — a signed batch of tuples the sender
-// withdraws after link churn.
-const (
-	wireVersion        = 1
-	wireVersionBatch   = 2
-	wireVersionSession = 3
-	wireVersionRetract = 4
-	// wireVersionControl carries the distributed-termination protocol:
-	// clean-wave tokens circulating the node ring and the final
-	// terminate broadcast. Control frames never carry tuples and never
-	// mark activity — they are the quiet channel the detector listens on.
-	wireVersionControl = 5
-)
-
-// v3 frame kinds (second byte of a v3 datagram).
-const (
-	frameHandshake byte = 1
-	frameData      byte = 2
-	// frameRetract is a session-sealed withdrawal batch: the v3 carrier
-	// of the retractions that v4 envelopes ship on the legacy transport.
-	frameRetract byte = 3
-)
-
-// v5 control frame kinds (second byte of a v5 datagram).
-const (
-	// ctrlToken is a circulating termination-wave token.
-	ctrlToken byte = 1
-	// ctrlTerminate is the root's fixpoint declaration broadcast.
-	ctrlTerminate byte = 2
-)
-
-// Errors from envelope decoding and verification.
-var (
-	ErrBadEnvelope = errors.New("core: bad envelope")
-)
-
-// signedPrefix encodes the authenticated portion of the envelope.
-func (e *Envelope) signedPrefix() []byte { return e.appendSignedPrefix(nil) }
-
-func (e *Envelope) appendSignedPrefix(b []byte) []byte {
-	b = append(b, wireVersion)
-	b = data.AppendString(b, e.From)
-	b = data.AppendTuple(b, e.Tuple)
-	b = append(b, byte(e.ProvMode))
-	b = data.AppendBytes(b, e.Prov)
-	b = append(b, byte(e.Scheme))
-	return b
-}
-
-// Encode serializes the envelope, sealing it for the from→to link when
-// the scheme requires it.
-func (e *Envelope) Encode(sealer auth.Sealer, to string) ([]byte, error) {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	out, sig, err := sealDatagram(sealer, e.From, to, bp, prefix, "envelope")
-	if err != nil {
-		return nil, err
-	}
-	e.Sig = sig
-	return out, nil
-}
-
-// DecodeEnvelope parses an envelope without verifying it.
-func DecodeEnvelope(b []byte) (*Envelope, error) {
-	if len(b) < 2 || b[0] != wireVersion {
-		return nil, fmt.Errorf("%w: version", ErrBadEnvelope)
-	}
-	n := 1
-	from, m, err := data.DecodeString(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: from: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	tu, m, err := data.DecodeTuple(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: tuple: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n >= len(b) {
-		return nil, fmt.Errorf("%w: truncated", ErrBadEnvelope)
-	}
-	mode := provenance.Mode(b[n])
-	n++
-	prov, m, err := data.DecodeBytes(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: provenance: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n >= len(b) {
-		return nil, fmt.Errorf("%w: truncated scheme", ErrBadEnvelope)
-	}
-	scheme := auth.Scheme(b[n])
-	n++
-	sig, m, err := data.DecodeBytes(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: sig: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(b)-n)
-	}
-	env := &Envelope{From: from, Tuple: tu, ProvMode: mode, Scheme: scheme}
-	if len(prov) > 0 {
-		env.Prov = append([]byte{}, prov...)
-	}
-	if len(sig) > 0 {
-		env.Sig = append([]byte{}, sig...)
-	}
-	return env, nil
-}
-
-// Verify checks the envelope seal for the from→to link.
-func (e *Envelope) Verify(sealer auth.Sealer, to string) error {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	err := sealer.Open(e.From, to, prefix, e.Sig)
-	putWireBuf(bp, prefix)
-	return err
-}
-
-// --- batched envelopes ---
-
-// BatchItem is one tuple inside a batch or session envelope, with its
-// mode-specific provenance payload.
-type BatchItem struct {
-	Tuple data.Tuple
-	Prov  []byte
-}
-
-// BatchEnvelope packs every tuple a node exports to one destination in a
-// round under one seal. Compared to shipping the items as individual
-// envelopes it saves one signature, one From header, and one per-message
-// framing charge (netsim.HeaderOverhead) per item beyond the first — the
-// batching half of the Figure 4 bandwidth story.
-type BatchEnvelope struct {
-	// From is the sending node / principal.
-	From string
-	// ProvMode tags the provenance payload encoding of every item.
-	ProvMode provenance.Mode
-	// Scheme identifies the says implementation used.
-	Scheme auth.Scheme
-	// Items are the shipped tuples in export order.
-	Items []BatchItem
-	// Sig authenticates everything before it, sealed by From.
-	Sig []byte
-}
-
-// signedPrefix encodes the authenticated portion of the batch envelope.
-func (e *BatchEnvelope) signedPrefix() []byte { return e.appendSignedPrefix(nil) }
-
-func (e *BatchEnvelope) appendSignedPrefix(b []byte) []byte {
-	b = append(b, wireVersionBatch)
-	b = data.AppendString(b, e.From)
-	b = append(b, byte(e.ProvMode))
-	b = append(b, byte(e.Scheme))
-	b = binary.AppendUvarint(b, uint64(len(e.Items)))
-	for _, it := range e.Items {
-		b = data.AppendTuple(b, it.Tuple)
-		b = data.AppendBytes(b, it.Prov)
-	}
-	return b
-}
-
-// Encode serializes the batch, sealing it once for the from→to link when
-// the scheme requires it.
-func (e *BatchEnvelope) Encode(sealer auth.Sealer, to string) ([]byte, error) {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	out, sig, err := sealDatagram(sealer, e.From, to, bp, prefix, "batch")
-	if err != nil {
-		return nil, err
-	}
-	e.Sig = sig
-	return out, nil
-}
-
-// decodeItems parses the shared item list layout of batch and session
-// envelopes, returning the items and the bytes consumed.
-func decodeItems(b []byte) ([]BatchItem, int, error) {
-	n := 0
-	count, m := binary.Uvarint(b)
-	if m <= 0 {
-		return nil, 0, fmt.Errorf("%w: item count", ErrBadEnvelope)
-	}
-	n += m
-	if count > uint64(len(b)) { // each item takes at least one byte
-		return nil, 0, fmt.Errorf("%w: item count %d exceeds payload", ErrBadEnvelope, count)
-	}
-	items := make([]BatchItem, 0, count)
-	for i := uint64(0); i < count; i++ {
-		tu, m, err := data.DecodeTuple(b[n:])
+// seal serializes the frame and seals it for the from→to link.
+func (f *frame) seal(sealer auth.Sealer, to string) ([]byte, error) {
+	if f.kind == kindHandshake {
+		h, ok := sealer.(handshaker)
+		if !ok {
+			return nil, errNoSessionTransport
+		}
+		blob, err := h.SealHandshake(f.from, to, f.epoch)
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: item %d tuple: %v", ErrBadEnvelope, i, err)
+			return nil, err
 		}
-		n += m
-		prov, m, err := data.DecodeBytes(b[n:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: item %d provenance: %v", ErrBadEnvelope, i, err)
+		return append(append(make([]byte, 0, 1+len(blob)), kindHandshake), blob...), nil
+	}
+	bp := wireBufs.Get().(*[]byte)
+	b := append(*bp, f.kind)
+	b = data.AppendString(b, f.from)
+	switch f.kind {
+	case kindData:
+		b = append(b, byte(f.mode))
+		b = binary.AppendUvarint(b, uint64(len(f.items)))
+		for _, it := range f.items {
+			b = data.AppendTuple(b, it.Tuple)
+			b = data.AppendBytes(b, it.Prov)
 		}
-		n += m
-		it := BatchItem{Tuple: tu}
-		if len(prov) > 0 {
-			it.Prov = append([]byte{}, prov...)
+	case kindRetract:
+		b = binary.AppendUvarint(b, uint64(len(f.items)))
+		for _, it := range f.items {
+			b = data.AppendTuple(b, it.Tuple)
 		}
-		items = append(items, it)
+	case kindToken, kindTerminate:
+		b = binary.AppendUvarint(b, f.wave)
+		b = binary.AppendUvarint(b, f.acts)
 	}
-	return items, n, nil
-}
-
-// DecodeBatchEnvelope parses a batch envelope without verifying it.
-func DecodeBatchEnvelope(b []byte) (*BatchEnvelope, error) {
-	if len(b) < 2 || b[0] != wireVersionBatch {
-		return nil, fmt.Errorf("%w: batch version", ErrBadEnvelope)
+	tag, err := sealer.Seal(f.from, to, b)
+	var out []byte
+	if err == nil {
+		out = make([]byte, 0, len(b)+len(tag)+binary.MaxVarintLen64)
+		out = data.AppendBytes(append(out, b...), tag)
 	}
-	n := 1
-	from, m, err := data.DecodeString(b[n:])
+	if cap(b) <= 1<<20 { // a one-off oversized batch is not worth hoarding
+		*bp = b[:0]
+		wireBufs.Put(bp)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: from: %v", ErrBadEnvelope, err)
+		return nil, fmt.Errorf("core: sealing frame from %s: %w", f.from, err)
 	}
-	n += m
-	if n+2 > len(b) {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadEnvelope)
-	}
-	mode := provenance.Mode(b[n])
-	scheme := auth.Scheme(b[n+1])
-	n += 2
-	items, m, err := decodeItems(b[n:])
-	if err != nil {
-		return nil, err
-	}
-	n += m
-	sig, m, err := data.DecodeBytes(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: sig: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(b)-n)
-	}
-	env := &BatchEnvelope{From: from, ProvMode: mode, Scheme: scheme, Items: items}
-	if len(sig) > 0 {
-		env.Sig = append([]byte{}, sig...)
-	}
-	return env, nil
-}
-
-// Verify checks the batch seal for the from→to link. One check covers
-// every item.
-func (e *BatchEnvelope) Verify(sealer auth.Sealer, to string) error {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	err := sealer.Open(e.From, to, prefix, e.Sig)
-	putWireBuf(bp, prefix)
-	return err
-}
-
-// --- retraction envelopes (wire v4) ---
-
-// RetractEnvelope ships a batch of withdrawn tuples from one node to one
-// destination: link churn cut their derivations, and the destination must
-// remove the sender's support for them. It is sealed exactly like a v2
-// batch (one signature per envelope under the legacy schemes); retraction
-// traffic only exists after churn, so the batch formats stay bit-for-bit
-// unchanged on converge-once workloads.
-type RetractEnvelope struct {
-	// From is the sending node / principal.
-	From string
-	// Scheme identifies the says implementation used.
-	Scheme auth.Scheme
-	// Tuples are the withdrawn facts in cascade order.
-	Tuples []data.Tuple
-	// Sig authenticates everything before it, sealed by From.
-	Sig []byte
-}
-
-// signedPrefix encodes the authenticated portion of the retract envelope.
-func (e *RetractEnvelope) signedPrefix() []byte { return e.appendSignedPrefix(nil) }
-
-func (e *RetractEnvelope) appendSignedPrefix(b []byte) []byte {
-	b = append(b, wireVersionRetract)
-	b = data.AppendString(b, e.From)
-	b = append(b, byte(e.Scheme))
-	b = binary.AppendUvarint(b, uint64(len(e.Tuples)))
-	for _, t := range e.Tuples {
-		b = data.AppendTuple(b, t)
-	}
-	return b
-}
-
-// Encode serializes the envelope, sealing it for the from→to link when
-// the scheme requires it.
-func (e *RetractEnvelope) Encode(sealer auth.Sealer, to string) ([]byte, error) {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	out, sig, err := sealDatagram(sealer, e.From, to, bp, prefix, "retract envelope")
-	if err != nil {
-		return nil, err
-	}
-	e.Sig = sig
 	return out, nil
 }
 
-// DecodeRetractEnvelope parses a retract envelope without verifying it.
-func DecodeRetractEnvelope(b []byte) (*RetractEnvelope, error) {
-	if len(b) < 2 || b[0] != wireVersionRetract {
-		return nil, fmt.Errorf("%w: retract version", ErrBadEnvelope)
-	}
-	n := 1
-	from, m, err := data.DecodeString(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: from: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n >= len(b) {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadEnvelope)
-	}
-	scheme := auth.Scheme(b[n])
-	n++
-	count, m := binary.Uvarint(b[n:])
-	if m <= 0 {
-		return nil, fmt.Errorf("%w: tuple count", ErrBadEnvelope)
-	}
-	n += m
-	if count > uint64(len(b)) { // each tuple takes at least one byte
-		return nil, fmt.Errorf("%w: tuple count %d exceeds payload", ErrBadEnvelope, count)
-	}
-	tuples := make([]data.Tuple, 0, count)
-	for i := uint64(0); i < count; i++ {
-		tu, m, err := data.DecodeTuple(b[n:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: tuple %d: %v", ErrBadEnvelope, i, err)
+// open authenticates a decoded frame received at node to: the tag is
+// checked over the bytes as received. Opening a handshake frame verifies
+// its blob and installs the inbound session it transports.
+func (f *frame) open(sealer auth.Sealer, to string) error {
+	if f.kind == kindHandshake {
+		h, ok := sealer.(handshaker)
+		if !ok {
+			return errNoSessionTransport
 		}
-		n += m
-		tuples = append(tuples, tu)
+		_, err := h.AcceptHandshake(to, f.blob)
+		return err
 	}
-	sig, m, err := data.DecodeBytes(b[n:])
+	return sealer.Open(f.from, to, f.signed, f.tag)
+}
+
+// maxPresize caps the capacity decodeFrame allocates on the word of a
+// count it has not authenticated yet; past it the slice grows with the
+// items actually decoded. Item sizes are the smallest encodings: a tuple
+// is two empty strings and an arity, a data item adds an empty payload.
+const (
+	maxPresize     = 64
+	minTupleSize   = 3
+	minPayloadSize = 1
+)
+
+// decodeFrame parses one datagram without authenticating it. Everything
+// here runs on bytes anyone who can reach the socket may have written:
+// it must return an error, never panic, and never allocate more than the
+// bytes it was handed can account for.
+func decodeFrame(p []byte) (*frame, error) {
+	if len(p) == 0 {
+		return nil, fmt.Errorf("%w: empty datagram", ErrBadEnvelope)
+	}
+	f := &frame{kind: p[0]}
+	c := &cursor{b: p, n: 1}
+	switch f.kind {
+	case kindHandshake:
+		if len(p) == 1 {
+			return nil, fmt.Errorf("%w: empty handshake frame", ErrBadEnvelope)
+		}
+		f.blob = p[1:]
+		return f, nil
+	case kindData, kindRetract:
+		f.from = read(c, "from", data.DecodeString)
+		itemSize := minTupleSize
+		if f.kind == kindData {
+			f.mode = provenance.Mode(read(c, "provenance mode", decodeByte))
+			itemSize += minPayloadSize
+		}
+		count := read(c, "item count", decodeUvarint)
+		if c.err == nil && count > uint64((len(p)-c.n)/itemSize) {
+			return nil, fmt.Errorf("%w: item count %d exceeds payload", ErrBadEnvelope, count)
+		}
+		f.items = make([]engine.Imported, 0, min(count, maxPresize))
+		for i := uint64(0); i < count && c.err == nil; i++ {
+			it := engine.Imported{Tuple: read(c, "tuple", data.DecodeTuple)}
+			if f.kind == kindData {
+				if prov := read(c, "provenance", data.DecodeBytes); len(prov) > 0 {
+					it.Prov = append([]byte(nil), prov...)
+				}
+			}
+			f.items = append(f.items, it)
+		}
+	case kindToken, kindTerminate:
+		f.from = read(c, "from", data.DecodeString)
+		f.wave = read(c, "wave", decodeUvarint)
+		f.acts = read(c, "acts", decodeUvarint)
+	default:
+		return nil, fmt.Errorf("%w: unknown frame kind %d", ErrBadEnvelope, f.kind)
+	}
+	f.signed = p[:c.n]
+	f.tag = read(c, "tag", data.DecodeBytes)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.n != len(p) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(p)-c.n)
+	}
+	return f, nil
+}
+
+// cursor walks a datagram field by field. The first failure sticks and
+// every later read returns a zero value, so decodeFrame checks once.
+type cursor struct {
+	b   []byte
+	n   int
+	err error
+}
+
+// read decodes the next field with dec, one of internal/data's decoders
+// or the two below.
+func read[T any](c *cursor, what string, dec func([]byte) (T, int, error)) (v T) {
+	if c.err != nil {
+		return v
+	}
+	v, m, err := dec(c.b[c.n:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: sig: %v", ErrBadEnvelope, err)
+		c.err = fmt.Errorf("%w: %s: %v", ErrBadEnvelope, what, err)
+		return v
 	}
-	n += m
-	if n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(b)-n)
-	}
-	env := &RetractEnvelope{From: from, Scheme: scheme, Tuples: tuples}
-	if len(sig) > 0 {
-		env.Sig = append([]byte{}, sig...)
-	}
-	return env, nil
+	c.n += m
+	return v
 }
 
-// Verify checks the retract envelope seal for the from→to link.
-func (e *RetractEnvelope) Verify(sealer auth.Sealer, to string) error {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	err := sealer.Open(e.From, to, prefix, e.Sig)
-	putWireBuf(bp, prefix)
-	return err
+func decodeByte(b []byte) (byte, int, error) {
+	if len(b) == 0 {
+		return 0, 0, data.ErrShortBuffer
+	}
+	return b[0], 1, nil
 }
 
-// --- termination control frames (wire v5) ---
-
-// ControlFrame is the v5 datagram of the distributed termination
-// protocol. A token (Terminate false) circulates the sorted node ring
-// once per wave: each node holds it until locally quiescent, adds its
-// cumulative activity counter to Acts, and forwards it. When two
-// consecutive completed waves return the same activity sum to the ring
-// root, no node did any work between its two stamps and no frame was in
-// flight — the root broadcasts a terminate frame (Terminate true) to
-// every other node. The counters are cumulative (never reset), so a
-// lost or duplicated token costs a wave restart, never a false
-// fixpoint. Control frames are sealed with the legacy (signature)
-// sealer regardless of the data-path transport: they predate session
-// establishment on restarted links and must stay verifiable across
-// incarnations.
-type ControlFrame struct {
-	// From is the node forwarding (token) or declaring (terminate).
-	From string
-	// Terminate distinguishes the fixpoint broadcast from a token.
-	Terminate bool
-	// Wave numbers the detection attempt; stale waves are discarded.
-	Wave uint64
-	// Acts is the running sum of cumulative per-node activity counters
-	// stamped by the nodes the token has visited this wave. Zero on
-	// terminate frames.
-	Acts uint64
-	// Scheme identifies the says implementation used.
-	Scheme auth.Scheme
-	// Sig authenticates everything before it, sealed by From.
-	Sig []byte
-}
-
-// signedPrefix encodes the authenticated portion of the control frame.
-func (e *ControlFrame) signedPrefix() []byte { return e.appendSignedPrefix(nil) }
-
-func (e *ControlFrame) appendSignedPrefix(b []byte) []byte {
-	kind := ctrlToken
-	if e.Terminate {
-		kind = ctrlTerminate
-	}
-	b = append(b, wireVersionControl, kind)
-	b = data.AppendString(b, e.From)
-	b = append(b, byte(e.Scheme))
-	b = binary.AppendUvarint(b, e.Wave)
-	b = binary.AppendUvarint(b, e.Acts)
-	return b
-}
-
-// Encode serializes the control frame, sealing it for the from→to link
-// when the scheme requires it.
-func (e *ControlFrame) Encode(sealer auth.Sealer, to string) ([]byte, error) {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	out, sig, err := sealDatagram(sealer, e.From, to, bp, prefix, "control frame")
-	if err != nil {
-		return nil, err
-	}
-	e.Sig = sig
-	return out, nil
-}
-
-// DecodeControlFrame parses a control frame without verifying it.
-func DecodeControlFrame(b []byte) (*ControlFrame, error) {
-	if len(b) < 2 || b[0] != wireVersionControl || (b[1] != ctrlToken && b[1] != ctrlTerminate) {
-		return nil, fmt.Errorf("%w: control frame header", ErrBadEnvelope)
-	}
-	terminate := b[1] == ctrlTerminate
-	n := 2
-	from, m, err := data.DecodeString(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: from: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n >= len(b) {
-		return nil, fmt.Errorf("%w: truncated scheme", ErrBadEnvelope)
-	}
-	scheme := auth.Scheme(b[n])
-	n++
-	wave, m := binary.Uvarint(b[n:])
+func decodeUvarint(b []byte) (uint64, int, error) {
+	v, m := binary.Uvarint(b)
 	if m <= 0 {
-		return nil, fmt.Errorf("%w: wave", ErrBadEnvelope)
+		return 0, 0, data.ErrCorrupt
 	}
-	n += m
-	acts, m := binary.Uvarint(b[n:])
-	if m <= 0 {
-		return nil, fmt.Errorf("%w: acts", ErrBadEnvelope)
-	}
-	n += m
-	sig, m, err := data.DecodeBytes(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: sig: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(b)-n)
-	}
-	cf := &ControlFrame{From: from, Terminate: terminate, Wave: wave, Acts: acts, Scheme: scheme}
-	if len(sig) > 0 {
-		cf.Sig = append([]byte{}, sig...)
-	}
-	return cf, nil
-}
-
-// Verify checks the control frame seal for the from→to link.
-func (e *ControlFrame) Verify(sealer auth.Sealer, to string) error {
-	bp := getWireBuf()
-	prefix := e.appendSignedPrefix(*bp)
-	err := sealer.Open(e.From, to, prefix, e.Sig)
-	putWireBuf(bp, prefix)
-	return err
-}
-
-// --- session transport (wire v3) ---
-
-// EncodeHandshakeFrame wraps an auth.SessionSealer handshake blob into a
-// v3 wire frame.
-func EncodeHandshakeFrame(blob []byte) []byte {
-	out := make([]byte, 0, 2+len(blob))
-	out = append(out, wireVersionSession, frameHandshake)
-	return append(out, blob...)
-}
-
-// DecodeHandshakeFrame unwraps a v3 handshake frame, returning the
-// sealer-level handshake blob.
-func DecodeHandshakeFrame(b []byte) ([]byte, error) {
-	if len(b) < 2 || b[0] != wireVersionSession || b[1] != frameHandshake {
-		return nil, fmt.Errorf("%w: handshake frame header", ErrBadEnvelope)
-	}
-	if len(b) == 2 {
-		return nil, fmt.Errorf("%w: empty handshake frame", ErrBadEnvelope)
-	}
-	return b[2:], nil
-}
-
-// SessionEnvelope is the v3 data frame: the batch layout of v2, sealed
-// with the per-link session MAC (tag = key epoch + HMAC) instead of a
-// per-envelope signature. One handshake per link amortizes the RSA cost
-// the v1/v2 formats pay per datagram.
-type SessionEnvelope struct {
-	// From is the sending node / principal.
-	From string
-	// ProvMode tags the provenance payload encoding of every item.
-	ProvMode provenance.Mode
-	// Retract marks a withdrawal batch (frame kind frameRetract): the
-	// items name tuples the sender no longer derives. Item provenance is
-	// empty on retract frames.
-	Retract bool
-	// Items are the shipped tuples in export order.
-	Items []BatchItem
-	// Tag is the session seal (epoch + MAC) over everything before it.
-	Tag []byte
-}
-
-// sealedPrefix encodes the authenticated portion of the session frame.
-func (e *SessionEnvelope) sealedPrefix() []byte { return e.appendSealedPrefix(nil) }
-
-func (e *SessionEnvelope) appendSealedPrefix(b []byte) []byte {
-	kind := frameData
-	if e.Retract {
-		kind = frameRetract
-	}
-	b = append(b, wireVersionSession, kind)
-	b = data.AppendString(b, e.From)
-	b = append(b, byte(e.ProvMode))
-	b = binary.AppendUvarint(b, uint64(len(e.Items)))
-	for _, it := range e.Items {
-		b = data.AppendTuple(b, it.Tuple)
-		b = data.AppendBytes(b, it.Prov)
-	}
-	return b
-}
-
-// Encode serializes the frame, sealing it for the from→to link with the
-// session sealer.
-func (e *SessionEnvelope) Encode(sealer auth.Sealer, to string) ([]byte, error) {
-	bp := getWireBuf()
-	prefix := e.appendSealedPrefix(*bp)
-	out, tag, err := sealDatagram(sealer, e.From, to, bp, prefix, "session frame")
-	if err != nil {
-		return nil, err
-	}
-	e.Tag = tag
-	return out, nil
-}
-
-// DecodeSessionEnvelope parses a session data or retract frame without
-// opening it.
-func DecodeSessionEnvelope(b []byte) (*SessionEnvelope, error) {
-	if len(b) < 2 || b[0] != wireVersionSession || (b[1] != frameData && b[1] != frameRetract) {
-		return nil, fmt.Errorf("%w: session frame header", ErrBadEnvelope)
-	}
-	retract := b[1] == frameRetract
-	n := 2
-	from, m, err := data.DecodeString(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: from: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n >= len(b) {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadEnvelope)
-	}
-	mode := provenance.Mode(b[n])
-	n++
-	items, m, err := decodeItems(b[n:])
-	if err != nil {
-		return nil, err
-	}
-	n += m
-	tag, m, err := data.DecodeBytes(b[n:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: tag: %v", ErrBadEnvelope, err)
-	}
-	n += m
-	if n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(b)-n)
-	}
-	env := &SessionEnvelope{From: from, ProvMode: mode, Retract: retract, Items: items}
-	if len(tag) > 0 {
-		env.Tag = append([]byte{}, tag...)
-	}
-	return env, nil
-}
-
-// Open checks the session seal for the from→to link.
-func (e *SessionEnvelope) Open(sealer auth.Sealer, to string) error {
-	bp := getWireBuf()
-	prefix := e.appendSealedPrefix(*bp)
-	err := sealer.Open(e.From, to, prefix, e.Tag)
-	putWireBuf(bp, prefix)
-	return err
+	return v, m, nil
 }

@@ -56,6 +56,24 @@ func AppendValue(b []byte, v Value) []byte {
 // programs' lists are path vectors, depth 1.
 const maxValueDepth = 32
 
+// A decoder runs before any signature check, so an element count is an
+// attacker's word until the elements have been decoded: valueSlice
+// rejects a count the remaining bytes cannot hold at minValueSize bytes a
+// value (a kind byte and at least one of payload), and never reserves
+// more than maxPresize values ahead of decoding them — past that the
+// slice grows with what is actually there.
+const (
+	minValueSize = 2
+	maxPresize   = 64
+)
+
+func valueSlice(count uint64, rest []byte) ([]Value, error) {
+	if count > uint64(len(rest)/minValueSize) {
+		return nil, fmt.Errorf("%w: count %d exceeds payload", ErrCorrupt, count)
+	}
+	return make([]Value, 0, min(count, maxPresize)), nil
+}
+
 // DecodeValue decodes one value from b, returning it and the number of
 // bytes consumed. Lists nested deeper than maxValueDepth are ErrCorrupt.
 func DecodeValue(b []byte) (Value, int, error) {
@@ -102,10 +120,10 @@ func decodeValue(b []byte, depth int) (Value, int, error) {
 			return Value{}, 0, ErrCorrupt
 		}
 		n += m
-		if cnt > uint64(len(b)) { // each element takes at least one byte
-			return Value{}, 0, ErrCorrupt
+		vs, err := valueSlice(cnt, b[n:])
+		if err != nil {
+			return Value{}, 0, err
 		}
-		vs := make([]Value, 0, cnt)
 		for i := uint64(0); i < cnt; i++ {
 			e, m, err := decodeValue(b[n:], depth+1)
 			if err != nil {
@@ -188,10 +206,10 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 		return Tuple{}, 0, ErrCorrupt
 	}
 	n += m
-	if arity > uint64(len(b)) {
-		return Tuple{}, 0, ErrCorrupt
+	args, err := valueSlice(arity, b[n:])
+	if err != nil {
+		return Tuple{}, 0, err
 	}
-	args := make([]Value, 0, arity)
 	for i := uint64(0); i < arity; i++ {
 		v, m, err := DecodeValue(b[n:])
 		if err != nil {

@@ -2,8 +2,10 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +176,43 @@ func TestDecodeValueDepthLimit(t *testing.T) {
 	tu := append(AppendString(AppendString(nil, "p"), ""), 1)
 	if _, _, err := DecodeTuple(append(tu, deep...)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("1 MiB of list headers: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeHostileCounts pins that a count is not believed before the
+// elements are there: a tuple arity and a list count that the payload is
+// just large enough to make plausible, in front of 8 MiB of bytes that
+// are no values, are rejected having allocated next to nothing (the
+// decoders used to reserve 72 bytes an announced element, 288 MiB here),
+// and a count the payload cannot hold is rejected outright.
+func TestDecodeHostileCounts(t *testing.T) {
+	const size = 8 << 20
+	filler := bytes.Repeat([]byte{0xff}, size) // 0xff is no value kind
+	claim := func(header []byte, count uint64) []byte {
+		return append(binary.AppendUvarint(header, count), filler...)
+	}
+	tupleHeader := AppendString(AppendString(nil, "p"), "")
+	cases := []struct {
+		name   string
+		decode func(b []byte) error
+		header []byte
+	}{
+		{"tuple arity", func(b []byte) error { _, _, err := DecodeTuple(b); return err }, tupleHeader},
+		{"list count", func(b []byte) error { _, _, err := DecodeValue(b); return err }, []byte{byte(KindList)}},
+	}
+	for _, c := range cases {
+		for _, count := range []uint64{size / minValueSize, size/minValueSize + 1, 1 << 62} {
+			payload := claim(c.header, count)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := c.decode(payload)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s %d: err = %v, want ErrCorrupt", c.name, count, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%s %d: allocated %d bytes before rejecting, want < 1 MiB", c.name, count, got)
+			}
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package nettcp is the socket-backed transport: the same
 // Send/Drain/Stats surface as internal/netsim, carried over real TCP
 // connections so N OS processes can each host one node (or a few) of a
-// provnet network. internal/core stays transport-agnostic — the wire
-// v1–v5 datagrams it seals are shipped here as opaque payloads, so the
+// provnet network. internal/core stays transport-agnostic — the
+// datagrams it seals are shipped here as opaque payloads, so the
 // signature, session-handshake, retraction, and termination machinery
 // work unchanged across process boundaries.
 //
@@ -12,7 +12,7 @@
 // opened lazily by the sending side and re-opened (with exponential
 // backoff) if it drops. The byte stream is:
 //
-//	preamble  "PNT2" (4 bytes: magic + stream version)
+//	preamble  "PNT3" (4 bytes: magic + stream version)
 //	hello     uvarint n, n bytes — a name identifying the sending
 //	          process (its first registered node), used for diagnostics
 //	          and restart detection; then uvarint incarnation — a value
@@ -24,7 +24,7 @@
 //	               + uvarint d, d bytes — destination node name
 //	               + uvarint seq (present iff bit1; for ack frames this
 //	                 is the cumulative acknowledged sequence number)
-//	               + payload (one wire v1–v5 datagram, opaque here;
+//	               + payload (one core datagram, opaque here;
 //	                 empty for ack frames)
 //
 // See docs/WIRE.md for the datagram formats riding inside the frames.
@@ -100,8 +100,11 @@ import (
 
 // magic is the stream preamble: protocol magic plus stream version.
 // Version 2 added the hello incarnation and the sequenced/ack frame
-// flag bits.
-var magic = [4]byte{'P', 'N', 'T', '2'}
+// flag bits; version 3 changed nothing in the stream and exists because
+// the datagrams inside did (docs/WIRE.md) — a process built before that
+// is refused here, once and logged, instead of having every datagram it
+// sends dropped as unparseable.
+var magic = [4]byte{'P', 'N', 'T', '3'}
 
 // Frame flag bits.
 const (

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"net"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,5 +263,56 @@ func TestCloseIdempotentAndContext(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestStalePreambleRefused pins what the stream version is for: a process
+// built before the datagram format changed (it opens with the previous
+// stream version) is refused at the preamble — the connection is closed, the refusal logged,
+// and nothing it wrote reaches an inbox.
+func TestStalePreambleRefused(t *testing.T) {
+	logged := make(chan string, 1) // the one refusal; later lines are dropped
+	tr, err := New(Config{Listen: "127.0.0.1:0", Logf: func(format string, args ...any) {
+		select {
+		case logged <- format:
+		default:
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.AddNode("b")
+
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	stale := magic
+	stale[3]-- // the stream version before this one
+	bw.Write(stale[:])
+	bw.WriteString("\x01a\x01") // hello "a", incarnation 1
+	if err := writeFrame(bw, frame{src: "a", dst: "b", payload: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stale peer's connection still open (read: %v)", err)
+	}
+	select {
+	case line := <-logged:
+		if line != "nettcp: bad preamble from %s" {
+			t.Errorf("logged %q, want the preamble refusal", line)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("refusal not logged")
+	}
+	if n := tr.PendingCount(); n != 0 {
+		t.Errorf("%d frames delivered from a refused connection", n)
 	}
 }

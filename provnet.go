@@ -89,8 +89,6 @@ type (
 	Report = core.Report
 	// Variant names the paper's three evaluated configurations.
 	Variant = core.Variant
-	// Envelope is the signed wire unit.
-	Envelope = core.Envelope
 
 	// Driver is the live-network lifecycle surface: Start/Step/
 	// AwaitQuiescence/Close, runtime mutation (Inject, Retract, SetLink,
@@ -199,7 +197,7 @@ type (
 )
 
 // Says implementations, from benign-world to hostile-world. AuthSession
-// identifies the session transport (wire v3): per-link RSA handshakes
+// identifies the session transport: per-link RSA handshakes
 // amortized over HMAC-sealed envelopes. Config{Auth: AuthSession} is
 // shorthand for Config{Auth: AuthRSA, SessionAuth: true}.
 const (
