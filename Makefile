@@ -112,10 +112,12 @@ chaos:
 	$(GO) test -race -timeout 15m -run 'TestCrashRestartReconverges|TestMultiprocessMatchesSingleProcess' ./cmd/provnet
 	$(GO) test -run '^$$' -fuzz FuzzAckRetransmit -fuzztime 30s ./internal/nettcp
 
-# Wire-decoder fuzzing (every frame kind, one decoder) and the retraction
-# collision fuzzer, same budget as CI.
+# Wire-decoder fuzzing (every frame kind, one decoder; the RSA tree tag,
+# parsed before it is authenticated) and the retraction collision fuzzer,
+# same budget as CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzOpenTreeTag -fuzztime 30s ./internal/auth
 	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine
 
 # Format/vet gate over examples/ plus the documented quickstart as a

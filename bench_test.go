@@ -173,12 +173,12 @@ func BenchmarkFig4Batching(b *testing.B) {
 // models on the §6 Best-Path workload under churn (20-node topology,
 // initial convergence + route-refresh cycles re-converging over the
 // established sessions; see internal/benchwork): per-tuple RSA (the
-// paper's scheme), per-batch RSA (PR 1's amortization), and the session
-// transport (one RSA handshake per link, HMAC per envelope). Read
-// signatures/op — the session stack pays
-// RSA only at handshake time, so over the link lifetime it does ≥10×
-// fewer signature operations than even per-batch RSA — plus macs/op and
-// wire_MB/op.
+// paper's scheme), per-round RSA (one signature over a hash tree of a
+// node's round of frames), and the session transport (one RSA handshake
+// per link, HMAC per envelope). Read signatures/op — the session stack
+// pays RSA only at handshake time, ≥10× fewer signature operations than
+// per-tuple RSA over the link lifetime; against per-round RSA it depends
+// on how long the links live — plus macs/op and wire_MB/op.
 func BenchmarkSessionAuth(b *testing.B) {
 	for _, m := range benchwork.Modes() {
 		b.Run(m.Name, func(b *testing.B) {

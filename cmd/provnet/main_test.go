@@ -301,7 +301,7 @@ func TestCrashRestartReconverges(t *testing.T) {
 // transport: three OS processes, one node each, over loopback TCP must
 // produce exactly the tables — condensed provenance annotations
 // included — of the single-process netsim run on the same topology,
-// under both per-envelope RSA and the session handshake transport.
+// under both per-round RSA and the session handshake transport.
 func TestMultiprocessMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")

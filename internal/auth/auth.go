@@ -9,8 +9,9 @@
 //
 //   - None: cleartext principal header, zero cryptographic cost;
 //   - HMAC: shared-secret MACs, cheap symmetric authentication;
-//   - RSA:  per-tuple RSA signatures over SHA-256 digests, the scheme used
-//     in the paper's evaluation (OpenSSL-signed tuples in modified P2).
+//   - RSA:  RSA signatures over SHA-256 digests, the scheme used in the
+//     paper's evaluation (OpenSSL-signed tuples in modified P2); one
+//     signature covers everything a principal says in one call (tree.go).
 //
 // It also maintains the principal directory: names, security levels (for
 // the multi-level says of §2.2 and quantifiable provenance of §4.5), and
@@ -18,7 +19,6 @@
 package auth
 
 import (
-	"crypto"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/rsa"
@@ -144,10 +144,12 @@ func (s *HMACSigner) Verify(principal string, payload, tag []byte) error {
 // smaller ablation keys additionally need GODEBUG=rsa1024min=0.
 const DefaultRSABits = 2048
 
-// RSASigner implements the hostile-world says: each exported tuple is
-// individually signed with the exporting principal's RSA private key
-// (SHA-256 + PKCS#1 v1.5) and checked with the corresponding public key on
-// import, as in the paper's modified P2.
+// RSASigner implements the hostile-world says with the exporting
+// principal's RSA private key (SHA-256 + PKCS#1 v1.5), checked with the
+// corresponding public key on import, as in the paper's modified P2. What
+// is signed is the root of a hash tree over everything the principal says
+// in one call (tree.go): Sign is the one-leaf tree, a SignerSealer hands
+// it a whole round's frames at once.
 type RSASigner struct {
 	dir *Directory
 }
@@ -158,27 +160,17 @@ func NewRSASigner(dir *Directory) *RSASigner { return &RSASigner{dir: dir} }
 // Scheme returns SchemeRSA.
 func (s *RSASigner) Scheme() Scheme { return SchemeRSA }
 
-// Sign signs SHA-256(payload) with the principal's private key.
+// Sign signs payload alone and bound to no link: the one-leaf tree, whose
+// tag is the bare signature.
 func (s *RSASigner) Sign(principal string, payload []byte) ([]byte, error) {
-	key := s.dir.privateKey(principal)
-	if key == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPrincipal, principal)
-	}
-	digest := sha256.Sum256(payload)
-	return rsa.SignPKCS1v15(nil, key, crypto.SHA256, digest[:])
+	one := [1]Envelope{{Payload: payload}}
+	err := s.signTree(principal, one[:])
+	return one[0].Tag, err
 }
 
-// Verify checks the signature against the principal's public key.
+// Verify checks a tag over a payload bound to no link.
 func (s *RSASigner) Verify(principal string, payload, tag []byte) error {
-	pub := s.dir.publicKey(principal)
-	if pub == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownPrincipal, principal)
-	}
-	digest := sha256.Sum256(payload)
-	if err := rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest[:], tag); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSignature, err)
-	}
-	return nil
+	return s.verifyLeaf(principal, "", payload, tag)
 }
 
 // --- Directory ---

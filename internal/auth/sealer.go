@@ -3,13 +3,15 @@
 //
 // The Signer interface implements the says operator per principal; Sealer
 // lifts it to the transport: an envelope travelling a directed (src,dst)
-// link is sealed on export and opened on import. The none/HMAC/RSA says
-// schemes become Sealers through SignerSealer, which ignores the link and
-// charges the per-envelope cost of the underlying scheme (per-envelope RSA
-// in the hostile world). SessionSealer amortizes that cost: one RSA
-// handshake per link establishes a shared session key, and every
-// subsequent envelope is sealed with a cheap HMAC under that key,
-// re-handshaking every RekeyRounds scheduler rounds.
+// link is sealed on export and opened on import, and everything a sender
+// ships in one round is sealed by one SealBatch call. The none/HMAC/RSA
+// says schemes become Sealers through SignerSealer. Under RSA that call is
+// one signature over a hash tree of the round's envelopes, each leaf bound
+// to its link (tree.go); none and HMAC seal each envelope on its own and
+// ignore the link. SessionSealer moves the RSA cost off the rounds
+// altogether: one RSA handshake per link establishes a shared session
+// key, and every subsequent envelope is sealed with a cheap HMAC under
+// that key, re-handshaking every RekeyRounds scheduler rounds.
 package auth
 
 import (
@@ -27,22 +29,38 @@ import (
 	"provnet/internal/data"
 )
 
+// Envelope is one payload of a batch: what the sender says to Dst and,
+// once sealed, the Tag that authenticates it on that link.
+type Envelope struct {
+	Dst     string
+	Payload []byte
+	Tag     []byte
+}
+
 // Sealer seals and opens envelopes travelling a directed (src,dst) link.
 // Implementations must be safe for concurrent use: the parallel
 // scheduler seals and opens from many goroutines at once.
 type Sealer interface {
 	// Scheme identifies the implementation.
 	Scheme() Scheme
-	// Seal returns a tag authenticating payload as sent by src to dst.
+	// Seal returns a tag authenticating payload as sent by src to dst:
+	// SealBatch with one envelope.
 	Seal(src, dst string, payload []byte) ([]byte, error)
+	// SealBatch seals what src sends in one round, setting every
+	// envelope's Tag. signs is the number of says operations the call
+	// performed — one for a whole RSA batch, one per envelope where
+	// sealing together saves nothing, none under a session.
+	SealBatch(src string, batch []Envelope) (signs int, err error)
 	// Open checks that tag authenticates payload on the src→dst link.
 	Open(src, dst string, payload, tag []byte) error
 }
 
 // SignerSealer adapts a per-principal Signer to the link-level Sealer
-// interface: the destination is ignored and every envelope pays the
-// underlying scheme's cost (none, HMAC, or RSA). This is how the three
-// pre-session says schemes plug into the transport stack.
+// interface; it is how the three pre-session says schemes plug into the
+// transport stack. An RSASigner signs a batch once, over the root of its
+// hash tree, and binds every envelope to its destination: a frame sealed
+// for b does not open at c. A MAC costs what a hash costs, so the none
+// and HMAC signers sign each envelope alone, as said by src to anyone.
 type SignerSealer struct {
 	S Signer
 }
@@ -50,13 +68,33 @@ type SignerSealer struct {
 // Scheme returns the wrapped signer's scheme.
 func (w SignerSealer) Scheme() Scheme { return w.S.Scheme() }
 
-// Seal signs payload as src, ignoring the link destination.
-func (w SignerSealer) Seal(src, _ string, payload []byte) ([]byte, error) {
-	return w.S.Sign(src, payload)
+// Seal seals payload alone.
+func (w SignerSealer) Seal(src, dst string, payload []byte) ([]byte, error) {
+	one := [1]Envelope{{Dst: dst, Payload: payload}}
+	_, err := w.SealBatch(src, one[:])
+	return one[0].Tag, err
 }
 
-// Open verifies payload against src's identity, ignoring the destination.
-func (w SignerSealer) Open(src, _ string, payload, tag []byte) error {
+// SealBatch signs the batch as src.
+func (w SignerSealer) SealBatch(src string, batch []Envelope) (int, error) {
+	if r, ok := w.S.(*RSASigner); ok {
+		return min(1, len(batch)), r.signTree(src, batch)
+	}
+	for i := range batch {
+		var err error
+		if batch[i].Tag, err = w.S.Sign(src, batch[i].Payload); err != nil {
+			return 0, err
+		}
+	}
+	return len(batch), nil
+}
+
+// Open verifies payload against src's identity and, under RSA, against
+// the link it arrived on.
+func (w SignerSealer) Open(src, dst string, payload, tag []byte) error {
+	if r, ok := w.S.(*RSASigner); ok {
+		return r.verifyLeaf(src, dst, payload, tag)
+	}
 	return w.S.Verify(src, payload, tag)
 }
 
@@ -323,6 +361,17 @@ func (s *SessionSealer) Seal(src, dst string, payload []byte) ([]byte, error) {
 	mac.Write(payload)
 	s.sealed.Add(1)
 	return mac.Sum(binary.AppendUvarint(nil, sess.epoch)), nil
+}
+
+// SealBatch MACs each envelope under its own link's session key.
+func (s *SessionSealer) SealBatch(src string, batch []Envelope) (int, error) {
+	for i := range batch {
+		var err error
+		if batch[i].Tag, err = s.Seal(src, batch[i].Dst, batch[i].Payload); err != nil {
+			return 0, err
+		}
+	}
+	return 0, nil
 }
 
 // Open checks a session-MAC tag against the link's inbound session,

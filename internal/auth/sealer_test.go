@@ -1,11 +1,12 @@
 package auth
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
 
-func sealerDir(t *testing.T) *Directory {
+func sealerDir(t testing.TB) *Directory {
 	t.Helper()
 	d := NewDeterministicDirectory(21)
 	d.SetKeyBits(512)
@@ -50,11 +51,27 @@ func TestSignerSealerAdaptsSigner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Open("a", "anything", []byte("payload"), tag); err != nil {
+	if err := s.Open("a", "b", []byte("payload"), tag); err != nil {
 		t.Errorf("open: %v", err)
 	}
-	if err := s.Open("b", "x", []byte("payload"), tag); err == nil {
+	if err := s.Open("a", "c", []byte("payload"), tag); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("a tag sealed for b opened at c: %v", err)
+	}
+	if err := s.Open("b", "b", []byte("payload"), tag); err == nil {
 		t.Error("wrong principal must fail")
+	}
+	// The none and HMAC signers keep their per-envelope tags and ignore
+	// the link.
+	h := SignerSealer{S: NewHMACSigner([]byte("m"))}
+	tag, err = h.Seal("a", "b", []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := h.S.Sign("a", []byte("payload")); !bytes.Equal(tag, want) {
+		t.Errorf("HMAC seal = %x, want the signer's tag %x", tag, want)
+	}
+	if err := h.Open("a", "c", []byte("payload"), tag); err != nil {
+		t.Errorf("HMAC open: %v", err)
 	}
 }
 

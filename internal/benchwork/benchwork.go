@@ -32,12 +32,13 @@ type Mode struct {
 	Mut  func(*provnet.Config)
 }
 
-// Modes returns the matrix: the paper's per-tuple RSA, PR 1's per-batch
-// RSA, and the session transport.
+// Modes returns the matrix: the paper's per-tuple RSA, one RSA signature
+// per node per round over a hash tree of its frames, and the session
+// transport.
 func Modes() []Mode {
 	return []Mode{
 		{"rsa-per-tuple", func(c *provnet.Config) { c.Unbatched = true }},
-		{"rsa-per-batch", func(c *provnet.Config) {}},
+		{"rsa-per-round", func(c *provnet.Config) {}},
 		{"session-mac", func(c *provnet.Config) { c.SessionAuth = true }},
 	}
 }

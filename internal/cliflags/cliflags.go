@@ -88,10 +88,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Auth, "auth", "none", "says implementation: none, hmac, rsa, session (= rsa + -session)")
 	fs.IntVar(&f.KeyBits, "keybits", 1024, "RSA modulus size")
-	fs.BoolVar(&f.Session, "session", false, "session transport: one RSA handshake per link, then HMAC session MACs")
+	fs.BoolVar(&f.Session, "session", false, "session transport: one RSA handshake per link, then HMAC session MACs in place of the per-round signature")
 	fs.IntVar(&f.Rekey, "rekey", 0, "rotate session keys every N rounds (0 = never; needs -session)")
 	fs.BoolVar(&f.Sequential, "sequential", false, "run nodes sequentially within each round (A/B baseline)")
-	fs.BoolVar(&f.Unbatched, "unbatched", false, "ship one signed envelope per tuple instead of per-round batches")
+	fs.BoolVar(&f.Unbatched, "unbatched", false, "ship one envelope per tuple, each signed alone, instead of per-destination batches under one signature per round")
 	fs.IntVar(&f.Churn, "churn", 0, "after convergence, cut this many random links and re-converge incrementally")
 	fs.Int64Var(&f.ChurnSeed, "churnseed", 1, "rng seed for -churn link selection")
 	fs.StringVar(&f.Store, "store", "", "durable store-log directory: append every table change, recoverable after a crash")

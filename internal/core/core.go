@@ -102,13 +102,15 @@ type Config struct {
 	Sequential bool
 	// Unbatched ships one sealed data frame per exported tuple, as the
 	// seed implementation did, instead of one per (src,dst) pair per
-	// round. A/B knob for the Figure 4 bandwidth experiments.
+	// round, and seals every frame alone: one signature per tuple, the
+	// paper's baseline, where the default signs a node's whole round
+	// once. A/B knob for the Figure 4 bandwidth experiments.
 	Unbatched bool
 	// SessionAuth switches the transport to the session-security stack:
 	// one RSA handshake per (src,dst) link transports a per-link session
 	// key, and every subsequent frame is sealed with a cheap HMAC under
-	// that key instead of a per-envelope signature. A/B knob against the
-	// per-envelope says schemes; a receiver opens data with the sealer it
+	// that key instead of the sender's per-round signature. A/B knob
+	// against the says schemes; a receiver opens data with the sealer it
 	// is configured with and no other.
 	SessionAuth bool
 	// RekeyRounds rotates session keys — with a fresh handshake per live
@@ -224,14 +226,14 @@ type Network struct {
 	// for global quiescence. Written between phases by the drain loop.
 	draining bool
 	// signer implements the per-principal says operator (used by
-	// authenticated provenance and the per-envelope transport).
+	// authenticated provenance and the says transport).
 	signer auth.Signer
 	// sealer seals and opens data, retract and handshake frames: control,
 	// or the session sealer when SessionAuth is on.
 	sealer auth.Sealer
-	// control is the per-envelope adapter over signer. Termination frames
-	// are sealed with it under every configuration: a token must verify
-	// before any session exists, and across restarts that lose them.
+	// control is the says adapter over signer. Termination frames are
+	// sealed with it, each alone, under every configuration: a token must
+	// verify before any session exists, and across restarts that lose them.
 	control auth.Sealer
 	// session is non-nil iff SessionAuth is configured.
 	session *auth.SessionSealer
@@ -587,15 +589,18 @@ type Report struct {
 	// Messages and Bytes are the transport totals ("bandwidth usage").
 	Messages int64
 	Bytes    int64
-	// Signed and Verified count asymmetric signature operations: one per
-	// sealed/checked envelope under the per-envelope schemes, one per
-	// handshake frame under the session transport — the cost the session
-	// stack amortizes.
+	// Signed counts signing operations: under RSA one per node per round
+	// that shipped anything (the root of the round's hash tree; one per
+	// frame with Unbatched), under HMAC one MAC per frame, one per
+	// handshake frame under the session transport. Verified counts the
+	// matching checks: one per received data or retract frame — every
+	// frame is verified on its own, leaf to root to signature — or one
+	// per accepted handshake.
 	Signed   int64
 	Verified int64
 	// Handshakes counts session handshake frames shipped; SealedMAC and
 	// OpenedMAC count the symmetric session-MAC operations that replace
-	// per-envelope signatures (session transport only).
+	// signatures (session transport only).
 	Handshakes int64
 	SealedMAC  int64
 	OpenedMAC  int64
@@ -999,9 +1004,10 @@ func (n *Network) dataFrame(from, dest string, items []engine.Imported) outFrame
 }
 
 // sealAndSend performs the cryptographic half of the export path: it
-// seals each prepared frame (handshake RSA, per-envelope signature, or
-// session MAC) and ships it. All of one sender's frames go through a
-// single call, preserving per-sender send order.
+// seals one sender's prepared frames with one sealer call (one RSA
+// signature for the round, or a session MAC per frame, plus any handshake
+// RSA) and ships them in order. Under Config.Unbatched every frame is
+// sealed alone — the paper's one signature per tuple.
 func (n *Network) sealAndSend(from string, frames []outFrame) error {
 	var start time.Time
 	if n.nm != nil {
@@ -1011,21 +1017,27 @@ func (n *Network) sealAndSend(from string, frames []outFrame) error {
 	if len(frames) > 0 {
 		n.markActive(from)
 	}
+	step := len(frames)
+	if n.cfg.Unbatched {
+		step = 1
+	}
 	var err error
-	for _, f := range frames {
-		var payload []byte
-		if payload, err = f.seal(n.sealer, f.dst); err != nil {
-			break
-		}
-		if n.session == nil && n.cfg.Auth != auth.SchemeNone {
-			n.signed.Add(1)
-		}
-		if err = n.net.SendTagged(from, f.dst, payload, f.kind == kindHandshake); err != nil {
-			break
-		}
+	for lo := 0; lo < len(frames) && err == nil; lo += step {
+		err = n.sealBatch(from, frames[lo:lo+step])
 	}
 	if n.nm != nil {
 		n.nm.sealNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics seal timing, outside the deterministic state
+	}
+	return err
+}
+
+// sealBatch seals frames together and ships them.
+func (n *Network) sealBatch(from string, frames []outFrame) error {
+	signs, err := sealFrames(n.sealer, from, frames, func(f outFrame, datagram []byte) error {
+		return n.net.SendTagged(from, f.dst, datagram, f.kind == kindHandshake)
+	})
+	if n.session == nil && n.cfg.Auth != auth.SchemeNone {
+		n.signed.Add(int64(signs))
 	}
 	return err
 }

@@ -42,7 +42,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"rsa-per-tuple", func(c *Config) { c.Unbatched = true }},
-		{"rsa-per-batch", func(c *Config) {}},
+		{"rsa-per-round", func(c *Config) {}},
 		{"session-mac", func(c *Config) { c.SessionAuth = true }},
 	}
 	for _, s := range schedules {

@@ -39,7 +39,7 @@ package core
 // On declaration the root broadcasts a terminate frame to every other
 // node and flushes its transport so the broadcast outlives the process.
 // All control traffic rides token and terminate frames (docs/WIRE.md)
-// sealed with the per-envelope signer under every configuration —
+// sealed alone with the says signer under every configuration —
 // session keys may not exist yet on a restarted link, signatures always
 // verify.
 

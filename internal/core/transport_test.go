@@ -39,7 +39,7 @@ func snapshotNodeSorted(n *Network, name string) string {
 // core.Networks, each hosting one node of the paper topology over its
 // own nettcp transport on loopback TCP, converge to the same tables and
 // condensed provenance annotations as the single-process netsim run —
-// under both per-envelope RSA and the session handshake transport.
+// under both per-round RSA and the session handshake transport.
 // (cmd/provnet's TestMultiprocessMatchesSingleProcess repeats this with
 // real OS processes.)
 func TestTCPMatchesNetsim(t *testing.T) {

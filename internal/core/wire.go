@@ -79,30 +79,29 @@ type handshaker interface {
 
 var errNoSessionTransport = errors.New("core: handshake frame without a session transport")
 
-// wireBufs pools the scratch buffers seal serializes into: sealers hash
-// the bytes without retaining them, so only the final datagram is
-// freshly sized (transports retain it).
+// wireScratch is what sealFrames holds between serializing a round and
+// shipping it: the frames' signed bytes back to back, where each frame's
+// bytes end, and the envelopes handed to the sealer.
+type wireScratch struct {
+	b     []byte
+	ends  []int
+	batch []auth.Envelope
+}
+
+// wireBufs pools the scratch sealFrames works in: sealers hash the bytes
+// without retaining them, so only the final datagrams are freshly sized
+// (transports retain them).
 var wireBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
+	return &wireScratch{b: make([]byte, 0, 1024)}
 }}
 
-// seal serializes the frame and seals it for the from→to link.
-func (f *frame) seal(sealer auth.Sealer, to string) ([]byte, error) {
+// appendSigned appends the bytes the frame's tag covers: everything but
+// the tag. A handshake frame has none.
+func (f *frame) appendSigned(b []byte) []byte {
 	if f.kind == kindHandshake {
-		h, ok := sealer.(handshaker)
-		if !ok {
-			return nil, errNoSessionTransport
-		}
-		blob, err := h.SealHandshake(f.from, to, f.epoch)
-		if err != nil {
-			return nil, err
-		}
-		return append(append(make([]byte, 0, 1+len(blob)), kindHandshake), blob...), nil
+		return b
 	}
-	bp := wireBufs.Get().(*[]byte)
-	b := append(*bp, f.kind)
-	b = data.AppendString(b, f.from)
+	b = data.AppendString(append(b, f.kind), f.from)
 	switch f.kind {
 	case kindData:
 		b = append(b, byte(f.mode))
@@ -120,20 +119,80 @@ func (f *frame) seal(sealer auth.Sealer, to string) ([]byte, error) {
 		b = binary.AppendUvarint(b, f.wave)
 		b = binary.AppendUvarint(b, f.acts)
 	}
-	tag, err := sealer.Seal(f.from, to, b)
-	var out []byte
-	if err == nil {
-		out = make([]byte, 0, len(b)+len(tag)+binary.MaxVarintLen64)
-		out = data.AppendBytes(append(out, b...), tag)
+	return b
+}
+
+// sealFrames serializes the frames from sends in one round, seals them
+// with one sealer call — which is what lets a signature scheme sign the
+// round once (auth/tree.go) — and hands each datagram to ship, in order.
+// Handshake frames carry their own signature and are sealed as they come
+// up. It returns the says operations the sealer spent. Tags depend on the
+// frames and their order alone, so either schedule ships the same bytes.
+func sealFrames(sealer auth.Sealer, from string, frames []outFrame, ship func(f outFrame, datagram []byte) error) (int, error) {
+	w := wireBufs.Get().(*wireScratch)
+	defer func() {
+		if cap(w.b) <= 1<<20 { // a one-off oversized round is not worth hoarding
+			clear(w.batch) // the tags are the datagrams' business now
+			w.b, w.ends, w.batch = w.b[:0], w.ends[:0], w.batch[:0]
+			wireBufs.Put(w)
+		}
+	}()
+	for _, f := range frames {
+		w.b = f.appendSigned(w.b)
+		w.ends = append(w.ends, len(w.b))
 	}
-	if cap(b) <= 1<<20 { // a one-off oversized batch is not worth hoarding
-		*bp = b[:0]
-		wireBufs.Put(bp)
+	// b no longer moves: the signed bytes can be sliced out of it.
+	lo := 0
+	for i, f := range frames {
+		if f.kind != kindHandshake {
+			w.batch = append(w.batch, auth.Envelope{Dst: f.dst, Payload: w.b[lo:w.ends[i]]})
+		}
+		lo = w.ends[i]
 	}
+	signs, err := sealer.SealBatch(from, w.batch)
 	if err != nil {
-		return nil, fmt.Errorf("core: sealing frame from %s: %w", f.from, err)
+		return 0, fmt.Errorf("core: sealing frames from %s: %w", from, err)
 	}
-	return out, nil
+	next := 0
+	for _, f := range frames {
+		var datagram []byte
+		if f.kind == kindHandshake {
+			if datagram, err = f.sealHandshake(sealer, f.dst); err != nil {
+				return 0, err
+			}
+		} else {
+			e := w.batch[next]
+			next++
+			datagram = make([]byte, 0, len(e.Payload)+len(e.Tag)+binary.MaxVarintLen64)
+			datagram = data.AppendBytes(append(datagram, e.Payload...), e.Tag)
+		}
+		if err := ship(f, datagram); err != nil {
+			return 0, err
+		}
+	}
+	return signs, nil
+}
+
+// sealHandshake builds the handshake datagram for the from→to link.
+func (f *frame) sealHandshake(sealer auth.Sealer, to string) ([]byte, error) {
+	h, ok := sealer.(handshaker)
+	if !ok {
+		return nil, errNoSessionTransport
+	}
+	blob, err := h.SealHandshake(f.from, to, f.epoch)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(make([]byte, 0, 1+len(blob)), kindHandshake), blob...), nil
+}
+
+// seal is sealFrames for a frame sealed alone (control frames).
+func (f *frame) seal(sealer auth.Sealer, to string) (datagram []byte, err error) {
+	_, err = sealFrames(sealer, f.from, []outFrame{{to, f}}, func(_ outFrame, d []byte) error {
+		datagram = d
+		return nil
+	})
+	return datagram, err
 }
 
 // open authenticates a decoded frame received at node to: the tag is

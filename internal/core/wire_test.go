@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,8 +61,14 @@ func testSealers(t testing.TB) map[string]auth.Sealer {
 // whatever the session sealer says it is, so here it is the placeholder.
 type placeholder []byte
 
-func (p placeholder) Scheme() auth.Scheme                                 { return auth.SchemeNone }
-func (p placeholder) Seal(_, _ string, _ []byte) ([]byte, error)          { return p, nil }
+func (p placeholder) Scheme() auth.Scheme                        { return auth.SchemeNone }
+func (p placeholder) Seal(_, _ string, _ []byte) ([]byte, error) { return p, nil }
+func (p placeholder) SealBatch(_ string, batch []auth.Envelope) (int, error) {
+	for i := range batch {
+		batch[i].Tag = p
+	}
+	return 0, nil
+}
 func (p placeholder) SealHandshake(_, _ string, _ uint64) ([]byte, error) { return p, nil }
 func (p placeholder) AcceptHandshake(_ string, blob []byte) (string, error) {
 	return "", p.Open("", "", nil, blob)
@@ -386,7 +393,8 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 }
 
 // FuzzDecodeEnvelope fuzzes the decoder from the golden fixtures, really
-// sealed frames of every kind and the hostile payloads above: whatever
+// sealed frames of every kind, tree-tagged rounds with their forged
+// shapes, and the hostile payloads above: whatever
 // the bytes, decodeFrame returns a frame or an error and open a verdict —
 // never a panic. CI runs the fuzzer for a fixed budget on every build.
 func FuzzDecodeEnvelope(f *testing.F) {
@@ -409,6 +417,20 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	tooDeep := &frame{kind: kindData, from: "a", items: []engine.Imported{{Tuple: data.NewTuple("p", deepList(64))}}}
 	if b, err := tooDeep.seal(sealers["rsa"], "b"); err == nil {
 		f.Add(b)
+	}
+	// Real rounds of 2, 3 and 5 frames under the RSA tree tag, and every
+	// forged-path shape of each.
+	for _, k := range []int{2, 3, 5} {
+		var round []outFrame
+		for i := 0; i < k; i++ {
+			round = append(round, saidFrame("a", "b", strconv.Itoa(i)))
+		}
+		for _, d := range sealRound(f, sealers["rsa"], "a", round...) {
+			f.Add(d)
+			for _, bad := range treeTagVariants(f, d, 512/8) {
+				f.Add(bad)
+			}
+		}
 	}
 	f.Add(hostileCount(8<<20, 64))
 	f.Add([]byte{})

@@ -76,11 +76,14 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // WithSequential runs nodes one after another within each round.
 func WithSequential() Option { return func(c *Config) { c.Sequential = true } }
 
-// WithUnbatched ships one signed envelope per exported tuple.
+// WithUnbatched ships one envelope per exported tuple, each signed alone:
+// the paper's per-tuple-signature baseline. The default batches a round's
+// tuples per destination and, under RSA, signs the whole round once.
 func WithUnbatched() Option { return func(c *Config) { c.Unbatched = true } }
 
 // WithSessionAuth switches the transport to session security: one RSA
-// handshake per link, then cheap per-envelope HMACs.
+// handshake per link, then a cheap HMAC per envelope and no signature
+// per round.
 func WithSessionAuth() Option { return func(c *Config) { c.SessionAuth = true } }
 
 // WithRekeyRounds rotates session keys every n scheduler rounds.
