@@ -233,7 +233,7 @@ func BenchmarkLiveBestPathChurn(b *testing.B) {
 	var retracted, bytes int64
 	for i := 0; i < b.N; i++ {
 		cfg := provnet.VariantConfig(provnet.VariantSeNDlog, provnet.BestPath)
-		cfg.SessionAuth = true
+		cfg.Auth = provnet.AuthSession
 		rep := benchwork.LiveBestPathChurn(b.Fatal, cfg, 12, 4, 1024, int64(4000+i))
 		retracted += rep.Retracted
 		bytes += rep.Bytes

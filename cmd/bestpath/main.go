@@ -14,7 +14,7 @@
 // Absolute numbers differ from the paper's (their substrate was 100 C++
 // P2 processes in 2008; ours is an in-process simulator), but the shape —
 // ordering of the three variants and overheads shrinking as N grows — is
-// the reproduction target. See EXPERIMENTS.md.
+// the reproduction target. See docs/BENCHMARKS.md.
 //
 // Scheduler/transport knobs come from internal/cliflags.
 package main
@@ -47,7 +47,7 @@ func main() {
 	tupleCost := flag.Float64("tuplecost", 0,
 		"calibration: simulated per-derivation processing cost in microseconds, "+
 			"added to completion time. 0 reports pure measurements; ~1000 approximates "+
-			"the per-tuple cost of the paper's 2008 P2 substrate (see EXPERIMENTS.md)")
+			"the per-tuple cost of the paper's 2008 P2 substrate (see docs/BENCHMARKS.md)")
 	shared := cliflags.Register(nil)
 	flag.Parse()
 	if shared.TransportFlagsSet() {

@@ -10,8 +10,8 @@
 // star:N, or none (the program's own facts place the nodes). With
 // -churn N, the converged network cuts N random links through the live
 // driver and re-converges incrementally before printing tables; the
-// scheduler/transport knobs (-auth, -session, -sequential, -unbatched,
-// -rekey) are shared with the other commands via internal/cliflags.
+// scheduler/transport knobs (-auth, -sequential, -unbatched, -rekey)
+// are shared with the other commands via internal/cliflags.
 //
 // With -http the converged process stays up and serves the /v1 query
 // API (traceback, tables, bestpath, SSE subscriptions; see docs/API.md)
@@ -36,13 +36,13 @@
 // deployment over real TCP: it hosts the -self node(s) (comma-separated),
 // reaches the others through the -peers map over acked, retransmitted,
 // deduplicated frames, and prints its own nodes' tables once the
-// distributed termination detector declares the fixpoint (-term credit,
-// the default; -term idle opts back into the wall-clock heuristic
-// sampled over the -idle window). A -fault drop=P,dup=P,delay=P spec
-// wraps the transport in a seeded fault schedule for chaos runs. Every
-// process must be given the same program, topology, and -seed (the
-// principal directory is derived from it). See docs/ARCHITECTURE.md and
-// examples/multiprocess:
+// distributed termination detector declares the fixpoint; if it has not
+// declared after 30 s — a peer never came up — the process reports the
+// stall and exits non-zero instead of guessing. A -fault
+// drop=P,dup=P,delay=P spec wraps the transport in a seeded fault
+// schedule for chaos runs. Every process must be given the same program,
+// topology, and -seed (the principal directory is derived from it). See
+// docs/ARCHITECTURE.md and examples/multiprocess:
 //
 //	provnet -program routing.ndl -topo ring:3 -auth session \
 //	    -listen 127.0.0.1:7001 -self n1 \
@@ -110,7 +110,7 @@ func main() {
 		fatal(fmt.Errorf("-churn needs the whole topology in one process; it does not compose with -listen"))
 	}
 	if shared.Distributed() && shared.HTTP != "" {
-		fatal(fmt.Errorf("-http serves tables after the run; it does not compose with -listen (which closes the network on idle)"))
+		fatal(fmt.Errorf("-http serves tables after the run; it does not compose with -listen (which closes the network once termination is declared)"))
 	}
 	if shared.PProf && shared.HTTP == "" {
 		fatal(fmt.Errorf("-pprof mounts under the -http server; give -http too"))

@@ -246,7 +246,7 @@ func TestCrashRestartReconverges(t *testing.T) {
 				// dropped frame there would be a genuine application loss.
 				return append(append([]string{}, common...),
 					"-listen", addrs[i], "-self", nodes[i],
-					"-peers", strings.Join(peers, ","), "-idle", "1s",
+					"-peers", strings.Join(peers, ","),
 					"-fault", "delay=0.4,dup=0.05,delayops=200",
 					"-faultseed", strconv.FormatInt(seed, 10))
 			}
@@ -344,7 +344,7 @@ func TestMultiprocessMatchesSingleProcess(t *testing.T) {
 				}
 				procArgs := append(append([]string{}, args...),
 					"-listen", addrs[i], "-self", self,
-					"-peers", strings.Join(peers, ","), "-idle", "1s")
+					"-peers", strings.Join(peers, ","))
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()

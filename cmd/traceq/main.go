@@ -14,7 +14,7 @@
 //
 // The scheduler, transport-security, and churn knobs are shared with the
 // other commands via internal/cliflags: -auth, -keybits, -sequential,
-// -unbatched, -session, -rekey, -churn, -churnseed.
+// -unbatched, -rekey, -churn, -churnseed.
 // With -churn N the traceback runs against the re-converged network, so
 // withdrawn tuples show up as stale provenance history.
 package main

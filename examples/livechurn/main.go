@@ -18,7 +18,7 @@ func main() {
 	g := provnet.RandomGraph(provnet.TopoOptions{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 9})
 	cfg := provnet.VariantConfig(provnet.VariantSeNDlog, provnet.BestPath)
 	cfg.Graph = g
-	cfg.SessionAuth = true // session transport: handshake once per link, MAC per frame
+	cfg.Auth = provnet.AuthSession // session transport: handshake once per link, MAC per frame
 	n, err := provnet.NewNetwork(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -6,7 +6,8 @@
 // Run with no arguments, it forks three copies of itself — one per node
 // — waits for them to converge, and relays their output. Each child is
 // an ordinary provnet process: a nettcp transport, a Config hosting one
-// LocalNodes entry, and the lifecycle driver run to idle quiescence.
+// LocalNodes entry, and the lifecycle driver run until the termination
+// detector declares the distributed fixpoint.
 // The printed bestPath tables are exactly the single-process netsim
 // run's (see cmd/provnet's TestMultiprocessMatchesSingleProcess).
 package main
@@ -88,7 +89,7 @@ func parent() {
 // (the deterministic principal directory is derived from the seed, so
 // handshakes verify across processes), with only LocalNodes differing.
 func child(self, listen, peers string) {
-	f := &cliflags.Flags{Listen: listen, Self: self, Peers: peers, Idle: time.Second}
+	f := &cliflags.Flags{Listen: listen, Self: self, Peers: peers}
 	cfg := provnet.Config{
 		Source:  provnet.BestPath,
 		Graph:   provnet.RingGraph(3),

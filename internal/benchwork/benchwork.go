@@ -39,7 +39,7 @@ func Modes() []Mode {
 	return []Mode{
 		{"rsa-per-tuple", func(c *provnet.Config) { c.Unbatched = true }},
 		{"rsa-per-round", func(c *provnet.Config) {}},
-		{"session-mac", func(c *provnet.Config) { c.SessionAuth = true }},
+		{"session-mac", func(c *provnet.Config) { c.Auth = provnet.AuthSession }},
 	}
 }
 

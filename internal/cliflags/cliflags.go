@@ -31,7 +31,6 @@ type Flags struct {
 	// Transport security.
 	Auth    string
 	KeyBits int
-	Session bool
 	Rekey   int
 
 	// Scheduler.
@@ -59,17 +58,11 @@ type Flags struct {
 
 	// Multi-process TCP transport: this process hosts the node(s) in
 	// Self (comma-separated), listens on Listen, and reaches the other
-	// processes through the Peers map. Term picks the termination mode:
-	// "credit" (default) runs the distributed clean-wave fixpoint
-	// detector; "idle" is the legacy wall-clock heuristic, kept as an
-	// opt-in fallback. Idle is the quiet window the heuristic samples —
-	// and, in credit mode, the base unit of the safety timeout that
-	// falls back to the heuristic if the wave protocol stalls.
+	// processes through the Peers map. The run ends when the distributed
+	// clean-wave fixpoint detector declares (see RunDistributed).
 	Listen string
 	Self   string
 	Peers  string
-	Idle   time.Duration
-	Term   string
 
 	// Fault injection: Fault is a drop=P,dup=P,delay=P[,delayops=N]
 	// spec wrapping the transport in internal/faultnet under FaultSeed
@@ -86,10 +79,9 @@ func Register(fs *flag.FlagSet) *Flags {
 		fs = flag.CommandLine
 	}
 	f := &Flags{}
-	fs.StringVar(&f.Auth, "auth", "none", "says implementation: none, hmac, rsa, session (= rsa + -session)")
+	fs.StringVar(&f.Auth, "auth", "none", "says implementation: none, hmac, rsa, session (one RSA handshake per link, then HMAC session MACs in place of the per-round signature)")
 	fs.IntVar(&f.KeyBits, "keybits", 1024, "RSA modulus size")
-	fs.BoolVar(&f.Session, "session", false, "session transport: one RSA handshake per link, then HMAC session MACs in place of the per-round signature")
-	fs.IntVar(&f.Rekey, "rekey", 0, "rotate session keys every N rounds (0 = never; needs -session)")
+	fs.IntVar(&f.Rekey, "rekey", 0, "rotate session keys every N rounds (0 = never; needs -auth session)")
 	fs.BoolVar(&f.Sequential, "sequential", false, "run nodes sequentially within each round (A/B baseline)")
 	fs.BoolVar(&f.Unbatched, "unbatched", false, "ship one envelope per tuple, each signed alone, instead of per-destination batches under one signature per round")
 	fs.IntVar(&f.Churn, "churn", 0, "after convergence, cut this many random links and re-converge incrementally")
@@ -101,8 +93,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Listen, "listen", "", "host nodes over TCP: listen address (turns on the nettcp transport; needs -self and -peers)")
 	fs.StringVar(&f.Self, "self", "", "comma-separated node name(s) this process hosts (TCP transport)")
 	fs.StringVar(&f.Peers, "peers", "", "comma-separated name=host:port peer map (TCP transport)")
-	fs.DurationVar(&f.Idle, "idle", 750*time.Millisecond, "quiet window of the -term idle heuristic (and the safety-fallback unit in credit mode)")
-	fs.StringVar(&f.Term, "term", "credit", "distributed termination mode: credit (clean-wave fixpoint detector) or idle (wall-clock heuristic)")
 	fs.StringVar(&f.Fault, "fault", "", "fault-injection spec drop=P,dup=P,delay=P[,delayops=N]: wrap the transport in a seeded fault schedule")
 	fs.Int64Var(&f.FaultSeed, "faultseed", 1, "rng seed for the -fault schedule")
 	return f
@@ -278,32 +268,25 @@ func (f *Flags) SetupTransport(ctx context.Context, cfg *provnet.Config) (io.Clo
 	return tcp, nil
 }
 
+// termStallTimeout is how long RunDistributed waits for the termination
+// detector before it reports the run stalled: fault detection for a peer
+// that never comes up (it would otherwise hold the token forever), far
+// above any healthy run. A variable so the package's tests can shorten it.
+var termStallTimeout = 30 * time.Second
+
 // RunDistributed drives one process of a multi-process deployment to
 // convergence. The lifecycle driver runs live (remote arrivals wake it
-// between rounds); what ends the run is the -term mode:
-//
-//   - credit (default): the distributed clean-wave fixpoint detector —
-//     a token circulates the full node ring, carrying cumulative
-//     activity counters, and the ring root declares termination when
-//     two consecutive waves return equal sums (sound under loss, delay,
-//     and reordering; see docs/ARCHITECTURE.md). A generous safety
-//     timeout falls back to the idle heuristic if the protocol stalls
-//     (a peer that never comes up would otherwise hold the token
-//     forever).
-//   - idle: the legacy wall-clock heuristic — the run ends after the
-//     process has been locally quiescent with no transport activity for
-//     the -idle window. Unsound under delay or partition (a frame on
-//     the wire is silent); kept as an explicit opt-in.
+// between rounds); what ends the run is the distributed clean-wave
+// fixpoint detector — a token circulates the full node ring, carrying
+// cumulative activity counters, and the ring root declares termination
+// when two consecutive waves return equal sums (sound under loss, delay,
+// and reordering; see docs/ARCHITECTURE.md). If the detector has not
+// declared within termStallTimeout the wave protocol has stalled — a peer
+// is down or unreachable for good — and the run fails with an error
+// naming the timeout and the waves completed; nothing is declared.
 //
 // The returned report spans the whole run.
 func (f *Flags) RunDistributed(ctx context.Context, n *provnet.Network) (*provnet.Report, error) {
-	switch f.Term {
-	case "", "credit":
-	case "idle":
-		return f.runDistributedIdle(ctx, n)
-	default:
-		return nil, fmt.Errorf("cliflags: unknown -term mode %q (want credit or idle)", f.Term)
-	}
 	d := n.Driver()
 	if err := d.Start(ctx); err != nil {
 		return nil, err
@@ -311,19 +294,12 @@ func (f *Flags) RunDistributed(ctx context.Context, n *provnet.Network) (*provne
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	td := n.StartTermination(tctx, provnet.TermConfig{})
-	safety := 40 * f.idleWindow()
-	if safety < 30*time.Second {
-		safety = 30 * time.Second
-	}
 	select {
 	case <-td.Done():
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-time.After(safety):
-		// The wave protocol stalled — a peer is down or unreachable for
-		// good. Degrade to the heuristic rather than hang forever.
-		n.Metrics().Counter("provnet_scheduler_term_safety_fallbacks_total", "").Inc()
-		return f.idleLoop(ctx, n, d)
+	case <-time.After(termStallTimeout):
+		return nil, fmt.Errorf("cliflags: termination detection stalled: no fixpoint declared within %v (%d waves completed); a peer is down or unreachable", termStallTimeout, td.Waves())
 	}
 	n.Metrics().Counter("provnet_scheduler_credit_terminations_total", "").Inc()
 	rep, err := d.AwaitQuiescence(ctx)
@@ -336,64 +312,6 @@ func (f *Flags) RunDistributed(ctx context.Context, n *provnet.Network) (*provne
 	return rep, nil
 }
 
-func (f *Flags) idleWindow() time.Duration {
-	if f.Idle > 0 {
-		return f.Idle
-	}
-	return 750 * time.Millisecond
-}
-
-// runDistributedIdle is the -term idle path: start the driver, then
-// sample the heuristic.
-func (f *Flags) runDistributedIdle(ctx context.Context, n *provnet.Network) (*provnet.Report, error) {
-	d := n.Driver()
-	if err := d.Start(ctx); err != nil {
-		return nil, err
-	}
-	return f.idleLoop(ctx, n, d)
-}
-
-// idleLoop is the wall-clock idle heuristic: the run ends when local
-// quiescence coincides with a full -idle window of transport silence.
-// TestIdleHeuristicFalseFixpoint (internal/core) pins why this is a
-// heuristic, not a detector: a frame delayed on the wire is silent, so
-// the loop can declare while the fixpoint is still in flight.
-func (f *Flags) idleLoop(ctx context.Context, n *provnet.Network, d *provnet.Driver) (*provnet.Report, error) {
-	window := f.idleWindow()
-	var last int64 = -1
-	rounds := 0
-	var rep *provnet.Report
-	for {
-		r, err := d.AwaitQuiescence(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rounds += r.Rounds
-		rep = r
-		// Drain the store before the termination decision: a slow flush
-		// must not let the process exit with buffered events, and a flush
-		// error must surface here rather than be dropped at Close.
-		if err := n.FlushStore(); err != nil {
-			return nil, err
-		}
-		cur := n.Transport().Stats().Messages
-		if cur == last {
-			// A full idle window with no traffic and no work: terminate.
-			// The chain is a no-op without -metrics (nil registry).
-			n.Metrics().Counter("provnet_scheduler_idle_terminations_total", "").Inc()
-			break
-		}
-		last = cur
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(window):
-		}
-	}
-	rep.Rounds = rounds
-	return rep, nil
-}
-
 // Apply copies the shared knobs onto cfg, parsing the auth scheme.
 func (f *Flags) Apply(cfg *provnet.Config) error {
 	scheme, err := ParseAuth(f.Auth)
@@ -402,7 +320,6 @@ func (f *Flags) Apply(cfg *provnet.Config) error {
 	}
 	cfg.Auth = scheme
 	cfg.KeyBits = f.KeyBits
-	cfg.SessionAuth = f.Session
 	cfg.RekeyRounds = f.Rekey
 	cfg.Sequential = f.Sequential
 	cfg.Unbatched = f.Unbatched

@@ -75,6 +75,11 @@ type Config struct {
 	ExtraNodes []string
 
 	// Auth selects the says implementation for inter-node messages.
+	// auth.SchemeSession is RSA says over the session-security stack: one
+	// RSA handshake per (src,dst) link transports a per-link session key,
+	// and every subsequent frame is sealed with a cheap HMAC under that
+	// key instead of the sender's per-round signature. A receiver opens
+	// data with the sealer it is configured with and no other.
 	Auth auth.Scheme
 	// KeyBits sizes RSA keys (default auth.DefaultRSABits).
 	KeyBits int
@@ -106,16 +111,9 @@ type Config struct {
 	// paper's baseline, where the default signs a node's whole round
 	// once. A/B knob for the Figure 4 bandwidth experiments.
 	Unbatched bool
-	// SessionAuth switches the transport to the session-security stack:
-	// one RSA handshake per (src,dst) link transports a per-link session
-	// key, and every subsequent frame is sealed with a cheap HMAC under
-	// that key instead of the sender's per-round signature. A/B knob
-	// against the says schemes; a receiver opens data with the sealer it
-	// is configured with and no other.
-	SessionAuth bool
 	// RekeyRounds rotates session keys — with a fresh handshake per live
 	// link — every N scheduler rounds (0 = one key per link for the whole
-	// run). Only meaningful with SessionAuth.
+	// run). Only meaningful with Auth: auth.SchemeSession.
 	RekeyRounds int
 
 	// Transport overrides the message substrate (nil = a fresh in-memory
@@ -221,21 +219,17 @@ type Network struct {
 	// wrapper over it.
 	drvOnce sync.Once
 	drv     *Driver
-	// draining marks the retraction-wave drain (see drainRetractions):
-	// inbound withdrawals run only their over-delete phase, repair waits
-	// for global quiescence. Written between phases by the drain loop.
-	draining bool
 	// signer implements the per-principal says operator (used by
 	// authenticated provenance and the says transport).
 	signer auth.Signer
 	// sealer seals and opens data, retract and handshake frames: control,
-	// or the session sealer when SessionAuth is on.
+	// or the session sealer under auth.SchemeSession.
 	sealer auth.Sealer
 	// control is the says adapter over signer. Termination frames are
 	// sealed with it, each alone, under every configuration: a token must
 	// verify before any session exists, and across restarts that lose them.
 	control auth.Sealer
-	// session is non-nil iff SessionAuth is configured.
+	// session is non-nil iff Auth is auth.SchemeSession.
 	session *auth.SessionSealer
 	// store is Config.Store (nil = in-memory only). storeErr latches the
 	// first append failure so one bad write doesn't spam every event.
@@ -276,13 +270,6 @@ var ErrNoFixpoint = errors.New("core: no distributed fixpoint within round budge
 // provenance trackers, and inserts the base facts (program facts plus
 // topology links).
 func NewNetwork(cfg Config) (*Network, error) {
-	// The session scheme is sugar for RSA says over the session
-	// transport: normalize it so Auth: SchemeSession and SessionAuth:
-	// true configure the same stack.
-	if cfg.Auth == auth.SchemeSession {
-		cfg.Auth = auth.SchemeRSA
-		cfg.SessionAuth = true
-	}
 	prog := cfg.Program
 	if prog == nil {
 		p, err := datalog.Parse(cfg.Source)
@@ -332,14 +319,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.signer = auth.NoneSigner{}
 	case auth.SchemeHMAC:
 		n.signer = auth.NewHMACSigner([]byte(fmt.Sprintf("provnet-master-%d", cfg.Seed)))
-	case auth.SchemeRSA:
+	case auth.SchemeRSA, auth.SchemeSession:
 		n.signer = auth.NewRSASigner(n.dir)
 	default:
 		return nil, fmt.Errorf("core: unknown auth scheme %v", cfg.Auth)
 	}
 	n.control = auth.SignerSealer{S: n.signer}
 	n.sealer = n.control
-	if cfg.SessionAuth {
+	if cfg.Auth == auth.SchemeSession {
 		n.session = auth.NewSessionSealer(n.dir, cfg.RekeyRounds)
 		n.sealer = n.session
 	}
@@ -374,7 +361,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	// key pair; the other schemes register the security level alone and
 	// skip a 1024-bit key generation per principal. Under RSA the keys
 	// come off the deterministic stream in the same order as ever.
-	needKeys := cfg.Auth == auth.SchemeRSA || cfg.SessionAuth
+	needKeys := cfg.Auth == auth.SchemeRSA || n.session != nil
 	for _, name := range names {
 		level := int64(1)
 		if l, ok := cfg.Levels[name]; ok {
@@ -638,12 +625,12 @@ type Report struct {
 // to a local fixpoint, exports are shipped, and the loop ends when no
 // exports or queued work remain. maxRounds bounds the loop (0 = 1e6).
 //
-// Run is a synchronous compatibility wrapper over the lifecycle Driver
-// (see driver.go): it steps the driver's round loop to quiescence with a
-// background context, which reproduces the pre-driver batch semantics
-// bit for bit — same tables, rounds, and transport stats under every
-// scheduler and transport knob. Long-running deployments use the Driver
-// directly (Start / Inject / SetLink / Subscribe).
+// Run is the lifecycle Driver's converge loop (see driver.go) on the
+// caller's goroutine with a background context and a step cap — the loop
+// the live pump and AwaitQuiescence run — so batch and live results are
+// bit for bit the same tables, rounds, and transport stats under
+// Sequential, Unbatched, and every auth scheme. Long-running deployments
+// use the Driver directly (Start / Inject / SetLink / Subscribe).
 //
 // Each round has two phases separated by a barrier: every node runs to
 // its local fixpoint and ships its exports, then every node imports the
@@ -657,10 +644,18 @@ func (n *Network) Run(maxRounds int) (*Report, error) {
 	return n.Driver().run(context.Background(), maxRounds)
 }
 
-// runRound executes one export phase and one import phase, reporting
-// whether any node made progress. ctx is honored mid-round: both phases
-// abort between node tasks when it is cancelled.
-func (n *Network) runRound(ctx context.Context) (bool, error) {
+// runRound executes one scheduler round — an export phase and an import
+// phase separated by a barrier — and reports whether any node made
+// progress. In the export phase every node ships the withdrawals it owes
+// and, when evaluate is set, runs to its local fixpoint and ships its
+// exports; in the import phase every node applies what is queued for it.
+// With evaluate false this is the withdrawal-only round of
+// drainRetractions: queued retract frames ship, inboxes drain
+// (withdrawals apply their over-delete phase; any in-flight data still
+// lands), but no node evaluates — repair and re-propagation wait for the
+// wave to quiesce. ctx is honored mid-round: both phases abort between
+// node tasks when it is cancelled.
+func (n *Network) runRound(ctx context.Context, evaluate bool) (bool, error) {
 	var start time.Time
 	if n.nm != nil {
 		start = time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
@@ -671,36 +666,44 @@ func (n *Network) runRound(ctx context.Context) (bool, error) {
 	}
 	exported, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
 		retracts := node.takeRetracts()
-		exports := node.Engine.RunToFixpoint()
+		var exports []engine.Export
+		if evaluate {
+			exports = node.Engine.RunToFixpoint()
+		}
 		if len(retracts) == 0 && len(exports) == 0 {
 			return false, nil
 		}
-		frames, err := n.buildRetractFrames(name, retracts)
+		// Retract frames go ahead of the round's data frames, so receivers
+		// withdraw before they integrate new state.
+		frames, err := n.buildRetractFrames(nil, name, retracts)
+		if err == nil {
+			frames, err = n.buildExportFrames(frames, name, exports)
+		}
 		if err != nil {
 			return false, err
 		}
-		dataFrames, err := n.buildExportFrames(name, exports)
-		if err != nil {
-			return false, err
-		}
-		return true, n.sealAndSend(name, append(frames, dataFrames...))
+		return true, n.sealAndSend(name, frames)
 	})
 	if err != nil {
 		return false, err
 	}
-	imported, err := n.importPhase(ctx)
+	imported, err := n.importPhase(ctx, evaluate)
 	if err != nil {
 		return false, err
 	}
 	if n.nm != nil {
-		n.nm.roundEnd(n, "round", start)
+		kind := "round"
+		if !evaluate {
+			kind = "retract"
+		}
+		n.nm.roundEnd(n, kind, start)
 	}
 	return exported || imported, nil
 }
 
 // importPhase drains and applies every node's inbox: the second half of
-// a scheduler round, shared with the retraction-drain rounds.
-func (n *Network) importPhase(ctx context.Context) (bool, error) {
+// a scheduler round. repair is the round's evaluate (see deliverAll).
+func (n *Network) importPhase(ctx context.Context, repair bool) (bool, error) {
 	return n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
 		msgs := n.net.Drain(name)
 		var start time.Time
@@ -725,23 +728,32 @@ func (n *Network) importPhase(ctx context.Context) (bool, error) {
 		if n.nm != nil {
 			n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
 		}
-		if err := n.deliverAll(name, node, ds); err != nil {
+		if err := n.deliverAll(name, node, ds, repair); err != nil {
 			return false, err
 		}
 		return len(msgs) > 0, nil
 	})
 }
 
-// retractionInFlight reports whether any node holds unshipped
-// withdrawals or over-deleted state awaiting repair.
-func (n *Network) retractionInFlight() bool {
+// retractsQueued reports whether any node holds unshipped withdrawals.
+func (n *Network) retractsQueued() bool {
 	for _, name := range n.order {
-		nd := n.nodes[name]
-		if len(nd.pendingRetract) > 0 || nd.Engine.HasPendingRetract() {
+		if len(n.nodes[name].pendingRetract) > 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// retractionInFlight reports whether any node holds unshipped
+// withdrawals or over-deleted state awaiting repair.
+func (n *Network) retractionInFlight() bool {
+	for _, name := range n.order {
+		if n.nodes[name].Engine.HasPendingRetract() {
+			return true
+		}
+	}
+	return n.retractsQueued()
 }
 
 // drainRetractions propagates a retraction wave to global quiescence
@@ -758,21 +770,9 @@ func (n *Network) retractionInFlight() bool {
 // scheduler rounds consumed.
 func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 	rounds := 0
-	n.draining = true
-	defer func() { n.draining = false }()
 	for {
-		for {
-			queued := false
-			for _, name := range n.order {
-				if len(n.nodes[name].pendingRetract) > 0 {
-					queued = true
-					break
-				}
-			}
-			if !queued {
-				break
-			}
-			if err := n.runRetractRound(ctx); err != nil {
+		for n.retractsQueued() {
+			if _, err := n.runRound(ctx, false); err != nil {
 				return rounds, err
 			}
 			rounds++
@@ -787,56 +787,10 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 		if err != nil {
 			return rounds, err
 		}
-		if !completed {
-			return rounds, nil
-		}
-		again := false
-		for _, name := range n.order {
-			if len(n.nodes[name].pendingRetract) > 0 {
-				again = true
-				break
-			}
-		}
-		if !again {
+		if !completed || !n.retractsQueued() {
 			return rounds, nil
 		}
 	}
-}
-
-// runRetractRound runs one withdrawal-only round: queued retract frames
-// ship, inboxes drain (withdrawals apply their over-delete phase; any
-// in-flight data still lands), but no node evaluates — repair and
-// re-propagation wait for the wave to quiesce.
-func (n *Network) runRetractRound(ctx context.Context) error {
-	var start time.Time
-	if n.nm != nil {
-		start = time.Now() //provlint:allow detpath metrics round timing, outside the deterministic state
-		n.nm.roundStart()
-	}
-	if n.session != nil {
-		n.session.BeginRound()
-	}
-	_, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-		retracts := node.takeRetracts()
-		if len(retracts) == 0 {
-			return false, nil
-		}
-		frames, err := n.buildRetractFrames(name, retracts)
-		if err != nil {
-			return false, err
-		}
-		return true, n.sealAndSend(name, frames)
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := n.importPhase(ctx); err != nil {
-		return err
-	}
-	if n.nm != nil {
-		n.nm.roundEnd(n, "retract", start)
-	}
-	return nil
 }
 
 // forEachNode applies f to every node: on a pool of GOMAXPROCS workers,
@@ -907,30 +861,40 @@ type outFrame struct {
 	*frame
 }
 
-// reserveSession appends the handshake frame that must precede from's
-// next frame to dest, when the session transport is on and the link is
-// new or rekeyed. The RSA work waits for sealAndSend.
-func (n *Network) reserveSession(frames []outFrame, from, dest string) ([]outFrame, error) {
-	if n.session == nil {
-		return frames, nil
+// appendLinkFrames appends what from ships to dest of one frame kind:
+// first the handshake frame a new or rekeyed session link needs (its RSA
+// work waits for sealAndSend), then items as one frame — or, when each is
+// set, one frame per item.
+func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind byte, items []engine.Imported, each bool) ([]outFrame, error) {
+	if n.session != nil {
+		need, epoch, err := n.session.EnsureSession(from, dest)
+		if err != nil {
+			return nil, err
+		}
+		if need {
+			frames = append(frames, outFrame{dest, &frame{kind: kindHandshake, from: from, epoch: epoch}})
+		}
 	}
-	need, epoch, err := n.session.EnsureSession(from, dest)
-	if err != nil {
-		return nil, err
+	step := len(items)
+	if each {
+		step = 1
 	}
-	if need {
-		frames = append(frames, outFrame{dest, &frame{kind: kindHandshake, from: from, epoch: epoch}})
+	for lo := 0; lo < len(items); lo += step {
+		f := &frame{kind: kind, from: from, items: items[lo : lo+step]}
+		if kind == kindData {
+			f.mode = n.cfg.Prov
+		}
+		frames = append(frames, outFrame{dest, f})
 	}
 	return frames, nil
 }
 
-// buildRetractFrames turns a node's pending withdrawals into frames in
+// buildRetractFrames appends a node's pending withdrawals to frames in
 // deterministic (first-withdrawal per destination) order: one retract
-// frame per destination, ahead of the round's data frames so receivers
-// withdraw before they integrate new state.
-func (n *Network) buildRetractFrames(from string, ws []engine.Withdrawal) ([]outFrame, error) {
+// frame per destination.
+func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine.Withdrawal) ([]outFrame, error) {
 	if len(ws) == 0 {
-		return nil, nil
+		return frames, nil
 	}
 	groups := make(map[string][]engine.Imported)
 	var dests []string
@@ -944,21 +908,23 @@ func (n *Network) buildRetractFrames(from string, ws []engine.Withdrawal) ([]out
 			delete(node.exports[w.Dest], w.Tuple.Key()) //provlint:allow keystring export-log key, resupply path only
 		}
 	}
-	var frames []outFrame
 	for _, dest := range dests {
 		var err error
-		if frames, err = n.reserveSession(frames, from, dest); err != nil {
+		if frames, err = n.appendLinkFrames(frames, from, dest, kindRetract, groups[dest], false); err != nil {
 			return nil, err
 		}
-		frames = append(frames, outFrame{dest, &frame{kind: kindRetract, from: from, items: groups[dest]}})
 	}
 	return frames, nil
 }
 
-// buildExportFrames turns one node's round exports into data frames in
-// deterministic (first-export per destination) send order, deferring all
-// cryptographic work (signing, MACing, handshake RSA) to sealAndSend.
-func (n *Network) buildExportFrames(from string, exports []engine.Export) ([]outFrame, error) {
+// buildExportFrames appends one node's round exports to frames as data
+// frames in deterministic (first-export per destination) send order — one
+// per destination, or one per tuple under Config.Unbatched — deferring
+// all cryptographic work (signing, MACing, handshake RSA) to sealAndSend.
+func (n *Network) buildExportFrames(frames []outFrame, from string, exports []engine.Export) ([]outFrame, error) {
+	if len(exports) == 0 {
+		return frames, nil
+	}
 	node := n.nodes[from]
 	groups := make(map[string][]engine.Imported)
 	var dests []string
@@ -980,27 +946,13 @@ func (n *Network) buildExportFrames(from string, exports []engine.Export) ([]out
 		}
 		groups[ex.Dest] = append(groups[ex.Dest], it)
 	}
-	var frames []outFrame
 	for _, dest := range dests {
 		var err error
-		if frames, err = n.reserveSession(frames, from, dest); err != nil {
+		if frames, err = n.appendLinkFrames(frames, from, dest, kindData, groups[dest], n.cfg.Unbatched); err != nil {
 			return nil, err
-		}
-		items := groups[dest]
-		if !n.cfg.Unbatched {
-			frames = append(frames, n.dataFrame(from, dest, items))
-			continue
-		}
-		for i := range items {
-			frames = append(frames, n.dataFrame(from, dest, items[i:i+1]))
 		}
 	}
 	return frames, nil
-}
-
-// dataFrame frames items as what from says to dest.
-func (n *Network) dataFrame(from, dest string, items []engine.Imported) outFrame {
-	return outFrame{dest, &frame{kind: kindData, from: from, mode: n.cfg.Prov, items: items}}
 }
 
 // sealAndSend performs the cryptographic half of the export path: it
@@ -1089,7 +1041,7 @@ func (n *Network) decodeVerify(name string, msg netsim.Message) (*frame, error) 
 // another frame (a zombie route) and amplifying churn traffic; the
 // origin-support model makes insert-vs-retract of different senders
 // commute, so deferring retractions does not change the fixpoint.
-func (n *Network) deliverAll(name string, node *Node, ds []*frame) error {
+func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) error {
 	if len(ds) > 0 {
 		n.markActive(name)
 	}
@@ -1107,11 +1059,12 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame) error {
 	}
 	if len(inbound) > 0 {
 		var ws []engine.Withdrawal
-		if n.draining {
-			// Over-delete only; repair runs when the wave quiesces.
-			ws = node.Engine.BeginRetractInbound(inbound)
-		} else {
+		if repair {
 			ws = node.Engine.RetractInbound(inbound)
+		} else {
+			// A withdrawal-only round over-deletes; repair runs when
+			// drainRetractions sees the wave quiesce.
+			ws = node.Engine.BeginRetractInbound(inbound)
 		}
 		node.pendingRetract = append(node.pendingRetract, ws...)
 	}
@@ -1223,10 +1176,9 @@ func (n *Network) resupplyAll() error {
 				items[i] = perDest[k]
 			}
 			var err error
-			if frames, err = n.reserveSession(frames, name, dest); err != nil {
+			if frames, err = n.appendLinkFrames(frames, name, dest, kindData, items, false); err != nil {
 				return err
 			}
-			frames = append(frames, n.dataFrame(name, dest, items))
 		}
 		if len(frames) == 0 {
 			continue

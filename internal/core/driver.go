@@ -19,15 +19,15 @@ import (
 // re-propagation instead of a restart), and stream table updates to
 // subscribers while it runs.
 //
-// Two usage modes share one implementation:
+// Two usage modes share one implementation, converge:
 //
-//   - Synchronous: Step and AwaitQuiescence advance the network on the
-//     caller's goroutine. Run(maxRounds) is exactly this mode, so every
-//     batch guarantee (bit-identical tables, rounds, and transport stats
-//     across the scheduler and transport knobs) carries over.
+//   - Synchronous: Run(maxRounds) and AwaitQuiescence call converge on the
+//     caller's goroutine (Step advances a single round), so every batch
+//     guarantee (bit-identical tables, rounds, and transport stats across
+//     the scheduler and transport knobs) carries over.
 //   - Live: Start launches a pump goroutine that waits on the inbox and
-//     steps the network whenever mutations arrive, until each burst
-//     re-converges. AwaitQuiescence then blocks until the pump drains.
+//     calls converge whenever mutations arrive. AwaitQuiescence then
+//     blocks until the pump drains.
 //
 // All blocking entry points take a context and honor cancellation and
 // deadlines mid-round (between node tasks of a phase).
@@ -176,7 +176,8 @@ func (d *Driver) Start(ctx context.Context) error {
 	return nil
 }
 
-// pump is the live-mode round loop.
+// pump is the live-mode loop: wait until dirty, converge, and clear dirty
+// iff the driver is still idle.
 func (d *Driver) pump(ctx context.Context) {
 	defer close(d.pumpDone)
 	// If the pump dies with its context, the driver must not keep
@@ -203,54 +204,63 @@ func (d *Driver) pump(ctx context.Context) {
 		}
 		d.mu.Unlock()
 
-		// Work the burst down to quiescence: apply queued events with
-		// each round until a round makes no progress and the inbox is
-		// empty at the same instant.
-		for {
-			d.mu.Lock()
-			stop := d.closed
+		err := d.converge(ctx, 0)
+		if errors.Is(err, ErrClosed) {
+			return
+		}
+		d.mu.Lock()
+		// An event or a socket frame that arrived after converge's last
+		// look already fired its notify (the callback fires once per
+		// enqueue), which clearing dirty here would swallow: stay dirty
+		// and converge again. On the in-memory fabric the pending check is
+		// vacuous — a no-progress round means the fabric is empty.
+		if err == nil && !d.idleLocked() {
 			d.mu.Unlock()
-			if stop || ctx.Err() != nil {
-				return
+			continue
+		}
+		fatal := err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+		if fatal {
+			d.err = err // sticky: the driver refuses further work
+		}
+		d.dirty = false
+		d.cond.Broadcast()
+		d.mu.Unlock()
+		if fatal {
+			return
+		}
+	}
+}
+
+// idleLocked reports that nothing waits to be stepped: no queued event
+// and no undrained datagram on the transport (requires mu).
+func (d *Driver) idleLocked() bool {
+	return len(d.inbox) == 0 && d.n.net.PendingCount() == 0
+}
+
+// converge is the one way to a fixpoint, shared by Run, AwaitQuiescence
+// and the pump: step until a round makes no progress while the driver is
+// idle, then quiesce once. maxSteps > 0 caps the steps; a capped run
+// still quiesces (its state is published and sealed as it stands) and
+// reports ErrNoFixpoint.
+func (d *Driver) converge(ctx context.Context, maxSteps int) error {
+	for steps := 1; ; steps++ {
+		progress, err := d.step(ctx)
+		if err != nil {
+			return err
+		}
+		d.mu.Lock()
+		closed, done := d.closed, !progress && d.idleLocked()
+		d.mu.Unlock()
+		switch {
+		case closed:
+			return ErrClosed
+		case done:
+			return d.quiesce()
+		case steps == maxSteps:
+			if err := d.quiesce(); err != nil {
+				return err
 			}
-			progress, err := d.step(ctx)
-			if err == nil && !progress {
-				// The burst looks drained: publish the read snapshot and
-				// seal/flush the durable store before declaring
-				// quiescence, so observers of a quiet driver see the
-				// converged view and a durable log. Events that arrive
-				// during the flush are caught by the inbox/pending check
-				// below.
-				err = d.quiesce()
-			}
-			d.mu.Lock()
-			if err != nil {
-				isCtx := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-				if !isCtx {
-					d.err = err // sticky: the driver refuses further work
-				}
-				d.dirty = false
-				d.cond.Broadcast()
-				d.mu.Unlock()
-				if !isCtx {
-					return
-				}
-				break
-			}
-			// Quiescent only if no round progress, no queued events, AND
-			// nothing pending on the transport: a socket frame that
-			// arrived after this round's drain already fired its notify,
-			// which clearing dirty here would otherwise swallow (the
-			// callback fires once per enqueue). On the in-memory fabric
-			// the pending check is vacuous — a no-progress round means
-			// the fabric is empty.
-			if !progress && len(d.inbox) == 0 && d.n.net.PendingCount() == 0 {
-				d.dirty = false
-				d.cond.Broadcast()
-				d.mu.Unlock()
-				break
-			}
-			d.mu.Unlock()
+			return ErrNoFixpoint
 		}
 	}
 }
@@ -277,7 +287,7 @@ func (d *Driver) step(ctx context.Context) (bool, error) {
 		}
 		mutated = true
 	}
-	progress, err := d.n.runRound(ctx)
+	progress, err := d.n.runRound(ctx, true)
 	if err != nil {
 		return false, err
 	}
@@ -313,9 +323,8 @@ func (d *Driver) Step(ctx context.Context) (bool, error) {
 	return d.step(ctx)
 }
 
-// run is the batch loop behind Network.Run: step to quiescence, bounded
-// by maxRounds (0 = 1e6). On a capped run it reports exactly maxRounds
-// rounds with ErrNoFixpoint.
+// run is Network.Run: converge, bounded by maxRounds steps (0 = 1e6). On
+// a capped run it reports exactly maxRounds rounds with ErrNoFixpoint.
 func (d *Driver) run(ctx context.Context, maxRounds int) (*Report, error) {
 	d.mu.Lock()
 	if d.closed {
@@ -332,37 +341,23 @@ func (d *Driver) run(ctx context.Context, maxRounds int) (*Report, error) {
 	if maxRounds <= 0 {
 		maxRounds = 1000000
 	}
-	for r := 1; ; r++ {
-		if r > maxRounds {
-			return d.epochReport(), ErrNoFixpoint
-		}
-		progress, err := d.step(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !progress {
-			break
-		}
+	err := d.converge(ctx, maxRounds)
+	if err != nil && !errors.Is(err, ErrNoFixpoint) {
+		return nil, err
 	}
-	return d.epochReport(), nil
+	return d.epochReport(), err
 }
 
 // epochReport snapshots the report for the current epoch and opens the
-// next one. Every quiescence point funnels through here (or through the
-// pump's quiesce), so it also publishes the read snapshot and seals the
-// durable store; store errors surface through Network.StoreErr.
+// next one.
 func (d *Driver) epochReport() *Report {
 	d.mu.Lock()
 	start, rounds := d.epochStart, d.epochRounds
 	d.epochStart = time.Now() //provlint:allow detpath report wall-clock epoch, never feeds evaluation
 	d.epochRounds = 0
 	d.mu.Unlock()
-	d.runMu.Lock()
+	d.runMu.Lock() // the report reads engine counters a pump round may be writing
 	defer d.runMu.Unlock()
-	qstart := time.Now() //provlint:allow detpath metrics quiesce timing, outside the deterministic state
-	d.publishViewLocked()
-	_ = d.n.sealStore()
-	d.n.nm.observeQuiesce(d.n, qstart)
 	return d.n.report(start, rounds)
 }
 
@@ -371,8 +366,10 @@ func (d *Driver) epochReport() *Report {
 // Before the first convergence it is the empty Seq-0 view.
 func (d *Driver) ReadView() *ReadView { return d.view.Load() }
 
-// quiesce publishes the read snapshot and seals/flushes the store at a
-// pump quiescence point.
+// quiesce is the one quiescence point: it publishes the read snapshot and
+// seals and flushes the durable store, so whoever then observes a quiet
+// driver sees the converged view and a durable log. Only converge calls
+// it.
 func (d *Driver) quiesce() error {
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
@@ -405,8 +402,8 @@ func (d *Driver) publishViewLocked() {
 // mutations, no in-flight messages, and a round that made no progress. It
 // returns the report for the epoch that just converged (rounds and
 // wall-clock time since the previous quiescence point; transport and
-// crypto counters are cumulative). Synchronous drivers step the loop on
-// the caller's goroutine; live drivers wait for the pump.
+// crypto counters are cumulative). Synchronous drivers converge on the
+// caller's goroutine; live drivers wait for the pump.
 func (d *Driver) AwaitQuiescence(ctx context.Context) (*Report, error) {
 	d.mu.Lock()
 	if d.closed {
@@ -415,23 +412,14 @@ func (d *Driver) AwaitQuiescence(ctx context.Context) (*Report, error) {
 	}
 	if !d.started {
 		d.mu.Unlock()
-		for {
-			progress, err := d.step(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !progress {
-				d.mu.Lock()
-				quiet := len(d.inbox) == 0
-				d.mu.Unlock()
-				if quiet && d.n.net.PendingCount() == 0 {
-					return d.epochReport(), nil
-				}
-			}
+		if err := d.converge(ctx, 0); err != nil {
+			return nil, err
 		}
+		return d.epochReport(), nil
 	}
-	// Live mode: wait for the pump to drain. The context wake-up is
-	// installed so cancellation interrupts the wait.
+	// Live mode: wait for the pump to drain — it published and sealed
+	// before it cleared dirty. The context wake-up is installed so
+	// cancellation interrupts the wait.
 	stop := context.AfterFunc(ctx, func() {
 		d.mu.Lock()
 		d.cond.Broadcast()
@@ -587,9 +575,8 @@ func (d *Driver) Nudge() {
 // never quiet.
 func (d *Driver) Quiet() bool {
 	d.mu.Lock()
-	quiet := d.started && !d.dirty && !d.closed && d.err == nil && len(d.inbox) == 0
-	d.mu.Unlock()
-	return quiet && d.n.net.PendingCount() == 0
+	defer d.mu.Unlock()
+	return d.started && !d.dirty && !d.closed && d.err == nil && d.idleLocked()
 }
 
 // applyEvents applies queued mutations to the engines (called under

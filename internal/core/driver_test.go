@@ -43,7 +43,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 	}{
 		{"rsa-per-tuple", func(c *Config) { c.Unbatched = true }},
 		{"rsa-per-round", func(c *Config) {}},
-		{"session-mac", func(c *Config) { c.SessionAuth = true }},
+		{"session-mac", func(c *Config) { c.Auth = auth.SchemeSession }},
 	}
 	for _, s := range schedules {
 		t.Run(s.name, func(t *testing.T) {
@@ -205,7 +205,7 @@ func TestCutLinkAcrossTransports(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"session", func(c *Config) { c.SessionAuth = true }},
+		{"session", func(c *Config) { c.Auth = auth.SchemeSession }},
 		{"sequential-unbatched", func(c *Config) { c.Sequential = true; c.Unbatched = true }},
 	} {
 		t.Run(s.name, func(t *testing.T) {
@@ -470,7 +470,7 @@ func TestDriverConcurrentInjectSubscribeStep(t *testing.T) {
 		{From: "b", To: "c", Cost: 1},
 		{From: "c", To: "a", Cost: 1},
 	})
-	n, err := NewNetwork(Config{Source: BestPath, Graph: g, SessionAuth: true, Auth: auth.SchemeRSA})
+	n, err := NewNetwork(Config{Source: BestPath, Graph: g, Auth: auth.SchemeSession})
 	if err != nil {
 		t.Fatal(err)
 	}

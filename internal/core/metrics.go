@@ -27,7 +27,6 @@ type netMetrics struct {
 	rounds        *obs.Counter
 	retractRounds *obs.Counter
 	quiesces      *obs.Counter
-	idleTerms     *obs.Counter
 
 	waves         *obs.Counter
 	firings       *obs.Counter
@@ -83,7 +82,6 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 		rounds:        m.Counter("provnet_scheduler_rounds_total", "Forward scheduler rounds executed (export+import phases)."),
 		retractRounds: m.Counter("provnet_scheduler_retract_rounds_total", "Withdrawal-only rounds executed while draining retraction waves."),
 		quiesces:      m.Counter("provnet_scheduler_quiesces_total", "Quiescence decisions: view published and durable store sealed."),
-		idleTerms:     m.Counter("provnet_scheduler_idle_terminations_total", "Distributed runs ended by the idle-window heuristic."),
 		waves:         m.Counter("provnet_engine_waves_total", "Non-empty evaluation waves across all hosted engines."),
 		firings:       m.Counter("provnet_engine_firings_total", "Rule firings (derivations) across all hosted engines."),
 		retracted:     m.Counter("provnet_engine_retracted_total", "Tuples withdrawn by retraction cascades."),

@@ -163,3 +163,53 @@ func TestMetricsRetractionRounds(t *testing.T) {
 		t.Error("no retract-kind flight record after a link cut")
 	}
 }
+
+// TestOneQuiescePerQuiescencePoint pins the single funnel: every awaited
+// quiescence point — initial convergence plus three link cuts — publishes,
+// seals the store, and writes its flight record exactly once, whether the
+// pump or the caller's goroutine converged it.
+func TestOneQuiescePerQuiescencePoint(t *testing.T) {
+	cuts := [][2]string{{"n4", "n5"}, {"n2", "n3"}, {"n0", "n1"}}
+	for _, mode := range []string{"live", "synchronous"} {
+		t.Run(mode, func(t *testing.T) {
+			m, store := obs.New(), NewMemStore()
+			n, err := NewNetwork(Config{Source: BestPath, Graph: topo.Line(6), Store: store, Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			d, ctx := n.Driver(), t.Context()
+			if mode == "live" {
+				if err := d.Start(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.AwaitQuiescence(ctx); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := n.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cuts {
+				if err := d.CutLink(c[0], c[1]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.AwaitQuiescence(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := 1 + len(cuts)
+			records := 0
+			for _, r := range m.Flight.Snapshot() {
+				if r.Kind == "quiesce" {
+					records++
+				}
+			}
+			if seals, counted := store.Seals(), m.Counter("provnet_scheduler_quiesces_total", "").Value(); seals != want || counted != int64(want) || records != want {
+				t.Errorf("%d seals, quiesces_total %d, %d quiesce flight records; want %d each", seals, counted, records, want)
+			}
+			if seq := d.ReadView().Seq; seq != uint64(want) {
+				t.Errorf("view Seq = %d, want one publish per quiescence point (%d)", seq, want)
+			}
+		})
+	}
+}

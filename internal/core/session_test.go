@@ -40,9 +40,9 @@ func TestTransportSchedulesMatch(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"parallel-rsa-batched", func(c *Config) {}},
-		{"parallel-session", func(c *Config) { c.SessionAuth = true }},
-		{"parallel-session-unbatched", func(c *Config) { c.SessionAuth = true; c.Unbatched = true }},
-		{"sequential-session", func(c *Config) { c.Sequential = true; c.SessionAuth = true }},
+		{"parallel-session", func(c *Config) { c.Auth = auth.SchemeSession }},
+		{"parallel-session-unbatched", func(c *Config) { c.Auth = auth.SchemeSession; c.Unbatched = true }},
+		{"sequential-session", func(c *Config) { c.Sequential = true; c.Auth = auth.SchemeSession }},
 	}
 	for _, s := range schedules {
 		t.Run(s.name, func(t *testing.T) {
@@ -70,7 +70,7 @@ func TestSessionAmortizesSignatures(t *testing.T) {
 	_, repRSA := mustRun(t, rsa)
 
 	session := bestPathCfg()
-	session.SessionAuth = true
+	session.Auth = auth.SchemeSession
 	nS, repS := mustRun(t, session)
 
 	if repS.Signed >= repRSA.Signed {
@@ -107,11 +107,11 @@ func TestSessionAmortizesSignatures(t *testing.T) {
 // links and everything still decodes across epoch boundaries.
 func TestSessionRekeyBoundaries(t *testing.T) {
 	noRekey := bestPathCfg()
-	noRekey.SessionAuth = true
+	noRekey.Auth = auth.SchemeSession
 	nN, repN := mustRun(t, noRekey)
 
 	rekey := bestPathCfg()
-	rekey.SessionAuth = true
+	rekey.Auth = auth.SchemeSession
 	rekey.RekeyRounds = 1 // fresh keys every round: every boundary is a rekey boundary
 	nR, repR := mustRun(t, rekey)
 
@@ -135,7 +135,7 @@ func TestSessionRekeyBoundaries(t *testing.T) {
 // pollutes no table. Only session keys open data here.
 func TestSessionRefusesSignedData(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
-		Auth: auth.SchemeRSA, KeyBits: 512, SessionAuth: true}
+		Auth: auth.SchemeSession, KeyBits: 512}
 	clean, _ := mustRun(t, cfg)
 
 	n, err := NewNetwork(cfg)
@@ -203,7 +203,7 @@ func TestKindFlippedFrameRejected(t *testing.T) {
 // completes.
 func TestSessionDropsUnverifiableInput(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
-		Auth: auth.SchemeRSA, KeyBits: 512, SessionAuth: true}
+		Auth: auth.SchemeSession, KeyBits: 512}
 	n, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 // never saw them.
 func TestMalformedDatagramsAreDropped(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
-		Auth: auth.SchemeRSA, KeyBits: 512, SessionAuth: true}
+		Auth: auth.SchemeSession, KeyBits: 512}
 	clean, _ := mustRun(t, cfg)
 
 	n, err := NewNetwork(cfg)
@@ -306,12 +306,11 @@ func TestSessionFramesRejectedWithoutSessionAuth(t *testing.T) {
 // session transport: condensed provenance still ships and condenses.
 func TestSessionWithCondensedProvenance(t *testing.T) {
 	cfg := Config{
-		Source:      ReachableSeNDlog,
-		Graph:       paperGraph(),
-		LinkNoCost:  true,
-		Auth:        auth.SchemeRSA,
-		Prov:        provenance.ModeCondensed,
-		SessionAuth: true,
+		Source:     ReachableSeNDlog,
+		Graph:      paperGraph(),
+		LinkNoCost: true,
+		Auth:       auth.SchemeSession,
+		Prov:       provenance.ModeCondensed,
 	}
 	n, _ := mustRun(t, cfg)
 	base := Config{
@@ -324,28 +323,5 @@ func TestSessionWithCondensedProvenance(t *testing.T) {
 	nB, _ := mustRun(t, base)
 	if a, b := snapshot(t, n), snapshot(t, nB); a != b {
 		t.Fatal("session transport must not change condensed-provenance fixpoint")
-	}
-}
-
-// TestSchemeSessionNormalizes pins the Config sugar: Auth: SchemeSession
-// configures exactly the RSA + SessionAuth stack.
-func TestSchemeSessionNormalizes(t *testing.T) {
-	sugar := bestPathCfg()
-	sugar.Auth = auth.SchemeSession
-	nSu, repSu := mustRun(t, sugar)
-
-	explicit := bestPathCfg()
-	explicit.SessionAuth = true
-	nEx, repEx := mustRun(t, explicit)
-
-	if a, b := snapshot(t, nSu), snapshot(t, nEx); a != b {
-		t.Fatal("SchemeSession fixpoint differs from explicit SessionAuth")
-	}
-	if repSu.Signed != repEx.Signed || repSu.Handshakes != repEx.Handshakes ||
-		repSu.SealedMAC != repEx.SealedMAC {
-		t.Errorf("crypto ops: sugar %+v, explicit %+v", repSu, repEx)
-	}
-	if repSu.Handshakes == 0 {
-		t.Error("SchemeSession must enable the session transport")
 	}
 }

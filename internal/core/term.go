@@ -1,13 +1,13 @@
 package core
 
 // Distributed termination detection: the credit/clean-wave protocol that
-// replaces the wall-clock idle heuristic for multi-process deployments.
+// ends multi-process deployments.
 //
 // The problem: a process cannot conclude "the distributed fixpoint is
 // reached" from its own silence. Its links may be quiet while a frame is
-// still in flight to it, or while a remote process is mid-evaluation —
-// the idle heuristic (no messages for -idle) declares exactly such false
-// fixpoints under delay or partition (see
+// still in flight to it, or while a remote process is mid-evaluation — an
+// idle heuristic (no messages for a wall-clock window) declares exactly
+// such false fixpoints under delay or partition (see
 // TestIdleHeuristicFalseFixpoint).
 //
 // The protocol: every node keeps a cumulative activity counter,

@@ -151,7 +151,7 @@ func TestTerminationNoFalseFixpoint(t *testing.T) {
 // TestIdleHeuristicFalseFixpoint is the regression that justifies the
 // credit protocol: under a scripted partition, the wall-clock idle
 // heuristic (transport counters stable across an idle window, no
-// pending datagrams — exactly what cliflags' -term idle mode samples)
+// pending datagrams — implemented inline below; no command offers it)
 // declares a fixpoint while frames are in flight and the tables are
 // wrong, and the credit detector, watching the same run, refuses.
 func TestIdleHeuristicFalseFixpoint(t *testing.T) {
@@ -240,7 +240,7 @@ func TestResupplyReplaysExports(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"legacy", func(c *Config) {}},
-		{"session", func(c *Config) { c.SessionAuth = true; c.Auth = auth.SchemeRSA; c.KeyBits = 512 }},
+		{"session", func(c *Config) { c.Auth = auth.SchemeSession; c.KeyBits = 512 }},
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			cfg := termCfg()

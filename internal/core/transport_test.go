@@ -51,7 +51,7 @@ func TestTCPMatchesNetsim(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"rsa", func(c *Config) {}},
-		{"session", func(c *Config) { c.SessionAuth = true }},
+		{"session", func(c *Config) { c.Auth = auth.SchemeSession }},
 	}
 	for _, s := range schemes {
 		t.Run(s.name, func(t *testing.T) {

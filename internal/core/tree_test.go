@@ -257,7 +257,7 @@ func TestMACDatagramsUnchanged(t *testing.T) {
 	}{
 		{"none", func(c *Config) { c.Auth = auth.SchemeNone }, "2bdf4bbba8fd42530fae8c4051df88bf841846868d73e794ee27e9ceb3ecf330"},
 		{"hmac", func(c *Config) { c.Auth = auth.SchemeHMAC }, "9ae633b924ed85879d05c6deadc10eca5987c5aaa9cdfc0cf810437ae7eaed78"},
-		{"session", func(c *Config) { c.SessionAuth = true }, "2b7f4e3be8b3b68a4fb63032a33e98f03a74346fdf2485095ec0faf8e74bb878"},
+		{"session", func(c *Config) { c.Auth = auth.SchemeSession }, "2b7f4e3be8b3b68a4fb63032a33e98f03a74346fdf2485095ec0faf8e74bb878"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := bestPathCfg()

@@ -494,15 +494,10 @@ func (e *Engine) InsertFact(t data.Tuple) {
 	e.insert(t, e.hook.Base(t))
 }
 
-// InsertImported inserts a tuple received from the network together with
-// its provenance payload. Signature verification happens in the transport
-// layer before this call.
-func (e *Engine) InsertImported(t data.Tuple, provPayload []byte) error {
-	return e.InsertImportedFrom("", t, provPayload)
-}
-
-// InsertImportedFrom is InsertImported with the sending node recorded as
-// the tuple's support origin, so a later retraction by that sender removes
+// InsertImportedFrom inserts a tuple received from the network together
+// with its provenance payload; signature verification happens in the
+// transport layer before this call. The sending node is recorded as the
+// tuple's support origin, so a later retraction by that sender removes
 // exactly the support it contributed. An empty from is treated as local
 // support (the pre-churn behavior).
 func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byte) error {
@@ -514,16 +509,10 @@ func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byt
 	return nil
 }
 
-// InsertImportedAnn inserts a received tuple whose annotation was already
-// reconstructed by the provenance hook — the trust-gating path, which
-// needs the annotation before admission and should not pay a second
-// payload deserialization.
-func (e *Engine) InsertImportedAnn(t data.Tuple, ann Annotation) {
-	e.insert(t, ann)
-}
-
-// InsertImportedAnnFrom is InsertImportedAnn with the sender recorded as
-// support origin.
+// InsertImportedAnnFrom inserts a received tuple whose annotation was
+// already reconstructed by the provenance hook — the trust-gating path,
+// which needs the annotation before admission and should not pay a second
+// payload deserialization — with the sender recorded as support origin.
 func (e *Engine) InsertImportedAnnFrom(from string, t data.Tuple, ann Annotation) {
 	e.insertFrom(t, ann, from, 0)
 }
@@ -535,15 +524,10 @@ type Imported struct {
 	Prov  []byte
 }
 
-// InsertImportedBatch inserts a batch of received tuples, the unit the
-// transport layer hands over per verified batch envelope. The whole delta
-// is queued before the next RunToFixpoint processes it.
-func (e *Engine) InsertImportedBatch(items []Imported) error {
-	return e.InsertImportedBatchFrom("", items)
-}
-
-// InsertImportedBatchFrom is InsertImportedBatch with the sender recorded
-// as support origin for every item.
+// InsertImportedBatchFrom inserts a batch of received tuples, the unit
+// the transport layer hands over per verified data frame, with the sender
+// recorded as support origin for every item. The whole delta is queued
+// before the next RunToFixpoint processes it.
 func (e *Engine) InsertImportedBatchFrom(from string, items []Imported) error {
 	for _, it := range items {
 		if err := e.InsertImportedFrom(from, it.Tuple, it.Prov); err != nil {

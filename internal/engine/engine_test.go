@@ -44,7 +44,7 @@ func runCluster(t *testing.T, nodes map[string]*Engine) int {
 				if !ok {
 					t.Fatalf("export to unknown node %q", ex.Dest)
 				}
-				if err := dst.InsertImported(ex.Tuple, nil); err != nil {
+				if err := dst.InsertImportedFrom("", ex.Tuple, nil); err != nil {
 					t.Fatalf("import: %v", err)
 				}
 				msgs++
@@ -554,7 +554,7 @@ func TestInsertImportedBatch(t *testing.T) {
 		{Tuple: data.NewTuple("link", data.Str("a"), data.Str("c"))},
 		{Tuple: data.NewTuple("link", data.Str("a"), data.Str("b"))}, // duplicate
 	}
-	if err := e.InsertImportedBatch(batch); err != nil {
+	if err := e.InsertImportedBatchFrom("", batch); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Pending() {
@@ -565,7 +565,7 @@ func TestInsertImportedBatch(t *testing.T) {
 	}
 	wantTuples(t, e.Tuples("reachable"),
 		"reachable(a, b)", "reachable(a, c)")
-	if err := e.InsertImportedBatch(nil); err != nil {
+	if err := e.InsertImportedBatchFrom("", nil); err != nil {
 		t.Fatal("empty batch must be a no-op, got error")
 	}
 }

@@ -31,7 +31,7 @@ import (
 // neighbor is about to withdraw (zombie routes), amplifying churn
 // traffic. The scheduler (internal/core) ships Begin's withdrawals hop
 // by hop until the wave quiesces, then completes every node. The
-// single-call forms (RetractFacts, RetractImported, RetractInbound)
+// single-call forms (RetractFacts, RetractInbound)
 // compose both phases for single-engine use.
 //
 // Cross-node alternate derivations are handled by per-entry support
@@ -264,20 +264,10 @@ func (e *Engine) RetractFacts(tuples ...data.Tuple) []Withdrawal {
 	return append(ws, e.CompleteRetract()...)
 }
 
-// RetractImported applies an inbound retraction from a remote sender,
-// running both phases back to back: each tuple loses that sender's
-// support and is deleted (with cascade) only when no local derivation or
-// other origin still supports it.
-func (e *Engine) RetractImported(from string, tuples []data.Tuple) []Withdrawal {
-	items := make([]InboundRetraction, len(tuples))
-	for i, t := range tuples {
-		items[i] = InboundRetraction{From: from, Tuple: t}
-	}
-	return e.RetractInbound(items)
-}
-
 // RetractInbound applies a batch of inbound retractions (possibly from
-// several senders), running both phases back to back.
+// several senders), running both phases back to back: each tuple loses
+// its sender's support and is deleted (with cascade) only when no local
+// derivation or other origin still supports it.
 func (e *Engine) RetractInbound(items []InboundRetraction) []Withdrawal {
 	ws := e.BeginRetractInbound(items)
 	return append(ws, e.CompleteRetract()...)

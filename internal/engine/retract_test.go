@@ -173,11 +173,11 @@ func TestRetractImportedRespectsMultipleOrigins(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunToFixpoint()
-	e.RetractImported("a", []data.Tuple{tu})
+	e.RetractInbound([]InboundRetraction{{From: "a", Tuple: tu}})
 	if !e.Has(tu) {
 		t.Fatal("tuple should survive: sender c still supports it")
 	}
-	e.RetractImported("c", []data.Tuple{tu})
+	e.RetractInbound([]InboundRetraction{{From: "c", Tuple: tu}})
 	if e.Has(tu) {
 		t.Fatal("tuple should be withdrawn once every origin retracted it")
 	}

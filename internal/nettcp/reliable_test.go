@@ -292,30 +292,44 @@ func TestPeerRestartDetection(t *testing.T) {
 // FuzzAckRetransmit replays arbitrary loss scripts over the ack and
 // retransmit path: whatever the script drops, every payload must arrive
 // exactly once and in order, and the window must eventually clear. The
-// seed corpus covers no loss, data-only loss, ack-only loss, and mixed
-// bursts.
+// seed corpus covers no loss, data-only loss, ack-only loss, mixed
+// bursts, and the all-ones script.
 func FuzzAckRetransmit(f *testing.F) {
 	f.Add([]byte{0x00}, uint8(4))
 	f.Add([]byte{0xaa, 0x55}, uint8(6))
 	f.Add([]byte{0xff, 0x00, 0xff}, uint8(5))
 	f.Add([]byte{0x0f, 0xf0}, uint8(8))
+	f.Add([]byte{0xff}, uint8(5))
 	f.Fuzz(func(t *testing.T, script []byte, n uint8) {
 		if len(script) == 0 {
 			script = []byte{0}
 		}
 		count := int(n)%8 + 1
-		var attempt atomic.Int64
+		// Writes are counted per traffic class (data, ack): on one shared
+		// counter the pass slot below can phase-lock onto one class — under
+		// an all-ones script every ack follows the data write that just took
+		// the slot, so no ack ever passes while go-back-N replays the window.
+		var attempts [2]atomic.Int64
 		drop := func(peer string, seq uint64, ack bool) bool {
-			i := attempt.Add(1) - 1
+			class := 0
+			if ack {
+				class = 1
+			}
+			i := attempts[class].Add(1) - 1
 			if i%11 == 10 {
 				return false // guarantee progress under all-ones scripts
 			}
 			bit := script[int(i)%len(script)] >> (uint(i) % 8) & 1
 			return bit == 1
 		}
-		trB := newReliable(t, nil, func(c *Config) { c.DropWrite = drop })
+		// Under an all-ones script a payload needs 11 × 11 data writes to
+		// get itself and then its ack through, a window replay per ack
+		// timeout: keep that timeout short, so that the worst script takes
+		// a fraction of the 10 s the assertions below allow.
+		lossy := func(c *Config) { c.DropWrite, c.RetransmitTimeout = drop, 5*time.Millisecond }
+		trB := newReliable(t, nil, lossy)
 		trB.AddNode("b")
-		trA := newReliable(t, map[string]string{"b": trB.Addr()}, func(c *Config) { c.DropWrite = drop })
+		trA := newReliable(t, map[string]string{"b": trB.Addr()}, lossy)
 		trA.AddNode("a")
 		trB.AddPeer("a", trA.Addr())
 		sent := sendSeq(t, trA, count)

@@ -81,12 +81,8 @@ func WithSequential() Option { return func(c *Config) { c.Sequential = true } }
 // tuples per destination and, under RSA, signs the whole round once.
 func WithUnbatched() Option { return func(c *Config) { c.Unbatched = true } }
 
-// WithSessionAuth switches the transport to session security: one RSA
-// handshake per link, then a cheap HMAC per envelope and no signature
-// per round.
-func WithSessionAuth() Option { return func(c *Config) { c.SessionAuth = true } }
-
-// WithRekeyRounds rotates session keys every n scheduler rounds.
+// WithRekeyRounds rotates session keys every n scheduler rounds
+// (WithAuth(AuthSession) only).
 func WithRekeyRounds(n int) Option { return func(c *Config) { c.RekeyRounds = n } }
 
 // WithTransport overrides the message substrate, and optionally names

@@ -66,7 +66,7 @@ func TestOptionsCoverConfig(t *testing.T) {
 		WithLinkNoCost(), WithExtraNodes("x9"), WithKeyBits(512),
 		WithAuthProv(), WithOffline(3.5), WithSampleEvery(2),
 		WithLevels(map[string]int64{"a": 2}),
-		WithUnbatched(), WithSessionAuth(), WithRekeyRounds(7),
+		WithUnbatched(), WithRekeyRounds(7),
 		WithAuth(AuthHMAC),
 	} {
 		o(&c)
@@ -74,7 +74,7 @@ func TestOptionsCoverConfig(t *testing.T) {
 	switch {
 	case !c.LinkNoCost, len(c.ExtraNodes) != 1, c.KeyBits != 512,
 		!c.AuthProv, c.Offline == nil || *c.Offline != 3.5, c.SampleEvery != 2,
-		c.Levels["a"] != 2, !c.Unbatched, !c.SessionAuth,
+		c.Levels["a"] != 2, !c.Unbatched,
 		c.RekeyRounds != 7, c.Auth != auth.SchemeHMAC:
 		t.Fatalf("option failed to set its field: %+v", c)
 	}

@@ -7,11 +7,11 @@
 // authentication scheme for the "says" operator (none, HMAC, or per-tuple
 // RSA signatures), and a provenance mode from the paper's taxonomy (none,
 // local derivation trees, distributed pointers, or condensed BDD-encoded
-// semiring provenance). Config.SessionAuth additionally switches the
-// transport to session authentication: one RSA handshake per (src,dst)
-// link establishes a session key and every subsequent envelope is sealed
-// with a cheap per-link HMAC (rotating every Config.RekeyRounds rounds),
-// amortizing the hostile-world signature cost. Running the network
+// semiring provenance). Auth: AuthSession is RSA says over session
+// authentication: one RSA handshake per (src,dst) link establishes a
+// session key and every subsequent envelope is sealed with a cheap
+// per-link HMAC (rotating every Config.RekeyRounds rounds), amortizing
+// the hostile-world signature cost. Running the network
 // executes the program as a distributed stream computation to a
 // fixpoint — each round every node evaluates, then every node imports,
 // on one pool of GOMAXPROCS workers (Config.Sequential is the reference
@@ -48,9 +48,10 @@
 //	rep, _ := d.AwaitQuiescence(ctx)         // incremental re-convergence
 //	_ = d.Close()
 //
-// Run(maxRounds) is a thin synchronous wrapper over the same driver, so
-// batch results are bit-identical to the pre-driver behavior under every
-// scheduler and transport knob.
+// Run(maxRounds) is the driver's one converge loop — the loop the live
+// pump and AwaitQuiescence run — on the caller's goroutine with a step
+// cap, so batch and live results are bit-identical under Sequential,
+// Unbatched, and every auth scheme.
 //
 // Everything above runs in one process over the in-memory transport by
 // default. Setting Config.Transport to an internal/nettcp transport and
@@ -192,14 +193,13 @@ type (
 	// Sealer seals/opens envelopes on directed links (transport layer).
 	Sealer = auth.Sealer
 	// SessionSealer is the handshake-then-HMAC transport behind
-	// Config.SessionAuth.
+	// AuthSession.
 	SessionSealer = auth.SessionSealer
 )
 
 // Says implementations, from benign-world to hostile-world. AuthSession
-// identifies the session transport: per-link RSA handshakes
-// amortized over HMAC-sealed envelopes. Config{Auth: AuthSession} is
-// shorthand for Config{Auth: AuthRSA, SessionAuth: true}.
+// is RSA says over the session transport: per-link RSA handshakes
+// amortized over HMAC-sealed envelopes.
 const (
 	// AuthNone appends a cleartext principal header (benign world).
 	AuthNone = auth.SchemeNone

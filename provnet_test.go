@@ -102,7 +102,7 @@ func TestSessionAuthAmortizesSignatures(t *testing.T) {
 	repRSA := benchwork.BestPathChurn(t.Fatal, rsa, 20, benchwork.DefaultCycles, 1024, 2000)
 
 	session := provnet.VariantConfig(provnet.VariantSeNDlog, provnet.BestPath)
-	session.SessionAuth = true
+	session.Auth = provnet.AuthSession
 	repS := benchwork.BestPathChurn(t.Fatal, session, 20, benchwork.DefaultCycles, 1024, 2000)
 
 	if repS.Signed == 0 || repTuple.Signed < 10*repS.Signed {
