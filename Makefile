@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke benchgate benchgate-record benchgate-record-metrics api-smoke fuzz examples docs chaos ci
+.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke api-smoke fuzz examples docs chaos ci
 
 all: build
 
@@ -56,22 +56,6 @@ bench-smoke:
 # numbers.
 bench-e2e-smoke:
 	$(GO) run ./bench -workload all -seconds 2
-
-# Hot-path perf regression gate: rerun the fan-in and churn windows
-# and compare against the checked-in BENCH_pr7.json baseline. The
-# allocation bound is tight (allocs/op is near-deterministic); the
-# wall-clock bound is generous (hardware varies). benchgate-record
-# refreshes the baseline on the current machine.
-benchgate:
-	$(GO) run ./cmd/benchgate -baseline BENCH_pr7.json
-
-benchgate-record:
-	$(GO) run ./cmd/benchgate -record -out BENCH_pr7.json
-
-# Same workload with -metrics: BENCH_pr8.json is the enabled-
-# instrumentation reference next to the metrics-off baseline.
-benchgate-record-metrics:
-	$(GO) run ./cmd/benchgate -metrics -record -out BENCH_pr8.json
 
 # The CI api-smoke job: serve the query API from cmd/provnet (with
 # -metrics and a store), query a traceback over HTTP, diff against the
@@ -136,4 +120,4 @@ docs:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/multiprocess
 
-ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-e2e-smoke chaos benchgate api-smoke
+ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-e2e-smoke chaos api-smoke

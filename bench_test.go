@@ -1,10 +1,11 @@
 // Benchmarks regenerating the paper's evaluation artifacts (§6):
 //
-//   - BenchmarkFig3* — query completion time for the Best-Path query under
-//     the three variants (Figure 3); ns/op is the completion time, and
-//     derivations/op shows the work performed.
-//   - BenchmarkFig4* — the same runs reporting bandwidth (Figure 4) as
-//     wire_MB/op and messages/op.
+//   - BenchmarkFig3 — the Best-Path query under the three variants, one
+//     run per cell for both figures: ns/op is the query completion time
+//     (Figure 3), wire_MB/op and messages/op the bandwidth (Figure 4),
+//     derivations/op the work performed.
+//   - BenchmarkFig4Batching — Figure 4's metric for the batched frame
+//     against the paper's one-envelope-per-tuple baseline.
 //   - BenchmarkAblation* — the design-space ablations called out in
 //     DESIGN.md: the says-implementation spectrum (§2.2), the provenance
 //     modes (§4.1/§4.4), store sampling (§5).
@@ -47,51 +48,50 @@ func buildNet(b *testing.B, cfg provnet.Config, n int, seed int64) *provnet.Netw
 	return net
 }
 
-// benchVariant runs Best-Path to fixpoint once per iteration, with
-// network construction (including key generation) excluded from the
+// converge runs cfg to its fixpoint on a fresh n-node random graph once
+// per iteration (seed seedBase+i) and returns the reports summed.
+// Network construction — key generation included — stays outside the
 // timing, mirroring the paper's measurement of query completion time.
-func benchVariant(b *testing.B, v provnet.Variant, n int, reportBandwidth bool) {
+// after, when non-nil, sees each converged network.
+func converge(b *testing.B, cfg provnet.Config, n int, seedBase int64, after func(*provnet.Network)) (sum provnet.Report) {
 	b.Helper()
-	var totalBytes, totalMsgs, totalDerivs int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		net := buildNet(b, provnet.VariantConfig(v, provnet.BestPath), n, int64(n*100+i))
+		net := buildNet(b, cfg, n, seedBase+int64(i))
 		b.StartTimer()
 		rep, err := net.Run(0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		totalBytes += rep.Bytes
-		totalMsgs += rep.Messages
-		totalDerivs += rep.Derivations
+		sum.Bytes += rep.Bytes
+		sum.Messages += rep.Messages
+		sum.Derivations += rep.Derivations
+		if after != nil {
+			after(net)
+		}
 	}
-	if reportBandwidth {
-		b.ReportMetric(float64(totalBytes)/float64(b.N)/(1<<20), "wire_MB/op")
-		b.ReportMetric(float64(totalMsgs)/float64(b.N), "messages/op")
-	} else {
-		b.ReportMetric(float64(totalDerivs)/float64(b.N), "derivations/op")
-	}
+	return sum
 }
 
-// BenchmarkFig3 regenerates Figure 3: query completion time vs N for the
-// three variants.
+// reportWire reports the Figure 4 bandwidth metrics of summed runs.
+func reportWire(b *testing.B, sum provnet.Report) {
+	b.ReportMetric(float64(sum.Bytes)/float64(b.N)/(1<<20), "wire_MB/op")
+	b.ReportMetric(float64(sum.Messages)/float64(b.N), "messages/op")
+}
+
+func reportDerivations(b *testing.B, sum provnet.Report) {
+	b.ReportMetric(float64(sum.Derivations)/float64(b.N), "derivations/op")
+}
+
+// BenchmarkFig3 regenerates Figures 3 and 4: query completion time and
+// bandwidth vs N for the three variants.
 func BenchmarkFig3(b *testing.B) {
 	for _, v := range []provnet.Variant{provnet.VariantNDlog, provnet.VariantSeNDlog, provnet.VariantSeNDlogProv} {
 		for _, n := range benchSizes {
 			b.Run(fmt.Sprintf("%s/N=%d", v, n), func(b *testing.B) {
-				benchVariant(b, v, n, false)
-			})
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates Figure 4: bandwidth vs N for the three
-// variants (read wire_MB/op).
-func BenchmarkFig4(b *testing.B) {
-	for _, v := range []provnet.Variant{provnet.VariantNDlog, provnet.VariantSeNDlog, provnet.VariantSeNDlogProv} {
-		for _, n := range benchSizes {
-			b.Run(fmt.Sprintf("%s/N=%d", v, n), func(b *testing.B) {
-				benchVariant(b, v, n, true)
+				sum := converge(b, provnet.VariantConfig(v, provnet.BestPath), n, int64(n*100), nil)
+				reportDerivations(b, sum)
+				reportWire(b, sum)
 			})
 		}
 	}
@@ -104,30 +104,13 @@ func BenchmarkFig4(b *testing.B) {
 // identical tables, rounds, and transport stats (see
 // internal/core.TestParallelMatchesSequential); only wall-clock differs.
 func BenchmarkParallelRounds(b *testing.B) {
-	schedules := []struct {
-		name       string
-		sequential bool
-	}{
-		{"sequential", true},
-		{"parallel", false},
-	}
-	for _, s := range schedules {
-		for _, n := range []int{10, 20} {
-			b.Run(fmt.Sprintf("%s/N=%d", s.name, n), func(b *testing.B) {
-				var totalDerivs int64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.BestPath)
-					cfg.Sequential = s.sequential
-					net := buildNet(b, cfg, n, int64(n*100+i))
-					b.StartTimer()
-					rep, err := net.Run(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					totalDerivs += rep.Derivations
-				}
-				b.ReportMetric(float64(totalDerivs)/float64(b.N), "derivations/op")
+	for _, sequential := range []bool{true, false} {
+		name := map[bool]string{true: "sequential", false: "parallel"}[sequential]
+		for _, n := range benchSizes {
+			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
+				cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.BestPath)
+				cfg.Sequential = sequential
+				reportDerivations(b, converge(b, cfg, n, int64(n*100), nil))
 			})
 		}
 	}
@@ -138,32 +121,13 @@ func BenchmarkParallelRounds(b *testing.B) {
 // charge per (src,dst) pair per round) vs the seed's one-envelope-per-
 // tuple format. Read wire_MB/op and messages/op.
 func BenchmarkFig4Batching(b *testing.B) {
-	formats := []struct {
-		name      string
-		unbatched bool
-	}{
-		{"batched", false},
-		{"unbatched", true},
-	}
-	for _, f := range formats {
+	for _, unbatched := range []bool{false, true} {
+		name := map[bool]string{false: "batched", true: "unbatched"}[unbatched]
 		for _, n := range benchSizes {
-			b.Run(fmt.Sprintf("%s/N=%d", f.name, n), func(b *testing.B) {
-				var totalBytes, totalMsgs int64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.BestPath)
-					cfg.Unbatched = f.unbatched
-					net := buildNet(b, cfg, n, int64(n*100+i))
-					b.StartTimer()
-					rep, err := net.Run(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					totalBytes += rep.Bytes
-					totalMsgs += rep.Messages
-				}
-				b.ReportMetric(float64(totalBytes)/float64(b.N)/(1<<20), "wire_MB/op")
-				b.ReportMetric(float64(totalMsgs)/float64(b.N), "messages/op")
+			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
+				cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.BestPath)
+				cfg.Unbatched = unbatched
+				reportWire(b, converge(b, cfg, n, int64(n*100), nil))
 			})
 		}
 	}
@@ -255,15 +219,7 @@ func BenchmarkAblationSays(b *testing.B) {
 	}
 	for _, s := range schemes {
 		b.Run(s.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := provnet.Config{Source: provnet.BestPath, Auth: s.scheme}
-				net := buildNet(b, cfg, 15, int64(i))
-				b.StartTimer()
-				if _, err := net.Run(0); err != nil {
-					b.Fatal(err)
-				}
-			}
+			converge(b, provnet.Config{Source: provnet.BestPath, Auth: s.scheme}, 15, 0, nil)
 		})
 	}
 }
@@ -274,19 +230,7 @@ func BenchmarkAblationProvMode(b *testing.B) {
 	modes := []provnet.ProvMode{provenance.ModeNone, provenance.ModeLocal, provenance.ModeDistributed, provenance.ModeCondensed}
 	for _, m := range modes {
 		b.Run(m.String(), func(b *testing.B) {
-			var totalBytes int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := provnet.Config{Source: provnet.BestPath, Prov: m}
-				net := buildNet(b, cfg, 15, int64(i))
-				b.StartTimer()
-				rep, err := net.Run(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalBytes += rep.Bytes
-			}
-			b.ReportMetric(float64(totalBytes)/float64(b.N)/(1<<20), "wire_MB/op")
+			reportWire(b, converge(b, provnet.Config{Source: provnet.BestPath, Prov: m}, 15, 0, nil))
 		})
 	}
 }
@@ -297,18 +241,12 @@ func BenchmarkAblationSampling(b *testing.B) {
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("every=%d", k), func(b *testing.B) {
 			var entries int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := provnet.Config{Source: provnet.BestPath, Prov: provenance.ModeDistributed, SampleEvery: k}
-				net := buildNet(b, cfg, 15, int64(i))
-				b.StartTimer()
-				if _, err := net.Run(0); err != nil {
-					b.Fatal(err)
-				}
+			cfg := provnet.Config{Source: provnet.BestPath, Prov: provenance.ModeDistributed, SampleEvery: k}
+			converge(b, cfg, 15, 0, func(net *provnet.Network) {
 				for _, name := range net.Nodes() {
 					entries += int64(net.Node(name).Store.OnlineCount())
 				}
-			}
+			})
 			b.ReportMetric(float64(entries)/float64(b.N), "store_entries/op")
 		})
 	}

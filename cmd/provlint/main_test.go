@@ -28,11 +28,10 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// TestDeliberateViolation mirrors benchgate's deliberate-regression
-// check: seed a file that breaks the keystring and nilmetrics
-// contracts, run the real binary over it, and require a nonzero exit
-// naming both findings. This is what proves `make lint` can actually
-// fail.
+// TestDeliberateViolation is the deliberate-regression check: seed a
+// file that breaks the keystring and nilmetrics contracts, run the real
+// binary over it, and require a nonzero exit naming both findings. This
+// is what proves `make lint` can actually fail.
 func TestDeliberateViolation(t *testing.T) {
 	bin := buildProvlint(t)
 	dir := t.TempDir()

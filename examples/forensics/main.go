@@ -1,9 +1,7 @@
 // Forensics demonstrates the paper's forensics use case (§3, §4.2): a
 // worm-style attack spreads through the network as soft-state tuples;
 // after the attack traffic has long expired, the victim reconstructs the
-// infection path from OFFLINE distributed provenance — and, as the
-// cheaper lossy alternative, from ForNet-style Bloom-filter router
-// digests.
+// infection path from OFFLINE distributed provenance.
 package main
 
 import (

@@ -317,14 +317,6 @@ func detPrime(rng io.Reader, bits int) (*big.Int, error) {
 	}
 }
 
-// HasPrincipal reports whether name is registered.
-func (d *Directory) HasPrincipal(name string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, ok := d.levels[name]
-	return ok
-}
-
 // Level returns the security level of a principal (0 if unknown).
 func (d *Directory) Level(name string) int64 {
 	d.mu.RLock()

@@ -116,9 +116,6 @@ func TestDirectoryLevels(t *testing.T) {
 	if d.Level("nobody") != 0 {
 		t.Error("unknown level should be 0")
 	}
-	if !d.HasPrincipal("bob") || d.HasPrincipal("nobody") {
-		t.Error("HasPrincipal")
-	}
 	ps := d.Principals()
 	if len(ps) != 2 || ps[0].Name != "alice" || ps[1].Name != "bob" {
 		t.Errorf("Principals = %v", ps)

@@ -180,13 +180,6 @@ func (s *SessionSealer) BeginRound() {
 	}
 }
 
-// Epoch returns the current key epoch.
-func (s *SessionSealer) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
 func linkKey(src, dst string) string { return src + "\x00" + dst }
 
 // deriveSessionKey derives the src→dst session key for an epoch from the

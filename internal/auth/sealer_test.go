@@ -18,15 +18,16 @@ func sealerDir(t testing.TB) *Directory {
 	return d
 }
 
-// handshake performs the full a→b handshake and returns the sealer.
-func handshake(t *testing.T, s *SessionSealer, src, dst string) {
+// handshake performs the full src→dst handshake if the link needs one,
+// reporting whether it did and at which key epoch.
+func handshake(t *testing.T, s *SessionSealer, src, dst string) (need bool, epoch uint64) {
 	t.Helper()
 	need, epoch, err := s.EnsureSession(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !need {
-		return
+		return false, epoch
 	}
 	frame, err := s.SealHandshake(src, dst, epoch)
 	if err != nil {
@@ -39,6 +40,7 @@ func handshake(t *testing.T, s *SessionSealer, src, dst string) {
 	if got != src {
 		t.Fatalf("accepted handshake from %q, want %q", got, src)
 	}
+	return true, epoch
 }
 
 func TestSignerSealerAdaptsSigner(t *testing.T) {
@@ -183,10 +185,9 @@ func TestSessionRekey(t *testing.T) {
 	}
 
 	s.BeginRound() // round 3, epoch 1: rekey
-	if s.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", s.Epoch())
+	if need, epoch := handshake(t, s, "a", "b"); !need || epoch != 1 {
+		t.Fatalf("after rekey: handshake needed=%v at epoch %d, want a fresh one at epoch 1", need, epoch)
 	}
-	handshake(t, s, "a", "b") // must need a fresh handshake
 	newTag, err := s.Seal("a", "b", []byte("new"))
 	if err != nil {
 		t.Fatal(err)

@@ -66,18 +66,8 @@ func New() *Manager {
 	return m
 }
 
-// NumVars returns the number of registered variables.
-func (m *Manager) NumVars() int { return len(m.varNames) }
-
 // NumNodes returns the total number of allocated nodes including terminals.
 func (m *Manager) NumNodes() int { return len(m.nodes) }
-
-// VarNames returns the registered variable names in order.
-func (m *Manager) VarNames() []string {
-	out := make([]string, len(m.varNames))
-	copy(out, m.varNames)
-	return out
-}
 
 // varLevel registers name if new and returns its order position.
 func (m *Manager) varLevel(name string) int32 {
@@ -193,21 +183,6 @@ func (m *Manager) Or(ns ...Node) Node {
 // Not returns the complement of n.
 func (m *Manager) Not(n Node) Node { return m.ITE(n, False, True) }
 
-// Xor returns exclusive-or.
-func (m *Manager) Xor(a, b Node) Node { return m.ITE(a, m.Not(b), b) }
-
-// Implies returns a → b.
-func (m *Manager) Implies(a, b Node) Node { return m.ITE(a, b, True) }
-
-// Cube returns the conjunction of the named positive literals.
-func (m *Manager) Cube(vars ...string) Node {
-	r := True
-	for _, v := range vars {
-		r = m.And(r, m.Var(v))
-	}
-	return r
-}
-
 // Eval evaluates n under the assignment (missing variables are false).
 func (m *Manager) Eval(n Node, assign map[string]bool) bool {
 	for n != True && n != False {
@@ -256,11 +231,6 @@ func (m *Manager) Restrict(n Node, name string, val bool) Node {
 	return rec(n)
 }
 
-// Exists existentially quantifies variable name out of n.
-func (m *Manager) Exists(n Node, name string) Node {
-	return m.Or(m.Restrict(n, name, false), m.Restrict(n, name, true))
-}
-
 // Support returns the sorted names of variables n depends on.
 func (m *Manager) Support(n Node) []string {
 	seen := make(map[int32]bool)
@@ -283,69 +253,6 @@ func (m *Manager) Support(n Node) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NodeCount returns the number of non-terminal nodes in the BDD rooted at n.
-func (m *Manager) NodeCount(n Node) int {
-	visited := make(map[Node]bool)
-	var rec func(Node)
-	rec = func(x Node) {
-		if x == True || x == False || visited[x] {
-			return
-		}
-		visited[x] = true
-		rec(m.nodes[x].lo)
-		rec(m.nodes[x].hi)
-	}
-	rec(n)
-	return len(visited)
-}
-
-// SatCount returns the number of satisfying assignments of n over all
-// currently registered variables.
-func (m *Manager) SatCount(n Node) float64 {
-	memo := make(map[Node]float64)
-	var rec func(Node) float64
-	rec = func(x Node) float64 {
-		if x == False {
-			return 0
-		}
-		if x == True {
-			return 1
-		}
-		if c, ok := memo[x]; ok {
-			return c
-		}
-		d := m.nodes[x]
-		lo, hi := rec(d.lo), rec(d.hi)
-		// Scale by skipped levels below this node.
-		c := lo*pow2(m.below(d.lo)-d.level-1) + hi*pow2(m.below(d.hi)-d.level-1)
-		memo[x] = c
-		return c
-	}
-	if n == False {
-		return 0
-	}
-	root := rec(n)
-	return root * pow2(m.levelOf(n))
-}
-
-// levelOf returns the level of n, treating terminals as NumVars.
-func (m *Manager) levelOf(n Node) int32 {
-	if n == True || n == False {
-		return int32(len(m.varNames))
-	}
-	return m.nodes[n].level
-}
-
-func (m *Manager) below(n Node) int32 { return m.levelOf(n) }
-
-func pow2(k int32) float64 {
-	r := 1.0
-	for ; k > 0; k-- {
-		r *= 2
-	}
-	return r
 }
 
 // Cubes returns the DNF of n as a list of cubes; each cube lists the

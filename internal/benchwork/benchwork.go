@@ -1,6 +1,7 @@
 // Package benchwork defines the benchmark workloads shared by the
-// pinned tests, the Benchmark* harnesses, and cmd/benchgate — one
-// definition each, so the gate measures exactly what the tests pin.
+// pinned tests and the Benchmark* harnesses — one definition each, so
+// a benchmark measures exactly what a test pins. Its own test binary
+// also holds the hot-path allocation budget (budget_test.go).
 //
 // Two churn workloads coexist. BestPathChurn is the PR-2 workload:
 // batch-style refresh cycles (keyed link-fact replacement, then a full
@@ -58,9 +59,9 @@ func BestPathChurn(fatal func(...any), cfg provnet.Config, nodes, cycles, keyBit
 // BestPathChurnStaged splits BestPathChurn into setup and measurement:
 // it builds the network (principal key generation) and runs the initial
 // convergence, then returns a one-shot closure that drives the refresh
-// cycles — the steady-state churn window cmd/benchgate times and
-// allocation-counts. The closure is one-shot because each cycle's costs
-// undercut the previous fixpoint's.
+// cycles — the steady-state churn window the allocation budget counts.
+// The closure is one-shot because each cycle's costs undercut the
+// previous fixpoint's.
 func BestPathChurnStaged(fatal func(...any), cfg provnet.Config, nodes, cycles, keyBits int, seed int64) func() *provnet.Report {
 	g := provnet.RandomGraph(provnet.TopoOptions{N: nodes, AvgOutDegree: 3, MaxCost: 10, Seed: seed})
 	scale := int64(cycles + 1)
@@ -133,14 +134,13 @@ func LiveBestPathChurn(fatal func(...any), cfg provnet.Config, nodes, cycles, ke
 	return rep
 }
 
-// ShardedFanInSource is the wide fan-in workload behind benchgate's
-// "sharded-fanin" cell (the name BENCH_pr7.json recorded it under):
-// spoke nodes ship edge readings to a single hub, which computes the
-// two-hop join and a per-source fan-out count. Nearly all work is the
-// hub's rule evaluation — one huge delta wave self-joined against
-// itself — so the transport layer is negligible, unlike the Best-Path
-// workloads where per-round crypto and inter-node scheduling dominate.
-const ShardedFanInSource = `
+// FanInSource is the wide fan-in workload: spoke nodes ship edge
+// readings to a single hub, which computes the two-hop join and a
+// per-source fan-out count. Nearly all work is the hub's rule
+// evaluation — one huge delta wave self-joined against itself — so the
+// transport layer is negligible, unlike the Best-Path workloads where
+// per-round crypto and inter-node scheduling dominate.
+const FanInSource = `
 materialize(item, infinity, infinity, keys(1,2,3,4)).
 materialize(feed, infinity, infinity, keys(1,2,3)).
 materialize(two, infinity, infinity, keys(1,2,3)).
@@ -153,15 +153,14 @@ c1 fan(@H, X, count<*>) :- two(@H, X, Z).
 // FanInHub is the hub node name of the fan-in workload.
 const FanInHub = "hub"
 
-// ShardedFanInStaged sets up the wide fan-in workload — a random
-// directed edge set over vertices vertices (out-degree degree), spread
-// as item facts across spokes source nodes, all feeding the hub's
-// two-hop join — and returns a one-shot closure that runs it to the
-// distributed fixpoint: the
-// evaluation window cmd/benchgate times and allocation-counts, free of
-// topology construction and principal key generation.
-func ShardedFanInStaged(fatal func(...any), cfg provnet.Config, spokes, vertices, degree int, seed int64) func() *provnet.Report {
-	cfg.Source = ShardedFanInSource
+// FanInStaged sets up the wide fan-in workload — a random directed edge
+// set over vertices vertices (out-degree degree), spread as item facts
+// across spokes source nodes, all feeding the hub's two-hop join — and
+// returns a one-shot closure that runs it to the distributed fixpoint:
+// the evaluation window the allocation budget counts, free of topology
+// construction and principal key generation.
+func FanInStaged(fatal func(...any), cfg provnet.Config, spokes, vertices, degree int, seed int64) func() *provnet.Report {
+	cfg.Source = FanInSource
 	cfg.Seed = seed
 	cfg.ExtraNodes = append([]string{FanInHub}, spokeNames(spokes)...)
 	net, err := provnet.NewNetwork(cfg)

@@ -1,0 +1,81 @@
+package benchwork
+
+import (
+	"runtime"
+	"testing"
+
+	"provnet"
+)
+
+// budgetCell is one hot-path window with the work it must do and the
+// allocations it may make. To re-record after an intended hot-path
+// change: run `go test -run TestHotPathAllocBudget -v ./internal/benchwork`
+// and copy the four numbers each cell logs.
+type budgetCell struct {
+	name   string
+	stage  func(fatal func(...any)) func() *provnet.Report
+	derivs int64
+	stored int64
+	rounds int
+	allocs uint64
+}
+
+var budgetCells = []budgetCell{
+	{
+		// One huge delta wave self-joined at the hub: nearly all engine,
+		// the one shape bench/'s four workloads do not have.
+		name: "fan-in",
+		stage: func(fatal func(...any)) func() *provnet.Report {
+			return FanInStaged(fatal, provnet.Config{}, 8, 64, 6, 4000)
+		},
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 17877,
+	},
+	{
+		name: "bestpath-churn",
+		stage: func(fatal func(...any)) func() *provnet.Report {
+			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
+		},
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 234662,
+	},
+}
+
+// allocSlack is how far a window may drift above its recorded
+// allocation count before the test fails. The count is a pure function
+// of the seed on one processor (the race detector adds well under 1 %),
+// so this is room for small intended changes, not for noise.
+const allocSlack = 1.20
+
+// TestHotPathAllocBudget is the allocation bound of the eval → import →
+// seal path, on one processor with Config.Metrics nil. Each cell is
+// built (topology, keys, initial convergence) outside the window; a GC
+// runs, and the Mallocs delta brackets only the staged closure, the way
+// testing.B's -benchmem does. The three work counts must be exactly the
+// recorded ones — otherwise the workload changed and the allocation
+// comparison means nothing — and allocations at most allocSlack × the
+// recorded count. There is no wall-clock bound here: that is bench/'s
+// op_ms_p50.
+//
+// TestMetricsDoNotPerturb (internal/core) proves that observing changes
+// no result; this test, with metrics nil, is the proof that not
+// observing allocates nothing extra.
+func TestHotPathAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range budgetCells {
+		run := c.stage(t.Fatal)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		rep := run()
+		runtime.ReadMemStats(&m1)
+		allocs := m1.Mallocs - m0.Mallocs
+		t.Logf("%s: derivs: %d, stored: %d, rounds: %d, allocs: %d", c.name, rep.Derivations, rep.TuplesStored, rep.Rounds, allocs)
+		if rep.Derivations != c.derivs || rep.TuplesStored != c.stored || rep.Rounds != c.rounds {
+			t.Errorf("%s: workload drift: derivations %d (recorded %d), tuples stored %d (%d), rounds %d (%d)",
+				c.name, rep.Derivations, c.derivs, rep.TuplesStored, c.stored, rep.Rounds, c.rounds)
+			continue
+		}
+		if limit := uint64(float64(c.allocs) * allocSlack); allocs > limit {
+			t.Errorf("%s: %d allocations in the window, budget %d (recorded %d × %.2f)", c.name, allocs, limit, c.allocs, allocSlack)
+		}
+	}
+}

@@ -11,10 +11,11 @@ import (
 
 // netMetrics bundles the Network's observability instruments. It is
 // nil when Config.Metrics is nil, so every instrumented path pays one
-// nil check and nothing else when observability is off — the benchgate
-// allocation bound enforces that contract. When on, hot-path updates
-// are atomic adds on pre-created instruments; everything that needs a
-// map or a sort happens at scrape time or at round granularity.
+// nil check and nothing else when observability is off — the allocation
+// budget (internal/benchwork, TestHotPathAllocBudget) enforces that
+// contract. When on, hot-path updates are atomic adds on pre-created
+// instruments; everything that needs a map or a sort happens at scrape
+// time or at round granularity.
 //
 // Layering: engine and the transports do not import obs. Engine
 // activity is sampled here from cumulative engine.Stats sums at round

@@ -220,52 +220,3 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 	}
 	return Tuple{Pred: pred, Asserter: asserter, Args: args}, n, nil
 }
-
-// EncodedSize returns the wire size of t without materialising the bytes.
-func EncodedSize(t Tuple) int {
-	n := uvarintLen(uint64(len(t.Pred))) + len(t.Pred)
-	n += uvarintLen(uint64(len(t.Asserter))) + len(t.Asserter)
-	n += uvarintLen(uint64(len(t.Args)))
-	for _, v := range t.Args {
-		n += valueSize(v)
-	}
-	return n
-}
-
-func valueSize(v Value) int {
-	switch v.Kind {
-	case KindInt:
-		return 1 + varintLen(v.Int)
-	case KindBool:
-		return 2
-	case KindFloat:
-		return 9
-	case KindString:
-		return 1 + uvarintLen(uint64(len(v.Str))) + len(v.Str)
-	case KindList:
-		n := 1 + uvarintLen(uint64(len(v.List)))
-		for _, e := range v.List {
-			n += valueSize(e)
-		}
-		return n
-	default:
-		return 1
-	}
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(x int64) int {
-	ux := uint64(x) << 1
-	if x < 0 {
-		ux = ^ux
-	}
-	return uvarintLen(ux)
-}

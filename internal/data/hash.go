@@ -142,23 +142,3 @@ func HashValues(vals []Value) uint64 {
 	}
 	return h & testHashMask.Load()
 }
-
-// HashString folds an arbitrary string into a structural hash, for
-// callers that mix symbols (rule labels, destinations) with tuple hashes.
-func HashString(s string) uint64 {
-	return hashStr(fnvOffset64, s) & testHashMask.Load()
-}
-
-// EqualValues reports pairwise equality of two value slices, the bucket
-// fallback companion to HashValues.
-func EqualValues(a, b []Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -103,7 +103,7 @@ func TestLimitHashBitsForTesting(t *testing.T) {
 	}
 }
 
-// TestInternIDStable pins id stability and canonical backing.
+// TestInternIDStable pins id stability.
 func TestInternIDStable(t *testing.T) {
 	a := InternID("intern-test-sym-a")
 	b := InternID("intern-test-sym-b")
@@ -112,15 +112,6 @@ func TestInternIDStable(t *testing.T) {
 	}
 	if InternID("intern-test-sym-a") != a {
 		t.Error("re-interning changed the id")
-	}
-	if InternedString(a) != "intern-test-sym-a" || InternedString(b) != "intern-test-sym-b" {
-		t.Error("InternedString does not round-trip")
-	}
-	if InternedString(1<<30) != "" {
-		t.Error("unknown id should map to empty string")
-	}
-	if Intern("intern-test-sym-a") != "intern-test-sym-a" {
-		t.Error("Intern returns a non-equal string")
 	}
 }
 
@@ -138,10 +129,6 @@ func TestInternConcurrent(t *testing.T) {
 			for i := 0; i < symbols; i++ {
 				s := fmt.Sprintf("conc-sym-%d", i)
 				ids[w][i] = InternID(s)
-				if got := InternedString(ids[w][i]); got != s {
-					t.Errorf("round-trip failed: %q -> %d -> %q", s, ids[w][i], got)
-				}
-				Intern(s)
 			}
 		}(w)
 	}

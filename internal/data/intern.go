@@ -3,31 +3,23 @@ package data
 import "sync"
 
 // A process-wide interning table for low-cardinality symbols: predicate
-// names, node addresses / destinations, principal (asserter) names. Two
-// jobs: (1) map a symbol to a small dense integer id so hot-path
-// signatures (dependency edges, withdrawal queues) can carry a uint32
-// instead of concatenated strings, and (2) return one canonical backing
-// string so the thousands of copies decoded off the wire all share
-// storage.
+// names, node addresses / destinations, principal (asserter) names. It
+// maps a symbol to a small dense integer id so hot-path signatures
+// (dependency edges, withdrawal queues) can carry a uint32 instead of
+// concatenated strings.
 //
 // The table is append-only and concurrency-safe: a read-lock fast path
 // serves the steady state, a write lock admits new symbols. Ids are
 // assigned in first-seen order and never recycled. Symbol cardinality is
 // bounded by program text plus topology (predicates, nodes, principals),
-// so the table stays small for any real deployment; Intern additionally
-// refuses to grow past a cap so adversarial wire input cannot balloon it.
+// so the table stays small for any real deployment.
 
 type internTable struct {
-	mu   sync.RWMutex
-	ids  map[string]uint32
-	strs []string
+	mu  sync.RWMutex
+	ids map[string]uint32
 }
 
 var interner = internTable{ids: make(map[string]uint32, 64)}
-
-// maxInterned caps canonicalization of arbitrary (wire-supplied) strings.
-// Symbol-id allocation via InternID is engine-internal and uncapped.
-const maxInterned = 1 << 20
 
 // InternID returns the dense id for a symbol, allocating one on first
 // sight. Call it only for low-cardinality symbols (destinations,
@@ -47,40 +39,7 @@ func InternID(s string) uint32 {
 	// Copy the key so an interned id never pins a larger buffer the
 	// caller sliced s from.
 	s = string(append([]byte(nil), s...))
-	id = uint32(len(interner.strs))
-	interner.strs = append(interner.strs, s)
+	id = uint32(len(interner.ids))
 	interner.ids[s] = id
 	return id
-}
-
-// InternedString returns the symbol for an id previously returned by
-// InternID. Unknown ids return "".
-func InternedString(id uint32) string {
-	interner.mu.RLock()
-	defer interner.mu.RUnlock()
-	if int(id) >= len(interner.strs) {
-		return ""
-	}
-	return interner.strs[id]
-}
-
-// Intern returns the canonical shared backing for s: the first string
-// equal to s that entered the table. Once the table is at capacity,
-// unseen strings are returned unchanged (still correct, just not
-// deduplicated), so hostile input cannot grow the table without bound.
-func Intern(s string) string {
-	interner.mu.RLock()
-	id, ok := interner.ids[s]
-	if ok {
-		c := interner.strs[id]
-		interner.mu.RUnlock()
-		return c
-	}
-	full := len(interner.strs) >= maxInterned
-	interner.mu.RUnlock()
-	if full {
-		return s
-	}
-	InternID(s)
-	return s
 }

@@ -25,9 +25,6 @@ func NewTuple(pred string, args ...Value) Tuple {
 	return Tuple{Pred: pred, Args: args}
 }
 
-// Arity returns the number of attributes.
-func (t Tuple) Arity() int { return len(t.Args) }
-
 // Says returns a copy of t asserted by the given principal.
 func (t Tuple) Says(principal string) Tuple {
 	t2 := t

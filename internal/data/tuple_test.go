@@ -6,7 +6,7 @@ import (
 
 func TestTupleBasics(t *testing.T) {
 	tu := NewTuple("link", Str("a"), Str("b"), Int(1))
-	if tu.Pred != "link" || tu.Arity() != 3 {
+	if tu.Pred != "link" || len(tu.Args) != 3 {
 		t.Fatalf("NewTuple = %#v", tu)
 	}
 	if got := tu.String(); got != "link(a, b, 1)" {

@@ -8,7 +8,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -311,8 +310,3 @@ func (v Value) appendKey(b []byte) []byte {
 // Key returns the canonical key encoding of v as a string, usable as a map
 // key.
 func (v Value) Key() string { return string(v.appendKey(nil)) }
-
-// SortValues sorts a slice of values in Compare order, in place.
-func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
-}

@@ -367,34 +367,3 @@ func (p *Program) String() string {
 	}
 	return sb.String()
 }
-
-// PredicatesUsed returns the sorted set of predicate names appearing in the
-// program (heads, bodies and facts).
-func (p *Program) PredicatesUsed() []string {
-	set := map[string]bool{}
-	for _, r := range p.Rules {
-		set[r.Head.Pred] = true
-		for _, l := range r.Body {
-			if l.Kind == LitAtom {
-				set[l.Atom.Pred] = true
-			}
-		}
-	}
-	for _, f := range p.Facts {
-		set[f.Tuple.Pred] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
-}

@@ -341,12 +341,3 @@ func TestProgramString(t *testing.T) {
 		t.Errorf("round trip rules = %d, want %d", len(prog2.Rules), len(prog.Rules))
 	}
 }
-
-func TestPredicatesUsed(t *testing.T) {
-	prog := MustParse(reachableNDlog + "\nlink(@a,b).\n")
-	got := prog.PredicatesUsed()
-	want := []string{"link", "reachable"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("PredicatesUsed = %v", got)
-	}
-}

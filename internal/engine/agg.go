@@ -219,7 +219,7 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 		bodies = g.allBodies
 	}
 	ann := e.hook.Derive(st.rule.label, e.self, head, bodies)
-	e.insert(head, ann)
+	e.insert(head, ann, support{local: true}, 0)
 }
 
 // recomputeAggregates rebuilds every aggregate from the live tables after

@@ -21,7 +21,7 @@ func TestTableForcedCollisions(t *testing.T) {
 	tbl := NewTable("p", nil, -1, -1)
 	const rows = 64
 	for i := 0; i < rows; i++ {
-		tbl.InsertFull(tup("p", i, fmt.Sprintf("v%d", i)), nil, 0)
+		tbl.Insert(tup("p", i, fmt.Sprintf("v%d", i)), nil, 0)
 	}
 	if tbl.Size() != rows {
 		t.Fatalf("size = %d, want %d (collisions must not merge distinct rows)", tbl.Size(), rows)
@@ -35,9 +35,11 @@ func TestTableForcedCollisions(t *testing.T) {
 		t.Fatal("collision chain returned a non-equal tuple")
 	}
 	for i := 0; i < rows; i += 2 {
-		if !tbl.Delete(tup("p", i, fmt.Sprintf("v%d", i))) {
-			t.Fatalf("delete %d failed under collisions", i)
+		en := tbl.Get(tup("p", i, fmt.Sprintf("v%d", i)))
+		if en == nil {
+			t.Fatalf("row %d not found under collisions", i)
 		}
+		tbl.kill(en)
 	}
 	if tbl.Size() != rows/2 {
 		t.Fatalf("size after deletes = %d, want %d", tbl.Size(), rows/2)
@@ -56,12 +58,12 @@ func TestTableKeyedForcedCollisions(t *testing.T) {
 	tbl := NewTable("route", []int{0}, -1, -1)
 	const rows = 16
 	for i := 0; i < rows; i++ {
-		tbl.InsertFull(tup("route", i, "old"), nil, 0)
+		tbl.Insert(tup("route", i, "old"), nil, 0)
 	}
 	// Replace every row through the primary key; chains must replace the
 	// matching row only.
 	for i := 0; i < rows; i++ {
-		_, _, st := tbl.InsertFull(tup("route", i, "new"), nil, 1)
+		_, st := tbl.Insert(tup("route", i, "new"), nil, 1)
 		if st != InsertReplaced {
 			t.Fatalf("row %d: status %v, want replacement", i, st)
 		}

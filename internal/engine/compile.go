@@ -294,10 +294,6 @@ type env struct {
 	bound []bool
 }
 
-func newEnv(n int) *env {
-	return &env{vals: make([]data.Value, n), bound: make([]bool, n)}
-}
-
 // bindOrCheck binds an unbound slot or verifies equality for a bound one;
 // it records new bindings on the trail.
 func (e *env) bindOrCheck(slot int, v data.Value, trail *[]int) bool {

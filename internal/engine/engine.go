@@ -382,10 +382,6 @@ func (k UpdateKind) String() string {
 	}
 }
 
-// SetOnUpdate installs (or clears) the table-change observer. It must not
-// be called while the engine is evaluating.
-func (e *Engine) SetOnUpdate(f func(t data.Tuple, kind UpdateKind)) { e.onUpdate = f }
-
 // notify reports a table change to the observer, if any.
 func (e *Engine) notify(t data.Tuple, kind UpdateKind) {
 	if e.onUpdate != nil {
@@ -395,9 +391,6 @@ func (e *Engine) notify(t data.Tuple, kind UpdateKind) {
 
 // Self returns the node identifier.
 func (e *Engine) Self() string { return e.self }
-
-// SetNow advances the engine's logical clock (seconds).
-func (e *Engine) SetNow(now float64) { e.now = now }
 
 // Now returns the logical clock.
 func (e *Engine) Now() float64 { return e.now }
@@ -491,7 +484,7 @@ func (e *Engine) InsertFact(t data.Tuple) {
 	if e.authenticated && t.Asserter == "" {
 		t.Asserter = e.self
 	}
-	e.insert(t, e.hook.Base(t))
+	e.insert(t, e.hook.Base(t), support{local: true}, 0)
 }
 
 // InsertImportedFrom inserts a tuple received from the network together
@@ -505,7 +498,7 @@ func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byt
 	if err != nil {
 		return err
 	}
-	e.insertFrom(t, ann, from, 0)
+	e.insert(t, ann, supportFrom(from), 0)
 	return nil
 }
 
@@ -514,7 +507,7 @@ func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byt
 // which needs the annotation before admission and should not pay a second
 // payload deserialization — with the sender recorded as support origin.
 func (e *Engine) InsertImportedAnnFrom(from string, t data.Tuple, ann Annotation) {
-	e.insertFrom(t, ann, from, 0)
+	e.insert(t, ann, supportFrom(from), 0)
 }
 
 // Imported pairs a received tuple with its provenance payload, for batch
@@ -537,17 +530,37 @@ func (e *Engine) InsertImportedBatchFrom(from string, items []Imported) error {
 	return nil
 }
 
-// insert stores a locally supported tuple (base fact or rule derivation)
-// and queues it for semi-naive processing.
-func (e *Engine) insert(t data.Tuple, ann Annotation) {
-	e.insertFrom(t, ann, "", 0)
+// support is what holds a tuple up as it enters insert. The per-tuple
+// path applies one source: a local one (base fact or rule derivation) or
+// one remote sender. Shadow revival applies everything a rejected
+// candidate accumulated while it sat in the shadow; that sender set is a
+// field of its own so the per-tuple path never builds or ranges a map.
+type support struct {
+	local   bool
+	origin  string          // one remote sender; "" = none
+	origins map[string]bool // shadow revival only
 }
 
-// insertFrom stores a tuple and queues it for semi-naive processing. It
-// applies the aggregate-selection prune and primary-key replacement.
-// origin names the remote sender supporting the tuple ("" = local); hash
-// is t's cached structural hash when known (0 = compute on demand).
-func (e *Engine) insertFrom(t data.Tuple, ann Annotation, origin string, hash uint64) {
+// supportFrom is the per-tuple support: origin names the remote sender
+// that shipped the tuple, "" a local source.
+func supportFrom(origin string) support {
+	return support{local: origin == "", origin: origin}
+}
+
+// senders returns the remote part of s as the set a shadow row keeps
+// (nil when there is none).
+func (s support) senders() map[string]bool {
+	if s.origin != "" {
+		return map[string]bool{s.origin: true}
+	}
+	return s.origins
+}
+
+// insert stores a tuple and queues it for semi-naive processing: the one
+// place a tuple enters a table. It applies the aggregate-selection prune
+// and primary-key replacement. sup is the support being applied; hash is
+// t's cached structural hash when known (0 = compute on demand).
+func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) {
 	// Aggregate selection: drop tuples that do not improve their group.
 	// A tuple identical to a stored live row bypasses the prune and takes
 	// the duplicate path below instead: shadowing a stored tuple would
@@ -562,7 +575,7 @@ func (e *Engine) insertFrom(t data.Tuple, ann Annotation, origin string, hash ui
 			c := val.Compare(g.best)
 			if (ps.min && c >= 0) || (!ps.min && c <= 0) {
 				e.Stats.TuplesDropped++
-				ps.addShadow(g, t, ann, origin)
+				ps.addShadowRow(g, shadowRow{tuple: t, ann: ann, localSupport: sup.local, origins: sup.senders()})
 				return
 			}
 		}
@@ -573,7 +586,7 @@ func (e *Engine) insertFrom(t data.Tuple, ann Annotation, origin string, hash ui
 
 	tbl := e.table(t.Pred)
 	entry, replaced, status := tbl.insertHashed(t, ann, e.now, hash)
-	entry.addSupport(origin)
+	entry.addSupport(sup)
 	switch status {
 	case InsertNew, InsertReplaced:
 		e.Stats.TuplesStored++
@@ -591,18 +604,6 @@ func (e *Engine) insertFrom(t data.Tuple, ann Annotation, origin string, hash ui
 			e.notify(entry.Tuple, UpdateAnnotation)
 		}
 	}
-}
-
-// addShadow records a prune-rejected candidate for possible revival,
-// merging support when the same tuple is rejected repeatedly.
-func (ps *pruneSpec) addShadow(g *pruneGroupState, t data.Tuple, ann Annotation, origin string) {
-	row := shadowRow{tuple: t, ann: ann}
-	if origin == "" {
-		row.localSupport = true
-	} else {
-		row.origins = map[string]bool{origin: true}
-	}
-	ps.addShadowRow(g, row)
 }
 
 // enforceCap bounds one group's shadow: when the cap is exceeded, one
@@ -829,7 +830,7 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 	}
 	ann := e.hook.Derive(r.label, e.self, head, body)
 	if dest == e.self {
-		e.insertFrom(head, ann, "", headHash)
+		e.insert(head, ann, support{local: true}, headHash)
 		return
 	}
 	e.exports = append(e.exports, Export{Dest: dest, Tuple: head, Ann: ann})

@@ -282,9 +282,9 @@ func TestSoftStateExpiry(t *testing.T) {
 	e := newNode(t, "a", `
 materialize(event, 10, infinity, keys(1,2)).
 `, false)
-	e.SetNow(0)
+	e.now = 0
 	e.InsertFact(data.NewTuple("event", data.Str("a"), data.Int(1)))
-	e.SetNow(5)
+	e.now = 5
 	e.InsertFact(data.NewTuple("event", data.Str("a"), data.Int(2)))
 	e.RunToFixpoint()
 	if e.Count("event") != 2 {
@@ -307,12 +307,12 @@ func TestSlidingWindowCount(t *testing.T) {
 materialize(change, 10, infinity, keys(1,2)).
 c changes(@S,count<*>) :- change(@S,X).
 `, false)
-	e.SetNow(0)
+	e.now = 0
 	e.InsertFact(data.NewTuple("change", data.Str("a"), data.Int(1)))
 	e.InsertFact(data.NewTuple("change", data.Str("a"), data.Int(2)))
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("changes"), "changes(a, 2)")
-	e.SetNow(5)
+	e.now = 5
 	e.InsertFact(data.NewTuple("change", data.Str("a"), data.Int(3)))
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("changes"), "changes(a, 3)")
@@ -330,9 +330,9 @@ c changes(@S,count<*>) :- change(@S,X).
 
 func TestTTLRefreshOnReinsert(t *testing.T) {
 	e := newNode(t, "a", `materialize(hb, 10, infinity, keys(1)).`, false)
-	e.SetNow(0)
+	e.now = 0
 	e.InsertFact(data.NewTuple("hb", data.Str("a")))
-	e.SetNow(8)
+	e.now = 8
 	e.InsertFact(data.NewTuple("hb", data.Str("a"))) // refresh
 	e.Expire(15)                                     // would expire original, not refreshed
 	if e.Count("hb") != 1 {
@@ -596,7 +596,7 @@ func TestLookupAndLiveCounts(t *testing.T) {
 		t.Errorf("Count = %d, Predicates = %v", e.Count("event"), e.Predicates())
 	}
 
-	e.SetNow(10) // expired, not yet swept
+	e.now = 10 // expired, not yet swept
 	if _, _, live := e.Lookup(stored); live {
 		t.Error("Lookup sees an expired row")
 	}
@@ -611,9 +611,9 @@ func TestLookupAndLiveCounts(t *testing.T) {
 func TestOnUpdateReportsStoredTuple(t *testing.T) {
 	var seen []string
 	e := newNode(t, "a", "", false)
-	e.SetOnUpdate(func(tu data.Tuple, kind UpdateKind) {
+	e.onUpdate = func(tu data.Tuple, kind UpdateKind) {
 		seen = append(seen, fmt.Sprintf("%s %s/%s", kind, tu, tu.Args[1].Kind))
-	})
+	}
 	e.InsertFact(data.NewTuple("p", data.Str("a"), data.Int(2)))
 	e.RunToFixpoint()
 	e.RetractFacts(data.NewTuple("p", data.Str("a"), data.Float(2)))

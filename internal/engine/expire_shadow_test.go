@@ -78,7 +78,7 @@ func TestExpireRelaxesPruneGroup(t *testing.T) {
 	}
 	e.InsertFact(ev(3))
 	e.RunToFixpoint()
-	e.SetNow(5)
+	e.now = 5
 	e.InsertFact(ev(7)) // shadowed: worse than the installed 3
 	e.RunToFixpoint()
 	if e.Has(ev(7)) {

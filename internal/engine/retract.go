@@ -538,7 +538,7 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 			g.shadow = nil
 			g.nshadow = 0
 			for _, row := range revived {
-				e.insertWithSupport(row.tuple, row.ann, row.localSupport, row.origins)
+				e.insert(row.tuple, row.ann, support{local: row.localSupport, origins: row.origins}, 0)
 			}
 		}
 		if g.lossy {
@@ -568,54 +568,8 @@ func (e *Engine) rederiveGroup(pg pruneGroup) {
 	e.restrict = nil
 }
 
-// insertWithSupport stores a tuple carrying explicit support bookkeeping
-// (shadow revival). It runs the same prune + storage + queue path as
-// insertFrom, including the stored-live bypass (see insertFrom).
-func (e *Engine) insertWithSupport(t data.Tuple, ann Annotation, localSupport bool, origins map[string]bool) {
-	if ps, ok := e.prunes[t.Pred]; ok && !e.storedLive(t) {
-		g := ps.group(t)
-		val := t.Args[ps.col]
-		if g.hasBest {
-			c := val.Compare(g.best)
-			if (ps.min && c >= 0) || (!ps.min && c <= 0) {
-				e.Stats.TuplesDropped++
-				ps.addShadowRow(g, shadowRow{tuple: t, ann: ann, localSupport: localSupport, origins: origins})
-				return
-			}
-		}
-		g.best = val
-		g.hasBest = true
-		ps.dropShadow(g, t)
-	}
-	tbl := e.table(t.Pred)
-	entry, replaced, status := tbl.InsertFull(t, ann, e.now)
-	if localSupport {
-		entry.localSupport = true
-	}
-	for o := range origins { //provlint:allow mapiter set union into entry supports; order cannot escape
-		entry.addSupport(o)
-	}
-	switch status {
-	case InsertNew, InsertReplaced:
-		e.Stats.TuplesStored++
-		e.queue = append(e.queue, entry)
-		if replaced != nil {
-			e.notify(replaced.Tuple, UpdateRetracted)
-		}
-		e.notify(t, UpdateAdded)
-	case InsertDuplicate:
-		merged, changed := e.hook.Merge(entry.Ann, ann)
-		entry.Ann = merged
-		if changed {
-			e.Stats.Merges++
-			e.queue = append(e.queue, entry)
-			e.notify(entry.Tuple, UpdateAnnotation)
-		}
-	}
-}
-
-// addShadowRow merges a full shadow row (revival path) into the group's
-// shadow.
+// addShadowRow records a prune-rejected candidate for possible revival,
+// merging support when the same tuple is rejected repeatedly.
 func (ps *pruneSpec) addShadowRow(g *pruneGroupState, row shadowRow) {
 	if g.shadow == nil {
 		g.shadow = make(map[uint64][]shadowRow)

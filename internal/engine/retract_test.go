@@ -183,17 +183,72 @@ func TestRetractImportedRespectsMultipleOrigins(t *testing.T) {
 	}
 }
 
+// TestShadowRevivalKeepsEverySupport: a candidate rejected three times
+// while a better one is installed — once as a local derivation, once
+// each from two remote senders — sits in the shadow as one row with all
+// three supports. Revival must store it with all three, so that
+// withdrawing them one at a time removes the row only at the last.
+func TestShadowRevivalKeepsEverySupport(t *testing.T) {
+	e := retractEngine(t, "n", `
+materialize(src, infinity, infinity, keys(1,2,3)).
+materialize(e, infinity, infinity, keys(1,2,3)).
+materialize(m, infinity, infinity, keys(1,2)).
+aggSelection(e, keys(1,2), min, 3).
+d1 e(@N,X,C) :- src(@N,X,C).
+m1 m(@N,X,min<C>) :- e(@N,X,C).
+`)
+	src := func(c int64) data.Tuple {
+		return data.NewTuple("src", data.Str("n"), data.Str("x"), data.Int(c))
+	}
+	m7 := data.NewTuple("m", data.Str("n"), data.Str("x"), data.Int(7))
+	e7 := data.NewTuple("e", data.Str("n"), data.Str("x"), data.Int(7))
+	e.InsertFact(src(3))
+	e.RunToFixpoint()
+	e.InsertFact(src(7)) // derives e7 locally: rejected, 3 is installed
+	for _, from := range []string{"a", "c"} {
+		if err := e.InsertImportedFrom(from, e7, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.RunToFixpoint()
+	if e.Has(e7) || e.ShadowSize() != 1 {
+		t.Fatalf("e7 stored=%v shadow=%d, want one shadow row holding all three rejections", e.Has(e7), e.ShadowSize())
+	}
+
+	e.RetractFacts(src(3)) // the bar goes: e7 revives
+	e.RunToFixpoint()
+	if !e.Has(e7) || !e.Has(m7) || e.ShadowSize() != 0 {
+		t.Fatalf("after retracting 3: e = %v m = %v shadow=%d, want e7 revived", e.Tuples("e"), e.Tuples("m"), e.ShadowSize())
+	}
+
+	withdraw := []struct {
+		what string
+		do   func()
+	}{
+		{"sender a", func() { e.RetractInbound([]InboundRetraction{{From: "a", Tuple: e7}}) }},
+		{"the local derivation", func() { e.RetractFacts(src(7)) }},
+		{"sender c", func() { e.RetractInbound([]InboundRetraction{{From: "c", Tuple: e7}}) }},
+	}
+	for i, w := range withdraw {
+		w.do()
+		e.RunToFixpoint()
+		if last := i == len(withdraw)-1; e.Has(e7) == last || e.Has(m7) == last {
+			t.Fatalf("after withdrawing %s: e7 stored=%v m7 stored=%v, want both %v", w.what, e.Has(e7), e.Has(m7), !last)
+		}
+	}
+}
+
 func TestRetractObserverSeesWithdrawals(t *testing.T) {
 	e := retractEngine(t, "n", reachProg)
 	var added, removed int
-	e.SetOnUpdate(func(tu data.Tuple, kind UpdateKind) {
+	e.onUpdate = func(tu data.Tuple, kind UpdateKind) {
 		switch {
 		case kind.Entered():
 			added++
 		case kind.Left():
 			removed++
 		}
-	})
+	}
 	edge := data.NewTuple("edge", data.Str("n"), data.Str("a"), data.Str("b"))
 	e.InsertFact(edge)
 	e.RunToFixpoint()

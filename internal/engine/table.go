@@ -37,13 +37,23 @@ type Entry struct {
 	origins      map[string]bool
 }
 
-// addSupport records one support source: origin "" is local (base fact or
-// rule derivation), anything else names the remote sender.
-func (en *Entry) addSupport(origin string) {
-	if origin == "" {
+// addSupport records every source in s on the row.
+func (en *Entry) addSupport(s support) {
+	if s.local {
 		en.localSupport = true
-		return
 	}
+	if s.origin != "" {
+		en.addOrigin(s.origin)
+	}
+	if s.origins != nil { // shadow revival only; the check keeps a map iterator off the per-tuple path
+		for o := range s.origins { //provlint:allow mapiter set union into entry supports; order cannot escape
+			en.addOrigin(o)
+		}
+	}
+}
+
+// addOrigin records one remote sender as a support of the row.
+func (en *Entry) addOrigin(origin string) {
 	if en.origins != nil {
 		en.origins[origin] = true
 		return
@@ -74,14 +84,6 @@ func (en *Entry) dropOrigin(origin string) bool {
 		return true
 	}
 	return false
-}
-
-// hasOrigin reports whether origin currently supports the row.
-func (en *Entry) hasOrigin(origin string) bool {
-	if en.origins != nil {
-		return en.origins[origin]
-	}
-	return en.hasOrigin0 && en.origin0 == origin
 }
 
 // originCount returns the number of distinct remote supports.
@@ -277,19 +279,14 @@ func (t *Table) kill(en *Entry) {
 // entry with InsertDuplicate. If a different tuple shares the primary key,
 // the old row is replaced (InsertReplaced).
 func (t *Table) Insert(tu data.Tuple, ann Annotation, now float64) (*Entry, InsertStatus) {
-	en, _, status := t.InsertFull(tu, ann, now)
+	en, _, status := t.insertHashed(tu, ann, now, 0)
 	return en, status
 }
 
-// InsertFull is Insert, additionally returning the row displaced by a
-// primary-key replacement (nil otherwise), so callers can report the
-// removal to table-update observers.
-func (t *Table) InsertFull(tu data.Tuple, ann Annotation, now float64) (*Entry, *Entry, InsertStatus) {
-	return t.insertHashed(tu, ann, now, 0)
-}
-
-// insertHashed is InsertFull with tu's structural hash supplied when the
-// caller already knows it (0 = compute here), so a hot-path insert
+// insertHashed is Insert, additionally returning the row displaced by a
+// primary-key replacement (nil otherwise), so the engine can report the
+// removal to table-update observers. hash is tu's structural hash when
+// the caller already knows it (0 = compute here), so a hot-path insert
 // hashes the tuple at most once.
 func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash uint64) (*Entry, *Entry, InsertStatus) {
 	if hash == 0 {
@@ -342,15 +339,6 @@ func (t *Table) Get(tu data.Tuple) *Entry {
 		return en
 	}
 	return nil
-}
-
-// Delete removes the row identical to tu, reporting whether it existed.
-func (t *Table) Delete(tu data.Tuple) bool {
-	if en := t.findRow(t.pkHash(tu), tu); en != nil && en.Tuple.Equal(tu) {
-		t.kill(en)
-		return true
-	}
-	return false
 }
 
 // Live returns copies of all live, unexpired tuples, in insertion order.

@@ -66,11 +66,9 @@ func TestTableKeyedReplacement(t *testing.T) {
 func TestTableDelete(t *testing.T) {
 	tbl := NewTable("p", nil, -1, -1)
 	tbl.Insert(tup("p", 1), nil, 0)
-	if !tbl.Delete(tup("p", 1)) {
-		t.Fatal("delete existing")
-	}
-	if tbl.Delete(tup("p", 1)) {
-		t.Fatal("double delete")
+	tbl.kill(tbl.Get(tup("p", 1)))
+	if tbl.Get(tup("p", 1)) != nil {
+		t.Fatal("killed row still found")
 	}
 	if tbl.Size() != 0 {
 		t.Error("size after delete")

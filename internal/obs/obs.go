@@ -10,7 +10,8 @@
 //     *Gauge / *Histogram fields and never branches on "is metrics
 //     on" — a nil pointer *is* the no-op implementation. With
 //     Config.Metrics == nil nothing is ever allocated or touched;
-//     the benchgate allocation bound enforces this.
+//     the allocation budget (internal/benchwork,
+//     TestHotPathAllocBudget) enforces this.
 //
 //   - Allocation-free on the hot path when enabled. Counter.Add,
 //     Gauge.Set/SetMax, and Histogram.Observe are atomic ops on
@@ -150,9 +151,6 @@ var DefLatencyNanos = []int64{
 	1_000_000_000, 2_500_000_000, 5_000_000_000, 10_000_000_000,
 }
 
-// DefSizeBuckets is the default size ladder for tuple/delta counts.
-var DefSizeBuckets = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
 type kind int
 
 const (
@@ -268,15 +266,6 @@ func (m *Metrics) GaugeFunc(family, help string, fn func() int64) {
 		return
 	}
 	m.lookup(family, "", "", help, kindGaugeFunc, func(e *entry) { e.fn = fn })
-}
-
-// LabeledGaugeFunc is GaugeFunc with a single label pair (per-peer
-// queue depths).
-func (m *Metrics) LabeledGaugeFunc(family, help, lkey, lval string, fn func() int64) {
-	if m == nil {
-		return
-	}
-	m.lookup(family, lkey, lval, help, kindGaugeFunc, func(e *entry) { e.fn = fn })
 }
 
 // Histogram returns (creating on first use) a histogram with the

@@ -374,6 +374,3 @@ func (s *Store) Keys() []string {
 	sort.Strings(out)
 	return out
 }
-
-// FindByTuple returns the online entry whose tuple equals t, or nil.
-func (s *Store) FindByTuple(t data.Tuple) *Entry { return s.Get(KeyOf(t)) }

@@ -67,9 +67,6 @@ func (p Poly) IsOne() bool {
 	return ok && t.coeff == 1
 }
 
-// NumTerms returns the number of distinct monomials.
-func (p Poly) NumTerms() int { return len(p.terms) }
-
 // Add returns p + q (alternative derivations).
 func (p Poly) Add(q Poly) Poly {
 	if p.IsZero() {
@@ -320,15 +317,4 @@ func scale(p Poly, k int64) Poly {
 		terms[key] = t
 	}
 	return Poly{terms: terms}
-}
-
-// MinWitness returns the smallest cube (minimal set of base assertions)
-// sufficient to derive the tuple, or nil if p is zero. Ties are broken
-// deterministically (lexicographically smallest).
-func (p Poly) MinWitness(m *bdd.Manager) []string {
-	cubes := m.Cubes(p.ToBDD(m))
-	if len(cubes) == 0 {
-		return nil
-	}
-	return cubes[0]
 }

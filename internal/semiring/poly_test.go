@@ -175,12 +175,12 @@ func TestVotesAndMinWitness(t *testing.T) {
 	if got := q.Votes(m); got != 1 {
 		t.Errorf("votes = %d, want 1", got)
 	}
-	w := p.MinWitness(m)
-	if len(w) != 1 || w[0] != "a" {
-		t.Errorf("MinWitness = %v, want [a]", w)
+	// The minimal witness is the first (smallest) cube.
+	if w := m.Cubes(p.ToBDD(m)); len(w) == 0 || len(w[0]) != 1 || w[0][0] != "a" {
+		t.Errorf("cubes = %v, want the smallest first: [a]", w)
 	}
-	if Zero().MinWitness(m) != nil {
-		t.Error("MinWitness of zero should be nil")
+	if w := m.Cubes(Zero().ToBDD(m)); len(w) != 0 {
+		t.Errorf("cubes of zero = %v, want none", w)
 	}
 }
 

@@ -142,18 +142,6 @@ func Custom(links []Link) *Graph {
 	return g
 }
 
-// OutDegree returns each node's out-degree.
-func (g *Graph) OutDegree() map[string]int {
-	out := make(map[string]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		out[n] = 0
-	}
-	for _, l := range g.Links {
-		out[l.From]++
-	}
-	return out
-}
-
 // AvgOutDegree returns the average out-degree.
 func (g *Graph) AvgOutDegree() float64 {
 	if len(g.Nodes) == 0 {
