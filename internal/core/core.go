@@ -89,9 +89,10 @@ type Config struct {
 	// authenticated provenance of §4.3.
 	AuthProv bool
 	// Offline enables the offline provenance store with the given
-	// maximum age (<0 keeps forever); nil disables it.
+	// maximum age (<0 keeps forever); nil disables it. ModeDistributed only.
 	Offline *float64
-	// SampleEvery records only every k-th derivation into stores (§5).
+	// SampleEvery records only every k-th derivation into stores (§5;
+	// ModeDistributed only).
 	SampleEvery int
 
 	// Levels assigns security levels to principals (default 1 each).
@@ -173,7 +174,7 @@ type Node struct {
 	Name    string
 	Engine  *engine.Engine
 	Tracker *provenance.Tracker
-	Store   *provenance.Store
+	Store   *provenance.Store // derivation pointers; nil outside ModeDistributed
 
 	// pendingRetract holds withdrawals this node owes other nodes after a
 	// retraction cascade (link churn). They ship ahead of the node's data
@@ -270,6 +271,14 @@ var ErrNoFixpoint = errors.New("core: no distributed fixpoint within round budge
 // provenance trackers, and inserts the base facts (program facts plus
 // topology links).
 func NewNetwork(cfg Config) (*Network, error) {
+	switch {
+	case cfg.AuthProv && cfg.Prov != provenance.ModeLocal:
+		return nil, fmt.Errorf("core: AuthProv requires ModeLocal provenance, not %v", cfg.Prov)
+	case cfg.Offline != nil && cfg.Prov != provenance.ModeDistributed:
+		return nil, fmt.Errorf("core: Offline requires ModeDistributed provenance, not %v", cfg.Prov)
+	case cfg.SampleEvery > 1 && cfg.Prov != provenance.ModeDistributed:
+		return nil, fmt.Errorf("core: SampleEvery requires ModeDistributed provenance, not %v", cfg.Prov)
+	}
 	prog := cfg.Program
 	if prog == nil {
 		p, err := datalog.Parse(cfg.Source)
@@ -432,29 +441,30 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 func (n *Network) addNode(name string, saysSemantics bool) error {
-	store := provenance.NewStore(name)
-	if n.cfg.Offline != nil {
-		store.EnableOffline(*n.cfg.Offline)
-	}
-	self := name
 	tcfg := provenance.TrackerConfig{
 		Mode:        n.cfg.Prov,
-		Self:        self,
-		Store:       store,
+		Self:        name,
 		Clock:       func() float64 { return n.clock },
 		SampleEvery: n.cfg.SampleEvery,
 	}
-	if n.cfg.AuthProv {
-		if n.cfg.Prov != provenance.ModeLocal {
-			return errors.New("core: AuthProv requires ModeLocal provenance")
+	if n.cfg.Prov == provenance.ModeDistributed {
+		tcfg.Store = provenance.NewStore(name)
+		if n.cfg.Offline != nil {
+			tcfg.Store.EnableOffline(*n.cfg.Offline)
 		}
+	}
+	if n.cfg.AuthProv {
 		tcfg.Signer = n.signer
 	}
 	tracker := provenance.NewTracker(tcfg)
+	var hook engine.ProvHook // nil: the engine's NoProv fast path
+	if n.cfg.Prov != provenance.ModeNone {
+		hook = tracker
+	}
 	eng := engine.New(engine.Config{
 		Self:          name,
 		Authenticated: saysSemantics,
-		Hook:          tracker,
+		Hook:          hook,
 		OnUpdate: func(t data.Tuple, kind engine.UpdateKind) {
 			n.onEngineUpdate(name, t, kind)
 		},
@@ -462,7 +472,7 @@ func (n *Network) addNode(name string, saysSemantics bool) error {
 	if err := eng.LoadProgram(n.prog); err != nil {
 		return err
 	}
-	n.nodes[name] = &Node{Name: name, Engine: eng, Tracker: tracker, Store: store}
+	n.nodes[name] = &Node{Name: name, Engine: eng, Tracker: tracker, Store: tcfg.Store}
 	n.idx[name] = len(n.order)
 	n.order = append(n.order, name)
 	n.net.AddNode(name)
@@ -504,7 +514,7 @@ func (n *Network) onEngineUpdate(name string, t data.Tuple, kind engine.UpdateKi
 		case engine.UpdateAnnotation:
 			ev.Kind = EvProv
 		}
-		if nd != nil && (ev.Kind == EvInsert || ev.Kind == EvProv) {
+		if nd != nil && n.cfg.Prov == provenance.ModeCondensed && (ev.Kind == EvInsert || ev.Kind == EvProv) {
 			ev.Prov = nd.Tracker.ExprOf(nd.Engine.AnnotationOf(t))
 		}
 		if err := n.store.Append(ev); err != nil {
@@ -1236,6 +1246,9 @@ func (n *Network) Advance(dt float64) {
 	for _, name := range n.order {
 		nd := n.nodes[name]
 		nd.Engine.Expire(n.clock)
+		if nd.Store == nil {
+			continue
+		}
 		// Online provenance follows its tuples: expired state loses its
 		// online entries; the offline tier keeps them for forensics.
 		for _, key := range nd.Store.Keys() {
@@ -1274,7 +1287,7 @@ func (n *Network) DerivationTree(node string, t data.Tuple, opts provenance.Quer
 		}
 		return tree, &provenance.QueryStats{}, nil
 	case provenance.ModeDistributed:
-		return provenance.Trace(n.Resolver(), node, provenance.KeyOf(t), opts)
+		return provenance.Trace(n.Resolver(), node, nd.Store.Key(t), opts)
 	default:
 		return nil, nil, fmt.Errorf("core: mode %v keeps no derivation trees", n.cfg.Prov)
 	}

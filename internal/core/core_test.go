@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
@@ -339,6 +341,64 @@ func TestConfigErrors(t *testing.T) {
 	bad := Config{Source: `r1 p(@S,X) :- q(@S,D).`, ExtraNodes: []string{"a"}}
 	if _, err := NewNetwork(bad); err == nil {
 		t.Error("unsafe program must fail")
+	}
+}
+
+// TestProvenanceHasOneHome pins where each mode keeps its record: only
+// ModeDistributed has a pointer store, and the options that configure
+// that store are refused with any other mode instead of filling a copy
+// nothing reads.
+func TestProvenanceHasOneHome(t *testing.T) {
+	off := 1.0
+	for _, mode := range []provenance.Mode{provenance.ModeNone, provenance.ModeLocal, provenance.ModeDistributed, provenance.ModeCondensed} {
+		n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true, Prov: mode})
+		if has := n.Node("a").Store != nil; has != (mode == provenance.ModeDistributed) {
+			t.Errorf("%v: node has a provenance store = %v", mode, has)
+		}
+		if mode == provenance.ModeDistributed {
+			continue
+		}
+		for _, cfg := range []Config{{Offline: &off}, {SampleEvery: 2}} {
+			cfg.Source, cfg.ExtraNodes, cfg.Prov = ReachableNDlog, []string{"a"}, mode
+			_, err := NewNetwork(cfg)
+			if err == nil || !strings.Contains(err.Error(), "ModeDistributed") || !strings.Contains(err.Error(), mode.String()) {
+				t.Errorf("%v with Offline=%v SampleEvery=%d: err = %v, want a refusal naming both modes", mode, cfg.Offline != nil, cfg.SampleEvery, err)
+			}
+		}
+	}
+}
+
+// TestClosedNetworkIsCollectable pins that nothing process-wide retains
+// a network's tuples once it is closed: every path row's argument array
+// must be garbage after Close.
+func TestClosedNetworkIsCollectable(t *testing.T) {
+	rows := func() []weak.Pointer[data.Value] {
+		g := topo.RandomConnected(topo.Options{N: 10, AvgOutDegree: 2, MaxCost: 5, Seed: 1})
+		n, _ := mustRun(t, Config{Source: BestPath, Graph: g, Prov: provenance.ModeCondensed})
+		var out []weak.Pointer[data.Value]
+		for _, name := range n.Nodes() {
+			for _, tu := range n.Tuples(name, "path") {
+				out = append(out, weak.Make(&tu.Args[0]))
+			}
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}()
+	if len(rows) == 0 {
+		t.Fatal("no path rows")
+	}
+	runtime.GC()
+	runtime.GC()
+	alive := 0
+	for _, p := range rows {
+		if p.Value() != nil {
+			alive++
+		}
+	}
+	if alive != 0 {
+		t.Fatalf("%d of %d path rows still reachable after Close", alive, len(rows))
 	}
 }
 

@@ -151,9 +151,9 @@ func (nd *Node) markViewDirty(t data.Tuple, expired bool) {
 // of a node no engine update touched, and within a touched node the rows
 // of every table without dirt. A dirty table is patched (patchRows) or,
 // where patching cannot be trusted or would not pay, rebuilt from the
-// engine (tableRows): before the node has a previous view, when the dirt
-// overflowed or an expiry sweep hit the table, and for size-bounded
-// tables, whose evictions the engine does not report. Callers must hold
+// engine (tableRows): before the node has a previous view, and when the
+// dirt overflowed or an expiry sweep (or a size bound's eviction, which
+// the engine reports as an expiry) hit the table. Callers must hold
 // the driver's evaluation lock (runMu) so no engine mutates concurrently;
 // the dirt is left in place for viewPublished to clear, so building
 // against an empty prev is a side-effect-free full rebuild.
@@ -203,7 +203,7 @@ func (n *Network) patchNode(nd *Node, pnv *NodeView) (nv *NodeView, fresh, repla
 			replaced++
 		}
 		var rows []ViewRow
-		if decl := n.prog.Materialize[pred]; td.rebuild || (decl != nil && decl.MaxSize >= 0) {
+		if td.rebuild {
 			rows = n.tableRows(nd, pred)
 			fresh += len(rows)
 		} else {

@@ -58,7 +58,7 @@ func diffViews(got, want *ReadView) string {
 // is derived from them lapse unless refreshed, so Advance sweeps rows out
 // of the tables. noise is a predicate no rule reads, for bursts that
 // outgrow a table's dirt limit; ring is size-bounded, so inserting into
-// it evicts rows the engine does not report.
+// it evicts rows, which the engine reports as expiries.
 const softReachable = `
 materialize(link, 10, infinity, keys(1,2)).
 materialize(reachable, 10, infinity, keys(1,2)).
@@ -77,9 +77,11 @@ r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
 // Each of the paths that make patching safe is load-bearing here; the
 // test fails when any one is removed: the full build of a node's first
 // view, the rebuild after a table's dirt overflows (the burst op), the
-// rebuild after an expiry sweep (softReachable + Advance), the rebuild
-// of size-bounded tables (ring), and dirtying rows on annotation-only
-// merges (the Prov column under ModeCondensed).
+// rebuild after an expiry sweep (softReachable + Advance), reporting the
+// rows a size bound evicts (ring) — to the view, to the durable store,
+// whose live rows must equal the view's, and to a subscription on ring
+// — and dirtying rows on annotation-only merges (the Prov column under
+// ModeCondensed).
 func TestIncrementalViewMatchesRebuild(t *testing.T) {
 	programs := []struct {
 		name   string
@@ -101,7 +103,7 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 						n, err := NewNetwork(Config{
 							Source: p.source, Graph: g, LinkNoCost: p.noCost,
 							Prov: mode, Auth: auth.SchemeNone,
-							Sequential: sequential,
+							Sequential: sequential, Store: NewMemStore(),
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -129,6 +131,14 @@ func runViewScript(t *testing.T, n *Network, g *topo.Graph, noCost, soft bool, s
 		return data.NewTuple("link", data.Str(l.From), data.Str(l.To), data.Int(l.Cost))
 	}
 
+	// ring is the subscription's copy of the ring table at g.Nodes[0],
+	// kept from its updates alone.
+	sub, err := d.Subscribe(g.Nodes[0], "ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	ring := map[string]bool{}
 	var prevSeq, prevGen uint64
 	check := func(step string) {
 		t.Helper()
@@ -138,6 +148,24 @@ func runViewScript(t *testing.T, n *Network, g *topo.Graph, noCost, soft bool, s
 		v := d.ReadView()
 		if diff := diffViews(v, rebuiltView(n, v)); diff != "" {
 			t.Fatalf("after %s: published view differs from a rebuild: %s", step, diff)
+		}
+		if live := n.StoreOf().(*MemStore).State().LiveDump(); live != v.Dump() {
+			t.Fatalf("after %s: store live rows differ from the view:\n%s\nview:\n%s", step, live, v.Dump())
+		}
+		for len(sub.Updates()) > 0 {
+			if u := <-sub.Updates(); u.Added {
+				ring[u.Tuple.String()] = true
+			} else {
+				delete(ring, u.Tuple.String())
+			}
+		}
+		rows := v.Rows(g.Nodes[0], "ring")
+		same := len(ring) == len(rows)
+		for _, row := range rows {
+			same = same && ring[row.Tuple.String()]
+		}
+		if !same {
+			t.Fatalf("after %s: the subscription's ring is %v, the view's %v", step, ring, rows)
 		}
 		gen := n.mutGen.Load()
 		if changed := gen != prevGen; changed != (v.Seq != prevSeq) || v.Seq > prevSeq+1 {

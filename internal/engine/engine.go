@@ -186,6 +186,11 @@ type Engine struct {
 	// to emit.
 	suppressAggEmit bool
 
+	// evicted holds the aggregate-selection groups of rows a table's size
+	// bound evicted. RunToFixpoint relaxes them between waves rather than
+	// insert, which may run inside an evaluation.
+	evicted groupSet
+
 	now float64
 
 	// Stats counts engine activity for the metrics report.
@@ -595,6 +600,9 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 			e.notify(replaced.Tuple, UpdateRetracted)
 		}
 		e.notify(t, UpdateAdded)
+		if status == InsertNew {
+			e.lapse(t.Pred, tbl.evict(), &e.evicted)
+		}
 	case InsertDuplicate:
 		merged, changed := e.hook.Merge(entry.Ann, ann)
 		entry.Ann = merged
@@ -704,7 +712,15 @@ func (e *Engine) RunToFixpoint() []Export {
 	// the wave's commits fill. A fully-consumed batch array becomes the
 	// next wave's queue storage instead of garbage.
 	var spare []*Entry
-	for len(e.queue) > 0 {
+	for {
+		if len(e.evicted.list) > 0 {
+			groups := e.evicted.list
+			e.evicted = groupSet{}
+			e.reviveShadows(groups)
+		}
+		if len(e.queue) == 0 {
+			break
+		}
 		batch := e.queue
 		e.queue = spare
 		e.runWave(batch)
@@ -953,21 +969,12 @@ func (e *Engine) Predicates() []string {
 
 // Expire advances the clock and removes expired soft-state, then
 // recomputes aggregates from scratch (sliding-window semantics for
-// aggregates over soft-state tables, §2.1).
-//
-// Expired tuples run the same bookkeeping cleanup a retraction runs:
-// their dependency-index entries are purged (they drove the cascade
-// walk; leaving them would leak memory on long soft-state runs and let
-// a later BeginRetract walk dependents through tuples that no longer
-// exist), and aggregate-selection groups whose installed optimum
-// expired are relaxed so shadowed candidates compete again instead of
-// being measured against a vanished best. Unlike a retraction, expiry
-// does not cascade: derived soft state carries its own TTL.
+// aggregates over soft-state tables, §2.1). Expired rows go through
+// lapse.
 func (e *Engine) Expire(now float64) {
 	e.now = now
 	expired := 0
-	var groups []pruneGroup
-	seen := make(map[*pruneGroupState]bool)
+	var relax groupSet
 	names := make([]string, 0, len(e.tables))
 	for name := range e.tables {
 		names = append(names, name)
@@ -977,25 +984,34 @@ func (e *Engine) Expire(now float64) {
 		gone := e.tables[name].ExpireTuples(now)
 		expired += len(gone)
 		data.SortTuples(gone)
-		ps := e.prunes[name]
-		for _, t := range gone {
-			e.notify(t, UpdateExpired)
-			e.dropDeps(t)
-			if ps == nil {
-				continue
-			}
-			g := ps.group(t)
-			if !seen[g] {
-				seen[g] = true
-				groups = append(groups, pruneGroup{ps: ps, g: g})
-			}
-		}
+		e.lapse(name, gone, &relax)
 	}
 	e.Stats.Expired += int64(expired)
-	if len(groups) > 0 {
-		e.reviveShadows(groups)
+	if len(relax.list) > 0 {
+		e.reviveShadows(relax.list)
 	}
 	if expired > 0 {
 		e.recomputeAggregates()
+	}
+}
+
+// lapse runs the bookkeeping of rows that left pred's table without a
+// retraction — soft-state expiry or a size bound's eviction. Observers
+// hear UpdateExpired (soft-state death, no stale history). The rows'
+// dependency-index entries are purged: they drove the cascade walk, and
+// leaving them would leak memory on long soft-state runs and let a later
+// BeginRetract walk dependents through tuples that no longer exist. The
+// aggregate-selection groups the rows belonged to go into relax, so
+// shadowed candidates compete again instead of being measured against a
+// vanished best. Unlike a retraction, nothing cascades: derived soft
+// state carries its own TTL.
+func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet) {
+	ps := e.prunes[pred]
+	for _, t := range gone {
+		e.notify(t, UpdateExpired)
+		e.dropDeps(t)
+		if ps != nil {
+			relax.touch(ps, ps.group(t))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"provnet/internal/data"
@@ -346,11 +347,40 @@ func TestTTLRefreshOnReinsert(t *testing.T) {
 
 func TestMaxSizeEviction(t *testing.T) {
 	e := newNode(t, "a", `materialize(log, infinity, 2, keys(1,2)).`, false)
+	var left []string
+	e.onUpdate = func(tu data.Tuple, kind UpdateKind) {
+		if kind.Left() {
+			left = append(left, kind.String()+" "+tu.String())
+		}
+	}
 	for i := 0; i < 4; i++ {
 		e.InsertFact(data.NewTuple("log", data.Str("a"), data.Int(int64(i))))
 	}
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("log"), "log(a, 2)", "log(a, 3)")
+	// Evicted rows are reported, oldest first, as soft state's death.
+	if got := strings.Join(left, "; "); got != "expired log(a, 0); expired log(a, 1)" {
+		t.Errorf("removals reported: %q", got)
+	}
+}
+
+// TestEvictionRelaxesPruneGroup: a size bound that evicts a group's
+// installed optimum relaxes the group as an expiry does, so the
+// candidate the prune shadowed behind it competes again.
+func TestEvictionRelaxesPruneGroup(t *testing.T) {
+	e := newNode(t, "n", `
+materialize(cost, infinity, 2, keys(1,2,3)).
+aggSelection(cost, keys(1,2), min, 3).
+`, false)
+	for _, r := range []struct {
+		y string
+		c int64
+	}{{"y", 1}, {"y", 5}, {"z", 1}, {"w", 1}} { // cost(n,y,5) is shadowed; cost(n,w,1) evicts cost(n,y,1)
+		e.InsertFact(data.NewTuple("cost", data.Str("n"), data.Str(r.y), data.Int(r.c)))
+	}
+	e.RunToFixpoint()
+	// The revived cost(n,y,5) in turn evicts cost(n,z,1).
+	wantTuples(t, e.Tuples("cost"), "cost(n, w, 1)", "cost(n, y, 5)")
 }
 
 func TestSeNDlogSaysMatching(t *testing.T) {

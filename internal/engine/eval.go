@@ -65,17 +65,22 @@ type evalScratch struct {
 
 const arenaSlab = 1024
 
+// waveSlab is where the wave arenas start: resetWave sizes them to the
+// last wave, so they need no persistent slab's head start, and a small
+// engine's whole wave fits in one.
+const waveSlab = 64
+
 // arenaSlabMax bounds geometric slab growth so a huge fixpoint cannot
 // strand arbitrarily large part-used slabs.
 const arenaSlabMax = 64 * 1024
 
-// nextSlabSize doubles the slab on each refill (bounded), so a busy
-// scratch converges to a handful of mallocs instead of one per
-// arenaSlab-worth of firings.
-func nextSlabSize(cur, n int) int {
+// nextSlabSize doubles the slab on each refill (bounded, starting at
+// floor), so a busy scratch converges to a handful of mallocs instead of
+// one per floor-worth of firings.
+func nextSlabSize(cur, n, floor int) int {
 	sz := cur * 2
-	if sz < arenaSlab {
-		sz = arenaSlab
+	if sz < floor {
+		sz = floor
 	}
 	if sz > arenaSlabMax {
 		sz = arenaSlabMax
@@ -92,7 +97,7 @@ func (sc *evalScratch) allocVals(n int) []data.Value {
 		return nil
 	}
 	if len(sc.valArena)+n > cap(sc.valArena) {
-		sc.valArena = make([]data.Value, 0, nextSlabSize(cap(sc.valArena), n))
+		sc.valArena = make([]data.Value, 0, nextSlabSize(cap(sc.valArena), n, arenaSlab))
 	}
 	m := len(sc.valArena)
 	sc.valArena = sc.valArena[:m+n]
@@ -105,7 +110,7 @@ func (sc *evalScratch) allocAnns(n int) []AnnTuple {
 		return nil
 	}
 	if len(sc.annArena)+n > cap(sc.annArena) {
-		sc.annArena = make([]AnnTuple, 0, nextSlabSize(cap(sc.annArena), n))
+		sc.annArena = make([]AnnTuple, 0, nextSlabSize(cap(sc.annArena), n, arenaSlab))
 	}
 	m := len(sc.annArena)
 	sc.annArena = sc.annArena[:m+n]
@@ -120,7 +125,7 @@ func (sc *evalScratch) allocWaveVals(n int) []data.Value {
 	}
 	sc.waveValsUsed += n
 	if len(sc.waveVals)+n > cap(sc.waveVals) {
-		sc.waveVals = make([]data.Value, 0, nextSlabSize(cap(sc.waveVals), n))
+		sc.waveVals = make([]data.Value, 0, nextSlabSize(cap(sc.waveVals), n, waveSlab))
 	}
 	m := len(sc.waveVals)
 	sc.waveVals = sc.waveVals[:m+n]
@@ -133,7 +138,7 @@ func (sc *evalScratch) allocWaveAnns(n int) []AnnTuple {
 	}
 	sc.waveAnnsUsed += n
 	if len(sc.waveAnns)+n > cap(sc.waveAnns) {
-		sc.waveAnns = make([]AnnTuple, 0, nextSlabSize(cap(sc.waveAnns), n))
+		sc.waveAnns = make([]AnnTuple, 0, nextSlabSize(cap(sc.waveAnns), n, waveSlab))
 	}
 	m := len(sc.waveAnns)
 	sc.waveAnns = sc.waveAnns[:m+n]
@@ -145,8 +150,8 @@ func (sc *evalScratch) allocWaveAnns(n int) []AnnTuple {
 func (sc *evalScratch) resetWave() {
 	if sc.waveValsUsed > cap(sc.waveVals) {
 		sz := cap(sc.waveVals) * 2
-		if sz < arenaSlab {
-			sz = arenaSlab
+		if sz < waveSlab {
+			sz = waveSlab
 		}
 		for sz < sc.waveValsUsed {
 			sz *= 2
@@ -157,8 +162,8 @@ func (sc *evalScratch) resetWave() {
 	sc.waveValsUsed = 0
 	if sc.waveAnnsUsed > cap(sc.waveAnns) {
 		sz := cap(sc.waveAnns) * 2
-		if sz < arenaSlab {
-			sz = arenaSlab
+		if sz < waveSlab {
+			sz = waveSlab
 		}
 		for sz < sc.waveAnnsUsed {
 			sz *= 2

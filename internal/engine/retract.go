@@ -176,9 +176,8 @@ type retractPending struct {
 	// dirty aggregate rule labels needing recomputation.
 	dirty map[string]bool
 	// groups are the aggregate-selection groups whose installed optimum
-	// may have relaxed, in first-touched order (groupSeen dedups).
-	groups    []pruneGroup
-	groupSeen map[*pruneGroupState]bool
+	// may have relaxed.
+	groups groupSet
 	// shipped tracks (dest, tuple) withdrawals handed to the scheduler;
 	// a re-derivation during repair re-ships those exports.
 	shipped *destTupleSet
@@ -186,24 +185,33 @@ type retractPending struct {
 
 func newRetractPending() *retractPending {
 	return &retractPending{
-		deleted:   newTupleSet(),
-		dirty:     make(map[string]bool),
-		groupSeen: make(map[*pruneGroupState]bool),
-		shipped:   newDestTupleSet(),
+		deleted: newTupleSet(),
+		dirty:   make(map[string]bool),
+		shipped: newDestTupleSet(),
 	}
 }
 
 func (p *retractPending) empty() bool {
-	return p.deleted.len() == 0 && len(p.dirty) == 0 && len(p.groups) == 0
+	return p.deleted.len() == 0 && len(p.dirty) == 0 && len(p.groups.list) == 0
 }
 
-// touchGroup records an aggregate-selection group as relaxed.
-func (p *retractPending) touchGroup(ps *pruneSpec, g *pruneGroupState) {
-	if p.groupSeen[g] {
+// groupSet collects the aggregate-selection groups a deletion, expiry or
+// eviction relaxed, in first-touched order.
+type groupSet struct {
+	list []pruneGroup
+	seen map[*pruneGroupState]bool
+}
+
+// touch records group g of spec ps as relaxed.
+func (s *groupSet) touch(ps *pruneSpec, g *pruneGroupState) {
+	if s.seen[g] {
 		return
 	}
-	p.groupSeen[g] = true
-	p.groups = append(p.groups, pruneGroup{ps: ps, g: g})
+	if s.seen == nil {
+		s.seen = make(map[*pruneGroupState]bool)
+	}
+	s.seen[g] = true
+	s.list = append(s.list, pruneGroup{ps: ps, g: g})
 }
 
 // rederiveState restricts emit while the DRed repair pass runs.
@@ -327,7 +335,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 		if p == nil || p.empty() {
 			break
 		}
-		e.reviveShadows(p.groups)
+		e.reviveShadows(p.groups.list)
 		if p.deleted.len() > 0 {
 			e.rederiveDeleted(p)
 		}
@@ -366,7 +374,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 }
 
 // pruneGroup pairs an aggregate-selection spec with one of its touched
-// groups during a deletion or expiry sweep.
+// groups during a deletion, expiry or eviction.
 type pruneGroup struct {
 	ps *pruneSpec
 	g  *pruneGroupState
@@ -422,7 +430,7 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 		if ps != nil {
 			// The group hash embeds the predicate (and asserter), so
 			// groups never collide across pruned predicates.
-			pend.touchGroup(ps, ps.group(t))
+			pend.groups.touch(ps, ps.group(t))
 		}
 		for _, ref := range e.byPred[t.Pred] {
 			if ref.rule.agg != nil {

@@ -277,17 +277,19 @@ func (t *Table) kill(en *Entry) {
 
 // Insert stores tu. If an identical tuple exists, it returns the existing
 // entry with InsertDuplicate. If a different tuple shares the primary key,
-// the old row is replaced (InsertReplaced).
+// the old row is replaced (InsertReplaced). A new row beyond the size
+// bound evicts the oldest.
 func (t *Table) Insert(tu data.Tuple, ann Annotation, now float64) (*Entry, InsertStatus) {
 	en, _, status := t.insertHashed(tu, ann, now, 0)
+	t.evict()
 	return en, status
 }
 
-// insertHashed is Insert, additionally returning the row displaced by a
-// primary-key replacement (nil otherwise), so the engine can report the
-// removal to table-update observers. hash is tu's structural hash when
-// the caller already knows it (0 = compute here), so a hot-path insert
-// hashes the tuple at most once.
+// insertHashed is Insert without the eviction (the engine runs evict
+// itself, to report the evicted rows), additionally returning the row
+// displaced by a primary-key replacement (nil otherwise). hash is tu's
+// structural hash when the caller already knows it (0 = compute here),
+// so a hot-path insert hashes the tuple at most once.
 func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash uint64) (*Entry, *Entry, InsertStatus) {
 	if hash == 0 {
 		hash = tu.Hash()
@@ -315,22 +317,25 @@ func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash ui
 	t.nlive++
 	t.order = append(t.order, entry)
 	t.indexInsert(entry)
-	t.evict()
 	return entry, nil, InsertNew
 }
 
-// evict enforces maxSize by killing the oldest live rows.
-func (t *Table) evict() {
+// evict enforces maxSize by killing the oldest live rows, returning their
+// tuples (nil when nothing was evicted) oldest first.
+func (t *Table) evict() []data.Tuple {
 	if t.maxSize < 0 {
-		return
+		return nil
 	}
+	var out []data.Tuple
 	for i := 0; t.nlive > t.maxSize && i < len(t.order); i++ {
 		en := t.order[i]
 		if en.Dead {
 			continue
 		}
 		t.kill(en)
+		out = append(out, en.Tuple)
 	}
+	return out
 }
 
 // Get returns the entry identical to tu, or nil.

@@ -3,6 +3,7 @@ package provenance
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,67 +13,14 @@ import (
 // KeyOf returns the compact provenance key of a tuple: a truncated hash
 // of its canonical encoding. Distributed provenance ships (node, key)
 // pointers with every tuple, so the key is fixed-size to keep the
-// paper's "no extra communication overhead" property of the mode.
-//
-// The sha256-over-Key() construction is the wire format and cannot
-// change, but recomputing it for every derivation made it the hot
-// path's single most expensive call. KeyOf therefore memoizes: lookups
-// run on the tuple's 64-bit structural hash with an equality-checked
-// chain (so forced hash collisions stay correct), and the memo resets
-// wholesale at a size cap so adversarial tuple streams cannot balloon
-// it. The memo is a pure cache — its hits and misses return identical
-// strings — so test hash masks only change hit rates, never keys.
+// paper's "no extra communication overhead" property of the mode. The
+// sha256-over-Key() construction is the wire format and cannot change.
+// It is computed once per tuple a Store records; Store.Key returns the
+// recorded key without hashing again.
 func KeyOf(t data.Tuple) string {
-	h := t.Hash()
-	keyMemo.mu.RLock()
-	for i := range keyMemo.m[h] {
-		e := &keyMemo.m[h][i]
-		if e.t.Equal(t) {
-			key := e.key
-			keyMemo.mu.RUnlock()
-			return key
-		}
-	}
-	keyMemo.mu.RUnlock()
-
 	sum := sha256.Sum256([]byte(t.Key()))
-	key := hex.EncodeToString(sum[:12])
-
-	keyMemo.mu.Lock()
-	if keyMemo.n >= keyMemoCap {
-		keyMemo.m = make(map[uint64][]keyMemoEntry, 1024)
-		keyMemo.n = 0
-	}
-	chain := keyMemo.m[h]
-	dup := false
-	for i := range chain {
-		if chain[i].t.Equal(t) {
-			dup = true
-			break
-		}
-	}
-	if !dup {
-		keyMemo.m[h] = append(chain, keyMemoEntry{t: t, key: key})
-		keyMemo.n++
-	}
-	keyMemo.mu.Unlock()
-	return key
+	return hex.EncodeToString(sum[:12])
 }
-
-// keyMemo caches KeyOf results process-wide (KeyOf is a pure function of
-// the tuple). Entries retain their tuples, so the cap bounds memory.
-type keyMemoEntry struct {
-	t   data.Tuple
-	key string
-}
-
-var keyMemo = struct {
-	mu sync.RWMutex
-	m  map[uint64][]keyMemoEntry
-	n  int
-}{m: make(map[uint64][]keyMemoEntry, 1024)}
-
-const keyMemoCap = 1 << 16
 
 // Ref points to a tuple's provenance at a node: the pointer of distributed
 // provenance (§4.1). Instead of shipping derivation trees, each node keeps
@@ -93,14 +41,6 @@ type Derivation struct {
 	Children []Ref
 	// At is the logical time of the firing.
 	At float64
-}
-
-func (d Derivation) sig() string {
-	s := d.Rule + "@" + d.Loc
-	for _, c := range d.Children {
-		s += "|" + c.Node + "/" + c.Key
-	}
-	return s
 }
 
 // Entry is a tuple's locally known provenance.
@@ -124,27 +64,26 @@ type Entry struct {
 	// time of the withdrawal. A re-derivation clears the flag.
 	Stale   bool
 	StaleAt float64
+
+	// hash is Tuple's structural hash, the entry's bucket in Store.byHash.
+	hash uint64
 }
 
-func (e *Entry) addDeriv(d Derivation) bool {
-	sig := d.sig()
+// addDeriv records d unless an identical firing (same rule, location and
+// children; the time is ignored) is already recorded.
+func (e *Entry) addDeriv(d Derivation) {
 	for _, x := range e.Derivs {
-		if x.sig() == sig {
-			return false
+		if x.Rule == d.Rule && x.Loc == d.Loc && slices.Equal(x.Children, d.Children) {
+			return
 		}
 	}
 	e.Derivs = append(e.Derivs, d)
-	return true
 }
 
-func (e *Entry) addOrigin(r Ref) bool {
-	for _, x := range e.Origins {
-		if x == r {
-			return false
-		}
+func (e *Entry) addOrigin(r Ref) {
+	if !slices.Contains(e.Origins, r) {
+		e.Origins = append(e.Origins, r)
 	}
-	e.Origins = append(e.Origins, r)
-	return true
 }
 
 // clone returns a deep-enough copy for offline archival.
@@ -160,10 +99,16 @@ func (e *Entry) clone() *Entry {
 // retaining provenance past expiry for forensics and accountability
 // (§4.2). It is safe for concurrent readers and writers, since traceback
 // queries may run while the network executes.
+//
+// Online entries are indexed twice: by key, for traceback walks, and by
+// the tuple's structural hash with Equal deciding within a chain, for
+// the tracker, which holds tuples. A tuple's key is computed once, when
+// its entry is created.
 type Store struct {
 	mu     sync.RWMutex
 	self   string
 	online map[string]*Entry
+	byHash map[uint64][]*Entry
 
 	offline        map[string]*Entry
 	offlineEnabled bool
@@ -175,6 +120,7 @@ func NewStore(self string) *Store {
 	return &Store{
 		self:          self,
 		online:        make(map[string]*Entry),
+		byHash:        make(map[uint64][]*Entry),
 		offline:       make(map[string]*Entry),
 		offlineMaxAge: -1,
 	}
@@ -192,43 +138,67 @@ func (s *Store) EnableOffline(maxAge float64) {
 // Self returns the owning node.
 func (s *Store) Self() string { return s.self }
 
-func (s *Store) entryLocked(key string, t data.Tuple, at float64) *Entry {
-	e, ok := s.online[key]
-	if !ok {
-		e = &Entry{Key: key, Tuple: t, At: at}
-		s.online[key] = e
+// findLocked returns t's online entry, or nil, with t's structural hash.
+func (s *Store) findLocked(t data.Tuple) (*Entry, uint64) {
+	h := t.Hash()
+	for _, e := range s.byHash[h] {
+		if e.Tuple.Equal(t) {
+			return e, h
+		}
+	}
+	return nil, h
+}
+
+// Key returns t's provenance key: the one its online entry recorded, or
+// KeyOf(t) when the store holds none.
+func (s *Store) Key(t data.Tuple) string {
+	s.mu.RLock()
+	e, _ := s.findLocked(t)
+	s.mu.RUnlock()
+	if e != nil {
+		return e.Key
+	}
+	return KeyOf(t)
+}
+
+func (s *Store) entryLocked(t data.Tuple, at float64) *Entry {
+	e, h := s.findLocked(t)
+	if e == nil {
+		e = &Entry{Key: KeyOf(t), Tuple: t, At: at, hash: h}
+		s.online[e.Key] = e
+		s.byHash[h] = append(s.byHash[h], e)
 	}
 	return e
 }
 
-// RecordBase notes a base tuple inserted at this node.
-func (s *Store) RecordBase(t data.Tuple, at float64) {
+// RecordBase notes a base tuple inserted at this node and returns its key.
+func (s *Store) RecordBase(t data.Tuple, at float64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(KeyOf(t), t, at)
+	e := s.entryLocked(t, at)
 	s.mirrorOffline(e)
+	return e.Key
 }
 
-// RecordDeriv notes a local rule firing.
-func (s *Store) RecordDeriv(head data.Tuple, rule string, children []Ref, at float64) bool {
+// RecordDeriv notes a local rule firing and returns the head's key.
+func (s *Store) RecordDeriv(head data.Tuple, rule string, children []Ref, at float64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(KeyOf(head), head, at)
-	changed := e.addDeriv(Derivation{Rule: rule, Loc: s.self, Children: children, At: at})
+	e := s.entryLocked(head, at)
+	e.addDeriv(Derivation{Rule: rule, Loc: s.self, Children: children, At: at})
 	// Mirror even when unchanged: the offline tier may have been enabled
 	// after the first recording.
 	s.mirrorOffline(e)
-	return changed
+	return e.Key
 }
 
 // RecordOrigin notes that a tuple arrived from a remote node.
-func (s *Store) RecordOrigin(t data.Tuple, from Ref, at float64) bool {
+func (s *Store) RecordOrigin(t data.Tuple, from Ref, at float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(KeyOf(t), t, at)
-	changed := e.addOrigin(from)
+	e := s.entryLocked(t, at)
+	e.addOrigin(from)
 	s.mirrorOffline(e)
-	return changed
 }
 
 // mirrorOffline merges an entry into the offline tier (caller holds
@@ -285,7 +255,17 @@ func (s *Store) GetAny(key string) *Entry {
 func (s *Store) Forget(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e, ok := s.online[key]
+	if !ok {
+		return
+	}
 	delete(s.online, key)
+	chain := slices.DeleteFunc(s.byHash[e.hash], func(x *Entry) bool { return x == e })
+	if len(chain) == 0 {
+		delete(s.byHash, e.hash)
+	} else {
+		s.byHash[e.hash] = chain
+	}
 }
 
 // MarkStale flags a withdrawn tuple's provenance, online and offline, at

@@ -15,15 +15,18 @@ func TestStoreRecordAndGet(t *testing.T) {
 		t.Fatalf("entry = %+v", e)
 	}
 	head := data.NewTuple("reachable", data.Str("a"), data.Str("b"))
-	if !s.RecordDeriv(head, "r1", []Ref{{Node: "a", Key: KeyOf(tu)}}, 2) {
-		t.Fatal("first deriv must register")
+	if key := s.RecordDeriv(head, "r1", []Ref{{Node: "a", Key: KeyOf(tu)}}, 2); key != KeyOf(head) {
+		t.Fatalf("RecordDeriv key = %q, want KeyOf(head)", key)
 	}
-	// Duplicate derivation dedups.
-	if s.RecordDeriv(head, "r1", []Ref{{Node: "a", Key: KeyOf(tu)}}, 3) {
-		t.Fatal("duplicate deriv must not register")
-	}
+	// Duplicate derivation dedups (the firing time is not part of it).
+	s.RecordDeriv(head, "r1", []Ref{{Node: "a", Key: KeyOf(tu)}}, 3)
 	if got := s.Get(KeyOf(head)); len(got.Derivs) != 1 {
 		t.Fatalf("derivs = %d", len(got.Derivs))
+	}
+	// A firing that differs in one child is a second derivation.
+	s.RecordDeriv(head, "r1", []Ref{{Node: "b", Key: KeyOf(tu)}}, 4)
+	if got := s.Get(KeyOf(head)); len(got.Derivs) != 2 {
+		t.Fatalf("derivs = %d, want 2", len(got.Derivs))
 	}
 	if s.OnlineCount() != 2 {
 		t.Errorf("online count = %d", s.OnlineCount())
@@ -34,12 +37,8 @@ func TestStoreOrigins(t *testing.T) {
 	s := NewStore("b")
 	tu := data.NewTuple("reachable", data.Str("a"), data.Str("c"))
 	ref := Ref{Node: "a", Key: KeyOf(tu)}
-	if !s.RecordOrigin(tu, ref, 1) {
-		t.Fatal("origin must register")
-	}
-	if s.RecordOrigin(tu, ref, 2) {
-		t.Fatal("duplicate origin dedups")
-	}
+	s.RecordOrigin(tu, ref, 1)
+	s.RecordOrigin(tu, ref, 2) // a duplicate origin dedups
 	if e := s.Get(KeyOf(tu)); len(e.Origins) != 1 || e.Origins[0] != ref {
 		t.Fatalf("origins = %v", e.Origins)
 	}
@@ -170,4 +169,73 @@ func TestStaleSurvivesOfflineClone(t *testing.T) {
 	if e := s.GetOffline(key); e == nil || !e.Stale {
 		t.Fatalf("offline clone = %+v, want stale carried over", e)
 	}
+}
+
+// FuzzStoreIndex checks the store's tuple index against plain KeyOf. A
+// byte script of records, forgets and stale marks runs over a small
+// tuple alphabet with every structural hash squeezed to 3 bits, so the
+// index's chains collide, and after every step each live tuple's Key is
+// its KeyOf, Get of that key holds an Equal tuple, and a forgotten
+// tuple has no entry.
+func FuzzStoreIndex(f *testing.F) {
+	// The seeds replay the tests above: record and get, origins, forget
+	// with and without the offline tier, stale marks.
+	f.Add([]byte{0, 0, 1, 1, 1, 1, 0, 2})
+	f.Add([]byte{2, 3, 2, 3})
+	f.Add([]byte{0, 4, 3, 4, 0, 4})
+	f.Add([]byte{0, 0, 4, 0, 1, 0, 3, 0, 4, 0})
+	f.Add([]byte{0, 5, 0, 6, 3, 5, 1, 6, 3, 6, 2, 7})
+	alphabet := []data.Tuple{
+		data.NewTuple("link", data.Str("a"), data.Str("b")),
+		data.NewTuple("reachable", data.Str("a"), data.Str("b")),
+		data.NewTuple("link", data.Str("a"), data.Str("b")).Says("a"),
+		data.NewTuple("reachable", data.Str("a"), data.Str("c")),
+		data.NewTuple("event", data.Str("a"), data.Int(1)),
+		data.NewTuple("p", data.Int(2)),
+		data.NewTuple("p", data.Float(2)), // Equal to p(2): one entry
+		data.NewTuple("p", data.Int(3)),
+		data.NewTuple("q", data.Int(2)),
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		restore := data.LimitHashBitsForTesting(3)
+		defer restore()
+		s := NewStore("a")
+		live := map[string]bool{}
+		for i := 0; i+1 < len(script); i += 2 {
+			tu := alphabet[int(script[i+1])%len(alphabet)]
+			at := float64(i)
+			switch script[i] % 5 {
+			case 0:
+				s.RecordBase(tu, at)
+				live[KeyOf(tu)] = true
+			case 1:
+				s.RecordDeriv(tu, "r", []Ref{{Node: "a", Key: KeyOf(alphabet[0])}}, at)
+				live[KeyOf(tu)] = true
+			case 2:
+				s.RecordOrigin(tu, Ref{Node: "b", Key: KeyOf(tu)}, at)
+				live[KeyOf(tu)] = true
+			case 3:
+				s.Forget(s.Key(tu))
+				delete(live, KeyOf(tu))
+			case 4:
+				s.MarkStale(s.Key(tu), at)
+			}
+			for _, u := range alphabet {
+				key := KeyOf(u)
+				if got := s.Key(u); got != key {
+					t.Fatalf("step %d: Key(%s) = %s, KeyOf = %s", i/2, u, got, key)
+				}
+				e := s.Get(key)
+				switch {
+				case live[key] && (e == nil || !e.Tuple.Equal(u)):
+					t.Fatalf("step %d: Get(Key(%s)) = %+v", i/2, u, e)
+				case !live[key] && e != nil:
+					t.Fatalf("step %d: forgotten %s still has entry %+v", i/2, u, e)
+				}
+			}
+			if s.OnlineCount() != len(live) {
+				t.Fatalf("step %d: %d online entries, want %d", i/2, s.OnlineCount(), len(live))
+			}
+		}
+	})
 }

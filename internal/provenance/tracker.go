@@ -50,9 +50,10 @@ type TrackerConfig struct {
 	Mode Mode
 	// Self is the node / principal name.
 	Self string
-	// Store receives derivation records for distributed provenance and
-	// the online/offline tiers; required for ModeDistributed, optional
-	// (recommended) for other modes.
+	// Store receives the derivation pointers of ModeDistributed, the
+	// only mode that keeps them (NewTracker creates one when nil); the
+	// other modes carry their provenance in the annotation and never
+	// touch it.
 	Store *Store
 	// Clock supplies logical timestamps for store records.
 	Clock func() float64
@@ -60,8 +61,8 @@ type TrackerConfig struct {
 	// and verifies imported trees (authenticated provenance, §4.3).
 	Signer auth.Signer
 	// SampleEvery records only every k-th derivation into the Store (the
-	// IP-traceback-style sampling optimization of §5). 0 or 1 records
-	// everything.
+	// IP-traceback-style sampling optimization of §5; ModeDistributed
+	// only). 0 or 1 records everything.
 	SampleEvery int
 }
 
@@ -80,8 +81,13 @@ var _ engine.ProvHook = (*Tracker)(nil)
 // nothing.
 func NewTracker(cfg TrackerConfig) *Tracker {
 	t := &Tracker{cfg: cfg}
-	if cfg.Mode == ModeCondensed {
+	switch cfg.Mode {
+	case ModeCondensed:
 		t.mgr = bdd.New()
+	case ModeDistributed:
+		if t.cfg.Store == nil {
+			t.cfg.Store = NewStore(cfg.Self)
+		}
 	}
 	return t
 }
@@ -126,16 +132,13 @@ func principalVar(t data.Tuple, self string) string {
 
 // Base annotates a locally inserted base tuple.
 func (tr *Tracker) Base(t data.Tuple) engine.Annotation {
-	if tr.cfg.Store != nil && tr.cfg.Mode != ModeNone {
-		tr.cfg.Store.RecordBase(t, tr.now())
-	}
 	switch tr.cfg.Mode {
 	case ModeLocal:
 		leaf := NewLeaf(t)
 		tr.sign(leaf)
 		return leaf
 	case ModeDistributed:
-		return Ref{Node: tr.cfg.Self, Key: KeyOf(t)}
+		return Ref{Node: tr.cfg.Self, Key: tr.cfg.Store.RecordBase(t, tr.now())}
 	case ModeCondensed:
 		return tr.mgr.Var(principalVar(t, tr.cfg.Self))
 	default:
@@ -162,7 +165,7 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 	case ModeDistributed:
 		// Payload is the sender's pointer: node + key.
 		if len(payload) == 0 {
-			return Ref{Node: tr.cfg.Self, Key: KeyOf(t)}, nil
+			return Ref{Node: tr.cfg.Self, Key: tr.cfg.Store.Key(t)}, nil
 		}
 		node, n, err := data.DecodeString(payload)
 		if err != nil {
@@ -173,9 +176,7 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 			return nil, err
 		}
 		ref := Ref{Node: node, Key: key}
-		if tr.cfg.Store != nil {
-			tr.cfg.Store.RecordOrigin(t, ref, tr.now())
-		}
+		tr.cfg.Store.RecordOrigin(t, ref, tr.now())
 		return ref, nil
 	case ModeCondensed:
 		if len(payload) == 0 {
@@ -193,17 +194,6 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 
 // Derive combines body annotations for a rule firing.
 func (tr *Tracker) Derive(rule, node string, head data.Tuple, body []engine.AnnTuple) engine.Annotation {
-	if tr.cfg.Mode != ModeNone && tr.cfg.Store != nil && tr.sampled() {
-		children := make([]Ref, 0, len(body))
-		for _, b := range body {
-			if r, ok := b.Ann.(Ref); ok {
-				children = append(children, r)
-			} else {
-				children = append(children, Ref{Node: tr.cfg.Self, Key: KeyOf(b.Tuple)})
-			}
-		}
-		tr.cfg.Store.RecordDeriv(head, rule, children, tr.now())
-	}
 	switch tr.cfg.Mode {
 	case ModeLocal:
 		children := make([]*Tree, 0, len(body))
@@ -218,7 +208,19 @@ func (tr *Tracker) Derive(rule, node string, head data.Tuple, body []engine.AnnT
 		tr.sign(t)
 		return t
 	case ModeDistributed:
-		return Ref{Node: tr.cfg.Self, Key: KeyOf(head)}
+		st := tr.cfg.Store
+		if !tr.sampled() {
+			return Ref{Node: tr.cfg.Self, Key: st.Key(head)}
+		}
+		children := make([]Ref, 0, len(body))
+		for _, b := range body {
+			r, ok := b.Ann.(Ref)
+			if !ok {
+				r = Ref{Node: tr.cfg.Self, Key: st.Key(b.Tuple)}
+			}
+			children = append(children, r)
+		}
+		return Ref{Node: tr.cfg.Self, Key: st.RecordDeriv(head, rule, children, tr.now())}
 	case ModeCondensed:
 		acc := bdd.True
 		for _, b := range body {
@@ -276,7 +278,7 @@ func (tr *Tracker) Export(t data.Tuple, ann engine.Annotation) []byte {
 		// Ship only the pointer (no communication overhead beyond it).
 		ref, ok := ann.(Ref)
 		if !ok {
-			ref = Ref{Node: tr.cfg.Self, Key: KeyOf(t)}
+			ref = Ref{Node: tr.cfg.Self, Key: tr.cfg.Store.Key(t)}
 		}
 		var b []byte
 		b = data.AppendString(b, ref.Node)
@@ -294,19 +296,19 @@ func (tr *Tracker) Export(t data.Tuple, ann engine.Annotation) []byte {
 
 // Withdraw marks a withdrawn tuple's provenance stale in the store (live
 // link churn retracted the tuple). The record remains queryable.
+// ModeDistributed only: the other modes keep no store.
 func (tr *Tracker) Withdraw(t data.Tuple) {
-	if tr.cfg.Store == nil || tr.cfg.Mode == ModeNone {
-		return
+	if tr.cfg.Mode == ModeDistributed {
+		tr.cfg.Store.MarkStale(tr.cfg.Store.Key(t), tr.now())
 	}
-	tr.cfg.Store.MarkStale(KeyOf(t), tr.now())
 }
 
-// Restore clears the stale flag of a re-derived tuple's provenance.
+// Restore clears the stale flag of a re-derived tuple's provenance
+// (ModeDistributed only).
 func (tr *Tracker) Restore(t data.Tuple) {
-	if tr.cfg.Store == nil || tr.cfg.Mode == ModeNone {
-		return
+	if tr.cfg.Mode == ModeDistributed {
+		tr.cfg.Store.ClearStale(tr.cfg.Store.Key(t))
 	}
-	tr.cfg.Store.ClearStale(KeyOf(t))
 }
 
 // --- authenticated provenance (§4.3) ---

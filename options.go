@@ -57,12 +57,14 @@ func WithProv(m ProvMode) Option { return func(c *Config) { c.Prov = m } }
 func WithAuthProv() Option { return func(c *Config) { c.AuthProv = true } }
 
 // WithOffline enables the offline provenance store, keeping expired
-// state up to maxAge (<0 keeps forever).
+// state up to maxAge (<0 keeps forever). ModeDistributed only: NewNetwork
+// refuses it with any other mode.
 func WithOffline(maxAge float64) Option {
 	return func(c *Config) { c.Offline = &maxAge }
 }
 
 // WithSampleEvery records only every k-th derivation into stores (§5).
+// ModeDistributed only: NewNetwork refuses k > 1 with any other mode.
 func WithSampleEvery(k int) Option { return func(c *Config) { c.SampleEvery = k } }
 
 // WithLevels assigns security levels to principals.

@@ -221,7 +221,8 @@ type (
 	ProvQueryOpts = provenance.QueryOpts
 	// ProvQueryStats meters traceback cost.
 	ProvQueryStats = provenance.QueryStats
-	// ProvStore is a node's online/offline provenance store.
+	// ProvStore is a node's online/offline provenance store
+	// (ModeDistributed only; Node.Store is nil in the other modes).
 	ProvStore = provenance.Store
 	// Poly is a provenance polynomial (N[X]) over principals.
 	Poly = semiring.Poly
