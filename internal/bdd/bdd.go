@@ -6,8 +6,8 @@
 // paper describes — e.g. a + a·b collapses to a by absorption. This package
 // is a from-scratch replacement: hash-consed nodes, an ITE operation cache,
 // satisfiability counting, cube (DNF) extraction for monotone functions, and
-// a compact serialization used to ship provenance across the simulated
-// network.
+// a table encoding that ships many BDDs at once — the provenance of a
+// whole data frame — across the network.
 //
 // A Manager owns all nodes; Node values are indices into the manager and
 // are only meaningful with the manager that produced them. Managers are not
@@ -15,6 +15,7 @@
 package bdd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -52,6 +53,8 @@ type Manager struct {
 
 	varNames []string
 	varIdx   map[string]int32
+
+	tab tableScratch
 }
 
 // New returns an empty manager with no variables registered.
@@ -367,154 +370,216 @@ func (m *Manager) Expr(n Node) string {
 	return strings.Join(parts, " + ")
 }
 
-// --- Serialization ---
+// --- Tables ---
 
-// Errors returned by Deserialize.
-var (
-	ErrBadEncoding = errors.New("bdd: bad encoding")
-)
+// ErrBadEncoding reports a table that does not decode.
+var ErrBadEncoding = errors.New("bdd: bad encoding")
 
-// Serialize encodes the BDD rooted at n, including the names of the
-// variables it depends on, so it can be reconstructed in a different manager
-// (possibly with a different global variable order).
+// tableScratch is AppendTable's bookkeeping, kept between calls so a table
+// costs no map: nodeRef[n] is node n's ref in the table being built and
+// varIdx[level] its variable's index + 1 (0 = not in it yet); order and
+// levels list them in table order. Every entry is zeroed again before
+// AppendTable returns.
+type tableScratch struct {
+	nodeRef []uint32
+	varIdx  []uint32
+	order   []Node
+	levels  []int32
+}
+
+// AppendTable appends the table of roots to b and returns each root's ref
+// into it. A table carries any number of BDDs of one manager as one
+// self-contained encoding, so they share their common subgraphs and every
+// variable name is written once — the condensed provenance of a whole
+// data frame:
 //
-// Layout: uvarint nodeCount, then per node (in a bottom-up order):
-// string varName, uvarint loRef, uvarint hiRef, finally uvarint rootRef.
-// Refs: 0 = False, 1 = True, k+2 = k-th serialized node.
-func (m *Manager) Serialize(n Node) []byte {
-	order := make([]Node, 0)
-	index := map[Node]int{}
-	var visit func(Node)
-	visit = func(x Node) {
-		if x == True || x == False {
-			return
-		}
-		if _, ok := index[x]; ok {
-			return
-		}
+//	uvarint varCount, then varCount × string name (uvarint length, bytes)
+//	uvarint nodeCount, then nodeCount × (uvarint varIndex, uvarint loRef, uvarint hiRef)
+//
+// A ref names one function of the table: 0 = False, 1 = True, k+2 = the
+// k-th node. Nodes come bottom-up and a node may only reference nodes
+// before it, so a table is acyclic and decodes in one pass. Variables are
+// matched by name, so a table decodes into a manager with any variable
+// order.
+//
+// Node (v, lo, hi) decodes as lo + v·hi (DecodeTable). For the monotone
+// functions provenance polynomials are (no negation, §4.4), lo implies hi
+// at every node and that is exactly the Shannon node v ? hi : lo;
+// whatever the bytes say, every function a table decodes to is monotone,
+// so its Cubes are its prime implicants.
+func (m *Manager) AppendTable(b []byte, roots []Node) ([]byte, []uint64) {
+	s := &m.tab
+	s.nodeRef = grow(s.nodeRef, len(m.nodes))
+	s.varIdx = grow(s.varIdx, len(m.varNames))
+	refs := make([]uint64, len(roots))
+	for i, r := range roots {
+		refs[i] = uint64(m.tableRef(r))
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.levels)))
+	for _, lv := range s.levels {
+		b = binary.AppendUvarint(b, uint64(len(m.varNames[lv])))
+		b = append(b, m.varNames[lv]...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.order)))
+	for _, x := range s.order {
 		d := m.nodes[x]
-		visit(d.lo)
-		visit(d.hi)
-		index[x] = len(order)
-		order = append(order, x)
+		b = binary.AppendUvarint(b, uint64(s.varIdx[d.level]-1))
+		b = binary.AppendUvarint(b, uint64(m.tableRef(d.lo)))
+		b = binary.AppendUvarint(b, uint64(m.tableRef(d.hi)))
 	}
-	visit(n)
-
-	ref := func(x Node) uint64 {
-		switch x {
-		case False:
-			return 0
-		case True:
-			return 1
-		default:
-			return uint64(index[x]) + 2
-		}
+	for _, x := range s.order {
+		s.nodeRef[x] = 0
 	}
-
-	var b []byte
-	b = appendUvarint(b, uint64(len(order)))
-	for _, x := range order {
-		d := m.nodes[x]
-		b = appendUvarint(b, uint64(len(m.varNames[d.level])))
-		b = append(b, m.varNames[d.level]...)
-		b = appendUvarint(b, ref(d.lo))
-		b = appendUvarint(b, ref(d.hi))
+	for _, lv := range s.levels {
+		s.varIdx[lv] = 0
 	}
-	b = appendUvarint(b, ref(n))
-	return b
+	s.order, s.levels = s.order[:0], s.levels[:0]
+	return b, refs
 }
 
-// Deserialize reconstructs a serialized BDD inside this manager. Variables
-// are matched by name; because reconstruction rebuilds the function with
-// ITE, it is correct even if this manager uses a different variable order
-// than the serializing manager.
-func (m *Manager) Deserialize(b []byte) (Node, error) {
-	cnt, n, err := readUvarint(b)
-	if err != nil {
-		return False, err
+// tableRef returns x's ref in the table being built, adding x — after
+// everything below it — if it is not in it yet.
+func (m *Manager) tableRef(x Node) uint32 {
+	if x == False || x == True {
+		return uint32(x)
 	}
-	if cnt > uint64(len(b)) {
-		return False, ErrBadEncoding
+	s := &m.tab
+	if r := s.nodeRef[x]; r != 0 {
+		return r
 	}
-	nodes := make([]Node, cnt)
-	resolve := func(r uint64, upto uint64) (Node, error) {
-		switch {
-		case r == 0:
-			return False, nil
-		case r == 1:
-			return True, nil
-		case r-2 < upto:
-			return nodes[r-2], nil
-		default:
-			return False, ErrBadEncoding
-		}
+	d := m.nodes[x]
+	m.tableRef(d.lo)
+	m.tableRef(d.hi)
+	if s.varIdx[d.level] == 0 {
+		s.levels = append(s.levels, d.level)
+		s.varIdx[d.level] = uint32(len(s.levels))
 	}
-	for i := uint64(0); i < cnt; i++ {
-		nameLen, k, err := readUvarint(b[n:])
-		if err != nil {
-			return False, err
-		}
-		n += k
-		if uint64(len(b)-n) < nameLen {
-			return False, ErrBadEncoding
-		}
-		name := string(b[n : n+int(nameLen)])
-		n += int(nameLen)
-		loRef, k, err := readUvarint(b[n:])
-		if err != nil {
-			return False, err
-		}
-		n += k
-		hiRef, k, err := readUvarint(b[n:])
-		if err != nil {
-			return False, err
-		}
-		n += k
-		lo, err := resolve(loRef, i)
-		if err != nil {
-			return False, err
-		}
-		hi, err := resolve(hiRef, i)
-		if err != nil {
-			return False, err
-		}
-		v := m.Var(name)
-		nodes[i] = m.ITE(v, hi, lo)
-	}
-	rootRef, k, err := readUvarint(b[n:])
-	if err != nil {
-		return False, err
-	}
-	n += k
-	if n != len(b) {
-		return False, ErrBadEncoding
-	}
-	return resolve(rootRef, cnt)
+	s.order = append(s.order, x)
+	s.nodeRef[x] = uint32(len(s.order) + 1)
+	return s.nodeRef[x]
 }
 
-func appendUvarint(b []byte, x uint64) []byte {
-	for x >= 0x80 {
-		b = append(b, byte(x)|0x80)
-		x >>= 7
+// grow extends s with zeros to length n.
+func grow(s []uint32, n int) []uint32 {
+	if len(s) < n {
+		s = append(s, make([]uint32, n-len(s))...)
 	}
-	return append(b, byte(x))
+	return s
 }
 
-func readUvarint(b []byte) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if c < 0x80 {
-			if i > 9 || i == 9 && c > 1 {
-				return 0, 0, ErrBadEncoding
-			}
-			return x | uint64(c)<<s, i + 1, nil
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
+// CheckTable validates a table's shape without decoding it — every count
+// against the bytes left, every variable index and ref against what came
+// before it, no trailing bytes — and returns how many refs it defines
+// (node count + 2). It allocates nothing, so it can run before the bytes
+// are authenticated.
+func CheckTable(b []byte) (int, error) {
+	r := tableReader{b: b}
+	vars := r.count("variable", 1)
+	for i := 0; i < vars; i++ {
+		r.name()
 	}
-	return 0, 0, ErrBadEncoding
+	nodes := r.count("node", 3)
+	for k := 0; k < nodes; k++ {
+		r.node(k, vars)
+	}
+	return nodes + 2, r.done()
+}
+
+// DecodeTable decodes a table into this manager and returns the function
+// each ref names: ref r is nodes[r]. A table that does not check
+// (CheckTable) is refused before the manager is touched.
+func (m *Manager) DecodeTable(b []byte) ([]Node, error) {
+	if _, err := CheckTable(b); err != nil {
+		return nil, err
+	}
+	r := tableReader{b: b}
+	vars := make([]Node, r.count("variable", 1))
+	for i := range vars {
+		name := r.name()
+		lv, ok := m.varIdx[string(name)]
+		if !ok {
+			lv = m.varLevel(string(name))
+		}
+		vars[i] = m.mk(lv, False, True)
+	}
+	count := r.count("node", 3)
+	nodes := make([]Node, 2, 2+count)
+	nodes[0], nodes[1] = False, True
+	for k := 0; k < count; k++ {
+		v, lo, hi := r.node(k, len(vars))
+		nodes = append(nodes, m.ITE(m.ITE(vars[v], nodes[hi], False), True, nodes[lo]))
+	}
+	return nodes, nil
+}
+
+// tableReader walks a table field by field. The first failure sticks and
+// every later read returns zero, so callers check once, at done.
+type tableReader struct {
+	b   []byte
+	err error
+}
+
+func (r *tableReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadEncoding}, args...)...)
+	}
+	r.b = nil
+}
+
+func (r *tableReader) uvarint() uint64 {
+	x, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return x
+}
+
+// count reads an element count and refuses one the bytes left cannot
+// hold at size bytes an element, before anything is sized by it.
+func (r *tableReader) count(what string, size int) int {
+	c := r.uvarint()
+	if c > uint64(len(r.b)/size) {
+		r.fail("%s count %d exceeds the %d bytes left", what, c, len(r.b))
+		return 0
+	}
+	return int(c)
+}
+
+func (r *tableReader) name() []byte {
+	l := r.uvarint()
+	if l > uint64(len(r.b)) {
+		r.fail("variable name of %d bytes exceeds the %d left", l, len(r.b))
+		return nil
+	}
+	name := r.b[:l]
+	r.b = r.b[l:]
+	return name
+}
+
+// node reads node k of a table with vars variables and returns its
+// variable index and refs, each checked.
+func (r *tableReader) node(k, vars int) (v, lo, hi int) {
+	rv, rlo, rhi := r.uvarint(), r.uvarint(), r.uvarint()
+	switch {
+	case r.err != nil:
+	case rv >= uint64(vars):
+		r.fail("node %d: variable %d of %d", k, rv, vars)
+	case rlo >= uint64(k+2) || rhi >= uint64(k+2):
+		r.fail("node %d: ref %d or %d is not below it", k, rlo, rhi)
+	default:
+		return int(rv), int(rlo), int(rhi)
+	}
+	return 0, 0, 0
+}
+
+// done reports the first failure, or trailing bytes.
+func (r *tableReader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	return r.err
 }
 
 // String renders a short description of the manager, for debugging.

@@ -1,6 +1,9 @@
 package bdd
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,19 +174,64 @@ func TestCubesMonotone(t *testing.T) {
 	}
 }
 
+// roundTrip ships f from m to m2 as the table of one root.
+func roundTrip(t *testing.T, m *Manager, f Node, m2 *Manager) Node {
+	t.Helper()
+	b, refs := m.AppendTable(nil, []Node{f})
+	nodes, err := m2.DecodeTable(b)
+	if err != nil {
+		t.Fatalf("DecodeTable: %v", err)
+	}
+	return nodes[refs[0]]
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	m := New()
 	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
-	fns := []Node{True, False, a, m.And(a, b), m.Or(m.And(a, b), m.And(m.Not(a), c)), m.ITE(b, m.Not(c), c)}
+	fns := []Node{True, False, a, m.And(a, b), m.Or(m.And(a, b), c), m.Or(a, m.And(b, c)), m.Or(m.And(a, b), m.And(a, c), m.And(b, c))}
 	for _, f := range fns {
-		enc := m.Serialize(f)
-		m2 := New()
-		g, err := m2.Deserialize(enc)
-		if err != nil {
-			t.Fatalf("Deserialize: %v", err)
-		}
 		// Compare by truth table over the support vars.
+		m2 := New()
+		g := roundTrip(t, m, f, m2)
 		assertSameFunction(t, m, f, m2, g, []string{"a", "b", "c"})
+	}
+}
+
+// TestTableSharesSubgraphs pins what a table is for: roots that share a
+// subgraph write it, and each variable name, once.
+func TestTableSharesSubgraphs(t *testing.T) {
+	m := New()
+	m.DeclareOrder("a", "b", "c", "d", "e") // the sender's own principal above the upstream suffix
+	suffix := m.And(m.Var("c"), m.Var("d"), m.Var("e"))
+	roots := []Node{m.And(m.Var("a"), suffix), m.And(m.Var("b"), suffix), suffix, suffix}
+	shared, refs := m.AppendTable(nil, roots)
+	alone := 0
+	for _, r := range roots {
+		b, _ := m.AppendTable(nil, []Node{r})
+		alone += len(b)
+	}
+	if n, err := CheckTable(shared); err != nil || n != 2+5 {
+		t.Errorf("CheckTable = %d, %v; want the 5 distinct nodes + 2 terminals", n, err)
+	}
+	if len(shared) >= alone*2/3 {
+		t.Errorf("one table of %d roots is %d bytes, %d as separate tables", len(roots), len(shared), alone)
+	}
+	if refs[2] != refs[3] {
+		t.Errorf("the same root got refs %d and %d", refs[2], refs[3])
+	}
+	m2 := New()
+	nodes, err := m2.DecodeTable(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range roots {
+		if got, want := m2.Expr(nodes[refs[i]]), m.Expr(r); got != want {
+			t.Errorf("root %d decoded to %s, want %s", i, got, want)
+		}
+	}
+	// The scratch is clean again: the same call writes the same bytes.
+	if again, _ := m.AppendTable(nil, roots); !bytes.Equal(again, shared) {
+		t.Errorf("second encoding %x, first %x", again, shared)
 	}
 }
 
@@ -194,31 +242,55 @@ func TestSerializeAcrossDifferentOrders(t *testing.T) {
 
 	m2 := New()
 	m2.DeclareOrder("c", "b", "a") // reversed order
-	g, err := m2.Deserialize(m.Serialize(f))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := roundTrip(t, m, f, m2)
 	assertSameFunction(t, m, f, m2, g, []string{"a", "b", "c"})
 }
 
 func TestDeserializeErrors(t *testing.T) {
 	m := New()
-	if _, err := m.Deserialize(nil); err == nil {
-		t.Error("nil input should fail")
-	}
-	if _, err := m.Deserialize([]byte{5}); err == nil {
-		t.Error("count with no nodes should fail")
-	}
 	f := m.And(m.Var("a"), m.Var("b"))
-	enc := m.Serialize(f)
-	if _, err := m.Deserialize(enc[:len(enc)-1]); err == nil {
-		t.Error("truncated input should fail")
+	enc, _ := m.AppendTable(nil, []Node{f})
+	for name, b := range map[string][]byte{
+		"nil":                 nil,
+		"a count of nothing":  {5},
+		"truncated":           enc[:len(enc)-1],
+		"trailing garbage":    append(append([]byte(nil), enc...), 0),
+		"forward ref":         {1, 1, 'a', 2, 0, 0, 3, 0, 0, 1},
+		"self ref":            {1, 1, 'a', 1, 0, 0, 2},
+		"variable past count": {1, 1, 'a', 1, 1, 0, 1},
+		"name past the end":   {1, 9, 'a'},
+		"node count too big":  {0, 2, 0, 0, 1},
+		"varint past 64 bits": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	} {
+		before := m.NumNodes()
+		if _, err := m.DecodeTable(b); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("%s: err = %v, want ErrBadEncoding", name, err)
+		}
+		if _, err := CheckTable(b); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("%s: CheckTable err = %v, want ErrBadEncoding", name, err)
+		}
+		if m.NumNodes() != before {
+			t.Errorf("%s: a refused table built nodes", name)
+		}
 	}
-	if _, err := m.Deserialize(append(enc, 0)); err == nil {
-		t.Error("trailing garbage should fail")
+	if refs, err := CheckTable(enc); err != nil || refs != 4 {
+		t.Errorf("CheckTable(a*b) = %d, %v; want 4 refs", refs, err)
 	}
 }
 
+// TestTableDecodesMonotone: node (v, lo, hi) is lo + v·hi, so even a
+// table spelling out a negation decodes to a monotone function.
+func TestTableDecodesMonotone(t *testing.T) {
+	m := New()
+	notA := []byte{1, 1, 'a', 1, 0, 1, 0} // a ? False : True
+	nodes, err := m.DecodeTable(notA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes[2] != True {
+		t.Errorf("decoded %s, want 1 (= 1 + a·0)", m.Expr(nodes[2]))
+	}
+}
 func assertSameFunction(t *testing.T, m1 *Manager, f Node, m2 *Manager, g Node, vars []string) {
 	t.Helper()
 	n := len(vars)
@@ -336,55 +408,115 @@ func TestQuickCanonicity(t *testing.T) {
 	}
 }
 
+// monoExpr is a random negation-free expression: a provenance polynomial.
+func monoExpr(r *rand.Rand, depth int) *expr {
+	if depth == 0 || r.Intn(3) == 0 {
+		return &expr{op: 'v', v: r.Intn(len(testVars))}
+	}
+	if r.Intn(2) == 0 {
+		return &expr{op: '&', lhs: monoExpr(r, depth-1), rhs: monoExpr(r, depth-1)}
+	}
+	return &expr{op: '|', lhs: monoExpr(r, depth-1), rhs: monoExpr(r, depth-1)}
+}
+
+// TestQuickSerializeRoundTrip is the table codec's property test against
+// an independent reading: random monotone BDDs of one manager ship as one
+// table into a manager with the reverse variable order, and every root's
+// Cubes — computed by the receiver over its own structure — equal the
+// sender's, and equal what the table of that root alone decodes to.
 func TestQuickSerializeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		e := randExpr(r, 5, len(testVars))
 		m := New()
 		m.DeclareOrder(testVars...)
-		n := e.build(m, testVars)
+		roots := make([]Node, 1+r.Intn(6))
+		for i := range roots {
+			roots[i] = monoExpr(r, 5).build(m, testVars)
+		}
 		m2 := New()
-		// Random variable order on the receiving side.
-		perm := r.Perm(len(testVars))
-		for _, i := range perm {
+		for i := len(testVars) - 1; i >= 0; i-- {
 			m2.Var(testVars[i])
 		}
-		g, err := m2.Deserialize(m.Serialize(n))
+		b, refs := m.AppendTable(nil, roots)
+		nodes, err := m2.DecodeTable(b)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
-		for mask := 0; mask < 1<<len(testVars); mask++ {
-			am := make(map[string]bool)
-			for i := range testVars {
-				am[testVars[i]] = mask&(1<<i) != 0
-			}
-			if m.Eval(n, am) != m2.Eval(g, am) {
+		for i, root := range roots {
+			want := fmt.Sprint(m.Cubes(root))
+			alone := roundTrip(t, m, root, m2)
+			if got := fmt.Sprint(m2.Cubes(nodes[refs[i]])); got != want || alone != nodes[refs[i]] {
+				t.Logf("seed %d root %d: shared %s, alone %s, want %s", seed, i, got, m2.Cubes(alone), want)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecodeTable: whatever the bytes, DecodeTable returns nodes or an
+// error — never a panic — agrees with CheckTable, and allocates nothing on
+// the word of a count the bytes cannot hold. Every function an accepted
+// table decodes to is monotone: rebuilt from its Cubes, it is the same
+// node.
+func FuzzDecodeTable(f *testing.F) {
+	m := New()
+	a, b, c := m.Var("a"), m.Var("b"), m.Var("c")
+	for _, roots := range [][]Node{
+		{True}, {False}, {a}, {m.And(a, b), m.Or(m.And(a, b), c), m.And(a, b)},
+	} {
+		enc, _ := m.AppendTable(nil, roots)
+		f.Add(enc)
+	}
+	f.Add([]byte{1, 1, 'a', 1, 0, 1, 0})
+	f.Add([]byte{1, 1, 'a', 1, 0, 2, 1})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		m := New()
+		refs, checkErr := CheckTable(enc)
+		nodes, err := m.DecodeTable(enc)
+		if (err == nil) != (checkErr == nil) {
+			t.Fatalf("CheckTable says %v, DecodeTable %v", checkErr, err)
+		}
+		if err != nil {
+			if m.NumNodes() != 2 {
+				t.Fatal("a refused table built nodes")
+			}
+			return
+		}
+		if len(nodes) != refs {
+			t.Fatalf("%d nodes, CheckTable counted %d refs", len(nodes), refs)
+		}
+		if m.NumNodes() > 64 {
+			return // Cubes enumerates paths; keep the check small
+		}
+		for _, n := range nodes {
+			sum := False
+			for _, cube := range m.Cubes(n) {
+				prod := True
+				for _, v := range cube {
+					prod = m.And(prod, m.Var(v))
+				}
+				sum = m.Or(sum, prod)
+			}
+			if sum != n {
+				t.Fatalf("decoded %s is not monotone: its cubes rebuild %s", m.Expr(n), m.Expr(sum))
+			}
+		}
+	})
 }
 
 func TestQuickCubesEquivalentForMonotone(t *testing.T) {
 	// For negation-free expressions, the DNF from Cubes must evaluate to
 	// the same function.
-	var mono func(r *rand.Rand, depth int) *expr
-	mono = func(r *rand.Rand, depth int) *expr {
-		if depth == 0 || r.Intn(3) == 0 {
-			return &expr{op: 'v', v: r.Intn(len(testVars))}
-		}
-		if r.Intn(2) == 0 {
-			return &expr{op: '&', lhs: mono(r, depth-1), rhs: mono(r, depth-1)}
-		}
-		return &expr{op: '|', lhs: mono(r, depth-1), rhs: mono(r, depth-1)}
-	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		e := mono(r, 5)
+		e := monoExpr(r, 5)
 		m := New()
 		m.DeclareOrder(testVars...)
 		n := e.build(m, testVars)
@@ -434,14 +566,15 @@ func BenchmarkAnd(b *testing.B) {
 	}
 }
 
-func BenchmarkSerialize(b *testing.B) {
+func BenchmarkAppendTable(b *testing.B) {
 	m := New()
 	f := False
 	for i := 0; i < 12; i++ {
 		f = m.Or(f, m.And(m.Var(string(rune('a'+i))), m.Var(string(rune('a'+(i+1)%12)))))
 	}
+	roots := []Node{f}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Serialize(f)
+		m.AppendTable(nil, roots)
 	}
 }

@@ -183,10 +183,11 @@ type Node struct {
 	pendingRetract []engine.Withdrawal
 
 	// exports is the soft-state log (Config.Resupply only): the current
-	// exports per destination, replayed when a peer process restarts.
-	// Keyed dest → tuple key; owned by this node's scheduler task like
-	// pendingRetract, so no lock.
-	exports map[string]map[string]engine.Imported
+	// exports per destination — each tuple with its annotation, encoded
+	// afresh into whatever frame replays it — replayed when a peer process
+	// restarts. Keyed dest → tuple key; owned by this node's scheduler task
+	// like pendingRetract, so no lock.
+	exports map[string]map[string]item
 
 	// view is this node's slice of the latest published ReadView (nil
 	// before the first publish) and dirt what the engine reported since,
@@ -738,9 +739,7 @@ func (n *Network) importPhase(ctx context.Context, repair bool) (bool, error) {
 		if n.nm != nil {
 			n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
 		}
-		if err := n.deliverAll(name, node, ds, repair); err != nil {
-			return false, err
-		}
+		n.deliverAll(name, node, ds, repair)
 		return len(msgs) > 0, nil
 	})
 }
@@ -874,8 +873,10 @@ type outFrame struct {
 // appendLinkFrames appends what from ships to dest of one frame kind:
 // first the handshake frame a new or rekeyed session link needs (its RSA
 // work waits for sealAndSend), then items as one frame — or, when each is
-// set, one frame per item.
-func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind byte, items []engine.Imported, each bool) ([]outFrame, error) {
+// set, one frame per item. A data frame's provenance is encoded here, per
+// frame, so every frame — Unbatched and replayed ones too — carries what
+// its receiver needs to decode it alone.
+func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind byte, items []item, each bool) ([]outFrame, error) {
 	if n.session != nil {
 		need, epoch, err := n.session.EnsureSession(from, dest)
 		if err != nil {
@@ -893,6 +894,7 @@ func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind by
 		f := &frame{kind: kind, from: from, items: items[lo : lo+step]}
 		if kind == kindData {
 			f.mode = n.cfg.Prov
+			f.encodeProv(n.nodes[from].Tracker)
 		}
 		frames = append(frames, outFrame{dest, f})
 	}
@@ -906,14 +908,14 @@ func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine
 	if len(ws) == 0 {
 		return frames, nil
 	}
-	groups := make(map[string][]engine.Imported)
+	groups := make(map[string][]item)
 	var dests []string
 	node := n.nodes[from]
 	for _, w := range ws {
 		if _, ok := groups[w.Dest]; !ok {
 			dests = append(dests, w.Dest)
 		}
-		groups[w.Dest] = append(groups[w.Dest], engine.Imported{Tuple: w.Tuple})
+		groups[w.Dest] = append(groups[w.Dest], item{tuple: w.Tuple})
 		if n.cfg.Resupply && node.exports != nil {
 			delete(node.exports[w.Dest], w.Tuple.Key()) //provlint:allow keystring export-log key, resupply path only
 		}
@@ -936,17 +938,17 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 		return frames, nil
 	}
 	node := n.nodes[from]
-	groups := make(map[string][]engine.Imported)
+	groups := make(map[string][]item)
 	var dests []string
 	for _, ex := range exports {
-		it := engine.Imported{Tuple: ex.Tuple, Prov: node.Tracker.Export(ex.Tuple, ex.Ann)}
+		it := item{tuple: ex.Tuple, ann: ex.Ann}
 		if n.cfg.Resupply {
 			if node.exports == nil {
-				node.exports = make(map[string]map[string]engine.Imported)
+				node.exports = make(map[string]map[string]item)
 			}
 			perDest := node.exports[ex.Dest]
 			if perDest == nil {
-				perDest = make(map[string]engine.Imported)
+				perDest = make(map[string]item)
 				node.exports[ex.Dest] = perDest
 			}
 			perDest[ex.Tuple.Key()] = it //provlint:allow keystring export-log key, resupply path only
@@ -1051,7 +1053,7 @@ func (n *Network) decodeVerify(name string, msg netsim.Message) (*frame, error) 
 // another frame (a zombie route) and amplifying churn traffic; the
 // origin-support model makes insert-vs-retract of different senders
 // commute, so deferring retractions does not change the fixpoint.
-func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) error {
+func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) {
 	if len(ds) > 0 {
 		n.markActive(name)
 	}
@@ -1059,13 +1061,11 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) 
 	for _, d := range ds {
 		if d.kind == kindRetract {
 			for _, it := range d.items {
-				inbound = append(inbound, engine.InboundRetraction{From: d.from, Tuple: it.Tuple})
+				inbound = append(inbound, engine.InboundRetraction{From: d.from, Tuple: it.tuple})
 			}
 			continue
 		}
-		if err := n.deliver(name, node, d); err != nil {
-			return err
-		}
+		n.deliver(name, node, d)
 	}
 	if len(inbound) > 0 {
 		var ws []engine.Withdrawal
@@ -1078,30 +1078,30 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) 
 		}
 		node.pendingRetract = append(node.pendingRetract, ws...)
 	}
-	return nil
 }
 
-// deliver inserts one verified data frame at node name: a single engine
-// batch on the common path, or per-tuple trust gating (§3) when an import
-// filter is configured. The annotation reconstructed for the admission
-// check is reused for the insert, so the provenance payload is
-// deserialized only once.
-func (n *Network) deliver(name string, node *Node, d *frame) error {
-	if n.cfg.ImportFilter == nil || n.cfg.Prov != provenance.ModeCondensed {
-		return node.Engine.InsertImportedBatchFrom(d.from, d.items)
+// deliver inserts one verified data frame at node name, with per-tuple
+// trust gating (§3) when an import filter is configured. Every item's
+// annotation is decoded before any item is inserted: a frame with one
+// that does not decode or verify is dropped whole and counted like
+// unverifiable input, never an error — the sender authenticated it, but
+// one bad frame must not stop a node.
+func (n *Network) deliver(name string, node *Node, d *frame) {
+	if err := d.decodeProv(node.Tracker); err != nil {
+		n.rejectedSig.Add(1)
+		return
+	}
+	filter := n.cfg.ImportFilter
+	if n.cfg.Prov != provenance.ModeCondensed {
+		filter = nil
 	}
 	for _, it := range d.items {
-		ann, err := node.Tracker.Import(it.Tuple, it.Prov)
-		if err != nil {
-			return err
-		}
-		if !n.cfg.ImportFilter(name, it.Tuple, node.Tracker.PolyOf(ann)) {
+		if filter != nil && !filter(name, it.tuple, node.Tracker.PolyOf(it.ann)) {
 			n.rejectedFilter.Add(1)
 			continue
 		}
-		node.Engine.InsertImportedAnnFrom(d.from, it.Tuple, ann)
+		node.Engine.InsertImportedAnnFrom(d.from, it.tuple, it.ann)
 	}
-	return nil
 }
 
 func (n *Network) report(start time.Time, rounds int) *Report {
@@ -1181,7 +1181,7 @@ func (n *Network) resupplyAll() error {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
-			items := make([]engine.Imported, len(keys))
+			items := make([]item, len(keys))
 			for i, k := range keys {
 				items[i] = perDest[k]
 			}

@@ -9,7 +9,6 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
-	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/semiring"
 	"provnet/internal/topo"
@@ -227,8 +226,8 @@ func TestTamperedEnvelopeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forge a message: correct format, wrong signature.
-	env := &frame{kind: kindData, from: "b", items: []engine.Imported{
-		{Tuple: data.NewTuple("reachable", data.Str("a"), data.Str("zz"))}}}
+	env := &frame{kind: kindData, from: "b", items: []item{
+		{tuple: data.NewTuple("reachable", data.Str("a"), data.Str("zz"))}}}
 	forged, err := env.seal(auth.SignerSealer{S: auth.NoneSigner{}}, "a") // empty signature
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
-	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
@@ -142,8 +141,8 @@ func TestSessionRefusesSignedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signed := &frame{kind: kindData, from: "b", items: []engine.Imported{
-		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("signed"))}}}
+	signed := &frame{kind: kindData, from: "b", items: []item{
+		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("signed"))}}}
 	p, err := signed.seal(n.control, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +174,8 @@ func TestKindFlippedFrameRejected(t *testing.T) {
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	n, _ := mustRun(t, cfg)
 	want := snapshot(t, n)
-	said := &frame{kind: kindData, from: "b", items: []engine.Imported{
-		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("c"))}}}
+	said := &frame{kind: kindData, from: "b", items: []item{
+		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("c"))}}}
 	p, err := said.seal(n.sealer, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +209,8 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 	}
 	// A forged handshake (garbage blob), an empty one, and a data frame
 	// with an empty tag on a link that never shook hands.
-	orphan := &frame{kind: kindData, from: "b", items: []engine.Imported{
-		{Tuple: data.NewTuple("reachable", data.Str("b"), data.Str("forged"))}}}
+	orphan := &frame{kind: kindData, from: "b", items: []item{
+		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("forged"))}}}
 	orphanPayload, err := orphan.seal(auth.SignerSealer{S: auth.NoneSigner{}}, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +276,54 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 	}
 	if got, want := snapshot(t, n), snapshot(t, clean); got != want {
 		t.Errorf("tables polluted by malformed input\n--- clean ---\n%s--- got ---\n%s", want, got)
+	}
+
+	// Provenance that does not decode, with no authentication to hide
+	// behind: a condensed table or ref that fails to parse, and a local
+	// frame that parses and authenticates but whose second tree does not
+	// unmarshal — its sound first item must not be inserted either.
+	for _, c := range []struct {
+		mode   provenance.Mode
+		frames []*frame
+	}{
+		{provenance.ModeCondensed, []*frame{
+			condensedFrame([]byte{5}, 0),                              // truncated table
+			condensedFrame([]byte{1, 1, 'a', 2, 0, 0, 3, 0, 0, 1}, 2), // forward ref
+			condensedFrame(condensedTable, 3, 5),                      // dangling item ref
+			condensedFrame([]byte{1, 1, 'a', 1, 1, 0, 1}, 2),          // variable index out of range
+		}},
+		{provenance.ModeLocal, []*frame{{kind: kindData, from: "b", mode: provenance.ModeLocal, items: []item{
+			{tuple: data.NewTuple("reachable", data.Str("a"), data.Str("forged"))},
+			{tuple: data.NewTuple("reachable", data.Str("a"), data.Str("forged2")), prov: []byte{5}},
+		}}}},
+	} {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true, Prov: c.mode}
+			clean, _ := mustRun(t, cfg)
+			n, err := NewNetwork(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range c.frames {
+				p, err := f.seal(n.sealer, "a")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Transport().Send("b", "a", p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := n.Run(0)
+			if err != nil {
+				t.Fatalf("undecodable provenance failed the run: %v", err)
+			}
+			if rep.RejectedSig != int64(len(c.frames)) {
+				t.Errorf("RejectedSig = %d, want %d (one per frame)", rep.RejectedSig, len(c.frames))
+			}
+			if got, want := snapshot(t, n), snapshot(t, clean); got != want {
+				t.Errorf("tables polluted by undecodable provenance\n--- clean ---\n%s--- got ---\n%s", want, got)
+			}
+		})
 	}
 }
 

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"provnet/internal/auth"
 	"provnet/internal/faultnet"
 	"provnet/internal/netsim"
+	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
 
@@ -228,12 +230,25 @@ func TestIdleHeuristicFalseFixpoint(t *testing.T) {
 	}
 }
 
+// condensedExprs renders the condensed provenance of every bestPath row.
+func condensedExprs(n *Network) string {
+	var b strings.Builder
+	for _, name := range n.Nodes() {
+		for _, tu := range n.Tuples(name, "bestPath") {
+			fmt.Fprintf(&b, "%s: %s %s\n", name, tu, n.CondensedExpr(name, tu))
+		}
+	}
+	return b.String()
+}
+
 // TestResupplyReplaysExports pins the soft-state half of the restart
 // story at the core layer: a driver-level Resupply replays every
 // node's export log and the network re-converges to the same tables —
 // the replay is idempotent. Run with sessions on, Resupply resets the
 // outbound session state, so the replay also exercises the
-// re-handshake path a restarted peer triggers.
+// re-handshake path a restarted peer triggers. Under condensed
+// provenance the log keeps annotations and the replay encodes them into
+// fresh frame tables: every row's provenance comes back unchanged.
 func TestResupplyReplaysExports(t *testing.T) {
 	for _, s := range []struct {
 		name string
@@ -241,6 +256,7 @@ func TestResupplyReplaysExports(t *testing.T) {
 	}{
 		{"legacy", func(c *Config) {}},
 		{"session", func(c *Config) { c.Auth = auth.SchemeSession; c.KeyBits = 512 }},
+		{"condensed", func(c *Config) { c.Prov = provenance.ModeCondensed }},
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			cfg := termCfg()
@@ -253,6 +269,7 @@ func TestResupplyReplaysExports(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := snapshotPreds(n, "bestPath", "spCost")
+			exprs := condensedExprs(n)
 			msgs := n.Transport().Stats().Messages
 
 			if err := d.Resupply(); err != nil {
@@ -263,6 +280,9 @@ func TestResupplyReplaysExports(t *testing.T) {
 			}
 			if after := snapshotPreds(n, "bestPath", "spCost"); after != before {
 				t.Fatalf("tables changed across resupply\n--- before ---\n%s--- after ---\n%s", before, after)
+			}
+			if after := condensedExprs(n); after != exprs {
+				t.Fatalf("provenance changed across resupply\n--- before ---\n%s--- after ---\n%s", exprs, after)
 			}
 			if n.Transport().Stats().Messages == msgs {
 				t.Fatal("resupply shipped nothing; export log empty")

@@ -13,15 +13,14 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
-	"provnet/internal/engine"
 	"provnet/internal/netsim"
 )
 
 // saidFrame is a data frame carrying one tuple no run derives, so a
 // receiver that accepts it shows it in its tables.
 func saidFrame(from, to, what string) outFrame {
-	return outFrame{to, &frame{kind: kindData, from: from, items: []engine.Imported{
-		{Tuple: data.NewTuple("reachable", data.Str(from), data.Str(what))}}}}
+	return outFrame{to, &frame{kind: kindData, from: from, items: []item{
+		{tuple: data.NewTuple("reachable", data.Str(from), data.Str(what))}}}}
 }
 
 // sealRound seals frames as one round of from, the way sealAndSend does.

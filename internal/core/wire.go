@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"provnet/internal/auth"
+	"provnet/internal/bdd"
 	"provnet/internal/data"
 	"provnet/internal/engine"
 	"provnet/internal/provenance"
@@ -32,7 +33,8 @@ import (
 const (
 	// kindData is what a node says: the tuples it exports to one
 	// destination in one round (or one tuple, under Config.Unbatched),
-	// each with its mode-specific provenance payload.
+	// with their provenance — one BDD table for the frame under
+	// ModeCondensed, a payload per tuple under the other modes.
 	kindData byte = 1 + iota
 	// kindRetract withdraws tuples the sender no longer derives (link
 	// churn); the receiver removes the sender's support for each.
@@ -54,11 +56,15 @@ var ErrBadEnvelope = errors.New("core: bad envelope")
 type frame struct {
 	kind byte
 	from string
-	// mode tags the provenance payload encoding of every item (data).
+	// mode tags the provenance encoding of every item (data).
 	mode provenance.Mode
+	// table is a ModeCondensed data frame's one BDD table (bdd.AppendTable)
+	// that its items' refs point into; decodeFrame checks its shape and
+	// leaves it aliasing the datagram.
+	table []byte
 	// items are the shipped (data) or withdrawn (retract) tuples; retract
-	// frames carry no provenance payloads.
-	items []engine.Imported
+	// frames carry no provenance.
+	items []item
 	// wave numbers the detection attempt and acts is the running sum of
 	// the activity counters stamped into it (token, terminate).
 	wave, acts uint64
@@ -69,6 +75,20 @@ type frame struct {
 	// signed and tag are set by decodeFrame: the received bytes the tag
 	// covers, and the tag. Both alias the datagram.
 	signed, tag []byte
+}
+
+// item is one tuple of a data or retract frame. ann is its annotation:
+// what the export path encodes into prov or ref as it builds the frame,
+// and what deliver decodes from them. On the wire a data item carries
+// prov, the mode's per-tuple payload, except under ModeCondensed, where it
+// carries ref into the frame's table: k+1 = table ref k, and 0 = none,
+// which the receiver imports as it would an empty payload (senders always
+// write a table ref).
+type item struct {
+	tuple data.Tuple
+	ann   engine.Annotation
+	prov  []byte
+	ref   uint64
 }
 
 // handshaker is the part of auth.SessionSealer a handshake frame needs.
@@ -105,21 +125,87 @@ func (f *frame) appendSigned(b []byte) []byte {
 	switch f.kind {
 	case kindData:
 		b = append(b, byte(f.mode))
+		condensed := f.mode == provenance.ModeCondensed
+		if condensed {
+			b = data.AppendBytes(b, f.table)
+		}
 		b = binary.AppendUvarint(b, uint64(len(f.items)))
 		for _, it := range f.items {
-			b = data.AppendTuple(b, it.Tuple)
-			b = data.AppendBytes(b, it.Prov)
+			b = data.AppendTuple(b, it.tuple)
+			if condensed {
+				b = binary.AppendUvarint(b, it.ref)
+			} else {
+				b = data.AppendBytes(b, it.prov)
+			}
 		}
 	case kindRetract:
 		b = binary.AppendUvarint(b, uint64(len(f.items)))
 		for _, it := range f.items {
-			b = data.AppendTuple(b, it.Tuple)
+			b = data.AppendTuple(b, it.tuple)
 		}
 	case kindToken, kindTerminate:
 		b = binary.AppendUvarint(b, f.wave)
 		b = binary.AppendUvarint(b, f.acts)
 	}
 	return b
+}
+
+// encodeProv writes the provenance of a data frame's items the way its
+// mode ships it: one table for the whole frame under ModeCondensed, one
+// payload per item under ModeLocal and ModeDistributed, nothing under
+// ModeNone.
+func (f *frame) encodeProv(tr *provenance.Tracker) {
+	switch f.mode {
+	case provenance.ModeNone:
+	case provenance.ModeCondensed:
+		anns := make([]engine.Annotation, len(f.items))
+		for i, it := range f.items {
+			anns[i] = it.ann
+		}
+		var refs []uint64
+		f.table, refs = tr.AppendTable(nil, anns)
+		for i, ref := range refs {
+			f.items[i].ref = ref + 1
+		}
+	default:
+		for i, it := range f.items {
+			f.items[i].prov = tr.Export(it.tuple, it.ann)
+		}
+	}
+}
+
+// decodeProv reconstructs the annotations of a received data frame's
+// items at the node tr tracks, all of them or none: the first that does
+// not decode or verify is returned as the frame's error. The receiver's
+// own mode decides, as its own configuration picks the sealer, so a frame
+// in another mode is refused. Refs were checked against the table by
+// decodeFrame.
+func (f *frame) decodeProv(tr *provenance.Tracker) error {
+	if f.mode != tr.Mode() {
+		return fmt.Errorf("%w: %v provenance at a %v node", ErrBadEnvelope, f.mode, tr.Mode())
+	}
+	if f.mode == provenance.ModeNone {
+		return nil
+	}
+	var tab []bdd.Node
+	if f.mode == provenance.ModeCondensed {
+		var err error
+		if tab, err = tr.DecodeTable(f.table); err != nil {
+			return fmt.Errorf("%w: provenance table: %v", ErrBadEnvelope, err)
+		}
+	}
+	for i := range f.items {
+		it := &f.items[i]
+		if it.ref > 0 {
+			it.ann = tab[it.ref-1]
+			continue
+		}
+		var err error
+		if it.ann, err = tr.Import(it.tuple, it.prov); err != nil {
+			return fmt.Errorf("%w: provenance of item %d: %v", ErrBadEnvelope, i, err)
+		}
+	}
+	return nil
 }
 
 // sealFrames serializes the frames from sends in one round, seals them
@@ -213,7 +299,8 @@ func (f *frame) open(sealer auth.Sealer, to string) error {
 // maxPresize caps the capacity decodeFrame allocates on the word of a
 // count it has not authenticated yet; past it the slice grows with the
 // items actually decoded. Item sizes are the smallest encodings: a tuple
-// is two empty strings and an arity, a data item adds an empty payload.
+// is two empty strings and an arity, a data item adds an empty payload or
+// a one-byte ref.
 const (
 	maxPresize     = 64
 	minTupleSize   = 3
@@ -240,20 +327,36 @@ func decodeFrame(p []byte) (*frame, error) {
 	case kindData, kindRetract:
 		f.from = read(c, "from", data.DecodeString)
 		itemSize := minTupleSize
+		refs := 0 // ModeCondensed: how many refs the frame's table defines
 		if f.kind == kindData {
 			f.mode = provenance.Mode(read(c, "provenance mode", decodeByte))
 			itemSize += minPayloadSize
+			if f.mode == provenance.ModeCondensed {
+				f.table = read(c, "provenance table", data.DecodeBytes)
+				if c.err == nil {
+					var err error
+					if refs, err = bdd.CheckTable(f.table); err != nil {
+						c.err = fmt.Errorf("%w: provenance table: %v", ErrBadEnvelope, err)
+					}
+				}
+			}
 		}
 		count := read(c, "item count", decodeUvarint)
 		if c.err == nil && count > uint64((len(p)-c.n)/itemSize) {
 			return nil, fmt.Errorf("%w: item count %d exceeds payload", ErrBadEnvelope, count)
 		}
-		f.items = make([]engine.Imported, 0, min(count, maxPresize))
+		f.items = make([]item, 0, min(count, maxPresize))
 		for i := uint64(0); i < count && c.err == nil; i++ {
-			it := engine.Imported{Tuple: read(c, "tuple", data.DecodeTuple)}
-			if f.kind == kindData {
+			it := item{tuple: read(c, "tuple", data.DecodeTuple)}
+			switch {
+			case f.kind == kindRetract:
+			case f.mode == provenance.ModeCondensed:
+				if it.ref = read(c, "provenance ref", decodeUvarint); it.ref > uint64(refs) && c.err == nil {
+					c.err = fmt.Errorf("%w: provenance ref %d past a table of %d", ErrBadEnvelope, it.ref, refs)
+				}
+			default:
 				if prov := read(c, "provenance", data.DecodeBytes); len(prov) > 0 {
-					it.Prov = append([]byte(nil), prov...)
+					it.prov = append([]byte(nil), prov...)
 				}
 			}
 			f.items = append(f.items, it)

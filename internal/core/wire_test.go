@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"provnet/internal/auth"
+	"provnet/internal/bdd"
 	"provnet/internal/data"
-	"provnet/internal/engine"
 	"provnet/internal/provenance"
 )
 
@@ -80,6 +80,11 @@ func (p placeholder) Open(_, _ string, _, tag []byte) error {
 	return nil
 }
 
+// condensedTable is the provenance table of the condensed fixture: <b*c>
+// under the variable order b, c — two variables, two nodes, the second
+// referencing the first (TestCondensedFixtureTable).
+var condensedTable = []byte{0x02, 0x01, 'c', 0x01, 'b', 0x02, 0x00, 0x00, 0x01, 0x01, 0x00, 0x02}
+
 var bestPathCA = data.NewTuple("bestPath", data.Str("c"), data.Str("a"), data.List(data.Str("c"), data.Str("a")), data.Int(1))
 
 // wireCases is the one table every wire test walks: each frame kind, and
@@ -95,31 +100,31 @@ var wireCases = []struct {
 }{
 	{
 		name: "data-unsigned", sealer: "none",
-		frame: frame{kind: kindData, from: "a", mode: provenance.ModeNone, items: []engine.Imported{
-			{Tuple: data.NewTuple("reachable", data.Str("a"), data.Str("b"))}}},
+		frame: frame{kind: kindData, from: "a", mode: provenance.ModeNone, items: []item{
+			{tuple: data.NewTuple("reachable", data.Str("a"), data.Str("b"))}}},
 		golden: "010161000109726561636861626c6500020301610301620000",
 	},
 	{
 		name: "data", sealer: "rsa", tag: placeholder{0xc0, 0xde},
-		frame: frame{kind: kindData, from: "b", mode: provenance.ModeCondensed, items: []engine.Imported{
-			{Tuple: data.NewTuple("path", data.Str("b"), data.Str("c"), data.Int(3)), Prov: []byte{0x01, 0x02}},
-			{Tuple: data.NewTuple("link", data.Str("b"), data.Str("c"))}}},
-		golden: "0101620302047061746800030301620301630006020102046c696e6b00020301620301630002c0de",
+		frame: frame{kind: kindData, from: "b", mode: provenance.ModeCondensed, table: condensedTable, items: []item{
+			{tuple: data.NewTuple("path", data.Str("b"), data.Str("c"), data.Int(3)), ref: 4},
+			{tuple: data.NewTuple("link", data.Str("b"), data.Str("c"))}}},
+		golden: "010162030c0201630162020000010100020204706174680003030162030163000604046c696e6b00020301620301630002c0de",
 	},
 	{
 		name: "data-session", sealer: "session", tag: placeholder{0x00, 0xfe, 0xed},
-		frame:  frame{kind: kindData, from: "c", mode: provenance.ModeNone, items: []engine.Imported{{Tuple: bestPathCA}}},
+		frame:  frame{kind: kindData, from: "c", mode: provenance.ModeNone, items: []item{{tuple: bestPathCA}}},
 		golden: "0101630001086265737450617468000403016303016104020301630301610002000300feed",
 	},
 	{
 		name: "retract", sealer: "rsa", tag: placeholder{0xde, 0xad},
-		frame: frame{kind: kindRetract, from: "a", items: []engine.Imported{{Tuple: data.NewTuple("bestPath",
+		frame: frame{kind: kindRetract, from: "a", items: []item{{tuple: data.NewTuple("bestPath",
 			data.Str("a"), data.Str("c"), data.List(data.Str("a"), data.Str("b"), data.Str("c")), data.Int(2))}}},
 		golden: "0201610108626573745061746800040301610301630403030161030162030163000402dead",
 	},
 	{
 		name: "retract-session", sealer: "session", tag: placeholder{0x00, 0xfe, 0xed},
-		frame:  frame{kind: kindRetract, from: "c", items: []engine.Imported{{Tuple: bestPathCA}}},
+		frame:  frame{kind: kindRetract, from: "c", items: []item{{tuple: bestPathCA}}},
 		golden: "020163010862657374506174680004030163030161040203016303016100020300feed",
 	},
 	{
@@ -139,15 +144,46 @@ var wireCases = []struct {
 	},
 }
 
+// condensedFrame is a ModeCondensed data frame from b whose items, one
+// per ref, point into table: the hand-made tables and refs the decoder
+// must refuse (or, for condensedTable's refs, accept).
+func condensedFrame(table []byte, refs ...uint64) *frame {
+	f := &frame{kind: kindData, from: "b", mode: provenance.ModeCondensed, table: table}
+	for i, ref := range refs {
+		f.items = append(f.items, item{tuple: data.NewTuple("reachable", data.Str("a"), data.Str("forged"+strconv.Itoa(i))), ref: ref})
+	}
+	return f
+}
+
+// TestCondensedFixtureTable ties the condensed fixture to the codec: its
+// table is what a manager ordering b above c writes for <b*c>, ref 2 is
+// the shared suffix <c>, and it decodes back to both.
+func TestCondensedFixtureTable(t *testing.T) {
+	m := bdd.New()
+	b, c := m.Var("b"), m.Var("c")
+	table, refs := m.AppendTable(nil, []bdd.Node{m.And(b, c), c})
+	if !bytes.Equal(table, condensedTable) || refs[0] != 3 || refs[1] != 2 {
+		t.Fatalf("AppendTable(<b*c>, <c>) = %x %v, want the fixture's %x [3 2]", table, refs, condensedTable)
+	}
+	m2 := bdd.New()
+	nodes, err := m2.DecodeTable(condensedTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Expr(nodes[3]) + " | " + m2.Expr(nodes[2]); got != "b*c | c" {
+		t.Errorf("the fixture's table decodes to %s, want b*c | c", got)
+	}
+}
+
 // sameFrame reports the first field a decoded frame lost or changed.
 func sameFrame(t *testing.T, got, want *frame) {
 	t.Helper()
-	if got.kind != want.kind || got.from != want.from || got.mode != want.mode ||
+	if got.kind != want.kind || got.from != want.from || got.mode != want.mode || !bytes.Equal(got.table, want.table) ||
 		got.wave != want.wave || got.acts != want.acts || len(got.items) != len(want.items) {
 		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 	for i, it := range want.items {
-		if !got.items[i].Tuple.Equal(it.Tuple) || !bytes.Equal(got.items[i].Prov, it.Prov) {
+		if !got.items[i].tuple.Equal(it.tuple) || !bytes.Equal(got.items[i].prov, it.prov) || got.items[i].ref != it.ref {
 			t.Fatalf("item %d = %+v, want %+v", i, got.items[i], it)
 		}
 	}
@@ -310,7 +346,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 func TestOpenCoversReceivedBytes(t *testing.T) {
 	sealer := testSealers(t)["rsa"]
 	tu := data.NewTuple("p", data.Int(1))
-	canonical := &frame{kind: kindData, from: "a", items: []engine.Imported{{Tuple: tu}}}
+	canonical := &frame{kind: kindData, from: "a", items: []item{{tuple: tu}}}
 	sealed, err := canonical.seal(sealer, "b")
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +421,7 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 	tu := data.NewTuple("path", data.Str("a"), data.Str("c"), data.Strings("a", "b", "c"), data.Int(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := &frame{kind: kindData, from: "a", items: []engine.Imported{{Tuple: tu}}}
+		f := &frame{kind: kindData, from: "a", items: []item{{tuple: tu}}}
 		if _, err := f.seal(sealer, "b"); err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +450,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	}
 	// A tuple argument of 64 nested {KindList, 1} headers: past the
 	// codec's depth bound, so an error, not a recursion.
-	tooDeep := &frame{kind: kindData, from: "a", items: []engine.Imported{{Tuple: data.NewTuple("p", deepList(64))}}}
+	tooDeep := &frame{kind: kindData, from: "a", items: []item{{tuple: data.NewTuple("p", deepList(64))}}}
 	if b, err := tooDeep.seal(sealers["rsa"], "b"); err == nil {
 		f.Add(b)
 	}
@@ -430,6 +466,18 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			for _, bad := range treeTagVariants(f, d, 512/8) {
 				f.Add(bad)
 			}
+		}
+	}
+	// Condensed frames: two items sharing a root, one on the shared
+	// suffix and one with none; a node referencing the node after it; an
+	// item ref past the table.
+	for _, cf := range []*frame{
+		condensedFrame(condensedTable, 4, 4, 3, 0),
+		condensedFrame([]byte{1, 1, 'a', 2, 0, 0, 3, 0, 0, 1}, 2),
+		condensedFrame(condensedTable, 5),
+	} {
+		if b, err := cf.seal(sealers["rsa"], "b"); err == nil {
+			f.Add(b)
 		}
 	}
 	f.Add(hostileCount(8<<20, 64))

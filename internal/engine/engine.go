@@ -507,32 +507,14 @@ func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byt
 	return nil
 }
 
-// InsertImportedAnnFrom inserts a received tuple whose annotation was
-// already reconstructed by the provenance hook — the trust-gating path,
-// which needs the annotation before admission and should not pay a second
-// payload deserialization — with the sender recorded as support origin.
+// InsertImportedAnnFrom inserts a received tuple whose annotation the
+// caller already reconstructed — the network layer decodes every
+// annotation of a frame (one provenance table for all of them, under
+// condensed provenance) before it inserts any — with the sender recorded
+// as support origin. Like every insert it only queues the tuple: the
+// whole delta is processed by the next RunToFixpoint.
 func (e *Engine) InsertImportedAnnFrom(from string, t data.Tuple, ann Annotation) {
 	e.insert(t, ann, supportFrom(from), 0)
-}
-
-// Imported pairs a received tuple with its provenance payload, for batch
-// insertion.
-type Imported struct {
-	Tuple data.Tuple
-	Prov  []byte
-}
-
-// InsertImportedBatchFrom inserts a batch of received tuples, the unit
-// the transport layer hands over per verified data frame, with the sender
-// recorded as support origin for every item. The whole delta is queued
-// before the next RunToFixpoint processes it.
-func (e *Engine) InsertImportedBatchFrom(from string, items []Imported) error {
-	for _, it := range items {
-		if err := e.InsertImportedFrom(from, it.Tuple, it.Prov); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // support is what holds a tuple up as it enters insert. The per-tuple

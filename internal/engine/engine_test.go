@@ -574,18 +574,19 @@ func TestExpressionDivisionByZeroKillsBranch(t *testing.T) {
 	wantTuples(t, e.Tuples("q"), "q(a, 5)")
 }
 
-// TestInsertImportedBatch checks the batched import path: the whole delta
-// is queued before the next semi-naive pass and derives exactly what
-// per-tuple imports would.
+// TestInsertImportedBatch checks the import path a received frame takes:
+// its tuples, annotations decoded up front, are all queued before the
+// next semi-naive pass, which derives exactly what per-tuple imports
+// would.
 func TestInsertImportedBatch(t *testing.T) {
 	e := newNode(t, "a", `r1 reachable(@S,D) :- link(@S,D).`, false)
-	batch := []Imported{
-		{Tuple: data.NewTuple("link", data.Str("a"), data.Str("b"))},
-		{Tuple: data.NewTuple("link", data.Str("a"), data.Str("c"))},
-		{Tuple: data.NewTuple("link", data.Str("a"), data.Str("b"))}, // duplicate
+	batch := []data.Tuple{
+		data.NewTuple("link", data.Str("a"), data.Str("b")),
+		data.NewTuple("link", data.Str("a"), data.Str("c")),
+		data.NewTuple("link", data.Str("a"), data.Str("b")), // duplicate
 	}
-	if err := e.InsertImportedBatchFrom("", batch); err != nil {
-		t.Fatal(err)
+	for _, tu := range batch {
+		e.InsertImportedAnnFrom("b", tu, nil)
 	}
 	if !e.Pending() {
 		t.Fatal("batch must queue work")
@@ -595,9 +596,6 @@ func TestInsertImportedBatch(t *testing.T) {
 	}
 	wantTuples(t, e.Tuples("reachable"),
 		"reachable(a, b)", "reachable(a, c)")
-	if err := e.InsertImportedBatchFrom("", nil); err != nil {
-		t.Fatal("empty batch must be a no-op, got error")
-	}
 }
 
 // TestLookupAndLiveCounts pins the view-facing accessors: Lookup answers

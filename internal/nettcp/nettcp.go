@@ -12,7 +12,7 @@
 // opened lazily by the sending side and re-opened (with exponential
 // backoff) if it drops. The byte stream is:
 //
-//	preamble  "PNT3" (4 bytes: magic + stream version)
+//	preamble  "PNT4" (4 bytes: magic + stream version)
 //	hello     uvarint n, n bytes — a name identifying the sending
 //	          process (its first registered node), used for diagnostics
 //	          and restart detection; then uvarint incarnation — a value
@@ -90,6 +90,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,11 +101,12 @@ import (
 
 // magic is the stream preamble: protocol magic plus stream version.
 // Version 2 added the hello incarnation and the sequenced/ack frame
-// flag bits; version 3 changed nothing in the stream and exists because
-// the datagrams inside did (docs/WIRE.md) — a process built before that
-// is refused here, once and logged, instead of having every datagram it
-// sends dropped as unparseable.
-var magic = [4]byte{'P', 'N', 'T', '3'}
+// flag bits; versions 3 (one kind-tagged frame) and 4 (one provenance
+// table per condensed data frame) changed nothing in the stream and exist
+// because the datagrams inside did (docs/WIRE.md) — a process built
+// before that is refused here, once and logged, instead of having every
+// datagram it sends dropped as unparseable.
+var magic = [4]byte{'P', 'N', 'T', '4'}
 
 // Frame flag bits.
 const (
@@ -1176,7 +1178,15 @@ func (t *Transport) queueAck(localDst, sender string, cum uint64) {
 	p.mu.Unlock()
 }
 
-// readLengthPrefixed reads one uvarint-length-prefixed block.
+// readChunk is how far readLengthPrefixed trusts an announced length: a
+// block grows by at most this much beyond the bytes that actually came.
+const readChunk = 64 << 10
+
+// readLengthPrefixed reads one uvarint-length-prefixed block. The length
+// is the peer's word — on the hello, before anything is authenticated —
+// so the buffer grows with the bytes read, a chunk at a time, instead of
+// being sized by it: a peer announcing the cap and sending nothing costs
+// one chunk, not the cap.
 func readLengthPrefixed(br *bufio.Reader, max int) ([]byte, error) {
 	l, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -1185,9 +1195,17 @@ func readLengthPrefixed(br *bufio.Reader, max int) ([]byte, error) {
 	if l > uint64(max) {
 		return nil, fmt.Errorf("block of %d bytes exceeds cap %d", l, max)
 	}
-	buf := make([]byte, l)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
+	buf := make([]byte, 0, min(int(l), readChunk))
+	for len(buf) < int(l) {
+		next := len(buf) + min(int(l)-len(buf), readChunk)
+		buf = slices.Grow(buf, next-len(buf))
+		if _, err := io.ReadFull(br, buf[len(buf):next]); err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF // the block broke off between chunks
+			}
+			return nil, err
+		}
+		buf = buf[:next]
 	}
 	return buf, nil
 }

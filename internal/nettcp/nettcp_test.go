@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,6 +92,30 @@ func TestFrameRoundTrip(t *testing.T) {
 //	05        cumulative acknowledged sequence number
 //
 // prefixed by the body length (06).
+// TestReadHostileLength pins reject-before-allocating on the stream: a
+// peer announcing a DefaultMaxFrame block and sending 10 bytes of it
+// gets an error, having cost under 1 MiB — the length is its word, not a
+// buffer size. A block spanning several read chunks still arrives whole.
+func TestReadHostileLength(t *testing.T) {
+	hostile := append(binary.AppendUvarint(nil, DefaultMaxFrame), make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readLengthPrefixed(bufio.NewReader(bytes.NewReader(hostile)), DefaultMaxFrame)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("allocated %d bytes on the word of a %d-byte length, want < 1 MiB", got, DefaultMaxFrame)
+	}
+
+	big := bytes.Repeat([]byte("provnet"), 3*readChunk/7+5)
+	got, err := readLengthPrefixed(bufio.NewReader(bytes.NewReader(append(binary.AppendUvarint(nil, uint64(len(big))), big...))), DefaultMaxFrame)
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("a %d-byte block read back as %d bytes, %v", len(big), len(got), err)
+	}
+}
+
 func TestAckFrameGolden(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)

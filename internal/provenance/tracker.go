@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"provnet/internal/auth"
@@ -182,11 +183,18 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 		if len(payload) == 0 {
 			return tr.mgr.Var(principalVar(t, "")), nil
 		}
-		node, err := tr.mgr.Deserialize(payload)
+		ref, n := binary.Uvarint(payload)
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: root ref", bdd.ErrBadEncoding)
+		}
+		nodes, err := tr.mgr.DecodeTable(payload[n:])
 		if err != nil {
 			return nil, err
 		}
-		return node, nil
+		if ref >= uint64(len(nodes)) {
+			return nil, fmt.Errorf("%w: root ref %d past a table of %d", bdd.ErrBadEncoding, ref, len(nodes))
+		}
+		return nodes[ref], nil
 	default:
 		return nil, nil
 	}
@@ -266,7 +274,10 @@ func (tr *Tracker) Merge(existing, incoming engine.Annotation) (engine.Annotatio
 	}
 }
 
-// Export serializes the annotation for shipment with its tuple.
+// Export serializes the annotation for shipment with its tuple alone. A
+// condensed annotation ships as its root's ref followed by the table of
+// that one root; a data frame carries one table for all its tuples
+// instead (AppendTable).
 func (tr *Tracker) Export(t data.Tuple, ann engine.Annotation) []byte {
 	switch tr.cfg.Mode {
 	case ModeLocal:
@@ -286,12 +297,32 @@ func (tr *Tracker) Export(t data.Tuple, ann engine.Annotation) []byte {
 		return b
 	case ModeCondensed:
 		if n, ok := ann.(bdd.Node); ok {
-			return tr.mgr.Serialize(n)
+			table, refs := tr.mgr.AppendTable(nil, []bdd.Node{n})
+			return append(binary.AppendUvarint(make([]byte, 0, 1+len(table)), refs[0]), table...)
 		}
 		return nil
 	default:
 		return nil
 	}
+}
+
+// AppendTable appends to b the one BDD table (bdd.AppendTable) that
+// carries the condensed annotations of a data frame's tuples, and returns
+// each annotation's ref into it. ModeCondensed only, where every
+// annotation the engine holds is this tracker's BDD.
+func (tr *Tracker) AppendTable(b []byte, anns []engine.Annotation) ([]byte, []uint64) {
+	roots := make([]bdd.Node, len(anns))
+	for i, ann := range anns {
+		roots[i] = ann.(bdd.Node)
+	}
+	return tr.mgr.AppendTable(b, roots)
+}
+
+// DecodeTable decodes a data frame's table into the node's manager, once
+// for all the frame's tuples: table ref r names nodes[r]. ModeCondensed
+// only.
+func (tr *Tracker) DecodeTable(b []byte) (nodes []bdd.Node, err error) {
+	return tr.mgr.DecodeTable(b)
 }
 
 // Withdraw marks a withdrawn tuple's provenance stale in the store (live
