@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke api-smoke fuzz examples docs chaos ci
+.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke api-smoke fuzz docs chaos ci
 
 all: build
 
@@ -107,20 +107,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStoreIndex -fuzztime 30s ./internal/provenance
 
-# Format/vet gate over examples/ plus the documented quickstart as a
-# smoke test, so the entry point can't silently rot.
-examples:
-	@out=$$(gofmt -l examples); if [ -n "$$out" ]; then \
-		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
-	fi
-	$(GO) vet ./examples/...
-	$(GO) run ./examples/quickstart
-
-# The CI docs job: markdown link check over README/ROADMAP/docs, build
-# of every example (multiprocess included), and the multiprocess smoke.
+# The CI docs job: markdown link check over README/ROADMAP/docs and the
+# multiprocess smoke. The checked examples (example_test.go) run with
+# the tests.
 docs:
 	$(GO) test -run TestDocLinks .
-	$(GO) build ./examples/...
 	$(GO) run ./examples/multiprocess
 
-ci: fmt-check vet staticcheck lint build race fuzz examples docs bench-smoke bench-e2e-smoke chaos api-smoke
+ci: fmt-check vet staticcheck lint build race fuzz docs bench-smoke bench-e2e-smoke chaos api-smoke

@@ -1,9 +1,9 @@
 // Benchmarks regenerating the paper's evaluation artifacts (§6):
 //
-//   - BenchmarkFig3 — the Best-Path query under the three variants, one
-//     run per cell for both figures: ns/op is the query completion time
-//     (Figure 3), wire_MB/op and messages/op the bandwidth (Figure 4),
-//     derivations/op the work performed.
+//   - BenchmarkFig3 — the Best-Path query under the three variants at
+//     N = 10, 20, 40 and 80, one run per cell for both figures: ns/op is
+//     the query completion time (Figure 3), wire_MB/op and messages/op
+//     the bandwidth (Figure 4), derivations/op the work performed.
 //   - BenchmarkFig4Batching — Figure 4's metric for the batched frame
 //     against the paper's one-envelope-per-tuple baseline.
 //   - BenchmarkAblation* — the design-space ablations called out in
@@ -12,8 +12,8 @@
 //   - BenchmarkProvQuery* / BenchmarkMoonwalk — querying cost: local vs
 //     distributed provenance, full traceback vs random moonwalk (§5).
 //
-// The full-scale sweep (N to 100, 10-run averages) is cmd/bestpath; these
-// benches use smaller N so `go test -bench=.` stays minutes-scale.
+// The A/B benchmarks use N = 10 and 20 so `go test -bench=.` stays
+// minutes-scale; the gated end-to-end numbers are bench/'s.
 package provnet_test
 
 import (
@@ -29,7 +29,12 @@ import (
 	"provnet/internal/topo"
 )
 
-var benchSizes = []int{10, 20}
+var (
+	// fig3Sizes is the N curve of Figures 3 and 4.
+	fig3Sizes = []int{10, 20, 40, 80}
+	// benchSizes keeps the scheduler and batching A/B cells small.
+	benchSizes = []int{10, 20}
+)
 
 func buildNet(b *testing.B, cfg provnet.Config, n int, seed int64) *provnet.Network {
 	b.Helper()
@@ -87,7 +92,7 @@ func reportDerivations(b *testing.B, sum provnet.Report) {
 // bandwidth vs N for the three variants.
 func BenchmarkFig3(b *testing.B) {
 	for _, v := range []provnet.Variant{provnet.VariantNDlog, provnet.VariantSeNDlog, provnet.VariantSeNDlogProv} {
-		for _, n := range benchSizes {
+		for _, n := range fig3Sizes {
 			b.Run(fmt.Sprintf("%s/N=%d", v, n), func(b *testing.B) {
 				sum := converge(b, provnet.VariantConfig(v, provnet.BestPath), n, int64(n*100), nil)
 				reportDerivations(b, sum)

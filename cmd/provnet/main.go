@@ -9,9 +9,7 @@
 // Topology specs: random:N[:deg[:maxcost[:seed]]], line:N, ring:N,
 // star:N, or none (the program's own facts place the nodes). With
 // -churn N, the converged network cuts N random links through the live
-// driver and re-converges incrementally before printing tables; the
-// scheduler/transport knobs (-auth, -sequential, -unbatched, -rekey)
-// are shared with the other commands via internal/cliflags.
+// driver and re-converges incrementally before printing tables.
 //
 // With -http the converged process stays up and serves the /v1 query
 // API (traceback, tables, bestpath, SSE subscriptions; see docs/API.md)
@@ -60,7 +58,6 @@ import (
 	"strings"
 
 	"provnet"
-	"provnet/internal/cliflags"
 	"provnet/internal/queryapi"
 )
 
@@ -72,7 +69,7 @@ func main() {
 	show := flag.String("show", "", "comma-separated predicates to print (default: all)")
 	annotate := flag.Bool("annotate", false, "print condensed provenance annotations")
 	extraNodes := flag.String("extranodes", "", "comma-separated node names not mentioned in any fact placement")
-	shared := cliflags.Register(nil)
+	opts := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *programPath == "" {
@@ -87,13 +84,10 @@ func main() {
 		Source:     string(src),
 		LinkNoCost: *noCost,
 	}
-	if err := shared.Apply(&cfg); err != nil {
+	if cfg.Graph, err = parseTopo(*topoSpec); err != nil {
 		fatal(err)
 	}
-	if cfg.Graph, err = cliflags.ParseTopo(*topoSpec); err != nil {
-		fatal(err)
-	}
-	if cfg.Prov, err = cliflags.ParseProv(*provMode); err != nil {
+	if cfg.Prov, err = parseProv(*provMode); err != nil {
 		fatal(err)
 	}
 	if *extraNodes != "" {
@@ -103,19 +97,10 @@ func main() {
 	}
 
 	ctx := context.Background()
-	if _, err := shared.SetupTransport(ctx, &cfg); err != nil {
+	if err := opts.setupTransport(ctx, &cfg); err != nil {
 		fatal(err)
 	}
-	if shared.Distributed() && shared.Churn > 0 {
-		fatal(fmt.Errorf("-churn needs the whole topology in one process; it does not compose with -listen"))
-	}
-	if shared.Distributed() && shared.HTTP != "" {
-		fatal(fmt.Errorf("-http serves tables after the run; it does not compose with -listen (which closes the network once termination is declared)"))
-	}
-	if shared.PProf && shared.HTTP == "" {
-		fatal(fmt.Errorf("-pprof mounts under the -http server; give -http too"))
-	}
-	if err := shared.SetupStore(&cfg); err != nil {
+	if err := opts.apply(&cfg); err != nil {
 		fatal(err)
 	}
 
@@ -124,8 +109,8 @@ func main() {
 		fatal(err)
 	}
 	var rep *provnet.Report
-	if shared.Distributed() {
-		rep, err = shared.RunDistributed(ctx, n)
+	if opts.distributed() {
+		rep, err = opts.runDistributed(ctx, n)
 		// Stop the pump and release the sockets before reading tables,
 		// so a straggler frame cannot mutate state mid-print.
 		if cerr := n.Close(); err == nil {
@@ -152,9 +137,11 @@ func main() {
 	}
 	fmt.Println()
 
-	if churn, err := shared.RunChurn(ctx, n, cfg.Graph); err != nil {
-		fatal(err)
-	} else if churn != nil {
+	if opts.Churn > 0 {
+		churn, err := opts.runChurn(ctx, n, cfg.Graph)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Println(churn)
 	}
 
@@ -181,8 +168,8 @@ func main() {
 		}
 	}
 
-	if shared.HTTP != "" {
-		ln, err := net.Listen("tcp", shared.HTTP)
+	if opts.HTTP != "" {
+		ln, err := net.Listen("tcp", opts.HTTP)
 		if err != nil {
 			fatal(err)
 		}
@@ -190,7 +177,7 @@ func main() {
 		// The query server also mounts /metrics and /v1/debug/rounds when
 		// the network carries a registry (-metrics).
 		mux.Handle("/", queryapi.NewServer(n).Handler())
-		if shared.PProf {
+		if opts.PProf {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -203,9 +190,9 @@ func main() {
 		if err := http.Serve(ln, mux); err != nil {
 			fatal(err)
 		}
-	} else if shared.Metrics {
+	} else if opts.Metrics {
 		// No server to scrape: dump the exposition once at exit.
-		if err := cliflags.DumpMetrics(os.Stderr, n); err != nil {
+		if err := n.Metrics().WritePrometheus(os.Stderr); err != nil {
 			fatal(err)
 		}
 	}

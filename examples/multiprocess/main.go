@@ -5,9 +5,10 @@
 //
 // Run with no arguments, it forks three copies of itself — one per node
 // — waits for them to converge, and relays their output. Each child is
-// an ordinary provnet process: a nettcp transport, a Config hosting one
-// LocalNodes entry, and the lifecycle driver run until the termination
-// detector declares the distributed fixpoint.
+// an ordinary provnet process: a reliable nettcp transport, a Config
+// hosting one LocalNodes entry with soft-state resupply, and the
+// lifecycle driver run until the termination detector declares the
+// distributed fixpoint.
 // The printed bestPath tables are exactly the single-process netsim
 // run's (see cmd/provnet's TestMultiprocessMatchesSingleProcess).
 package main
@@ -25,7 +26,7 @@ import (
 	"time"
 
 	"provnet"
-	"provnet/internal/cliflags"
+	"provnet/internal/nettcp"
 )
 
 func main() {
@@ -88,21 +89,32 @@ func parent() {
 // child hosts one node: same program, topology, and seed as its siblings
 // (the deterministic principal directory is derived from the seed, so
 // handshakes verify across processes), with only LocalNodes differing.
-func child(self, listen, peers string) {
-	f := &cliflags.Flags{Listen: listen, Self: self, Peers: peers}
-	cfg := provnet.Config{
-		Source:  provnet.BestPath,
-		Graph:   provnet.RingGraph(3),
-		Auth:    provnet.AuthSession,
-		Prov:    provnet.ProvCondensed,
-		KeyBits: 1024, // the paper's 2008 setup; fine for a demo
+func child(self, listen, peerSpec string) {
+	peers := map[string]string{}
+	for _, p := range strings.Split(peerSpec, ",") {
+		name, addr, _ := strings.Cut(p, "=")
+		peers[name] = addr
 	}
 	ctx := context.Background()
-	_, err := f.SetupTransport(ctx, &cfg)
+	tcp, err := nettcp.New(nettcp.Config{Listen: listen, Peers: peers, Context: ctx, Reliable: true})
 	check(err)
-	n, err := provnet.NewNetwork(cfg)
+	n, err := provnet.NewNetwork(provnet.Config{
+		Source:     provnet.BestPath,
+		Graph:      provnet.RingGraph(3),
+		Auth:       provnet.AuthSession,
+		Prov:       provnet.ProvCondensed,
+		KeyBits:    1024, // the paper's 2008 setup; fine for a demo
+		Transport:  tcp,
+		LocalNodes: []string{self},
+		Resupply:   true,
+	})
 	check(err)
-	rep, err := f.RunDistributed(ctx, n)
+	d := n.Driver()
+	check(d.Start(ctx))
+	td := n.StartTermination(ctx, provnet.TermConfig{})
+	<-td.Done()
+	check(td.Err())
+	rep, err := d.AwaitQuiescence(ctx)
 	check(err)
 	check(n.Close())
 	fmt.Printf("converged: %d rounds, %d messages, %d handshakes\n",

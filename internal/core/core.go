@@ -114,7 +114,8 @@ type Config struct {
 	Unbatched bool
 	// RekeyRounds rotates session keys — with a fresh handshake per live
 	// link — every N scheduler rounds (0 = one key per link for the whole
-	// run). Only meaningful with Auth: auth.SchemeSession.
+	// run). NewNetwork refuses it with any other Auth than
+	// auth.SchemeSession.
 	RekeyRounds int
 
 	// Transport overrides the message substrate (nil = a fresh in-memory
@@ -279,6 +280,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("core: Offline requires ModeDistributed provenance, not %v", cfg.Prov)
 	case cfg.SampleEvery > 1 && cfg.Prov != provenance.ModeDistributed:
 		return nil, fmt.Errorf("core: SampleEvery requires ModeDistributed provenance, not %v", cfg.Prov)
+	case cfg.RekeyRounds > 0 && cfg.Auth != auth.SchemeSession:
+		return nil, fmt.Errorf("core: RekeyRounds requires SchemeSession auth, not %v", cfg.Auth)
 	}
 	prog := cfg.Program
 	if prog == nil {

@@ -367,6 +367,22 @@ func TestProvenanceHasOneHome(t *testing.T) {
 	}
 }
 
+// TestRekeyRequiresSessions: only the session sealer rotates keys, so
+// RekeyRounds under any other scheme is refused instead of ignored.
+func TestRekeyRequiresSessions(t *testing.T) {
+	for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeHMAC, auth.SchemeRSA} {
+		_, err := NewNetwork(Config{Source: ReachableNDlog, ExtraNodes: []string{"a"}, Auth: scheme, RekeyRounds: 3})
+		if err == nil || !strings.Contains(err.Error(), "RekeyRounds") || !strings.Contains(err.Error(), "SchemeSession") || !strings.Contains(err.Error(), scheme.String()) {
+			t.Errorf("%v with RekeyRounds=3: err = %v, want a refusal naming both settings", scheme, err)
+		}
+	}
+	n, err := NewNetwork(Config{Source: ReachableNDlog, ExtraNodes: []string{"a"}, Auth: auth.SchemeSession, RekeyRounds: 3, KeyBits: 512})
+	if err != nil {
+		t.Fatalf("session with RekeyRounds=3: %v", err)
+	}
+	n.Close()
+}
+
 // TestClosedNetworkIsCollectable pins that nothing process-wide retains
 // a network's tuples once it is closed: every path row's argument array
 // must be garbage after Close.

@@ -248,7 +248,7 @@ func (nm *netMetrics) observeQuiesce(n *Network, start time.Time) {
 // Metrics returns the registry the network records into, or nil when
 // observability is disabled. The nil-safe obs instruments make the
 // chain n.Metrics().Counter(...).Inc() a no-op when off, which is how
-// call sites outside core (cliflags, queryapi) attach counters without
+// call sites outside core (cmd/provnet, queryapi) attach counters without
 // their own nil checks.
 func (n *Network) Metrics() *obs.Metrics {
 	if n.nm == nil {

@@ -1,7 +1,7 @@
 // Package queryapi is the provenance-as-a-service front-end: a versioned
-// JSON schema for query results (shared by cmd/traceq's -format json and
-// the HTTP API) and an HTTP server mounted on a Network's Driver serving
-// traceback, best-path, table, and subscription queries.
+// JSON schema for query results and an HTTP server mounted on a
+// Network's Driver serving traceback, best-path, table, and subscription
+// queries in it (cmd/provnet -http; see docs/API.md).
 //
 // Reads are snapshot-isolated: table and best-path queries serve from the
 // Driver's copy-on-write ReadView, published at quiescence points, so
@@ -118,19 +118,6 @@ func FromStats(s *provenance.QueryStats) *TraceStats {
 		return nil
 	}
 	return &TraceStats{Messages: s.Messages, Bytes: s.Bytes, NodesVisited: s.NodesVisited, Entries: s.Entries}
-}
-
-// TracebackResult assembles the traceback QueryResult cmd/traceq and the
-// HTTP handler share.
-func TracebackResult(node string, target string, tree *provenance.Tree, stats *provenance.QueryStats) *QueryResult {
-	return &QueryResult{
-		V:         SchemaVersion,
-		Kind:      "traceback",
-		Node:      node,
-		Tuple:     target,
-		Traceback: FromTree(tree),
-		Stats:     FromStats(stats),
-	}
 }
 
 // decodeBestPath parses one bestPath(@S,D,P,C) view row.

@@ -83,8 +83,8 @@ func WithSequential() Option { return func(c *Config) { c.Sequential = true } }
 // tuples per destination and, under RSA, signs the whole round once.
 func WithUnbatched() Option { return func(c *Config) { c.Unbatched = true } }
 
-// WithRekeyRounds rotates session keys every n scheduler rounds
-// (WithAuth(AuthSession) only).
+// WithRekeyRounds rotates session keys every n scheduler rounds.
+// WithAuth(AuthSession) only: NewNetwork refuses it with any other scheme.
 func WithRekeyRounds(n int) Option { return func(c *Config) { c.RekeyRounds = n } }
 
 // WithTransport overrides the message substrate, and optionally names

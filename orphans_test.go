@@ -96,7 +96,7 @@ func orphans(imports map[string][]string) []string {
 func TestNoOrphanPackages(t *testing.T) {
 	parked := map[string][]string{
 		".":              {"internal/core"},
-		"cmd/traceq":     {"."},
+		"cmd/provnet":    {"."},
 		"internal/core":  {"internal/data"},
 		"internal/data":  nil,
 		"internal/trace": {"internal/bloom", "internal/data"},

@@ -63,8 +63,8 @@
 //
 // The package re-exports the supported surface of the internal packages;
 // see README.md and docs/ for an architectural overview (including the
-// byte-level wire specification in docs/WIRE.md) and the examples
-// directory for complete programs.
+// byte-level wire specification in docs/WIRE.md) and this package's
+// examples for complete programs, one per claim of the paper.
 package provnet
 
 import (
