@@ -7,6 +7,57 @@ import (
 	"provnet/internal/benchwork"
 )
 
+// TestPublicAPIQuickstart exercises the re-exported surface end to end,
+// mirroring the README quickstart.
+func TestPublicAPIQuickstart(t *testing.T) {
+	g := provnet.CustomGraph([]provnet.GraphLink{
+		{From: "a", To: "b", Cost: 1},
+		{From: "a", To: "c", Cost: 1},
+		{From: "b", To: "c", Cost: 1},
+	})
+	cfg := provnet.Config{
+		Source:     provnet.ReachableNDlog,
+		Graph:      g,
+		LinkNoCost: true,
+		Prov:       provnet.ProvLocal,
+	}
+	n, err := provnet.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := n.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Messages == 0 {
+		t.Error("expected traffic")
+	}
+	reach := n.Tuples("a", "reachable")
+	if len(reach) != 2 {
+		t.Fatalf("reachable = %v", reach)
+	}
+	target := provnet.NewTuple("reachable", provnet.Str("a"), provnet.Str("c"))
+	tree, _, err := n.DerivationTree("a", target, provnet.ProvQueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Size() < 3 {
+		t.Errorf("tree too small:\n%s", tree.Render(nil))
+	}
+}
+
+func TestPublicAPITrustGate(t *testing.T) {
+	levels := provnet.TrustLevelMap(map[string]int64{"a": 2, "b": 1})
+	gate := provnet.NewTrustGate(provnet.MinLevelPolicy{Threshold: 2}, levels, 10)
+	if gate == nil {
+		t.Fatal("NewTrustGate returned nil")
+	}
+	p, err := provnet.ParseProgram(provnet.ReachableSeNDlog)
+	if err != nil || len(p.Rules) != 3 {
+		t.Fatalf("parse: %v", err)
+	}
+}
+
 // TestSessionAuthAmortizesSignatures pins what the session transport is
 // for, on the benchmark workload (the 20-node Best-Path churn run):
 // against the paper's scheme, one signature per tuple (Unbatched), it
