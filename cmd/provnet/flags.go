@@ -187,9 +187,9 @@ func parseFault(spec string) (faultnet.Config, error) {
 const faultAutoRelease = 10 * time.Millisecond
 
 // wrapFault wraps tr in the -fault schedule when one is given.
-func (f *flags) wrapFault(tr faultnet.Transport) (provnet.Transport, error) {
+func (f *flags) wrapFault(tr provnet.Transport) (provnet.Transport, error) {
 	if f.Fault == "" {
-		return tr.(provnet.Transport), nil
+		return tr, nil
 	}
 	fc, err := parseFault(f.Fault)
 	if err != nil {

@@ -127,7 +127,7 @@ func main() {
 		fmt.Printf(", %d signatures", rep.Signed)
 	}
 	if rep.Handshakes > 0 {
-		fmt.Printf(", %d handshakes (%d bytes), %d session MACs", rep.Handshakes, rep.HandshakeBytes, rep.SealedMAC)
+		fmt.Printf(", %d handshakes (%d datagram bytes), %d session MACs", rep.Handshakes, rep.HandshakeBytes, rep.SealedMAC)
 	}
 	if rep.Reconnects > 0 || rep.Requeues > 0 || rep.Parked > 0 {
 		fmt.Printf(", %d reconnects (%d frames requeued, %d parked)", rep.Reconnects, rep.Requeues, rep.Parked)

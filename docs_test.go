@@ -161,6 +161,13 @@ func TestMetricInventory(t *testing.T) {
 	if len(known) < 30 {
 		t.Fatalf("only %d series registered; is the registry wired?", len(known))
 	}
+	// Every transport answers QueueDepths, and the handshake count comes
+	// from the session sealer, so both register on the in-memory fabric.
+	for _, name := range []string{"provnet_transport_queue_depth", "provnet_crypto_handshakes_total"} {
+		if _, ok := known[name]; !ok {
+			t.Errorf("%s is not registered on the in-memory fabric", name)
+		}
+	}
 
 	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {

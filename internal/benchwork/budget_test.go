@@ -28,14 +28,14 @@ var budgetCells = []budgetCell{
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return FanInStaged(fatal, provnet.Config{}, 8, 64, 6, 4000)
 		},
-		derivs: 6156, stored: 4076, rounds: 2, allocs: 17503,
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 17494,
 	},
 	{
 		name: "bestpath-churn",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 233548,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 232770,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -47,7 +47,7 @@ var budgetCells = []budgetCell{
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 259326,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 258546,
 	},
 }
 

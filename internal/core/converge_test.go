@@ -29,14 +29,10 @@ func newRoundTap() *roundTap {
 }
 
 func (rt *roundTap) Send(from, to string, payload []byte) error {
-	return rt.SendTagged(from, to, payload, false)
-}
-
-func (rt *roundTap) SendTagged(from, to string, payload []byte, handshake bool) error {
 	rt.mu.Lock()
 	rt.kinds[[2]string{from, to}] = append(rt.kinds[[2]string{from, to}], payload[0])
 	rt.mu.Unlock()
-	return rt.Network.SendTagged(from, to, payload, handshake)
+	return rt.Network.Send(from, to, payload)
 }
 
 func (rt *roundTap) Drain(to string) []netsim.Message {

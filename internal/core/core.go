@@ -135,7 +135,7 @@ type Config struct {
 
 	// Resupply enables soft-state re-announcement: every hosted node
 	// keeps a log of its current exports per destination, and when the
-	// transport reports a peer process restarting (RestartNotifier), the
+	// transport reports a peer process restarting (SetRestartHandler), the
 	// driver replays the log so the restarted process — which lost its
 	// in-memory tables — is re-supplied without waiting for churn.
 	// Engines are idempotent (set semantics, per-sender support), so
@@ -250,6 +250,7 @@ type Network struct {
 	// signs and verifies from many goroutines at once.
 	signed  atomic.Int64
 	checked atomic.Int64
+	hsBytes atomic.Int64 // Report.HandshakeBytes
 	// Rejected counts imports dropped by signature failure or the trust
 	// filter.
 	rejectedSig    atomic.Int64
@@ -605,10 +606,9 @@ type Report struct {
 	Handshakes int64
 	SealedMAC  int64
 	OpenedMAC  int64
-	// HandshakeMessages and HandshakeBytes split the transport totals
-	// into handshake vs data traffic (session transport only).
-	HandshakeMessages int64
-	HandshakeBytes    int64
+	// HandshakeBytes sums the sealed handshake datagrams, without
+	// transport framing (session transport only).
+	HandshakeBytes int64
 	// RejectedSig counts envelopes dropped for bad signatures;
 	// RejectedFilter counts tuples dropped by the trust filter.
 	RejectedSig    int64
@@ -1001,7 +1001,11 @@ func (n *Network) sealAndSend(from string, frames []outFrame) error {
 // sealBatch seals frames together and ships them.
 func (n *Network) sealBatch(from string, frames []outFrame) error {
 	signs, err := sealFrames(n.sealer, from, frames, func(f outFrame, datagram []byte) error {
-		return n.net.SendTagged(from, f.dst, datagram, f.kind == kindHandshake)
+		err := n.net.Send(from, f.dst, datagram)
+		if err == nil && f.kind == kindHandshake {
+			n.hsBytes.Add(int64(len(datagram)))
+		}
+		return err
 	})
 	if n.session == nil && n.cfg.Auth != auth.SchemeNone {
 		n.signed.Add(int64(signs))
@@ -1110,22 +1114,21 @@ func (n *Network) deliver(name string, node *Node, d *frame) {
 func (n *Network) report(start time.Time, rounds int) *Report {
 	stats := n.net.Stats()
 	r := &Report{
-		CompletionTime:    time.Since(start), //provlint:allow detpath report wall-clock, never feeds evaluation
-		Rounds:            rounds,
-		Messages:          stats.Messages,
-		Bytes:             stats.Bytes,
-		HandshakeMessages: stats.HandshakeMessages,
-		HandshakeBytes:    stats.HandshakeBytes,
-		Reconnects:        stats.Reconnects,
-		Requeues:          stats.Requeues,
-		Parked:            stats.Parked,
-		Acks:              stats.AckMessages,
-		Retransmits:       stats.Retransmits,
-		DupDropped:        stats.DupDropped,
-		Signed:            n.signed.Load(),
-		Verified:          n.checked.Load(),
-		RejectedSig:       n.rejectedSig.Load(),
-		RejectedFilter:    n.rejectedFilter.Load(),
+		CompletionTime: time.Since(start), //provlint:allow detpath report wall-clock, never feeds evaluation
+		Rounds:         rounds,
+		Messages:       stats.Messages,
+		Bytes:          stats.Bytes,
+		HandshakeBytes: n.hsBytes.Load(),
+		Reconnects:     stats.Reconnects,
+		Requeues:       stats.Requeues,
+		Parked:         stats.Parked,
+		Acks:           stats.AckMessages,
+		Retransmits:    stats.Retransmits,
+		DupDropped:     stats.DupDropped,
+		Signed:         n.signed.Load(),
+		Verified:       n.checked.Load(),
+		RejectedSig:    n.rejectedSig.Load(),
+		RejectedFilter: n.rejectedFilter.Load(),
 	}
 	if n.session != nil {
 		hs, acc, sealed, opened := n.session.SessionStats()

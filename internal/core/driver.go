@@ -144,24 +144,20 @@ func (d *Driver) Start(ctx context.Context) error {
 	// callback marks the driver dirty so the pump re-enters the round
 	// loop instead of sleeping on an apparently quiescent network. The
 	// in-memory fabric only carries traffic the pump itself shipped, so
-	// it never needs the wake-up.
-	if tn, ok := d.n.net.(Notifier); ok {
-		tn.Notify(func() {
-			d.mu.Lock()
-			if !d.closed && d.err == nil {
-				d.dirty = true
-				d.cond.Broadcast()
-			}
-			d.mu.Unlock()
-		})
-	}
+	// it never calls back.
+	d.n.net.Notify(func() {
+		d.mu.Lock()
+		if !d.closed && d.err == nil {
+			d.dirty = true
+			d.cond.Broadcast()
+		}
+		d.mu.Unlock()
+	})
 	// Soft-state resupply: when the transport detects a peer process
 	// restarting (a fresh hello incarnation), replay our export log so
 	// the peer re-learns what it lost with its tables.
 	if d.n.cfg.Resupply {
-		if rn, ok := d.n.net.(RestartNotifier); ok {
-			rn.SetRestartHandler(func(string) { _ = d.Resupply() })
-		}
+		d.n.net.SetRestartHandler(func(string) { _ = d.Resupply() })
 	}
 	// Wake the cond when the context dies, so waiters and the pump notice.
 	stop := context.AfterFunc(ctx, func() {
@@ -555,9 +551,9 @@ func (d *Driver) Resupply() error {
 
 // Nudge marks a live pump dirty so it runs a drain round even though no
 // local mutation arrived. The termination detector uses it to get
-// queued control frames imported: the in-memory fabric has no Notifier,
-// so nothing else would announce them to a sleeping pump. A synchronous,
-// closed, or failed driver ignores the nudge.
+// queued control frames imported: the in-memory fabric never calls
+// Notify, so nothing else would announce them to a sleeping pump. A
+// synchronous, closed, or failed driver ignores the nudge.
 func (d *Driver) Nudge() {
 	d.mu.Lock()
 	if d.started && !d.closed && d.err == nil {

@@ -63,12 +63,6 @@ type netMetrics struct {
 	prevOut       int64
 }
 
-// queueDepther is the optional per-peer outbound-backlog surface
-// (implemented by nettcp; netsim has no per-peer queues).
-type queueDepther interface {
-	QueueDepths() map[string]int
-}
-
 // storePender is the optional writer-lag surface of a Store
 // (implemented by storelog.Log: queued + in-flight events).
 type storePender interface {
@@ -108,7 +102,6 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 	m.CounterFunc("provnet_transport_messages_total", "Datagrams charged by the transport.", stats(func(s netsim.Stats) int64 { return s.Messages }))
 	m.CounterFunc("provnet_transport_bytes_total", "Bytes charged by the transport (incl. framing overhead).", stats(func(s netsim.Stats) int64 { return s.Bytes }))
 	m.CounterFunc("provnet_transport_dropped_total", "Sends to unknown nodes, dropped.", stats(func(s netsim.Stats) int64 { return s.DroppedMsg }))
-	m.CounterFunc("provnet_transport_handshake_messages_total", "Session handshake frames shipped.", stats(func(s netsim.Stats) int64 { return s.HandshakeMessages }))
 	m.CounterFunc("provnet_transport_reconnects_total", "Connections re-established after a drop (TCP transport).", stats(func(s netsim.Stats) int64 { return s.Reconnects }))
 	m.CounterFunc("provnet_transport_requeues_total", "Frames retained across a dropped connection and re-sent (TCP transport).", stats(func(s netsim.Stats) int64 { return s.Requeues }))
 	m.CounterFunc("provnet_transport_parked_frames_total", "Inbound frames parked for not-yet-registered nodes (TCP transport).", stats(func(s netsim.Stats) int64 { return s.Parked }))
@@ -120,19 +113,24 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 	m.GaugeFunc("provnet_transport_pending", "Undelivered inbound datagrams queued on the transport.", func() int64 {
 		return int64(n.net.PendingCount())
 	})
-	if qd, ok := n.net.(queueDepther); ok {
-		m.GaugeFunc("provnet_transport_queue_depth", "Outbound frames accepted but not yet shipped, summed over peers.", func() int64 {
-			total := 0
-			for _, d := range qd.QueueDepths() { //provlint:allow mapiter commutative integer sum; order cannot escape
-				total += d
-			}
-			return int64(total)
-		})
-	}
+	m.GaugeFunc("provnet_transport_queue_depth", "Outbound frames accepted but not yet shipped, summed over peers.", func() int64 {
+		total := 0
+		for _, d := range n.net.QueueDepths() { //provlint:allow mapiter commutative integer sum; order cannot escape
+			total += d
+		}
+		return int64(total)
+	})
 
 	// Crypto and admission counters (atomics on the Network).
 	m.CounterFunc("provnet_crypto_signed_total", "Asymmetric signature operations performed.", func() int64 { return n.signed.Load() })
 	m.CounterFunc("provnet_crypto_verified_total", "Signature verifications performed.", func() int64 { return n.checked.Load() })
+	m.CounterFunc("provnet_crypto_handshakes_total", "Session handshake frames sealed.", func() int64 {
+		if n.session == nil {
+			return 0
+		}
+		hs, _, _, _ := n.session.SessionStats()
+		return hs
+	})
 	m.CounterFunc("provnet_crypto_rejected_signatures_total", "Envelopes dropped for failed authentication.", func() int64 { return n.rejectedSig.Load() })
 	m.CounterFunc("provnet_import_rejected_filter_total", "Imported tuples dropped by the trust filter.", func() int64 { return n.rejectedFilter.Load() })
 
@@ -216,9 +214,7 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 		SealNs:           sealNs,
 		VerifyNs:         verifyNs,
 		TransportPending: n.net.PendingCount(),
-	}
-	if qd, ok := n.net.(queueDepther); ok {
-		rec.PeerQueues = qd.QueueDepths()
+		PeerQueues:       n.net.QueueDepths(),
 	}
 	if sp, ok := n.store.(storePender); ok {
 		rec.StoreLag = sp.Pending()

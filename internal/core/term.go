@@ -189,12 +189,12 @@ func (td *TermDetector) quiescent() bool {
 	// hand-off. The reverse order could: a frame released between the
 	// two samples would be counted by neither gauge, and a stamp over it
 	// would be a false fixpoint waiting to happen.
-	if inf, ok := td.n.net.(InFlighter); ok && inf.InFlight() > 0 {
+	if td.n.net.InFlight() > 0 {
 		return false
 	}
 	if td.n.net.PendingCount() > 0 {
 		// The queued datagrams may be control frames nobody announces
-		// (the in-memory fabric has no Notifier): have the pump drain
+		// (the in-memory fabric never calls Notify): have the pump drain
 		// them, then re-check on the next poll.
 		td.n.Driver().Nudge()
 		return false
@@ -332,11 +332,9 @@ func (td *TermDetector) broadcastTerminate(wave uint64) {
 		}
 		td.sendControl(&frame{kind: kindTerminate, from: root, wave: wave}, name)
 	}
-	if fl, ok := td.n.net.(Flusher); ok {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_ = fl.Flush(ctx)
-		cancel()
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	_ = td.n.net.Flush(ctx)
+	cancel()
 	td.declareLocal()
 }
 

@@ -3,15 +3,169 @@ package core
 import (
 	"context"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"provnet/internal/auth"
+	"provnet/internal/faultnet"
+	"provnet/internal/netsim"
 	"provnet/internal/nettcp"
+	"provnet/internal/obs"
 	"provnet/internal/provenance"
+	"provnet/internal/topo"
 )
+
+var (
+	_ Transport = (*netsim.Network)(nil)
+	_ Transport = (*nettcp.Transport)(nil)
+	_ Transport = (*faultnet.Net)(nil)
+)
+
+// TestTransportContract runs one script against every transport: the
+// in-memory fabric, a reliable nettcp loopback pair, and faultnet with
+// no faults over each. tx hosts sender "a", rx hosts receiver "b" (one
+// object for the fabric).
+func TestTransportContract(t *testing.T) {
+	fabric := func(t *testing.T) (tx, rx Transport) {
+		n := netsim.New()
+		n.AddNode("a")
+		n.AddNode("b")
+		return n, n
+	}
+	tcpPair := func(t *testing.T) (tx, rx Transport) {
+		ta, err := nettcp.New(nettcp.Config{Listen: "127.0.0.1:0", Reliable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := nettcp.New(nettcp.Config{Listen: "127.0.0.1:0", Reliable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ta.Close(); tb.Close() })
+		ta.AddNode("a")
+		tb.AddNode("b")
+		ta.AddPeer("b", tb.Addr())
+		tb.AddPeer("a", ta.Addr())
+		return ta, tb
+	}
+	faulty := func(inner func(*testing.T) (Transport, Transport)) func(*testing.T) (Transport, Transport) {
+		return func(t *testing.T) (Transport, Transport) {
+			tx, rx := inner(t)
+			ftx := faultnet.New(tx, faultnet.Config{Seed: 1})
+			if tx == rx {
+				return ftx, ftx
+			}
+			return ftx, faultnet.New(rx, faultnet.Config{Seed: 1})
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		setup func(*testing.T) (Transport, Transport)
+	}{
+		{"netsim", fabric},
+		{"nettcp", tcpPair},
+		{"faultnet-netsim", faulty(fabric)},
+		{"faultnet-nettcp", faulty(tcpPair)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tx, rx := c.setup(t)
+			const sent = 5
+			for i := range sent {
+				if err := tx.Send("a", "b", []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Send("a", "ghost", []byte{0}); err == nil {
+				t.Error("send to an unknown node succeeded")
+			}
+			if got := tx.Stats().DroppedMsg; got != 1 {
+				t.Errorf("DroppedMsg = %d, want 1", got)
+			}
+			ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+			defer cancel()
+			if err := tx.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := tx.InFlight(); got != 0 {
+				t.Errorf("InFlight after Flush = %d", got)
+			}
+			for rx.PendingCount() < sent && ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			rx.AddNode("b") // registering again keeps the queue
+			if got := rx.PendingCount(); got != sent {
+				t.Fatalf("PendingCount = %d, want %d", got, sent)
+			}
+			msgs := rx.Drain("b")
+			if len(msgs) != sent {
+				t.Fatalf("drained %d datagrams, want %d", len(msgs), sent)
+			}
+			for i, m := range msgs {
+				if m.From != "a" || len(m.Payload) != 1 || m.Payload[0] != byte(i) {
+					t.Errorf("datagram %d = %+v, want #%d from a", i, m, i)
+				}
+			}
+			if got := rx.PendingCount(); got != 0 {
+				t.Errorf("PendingCount after Drain = %d", got)
+			}
+			for _, tr := range []Transport{tx, rx, tx, rx} {
+				if err := tr.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// TestFaultnetKeepsPeerQueues pins that faultnet passes the per-peer
+// outbound backlog through: wrapped around a nettcp transport whose peer
+// is down, the queue still shows in QueueDepths, the metrics registry and
+// the flight records.
+func TestFaultnetKeepsPeerQueues(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := ln.Addr().String()
+	ln.Close()
+	tcp, err := nettcp.New(nettcp.Config{Listen: "127.0.0.1:0", Peers: map[string]string{"n1": down}, Reliable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := faultnet.New(tcp, faultnet.Config{Seed: 1})
+	defer fn.Close()
+	m := obs.New()
+	n, err := NewNetwork(Config{Source: BestPath, Graph: topo.Line(2), Transport: fn, LocalNodes: []string{"n0"}, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fn.QueueDepths()["n1"]; !ok {
+		t.Errorf("QueueDepths = %v, want the down peer n1", fn.QueueDepths())
+	}
+	var sb strings.Builder
+	if err := m.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "provnet_transport_queue_depth") {
+		t.Error("provnet_transport_queue_depth not registered")
+	}
+	found := false
+	for _, rec := range m.Flight.Snapshot() {
+		if _, ok := rec.PeerQueues["n1"]; ok {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("no flight record carries peer_queues for n1")
+	}
+}
 
 // snapshotNodeSorted renders one node's tables (with condensed
 // annotations when available) as sorted lines, so runs whose arrival

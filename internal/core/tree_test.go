@@ -197,18 +197,14 @@ func newTap() *tap {
 }
 
 func (tp *tap) Send(from, to string, payload []byte) error {
-	return tp.SendTagged(from, to, payload, false)
-}
-
-func (tp *tap) SendTagged(from, to string, payload []byte, handshake bool) error {
 	tp.mu.Lock()
-	if !handshake {
+	if payload[0] != kindHandshake {
 		tp.senders[from] = true
 		tp.stream.Write(binary.AppendUvarint(data.AppendString(data.AppendString(nil, from), to), uint64(len(payload))))
 		tp.stream.Write(payload)
 	}
 	tp.mu.Unlock()
-	return tp.Network.SendTagged(from, to, payload, handshake)
+	return tp.Network.Send(from, to, payload)
 }
 
 func (tp *tap) Drain(to string) []netsim.Message {

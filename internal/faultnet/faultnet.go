@@ -1,13 +1,12 @@
 // Package faultnet is a deterministic fault-injecting wrapper around a
 // transport: it drops, duplicates, delays, and partitions frames under
 // a seeded RNG, so convergence and termination tests can script the
-// network weather and replay it exactly. It satisfies core.Transport
-// structurally (the same Send/Drain/Stats surface as internal/netsim
-// and internal/nettcp) and wraps either.
+// network weather and replay it exactly. It implements core.Transport
+// and wraps any transport that does (internal/netsim, internal/nettcp).
 //
 // # Fault model
 //
-// Faults are decided per outbound frame at SendTagged time, in frame
+// Faults are decided per outbound frame at Send time, in frame
 // order, from one seeded RNG — the schedule is a pure function of the
 // seed and the operation sequence, so a failing run replays from its
 // seed (drive the scheduler with -sequential for a strictly
@@ -23,7 +22,7 @@
 //   - delay: the frame is parked in limbo and released after a seeded
 //     number of transport operations (any Send/Drain/Tick advances the
 //     clock). Limbo frames count in InFlight but NOT in
-//     PendingCount/PendingFor: a delayed frame is on the wire — the
+//     PendingCount: a delayed frame is on the wire — the
 //     sender has not been acknowledged, but no receiver inbox can see
 //     it yet. A termination detector that consults InFlight refuses to
 //     declare; a receiver-side idle heuristic sees silence and falsely
@@ -49,18 +48,21 @@ import (
 	"provnet/internal/netsim"
 )
 
-// Transport is the surface faultnet wraps — structurally identical to
-// core.Transport, so both netsim.Network and nettcp.Transport satisfy
-// it without this package importing core.
+// Transport is the surface faultnet wraps: a structural copy of
+// core.Transport, method for method. It is a copy, not an import,
+// because core's tests import faultnet, so faultnet may not import core.
 type Transport interface {
 	AddNode(name string)
 	Send(from, to string, payload []byte) error
-	SendTagged(from, to string, payload []byte, handshake bool) error
 	Drain(to string) []netsim.Message
-	PendingFor(to string) int
 	PendingCount() int
 	Stats() netsim.Stats
-	ResetStats()
+	Notify(fn func())
+	SetRestartHandler(fn func(process string))
+	InFlight() int
+	Flush(ctx context.Context) error
+	QueueDepths() map[string]int
+	Close() error
 }
 
 // Partition is one scripted directed-link outage, active while the
@@ -105,10 +107,9 @@ type Faults struct {
 
 // limboFrame is one held frame and its release condition.
 type limboFrame struct {
-	from, to  string
-	payload   []byte
-	handshake bool
-	dueOp     int64 // release when the op clock reaches this
+	from, to string
+	payload  []byte
+	dueOp    int64 // release when the op clock reaches this
 }
 
 // Net wraps an inner transport with the fault schedule. Safe for
@@ -171,33 +172,26 @@ func (n *Net) autoRelease(every time.Duration) {
 func (n *Net) AddNode(name string) { n.inner.AddNode(name) }
 
 // Notify registers the arrival callback: inner arrivals fire it via the
-// inner transport's own notifier (when it has one), and limbo releases
-// fire it directly so a woken frame wakes the scheduler.
+// inner transport's own Notify, and limbo releases fire it directly so a
+// woken frame wakes the scheduler.
 func (n *Net) Notify(fn func()) {
 	n.mu.Lock()
 	n.notify = fn
 	n.mu.Unlock()
-	if in, ok := n.inner.(interface{ Notify(func()) }); ok {
-		in.Notify(fn)
-	}
+	n.inner.Notify(fn)
 }
 
-// Send forwards a frame through the fault schedule.
-func (n *Net) Send(from, to string, payload []byte) error {
-	return n.SendTagged(from, to, payload, false)
-}
-
-// SendTagged rolls the fault dice for one frame: it may be dropped,
+// Send rolls the fault dice for one frame: it may be dropped,
 // duplicated, delayed, or held by a partition; otherwise it forwards
 // unharmed. The roll order is deterministic per (seed, operation
 // sequence).
-func (n *Net) SendTagged(from, to string, payload []byte, handshake bool) error {
+func (n *Net) Send(from, to string, payload []byte) error {
 	n.mu.Lock()
 	n.ops++
 	n.releaseDueLocked()
 	if p, held := n.partitionedLocked(from, to); held {
 		n.f.Partitioned++
-		n.limbo = append(n.limbo, limboFrame{from: from, to: to, payload: payload, handshake: handshake, dueOp: p.To})
+		n.limbo = append(n.limbo, limboFrame{from: from, to: to, payload: payload, dueOp: p.To})
 		n.mu.Unlock()
 		return nil
 	}
@@ -210,19 +204,19 @@ func (n *Net) SendTagged(from, to string, payload []byte, handshake bool) error 
 	case roll < n.cfg.Drop+n.cfg.Dup:
 		n.f.Duplicated++
 		n.mu.Unlock()
-		if err := n.inner.SendTagged(from, to, payload, handshake); err != nil {
+		if err := n.inner.Send(from, to, payload); err != nil {
 			return err
 		}
-		return n.inner.SendTagged(from, to, payload, handshake)
+		return n.inner.Send(from, to, payload)
 	case roll < n.cfg.Drop+n.cfg.Dup+n.cfg.Delay:
 		n.f.Delayed++
 		hold := int64(n.rng.Intn(n.cfg.DelayOps)) + 1
-		n.limbo = append(n.limbo, limboFrame{from: from, to: to, payload: payload, handshake: handshake, dueOp: n.ops + hold})
+		n.limbo = append(n.limbo, limboFrame{from: from, to: to, payload: payload, dueOp: n.ops + hold})
 		n.mu.Unlock()
 		return nil
 	}
 	n.mu.Unlock()
-	return n.inner.SendTagged(from, to, payload, handshake)
+	return n.inner.Send(from, to, payload)
 }
 
 // partitionedLocked reports whether the (from,to) link is inside an
@@ -266,12 +260,12 @@ func (n *Net) releaseDueLocked() {
 	}
 	fn := n.notify
 	n.fwd += len(due)
-	// Forward outside the lock: inner.SendTagged may block (nettcp
+	// Forward outside the lock: inner.Send may block (nettcp
 	// backpressure) and the notify may re-enter the wrapper. fwd keeps
 	// the frames visible to InFlight until the inner transport has them.
 	n.mu.Unlock()
 	for _, lf := range due {
-		_ = n.inner.SendTagged(lf.from, lf.to, lf.payload, lf.handshake)
+		_ = n.inner.Send(lf.from, lf.to, lf.payload)
 	}
 	if fn != nil {
 		fn()
@@ -300,7 +294,7 @@ func (n *Net) ReleaseAll() {
 	n.fwd += len(due)
 	n.mu.Unlock()
 	for _, lf := range due {
-		_ = n.inner.SendTagged(lf.from, lf.to, lf.payload, lf.handshake)
+		_ = n.inner.Send(lf.from, lf.to, lf.payload)
 	}
 	n.mu.Lock()
 	n.fwd -= len(due)
@@ -320,30 +314,23 @@ func (n *Net) Drain(to string) []netsim.Message {
 	return n.inner.Drain(to)
 }
 
-// PendingFor reports the inner backlog only: limbo frames are on the
-// wire, invisible to any receiver inbox until released.
-func (n *Net) PendingFor(to string) int { return n.inner.PendingFor(to) }
-
 // PendingCount reports the inner backlog only; limbo frames show up in
 // InFlight, the sender-side gauge.
 func (n *Net) PendingCount() int { return n.inner.PendingCount() }
 
-// InFlight sums the inner transport's in-flight gauge (when it has one)
-// with the limbo population — the wrapper's contribution to the
-// distributed termination gauge.
+// InFlight sums the inner transport's in-flight gauge with the limbo
+// population — the wrapper's contribution to the distributed termination
+// gauge.
 func (n *Net) InFlight() int {
 	n.mu.Lock()
 	held := len(n.limbo) + n.fwd
 	n.mu.Unlock()
-	if in, ok := n.inner.(interface{ InFlight() int }); ok {
-		held += in.InFlight()
-	}
-	return held
+	return held + n.inner.InFlight()
 }
 
 // Flush waits for the limbo to drain (the auto-release ticker or the
 // test harness must be advancing the clock), then flushes the inner
-// transport when it can. Held frames outrank a flush on purpose: a
+// transport. Held frames outrank a flush on purpose: a
 // fault schedule models the network, and the network does not hurry
 // because a process wants to exit.
 func (n *Net) Flush(ctx context.Context) error {
@@ -360,30 +347,19 @@ func (n *Net) Flush(ctx context.Context) error {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if fl, ok := n.inner.(interface{ Flush(context.Context) error }); ok {
-		return fl.Flush(ctx)
-	}
-	return nil
+	return n.inner.Flush(ctx)
 }
 
 // SetRestartHandler forwards peer-restart detection from the inner
 // transport (nettcp) so soft-state resupply works under fault injection.
-func (n *Net) SetRestartHandler(fn func(process string)) {
-	if rn, ok := n.inner.(interface{ SetRestartHandler(func(string)) }); ok {
-		rn.SetRestartHandler(fn)
-	}
-}
+func (n *Net) SetRestartHandler(fn func(process string)) { n.inner.SetRestartHandler(fn) }
 
 // Stats passes the inner counters through.
 func (n *Net) Stats() netsim.Stats { return n.inner.Stats() }
 
-// ResetStats zeroes the inner counters and the fault counters.
-func (n *Net) ResetStats() {
-	n.inner.ResetStats()
-	n.mu.Lock()
-	n.f = Faults{}
-	n.mu.Unlock()
-}
+// QueueDepths passes the inner per-peer outbound backlog through; frames
+// held in limbo are not queued at any peer yet and show in InFlight.
+func (n *Net) QueueDepths() map[string]int { return n.inner.QueueDepths() }
 
 // Faults reports the injected-fault counters.
 func (n *Net) Faults() Faults {
@@ -394,13 +370,9 @@ func (n *Net) Faults() Faults {
 	return f
 }
 
-// Close stops the auto-release ticker and closes the inner transport
-// when it is closable; frames still held by never-healing partitions
-// are dropped with it.
+// Close stops the auto-release ticker and closes the inner transport;
+// frames still held by never-healing partitions are dropped with it.
 func (n *Net) Close() error {
 	n.stopOnce.Do(func() { close(n.stop) })
-	if c, ok := n.inner.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
+	return n.inner.Close()
 }

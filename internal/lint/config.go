@@ -55,6 +55,8 @@ type LayerRule struct {
 // DefaultConfig returns the rule tables for this repository.
 func DefaultConfig() *Config {
 	const m = "provnet"
+	transportDeny := []string{m + "/internal/auth", m + "/internal/core", m + "/internal/obs", m + "/internal/provenance"}
+	const transportWhy = "a transport carries datagrams, not sessions: core.Transport is its one contract and obs reads netsim.Stats from outside"
 	return &Config{
 		Module: m,
 		MapIterPkgs: []string{
@@ -78,11 +80,9 @@ func DefaultConfig() *Config {
 				Deny: []string{m + "/internal/obs", m + "/internal/core"},
 				Why:  "engine is instrumented from core via sampling, never imports obs or its caller",
 			},
-			{
-				Pkg:  m + "/internal/nettcp",
-				Deny: []string{m + "/internal/obs", m + "/internal/core"},
-				Why:  "transports implement core.Transport structurally; obs reads netsim.Stats from outside",
-			},
+			{Pkg: m + "/internal/netsim", Deny: transportDeny, Why: transportWhy},
+			{Pkg: m + "/internal/nettcp", Deny: transportDeny, Why: transportWhy},
+			{Pkg: m + "/internal/faultnet", Deny: transportDeny, Why: transportWhy},
 			{
 				Pkg:    m + "/internal/data",
 				Deny:   []string{m + "/internal/"},

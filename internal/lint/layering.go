@@ -3,11 +3,12 @@ package lint
 import "strings"
 
 // Layering enforces the import boundaries of docs/ARCHITECTURE.md's
-// package map: engine and nettcp never import obs or core (they are
-// observed and driven from above, through sampling and structural
-// interfaces), data imports no other internal package (it is the
-// bottom of the map), and queryapi never touches engine directly (it
-// reads published ReadView snapshots). These boundaries are what let
+// package map: engine never imports obs or core (it is observed and
+// driven from above, through sampling), the transports (netsim, nettcp,
+// faultnet) never import auth, core, obs or provenance (they carry
+// opaque datagrams under core.Transport), data imports no other
+// internal package (it is the bottom of the map), and queryapi never
+// touches engine directly (it reads published ReadView snapshots). These boundaries are what let
 // PR 8 instrument four layers without entangling them; until now they
 // held by review only.
 var Layering = &Analyzer{

@@ -19,6 +19,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,16 +43,11 @@ type Message struct {
 // Size returns the charged size of the message.
 func (m Message) Size() int { return len(m.Payload) + HeaderOverhead }
 
-// Stats aggregates transport activity. HandshakeMessages/HandshakeBytes
-// count the control-plane share of the totals (session handshake frames,
-// tagged by the sender); the data-plane share is the difference.
+// Stats aggregates transport activity.
 type Stats struct {
 	Messages   int64
 	Bytes      int64 // includes header overhead
 	DroppedMsg int64 // sends to unknown nodes
-
-	HandshakeMessages int64
-	HandshakeBytes    int64 // includes header overhead
 
 	// Link-liveness counters, populated only by transports with real
 	// connections (nettcp): re-established connections, frames requeued
@@ -89,21 +85,12 @@ type endpoint struct {
 // are safe for concurrent use; AddNode is not (register all nodes before
 // running traffic).
 type Network struct {
-	mu    sync.RWMutex // guards nodes/order against AddNode
+	mu    sync.RWMutex // guards nodes against AddNode
 	nodes map[string]*endpoint
-	order []string // node registration order (scheduler determinism)
 
 	messages atomic.Int64
 	bytes    atomic.Int64
 	dropped  atomic.Int64
-
-	handshakeMsgs  atomic.Int64
-	handshakeBytes atomic.Int64
-
-	// linkBytes tracks per-directed-pair traffic for granularity
-	// experiments (§5): key "from->to".
-	linkMu    sync.Mutex
-	linkBytes map[string]int64
 
 	// orphanSeq orders sends from unregistered senders (test traffic
 	// injected straight onto the fabric).
@@ -112,10 +99,7 @@ type Network struct {
 
 // New creates an empty network.
 func New() *Network {
-	return &Network{
-		nodes:     make(map[string]*endpoint),
-		linkBytes: make(map[string]int64),
-	}
+	return &Network{nodes: make(map[string]*endpoint)}
 }
 
 // AddNode registers a node. Registration order defines the scheduler's
@@ -126,25 +110,7 @@ func (n *Network) AddNode(name string) {
 	if _, ok := n.nodes[name]; ok {
 		return
 	}
-	n.nodes[name] = &endpoint{idx: len(n.order)}
-	n.order = append(n.order, name)
-}
-
-// Nodes returns the registered node names in registration order.
-func (n *Network) Nodes() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, len(n.order))
-	copy(out, n.order)
-	return out
-}
-
-// HasNode reports whether name is registered.
-func (n *Network) HasNode(name string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, ok := n.nodes[name]
-	return ok
+	n.nodes[name] = &endpoint{idx: len(n.nodes)}
 }
 
 // Send enqueues a message, charging its bytes. Sends to unregistered
@@ -152,13 +118,6 @@ func (n *Network) HasNode(name string) bool {
 // use; concurrent sends drain in (sender registration, send order), the
 // same order a sequential scheduler would produce.
 func (n *Network) Send(from, to string, payload []byte) error {
-	return n.SendTagged(from, to, payload, false)
-}
-
-// SendTagged is Send with a traffic-class tag: handshake marks
-// control-plane datagrams (session handshakes) so the stats split
-// handshake from data bytes.
-func (n *Network) SendTagged(from, to string, payload []byte, handshake bool) error {
 	n.mu.RLock()
 	dst, ok := n.nodes[to]
 	src := n.nodes[from]
@@ -180,13 +139,6 @@ func (n *Network) SendTagged(from, to string, payload []byte, handshake bool) er
 	}
 	n.messages.Add(1)
 	n.bytes.Add(int64(msg.Size()))
-	if handshake {
-		n.handshakeMsgs.Add(1)
-		n.handshakeBytes.Add(int64(msg.Size()))
-	}
-	n.linkMu.Lock()
-	n.linkBytes[from+"->"+to] += int64(msg.Size())
-	n.linkMu.Unlock()
 	dst.mu.Lock()
 	dst.queue = append(dst.queue, msg)
 	dst.mu.Unlock()
@@ -219,20 +171,6 @@ func (n *Network) Drain(to string) []Message {
 	return msgs
 }
 
-// PendingFor returns the number of undelivered messages queued for one
-// node — a per-node backlog gauge for live-network monitoring.
-func (n *Network) PendingFor(to string) int {
-	n.mu.RLock()
-	dst := n.nodes[to]
-	n.mu.RUnlock()
-	if dst == nil {
-		return 0
-	}
-	dst.mu.Lock()
-	defer dst.mu.Unlock()
-	return len(dst.queue)
-}
-
 // PendingCount returns the number of undelivered messages.
 func (n *Network) PendingCount() int {
 	n.mu.RLock()
@@ -249,58 +187,28 @@ func (n *Network) PendingCount() int {
 // Stats returns a copy of the transport counters.
 func (n *Network) Stats() Stats {
 	return Stats{
-		Messages:          n.messages.Load(),
-		Bytes:             n.bytes.Load(),
-		DroppedMsg:        n.dropped.Load(),
-		HandshakeMessages: n.handshakeMsgs.Load(),
-		HandshakeBytes:    n.handshakeBytes.Load(),
+		Messages:   n.messages.Load(),
+		Bytes:      n.bytes.Load(),
+		DroppedMsg: n.dropped.Load(),
 	}
 }
 
-// ResetStats zeroes the counters (per-experiment runs).
-func (n *Network) ResetStats() {
-	n.messages.Store(0)
-	n.bytes.Store(0)
-	n.dropped.Store(0)
-	n.handshakeMsgs.Store(0)
-	n.handshakeBytes.Store(0)
-	n.linkMu.Lock()
-	n.linkBytes = make(map[string]int64)
-	n.linkMu.Unlock()
-}
+// Notify does nothing: the fabric carries only what the round scheduler
+// ships itself, so no arrival needs announcing.
+func (n *Network) Notify(func()) {}
 
-// LinkTraffic describes bytes carried on one directed pair.
-type LinkTraffic struct {
-	From, To string
-	Bytes    int64
-}
+// SetRestartHandler does nothing: a node on the fabric never restarts.
+func (n *Network) SetRestartHandler(func(string)) {}
 
-// TopTalkers returns the k busiest directed pairs, descending by bytes.
-func (n *Network) TopTalkers(k int) []LinkTraffic {
-	n.linkMu.Lock()
-	out := make([]LinkTraffic, 0, len(n.linkBytes))
-	for key, b := range n.linkBytes {
-		var from, to string
-		for i := 0; i+1 < len(key); i++ {
-			if key[i] == '-' && key[i+1] == '>' {
-				from, to = key[:i], key[i+2:]
-				break
-			}
-		}
-		out = append(out, LinkTraffic{From: from, To: to, Bytes: b})
-	}
-	n.linkMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	if k >= 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
+// InFlight is always zero: Send enqueues at the receiver before it
+// returns.
+func (n *Network) InFlight() int { return 0 }
+
+// Flush returns at once: nothing is ever in flight.
+func (n *Network) Flush(context.Context) error { return nil }
+
+// QueueDepths is nil: the fabric has no peers and no outbound queues.
+func (n *Network) QueueDepths() map[string]int { return nil }
+
+// Close releases nothing; the fabric holds no OS resources.
+func (n *Network) Close() error { return nil }

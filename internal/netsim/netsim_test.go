@@ -69,74 +69,6 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-func TestPendingFor(t *testing.T) {
-	n := New()
-	n.AddNode("a")
-	n.AddNode("b")
-	n.Send("a", "b", []byte("x"))
-	n.Send("a", "b", []byte("y"))
-	if got := n.PendingFor("b"); got != 2 {
-		t.Errorf("PendingFor(b) = %d, want 2", got)
-	}
-	if got := n.PendingFor("a"); got != 0 {
-		t.Errorf("PendingFor(a) = %d, want 0", got)
-	}
-	if got := n.PendingFor("nope"); got != 0 {
-		t.Errorf("PendingFor(unknown) = %d, want 0", got)
-	}
-	n.Drain("b")
-	if got := n.PendingFor("b"); got != 0 {
-		t.Errorf("PendingFor(b) after drain = %d, want 0", got)
-	}
-}
-
-func TestNodesOrderAndHasNode(t *testing.T) {
-	n := New()
-	for _, name := range []string{"c", "a", "b"} {
-		n.AddNode(name)
-	}
-	n.AddNode("a") // duplicate: ignored
-	nodes := n.Nodes()
-	if len(nodes) != 3 || nodes[0] != "c" || nodes[1] != "a" || nodes[2] != "b" {
-		t.Errorf("Nodes = %v", nodes)
-	}
-	if !n.HasNode("a") || n.HasNode("zzz") {
-		t.Error("HasNode")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	n := New()
-	n.AddNode("a")
-	n.AddNode("b")
-	n.Send("a", "b", []byte("x"))
-	n.ResetStats()
-	if st := n.Stats(); st.Messages != 0 || st.Bytes != 0 {
-		t.Error("ResetStats must zero counters")
-	}
-}
-
-func TestTopTalkers(t *testing.T) {
-	n := New()
-	for _, name := range []string{"a", "b", "c"} {
-		n.AddNode(name)
-	}
-	n.Send("a", "b", make([]byte, 100))
-	n.Send("a", "b", make([]byte, 100))
-	n.Send("b", "c", make([]byte, 10))
-	top := n.TopTalkers(1)
-	if len(top) != 1 || top[0].From != "a" || top[0].To != "b" {
-		t.Fatalf("TopTalkers = %v", top)
-	}
-	all := n.TopTalkers(-1)
-	if len(all) != 2 {
-		t.Fatalf("all talkers = %v", all)
-	}
-	if all[0].Bytes < all[1].Bytes {
-		t.Error("descending order")
-	}
-}
-
 // TestConcurrentSendsDrainDeterministically hammers the fabric from many
 // goroutines (run with -race) and checks that Drain returns exactly the
 // order a sequential scheduler would have produced: sender registration
@@ -199,38 +131,5 @@ func TestConcurrentStatsAccounting(t *testing.T) {
 	st := n.Stats()
 	if st.Messages != 400 || st.Bytes != int64(400*(10+HeaderOverhead)) {
 		t.Errorf("stats = %+v", st)
-	}
-	tt := n.TopTalkers(1)
-	if len(tt) != 1 || tt[0].Bytes != st.Bytes {
-		t.Errorf("top talkers = %+v", tt)
-	}
-}
-
-// TestHandshakeTrafficSplit checks the control-plane/data-plane split:
-// handshake-tagged sends show up in both the totals and the handshake
-// counters, and ResetStats clears them.
-func TestHandshakeTrafficSplit(t *testing.T) {
-	n := New()
-	n.AddNode("a")
-	n.AddNode("b")
-	if err := n.SendTagged("a", "b", make([]byte, 10), true); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send("a", "b", make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	s := n.Stats()
-	if s.Messages != 2 || s.HandshakeMessages != 1 {
-		t.Errorf("messages = %d/%d handshake, want 2/1", s.Messages, s.HandshakeMessages)
-	}
-	if want := int64(10 + HeaderOverhead); s.HandshakeBytes != want {
-		t.Errorf("handshake bytes = %d, want %d", s.HandshakeBytes, want)
-	}
-	if data := s.Bytes - s.HandshakeBytes; data != int64(100+HeaderOverhead) {
-		t.Errorf("data bytes = %d, want %d", data, 100+HeaderOverhead)
-	}
-	n.ResetStats()
-	if s := n.Stats(); s.HandshakeMessages != 0 || s.HandshakeBytes != 0 {
-		t.Errorf("reset left handshake stats %+v", s)
 	}
 }

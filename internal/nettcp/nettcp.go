@@ -18,8 +18,8 @@
 //	          and restart detection; then uvarint incarnation — a value
 //	          strictly increasing across restarts of that process
 //	frame*    uvarint len, len bytes of body, where
-//	          body = flags (1 byte; bit0 = handshake traffic class,
-//	                 bit1 = sequenced, bit2 = ack control frame)
+//	          body = flags (1 byte; bit0 reserved: written 0, ignored on
+//	                 read; bit1 = sequenced, bit2 = ack control frame)
 //	               + uvarint s, s bytes — source node name
 //	               + uvarint d, d bytes — destination node name
 //	               + uvarint seq (present iff bit1; for ack frames this
@@ -37,7 +37,7 @@
 // receiver acks cumulatively (coalescing while the return writer is
 // busy), suppresses duplicates by sequence window, and the sender
 // replays the unacked window on reconnect and on ack timeout. A full
-// window blocks SendTagged — backpressure into the round scheduler —
+// window blocks Send — backpressure into the round scheduler —
 // until acks free space or the transport closes. Ack frames are
 // transport-internal: they are never delivered upward, and are counted
 // separately (Stats.AckMessages/AckBytes) so the reliability overhead
@@ -108,19 +108,24 @@ import (
 // datagram it sends dropped as unparseable.
 var magic = [4]byte{'P', 'N', 'T', '4'}
 
-// Frame flag bits.
+// Frame flag bits. Bit 0 is reserved: written 0 and ignored on read.
 const (
-	flagHandshake = 1 << 0 // session-handshake traffic class
 	flagSequenced = 1 << 1 // frame carries a uvarint sequence number
 	flagAck       = 1 << 2 // transport ack; seq is the cumulative ack
 )
 
+const (
+	// DefaultDialTimeout bounds each connection attempt.
+	DefaultDialTimeout = 5 * time.Second
+	// DefaultMaxFrame caps accepted frame sizes; a larger frame poisons
+	// the connection (it is closed and the dialer re-opens it).
+	DefaultMaxFrame = 1 << 24 // 16 MiB: far above any real envelope
+)
+
 // Defaults for Config's zero values.
 const (
-	DefaultDialTimeout       = 5 * time.Second
 	DefaultRetryMin          = 50 * time.Millisecond
 	DefaultRetryMax          = 2 * time.Second
-	DefaultMaxFrame          = 1 << 24 // 16 MiB: far above any real envelope
 	DefaultRetransmitTimeout = 500 * time.Millisecond
 	DefaultWindow            = 4096 // frames per peer before backpressure
 )
@@ -138,13 +143,8 @@ type Config struct {
 	// reads (the context-aware shutdown the lifecycle driver composes
 	// with). Close works regardless.
 	Context context.Context
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 	// RetryMin/RetryMax bound the reconnect backoff (default 50ms..2s).
 	RetryMin, RetryMax time.Duration
-	// MaxFrame caps accepted frame sizes (default 16 MiB); larger frames
-	// poison the connection (it is closed and the dialer re-opens it).
-	MaxFrame int
 	// Reliable enables sequence numbers, cumulative acks, the bounded
 	// retransmit window, and duplicate suppression (see the package
 	// comment). Off, the transport has TCP's delivery guarantee only:
@@ -154,7 +154,7 @@ type Config struct {
 	// unacknowledged before the window is replayed (default 500ms).
 	RetransmitTimeout time.Duration
 	// Window caps each peer's outstanding frames (queued + unacked);
-	// a full window blocks SendTagged (default 4096). Reliable only.
+	// a full window blocks Send (default 4096). Reliable only.
 	Window int
 	// DropWrite, when set, is consulted before each frame write on a
 	// live connection; returning true discards the frame as if the
@@ -204,8 +204,6 @@ type Transport struct {
 	messages      atomic.Int64
 	bytes         atomic.Int64
 	dropped       atomic.Int64
-	hsMsgs        atomic.Int64
-	hsBytes       atomic.Int64
 	reconnects    atomic.Int64
 	requeues      atomic.Int64
 	parked        atomic.Int64
@@ -230,12 +228,11 @@ type inbox struct {
 
 // frame is one outbound datagram awaiting shipment to a peer.
 type frame struct {
-	src, dst  string
-	payload   []byte
-	seq       uint64 // link sequence number; cumulative ack when ack
-	handshake bool
-	ack       bool
-	sentAt    time.Time // last write time (retransmit window)
+	src, dst string
+	payload  []byte
+	seq      uint64 // link sequence number; cumulative ack when ack
+	ack      bool
+	sentAt   time.Time // last write time (retransmit window)
 }
 
 // peer is one remote process: a pending queue drained by a dedicated
@@ -267,17 +264,11 @@ type peer struct {
 // reports the bound address); peer connections are dialed lazily on
 // first send.
 func New(cfg Config) (*Transport, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
 	if cfg.RetryMin <= 0 {
 		cfg.RetryMin = DefaultRetryMin
 	}
 	if cfg.RetryMax < cfg.RetryMin {
 		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
 	}
 	if cfg.RetransmitTimeout <= 0 {
 		cfg.RetransmitTimeout = DefaultRetransmitTimeout
@@ -375,8 +366,8 @@ func (t *Transport) AddPeer(name, addr string) {
 	}
 }
 
-// Notify registers fn to run after every inbound enqueue (core.Notifier:
-// the lifecycle driver's wake-up for datagrams arriving between rounds).
+// Notify registers fn to run after every inbound enqueue: the lifecycle
+// driver's wake-up for datagrams arriving between rounds.
 func (t *Transport) Notify(fn func()) { t.notify.Store(&fn) }
 
 // SetRestartHandler registers fn to run when a peer process joins
@@ -389,19 +380,14 @@ func (t *Transport) Notify(fn func()) { t.notify.Store(&fn) }
 // name and runs on its own goroutine.
 func (t *Transport) SetRestartHandler(fn func(process string)) { t.restart.Store(&fn) }
 
-// Send enqueues a datagram, charging its bytes.
-func (t *Transport) Send(from, to string, payload []byte) error {
-	return t.SendTagged(from, to, payload, false)
-}
-
-// SendTagged is Send with the handshake traffic-class tag. Local
-// destinations deliver in process; remote ones are handed to the peer's
+// Send enqueues a datagram, charging its bytes. Local destinations
+// deliver in process; remote ones are handed to the peer's
 // writer (charged now, shipped as the connection allows — TCP delivery
 // is asynchronous, unlike netsim's synchronous enqueue). In reliable
 // mode a full peer window blocks here until acknowledgements free space
 // — the backpressure that keeps a fast sender from burying a slow or
 // crashed peer.
-func (t *Transport) SendTagged(from, to string, payload []byte, handshake bool) error {
+func (t *Transport) Send(from, to string, payload []byte) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -412,14 +398,14 @@ func (t *Transport) SendTagged(from, to string, payload []byte, handshake bool) 
 	t.mu.Unlock()
 
 	if box != nil {
-		t.enqueue(box, from, to, payload, handshake)
+		t.enqueue(box, from, to, payload)
 		return nil
 	}
 	if p == nil {
 		t.dropped.Add(1)
 		return fmt.Errorf("nettcp: send to unknown node %q (not local, no peer address)", to)
 	}
-	f := frame{src: from, dst: to, payload: payload, handshake: handshake}
+	f := frame{src: from, dst: to, payload: payload}
 	p.mu.Lock()
 	if t.cfg.Reliable {
 		waited := false
@@ -440,25 +426,20 @@ func (t *Transport) SendTagged(from, to string, payload []byte, handshake bool) 
 	p.pending = append(p.pending, f)
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	t.charge(from, to, payload, f.seq, handshake)
+	t.charge(from, to, payload, f.seq)
 	return nil
 }
 
 // charge records one frame in the stats counters.
-func (t *Transport) charge(src, dst string, payload []byte, seq uint64, handshake bool) {
-	size := int64(frameWireSize(src, dst, payload, seq))
+func (t *Transport) charge(src, dst string, payload []byte, seq uint64) {
 	t.messages.Add(1)
-	t.bytes.Add(size)
-	if handshake {
-		t.hsMsgs.Add(1)
-		t.hsBytes.Add(size)
-	}
+	t.bytes.Add(int64(frameWireSize(src, dst, payload, seq)))
 }
 
 // enqueue delivers one datagram into a local inbox and fires the arrival
 // notifier.
-func (t *Transport) enqueue(box *inbox, from, to string, payload []byte, handshake bool) {
-	t.charge(from, to, payload, 0, handshake)
+func (t *Transport) enqueue(box *inbox, from, to string, payload []byte) {
+	t.charge(from, to, payload, 0)
 	box.mu.Lock()
 	box.queue = append(box.queue, netsim.Message{From: from, To: to, Payload: payload})
 	box.mu.Unlock()
@@ -485,19 +466,6 @@ func (t *Transport) Drain(to string) []netsim.Message {
 	return msgs
 }
 
-// PendingFor reports the inbound backlog queued for one local node.
-func (t *Transport) PendingFor(to string) int {
-	t.mu.Lock()
-	box := t.local[to]
-	t.mu.Unlock()
-	if box == nil {
-		return 0
-	}
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	return len(box.queue)
-}
-
 // PendingCount reports the total inbound backlog across local nodes.
 func (t *Transport) PendingCount() int {
 	t.mu.Lock()
@@ -519,8 +487,8 @@ func (t *Transport) PendingCount() int {
 // cannot yet prove delivered: queued behind writers, held by writers,
 // or written and awaiting acknowledgement. Ack control frames are
 // excluded — the data they acknowledge already arrived. This is the
-// transport's contribution to the distributed termination gauge
-// (core.InFlighter): zero here plus empty inboxes everywhere means no
+// transport's contribution to the distributed termination gauge: zero
+// here plus empty inboxes everywhere means no
 // datagram is in flight anywhere in the deployment.
 func (t *Transport) InFlight() int {
 	t.mu.Lock()
@@ -564,41 +532,22 @@ func (t *Transport) Flush(ctx context.Context) error {
 // Stats returns a copy of this process's transport counters.
 func (t *Transport) Stats() netsim.Stats {
 	return netsim.Stats{
-		Messages:          t.messages.Load(),
-		Bytes:             t.bytes.Load(),
-		DroppedMsg:        t.dropped.Load(),
-		HandshakeMessages: t.hsMsgs.Load(),
-		HandshakeBytes:    t.hsBytes.Load(),
-		Reconnects:        t.reconnects.Load(),
-		Requeues:          t.requeues.Load(),
-		Parked:            t.parked.Load(),
-		AckMessages:       t.acks.Load(),
-		AckBytes:          t.ackBytes.Load(),
-		Retransmits:       t.retransmits.Load(),
-		DupDropped:        t.dupDropped.Load(),
-		Backpressured:     t.backpressured.Load(),
+		Messages:      t.messages.Load(),
+		Bytes:         t.bytes.Load(),
+		DroppedMsg:    t.dropped.Load(),
+		Reconnects:    t.reconnects.Load(),
+		Requeues:      t.requeues.Load(),
+		Parked:        t.parked.Load(),
+		AckMessages:   t.acks.Load(),
+		AckBytes:      t.ackBytes.Load(),
+		Retransmits:   t.retransmits.Load(),
+		DupDropped:    t.dupDropped.Load(),
+		Backpressured: t.backpressured.Load(),
 	}
 }
 
-// ResetStats zeroes the counters.
-func (t *Transport) ResetStats() {
-	t.messages.Store(0)
-	t.bytes.Store(0)
-	t.dropped.Store(0)
-	t.hsMsgs.Store(0)
-	t.hsBytes.Store(0)
-	t.reconnects.Store(0)
-	t.requeues.Store(0)
-	t.parked.Store(0)
-	t.acks.Store(0)
-	t.ackBytes.Store(0)
-	t.retransmits.Store(0)
-	t.dupDropped.Store(0)
-	t.backpressured.Store(0)
-}
-
 // QueueDepths reports the outbound backlog per peer: frames accepted by
-// SendTagged that the peer's writer has not yet shipped. The map is
+// Send that the peer's writer has not yet shipped. The map is
 // freshly allocated (scrape-time cost, not hot-path).
 func (t *Transport) QueueDepths() map[string]int {
 	t.mu.Lock()
@@ -877,7 +826,7 @@ func (t *Transport) dial(p *peer) (net.Conn, error) {
 	p.mu.Lock()
 	addr := p.addr
 	p.mu.Unlock()
-	d := net.Dialer{Timeout: t.cfg.DialTimeout}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	conn, err := d.DialContext(t.ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -958,9 +907,6 @@ func writeFrame(w *bufio.Writer, f frame) error {
 		return err
 	}
 	flags := byte(0)
-	if f.handshake {
-		flags |= flagHandshake
-	}
 	if f.seq > 0 {
 		flags |= flagSequenced
 	}
@@ -1023,7 +969,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		t.cfg.Logf("nettcp: bad preamble from %s", conn.RemoteAddr())
 		return
 	}
-	hello, err := readLengthPrefixed(br, t.cfg.MaxFrame)
+	hello, err := readLengthPrefixed(br, DefaultMaxFrame)
 	if err != nil {
 		t.cfg.Logf("nettcp: bad hello from %s: %v", conn.RemoteAddr(), err)
 		return
@@ -1036,7 +982,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 	t.observeIncarnation(from, inc)
 	for {
-		body, err := readLengthPrefixed(br, t.cfg.MaxFrame)
+		body, err := readLengthPrefixed(br, DefaultMaxFrame)
 		if err != nil {
 			if err != io.EOF && t.ctx.Err() == nil {
 				t.cfg.Logf("nettcp: read from %s: %v", from, err)
@@ -1048,7 +994,6 @@ func (t *Transport) readLoop(conn net.Conn) {
 			t.cfg.Logf("nettcp: corrupt frame from %s: %v", from, err)
 			return
 		}
-		handshake := flags&flagHandshake != 0
 		if flags&flagAck != 0 {
 			t.acks.Add(1)
 			t.ackBytes.Add(int64(frameWireSize(src, dst, nil, seq)))
@@ -1069,7 +1014,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			// Not registered (yet): park the frame for AddNode. A name
 			// this process will never host leaks its backlog here; the
 			// log line is the operator's clue to a peer-map typo.
-			t.charge(src, dst, payload, seq, handshake)
+			t.charge(src, dst, payload, seq)
 			t.parked.Add(1)
 			t.orphans[dst] = append(t.orphans[dst], netsim.Message{From: src, To: dst, Payload: payload})
 			t.mu.Unlock()
@@ -1077,7 +1022,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			continue
 		}
 		t.mu.Unlock()
-		t.enqueue(box, src, dst, payload, handshake)
+		t.enqueue(box, src, dst, payload)
 	}
 }
 

@@ -45,10 +45,10 @@ func waitDrain(t *testing.T, tr *Transport, to string, want int) []netsim.Messag
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []frame{
 		{src: "a", dst: "b", payload: []byte{1, 2, 3}},
-		{src: "", dst: "b", payload: nil, handshake: true},
+		{src: "", dst: "b", payload: nil},
 		{src: "node-with-a-long-name", dst: "x", payload: bytes.Repeat([]byte{0xAB}, 300)},
 		{src: "a", dst: "b", payload: []byte{9}, seq: 7},
-		{src: "a", dst: "b", payload: []byte("hs"), seq: 300, handshake: true},
+		{src: "a", dst: "b", payload: []byte("hs"), seq: 300},
 		{src: "b", dst: "a", seq: 42, ack: true},
 	}
 	var buf bytes.Buffer
@@ -74,11 +74,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		hs, ack := flags&flagHandshake != 0, flags&flagAck != 0
-		if hs != want.handshake || ack != want.ack || src != want.src || dst != want.dst || seq != want.seq || !bytes.Equal(payload, want.payload) {
-			t.Errorf("frame %d: got (%v,%v,%q,%q,%d,%x), want (%v,%v,%q,%q,%d,%x)",
-				i, hs, ack, src, dst, seq, payload, want.handshake, want.ack, want.src, want.dst, want.seq, want.payload)
+		ack := flags&flagAck != 0
+		if flags&1 != 0 || ack != want.ack || src != want.src || dst != want.dst || seq != want.seq || !bytes.Equal(payload, want.payload) {
+			t.Errorf("frame %d: got (%#x,%q,%q,%d,%x), want (ack %v,%q,%q,%d,%x) with bit0 clear",
+				i, flags, src, dst, seq, payload, want.ack, want.src, want.dst, want.seq, want.payload)
 		}
+	}
+	// Bit0 is reserved: a frame that sets it still parses as plain data.
+	if _, src, dst, seq, payload, err := parseFrame([]byte{1, 1, 'a', 1, 'b', 'x'}); err != nil || src != "a" || dst != "b" || seq != 0 || string(payload) != "x" {
+		t.Errorf("bit0 frame parsed as (%q,%q,%d,%q,%v), want (a,b,0,x,nil)", src, dst, seq, payload, err)
 	}
 }
 
@@ -153,8 +157,8 @@ func TestLocalDelivery(t *testing.T) {
 	if err := tr.Send("a", "b", []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	if n := tr.PendingFor("b"); n != 1 {
-		t.Fatalf("PendingFor(b) = %d", n)
+	if n := tr.PendingCount(); n != 1 {
+		t.Fatalf("PendingCount = %d", n)
 	}
 	msgs := tr.Drain("b")
 	if len(msgs) != 1 || msgs[0].From != "a" || string(msgs[0].Payload) != "hi" {
@@ -171,21 +175,17 @@ func TestRemoteDelivery(t *testing.T) {
 	trA := newT(t, map[string]string{"b": trB.Addr()})
 	trA.AddNode("a")
 
-	if err := trA.SendTagged("a", "b", []byte("data"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := trA.SendTagged("a", "b", []byte("hs"), true); err != nil {
-		t.Fatal(err)
+	for _, p := range []string{"data", "more"} {
+		if err := trA.Send("a", "b", []byte(p)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	msgs := waitDrain(t, trB, "b", 2)
-	if msgs[0].From != "a" || string(msgs[0].Payload) != "data" || string(msgs[1].Payload) != "hs" {
+	if msgs[0].From != "a" || string(msgs[0].Payload) != "data" || string(msgs[1].Payload) != "more" {
 		t.Fatalf("msgs = %v", msgs)
 	}
-	if s := trB.Stats(); s.Messages != 2 || s.HandshakeMessages != 1 || s.HandshakeBytes == 0 {
-		t.Fatalf("receiver stats = %+v", s)
-	}
-	if s := trA.Stats(); s.Messages != 2 || s.HandshakeMessages != 1 {
-		t.Fatalf("sender stats = %+v", s)
+	if s := trB.Stats(); s.Messages != 2 || s.Bytes != trA.Stats().Bytes {
+		t.Fatalf("receiver stats = %+v, sender %+v", s, trA.Stats())
 	}
 }
 

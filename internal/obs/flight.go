@@ -29,9 +29,9 @@ type RoundRecord struct {
 	Retracted int64  `json:"retracted"`
 	SealNs    int64  `json:"seal_ns"`
 	VerifyNs  int64  `json:"verify_ns"`
-	// TransportPending is the transport's undelivered-message count at
-	// the end of the step; PeerQueues breaks it down per peer when the
-	// transport can (nettcp outbound queues).
+	// TransportPending is the transport's undelivered inbound count at
+	// the end of the step; PeerQueues is its outbound backlog per peer
+	// (nil on the in-memory fabric, which has no peers).
 	TransportPending int            `json:"transport_pending"`
 	PeerQueues       map[string]int `json:"peer_queues,omitempty"`
 	// StoreLag is the store log's queued+in-flight event count — how
