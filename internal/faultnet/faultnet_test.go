@@ -28,7 +28,7 @@ func drainAll(n *Net, to string) []string {
 }
 
 func TestPassthroughWithoutFaults(t *testing.T) {
-	n, inner := newNet(Config{Seed: 1})
+	n, _ := newNet(Config{Seed: 1})
 	for i := 0; i < 10; i++ {
 		if err := n.Send("a", "b", []byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
@@ -36,9 +36,6 @@ func TestPassthroughWithoutFaults(t *testing.T) {
 	}
 	if got := n.PendingCount(); got != 10 {
 		t.Fatalf("PendingCount = %d, want 10", got)
-	}
-	if s := n.Stats(); s != inner.Stats() || s.Messages != 10 {
-		t.Fatalf("stats passthrough broken: %+v", s)
 	}
 	msgs := drainAll(n, "b")
 	if len(msgs) != 10 {
@@ -235,5 +232,21 @@ func TestAutoReleaseDrainsLimbo(t *testing.T) {
 	}
 	if got := drainAll(n, "b"); len(got) != 1 || got[0] != "late" {
 		t.Fatalf("auto-released delivery = %v, want [late]", got)
+	}
+}
+
+// TestStatsPassthroughAndReset pins that Stats is the inner transport's
+// counters and that they start from zero: there is no ResetStats, so a
+// measurement that wants fresh counters builds a fresh transport.
+func TestStatsPassthroughAndReset(t *testing.T) {
+	n, inner := newNet(Config{Seed: 1})
+	if s := n.Stats(); s != (netsim.Stats{}) {
+		t.Fatalf("fresh transport has non-zero stats: %+v", s)
+	}
+	if err := n.Send("a", "b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if s := n.Stats(); s != inner.Stats() || s.Messages != 1 {
+		t.Fatalf("stats passthrough broken: %+v", s)
 	}
 }
