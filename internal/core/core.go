@@ -260,6 +260,9 @@ type Network struct {
 	// program and topology). The termination detector's token ring walks
 	// it in this order.
 	allNodes []string
+	// syms is the read-only table received frames decode their strings
+	// through (frameSymbols).
+	syms *data.Symbols
 	// term is the active termination detector, nil unless StartTermination
 	// ran. The hot path pays one atomic load per activity mark when a
 	// detector is installed, and a nil check otherwise.
@@ -370,6 +373,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n.allNodes = append([]string(nil), names...)
 	sort.Strings(n.allNodes)
+	n.syms = frameSymbols(localized, n.allNodes)
 
 	// Only the RSA says operator and the session handshake ever read a
 	// key pair; the other schemes register the security level alone and
@@ -1020,7 +1024,7 @@ func (n *Network) sealBatch(from string, frames []outFrame) error {
 // means the datagram was fully handled or dropped; an error means it was
 // malformed, which the caller drops and counts the same way.
 func (n *Network) decodeVerify(name string, msg netsim.Message) (*frame, error) {
-	f, err := decodeFrame(msg.Payload)
+	f, err := decodeFrame(msg.Payload, n.syms)
 	if err != nil {
 		return nil, err
 	}

@@ -144,7 +144,7 @@ func TestSessionRefusesSignedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := decodeFrame(p); err != nil || f.open(n.control, "a") != nil {
+	if f, err := decodeFrame(p, nil); err != nil || f.open(n.control, "a") != nil {
 		t.Fatalf("the injected frame must be correctly signed: %v", err)
 	}
 	if err := n.Transport().Send("b", "a", p); err != nil {

@@ -43,7 +43,7 @@ func sealRound(t testing.TB, sealer auth.Sealer, from string, frames ...outFrame
 // retag returns the datagram with its tag replaced by edit's result.
 func retag(t testing.TB, datagram []byte, edit func(tag []byte) []byte) []byte {
 	t.Helper()
-	f, err := decodeFrame(datagram)
+	f, err := decodeFrame(datagram, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestForgedTreeFramesRejected(t *testing.T) {
 		"replayed root": func(t *testing.T, n *Network) []injection {
 			r1 := sealRound(t, n.sealer, "b", saidFrame("b", "a", "round one"), saidFrame("b", "c", "x"), saidFrame("b", "a", "y"))
 			r2 := sealRound(t, n.sealer, "b", saidFrame("b", "a", "round two"), saidFrame("b", "c", "x"), saidFrame("b", "a", "y"))
-			old, err := decodeFrame(r1[0])
+			old, err := decodeFrame(r1[0], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestForgedTreeFramesRejected(t *testing.T) {
 		"cross-tree splice": func(t *testing.T, n *Network) []injection {
 			mine := sealRound(t, n.sealer, "b", saidFrame("b", "a", "said"), saidFrame("b", "c", "x"), saidFrame("b", "a", "y"))
 			theirs := sealRound(t, n.sealer, "c", saidFrame("c", "a", "said"), saidFrame("c", "b", "x"), saidFrame("c", "a", "y"))
-			other, err := decodeFrame(theirs[0])
+			other, err := decodeFrame(theirs[0], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestForgedTreeFramesRejected(t *testing.T) {
 			// TestInteriorNodeIsNoLeaf rules out; here the datagram is
 			// refused whichever layer gets to it first.)
 			round := sealRound(t, n.sealer, "b", saidFrame("b", "a", "0"), saidFrame("b", "a", "1"), saidFrame("b", "a", "2"), saidFrame("b", "a", "3"))
-			f0, err := decodeFrame(round[0])
+			f0, err := decodeFrame(round[0], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestForgedTreeFramesRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			honest := sealRound(t, n.sealer, "b", saidFrame("b", "a", "said"), saidFrame("b", "c", "x"), saidFrame("b", "a", "y"))
-			if f, err := decodeFrame(honest[0]); err != nil || f.open(n.sealer, "a") != nil {
+			if f, err := decodeFrame(honest[0], nil); err != nil || f.open(n.sealer, "a") != nil {
 				t.Fatalf("the honest frame must open where it was sent: %v", err)
 			}
 			in := forge(t, n)
@@ -299,7 +299,7 @@ func TestTreeTagGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := decodeFrame(golden)
+	f, err := decodeFrame(golden, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

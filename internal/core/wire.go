@@ -9,6 +9,7 @@ import (
 	"provnet/internal/auth"
 	"provnet/internal/bdd"
 	"provnet/internal/data"
+	"provnet/internal/datalog"
 	"provnet/internal/engine"
 	"provnet/internal/provenance"
 )
@@ -307,11 +308,69 @@ const (
 	minPayloadSize = 1
 )
 
-// decodeFrame parses one datagram without authenticating it. Everything
-// here runs on bytes anyone who can reach the socket may have written:
-// it must return an error, never panic, and never allocate more than the
-// bytes it was handed can account for.
-func decodeFrame(p []byte) (*frame, error) {
+// frameSymbols is the symbol table a network decodes its frames through:
+// the strings a frame can carry that are known before any is sent. Those
+// are the node names (senders, asserters, addresses in tuples and paths),
+// the predicates of the rule heads (frames ship derived heads, or withdraw
+// them), and the string constants of the heads, the expressions and the
+// facts the heads' values come from.
+func frameSymbols(prog *datalog.Program, nodes []string) *data.Symbols {
+	ss := append([]string(nil), nodes...)
+	var value func(v data.Value)
+	value = func(v data.Value) {
+		switch v.Kind {
+		case data.KindString:
+			ss = append(ss, v.Str)
+		case data.KindList:
+			for _, e := range v.List {
+				value(e)
+			}
+		}
+	}
+	var expr func(x datalog.Expr)
+	expr = func(x datalog.Expr) {
+		switch x := x.(type) {
+		case datalog.ConstExpr:
+			value(x.Value)
+		case datalog.UnaryExpr:
+			expr(x.X)
+		case datalog.BinExpr:
+			expr(x.L)
+			expr(x.R)
+		case datalog.CallExpr:
+			for _, a := range x.Args {
+				expr(a)
+			}
+		}
+	}
+	for _, r := range prog.Rules {
+		ss = append(ss, r.Head.Pred)
+		for _, t := range r.Head.Args {
+			if c, ok := t.(datalog.Constant); ok {
+				value(c.Value)
+			}
+		}
+		for _, l := range r.Body {
+			if l.Kind != datalog.LitAtom {
+				expr(l.Expr)
+			}
+		}
+	}
+	for _, f := range prog.Facts {
+		for _, v := range f.Tuple.Args {
+			value(v)
+		}
+	}
+	return data.NewSymbols(ss)
+}
+
+// decodeFrame parses one datagram without authenticating it, resolving
+// its strings through syms (nil = none). Everything here runs on bytes
+// anyone who can reach the socket may have written: it must return an
+// error, never panic, and never allocate more than the bytes it was handed
+// can account for. A data or retract frame's tuples share one value array
+// (data.Decoder).
+func decodeFrame(p []byte, syms *data.Symbols) (*frame, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty datagram", ErrBadEnvelope)
 	}
@@ -325,7 +384,7 @@ func decodeFrame(p []byte) (*frame, error) {
 		f.blob = p[1:]
 		return f, nil
 	case kindData, kindRetract:
-		f.from = read(c, "from", data.DecodeString)
+		f.from = read(c, "from", syms.DecodeString)
 		itemSize := minTupleSize
 		refs := 0 // ModeCondensed: how many refs the frame's table defines
 		if f.kind == kindData {
@@ -346,8 +405,11 @@ func decodeFrame(p []byte) (*frame, error) {
 			return nil, fmt.Errorf("%w: item count %d exceeds payload", ErrBadEnvelope, count)
 		}
 		f.items = make([]item, 0, min(count, maxPresize))
+		dec := data.NewDecoder(syms)
+		defer dec.Release()
 		for i := uint64(0); i < count && c.err == nil; i++ {
-			it := item{tuple: read(c, "tuple", data.DecodeTuple)}
+			var it item
+			c.skip("tuple", dec.Tuple)
 			switch {
 			case f.kind == kindRetract:
 			case f.mode == provenance.ModeCondensed:
@@ -361,8 +423,13 @@ func decodeFrame(p []byte) (*frame, error) {
 			}
 			f.items = append(f.items, it)
 		}
+		if c.err == nil {
+			for i, t := range dec.Tuples() {
+				f.items[i].tuple = t
+			}
+		}
 	case kindToken, kindTerminate:
-		f.from = read(c, "from", data.DecodeString)
+		f.from = read(c, "from", syms.DecodeString)
 		f.wave = read(c, "wave", decodeUvarint)
 		f.acts = read(c, "acts", decodeUvarint)
 	default:
@@ -390,16 +457,25 @@ type cursor struct {
 // read decodes the next field with dec, one of internal/data's decoders
 // or the two below.
 func read[T any](c *cursor, what string, dec func([]byte) (T, int, error)) (v T) {
+	c.skip(what, func(b []byte) (m int, err error) {
+		v, m, err = dec(b)
+		return m, err
+	})
+	return v
+}
+
+// skip passes the next field to dec, which keeps what it decodes (a
+// data.Decoder's Tuple), and moves past it.
+func (c *cursor) skip(what string, dec func([]byte) (int, error)) {
 	if c.err != nil {
-		return v
+		return
 	}
-	v, m, err := dec(c.b[c.n:])
+	m, err := dec(c.b[c.n:])
 	if err != nil {
 		c.err = fmt.Errorf("%w: %s: %v", ErrBadEnvelope, what, err)
-		return v
+		return
 	}
 	c.n += m
-	return v
 }
 
 func decodeByte(b []byte) (byte, int, error) {

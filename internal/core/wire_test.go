@@ -203,7 +203,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			if b[0] != want.kind {
 				t.Fatalf("first byte %d, want the kind %d", b[0], want.kind)
 			}
-			got, err := decodeFrame(b)
+			got, err := decodeFrame(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestEnvelopeTamperDetection(t *testing.T) {
 				for _, bit := range []byte{0x01, 0x80} {
 					bad := append([]byte(nil), b...)
 					bad[i] ^= bit
-					if got, err := decodeFrame(bad); err == nil && got.open(sealers[c.sealer], "b") == nil {
+					if got, err := decodeFrame(bad, nil); err == nil && got.open(sealers[c.sealer], "b") == nil {
 						t.Fatalf("byte %d of %d flipped by %#x still opens", i, len(b), bit)
 					}
 				}
@@ -254,7 +254,7 @@ func TestEnvelopeTamperDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	b[0] = kindTerminate
-	got, err := decodeFrame(b)
+	got, err := decodeFrame(b, nil)
 	if err != nil || got.kind != kindTerminate {
 		t.Fatalf("a token with the terminate kind byte must parse as one: %+v, %v", got, err)
 	}
@@ -281,7 +281,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 		}
 		bad = append(bad, append(append([]byte(nil), b...), 0))
 		for _, p := range bad {
-			got, err := decodeFrame(p)
+			got, err := decodeFrame(p, nil)
 			if err == nil && (c.frame.kind != kindHandshake || got.open(sealers[c.sealer], "b") == nil) {
 				t.Fatalf("%s: %d of %d bytes accepted", c.name, len(p), len(b))
 			}
@@ -291,7 +291,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 
 func TestDecodeEnvelopeErrors(t *testing.T) {
 	for _, p := range [][]byte{nil, {}, {0}, {0, 0}, {kindTerminate + 1, 0}, {99, 0}, {kindHandshake}} {
-		if _, err := decodeFrame(p); !errors.Is(err, ErrBadEnvelope) {
+		if _, err := decodeFrame(p, nil); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("decodeFrame(%x) = %v, want ErrBadEnvelope", p, err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 			if !bytes.Equal(sealed, golden) {
 				t.Errorf("seal drifted from docs/WIRE.md\n golden: %x\n sealed: %x", golden, sealed)
 			}
-			got, err := decodeFrame(golden)
+			got, err := decodeFrame(golden, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +351,7 @@ func TestOpenCoversReceivedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := decodeFrame(sealed)
+	cf, err := decodeFrame(sealed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestOpenCoversReceivedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := decodeFrame(data.AppendBytes(append([]byte(nil), odd...), tag))
+	f, err := decodeFrame(data.AppendBytes(append([]byte(nil), odd...), tag), nil)
 	if err != nil {
 		t.Fatalf("an over-long varint parses: %v", err)
 	}
@@ -370,7 +370,7 @@ func TestOpenCoversReceivedBytes(t *testing.T) {
 	if err := f.open(sealer, "b"); err != nil {
 		t.Errorf("sealed over the bytes it arrived as, yet: %v", err)
 	}
-	f, err = decodeFrame(data.AppendBytes(append([]byte(nil), odd...), cf.tag))
+	f, err = decodeFrame(data.AppendBytes(append([]byte(nil), odd...), cf.tag), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDecodeHostileItemCount(t *testing.T) {
 		p := hostileCount(count, size)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := decodeFrame(p)
+		_, err := decodeFrame(p, nil)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("count %d: err = %v, want ErrBadEnvelope", count, err)
@@ -487,8 +487,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{kindHandshake, 1})
 	f.Add([]byte{kindToken, 0, 0})
 
+	// The fixtures' names, so decoding also takes the table's hits.
+	syms := data.NewSymbols([]string{"a", "b", "p", "q", "link", "path"})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := decodeFrame(b)
+		fr, err := decodeFrame(b, syms)
 		if err != nil {
 			return
 		}

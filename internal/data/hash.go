@@ -5,19 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// Structural 64-bit hashing for values and tuples (FNV-1a). These hashes
-// are the allocation-free replacement for the materialized Key()/ValueKey()
+// Structural 64-bit hashing for values and tuples. These hashes are the
+// allocation-free replacement for the materialized Key()/ValueKey()
 // strings on the hot path: tables, join indexes, the dependency index,
-// aggregate groups and the retraction sets all key on (hash, equality
-// check) buckets instead of strings.
+// aggregate groups and the retraction sets all key on hash buckets with an
+// equality check along each bucket's chain instead of strings. Kind tags
+// take an FNV-1a byte round; words — numbers, lengths, and strings eight
+// bytes at a time — take one multiply/xor-shift mix each, whose last
+// xor-shift carries the high bits down so that the low bits a masked hash
+// keeps depend on the whole word.
 //
 // The contract mirrors the key encodings exactly: if two values are Equal
 // their hashes are equal (in particular an int that is exactly
 // representable as a float64 hashes as its float form, so Int(2) and
 // Float(2.0) collide on purpose, just as their Key() encodings are
 // byte-identical). The converse does not hold — distinct values may
-// collide — so every hash-keyed structure falls back to Equal inside a
-// bucket.
+// collide — so every hash-keyed structure checks Equal along a bucket.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -45,19 +48,28 @@ func hashByte(h uint64, b byte) uint64 {
 }
 
 func hashWord(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
+	h ^= v
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 31
+	h *= 0x94d049bb133111eb
+	h ^= h >> 29
 	return h
 }
 
+// hashStr folds s in eight-byte words. The last word holds the tail
+// bytes and, in its top byte, the length, so strings that differ only by
+// trailing zero bytes still differ.
 func hashStr(h uint64, s string) uint64 {
-	h = hashWord(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
+	n := len(s)
+	for ; len(s) >= 8; s = s[8:] {
+		h = hashWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
 	}
-	return h
+	w := uint64(n) << 56
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	return hashWord(h, w)
 }
 
 // hashInto folds v's structural encoding into h. The per-kind tag bytes

@@ -101,6 +101,29 @@ func TestLimitHashBitsForTesting(t *testing.T) {
 	if NewTuple("p", Int(1)).Hash() <= 1 {
 		t.Fatal("restore did not lift the mask")
 	}
+
+	// The mask keeps the low bits, so they must depend on every bit of a
+	// small int, a float and a short string: at 4 bits each family below
+	// fills all 16 buckets, as a value and as a tuple's only argument.
+	defer LimitHashBitsForTesting(4)()
+	families := map[string][]Value{}
+	for i := 0; i < 64; i++ {
+		families["Int(0..63)"] = append(families["Int(0..63)"], Int(int64(i)))
+		families["Float(0..63)"] = append(families["Float(0..63)"], Float(float64(i)))
+	}
+	for i := 0; i < 80; i++ {
+		families["n0..n79"] = append(families["n0..n79"], Str(fmt.Sprintf("n%d", i)))
+	}
+	for name, vals := range families {
+		values, tuples := map[uint64]bool{}, map[uint64]bool{}
+		for _, v := range vals {
+			values[v.Hash()] = true
+			tuples[NewTuple("p", v).Hash()] = true
+		}
+		if len(values) != 16 || len(tuples) != 16 {
+			t.Errorf("%s fills %d of 16 buckets as values and %d as tuples", name, len(values), len(tuples))
+		}
+	}
 }
 
 // TestInternIDStable pins id stability.

@@ -17,20 +17,24 @@ import (
 // counts shrink as contributing tuples age out (paper §2.1).
 //
 // Groups key on the head's structural hash over the group columns
-// (equality-checked within a bucket); contribution dedup keys on a fold
-// of the body tuples' hashes with tuple-wise equality as the fallback.
-// An insertion-ordered group list keeps recomputation diffs
-// deterministic.
+// (colliding groups chain through aggGroup.next and are equality-checked);
+// contribution dedup keys on a fold of the body tuples' hashes with
+// tuple-wise equality as the fallback. An insertion-ordered group list
+// keeps recomputation diffs deterministic.
 
 // aggGroupState holds one aggregate rule's groups.
 type aggGroupState struct {
 	rule   *compiledRule
-	groups map[uint64][]*aggGroup
+	groups chain[aggGroup]
 	order  []*aggGroup
+	// slab supplies the groups; a recomputation starts a fresh one with
+	// its fresh group map, so a chunk dies with the groups it held.
+	slab slab[aggGroup]
 }
 
 type aggGroup struct {
 	hash      uint64
+	next      *aggGroup // the next group with the same hash
 	asserter  string
 	groupArgs []data.Value
 	seen      map[uint64][][]AnnTuple
@@ -50,10 +54,12 @@ type aggGroup struct {
 	current       data.Value
 }
 
+func (g *aggGroup) link() **aggGroup { return &g.next }
+
 func (e *Engine) aggStateFor(r *compiledRule) *aggGroupState {
 	st, ok := e.aggState[r.label]
 	if !ok {
-		st = &aggGroupState{rule: r, groups: make(map[uint64][]*aggGroup)}
+		st = &aggGroupState{rule: r, groups: newChain((*aggGroup).link)}
 		e.aggState[r.label] = st
 		// Head tables of aggregate rules are keyed by the group columns
 		// so a changed aggregate replaces the old row.
@@ -63,9 +69,9 @@ func (e *Engine) aggStateFor(r *compiledRule) *aggGroupState {
 }
 
 // findAggGroup locates the group matching the head's group columns in a
-// group map (nil when absent).
-func findAggGroup(m map[uint64][]*aggGroup, hash uint64, asserter string, args []data.Value, groupIdx []int) *aggGroup {
-	for _, g := range m[hash] {
+// group chain (nil when absent).
+func findAggGroup(c chain[aggGroup], hash uint64, asserter string, args []data.Value, groupIdx []int) *aggGroup {
+	for g := c.first(hash); g != nil; g = g.next {
 		if g.asserter != asserter {
 			continue
 		}
@@ -114,15 +120,14 @@ func (e *Engine) aggContribute(r *compiledRule, head data.Tuple, body []AnnTuple
 	h := head.HashCols(spec.groupIdx)
 	g := findAggGroup(st.groups, h, head.Asserter, head.Args, spec.groupIdx)
 	if g == nil {
-		groupArgs := make([]data.Value, len(head.Args))
+		// The group outlives the wave, so its arguments come from the
+		// persistent slab (contributions run on the driving goroutine).
+		groupArgs := e.scratchBuf().allocVals(len(head.Args))
 		copy(groupArgs, head.Args)
-		g = &aggGroup{
-			hash:      h,
-			asserter:  head.Asserter,
-			groupArgs: groupArgs,
-			seen:      make(map[uint64][][]AnnTuple),
-		}
-		st.groups[h] = append(st.groups[h], g)
+		g = st.slab.alloc()
+		g.hash, g.asserter, g.groupArgs = h, head.Asserter, groupArgs
+		g.seen = make(map[uint64][][]AnnTuple)
+		st.groups.push(h, g)
 		st.order = append(st.order, g)
 	}
 
@@ -243,8 +248,9 @@ func (e *Engine) recomputeAggRules(only map[string]bool, sink func(dead data.Tup
 		st := e.aggStateFor(r)
 		oldGroups := st.groups
 		oldOrder := st.order
-		st.groups = make(map[uint64][]*aggGroup)
+		st.groups = newChain((*aggGroup).link)
 		st.order = nil
+		st.slab = slab[aggGroup]{}
 
 		// Re-derive all contributions from live state. Contributions feed
 		// the fresh group map; emission is deferred until the diff below.

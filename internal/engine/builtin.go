@@ -15,23 +15,77 @@ var (
 	errBadOperand = errors.New("engine: bad operand type")
 )
 
-// evalExpr evaluates a datalog expression under the rule's environment.
-func evalExpr(ex datalog.Expr, r *compiledRule, env *env) (data.Value, error) {
+// expr is a compiled datalog expression: its variables are resolved to
+// environment slots and its calls to builtins when the rule is compiled,
+// so evaluation looks nothing up.
+type expr struct {
+	kind exprKind
+	val  data.Value  // exprConst
+	slot int         // exprVar: the variable's slot, -1 when the rule has none
+	name string      // exprVar, exprCall: for error text; exprUnknown: the Go type
+	op   string      // exprUnary, exprBin
+	fn   BuiltinFunc // exprCall; nil when no builtin has the name
+	args []expr      // exprUnary: X; exprBin: L, R; exprCall: the arguments
+}
+
+type exprKind uint8
+
+const (
+	exprConst exprKind = iota
+	exprVar
+	exprUnary
+	exprBin
+	exprCall
+	exprUnknown
+)
+
+// compileExpr compiles ex against the rule's variable slots.
+func compileExpr(ex datalog.Expr, slots map[string]int) expr {
+	operands := func(xs ...datalog.Expr) []expr {
+		out := make([]expr, len(xs))
+		for i, x := range xs {
+			out[i] = compileExpr(x, slots)
+		}
+		return out
+	}
 	switch x := ex.(type) {
 	case datalog.ConstExpr:
-		return x.Value, nil
+		return expr{kind: exprConst, val: x.Value}
 	case datalog.VarExpr:
-		slot, ok := r.varSlots[x.Name]
-		if !ok || !env.bound[slot] {
-			return data.Value{}, fmt.Errorf("%w: %s", errUnboundVar, x.Name)
+		slot, ok := slots[x.Name]
+		if !ok {
+			slot = -1
 		}
-		return env.vals[slot], nil
+		return expr{kind: exprVar, slot: slot, name: x.Name}
 	case datalog.UnaryExpr:
-		v, err := evalExpr(x.X, r, env)
+		return expr{kind: exprUnary, op: x.Op, args: operands(x.X)}
+	case datalog.BinExpr:
+		return expr{kind: exprBin, op: x.Op, args: operands(x.L, x.R)}
+	case datalog.CallExpr:
+		return expr{kind: exprCall, name: x.Name, fn: Builtins[x.Name], args: operands(x.Args...)}
+	default:
+		return expr{kind: exprUnknown, name: fmt.Sprintf("%T", ex)}
+	}
+}
+
+// evalExpr evaluates a compiled expression under the environment. A
+// builtin's arguments are a window of sc.args, the engine's scratch stack,
+// which the call's own argument expressions may push above and pop again.
+func evalExpr(x *expr, env *env, sc *evalScratch) (data.Value, error) {
+	switch x.kind {
+	case exprConst:
+		return x.val, nil
+	case exprVar:
+		if x.slot < 0 || !env.bound[x.slot] {
+			return data.Value{}, fmt.Errorf("%w: %s", errUnboundVar, x.name)
+		}
+		return env.vals[x.slot], nil
+	case exprUnary:
+		v, err := evalExpr(&x.args[0], env, sc)
 		if err != nil {
 			return data.Value{}, err
 		}
-		switch x.Op {
+		switch x.op {
 		case "-":
 			switch v.Kind {
 			case data.KindInt:
@@ -44,63 +98,49 @@ func evalExpr(ex datalog.Expr, r *compiledRule, env *env) (data.Value, error) {
 		case "!":
 			return data.Bool(!v.IsTrue()), nil
 		default:
-			return data.Value{}, fmt.Errorf("engine: unknown unary op %q", x.Op)
+			return data.Value{}, fmt.Errorf("engine: unknown unary op %q", x.op)
 		}
-	case datalog.BinExpr:
+	case exprBin:
+		l, err := evalExpr(&x.args[0], env, sc)
+		if err != nil {
+			return data.Value{}, err
+		}
 		// Short-circuit logical operators.
-		switch x.Op {
-		case "&&":
-			l, err := evalExpr(x.L, r, env)
-			if err != nil {
-				return data.Value{}, err
-			}
-			if !l.IsTrue() {
-				return data.Bool(false), nil
-			}
-			rr, err := evalExpr(x.R, r, env)
-			if err != nil {
-				return data.Value{}, err
-			}
-			return data.Bool(rr.IsTrue()), nil
-		case "||":
-			l, err := evalExpr(x.L, r, env)
-			if err != nil {
-				return data.Value{}, err
-			}
-			if l.IsTrue() {
-				return data.Bool(true), nil
-			}
-			rr, err := evalExpr(x.R, r, env)
-			if err != nil {
-				return data.Value{}, err
-			}
-			return data.Bool(rr.IsTrue()), nil
+		switch {
+		case x.op == "&&" && !l.IsTrue():
+			return data.Bool(false), nil
+		case x.op == "||" && l.IsTrue():
+			return data.Bool(true), nil
 		}
-		l, err := evalExpr(x.L, r, env)
+		rv, err := evalExpr(&x.args[1], env, sc)
 		if err != nil {
 			return data.Value{}, err
 		}
-		rv, err := evalExpr(x.R, r, env)
-		if err != nil {
-			return data.Value{}, err
+		if x.op == "&&" || x.op == "||" {
+			return data.Bool(rv.IsTrue()), nil
 		}
-		return applyBinOp(x.Op, l, rv)
-	case datalog.CallExpr:
-		fn, ok := Builtins[x.Name]
-		if !ok {
-			return data.Value{}, fmt.Errorf("engine: unknown function %q", x.Name)
+		return applyBinOp(x.op, l, rv)
+	case exprCall:
+		if x.fn == nil {
+			return data.Value{}, fmt.Errorf("engine: unknown function %q", x.name)
 		}
-		args := make([]data.Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalExpr(a, r, env)
-			if err != nil {
-				return data.Value{}, err
+		base := len(sc.args)
+		var v data.Value
+		var err error
+		for i := range x.args {
+			if v, err = evalExpr(&x.args[i], env, sc); err != nil {
+				break
 			}
-			args[i] = v
+			sc.args = append(sc.args, v)
 		}
-		return fn(args)
+		if err == nil {
+			v, err = x.fn(sc.args[base:len(sc.args):len(sc.args)])
+		}
+		clear(sc.args[base:])
+		sc.args = sc.args[:base]
+		return v, err
 	default:
-		return data.Value{}, fmt.Errorf("engine: unknown expression %T", ex)
+		return data.Value{}, fmt.Errorf("engine: unknown expression %s", x.name)
 	}
 }
 
@@ -172,12 +212,15 @@ func numericOp(op string, l, r data.Value) (data.Value, error) {
 	return data.Value{}, fmt.Errorf("engine: unknown operator %q", op)
 }
 
-// BuiltinFunc is the signature of NDlog builtin functions (f_*).
+// BuiltinFunc is the signature of NDlog builtin functions (f_*). args is
+// the engine's scratch, valid only during the call: a builtin must not
+// keep it, nor return a value whose list aliases it.
 type BuiltinFunc func(args []data.Value) (data.Value, error)
 
 // Builtins is the registry of NDlog builtin functions, the list-and-path
 // helpers used by declarative routing programs. Additional functions may
-// be registered before engines are created.
+// be registered before programs are loaded: a rule's calls are resolved
+// when LoadProgram compiles it.
 var Builtins = map[string]BuiltinFunc{
 	"f_init":   fInit,
 	"f_concat": fConcat,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -194,4 +195,256 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 			t.Fatalf("stats diverged: unmasked %+v, masked %+v", wantStats, gotStats)
 		}
 	})
+}
+
+// chainCase drives one chained structure through its own insert and
+// remove paths; elements are numbered, and id tells which one a struct is.
+type chainCase[T any] struct {
+	chain  func() chain[T]
+	add    func(i int)
+	remove func(i int)
+	has    func(i int) bool
+	id     func(x *T) int
+}
+
+// unlinkHeadMiddleTail adds twelve elements under a 1-bit hash, so one of
+// the two chains holds at least six, then removes that chain's head, a
+// middle element and its tail through the structure's own remove path.
+// Before each removal the element must sit where intended; after it the
+// element must be gone, the rest still found, and the chain's order kept.
+func unlinkHeadMiddleTail[T any](t *testing.T, c chainCase[T]) {
+	t.Helper()
+	defer data.LimitHashBitsForTesting(1)()
+	const n = 12
+	for i := 0; i < n; i++ {
+		c.add(i)
+	}
+	var h uint64 // the longest chain's hash
+	ids := func() []int {
+		var ids []int
+		for x := c.chain().first(h); x != nil; x = *c.chain().link(x) {
+			ids = append(ids, c.id(x))
+		}
+		return ids
+	}
+	for k := range c.chain().m {
+		if chainLen(c.chain(), k) > chainLen(c.chain(), h) {
+			h = k
+		}
+	}
+	order := ids()
+	if len(order) < 6 {
+		t.Fatalf("longest chain %v, want at least 6 of %d under a 1-bit hash", order, n)
+	}
+	gone := map[int]bool{}
+	for _, at := range []string{"head", "middle", "tail"} {
+		pos := map[string]int{"head": 0, "middle": len(order) / 2, "tail": len(order) - 1}[at]
+		victim := order[pos]
+		c.remove(victim)
+		gone[victim] = true
+		want := append(append([]int(nil), order[:pos]...), order[pos+1:]...)
+		if got := ids(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after unlinking %d at the %s: chain %v, want %v", victim, at, got, want)
+		}
+		order = want
+		for i := 0; i < n; i++ {
+			if c.has(i) == gone[i] {
+				t.Fatalf("after unlinking %d at the %s: element %d found = %v", victim, at, i, c.has(i))
+			}
+		}
+	}
+}
+
+func chainLen[T any](c chain[T], h uint64) int {
+	n := 0
+	for x := c.first(h); x != nil; x = *c.link(x) {
+		n++
+	}
+	return n
+}
+
+// TestChainUnlinkHeadMiddleTail runs unlinkHeadMiddleTail over every
+// structure that removes from its chain: table rows, dependency entries,
+// aggregate-selection groups and shadow rows.
+func TestChainUnlinkHeadMiddleTail(t *testing.T) {
+	t.Run("table rows", func(t *testing.T) {
+		tbl := NewTable("p", nil, -1, -1)
+		unlinkHeadMiddleTail(t, chainCase[Entry]{
+			chain:  func() chain[Entry] { return tbl.rows },
+			add:    func(i int) { tbl.Insert(tup("p", i), nil, 0) },
+			remove: func(i int) { tbl.kill(tbl.Get(tup("p", i))) },
+			has:    func(i int) bool { return tbl.Get(tup("p", i)) != nil },
+			id:     func(en *Entry) int { return int(en.Tuple.Args[0].Int) },
+		})
+	})
+	t.Run("dependency entries", func(t *testing.T) {
+		e := New(Config{Self: "n"})
+		head := tup("q", 0)
+		unlinkHeadMiddleTail(t, chainCase[depEntry]{
+			chain: func() chain[depEntry] { return e.deps },
+			add: func(i int) {
+				e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, "n", destTupleKey{dest: e.destID("n"), hash: head.Hash()})
+			},
+			remove: func(i int) { e.dropDeps(tup("p", i)) },
+			has:    func(i int) bool { return e.findDeps(tup("p", i).Hash(), tup("p", i)) != nil },
+			id:     func(de *depEntry) int { return int(de.body.Args[0].Int) },
+		})
+		if e.DepSize() != 9 {
+			t.Errorf("dependency index holds %d bodies, want 9", e.DepSize())
+		}
+	})
+	t.Run("prune groups", func(t *testing.T) {
+		ps := &pruneSpec{keyCols: []int{0}, groups: newChain((*pruneGroupState).link)}
+		unlinkHeadMiddleTail(t, chainCase[pruneGroupState]{
+			chain:  func() chain[pruneGroupState] { return ps.groups },
+			add:    func(i int) { ps.group(tup("p", i, 0)) },
+			remove: func(i int) { ps.maybeDrop(ps.findGroup(tup("p", i, 0))) },
+			has:    func(i int) bool { return ps.findGroup(tup("p", i, 0)) != nil },
+			id:     func(g *pruneGroupState) int { return int(g.vals[0].Int) },
+		})
+	})
+	t.Run("shadow rows", func(t *testing.T) {
+		ps := &pruneSpec{keyCols: []int{0}, col: 1, min: true, cap: -1, groups: newChain((*pruneGroupState).link)}
+		g := ps.group(tup("p", 0, 0))
+		unlinkHeadMiddleTail(t, chainCase[shadowRow]{
+			chain:  func() chain[shadowRow] { return g.shadow },
+			add:    func(i int) { ps.addShadowRow(g, tup("p", 0, i), nil, supportFrom("")) },
+			remove: func(i int) { ps.dropShadow(g, tup("p", 0, i)) },
+			has:    func(i int) bool { return g.findShadow(tup("p", 0, i)) != nil },
+			id:     func(r *shadowRow) int { return int(r.tuple.Args[1].Int) },
+		})
+		if g.nshadow != 9 {
+			t.Errorf("group counts %d shadow rows, want 9", g.nshadow)
+		}
+	})
+}
+
+// TestChainsForcedCollisionsMatchUnmasked replays a seeded script of
+// link inserts and retractions through an aggregate-selection program
+// with a min aggregate, once with full hashes and once with 1-bit hashes,
+// and requires the same tables after every step and the same stats. The
+// masked run must put at least three members on one chain of each
+// structure — table rows, dependency entries, prune groups, shadow rows
+// and aggregate groups — and remove members of each again (aggregate
+// groups vanish when a recomputation rebuilds their chains).
+func TestChainsForcedCollisionsMatchUnmasked(t *testing.T) {
+	const prog = `
+materialize(link, infinity, infinity, keys(1,2,3)).
+materialize(cost, infinity, infinity, keys(1,2,3)).
+materialize(m, infinity, infinity, keys(1,2)).
+aggSelection(cost, keys(1,2), min, 3).
+c1 cost(@N,Y,C) :- link(@N,Y,C).
+m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
+`
+	type census struct{ longest, removed int }
+	run := func(masked bool) ([]string, Stats, map[string]*census) {
+		e := cappedEngine(t, "n", prog, 0)
+		rng := rand.New(rand.NewSource(29))
+		seen := map[string]map[string]bool{}
+		stats := map[string]*census{}
+		// take records the keys on one structure's chains, its longest
+		// chain, and how many keys left since the last step.
+		take := func(kind string, keys map[string]bool, longest int) {
+			c := stats[kind]
+			if c == nil {
+				c = &census{}
+				stats[kind] = c
+			}
+			c.longest = max(c.longest, longest)
+			for k := range seen[kind] {
+				if !keys[k] {
+					c.removed++
+				}
+			}
+			seen[kind] = keys
+		}
+		walk := func(kind string, heads []func(yield func(string)) int) {
+			keys, longest := map[string]bool{}, 0
+			for _, h := range heads {
+				longest = max(longest, h(func(k string) { keys[k] = true }))
+			}
+			take(kind, keys, longest)
+		}
+		census := func() {
+			var rows, deps, groups, shadows, aggs []func(func(string)) int
+			for _, name := range []string{"link", "cost", "m"} {
+				if tbl := e.tables[name]; tbl != nil {
+					for _, en := range tbl.rows.m {
+						rows = append(rows, chainKeys(en, func(x *Entry) *Entry { return x.next }, func(x *Entry) string { return x.Tuple.String() }))
+					}
+				}
+			}
+			for _, de := range e.deps.m {
+				deps = append(deps, chainKeys(de, func(x *depEntry) *depEntry { return x.next }, func(x *depEntry) string { return x.body.String() }))
+			}
+			for _, g := range e.prunes["cost"].groups.m {
+				groups = append(groups, chainKeys(g, func(x *pruneGroupState) *pruneGroupState { return x.next }, func(x *pruneGroupState) string { return fmt.Sprint(x.vals) }))
+				for ; g != nil; g = g.next {
+					for _, r := range g.shadow.m {
+						shadows = append(shadows, chainKeys(r, func(x *shadowRow) *shadowRow { return x.next }, func(x *shadowRow) string { return x.tuple.String() }))
+					}
+				}
+			}
+			if st := e.aggState["m1"]; st != nil {
+				for _, g := range st.groups.m {
+					aggs = append(aggs, chainKeys(g, func(x *aggGroup) *aggGroup { return x.next }, func(x *aggGroup) string { return fmt.Sprint(x.groupArgs[:2]) }))
+				}
+			}
+			walk("table rows", rows)
+			walk("dependency entries", deps)
+			walk("prune groups", groups)
+			walk("shadow rows", shadows)
+			walk("aggregate groups", aggs)
+		}
+		if masked {
+			defer data.LimitHashBitsForTesting(1)()
+		}
+		var steps []string
+		for i := 0; i < 400; i++ {
+			link := data.NewTuple("link", data.Str("n"),
+				data.Str(fmt.Sprintf("y%d", rng.Intn(8))), data.Int(int64(rng.Intn(9))))
+			if rng.Intn(2) == 0 {
+				e.RetractFacts(link)
+			} else {
+				e.InsertFact(link)
+			}
+			e.RunToFixpoint()
+			steps = append(steps, snapshotEngine(e))
+			census()
+		}
+		return steps, e.Stats, stats
+	}
+
+	wantSteps, wantStats, _ := run(false)
+	gotSteps, gotStats, chains := run(true)
+	for i := range wantSteps {
+		if gotSteps[i] != wantSteps[i] {
+			t.Fatalf("step %d diverged\n--- unmasked ---\n%s--- masked ---\n%s", i, wantSteps[i], gotSteps[i])
+		}
+	}
+	if gotStats != wantStats {
+		t.Fatalf("stats diverged: unmasked %+v, masked %+v", wantStats, gotStats)
+	}
+	for _, kind := range []string{"table rows", "dependency entries", "prune groups", "shadow rows", "aggregate groups"} {
+		c := chains[kind]
+		if c != nil {
+			t.Logf("%s: longest chain %d, %d removed", kind, c.longest, c.removed)
+		}
+		if c == nil || c.longest < 3 || c.removed == 0 {
+			t.Errorf("%s under a 1-bit hash: %+v, want a chain of 3 or more and removals", kind, c)
+		}
+	}
+}
+
+// chainKeys returns a walk of the chain from x: it yields each member's
+// key and returns the chain's length.
+func chainKeys[T any](x *T, next func(*T) *T, key func(*T) string) func(func(string)) int {
+	return func(yield func(string)) int {
+		n := 0
+		for ; x != nil; x = next(x) {
+			yield(key(x))
+			n++
+		}
+		return n
+	}
 }

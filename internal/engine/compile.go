@@ -36,9 +36,9 @@ const (
 // step is one element of the rule's evaluation plan, in body order.
 type step struct {
 	kind       stepKind
-	atom       int // for stepAtom: index into atoms
-	assignSlot int // for stepAssign
-	expr       datalog.Expr
+	atom       int   // for stepAtom: index into atoms
+	assignSlot int   // for stepAssign
+	expr       *expr // for stepAssign and stepCond
 }
 
 // aggSpec describes an aggregate head.
@@ -83,9 +83,7 @@ type compiledRule struct {
 	// maxProbe is the widest probe across plans, sizing scratch buffers.
 	maxProbe int
 
-	nvars    int
-	varNames []string
-	varSlots map[string]int
+	nvars int
 }
 
 // probeSrc names where one probe column's value comes from at runtime.
@@ -171,20 +169,19 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 		ctxSlot:    -1,
 		locSlot:    -1,
 		headLocIdx: -1,
-		varSlots:   map[string]int{},
 	}
 	if cr.label == "" {
 		cr.label = r.Head.Pred
 	}
 
+	varSlots := map[string]int{}
 	slotOf := func(name string) int {
-		if s, ok := cr.varSlots[name]; ok {
+		if s, ok := varSlots[name]; ok {
 			return s
 		}
 		s := cr.nvars
 		cr.nvars++
-		cr.varSlots[name] = s
-		cr.varNames = append(cr.varNames, name)
+		varSlots[name] = s
 		return s
 	}
 	pat := func(t datalog.Term) pattern {
@@ -245,13 +242,9 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 			cr.steps = append(cr.steps, step{kind: stepAtom, atom: len(cr.atoms)})
 			cr.atoms = append(cr.atoms, spec)
 		case datalog.LitAssign:
-			cr.steps = append(cr.steps, step{
-				kind:       stepAssign,
-				assignSlot: slotOf(l.AssignVar),
-				expr:       l.Expr,
-			})
+			cr.steps = append(cr.steps, step{kind: stepAssign, assignSlot: slotOf(l.AssignVar)})
 		case datalog.LitCond:
-			cr.steps = append(cr.steps, step{kind: stepCond, expr: l.Expr})
+			cr.steps = append(cr.steps, step{kind: stepCond})
 		}
 	}
 
@@ -283,6 +276,15 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 			}
 		}
 		cr.agg = spec
+	}
+	// Expressions compile once every variable has its slot: a delta atom
+	// later in the body binds its variables before the steps ahead of it.
+	// Steps and body literals correspond one to one.
+	for i, l := range r.Body {
+		if l.Kind != datalog.LitAtom {
+			x := compileExpr(l.Expr, varSlots)
+			cr.steps[i].expr = &x
+		}
 	}
 	buildProbePlans(cr)
 	return cr, nil

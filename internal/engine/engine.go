@@ -147,15 +147,15 @@ type Engine struct {
 
 	// deps is the derivation dependency index driving retraction: for
 	// every non-aggregate rule firing it maps each body tuple (keyed by
-	// structural hash, equality-chained) to the derived heads (with their
-	// destinations), so a deleted tuple's cone of influence can be walked
-	// without re-running rules.
-	deps  map[uint64][]*depEntry
+	// structural hash, colliding entries chained through depEntry.next)
+	// to the derived heads (with their destinations), so a deleted tuple's
+	// cone of influence can be walked without re-running rules.
+	deps  chain[depEntry]
 	ndeps int
 
-	// depEntryArena amortizes dependency-index allocation: entries come
-	// from a chunked arena instead of one malloc each.
-	depEntryArena []depEntry
+	// depEntries amortizes dependency-index allocation: entries come from
+	// chunks instead of one malloc each.
+	depEntries slab[depEntry]
 
 	// destIDs caches interned destination-symbol ids (see destID).
 	destIDs map[string]uint32
@@ -215,10 +215,11 @@ type atomRef struct {
 }
 
 // pruneSpec is one aggregate-selection declaration. Groups are keyed by
-// the structural hash of the group columns (pruneGroupState chains hold
-// the identity for the equality fallback); each group carries its
-// installed best, its shadow of rejected candidates, and its lossy flag
-// in one place instead of three parallel string-keyed maps.
+// the structural hash of the group columns, colliding groups chained
+// through pruneGroupState.next (which holds the identity for the
+// equality check); each group carries its installed best, its shadow of
+// rejected candidates, and its lossy flag in one place instead of three
+// parallel string-keyed maps.
 type pruneSpec struct {
 	pred    string
 	keyCols []int
@@ -229,11 +230,20 @@ type pruneSpec struct {
 	// revival knows candidates may be missing and falls back to
 	// restricted re-derivation instead of trusting the shadow alone.
 	cap    int
-	groups map[uint64][]*pruneGroupState
+	groups chain[pruneGroupState]
 	// evictions counts rows enforceCap dropped, summed across specs by
 	// Engine.ShadowEvictions (pruneSpec methods have no engine pointer,
 	// so the count lives here rather than in Stats).
 	evictions int64
+
+	// Groups and their identity values, and shadow rows, come from slabs.
+	// A removed shadow row goes on the spare list, chained through next,
+	// for the next one: rows come and go with every relaxation, and no
+	// pointer to one outlives its removal.
+	groupSlab slab[pruneGroupState]
+	valSlab   slab[data.Value]
+	rowSlab   slab[shadowRow]
+	spare     *shadowRow
 }
 
 // pruneGroupState is one aggregate-selection group: identity (asserter +
@@ -244,15 +254,21 @@ type pruneSpec struct {
 // re-ship them).
 type pruneGroupState struct {
 	hash     uint64
+	next     *pruneGroupState // the next group with the same hash
 	asserter string
 	vals     []data.Value
 	hasBest  bool
 	best     data.Value
-	// shadow chains rows by full-tuple hash; nshadow counts them.
-	shadow  map[uint64][]shadowRow
+	// shadow chains rows by full-tuple hash through shadowRow.next (nil
+	// map until the first row); nshadow counts them.
+	shadow  chain[shadowRow]
 	nshadow int
 	lossy   bool
 }
+
+func (g *pruneGroupState) link() **pruneGroupState { return &g.next }
+
+func (r *shadowRow) link() **shadowRow { return &r.next }
 
 // matches reports whether t belongs to this group (the equality fallback
 // behind the group-hash key). The predicate is implied by the spec.
@@ -271,23 +287,25 @@ func (g *pruneGroupState) matches(t data.Tuple, keyCols []int) bool {
 // group finds or creates the group state for tuple t.
 func (ps *pruneSpec) group(t data.Tuple) *pruneGroupState {
 	h := t.HashCols(ps.keyCols)
-	for _, g := range ps.groups[h] {
-		if g.matches(t, ps.keyCols) {
-			return g
-		}
+	if g := ps.find(h, t); g != nil {
+		return g
 	}
-	vals := make([]data.Value, len(ps.keyCols))
+	g := ps.groupSlab.alloc()
+	g.hash, g.asserter, g.vals = h, t.Asserter, ps.valSlab.take(len(ps.keyCols))
 	for i, c := range ps.keyCols {
-		vals[i] = t.Args[c]
+		g.vals[i] = t.Args[c]
 	}
-	g := &pruneGroupState{hash: h, asserter: t.Asserter, vals: vals}
-	ps.groups[h] = append(ps.groups[h], g)
+	ps.groups.push(h, g)
 	return g
 }
 
 // findGroup returns the existing group for t, or nil.
 func (ps *pruneSpec) findGroup(t data.Tuple) *pruneGroupState {
-	for _, g := range ps.groups[t.HashCols(ps.keyCols)] {
+	return ps.find(t.HashCols(ps.keyCols), t)
+}
+
+func (ps *pruneSpec) find(h uint64, t data.Tuple) *pruneGroupState {
+	for g := ps.groups.first(h); g != nil; g = g.next {
 		if g.matches(t, ps.keyCols) {
 			return g
 		}
@@ -301,27 +319,17 @@ func (ps *pruneSpec) maybeDrop(g *pruneGroupState) {
 	if g.hasBest || g.nshadow > 0 || g.lossy {
 		return
 	}
-	bucket := ps.groups[g.hash]
-	for i, c := range bucket {
-		if c == g {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			if len(bucket) == 0 {
-				delete(ps.groups, g.hash)
-			} else {
-				ps.groups[g.hash] = bucket
-			}
-			return
-		}
-	}
+	ps.groups.unlink(g.hash, g)
 }
 
 // shadowRow is one prune-rejected candidate kept for possible revival,
-// with the support bookkeeping it would have carried as a stored entry.
+// with the support it would have carried as a stored entry.
 type shadowRow struct {
-	tuple        data.Tuple
-	ann          Annotation
-	localSupport bool
-	origins      map[string]bool
+	tuple data.Tuple
+	ann   Annotation
+	support
+	hash uint64     // tuple's structural hash
+	next *shadowRow // the next row of the group with the same hash
 }
 
 // New creates an engine for node self.
@@ -343,7 +351,7 @@ func New(cfg Config) *Engine {
 		prunes:        make(map[string]*pruneSpec),
 		byPred:        make(map[string][]atomRef),
 		aggState:      make(map[string]*aggGroupState),
-		deps:          make(map[uint64][]*depEntry),
+		deps:          newChain((*depEntry).link),
 		destIDs:       make(map[string]uint32),
 	}
 }
@@ -425,7 +433,7 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 			col:     pr.Col - 1,
 			min:     pr.Func == datalog.AggMin,
 			cap:     shadowCap,
-			groups:  make(map[uint64][]*pruneGroupState),
+			groups:  newChain((*pruneGroupState).link),
 		}
 	}
 	for _, r := range prog.Rules {
@@ -517,36 +525,12 @@ func (e *Engine) InsertImportedAnnFrom(from string, t data.Tuple, ann Annotation
 	e.insert(t, ann, supportFrom(from), 0)
 }
 
-// support is what holds a tuple up as it enters insert. The per-tuple
-// path applies one source: a local one (base fact or rule derivation) or
-// one remote sender. Shadow revival applies everything a rejected
-// candidate accumulated while it sat in the shadow; that sender set is a
-// field of its own so the per-tuple path never builds or ranges a map.
-type support struct {
-	local   bool
-	origin  string          // one remote sender; "" = none
-	origins map[string]bool // shadow revival only
-}
-
-// supportFrom is the per-tuple support: origin names the remote sender
-// that shipped the tuple, "" a local source.
-func supportFrom(origin string) support {
-	return support{local: origin == "", origin: origin}
-}
-
-// senders returns the remote part of s as the set a shadow row keeps
-// (nil when there is none).
-func (s support) senders() map[string]bool {
-	if s.origin != "" {
-		return map[string]bool{s.origin: true}
-	}
-	return s.origins
-}
-
 // insert stores a tuple and queues it for semi-naive processing: the one
 // place a tuple enters a table. It applies the aggregate-selection prune
-// and primary-key replacement. sup is the support being applied; hash is
-// t's cached structural hash when known (0 = compute on demand).
+// and primary-key replacement. sup is the support being applied: one
+// source on the per-tuple path (a local one, or one remote sender), and
+// everything a candidate accumulated in the shadow when it is revived.
+// hash is t's cached structural hash when known (0 = compute on demand).
 func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) {
 	// Aggregate selection: drop tuples that do not improve their group.
 	// A tuple identical to a stored live row bypasses the prune and takes
@@ -562,7 +546,7 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 			c := val.Compare(g.best)
 			if (ps.min && c >= 0) || (!ps.min && c <= 0) {
 				e.Stats.TuplesDropped++
-				ps.addShadowRow(g, shadowRow{tuple: t, ann: ann, localSupport: sup.local, origins: sup.senders()})
+				ps.addShadowRow(g, t, ann, sup)
 				return
 			}
 		}
@@ -573,7 +557,7 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 
 	tbl := e.table(t.Pred)
 	entry, replaced, status := tbl.insertHashed(t, ann, e.now, hash)
-	entry.addSupport(sup)
+	entry.support.add(sup)
 	switch status {
 	case InsertNew, InsertReplaced:
 		e.Stats.TuplesStored++
@@ -608,22 +592,19 @@ func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
 	if ps.cap < 0 || g.nshadow <= ps.cap {
 		return
 	}
-	var worstHash uint64
-	var worstIdx int
-	var worstRow shadowRow
-	found := false
-	for h, rows := range g.shadow { //provlint:allow mapiter extremum of a total order (ties broken by tupleLess); any iteration order picks the same victim
-		for i, row := range rows {
+	var worst *shadowRow
+	for _, row := range g.shadow.m { //provlint:allow mapiter extremum of a total order (ties broken by tupleLess); any iteration order picks the same victim
+		for ; row != nil; row = row.next {
 			betterVictim := false
 			switch {
-			case !found:
+			case worst == nil:
 				betterVictim = true
-			case row.localSupport != worstRow.localSupport:
-				betterVictim = row.localSupport
+			case row.local != worst.local:
+				betterVictim = row.local
 			default:
-				c := row.tuple.Args[ps.col].Compare(worstRow.tuple.Args[ps.col])
+				c := row.tuple.Args[ps.col].Compare(worst.tuple.Args[ps.col])
 				if c == 0 {
-					betterVictim = tupleLess(worstRow.tuple, row.tuple)
+					betterVictim = tupleLess(worst.tuple, row.tuple)
 				} else if ps.min {
 					betterVictim = c > 0
 				} else {
@@ -631,46 +612,48 @@ func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
 				}
 			}
 			if betterVictim {
-				worstHash, worstIdx, worstRow, found = h, i, row, true
+				worst = row
 			}
 		}
 	}
-	if found {
-		g.removeShadowAt(worstHash, worstIdx)
+	if worst != nil {
+		ps.removeShadow(g, worst)
 		g.lossy = true
 		ps.evictions++
 	}
 }
 
-// removeShadowAt unlinks one shadow row from its bucket.
-func (g *pruneGroupState) removeShadowAt(h uint64, i int) {
-	rows := g.shadow[h]
-	rows = append(rows[:i], rows[i+1:]...)
-	if len(rows) == 0 {
-		delete(g.shadow, h)
-	} else {
-		g.shadow[h] = rows
+// findShadow returns t's shadow row in group g, or nil.
+func (g *pruneGroupState) findShadow(t data.Tuple) *shadowRow {
+	if g.nshadow == 0 {
+		return nil
 	}
-	g.nshadow--
-}
-
-// findShadow locates t's shadow row in group g, returning its bucket
-// hash and index (ok=false when absent).
-func (g *pruneGroupState) findShadow(t data.Tuple) (uint64, int, bool) {
-	h := t.Hash()
-	for i, row := range g.shadow[h] {
+	for row := g.shadow.first(t.Hash()); row != nil; row = row.next {
 		if row.tuple.Equal(t) {
-			return h, i, true
+			return row
 		}
 	}
-	return h, 0, false
+	return nil
+}
+
+// removeShadow unlinks one shadow row from its group and releases it.
+func (ps *pruneSpec) removeShadow(g *pruneGroupState, row *shadowRow) {
+	g.shadow.unlink(row.hash, row)
+	g.nshadow--
+	ps.release(row)
+}
+
+// release puts a row no longer on any chain on the spare list.
+func (ps *pruneSpec) release(row *shadowRow) {
+	*row = shadowRow{next: ps.spare}
+	ps.spare = row
 }
 
 // dropShadow removes a tuple from its group's shadow (it is being stored
 // for real).
 func (ps *pruneSpec) dropShadow(g *pruneGroupState, t data.Tuple) {
-	if h, i, ok := g.findShadow(t); ok {
-		g.removeShadowAt(h, i)
+	if row := g.findShadow(t); row != nil {
+		ps.removeShadow(g, row)
 	}
 }
 
@@ -901,8 +884,8 @@ func (e *Engine) AnnotationOf(t data.Tuple) Annotation {
 func (e *Engine) ShadowSize() int {
 	n := 0
 	for _, ps := range e.prunes { //provlint:allow mapiter commutative integer sum; order cannot escape
-		for _, bucket := range ps.groups { //provlint:allow mapiter commutative integer sum; order cannot escape
-			for _, g := range bucket {
+		for _, g := range ps.groups.m { //provlint:allow mapiter commutative integer sum; order cannot escape
+			for ; g != nil; g = g.next {
 				n += g.nshadow
 			}
 		}

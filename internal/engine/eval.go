@@ -33,6 +33,9 @@ type evalScratch struct {
 	probe []data.Value
 	body  []AnnTuple
 	pend  []pending
+	// args is the stack builtin calls take their arguments from (see
+	// evalExpr).
+	args []data.Value
 
 	// valArena / annArena are slab allocators for the head-argument and
 	// body-copy slices a firing hands to the commit stage. Those slices
@@ -289,7 +292,7 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 			env.undo(trail, mark)
 		}
 	case stepAssign:
-		v, err := evalExpr(st.expr, r, env)
+		v, err := evalExpr(st.expr, env, sc)
 		if err != nil {
 			return // expression failure kills this branch
 		}
@@ -299,7 +302,7 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 		}
 		env.undo(trail, mark)
 	case stepCond:
-		v, err := evalExpr(st.expr, r, env)
+		v, err := evalExpr(st.expr, env, sc)
 		if err != nil || !v.IsTrue() {
 			return
 		}

@@ -35,7 +35,7 @@ import (
 // compose both phases for single-engine use.
 //
 // Cross-node alternate derivations are handled by per-entry support
-// tracking (Entry.localSupport / the origin set): a tuple shipped by two
+// tracking (the support each Entry carries): a tuple shipped by two
 // senders survives the retraction of one.
 //
 // All bookkeeping sets key on structural hashes (plus interned
@@ -59,16 +59,22 @@ type depTarget struct {
 }
 
 // depEntry is the dependency list of one body tuple: an
-// insertion-ordered, deduplicated set of depTargets. Insertion order
-// keeps retraction cascades deterministic. Short lists (the common case)
-// dedup by a linear sig scan; past depSeenLinear targets a seen map
-// ((dest id, head hash) → indices into order) takes over. Either way the
-// sig match falls back to head equality.
+// insertion-ordered, deduplicated set of depTargets, the first of which
+// is held inline (first backs order until a second target arrives).
+// Insertion order keeps retraction cascades deterministic. Short lists
+// (the common case) dedup by a linear sig scan; past depSeenLinear
+// targets a seen map ((dest id, head hash) → indices into order) takes
+// over. Either way the sig match falls back to head equality.
 type depEntry struct {
 	body  data.Tuple
+	hash  uint64
+	next  *depEntry // the next entry with the same body hash
 	order []depTarget
+	first [1]depTarget
 	seen  map[destTupleKey][]int32
 }
+
+func (de *depEntry) link() **depEntry { return &de.next }
 
 // depSeenLinear is the order length beyond which a depEntry builds its
 // seen map instead of scanning linearly.
@@ -84,25 +90,15 @@ func (e *Engine) recordDep(b AnnTuple, head data.Tuple, dest string, sig destTup
 	if h == 0 {
 		h = body.Hash()
 	}
-	var de *depEntry
-	for _, c := range e.deps[h] {
-		if c.body.Equal(body) {
-			de = c
-			break
-		}
-	}
+	de := e.findDeps(h, body)
 	if de == nil {
-		// Entries come from a chunked arena: one malloc per 256 entries
-		// instead of one each. Dropped entries keep their chunk alive until
-		// every entry in it is unreferenced — the same tradeoff the table's
-		// Entry arena makes.
-		if len(e.depEntryArena) == 0 {
-			e.depEntryArena = make([]depEntry, 256)
-		}
-		de = &e.depEntryArena[0]
-		e.depEntryArena = e.depEntryArena[1:]
-		de.body = body
-		e.deps[h] = append(e.deps[h], de)
+		// Entries come from a slab. Dropped entries keep their chunk alive
+		// until every entry in it is unreferenced — the same tradeoff the
+		// table's Entry arena makes.
+		de = e.depEntries.alloc()
+		de.body, de.hash = body, h
+		de.order = de.first[:0]
+		e.deps.push(h, de)
 		e.ndeps++
 	}
 	if de.seen == nil {
@@ -130,24 +126,26 @@ func (e *Engine) recordDep(b AnnTuple, head data.Tuple, dest string, sig destTup
 	}
 }
 
-// dropDeps removes and returns body tuple t's dependency entry (nil when
-// absent).
-func (e *Engine) dropDeps(t data.Tuple) *depEntry {
-	h := t.Hash()
-	bucket := e.deps[h]
-	for i, c := range bucket {
-		if c.body.Equal(t) {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			if len(bucket) == 0 {
-				delete(e.deps, h)
-			} else {
-				e.deps[h] = bucket
-			}
-			e.ndeps--
-			return c
+// findDeps returns body tuple t's dependency entry, whose hash is h, or
+// nil.
+func (e *Engine) findDeps(h uint64, t data.Tuple) *depEntry {
+	for de := e.deps.first(h); de != nil; de = de.next {
+		if de.body.Equal(t) {
+			return de
 		}
 	}
 	return nil
+}
+
+// dropDeps removes and returns body tuple t's dependency entry (nil when
+// absent).
+func (e *Engine) dropDeps(t data.Tuple) *depEntry {
+	de := e.findDeps(t.Hash(), t)
+	if de != nil {
+		e.deps.unlink(de.hash, de)
+		e.ndeps--
+	}
+	return de
 }
 
 // withdrawalQueue accumulates outbound retractions in deterministic
@@ -413,10 +411,10 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 		}
 		switch it.mode {
 		case retractForce:
-			en.localSupport = false
+			en.local = false
 			en.clearOrigins()
 		case retractDeriv:
-			en.localSupport = false
+			en.local = false
 		case retractOrigin:
 			en.dropOrigin(it.origin)
 		}
@@ -456,26 +454,23 @@ func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) {
 	if g == nil {
 		return
 	}
-	h, i, ok := g.findShadow(t)
-	if !ok {
+	row := g.findShadow(t)
+	if row == nil {
 		return
 	}
-	row := g.shadow[h][i]
 	switch it.mode {
 	case retractForce:
-		row.localSupport = false
-		row.origins = nil
+		row.local = false
+		row.clearOrigins()
 	case retractDeriv:
-		row.localSupport = false
+		row.local = false
 	case retractOrigin:
-		delete(row.origins, it.origin)
+		row.dropOrigin(it.origin)
 	}
-	if !row.localSupport && len(row.origins) == 0 {
-		g.removeShadowAt(h, i)
+	if !row.supported() {
+		ps.removeShadow(g, row)
 		ps.maybeDrop(g)
-		return
 	}
-	g.shadow[h][i] = row
 }
 
 // reviveShadows resets the installed best of every touched prune group
@@ -526,9 +521,16 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 		}
 		if g.nshadow > 0 {
 			revived := make([]shadowRow, 0, g.nshadow)
-			for _, rows := range g.shadow {
-				revived = append(revived, rows...)
+			for _, row := range g.shadow.m { //provlint:allow mapiter collected rows are sorted below; the order released rows are reused in changes no result
+				for row != nil {
+					next := row.next
+					revived = append(revived, *row)
+					ps.release(row)
+					row = next
+				}
 			}
+			clear(g.shadow.m)
+			g.nshadow = 0
 			// Revive best-first (by the pruned column, then tuple order
 			// for determinism): the winning candidate installs immediately
 			// and re-shadows the rest, instead of storing and
@@ -543,10 +545,8 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 				}
 				return tupleLess(revived[i].tuple, revived[j].tuple)
 			})
-			g.shadow = nil
-			g.nshadow = 0
 			for _, row := range revived {
-				e.insert(row.tuple, row.ann, support{local: row.localSupport, origins: row.origins}, 0)
+				e.insert(row.tuple, row.ann, row.support, 0)
 			}
 		}
 		if g.lossy {
@@ -578,26 +578,26 @@ func (e *Engine) rederiveGroup(pg pruneGroup) {
 
 // addShadowRow records a prune-rejected candidate for possible revival,
 // merging support when the same tuple is rejected repeatedly.
-func (ps *pruneSpec) addShadowRow(g *pruneGroupState, row shadowRow) {
-	if g.shadow == nil {
-		g.shadow = make(map[uint64][]shadowRow)
+func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotation, sup support) {
+	if g.shadow.m == nil {
+		g.shadow = newChain((*shadowRow).link)
 	}
-	h := row.tuple.Hash()
-	rows := g.shadow[h]
-	for i, old := range rows {
-		if old.tuple.Equal(row.tuple) {
-			old.localSupport = old.localSupport || row.localSupport
-			for o := range row.origins { //provlint:allow mapiter set union into the stored row; order cannot escape
-				if old.origins == nil {
-					old.origins = make(map[string]bool)
-				}
-				old.origins[o] = true
-			}
-			rows[i] = old
+	h := t.Hash()
+	for row := g.shadow.first(h); row != nil; row = row.next {
+		if row.tuple.Equal(t) {
+			row.add(sup)
 			return
 		}
 	}
-	g.shadow[h] = append(rows, row)
+	row := ps.spare
+	if row != nil {
+		ps.spare = row.next
+		row.next = nil
+	} else {
+		row = ps.rowSlab.alloc()
+	}
+	row.tuple, row.ann, row.support, row.hash = t, ann, sup, h
+	g.shadow.push(h, row)
 	g.nshadow++
 	ps.enforceCap(g)
 }

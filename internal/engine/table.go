@@ -24,89 +24,95 @@ type Entry struct {
 	// path never rehashes a stored row.
 	hash   uint64
 	pkHash uint64
+	// next chains the live rows whose primary keys share pkHash.
+	next *Entry
 
-	// Support bookkeeping for retraction (live-network churn). A tuple
-	// stays stored while any support remains: localSupport records that a
-	// base insert or a local rule derivation produced it; the origin set
-	// records the remote senders that shipped it. The overwhelmingly
-	// common case is a single remote origin, inlined in origin0; a second
-	// distinct origin spills to the origins map.
-	localSupport bool
-	origin0      string
-	hasOrigin0   bool
-	origins      map[string]bool
+	// support is what keeps the row stored (retraction, live-network
+	// churn): it stays while any remains.
+	support
 }
 
-// addSupport records every source in s on the row.
-func (en *Entry) addSupport(s support) {
-	if s.local {
-		en.localSupport = true
+// support is what holds a row up — a stored entry, a prune-shadowed
+// candidate, or a tuple as it enters insert. local records that a base
+// insert or a local rule derivation produced it; the remote senders that
+// shipped it are origin while there is one, the overwhelmingly common
+// case, and spill to the origins set at the second distinct sender.
+type support struct {
+	local   bool
+	origin  string          // the one remote sender ("" = none) while origins is nil
+	origins map[string]bool // two or more senders
+}
+
+// supportFrom is the per-tuple support: origin names the remote sender
+// that shipped the tuple, "" a local source.
+func supportFrom(origin string) support {
+	return support{local: origin == "", origin: origin}
+}
+
+// add records every source in o.
+func (s *support) add(o support) {
+	if o.local {
+		s.local = true
 	}
-	if s.origin != "" {
-		en.addOrigin(s.origin)
+	if o.origin != "" {
+		s.addOrigin(o.origin)
 	}
-	if s.origins != nil { // shadow revival only; the check keeps a map iterator off the per-tuple path
-		for o := range s.origins { //provlint:allow mapiter set union into entry supports; order cannot escape
-			en.addOrigin(o)
+	if o.origins != nil { // shadow rows only; the check keeps a map iterator off the per-tuple path
+		for sender := range o.origins { //provlint:allow mapiter set union into row supports; order cannot escape
+			s.addOrigin(sender)
 		}
 	}
 }
 
-// addOrigin records one remote sender as a support of the row.
-func (en *Entry) addOrigin(origin string) {
-	if en.origins != nil {
-		en.origins[origin] = true
-		return
+// addOrigin records one remote sender.
+func (s *support) addOrigin(origin string) {
+	switch {
+	case s.origins != nil:
+		s.origins[origin] = true
+	case s.origin == "" || s.origin == origin:
+		s.origin = origin
+	default: // second distinct sender: spill to the set
+		s.origins = map[string]bool{s.origin: true, origin: true}
+		s.origin = ""
 	}
-	if !en.hasOrigin0 || en.origin0 == origin {
-		en.origin0 = origin
-		en.hasOrigin0 = true
-		return
-	}
-	// Second distinct origin: spill to the map.
-	en.origins = map[string]bool{en.origin0: true, origin: true}
-	en.origin0 = ""
-	en.hasOrigin0 = false
 }
 
-// dropOrigin removes one remote support, reporting whether it was present.
-func (en *Entry) dropOrigin(origin string) bool {
-	if en.origins != nil {
-		if !en.origins[origin] {
+// dropOrigin removes one remote sender, reporting whether it was present.
+func (s *support) dropOrigin(origin string) bool {
+	if s.origins != nil {
+		if !s.origins[origin] {
 			return false
 		}
-		delete(en.origins, origin)
+		delete(s.origins, origin)
 		return true
 	}
-	if en.hasOrigin0 && en.origin0 == origin {
-		en.origin0 = ""
-		en.hasOrigin0 = false
+	if s.origin != "" && s.origin == origin {
+		s.origin = ""
 		return true
 	}
 	return false
 }
 
-// originCount returns the number of distinct remote supports.
-func (en *Entry) originCount() int {
-	if en.origins != nil {
-		return len(en.origins)
+// originCount returns the number of distinct remote senders.
+func (s *support) originCount() int {
+	if s.origins != nil {
+		return len(s.origins)
 	}
-	if en.hasOrigin0 {
+	if s.origin != "" {
 		return 1
 	}
 	return 0
 }
 
-// clearOrigins drops all remote supports.
-func (en *Entry) clearOrigins() {
-	en.origins = nil
-	en.origin0 = ""
-	en.hasOrigin0 = false
+// clearOrigins drops every remote sender.
+func (s *support) clearOrigins() {
+	s.origins = nil
+	s.origin = ""
 }
 
 // supported reports whether any support remains.
-func (en *Entry) supported() bool {
-	return en.localSupport || en.originCount() > 0
+func (s *support) supported() bool {
+	return s.local || s.originCount() > 0
 }
 
 // ExpiresAt returns the expiry time, or +inf-like behaviour via ok=false
@@ -136,7 +142,8 @@ const (
 // colIndex is one lazily built secondary index: buckets keyed by the
 // structural hash of the indexed columns, entries in insertion order
 // within a bucket. Collisions are resolved by comparing the indexed
-// columns against the probe values (hash + equality check).
+// columns against the probe values (hash + equality check). A bucket is a
+// slice rather than a chain because LookupSig hands it out as is.
 type colIndex struct {
 	cols    []int
 	buckets map[uint64][]*Entry
@@ -148,18 +155,19 @@ type colIndex struct {
 // size bound evicting the oldest rows (P2's materialize maxSize).
 //
 // All row and index maps key on 64-bit structural hashes with an equality
-// check inside the bucket, never on materialized Key() strings: probes
-// and inserts are allocation-free.
+// check along the bucket (a chain through the rows, a slice in an index),
+// never on materialized Key() strings: probes and inserts are
+// allocation-free.
 type Table struct {
 	name    string
 	keyCols []int // nil = whole tuple (including asserter)
 	ttl     float64
 	maxSize int
 
-	// rows buckets live entries by primary-key hash. At most one live
-	// entry per distinct primary key; hash collisions chain within the
-	// bucket slice.
-	rows  map[uint64][]*Entry
+	// rows maps a primary-key hash to the first live entry with it; hash
+	// collisions chain through Entry.next. At most one live entry per
+	// distinct primary key.
+	rows  chain[Entry]
 	nlive int
 	// order tracks insertion order, for maxSize eviction and for
 	// deterministic scan/index order (join results must not depend on
@@ -172,11 +180,10 @@ type Table struct {
 	// first probe (the one table mutation a read-only eval can cause).
 	indexes map[string]*colIndex
 
-	// arena is the current Entry slab: entries are carved out of chunks
-	// (one malloc per chunk, not per row). Chunks are never reused or
-	// moved, so *Entry pointers into them stay valid for the table's
-	// lifetime.
-	arena []Entry
+	// entries supplies the rows, one malloc per chunk, not per row. Chunks
+	// are never reused or moved, so *Entry pointers into them stay valid
+	// for the table's lifetime.
+	entries slab[Entry]
 }
 
 // NewTable creates a table. keyCols are 0-based primary key columns (nil
@@ -187,7 +194,7 @@ func NewTable(name string, keyCols []int, ttl float64, maxSize int) *Table {
 		keyCols: keyCols,
 		ttl:     ttl,
 		maxSize: maxSize,
-		rows:    make(map[uint64][]*Entry),
+		rows:    newChain((*Entry).link),
 		indexes: make(map[string]*colIndex),
 	}
 }
@@ -197,24 +204,6 @@ func (t *Table) Name() string { return t.name }
 
 // TTL returns the declared soft-state lifetime (<0 = infinite).
 func (t *Table) TTL() float64 { return t.ttl }
-
-// newEntry allocates a row out of the entry arena. Chunk sizes scale
-// with the table so small relations stay small.
-func (t *Table) newEntry(tu data.Tuple, ann Annotation, now float64, pk, hash uint64) *Entry {
-	if len(t.arena) == cap(t.arena) {
-		sz := t.nlive
-		if sz < 8 {
-			sz = 8
-		} else if sz > 512 {
-			sz = 512
-		}
-		t.arena = make([]Entry, 0, sz)
-	}
-	t.arena = t.arena[:len(t.arena)+1]
-	en := &t.arena[len(t.arena)-1]
-	*en = Entry{Tuple: tu, Ann: ann, Created: now, TTL: t.ttl, hash: hash, pkHash: pk}
-	return en
-}
 
 func (t *Table) pkHash(tu data.Tuple) uint64 {
 	if t.keyCols == nil {
@@ -240,10 +229,10 @@ func (t *Table) samePK(a, b data.Tuple) bool {
 	return true
 }
 
-// findRow locates the live entry sharing tu's primary key in the bucket
+// findRow locates the live entry sharing tu's primary key in the chain
 // for pk, or nil.
 func (t *Table) findRow(pk uint64, tu data.Tuple) *Entry {
-	for _, en := range t.rows[pk] {
+	for en := t.rows.first(pk); en != nil; en = en.next {
 		if !en.Dead && t.samePK(en.Tuple, tu) {
 			return en
 		}
@@ -251,26 +240,12 @@ func (t *Table) findRow(pk uint64, tu data.Tuple) *Entry {
 	return nil
 }
 
-// removeRow unlinks en from its rows bucket.
-func (t *Table) removeRow(en *Entry) {
-	bucket := t.rows[en.pkHash]
-	for i, b := range bucket {
-		if b == en {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			if len(bucket) == 0 {
-				delete(t.rows, en.pkHash)
-			} else {
-				t.rows[en.pkHash] = bucket
-			}
-			return
-		}
-	}
-}
+func (en *Entry) link() **Entry { return &en.next }
 
 // kill marks an entry dead and removes it from the row map.
 func (t *Table) kill(en *Entry) {
 	en.Dead = true
-	t.removeRow(en)
+	t.rows.unlink(en.pkHash, en)
 	t.nlive--
 	t.dirty++
 }
@@ -305,19 +280,20 @@ func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash ui
 			return old, nil, InsertDuplicate
 		}
 		t.kill(old)
-		entry := t.newEntry(tu, ann, now, pk, hash)
-		t.rows[pk] = append(t.rows[pk], entry)
-		t.nlive++
-		t.order = append(t.order, entry)
-		t.indexInsert(entry)
-		return entry, old, InsertReplaced
+		return t.addEntry(tu, ann, now, pk, hash), old, InsertReplaced
 	}
-	entry := t.newEntry(tu, ann, now, pk, hash)
-	t.rows[pk] = append(t.rows[pk], entry)
+	return t.addEntry(tu, ann, now, pk, hash), nil, InsertNew
+}
+
+// addEntry stores a new live row.
+func (t *Table) addEntry(tu data.Tuple, ann Annotation, now float64, pk, hash uint64) *Entry {
+	entry := t.entries.alloc()
+	*entry = Entry{Tuple: tu, Ann: ann, Created: now, TTL: t.ttl, hash: hash, pkHash: pk}
+	t.rows.push(pk, entry)
 	t.nlive++
 	t.order = append(t.order, entry)
 	t.indexInsert(entry)
-	return entry, nil, InsertNew
+	return entry
 }
 
 // evict enforces maxSize by killing the oldest live rows, returning their
