@@ -20,7 +20,6 @@ package auth
 
 import (
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"errors"
@@ -193,25 +192,17 @@ type Directory struct {
 	rng    io.Reader
 }
 
-// NewDirectory creates an empty directory generating DefaultRSABits keys
-// from crypto/rand.
-func NewDirectory() *Directory {
-	return &Directory{
-		levels: make(map[string]int64),
-		keys:   make(map[string]*rsa.PrivateKey),
-		bits:   DefaultRSABits,
-		rng:    rand.Reader,
-	}
-}
-
 // NewDeterministicDirectory creates a directory whose key generation draws
 // from a seeded deterministic stream. The keys are NOT secure; determinism
 // makes experiment runs reproducible and avoids re-generating key material
 // between runs, exactly like reusing a test keystore.
 func NewDeterministicDirectory(seed int64) *Directory {
-	d := NewDirectory()
-	d.rng = newDetReader(seed)
-	return d
+	return &Directory{
+		levels: make(map[string]int64),
+		keys:   make(map[string]*rsa.PrivateKey),
+		bits:   DefaultRSABits,
+		rng:    newDetReader(seed),
+	}
 }
 
 // SetKeyBits overrides the RSA modulus size for subsequently added

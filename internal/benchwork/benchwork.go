@@ -134,13 +134,13 @@ func LiveBestPathChurn(fatal func(...any), cfg provnet.Config, nodes, cycles, ke
 	return rep
 }
 
-// FanInSource is the wide fan-in workload: spoke nodes ship edge
+// fanInSource is the wide fan-in workload: spoke nodes ship edge
 // readings to a single hub, which computes the two-hop join and a
 // per-source fan-out count. Nearly all work is the hub's rule
 // evaluation — one huge delta wave self-joined against itself — so the
 // transport layer is negligible, unlike the Best-Path workloads where
 // per-round crypto and inter-node scheduling dominate.
-const FanInSource = `
+const fanInSource = `
 materialize(item, infinity, infinity, keys(1,2,3,4)).
 materialize(feed, infinity, infinity, keys(1,2,3)).
 materialize(two, infinity, infinity, keys(1,2,3)).
@@ -150,8 +150,8 @@ j1 two(@H, X, Z) :- feed(@H, X, Y), feed(@H, Y, Z).
 c1 fan(@H, X, count<*>) :- two(@H, X, Z).
 `
 
-// FanInHub is the hub node name of the fan-in workload.
-const FanInHub = "hub"
+// fanInHub is the hub node name of the fan-in workload.
+const fanInHub = "hub"
 
 // FanInStaged sets up the wide fan-in workload — a random directed edge
 // set over vertices vertices (out-degree degree), spread as item facts
@@ -160,9 +160,9 @@ const FanInHub = "hub"
 // the evaluation window the allocation budget counts, free of topology
 // construction and principal key generation.
 func FanInStaged(fatal func(...any), cfg provnet.Config, spokes, vertices, degree int, seed int64) func() *provnet.Report {
-	cfg.Source = FanInSource
+	cfg.Source = fanInSource
 	cfg.Seed = seed
-	cfg.ExtraNodes = append([]string{FanInHub}, spokeNames(spokes)...)
+	cfg.ExtraNodes = append([]string{fanInHub}, spokeNames(spokes)...)
 	net, err := provnet.NewNetwork(cfg)
 	if err != nil {
 		fatal(err)
@@ -179,7 +179,7 @@ func FanInStaged(fatal func(...any), cfg provnet.Config, spokes, vertices, degre
 			spoke := names[i%len(names)]
 			i++
 			tu := provnet.NewTuple("item",
-				provnet.Str(spoke), provnet.Str(FanInHub),
+				provnet.Str(spoke), provnet.Str(fanInHub),
 				provnet.Str(fmt.Sprintf("v%d", x)), provnet.Str(fmt.Sprintf("v%d", y)))
 			if err := net.InsertFact(spoke, tu); err != nil {
 				fatal(err)

@@ -28,14 +28,14 @@ var budgetCells = []budgetCell{
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return FanInStaged(fatal, provnet.Config{}, 8, 64, 6, 4000)
 		},
-		derivs: 6156, stored: 4076, rounds: 2, allocs: 10980,
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 2515,
 	},
 	{
 		name: "bestpath-churn",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 59682,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 30800,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -47,7 +47,7 @@ var budgetCells = []budgetCell{
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 85445,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 56611,
 	},
 }
 
@@ -56,8 +56,9 @@ var budgetCells = []budgetCell{
 // of the seed on one processor, so this is room for small intended
 // changes, not for noise. The race detector makes sync.Pool drop a share
 // of what is put back, so the frame decoders' scratch is rebuilt more
-// often: the churn cells read about 10 % higher under -race.
-const allocSlack = 1.20
+// often: the churn cells read 6–7 thousand allocations (about 20 %)
+// higher under -race, and race_test.go widens the slack there.
+var allocSlack = 1.20
 
 // TestHotPathAllocBudget is the allocation bound of the eval → import →
 // seal path, on one processor with Config.Metrics nil. Each cell is

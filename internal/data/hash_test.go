@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -122,45 +121,6 @@ func TestLimitHashBitsForTesting(t *testing.T) {
 		}
 		if len(values) != 16 || len(tuples) != 16 {
 			t.Errorf("%s fills %d of 16 buckets as values and %d as tuples", name, len(values), len(tuples))
-		}
-	}
-}
-
-// TestInternIDStable pins id stability.
-func TestInternIDStable(t *testing.T) {
-	a := InternID("intern-test-sym-a")
-	b := InternID("intern-test-sym-b")
-	if a == b {
-		t.Fatal("distinct symbols share an id")
-	}
-	if InternID("intern-test-sym-a") != a {
-		t.Error("re-interning changed the id")
-	}
-}
-
-// TestInternConcurrent hammers the table from many goroutines; run under
-// -race this is the concurrency pin for the interner.
-func TestInternConcurrent(t *testing.T) {
-	const workers, symbols = 8, 200
-	var wg sync.WaitGroup
-	ids := make([][]uint32, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ids[w] = make([]uint32, symbols)
-			for i := 0; i < symbols; i++ {
-				s := fmt.Sprintf("conc-sym-%d", i)
-				ids[w][i] = InternID(s)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for i := 0; i < symbols; i++ {
-			if ids[w][i] != ids[0][i] {
-				t.Fatalf("worker %d got id %d for symbol %d, worker 0 got %d", w, ids[w][i], i, ids[0][i])
-			}
 		}
 	}
 }

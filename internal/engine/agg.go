@@ -18,26 +18,36 @@ import (
 //
 // Groups key on the head's structural hash over the group columns
 // (colliding groups chain through aggGroup.next and are equality-checked);
-// contribution dedup keys on a fold of the body tuples' hashes with
-// tuple-wise equality as the fallback. An insertion-ordered group list
-// keeps recomputation diffs deterministic.
+// contributions key on the group's hash folded with the body tuples'
+// hashes, with the group and tuple-wise equality as the fallback. An
+// insertion-ordered group list keeps recomputation diffs deterministic.
 
-// aggGroupState holds one aggregate rule's groups.
+// aggGroupState holds one aggregate rule's groups and the contributions
+// they have counted.
 type aggGroupState struct {
-	rule   *compiledRule
-	groups chain[aggGroup]
-	order  []*aggGroup
-	// slab supplies the groups; a recomputation starts a fresh one with
-	// its fresh group map, so a chunk dies with the groups it held.
-	slab slab[aggGroup]
+	rule     *compiledRule
+	groups   chain[aggGroup]
+	order    []*aggGroup
+	contribs chain[contribution]
+
+	slab        slab[aggGroup]
+	contribSlab slab[contribution]
 }
+
+// contribution is one body combination a group has counted.
+type contribution struct {
+	g    *aggGroup
+	body []AnnTuple
+	next *contribution // the next contribution with the same hash
+}
+
+func (c *contribution) link() **contribution { return &c.next }
 
 type aggGroup struct {
 	hash      uint64
 	next      *aggGroup // the next group with the same hash
 	asserter  string
 	groupArgs []data.Value
-	seen      map[uint64][][]AnnTuple
 	count     int64
 	sum       float64
 	sumIsInt  bool
@@ -59,7 +69,8 @@ func (g *aggGroup) link() **aggGroup { return &g.next }
 func (e *Engine) aggStateFor(r *compiledRule) *aggGroupState {
 	st, ok := e.aggState[r.label]
 	if !ok {
-		st = &aggGroupState{rule: r, groups: newChain((*aggGroup).link)}
+		st = &aggGroupState{rule: r}
+		st.reset()
 		e.aggState[r.label] = st
 		// Head tables of aggregate rules are keyed by the group columns
 		// so a changed aggregate replaces the old row.
@@ -89,13 +100,17 @@ func findAggGroup(c chain[aggGroup], hash uint64, asserter string, args []data.V
 	return nil
 }
 
-// comboHash folds the body tuples' structural hashes (order-sensitively)
-// into one dedup key for a rule firing's contribution.
-func comboHash(body []AnnTuple) uint64 {
-	h := uint64(14695981039346656037)
+// reset empties the state for a recomputation. Its slabs start afresh
+// too, so a chunk dies with the groups and contributions it held.
+func (st *aggGroupState) reset() {
+	*st = aggGroupState{rule: st.rule, groups: newChain((*aggGroup).link), contribs: newChain((*contribution).link)}
+}
+
+// comboHash folds the body tuples' structural hashes, in order, into
+// group hash h: the key of one contribution.
+func comboHash(h uint64, body []AnnTuple) uint64 {
 	for _, b := range body {
-		h ^= b.Tuple.Hash()
-		h *= 1099511628211
+		h = (h ^ b.tupleHash()) * hashPrime
 	}
 	return h
 }
@@ -122,24 +137,25 @@ func (e *Engine) aggContribute(r *compiledRule, head data.Tuple, body []AnnTuple
 	if g == nil {
 		// The group outlives the wave, so its arguments come from the
 		// persistent slab (contributions run on the driving goroutine).
-		groupArgs := e.scratchBuf().allocVals(len(head.Args))
+		groupArgs := e.scratchBuf().vals.take(len(head.Args))
 		copy(groupArgs, head.Args)
 		g = st.slab.alloc()
 		g.hash, g.asserter, g.groupArgs = h, head.Asserter, groupArgs
-		g.seen = make(map[uint64][][]AnnTuple)
 		st.groups.push(h, g)
 		st.order = append(st.order, g)
 	}
 
 	// Deduplicate by the contributing body combination. The body slice is
 	// this firing's own copy (see fire), so retaining it is safe.
-	ch := comboHash(body)
-	for _, prev := range g.seen[ch] {
-		if comboEqual(prev, body) {
+	ch := comboHash(g.hash, body)
+	for c := st.contribs.first(ch); c != nil; c = c.next {
+		if c.g == g && comboEqual(c.body, body) {
 			return
 		}
 	}
-	g.seen[ch] = append(g.seen[ch], body)
+	c := st.contribSlab.alloc()
+	c.g, c.body = g, body
+	st.contribs.push(ch, c)
 
 	val := head.Args[spec.argIdx]
 	switch spec.fn {
@@ -212,7 +228,7 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 	// The emitted head's argument slice escapes into the stored table, so
 	// it comes from the persistent slab of the commit-stage scratch
 	// (emission always runs on the driving goroutine).
-	args := e.scratchBuf().allocVals(len(g.groupArgs))
+	args := e.scratchBuf().vals.take(len(g.groupArgs))
 	copy(args, g.groupArgs)
 	args[st.rule.agg.argIdx] = val
 	head := data.Tuple{Pred: st.rule.headPred, Args: args}
@@ -248,9 +264,7 @@ func (e *Engine) recomputeAggRules(only map[string]bool, sink func(dead data.Tup
 		st := e.aggStateFor(r)
 		oldGroups := st.groups
 		oldOrder := st.order
-		st.groups = newChain((*aggGroup).link)
-		st.order = nil
-		st.slab = slab[aggGroup]{}
+		st.reset()
 
 		// Re-derive all contributions from live state. Contributions feed
 		// the fresh group map; emission is deferred until the diff below.

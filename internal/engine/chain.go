@@ -1,11 +1,12 @@
 package engine
 
-// The engine's hash-keyed state — table rows, the dependency index,
-// aggregate-selection groups and their shadows, aggregate groups — maps a
-// 64-bit structural hash to the first struct with it, and structs whose
-// hashes collide chain through a next field of their own: a bucket costs
-// no slice, and the equality check walks the chain. The structs come from
-// slabs, one malloc per chunk instead of one each.
+// The engine's hash-keyed state — table rows, the dependency index and
+// its edges, aggregate-selection groups and their shadows, aggregate
+// groups and their contributions, the retraction sets — maps a 64-bit
+// hash to the first struct with it, and structs whose hashes collide
+// chain through a next field of their own: a bucket costs no slice, and
+// the equality check walks the chain. The structs come from slabs, one
+// malloc per chunk instead of one each.
 
 // chain is a map of intrusive hash chains of T, whose next field link
 // returns.
@@ -56,12 +57,20 @@ func (c chain[T]) unlink(h uint64, x *T) {
 	*c.link(x) = nil
 }
 
+// hashPrime is the FNV-1a 64-bit prime, with which the engine folds
+// hashes it already has into a key for a pair or a sequence of them.
+const hashPrime = 1099511628211
+
 // slab hands out zeroed Ts from chunks that double from slabMin to slabMax
 // elements. A chunk lives while anything in it is referenced, so a slab
 // suits structs that live about as long as the state that holds them.
+// Structs put back are handed out again first; reset hands the current
+// chunk out again from its start, for slices that all die together.
 type slab[T any] struct {
-	free []T
-	size int
+	chunk []T // the current chunk
+	used  int // elements of chunk handed out
+	size  int
+	spare []*T
 }
 
 const (
@@ -69,16 +78,42 @@ const (
 	slabMax = 256
 )
 
-// take returns n contiguous zeroed Ts, capacity n.
+// take returns n contiguous zeroed Ts, capacity n (nil when n is 0).
 func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.size = min(max(2*s.size, slabMin), slabMax)
-		s.free = make([]T, max(n, s.size))
+	if n == 0 {
+		return nil
 	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
+	if s.used+n > len(s.chunk) {
+		s.size = min(max(2*s.size, slabMin), slabMax)
+		s.chunk, s.used = make([]T, max(n, s.size)), 0
+	}
+	out := s.chunk[s.used : s.used+n : s.used+n]
+	s.used += n
 	return out
 }
 
 // alloc returns one zeroed T.
-func (s *slab[T]) alloc() *T { return &s.take(1)[0] }
+func (s *slab[T]) alloc() *T {
+	if n := len(s.spare); n > 0 {
+		x := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return x
+	}
+	return &s.take(1)[0]
+}
+
+// put takes back x, which nothing references any more, for a later
+// alloc.
+func (s *slab[T]) put(x *T) {
+	var zero T
+	*x = zero
+	s.spare = append(s.spare, x)
+}
+
+// reset hands the current chunk out again from its start, cleared. The
+// caller no longer uses anything it took; earlier chunks are left to
+// the collector.
+func (s *slab[T]) reset() {
+	clear(s.chunk[:s.used])
+	s.used = 0
+}

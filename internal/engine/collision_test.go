@@ -264,8 +264,9 @@ func chainLen[T any](c chain[T], h uint64) int {
 }
 
 // TestChainUnlinkHeadMiddleTail runs unlinkHeadMiddleTail over every
-// structure that removes from its chain: table rows, dependency entries,
-// aggregate-selection groups and shadow rows.
+// structure that removes from its chain: table rows, dependency entries
+// and edges, the retraction set, aggregate-selection groups, shadow rows
+// and aggregate contributions.
 func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 	t.Run("table rows", func(t *testing.T) {
 		tbl := NewTable("p", nil, -1, -1)
@@ -281,16 +282,52 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 		e := New(Config{Self: "n"})
 		head := tup("q", 0)
 		unlinkHeadMiddleTail(t, chainCase[depEntry]{
-			chain: func() chain[depEntry] { return e.deps },
-			add: func(i int) {
-				e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, "n", destTupleKey{dest: e.destID("n"), hash: head.Hash()})
-			},
-			remove: func(i int) { e.dropDeps(tup("p", i)) },
+			chain:  func() chain[depEntry] { return e.deps },
+			add:    func(i int) { e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, head.Hash(), "n") },
+			remove: func(i int) { e.dropDeps(tup("p", i), nil) },
 			has:    func(i int) bool { return e.findDeps(tup("p", i).Hash(), tup("p", i)) != nil },
 			id:     func(de *depEntry) int { return int(de.body.Args[0].Int) },
 		})
 		if e.DepSize() != 9 {
 			t.Errorf("dependency index holds %d bodies, want 9", e.DepSize())
+		}
+	})
+	t.Run("dependency edges", func(t *testing.T) {
+		// One edge per body: dropping the body unlinks its edge.
+		e := New(Config{Self: "n"})
+		head := tup("q", 0)
+		unlinkHeadMiddleTail(t, chainCase[depEdge]{
+			chain: func() chain[depEdge] { return e.edges },
+			add: func(i int) {
+				e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, head.Hash(), "n")
+				e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, head.Hash(), "n") // a duplicate adds nothing
+			},
+			remove: func(i int) { e.dropDeps(tup("p", i), nil) },
+			has: func(i int) bool {
+				for d := e.edges.first(edgeHash(tup("p", i).Hash(), head.Hash())); d != nil; d = d.next {
+					if d.from.body.Equal(tup("p", i)) {
+						return true
+					}
+				}
+				return false
+			},
+			id: func(d *depEdge) int { return int(d.from.body.Args[0].Int) },
+		})
+	})
+	t.Run("retraction set", func(t *testing.T) {
+		// Elements 2k and 2k+1 pair one tuple with two destinations: they
+		// share a hash, and only the destination tells them apart.
+		s := newPairSet()
+		pairOf := func(i int) (string, data.Tuple) { return fmt.Sprintf("d%d", i%2), tup("p", i/2) }
+		unlinkHeadMiddleTail(t, chainCase[pair]{
+			chain:  func() chain[pair] { return s.pairs },
+			add:    func(i int) { s.add(pairOf(i)) },
+			remove: func(i int) { s.remove(pairOf(i)) },
+			has:    func(i int) bool { return s.has(pairOf(i)) },
+			id:     func(p *pair) int { return 2*int(p.t.Args[0].Int) + int(p.dest[1]-'0') },
+		})
+		if s.len() != 9 {
+			t.Errorf("set holds %d pairs, want 9", s.len())
 		}
 	})
 	t.Run("prune groups", func(t *testing.T) {
@@ -317,16 +354,53 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 			t.Errorf("group counts %d shadow rows, want 9", g.nshadow)
 		}
 	})
+	t.Run("aggregate contributions", func(t *testing.T) {
+		// A contribution leaves when a retraction recomputes its aggregate,
+		// which rebuilds the chain from the live bodies in table order.
+		e := cappedEngine(t, "n", `
+materialize(link, infinity, infinity, keys(1,2)).
+a1 cnt(@N,count<Y>) :- link(@N,Y).
+`, 0)
+		link := func(i int) data.Tuple { return data.NewTuple("link", data.Str("n"), data.Int(int64(i))) }
+		unlinkHeadMiddleTail(t, chainCase[contribution]{
+			chain: func() chain[contribution] { return e.aggState["a1"].contribs },
+			add: func(i int) {
+				e.InsertFact(link(i))
+				e.RunToFixpoint()
+			},
+			remove: func(i int) {
+				e.RetractFacts(link(i))
+				e.RunToFixpoint()
+			},
+			has: func(i int) bool {
+				for _, c := range e.aggState["a1"].contribs.m {
+					for ; c != nil; c = c.next {
+						if c.body[0].Tuple.Equal(link(i)) {
+							return true
+						}
+					}
+				}
+				return false
+			},
+			id: func(c *contribution) int { return int(c.body[0].Tuple.Args[1].Int) },
+		})
+		if got := e.Tuples("cnt"); len(got) != 1 || got[0].Args[1].Int != 9 {
+			t.Errorf("cnt = %v, want one row counting 9", got)
+		}
+	})
 }
 
 // TestChainsForcedCollisionsMatchUnmasked replays a seeded script of
 // link inserts and retractions through an aggregate-selection program
-// with a min aggregate, once with full hashes and once with 1-bit hashes,
-// and requires the same tables after every step and the same stats. The
-// masked run must put at least three members on one chain of each
-// structure — table rows, dependency entries, prune groups, shadow rows
-// and aggregate groups — and remove members of each again (aggregate
-// groups vanish when a recomputation rebuilds their chains).
+// with a min aggregate and an exported head, once with full hashes and
+// once with 1-bit hashes, and requires the same tables, exports and
+// withdrawals after every step and the same stats. The masked run must
+// put at least three members on one chain of each structure — table
+// rows, dependency entries and edges, prune groups, shadow rows,
+// aggregate groups and contributions, and a retraction's sets (censused
+// between its two phases) — and remove members of each again (aggregate
+// state and retraction sets vanish when a recomputation or the next
+// retraction replaces them).
 func TestChainsForcedCollisionsMatchUnmasked(t *testing.T) {
 	const prog = `
 materialize(link, infinity, infinity, keys(1,2,3)).
@@ -335,7 +409,11 @@ materialize(m, infinity, infinity, keys(1,2)).
 aggSelection(cost, keys(1,2), min, 3).
 c1 cost(@N,Y,C) :- link(@N,Y,C).
 m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
+s1 seen(@Y,N) :- link(@N,Y,C).
+s2 near(@N,Y) :- link(@N,Y,C).
 `
+	kinds := []string{"table rows", "dependency entries", "dependency edges", "prune groups",
+		"shadow rows", "aggregate groups", "aggregate contributions", "retraction sets"}
 	type census struct{ longest, removed int }
 	run := func(masked bool) ([]string, Stats, map[string]*census) {
 		e := cappedEngine(t, "n", prog, 0)
@@ -366,7 +444,7 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 			take(kind, keys, longest)
 		}
 		census := func() {
-			var rows, deps, groups, shadows, aggs []func(func(string)) int
+			var rows, deps, edges, groups, shadows, aggs, contribs []func(func(string)) int
 			for _, name := range []string{"link", "cost", "m"} {
 				if tbl := e.tables[name]; tbl != nil {
 					for _, en := range tbl.rows.m {
@@ -376,6 +454,11 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 			}
 			for _, de := range e.deps.m {
 				deps = append(deps, chainKeys(de, func(x *depEntry) *depEntry { return x.next }, func(x *depEntry) string { return x.body.String() }))
+			}
+			for _, d := range e.edges.m {
+				edges = append(edges, chainKeys(d, func(x *depEdge) *depEdge { return x.next }, func(x *depEdge) string {
+					return x.from.body.String() + "->" + x.dest + ":" + x.head.String()
+				}))
 			}
 			for _, g := range e.prunes["cost"].groups.m {
 				groups = append(groups, chainKeys(g, func(x *pruneGroupState) *pruneGroupState { return x.next }, func(x *pruneGroupState) string { return fmt.Sprint(x.vals) }))
@@ -389,12 +472,32 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 				for _, g := range st.groups.m {
 					aggs = append(aggs, chainKeys(g, func(x *aggGroup) *aggGroup { return x.next }, func(x *aggGroup) string { return fmt.Sprint(x.groupArgs[:2]) }))
 				}
+				for _, c := range st.contribs.m {
+					contribs = append(contribs, chainKeys(c, func(x *contribution) *contribution { return x.next }, func(x *contribution) string {
+						return fmt.Sprint(x.g.groupArgs[:2], x.body[0].Tuple)
+					}))
+				}
 			}
 			walk("table rows", rows)
 			walk("dependency entries", deps)
+			walk("dependency edges", edges)
 			walk("prune groups", groups)
 			walk("shadow rows", shadows)
 			walk("aggregate groups", aggs)
+			walk("aggregate contributions", contribs)
+		}
+		// retractCensus walks the deleted and shipped sets of the retraction
+		// in progress.
+		retractCensus := func() {
+			var sets []func(func(string)) int
+			for name, s := range map[string]*pairSet{"deleted": e.pend.deleted, "shipped": e.pend.shipped} {
+				for _, p := range s.pairs.m {
+					sets = append(sets, chainKeys(p, func(x *pair) *pair { return x.next }, func(x *pair) string {
+						return name + " " + x.dest + ":" + x.t.String()
+					}))
+				}
+			}
+			walk("retraction sets", sets)
 		}
 		if masked {
 			defer data.LimitHashBitsForTesting(1)()
@@ -403,13 +506,20 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 		for i := 0; i < 400; i++ {
 			link := data.NewTuple("link", data.Str("n"),
 				data.Str(fmt.Sprintf("y%d", rng.Intn(8))), data.Int(int64(rng.Intn(9))))
+			var out strings.Builder
 			if rng.Intn(2) == 0 {
-				e.RetractFacts(link)
+				ws := e.BeginRetractFacts(link)
+				retractCensus()
+				for _, w := range append(ws, e.CompleteRetract()...) {
+					fmt.Fprintf(&out, "-%s<-%s\n", w.Dest, w.Tuple)
+				}
 			} else {
 				e.InsertFact(link)
 			}
-			e.RunToFixpoint()
-			steps = append(steps, snapshotEngine(e))
+			for _, ex := range e.RunToFixpoint() {
+				fmt.Fprintf(&out, "+%s<-%s\n", ex.Dest, ex.Tuple)
+			}
+			steps = append(steps, out.String()+"--\n"+snapshotEngine(e))
 			census()
 		}
 		return steps, e.Stats, stats
@@ -425,7 +535,7 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 	if gotStats != wantStats {
 		t.Fatalf("stats diverged: unmasked %+v, masked %+v", wantStats, gotStats)
 	}
-	for _, kind := range []string{"table rows", "dependency entries", "prune groups", "shadow rows", "aggregate groups"} {
+	for _, kind := range kinds {
 		c := chains[kind]
 		if c != nil {
 			t.Logf("%s: longest chain %d, %d removed", kind, c.longest, c.removed)

@@ -34,6 +34,14 @@ type AnnTuple struct {
 	hash uint64
 }
 
+// tupleHash returns the tuple's structural hash, cached or computed.
+func (a AnnTuple) tupleHash() uint64 {
+	if a.hash != 0 {
+		return a.hash
+	}
+	return a.Tuple.Hash()
+}
+
 // ProvHook is the provenance capture interface (paper §4). The engine
 // calls it at every point where provenance is created, combined, or
 // serialized. Implementations for the taxonomy's modes live in
@@ -106,17 +114,17 @@ type Config struct {
 	// not call back into the engine.
 	OnUpdate func(t data.Tuple, kind UpdateKind)
 	// ShadowCap bounds the aggregate-selection prune shadow per group
-	// (0 = DefaultShadowCap, <0 = unbounded). Overflow evicts the
+	// (0 = 64 rows, <0 = unbounded). Overflow evicts the
 	// least-competitive candidate; a revival that may have lost
 	// candidates to eviction falls back to restricted re-derivation.
 	ShadowCap int
 }
 
-// DefaultShadowCap is the per-group prune-shadow bound applied when
+// defaultShadowCap is the per-group prune-shadow bound applied when
 // Config.ShadowCap is zero: enough to keep every realistic alternate
 // route revivable without letting long-churning runs grow the shadow
 // without bound.
-const DefaultShadowCap = 64
+const defaultShadowCap = 64
 
 // Engine is a single node's query processor. It is not safe for concurrent
 // use; the network simulator drives all nodes from one goroutine, which
@@ -149,16 +157,14 @@ type Engine struct {
 	// every non-aggregate rule firing it maps each body tuple (keyed by
 	// structural hash, colliding entries chained through depEntry.next)
 	// to the derived heads (with their destinations), so a deleted tuple's
-	// cone of influence can be walked without re-running rules.
+	// cone of influence can be walked without re-running rules. edges
+	// holds every body → head edge once (see depEdge).
 	deps  chain[depEntry]
+	edges chain[depEdge]
 	ndeps int
 
-	// depEntries amortizes dependency-index allocation: entries come from
-	// chunks instead of one malloc each.
 	depEntries slab[depEntry]
-
-	// destIDs caches interned destination-symbol ids (see destID).
-	destIDs map[string]uint32
+	depEdges   slab[depEdge]
 
 	// scratch is the reusable evalScratch; firedBuf is the reused
 	// per-wave firing table. maxVars/maxAtoms/maxProbe are the scratch
@@ -237,13 +243,12 @@ type pruneSpec struct {
 	evictions int64
 
 	// Groups and their identity values, and shadow rows, come from slabs.
-	// A removed shadow row goes on the spare list, chained through next,
-	// for the next one: rows come and go with every relaxation, and no
-	// pointer to one outlives its removal.
+	// A removed shadow row goes back to its slab for the next one: rows
+	// come and go with every relaxation, and no pointer to one outlives
+	// its removal.
 	groupSlab slab[pruneGroupState]
 	valSlab   slab[data.Value]
 	rowSlab   slab[shadowRow]
-	spare     *shadowRow
 }
 
 // pruneGroupState is one aggregate-selection group: identity (asserter +
@@ -352,7 +357,7 @@ func New(cfg Config) *Engine {
 		byPred:        make(map[string][]atomRef),
 		aggState:      make(map[string]*aggGroupState),
 		deps:          newChain((*depEntry).link),
-		destIDs:       make(map[string]uint32),
+		edges:         newChain((*depEdge).link),
 	}
 }
 
@@ -425,7 +430,7 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		}
 		shadowCap := e.shadowCap
 		if shadowCap == 0 {
-			shadowCap = DefaultShadowCap
+			shadowCap = defaultShadowCap
 		}
 		e.prunes[pr.Pred] = &pruneSpec{
 			pred:    pr.Pred,
@@ -586,14 +591,14 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 // local support go first — the fallback can re-derive those from this
 // node's own rules, while a remote-only row (shipped by a sender that
 // believes we still hold it) is unrecoverable once dropped. Within a
-// class, worst-first (farthest from the optimum; ties broken by tuple
-// order) keeps the rows most likely to become the next best.
+// class, worst-first (farthest from the optimum; ties broken by
+// data.CompareTuples) keeps the rows most likely to become the next best.
 func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
 	if ps.cap < 0 || g.nshadow <= ps.cap {
 		return
 	}
 	var worst *shadowRow
-	for _, row := range g.shadow.m { //provlint:allow mapiter extremum of a total order (ties broken by tupleLess); any iteration order picks the same victim
+	for _, row := range g.shadow.m { //provlint:allow mapiter extremum of a total order (ties broken by data.CompareTuples); any iteration order picks the same victim
 		for ; row != nil; row = row.next {
 			betterVictim := false
 			switch {
@@ -604,7 +609,7 @@ func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
 			default:
 				c := row.tuple.Args[ps.col].Compare(worst.tuple.Args[ps.col])
 				if c == 0 {
-					betterVictim = tupleLess(worst.tuple, row.tuple)
+					betterVictim = data.CompareTuples(worst.tuple, row.tuple) < 0
 				} else if ps.min {
 					betterVictim = c > 0
 				} else {
@@ -640,13 +645,7 @@ func (g *pruneGroupState) findShadow(t data.Tuple) *shadowRow {
 func (ps *pruneSpec) removeShadow(g *pruneGroupState, row *shadowRow) {
 	g.shadow.unlink(row.hash, row)
 	g.nshadow--
-	ps.release(row)
-}
-
-// release puts a row no longer on any chain on the spare list.
-func (ps *pruneSpec) release(row *shadowRow) {
-	*row = shadowRow{next: ps.spare}
-	ps.spare = row
+	ps.rowSlab.put(row)
 }
 
 // dropShadow removes a tuple from its group's shadow (it is being stored
@@ -697,9 +696,9 @@ func (e *Engine) RunToFixpoint() []Export {
 }
 
 // runWave evaluates one delta batch and commits its firings in order.
-// Firings accumulate in the scratch's pending arena (reused across
-// waves); the fired table maps each live entry to its arena span so the
-// commit replay runs in wave order. An arena regrowth leaves earlier
+// Firings accumulate in the scratch's pending buffer (reused across
+// waves); the fired table maps each live entry to its span so the
+// commit replay runs in wave order. A buffer regrowth leaves earlier
 // spans pointing at the old backing array, whose contents are final —
 // the spans stay valid.
 func (e *Engine) runWave(batch []*Entry) {
@@ -721,7 +720,8 @@ func (e *Engine) runWave(batch []*Entry) {
 	}
 	sc := e.scratchBuf()
 	sc.pend = sc.pend[:0]
-	sc.resetWave()
+	sc.waveVals.reset()
+	sc.waveAnns.reset()
 	for i, en := range live {
 		s, t := e.evalEntry(en, sc)
 		fired[i] = sc.pend[s:t:t]
@@ -736,7 +736,7 @@ func (e *Engine) runWave(batch []*Entry) {
 }
 
 // evalEntry collects the firings of one delta entry (read-only) into the
-// scratch's pending arena, returning the appended span.
+// scratch's pending buffer, returning the appended span.
 func (e *Engine) evalEntry(en *Entry, sc *evalScratch) (int, int) {
 	start := len(sc.pend)
 	for _, ref := range e.byPred[en.Tuple.Pred] {
@@ -781,14 +781,13 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 		}
 	}
 	// Record the dependency edges body → head for retraction cascades.
-	// The head hash and interned destination id are shared by every edge.
+	// The head hash is shared by every edge.
 	if len(body) > 0 {
 		if headHash == 0 {
 			headHash = head.Hash()
 		}
-		sig := destTupleKey{dest: e.destID(dest), hash: headHash}
 		for i := range body {
-			e.recordDep(body[i], head, dest, sig)
+			e.recordDep(body[i], head, headHash, dest)
 		}
 	}
 	if e.rederive != nil {
@@ -796,14 +795,12 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 		// retraction batch are re-established, and only exports whose
 		// withdrawal already shipped are re-sent; everything else is
 		// still stored (locally or at dest) and must not re-propagate.
-		// Membership checks run on (interned dest id, structural hash)
-		// with tuple-equality fallback — no signature strings.
 		if dest == e.self {
-			if !e.rederive.deleted.has(head) {
+			if !e.rederive.deleted.has("", head) {
 				return
 			}
 		} else {
-			if !e.rederive.shipped.remove(e, dest, head) {
+			if !e.rederive.shipped.remove(dest, head) {
 				return
 			}
 			// Fall through: the export re-establishes the tuple at dest.
@@ -907,17 +904,17 @@ func (e *Engine) ShadowEvictions() int64 {
 	return n
 }
 
-// ArenaHighWater reports the total capacity, in elements, of the eval
-// scratch arenas (persistent value/annotation slabs, wave arenas, and
-// the pending-firing buffer) — the steady-state memory the hot path has
-// grown to.
+// ArenaHighWater reports the total size, in elements, of the eval
+// scratch's current slab chunks (persistent and wave values and
+// annotated tuples) and its pending-firing buffer — the memory the hot
+// path holds on to between firings.
 func (e *Engine) ArenaHighWater() int64 {
 	sc := e.scratch
 	if sc == nil {
 		return 0
 	}
-	return int64(cap(sc.valArena)+cap(sc.waveVals)) +
-		int64(cap(sc.annArena)+cap(sc.waveAnns)+cap(sc.pend))
+	return int64(len(sc.vals.chunk) + len(sc.waveVals.chunk) +
+		len(sc.anns.chunk) + len(sc.waveAnns.chunk) + cap(sc.pend))
 }
 
 // Predicates returns the names of all tables with live tuples.
@@ -974,7 +971,7 @@ func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet) {
 	ps := e.prunes[pred]
 	for _, t := range gone {
 		e.notify(t, UpdateExpired)
-		e.dropDeps(t)
+		e.dropDeps(t, nil)
 		if ps != nil {
 			relax.touch(ps, ps.group(t))
 		}

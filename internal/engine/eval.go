@@ -24,7 +24,7 @@ type pending struct {
 // evalScratch is the engine's reusable evaluation state: one variable
 // environment and trail sized for the largest rule, a probe-value buffer
 // sized for the widest precompiled probe, a body buffer for the longest
-// rule, and the pending arena a wave's firings append into. It lives for
+// rule, and the pending buffer a wave's firings append into. It lives for
 // the engine's lifetime, so steady-state evaluation performs no per-delta
 // allocation beyond the firings themselves.
 type evalScratch struct {
@@ -37,144 +37,21 @@ type evalScratch struct {
 	// evalExpr).
 	args []data.Value
 
-	// valArena / annArena are slab allocators for the head-argument and
-	// body-copy slices a firing hands to the commit stage. Those slices
-	// escape (into tables, aggregate state, provenance), so the slabs are
-	// never reset — slabbing only amortizes the allocation count: one
-	// malloc per slab instead of two per firing.
-	valArena []data.Value
-	annArena []AnnTuple
-
-	// waveVals / waveAnns are resettable arenas for slices that die once
-	// the wave's commit stage consumes them: aggregate-rule head
+	// vals / anns hand out the head-argument and body-copy slices a
+	// firing gives the commit stage that escape (into tables, aggregate
+	// state, provenance). waveVals / waveAnns hand out those that die once
+	// the wave's commit stage consumes them — aggregate-rule head
 	// arguments (aggContribute copies what it keeps) and, under the null
 	// provenance hook, non-aggregate body copies (the dependency index
-	// reads them by value and nothing else retains them). resetWave
-	// reclaims the space wholesale at each wave boundary; the used
-	// counters upsize the slab when a wave overflowed it, so steady state
-	// is one slab reused forever. Mid-wave overflow slabs are simply
-	// abandoned — spans already handed out keep their backing array alive
-	// until the commit stage finishes with them.
-	waveVals     []data.Value
-	waveValsUsed int
-	waveAnns     []AnnTuple
-	waveAnnsUsed int
+	// reads them by value and nothing else retains them) — and runWave
+	// resets them at each wave boundary.
+	vals, waveVals slab[data.Value]
+	anns, waveAnns slab[AnnTuple]
 
 	// headBuf is the scratch head-argument buffer a firing constructs
 	// into before deciding whether a stored canonical tuple can be reused
 	// (grown on demand; sized by the widest head seen).
 	headBuf []data.Value
-}
-
-const arenaSlab = 1024
-
-// waveSlab is where the wave arenas start: resetWave sizes them to the
-// last wave, so they need no persistent slab's head start, and a small
-// engine's whole wave fits in one.
-const waveSlab = 64
-
-// arenaSlabMax bounds geometric slab growth so a huge fixpoint cannot
-// strand arbitrarily large part-used slabs.
-const arenaSlabMax = 64 * 1024
-
-// nextSlabSize doubles the slab on each refill (bounded, starting at
-// floor), so a busy scratch converges to a handful of mallocs instead of
-// one per floor-worth of firings.
-func nextSlabSize(cur, n, floor int) int {
-	sz := cur * 2
-	if sz < floor {
-		sz = floor
-	}
-	if sz > arenaSlabMax {
-		sz = arenaSlabMax
-	}
-	if n > sz {
-		sz = n
-	}
-	return sz
-}
-
-// allocVals carves an owned n-element value slice out of the slab.
-func (sc *evalScratch) allocVals(n int) []data.Value {
-	if n == 0 {
-		return nil
-	}
-	if len(sc.valArena)+n > cap(sc.valArena) {
-		sc.valArena = make([]data.Value, 0, nextSlabSize(cap(sc.valArena), n, arenaSlab))
-	}
-	m := len(sc.valArena)
-	sc.valArena = sc.valArena[:m+n]
-	return sc.valArena[m : m+n : m+n]
-}
-
-// allocAnns carves an owned n-element AnnTuple slice out of the slab.
-func (sc *evalScratch) allocAnns(n int) []AnnTuple {
-	if n == 0 {
-		return nil
-	}
-	if len(sc.annArena)+n > cap(sc.annArena) {
-		sc.annArena = make([]AnnTuple, 0, nextSlabSize(cap(sc.annArena), n, arenaSlab))
-	}
-	m := len(sc.annArena)
-	sc.annArena = sc.annArena[:m+n]
-	return sc.annArena[m : m+n : m+n]
-}
-
-// allocWaveVals / allocWaveAnns carve transient slices out of the wave
-// arenas (see the field comment for the lifetime contract).
-func (sc *evalScratch) allocWaveVals(n int) []data.Value {
-	if n == 0 {
-		return nil
-	}
-	sc.waveValsUsed += n
-	if len(sc.waveVals)+n > cap(sc.waveVals) {
-		sc.waveVals = make([]data.Value, 0, nextSlabSize(cap(sc.waveVals), n, waveSlab))
-	}
-	m := len(sc.waveVals)
-	sc.waveVals = sc.waveVals[:m+n]
-	return sc.waveVals[m : m+n : m+n]
-}
-
-func (sc *evalScratch) allocWaveAnns(n int) []AnnTuple {
-	if n == 0 {
-		return nil
-	}
-	sc.waveAnnsUsed += n
-	if len(sc.waveAnns)+n > cap(sc.waveAnns) {
-		sc.waveAnns = make([]AnnTuple, 0, nextSlabSize(cap(sc.waveAnns), n, waveSlab))
-	}
-	m := len(sc.waveAnns)
-	sc.waveAnns = sc.waveAnns[:m+n]
-	return sc.waveAnns[m : m+n : m+n]
-}
-
-// resetWave reclaims the wave arenas at a wave boundary, upsizing a slab
-// whose last wave overflowed it so the next wave fits in one.
-func (sc *evalScratch) resetWave() {
-	if sc.waveValsUsed > cap(sc.waveVals) {
-		sz := cap(sc.waveVals) * 2
-		if sz < waveSlab {
-			sz = waveSlab
-		}
-		for sz < sc.waveValsUsed {
-			sz *= 2
-		}
-		sc.waveVals = make([]data.Value, 0, sz)
-	}
-	sc.waveVals = sc.waveVals[:0]
-	sc.waveValsUsed = 0
-	if sc.waveAnnsUsed > cap(sc.waveAnns) {
-		sz := cap(sc.waveAnns) * 2
-		if sz < waveSlab {
-			sz = waveSlab
-		}
-		for sz < sc.waveAnnsUsed {
-			sz *= 2
-		}
-		sc.waveAnns = make([]AnnTuple, 0, sz)
-	}
-	sc.waveAnns = sc.waveAnns[:0]
-	sc.waveAnnsUsed = 0
 }
 
 // scratchBuf returns the engine's eval scratch, (re)creating it when a
@@ -341,8 +218,7 @@ func (e *Engine) matchAtom(spec *atomSpec, en *Entry, env *env, trail *[]int) bo
 // fire constructs the head tuple from the environment and routes it:
 // straight into emit (serial contexts), or onto the sink for the wave's
 // ordered-commit stage. The head-argument and body-copy slices come from
-// the scratch's slab arenas (they escape; the slab amortizes the
-// mallocs).
+// the scratch's slabs (one malloc per chunk, not two per firing).
 func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pending, sc *evalScratch) {
 	n := len(r.headArgs)
 	if cap(sc.headBuf) < n {
@@ -370,7 +246,7 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 	// Aggregate heads skip it: their aggregate argument holds the
 	// per-contribution value, which almost never matches the stored
 	// aggregated row, and aggContribute copies what it keeps — so their
-	// argument slices can come from the transient wave arena.
+	// argument slices can come from the wave slab.
 	var headHash uint64
 	reused := false
 	if r.agg == nil {
@@ -385,9 +261,9 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 	if !reused {
 		var args []data.Value
 		if r.agg != nil {
-			args = sc.allocWaveVals(n)
+			args = sc.waveVals.take(n)
 		} else {
-			args = sc.allocVals(n)
+			args = sc.vals.take(n)
 		}
 		copy(args, hb)
 		head.Args = args
@@ -425,12 +301,12 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 	// Aggregate contributions are retained by the group's dedup state, so
 	// they need the persistent slab; under the null provenance hook,
 	// non-aggregate bodies die at commit (the dependency index reads them
-	// by value) and come from the wave arena instead.
+	// by value) and come from the wave slab instead.
 	var bodyCopy []AnnTuple
 	if r.agg == nil && e.noProv {
-		bodyCopy = sc.allocWaveAnns(nb)
+		bodyCopy = sc.waveAnns.take(nb)
 	} else {
-		bodyCopy = sc.allocAnns(nb)
+		bodyCopy = sc.anns.take(nb)
 	}
 	nb = 0
 	for i := range body {

@@ -144,6 +144,68 @@ m1 m(@N,X,min<C>) :- e(@N,X,C).
 	}
 }
 
+// TestShadowTieBreakIsTotal pins that the shadow's victim choice and
+// revival order do not follow map iteration. One group's two worst
+// candidates tie on the pruned column and differ only by ints that
+// Value.Compare ties (it compares through float64) but Equal tells
+// apart, so only a total tuple order settles which row the cap evicts
+// and which revived row installs first.
+func TestShadowTieBreakIsTotal(t *testing.T) {
+	const prog = `
+materialize(src, infinity, infinity, keys(1,2,3,4)).
+materialize(e, infinity, infinity, keys(1,2,3,4)).
+aggSelection(e, keys(1,2), min, 3).
+d1 e(@N,X,C,T) :- src(@N,X,C,T).
+`
+	src := func(c, tag int64) data.Tuple {
+		return data.NewTuple("src", data.Str("n"), data.Str("x"), data.Int(c), data.Int(tag))
+	}
+	ev := func(c, tag int64) data.Tuple {
+		return data.NewTuple("e", data.Str("n"), data.Str("x"), data.Int(c), data.Int(tag))
+	}
+	const a, b = 1 << 53, 1<<53 + 1
+	if data.Int(a).Compare(data.Int(b)) != 0 || data.Int(a).Equal(data.Int(b)) {
+		t.Fatal("the two tags must tie under Compare and differ under Equal")
+	}
+	run := func() string {
+		e := cappedEngine(t, "n", prog, 2)
+		step := func(insert, retract []data.Tuple) {
+			for _, tu := range insert {
+				e.InsertFact(tu)
+			}
+			if len(retract) > 0 {
+				e.RetractFacts(retract...)
+			}
+			e.RunToFixpoint()
+		}
+		step([]data.Tuple{src(1, 0)}, nil)
+		step([]data.Tuple{src(5, a), src(5, b)}, nil)
+		// A third candidate overflows the cap: one of the tied worst goes.
+		step([]data.Tuple{src(3, 0)}, nil)
+		g := e.prunes["e"].findGroup(ev(1, 0))
+		var victim string
+		for _, tag := range []int64{a, b} {
+			if g.findShadow(ev(5, tag)) == nil {
+				victim += ev(5, tag).String()
+			}
+		}
+		// Retracting the best twice revives 3, then both tied rows (the
+		// fallback re-derived the evicted one): the first revived installs.
+		step(nil, []data.Tuple{src(1, 0)})
+		step(nil, []data.Tuple{src(3, 0)})
+		return fmt.Sprintf("victim %s, installed %v", victim, e.Tuples("e"))
+	}
+	want := run()
+	if w := fmt.Sprintf("victim %s, installed %v", ev(5, b), []data.Tuple{ev(5, a)}); want != w {
+		t.Fatalf("got %s, want %s", want, w)
+	}
+	for i := 1; i < 64; i++ {
+		if got := run(); got != want {
+			t.Fatalf("engine %d: %s, engine 0: %s", i, got, want)
+		}
+	}
+}
+
 // TestShadowStaysBoundedUnderChurn is the long-churn pin: cycles of
 // improving candidates from many origins must not grow the shadow past
 // its cap, while the installed best stays correct.

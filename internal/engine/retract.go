@@ -38,9 +38,9 @@ import (
 // tracking (the support each Entry carries): a tuple shipped by two
 // senders survives the retraction of one.
 //
-// All bookkeeping sets key on structural hashes (plus interned
-// destination ids) with equality chains — see hashsets.go — never on
-// materialized Key() strings.
+// All bookkeeping sets are chains keyed on structural hashes and
+// settled by Equal along the chain (chain.go), never materialized Key()
+// strings.
 
 // Withdrawal is a retraction addressed to another node: a previously
 // exported derivation that no longer holds and that the destination must
@@ -50,80 +50,63 @@ type Withdrawal struct {
 	Tuple data.Tuple
 }
 
-// depTarget is one derived head recorded as reachable from a body tuple.
-// sig caches the (interned dest id, head hash) pair used for dedup.
-type depTarget struct {
-	head data.Tuple
-	dest string
-	sig  destTupleKey
-}
-
-// depEntry is the dependency list of one body tuple: an
-// insertion-ordered, deduplicated set of depTargets, the first of which
-// is held inline (first backs order until a second target arrives).
-// Insertion order keeps retraction cascades deterministic. Short lists
-// (the common case) dedup by a linear sig scan; past depSeenLinear
-// targets a seen map ((dest id, head hash) → indices into order) takes
-// over. Either way the sig match falls back to head equality.
+// depEntry is one body tuple of the dependency index with the heads its
+// firings derived: a list of edges in insertion order, which keeps
+// retraction cascades deterministic.
 type depEntry struct {
-	body  data.Tuple
-	hash  uint64
-	next  *depEntry // the next entry with the same body hash
-	order []depTarget
-	first [1]depTarget
-	seen  map[destTupleKey][]int32
+	body        data.Tuple
+	hash        uint64
+	next        *depEntry // the next entry with the same body hash
+	first, last *depEdge
 }
 
 func (de *depEntry) link() **depEntry { return &de.next }
 
-// depSeenLinear is the order length beyond which a depEntry builds its
-// seen map instead of scanning linearly.
-const depSeenLinear = 8
+// depEdge is one dependency body → (head, dest). Every edge also sits on
+// Engine.edges under a mix of its body's and head's hashes, so recording
+// a firing again finds the edge there instead of in a per-body set.
+type depEdge struct {
+	from  *depEntry
+	head  data.Tuple
+	dest  string
+	hash  uint64
+	next  *depEdge // the next edge with the same hash
+	after *depEdge // from's next edge
+}
+
+func (d *depEdge) link() **depEdge { return &d.next }
+
+// edgeHash keys the edge from a body to a head by their hashes.
+func edgeHash(body, head uint64) uint64 { return (body*hashPrime ^ head) * hashPrime }
 
 // recordDep notes the dependency edge body → (head, dest) of a rule
 // firing, the raw material of retraction cascades. The caller hoists the
-// head hash and interned destination id out of the per-body-atom loop;
-// the body AnnTuple usually carries its entry's cached hash.
-func (e *Engine) recordDep(b AnnTuple, head data.Tuple, dest string, sig destTupleKey) {
-	body := b.Tuple
-	h := b.hash
-	if h == 0 {
-		h = body.Hash()
-	}
-	de := e.findDeps(h, body)
+// head hash out of the per-body-atom loop; the body AnnTuple usually
+// carries its entry's cached hash.
+func (e *Engine) recordDep(b AnnTuple, head data.Tuple, headHash uint64, dest string) {
+	h := b.tupleHash()
+	de := e.findDeps(h, b.Tuple)
 	if de == nil {
-		// Entries come from a slab. Dropped entries keep their chunk alive
-		// until every entry in it is unreferenced — the same tradeoff the
-		// table's Entry arena makes.
 		de = e.depEntries.alloc()
-		de.body, de.hash = body, h
-		de.order = de.first[:0]
+		de.body, de.hash = b.Tuple, h
 		e.deps.push(h, de)
 		e.ndeps++
 	}
-	if de.seen == nil {
-		for i := range de.order {
-			if de.order[i].sig == sig && de.order[i].head.Equal(head) {
-				return
-			}
+	k := edgeHash(h, headHash)
+	for d := e.edges.first(k); d != nil; d = d.next {
+		if d.from == de && d.dest == dest && d.head.Equal(head) {
+			return
 		}
+	}
+	d := e.depEdges.alloc()
+	d.from, d.head, d.dest, d.hash = de, head, dest, k
+	e.edges.push(k, d)
+	if de.last == nil {
+		de.first = d
 	} else {
-		for _, i := range de.seen[sig] {
-			if de.order[i].head.Equal(head) {
-				return
-			}
-		}
+		de.last.after = d
 	}
-	de.order = append(de.order, depTarget{head: head, dest: dest, sig: sig})
-	if de.seen != nil {
-		de.seen[sig] = append(de.seen[sig], int32(len(de.order)-1))
-	} else if len(de.order) > depSeenLinear {
-		de.seen = make(map[destTupleKey][]int32, len(de.order))
-		for i := range de.order {
-			s := de.order[i].sig
-			de.seen[s] = append(de.seen[s], int32(i))
-		}
-	}
+	de.last = d
 }
 
 // findDeps returns body tuple t's dependency entry, whose hash is h, or
@@ -137,30 +120,101 @@ func (e *Engine) findDeps(h uint64, t data.Tuple) *depEntry {
 	return nil
 }
 
-// dropDeps removes and returns body tuple t's dependency entry (nil when
-// absent).
-func (e *Engine) dropDeps(t data.Tuple) *depEntry {
+// dropDeps removes body tuple t's dependency entry and its edges, handing
+// each edge's head and destination to visit (when set) in insertion
+// order.
+func (e *Engine) dropDeps(t data.Tuple, visit func(head data.Tuple, dest string)) {
 	de := e.findDeps(t.Hash(), t)
-	if de != nil {
-		e.deps.unlink(de.hash, de)
-		e.ndeps--
+	if de == nil {
+		return
 	}
-	return de
+	e.deps.unlink(de.hash, de)
+	e.ndeps--
+	for d := de.first; d != nil; {
+		if visit != nil {
+			visit(d.head, d.dest)
+		}
+		next := d.after
+		e.edges.unlink(d.hash, d)
+		e.depEdges.put(d)
+		d = next
+	}
+	e.depEntries.put(de)
 }
+
+// pairSet is a set of (destination, tuple) pairs: a chain keyed by the
+// tuple's hash, settled on the destination and Equal. A set of local
+// tuples uses destination "".
+type pairSet struct {
+	pairs chain[pair]
+	slab  slab[pair]
+	n     int
+}
+
+type pair struct {
+	dest string
+	t    data.Tuple
+	hash uint64
+	next *pair // the next pair with the same hash
+}
+
+func (p *pair) link() **pair { return &p.next }
+
+func newPairSet() *pairSet { return &pairSet{pairs: newChain((*pair).link)} }
+
+func (s *pairSet) find(h uint64, dest string, t data.Tuple) *pair {
+	for p := s.pairs.first(h); p != nil; p = p.next {
+		if p.dest == dest && p.t.Equal(t) {
+			return p
+		}
+	}
+	return nil
+}
+
+func (s *pairSet) has(dest string, t data.Tuple) bool {
+	return s.find(t.Hash(), dest, t) != nil
+}
+
+// add inserts the pair, reporting whether it was newly added.
+func (s *pairSet) add(dest string, t data.Tuple) bool {
+	h := t.Hash()
+	if s.find(h, dest, t) != nil {
+		return false
+	}
+	p := s.slab.alloc()
+	p.dest, p.t, p.hash = dest, t, h
+	s.pairs.push(h, p)
+	s.n++
+	return true
+}
+
+// remove deletes the pair, reporting whether it was present.
+func (s *pairSet) remove(dest string, t data.Tuple) bool {
+	p := s.find(t.Hash(), dest, t)
+	if p == nil {
+		return false
+	}
+	s.pairs.unlink(p.hash, p)
+	s.slab.put(p)
+	s.n--
+	return true
+}
+
+func (s *pairSet) len() int { return s.n }
 
 // withdrawalQueue accumulates outbound retractions in deterministic
 // order, deduplicated by (destination, tuple).
 type withdrawalQueue struct {
 	order []Withdrawal
-	seen  *destTupleSet
+	seen  *pairSet
 }
 
 func newWithdrawalQueue() *withdrawalQueue {
-	return &withdrawalQueue{seen: newDestTupleSet()}
+	return &withdrawalQueue{seen: newPairSet()}
 }
 
-func (wq *withdrawalQueue) add(e *Engine, dest string, t data.Tuple) {
-	if !wq.seen.add(e, dest, t) {
+func (wq *withdrawalQueue) add(dest string, t data.Tuple) {
+	if !wq.seen.add(dest, t) {
 		return
 	}
 	wq.order = append(wq.order, Withdrawal{Dest: dest, Tuple: t})
@@ -169,8 +223,8 @@ func (wq *withdrawalQueue) add(e *Engine, dest string, t data.Tuple) {
 // retractPending is the over-deletion state accumulated between
 // BeginRetract* calls and the CompleteRetract that repairs it.
 type retractPending struct {
-	// deleted tuples removed from this node's tables.
-	deleted *tupleSet
+	// deleted tuples removed from this node's tables (destination "").
+	deleted *pairSet
 	// dirty aggregate rule labels needing recomputation.
 	dirty map[string]bool
 	// groups are the aggregate-selection groups whose installed optimum
@@ -178,14 +232,14 @@ type retractPending struct {
 	groups groupSet
 	// shipped tracks (dest, tuple) withdrawals handed to the scheduler;
 	// a re-derivation during repair re-ships those exports.
-	shipped *destTupleSet
+	shipped *pairSet
 }
 
 func newRetractPending() *retractPending {
 	return &retractPending{
-		deleted: newTupleSet(),
+		deleted: newPairSet(),
 		dirty:   make(map[string]bool),
-		shipped: newDestTupleSet(),
+		shipped: newPairSet(),
 	}
 }
 
@@ -214,8 +268,7 @@ func (s *groupSet) touch(ps *pruneSpec, g *pruneGroupState) {
 
 // rederiveState restricts emit while the DRed repair pass runs.
 type rederiveState struct {
-	deleted *tupleSet
-	shipped *destTupleSet
+	deleted, shipped *pairSet
 }
 
 // restrictState restricts emit to local heads of one aggregate-selection
@@ -311,7 +364,7 @@ func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
 	wq := newWithdrawalQueue()
 	e.overdelete(items, wq)
 	for _, w := range wq.order {
-		e.pend.shipped.add(e, w.Dest, w.Tuple)
+		e.pend.shipped.add(w.Dest, w.Tuple)
 	}
 	return wq.order
 }
@@ -349,7 +402,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 			e.overdelete(vanished, wq)
 			if e.pend != nil {
 				for _, w := range wq.order {
-					e.pend.shipped.add(e, w.Dest, w.Tuple)
+					e.pend.shipped.add(w.Dest, w.Tuple)
 				}
 			}
 		}
@@ -362,7 +415,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 	if len(wq.order) > 0 && len(e.exports) > 0 {
 		kept := e.exports[:0]
 		for _, ex := range e.exports {
-			if !wq.seen.has(e, ex.Dest, ex.Tuple) {
+			if !wq.seen.has(ex.Dest, ex.Tuple) {
 				kept = append(kept, ex)
 			}
 		}
@@ -392,7 +445,7 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 		it := work[0]
 		work = work[1:]
 		t := it.t
-		if pend.deleted.has(t) {
+		if pend.deleted.has("", t) {
 			continue
 		}
 		ps := e.prunes[t.Pred]
@@ -422,7 +475,7 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 			continue // other support keeps the row alive
 		}
 		tbl.kill(en)
-		pend.deleted.add(t)
+		pend.deleted.add("", t)
 		e.Stats.Retracted++
 		e.notify(en.Tuple, UpdateRetracted)
 		if ps != nil {
@@ -435,15 +488,13 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 				pend.dirty[ref.rule.label] = true
 			}
 		}
-		if de := e.dropDeps(t); de != nil {
-			for _, tgt := range de.order {
-				if tgt.dest == e.self {
-					work = append(work, retractItem{t: tgt.head, mode: retractDeriv})
-				} else {
-					wq.add(e, tgt.dest, tgt.head)
-				}
+		e.dropDeps(t, func(head data.Tuple, dest string) {
+			if dest == e.self {
+				work = append(work, retractItem{t: head, mode: retractDeriv})
+			} else {
+				wq.add(dest, head)
 			}
-		}
+		})
 	}
 }
 
@@ -525,14 +576,14 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 				for row != nil {
 					next := row.next
 					revived = append(revived, *row)
-					ps.release(row)
+					ps.rowSlab.put(row)
 					row = next
 				}
 			}
 			clear(g.shadow.m)
 			g.nshadow = 0
-			// Revive best-first (by the pruned column, then tuple order
-			// for determinism): the winning candidate installs immediately
+			// Revive best-first (by the pruned column, then
+			// data.CompareTuples for determinism): the winning candidate installs immediately
 			// and re-shadows the rest, instead of storing and
 			// re-propagating a whole improving sequence.
 			sort.Slice(revived, func(i, j int) bool {
@@ -543,7 +594,7 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 					}
 					return ci > 0
 				}
-				return tupleLess(revived[i].tuple, revived[j].tuple)
+				return data.CompareTuples(revived[i].tuple, revived[j].tuple) < 0
 			})
 			for _, row := range revived {
 				e.insert(row.tuple, row.ann, row.support, 0)
@@ -589,13 +640,7 @@ func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotati
 			return
 		}
 	}
-	row := ps.spare
-	if row != nil {
-		ps.spare = row.next
-		row.next = nil
-	} else {
-		row = ps.rowSlab.alloc()
-	}
+	row := ps.rowSlab.alloc()
 	row.tuple, row.ann, row.support, row.hash = t, ann, sup, h
 	g.shadow.push(h, row)
 	g.nshadow++

@@ -115,8 +115,8 @@ const (
 )
 
 const (
-	// DefaultDialTimeout bounds each connection attempt.
-	DefaultDialTimeout = 5 * time.Second
+	// defaultDialTimeout bounds each connection attempt.
+	defaultDialTimeout = 5 * time.Second
 	// DefaultMaxFrame caps accepted frame sizes; a larger frame poisons
 	// the connection (it is closed and the dialer re-opens it).
 	DefaultMaxFrame = 1 << 24 // 16 MiB: far above any real envelope
@@ -124,10 +124,10 @@ const (
 
 // Defaults for Config's zero values.
 const (
-	DefaultRetryMin          = 50 * time.Millisecond
-	DefaultRetryMax          = 2 * time.Second
-	DefaultRetransmitTimeout = 500 * time.Millisecond
-	DefaultWindow            = 4096 // frames per peer before backpressure
+	defaultRetryMin          = 50 * time.Millisecond
+	defaultRetryMax          = 2 * time.Second
+	defaultRetransmitTimeout = 500 * time.Millisecond
+	defaultWindow            = 4096 // frames per peer before backpressure
 )
 
 // Config configures a Transport.
@@ -265,16 +265,16 @@ type peer struct {
 // first send.
 func New(cfg Config) (*Transport, error) {
 	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = DefaultRetryMin
+		cfg.RetryMin = defaultRetryMin
 	}
 	if cfg.RetryMax < cfg.RetryMin {
-		cfg.RetryMax = DefaultRetryMax
+		cfg.RetryMax = defaultRetryMax
 	}
 	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = DefaultRetransmitTimeout
+		cfg.RetransmitTimeout = defaultRetransmitTimeout
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
+		cfg.Window = defaultWindow
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -826,7 +826,7 @@ func (t *Transport) dial(p *peer) (net.Conn, error) {
 	p.mu.Lock()
 	addr := p.addr
 	p.mu.Unlock()
-	d := net.Dialer{Timeout: DefaultDialTimeout}
+	d := net.Dialer{Timeout: defaultDialTimeout}
 	conn, err := d.DialContext(t.ctx, "tcp", addr)
 	if err != nil {
 		return nil, err

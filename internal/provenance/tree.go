@@ -6,6 +6,7 @@
 package provenance
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -214,11 +215,11 @@ func (t *Tree) appendTo(b []byte) []byte {
 		flags = 1
 	}
 	b = append(b, flags)
-	b = appendUvarint(b, uint64(len(t.Derivs)))
+	b = binary.AppendUvarint(b, uint64(len(t.Derivs)))
 	for _, d := range t.Derivs {
 		b = data.AppendString(b, d.Rule)
 		b = data.AppendString(b, d.Loc)
-		b = appendUvarint(b, uint64(len(d.Children)))
+		b = binary.AppendUvarint(b, uint64(len(d.Children)))
 		for _, c := range d.Children {
 			b = c.appendTo(b)
 		}
@@ -256,9 +257,9 @@ func decodeTree(b []byte, depth int) (*Tree, int, error) {
 	}
 	flags := b[n]
 	n++
-	nd, m, err := readUvarint(b[n:])
-	if err != nil {
-		return nil, 0, err
+	nd, m := binary.Uvarint(b[n:])
+	if m <= 0 {
+		return nil, 0, uvarintErr(m)
 	}
 	n += m
 	t := &Tree{Tuple: tu, Truncated: flags&1 != 0}
@@ -279,9 +280,9 @@ func decodeTree(b []byte, depth int) (*Tree, int, error) {
 			return nil, 0, err
 		}
 		n += m
-		nc, m, err := readUvarint(b[n:])
-		if err != nil {
-			return nil, 0, err
+		nc, m := binary.Uvarint(b[n:])
+		if m <= 0 {
+			return nil, 0, uvarintErr(m)
 		}
 		n += m
 		if nc > uint64(len(b)) {
@@ -301,27 +302,11 @@ func decodeTree(b []byte, depth int) (*Tree, int, error) {
 	return t, n, nil
 }
 
-func appendUvarint(b []byte, x uint64) []byte {
-	for x >= 0x80 {
-		b = append(b, byte(x)|0x80)
-		x >>= 7
+// uvarintErr names a binary.Uvarint failure: m == 0 is a short buffer,
+// m < 0 an overflow.
+func uvarintErr(m int) error {
+	if m == 0 {
+		return fmt.Errorf("provenance: short uvarint")
 	}
-	return append(b, byte(x))
-}
-
-func readUvarint(b []byte) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if c < 0x80 {
-			if i > 9 || i == 9 && c > 1 {
-				return 0, 0, fmt.Errorf("provenance: uvarint overflow")
-			}
-			return x | uint64(c)<<s, i + 1, nil
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-	}
-	return 0, 0, fmt.Errorf("provenance: short uvarint")
+	return fmt.Errorf("provenance: uvarint overflow")
 }

@@ -42,11 +42,11 @@ import (
 // FileName is the log file inside the store directory.
 const FileName = "store.log"
 
-// DefaultSealEvery is the snapshot cadence applied when Options.SealEvery
+// defaultSealEvery is the snapshot cadence applied when Options.SealEvery
 // is zero: a Seal() writes a snapshot record only if at least this many
 // events were appended since the last snapshot, amortizing snapshot cost
 // over churny runs while keeping recovery replay short.
-const DefaultSealEvery = 1024
+const defaultSealEvery = 1024
 
 // maxRecord bounds a single record payload; longer length prefixes are
 // treated as corruption (torn tail) during recovery.
@@ -57,8 +57,7 @@ const recSeal = 4 // record kind after the core.EventKind values
 // Options configures a Log.
 type Options struct {
 	// SealEvery is the minimum number of events between snapshot records
-	// (0 = DefaultSealEvery, <0 = never snapshot: recovery replays the
-	// whole log).
+	// (0 = 1024, <0 = never snapshot: recovery replays the whole log).
 	SealEvery int
 	// NoSync skips the fsync in Flush (tests; durability is then only
 	// as good as the OS page cache).
@@ -99,7 +98,7 @@ var _ core.Store = (*Log)(nil)
 // recovered state.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SealEvery == 0 {
-		opts.SealEvery = DefaultSealEvery
+		opts.SealEvery = defaultSealEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

@@ -22,9 +22,9 @@ type Graph struct {
 	Links []Link
 }
 
-// NodeName returns the canonical experiment node name for index i
+// nodeName returns the canonical experiment node name for index i
 // ("n0", "n1", ...).
-func NodeName(i int) string { return fmt.Sprintf("n%d", i) }
+func nodeName(i int) string { return fmt.Sprintf("n%d", i) }
 
 // Options configures generation.
 type Options struct {
@@ -53,7 +53,7 @@ func RandomConnected(opts Options) *Graph {
 	r := rand.New(rand.NewSource(opts.Seed))
 	g := &Graph{}
 	for i := 0; i < opts.N; i++ {
-		g.Nodes = append(g.Nodes, NodeName(i))
+		g.Nodes = append(g.Nodes, nodeName(i))
 	}
 	cost := func() int64 {
 		if opts.MaxCost <= 1 {
@@ -90,7 +90,7 @@ func RandomConnected(opts Options) *Graph {
 func Line(n int) *Graph {
 	g := &Graph{}
 	for i := 0; i < n; i++ {
-		g.Nodes = append(g.Nodes, NodeName(i))
+		g.Nodes = append(g.Nodes, nodeName(i))
 	}
 	for i := 0; i+1 < n; i++ {
 		g.Links = append(g.Links,
@@ -104,7 +104,7 @@ func Line(n int) *Graph {
 func Ring(n int) *Graph {
 	g := &Graph{}
 	for i := 0; i < n; i++ {
-		g.Nodes = append(g.Nodes, NodeName(i))
+		g.Nodes = append(g.Nodes, nodeName(i))
 	}
 	for i := 0; i < n; i++ {
 		g.Links = append(g.Links, Link{From: g.Nodes[i], To: g.Nodes[(i+1)%n], Cost: 1})
@@ -117,7 +117,7 @@ func Ring(n int) *Graph {
 func Star(n int) *Graph {
 	g := &Graph{}
 	for i := 0; i < n; i++ {
-		g.Nodes = append(g.Nodes, NodeName(i))
+		g.Nodes = append(g.Nodes, nodeName(i))
 	}
 	for i := 1; i < n; i++ {
 		g.Links = append(g.Links,
