@@ -86,15 +86,15 @@ api-smoke:
 	[ $$status -eq 0 ] && diff cmd/provnet/testdata/traceback_golden.json /tmp/provnet-smoke-got.json
 
 # The CI chaos job: the fault-injection convergence suite under the
-# race detector (faultnet schedules, ack/retransmit reliability,
+# race detector (faultnet schedules, ack/reconnect-replay reliability,
 # termination soundness, the SIGKILL/cold-restart reconvergence pin —
-# each sweeping faultnet seeds 1-3) and an ack-path fuzz burst. The TCP
+# each sweeping faultnet seeds 1-3) and a connection-kill fuzz burst. The TCP
 # path's numbers are `go run ./bench -probe tcp3`.
 chaos:
 	$(GO) test -race -shuffle=on ./internal/faultnet ./internal/nettcp
 	$(GO) test -race -shuffle=on -run 'TestTermination|TestIdleHeuristicFalseFixpoint|TestResupplyReplaysExports' ./internal/core
 	$(GO) test -race -timeout 15m -run 'TestCrashRestartReconverges|TestMultiprocessMatchesSingleProcess' ./cmd/provnet
-	$(GO) test -run '^$$' -fuzz FuzzAckRetransmit -fuzztime 30s ./internal/nettcp
+	$(GO) test -run '^$$' -fuzz FuzzReconnectReplay -fuzztime 30s ./internal/nettcp
 
 # Wire-decoder fuzzing (every frame kind, one decoder; the RSA tree tag,
 # parsed before it is authenticated; the condensed-provenance BDD table;

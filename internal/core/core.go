@@ -632,8 +632,8 @@ type Report struct {
 	Parked     int64
 	// Reliability counters from the transport (nonzero only when the TCP
 	// backend runs with acked delivery): ack frames shipped, sequenced
-	// frames re-sent after an ack timeout or reconnect, and duplicate
-	// frames suppressed by the receive window.
+	// frames re-sent after a reconnect, and duplicate frames suppressed
+	// by the receive window.
 	Acks        int64
 	Retransmits int64
 	DupDropped  int64

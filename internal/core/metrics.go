@@ -107,7 +107,7 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 	m.CounterFunc("provnet_transport_parked_frames_total", "Inbound frames parked for not-yet-registered nodes (TCP transport).", stats(func(s netsim.Stats) int64 { return s.Parked }))
 	m.CounterFunc("provnet_transport_ack_messages_total", "Ack frames shipped by the reliability layer (TCP transport).", stats(func(s netsim.Stats) int64 { return s.AckMessages }))
 	m.CounterFunc("provnet_transport_ack_bytes_total", "Bytes of ack traffic shipped by the reliability layer.", stats(func(s netsim.Stats) int64 { return s.AckBytes }))
-	m.CounterFunc("provnet_transport_retransmits_total", "Sequenced frames re-sent after ack timeout or reconnect.", stats(func(s netsim.Stats) int64 { return s.Retransmits }))
+	m.CounterFunc("provnet_transport_retransmits_total", "Sequenced frames re-sent after a reconnect.", stats(func(s netsim.Stats) int64 { return s.Retransmits }))
 	m.CounterFunc("provnet_transport_dup_dropped_total", "Duplicate sequenced frames suppressed by the receive window.", stats(func(s netsim.Stats) int64 { return s.DupDropped }))
 	m.CounterFunc("provnet_transport_backpressured_total", "Sends that blocked on a full retransmit window.", stats(func(s netsim.Stats) int64 { return s.Backpressured }))
 	m.GaugeFunc("provnet_transport_pending", "Undelivered inbound datagrams queued on the transport.", func() int64 {

@@ -10,6 +10,7 @@ import (
 	"provnet/internal/auth"
 	"provnet/internal/faultnet"
 	"provnet/internal/netsim"
+	"provnet/internal/nettcp"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
@@ -147,6 +148,70 @@ func TestTerminationNoFalseFixpoint(t *testing.T) {
 				t.Fatalf("tables at declaration differ from reference\n--- live ---\n%s--- ref ---\n%s", a, b)
 			}
 		})
+	}
+}
+
+// TestTerminationOverTCPReplaysNothing runs the detector over three
+// reliable nettcp transports in one process, on a 12-node Best-Path whose
+// names (n0…n11) give every process nodes of mixed name length. It must
+// declare over the reference tables, and a loopback that loses nothing
+// must replay nothing: no retransmit, no duplicate and no reconnect.
+func TestTerminationOverTCPReplaysNothing(t *testing.T) {
+	cfg := termCfg()
+	cfg.Graph = topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 9})
+	nRef, _ := mustRun(t, cfg)
+	const procs = 3
+	hosted := make([][]string, procs)
+	for i, name := range nRef.Nodes() {
+		hosted[i%procs] = append(hosted[i%procs], name)
+	}
+	trs := make([]*nettcp.Transport, procs)
+	for p := range trs {
+		tr, err := nettcp.New(nettcp.Config{Listen: "127.0.0.1:0", Reliable: true, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		trs[p] = tr
+	}
+	for p, tr := range trs {
+		for q, names := range hosted {
+			for _, name := range names {
+				if p != q {
+					tr.AddPeer(name, trs[q].Addr())
+				}
+			}
+		}
+	}
+	nets := make([]*Network, procs)
+	dets := make([]*TermDetector, procs)
+	for p := range nets {
+		c := cfg
+		c.LocalNodes = hosted[p]
+		nets[p] = startLive(t, c, trs[p])
+		dets[p] = nets[p].StartTermination(context.Background(), testTermConfig())
+	}
+	for _, td := range dets {
+		awaitDone(t, td, 30*time.Second)
+	}
+	var replays netsim.Stats
+	for p, n := range nets {
+		if _, err := n.Driver().AwaitQuiescence(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range hosted[p] {
+			if a, b := fmt.Sprint(n.Tuples(name, "spCost")), fmt.Sprint(nRef.Tuples(name, "spCost")); a != b {
+				t.Errorf("%s at declaration: %s, want %s", name, a, b)
+			}
+		}
+		s := trs[p].Stats()
+		replays.Retransmits += s.Retransmits
+		replays.DupDropped += s.DupDropped
+		replays.Reconnects += s.Reconnects
+	}
+	if replays.Retransmits+replays.DupDropped+replays.Reconnects != 0 {
+		t.Errorf("a loss-free loopback replayed: %d retransmits, %d duplicates, %d reconnects",
+			replays.Retransmits, replays.DupDropped, replays.Reconnects)
 	}
 }
 

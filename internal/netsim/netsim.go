@@ -59,12 +59,12 @@ type Stats struct {
 	Parked     int64
 
 	// Reliability counters, populated only by transports running the
-	// ack/retransmit protocol (nettcp with Reliable set): ack control
-	// frames carried on the wire (and their bytes), data frames re-sent
-	// after a loss or ack timeout, duplicate frames suppressed by the
+	// ack protocol (nettcp with Reliable set): ack control frames carried
+	// on the wire (and their bytes), data frames re-sent from the unacked
+	// window after a reconnect, duplicate frames suppressed by the
 	// receive-side sequence window, and sends that blocked on a full
-	// retransmit window (backpressure into the scheduler). Always zero
-	// on the in-memory fabric, which is lossless by construction.
+	// window (backpressure into the scheduler). Always zero on the
+	// in-memory fabric, which is lossless by construction.
 	AckMessages   int64
 	AckBytes      int64
 	Retransmits   int64

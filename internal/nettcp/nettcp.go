@@ -8,9 +8,9 @@
 //
 // # Stream protocol
 //
-// Each direction of traffic between two processes is one TCP connection,
-// opened lazily by the sending side and re-opened (with exponential
-// backoff) if it drops. The byte stream is:
+// Each (sending process → remote node) pair is one TCP connection, opened
+// lazily by the sending side and re-opened (with exponential backoff) when
+// it drops. The byte stream is:
 //
 //	preamble  "PNT4" (4 bytes: magic + stream version)
 //	hello     uvarint n, n bytes — a name identifying the sending
@@ -32,16 +32,21 @@
 // # Reliability
 //
 // With Config.Reliable set, every remote frame is assigned a sequence
-// number on its directed (src,dst) node link and kept in a bounded
-// per-peer retransmit window until the receiver acknowledges it. The
-// receiver acks cumulatively (coalescing while the return writer is
-// busy), suppresses duplicates by sequence window, and the sender
-// replays the unacked window on reconnect and on ack timeout. A full
-// window blocks Send — backpressure into the round scheduler —
-// until acks free space or the transport closes. Ack frames are
-// transport-internal: they are never delivered upward, and are counted
-// separately (Stats.AckMessages/AckBytes) so the reliability overhead
-// is measurable next to the data plane.
+// number on its directed (src,dst) node link and kept in a per-peer
+// window of at most 4096 frames from the moment the writer takes it
+// until the receiver acknowledges it. The receiver acks cumulatively
+// (coalescing while the return writer is busy), suppresses duplicates by
+// sequence window, and closes the connection on a sequence gap. There is
+// no ack timeout: TCP delivers a live connection's bytes in order or the
+// connection breaks, so the window is replayed on reconnect only. A
+// reader on each outbound connection notices when the peer ends it, and
+// the writer reconnects at once while delivery on it is unproven (the
+// window holds frames, or acks went out on it); after each dial it
+// re-sends its cumulative acks. A full window blocks Send — backpressure
+// into the round scheduler — until acks free space or the transport
+// closes. Ack frames are transport-internal: they are never delivered
+// upward, and are counted separately (Stats.AckMessages/AckBytes) so the
+// reliability overhead is measurable next to the data plane.
 //
 // The hello incarnation detects peer joins and restarts: when a process
 // observes a peer name for the first time, or a known name reappear
@@ -59,11 +64,11 @@
 //
 // # Ordering and determinism
 //
-// One connection per (sender process → receiver process) direction means
-// frames from one sender arrive in send order — the property the session
+// One connection per (sending process → remote node) means frames from
+// one sender to one node arrive in send order — the property the session
 // security stack needs (a handshake frame must precede the data frames
-// it unlocks). Retransmission preserves it: the window is replayed in
-// order ahead of newer frames, and replayed frames the receiver already
+// it unlocks). A reconnect preserves it: the window is replayed in order
+// ahead of newer frames, and replayed frames the receiver already
 // delivered fall into the duplicate window. Interleaving *between*
 // senders is real network nondeterminism; unlike netsim there is no
 // global deterministic drain order. The distributed fixpoint still
@@ -77,8 +82,8 @@
 // side (at enqueue) and once on the receiving side (at arrival), each
 // charging the actual framed size (length prefix + flags + source +
 // destination + sequence number if present + payload). Local deliveries
-// between co-hosted nodes are charged once, like netsim's. Retransmitted
-// frames are not re-charged to Messages/Bytes; they increment
+// between co-hosted nodes are charged once, like netsim's. Frames replayed
+// after a reconnect are not re-charged to Messages/Bytes; they increment
 // Stats.Retransmits instead.
 package nettcp
 
@@ -122,12 +127,13 @@ const (
 	DefaultMaxFrame = 1 << 24 // 16 MiB: far above any real envelope
 )
 
-// Defaults for Config's zero values.
 const (
-	defaultRetryMin          = 50 * time.Millisecond
-	defaultRetryMax          = 2 * time.Second
-	defaultRetransmitTimeout = 500 * time.Millisecond
-	defaultWindow            = 4096 // frames per peer before backpressure
+	// retryMin and retryMax bound the reconnect backoff.
+	retryMin = 50 * time.Millisecond
+	retryMax = 2 * time.Second
+	// window caps each peer's outstanding frames (queued + unacked); a
+	// full window blocks Send. Reliable only.
+	window = 4096
 )
 
 // Config configures a Transport.
@@ -143,26 +149,11 @@ type Config struct {
 	// reads (the context-aware shutdown the lifecycle driver composes
 	// with). Close works regardless.
 	Context context.Context
-	// RetryMin/RetryMax bound the reconnect backoff (default 50ms..2s).
-	RetryMin, RetryMax time.Duration
 	// Reliable enables sequence numbers, cumulative acks, the bounded
-	// retransmit window, and duplicate suppression (see the package
+	// replay window, and duplicate suppression (see the package
 	// comment). Off, the transport has TCP's delivery guarantee only:
 	// frames accepted by a crashed peer's kernel are lost.
 	Reliable bool
-	// RetransmitTimeout is how long a sent frame may remain
-	// unacknowledged before the window is replayed (default 500ms).
-	RetransmitTimeout time.Duration
-	// Window caps each peer's outstanding frames (queued + unacked);
-	// a full window blocks Send (default 4096). Reliable only.
-	Window int
-	// DropWrite, when set, is consulted before each frame write on a
-	// live connection; returning true discards the frame as if the
-	// network lost it after the kernel accepted it — the deterministic
-	// loss hook the retransmit tests script. seq is 0 for frames
-	// without a sequence number; ack marks ack control frames (their
-	// seq is the cumulative ack).
-	DropWrite func(peer string, seq uint64, ack bool) bool
 	// Logf, when set, receives connection lifecycle diagnostics (dial
 	// failures, dropped frames, protocol errors). Default: silent.
 	Logf func(format string, args ...any)
@@ -179,6 +170,7 @@ type Transport struct {
 	inc    uint64 // this process's incarnation (monotonic across restarts)
 
 	mu     sync.Mutex
+	name   string // the hello's process name: the first AddNode
 	local  map[string]*inbox
 	peers  map[string]*peer
 	conns  map[net.Conn]struct{}
@@ -196,6 +188,10 @@ type Transport struct {
 	// seenInc remembers the last hello incarnation per peer process
 	// name; a larger one on a later connection is a restart.
 	seenInc map[string]uint64
+	// live counts the open inbound connections per sender incarnation:
+	// acks re-sent after a dial only cover links whose sender can still
+	// want them.
+	live map[uint64]int
 
 	notify  atomic.Pointer[func()]
 	restart atomic.Pointer[func(process string)]
@@ -232,7 +228,6 @@ type frame struct {
 	payload  []byte
 	seq      uint64 // link sequence number; cumulative ack when ack
 	ack      bool
-	sentAt   time.Time // last write time (retransmit window)
 }
 
 // peer is one remote process: a pending queue drained by a dedicated
@@ -243,20 +238,19 @@ type peer struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	addr    string
+	conn    net.Conn // the writer's connection; nil once the peer ended it
 	pending []frame
+	writing int // 1 while the writer holds an unsequenced frame
 	closed  bool
 
 	// Reliability state (Config.Reliable). seqs assigns per-(src,dst)
-	// link sequence numbers at enqueue; unacked holds written frames
-	// until the cumulative ack covers them (send order); ackDue holds
-	// coalesced outbound acks keyed by local acking node; writing is
-	// the frame the writer holds between queues (0 or 1); resendDue
-	// asks the writer to replay the window (ack timeout).
-	seqs      map[string]uint64
-	unacked   []frame
-	ackDue    map[string]uint64
-	writing   int
-	resendDue bool
+	// link sequence numbers at enqueue; unacked holds sequenced frames
+	// from the moment the writer takes them until the cumulative ack
+	// covers them (send order); ackDue holds coalesced outbound acks
+	// keyed by local acking node.
+	seqs    map[string]uint64
+	unacked []frame
+	ackDue  map[string]uint64
 }
 
 // New creates a Transport listening on cfg.Listen and starts one writer
@@ -264,18 +258,6 @@ type peer struct {
 // reports the bound address); peer connections are dialed lazily on
 // first send.
 func New(cfg Config) (*Transport, error) {
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = defaultRetryMin
-	}
-	if cfg.RetryMax < cfg.RetryMin {
-		cfg.RetryMax = defaultRetryMax
-	}
-	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = defaultRetransmitTimeout
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = defaultWindow
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -300,6 +282,7 @@ func New(cfg Config) (*Transport, error) {
 		orphans: make(map[string][]netsim.Message),
 		recvSeq: make(map[recvKey]uint64),
 		seenInc: make(map[string]uint64),
+		live:    make(map[uint64]int),
 	}
 	for name, addr := range cfg.Peers {
 		t.AddPeer(name, addr)
@@ -327,15 +310,16 @@ func (t *Transport) AddNode(name string) {
 		t.mu.Unlock()
 		return
 	}
+	if len(t.local) == 0 {
+		t.name = name
+	}
 	box := &inbox{queue: t.orphans[name]}
 	delete(t.orphans, name)
 	t.local[name] = box
 	adopted := len(box.queue) > 0
 	t.mu.Unlock()
 	if adopted {
-		if fn := t.notify.Load(); fn != nil {
-			(*fn)()
-		}
+		t.wake()
 	}
 }
 
@@ -360,10 +344,6 @@ func (t *Transport) AddPeer(name, addr string) {
 	t.peers[name] = p
 	t.wg.Add(1)
 	go t.writerLoop(p)
-	if t.cfg.Reliable {
-		t.wg.Add(1)
-		go t.retransmitLoop(p)
-	}
 }
 
 // Notify registers fn to run after every inbound enqueue: the lifecycle
@@ -399,6 +379,7 @@ func (t *Transport) Send(from, to string, payload []byte) error {
 
 	if box != nil {
 		t.enqueue(box, from, to, payload)
+		t.wake()
 		return nil
 	}
 	if p == nil {
@@ -409,7 +390,7 @@ func (t *Transport) Send(from, to string, payload []byte) error {
 	p.mu.Lock()
 	if t.cfg.Reliable {
 		waited := false
-		for len(p.pending)+len(p.unacked)+p.writing >= t.cfg.Window && !p.closed {
+		for len(p.pending)+len(p.unacked) >= window && !p.closed {
 			if !waited {
 				waited = true
 				t.backpressured.Add(1)
@@ -436,21 +417,25 @@ func (t *Transport) charge(src, dst string, payload []byte, seq uint64) {
 	t.bytes.Add(int64(frameWireSize(src, dst, payload, seq)))
 }
 
-// enqueue delivers one datagram into a local inbox and fires the arrival
-// notifier.
+// enqueue delivers one datagram into a local inbox; the caller then
+// wakes the arrival notifier.
 func (t *Transport) enqueue(box *inbox, from, to string, payload []byte) {
 	t.charge(from, to, payload, 0)
 	box.mu.Lock()
 	box.queue = append(box.queue, netsim.Message{From: from, To: to, Payload: payload})
 	box.mu.Unlock()
+}
+
+// wake fires the arrival notifier.
+func (t *Transport) wake() {
 	if fn := t.notify.Load(); fn != nil {
 		(*fn)()
 	}
 }
 
 // Drain removes and returns all datagrams queued for a local node, in
-// arrival order (per-sender send order is preserved by the per-direction
-// connections and the in-order retransmit replay; interleaving between
+// arrival order (per-sender send order is preserved by the per-node
+// connections and the in-order replay on reconnect; interleaving between
 // senders is arrival order).
 func (t *Transport) Drain(to string) []netsim.Message {
 	t.mu.Lock()
@@ -485,7 +470,7 @@ func (t *Transport) PendingCount() int {
 
 // InFlight reports the outbound frames this process has accepted but
 // cannot yet prove delivered: queued behind writers, held by writers,
-// or written and awaiting acknowledgement. Ack control frames are
+// or (reliable) taken and awaiting acknowledgement. Ack control frames are
 // excluded — the data they acknowledge already arrived. This is the
 // transport's contribution to the distributed termination gauge: zero
 // here plus empty inboxes everywhere means no
@@ -617,20 +602,19 @@ func (t *Transport) untrack(c net.Conn) {
 
 // --- outbound path ---
 
-// next blocks until work is available or the peer is closed. Due acks go
-// out first (freshly synthesized from the coalesced cumulative state),
-// then queued frames; a due window replay is folded back into the queue
-// ahead of newer frames so per-link order survives retransmission.
-func (p *peer) next(t *Transport) (frame, bool) {
+// next blocks until the writer has work and returns it: due acks first
+// (freshly synthesized from the coalesced cumulative state), then queued
+// frames. A sequenced frame enters the unacked window here, as the writer
+// takes it, because its ack can arrive before the write returns. next
+// returns a nil frame when conn is gone while delivery on it is unproven
+// — the window holds frames, or acked says acks went out on it — so the
+// writer reconnects now; ok is false once the peer is closed.
+func (p *peer) next(conn net.Conn, acked bool) (f *frame, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		if p.closed {
-			return frame{}, false
-		}
-		if p.resendDue {
-			p.resendDue = false
-			p.requeueWindowLocked(t)
+	for !p.closed {
+		if (conn == nil || p.conn != conn) && (len(p.unacked) > 0 || acked) {
+			return nil, true
 		}
 		if len(p.ackDue) > 0 {
 			names := make([]string, 0, len(p.ackDue))
@@ -641,101 +625,59 @@ func (p *peer) next(t *Transport) (frame, bool) {
 			src := names[0]
 			cum := p.ackDue[src]
 			delete(p.ackDue, src)
-			return frame{src: src, dst: p.name, seq: cum, ack: true}, true
+			return &frame{src: src, dst: p.name, seq: cum, ack: true}, true
 		}
 		if len(p.pending) > 0 {
 			f := p.pending[0]
 			p.pending = p.pending[1:]
-			p.writing = 1
-			return f, true
+			if f.seq > 0 {
+				p.unacked = append(p.unacked, f)
+			} else {
+				p.writing = 1
+			}
+			return &f, true
 		}
 		p.cond.Wait()
 	}
+	return nil, false
 }
 
-// requeueWindowLocked replays the unacked window: the frames move back
-// to the front of the queue in send order (all of them predate anything
-// queued). Caller holds p.mu.
-func (p *peer) requeueWindowLocked(t *Transport) {
-	n := len(p.unacked)
-	if n == 0 {
-		return
-	}
-	merged := make([]frame, 0, n+len(p.pending))
-	merged = append(merged, p.unacked...)
-	merged = append(merged, p.pending...)
-	p.pending = merged
-	p.unacked = nil
-	t.retransmits.Add(int64(n))
-}
-
-// shipped records a successful (or loss-injected) write: sequenced data
-// frames enter the unacked window stamped with the write time; acks and
-// unsequenced frames are done.
-func (p *peer) shipped(f frame) {
+// replay runs after a reliable dial. The lost connection may have
+// swallowed the window and the acks written on it, so the window moves
+// back to the front of the queue in send order (all of it predates
+// anything queued), and acks (ackState) replaces the due acks. held is
+// the frame the writer kept across the dial: a sequenced one is the
+// window's last frame, never fully written, so it is not counted as a
+// retransmit; a held ack is superseded.
+func (p *peer) replay(t *Transport, held *frame, acks map[string]uint64) {
 	p.mu.Lock()
-	p.writing = 0
-	if f.seq > 0 && !f.ack {
-		f.sentAt = time.Now()
-		p.unacked = append(p.unacked, f)
-	}
-	p.mu.Unlock()
-}
-
-// redeliver hands the writer-held frame back and replays the unacked
-// window ahead of it: a fresh connection must repeat everything the dead
-// one may have swallowed before anything newer (per-link order).
-func (p *peer) redeliver(t *Transport, f frame) {
-	p.mu.Lock()
+	defer p.mu.Unlock()
 	n := len(p.unacked)
-	merged := make([]frame, 0, n+1+len(p.pending))
-	merged = append(merged, p.unacked...)
-	merged = append(merged, f)
-	merged = append(merged, p.pending...)
-	p.pending = merged
-	p.unacked = nil
-	p.writing = 0
-	t.retransmits.Add(int64(n))
-	p.mu.Unlock()
-}
-
-// retransmitLoop watches one peer's unacked window and asks the writer
-// to replay it when the oldest frame times out. The writer owns all
-// queue surgery; this goroutine only raises the flag.
-func (t *Transport) retransmitLoop(p *peer) {
-	defer t.wg.Done()
-	for {
-		if !t.sleep(t.cfg.RetransmitTimeout / 2) {
-			return
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		if len(p.unacked) > 0 && time.Since(p.unacked[0].sentAt) >= t.cfg.RetransmitTimeout {
-			p.resendDue = true
-			p.cond.Broadcast()
-		}
-		p.mu.Unlock()
+	if held != nil && !held.ack && n > 0 {
+		n--
 	}
+	t.retransmits.Add(int64(n))
+	p.pending = append(p.unacked, p.pending...)
+	p.unacked = nil
+	p.ackDue = acks
 }
 
 // writerLoop ships one peer's frames over a lazily dialed, reconnecting
 // connection. A failed write keeps the frame, drops the connection, and
-// retries with exponential backoff; in reliable mode every reconnect and
-// every ack timeout replays the unacked window in order, so the delivery
-// guarantee is exactly-once into the receiving inbox (duplicates are
-// suppressed by the receive window). Without Reliable the guarantee is
-// TCP's, no more: frames the kernel accepted that the peer never read
-// (peer crash) are lost, and only soft-state refresh re-supplies them.
+// retries with exponential backoff; in reliable mode every reconnect
+// replays the unacked window in order, so the delivery guarantee is
+// exactly-once into the receiving inbox (duplicates are suppressed by
+// the receive window). Without Reliable the guarantee is TCP's, no more:
+// frames the kernel accepted that the peer never read (peer crash) are
+// lost, and only soft-state refresh re-supplies them.
 func (t *Transport) writerLoop(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var bw *bufio.Writer
 	var cur *frame
+	acked := false     // acks went out on conn, or on a lost one not yet replaced
 	connected := false // a successful dial after the first is a reconnect
-	backoff := t.cfg.RetryMin
+	backoff := retryMin
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -743,11 +685,16 @@ func (t *Transport) writerLoop(p *peer) {
 	}()
 	for {
 		if cur == nil {
-			f, ok := p.next(t)
+			f, ok := p.next(conn, acked)
 			if !ok {
 				return
 			}
-			cur = &f
+			cur = f
+		}
+		if conn != nil && p.lost(conn) {
+			t.untrack(conn)
+			conn.Close()
+			conn = nil
 		}
 		if conn == nil {
 			c, err := t.dial(p)
@@ -759,38 +706,21 @@ func (t *Transport) writerLoop(p *peer) {
 				if !t.sleep(backoff) {
 					return
 				}
-				backoff = min(backoff*2, t.cfg.RetryMax)
+				backoff = min(backoff*2, retryMax)
 				continue
 			}
-			conn, bw = c, bufio.NewWriter(c)
-			backoff = t.cfg.RetryMin
+			conn, bw, acked = c, bufio.NewWriter(c), false
+			backoff = retryMin
 			if connected {
 				t.reconnects.Add(1)
 			}
 			connected = true
 			if t.cfg.Reliable {
-				// The dead connection may have swallowed the window;
-				// replay it ahead of the held frame and re-pop in order.
-				p.redeliver(t, *cur)
+				p.replay(t, cur, t.ackState(p.name))
 				cur = nil
-				continue
 			}
 		}
-		if t.cfg.DropWrite != nil && t.cfg.DropWrite(p.name, cur.seq, cur.ack) {
-			// Scripted loss: the frame vanishes after "the kernel took
-			// it". For sequenced frames that is only possible when the
-			// connection dies, so model exactly that — the frame enters
-			// the unacked window and the poisoned connection's successor
-			// replays the window in order (selective per-frame loss
-			// would put gaps on the wire that go-back-N cannot see).
-			// Acks and unsequenced frames just vanish.
-			p.shipped(*cur)
-			if cur.seq > 0 && !cur.ack {
-				t.untrack(conn)
-				conn.Close()
-				conn = nil
-			}
-			cur = nil
+		if cur == nil {
 			continue
 		}
 		err := writeFrame(bw, *cur)
@@ -799,10 +729,14 @@ func (t *Transport) writerLoop(p *peer) {
 		}
 		if err == nil {
 			if cur.ack {
+				acked = true
 				t.acks.Add(1)
 				t.ackBytes.Add(int64(frameWireSize(cur.src, cur.dst, nil, cur.seq)))
+			} else if cur.seq == 0 {
+				p.mu.Lock()
+				p.writing = 0
+				p.mu.Unlock()
 			}
-			p.shipped(*cur)
 			cur = nil
 			continue
 		}
@@ -817,11 +751,19 @@ func (t *Transport) writerLoop(p *peer) {
 		if !t.sleep(backoff) {
 			return
 		}
-		backoff = min(backoff*2, t.cfg.RetryMax)
+		backoff = min(backoff*2, retryMax)
 	}
 }
 
-// dial opens, tracks, and primes (preamble + hello) a connection to p.
+// lost reports whether the peer has ended conn (watch saw it close).
+func (p *peer) lost(conn net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conn != conn
+}
+
+// dial opens, tracks, and primes (preamble + hello) a connection to p,
+// and starts its watch.
 func (t *Transport) dial(p *peer) (net.Conn, error) {
 	p.mu.Lock()
 	addr := p.addr
@@ -835,30 +777,64 @@ func (t *Transport) dial(p *peer) (net.Conn, error) {
 		conn.Close()
 		return nil, errors.New("transport closed")
 	}
-	hello := append([]byte{}, magic[:]...)
-	// The hello names the sending *process*; each frame names its own
-	// sending node, so one process can host several. The incarnation
-	// lets receivers spot a restart of the same process.
-	hello = binary.AppendUvarint(hello, uint64(len(t.helloName())))
-	hello = append(hello, t.helloName()...)
+	// The hello names the sending *process* — its first registered node,
+	// or "?" before any — and each frame names its own sending node, so
+	// one process can host several. The incarnation lets receivers spot
+	// a restart of the same process.
+	t.mu.Lock()
+	name := t.name
+	t.mu.Unlock()
+	if name == "" {
+		name = "?"
+	}
+	hello := binary.AppendUvarint(append([]byte{}, magic[:]...), uint64(len(name)))
+	hello = append(hello, name...)
 	hello = binary.AppendUvarint(hello, t.inc)
 	if _, err := conn.Write(hello); err != nil {
 		t.untrack(conn)
 		conn.Close()
 		return nil, err
 	}
+	p.mu.Lock()
+	p.conn = conn
+	p.mu.Unlock()
+	t.wg.Add(1)
+	go t.watch(p, conn)
 	return conn, nil
 }
 
-// helloName identifies this process on the wire: its first local node
-// (registration order), or "?" before any AddNode.
-func (t *Transport) helloName() string {
+// watch wakes p's writer when the peer ends conn. The peer never sends on
+// an outbound connection, so the read returns only at EOF, at a reset, or
+// when a TCP keepalive (on by default in Go's dialer) fails.
+func (t *Transport) watch(p *peer, conn net.Conn) {
+	defer t.wg.Done()
+	io.Copy(io.Discard, conn)
+	p.mu.Lock()
+	if p.conn == conn {
+		p.conn = nil
+		p.cond.Broadcast()
+	}
+	p.mu.Unlock()
+}
+
+// ackState is the cumulative ack of every link from node into this
+// process, taken from the highest sender incarnation that still has a
+// live inbound connection: acks carry no incarnation, and a dead one's
+// count could clear a restarted sender's fresh sequence numbers.
+func (t *Transport) ackState(node string) map[string]uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for name := range t.local {
-		return name
+	best := make(map[string]recvKey)
+	for k := range t.recvSeq {
+		if k.src == node && t.live[k.inc] > 0 && k.inc >= best[k.dst].inc {
+			best[k.dst] = k
+		}
 	}
-	return "?"
+	acks := make(map[string]uint64, len(best))
+	for dst, k := range best {
+		acks[dst] = t.recvSeq[k]
+	}
+	return acks
 }
 
 // sleep waits d or until shutdown, reporting whether to continue.
@@ -957,8 +933,8 @@ func (t *Transport) acceptLoop() {
 // readLoop consumes one inbound connection: preamble, hello (with
 // restart detection), then frames — acks are absorbed into the sender
 // window, duplicates dropped, fresh data delivered to local inboxes and
-// acknowledged. Protocol errors poison only this connection; the peer's
-// dialer re-opens it.
+// acknowledged. Protocol errors and sequence gaps poison only this
+// connection; the peer's dialer re-opens it.
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrack(conn)
@@ -981,6 +957,13 @@ func (t *Transport) readLoop(conn net.Conn) {
 		return
 	}
 	t.observeIncarnation(from, inc)
+	defer func() {
+		t.mu.Lock()
+		if t.live[inc]--; t.live[inc] == 0 {
+			delete(t.live, inc)
+		}
+		t.mu.Unlock()
+	}()
 	for {
 		body, err := readLengthPrefixed(br, DefaultMaxFrame)
 		if err != nil {
@@ -1000,38 +983,47 @@ func (t *Transport) readLoop(conn net.Conn) {
 			t.handleAck(src, dst, seq)
 			continue
 		}
-		if seq > 0 {
-			cum, fresh := t.admit(inc, src, dst, seq)
-			t.queueAck(dst, src, cum)
-			if !fresh {
-				t.dupDropped.Add(1)
-				continue
-			}
-		}
+		// Admit and queue under one lock, so that a replaced connection's
+		// reader draining beside its successor cannot reorder a link.
 		t.mu.Lock()
+		cum, fresh, err := t.admit(inc, src, dst, seq)
 		box := t.local[dst]
-		if box == nil {
+		if fresh && box != nil {
+			t.enqueue(box, src, dst, payload)
+		} else if fresh {
 			// Not registered (yet): park the frame for AddNode. A name
 			// this process will never host leaks its backlog here; the
 			// log line is the operator's clue to a peer-map typo.
 			t.charge(src, dst, payload, seq)
 			t.parked.Add(1)
 			t.orphans[dst] = append(t.orphans[dst], netsim.Message{From: src, To: dst, Payload: payload})
-			t.mu.Unlock()
-			t.cfg.Logf("nettcp: frame from %s parked for unregistered node %q", src, dst)
-			continue
 		}
 		t.mu.Unlock()
-		t.enqueue(box, src, dst, payload)
+		if err != nil {
+			t.cfg.Logf("nettcp: %v; closing the connection from %s", err, from)
+			return
+		}
+		if seq > 0 {
+			t.queueAck(dst, src, cum)
+		}
+		switch {
+		case !fresh:
+			t.dupDropped.Add(1)
+		case box == nil:
+			t.cfg.Logf("nettcp: frame from %s parked for unregistered node %q", src, dst)
+		default:
+			t.wake()
+		}
 	}
 }
 
-// observeIncarnation records a peer process's hello incarnation and
-// fires the restart handler when a name first appears (join) or a known
-// name reappears newer (restart). Re-hellos of the live incarnation —
-// plain reconnects — fire nothing.
+// observeIncarnation records a peer process's hello incarnation, counts
+// the connection as live for it, and fires the restart handler when a
+// name first appears (join) or a known name reappears newer (restart).
+// Re-hellos of the live incarnation — plain reconnects — fire nothing.
 func (t *Transport) observeIncarnation(process string, inc uint64) {
 	t.mu.Lock()
+	t.live[inc]++
 	prev, seen := t.seenInc[process]
 	if !seen || inc > prev {
 		t.seenInc[process] = inc
@@ -1052,27 +1044,29 @@ func (t *Transport) observeIncarnation(process string, inc uint64) {
 
 // admit runs the receive-side duplicate window for one sequenced frame:
 // it reports the cumulative sequence to acknowledge and whether the
-// frame is fresh (deliverable). A gap on a link with no window state
+// frame is fresh (deliverable); an unsequenced frame always is. The
+// caller holds t.mu. A gap on a link with no window state
 // means this receiver lost the state (it restarted): the stream
 // resynchronizes at the frame in hand, and the content of the missed
 // prefix comes back through soft-state re-announcement, not the
-// transport. A gap on a link *with* state should be impossible under
-// go-back-N replay; the frame is rejected unacknowledged so the
-// sender's in-order window replay re-delivers it in sequence.
-func (t *Transport) admit(inc uint64, src, dst string, seq uint64) (cum uint64, fresh bool) {
+// transport. A gap on a link *with* state (a replaced connection's
+// reader still draining beside its successor) is an error: the caller
+// closes the connection, and the sender replays its window from the
+// acknowledged point on the next one.
+func (t *Transport) admit(inc uint64, src, dst string, seq uint64) (cum uint64, fresh bool, err error) {
+	if seq == 0 {
+		return 0, true, nil
+	}
 	k := recvKey{inc: inc, src: src, dst: dst}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	last := t.recvSeq[k]
 	switch {
 	case seq <= last:
-		return last, false
+		return last, false, nil
 	case seq > last+1 && last != 0:
-		t.cfg.Logf("nettcp: link %s->%s seq %d jumps past %d; awaiting in-order replay", src, dst, seq, last)
-		return last, false
+		return last, false, fmt.Errorf("link %s->%s seq %d jumps past %d", src, dst, seq, last)
 	}
 	t.recvSeq[k] = seq
-	return seq, true
+	return seq, true, nil
 }
 
 // handleAck clears the acknowledged prefix of the (ackDst -> ackSrc)

@@ -221,7 +221,7 @@ func TestDialRetryBeforeListenerUp(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	trA, err := New(Config{Listen: "127.0.0.1:0", Peers: map[string]string{"b": addr}, Logf: t.Logf, RetryMin: 10 * time.Millisecond})
+	trA, err := New(Config{Listen: "127.0.0.1:0", Peers: map[string]string{"b": addr}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,16 @@
 package nettcp
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,18 +25,11 @@ func tCtx(t *testing.T, d time.Duration) context.Context {
 	return ctx
 }
 
-// newReliable builds a reliable transport with a short retransmit
-// timeout, applying mut to the config before New.
+// newReliable builds a reliable transport, applying mut to the config
+// before New.
 func newReliable(t *testing.T, peers map[string]string, mut func(*Config)) *Transport {
 	t.Helper()
-	cfg := Config{
-		Listen:            "127.0.0.1:0",
-		Peers:             peers,
-		Logf:              t.Logf,
-		Reliable:          true,
-		RetransmitTimeout: 30 * time.Millisecond,
-		RetryMin:          10 * time.Millisecond,
-	}
+	cfg := Config{Listen: "127.0.0.1:0", Peers: peers, Logf: t.Logf, Reliable: true}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -75,28 +75,146 @@ func assertDelivered(t *testing.T, tr *Transport, want []string) {
 	}
 }
 
-// TestReliableDeliveryUnderLoss drops the first write of every data
-// frame: each must come back via the retransmit window, in order,
-// without duplicates reaching the inbox.
-func TestReliableDeliveryUnderLoss(t *testing.T) {
-	trB := newReliable(t, nil, nil)
+// Sides of a killProxy.
+const (
+	dataSide = iota
+	ackSide
+)
+
+// killProxy stands between two transports and scripts loss the way a
+// network loses it: by killing connections. It forwards every connection
+// it accepts to its target, both directions, reading the dialer's stream
+// frame by frame. At each kill point — the k-th frame seen on a side,
+// counted over all of that side's connections — it drops that frame and
+// closes both ends of every connection it carries.
+type killProxy struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	seen   [2]int
+	kills  [2][]int // ascending kill points per side
+	closed bool
+}
+
+// killPair connects reliable transports hosting "a" and "b" through a
+// killProxy: a's connections to b are its data side, and b's connections
+// to a, which carry only acks, its ack side.
+func killPair(t *testing.T, dataKills, ackKills []int) (trA, trB *Transport) {
+	t.Helper()
+	kp := &killProxy{conns: make(map[net.Conn]bool), kills: [2][]int{dataKills, ackKills}}
+	trB = newReliable(t, nil, nil)
 	trB.AddNode("b")
-	trA := newReliable(t, map[string]string{"b": trB.Addr()}, func(c *Config) {
-		var mu sync.Mutex
-		seen := make(map[uint64]bool)
-		c.DropWrite = func(peer string, seq uint64, ack bool) bool {
-			if ack || seq == 0 {
-				return false
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			first := !seen[seq]
-			seen[seq] = true
-			return first // lose every frame's first transmission
-		}
-	})
+	trA = newReliable(t, map[string]string{"b": kp.listen(t, dataSide, trB.Addr())}, nil)
 	trA.AddNode("a")
-	trB.AddPeer("a", trA.Addr()) // return path for acks
+	trB.AddPeer("a", kp.listen(t, ackSide, trA.Addr()))
+	return trA, trB
+}
+
+// listen forwards the connections accepted on a fresh loopback port to
+// target, counting their frames on side, and returns the port's address.
+func (kp *killProxy) listen(t *testing.T, side int, target string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ln.Close()
+		kp.mu.Lock()
+		kp.closed = true
+		kp.killLocked()
+		kp.mu.Unlock()
+	})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go kp.forward(side, c, target)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// forward carries one connection: the dialer's stream, frame by frame, to
+// target, and target's close back to the dialer.
+func (kp *killProxy) forward(side int, c net.Conn, target string) {
+	s, err := net.Dial("tcp", target)
+	if err != nil {
+		c.Close()
+		return
+	}
+	kp.mu.Lock()
+	if kp.closed {
+		kp.mu.Unlock()
+		c.Close()
+		s.Close()
+		return
+	}
+	kp.conns[c], kp.conns[s] = true, true
+	kp.mu.Unlock()
+	defer c.Close()
+	defer s.Close()
+	go func() {
+		io.Copy(c, s)
+		c.Close()
+	}()
+	br := bufio.NewReader(c)
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		return
+	}
+	name, err := readLengthPrefixed(br, DefaultMaxFrame)
+	if err != nil {
+		return
+	}
+	inc, err := binary.ReadUvarint(br)
+	if err != nil {
+		return
+	}
+	hello := binary.AppendUvarint(pre[:], uint64(len(name)))
+	hello = binary.AppendUvarint(append(hello, name...), inc)
+	if _, err := s.Write(hello); err != nil {
+		return
+	}
+	for {
+		body, err := readLengthPrefixed(br, DefaultMaxFrame)
+		if err != nil || !kp.pass(side) {
+			return
+		}
+		if _, err := s.Write(append(binary.AppendUvarint(nil, uint64(len(body))), body...)); err != nil {
+			return
+		}
+	}
+}
+
+// pass counts one frame on side and reports whether it goes through; at
+// a kill point it closes every connection instead.
+func (kp *killProxy) pass(side int) bool {
+	kp.mu.Lock()
+	defer kp.mu.Unlock()
+	kp.seen[side]++
+	if k := kp.kills[side]; len(k) == 0 || k[0] != kp.seen[side] {
+		return true
+	}
+	kp.kills[side] = kp.kills[side][1:]
+	kp.killLocked()
+	return false
+}
+
+func (kp *killProxy) killLocked() {
+	for c := range kp.conns {
+		c.Close()
+	}
+	clear(kp.conns)
+}
+
+// TestReliableDeliveryUnderLoss kills the connections at scattered data
+// frames, each time losing the frame in hand: every payload must come
+// back through the window replayed on reconnect, in order, without
+// duplicates reaching the inbox.
+func TestReliableDeliveryUnderLoss(t *testing.T) {
+	trA, trB := killPair(t, []int{1, 3, 7, 15}, nil)
 	sent := sendSeq(t, trA, 20)
 	assertDelivered(t, trB, sent)
 	if s := trA.Stats(); s.Retransmits == 0 {
@@ -110,21 +228,12 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 	}
 }
 
-// TestLostAcksForceDupSuppression drops every ack once: the sender
-// retransmits already-delivered frames, and the receive window must
-// swallow them (DupDropped counts, the inbox sees each payload once).
+// TestLostAcksForceDupSuppression kills the connections at the first
+// acks: the sender replays frames the receiver already delivered, and the
+// receive window must swallow them (DupDropped counts, the inbox sees
+// each payload once).
 func TestLostAcksForceDupSuppression(t *testing.T) {
-	var dropped atomic.Int64
-	trB := newReliable(t, nil, func(c *Config) {
-		// The receiver loses its first few outbound acks.
-		c.DropWrite = func(peer string, seq uint64, ack bool) bool {
-			return ack && dropped.Add(1) <= 5
-		}
-	})
-	trB.AddNode("b")
-	trA := newReliable(t, map[string]string{"b": trB.Addr()}, nil)
-	trA.AddNode("a")
-	trB.AddPeer("a", trA.Addr()) // return path for acks
+	trA, trB := killPair(t, nil, []int{1, 2, 3, 4, 5})
 	sent := sendSeq(t, trA, 10)
 	assertDelivered(t, trB, sent)
 	if err := trA.Flush(tCtx(t, 5*time.Second)); err != nil {
@@ -132,6 +241,110 @@ func TestLostAcksForceDupSuppression(t *testing.T) {
 	}
 	if s := trB.Stats(); s.DupDropped == 0 {
 		t.Fatalf("expected duplicate suppression after lost acks, receiver stats = %+v", s)
+	}
+}
+
+// TestSequenceGapClosesConnection pins the receive side of replay: a
+// sequenced frame that skips ahead on a link with state closes the
+// connection, so that the sender replays from the acknowledged point, and
+// nothing past the gap is delivered.
+func TestSequenceGapClosesConnection(t *testing.T) {
+	gap := make(chan string, 1)
+	tr := newReliable(t, nil, func(c *Config) {
+		c.Logf = func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "jumps past") {
+				select {
+				case gap <- line:
+				default:
+				}
+			}
+		}
+	})
+	tr.AddNode("b")
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	bw.Write(magic[:])
+	bw.WriteString("\x01a\x01") // hello "a", incarnation 1
+	for _, seq := range []uint64{1, 3} {
+		if err := writeFrame(bw, frame{src: "a", dst: "b", payload: []byte{byte(seq)}, seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a sequence gap (read: %v)", err)
+	}
+	select {
+	case line := <-gap:
+		t.Log(line)
+	default:
+		t.Fatal("the connection closed, but not for the gap")
+	}
+	if msgs := tr.Drain("b"); len(msgs) != 1 || msgs[0].Payload[0] != 1 {
+		t.Fatalf("delivered %v, want seq 1 alone", msgs)
+	}
+}
+
+// TestHelloNameIsStable pins the hello of a process whose nodes' names
+// differ in length (n1, n10, …): every connection it dials must parse to
+// its first registered node and its incarnation, the receiver must see it
+// join once, and no connection may be dropped and re-dialed.
+func TestHelloNameIsStable(t *testing.T) {
+	trB := newT(t, nil)
+	joined := make(chan string, 16)
+	trB.SetRestartHandler(func(process string) { joined <- process })
+	peers := make(map[string]string)
+	for i := range 8 {
+		name := fmt.Sprintf("p%d", i)
+		trB.AddNode(name)
+		peers[name] = trB.Addr()
+	}
+	trA := newT(t, peers)
+	for _, name := range []string{"n1", "n10", "n2", "n100", "n3", "n20"} {
+		trA.AddNode(name)
+	}
+	for name := range peers {
+		if err := trA.Send("n1", name, []byte(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := 0
+	for deadline := time.Now().Add(10 * time.Second); got < len(peers) && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for name := range peers {
+			got += len(trB.Drain(name))
+		}
+	}
+	if got != len(peers) {
+		t.Errorf("%d of %d frames delivered", got, len(peers))
+	}
+	trB.mu.Lock()
+	seen := maps.Clone(trB.seenInc)
+	trB.mu.Unlock()
+	if len(seen) != 1 || seen["n1"] != trA.inc {
+		t.Errorf("hellos parsed to %v, want only n1 at incarnation %d", seen, trA.inc)
+	}
+	select {
+	case p := <-joined:
+		if p != "n1" {
+			t.Errorf("join reported for %q, want n1", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("restart handler never fired")
+	}
+	select {
+	case p := <-joined:
+		t.Errorf("restart handler fired again, for %q", p)
+	default:
+	}
+	if s := trA.Stats(); s.Reconnects != 0 {
+		t.Errorf("Reconnects = %d, want 0", s.Reconnects)
 	}
 }
 
@@ -192,8 +405,9 @@ func TestCrashedReceiverFramesRetransmitted(t *testing.T) {
 }
 
 // TestBackpressureBoundsQueue pins the bounded-window contract: with the
-// peer unreachable, at most Window frames are accepted and the next send
-// blocks (observable via the Backpressured counter) until Close fails it.
+// peer unreachable, exactly window (4096) frames are accepted and the next
+// send blocks (observable via the Backpressured counter) until Close fails
+// it.
 func TestBackpressureBoundsQueue(t *testing.T) {
 	// A dead address: reserve a port and close it.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -203,8 +417,7 @@ func TestBackpressureBoundsQueue(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close()
 
-	const window = 4
-	trA := newReliable(t, map[string]string{"b": dead}, func(c *Config) { c.Window = window })
+	trA := newReliable(t, map[string]string{"b": dead}, nil)
 	trA.AddNode("a")
 
 	var accepted atomic.Int64
@@ -289,53 +502,35 @@ func TestPeerRestartDetection(t *testing.T) {
 	await("restart")
 }
 
-// FuzzAckRetransmit replays arbitrary loss scripts over the ack and
-// retransmit path: whatever the script drops, every payload must arrive
-// exactly once and in order, and the window must eventually clear. The
-// seed corpus covers no loss, data-only loss, ack-only loss, mixed
-// bursts, and the all-ones script.
-func FuzzAckRetransmit(f *testing.F) {
-	f.Add([]byte{0x00}, uint8(4))
-	f.Add([]byte{0xaa, 0x55}, uint8(6))
-	f.Add([]byte{0xff, 0x00, 0xff}, uint8(5))
-	f.Add([]byte{0x0f, 0xf0}, uint8(8))
-	f.Add([]byte{0xff}, uint8(5))
-	f.Fuzz(func(t *testing.T, script []byte, n uint8) {
-		if len(script) == 0 {
-			script = []byte{0}
-		}
-		count := int(n)%8 + 1
-		// Writes are counted per traffic class (data, ack): on one shared
-		// counter the pass slot below can phase-lock onto one class — under
-		// an all-ones script every ack follows the data write that just took
-		// the slot, so no ack ever passes while go-back-N replays the window.
-		var attempts [2]atomic.Int64
-		drop := func(peer string, seq uint64, ack bool) bool {
-			class := 0
-			if ack {
-				class = 1
-			}
-			i := attempts[class].Add(1) - 1
-			if i%11 == 10 {
-				return false // guarantee progress under all-ones scripts
-			}
-			bit := script[int(i)%len(script)] >> (uint(i) % 8) & 1
-			return bit == 1
-		}
-		// Under an all-ones script a payload needs 11 × 11 data writes to
-		// get itself and then its ack through, a window replay per ack
-		// timeout: keep that timeout short, so that the worst script takes
-		// a fraction of the 10 s the assertions below allow.
-		lossy := func(c *Config) { c.DropWrite, c.RetransmitTimeout = drop, 5*time.Millisecond }
-		trB := newReliable(t, nil, lossy)
-		trB.AddNode("b")
-		trA := newReliable(t, map[string]string{"b": trB.Addr()}, lossy)
-		trA.AddNode("a")
-		trB.AddPeer("a", trA.Addr())
-		sent := sendSeq(t, trA, count)
+// FuzzReconnectReplay kills connections at arbitrary points on the data
+// side and the ack side: whatever the script kills, every payload must
+// arrive exactly once and in order, and Flush must return within 10 s.
+// The seed corpus covers no kills, data-side kills, ack-side kills, both,
+// and bursts of kills at consecutive frames on both sides.
+func FuzzReconnectReplay(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(4))
+	f.Add([]byte{0, 1}, []byte{}, uint8(6))
+	f.Add([]byte{}, []byte{0, 2}, uint8(5))
+	f.Add([]byte{1, 0, 3}, []byte{0, 1}, uint8(8))
+	f.Add([]byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, uint8(7))
+	f.Fuzz(func(t *testing.T, data, acks []byte, n uint8) {
+		trA, trB := killPair(t, killPoints(data), killPoints(acks))
+		sent := sendSeq(t, trA, int(n)%8+1)
 		assertDelivered(t, trB, sent)
 		if err := trA.Flush(tCtx(t, 10*time.Second)); err != nil {
 			t.Fatalf("window never cleared: %v", err)
 		}
 	})
+}
+
+// killPoints turns fuzz bytes into at most 8 ascending kill points, each
+// byte the gap (0–7 frames) after the previous one.
+func killPoints(gaps []byte) []int {
+	var points []int
+	k := 0
+	for _, g := range gaps[:min(len(gaps), 8)] {
+		k += 1 + int(g%8)
+		points = append(points, k)
+	}
+	return points
 }
