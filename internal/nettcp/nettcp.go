@@ -645,11 +645,12 @@ func (p *peer) next(conn net.Conn, acked bool) (f *frame, ok bool) {
 // replay runs after a reliable dial. The lost connection may have
 // swallowed the window and the acks written on it, so the window moves
 // back to the front of the queue in send order (all of it predates
-// anything queued), and acks (ackState) replaces the due acks. held is
+// anything queued), and the due acks are dropped: the writer re-queues
+// ackState next, merged with any ack a reader queues meanwhile. held is
 // the frame the writer kept across the dial: a sequenced one is the
 // window's last frame, never fully written, so it is not counted as a
 // retransmit; a held ack is superseded.
-func (p *peer) replay(t *Transport, held *frame, acks map[string]uint64) {
+func (p *peer) replay(t *Transport, held *frame) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.unacked)
@@ -659,7 +660,7 @@ func (p *peer) replay(t *Transport, held *frame, acks map[string]uint64) {
 	t.retransmits.Add(int64(n))
 	p.pending = append(p.unacked, p.pending...)
 	p.unacked = nil
-	p.ackDue = acks
+	p.ackDue = nil
 }
 
 // writerLoop ships one peer's frames over a lazily dialed, reconnecting
@@ -716,8 +717,11 @@ func (t *Transport) writerLoop(p *peer) {
 			}
 			connected = true
 			if t.cfg.Reliable {
-				p.replay(t, cur, t.ackState(p.name))
+				p.replay(t, cur)
 				cur = nil
+				for dst, cum := range t.ackState(p.name) {
+					t.queueAck(dst, p.name, cum) // the max rule keeps newer acks
+				}
 			}
 		}
 		if cur == nil {

@@ -75,6 +75,16 @@ func assertDelivered(t *testing.T, tr *Transport, want []string) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // Sides of a killProxy.
 const (
 	dataSide = iota
@@ -86,21 +96,23 @@ const (
 // it accepts to its target, both directions, reading the dialer's stream
 // frame by frame. At each kill point — the k-th frame seen on a side,
 // counted over all of that side's connections — it drops that frame and
-// closes both ends of every connection it carries.
+// closes both ends of every connection of that side, or of both sides
+// when both is set.
 type killProxy struct {
 	mu     sync.Mutex
-	conns  map[net.Conn]bool
+	conns  map[net.Conn]int // the side each carried connection end is on
 	seen   [2]int
 	kills  [2][]int // ascending kill points per side
+	both   bool
 	closed bool
 }
 
 // killPair connects reliable transports hosting "a" and "b" through a
 // killProxy: a's connections to b are its data side, and b's connections
 // to a, which carry only acks, its ack side.
-func killPair(t *testing.T, dataKills, ackKills []int) (trA, trB *Transport) {
+func killPair(t *testing.T, dataKills, ackKills []int, both bool) (trA, trB *Transport) {
 	t.Helper()
-	kp := &killProxy{conns: make(map[net.Conn]bool), kills: [2][]int{dataKills, ackKills}}
+	kp := &killProxy{conns: make(map[net.Conn]int), kills: [2][]int{dataKills, ackKills}, both: both}
 	trB = newReliable(t, nil, nil)
 	trB.AddNode("b")
 	trA = newReliable(t, map[string]string{"b": kp.listen(t, dataSide, trB.Addr())}, nil)
@@ -121,7 +133,7 @@ func (kp *killProxy) listen(t *testing.T, side int, target string) string {
 		ln.Close()
 		kp.mu.Lock()
 		kp.closed = true
-		kp.killLocked()
+		kp.killLocked(-1)
 		kp.mu.Unlock()
 	})
 	go func() {
@@ -151,7 +163,7 @@ func (kp *killProxy) forward(side int, c net.Conn, target string) {
 		s.Close()
 		return
 	}
-	kp.conns[c], kp.conns[s] = true, true
+	kp.conns[c], kp.conns[s] = side, side
 	kp.mu.Unlock()
 	defer c.Close()
 	defer s.Close()
@@ -189,7 +201,7 @@ func (kp *killProxy) forward(side int, c net.Conn, target string) {
 }
 
 // pass counts one frame on side and reports whether it goes through; at
-// a kill point it closes every connection instead.
+// a kill point it closes the side's connections instead.
 func (kp *killProxy) pass(side int) bool {
 	kp.mu.Lock()
 	defer kp.mu.Unlock()
@@ -198,23 +210,27 @@ func (kp *killProxy) pass(side int) bool {
 		return true
 	}
 	kp.kills[side] = kp.kills[side][1:]
-	kp.killLocked()
+	kp.killLocked(side)
 	return false
 }
 
-func (kp *killProxy) killLocked() {
-	for c := range kp.conns {
-		c.Close()
+// killLocked closes the connections of side, or of both sides when side
+// is -1 or kp.both is set.
+func (kp *killProxy) killLocked(side int) {
+	for c, s := range kp.conns {
+		if s == side || side < 0 || kp.both {
+			c.Close()
+			delete(kp.conns, c)
+		}
 	}
-	clear(kp.conns)
 }
 
-// TestReliableDeliveryUnderLoss kills the connections at scattered data
-// frames, each time losing the frame in hand: every payload must come
-// back through the window replayed on reconnect, in order, without
+// TestReliableDeliveryUnderLoss kills the data connections at scattered
+// data frames, each time losing the frame in hand: every payload must
+// come back through the window replayed on reconnect, in order, without
 // duplicates reaching the inbox.
 func TestReliableDeliveryUnderLoss(t *testing.T) {
-	trA, trB := killPair(t, []int{1, 3, 7, 15}, nil)
+	trA, trB := killPair(t, []int{1, 3, 7, 15}, nil, false)
 	sent := sendSeq(t, trA, 20)
 	assertDelivered(t, trB, sent)
 	if s := trA.Stats(); s.Retransmits == 0 {
@@ -228,12 +244,12 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 	}
 }
 
-// TestLostAcksForceDupSuppression kills the connections at the first
+// TestLostAcksForceDupSuppression kills every connection at the first
 // acks: the sender replays frames the receiver already delivered, and the
 // receive window must swallow them (DupDropped counts, the inbox sees
 // each payload once).
 func TestLostAcksForceDupSuppression(t *testing.T) {
-	trA, trB := killPair(t, nil, []int{1, 2, 3, 4, 5})
+	trA, trB := killPair(t, nil, []int{1, 2, 3, 4, 5}, true)
 	sent := sendSeq(t, trA, 10)
 	assertDelivered(t, trB, sent)
 	if err := trA.Flush(tCtx(t, 5*time.Second)); err != nil {
@@ -241,6 +257,91 @@ func TestLostAcksForceDupSuppression(t *testing.T) {
 	}
 	if s := trB.Stats(); s.DupDropped == 0 {
 		t.Fatalf("expected duplicate suppression after lost acks, receiver stats = %+v", s)
+	}
+}
+
+// TestLastAckResentAfterRedial kills only the ack side, at the ack of the
+// last data frame. The data connection survives and the sender never
+// reconnects, so its window clears only because the receiver re-sends its
+// cumulative ack after redialing.
+func TestLastAckResentAfterRedial(t *testing.T) {
+	const n = 3
+	trA, trB := killPair(t, nil, []int{n}, false)
+	for i := range n {
+		if err := trA.Send("a", "b", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		// One ack frame per data frame: the n-th is the last frame's.
+		if err := trA.Flush(tCtx(t, 10*time.Second)); err != nil {
+			t.Fatalf("frame %d: window never cleared: %v", i, err)
+		}
+	}
+	waitDrain(t, trB, "b", n)
+	if a, b := trA.Stats(), trB.Stats(); a.Reconnects != 0 || a.Retransmits != 0 || b.Reconnects != 1 {
+		t.Fatalf("want only the ack side redialed, once: sender %+v, receiver %+v", a, b)
+	}
+}
+
+// TestAckRedialDuringInboundData kills the ack side again and again while
+// data flows, so each redial re-queues the cumulative acks while readers
+// queue newer ones. The data side never breaks and the sender never
+// replays, so a newer ack the redial lost would, at the tail, leave the
+// window full for good.
+func TestAckRedialDuringInboundData(t *testing.T) {
+	trA, trB := killPair(t, nil, []int{1, 2, 3, 5, 8, 13, 21, 34, 55}, false)
+	sent := sendSeq(t, trA, 400)
+	assertDelivered(t, trB, sent)
+	if err := trA.Flush(tCtx(t, 10*time.Second)); err != nil {
+		t.Fatalf("window never cleared (an ack was lost in a redial): %v", err)
+	}
+	if s := trA.Stats(); s.Reconnects != 0 {
+		t.Fatalf("the sender reconnected, though only the ack side was killed: %+v", s)
+	}
+}
+
+// TestDeadIncarnationNotReacked restarts the sender before the receiver's
+// ack connection redials. The acks re-sent after that dial must not cover
+// the dead incarnation's link: its count would clear the new
+// incarnation's fresh sequence numbers before any of its frames arrived.
+func TestDeadIncarnationNotReacked(t *testing.T) {
+	trB := newReliable(t, nil, nil)
+	trB.AddNode("b")
+	trA1 := newReliable(t, map[string]string{"b": trB.Addr()}, nil)
+	trA1.AddNode("a")
+	trB.AddPeer("a", trA1.Addr())
+	sendSeq(t, trA1, 5)
+	if err := trA1.Flush(tCtx(t, 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	trA1.Close()
+	waitFor(t, "the dead incarnation's connection to end", func() bool {
+		trB.mu.Lock()
+		defer trB.mu.Unlock()
+		return len(trB.live) == 0
+	})
+
+	// The new incarnation's frames stall in a listener that never
+	// accepts, so only an ack can clear its window.
+	stall, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stall.Close() })
+	trA2 := newReliable(t, map[string]string{"b": stall.Addr().String()}, nil)
+	trA2.AddNode("a")
+	sendSeq(t, trA2, 5)
+	waitFor(t, "the new incarnation's writer to take its frames", func() bool {
+		return trA2.QueueDepths()["b"] == 0
+	})
+	trB.AddPeer("a", trA2.Addr())
+	waitFor(t, "the receiver's redial", func() bool {
+		trA2.mu.Lock()
+		defer trA2.mu.Unlock()
+		return trA2.seenInc["b"] != 0
+	})
+	time.Sleep(100 * time.Millisecond) // a re-sent ack follows the hello at once
+	if n := trA2.InFlight(); n != 5 {
+		t.Fatalf("InFlight = %d, want 5: the dead incarnation's ack cleared fresh frames", n)
 	}
 }
 
@@ -503,18 +604,21 @@ func TestPeerRestartDetection(t *testing.T) {
 }
 
 // FuzzReconnectReplay kills connections at arbitrary points on the data
-// side and the ack side: whatever the script kills, every payload must
-// arrive exactly once and in order, and Flush must return within 10 s.
-// The seed corpus covers no kills, data-side kills, ack-side kills, both,
-// and bursts of kills at consecutive frames on both sides.
+// side and the ack side, each kill closing its own side's connections or,
+// with both, every connection: whatever the script kills, every payload
+// must arrive exactly once and in order, and Flush must return within
+// 10 s. The seed corpus covers no kills, data-side kills, ack-side kills,
+// both, and bursts of kills at consecutive frames on both sides.
 func FuzzReconnectReplay(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint8(4))
-	f.Add([]byte{0, 1}, []byte{}, uint8(6))
-	f.Add([]byte{}, []byte{0, 2}, uint8(5))
-	f.Add([]byte{1, 0, 3}, []byte{0, 1}, uint8(8))
-	f.Add([]byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, uint8(7))
-	f.Fuzz(func(t *testing.T, data, acks []byte, n uint8) {
-		trA, trB := killPair(t, killPoints(data), killPoints(acks))
+	f.Add([]byte{}, []byte{}, uint8(4), false)
+	f.Add([]byte{0, 1}, []byte{}, uint8(6), false)
+	f.Add([]byte{}, []byte{0, 2}, uint8(5), false)
+	f.Add([]byte{}, []byte{0, 2}, uint8(5), true)
+	f.Add([]byte{1, 0, 3}, []byte{0, 1}, uint8(8), false)
+	f.Add([]byte{1, 0, 3}, []byte{0, 1}, uint8(8), true)
+	f.Add([]byte{0, 0, 0, 0}, []byte{0, 0, 0, 0}, uint8(7), true)
+	f.Fuzz(func(t *testing.T, data, acks []byte, n uint8, both bool) {
+		trA, trB := killPair(t, killPoints(data), killPoints(acks), both)
 		sent := sendSeq(t, trA, int(n)%8+1)
 		assertDelivered(t, trB, sent)
 		if err := trA.Flush(tCtx(t, 10*time.Second)); err != nil {
