@@ -98,9 +98,10 @@ chaos:
 
 # Wire-decoder fuzzing (every frame kind, one decoder; the RSA tree tag,
 # parsed before it is authenticated; the condensed-provenance BDD table;
-# tuple decoding through a symbol table against decoding without one)
-# and the two hash-collision fuzzers (retraction; the provenance store's
-# tuple index), same budget as CI.
+# tuple decoding through a symbol table against decoding without one),
+# the two hash-collision fuzzers (retraction; the provenance store's
+# tuple index) and store-log recovery after arbitrary trailing bytes,
+# same budget as CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOpenTreeTag -fuzztime 30s ./internal/auth
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWithSymbols -fuzztime 30s ./internal/data
 	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStoreIndex -fuzztime 30s ./internal/provenance
+	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 30s ./internal/storelog
 
 # The CI docs job: markdown link check over README/ROADMAP/docs and the
 # multiprocess smoke. The checked examples (example_test.go) run with

@@ -79,8 +79,9 @@ type Store interface {
 	// Append records one event. Errors are sticky: the driver surfaces
 	// the first failure and stops appending.
 	Append(ev StoreEvent) error
-	// Seal marks a quiescent point (a distributed fixpoint): a durable
-	// backend may checkpoint a snapshot so recovery replays less log.
+	// Seal marks a quiescent point (a distributed fixpoint). It reports
+	// a store that can take no more events; storelog writes nothing for
+	// it, since its recovery replays the whole event log.
 	Seal() error
 	// Flush blocks until every appended event is durable.
 	Flush() error
@@ -119,7 +120,7 @@ type NodeState struct {
 // recovery bit-identical to the in-memory run.
 type StoreState struct {
 	Nodes map[string]*NodeState
-	// Clock is the logical time of the last applied event (or seal).
+	// Clock is the logical time of the last applied event.
 	Clock float64
 }
 

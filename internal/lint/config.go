@@ -62,7 +62,7 @@ func DefaultConfig() *Config {
 		MapIterPkgs: []string{
 			m + "/internal/engine",   // ordered-commit/export stage
 			m + "/internal/core",     // seal/send + wire encode
-			m + "/internal/storelog", // store append/snapshot
+			m + "/internal/storelog", // store append/recovery
 			m + "/internal/data",     // wire codec
 		},
 		DetPathPkgs: []string{

@@ -75,10 +75,10 @@ func churnRun(t *testing.T, st core.Store) (viewDump string) {
 
 // TestStoreLogMatchesMemory is the PR 6 determinism pin: the churn
 // workload's tables and condensed provenance are bit-identical across
-// (a) the in-memory MemStore materialization, (b) a storelog replay of
-// the full event log, and (c) a storelog recovery from a snapshot plus
-// tail events after a simulated crash (torn final record) — all three
-// also matching the live driver's published ReadView.
+// (a) the in-memory MemStore materialization and (b) a storelog recovery
+// that replays the full event log after a simulated crash (torn final
+// record) — both also matching the live driver's published ReadView, and
+// every event durable exactly once.
 func TestStoreLogMatchesMemory(t *testing.T) {
 	// (a) In-memory oracle.
 	mem := core.NewMemStore()
@@ -92,44 +92,18 @@ func TestStoreLogMatchesMemory(t *testing.T) {
 		t.Fatal("driver never sealed the store at quiescence")
 	}
 
-	// (b) Durable log, no snapshots: recovery replays every event.
-	dirB := t.TempDir()
-	logB, err := storelog.Open(dirB, storelog.Options{SealEvery: -1, NoSync: true})
+	// (b) Durable log, then a simulated crash: garbage appended after the
+	// last intact record (a torn write). Recovery must skip the torn tail
+	// and replay every event to the same state.
+	dir := t.TempDir()
+	log, err := storelog.Open(dir, storelog.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := churnRun(t, logB); got != viewDump {
+	if got := churnRun(t, log); got != viewDump {
 		t.Fatalf("storelog run published different view\n--- mem ---\n%s\n--- log ---\n%s", viewDump, got)
 	}
-	stateB, statsB, err := storelog.Recover(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsB.SnapshotUsed {
-		t.Error("SealEvery<0 run should have no snapshot to recover from")
-	}
-	if statsB.TornBytes != 0 {
-		t.Errorf("clean close left %d torn bytes", statsB.TornBytes)
-	}
-	if got := stateB.LiveDump(); got != viewDump {
-		t.Fatalf("full-log replay diverges\n--- mem ---\n%s\n--- replay ---\n%s", viewDump, got)
-	}
-	if got := stateB.Dump(); got != fullDump {
-		t.Fatalf("full-log replay stale tier diverges\n--- mem ---\n%s\n--- replay ---\n%s", fullDump, got)
-	}
-
-	// (c) Durable log with aggressive snapshots, then a simulated crash:
-	// garbage appended after the last intact record (a torn write). The
-	// recovery must use a snapshot, skip the torn tail, and still match.
-	dirC := t.TempDir()
-	logC, err := storelog.Open(dirC, storelog.Options{SealEvery: 16, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := churnRun(t, logC); got != viewDump {
-		t.Fatalf("snapshotting storelog run published different view")
-	}
-	path := filepath.Join(dirC, storelog.FileName)
+	path := filepath.Join(dir, storelog.FileName)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -139,21 +113,21 @@ func TestStoreLogMatchesMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	stateC, statsC, err := storelog.Recover(dirC)
+	state, stats, err := storelog.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !statsC.SnapshotUsed {
-		t.Error("SealEvery=16 run should recover from a snapshot")
+	if stats.TornBytes != 7 {
+		t.Errorf("crash simulation left %d torn bytes, want 7", stats.TornBytes)
 	}
-	if statsC.TornBytes == 0 {
-		t.Error("crash simulation left no torn tail?")
+	if stats.Events != mem.Events() {
+		t.Errorf("recovered %d events, the run appended %d", stats.Events, mem.Events())
 	}
-	if got := stateC.LiveDump(); got != viewDump {
+	if got := state.LiveDump(); got != viewDump {
 		t.Fatalf("post-crash recovery diverges\n--- mem ---\n%s\n--- recovered ---\n%s", viewDump, got)
 	}
-	if got := stateC.Dump(); got != fullDump {
-		t.Fatalf("post-crash recovery stale tier diverges")
+	if got := state.Dump(); got != fullDump {
+		t.Fatalf("post-crash recovery stale tier diverges\n--- mem ---\n%s\n--- recovered ---\n%s", fullDump, got)
 	}
 }
 
@@ -162,7 +136,7 @@ func TestStoreLogMatchesMemory(t *testing.T) {
 // state, and a second recovery sees both the old and the new events.
 func TestStoreLogRestartResumes(t *testing.T) {
 	dir := t.TempDir()
-	l, err := storelog.Open(dir, storelog.Options{SealEvery: 2, NoSync: true})
+	l, err := storelog.Open(dir, storelog.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +151,7 @@ func TestStoreLogRestartResumes(t *testing.T) {
 	}
 	must(l.Append(ev(core.EvInsert, "a", "f1", 1)))
 	must(l.Append(ev(core.EvInsert, "a", "f2", 1)))
-	must(l.Seal()) // 2 events ≥ SealEvery: snapshot
+	must(l.Seal())
 	must(l.Append(ev(core.EvRetract, "a", "f1", 2)))
 	must(l.Flush())
 	if l.Pending() != 0 {
@@ -201,7 +175,7 @@ func TestStoreLogRestartResumes(t *testing.T) {
 	}
 
 	// Restart: Open truncates the torn tail and resumes.
-	l2, err := storelog.Open(dir, storelog.Options{SealEvery: 2, NoSync: true})
+	l2, err := storelog.Open(dir, storelog.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +189,9 @@ func TestStoreLogRestartResumes(t *testing.T) {
 	must(l2.Append(ev(core.EvInsert, "b", "f3", 3)))
 	must(l2.Close())
 
-	state, stats, err := storelog.Recover(dir)
+	state, _, err := storelog.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !stats.SnapshotUsed {
-		t.Error("recovery should start from the seal snapshot")
 	}
 	want := core.NewStoreState()
 	for _, e := range []core.StoreEvent{

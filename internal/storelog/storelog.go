@@ -1,38 +1,37 @@
 // Package storelog is the durable core.Store backend: an append-only
-// record log of table-change events (insert/retract/expire/annotation)
-// with periodic state snapshots at sealed quiescence points.
+// record log of table-change events (insert/retract/expire/annotation).
+// The log is its events; there are no snapshots.
 //
 // Layout (one file, <dir>/store.log) — length-prefixed records in the
 // style of docs/WIRE.md frames:
 //
 //	u32 LE payload length | payload | u32 LE CRC32-IEEE(payload)
 //
-// payload[0] is the record kind: 0–3 are the core.EventKind values
-// (insert, retract, expire, prov), 4 is a seal snapshot. Event bodies are
-// node string, tuple, prov string (data codec), then the logical clock as
-// 8 LE bytes (IEEE-754). A seal body is the writer's full materialized
-// core.StoreState in sorted order, so recovery replays only the tail
-// after the last seal.
+// payload[0] is the record kind, one of the core.EventKind values 0–3
+// (insert, retract, expire, prov). The body is node string, tuple, prov
+// string (data codec), then the logical clock as 8 LE bytes (IEEE-754).
 //
 // Appends are handed to a writer goroutine (evaluation never blocks on
 // the disk); Flush is the durability barrier the driver runs at every
-// quiescence point. Recovery scans the log, uses the last valid seal
-// snapshot, replays the events after it, and truncates at the first
-// invalid record — a torn tail from a crash mid-write loses at most the
-// events after the last Flush, and TestStoreLogMatchesMemory pins the
-// replayed state bit-identical to the in-memory run.
+// quiescence point. Recovery streams the log once and replays every
+// event of its valid prefix. Only a record cut short or failing its CRC
+// ends the prefix — a torn tail from a crash mid-write, which loses at
+// most the events after the last Flush and which Open truncates. A
+// well-formed record that does not decode is refused with an error, never
+// truncated. TestStoreLogMatchesMemory pins the replayed state
+// bit-identical to the in-memory run.
 package storelog
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"provnet/internal/core"
@@ -42,23 +41,10 @@ import (
 // FileName is the log file inside the store directory.
 const FileName = "store.log"
 
-// defaultSealEvery is the snapshot cadence applied when Options.SealEvery
-// is zero: a Seal() writes a snapshot record only if at least this many
-// events were appended since the last snapshot, amortizing snapshot cost
-// over churny runs while keeping recovery replay short.
-const defaultSealEvery = 1024
-
-// maxRecord bounds a single record payload; longer length prefixes are
-// treated as corruption (torn tail) during recovery.
-const maxRecord = 1 << 30
-
-const recSeal = 4 // record kind after the core.EventKind values
+var errClosed = errors.New("storelog: closed")
 
 // Options configures a Log.
 type Options struct {
-	// SealEvery is the minimum number of events between snapshot records
-	// (0 = 1024, <0 = never snapshot: recovery replays the whole log).
-	SealEvery int
 	// NoSync skips the fsync in Flush (tests; durability is then only
 	// as good as the OS page cache).
 	NoSync bool
@@ -72,19 +58,16 @@ type Log struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []core.StoreEvent
-	sealReq  bool
 	flushers []chan error
 	closed   bool
 	err      error // sticky: first write failure
 	pending  int   // queued + in-flight events
 
-	// Writer-goroutine-owned (no lock): the file, its buffer, the
-	// materialized state snapshots are cut from, and the event count
-	// since the last snapshot.
-	f         *os.File
-	w         *bufio.Writer
-	state     *core.StoreState
-	sinceSeal int
+	// Writer-goroutine-owned (no lock): the file, its buffer, and the
+	// record being encoded.
+	f   *os.File
+	w   *bufio.Writer
+	rec []byte
 
 	done chan struct{}
 }
@@ -93,18 +76,15 @@ type Log struct {
 var _ core.Store = (*Log)(nil)
 
 // Open opens (or creates) the store directory and starts the writer. An
-// existing log is recovered first: the valid prefix is kept — a torn
-// tail from a crash is truncated — and appending resumes from the
-// recovered state.
+// existing log is scanned first: a torn tail from a crash is truncated
+// and appending resumes after the valid prefix. A well-formed record the
+// scan cannot decode fails Open and leaves the file untouched.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.SealEvery == 0 {
-		opts.SealEvery = defaultSealEvery
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	path := filepath.Join(dir, FileName)
-	state, stats, err := recoverFile(path)
+	stats, err := scan(path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,13 +102,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{
-		dir:       dir,
-		opts:      opts,
-		f:         f,
-		w:         bufio.NewWriter(f),
-		state:     state,
-		sinceSeal: stats.TailEvents,
-		done:      make(chan struct{}),
+		dir:  dir,
+		opts: opts,
+		f:    f,
+		w:    bufio.NewWriter(f),
+		done: make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	go l.run()
@@ -138,15 +116,21 @@ func Open(dir string, opts Options) (*Log, error) {
 // Dir returns the store directory.
 func (l *Log) Dir() string { return l.dir }
 
+// usable reports why the log takes no more calls: it is closed, or a
+// write failed. Callers hold mu.
+func (l *Log) usable() error {
+	if l.closed {
+		return errClosed
+	}
+	return l.err
+}
+
 // Append enqueues one event for the writer goroutine.
 func (l *Log) Append(ev core.StoreEvent) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("storelog: closed")
-	}
-	if l.err != nil {
-		return l.err
+	if err := l.usable(); err != nil {
+		return err
 	}
 	l.queue = append(l.queue, ev)
 	l.pending++
@@ -154,32 +138,19 @@ func (l *Log) Append(ev core.StoreEvent) error {
 	return nil
 }
 
-// Seal requests a snapshot record at this quiescence point; the writer
-// skips it unless SealEvery events accumulated since the last snapshot.
+// Seal marks a quiescence point. The log is its events, so there is
+// nothing to checkpoint: Seal only reports a closed log or a failed write.
 func (l *Log) Seal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("storelog: closed")
-	}
-	if l.err != nil {
-		return l.err
-	}
-	l.sealReq = true
-	l.cond.Signal()
-	return nil
+	return l.usable()
 }
 
 // Flush blocks until every event appended before the call is written and
 // synced to disk.
 func (l *Log) Flush() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("storelog: closed")
-	}
-	if l.err != nil {
-		err := l.err
+	if err := l.usable(); err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -214,19 +185,17 @@ func (l *Log) Close() error {
 	return l.err
 }
 
-// run is the writer goroutine: drain the queue, cut requested snapshots,
-// answer flush barriers, and exit on close.
+// run is the writer goroutine: drain the queue, answer flush barriers,
+// and exit on close.
 func (l *Log) run() {
 	defer close(l.done)
 	for {
 		l.mu.Lock()
-		for len(l.queue) == 0 && !l.sealReq && len(l.flushers) == 0 && !l.closed {
+		for len(l.queue) == 0 && len(l.flushers) == 0 && !l.closed {
 			l.cond.Wait()
 		}
 		evs := l.queue
 		l.queue = nil
-		seal := l.sealReq
-		l.sealReq = false
 		flushers := l.flushers
 		l.flushers = nil
 		closed := l.closed
@@ -237,9 +206,6 @@ func (l *Log) run() {
 			if err = l.writeEvent(ev); err != nil {
 				break
 			}
-		}
-		if err == nil && seal {
-			err = l.writeSeal()
 		}
 		if err == nil && (len(flushers) > 0 || closed) {
 			err = l.sync()
@@ -272,306 +238,133 @@ func (l *Log) sync() error {
 	return l.f.Sync()
 }
 
-// writeRecord frames payload as len|payload|crc.
-func (l *Log) writeRecord(payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := l.w.Write(crc[:])
-	return err
-}
-
+// writeEvent frames one event as len|payload|crc.
 func (l *Log) writeEvent(ev core.StoreEvent) error {
-	l.state.Apply(ev)
-	l.sinceSeal++
-	payload := appendEvent([]byte{byte(ev.Kind)}, ev)
-	return l.writeRecord(payload)
-}
-
-func (l *Log) writeSeal() error {
-	if l.opts.SealEvery < 0 || l.sinceSeal < l.opts.SealEvery {
-		return nil
-	}
-	l.sinceSeal = 0
-	return l.writeRecord(appendState([]byte{recSeal}, l.state))
+	l.rec = appendEvent(append(l.rec[:0], 0, 0, 0, 0), ev)
+	payload := l.rec[4:]
+	binary.LittleEndian.PutUint32(l.rec, uint32(len(payload)))
+	l.rec = binary.LittleEndian.AppendUint32(l.rec, crc32.ChecksumIEEE(payload))
+	_, err := l.w.Write(l.rec)
+	return err
 }
 
 // --- record encoding ---
 
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func decodeFloat(b []byte) (float64, int, error) {
-	if len(b) < 8 {
-		return 0, 0, fmt.Errorf("storelog: short float")
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), 8, nil
-}
-
+// appendEvent appends an event payload: its kind byte, then its body.
 func appendEvent(b []byte, ev core.StoreEvent) []byte {
+	b = append(b, byte(ev.Kind))
 	b = data.AppendString(b, ev.Node)
 	b = data.AppendTuple(b, ev.Tuple)
 	b = data.AppendString(b, ev.Prov)
-	return appendFloat(b, ev.At)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.At))
 }
 
-// decodeEvent decodes an event payload after its kind byte.
-func decodeEvent(kind core.EventKind, b []byte) (core.StoreEvent, error) {
-	ev := core.StoreEvent{Kind: kind}
-	node, n, err := data.DecodeString(b)
-	if err != nil {
-		return ev, err
+// decodeEvent decodes an event payload, kind byte first.
+func decodeEvent(b []byte) (core.StoreEvent, error) {
+	ev := core.StoreEvent{Kind: core.EventKind(b[0])}
+	if ev.Kind > core.EvProv {
+		return ev, errors.New("unknown record kind")
 	}
-	ev.Node = node
-	tu, m, err := data.DecodeTuple(b[n:])
-	if err != nil {
-		return ev, err
-	}
-	n += m
-	prov, m, err := data.DecodeString(b[n:])
-	if err != nil {
+	n := 1
+	var m int
+	var err error
+	if ev.Node, m, err = data.DecodeString(b[n:]); err != nil {
 		return ev, err
 	}
 	n += m
-	ev.Tuple, ev.Prov = tu, prov
-	at, m, err := decodeFloat(b[n:])
-	if err != nil {
+	if ev.Tuple, m, err = data.DecodeTuple(b[n:]); err != nil {
 		return ev, err
 	}
 	n += m
-	if n != len(b) {
-		return ev, fmt.Errorf("storelog: %d trailing event bytes", len(b)-n)
+	if ev.Prov, m, err = data.DecodeString(b[n:]); err != nil {
+		return ev, err
 	}
-	ev.At = at
+	n += m
+	if len(b)-n != 8 {
+		return ev, fmt.Errorf("%d bytes where the 8-byte clock belongs", len(b)-n)
+	}
+	ev.At = math.Float64frombits(binary.LittleEndian.Uint64(b[n:]))
 	return ev, nil
-}
-
-func appendRow(b []byte, row core.StoredRow, stale bool) []byte {
-	b = data.AppendTuple(b, row.Tuple)
-	b = data.AppendString(b, row.Prov)
-	b = appendFloat(b, row.At)
-	if stale {
-		b = appendFloat(b, row.StaleAt)
-	}
-	return b
-}
-
-func decodeRow(b []byte, stale bool) (core.StoredRow, int, error) {
-	var row core.StoredRow
-	tu, n, err := data.DecodeTuple(b)
-	if err != nil {
-		return row, 0, err
-	}
-	prov, m, err := data.DecodeString(b[n:])
-	if err != nil {
-		return row, 0, err
-	}
-	n += m
-	at, m, err := decodeFloat(b[n:])
-	if err != nil {
-		return row, 0, err
-	}
-	n += m
-	row = core.StoredRow{Tuple: tu, Prov: prov, At: at}
-	if stale {
-		sat, m, err := decodeFloat(b[n:])
-		if err != nil {
-			return row, 0, err
-		}
-		n += m
-		row.StaleAt = sat
-	}
-	return row, n, nil
-}
-
-// appendState encodes a full StoreState in sorted order (node names, then
-// row keys), keeping snapshot bytes deterministic for identical states.
-func appendState(b []byte, s *core.StoreState) []byte {
-	b = appendFloat(b, s.Clock)
-	names := make([]string, 0, len(s.Nodes))
-	for name := range s.Nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
-		ns := s.Nodes[name]
-		b = data.AppendString(b, name)
-		b = appendRows(b, ns.Rows, false)
-		b = appendRows(b, ns.Stale, true)
-	}
-	return b
-}
-
-func appendRows(b []byte, rows map[string]core.StoredRow, stale bool) []byte {
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		b = appendRow(b, rows[k], stale)
-	}
-	return b
-}
-
-func decodeState(b []byte) (*core.StoreState, error) {
-	s := core.NewStoreState()
-	clock, n, err := decodeFloat(b)
-	if err != nil {
-		return nil, err
-	}
-	s.Clock = clock
-	nn, m := binary.Uvarint(b[n:])
-	if m <= 0 || nn > uint64(len(b)) {
-		return nil, fmt.Errorf("storelog: corrupt snapshot node count")
-	}
-	n += m
-	for i := uint64(0); i < nn; i++ {
-		name, m, err := data.DecodeString(b[n:])
-		if err != nil {
-			return nil, err
-		}
-		n += m
-		ns := &core.NodeState{Rows: map[string]core.StoredRow{}, Stale: map[string]core.StoredRow{}}
-		for _, stale := range []bool{false, true} {
-			cnt, m := binary.Uvarint(b[n:])
-			if m <= 0 || cnt > uint64(len(b)) {
-				return nil, fmt.Errorf("storelog: corrupt snapshot row count")
-			}
-			n += m
-			dst := ns.Rows
-			if stale {
-				dst = ns.Stale
-			}
-			for j := uint64(0); j < cnt; j++ {
-				row, m, err := decodeRow(b[n:], stale)
-				if err != nil {
-					return nil, err
-				}
-				n += m
-				dst[row.Tuple.Key()] = row //provlint:allow keystring snapshot rows replay into the store-state map, which is keyed on the canonical bytes by contract
-			}
-		}
-		s.Nodes[name] = ns
-	}
-	if n != len(b) {
-		return nil, fmt.Errorf("storelog: %d trailing snapshot bytes", len(b)-n)
-	}
-	return s, nil
 }
 
 // --- recovery ---
 
 // RecoverStats describes what a recovery scan found.
 type RecoverStats struct {
-	// Records is the number of valid records in the kept prefix.
-	Records int
-	// Events is the number of event records (Records minus seals).
+	// Events is the number of event records in the valid prefix.
 	Events int
-	// Seals counts snapshot records.
-	Seals int
-	// SnapshotUsed reports whether replay started from a seal snapshot
-	// (false = the whole event log was replayed).
-	SnapshotUsed bool
-	// TailEvents is the number of events replayed after the last
-	// snapshot (all of them when SnapshotUsed is false).
-	TailEvents int
 	// ValidBytes is the length of the valid prefix; TornBytes is what a
 	// crash left after it (truncated by Open, ignored by Recover).
 	ValidBytes int64
 	TornBytes  int64
 }
 
-// Recover reads the log under dir read-only and replays it into a
-// StoreState: the last valid seal snapshot plus the events after it. A
-// missing file recovers to the empty state. Corruption mid-file stops
-// the scan there (crash-torn tail).
+// Recover reads the log under dir read-only and replays every event of
+// its valid prefix into a StoreState. A missing file recovers to the
+// empty state; a torn tail is skipped; a well-formed record that does not
+// decode is an error.
 func Recover(dir string) (*core.StoreState, RecoverStats, error) {
-	return recoverFile(filepath.Join(dir, FileName))
-}
-
-func recoverFile(path string) (*core.StoreState, RecoverStats, error) {
-	var stats RecoverStats
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return core.NewStoreState(), stats, nil
-	}
+	state := core.NewStoreState()
+	stats, err := scan(filepath.Join(dir, FileName), state)
 	if err != nil {
 		return nil, stats, err
-	}
-
-	// Scan the valid prefix, remembering the last intact snapshot and
-	// the events after it.
-	var base *core.StoreState
-	var tail []core.StoreEvent
-	off := int64(0)
-	for {
-		payload, next, ok := readRecord(raw, off)
-		if !ok {
-			break
-		}
-		kind := payload[0]
-		switch {
-		case kind == recSeal:
-			s, err := decodeState(payload[1:])
-			if err != nil {
-				// Structurally corrupt despite a good CRC: treat as torn.
-				goto done
-			}
-			base, tail = s, nil
-			stats.Seals++
-		case kind <= byte(core.EvProv):
-			ev, err := decodeEvent(core.EventKind(kind), payload[1:])
-			if err != nil {
-				goto done
-			}
-			tail = append(tail, ev)
-			stats.Events++
-		default:
-			goto done // unknown record kind: stop before it
-		}
-		stats.Records++
-		off = next
-	}
-done:
-	stats.ValidBytes = off
-	stats.TornBytes = int64(len(raw)) - off
-	stats.SnapshotUsed = base != nil
-	stats.TailEvents = len(tail)
-	state := base
-	if state == nil {
-		state = core.NewStoreState()
-	}
-	for _, ev := range tail {
-		state.Apply(ev)
 	}
 	return state, stats, nil
 }
 
-// readRecord parses one len|payload|crc record at off, reporting the
-// payload, the next offset, and whether the record was intact.
-func readRecord(raw []byte, off int64) (payload []byte, next int64, ok bool) {
-	if off+4 > int64(len(raw)) {
-		return nil, off, false
+// scan streams the log at path record by record and applies each event
+// to state (nil: validate only). The valid prefix ends at the first
+// record cut short or failing its CRC. Each length prefix is bounded by
+// the bytes left in the file before anything is allocated for it.
+func scan(path string, state *core.StoreState) (RecoverStats, error) {
+	var stats RecoverStats
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return stats, nil
 	}
-	n := int64(binary.LittleEndian.Uint32(raw[off:]))
-	if n < 1 || n > maxRecord || off+4+n+4 > int64(len(raw)) {
-		return nil, off, false
+	if err != nil {
+		return stats, err
 	}
-	payload = raw[off+4 : off+4+n]
-	want := binary.LittleEndian.Uint32(raw[off+4+n:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, off, false
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return stats, err
 	}
-	return payload, off + 4 + n + 4, true
+	size := fi.Size()
+	r := bufio.NewReader(io.LimitReader(f, size))
+	var hdr [4]byte
+	var buf []byte
+	off := int64(0)
+	for size-off >= 4 {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return stats, fmt.Errorf("storelog: read %s at offset %d: %w", path, off, err)
+		}
+		n := int64(binary.LittleEndian.Uint32(hdr[:]))
+		if n < 1 || 4+n+4 > size-off {
+			break // no room for a kind byte, or the record is cut short
+		}
+		if int64(cap(buf)) < n+4 {
+			buf = make([]byte, n+4)
+		}
+		rec := buf[:n+4]
+		if _, err := io.ReadFull(r, rec); err != nil {
+			return stats, fmt.Errorf("storelog: read %s at offset %d: %w", path, off, err)
+		}
+		payload := rec[:n]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rec[n:]) {
+			break
+		}
+		ev, err := decodeEvent(payload)
+		if err != nil {
+			return stats, fmt.Errorf("storelog: %s: record at offset %d (kind %d) is well-formed but does not decode: %w", path, off, payload[0], err)
+		}
+		if state != nil {
+			state.Apply(ev)
+		}
+		stats.Events++
+		off += 4 + n + 4
+	}
+	stats.ValidBytes = off
+	stats.TornBytes = size - off
+	return stats, nil
 }

@@ -143,10 +143,10 @@ type (
 	// MemStore applies events to an in-memory StoreState (testing and
 	// introspection).
 	MemStore = core.MemStore
-	// StoreLog is the durable append-only record log with periodic
-	// snapshots and crash recovery; open one with OpenStoreLog.
+	// StoreLog is the durable append-only log of store events with crash
+	// recovery; open one with OpenStoreLog.
 	StoreLog = storelog.Log
-	// StoreLogOptions tunes snapshot cadence and fsync behavior.
+	// StoreLogOptions tunes fsync behavior.
 	StoreLogOptions = storelog.Options
 	// StoreLogStats reports what crash recovery found in a log dir.
 	StoreLogStats = storelog.RecoverStats
@@ -170,15 +170,18 @@ const (
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return core.NewMemStore() }
 
-// OpenStoreLog opens (or creates) the durable store log in dir,
-// recovering state from any existing log first.
+// OpenStoreLog opens (or creates) the durable store log in dir. An
+// existing log is scanned first: a torn tail is truncated and appends
+// resume after the valid prefix; a well-formed record that does not
+// decode fails the open.
 func OpenStoreLog(dir string, opts StoreLogOptions) (*StoreLog, error) {
 	return storelog.Open(dir, opts)
 }
 
-// RecoverStoreLog replays the log in dir without opening it for writing:
-// the forensics/read-only path. It returns the materialized state and
-// recovery statistics (snapshot use, torn bytes truncated).
+// RecoverStoreLog replays every event of the log in dir without opening
+// it for writing: the forensics/read-only path. It returns the
+// materialized state and recovery statistics (events replayed, valid and
+// torn bytes). A well-formed record that does not decode is an error.
 func RecoverStoreLog(dir string) (*StoreState, StoreLogStats, error) {
 	return storelog.Recover(dir)
 }

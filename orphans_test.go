@@ -256,6 +256,8 @@ var reachedBy = map[string]string{
 	"internal/benchwork/benchwork.go: CutLinkResult":   "benchwork.LiveCutLink returns it",
 	"internal/benchwork/queryload.go: QueryLoadResult": "benchwork.ConcurrentQueryLoad returns it",
 	"internal/data/decoder.go: Decoder":                "data.NewDecoder returns it (core's decodeFrame)",
+	"internal/core/store.go: NodeState":                "core.StoreState.Nodes holds it (RecoverStoreLog returns the state)",
+	"internal/core/store.go: StoredRow":                "core.NodeState.Rows holds it",
 	"internal/engine/builtin.go: BuiltinFunc":          "the value type of engine.Builtins",
 	"internal/engine/table.go: InsertStatus":           "engine.Table.Insert returns it",
 	"internal/queryapi/schema.go: TraceStats":          "queryapi.FromStats returns it",
