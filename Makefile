@@ -64,7 +64,7 @@ api-smoke:
 	$(GO) build -o /tmp/provnet-smoke ./cmd/provnet
 	@rm -rf /tmp/provnet-smoke-store; \
 	/tmp/provnet-smoke -program cmd/provnet/testdata/reachable.ndl \
-		-topo line:3 -nocost -prov distributed -sequential \
+		-topo line:3 -prov distributed -sequential \
 		-metrics -store /tmp/provnet-smoke-store \
 		-http 127.0.0.1:18080 > /tmp/provnet-smoke.log 2>&1 & \
 	pid=$$!; \

@@ -263,7 +263,7 @@ func queryFixture(b *testing.B, mode provnet.ProvMode) (*provnet.Network, provne
 	b.Helper()
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, Seed: 5})
 	net, err := provnet.NewNetwork(provnet.Config{
-		Source: core.ReachableNDlog, Graph: g, LinkNoCost: true, Prov: mode,
+		Source: core.ReachableNDlog, Graph: g, Prov: mode,
 	})
 	if err != nil {
 		b.Fatal(err)

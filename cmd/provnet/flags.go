@@ -202,11 +202,12 @@ func (f *flags) wrapFault(tr provnet.Transport) (provnet.Transport, error) {
 
 // setupTransport wires the message substrate into cfg. With -listen the
 // process joins a multi-process deployment: it hosts the -self node(s),
-// reaches every -peers entry over reliable TCP (acked, retransmitted,
-// deduplicated frames), and re-announces its soft state when a peer
-// restarts. A -fault spec wraps whichever transport results — the TCP
-// backend, or an explicit in-memory fabric for single-process chaos
-// runs. Network.Close releases the TCP listener and connections.
+// reaches every -peers entry over reliable TCP (acked, deduplicated
+// frames, re-sent only after a reconnect), and re-announces its soft
+// state when a peer restarts (setting LocalNodes turns that on). A
+// -fault spec wraps whichever transport results — the TCP backend, or an
+// explicit in-memory fabric for single-process chaos runs. Network.Close
+// releases the TCP listener and connections.
 func (f *flags) setupTransport(ctx context.Context, cfg *provnet.Config) error {
 	if !f.distributed() {
 		if f.Self != "" || f.Peers != "" {
@@ -245,7 +246,6 @@ func (f *flags) setupTransport(ctx context.Context, cfg *provnet.Config) error {
 	}
 	cfg.Transport = tr
 	cfg.LocalNodes = locals
-	cfg.Resupply = true
 	return nil
 }
 

@@ -32,8 +32,9 @@
 //
 // With -listen, the process becomes one member of a multi-process
 // deployment over real TCP: it hosts the -self node(s) (comma-separated),
-// reaches the others through the -peers map over acked, retransmitted,
-// deduplicated frames, and prints its own nodes' tables once the
+// reaches the others through the -peers map over acked, deduplicated
+// frames that are re-sent only after a reconnect, re-announces its soft
+// state when a peer restarts, and prints its own nodes' tables once the
 // distributed termination detector declares the fixpoint; if it has not
 // declared after 30 s — a peer never came up — the process reports the
 // stall and exits non-zero instead of guessing. A -fault
@@ -65,7 +66,6 @@ func main() {
 	programPath := flag.String("program", "", "path to the .ndl/.snd program (required)")
 	topoSpec := flag.String("topo", "none", "topology: random:N[:deg[:maxcost[:seed]]], line:N, ring:N, star:N, none")
 	provMode := flag.String("prov", "none", "provenance: none, local, distributed, condensed")
-	noCost := flag.Bool("nocost", false, "generate link facts without a cost column")
 	show := flag.String("show", "", "comma-separated predicates to print (default: all)")
 	annotate := flag.Bool("annotate", false, "print condensed provenance annotations")
 	extraNodes := flag.String("extranodes", "", "comma-separated node names not mentioned in any fact placement")
@@ -80,10 +80,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := provnet.Config{
-		Source:     string(src),
-		LinkNoCost: *noCost,
-	}
+	cfg := provnet.Config{Source: string(src)}
 	if cfg.Graph, err = parseTopo(*topoSpec); err != nil {
 		fatal(err)
 	}

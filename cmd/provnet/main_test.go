@@ -106,7 +106,7 @@ func TestHTTPTracebackGolden(t *testing.T) {
 	cmd := exec.CommandContext(ctx, os.Args[0])
 	args := []string{
 		"-program", filepath.Join("testdata", "reachable.ndl"),
-		"-topo", "line:3", "-nocost", "-prov", "distributed",
+		"-topo", "line:3", "-prov", "distributed",
 		"-sequential", "-http", "127.0.0.1:0",
 	}
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, argSep))
@@ -164,7 +164,7 @@ func TestStoreFlagPersists(t *testing.T) {
 	defer cancel()
 	out, err := runProvnet(ctx,
 		"-program", filepath.Join("testdata", "reachable.ndl"),
-		"-topo", "line:3", "-nocost", "-prov", "distributed",
+		"-topo", "line:3", "-prov", "distributed",
 		"-sequential", "-store", dir)
 	if err != nil {
 		t.Fatal(err)

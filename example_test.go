@@ -36,10 +36,9 @@ func Example_quickstart() {
 	fmt.Println("Topology: link(a,b), link(a,c), link(b,c)")
 
 	n, err := provnet.NewNetwork(provnet.Config{
-		Source:     provnet.ReachableNDlog,
-		Graph:      paperGraph(),
-		LinkNoCost: true,
-		Prov:       provnet.ProvLocal,
+		Source: provnet.ReachableNDlog,
+		Graph:  paperGraph(),
+		Prov:   provnet.ProvLocal,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -75,12 +74,11 @@ func Example_quickstart() {
 		rules = append(rules, r.Label)
 	}
 	n, err = provnet.NewNetwork(provnet.Config{
-		Program:    prog,
-		Graph:      paperGraph(),
-		LinkNoCost: true,
-		Auth:       provnet.AuthRSA,
-		KeyBits:    1024, // the paper's 2008 setup
-		Prov:       provnet.ProvCondensed,
+		Source:  provnet.ReachableSeNDlog,
+		Graph:   paperGraph(),
+		Auth:    provnet.AuthRSA,
+		KeyBits: 1024, // the paper's 2008 setup
+		Prov:    provnet.ProvCondensed,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -577,7 +575,6 @@ func Example_trustmgmt() {
 	})
 	cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.ReachableSeNDlog)
 	cfg.Graph = g
-	cfg.LinkNoCost = true
 	cfg.Levels = levels
 	cfg.KeyBits = 1024 // the paper's 2008 setup
 	n, err := provnet.NewNetwork(cfg)

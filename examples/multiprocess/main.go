@@ -106,7 +106,6 @@ func child(self, listen, peerSpec string) {
 		KeyBits:    1024, // the paper's 2008 setup; fine for a demo
 		Transport:  tcp,
 		LocalNodes: []string{self},
-		Resupply:   true,
 	})
 	check(err)
 	d := n.Driver()

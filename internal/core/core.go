@@ -62,15 +62,14 @@ func (v Variant) String() string {
 
 // Config assembles a network.
 type Config struct {
-	// Source is the NDlog/SeNDlog program text; alternatively Program
-	// supplies a parsed one.
-	Source  string
-	Program *datalog.Program
+	// Source is the NDlog/SeNDlog program text.
+	Source string
 	// Graph optionally supplies the topology; its links are inserted as
-	// link(@from, to, cost) facts (or link(@from, to) when LinkNoCost).
+	// link facts shaped like the program's link atoms: link(@from, to)
+	// when they have two arguments, link(@from, to, cost) when they have
+	// three or no rule reads link. NewNetwork refuses a Graph for any
+	// other arity.
 	Graph *topo.Graph
-	// LinkNoCost drops the cost column from generated link facts.
-	LinkNoCost bool
 	// ExtraNodes registers nodes that appear in no link or fact.
 	ExtraNodes []string
 
@@ -130,19 +129,9 @@ type Config struct {
 	// contribute their principals (keys are derived deterministically
 	// from Seed, so every process agrees on the directory), but their
 	// base facts are skipped and traffic to them is routed by the
-	// Transport.
+	// Transport. Naming them also turns on the export log that
+	// re-supplies a restarted peer (see Network.resupply).
 	LocalNodes []string
-
-	// Resupply enables soft-state re-announcement: every hosted node
-	// keeps a log of its current exports per destination, and when the
-	// transport reports a peer process restarting (SetRestartHandler), the
-	// driver replays the log so the restarted process — which lost its
-	// in-memory tables — is re-supplied without waiting for churn.
-	// Engines are idempotent (set semantics, per-sender support), so
-	// replayed exports are harmless to peers that never crashed. Off by
-	// default: the log costs an allocation per export, which the
-	// single-process hot path must not pay.
-	Resupply bool
 
 	// Store, when set, receives every table change at every hosted node
 	// as an ordered event stream (insert/retract/expire/annotation), and
@@ -183,7 +172,7 @@ type Node struct {
 	// touches it (mutations are applied between rounds), so no lock.
 	pendingRetract []engine.Withdrawal
 
-	// exports is the soft-state log (Config.Resupply only): the current
+	// exports is the soft-state log (Network.resupply only): the current
 	// exports per destination — each tuple with its annotation, encoded
 	// afresh into whatever frame replays it — replayed when a peer process
 	// restarts. Keyed dest → tuple key; owned by this node's scheduler task
@@ -211,13 +200,28 @@ func (nd *Node) takeRetracts() []engine.Withdrawal {
 
 // Network is a fully assembled provenance-aware secure network.
 type Network struct {
-	cfg   Config
-	prog  *datalog.Program
-	net   Transport
-	nodes map[string]*Node
-	order []string
-	idx   map[string]int // name → position in order
-	dir   *auth.Directory
+	cfg  Config
+	prog *datalog.Program
+	// linkArity is the arity of the program's link atoms (3 when no rule
+	// reads link); linkFact shapes topology links to it.
+	linkArity int
+	// resupply is soft-state re-announcement, on iff Config.LocalNodes
+	// is set: such a network is one process of a deployment whose peers
+	// can restart. Every hosted node keeps a log of its current exports
+	// per destination, and when the transport reports a peer process
+	// restarting (SetRestartHandler), the driver replays the log so the
+	// restarted process — which lost its in-memory tables — is
+	// re-supplied without waiting for churn. Engines are idempotent (set
+	// semantics, per-sender support), so replayed exports are harmless to
+	// peers that never crashed. A single-process network keeps it off:
+	// the log costs an allocation per export, which the hot path must not
+	// pay.
+	resupply bool
+	net      Transport
+	nodes    map[string]*Node
+	order    []string
+	idx      map[string]int // name → position in order
+	dir      *auth.Directory
 	// drv is the lazily created lifecycle driver; Run is a synchronous
 	// wrapper over it.
 	drvOnce sync.Once
@@ -287,13 +291,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 	case cfg.RekeyRounds > 0 && cfg.Auth != auth.SchemeSession:
 		return nil, fmt.Errorf("core: RekeyRounds requires SchemeSession auth, not %v", cfg.Auth)
 	}
-	prog := cfg.Program
-	if prog == nil {
-		p, err := datalog.Parse(cfg.Source)
-		if err != nil {
-			return nil, err
-		}
-		prog = p
+	prog, err := datalog.Parse(cfg.Source)
+	if err != nil {
+		return nil, err
 	}
 	if err := datalog.Validate(prog); err != nil {
 		return nil, err
@@ -317,13 +317,15 @@ func NewNetwork(cfg Config) (*Network, error) {
 		transport = netsim.New()
 	}
 	n := &Network{
-		cfg:   cfg,
-		prog:  localized,
-		net:   transport,
-		store: cfg.Store,
-		nodes: make(map[string]*Node),
-		idx:   make(map[string]int),
-		dir:   auth.NewDeterministicDirectory(cfg.Seed),
+		cfg:       cfg,
+		prog:      localized,
+		linkArity: linkArity(prog),
+		resupply:  len(cfg.LocalNodes) > 0,
+		net:       transport,
+		store:     cfg.Store,
+		nodes:     make(map[string]*Node),
+		idx:       make(map[string]int),
+		dir:       auth.NewDeterministicDirectory(cfg.Seed),
 	}
 	bits := cfg.KeyBits
 	if bits == 0 {
@@ -436,9 +438,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 			if !ok {
 				continue // a remote process owns this link fact
 			}
-			tu := data.NewTuple("link", data.Str(l.From), data.Str(l.To), data.Int(l.Cost))
-			if cfg.LinkNoCost {
-				tu = data.NewTuple("link", data.Str(l.From), data.Str(l.To))
+			tu, err := n.linkFact(l.From, l.To, l.Cost)
+			if err != nil {
+				return nil, err
 			}
 			node.Engine.InsertFact(tu)
 		}
@@ -447,6 +449,32 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.nm = newNetMetrics(cfg.Metrics, n)
 	}
 	return n, nil
+}
+
+// linkArity is the arity of the program's link body atoms, or 3 when no
+// rule reads link. Validate has checked that every use agrees.
+func linkArity(prog *datalog.Program) int {
+	for _, r := range prog.Rules {
+		for _, l := range r.Body {
+			if l.Kind == datalog.LitAtom && l.Atom.Pred == "link" {
+				return len(l.Atom.Args)
+			}
+		}
+	}
+	return 3
+}
+
+// linkFact is the fact for the topology link from→to, shaped like the
+// program's link atoms: link(@from, to) or link(@from, to, cost). Any
+// other arity is refused, since no rule could match the fact.
+func (n *Network) linkFact(from, to string, cost int64) (data.Tuple, error) {
+	switch n.linkArity {
+	case 2:
+		return data.NewTuple("link", data.Str(from), data.Str(to)), nil
+	case 3:
+		return data.NewTuple("link", data.Str(from), data.Str(to), data.Int(cost)), nil
+	}
+	return data.Tuple{}, fmt.Errorf("core: the program's link atoms have %d arguments; a topology link fills 2 (from, to) or 3 (from, to, cost)", n.linkArity)
 }
 
 func (n *Network) addNode(name string, saysSemantics bool) error {
@@ -923,7 +951,7 @@ func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine
 			dests = append(dests, w.Dest)
 		}
 		groups[w.Dest] = append(groups[w.Dest], item{tuple: w.Tuple})
-		if n.cfg.Resupply && node.exports != nil {
+		if n.resupply && node.exports != nil {
 			delete(node.exports[w.Dest], w.Tuple.Key()) //provlint:allow keystring export-log key, resupply path only
 		}
 	}
@@ -949,7 +977,7 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 	var dests []string
 	for _, ex := range exports {
 		it := item{tuple: ex.Tuple, ann: ex.Ann}
-		if n.cfg.Resupply {
+		if n.resupply {
 			if node.exports == nil {
 				node.exports = make(map[string]map[string]item)
 			}
@@ -1160,7 +1188,7 @@ func (n *Network) markActive(node string) {
 	}
 }
 
-// resupplyAll replays every hosted node's export log (Config.Resupply):
+// resupplyAll replays every hosted node's export log (Network.resupply):
 // the soft-state re-announcement after a peer process restart. Outbound
 // sessions are reset first so session links re-handshake — the restarted
 // peer lost its inbound session keys with its tables. Destinations and
@@ -1221,9 +1249,6 @@ func (n *Network) Nodes() []string {
 	copy(out, n.order)
 	return out
 }
-
-// Directory exposes the principal directory.
-func (n *Network) Directory() *auth.Directory { return n.dir }
 
 // Tuples returns the live tuples of a predicate at a node.
 func (n *Network) Tuples(node, pred string) []data.Tuple {

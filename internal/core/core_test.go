@@ -40,7 +40,7 @@ func mustRun(t *testing.T, cfg Config) (*Network, *Report) {
 }
 
 func TestReachableNDlogPaperTopology(t *testing.T) {
-	n, rep := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true})
+	n, rep := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph()})
 	got := n.Tuples("a", "reachable")
 	if len(got) != 2 {
 		t.Fatalf("a reachable = %v", got)
@@ -56,7 +56,7 @@ func TestReachableNDlogPaperTopology(t *testing.T) {
 func TestReachableMatchesOracleOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, Seed: seed})
-		n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: g, LinkNoCost: true})
+		n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: g})
 		for _, src := range g.Nodes {
 			want := g.Reachable(src)
 			got := n.Tuples(src, "reachable")
@@ -72,11 +72,54 @@ func TestReachableMatchesOracleOnRandomGraphs(t *testing.T) {
 	}
 }
 
+// TestLinkArityFollowsProgram pins that topology links take the shape
+// of the program's link atoms. The §2 reachable programs read
+// link(@S,D) and derive the full closure from a Graph with nothing else
+// set; §6's Best-Path reads link(@S,D,C) and gets the cost column. A
+// program whose link has another arity is refused, as a Graph and by
+// SetLink, instead of being given facts no rule can match.
+func TestLinkArityFollowsProgram(t *testing.T) {
+	g := topo.Line(3)
+	for _, src := range []string{ReachableNDlog, ReachableSeNDlog} {
+		n, _ := mustRun(t, Config{Source: src, Graph: g})
+		for _, name := range g.Nodes {
+			got := map[string]bool{} // SeNDlog keeps one row per asserter
+			for _, tu := range n.Tuples(name, "reachable") {
+				got[tu.Args[1].Str] = true
+			}
+			if want := g.Reachable(name); len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("%s reaches %v, oracle %v\nprogram:%s", name, got, want, src)
+			}
+			for _, l := range n.Tuples(name, "link") {
+				if len(l.Args) != 2 {
+					t.Fatalf("link fact %v has a cost column the program does not read", l)
+				}
+			}
+		}
+	}
+	n, _ := mustRun(t, Config{Source: BestPath, Graph: g})
+	if l := n.Tuples("n0", "link"); len(l) != 1 || len(l[0].Args) != 3 {
+		t.Fatalf("Best-Path link facts at n0 = %v, want one with a cost column", l)
+	}
+
+	const quad = `r1 reach(@S,D) :- link(@S,D,C,W).`
+	if _, err := NewNetwork(Config{Source: quad, Graph: g}); err == nil || !strings.Contains(err.Error(), "4 arguments") {
+		t.Fatalf("a Graph under a 4-ary link: err = %v, want a refusal", err)
+	}
+	n, err := NewNetwork(Config{Source: quad, ExtraNodes: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Driver().SetLink("a", "b", 1); err == nil || !strings.Contains(err.Error(), "4 arguments") {
+		t.Fatalf("SetLink under a 4-ary link: err = %v, want a refusal", err)
+	}
+}
+
 func TestFigure1DerivationTree(t *testing.T) {
 	// Figure 1: the NDlog derivation tree for reachable(a,c), with local
 	// provenance so node a holds the complete tree.
 	n, _ := mustRun(t, Config{
-		Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+		Source: ReachableNDlog, Graph: paperGraph(),
 		Prov: provenance.ModeLocal,
 	})
 	target := data.NewTuple("reachable", data.Str("a"), data.Str("c"))
@@ -108,7 +151,7 @@ func TestFigure2CondensedProvenance(t *testing.T) {
 	// Figure 2: the SeNDlog derivation of reachable(a,c) carries the
 	// condensed annotation <a+a*b> → <a>.
 	n, _ := mustRun(t, Config{
-		Source: ReachableSeNDlog, Graph: paperGraph(), LinkNoCost: true,
+		Source: ReachableSeNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, Prov: provenance.ModeCondensed,
 	})
 	target := data.NewTuple("reachable", data.Str("a"), data.Str("c")).Says("a")
@@ -219,7 +262,7 @@ func TestVariantsAgreeOnResults(t *testing.T) {
 }
 
 func TestTamperedEnvelopeRejected(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	n, err := NewNetwork(cfg)
 	if err != nil {
@@ -251,7 +294,7 @@ func TestTamperedEnvelopeRejected(t *testing.T) {
 
 func TestDistributedTraceThroughCore(t *testing.T) {
 	n, _ := mustRun(t, Config{
-		Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+		Source: ReachableNDlog, Graph: paperGraph(),
 		Prov: provenance.ModeDistributed,
 	})
 	target := data.NewTuple("reachable", data.Str("a"), data.Str("c"))
@@ -274,7 +317,7 @@ func TestImportFilterTrustGate(t *testing.T) {
 	levels := map[string]int64{"a": 2, "b": 2, "c": 0}
 	var rejected atomic.Int64
 	cfg := Config{
-		Source: ReachableSeNDlog, Graph: paperGraph(), LinkNoCost: true,
+		Source: ReachableSeNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, Prov: provenance.ModeCondensed, KeyBits: 512,
 		Levels: levels,
 		ImportFilter: func(self string, tu data.Tuple, p semiring.Poly) bool {
@@ -298,7 +341,7 @@ func TestSoftStateAcrossNetwork(t *testing.T) {
 materialize(link, 10, infinity, keys(1,2)).
 r1 reachable(@S,D) :- link(@S,D).
 `
-	n, _ := mustRun(t, Config{Source: src, Graph: paperGraph(), LinkNoCost: true})
+	n, _ := mustRun(t, Config{Source: src, Graph: paperGraph()})
 	if len(n.Tuples("a", "link")) != 2 {
 		t.Fatal("links live")
 	}
@@ -309,7 +352,7 @@ r1 reachable(@S,D) :- link(@S,D).
 }
 
 func TestInsertFactAndRerun(t *testing.T) {
-	n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true})
+	n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph()})
 	// A new link c->a appears at runtime.
 	if err := n.InsertFact("c", data.NewTuple("link", data.Str("c"), data.Str("a"))); err != nil {
 		t.Fatal(err)
@@ -350,7 +393,7 @@ func TestConfigErrors(t *testing.T) {
 func TestProvenanceHasOneHome(t *testing.T) {
 	off := 1.0
 	for _, mode := range []provenance.Mode{provenance.ModeNone, provenance.ModeLocal, provenance.ModeDistributed, provenance.ModeCondensed} {
-		n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true, Prov: mode})
+		n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph(), Prov: mode})
 		if has := n.Node("a").Store != nil; has != (mode == provenance.ModeDistributed) {
 			t.Errorf("%v: node has a provenance store = %v", mode, has)
 		}
@@ -421,7 +464,7 @@ func TestAuthenticatedProvenanceEndToEnd(t *testing.T) {
 	// §4.3 through the whole stack: every provenance tree node is signed
 	// by its asserting principal and verified on import.
 	n, rep := mustRun(t, Config{
-		Source: ReachableSeNDlog, Graph: paperGraph(), LinkNoCost: true,
+		Source: ReachableSeNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, Prov: provenance.ModeLocal, AuthProv: true,
 	})
 	if rep.RejectedSig != 0 {
@@ -458,7 +501,7 @@ func TestAuthenticatedProvenanceEndToEnd(t *testing.T) {
 }
 
 func TestReportFields(t *testing.T) {
-	_, rep := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true})
+	_, rep := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph()})
 	if rep.Rounds <= 0 || rep.CompletionTime <= 0 {
 		t.Errorf("report = %+v", rep)
 	}
@@ -479,7 +522,7 @@ func TestVariantStrings(t *testing.T) {
 
 func TestHMACVariant(t *testing.T) {
 	// The cheaper "says" of §2.2: HMAC instead of RSA.
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true, Auth: auth.SchemeHMAC}
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), Auth: auth.SchemeHMAC}
 	n, rep := mustRun(t, cfg)
 	if rep.Signed == 0 || rep.Verified == 0 {
 		t.Error("HMAC messages must be authenticated")

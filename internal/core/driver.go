@@ -78,13 +78,12 @@ type Driver struct {
 
 // driverEvent is one queued runtime mutation.
 type driverEvent struct {
-	kind    eventKind
-	node    string
-	tuples  []data.Tuple
-	from    string
-	to      string
-	cost    int64
-	hasCost bool
+	kind   eventKind
+	node   string
+	tuples []data.Tuple
+	from   string
+	to     string
+	link   data.Tuple // evSetLink's replacement fact
 }
 
 type eventKind uint8
@@ -95,7 +94,7 @@ const (
 	evSetLink
 	evCutLink
 	// evResupply replays every hosted node's export log (soft-state
-	// re-announcement after a peer process restart; Config.Resupply).
+	// re-announcement after a peer process restart; Network.resupply).
 	evResupply
 )
 
@@ -156,7 +155,7 @@ func (d *Driver) Start(ctx context.Context) error {
 	// Soft-state resupply: when the transport detects a peer process
 	// restarting (a fresh hello incarnation), replay our export log so
 	// the peer re-learns what it lost with its tables.
-	if d.n.cfg.Resupply {
+	if d.n.resupply {
 		d.n.net.SetRestartHandler(func(string) { _ = d.Resupply() })
 	}
 	// Wake the cond when the context dies, so waiters and the pump notice.
@@ -524,12 +523,18 @@ func (d *Driver) Retract(node string, tuples ...data.Tuple) error {
 // SetLink installs (or re-costs) the directed link from→to. A changed
 // cost retracts the old link fact first — withdrawing paths priced on it,
 // cost increases included — then inserts the new one, and the network
-// re-converges incrementally.
+// re-converges incrementally. The fact is shaped like the program's link
+// atoms (cost dropped when they have two arguments); any other arity is
+// refused.
 func (d *Driver) SetLink(from, to string, cost int64) error {
 	if _, ok := d.n.nodes[from]; !ok {
 		return fmt.Errorf("core: unknown node %q", from)
 	}
-	return d.enqueue(driverEvent{kind: evSetLink, from: from, to: to, cost: cost, hasCost: true})
+	link, err := d.n.linkFact(from, to, cost)
+	if err != nil {
+		return err
+	}
+	return d.enqueue(driverEvent{kind: evSetLink, from: from, to: to, link: link})
 }
 
 // CutLink removes the directed link from→to: the link fact is retracted
@@ -543,7 +548,7 @@ func (d *Driver) CutLink(from, to string) error {
 }
 
 // Resupply queues a soft-state re-announcement: every hosted node
-// replays its export log (Config.Resupply) between rounds. The driver
+// replays its export log (Network.resupply) between rounds. The driver
 // enqueues it automatically when the transport reports a peer restart.
 func (d *Driver) Resupply() error {
 	return d.enqueue(driverEvent{kind: evResupply})
@@ -604,11 +609,7 @@ func (d *Driver) applyEvents(evs []driverEvent) (bool, error) {
 			nd.pendingRetract = append(nd.pendingRetract, ws...)
 			mutated = true
 		case evSetLink, evCutLink:
-			changed, err := d.applyLink(nd, ev)
-			if err != nil {
-				return mutated, err
-			}
-			mutated = mutated || changed
+			mutated = d.applyLink(nd, ev) || mutated
 		}
 	}
 	return mutated, nil
@@ -623,23 +624,15 @@ func eventNode(ev driverEvent) string {
 
 // applyLink performs link churn at the link's owning node: existing link
 // facts for the (from,to) pair are retracted (cascading), and SetLink
-// inserts the replacement fact.
-func (d *Driver) applyLink(nd *Node, ev driverEvent) (bool, error) {
-	var fresh data.Tuple
-	if ev.kind == evSetLink {
-		if d.n.cfg.LinkNoCost {
-			fresh = data.NewTuple("link", data.Str(ev.from), data.Str(ev.to))
-		} else {
-			fresh = data.NewTuple("link", data.Str(ev.from), data.Str(ev.to), data.Int(ev.cost))
-		}
-	}
+// inserts the replacement fact. It reports whether anything changed.
+func (d *Driver) applyLink(nd *Node, ev driverEvent) bool {
 	var stale []data.Tuple
 	keep := false
 	for _, t := range nd.Engine.Tuples("link") {
 		if len(t.Args) < 2 || t.Args[0].Str != ev.from || t.Args[1].Str != ev.to {
 			continue
 		}
-		if ev.kind == evSetLink && t.WithoutAsserter().Equal(fresh) {
+		if ev.kind == evSetLink && t.WithoutAsserter().Equal(ev.link) {
 			keep = true // identical link already installed: no-op
 			continue
 		}
@@ -653,10 +646,10 @@ func (d *Driver) applyLink(nd *Node, ev driverEvent) (bool, error) {
 		changed = true
 	}
 	if ev.kind == evSetLink && !keep {
-		nd.Engine.InsertFact(fresh)
+		nd.Engine.InsertFact(ev.link)
 		changed = true
 	}
-	return changed, nil
+	return changed
 }
 
 // --- subscriptions ---

@@ -63,12 +63,6 @@ type netMetrics struct {
 	prevOut       int64
 }
 
-// storePender is the optional writer-lag surface of a Store
-// (implemented by storelog.Log: queued + in-flight events).
-type storePender interface {
-	Pending() int
-}
-
 // newNetMetrics creates the Network's instruments in registry m and
 // registers the scrape-time funcs that read state owned elsewhere.
 func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
@@ -134,10 +128,10 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 	m.CounterFunc("provnet_crypto_rejected_signatures_total", "Envelopes dropped for failed authentication.", func() int64 { return n.rejectedSig.Load() })
 	m.CounterFunc("provnet_import_rejected_filter_total", "Imported tuples dropped by the trust filter.", func() int64 { return n.rejectedFilter.Load() })
 
-	// Store writer lag, when the Store exposes it (storelog.Log does).
-	if sp, ok := n.store.(storePender); ok {
+	// Store writer lag (queued + in-flight events; always 0 for MemStore).
+	if n.store != nil {
 		m.GaugeFunc("provnet_store_pending", "Store events queued or in flight behind the durable writer.", func() int64 {
-			return int64(sp.Pending())
+			return int64(n.store.Pending())
 		})
 	}
 	return nm
@@ -216,8 +210,8 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 		TransportPending: n.net.PendingCount(),
 		PeerQueues:       n.net.QueueDepths(),
 	}
-	if sp, ok := n.store.(storePender); ok {
-		rec.StoreLag = sp.Pending()
+	if n.store != nil {
+		rec.StoreLag = n.store.Pending()
 	}
 	nm.m.FlightRecorder().Record(rec)
 }
@@ -235,8 +229,8 @@ func (nm *netMetrics) observeQuiesce(n *Network, start time.Time) {
 		WallNs:           time.Since(start).Nanoseconds(), //provlint:allow detpath metrics quiesce timing, outside the deterministic state
 		TransportPending: n.net.PendingCount(),
 	}
-	if sp, ok := n.store.(storePender); ok {
-		rec.StoreLag = sp.Pending()
+	if n.store != nil {
+		rec.StoreLag = n.store.Pending()
 	}
 	nm.m.FlightRecorder().Record(rec)
 }

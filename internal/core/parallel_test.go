@@ -37,13 +37,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 		cfg  Config
 	}{
 		{"reachable-ndlog-paper", Config{
-			Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+			Source: ReachableNDlog, Graph: paperGraph(),
 		}},
 		{"reachable-sendlog-rsa-condensed", Config{
-			Source:     ReachableSeNDlog,
-			Graph:      topo.RandomConnected(topo.Options{N: 10, AvgOutDegree: 3, Seed: 7}),
-			LinkNoCost: true,
-			Auth:       auth.SchemeRSA, Prov: provenance.ModeCondensed,
+			Source: ReachableSeNDlog,
+			Graph:  topo.RandomConnected(topo.Options{N: 10, AvgOutDegree: 3, Seed: 7}),
+			Auth:   auth.SchemeRSA, Prov: provenance.ModeCondensed,
 		}},
 		{"bestpath-rsa", Config{
 			Source: BestPath,

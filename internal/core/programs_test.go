@@ -64,7 +64,7 @@ func TestASGranularityProvenance(t *testing.T) {
 	// AS level by renaming principals.
 	g := topo.RandomConnected(topo.Options{N: 6, AvgOutDegree: 3, Seed: 4})
 	n, _ := mustRun(t, Config{
-		Source: ReachableNDlog, Graph: g, LinkNoCost: true,
+		Source: ReachableNDlog, Graph: g,
 		Prov: provenance.ModeCondensed,
 	})
 	asOf := func(node string) string {

@@ -130,7 +130,7 @@ func TestSessionRekeyBoundaries(t *testing.T) {
 // b, injected into a session-mode network, is dropped and counted and
 // pollutes no table. Only session keys open data here.
 func TestSessionRefusesSignedData(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeSession, KeyBits: 512}
 	clean, _ := mustRun(t, cfg)
 
@@ -167,7 +167,7 @@ func TestSessionRefusesSignedData(t *testing.T) {
 // frame is dropped, counted, and withdraws nothing. (The flip that parses
 // — token to terminate — is in TestEnvelopeTamperDetection.)
 func TestKindFlippedFrameRejected(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	n, _ := mustRun(t, cfg)
 	want := snapshot(t, n)
@@ -198,7 +198,7 @@ func TestKindFlippedFrameRejected(t *testing.T) {
 // cleanly (counted, no panic, no table pollution) and the run still
 // completes.
 func TestSessionDropsUnverifiableInput(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeSession, KeyBits: 512}
 	n, err := NewNetwork(cfg)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 // unverifiable input, the run succeeds, and the tables match a run that
 // never saw them.
 func TestMalformedDatagramsAreDropped(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeSession, KeyBits: 512}
 	clean, _ := mustRun(t, cfg)
 
@@ -295,7 +295,7 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 		}}}},
 	} {
 		t.Run(c.mode.String(), func(t *testing.T) {
-			cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true, Prov: c.mode}
+			cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), Prov: c.mode}
 			clean, _ := mustRun(t, cfg)
 			n, err := NewNetwork(cfg)
 			if err != nil {
@@ -328,7 +328,7 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 // network running the per-envelope transport drops handshake frames it
 // cannot open instead of erroring or panicking.
 func TestSessionFramesRejectedWithoutSessionAuth(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	n, err := NewNetwork(cfg)
 	if err != nil {
@@ -350,19 +350,17 @@ func TestSessionFramesRejectedWithoutSessionAuth(t *testing.T) {
 // session transport: condensed provenance still ships and condenses.
 func TestSessionWithCondensedProvenance(t *testing.T) {
 	cfg := Config{
-		Source:     ReachableSeNDlog,
-		Graph:      paperGraph(),
-		LinkNoCost: true,
-		Auth:       auth.SchemeSession,
-		Prov:       provenance.ModeCondensed,
+		Source: ReachableSeNDlog,
+		Graph:  paperGraph(),
+		Auth:   auth.SchemeSession,
+		Prov:   provenance.ModeCondensed,
 	}
 	n, _ := mustRun(t, cfg)
 	base := Config{
-		Source:     ReachableSeNDlog,
-		Graph:      paperGraph(),
-		LinkNoCost: true,
-		Auth:       auth.SchemeRSA,
-		Prov:       provenance.ModeCondensed,
+		Source: ReachableSeNDlog,
+		Graph:  paperGraph(),
+		Auth:   auth.SchemeRSA,
+		Prov:   provenance.ModeCondensed,
 	}
 	nB, _ := mustRun(t, base)
 	if a, b := snapshot(t, n), snapshot(t, nB); a != b {

@@ -313,7 +313,9 @@ func condensedExprs(n *Network) string {
 // outbound session state, so the replay also exercises the
 // re-handshake path a restarted peer triggers. Under condensed
 // provenance the log keeps annotations and the replay encodes them into
-// fresh frame tables: every row's provenance comes back unchanged.
+// fresh frame tables: every row's provenance comes back unchanged. The
+// network names its hosted nodes (all of them) in LocalNodes, as a
+// deployment process does, which is what turns the export log on.
 func TestResupplyReplaysExports(t *testing.T) {
 	for _, s := range []struct {
 		name string
@@ -325,7 +327,7 @@ func TestResupplyReplaysExports(t *testing.T) {
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			cfg := termCfg()
-			cfg.Resupply = true
+			cfg.LocalNodes = cfg.Graph.Nodes
 			s.mut(&cfg)
 			n := startLive(t, cfg, nil)
 			d := n.Driver()

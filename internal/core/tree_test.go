@@ -76,7 +76,7 @@ func treeTagVariants(t testing.TB, datagram []byte, sigSize int) map[string][]by
 // rejection is the forgery's doing. The cross-link replay opens at the
 // parent of the change that bound the leaf to its link.
 func TestForgedTreeFramesRejected(t *testing.T) {
-	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true,
+	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	clean, _ := mustRun(t, cfg)
 	want := snapshot(t, clean)

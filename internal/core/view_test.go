@@ -101,7 +101,7 @@ func TestIncrementalViewMatchesRebuild(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						g := topo.RandomConnected(topo.Options{N: 8, AvgOutDegree: 2, MaxCost: 5, Seed: seed})
 						n, err := NewNetwork(Config{
-							Source: p.source, Graph: g, LinkNoCost: p.noCost,
+							Source: p.source, Graph: g,
 							Prov: mode, Auth: auth.SchemeNone,
 							Sequential: sequential, Store: NewMemStore(),
 						})
@@ -520,7 +520,7 @@ func TestViewReadersDuringChurn(t *testing.T) {
 // re-added under the other form between two publishes must come out of
 // the patch exactly as a rebuild renders it.
 func TestViewFollowsStoredNumericForm(t *testing.T) {
-	n, err := NewNetwork(Config{Source: ReachableNDlog, Graph: paperGraph(), LinkNoCost: true})
+	n, err := NewNetwork(Config{Source: ReachableNDlog, Graph: paperGraph()})
 	if err != nil {
 		t.Fatal(err)
 	}

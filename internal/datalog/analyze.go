@@ -14,18 +14,43 @@ import (
 //   - NDlog rules carry location specifiers on every atom and contain no
 //     says; SeNDlog rules have purely local bodies (no @ in body atoms)
 //     and export with a head destination;
-//   - facts are ground and placed.
+//   - facts are ground and placed;
+//   - every use of a predicate (head, body atom, fact) has the same
+//     arity: engine tables are keyed by predicate name alone, so a rule
+//     reading another arity would never join.
 //
 // It returns the first problem found.
 func Validate(prog *Program) error {
+	arity := map[string]int{}
+	use := func(pred string, n, line int) error {
+		if a, ok := arity[pred]; ok && a != n {
+			return fmt.Errorf("datalog: line %d: %s has %d arguments here and %d elsewhere", line, pred, n, a)
+		}
+		arity[pred] = n
+		return nil
+	}
 	for _, r := range prog.Rules {
 		if err := validateRule(r); err != nil {
 			return err
+		}
+		if err := use(r.Head.Pred, len(r.Head.Args), r.Line); err != nil {
+			return err
+		}
+		for _, l := range r.Body {
+			if l.Kind != LitAtom {
+				continue
+			}
+			if err := use(l.Atom.Pred, len(l.Atom.Args), r.Line); err != nil {
+				return err
+			}
 		}
 	}
 	for _, f := range prog.Facts {
 		if f.Node == "" {
 			return fmt.Errorf("datalog: line %d: fact %s has no placement", f.Line, f.Tuple)
+		}
+		if err := use(f.Tuple.Pred, len(f.Tuple.Args), f.Line); err != nil {
+			return err
 		}
 	}
 	for _, pr := range prog.Prunes {

@@ -45,6 +45,9 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{`r p(@S,_) :- q(@S,D).`, "blank variable in head"},     // blank in head
 		{`r p(@S,D) :- C = 1 + 2.`, "at least one atom"},        // no atoms
 		{`At S: r p(S,D)@X :- q(S,D).`, "destination variable"}, // unbound dest
+
+		// q read at two arities: one table per predicate, so no join.
+		{`r p(@S,D) :- q(@S,D), q(@S,D,C).`, "3 arguments here and 2 elsewhere"},
 	}
 	for i, c := range cases {
 		prog, err := Parse(c.src)

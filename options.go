@@ -29,15 +29,8 @@ func New(source string, opts ...Option) (*Network, error) {
 	return core.NewNetwork(cfg)
 }
 
-// WithProgram supplies a pre-parsed program instead of source text.
-func WithProgram(p *Program) Option { return func(c *Config) { c.Program = p } }
-
 // WithGraph supplies the topology; its links become link facts.
 func WithGraph(g *Graph) Option { return func(c *Config) { c.Graph = g } }
-
-// WithLinkNoCost drops the cost column from generated link facts (for
-// 2-ary link programs such as ReachableNDlog).
-func WithLinkNoCost() Option { return func(c *Config) { c.LinkNoCost = true } }
 
 // WithExtraNodes registers nodes that appear in no link or fact.
 func WithExtraNodes(names ...string) Option {

@@ -63,7 +63,7 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 func TestOptionsCoverConfig(t *testing.T) {
 	var c Config
 	for _, o := range []Option{
-		WithLinkNoCost(), WithExtraNodes("x9"), WithKeyBits(512),
+		WithExtraNodes("x9"), WithKeyBits(512),
 		WithAuthProv(), WithOffline(3.5), WithSampleEvery(2),
 		WithLevels(map[string]int64{"a": 2}),
 		WithUnbatched(), WithRekeyRounds(7),
@@ -72,7 +72,7 @@ func TestOptionsCoverConfig(t *testing.T) {
 		o(&c)
 	}
 	switch {
-	case !c.LinkNoCost, len(c.ExtraNodes) != 1, c.KeyBits != 512,
+	case len(c.ExtraNodes) != 1, c.KeyBits != 512,
 		!c.AuthProv, c.Offline == nil || *c.Offline != 3.5, c.SampleEvery != 2,
 		c.Levels["a"] != 2, !c.Unbatched,
 		c.RekeyRounds != 7, c.Auth != auth.SchemeHMAC:

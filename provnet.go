@@ -57,9 +57,11 @@
 // default. Setting Config.Transport to an internal/nettcp transport and
 // Config.LocalNodes to the node(s) this process hosts turns the same
 // program into one member of a multi-process deployment over real TCP
-// (every process needs the same program, topology, and Seed); see
-// docs/ARCHITECTURE.md, the -listen/-self/-peers flags on cmd/provnet,
-// and examples/multiprocess.
+// (every process needs the same program, topology, and Seed). Such a
+// process keeps a log of its exports and replays it to a peer that
+// joins or restarts; a single-process network does not pay for the log.
+// See docs/ARCHITECTURE.md, the -listen/-self/-peers flags on
+// cmd/provnet, and examples/multiprocess.
 //
 // The package re-exports the supported surface of the internal packages;
 // see README.md and docs/ for an architectural overview (including the
@@ -184,17 +186,10 @@ type (
 // ParseProgram parses NDlog/SeNDlog source.
 func ParseProgram(src string) (*Program, error) { return datalog.Parse(src) }
 
-// Authentication (the says operator and the transport sealers).
+// Authentication (the says operator).
 type (
 	// AuthScheme selects the says implementation.
 	AuthScheme = auth.Scheme
-	// Directory holds principals, levels, and keys.
-	Directory = auth.Directory
-	// Sealer seals/opens envelopes on directed links (transport layer).
-	Sealer = auth.Sealer
-	// SessionSealer is the handshake-then-HMAC transport behind
-	// AuthSession.
-	SessionSealer = auth.SessionSealer
 )
 
 // Says implementations, from benign-world to hostile-world. AuthSession

@@ -16,10 +16,9 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		{From: "b", To: "c", Cost: 1},
 	})
 	cfg := provnet.Config{
-		Source:     provnet.ReachableNDlog,
-		Graph:      g,
-		LinkNoCost: true,
-		Prov:       provnet.ProvLocal,
+		Source: provnet.ReachableNDlog,
+		Graph:  g,
+		Prov:   provnet.ProvLocal,
 	}
 	n, err := provnet.NewNetwork(cfg)
 	if err != nil {
