@@ -100,14 +100,16 @@ chaos:
 # parsed before it is authenticated; the condensed-provenance BDD table;
 # tuple decoding through a symbol table against decoding without one),
 # the two hash-collision fuzzers (retraction; the provenance store's
-# tuple index) and store-log recovery after arbitrary trailing bytes,
-# same budget as CI.
+# tuple index), retraction against a fresh engine on the surviving facts
+# and store-log recovery after arbitrary trailing bytes, same budget as
+# CI.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOpenTreeTag -fuzztime 30s ./internal/auth
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTable -fuzztime 30s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWithSymbols -fuzztime 30s ./internal/data
 	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzRetractMatchesFresh -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStoreIndex -fuzztime 30s ./internal/provenance
 	$(GO) test -run '^$$' -fuzz FuzzRecover -fuzztime 30s ./internal/storelog
 

@@ -134,6 +134,52 @@ func LiveBestPathChurn(fatal func(...any), cfg provnet.Config, nodes, cycles, ke
 	return rep
 }
 
+// BestPathCutStaged converges the §6 Best-Path workload on a random
+// topology through a synchronous Driver, then returns a one-shot closure
+// that cuts and restores each of the first flaps links in turn, waiting
+// for quiescence after every change: the retraction window (two-phase
+// DRed, then re-insertion) the allocation budget counts. The closure's
+// report holds the window's own work — derivations, tuples stored and
+// retracted, and rounds summed over its quiescences — with the
+// transport and crypto counters cumulative.
+func BestPathCutStaged(fatal func(...any), cfg provnet.Config, nodes, flaps int, seed int64) func() *provnet.Report {
+	g := provnet.RandomGraph(provnet.TopoOptions{N: nodes, AvgOutDegree: 3, MaxCost: 10, Seed: seed})
+	cfg.Graph = g
+	cfg.Seed = seed
+	net, err := provnet.NewNetwork(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	ctx := context.Background()
+	d := net.Driver()
+	base, err := d.AwaitQuiescence(ctx)
+	if err != nil {
+		fatal(err)
+	}
+	return func() *provnet.Report {
+		rep, rounds := base, 0
+		settle := func(err error) {
+			if err == nil {
+				rep, err = d.AwaitQuiescence(ctx)
+			}
+			if err != nil {
+				fatal(err)
+			}
+			rounds += rep.Rounds
+		}
+		for _, l := range g.Links[:flaps] {
+			settle(d.CutLink(l.From, l.To))
+			settle(d.SetLink(l.From, l.To, l.Cost))
+		}
+		out := *rep
+		out.Rounds = rounds
+		out.Derivations -= base.Derivations
+		out.TuplesStored -= base.TuplesStored
+		out.Retracted -= base.Retracted
+		return &out
+	}
+}
+
 // fanInSource is the wide fan-in workload: spoke nodes ship edge
 // readings to a single hub, which computes the two-hop join and a
 // per-source fan-out count. Nearly all work is the hub's rule

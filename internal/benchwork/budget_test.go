@@ -49,6 +49,17 @@ var budgetCells = []budgetCell{
 		},
 		derivs: 13907, stored: 4364, rounds: 7, allocs: 56611,
 	},
+	{
+		// Cut and restore of 8 links through the Driver: the churn
+		// cells above only lower costs, so this is the one window that
+		// runs retraction — the over-delete walk, shadow revival,
+		// head-bound re-derivation and aggregate recompute.
+		name: "bestpath-cut",
+		stage: func(fatal func(...any)) func() *provnet.Report {
+			return BestPathCutStaged(fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
+		},
+		derivs: 5494, stored: 1352, rounds: 132, allocs: 38899,
+	},
 }
 
 // allocSlack is how far a window may drift above its recorded
@@ -83,7 +94,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 		rep := run()
 		runtime.ReadMemStats(&m1)
 		allocs := m1.Mallocs - m0.Mallocs
-		t.Logf("%s: derivs: %d, stored: %d, rounds: %d, allocs: %d", c.name, rep.Derivations, rep.TuplesStored, rep.Rounds, allocs)
+		t.Logf("%s: derivs: %d, stored: %d, rounds: %d, retracted: %d, allocs: %d", c.name, rep.Derivations, rep.TuplesStored, rep.Rounds, rep.Retracted, allocs)
 		if rep.Derivations != c.derivs || rep.TuplesStored != c.stored || rep.Rounds != c.rounds {
 			t.Errorf("%s: workload drift: derivations %d (recorded %d), tuples stored %d (%d), rounds %d (%d)",
 				c.name, rep.Derivations, c.derivs, rep.TuplesStored, c.stored, rep.Rounds, c.rounds)

@@ -121,6 +121,119 @@ func cutCandidate(t *testing.T, n *Network, g *topo.Graph) topo.Link {
 	return topo.Link{}
 }
 
+// TestCutMatchesFreshAcrossPrograms drives the paper's programs through
+// a script of link cuts and restores on the live Driver, under AuthNone
+// and AuthRSA, and after every quiescence holds the tie-free tables to a
+// fresh Run(0) over the links of that moment. SeNDlog's s3 ships to the
+// destination its @Z binds, and RSA makes every head carry its asserter:
+// the repair's re-derivation must rebuild both. bestRoute is compared on
+// (S,D,C) only, since which of two equal-cost routes survives depends on
+// arrival order.
+//
+// DistanceVector is not in the list: it does not re-converge to the fresh
+// tables after a cut. A neighbour's dvCost that rises arrives as a
+// primary-key replacement, which retracts nothing, and the dv row it
+// should replace survives because aggregate selection shadows the worse
+// replacement (ROADMAP item 11).
+func TestCutMatchesFreshAcrossPrograms(t *testing.T) {
+	g := topo.RandomConnected(topo.Options{N: 8, AvgOutDegree: 3, MaxCost: 10, Seed: 4})
+	// table is one compared predicate and the argument positions compared
+	// (nil: all of them).
+	type table struct {
+		pred string
+		cols []int
+	}
+	programs := []struct {
+		name, source string
+		tables       []table
+	}{
+		{"ReachableNDlog", ReachableNDlog, []table{{"reachable", nil}}},
+		{"ReachableSeNDlog", ReachableSeNDlog, []table{{"reachable", nil}}},
+		{"PathVector", PathVector, []table{{"rCost", nil}, {"bestRoute", []int{0, 1, 3}}}},
+	}
+	// Each step toggles one link: cut the first three, restore the
+	// second, then restore the rest.
+	script := []struct {
+		link int
+		cut  bool
+	}{{0, true}, {1, true}, {2, true}, {1, false}, {0, false}, {2, false}}
+	snapshot := func(n *Network, tables []table) (string, int) {
+		var b strings.Builder
+		rows := 0
+		for _, name := range n.Nodes() {
+			for _, tb := range tables {
+				for _, tu := range n.Node(name).Engine.Tuples(tb.pred) {
+					if cols := tb.cols; cols != nil {
+						args := make([]data.Value, len(cols))
+						for i, c := range cols {
+							args[i] = tu.Args[c]
+						}
+						tu.Args = args
+					}
+					fmt.Fprintf(&b, "%s: %s\n", name, tu)
+					rows++
+				}
+			}
+		}
+		return b.String(), rows
+	}
+	for _, prog := range programs {
+		for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeRSA} {
+			t.Run(fmt.Sprintf("%s/%s", prog.name, scheme), func(t *testing.T) {
+				cfg := Config{Source: prog.source, Graph: g, Auth: scheme, KeyBits: 512}
+				n, err := NewNetwork(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := n.Driver()
+				ctx := context.Background()
+				if _, err := d.AwaitQuiescence(ctx); err != nil {
+					t.Fatal(err)
+				}
+				cut := make([]bool, len(g.Links))
+				for step, s := range script {
+					l := g.Links[s.link]
+					if s.cut {
+						err = d.CutLink(l.From, l.To)
+					} else {
+						err = d.SetLink(l.From, l.To, l.Cost)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := d.AwaitQuiescence(ctx); err != nil {
+						t.Fatal(err)
+					}
+					cut[s.link] = s.cut
+					now := &topo.Graph{Nodes: g.Nodes}
+					for i, l := range g.Links {
+						if !cut[i] {
+							now.Links = append(now.Links, l)
+						}
+					}
+					freshCfg := cfg
+					freshCfg.Graph = now
+					fresh, err := NewNetwork(freshCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := fresh.Run(0); err != nil {
+						t.Fatal(err)
+					}
+					got, rows := snapshot(n, prog.tables)
+					want, _ := snapshot(fresh, prog.tables)
+					if got != want {
+						t.Fatalf("step %d (%s→%s cut=%v): live tables differ from a fresh run\n--- live ---\n%s--- fresh ---\n%s", step, l.From, l.To, s.cut, got, want)
+					}
+					if rows == 0 {
+						t.Fatalf("step %d: no rows to compare", step)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestCutLinkReconverges is the tentpole acceptance test: after CutLink,
 // every stale bestPath (one routed over the cut edge) is withdrawn on
 // every node, the re-converged bestPath/spCost tables equal a fresh

@@ -270,7 +270,7 @@ func (e *Engine) recomputeAggRules(only map[string]bool, sink func(dead data.Tup
 		// the fresh group map; emission is deferred until the diff below.
 		saved := e.suppressAggEmit
 		e.suppressAggEmit = true
-		e.evalFull(r, nil)
+		e.evalFull(r)
 		e.suppressAggEmit = saved
 
 		tbl := e.table(r.headPred)

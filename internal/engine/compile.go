@@ -73,12 +73,13 @@ type compiledRule struct {
 	steps []step
 
 	// plans[si][skip+1] is the precompiled index probe for evaluating
-	// step si when body atom skip is the delta (-1 = full evaluation):
-	// which columns are bound at that point and where each probe value
-	// comes from (a constant or an environment slot). Computed once at
-	// compile time instead of re-derived per wave; the boundness analysis
-	// is exact because reaching a step implies every earlier step bound
-	// all of its slots.
+	// step si when body atom skip is the delta (-1 = full evaluation;
+	// len(atoms) = the head is bound instead, DRed's re-derivation of one
+	// deleted tuple): which columns are bound at that point and where each
+	// probe value comes from (a constant or an environment slot). Computed
+	// once at compile time instead of re-derived per wave; the boundness
+	// analysis is exact because reaching a step implies every earlier step
+	// bound all of its slots.
 	plans [][]probePlan
 	// maxProbe is the widest probe across plans, sizing scratch buffers.
 	maxProbe int
@@ -86,49 +87,61 @@ type compiledRule struct {
 	nvars int
 }
 
-// probeSrc names where one probe column's value comes from at runtime.
-type probeSrc struct {
-	isConst  bool
-	constVal data.Value
-	slot     int
-}
-
-// probePlan is one precompiled index probe: the bound columns, their
-// value sources, and the index signature (so the probe allocates
-// nothing). Empty cols means a full table scan.
+// probePlan is one precompiled index probe: the bound columns, the
+// argument patterns their values come from (a constant, or a slot bound
+// by then), and the index signature (so the probe allocates nothing).
+// Empty cols means a full table scan.
 type probePlan struct {
 	sig  string
 	cols []int
-	srcs []probeSrc
+	srcs []pattern
 }
 
 // buildProbePlans computes cr.plans for every (step, delta-atom)
-// combination by static boundness simulation.
+// combination, and for the bound head, by static boundness simulation.
+// Every node's engine builds its own, so setup time grows with the node
+// count: the plans share one backing array, and each probe's columns are
+// sized before they are filled.
 func buildProbePlans(cr *compiledRule) {
+	variants := len(cr.atoms) + 2
+	all := make([]probePlan, len(cr.steps)*variants)
 	cr.plans = make([][]probePlan, len(cr.steps))
 	for si := range cr.steps {
-		cr.plans[si] = make([]probePlan, len(cr.atoms)+1)
+		cr.plans[si] = all[si*variants : (si+1)*variants : (si+1)*variants]
 	}
-	for skip := -1; skip < len(cr.atoms); skip++ {
-		bound := make([]bool, cr.nvars)
-		mark := func(slot int) {
-			if slot >= 0 {
-				bound[slot] = true
+	bound := make([]bool, cr.nvars)
+	mark := func(slot int) {
+		if slot >= 0 {
+			bound[slot] = true
+		}
+	}
+	markAtom := func(spec *atomSpec) {
+		if spec.says != nil && !spec.says.isConst {
+			mark(spec.says.slot)
+		}
+		for _, p := range spec.args {
+			if !p.isConst {
+				mark(p.slot)
 			}
 		}
-		markAtom := func(spec *atomSpec) {
-			if spec.says != nil && !spec.says.isConst {
-				mark(spec.says.slot)
-			}
-			for _, p := range spec.args {
+	}
+	probed := func(p pattern) bool { return p.isConst || p.slot >= 0 && bound[p.slot] }
+	for skip := -1; skip <= len(cr.atoms); skip++ {
+		clear(bound)
+		mark(cr.ctxSlot)
+		mark(cr.locSlot)
+		switch {
+		case skip == len(cr.atoms):
+			// evalHead binds every head variable and the destination.
+			for _, p := range cr.headArgs {
 				if !p.isConst {
 					mark(p.slot)
 				}
 			}
-		}
-		mark(cr.ctxSlot)
-		mark(cr.locSlot)
-		if skip >= 0 {
+			if cr.headDestSet && !cr.headDest.isConst {
+				mark(cr.headDest.slot)
+			}
+		case skip >= 0:
 			markAtom(&cr.atoms[skip])
 		}
 		for si, st := range cr.steps {
@@ -138,21 +151,25 @@ func buildProbePlans(cr *compiledRule) {
 					continue
 				}
 				spec := &cr.atoms[st.atom]
-				var plan probePlan
+				n := 0
+				for _, p := range spec.args {
+					if probed(p) {
+						n++
+					}
+				}
+				plan := &cr.plans[si][skip+1]
+				if n > 0 {
+					plan.cols, plan.srcs = make([]int, 0, n), make([]pattern, 0, n)
+				}
 				for i, p := range spec.args {
-					switch {
-					case p.isConst:
+					if probed(p) {
 						plan.cols = append(plan.cols, i)
-						plan.srcs = append(plan.srcs, probeSrc{isConst: true, constVal: p.constVal})
-					case p.slot >= 0 && bound[p.slot]:
-						plan.cols = append(plan.cols, i)
-						plan.srcs = append(plan.srcs, probeSrc{slot: p.slot})
+						plan.srcs = append(plan.srcs, p)
 					}
 				}
 				plan.sig = colSig(plan.cols)
-				cr.plans[si][skip+1] = plan
-				if len(plan.cols) > cr.maxProbe {
-					cr.maxProbe = len(plan.cols)
+				if n > cr.maxProbe {
+					cr.maxProbe = n
 				}
 				markAtom(spec)
 			case stepAssign:
@@ -169,6 +186,8 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 		ctxSlot:    -1,
 		locSlot:    -1,
 		headLocIdx: -1,
+		headArgs:   make([]pattern, 0, len(r.Head.Args)),
+		steps:      make([]step, 0, len(r.Body)),
 	}
 	if cr.label == "" {
 		cr.label = r.Head.Pred
@@ -214,7 +233,7 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 		switch l.Kind {
 		case datalog.LitAtom:
 			a := l.Atom
-			spec := atomSpec{pred: a.Pred}
+			spec := atomSpec{pred: a.Pred, args: make([]pattern, 0, len(a.Args))}
 			for _, t := range a.Args {
 				spec.args = append(spec.args, pat(t))
 			}

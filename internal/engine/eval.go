@@ -92,9 +92,10 @@ func (e *Engine) evalDelta(r *compiledRule, atomIdx int, delta *Entry, sink *[]p
 	env.undo(&sc.trail, 0)
 }
 
-// evalFull evaluates rule r from scratch over the stored tables (used for
-// aggregate recomputation and DRed re-derivation). sink as in evalDelta.
-func (e *Engine) evalFull(r *compiledRule, sink *[]pending) {
+// evalFull evaluates rule r from scratch over the stored tables,
+// committing every firing through emit (aggregate recomputation and the
+// lossy-shadow revival fallback).
+func (e *Engine) evalFull(r *compiledRule) {
 	if !e.ruleActive(r) {
 		return
 	}
@@ -106,9 +107,61 @@ func (e *Engine) evalFull(r *compiledRule, sink *[]pending) {
 		for i := range body {
 			body[i] = AnnTuple{}
 		}
-		e.evalSteps(r, 0, -1, env, body, &sc.trail, sink, sc)
+		e.evalSteps(r, 0, -1, env, body, &sc.trail, nil, sc)
 	}
 	env.undo(&sc.trail, 0)
+}
+
+// evalHead evaluates rule r with its head bound to tuple t at
+// destination dest: the head arguments (a constant must match) and the
+// destination pre-bind their slots, so the rule's head-bound plan probes
+// on them and an assignment to a head variable checks instead of binding.
+// Only firings that derive t for dest reach sink. This is DRed's
+// re-derivation of one deleted tuple or withdrawn export (retract.go).
+func (e *Engine) evalHead(r *compiledRule, dest string, t data.Tuple, sink *[]pending) {
+	if !e.ruleActive(r) || len(t.Args) != len(r.headArgs) {
+		return
+	}
+	asserter := "" // fire asserts every head as this node, or as no one
+	if e.authenticated {
+		asserter = e.self
+	}
+	if t.Asserter != asserter {
+		return
+	}
+	sc := e.scratchBuf()
+	env := &sc.env
+	if e.bindHead(r, dest, t, env, &sc.trail) {
+		body := sc.body[:len(r.atoms)]
+		for i := range body {
+			body[i] = AnnTuple{}
+		}
+		e.evalSteps(r, 0, len(r.atoms), env, body, &sc.trail, sink, sc)
+	}
+	env.undo(&sc.trail, 0)
+}
+
+// bindHead binds the context and location slots, r's head arguments to
+// t's and its destination to dest, reporting whether they all agree.
+func (e *Engine) bindHead(r *compiledRule, dest string, t data.Tuple, env *env, trail *[]int) bool {
+	if r.ctxSlot >= 0 && !env.bindOrCheck(r.ctxSlot, data.Str(e.self), trail) ||
+		r.locSlot >= 0 && !env.bindOrCheck(r.locSlot, data.Str(e.self), trail) {
+		return false
+	}
+	for i, p := range r.headArgs {
+		if !env.matchPattern(p, t.Args[i], trail) {
+			return false
+		}
+	}
+	switch {
+	case r.headLocIdx >= 0:
+		v := t.Args[r.headLocIdx]
+		return v.Kind == data.KindString && v.Str == dest
+	case r.headDestSet:
+		return env.matchPattern(r.headDest, data.Str(dest), trail)
+	default:
+		return dest == e.self
+	}
 }
 
 // ruleActive reports whether the rule applies at this node at all.

@@ -20,11 +20,12 @@ import (
 //     shipped withdrawals) accumulates on the engine.
 //   - CompleteRetract (repair): once no withdrawal is in flight,
 //     aggregate-selection groups re-admit the shadow candidates the
-//     prune had rejected, every non-aggregate rule re-evaluates
-//     restricted to the deleted set (alternate derivations re-establish
-//     survivors locally and re-ship previously withdrawn exports), and
-//     touched aggregates recompute from live state — heads whose groups
-//     vanished cascade back through over-deletion.
+//     prune had rejected, every non-aggregate rule re-evaluates with its
+//     head bound to each deleted tuple and each withdrawn export it could
+//     derive (alternate derivations re-establish survivors locally and
+//     re-ship previously withdrawn exports), and touched aggregates
+//     recompute from live state — heads whose groups vanished cascade
+//     back through over-deletion.
 //
 // The phase split matters in a network: completing a node's repair while
 // a neighbor's withdrawal is still in flight briefly revives routes the
@@ -148,14 +149,19 @@ func (e *Engine) dropDeps(t data.Tuple, visit func(head data.Tuple, dest string)
 type pairSet struct {
 	pairs chain[pair]
 	slab  slab[pair]
-	n     int
+	// first and last thread the pairs in insertion order. A removed
+	// pair stays threaded, marked gone, and is not handed out again.
+	first, last *pair
+	n           int
 }
 
 type pair struct {
-	dest string
-	t    data.Tuple
-	hash uint64
-	next *pair // the next pair with the same hash
+	dest  string
+	t     data.Tuple
+	hash  uint64
+	next  *pair // the next pair with the same hash
+	after *pair // the next pair added
+	gone  bool
 }
 
 func (p *pair) link() **pair { return &p.next }
@@ -184,6 +190,12 @@ func (s *pairSet) add(dest string, t data.Tuple) bool {
 	p := s.slab.alloc()
 	p.dest, p.t, p.hash = dest, t, h
 	s.pairs.push(h, p)
+	if s.last == nil {
+		s.first = p
+	} else {
+		s.last.after = p
+	}
+	s.last = p
 	s.n++
 	return true
 }
@@ -195,43 +207,49 @@ func (s *pairSet) remove(dest string, t data.Tuple) bool {
 		return false
 	}
 	s.pairs.unlink(p.hash, p)
-	s.slab.put(p)
+	p.gone = true
 	s.n--
 	return true
 }
 
 func (s *pairSet) len() int { return s.n }
 
-// withdrawalQueue accumulates outbound retractions in deterministic
-// order, deduplicated by (destination, tuple).
-type withdrawalQueue struct {
-	order []Withdrawal
-	seen  *pairSet
-}
-
-func newWithdrawalQueue() *withdrawalQueue {
-	return &withdrawalQueue{seen: newPairSet()}
-}
-
-func (wq *withdrawalQueue) add(dest string, t data.Tuple) {
-	if !wq.seen.add(dest, t) {
-		return
+// addAll adds every pair of o.
+func (s *pairSet) addAll(o *pairSet) {
+	for p := o.first; p != nil; p = p.after {
+		if !p.gone {
+			s.add(p.dest, p.t)
+		}
 	}
-	wq.order = append(wq.order, Withdrawal{Dest: dest, Tuple: t})
+}
+
+// withdrawals lists the set's pairs in insertion order: an outbound
+// retraction queue, deduplicated by (destination, tuple).
+func (s *pairSet) withdrawals() []Withdrawal {
+	var out []Withdrawal
+	for p := s.first; p != nil; p = p.after {
+		if !p.gone {
+			out = append(out, Withdrawal{Dest: p.dest, Tuple: p.t})
+		}
+	}
+	return out
 }
 
 // retractPending is the over-deletion state accumulated between
 // BeginRetract* calls and the CompleteRetract that repairs it.
 type retractPending struct {
-	// deleted tuples removed from this node's tables (destination "").
+	// deleted holds the tuples removed from this node's tables, and the
+	// shadowed candidates that lost their local support (destination
+	// ""), in deletion order: the re-derivation's local candidates.
 	deleted *pairSet
 	// dirty aggregate rule labels needing recomputation.
 	dirty map[string]bool
 	// groups are the aggregate-selection groups whose installed optimum
 	// may have relaxed.
 	groups groupSet
-	// shipped tracks (dest, tuple) withdrawals handed to the scheduler;
-	// a re-derivation during repair re-ships those exports.
+	// shipped tracks (dest, tuple) withdrawals handed to the scheduler,
+	// in shipping order; a re-derivation during repair re-ships those
+	// exports.
 	shipped *pairSet
 }
 
@@ -361,16 +379,14 @@ func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
 	if e.pend == nil {
 		e.pend = newRetractPending()
 	}
-	wq := newWithdrawalQueue()
+	wq := newPairSet()
 	e.overdelete(items, wq)
-	for _, w := range wq.order {
-		e.pend.shipped.add(w.Dest, w.Tuple)
-	}
-	return wq.order
+	e.pend.shipped.addAll(wq)
+	return wq.withdrawals()
 }
 
 // CompleteRetract runs the repair phase over the accumulated
-// over-deletion state: shadow revival, restricted re-derivation, and
+// over-deletion state: shadow revival, head-bound re-derivation, and
 // aggregate recomputation, iterating while aggregate heads keep
 // vanishing. It returns the additional withdrawals those cascades
 // produced (to be shipped like Begin's).
@@ -379,7 +395,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 		e.pend = nil
 		return nil
 	}
-	wq := newWithdrawalQueue()
+	wq := newPairSet()
 	for round := 0; round < retractRounds; round++ {
 		p := e.pend
 		e.pend = nil
@@ -401,9 +417,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 			// e.pend for the next repair round.
 			e.overdelete(vanished, wq)
 			if e.pend != nil {
-				for _, w := range wq.order {
-					e.pend.shipped.add(w.Dest, w.Tuple)
-				}
+				e.pend.shipped.addAll(wq)
 			}
 		}
 	}
@@ -412,16 +426,16 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 	// export would ship after the withdrawal and resurrect the tuple at
 	// the destination with no future withdrawal to remove it — drop any
 	// export this repair also decided to withdraw.
-	if len(wq.order) > 0 && len(e.exports) > 0 {
+	if wq.len() > 0 && len(e.exports) > 0 {
 		kept := e.exports[:0]
 		for _, ex := range e.exports {
-			if !wq.seen.has(ex.Dest, ex.Tuple) {
+			if !wq.has(ex.Dest, ex.Tuple) {
 				kept = append(kept, ex)
 			}
 		}
 		e.exports = kept
 	}
-	return wq.order
+	return wq.withdrawals()
 }
 
 // pruneGroup pairs an aggregate-selection spec with one of its touched
@@ -435,7 +449,7 @@ type pruneGroup struct {
 // deleting unsupported rows and accumulating onto e.pend: the deleted
 // tuples, the aggregate rules needing recomputation, and the prune
 // groups needing a best reset. Withdrawals for exported heads go to wq.
-func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
+func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 	if e.pend == nil {
 		e.pend = newRetractPending()
 	}
@@ -445,9 +459,6 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 		it := work[0]
 		work = work[1:]
 		t := it.t
-		if pend.deleted.has("", t) {
-			continue
-		}
 		ps := e.prunes[t.Pred]
 		tbl, ok := e.tables[t.Pred]
 		var en *Entry
@@ -456,10 +467,16 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 		}
 		if en == nil {
 			// Not stored: possibly a prune-shadowed candidate; remove the
-			// retracted support from the shadow row.
-			if ps != nil {
-				e.retractShadow(ps, t, it)
+			// retracted support from the shadow row. Local support is one
+			// flag however many local derivations gave it, so a row that
+			// loses it becomes a re-derivation candidate like a deleted
+			// row: another derivation may still hold.
+			if ps != nil && e.retractShadow(ps, t, it) {
+				pend.deleted.add("", t)
 			}
+			continue
+		}
+		if pend.deleted.has("", t) {
 			continue
 		}
 		switch it.mode {
@@ -499,16 +516,18 @@ func (e *Engine) overdelete(items []retractItem, wq *withdrawalQueue) {
 }
 
 // retractShadow removes one support source from a prune-shadowed
-// candidate, dropping the row when none remains.
-func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) {
+// candidate, dropping the row when none remains. It reports whether the
+// row lost its local support.
+func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) bool {
 	g := ps.findGroup(t)
 	if g == nil {
-		return
+		return false
 	}
 	row := g.findShadow(t)
 	if row == nil {
-		return
+		return false
 	}
+	lost := row.local && it.mode != retractOrigin
 	switch it.mode {
 	case retractForce:
 		row.local = false
@@ -522,6 +541,7 @@ func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) {
 		ps.removeShadow(g, row)
 		ps.maybeDrop(g)
 	}
+	return lost
 }
 
 // reviveShadows resets the installed best of every touched prune group
@@ -621,7 +641,7 @@ func (e *Engine) rederiveGroup(pg pruneGroup) {
 	e.restrict = &restrictState{ps: pg.ps, g: pg.g}
 	for _, r := range e.rules {
 		if r.agg == nil && r.headPred == pg.ps.pred {
-			e.evalFull(r, nil)
+			e.evalFull(r)
 		}
 	}
 	e.restrict = nil
@@ -647,22 +667,40 @@ func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotati
 	ps.enforceCap(g)
 }
 
-// rederiveDeleted is DRed's re-derivation phase: every non-aggregate
-// rule is re-evaluated with emit restricted to the deleted set. Tuples
-// with an alternate derivation are re-established (and queued, so
-// downstream consequences re-propagate); previously withdrawn exports
-// that are still derivable are re-shipped to their destinations.
+// rederiveDeleted is DRed's re-derivation phase over the over-deleted
+// tuples only, as Gupta, Mumick and Subrahmanian define it: each
+// non-aggregate rule evaluates with its head bound to every candidate of
+// its head predicate (evalHead). The candidates are the tuples deleted
+// here (destination self) and the withdrawn exports still shipped (their
+// destination), bucketed by predicate once. A candidate with an
+// alternate derivation is re-established (and queued, so downstream
+// consequences re-propagate) or re-shipped to its destination.
 //
 // The phase has RunToFixpoint's wave shape: every rule is evaluated
 // read-only against the over-deleted tables first, then the collected
-// firings commit in rule order under the rederive filter, so no rule
-// sees another's repairs mid-phase. The over-delete walk before it is
-// index lookups, not rule evaluation.
+// firings commit in rule order, then candidate order, under the rederive
+// filter, which stays the authority on what re-enters. No rule sees
+// another's repairs mid-phase.
 func (e *Engine) rederiveDeleted(p *retractPending) {
+	cands := make(map[string][]*pair)
+	for _, set := range []*pairSet{p.deleted, p.shipped} {
+		for c := set.first; c != nil; c = c.after {
+			if !c.gone {
+				cands[c.t.Pred] = append(cands[c.t.Pred], c)
+			}
+		}
+	}
 	var fired []pending
 	for _, r := range e.rules {
-		if r.agg == nil {
-			e.evalFull(r, &fired)
+		if r.agg != nil {
+			continue
+		}
+		for _, c := range cands[r.headPred] {
+			dest := c.dest
+			if dest == "" {
+				dest = e.self
+			}
+			e.evalHead(r, dest, c.t, &fired)
 		}
 	}
 	e.rederive = &rederiveState{deleted: p.deleted, shipped: p.shipped}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -259,4 +260,165 @@ func TestRetractObserverSeesWithdrawals(t *testing.T) {
 	if removed != 2 {
 		t.Fatalf("removed = %d, want 2 (edge + reach)", removed)
 	}
+}
+
+// TestRederiveReshipsAlternateExport: node n derives out(m,1), which
+// lives at m, two ways. Retracting one body fact over-deletes the export,
+// so n ships m a withdrawal; the re-derivation must then find the other
+// derivation and ship the export again, or m loses a tuple n still
+// derives.
+func TestRederiveReshipsAlternateExport(t *testing.T) {
+	const prog = `
+materialize(a, infinity, infinity, keys(1,2,3)).
+materialize(b, infinity, infinity, keys(1,2,3)).
+materialize(out, infinity, infinity, keys(1,2)).
+x1 out(@D,X) :- a(@S,D,X).
+x2 out(@D,X) :- b(@S,D,X).
+`
+	n, m := retractEngine(t, "n", prog), retractEngine(t, "m", prog)
+	a := data.NewTuple("a", data.Str("n"), data.Str("m"), data.Int(1))
+	b := data.NewTuple("b", data.Str("n"), data.Str("m"), data.Int(1))
+	out := data.NewTuple("out", data.Str("m"), data.Int(1))
+	deliver := func(exports []Export) {
+		t.Helper()
+		for _, ex := range exports {
+			if ex.Dest != "m" || !ex.Tuple.Equal(out) {
+				t.Fatalf("export %s → %s, want %s → m", ex.Tuple, ex.Dest, out)
+			}
+			if err := m.InsertImportedFrom("n", ex.Tuple, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.RunToFixpoint()
+	}
+	n.InsertFact(a)
+	n.InsertFact(b)
+	deliver(n.RunToFixpoint())
+	if !m.Has(out) {
+		t.Fatal("out(m,1) never reached m")
+	}
+
+	ws := n.RetractFacts(a)
+	if len(ws) != 1 || ws[0].Dest != "m" || !ws[0].Tuple.Equal(out) {
+		t.Fatalf("withdrawals = %v, want the over-deleted out(m,1) → m", ws)
+	}
+	m.RetractInbound([]InboundRetraction{{From: "n", Tuple: out}})
+	m.RunToFixpoint()
+	reship := n.RunToFixpoint()
+	if len(reship) != 1 {
+		t.Fatalf("exports after the repair = %v, want out(m,1) → m once, re-derived through b", reship)
+	}
+	deliver(reship)
+	if !m.Has(out) {
+		t.Fatal("out(m,1) lost at m although n still derives it from b")
+	}
+}
+
+// FuzzRetractMatchesFresh holds retraction to an oracle that involves no
+// DRed: a script of fact inserts and retractions, each followed by a
+// fixpoint, must leave a single-node engine with the tables a fresh
+// engine derives from the facts that survive. The programs cover
+// recursion (reachProg); aggregate selection feeding a min aggregate,
+// with the default shadow cap or a cap of 1 (so the lossy-shadow
+// fallback runs); and a head with a constant argument and a variable an
+// assignment binds, which re-derivation checks instead of binding.
+//
+// A row a changed aggregate replaces under its primary key is not
+// retracted: its consequences are replaced in turn only where they are
+// keyed the same way, as Best-Path's bestPath is on spCost. The
+// aggregate program is written that way, so a fresh run is its oracle.
+func FuzzRetractMatchesFresh(f *testing.F) {
+	cases := []struct {
+		prog string
+		fact func(x, y, c byte) data.Tuple
+		// pruned is the aggregate-selected predicate, left out of the
+		// comparison: which of its candidates are stored depends on the
+		// order they arrived in, and only its optimum is determined.
+		pruned string
+	}{
+		{
+			prog: reachProg,
+			fact: func(x, y, _ byte) data.Tuple {
+				return data.NewTuple("edge", data.Str("n"), data.Str(fmt.Sprint("v", x%4)), data.Str(fmt.Sprint("v", y%4)))
+			},
+		},
+		{
+			prog: `
+materialize(src, infinity, infinity, keys(1,2,3,4)).
+materialize(e, infinity, infinity, keys(1,2,3)).
+materialize(m, infinity, infinity, keys(1,2)).
+materialize(best, infinity, infinity, keys(1,2)).
+aggSelection(e, keys(1,2), min, 3).
+d1 e(@N,X,C) :- src(@N,X,K,C).
+m1 m(@N,X,min<C>) :- e(@N,X,C).
+b1 best(@N,X,C) :- m(@N,X,C), e(@N,X,C).
+`,
+			fact: func(x, y, c byte) data.Tuple {
+				return data.NewTuple("src", data.Str("n"), data.Str(fmt.Sprint("x", x%2)), data.Int(int64(y%2)), data.Int(int64(c%4)))
+			},
+			pruned: "e",
+		},
+		{
+			prog: `
+materialize(w, infinity, infinity, keys(1,2,3,4)).
+materialize(pc, infinity, infinity, keys(1,2,3,4)).
+materialize(far, infinity, infinity, keys(1,2)).
+p1 pc(@N,"one",X,C) :- w(@N,X,Y,C).
+p2 pc(@N,"two",X,C) :- w(@N,X,Y,C1), w(@N,Y,Z,C2), C = C1 + C2.
+p3 far(@N,X) :- pc(@N,K,X,C), C > 3.
+`,
+			fact: func(x, y, c byte) data.Tuple {
+				return data.NewTuple("w", data.Str("n"), data.Str(fmt.Sprint("v", x%3)), data.Str(fmt.Sprint("v", y%3)), data.Int(int64(c%3)))
+			},
+		},
+	}
+	f.Add(byte(0), []byte{1, 0, 1, 0, 1, 1, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0})
+	f.Add(byte(1), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 0, 0, 0, 3, 0, 0, 1, 1})
+	f.Add(byte(4), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0})
+	f.Add(byte(2), []byte{1, 0, 1, 1, 1, 1, 2, 2, 1, 0, 2, 2, 0, 1, 2, 2, 1, 1, 0, 1, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, which byte, ops []byte) {
+		c := cases[int(which)%len(cases)]
+		shadowCap := 0
+		if int(which)/len(cases)%2 == 1 {
+			shadowCap = 1
+		}
+		e := cappedEngine(t, "n", c.prog, shadowCap)
+		live := map[string]data.Tuple{}
+		for i := 0; i+3 < len(ops); i += 4 {
+			tu := c.fact(ops[i+1], ops[i+2], ops[i+3])
+			if ops[i]%3 == 0 {
+				e.RetractFacts(tu)
+				delete(live, tu.Key())
+			} else {
+				e.InsertFact(tu)
+				live[tu.Key()] = tu
+			}
+			e.RunToFixpoint()
+		}
+		fresh := cappedEngine(t, "n", c.prog, shadowCap)
+		keys := make([]string, 0, len(live))
+		for k := range live {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fresh.InsertFact(live[k])
+		}
+		fresh.RunToFixpoint()
+		snapshot := func(e *Engine) string {
+			var b strings.Builder
+			for _, pred := range e.Predicates() {
+				if pred == c.pruned {
+					continue
+				}
+				for _, tu := range e.Tuples(pred) {
+					fmt.Fprintf(&b, "%s\n", tu)
+				}
+			}
+			return b.String()
+		}
+		if got, want := snapshot(e), snapshot(fresh); got != want {
+			t.Fatalf("after the script:\n%s--- fresh engine on the surviving facts:\n%s", got, want)
+		}
+	})
 }
