@@ -97,7 +97,8 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzReconnectReplay -fuzztime 30s ./internal/nettcp
 
 # Wire-decoder fuzzing (every frame kind, one decoder; the RSA tree tag,
-# parsed before it is authenticated; the condensed-provenance BDD table;
+# parsed before it is authenticated; session-MAC envelopes, valid and
+# corrupted, across rekeys; the condensed-provenance BDD table;
 # tuple decoding through a symbol table against decoding without one),
 # the two hash-collision fuzzers (retraction; the provenance store's
 # tuple index), retraction against a fresh engine on the surviving facts
@@ -106,6 +107,7 @@ chaos:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOpenTreeTag -fuzztime 30s ./internal/auth
+	$(GO) test -run '^$$' -fuzz FuzzSessionOpen -fuzztime 30s ./internal/auth
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTable -fuzztime 30s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWithSymbols -fuzztime 30s ./internal/data
 	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine

@@ -131,6 +131,8 @@ func documentedSeries(t *testing.T) map[string]bool {
 // non-test source file spells out — the ones registered only by a TCP
 // transport, the termination detector or the CLI — must each have a row
 // in the inventory, and every row must name a series the source knows.
+// The network runs condensed provenance, so the two provenance gauges,
+// sampled at its quiescence, must read non-zero.
 func TestMetricInventory(t *testing.T) {
 	documented := documentedSeries(t)
 
@@ -139,7 +141,7 @@ func TestMetricInventory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(BestPath, WithGraph(LineGraph(3)), WithMetrics(m), WithStore(store))
+	n, err := New(BestPath, WithGraph(LineGraph(3)), WithProv(ProvCondensed), WithMetrics(m), WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +169,12 @@ func TestMetricInventory(t *testing.T) {
 		if _, ok := known[name]; !ok {
 			t.Errorf("%s is not registered on the in-memory fabric", name)
 		}
+	}
+	// Every BDD node rendered is a node of a manager: 0 < memo <= nodes.
+	bddNodes := m.Gauge("provnet_provenance_bdd_nodes", "").Value()
+	exprMemo := m.Gauge("provnet_provenance_expr_memo_entries", "").Value()
+	if exprMemo <= 0 || exprMemo > bddNodes {
+		t.Errorf("at quiescence: %d BDD nodes, %d memoised expressions; want 0 < memo <= nodes", bddNodes, exprMemo)
 	}
 
 	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -38,8 +39,10 @@ type Envelope struct {
 }
 
 // Sealer seals and opens envelopes travelling a directed (src,dst) link.
-// Implementations must be safe for concurrent use: the parallel
-// scheduler seals and opens from many goroutines at once.
+// Implementations must be safe for concurrent use across links: the
+// parallel scheduler seals and opens from many goroutines at once, each
+// link's envelopes sealed on its sender's task and opened on its
+// receiver's.
 type Sealer interface {
 	// Scheme identifies the implementation.
 	Scheme() Scheme
@@ -123,6 +126,13 @@ const sessionKeySize = 32
 // sessions), exactly as two processes would: a receiver can open a
 // session envelope only after accepting the corresponding handshake
 // frame, even inside this in-process simulator.
+//
+// Each session keys its HMAC once, when the key is installed, and resets
+// it before every envelope. The sealer is safe for concurrent use across
+// links, but one link's outbound half must be used by one goroutine at a
+// time, and so must its inbound half: the scheduler seals a link's frames
+// on its sender's export task and opens them on its receiver's import
+// task, and resupplies between rounds.
 type SessionSealer struct {
 	dir         *Directory
 	rekeyRounds int
@@ -130,8 +140,8 @@ type SessionSealer struct {
 	mu    sync.Mutex
 	round int64
 	epoch uint64
-	out   map[string]*outSession
-	in    map[string]*inSession
+	out   map[link]*outSession
+	in    map[link]*inSession
 
 	handshakes atomic.Int64 // handshake frames sealed (RSA sign + encrypt)
 	accepted   atomic.Int64 // handshake frames accepted (RSA verify + decrypt)
@@ -139,19 +149,26 @@ type SessionSealer struct {
 	opened     atomic.Int64 // session-MAC open operations
 }
 
-// outSession is the sender half of a link session.
+// link names a directed (src,dst) link.
+type link struct{ src, dst string }
+
+// outSession is the sender half of a link session: the key the handshake
+// transports and the HMAC keyed with it.
 type outSession struct {
 	epoch uint64
 	key   []byte
+	mac   hash.Hash
 }
 
-// inSession is the receiver half: the current key plus the previous
-// epoch's, so envelopes in flight across a rekey boundary still open.
+// inSession is the receiver half: the current key's HMAC plus the
+// previous epoch's, so envelopes in flight across a rekey boundary still
+// open. sum is Open's scratch for the computed MAC.
 type inSession struct {
 	epoch     uint64
-	key       []byte
+	mac       hash.Hash
 	prevEpoch uint64
-	prevKey   []byte
+	prevMAC   hash.Hash
+	sum       [sha256.Size]byte
 }
 
 // NewSessionSealer creates a session sealer over the directory's RSA key
@@ -161,8 +178,8 @@ func NewSessionSealer(dir *Directory, rekeyRounds int) *SessionSealer {
 	return &SessionSealer{
 		dir:         dir,
 		rekeyRounds: rekeyRounds,
-		out:         make(map[string]*outSession),
-		in:          make(map[string]*inSession),
+		out:         make(map[link]*outSession),
+		in:          make(map[link]*inSession),
 	}
 }
 
@@ -179,8 +196,6 @@ func (s *SessionSealer) BeginRound() {
 		s.epoch = uint64((s.round - 1) / int64(s.rekeyRounds))
 	}
 }
-
-func linkKey(src, dst string) string { return src + "\x00" + dst }
 
 // deriveSessionKey derives the src→dst session key for an epoch from the
 // source's private key material. Derivation (rather than drawing from a
@@ -202,19 +217,21 @@ func deriveSessionKey(secret []byte, src, dst string, epoch uint64) []byte {
 // session for the src→dst link at the current epoch. It reports whether a
 // handshake frame must be shipped before the next data envelope, and the
 // epoch that frame must carry. Key derivation here is cheap symmetric
-// work; the RSA cost lives in SealHandshake, on the sealing path.
+// work, done only when a key is installed; the RSA cost lives in
+// SealHandshake, on the sealing path.
 func (s *SessionSealer) EnsureSession(src, dst string) (needHandshake bool, epoch uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := link{src, dst}
+	if sess, ok := s.out[k]; ok && sess.epoch == s.epoch {
+		return false, s.epoch, nil
+	}
 	secret := s.dir.sessionSecret(src)
 	if secret == nil {
 		return false, 0, fmt.Errorf("%w: %q", ErrUnknownPrincipal, src)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := linkKey(src, dst)
-	if sess, ok := s.out[k]; ok && sess.epoch == s.epoch {
-		return false, s.epoch, nil
-	}
-	s.out[k] = &outSession{epoch: s.epoch, key: deriveSessionKey(secret, src, dst, s.epoch)}
+	key := deriveSessionKey(secret, src, dst, s.epoch)
+	s.out[k] = &outSession{epoch: s.epoch, key: key, mac: hmac.New(sha256.New, key)}
 	return true, s.epoch, nil
 }
 
@@ -226,7 +243,7 @@ func (s *SessionSealer) EnsureSession(src, dst string) (needHandshake bool, epoc
 func (s *SessionSealer) ResetOutbound() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.out = make(map[string]*outSession)
+	s.out = make(map[link]*outSession)
 }
 
 // SealHandshake builds the handshake frame for the src→dst link at the
@@ -234,7 +251,7 @@ func (s *SessionSealer) ResetOutbound() {
 // src. This is the per-link RSA cost the session scheme amortizes.
 func (s *SessionSealer) SealHandshake(src, dst string, epoch uint64) ([]byte, error) {
 	s.mu.Lock()
-	sess, ok := s.out[linkKey(src, dst)]
+	sess, ok := s.out[link{src, dst}]
 	s.mu.Unlock()
 	if !ok || sess.epoch != epoch {
 		return nil, fmt.Errorf("%w: %s->%s epoch %d", ErrNoSession, src, dst, epoch)
@@ -321,19 +338,20 @@ func (s *SessionSealer) AcceptHandshake(self string, frame []byte) (string, erro
 	if len(sessionKey) != sessionKeySize {
 		return "", fmt.Errorf("%w: session key size %d", ErrBadHandshake, len(sessionKey))
 	}
+	mac := hmac.New(sha256.New, sessionKey)
 	s.mu.Lock()
-	k := linkKey(src, dst)
+	k := link{src, dst}
 	cur, ok := s.in[k]
 	switch {
 	case ok && epoch < cur.epoch:
 		s.mu.Unlock()
 		return "", fmt.Errorf("%w: stale epoch %d < %d (replay?)", ErrBadHandshake, epoch, cur.epoch)
 	case ok && epoch == cur.epoch:
-		s.in[k] = &inSession{epoch: epoch, key: sessionKey, prevEpoch: cur.prevEpoch, prevKey: cur.prevKey}
+		s.in[k] = &inSession{epoch: epoch, mac: mac, prevEpoch: cur.prevEpoch, prevMAC: cur.prevMAC}
 	case ok:
-		s.in[k] = &inSession{epoch: epoch, key: sessionKey, prevEpoch: cur.epoch, prevKey: cur.key}
+		s.in[k] = &inSession{epoch: epoch, mac: mac, prevEpoch: cur.epoch, prevMAC: cur.mac}
 	default:
-		s.in[k] = &inSession{epoch: epoch, key: sessionKey}
+		s.in[k] = &inSession{epoch: epoch, mac: mac}
 	}
 	s.mu.Unlock()
 	s.accepted.Add(1)
@@ -345,15 +363,16 @@ func (s *SessionSealer) AcceptHandshake(self string, frame []byte) (string, erro
 // rekey boundaries.
 func (s *SessionSealer) Seal(src, dst string, payload []byte) ([]byte, error) {
 	s.mu.Lock()
-	sess, ok := s.out[linkKey(src, dst)]
+	sess, ok := s.out[link{src, dst}]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s->%s", ErrNoSession, src, dst)
 	}
-	mac := hmac.New(sha256.New, sess.key)
-	mac.Write(payload)
+	tag := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+sha256.Size), sess.epoch)
+	sess.mac.Reset()
+	sess.mac.Write(payload)
 	s.sealed.Add(1)
-	return mac.Sum(binary.AppendUvarint(nil, sess.epoch)), nil
+	return sess.mac.Sum(tag), nil
 }
 
 // SealBatch MACs each envelope under its own link's session key.
@@ -375,27 +394,27 @@ func (s *SessionSealer) Open(src, dst string, payload, tag []byte) error {
 		return fmt.Errorf("%w: epoch", ErrBadSignature)
 	}
 	s.mu.Lock()
-	sess, ok := s.in[linkKey(src, dst)]
-	var key []byte
+	sess, ok := s.in[link{src, dst}]
+	var mac hash.Hash
 	if ok {
 		switch epoch {
 		case sess.epoch:
-			key = sess.key
+			mac = sess.mac
 		case sess.prevEpoch:
-			key = sess.prevKey
+			mac = sess.prevMAC
 		}
 	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s->%s", ErrNoSession, src, dst)
 	}
-	if key == nil {
+	if mac == nil {
 		return fmt.Errorf("%w: %s->%s epoch %d", ErrNoSession, src, dst, epoch)
 	}
-	mac := hmac.New(sha256.New, key)
+	mac.Reset()
 	mac.Write(payload)
 	s.opened.Add(1)
-	if !hmac.Equal(mac.Sum(nil), tag[m:]) {
+	if !hmac.Equal(mac.Sum(sess.sum[:0]), tag[m:]) {
 		return ErrBadSignature
 	}
 	return nil

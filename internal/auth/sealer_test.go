@@ -2,7 +2,9 @@ package auth
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -213,6 +215,47 @@ func TestSessionRekey(t *testing.T) {
 	}
 }
 
+// TestSessionLinksInParallel seals and opens on six links at once, one
+// goroutine per link, as the scheduler's tasks do: each session's keyed
+// MAC is used by one goroutine, and the sealer's maps by all of them.
+func TestSessionLinksInParallel(t *testing.T) {
+	s := NewSessionSealer(sealerDir(t), 0)
+	var links []link
+	for _, src := range []string{"a", "b", "c"} {
+		for _, dst := range []string{"a", "b", "c"} {
+			if src != dst {
+				handshake(t, s, src, dst)
+				links = append(links, link{src, dst})
+			}
+		}
+	}
+	errs := make(chan error, len(links))
+	for _, l := range links {
+		go func() {
+			for i := range 200 {
+				payload := []byte(fmt.Sprintf("%s->%s #%d", l.src, l.dst, i))
+				tag, err := s.Seal(l.src, l.dst, payload)
+				if err == nil {
+					err = s.Open(l.src, l.dst, payload, tag)
+				}
+				if err == nil && s.Open(l.src, l.dst, payload[1:], tag) == nil {
+					err = fmt.Errorf("%s->%s: a shortened payload opened", l.src, l.dst)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range links {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 func TestSessionUnknownPrincipals(t *testing.T) {
 	s := NewSessionSealer(sealerDir(t), 0)
 	if _, _, err := s.EnsureSession("nobody", "b"); !errors.Is(err, ErrUnknownPrincipal) {
@@ -227,4 +270,111 @@ func TestSessionUnknownPrincipals(t *testing.T) {
 	if _, err := s.SealHandshake("a", "ghost", 0); !errors.Is(err, ErrUnknownPrincipal) {
 		t.Errorf("unknown dst = %v", err)
 	}
+}
+
+// FuzzSessionOpen interleaves valid and corrupted envelopes on two links
+// into b across rekeys (RekeyRounds 1): every valid envelope opens, every
+// corrupted one is rejected, and nothing panics. Each session keeps one
+// keyed MAC that every Seal and Open resets, so state one call left
+// behind would make the next valid envelope fail to open.
+//
+// script drives it one byte per step: bit 0 rekeys first (a round and a
+// handshake on each link), bit 1 picks the link, and bits 2–3 pick what
+// follows the seal: open it; open it with a tag bit flipped, then intact;
+// open it with a payload bit flipped, then intact; or reopen an earlier
+// envelope, which opens only in its epoch and the one after, and never on
+// the other link. The remaining bits and the step index pick the flipped
+// bit and the earlier envelope.
+func FuzzSessionOpen(f *testing.F) {
+	dir := sealerDir(f)
+	f.Add([]byte("payload"), []byte{0, 2, 4, 6, 8, 10, 12, 14})
+	f.Add([]byte("x"), []byte{1, 12, 3, 14, 1, 13, 5, 0x2c, 0xfe, 0x8c})
+	f.Add([]byte{}, []byte{0x44, 0x49, 0x0f, 0x0d, 0x81, 0xc8, 0x7b})
+	f.Fuzz(func(t *testing.T, payload, script []byte) {
+		if len(script) > 64 {
+			script = script[:64] // a rekey costs four RSA operations per link
+		}
+		links := [2]link{{"a", "b"}, {"c", "b"}}
+		type sealed struct {
+			link         int
+			payload, tag []byte
+			epoch        uint64
+		}
+		type inbound struct {
+			cur, prev uint64
+			hasPrev   bool
+		}
+		var in [2]*inbound
+		var log []sealed
+		s := NewSessionSealer(dir, 1)
+		rekey := func() {
+			s.BeginRound()
+			for i, l := range links {
+				need, epoch, err := s.EnsureSession(l.src, l.dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !need {
+					continue
+				}
+				frame, err := s.SealHandshake(l.src, l.dst, epoch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.AcceptHandshake(l.dst, frame); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case in[i] == nil:
+					in[i] = &inbound{cur: epoch}
+				case epoch > in[i].cur:
+					in[i].prev, in[i].hasPrev, in[i].cur = in[i].cur, true, epoch
+				}
+			}
+		}
+		open := func(li int, p, tag []byte, want bool, what string) {
+			t.Helper()
+			l := links[li]
+			if err := s.Open(l.src, l.dst, p, tag); (err == nil) != want {
+				t.Fatalf("%s on %s->%s: open err = %v, want success %v", what, l.src, l.dst, err, want)
+			}
+		}
+		flip := func(b []byte, at, bit int) []byte {
+			out := append([]byte(nil), b...)
+			out[at%len(out)] ^= 1 << (bit % 8)
+			return out
+		}
+		rekey()
+		for i, op := range script {
+			if op&1 != 0 {
+				rekey()
+			}
+			li := int(op>>1) & 1
+			p := append(append([]byte(nil), payload...), byte(i))
+			tag, err := s.Seal(links[li].src, links[li].dst, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch, _ := binary.Uvarint(tag)
+			switch op >> 2 & 3 {
+			case 0:
+				open(li, p, tag, true, "fresh envelope")
+			case 1:
+				open(li, p, flip(tag, i, int(op>>4)), false, "flipped tag bit")
+				open(li, p, tag, true, "intact after a flipped tag")
+			case 2:
+				open(li, flip(p, int(op>>4), i), tag, false, "flipped payload bit")
+				open(li, p, tag, true, "intact after a flipped payload")
+			case 3:
+				if len(log) > 0 {
+					old := log[(int(op>>4)+i)%len(log)]
+					cur := in[old.link]
+					open(old.link, old.payload, old.tag, old.epoch == cur.cur || cur.hasPrev && old.epoch == cur.prev, "earlier envelope")
+					open(1-old.link, old.payload, old.tag, false, "earlier envelope on the other link")
+				}
+				open(li, p, tag, true, "fresh envelope after an earlier one")
+			}
+			log = append(log, sealed{li, p, tag, epoch})
+		}
+	})
 }

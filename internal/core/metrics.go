@@ -47,6 +47,8 @@ type netMetrics struct {
 	depSize    *obs.Gauge
 	shadowSize *obs.Gauge
 	arenaHW    *obs.Gauge
+	bddNodes   *obs.Gauge
+	exprMemo   *obs.Gauge
 
 	// sealNanos/verifyNanos accumulate crypto time within the current
 	// round. The parallel scheduler's workers add concurrently; the
@@ -86,6 +88,8 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 		depSize:       m.Gauge("provnet_engine_dep_index_size", "Body tuples in the retraction dependency index, all engines."),
 		shadowSize:    m.Gauge("provnet_engine_shadow_size", "Prune-shadow rows retained, all engines."),
 		arenaHW:       m.Gauge("provnet_engine_arena_high_water", "High-water total capacity (elements) of the eval scratch arenas."),
+		bddNodes:      m.Gauge("provnet_provenance_bdd_nodes", "Nodes of the condensed-provenance BDD managers (terminals included), all hosted nodes, sampled at quiescence."),
+		exprMemo:      m.Gauge("provnet_provenance_expr_memo_entries", "Condensed-provenance expressions rendered and memoised, all hosted nodes, sampled at quiescence."),
 	}
 
 	// Transport counters: the transports maintain these; export them as
@@ -217,12 +221,23 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 }
 
 // observeQuiesce records one quiescence decision (view publish + store
-// seal) and its wall time.
+// seal) and its wall time, and samples the provenance trackers' sizes:
+// BDD managers and their expression memos only grow.
 func (nm *netMetrics) observeQuiesce(n *Network, start time.Time) {
 	if nm == nil {
 		return
 	}
 	nm.quiesces.Inc()
+	var bddNodes, exprMemo int64
+	for _, name := range n.order {
+		tr := n.nodes[name].Tracker
+		if mgr := tr.Manager(); mgr != nil {
+			bddNodes += int64(mgr.NumNodes())
+		}
+		exprMemo += int64(tr.ExprMemoSize())
+	}
+	nm.bddNodes.Set(bddNodes)
+	nm.exprMemo.Set(exprMemo)
 	rec := obs.RoundRecord{
 		Kind:             "quiesce",
 		StartNs:          start.UnixNano(),

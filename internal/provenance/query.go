@@ -25,9 +25,13 @@ type ResolverFunc func(node string) *Store
 // StoreOf calls f.
 func (f ResolverFunc) StoreOf(node string) *Store { return f(node) }
 
+// DefaultMaxDepth is a traceback's recursion bound when QueryOpts leaves
+// it 0, and the largest one /v1/traceback accepts.
+const DefaultMaxDepth = 64
+
 // QueryOpts configures a traceback.
 type QueryOpts struct {
-	// MaxDepth bounds recursion (0 = 64).
+	// MaxDepth bounds recursion (0 = DefaultMaxDepth).
 	MaxDepth int
 	// Moonwalk samples a single random backward path instead of the full
 	// tree (the random-moonwalk optimization of §5).
@@ -56,7 +60,7 @@ type QueryStats struct {
 // returns the tree and the query's cost.
 func Trace(res Resolver, start, key string, opts QueryOpts) (*Tree, *QueryStats, error) {
 	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 64
+		opts.MaxDepth = DefaultMaxDepth
 	}
 	if opts.Moonwalk && opts.Rng == nil {
 		return nil, nil, fmt.Errorf("provenance: moonwalk requires an Rng")

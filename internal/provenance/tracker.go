@@ -72,6 +72,12 @@ type Tracker struct {
 	cfg TrackerConfig
 	// mgr is the node's BDD manager for condensed provenance.
 	mgr *bdd.Manager
+	// exprs memoises ExprOf per node of mgr. A hash-consed node is
+	// immutable and never freed, so its rendering never changes and no
+	// entry is ever evicted; the memo lives and dies with mgr. It is
+	// guarded by what guards mgr: one node task, or the driver's run
+	// lock, at a time.
+	exprs map[bdd.Node]string
 	// derivCounter drives sampling.
 	derivCounter int
 }
@@ -85,6 +91,7 @@ func NewTracker(cfg TrackerConfig) *Tracker {
 	switch cfg.Mode {
 	case ModeCondensed:
 		t.mgr = bdd.New()
+		t.exprs = make(map[bdd.Node]string)
 	case ModeDistributed:
 		if t.cfg.Store == nil {
 			t.cfg.Store = NewStore(cfg.Self)
@@ -401,14 +408,24 @@ func (tr *Tracker) PolyOf(ann engine.Annotation) semiring.Poly {
 	return semiring.FromCubes(tr.mgr.Cubes(n))
 }
 
-// ExprOf renders a condensed annotation in the paper's <...> style.
+// ExprOf renders a condensed annotation in the paper's <...> style. Each
+// BDD node is rendered once; later calls return the memoised string.
 func (tr *Tracker) ExprOf(ann engine.Annotation) string {
 	n, ok := ann.(bdd.Node)
 	if !ok || tr.mgr == nil {
 		return ""
 	}
-	return "<" + tr.mgr.Expr(n) + ">"
+	s, ok := tr.exprs[n]
+	if !ok {
+		s = "<" + tr.mgr.Expr(n) + ">"
+		tr.exprs[n] = s
+	}
+	return s
 }
+
+// ExprMemoSize returns the number of BDD nodes ExprOf has rendered and
+// memoised (0 outside ModeCondensed). Like the manager, it only grows.
+func (tr *Tracker) ExprMemoSize() int { return len(tr.exprs) }
 
 // TreePoly computes the provenance polynomial of a derivation tree
 // (ModeLocal), attributing leaves to their asserting principals; it

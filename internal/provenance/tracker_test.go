@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -89,6 +90,62 @@ func TestCondensedImportAcrossManagers(t *testing.T) {
 	}
 	if trB.ExprOf(got) != "<a>" {
 		t.Errorf("imported expr = %s", trB.ExprOf(got))
+	}
+}
+
+// TestExprOfMatchesUncached checks the expression memo against the one
+// renderer it caches. Random monotone functions over eight principals
+// are built in the tracker's manager, and every third one in a second
+// manager with another variable order, imported through a BDD table.
+// For every node, ExprOf must be "<" + Expr + ">" on the first call, on
+// a repeat, and after the manager has grown past the node.
+func TestExprOfMatchesUncached(t *testing.T) {
+	principals := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
+	rng := rand.New(rand.NewSource(36))
+	tr := NewTracker(TrackerConfig{Mode: ModeCondensed, Self: "p0"})
+	mgr := tr.Manager()
+	other := bdd.New()
+	other.DeclareOrder("p7", "p5", "p3", "p1", "p6", "p4", "p2", "p0")
+	random := func(m *bdd.Manager) bdd.Node {
+		sum := bdd.False
+		for range 1 + rng.Intn(4) {
+			prod := bdd.True
+			for range 1 + rng.Intn(3) {
+				prod = m.And(prod, m.Var(principals[rng.Intn(len(principals))]))
+			}
+			sum = m.Or(sum, prod)
+		}
+		return sum
+	}
+	check := func(when string, n bdd.Node) {
+		t.Helper()
+		if got, want := tr.ExprOf(n), "<"+mgr.Expr(n)+">"; got != want {
+			t.Fatalf("node %d, %s: ExprOf = %q, uncached %q", n, when, got, want)
+		}
+	}
+	var built []bdd.Node
+	for i := range 60 {
+		n := random(mgr)
+		if i%3 == 2 {
+			table, refs := other.AppendTable(nil, []bdd.Node{random(other)})
+			nodes, err := mgr.DecodeTable(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = nodes[refs[0]]
+		}
+		check("first call", n)
+		check("repeat", n)
+		built = append(built, n)
+	}
+	for _, n := range built {
+		check("after growth", n)
+	}
+	for n := range bdd.Node(mgr.NumNodes()) {
+		check("every node", n)
+	}
+	if got := tr.ExprMemoSize(); got != mgr.NumNodes() {
+		t.Errorf("memo holds %d entries after rendering all %d nodes", got, mgr.NumNodes())
 	}
 }
 

@@ -183,8 +183,9 @@ func (s *Server) handleBestPath(w http.ResponseWriter, r *http.Request) {
 // handleTraceback serves GET /v1/traceback?node=N&tuple=T — the
 // derivation tree of T at N (ModeLocal/ModeDistributed), or its
 // condensed provenance expression read off the snapshot (ModeCondensed).
-// Optional: maxdepth bounds reconstruction, offline=1 consults offline
-// stores (forensics over expired state).
+// Optional: maxdepth (at most provenance.DefaultMaxDepth) bounds
+// reconstruction, offline=1 consults offline stores (forensics over
+// expired state).
 func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	node := q.Get("node")
@@ -230,8 +231,8 @@ func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) {
 	}
 	if md := q.Get("maxdepth"); md != "" {
 		v, err := strconv.Atoi(md)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("bad maxdepth %q", md))
+		if err != nil || v < 0 || v > provenance.DefaultMaxDepth {
+			writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("bad maxdepth %q (want 0-%d)", md, provenance.DefaultMaxDepth))
 			return
 		}
 		opts.MaxDepth = v

@@ -239,19 +239,20 @@ func TestTablesUnknownPredicate(t *testing.T) {
 }
 
 // TestTracebackBadParams pins the 400 paths of /v1/traceback: malformed
-// maxdepth and offline values are client errors with versioned envelopes.
+// maxdepth and offline values, and a maxdepth past the traceback default,
+// are client errors with versioned envelopes.
 func TestTracebackBadParams(t *testing.T) {
 	n, srv := testServer(t, provenance.ModeDistributed)
 	target := queryEscape(n.Tuples("n0", "bestPath")[0].String())
 	base := srv.URL + "/v1/traceback?node=n0&tuple=" + target
-	for _, q := range []string{"&maxdepth=banana", "&maxdepth=-1", "&offline=maybe", "&offline=2"} {
+	for _, q := range []string{"&maxdepth=banana", "&maxdepth=-1", "&maxdepth=65", "&maxdepth=1000000", "&offline=maybe", "&offline=2"} {
 		res := get(t, base+q, http.StatusBadRequest)
 		if res.Error == "" {
 			t.Errorf("400 for %q without error field", q)
 		}
 	}
 	// The accepted spellings still serve.
-	for _, q := range []string{"", "&maxdepth=3", "&offline=0", "&offline=false", "&offline=1", "&offline=true"} {
+	for _, q := range []string{"", "&maxdepth=3", "&maxdepth=64", "&offline=0", "&offline=false", "&offline=1", "&offline=true"} {
 		get(t, base+q, http.StatusOK)
 	}
 	// Tuple text nested past the value-depth bound is a 400, not a parse.
