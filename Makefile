@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSessionOpen -fuzztime 30s ./internal/auth
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTable -fuzztime 30s ./internal/bdd
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWithSymbols -fuzztime 30s ./internal/data
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/nettcp
 	$(GO) test -run '^$$' -fuzz FuzzRetractCollisions -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzRetractMatchesFresh -fuzztime 30s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStoreIndex -fuzztime 30s ./internal/provenance

@@ -28,14 +28,14 @@ var budgetCells = []budgetCell{
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return FanInStaged(fatal, provnet.Config{}, 8, 64, 6, 4000)
 		},
-		derivs: 6156, stored: 4076, rounds: 2, allocs: 2515,
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 2510,
 	},
 	{
 		name: "bestpath-churn",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 30800,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 29836,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -48,30 +48,36 @@ var budgetCells = []budgetCell{
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 56611,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 37744,
 	},
 	{
 		// Cut and restore of 8 links through the Driver: the churn
 		// cells above only lower costs, so this is the one window that
 		// runs retraction — the over-delete walk, shadow revival,
-		// head-bound re-derivation and aggregate recompute.
+		// head-bound re-derivation and the touched aggregate groups'
+		// recount. Recounting spCost over each node's whole path table
+		// instead fired 5 494 times here (every firing counts as a
+		// derivation) and cost 38 899 allocations, with probes that
+		// copied every bucket holding a dead row and retraction state
+		// allocated afresh per call.
 		name: "bestpath-cut",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathCutStaged(fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
 		},
-		derivs: 5494, stored: 1352, rounds: 132, allocs: 38899,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 27005,
 	},
 	{
 		// The same cut and restore with session MACs and condensed
 		// provenance, live-churn's configuration: every frame is sealed
 		// and opened with its link's keyed MAC, and every changed row's
 		// expression is rendered once per BDD node, for the view. A fresh
-		// MAC per frame and an expression rendered per row cost 81 273.
+		// MAC per frame and an expression rendered per row cost 81 273;
+		// the whole-table aggregate recount 51 832 (see bestpath-cut).
 		name: "bestpath-cut-session",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathCutStaged(fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 5494, stored: 1352, rounds: 132, allocs: 51832,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 37059,
 	},
 }
 

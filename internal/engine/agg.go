@@ -13,14 +13,30 @@ import (
 // value to its group (deduplicated by the body-tuple combination), and
 // whenever a group's result changes the head tuple is (re)emitted with
 // primary-key replacement on the group columns. Aggregates over soft-state
-// tables behave as sliding windows: Expire triggers a full recomputation so
-// counts shrink as contributing tuples age out (paper §2.1).
+// tables behave as sliding windows: the groups expired rows fed are
+// recomputed, so counts shrink as contributing tuples age out (paper
+// §2.1).
 //
 // Groups key on the head's structural hash over the group columns
 // (colliding groups chain through aggGroup.next and are equality-checked);
 // contributions key on the group's hash folded with the body tuples'
-// hashes, with the group and tuple-wise equality as the fallback. An
-// insertion-ordered group list keeps recomputation diffs deterministic.
+// hashes, with the group and tuple-wise equality as the fallback. Each
+// group also threads its own contributions (contribution.after), and an
+// insertion-ordered group list keeps the all-groups recompute
+// deterministic.
+//
+// Repair pays for the groups a deletion touched, not for the table. A
+// retracted or expired row is bound into the rule's body atom, with the
+// context and location slots bound to this node, and the group columns
+// are read off the head (touchAggs): that is the one group the row can
+// have fed. repairAggs unlinks each touched group's contributions and
+// re-evaluates the rule with its group columns bound (evalGroup), then
+// emits the changed head or retires the vanished one. A row whose atom
+// leaves a group column unbound touches every group of the rule, which
+// is then recomputed from one full evaluation. So does any row of a stale
+// rule: a row that leaves a table without a retraction — a primary-key
+// replacement or a size-bound eviction — leaves its contributions behind
+// until the next all-groups recompute of the rules that read it.
 
 // aggGroupState holds one aggregate rule's groups and the contributions
 // they have counted.
@@ -30,15 +46,27 @@ type aggGroupState struct {
 	order    []*aggGroup
 	contribs chain[contribution]
 
+	// touched lists the groups a deletion or expiry may have shrunk, in
+	// first-touched order, awaiting repairAggs; all asks it to recompute
+	// every group instead. stale marks a rule a body row of which left its
+	// table without a retraction.
+	touched    []*aggGroup
+	all, stale bool
+	// dropped counts the groups in order that a repair left without
+	// contributions and unlinked; order sheds them once they are half.
+	dropped int
+
 	slab        slab[aggGroup]
 	contribSlab slab[contribution]
 }
 
 // contribution is one body combination a group has counted.
 type contribution struct {
-	g    *aggGroup
-	body []AnnTuple
-	next *contribution // the next contribution with the same hash
+	g     *aggGroup
+	body  []AnnTuple
+	hash  uint64
+	next  *contribution // the next contribution with the same hash
+	after *contribution // the group's next contribution
 }
 
 func (c *contribution) link() **contribution { return &c.next }
@@ -62,6 +90,11 @@ type aggGroup struct {
 	allBodies     []AnnTuple
 	emitted       bool
 	current       data.Value
+	// contribs heads the group's own contributions, the latest first.
+	contribs *contribution
+	// touched: the group is on its state's touched list. dropped: a
+	// repair left it without contributions and unlinked it.
+	touched, dropped bool
 }
 
 func (g *aggGroup) link() **aggGroup { return &g.next }
@@ -69,8 +102,7 @@ func (g *aggGroup) link() **aggGroup { return &g.next }
 func (e *Engine) aggStateFor(r *compiledRule) *aggGroupState {
 	st, ok := e.aggState[r.label]
 	if !ok {
-		st = &aggGroupState{rule: r}
-		st.reset()
+		st = &aggGroupState{rule: r, groups: newChain((*aggGroup).link), contribs: newChain((*contribution).link)}
 		e.aggState[r.label] = st
 		// Head tables of aggregate rules are keyed by the group columns
 		// so a changed aggregate replaces the old row.
@@ -100,12 +132,6 @@ func findAggGroup(c chain[aggGroup], hash uint64, asserter string, args []data.V
 	return nil
 }
 
-// reset empties the state for a recomputation. Its slabs start afresh
-// too, so a chunk dies with the groups and contributions it held.
-func (st *aggGroupState) reset() {
-	*st = aggGroupState{rule: st.rule, groups: newChain((*aggGroup).link), contribs: newChain((*contribution).link)}
-}
-
 // comboHash folds the body tuples' structural hashes, in order, into
 // group hash h: the key of one contribution.
 func comboHash(h uint64, body []AnnTuple) uint64 {
@@ -127,11 +153,11 @@ func comboEqual(a []AnnTuple, b []AnnTuple) bool {
 	return true
 }
 
-// aggContribute processes one firing of an aggregate rule.
-func (e *Engine) aggContribute(r *compiledRule, head data.Tuple, body []AnnTuple) {
-	st := e.aggStateFor(r)
-	spec := r.agg
-
+// aggContribute counts one firing of an aggregate rule into its group,
+// returning the group, or nil when the firing's body combination was
+// counted already.
+func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTuple) *aggGroup {
+	spec := st.rule.agg
 	h := head.HashCols(spec.groupIdx)
 	g := findAggGroup(st.groups, h, head.Asserter, head.Args, spec.groupIdx)
 	if g == nil {
@@ -150,12 +176,13 @@ func (e *Engine) aggContribute(r *compiledRule, head data.Tuple, body []AnnTuple
 	ch := comboHash(g.hash, body)
 	for c := st.contribs.first(ch); c != nil; c = c.next {
 		if c.g == g && comboEqual(c.body, body) {
-			return
+			return nil
 		}
 	}
 	c := st.contribSlab.alloc()
-	c.g, c.body = g, body
+	c.g, c.body, c.hash, c.after = g, body, ch, g.contribs
 	st.contribs.push(ch, c)
+	g.contribs = c
 
 	val := head.Args[spec.argIdx]
 	switch spec.fn {
@@ -191,9 +218,22 @@ func (e *Engine) aggContribute(r *compiledRule, head data.Tuple, body []AnnTuple
 			}
 		}
 	}
-	if !e.suppressAggEmit {
-		e.maybeEmitAgg(st, g)
+	return g
+}
+
+// uncount unlinks every contribution of group g and zeroes its
+// aggregate, ahead of a recount from the live tables.
+func (st *aggGroupState) uncount(g *aggGroup) {
+	for c := g.contribs; c != nil; {
+		next := c.after
+		st.contribs.unlink(c.hash, c)
+		st.contribSlab.put(c)
+		c = next
 	}
+	g.contribs = nil
+	g.count, g.sum, g.sumIsInt, g.sumInt = 0, 0, false, 0
+	g.min, g.max, g.hasMinMax = data.Value{}, data.Value{}, false
+	g.witnessBodies, g.allBodies = nil, nil
 }
 
 // aggResult returns the group's current aggregate value.
@@ -231,10 +271,7 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 	args := e.scratchBuf().vals.take(len(g.groupArgs))
 	copy(args, g.groupArgs)
 	args[st.rule.agg.argIdx] = val
-	head := data.Tuple{Pred: st.rule.headPred, Args: args}
-	if e.authenticated {
-		head.Asserter = e.self
-	}
+	head := data.Tuple{Pred: st.rule.headPred, Args: args, Asserter: e.asserter()}
 	bodies := g.witnessBodies
 	if st.rule.agg.fn == datalog.AggCount || st.rule.agg.fn == datalog.AggSum {
 		bodies = g.allBodies
@@ -243,65 +280,182 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 	e.insert(head, ann, support{local: true}, 0)
 }
 
-// recomputeAggregates rebuilds every aggregate from the live tables after
-// soft-state expiry: groups whose support vanished are deleted, counts and
-// sums shrink, and changed heads are re-emitted.
-func (e *Engine) recomputeAggregates() {
-	e.recomputeAggRules(nil, nil)
-}
-
-// recomputeAggRules rebuilds aggregates from the live tables. only
-// restricts the pass to the named rules (nil = all). Heads whose groups
-// vanished are handed to sink when set — the retraction path, which must
-// cascade their deletion through the dependency index — and deleted
-// directly otherwise (the expiry path). Both diffs walk the groups in
-// first-contribution order, so the pass is deterministic.
-func (e *Engine) recomputeAggRules(only map[string]bool, sink func(dead data.Tuple)) {
-	for _, r := range e.rules {
-		if r.agg == nil || (only != nil && !only[r.label]) {
+// touchAggs queues for repair the aggregate groups that row t, deleted
+// or expired, can have fed (see the file comment), reporting whether it
+// queued anything.
+func (e *Engine) touchAggs(t data.Tuple) bool {
+	queued := false
+	for _, ref := range e.byPred[t.Pred] {
+		if ref.rule.agg == nil {
 			continue
 		}
-		st := e.aggStateFor(r)
-		oldGroups := st.groups
-		oldOrder := st.order
-		st.reset()
+		st := e.aggState[ref.rule.label]
+		if st == nil {
+			continue // the rule never fired here
+		}
+		if st.all {
+			queued = true
+			continue
+		}
+		g, all := e.fedGroup(st, ref.atom, t)
+		switch {
+		case all || g != nil && st.stale:
+			st.all = true
+		case g == nil:
+			continue
+		case !g.touched:
+			g.touched = true
+			st.touched = append(st.touched, g)
+		}
+		queued = true
+	}
+	return queued
+}
 
-		// Re-derive all contributions from live state. Contributions feed
-		// the fresh group map; emission is deferred until the diff below.
-		saved := e.suppressAggEmit
-		e.suppressAggEmit = true
-		e.evalFull(r)
-		e.suppressAggEmit = saved
+// fedGroup binds row t into body atom atom of st's rule and returns the
+// group the firings through it feed: nil when the row does not match the
+// atom or the group does not exist, all when the atom leaves a group
+// column unbound.
+func (e *Engine) fedGroup(st *aggGroupState, atom int, t data.Tuple) (g *aggGroup, all bool) {
+	r := st.rule
+	if !e.ruleActive(r) {
+		return nil, false
+	}
+	sc := e.scratchBuf()
+	env := &sc.env
+	defer env.undo(&sc.trail, 0)
+	if !e.bindSelf(r, env, &sc.trail) || !e.matchAtom(&r.atoms[atom], t, env, &sc.trail) {
+		return nil, false
+	}
+	n := len(r.headArgs)
+	if cap(sc.headBuf) < n {
+		sc.headBuf = make([]data.Value, n)
+	}
+	args := sc.headBuf[:n]
+	for _, i := range r.agg.groupIdx {
+		switch p := r.headArgs[i]; {
+		case p.isConst:
+			args[i] = p.constVal
+		case p.slot >= 0 && env.bound[p.slot]:
+			args[i] = env.vals[p.slot]
+		default:
+			return nil, true
+		}
+	}
+	head := data.Tuple{Pred: r.headPred, Asserter: e.asserter(), Args: args}
+	return findAggGroup(st.groups, head.HashCols(r.agg.groupIdx), head.Asserter, args, r.agg.groupIdx), false
+}
 
-		tbl := e.table(r.headPred)
-		// Delete heads for groups that vanished.
-		for _, g := range oldOrder {
-			if findAggGroup(st.groups, g.hash, g.asserter, g.groupArgs, r.agg.groupIdx) != nil || !g.emitted {
-				continue
+// staleAggs marks the aggregate rules reading pred stale: one of its rows
+// left the table without a retraction.
+func (e *Engine) staleAggs(pred string) {
+	for _, ref := range e.byPred[pred] {
+		if st := e.aggState[ref.rule.label]; st != nil {
+			st.stale = true
+		}
+	}
+}
+
+// repairAggs recounts the queued aggregate groups from the live tables,
+// rule by rule in program order: a touched group from its group-bound
+// evaluation, every group of a rule marked all from one full evaluation.
+// The firings are collected first and counted after, so no probe walks a
+// table a commit changes. A group left without contributions hands its
+// head to vanished — the retraction path, which cascades it through
+// overdelete — or, when vanished is nil (expiry), has it deleted
+// directly; a changed group re-emits its head.
+func (e *Engine) repairAggs(vanished *[]retractItem) {
+	for _, r := range e.rules {
+		if r.agg == nil {
+			continue
+		}
+		st := e.aggState[r.label]
+		if st == nil || !st.all && len(st.touched) == 0 {
+			continue
+		}
+		fired := e.repairBuf[:0]
+		if st.all {
+			for _, g := range st.order {
+				st.uncount(g)
 			}
-			args := make([]data.Value, len(g.groupArgs))
-			copy(args, g.groupArgs)
-			args[r.agg.argIdx] = g.current
-			dead := data.Tuple{Pred: r.headPred, Args: args}
-			if e.authenticated {
-				dead.Asserter = e.self
-			}
-			if sink != nil {
-				sink(dead)
-			} else if en := tbl.Get(dead); en != nil {
-				tbl.kill(en)
-				e.notify(en.Tuple, UpdateRetracted)
+			e.evalFull(r, &fired)
+		} else {
+			for _, g := range st.touched {
+				st.uncount(g)
+				e.evalGroup(r, g, &fired)
 			}
 		}
-		// Emit fresh or changed groups.
-		for _, g := range st.order {
-			val := st.aggResult(g)
-			if prev := findAggGroup(oldGroups, g.hash, g.asserter, g.groupArgs, r.agg.groupIdx); prev != nil && prev.emitted && prev.current.Equal(val) {
-				g.emitted = true
-				g.current = val
-				continue
-			}
-			e.maybeEmitAgg(st, g)
+		e.Stats.Derivations += int64(len(fired))
+		for _, pd := range fired {
+			e.aggContribute(st, pd.head, pd.body)
 		}
+		clear(fired)
+		e.repairBuf = fired[:0]
+		groups := st.touched
+		if st.all {
+			groups = st.order
+		}
+		for _, g := range groups {
+			g.touched = false
+			if !g.dropped {
+				e.settleAgg(st, g, vanished)
+			}
+		}
+		clear(st.touched)
+		st.touched = st.touched[:0]
+		if st.all {
+			st.all, st.stale = false, false
+		}
+		st.shed(len(st.order) / 2)
+	}
+}
+
+// shed removes the dropped groups from order once they number more than
+// keep, handing them back to the slab.
+func (st *aggGroupState) shed(keep int) {
+	if st.dropped == 0 || st.dropped <= keep {
+		return
+	}
+	live := st.order[:0]
+	for _, g := range st.order {
+		if g.dropped {
+			st.slab.put(g)
+		} else {
+			live = append(live, g)
+		}
+	}
+	clear(st.order[len(live):])
+	st.order = live
+	st.dropped = 0
+}
+
+// settleAgg finishes a recounted group: it re-emits a changed head, or
+// unlinks a group left without contributions and retires its head (see
+// repairAggs).
+func (e *Engine) settleAgg(st *aggGroupState, g *aggGroup, vanished *[]retractItem) {
+	if g.contribs != nil {
+		e.maybeEmitAgg(st, g)
+		return
+	}
+	st.groups.unlink(g.hash, g)
+	g.dropped = true
+	st.dropped++
+	if !g.emitted {
+		return
+	}
+	r := st.rule
+	args := make([]data.Value, len(g.groupArgs))
+	copy(args, g.groupArgs)
+	args[r.agg.argIdx] = g.current
+	dead := data.Tuple{Pred: r.headPred, Args: args, Asserter: e.asserter()}
+	if vanished != nil {
+		*vanished = append(*vanished, retractItem{t: dead, mode: retractDeriv})
+		return
+	}
+	tbl := e.table(r.headPred)
+	if en := tbl.Get(dead); en != nil {
+		tbl.kill(en)
+		e.notify(en.Tuple, UpdateRetracted)
+		e.touchAggs(en.Tuple)
 	}
 }

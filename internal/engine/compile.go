@@ -75,7 +75,9 @@ type compiledRule struct {
 	// plans[si][skip+1] is the precompiled index probe for evaluating
 	// step si when body atom skip is the delta (-1 = full evaluation;
 	// len(atoms) = the head is bound instead, DRed's re-derivation of one
-	// deleted tuple): which columns are bound at that point and where each
+	// deleted tuple, or for an aggregate rule, which is never re-derived
+	// that way, its group columns, the repair of one aggregate group):
+	// which columns are bound at that point and where each
 	// probe value comes from (a constant or an environment slot). Computed
 	// once at compile time instead of re-derived per wave; the boundness
 	// analysis is exact because reaching a step implies every earlier step
@@ -131,6 +133,13 @@ func buildProbePlans(cr *compiledRule) {
 		mark(cr.ctxSlot)
 		mark(cr.locSlot)
 		switch {
+		case skip == len(cr.atoms) && cr.agg != nil:
+			// evalGroup binds an aggregate's group columns.
+			for _, i := range cr.agg.groupIdx {
+				if p := cr.headArgs[i]; !p.isConst {
+					mark(p.slot)
+				}
+			}
 		case skip == len(cr.atoms):
 			// evalHead binds every head variable and the destination.
 			for _, p := range cr.headArgs {

@@ -176,21 +176,26 @@ type Engine struct {
 	maxProbe int
 
 	// pend accumulates over-deletion state between BeginRetract* and the
-	// CompleteRetract that repairs it (see retract.go).
-	pend *retractPending
-	// rederive state: while non-nil, emit filters derivations to the
-	// tuples deleted by the current retraction batch (DRed's re-derivation
-	// phase) instead of inserting/exporting everything.
-	rederive *rederiveState
+	// CompleteRetract that repairs it (see retract.go). spare is a repaired
+	// one, reset, and wq the withdrawal set, both kept for the next
+	// retraction instead of allocated anew. work is over-deletion's queue,
+	// cands the re-derivation's candidates by predicate, repairBuf a
+	// repair's firings and revived a shadow revival's rows, each reused.
+	pend      *retractPending
+	spare     *retractPending
+	wq        *pairSet
+	work      []retractItem
+	cands     map[string][]*pair
+	repairBuf []pending
+	revived   []shadowRow
+	// rederive, while non-nil, filters emit to the tuples the repair it
+	// belongs to deleted and the exports it withdrew (DRed's
+	// re-derivation phase) instead of inserting/exporting everything.
+	rederive *retractPending
 	// restrict, while non-nil, filters emit to local heads of a single
 	// aggregate-selection group: the shadow-eviction revival fallback,
 	// which re-derives only the candidates the bounded shadow dropped.
 	restrict *restrictState
-
-	// suppressAggEmit defers aggregate head emission during full
-	// recomputation, so the diff against the previous groups decides what
-	// to emit.
-	suppressAggEmit bool
 
 	// evicted holds the aggregate-selection groups of rows a table's size
 	// bound evicted. RunToFixpoint relaxes them between waves rather than
@@ -229,8 +234,11 @@ type atomRef struct {
 type pruneSpec struct {
 	pred    string
 	keyCols []int
-	col     int
-	min     bool
+	// sig is keyCols' index signature, with which a revival probes the
+	// group's surviving rows.
+	sig string
+	col int
+	min bool
 	// cap bounds each group's shadow (<0 = unbounded): overflow evicts
 	// the least-competitive row and marks the group lossy, so a later
 	// revival knows candidates may be missing and falls back to
@@ -435,6 +443,7 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		e.prunes[pr.Pred] = &pruneSpec{
 			pred:    pr.Pred,
 			keyCols: cols,
+			sig:     colSig(cols),
 			col:     pr.Col - 1,
 			min:     pr.Func == datalog.AggMin,
 			cap:     shadowCap,
@@ -569,10 +578,11 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 		e.queue = append(e.queue, entry)
 		if replaced != nil {
 			e.notify(replaced.Tuple, UpdateRetracted)
+			e.staleAggs(replaced.Tuple.Pred)
 		}
 		e.notify(t, UpdateAdded)
 		if status == InsertNew {
-			e.lapse(t.Pred, tbl.evict(), &e.evicted)
+			e.lapse(t.Pred, tbl.evict(), &e.evicted, false)
 		}
 	case InsertDuplicate:
 		merged, changed := e.hook.Merge(entry.Ann, ann)
@@ -690,9 +700,22 @@ func (e *Engine) RunToFixpoint() []Export {
 		e.runWave(batch)
 		spare = batch[:0]
 	}
+	e.compactTables()
 	out := e.exports
 	e.exports = nil
 	return out
+}
+
+// compactTables compacts every table whose dead rows are at least as many
+// as its live ones, so the rows a retraction or replacement killed do not
+// pile up in its order and indexes. It runs where no probe is walking a
+// table: the end of RunToFixpoint and of CompleteRetract.
+func (e *Engine) compactTables() {
+	for _, tbl := range e.tables { //provlint:allow mapiter independent per-table compaction; order cannot escape
+		if tbl.dirty > 0 && tbl.dirty >= tbl.nlive {
+			tbl.compact()
+		}
+	}
 }
 
 // runWave evaluates one delta batch and commits its firings in order.
@@ -762,11 +785,12 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 	if r.agg != nil {
 		// Aggregates are computed where the tuples live; a remote
 		// aggregate head would need re-aggregation at the destination,
-		// which the paper's programs never use. Retraction recomputes them
-		// wholesale, so the rederive pass skips them, and the restricted
-		// shadow-revival pass only re-derives prune candidates.
-		if e.rederive == nil && e.restrict == nil {
-			e.aggContribute(r, head, body)
+		// which the paper's programs never use. Retraction repairs them
+		// group by group (repairAggs), so the rederive and restricted
+		// shadow-revival passes evaluate non-aggregate rules only.
+		st := e.aggStateFor(r)
+		if g := e.aggContribute(st, head, body); g != nil {
+			e.maybeEmitAgg(st, g)
 		}
 		return
 	}
@@ -890,6 +914,15 @@ func (e *Engine) ShadowSize() int {
 	return n
 }
 
+// TableSlots reports pred's live rows and the slots its table's
+// insertion order holds, which count the dead rows not compacted yet.
+func (e *Engine) TableSlots(pred string) (live, slots int) {
+	if tbl, ok := e.tables[pred]; ok {
+		return tbl.nlive, len(tbl.order)
+	}
+	return 0, 0
+}
+
 // DepSize reports the number of body tuples in the retraction
 // dependency index — the structure Expire must purge alongside tables.
 func (e *Engine) DepSize() int { return e.ndeps }
@@ -930,9 +963,9 @@ func (e *Engine) Predicates() []string {
 }
 
 // Expire advances the clock and removes expired soft-state, then
-// recomputes aggregates from scratch (sliding-window semantics for
-// aggregates over soft-state tables, §2.1). Expired rows go through
-// lapse.
+// recounts the aggregate groups the expired rows fed (sliding-window
+// semantics for aggregates over soft-state tables, §2.1). Expired rows
+// go through lapse.
 func (e *Engine) Expire(now float64) {
 	e.now = now
 	expired := 0
@@ -946,14 +979,14 @@ func (e *Engine) Expire(now float64) {
 		gone := e.tables[name].ExpireTuples(now)
 		expired += len(gone)
 		data.SortTuples(gone)
-		e.lapse(name, gone, &relax)
+		e.lapse(name, gone, &relax, true)
 	}
 	e.Stats.Expired += int64(expired)
 	if len(relax.list) > 0 {
 		e.reviveShadows(relax.list)
 	}
 	if expired > 0 {
-		e.recomputeAggregates()
+		e.repairAggs(nil)
 	}
 }
 
@@ -965,9 +998,11 @@ func (e *Engine) Expire(now float64) {
 // BeginRetract walk dependents through tuples that no longer exist. The
 // aggregate-selection groups the rows belonged to go into relax, so
 // shadowed candidates compete again instead of being measured against a
-// vanished best. Unlike a retraction, nothing cascades: derived soft
-// state carries its own TTL.
-func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet) {
+// vanished best. An expired row queues the aggregate groups it fed for
+// Expire's recount; an evicted one marks the aggregate rules that read it
+// stale. Unlike a retraction, nothing cascades: derived soft state
+// carries its own TTL.
+func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet, expired bool) {
 	ps := e.prunes[pred]
 	for _, t := range gone {
 		e.notify(t, UpdateExpired)
@@ -975,5 +1010,11 @@ func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet) {
 		if ps != nil {
 			relax.touch(ps, ps.group(t))
 		}
+		if expired {
+			e.touchAggs(t)
+		}
+	}
+	if !expired && len(gone) > 0 {
+		e.staleAggs(pred)
 	}
 }

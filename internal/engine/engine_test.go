@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -326,6 +327,64 @@ c changes(@S,count<*>) :- change(@S,X).
 	e.RunToFixpoint()
 	if e.Count("changes") != 0 {
 		t.Fatalf("changes = %v", tupleStrings(e.Tuples("changes")))
+	}
+}
+
+// TestExpireRecountMatchesFresh holds Expire's group-bound recount to an
+// oracle without one: after every expiry and every batch of inserts,
+// windowed aggregates of the diagnostics shape (Example_diagnostics'
+// c1) equal a fresh engine's over the facts still unexpired. Events
+// arrive at a varying rate, some are re-inserted (which restarts their
+// TTL), and the window empties twice, so groups shrink, vanish and
+// come back.
+func TestExpireRecountMatchesFresh(t *testing.T) {
+	const prog = `
+materialize(change, 10, infinity, keys(1,2,3)).
+c1 changes(@S,count<*>) :- change(@S,E,K).
+c2 byKind(@S,K,count<*>) :- change(@S,E,K).
+c3 last(@S,K,max<E>) :- change(@S,E,K).
+`
+	aggs := []string{"changes", "byKind", "last"}
+	e := newNode(t, "a", prog, false)
+	created := map[string]float64{} // every change fact inserted, by key
+	facts := map[string]data.Tuple{}
+	check := func(now int, when string) {
+		t.Helper()
+		fresh := newNode(t, "a", prog, false)
+		fresh.Expire(float64(now))
+		keys := make([]string, 0, len(facts))
+		for k := range facts {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			if float64(now) < created[k]+10 {
+				fresh.InsertFact(facts[k])
+			}
+		}
+		fresh.RunToFixpoint()
+		for _, pred := range aggs {
+			got, want := strings.Join(tupleStrings(e.Tuples(pred)), " "), strings.Join(tupleStrings(fresh.Tuples(pred)), " ")
+			if got != want {
+				t.Fatalf("t=%d %s: %s = [%s], a fresh engine on the unexpired facts has [%s]", now, when, pred, got, want)
+			}
+		}
+	}
+	for now := 0; now < 60; now++ {
+		e.Expire(float64(now))
+		e.RunToFixpoint()
+		check(now, "after expiry")
+		if now%20 >= 14 {
+			continue // a quiet spell: the window empties
+		}
+		for i := 0; i < (now*7)%4; i++ {
+			ev := (now*5 + i*3) % 23 // a repeat re-inserts an event, restarting its TTL
+			f := data.NewTuple("change", data.Str("a"), data.Int(int64(ev)), data.Str(fmt.Sprint("k", ev%3)))
+			e.InsertFact(f)
+			created[f.Key()], facts[f.Key()] = float64(now), f
+		}
+		e.RunToFixpoint()
+		check(now, "after inserts")
 	}
 }
 

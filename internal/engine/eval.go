@@ -69,45 +69,34 @@ func (e *Engine) scratchBuf() *evalScratch {
 	return sc
 }
 
-// evalDelta runs rule r with the delta entry bound at body atom atomIdx,
-// joining the remaining atoms against the stored tables (semi-naive
-// evaluation). With a non-nil sink, firings are collected instead of
-// committed (the wave path); a nil sink commits through emit.
-// The scratch's environment is restored (all slots unbound) on return.
+// evalDelta collects into sink the firings of rule r with the delta
+// entry bound at body atom atomIdx, joining the remaining atoms against
+// the stored tables (semi-naive evaluation). The scratch's environment
+// is restored (all slots unbound) on return.
 func (e *Engine) evalDelta(r *compiledRule, atomIdx int, delta *Entry, sink *[]pending, sc *evalScratch) {
 	if !e.ruleActive(r) {
 		return
 	}
 	env := &sc.env
-	if (r.ctxSlot < 0 || env.bindOrCheck(r.ctxSlot, data.Str(e.self), &sc.trail)) &&
-		(r.locSlot < 0 || env.bindOrCheck(r.locSlot, data.Str(e.self), &sc.trail)) &&
-		e.matchAtom(&r.atoms[atomIdx], delta, env, &sc.trail) {
-		body := sc.body[:len(r.atoms)]
-		for i := range body {
-			body[i] = AnnTuple{}
-		}
+	if e.bindSelf(r, env, &sc.trail) && e.matchAtom(&r.atoms[atomIdx], delta.Tuple, env, &sc.trail) {
+		body := sc.clearBody(len(r.atoms))
 		body[atomIdx] = AnnTuple{Tuple: delta.Tuple, Ann: delta.Ann, hash: delta.hash}
 		e.evalSteps(r, 0, atomIdx, env, body, &sc.trail, sink, sc)
 	}
 	env.undo(&sc.trail, 0)
 }
 
-// evalFull evaluates rule r from scratch over the stored tables,
-// committing every firing through emit (aggregate recomputation and the
-// lossy-shadow revival fallback).
-func (e *Engine) evalFull(r *compiledRule) {
+// evalFull collects into sink every firing of rule r over the stored
+// tables (an aggregate's all-groups recompute and the lossy-shadow
+// revival fallback).
+func (e *Engine) evalFull(r *compiledRule, sink *[]pending) {
 	if !e.ruleActive(r) {
 		return
 	}
 	sc := e.scratchBuf()
 	env := &sc.env
-	if (r.ctxSlot < 0 || env.bindOrCheck(r.ctxSlot, data.Str(e.self), &sc.trail)) &&
-		(r.locSlot < 0 || env.bindOrCheck(r.locSlot, data.Str(e.self), &sc.trail)) {
-		body := sc.body[:len(r.atoms)]
-		for i := range body {
-			body[i] = AnnTuple{}
-		}
-		e.evalSteps(r, 0, -1, env, body, &sc.trail, nil, sc)
+	if e.bindSelf(r, env, &sc.trail) {
+		e.evalSteps(r, 0, -1, env, sc.clearBody(len(r.atoms)), &sc.trail, sink, sc)
 	}
 	env.undo(&sc.trail, 0)
 }
@@ -119,33 +108,70 @@ func (e *Engine) evalFull(r *compiledRule) {
 // Only firings that derive t for dest reach sink. This is DRed's
 // re-derivation of one deleted tuple or withdrawn export (retract.go).
 func (e *Engine) evalHead(r *compiledRule, dest string, t data.Tuple, sink *[]pending) {
-	if !e.ruleActive(r) || len(t.Args) != len(r.headArgs) {
-		return
-	}
-	asserter := "" // fire asserts every head as this node, or as no one
-	if e.authenticated {
-		asserter = e.self
-	}
-	if t.Asserter != asserter {
+	if !e.ruleActive(r) || len(t.Args) != len(r.headArgs) || t.Asserter != e.asserter() {
 		return
 	}
 	sc := e.scratchBuf()
 	env := &sc.env
 	if e.bindHead(r, dest, t, env, &sc.trail) {
-		body := sc.body[:len(r.atoms)]
-		for i := range body {
-			body[i] = AnnTuple{}
-		}
-		e.evalSteps(r, 0, len(r.atoms), env, body, &sc.trail, sink, sc)
+		e.evalSteps(r, 0, len(r.atoms), env, sc.clearBody(len(r.atoms)), &sc.trail, sink, sc)
 	}
 	env.undo(&sc.trail, 0)
+}
+
+// evalGroup collects into sink the firings of aggregate rule r that
+// feed group g: the group columns pre-bind their slots, so the plan an
+// aggregate rule keeps in the head-bound variant probes on them (no
+// aggregate rule is re-derived through evalHead).
+func (e *Engine) evalGroup(r *compiledRule, g *aggGroup, sink *[]pending) {
+	if !e.ruleActive(r) {
+		return
+	}
+	sc := e.scratchBuf()
+	env := &sc.env
+	if e.bindSelf(r, env, &sc.trail) && bindGroup(r, g.groupArgs, env, &sc.trail) {
+		e.evalSteps(r, 0, len(r.atoms), env, sc.clearBody(len(r.atoms)), &sc.trail, sink, sc)
+	}
+	env.undo(&sc.trail, 0)
+}
+
+// bindGroup binds aggregate rule r's group columns to args (a head
+// argument slice; its aggregate column is ignored), reporting whether
+// they agree with what is bound already.
+func bindGroup(r *compiledRule, args []data.Value, env *env, trail *[]int) bool {
+	for _, i := range r.agg.groupIdx {
+		if !env.matchPattern(r.headArgs[i], args[i], trail) {
+			return false
+		}
+	}
+	return true
+}
+
+// asserter is the asserter fire gives every head: this node, or no one.
+func (e *Engine) asserter() string {
+	if e.authenticated {
+		return e.self
+	}
+	return ""
+}
+
+// bindSelf binds r's context and location slots to this node.
+func (e *Engine) bindSelf(r *compiledRule, env *env, trail *[]int) bool {
+	return (r.ctxSlot < 0 || env.bindOrCheck(r.ctxSlot, data.Str(e.self), trail)) &&
+		(r.locSlot < 0 || env.bindOrCheck(r.locSlot, data.Str(e.self), trail))
+}
+
+// clearBody returns the scratch body buffer for n atoms, emptied.
+func (sc *evalScratch) clearBody(n int) []AnnTuple {
+	body := sc.body[:n]
+	clear(body)
+	return body
 }
 
 // bindHead binds the context and location slots, r's head arguments to
 // t's and its destination to dest, reporting whether they all agree.
 func (e *Engine) bindHead(r *compiledRule, dest string, t data.Tuple, env *env, trail *[]int) bool {
-	if r.ctxSlot >= 0 && !env.bindOrCheck(r.ctxSlot, data.Str(e.self), trail) ||
-		r.locSlot >= 0 && !env.bindOrCheck(r.locSlot, data.Str(e.self), trail) {
+	if !e.bindSelf(r, env, trail) {
 		return false
 	}
 	for i, p := range r.headArgs {
@@ -176,11 +202,16 @@ func (e *Engine) ruleActive(r *compiledRule) bool {
 }
 
 // evalSteps walks the rule plan from step si; atom skipAtom is already
-// bound (the delta), -1 for full evaluation. It only reads engine state
-// (tables are probed, never created). Probes follow the rule's
-// precompiled plan: the bound columns and their value sources were
-// resolved at compile time, so a probe fills a reused value buffer and
-// hashes it — no per-probe allocation.
+// bound (the delta), -1 for full evaluation, len(atoms) when the head
+// or an aggregate's group columns are bound instead. It only reads
+// engine state (tables are probed, never created), and every firing
+// goes to sink: no caller commits while a probe walks a bucket. Probes
+// follow the rule's precompiled plan: the bound columns and their value
+// sources were resolved at compile time, so a probe fills a reused value
+// buffer, hashes it and walks the index bucket (or, for a scan, the
+// table's order) in place, skipping dead and expired rows — no
+// per-probe allocation. matchAtom rejects the rows whose indexed
+// columns merely collide on the hash.
 func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []AnnTuple, trail *[]int, sink *[]pending, sc *evalScratch) {
 	if si == len(r.steps) {
 		e.fire(r, env, body, sink, sc)
@@ -199,10 +230,8 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 			return // no table yet: the atom cannot match
 		}
 		plan := &r.plans[si][skipAtom+1]
-		var entries []*Entry
-		if len(plan.cols) == 0 {
-			entries = tbl.Entries(e.now)
-		} else {
+		entries := tbl.order
+		if len(plan.cols) > 0 {
 			vals := sc.probe[:len(plan.cols)]
 			for i, src := range plan.srcs {
 				if src.isConst {
@@ -211,11 +240,14 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 					vals[i] = env.vals[src.slot]
 				}
 			}
-			entries = tbl.LookupSig(plan.sig, plan.cols, vals, data.HashValues(vals), e.now)
+			entries = tbl.bucket(plan.sig, plan.cols, data.HashValues(vals))
 		}
 		for _, en := range entries {
+			if en.Dead || en.expired(e.now) {
+				continue
+			}
 			mark := len(*trail)
-			if e.matchAtom(spec, en, env, trail) {
+			if e.matchAtom(spec, en.Tuple, env, trail) {
 				body[st.atom] = AnnTuple{Tuple: en.Tuple, Ann: en.Ann, hash: en.hash}
 				e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
 			}
@@ -240,11 +272,10 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 	}
 }
 
-// matchAtom matches a stored entry against an atom spec, binding
-// variables. The asserter is matched against the says pattern; atoms
-// without says accept only tuples asserted locally (or unattributed).
-func (e *Engine) matchAtom(spec *atomSpec, en *Entry, env *env, trail *[]int) bool {
-	tu := en.Tuple
+// matchAtom matches a tuple against an atom spec, binding variables.
+// The asserter is matched against the says pattern; atoms without says
+// accept only tuples asserted locally (or unattributed).
+func (e *Engine) matchAtom(spec *atomSpec, tu data.Tuple, env *env, trail *[]int) bool {
 	if tu.Pred != spec.pred || len(tu.Args) != len(spec.args) {
 		return false
 	}
@@ -268,10 +299,10 @@ func (e *Engine) matchAtom(spec *atomSpec, en *Entry, env *env, trail *[]int) bo
 	return true
 }
 
-// fire constructs the head tuple from the environment and routes it:
-// straight into emit (serial contexts), or onto the sink for the wave's
-// ordered-commit stage. The head-argument and body-copy slices come from
-// the scratch's slabs (one malloc per chunk, not two per firing).
+// fire constructs the head tuple from the environment and appends it to
+// sink for the caller's ordered-commit stage. The head-argument and
+// body-copy slices come from the scratch's slabs (one malloc per chunk,
+// not two per firing).
 func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pending, sc *evalScratch) {
 	n := len(r.headArgs)
 	if cap(sc.headBuf) < n {
@@ -288,10 +319,7 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 			return // unbound head variable; Validate prevents this
 		}
 	}
-	head := data.Tuple{Pred: r.headPred, Args: hb}
-	if e.authenticated {
-		head.Asserter = e.self
-	}
+	head := data.Tuple{Pred: r.headPred, Args: hb, Asserter: e.asserter()}
 	// Re-derivations of an already-stored row — the common case in a
 	// recursive fixpoint — reuse the stored canonical tuple and its
 	// cached hash instead of materializing a fresh argument slice. The
@@ -368,11 +396,7 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 			nb++
 		}
 	}
-	if sink != nil {
-		*sink = append(*sink, pending{r: r, head: head, headHash: headHash, dest: dest, body: bodyCopy})
-		return
-	}
-	e.emit(r, head, headHash, dest, bodyCopy)
+	*sink = append(*sink, pending{r: r, head: head, headHash: headHash, dest: dest, body: bodyCopy})
 }
 
 // String renders a compiled rule briefly (for debugging and error text).

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"provnet/internal/data"
 )
@@ -16,16 +17,16 @@ import (
 //   - BeginRetract* (over-delete): walk the cone of influence of the
 //     retracted tuples through the dependency index, deleting local
 //     heads and collecting Withdrawals for exported ones. The touched
-//     state (deleted keys, dirty aggregates, relaxed prune groups,
-//     shipped withdrawals) accumulates on the engine.
+//     state (deleted keys, touched aggregate groups, relaxed prune
+//     groups, shipped withdrawals) accumulates on the engine.
 //   - CompleteRetract (repair): once no withdrawal is in flight,
 //     aggregate-selection groups re-admit the shadow candidates the
 //     prune had rejected, every non-aggregate rule re-evaluates with its
 //     head bound to each deleted tuple and each withdrawn export it could
 //     derive (alternate derivations re-establish survivors locally and
-//     re-ship previously withdrawn exports), and touched aggregates
-//     recompute from live state — heads whose groups vanished cascade
-//     back through over-deletion.
+//     re-ship previously withdrawn exports), and each aggregate group a
+//     deleted row fed recounts with its group columns bound (agg.go) —
+//     heads whose groups vanished cascade back through over-deletion.
 //
 // The phase split matters in a network: completing a node's repair while
 // a neighbor's withdrawal is still in flight briefly revives routes the
@@ -168,6 +169,14 @@ func (p *pair) link() **pair { return &p.next }
 
 func newPairSet() *pairSet { return &pairSet{pairs: newChain((*pair).link)} }
 
+// reset empties the set for reuse: the map keeps its capacity and the
+// slab hands its current chunk out again.
+func (s *pairSet) reset() {
+	clear(s.pairs.m)
+	s.slab.reset()
+	s.first, s.last, s.n = nil, nil, 0
+}
+
 func (s *pairSet) find(h uint64, dest string, t data.Tuple) *pair {
 	for p := s.pairs.first(h); p != nil; p = p.next {
 		if p.dest == dest && p.t.Equal(t) {
@@ -242,8 +251,9 @@ type retractPending struct {
 	// shadowed candidates that lost their local support (destination
 	// ""), in deletion order: the re-derivation's local candidates.
 	deleted *pairSet
-	// dirty aggregate rule labels needing recomputation.
-	dirty map[string]bool
+	// aggs: some aggregate group lost a contributing row (the groups
+	// themselves wait on their aggGroupState, see touchAggs).
+	aggs bool
 	// groups are the aggregate-selection groups whose installed optimum
 	// may have relaxed.
 	groups groupSet
@@ -253,16 +263,41 @@ type retractPending struct {
 	shipped *pairSet
 }
 
-func newRetractPending() *retractPending {
-	return &retractPending{
-		deleted: newPairSet(),
-		dirty:   make(map[string]bool),
-		shipped: newPairSet(),
+// pending returns e.pend, taking the spare when there is none.
+func (e *Engine) pending() *retractPending {
+	switch {
+	case e.pend != nil:
+	case e.spare != nil:
+		e.pend, e.spare = e.spare, nil
+	default:
+		e.pend = &retractPending{deleted: newPairSet(), shipped: newPairSet()}
 	}
+	return e.pend
+}
+
+// recycle resets a repaired p and keeps it as the spare.
+func (e *Engine) recycle(p *retractPending) {
+	p.deleted.reset()
+	p.shipped.reset()
+	p.aggs = false
+	clear(p.groups.list)
+	p.groups.list = p.groups.list[:0]
+	clear(p.groups.seen)
+	e.spare = p
+}
+
+// withdrawalSet returns the engine's withdrawal set, emptied.
+func (e *Engine) withdrawalSet() *pairSet {
+	if e.wq == nil {
+		e.wq = newPairSet()
+	} else {
+		e.wq.reset()
+	}
+	return e.wq
 }
 
 func (p *retractPending) empty() bool {
-	return p.deleted.len() == 0 && len(p.dirty) == 0 && len(p.groups.list) == 0
+	return p.deleted.len() == 0 && !p.aggs && len(p.groups.list) == 0
 }
 
 // groupSet collects the aggregate-selection groups a deletion, expiry or
@@ -284,15 +319,10 @@ func (s *groupSet) touch(ps *pruneSpec, g *pruneGroupState) {
 	s.list = append(s.list, pruneGroup{ps: ps, g: g})
 }
 
-// rederiveState restricts emit while the DRed repair pass runs.
-type rederiveState struct {
-	deleted, shipped *pairSet
-}
-
 // restrictState restricts emit to local heads of one aggregate-selection
 // group while the shadow-eviction revival fallback re-derives the
 // candidates a bounded shadow dropped. Mutually exclusive with
-// rederiveState: revival runs before the DRed re-derivation phase.
+// Engine.rederive: revival runs before the DRed re-derivation phase.
 type restrictState struct {
 	ps *pruneSpec
 	g  *pruneGroupState
@@ -353,18 +383,18 @@ func (e *Engine) RetractInbound(items []InboundRetraction) []Withdrawal {
 // BeginRetractFacts is the over-delete phase for explicit fact
 // retraction.
 func (e *Engine) BeginRetractFacts(tuples ...data.Tuple) []Withdrawal {
-	items := make([]retractItem, len(tuples))
-	for i, t := range tuples {
-		items[i] = retractItem{t: t, mode: retractForce}
+	items := e.work[:0]
+	for _, t := range tuples {
+		items = append(items, retractItem{t: t, mode: retractForce})
 	}
 	return e.beginRetract(items)
 }
 
 // BeginRetractInbound is the over-delete phase for inbound withdrawals.
 func (e *Engine) BeginRetractInbound(items []InboundRetraction) []Withdrawal {
-	ri := make([]retractItem, len(items))
-	for i, it := range items {
-		ri[i] = retractItem{t: it.Tuple, mode: retractOrigin, origin: it.From}
+	ri := e.work[:0]
+	for _, it := range items {
+		ri = append(ri, retractItem{t: it.Tuple, mode: retractOrigin, origin: it.From})
 	}
 	return e.beginRetract(ri)
 }
@@ -376,10 +406,7 @@ func (e *Engine) HasPendingRetract() bool {
 }
 
 func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
-	if e.pend == nil {
-		e.pend = newRetractPending()
-	}
-	wq := newPairSet()
+	wq := e.withdrawalSet()
 	e.overdelete(items, wq)
 	e.pend.shipped.addAll(wq)
 	return wq.withdrawals()
@@ -387,31 +414,37 @@ func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
 
 // CompleteRetract runs the repair phase over the accumulated
 // over-deletion state: shadow revival, head-bound re-derivation, and
-// aggregate recomputation, iterating while aggregate heads keep
-// vanishing. It returns the additional withdrawals those cascades
+// the touched aggregate groups' recount, iterating while aggregate heads
+// keep vanishing. It returns the additional withdrawals those cascades
 // produced (to be shipped like Begin's).
 func (e *Engine) CompleteRetract() []Withdrawal {
 	if e.pend == nil || e.pend.empty() {
-		e.pend = nil
+		if e.pend != nil {
+			e.recycle(e.pend)
+			e.pend = nil
+		}
 		return nil
 	}
-	wq := newPairSet()
+	wq := e.withdrawalSet()
+	var vanished []retractItem
 	for round := 0; round < retractRounds; round++ {
 		p := e.pend
 		e.pend = nil
 		if p == nil || p.empty() {
+			if p != nil {
+				e.recycle(p)
+			}
 			break
 		}
 		e.reviveShadows(p.groups.list)
 		if p.deleted.len() > 0 {
 			e.rederiveDeleted(p)
 		}
-		var vanished []retractItem
-		if len(p.dirty) > 0 {
-			e.recomputeAggRules(p.dirty, func(dead data.Tuple) {
-				vanished = append(vanished, retractItem{t: dead, mode: retractDeriv})
-			})
+		vanished = vanished[:0]
+		if p.aggs {
+			e.repairAggs(&vanished)
 		}
+		e.recycle(p)
 		if len(vanished) > 0 {
 			// Cascade the vanished aggregate heads; this may repopulate
 			// e.pend for the next repair round.
@@ -435,6 +468,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 		}
 		e.exports = kept
 	}
+	e.compactTables()
 	return wq.withdrawals()
 }
 
@@ -447,17 +481,13 @@ type pruneGroup struct {
 
 // overdelete walks the cone of influence of the retraction items,
 // deleting unsupported rows and accumulating onto e.pend: the deleted
-// tuples, the aggregate rules needing recomputation, and the prune
+// tuples, the aggregate groups the deleted rows fed (touchAggs), and the prune
 // groups needing a best reset. Withdrawals for exported heads go to wq.
 func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
-	if e.pend == nil {
-		e.pend = newRetractPending()
-	}
-	pend := e.pend
-	work := append([]retractItem(nil), items...)
-	for len(work) > 0 {
-		it := work[0]
-		work = work[1:]
+	pend := e.pending()
+	work := append(e.work[:0], items...)
+	for i := 0; i < len(work); i++ {
+		it := work[i]
 		t := it.t
 		ps := e.prunes[t.Pred]
 		tbl, ok := e.tables[t.Pred]
@@ -500,10 +530,8 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 			// groups never collide across pruned predicates.
 			pend.groups.touch(ps, ps.group(t))
 		}
-		for _, ref := range e.byPred[t.Pred] {
-			if ref.rule.agg != nil {
-				pend.dirty[ref.rule.label] = true
-			}
+		if e.touchAggs(t) {
+			pend.aggs = true
 		}
 		e.dropDeps(t, func(head data.Tuple, dest string) {
 			if dest == e.self {
@@ -513,6 +541,8 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 			}
 		})
 	}
+	clear(work)
+	e.work = work[:0]
 }
 
 // retractShadow removes one support source from a prune-shadowed
@@ -548,39 +578,21 @@ func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) bool
 // from the surviving rows and re-admits the group's shadow candidates,
 // which re-enter the normal insert path (and the evaluation queue) now
 // that the bar they failed against is gone. Groups process in a
-// deterministic order (predicate, asserter, group values).
+// deterministic order (predicate, asserter, group values); groups is
+// sorted in place.
 func (e *Engine) reviveShadows(groups []pruneGroup) {
-	sorted := append([]pruneGroup(nil), groups...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.ps.pred != b.ps.pred {
-			return a.ps.pred < b.ps.pred
-		}
-		if a.g.asserter != b.g.asserter {
-			return a.g.asserter < b.g.asserter
-		}
-		n := len(a.g.vals)
-		if len(b.g.vals) < n {
-			n = len(b.g.vals)
-		}
-		for k := 0; k < n; k++ {
-			if c := a.g.vals[k].Compare(b.g.vals[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return len(a.g.vals) < len(b.g.vals)
-	})
-	for _, pg := range sorted {
+	slices.SortFunc(groups, comparePruneGroups)
+	for _, pg := range groups {
 		ps, g := pg.ps, pg.g
-		// Recompute the group's best over surviving live rows. Lookup
-		// matches on the group columns only; filter to the exact group
+		// Recompute the group's best over surviving live rows. The probe
+		// matches on the group columns' hash; filter to the exact group
 		// (the group identity also covers the asserter, as insert's
 		// grouping does).
 		g.hasBest = false
 		g.best = data.Value{}
 		if tbl, ok := e.tables[ps.pred]; ok {
-			for _, en := range tbl.Lookup(ps.keyCols, g.vals, e.now) {
-				if !g.matches(en.Tuple, ps.keyCols) {
+			for _, en := range tbl.bucket(ps.sig, ps.keyCols, data.HashValues(g.vals)) {
+				if en.Dead || en.expired(e.now) || !g.matches(en.Tuple, ps.keyCols) {
 					continue
 				}
 				val := en.Tuple.Args[ps.col]
@@ -591,7 +603,7 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 			}
 		}
 		if g.nshadow > 0 {
-			revived := make([]shadowRow, 0, g.nshadow)
+			revived := e.revived[:0]
 			for _, row := range g.shadow.m { //provlint:allow mapiter collected rows are sorted below; the order released rows are reused in changes no result
 				for row != nil {
 					next := row.next
@@ -606,19 +618,20 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 			// data.CompareTuples for determinism): the winning candidate installs immediately
 			// and re-shadows the rest, instead of storing and
 			// re-propagating a whole improving sequence.
-			sort.Slice(revived, func(i, j int) bool {
-				ci := revived[i].tuple.Args[ps.col].Compare(revived[j].tuple.Args[ps.col])
-				if ci != 0 {
+			slices.SortFunc(revived, func(a, b shadowRow) int {
+				if c := a.tuple.Args[ps.col].Compare(b.tuple.Args[ps.col]); c != 0 {
 					if ps.min {
-						return ci < 0
+						return c
 					}
-					return ci > 0
+					return -c
 				}
-				return data.CompareTuples(revived[i].tuple, revived[j].tuple) < 0
+				return data.CompareTuples(a.tuple, b.tuple)
 			})
 			for _, row := range revived {
 				e.insert(row.tuple, row.ann, row.support, 0)
 			}
+			clear(revived)
+			e.revived = revived[:0]
 		}
 		if g.lossy {
 			// The bounded shadow evicted candidates from this group: what
@@ -632,19 +645,43 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 	}
 }
 
-// rederiveGroup is the shadow-eviction revival fallback: every
-// non-aggregate rule producing the pruned predicate re-evaluates with
-// emit restricted to local heads of group g, re-entering the insert
-// path where each candidate installs or re-shadows. It runs serially —
-// eviction-miss revivals are rare — and deterministically.
-func (e *Engine) rederiveGroup(pg pruneGroup) {
-	e.restrict = &restrictState{ps: pg.ps, g: pg.g}
-	for _, r := range e.rules {
-		if r.agg == nil && r.headPred == pg.ps.pred {
-			e.evalFull(r)
+// comparePruneGroups orders touched prune groups by predicate, asserter
+// and group values.
+func comparePruneGroups(a, b pruneGroup) int {
+	if c := cmp.Compare(a.ps.pred, b.ps.pred); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.g.asserter, b.g.asserter); c != 0 {
+		return c
+	}
+	for k := range min(len(a.g.vals), len(b.g.vals)) {
+		if c := a.g.vals[k].Compare(b.g.vals[k]); c != 0 {
+			return c
 		}
 	}
+	return cmp.Compare(len(a.g.vals), len(b.g.vals))
+}
+
+// rederiveGroup is the shadow-eviction revival fallback: every
+// non-aggregate rule producing the pruned predicate re-evaluates, and
+// its firings commit with emit restricted to local heads of group g,
+// re-entering the insert path where each candidate installs or
+// re-shadows. It runs serially — eviction-miss revivals are rare — and
+// deterministically.
+func (e *Engine) rederiveGroup(pg pruneGroup) {
+	fired := e.repairBuf[:0]
+	for _, r := range e.rules {
+		if r.agg == nil && r.headPred == pg.ps.pred {
+			e.evalFull(r, &fired)
+		}
+	}
+	e.restrict = &restrictState{ps: pg.ps, g: pg.g}
+	for _, pd := range fired {
+		e.emit(pd.r, pd.head, pd.headHash, pd.dest, pd.body)
+	}
 	e.restrict = nil
+	clear(fired)
+	e.repairBuf = fired[:0]
 }
 
 // addShadowRow records a prune-rejected candidate for possible revival,
@@ -682,7 +719,14 @@ func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotati
 // filter, which stays the authority on what re-enters. No rule sees
 // another's repairs mid-phase.
 func (e *Engine) rederiveDeleted(p *retractPending) {
-	cands := make(map[string][]*pair)
+	if e.cands == nil {
+		e.cands = make(map[string][]*pair)
+	}
+	cands := e.cands
+	for pred, cs := range cands { //provlint:allow mapiter truncating every bucket; order cannot escape
+		clear(cs)
+		cands[pred] = cs[:0]
+	}
 	for _, set := range []*pairSet{p.deleted, p.shipped} {
 		for c := set.first; c != nil; c = c.after {
 			if !c.gone {
@@ -690,7 +734,7 @@ func (e *Engine) rederiveDeleted(p *retractPending) {
 			}
 		}
 	}
-	var fired []pending
+	fired := e.repairBuf[:0]
 	for _, r := range e.rules {
 		if r.agg != nil {
 			continue
@@ -703,9 +747,11 @@ func (e *Engine) rederiveDeleted(p *retractPending) {
 			e.evalHead(r, dest, c.t, &fired)
 		}
 	}
-	e.rederive = &rederiveState{deleted: p.deleted, shipped: p.shipped}
+	e.rederive = p
 	for _, pd := range fired {
 		e.emit(pd.r, pd.head, pd.headHash, pd.dest, pd.body)
 	}
 	e.rederive = nil
+	clear(fired)
+	e.repairBuf = fired[:0]
 }

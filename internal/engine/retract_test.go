@@ -320,8 +320,13 @@ x2 out(@D,X) :- b(@S,D,X).
 // engine derives from the facts that survive. The programs cover
 // recursion (reachProg); aggregate selection feeding a min aggregate,
 // with the default shadow cap or a cap of 1 (so the lossy-shadow
-// fallback runs); and a head with a constant argument and a variable an
-// assignment binds, which re-derivation checks instead of binding.
+// fallback runs); a head with a constant argument and a variable an
+// assignment binds, which re-derivation checks instead of binding; and
+// the two aggregate repairs that recount every group of a rule instead
+// of the touched ones: a group column bound only by a second atom, and a
+// keyed body table whose rows a new value replaces (a stale rule; the
+// script's last step retracts a sentinel row, so the final state has
+// been through a repair).
 //
 // A row a changed aggregate replaces under its primary key is not
 // retracted: its consequences are replaced in turn only where they are
@@ -335,6 +340,12 @@ func FuzzRetractMatchesFresh(f *testing.F) {
 		// comparison: which of its candidates are stored depends on the
 		// order they arrived in, and only its optimum is determined.
 		pruned string
+		// key names a fact's row in the surviving set: its primary key
+		// where an insert replaces a row (nil: the whole tuple).
+		key func(data.Tuple) string
+		// sentinel, when set, is inserted before the script and retracted
+		// after it.
+		sentinel data.Tuple
 	}{
 		{
 			prog: reachProg,
@@ -371,11 +382,40 @@ p3 far(@N,X) :- pc(@N,K,X,C), C > 3.
 				return data.NewTuple("w", data.Str("n"), data.Str(fmt.Sprint("v", x%3)), data.Str(fmt.Sprint("v", y%3)), data.Int(int64(c%3)))
 			},
 		},
+		{
+			// Y comes from b: retracting an a row touches every group.
+			prog: `
+materialize(a, infinity, infinity, keys(1,2,3)).
+materialize(b, infinity, infinity, keys(1,2,3)).
+g1 g(@N,Y,min<C>) :- a(@N,X,C), b(@N,X,Y).
+`,
+			fact: func(x, y, c byte) data.Tuple {
+				if c%2 == 0 {
+					return data.NewTuple("a", data.Str("n"), data.Str(fmt.Sprint("x", x%3)), data.Int(int64(y%4)))
+				}
+				return data.NewTuple("b", data.Str("n"), data.Str(fmt.Sprint("x", x%3)), data.Str(fmt.Sprint("y", y%2)))
+			},
+		},
+		{
+			// kv is keyed on (N,K): inserting a new value for K replaces
+			// the row without retracting it.
+			prog: `
+materialize(kv, infinity, infinity, keys(1,2)).
+c1 cnt(@N,V,count<*>) :- kv(@N,K,V).
+`,
+			fact: func(x, y, _ byte) data.Tuple {
+				return data.NewTuple("kv", data.Str("n"), data.Str(fmt.Sprint("k", x%3)), data.Int(int64(y%3)))
+			},
+			key:      func(tu data.Tuple) string { return tu.Args[1].Str },
+			sentinel: data.NewTuple("kv", data.Str("n"), data.Str("sentinel"), data.Int(9)),
+		},
 	}
 	f.Add(byte(0), []byte{1, 0, 1, 0, 1, 1, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0})
 	f.Add(byte(1), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 0, 0, 0, 3, 0, 0, 1, 1})
-	f.Add(byte(4), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0})
+	f.Add(byte(6), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0})
 	f.Add(byte(2), []byte{1, 0, 1, 1, 1, 1, 2, 2, 1, 0, 2, 2, 0, 1, 2, 2, 1, 1, 0, 1, 0, 0, 1, 1})
+	f.Add(byte(3), []byte{1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1})
+	f.Add(byte(4), []byte{1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 2, 0, 0, 1, 1, 0, 1, 1, 2, 0, 1, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, which byte, ops []byte) {
 		c := cases[int(which)%len(cases)]
 		shadowCap := 0
@@ -383,16 +423,30 @@ p3 far(@N,X) :- pc(@N,K,X,C), C > 3.
 			shadowCap = 1
 		}
 		e := cappedEngine(t, "n", c.prog, shadowCap)
+		key := data.Tuple.Key
+		if c.key != nil {
+			key = c.key
+		}
+		if c.sentinel.Pred != "" {
+			e.InsertFact(c.sentinel)
+			e.RunToFixpoint()
+		}
 		live := map[string]data.Tuple{}
 		for i := 0; i+3 < len(ops); i += 4 {
 			tu := c.fact(ops[i+1], ops[i+2], ops[i+3])
 			if ops[i]%3 == 0 {
 				e.RetractFacts(tu)
-				delete(live, tu.Key())
+				if cur, ok := live[key(tu)]; ok && cur.Equal(tu) {
+					delete(live, key(tu))
+				}
 			} else {
 				e.InsertFact(tu)
-				live[tu.Key()] = tu
+				live[key(tu)] = tu
 			}
+			e.RunToFixpoint()
+		}
+		if c.sentinel.Pred != "" {
+			e.RetractFacts(c.sentinel)
 			e.RunToFixpoint()
 		}
 		fresh := cappedEngine(t, "n", c.prog, shadowCap)

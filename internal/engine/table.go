@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,8 +16,8 @@ type Entry struct {
 	Created float64
 	// TTL is the lifetime in seconds; <0 means infinite (hard state).
 	TTL float64
-	// Dead marks entries that were replaced or expired; indexes are
-	// cleaned lazily.
+	// Dead marks entries that were replaced, retracted or expired; they
+	// stay in the order and the indexes until the table compacts.
 	Dead bool
 
 	// hash caches the full structural hash of Tuple; pkHash caches the
@@ -141,9 +142,9 @@ const (
 
 // colIndex is one lazily built secondary index: buckets keyed by the
 // structural hash of the indexed columns, entries in insertion order
-// within a bucket. Collisions are resolved by comparing the indexed
-// columns against the probe values (hash + equality check). A bucket is a
-// slice rather than a chain because LookupSig hands it out as is.
+// within a bucket. The prober settles collisions by comparing the
+// indexed columns against its probe values. A bucket is a slice
+// rather than a chain so a probe walks it without chasing rows.
 type colIndex struct {
 	cols    []int
 	buckets map[uint64][]*Entry
@@ -173,8 +174,9 @@ type Table struct {
 	// deterministic scan/index order (join results must not depend on
 	// map iteration).
 	order []*Entry
-	// dirty counts dead entries still parked in order, so scans know
-	// whether the fast no-filter path applies.
+	// dirty counts dead entries still parked in order and the indexes;
+	// the engine compacts the table once they are as many as the live
+	// ones.
 	dirty int
 	// indexes: signature ("2,4") → column index, built lazily on the
 	// first probe (the one table mutation a read-only eval can cause).
@@ -355,33 +357,6 @@ func (t *Table) anyLive(now float64) bool {
 	return false
 }
 
-// Entries returns the live entries in insertion order, so full-table
-// scans (and the joins built on them) are deterministic. When every
-// stored entry is live and unexpired the internal order slice is returned
-// directly — callers must treat the result as read-only.
-func (t *Table) Entries(now float64) []*Entry {
-	if t.dirty == 0 {
-		clean := true
-		for _, en := range t.order {
-			if en.expired(now) {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			return t.order
-		}
-	}
-	var out []*Entry
-	for _, en := range t.order {
-		if en.Dead || en.expired(now) {
-			continue
-		}
-		out = append(out, en)
-	}
-	return out
-}
-
 func (en *Entry) expired(now float64) bool {
 	exp, ok := en.ExpiresAt()
 	return ok && now >= exp
@@ -410,57 +385,33 @@ func (t *Table) ExpireTuples(now float64) []data.Tuple {
 	return out
 }
 
-// compact rebuilds indexes and the order slice, dropping dead entries.
-// Called after expiry sweeps to keep lookups tight.
+// compact drops the dead rows from order and from every index bucket,
+// in place: the indexes stay built. The engine runs it at safe points,
+// when no probe is walking a bucket or the order (the end of
+// RunToFixpoint, of CompleteRetract, and of an expiry sweep).
 func (t *Table) compact() {
-	liveOrder := t.order[:0]
-	for _, en := range t.order {
-		if !en.Dead {
-			liveOrder = append(liveOrder, en)
-		}
-	}
-	t.order = liveOrder
-	t.dirty = 0
-	for sig := range t.indexes { //provlint:allow mapiter clearing every index; order cannot escape
-		delete(t.indexes, sig)
-	}
-}
-
-// Lookup returns the live entries whose columns cols equal vals, using a
-// lazily built hash index. An empty cols scans the whole table. Buckets
-// hold entries in insertion order, so join order — and therefore
-// emission and export order — is deterministic.
-func (t *Table) Lookup(cols []int, vals []data.Value, now float64) []*Entry {
-	if len(cols) == 0 {
-		return t.Entries(now)
-	}
-	return t.LookupSig(colSig(cols), cols, vals, data.HashValues(vals), now)
-}
-
-// LookupSig is Lookup with the column signature and probe hash supplied
-// by the caller (precompiled join plans), so the probe itself performs no
-// allocation. The returned slice may alias internal index storage when no
-// filtering was required — callers must treat it as read-only and not
-// retain it across table mutations.
-func (t *Table) LookupSig(sig string, cols []int, vals []data.Value, probe uint64, now float64) []*Entry {
-	idx := t.index(sig, cols)
-	bucket := idx.buckets[probe]
-	// Fast path: the whole bucket matches — no dead, expired, or
-	// hash-colliding rows — so it can be returned as-is.
-	for i, en := range bucket {
-		if en.Dead || en.expired(now) || !matchCols(en.Tuple, cols, vals) {
-			out := make([]*Entry, i, len(bucket))
-			copy(out, bucket[:i])
-			for _, en := range bucket[i+1:] {
-				if en.Dead || en.expired(now) || !matchCols(en.Tuple, cols, vals) {
-					continue
-				}
-				out = append(out, en)
+	t.order = slices.DeleteFunc(t.order, isDead)
+	for _, idx := range t.indexes { //provlint:allow mapiter independent per-index filters; order cannot escape
+		for h, b := range idx.buckets { //provlint:allow mapiter independent per-bucket filters; order cannot escape
+			if b = slices.DeleteFunc(b, isDead); len(b) == 0 {
+				delete(idx.buckets, h)
+			} else {
+				idx.buckets[h] = b
 			}
-			return out
 		}
 	}
-	return bucket
+	t.dirty = 0
+}
+
+func isDead(en *Entry) bool { return en.Dead }
+
+// bucket returns the rows of the cols index (signature sig) whose probe
+// hash is h, building the index on first use. A probe walks the bucket
+// itself: it skips dead and expired rows, and rows whose indexed columns
+// merely collide on h (a join's matchAtom rejects those). Callers must
+// not retain the bucket across table mutations.
+func (t *Table) bucket(sig string, cols []int, h uint64) []*Entry {
+	return t.index(sig, cols).buckets[h]
 }
 
 // index returns the lazily built column index for sig, building it on
@@ -479,17 +430,6 @@ func (t *Table) index(sig string, cols []int) *colIndex {
 		t.indexes[sig] = idx
 	}
 	return idx
-}
-
-// matchCols is the collision fallback: the indexed columns must equal the
-// probe values.
-func matchCols(tu data.Tuple, cols []int, vals []data.Value) bool {
-	for i, c := range cols {
-		if !tu.Args[c].Equal(vals[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // indexInsert adds a new entry to every existing index.

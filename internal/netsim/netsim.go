@@ -19,9 +19,10 @@
 package netsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -159,14 +160,14 @@ func (n *Network) Drain(to string) []Message {
 	msgs := dst.queue
 	dst.queue = nil
 	dst.mu.Unlock()
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].srcIdx != msgs[j].srcIdx {
-			return msgs[i].srcIdx < msgs[j].srcIdx
+	slices.SortStableFunc(msgs, func(a, b Message) int {
+		if c := cmp.Compare(a.srcIdx, b.srcIdx); c != 0 {
+			return c
 		}
-		if msgs[i].From != msgs[j].From { // distinct unregistered senders
-			return msgs[i].From < msgs[j].From
+		if c := cmp.Compare(a.From, b.From); c != 0 { // distinct unregistered senders
+			return c
 		}
-		return msgs[i].seq < msgs[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	return msgs
 }

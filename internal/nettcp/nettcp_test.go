@@ -120,6 +120,71 @@ func TestReadHostileLength(t *testing.T) {
 	}
 }
 
+// FuzzReadFrame feeds arbitrary bytes through the stream decoder, the
+// way a connection's reader loop does: length-prefixed blocks, each
+// parsed as a frame. Nothing may panic; reading may allocate no more
+// than the bytes present allow (a hostile length prefix costs one read
+// chunk, never DefaultMaxFrame); and every frame that parses must come
+// back unchanged from writeFrame's encoding of it.
+func FuzzReadFrame(f *testing.F) {
+	var good bytes.Buffer
+	bw := bufio.NewWriter(&good)
+	for _, fr := range []frame{
+		{src: "n1", dst: "n2", payload: []byte("data")},
+		{src: "n1", dst: "n2", seq: 7, payload: []byte{0, 1, 2}},
+		{src: "b", dst: "a", seq: 5, ack: true},
+	} {
+		if err := writeFrame(bw, fr); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add(append(binary.AppendUvarint(nil, DefaultMaxFrame), make([]byte, 10)...))
+	f.Add(append(binary.AppendUvarint(nil, DefaultMaxFrame+1), 0))
+	f.Add([]byte{0x03, 0x02, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		br := bufio.NewReader(bytes.NewReader(in))
+		for {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			body, err := readLengthPrefixed(br, DefaultMaxFrame)
+			runtime.ReadMemStats(&after)
+			// A block's buffer starts at one read chunk and grows only
+			// as its bytes arrive; slices.Grow may double it.
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(readChunk+4*len(in)+1<<16); got > limit {
+				t.Fatalf("reading %d input bytes allocated %d bytes, limit %d", len(in), got, limit)
+			}
+			if err != nil {
+				return
+			}
+			flags, src, dst, seq, payload, err := parseFrame(body)
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			w := bufio.NewWriter(&out)
+			if err := writeFrame(w, frame{src: src, dst: dst, seq: seq, payload: payload, ack: flags&flagAck != 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := readLengthPrefixed(bufio.NewReader(&out), DefaultMaxFrame)
+			if err != nil {
+				t.Fatalf("re-reading the encoded frame: %v", err)
+			}
+			flags2, src2, dst2, seq2, payload2, err := parseFrame(again)
+			if err != nil || flags2 != flags&(flagSequenced|flagAck) || src2 != src || dst2 != dst || seq2 != seq || !bytes.Equal(payload2, payload) {
+				t.Fatalf("frame (%#x %q→%q seq %d payload %x) came back as (%#x %q→%q seq %d payload %x), %v",
+					flags, src, dst, seq, payload, flags2, src2, dst2, seq2, payload2, err)
+			}
+		}
+	})
+}
+
 func TestAckFrameGolden(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
