@@ -6,9 +6,10 @@
 //     the bandwidth (Figure 4), derivations/op the work performed.
 //   - BenchmarkFig4Batching — Figure 4's metric for the batched frame
 //     against the paper's one-envelope-per-tuple baseline.
-//   - BenchmarkAblation* — the design-space ablations called out in
-//     DESIGN.md: the says-implementation spectrum (§2.2), the provenance
-//     modes (§4.1/§4.4), store sampling (§5).
+//   - BenchmarkAblation* — the paper's design-space ablations, listed in
+//     docs/BENCHMARKS.md ("Running the figure benchmarks locally"): the
+//     says-implementation spectrum (§2.2), the provenance modes
+//     (§4.1/§4.4), store sampling (§5).
 //   - BenchmarkProvQuery* / BenchmarkMoonwalk — querying cost: local vs
 //     distributed provenance, full traceback vs random moonwalk (§5).
 //

@@ -241,12 +241,13 @@ w1 infected(@D,W) :- infected(@S,W), conn(@S,D).
 		log.Fatal(err)
 	}
 	// Topology facts use pred "link"; the program wants "conn".
+	d := n.Driver()
 	for _, l := range g.Links {
-		if err := n.InsertFact(l.From, provnet.NewTuple("conn", provnet.Str(l.From), provnet.Str(l.To))); err != nil {
+		if err := d.Inject(l.From, provnet.NewTuple("conn", provnet.Str(l.From), provnet.Str(l.To))); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := n.InsertFact("patient0", provnet.NewTuple("infected", provnet.Str("patient0"), provnet.Str("slammer"))); err != nil {
+	if err := d.Inject("patient0", provnet.NewTuple("infected", provnet.Str("patient0"), provnet.Str("slammer"))); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := n.Run(0); err != nil {
@@ -262,7 +263,12 @@ w1 infected(@D,W) :- infected(@S,W), conn(@S,D).
 	}
 
 	fmt.Println("\nphase 2 — 60 seconds pass; all infection state expires:")
-	n.Advance(60)
+	if err := d.Advance(60); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := n.Run(0); err != nil {
+		log.Fatal(err)
+	}
 	live := 0
 	for _, node := range n.Nodes() {
 		live += len(n.Tuples(node, "infected"))
@@ -372,8 +378,9 @@ v1 violation(@S,U,B) :- usage(@S,U,B), quota(@S,U,Q), B > Q.
 	}
 	fmt.Println("== Accountability: PlanetFlow-style traffic auditing ==")
 
+	d := n.Driver()
 	insert := func(t provnet.Tuple) {
-		if err := n.InsertFact("gateway", t); err != nil {
+		if err := d.Inject("gateway", t); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -411,7 +418,9 @@ v1 violation(@S,U,B) :- usage(@S,U,B), quota(@S,U,Q), B > Q.
 	// The audit trail: which flows ground the violation finding? The
 	// provenance store answers after the flow soft state expires.
 	fmt.Println("\ntwo hours later (flow records expired)...")
-	n.Advance(7200)
+	if err := d.Advance(7200); err != nil {
+		log.Fatal(err)
+	}
 	if _, err := n.Run(0); err != nil {
 		log.Fatal(err)
 	}
@@ -482,10 +491,17 @@ c2 alarm(@S,N) :- changes(@S,N), N > 3.
 	fmt.Println("== Real-time diagnostics: route-flap alarm ==")
 	fmt.Println("window 10s, threshold > 3 changes")
 
+	d := n.Driver()
 	run := func() {
 		if _, err := n.Run(0); err != nil {
 			log.Fatal(err)
 		}
+	}
+	advance := func(dt float64) {
+		if err := d.Advance(dt); err != nil {
+			log.Fatal(err)
+		}
+		run()
 	}
 	status := func(label string) {
 		count := "-"
@@ -498,11 +514,11 @@ c2 alarm(@S,N) :- changes(@S,N), N > 3.
 
 	// A flapping link: 5 rapid changes.
 	for i := 1; i <= 5; i++ {
-		if err := n.InsertFact("router1", provnet.NewTuple("change", provnet.Str("router1"), provnet.Int(int64(i)))); err != nil {
+		if err := d.Inject("router1", provnet.NewTuple("change", provnet.Str("router1"), provnet.Int(int64(i)))); err != nil {
 			log.Fatal(err)
 		}
 		run()
-		n.Advance(1)
+		advance(1)
 	}
 	status("after 5 changes in 5s")
 	alarms := n.Tuples("router1", "alarm")
@@ -526,11 +542,9 @@ c2 alarm(@S,N) :- changes(@S,N), N > 3.
 	// The flapping stops; the window empties and the alarm soft state
 	// expires on its own.
 	fmt.Println("\nflapping stops; advancing time...")
-	n.Advance(8)
-	run()
+	advance(8)
 	status("t+8s: old events expiring")
-	n.Advance(10)
-	run()
+	advance(10)
 	status("t+18s: window empty")
 	if len(n.Tuples("router1", "alarm")) == 0 {
 		fmt.Println("\nalarm expired with its soft state — the network self-recovered.")

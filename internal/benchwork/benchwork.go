@@ -79,12 +79,13 @@ func BestPathChurnStaged(fatal func(...any), cfg provnet.Config, nodes, cycles, 
 	if err != nil {
 		fatal(err)
 	}
+	d := net.Driver()
 	return func() *provnet.Report {
 		for cycle := 1; cycle <= cycles; cycle++ {
 			for _, l := range g.Links {
 				cost := l.Cost / scale * int64(cycles+1-cycle)
 				tu := provnet.NewTuple("link", provnet.Str(l.From), provnet.Str(l.To), provnet.Int(cost))
-				if err := net.InsertFact(l.From, tu); err != nil {
+				if err := d.Inject(l.From, tu); err != nil {
 					fatal(err)
 				}
 			}
@@ -227,9 +228,9 @@ func FanInStaged(fatal func(...any), cfg provnet.Config, spokes, vertices, degre
 			tu := provnet.NewTuple("item",
 				provnet.Str(spoke), provnet.Str(fanInHub),
 				provnet.Str(fmt.Sprintf("v%d", x)), provnet.Str(fmt.Sprintf("v%d", y)))
-			if err := net.InsertFact(spoke, tu); err != nil {
-				fatal(err)
-			}
+			// Straight into the engine: a queued Inject would be applied
+			// inside the measured window.
+			net.Node(spoke).Engine.InsertFact(tu)
 		}
 	}
 	return func() *provnet.Report {

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -248,8 +249,10 @@ type Network struct {
 	mutGen atomic.Uint64
 	// nm holds the observability instruments (nil = disabled; see
 	// metrics.go).
-	nm    *netMetrics
-	clock float64
+	nm *netMetrics
+	// clock is the logical time in seconds, as float64 bits: advance
+	// writes it under the driver's run lock, Clock reads it anywhere.
+	clock atomic.Uint64
 	// Signature and rejection counters are atomic: the parallel scheduler
 	// signs and verifies from many goroutines at once.
 	signed  atomic.Int64
@@ -481,7 +484,7 @@ func (n *Network) addNode(name string, saysSemantics bool) error {
 	tcfg := provenance.TrackerConfig{
 		Mode:        n.cfg.Prov,
 		Self:        name,
-		Clock:       func() float64 { return n.clock },
+		Clock:       n.Clock,
 		SampleEvery: n.cfg.SampleEvery,
 	}
 	if n.cfg.Prov == provenance.ModeDistributed {
@@ -540,7 +543,7 @@ func (n *Network) onEngineUpdate(name string, t data.Tuple, kind engine.UpdateKi
 		nd.markViewDirty(t, kind == engine.UpdateExpired)
 	}
 	if n.store != nil && n.storeErr.Load() == nil {
-		ev := StoreEvent{Node: name, Tuple: t, At: n.clock}
+		ev := StoreEvent{Node: name, Tuple: t, At: n.Clock()}
 		switch kind {
 		case engine.UpdateAdded:
 			ev.Kind = EvInsert
@@ -1259,28 +1262,21 @@ func (n *Network) Tuples(node, pred string) []data.Tuple {
 	return nd.Engine.Tuples(pred)
 }
 
-// InsertFact inserts a base tuple at a node at the current logical time
-// (run Run afterwards to propagate).
-func (n *Network) InsertFact(node string, t data.Tuple) error {
-	nd, ok := n.nodes[node]
-	if !ok {
-		return fmt.Errorf("core: unknown node %q", node)
-	}
-	nd.Engine.InsertFact(t)
-	return nil
-}
+// Clock returns the logical time (seconds). It is safe to call while a
+// live driver runs: only Driver.Advance moves it.
+func (n *Network) Clock() float64 { return math.Float64frombits(n.clock.Load()) }
 
-// Clock returns the logical time (seconds).
-func (n *Network) Clock() float64 { return n.clock }
-
-// Advance moves logical time forward by dt seconds, expiring soft state
+// advance moves logical time forward by dt seconds, expiring soft state
 // everywhere, dropping the online provenance of expired tuples (offline
-// copies persist, §4.2), and aging out offline provenance.
-func (n *Network) Advance(dt float64) {
-	n.clock += dt
+// copies persist, §4.2), and aging out offline provenance. The driver
+// applies it between rounds, under its run lock (Driver.Advance).
+func (n *Network) advance(dt float64) {
+	now := n.Clock() + dt
+	n.clock.Store(math.Float64bits(now))
 	for _, name := range n.order {
 		nd := n.nodes[name]
-		nd.Engine.Expire(n.clock)
+		n.markActive(name)
+		nd.Engine.Expire(now)
 		if nd.Store == nil {
 			continue
 		}
@@ -1291,7 +1287,7 @@ func (n *Network) Advance(dt float64) {
 				nd.Store.Forget(key)
 			}
 		}
-		nd.Store.AgeOut(n.clock)
+		nd.Store.AgeOut(now)
 	}
 }
 

@@ -345,7 +345,15 @@ r1 reachable(@S,D) :- link(@S,D).
 	if len(n.Tuples("a", "link")) != 2 {
 		t.Fatal("links live")
 	}
-	n.Advance(20)
+	if err := n.Driver().Advance(20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if n.Clock() != 20 {
+		t.Fatalf("clock = %v, want 20", n.Clock())
+	}
 	if len(n.Tuples("a", "link")) != 0 {
 		t.Fatal("links must expire")
 	}
@@ -354,7 +362,8 @@ r1 reachable(@S,D) :- link(@S,D).
 func TestInsertFactAndRerun(t *testing.T) {
 	n, _ := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph()})
 	// A new link c->a appears at runtime.
-	if err := n.InsertFact("c", data.NewTuple("link", data.Str("c"), data.Str("a"))); err != nil {
+	d := n.Driver()
+	if err := d.Inject("c", data.NewTuple("link", data.Str("c"), data.Str("a"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Run(0); err != nil {
@@ -364,7 +373,7 @@ func TestInsertFactAndRerun(t *testing.T) {
 	if got := len(n.Tuples("c", "reachable")); got != 3 {
 		t.Fatalf("c reachable = %d, want 3", got)
 	}
-	if err := n.InsertFact("ghost", data.NewTuple("link", data.Str("g"), data.Str("h"))); err == nil {
+	if err := d.Inject("ghost", data.NewTuple("link", data.Str("g"), data.Str("h"))); err == nil {
 		t.Error("unknown node must fail")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +15,10 @@ import (
 // Driver is the lifecycle execution surface of a Network: where Run
 // drives a one-shot batch to its fixpoint, the driver keeps the same
 // round scheduler resumable behind an event inbox, so a long-running
-// network can absorb runtime mutations (Inject, SetLink, CutLink,
-// Retract), re-converge incrementally (retraction cascades plus normal
+// network can absorb runtime mutations (Inject, Retract, SetLink,
+// CutLink, Resupply, Advance — once a driver may step the network, the
+// inbox is the only supported way to change it; Network's own methods
+// only read), re-converge incrementally (retraction cascades plus normal
 // re-propagation instead of a restart), and stream table updates to
 // subscribers while it runs.
 //
@@ -79,11 +82,11 @@ type Driver struct {
 // driverEvent is one queued runtime mutation.
 type driverEvent struct {
 	kind   eventKind
-	node   string
+	node   string // where it applies; a link's owner, from; "" for all
 	tuples []data.Tuple
-	from   string
 	to     string
 	link   data.Tuple // evSetLink's replacement fact
+	dt     float64    // evAdvance's step of logical time
 }
 
 type eventKind uint8
@@ -96,6 +99,8 @@ const (
 	// evResupply replays every hosted node's export log (soft-state
 	// re-announcement after a peer process restart; Network.resupply).
 	evResupply
+	// evAdvance moves logical time on every hosted node (Advance).
+	evAdvance
 )
 
 // Driver returns the network's lifecycle driver, creating it on first
@@ -118,6 +123,9 @@ var (
 	// ErrLive is returned by synchronous stepping (Step, Run) while the
 	// background pump owns the round loop.
 	ErrLive = errors.New("core: driver is live; use Inject/AwaitQuiescence")
+	// ErrTooManySubscriptions is returned by Subscribe while
+	// maxSubscriptions subscriptions are open.
+	ErrTooManySubscriptions = errors.New("core: too many live subscriptions")
 )
 
 // Start launches the driver's pump: a background loop that applies queued
@@ -267,7 +275,7 @@ func (d *Driver) converge(ctx context.Context, maxSteps int) error {
 func (d *Driver) step(ctx context.Context) (bool, error) {
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
-	mutated, err := d.applyEvents(d.takeEvents())
+	mutated, err := d.applyEvents(ctx, d.takeEvents())
 	if err != nil {
 		return false, err
 	}
@@ -469,8 +477,16 @@ func (d *Driver) Close() error {
 	return err
 }
 
-// enqueue queues a mutation and wakes the pump.
+// enqueue queues a mutation and wakes the pump. Every event but
+// Resupply and Advance names a hosted node; an Inject or Retract of
+// nothing queues nothing.
 func (d *Driver) enqueue(ev driverEvent) error {
+	if _, ok := d.n.nodes[ev.node]; !ok && ev.kind != evResupply && ev.kind != evAdvance {
+		return fmt.Errorf("core: unknown node %q", ev.node)
+	}
+	if len(ev.tuples) == 0 && (ev.kind == evInject || ev.kind == evRetract) {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -498,12 +514,6 @@ func (d *Driver) takeEvents() []driverEvent {
 // live driver the pump picks them up immediately; a synchronous driver
 // applies them on the next Step/Run/AwaitQuiescence.
 func (d *Driver) Inject(node string, tuples ...data.Tuple) error {
-	if _, ok := d.n.nodes[node]; !ok {
-		return fmt.Errorf("core: unknown node %q", node)
-	}
-	if len(tuples) == 0 {
-		return nil
-	}
 	return d.enqueue(driverEvent{kind: evInject, node: node, tuples: tuples})
 }
 
@@ -511,12 +521,6 @@ func (d *Driver) Inject(node string, tuples ...data.Tuple) error {
 // derived from them across the network (the engine's DRed retraction plus
 // wire-level withdrawal frames).
 func (d *Driver) Retract(node string, tuples ...data.Tuple) error {
-	if _, ok := d.n.nodes[node]; !ok {
-		return fmt.Errorf("core: unknown node %q", node)
-	}
-	if len(tuples) == 0 {
-		return nil
-	}
 	return d.enqueue(driverEvent{kind: evRetract, node: node, tuples: tuples})
 }
 
@@ -527,24 +531,18 @@ func (d *Driver) Retract(node string, tuples ...data.Tuple) error {
 // atoms (cost dropped when they have two arguments); any other arity is
 // refused.
 func (d *Driver) SetLink(from, to string, cost int64) error {
-	if _, ok := d.n.nodes[from]; !ok {
-		return fmt.Errorf("core: unknown node %q", from)
-	}
 	link, err := d.n.linkFact(from, to, cost)
 	if err != nil {
 		return err
 	}
-	return d.enqueue(driverEvent{kind: evSetLink, from: from, to: to, link: link})
+	return d.enqueue(driverEvent{kind: evSetLink, node: from, to: to, link: link})
 }
 
 // CutLink removes the directed link from→to: the link fact is retracted
 // and every best path routed over it is withdrawn on every node as the
 // retraction cascade propagates.
 func (d *Driver) CutLink(from, to string) error {
-	if _, ok := d.n.nodes[from]; !ok {
-		return fmt.Errorf("core: unknown node %q", from)
-	}
-	return d.enqueue(driverEvent{kind: evCutLink, from: from, to: to})
+	return d.enqueue(driverEvent{kind: evCutLink, node: from, to: to})
 }
 
 // Resupply queues a soft-state re-announcement: every hosted node
@@ -552,6 +550,18 @@ func (d *Driver) CutLink(from, to string) error {
 // enqueues it automatically when the transport reports a peer restart.
 func (d *Driver) Resupply() error {
 	return d.enqueue(driverEvent{kind: evResupply})
+}
+
+// Advance moves logical time forward by dt seconds, a finite step ≥ 0:
+// between rounds every hosted node expires soft state and ages out
+// provenance (Network.advance), then the network re-converges, so the
+// view, the store log and subscribers see the expiry at a quiescence
+// point. Events queued before it apply at the old time.
+func (d *Driver) Advance(dt float64) error {
+	if !(dt >= 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("core: cannot advance the clock by %v", dt)
+	}
+	return d.enqueue(driverEvent{kind: evAdvance, dt: dt})
 }
 
 // Nudge marks a live pump dirty so it runs a drain round even though no
@@ -582,44 +592,51 @@ func (d *Driver) Quiet() bool {
 
 // applyEvents applies queued mutations to the engines (called under
 // runMu, between rounds). It reports whether anything changed.
-func (d *Driver) applyEvents(evs []driverEvent) (bool, error) {
+func (d *Driver) applyEvents(ctx context.Context, evs []driverEvent) (bool, error) {
 	mutated := false
-	for _, ev := range evs {
-		if ev.kind == evResupply {
-			if err := d.n.resupplyAll(); err != nil {
-				return mutated, err
-			}
-			mutated = true
-			continue
+	for i, ev := range evs {
+		nd := d.n.nodes[ev.node] // the enqueuing call checked the name
+		if nd != nil {
+			d.n.markActive(ev.node)
 		}
-		nd, ok := d.n.nodes[eventNode(ev)]
-		if !ok {
-			return mutated, fmt.Errorf("core: unknown node %q", eventNode(ev))
-		}
-		d.n.markActive(eventNode(ev))
 		switch ev.kind {
 		case evInject:
 			for _, t := range ev.tuples {
 				nd.Engine.InsertFact(t)
 			}
-			mutated = true
 		case evRetract:
 			// Over-delete now; repair runs when step drains the wave.
-			ws := nd.Engine.BeginRetractFacts(ev.tuples...)
-			nd.pendingRetract = append(nd.pendingRetract, ws...)
-			mutated = true
+			nd.pendingRetract = append(nd.pendingRetract, nd.Engine.BeginRetractFacts(ev.tuples...)...)
 		case evSetLink, evCutLink:
-			mutated = d.applyLink(nd, ev) || mutated
+			if !d.applyLink(nd, ev) {
+				continue
+			}
+		case evResupply:
+			if err := d.n.resupplyAll(); err != nil {
+				return true, err
+			}
+		case evAdvance:
+			// Expiry must not run inside a repair: Expire settles every
+			// touched aggregate group, those a pending over-delete touched
+			// too, and retires a vanished head in place where the repair
+			// would cascade it. So the retractions queued ahead drain
+			// first; if the drain is cancelled, this event and those
+			// behind it go back to the head of the inbox for the next step.
+			if d.n.retractionInFlight() {
+				rounds, err := d.n.drainRetractions(ctx)
+				d.addRounds(rounds)
+				if err != nil {
+					d.mu.Lock()
+					d.inbox = append(evs[i:len(evs):len(evs)], d.inbox...)
+					d.mu.Unlock()
+					return true, err
+				}
+			}
+			d.n.advance(ev.dt)
 		}
+		mutated = true
 	}
 	return mutated, nil
-}
-
-func eventNode(ev driverEvent) string {
-	if ev.kind == evSetLink || ev.kind == evCutLink {
-		return ev.from
-	}
-	return ev.node
 }
 
 // applyLink performs link churn at the link's owning node: existing link
@@ -629,7 +646,7 @@ func (d *Driver) applyLink(nd *Node, ev driverEvent) bool {
 	var stale []data.Tuple
 	keep := false
 	for _, t := range nd.Engine.Tuples("link") {
-		if len(t.Args) < 2 || t.Args[0].Str != ev.from || t.Args[1].Str != ev.to {
+		if len(t.Args) < 2 || t.Args[0].Str != ev.node || t.Args[1].Str != ev.to {
 			continue
 		}
 		if ev.kind == evSetLink && t.WithoutAsserter().Equal(ev.link) {
@@ -700,10 +717,18 @@ func (s *Subscription) Close() {
 // buffers drop (counted): a slow consumer must never stall the network.
 const subscriptionBuffer = 256
 
+// maxSubscriptions caps a driver's live subscriptions. An Update is 80
+// bytes (node string, tuple, flag), so each full subscription buffers
+// subscriptionBuffer × 80 B = 20 KiB, and the cap bounds all of them at
+// 256 × 20 KiB = 5 MiB, besides the tuples they point to; it also
+// bounds the fan-out every table change pays in publish.
+const maxSubscriptions = 256
+
 // Subscribe streams table updates for pred at node ("" matches every
 // predicate; node "" matches every node). Updates for one (node, pred)
 // arrive in table order; a full buffer drops updates rather than blocking
-// the scheduler (see Subscription.Dropped).
+// the scheduler (see Subscription.Dropped). While maxSubscriptions are
+// open it fails with ErrTooManySubscriptions; closing one frees a slot.
 func (d *Driver) Subscribe(node, pred string) (*Subscription, error) {
 	if node != "" {
 		if _, ok := d.n.nodes[node]; !ok {
@@ -722,6 +747,10 @@ func (d *Driver) Subscribe(node, pred string) (*Subscription, error) {
 	if closed {
 		d.subMu.Unlock()
 		return nil, ErrClosed
+	}
+	if len(d.subs) >= maxSubscriptions {
+		d.subMu.Unlock()
+		return nil, ErrTooManySubscriptions
 	}
 	d.subs[sub] = struct{}{}
 	d.nsubs.Add(1)

@@ -11,6 +11,7 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
+	"provnet/internal/obs"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
@@ -608,6 +609,74 @@ func TestSubscribeStreamsUpdates(t *testing.T) {
 	sub.Close()
 	if _, ok := <-sub.Updates(); ok {
 		t.Fatal("channel still open after Close")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubscriptionCap pins the bound on live subscriptions: at
+// maxSubscriptions the next Subscribe fails, closing one frees a slot,
+// racing subscribers never push Subscribers past the cap, and the
+// provnet_driver_subscribers gauge reads the count at quiescence.
+func TestSubscriptionCap(t *testing.T) {
+	m := obs.New()
+	n, err := NewNetwork(Config{Source: BestPath, Graph: topo.Line(2), Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := n.Driver()
+	subs := make([]*Subscription, 0, maxSubscriptions)
+	for len(subs) < maxSubscriptions {
+		sub, err := d.Subscribe("", "")
+		if err != nil {
+			t.Fatalf("subscription %d: %v", len(subs)+1, err)
+		}
+		subs = append(subs, sub)
+	}
+	if _, err := d.Subscribe("n0", "bestPath"); !errors.Is(err, ErrTooManySubscriptions) {
+		t.Fatalf("Subscribe past the cap: err = %v, want ErrTooManySubscriptions", err)
+	}
+	if _, err := d.AwaitQuiescence(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Gauge("provnet_driver_subscribers", "").Value(); got != maxSubscriptions {
+		t.Fatalf("provnet_driver_subscribers = %d, want %d", got, maxSubscriptions)
+	}
+	subs[0].Close()
+	subs = subs[1:]
+	sub, err := d.Subscribe("n0", "bestPath")
+	if err != nil {
+		t.Fatalf("a closed subscription did not free its slot: %v", err)
+	}
+	subs = append(subs, sub)
+
+	// Half the slots free, twice as many racing takers: the cap holds.
+	for _, sub := range subs[:maxSubscriptions/2] {
+		sub.Close()
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	taken, peak := 0, 0
+	for i := 0; i < maxSubscriptions; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := d.Subscribe("", "")
+			mu.Lock()
+			defer mu.Unlock()
+			if err == nil {
+				taken++
+			} else if !errors.Is(err, ErrTooManySubscriptions) {
+				t.Error(err)
+			}
+			peak = max(peak, d.Subscribers())
+		}()
+	}
+	wg.Wait()
+	if taken != maxSubscriptions/2 || peak > maxSubscriptions || d.Subscribers() != maxSubscriptions {
+		t.Fatalf("%d racing subscribers took %d of %d free slots, peak %d, now %d (cap %d)",
+			maxSubscriptions, taken, maxSubscriptions/2, peak, d.Subscribers(), maxSubscriptions)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

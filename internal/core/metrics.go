@@ -49,6 +49,7 @@ type netMetrics struct {
 	arenaHW    *obs.Gauge
 	bddNodes   *obs.Gauge
 	exprMemo   *obs.Gauge
+	subs       *obs.Gauge
 
 	// sealNanos/verifyNanos accumulate crypto time within the current
 	// round. The parallel scheduler's workers add concurrently; the
@@ -90,6 +91,7 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 		arenaHW:       m.Gauge("provnet_engine_arena_high_water", "High-water total capacity (elements) of the eval scratch arenas."),
 		bddNodes:      m.Gauge("provnet_provenance_bdd_nodes", "Nodes of the condensed-provenance BDD managers (terminals included), all hosted nodes, sampled at quiescence."),
 		exprMemo:      m.Gauge("provnet_provenance_expr_memo_entries", "Condensed-provenance expressions rendered and memoised, all hosted nodes, sampled at quiescence."),
+		subs:          m.Gauge("provnet_driver_subscribers", "Live driver subscriptions (capped), sampled at quiescence."),
 	}
 
 	// Transport counters: the transports maintain these; export them as
@@ -221,8 +223,9 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 }
 
 // observeQuiesce records one quiescence decision (view publish + store
-// seal) and its wall time, and samples the provenance trackers' sizes:
-// BDD managers and their expression memos only grow.
+// seal) and its wall time, and samples the provenance trackers' sizes —
+// BDD managers and their expression memos only grow — and the driver's
+// live subscriptions.
 func (nm *netMetrics) observeQuiesce(n *Network, start time.Time) {
 	if nm == nil {
 		return
@@ -238,6 +241,7 @@ func (nm *netMetrics) observeQuiesce(n *Network, start time.Time) {
 	}
 	nm.bddNodes.Set(bddNodes)
 	nm.exprMemo.Set(exprMemo)
+	nm.subs.Set(int64(n.drv.Subscribers()))
 	rec := obs.RoundRecord{
 		Kind:             "quiesce",
 		StartNs:          start.UnixNano(),

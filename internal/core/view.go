@@ -158,7 +158,7 @@ func (nd *Node) markViewDirty(t data.Tuple, expired bool) {
 // the dirt is left in place for viewPublished to clear, so building
 // against an empty prev is a side-effect-free full rebuild.
 func (n *Network) buildView(prev *ReadView, seq, gen uint64) *ReadView {
-	v := &ReadView{Seq: seq, Clock: n.clock, gen: gen, nodes: make(map[string]*NodeView, len(n.order))}
+	v := &ReadView{Seq: seq, Clock: n.Clock(), gen: gen, nodes: make(map[string]*NodeView, len(n.order))}
 	var rebuilt, shared int // rows rendered, tables reused
 	for _, name := range n.order {
 		nd := n.nodes[name]

@@ -256,10 +256,14 @@ func runViewScript(t *testing.T, n *Network, g *topo.Graph, noCost, soft bool, s
 				}
 			}
 			check("refresh")
-			n.Advance(6)
+			if err := d.Advance(6); err != nil {
+				t.Fatal(err)
+			}
 		case op == 7 && soft:
 			what = "advance"
-			n.Advance(float64(1 + r.Intn(5)))
+			if err := d.Advance(float64(1 + r.Intn(5))); err != nil {
+				t.Fatal(err)
+			}
 		default: // a quiescence with nothing to do: Seq must hold
 			what = "no-op"
 		}

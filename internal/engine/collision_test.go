@@ -341,7 +341,7 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 		})
 	})
 	t.Run("shadow rows", func(t *testing.T) {
-		ps := &pruneSpec{keyCols: []int{0}, col: 1, min: true, cap: -1, groups: newChain((*pruneGroupState).link)}
+		ps := &pruneSpec{keyCols: []int{0}, col: 1, min: true, cap: defaultShadowCap, groups: newChain((*pruneGroupState).link)}
 		g := ps.group(tup("p", 0, 0))
 		unlinkHeadMiddleTail(t, chainCase[shadowRow]{
 			chain:  func() chain[shadowRow] { return g.shadow },

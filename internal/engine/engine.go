@@ -113,17 +113,14 @@ type Config struct {
 	// from the engine's (single) driving goroutine; implementations must
 	// not call back into the engine.
 	OnUpdate func(t data.Tuple, kind UpdateKind)
-	// ShadowCap bounds the aggregate-selection prune shadow per group
-	// (0 = 64 rows, <0 = unbounded). Overflow evicts the
-	// least-competitive candidate; a revival that may have lost
-	// candidates to eviction falls back to restricted re-derivation.
-	ShadowCap int
 }
 
-// defaultShadowCap is the per-group prune-shadow bound applied when
-// Config.ShadowCap is zero: enough to keep every realistic alternate
-// route revivable without letting long-churning runs grow the shadow
-// without bound.
+// defaultShadowCap bounds the aggregate-selection prune shadow per
+// group: enough to keep every realistic alternate route revivable
+// without letting long-churning runs grow the shadow without bound.
+// Overflow evicts the least-competitive candidate; a revival that may
+// have lost candidates to eviction falls back to restricted
+// re-derivation.
 const defaultShadowCap = 64
 
 // Engine is a single node's query processor. It is not safe for concurrent
@@ -146,9 +143,6 @@ type Engine struct {
 	rules    []*compiledRule
 	byPred   map[string][]atomRef
 	aggState map[string]*aggGroupState // keyed by rule label + group key
-
-	// shadowCap is Config.ShadowCap, resolved per pruneSpec at load.
-	shadowCap int
 
 	queue   []*Entry
 	exports []Export
@@ -239,7 +233,7 @@ type pruneSpec struct {
 	sig string
 	col int
 	min bool
-	// cap bounds each group's shadow (<0 = unbounded): overflow evicts
+	// cap bounds each group's shadow: overflow evicts
 	// the least-competitive row and marks the group lossy, so a later
 	// revival knows candidates may be missing and falls back to
 	// restricted re-derivation instead of trusting the shadow alone.
@@ -358,7 +352,6 @@ func New(cfg Config) *Engine {
 		hook:          hook,
 		noProv:        noProv,
 		onUpdate:      cfg.OnUpdate,
-		shadowCap:     cfg.ShadowCap,
 		tables:        make(map[string]*Table),
 		decls:         make(map[string]*datalog.MaterializeDecl),
 		prunes:        make(map[string]*pruneSpec),
@@ -436,17 +429,13 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		for i, c := range pr.KeyCols {
 			cols[i] = c - 1
 		}
-		shadowCap := e.shadowCap
-		if shadowCap == 0 {
-			shadowCap = defaultShadowCap
-		}
 		e.prunes[pr.Pred] = &pruneSpec{
 			pred:    pr.Pred,
 			keyCols: cols,
 			sig:     colSig(cols),
 			col:     pr.Col - 1,
 			min:     pr.Func == datalog.AggMin,
-			cap:     shadowCap,
+			cap:     defaultShadowCap,
 			groups:  newChain((*pruneGroupState).link),
 		}
 	}
@@ -604,7 +593,7 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 // class, worst-first (farthest from the optimum; ties broken by
 // data.CompareTuples) keeps the rows most likely to become the next best.
 func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
-	if ps.cap < 0 || g.nshadow <= ps.cap {
+	if g.nshadow <= ps.cap {
 		return
 	}
 	var worst *shadowRow
@@ -901,7 +890,7 @@ func (e *Engine) AnnotationOf(t data.Tuple) Annotation {
 
 // ShadowSize reports the total number of prune-shadow rows retained
 // across every aggregate-selection group — the quantity the per-group
-// cap bounds (see Config.ShadowCap).
+// cap bounds (defaultShadowCap).
 func (e *Engine) ShadowSize() int {
 	n := 0
 	for _, ps := range e.prunes { //provlint:allow mapiter commutative integer sum; order cannot escape
@@ -928,7 +917,7 @@ func (e *Engine) TableSlots(pred string) (live, slots int) {
 func (e *Engine) DepSize() int { return e.ndeps }
 
 // ShadowEvictions reports the cumulative number of shadow rows dropped
-// by the per-group cap (Config.ShadowCap) since the engine started.
+// by the per-group cap (defaultShadowCap) since the engine started.
 func (e *Engine) ShadowEvictions() int64 {
 	var n int64
 	for _, ps := range e.prunes { //provlint:allow mapiter commutative integer sum; order cannot escape

@@ -15,7 +15,8 @@ func retractEngine(t *testing.T, self, src string) *Engine {
 	return cappedEngine(t, self, src, 0)
 }
 
-// cappedEngine builds an engine with an explicit prune-shadow cap.
+// cappedEngine builds an engine with an explicit prune-shadow cap (0
+// keeps defaultShadowCap).
 func cappedEngine(t testing.TB, self, src string, shadowCap int) *Engine {
 	t.Helper()
 	prog, err := datalog.Parse(src)
@@ -26,9 +27,14 @@ func cappedEngine(t testing.TB, self, src string, shadowCap int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Self: self, ShadowCap: shadowCap})
+	e := New(Config{Self: self})
 	if err := e.LoadProgram(localized); err != nil {
 		t.Fatal(err)
+	}
+	if shadowCap != 0 {
+		for _, ps := range e.prunes {
+			ps.cap = shadowCap
+		}
 	}
 	return e
 }

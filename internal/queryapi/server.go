@@ -2,6 +2,7 @@ package queryapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -264,7 +265,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sub, err := s.d.Subscribe(q.Get("node"), q.Get("pred"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "subscribe", err)
+		status := http.StatusBadRequest
+		if errors.Is(err, core.ErrTooManySubscriptions) {
+			status = http.StatusTooManyRequests
+		}
+		writeError(w, status, "subscribe", err)
 		return
 	}
 	defer sub.Close()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -304,6 +305,49 @@ func TestSubscribeDisconnectReleasesSubscription(t *testing.T) {
 			t.Fatalf("subscription leaked: %d subscribers after disconnect", d.Subscribers())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSubscribeAtCapIs429 pins /v1/subscribe's limit: while the driver
+// holds its maximum of live subscriptions a request gets 429, and once
+// one closes the next request streams.
+func TestSubscribeAtCapIs429(t *testing.T) {
+	n, srv := testServer(t, provenance.ModeNone)
+	d := n.Driver()
+	var subs []*core.Subscription
+	for {
+		sub, err := d.Subscribe("", "")
+		if errors.Is(err, core.ErrTooManySubscriptions) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if subs = append(subs, sub); len(subs) > 1<<16 {
+			t.Fatal("Subscribe never refused")
+		}
+	}
+	res := get(t, srv.URL+"/v1/subscribe?node=n0", http.StatusTooManyRequests)
+	if !strings.Contains(res.Error, "too many") {
+		t.Errorf("429 error = %q", res.Error)
+	}
+	subs[0].Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/subscribe?node=n0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after a slot freed: status %d, want 200", resp.StatusCode)
+	}
+	if got := d.Subscribers(); got != len(subs) {
+		t.Fatalf("subscribers = %d, want %d", got, len(subs))
 	}
 }
 

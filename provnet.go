@@ -29,11 +29,11 @@
 //
 // Run is the one-shot batch surface. Long-running deployments use the
 // lifecycle Driver instead: Start launches a background pump, runtime
-// mutations (Inject, SetLink, CutLink, Retract) feed the running engines
-// and re-converge incrementally — a cut link withdraws every best path
-// derived from it, across nodes, without a restart — and Subscribe
-// streams table updates as they happen. All blocking calls honor context
-// cancellation mid-round:
+// mutations (Inject, SetLink, CutLink, Retract, Advance) feed the
+// running engines and re-converge incrementally — a cut link withdraws
+// every best path derived from it, across nodes, without a restart — and
+// Subscribe streams table updates as they happen. All blocking calls
+// honor context cancellation mid-round:
 //
 //	d := n.Driver()
 //	if err := d.Start(ctx); err != nil { ... }
@@ -95,7 +95,7 @@ type (
 
 	// Driver is the live-network lifecycle surface: Start/Step/
 	// AwaitQuiescence/Close, runtime mutation (Inject, Retract, SetLink,
-	// CutLink), and Subscribe. Obtain one with Network.Driver().
+	// CutLink, Advance), and Subscribe. Obtain one with Network.Driver().
 	Driver = core.Driver
 	// Update is one table change streamed to a subscription.
 	Update = core.Update
