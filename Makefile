@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet staticcheck lint test race bench bench-smoke bench-e2e-smoke api-smoke fuzz docs chaos ci
+.PHONY: all build fmt fmt-check vet staticcheck lint test race alloc-budget bench bench-smoke bench-e2e-smoke api-smoke fuzz docs chaos ci
 
 all: build
 
@@ -40,6 +40,11 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# race_test.go widens the allocation slack for every cell under -race,
+# so only a run without it holds the hot path to 1.20x.
+alloc-budget:
+	$(GO) test -run TestHotPathAllocBudget ./internal/benchwork
 
 # Full benchmark run (minutes-scale); see bench_test.go for the figure map.
 bench:
@@ -123,4 +128,4 @@ docs:
 	$(GO) test -run TestDocLinks .
 	$(GO) run ./examples/multiprocess
 
-ci: fmt-check vet staticcheck lint build race fuzz docs bench-smoke bench-e2e-smoke chaos api-smoke
+ci: fmt-check vet staticcheck lint build race alloc-budget fuzz docs bench-smoke bench-e2e-smoke chaos api-smoke

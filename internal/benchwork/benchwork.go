@@ -97,6 +97,26 @@ func BestPathChurnStaged(fatal func(...any), cfg provnet.Config, nodes, cycles, 
 	}
 }
 
+// BestPathBatchStaged builds the §6 Best-Path workload on a random
+// topology of nodes nodes (out-degree 3) and returns a one-shot closure
+// that runs it to the distributed fixpoint: the Figure 3 query, with
+// network construction outside the window.
+func BestPathBatchStaged(fatal func(...any), cfg provnet.Config, nodes int, seed int64) func() *provnet.Report {
+	cfg.Graph = provnet.RandomGraph(provnet.TopoOptions{N: nodes, AvgOutDegree: 3, MaxCost: 10, Seed: seed})
+	cfg.Seed = seed
+	net, err := provnet.NewNetwork(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	return func() *provnet.Report {
+		rep, err := net.Run(0)
+		if err != nil {
+			fatal(err)
+		}
+		return rep
+	}
+}
+
 // LiveBestPathChurn is the live-driver equivalent of BestPathChurn: the
 // same topology and refresh schedule, but every cost change goes through
 // Driver.SetLink against the started network — retract-then-insert

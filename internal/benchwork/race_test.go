@@ -2,7 +2,7 @@
 
 package benchwork
 
-// Under -race sync.Pool drops a share of the frame decoders put back, a
-// fixed cost of 6–7 thousand allocations on the churn cells: 22 % of
-// bestpath-churn's count.
+// Under -race sync.Pool drops a share of the sealing scratch put back, a
+// cost of 0.8–1.1 thousand allocations a cell: 12 % of bestpath-churn's
+// count.
 func init() { allocSlack = 1.35 }

@@ -190,6 +190,101 @@ type Node struct {
 	view    *NodeView
 	dirt    map[string]*tableDirt
 	touched bool
+
+	// wire is the node's frame scratch, reused round after round by its
+	// scheduler task.
+	wire nodeWire
+}
+
+// nodeWire is what a node's rounds build frames in and decode them into:
+// the outbound grouping of withdrawals and exports by destination, the
+// frames made from them, and the inbound frames. Nothing in it outlives
+// the phase that fills it — a sent frame is bytes in the transport, a
+// delivered one rows in the engine — so each phase starts it over
+// instead of allocating it anew.
+type nodeWire struct {
+	retracts, exports destGroups
+	frames            []outFrame
+	out, in           framePool
+	delivered         []*frame
+}
+
+// outFrames returns the empty frame list to build a round's frames in.
+func (w *nodeWire) outFrames() []outFrame {
+	w.out.n = 0
+	return w.frames[:0]
+}
+
+// sent ends the export phase once frames have shipped: nothing it built
+// may keep the round's tuples, annotations or provenance tables alive.
+func (w *nodeWire) sent(frames []outFrame) {
+	clear(frames)
+	w.frames = frames[:0]
+	w.out.done()
+	w.retracts.reset()
+	w.exports.reset()
+}
+
+// destGroups groups outbound items by destination, the destinations in
+// the order of their first item.
+type destGroups struct {
+	idx   map[string]int
+	dests []string
+	items [][]item
+}
+
+// reset empties the groups, keeping their arrays.
+func (g *destGroups) reset() {
+	clear(g.idx)
+	for k := range g.dests {
+		clear(g.items[k])
+		g.items[k] = g.items[k][:0]
+	}
+	g.dests = g.dests[:0]
+}
+
+// add appends it to dest's group.
+func (g *destGroups) add(dest string, it item) {
+	k, ok := g.idx[dest]
+	if !ok {
+		if g.idx == nil {
+			g.idx = make(map[string]int)
+		}
+		k = len(g.dests)
+		g.idx[dest] = k
+		g.dests = append(g.dests, dest)
+		if k == len(g.items) {
+			g.items = append(g.items, nil)
+		}
+	}
+	g.items[k] = append(g.items[k], it)
+}
+
+// framePool hands out the frames of one phase, reused phase after phase.
+type framePool struct {
+	fs []*frame
+	n  int
+}
+
+// get returns the phase's next frame; the caller overwrites it.
+func (p *framePool) get() *frame {
+	if p.n == len(p.fs) {
+		p.fs = append(p.fs, new(frame))
+	}
+	p.n++
+	return p.fs[p.n-1]
+}
+
+// done ends the phase: the frames drop what they reference (tuples,
+// datagram bytes), keeping their item arrays. It clears the whole pool,
+// not just the frames handed out: the import phase hands a frame back
+// for the next datagram when one is not delivered.
+func (p *framePool) done() {
+	for _, f := range p.fs {
+		clear(f.items)
+		*f = frame{items: f.items[:0]}
+	}
+	p.n = 0
 }
 
 // takeRetracts drains the node's pending withdrawals.
@@ -267,6 +362,14 @@ type Network struct {
 	// program and topology). The termination detector's token ring walks
 	// it in this order.
 	allNodes []string
+	// decoders is the import phase's free list of frame decoders, which
+	// its node tasks take one each from and give back. It is not the
+	// sync.Pool behind data.NewDecoder, which under the race detector
+	// drops a share of what is put back.
+	decoders struct {
+		sync.Mutex
+		free []*data.Decoder
+	}
 	// syms is the read-only table received frames decode their strings
 	// through (frameSymbols).
 	syms *data.Symbols
@@ -724,7 +827,7 @@ func (n *Network) runRound(ctx context.Context, evaluate bool) (bool, error) {
 		}
 		// Retract frames go ahead of the round's data frames, so receivers
 		// withdraw before they integrate new state.
-		frames, err := n.buildRetractFrames(nil, name, retracts)
+		frames, err := n.buildRetractFrames(node.wire.outFrames(), name, retracts)
 		if err == nil {
 			frames, err = n.buildExportFrames(frames, name, exports)
 		}
@@ -760,26 +863,62 @@ func (n *Network) importPhase(ctx context.Context, repair bool) (bool, error) {
 			start = time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
 			n.nm.deltasIn.Add(int64(len(msgs)))
 		}
-		var ds []*frame
+		w := &node.wire
+		ds := w.delivered[:0]
+		dec := n.takeDecoder()
 		for _, msg := range msgs {
-			d, err := n.decodeVerify(name, msg)
+			d := w.in.get()
+			deliver, err := n.decodeVerify(name, msg, d, dec)
 			if err != nil {
 				// Decoding precedes authentication, so anyone who can
 				// reach the socket can send garbage: drop and count it
-				// like unverifiable input, never fail the run.
+				// like unverifiable input, never fail the run. The
+				// decoder may hold part of a run: swap it for a new one.
 				n.rejectedSig.Add(1)
+				dec.Release()
+				dec = data.NewDecoder(n.syms)
+			}
+			if !deliver {
+				w.in.n-- // d is free for the next datagram
 				continue
 			}
-			if d != nil {
-				ds = append(ds, d)
-			}
+			ds = append(ds, d)
 		}
+		n.putDecoder(dec)
 		if n.nm != nil {
 			n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
 		}
 		n.deliverAll(name, node, ds, repair)
+		clear(ds)
+		w.delivered = ds[:0]
+		w.in.done()
 		return len(msgs) > 0, nil
 	})
+}
+
+// takeDecoder takes a frame decoder off the free list, or a new one.
+func (n *Network) takeDecoder() *data.Decoder {
+	ds := &n.decoders
+	ds.Lock()
+	defer ds.Unlock()
+	if k := len(ds.free); k > 0 {
+		dec := ds.free[k-1]
+		ds.free = ds.free[:k-1]
+		return dec
+	}
+	return data.NewDecoder(n.syms)
+}
+
+// putDecoder gives a decoder back to the free list, unless a huge frame
+// grew it past what a decoder kept for reuse may hold.
+func (n *Network) putDecoder(dec *data.Decoder) {
+	if dec.Oversized() {
+		return
+	}
+	ds := &n.decoders
+	ds.Lock()
+	ds.free = append(ds.free, dec)
+	ds.Unlock()
 }
 
 // retractsQueued reports whether any node holds unshipped withdrawals.
@@ -908,20 +1047,24 @@ type outFrame struct {
 	*frame
 }
 
-// appendLinkFrames appends what from ships to dest of one frame kind:
-// first the handshake frame a new or rekeyed session link needs (its RSA
-// work waits for sealAndSend), then items as one frame — or, when each is
-// set, one frame per item. A data frame's provenance is encoded here, per
-// frame, so every frame — Unbatched and replayed ones too — carries what
-// its receiver needs to decode it alone.
+// appendLinkFrames appends what from ships to dest of one frame kind,
+// in frames from from's outbound pool: first the handshake frame a new or
+// rekeyed session link needs (its RSA work waits for sealAndSend), then
+// items as one frame — or, when each is set, one frame per item. A data
+// frame's provenance is encoded here, per frame, so every frame —
+// Unbatched and replayed ones too — carries what its receiver needs to
+// decode it alone.
 func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind byte, items []item, each bool) ([]outFrame, error) {
+	out := &n.nodes[from].wire.out
 	if n.session != nil {
 		need, epoch, err := n.session.EnsureSession(from, dest)
 		if err != nil {
 			return nil, err
 		}
 		if need {
-			frames = append(frames, outFrame{dest, &frame{kind: kindHandshake, from: from, epoch: epoch}})
+			f := out.get()
+			*f = frame{kind: kindHandshake, from: from, epoch: epoch}
+			frames = append(frames, outFrame{dest, f})
 		}
 	}
 	step := len(items)
@@ -929,7 +1072,8 @@ func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind by
 		step = 1
 	}
 	for lo := 0; lo < len(items); lo += step {
-		f := &frame{kind: kind, from: from, items: items[lo : lo+step]}
+		f := out.get()
+		*f = frame{kind: kind, from: from, items: items[lo : lo+step]}
 		if kind == kindData {
 			f.mode = n.cfg.Prov
 			f.encodeProv(n.nodes[from].Tracker)
@@ -946,21 +1090,18 @@ func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine
 	if len(ws) == 0 {
 		return frames, nil
 	}
-	groups := make(map[string][]item)
-	var dests []string
 	node := n.nodes[from]
+	groups := &node.wire.retracts
+	groups.reset()
 	for _, w := range ws {
-		if _, ok := groups[w.Dest]; !ok {
-			dests = append(dests, w.Dest)
-		}
-		groups[w.Dest] = append(groups[w.Dest], item{tuple: w.Tuple})
+		groups.add(w.Dest, item{tuple: w.Tuple})
 		if n.resupply && node.exports != nil {
 			delete(node.exports[w.Dest], w.Tuple.Key()) //provlint:allow keystring export-log key, resupply path only
 		}
 	}
-	for _, dest := range dests {
+	for k, dest := range groups.dests {
 		var err error
-		if frames, err = n.appendLinkFrames(frames, from, dest, kindRetract, groups[dest], false); err != nil {
+		if frames, err = n.appendLinkFrames(frames, from, dest, kindRetract, groups.items[k], false); err != nil {
 			return nil, err
 		}
 	}
@@ -976,8 +1117,8 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 		return frames, nil
 	}
 	node := n.nodes[from]
-	groups := make(map[string][]item)
-	var dests []string
+	groups := &node.wire.exports
+	groups.reset()
 	for _, ex := range exports {
 		it := item{tuple: ex.Tuple, ann: ex.Ann}
 		if n.resupply {
@@ -991,14 +1132,11 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 			}
 			perDest[ex.Tuple.Key()] = it //provlint:allow keystring export-log key, resupply path only
 		}
-		if _, ok := groups[ex.Dest]; !ok {
-			dests = append(dests, ex.Dest)
-		}
-		groups[ex.Dest] = append(groups[ex.Dest], it)
+		groups.add(ex.Dest, it)
 	}
-	for _, dest := range dests {
+	for k, dest := range groups.dests {
 		var err error
-		if frames, err = n.appendLinkFrames(frames, from, dest, kindData, groups[dest], n.cfg.Unbatched); err != nil {
+		if frames, err = n.appendLinkFrames(frames, from, dest, kindData, groups.items[k], n.cfg.Unbatched); err != nil {
 			return nil, err
 		}
 	}
@@ -1008,7 +1146,8 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 // sealAndSend performs the cryptographic half of the export path: it
 // seals one sender's prepared frames with one sealer call (one RSA
 // signature for the round, or a session MAC per frame, plus any handshake
-// RSA) and ships them in order. Under Config.Unbatched every frame is
+// RSA) and ships them in order. frames is the sender's outbound scratch
+// (nodeWire.outFrames), which it keeps for the next round. Under Config.Unbatched every frame is
 // sealed alone — the paper's one signature per tuple.
 func (n *Network) sealAndSend(from string, frames []outFrame) error {
 	var start time.Time
@@ -1030,6 +1169,7 @@ func (n *Network) sealAndSend(from string, frames []outFrame) error {
 	if n.nm != nil {
 		n.nm.sealNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics seal timing, outside the deterministic state
 	}
+	n.nodes[from].wire.sent(frames)
 	return err
 }
 
@@ -1048,16 +1188,16 @@ func (n *Network) sealBatch(from string, frames []outFrame) error {
 	return err
 }
 
-// decodeVerify decodes and authenticates one datagram at node name and
-// returns the data or retract frame to deliver. Handshake and termination
-// frames are consumed here; unverifiable input is dropped and counted, as
-// a router drops what it cannot authenticate. A nil frame with nil error
-// means the datagram was fully handled or dropped; an error means it was
-// malformed, which the caller drops and counts the same way.
-func (n *Network) decodeVerify(name string, msg netsim.Message) (*frame, error) {
-	f, err := decodeFrame(msg.Payload, n.syms)
-	if err != nil {
-		return nil, err
+// decodeVerify decodes and authenticates one datagram at node name into
+// f with dec and reports whether f is a data or retract frame to deliver.
+// Handshake and termination frames are consumed here; unverifiable input
+// is dropped and counted, as a router drops what it cannot authenticate.
+// false with a nil error means the datagram was fully handled or dropped;
+// an error means it was malformed, which the caller drops and counts the
+// same way.
+func (n *Network) decodeVerify(name string, msg netsim.Message, f *frame, dec *data.Decoder) (bool, error) {
+	if err := f.decode(msg.Payload, n.syms, dec); err != nil {
+		return false, err
 	}
 	// The receiver's own configuration picks the sealer, never the frame:
 	// a session deployment opens data with session keys only.
@@ -1075,17 +1215,18 @@ func (n *Network) decodeVerify(name string, msg netsim.Message) (*frame, error) 
 		// add no state, a forged withdrawal remove none, a forged token
 		// fake no fixpoint.
 		n.rejectedSig.Add(1)
-		return nil, nil
+		return false, nil
 	}
 	switch f.kind {
 	case kindData, kindRetract:
-		return f, nil
+		return true, nil
 	case kindToken, kindTerminate:
 		if td := n.term.Load(); td != nil {
-			td.handleControl(name, f)
+			// The detector keeps the frame; f is scratch.
+			td.handleControl(name, &frame{kind: f.kind, from: f.from, wave: f.wave, acts: f.acts})
 		}
 	}
-	return nil, nil
+	return false, nil
 }
 
 // deliverAll applies one node's round deliveries: data deliveries insert
@@ -1211,7 +1352,7 @@ func (n *Network) resupplyAll() error {
 			dests = append(dests, dest)
 		}
 		sort.Strings(dests)
-		var frames []outFrame
+		frames := nd.wire.outFrames()
 		for _, dest := range dests {
 			perDest := nd.exports[dest]
 			if len(perDest) == 0 {

@@ -53,14 +53,14 @@ const (
 var ErrBadEnvelope = errors.New("core: bad envelope")
 
 // frame is one datagram, built by the export path or parsed by
-// decodeFrame. Which fields are meaningful depends on kind.
+// frame.decode. Which fields are meaningful depends on kind.
 type frame struct {
 	kind byte
 	from string
 	// mode tags the provenance encoding of every item (data).
 	mode provenance.Mode
 	// table is a ModeCondensed data frame's one BDD table (bdd.AppendTable)
-	// that its items' refs point into; decodeFrame checks its shape and
+	// that its items' refs point into; decode checks its shape and
 	// leaves it aliasing the datagram.
 	table []byte
 	// items are the shipped (data) or withdrawn (retract) tuples; retract
@@ -73,7 +73,7 @@ type frame struct {
 	// sender's seal turns it into blob, which is all the receiver sees.
 	epoch uint64
 	blob  []byte
-	// signed and tag are set by decodeFrame: the received bytes the tag
+	// signed and tag are set by decode: the received bytes the tag
 	// covers, and the tag. Both alias the datagram.
 	signed, tag []byte
 }
@@ -180,7 +180,7 @@ func (f *frame) encodeProv(tr *provenance.Tracker) {
 // not decode or verify is returned as the frame's error. The receiver's
 // own mode decides, as its own configuration picks the sealer, so a frame
 // in another mode is refused. Refs were checked against the table by
-// decodeFrame.
+// decode.
 func (f *frame) decodeProv(tr *provenance.Tracker) error {
 	if f.mode != tr.Mode() {
 		return fmt.Errorf("%w: %v provenance at a %v node", ErrBadEnvelope, f.mode, tr.Mode())
@@ -297,7 +297,7 @@ func (f *frame) open(sealer auth.Sealer, to string) error {
 	return sealer.Open(f.from, to, f.signed, f.tag)
 }
 
-// maxPresize caps the capacity decodeFrame allocates on the word of a
+// maxPresize caps the capacity decode allocates on the word of a
 // count it has not authenticated yet; past it the slice grows with the
 // items actually decoded. Item sizes are the smallest encodings: a tuple
 // is two empty strings and an arity, a data item adds an empty payload or
@@ -364,25 +364,28 @@ func frameSymbols(prog *datalog.Program, nodes []string) *data.Symbols {
 	return data.NewSymbols(ss)
 }
 
-// decodeFrame parses one datagram without authenticating it, resolving
-// its strings through syms (nil = none). Everything here runs on bytes
-// anyone who can reach the socket may have written: it must return an
-// error, never panic, and never allocate more than the bytes it was handed
-// can account for. A data or retract frame's tuples share one value array
-// (data.Decoder).
-func decodeFrame(p []byte, syms *data.Symbols) (*frame, error) {
+// decode parses one datagram into f without authenticating it, resolving
+// its strings through syms (nil = none) and its tuples through dec, a
+// decoder over the same symbols; f's item array is reused. Everything
+// here runs on bytes anyone who can reach the socket may have written: it
+// must return an error, never panic, and never allocate more than the
+// bytes it was handed can account for. A data or retract frame's tuples
+// share one value array (data.Decoder). After an error dec may hold part
+// of a run and must be released.
+func (f *frame) decode(p []byte, syms *data.Symbols, dec *data.Decoder) error {
+	*f = frame{items: f.items[:0]}
 	if len(p) == 0 {
-		return nil, fmt.Errorf("%w: empty datagram", ErrBadEnvelope)
+		return fmt.Errorf("%w: empty datagram", ErrBadEnvelope)
 	}
-	f := &frame{kind: p[0]}
+	f.kind = p[0]
 	c := &cursor{b: p, n: 1}
 	switch f.kind {
 	case kindHandshake:
 		if len(p) == 1 {
-			return nil, fmt.Errorf("%w: empty handshake frame", ErrBadEnvelope)
+			return fmt.Errorf("%w: empty handshake frame", ErrBadEnvelope)
 		}
 		f.blob = p[1:]
-		return f, nil
+		return nil
 	case kindData, kindRetract:
 		f.from = read(c, "from", syms.DecodeString)
 		itemSize := minTupleSize
@@ -402,11 +405,11 @@ func decodeFrame(p []byte, syms *data.Symbols) (*frame, error) {
 		}
 		count := read(c, "item count", decodeUvarint)
 		if c.err == nil && count > uint64((len(p)-c.n)/itemSize) {
-			return nil, fmt.Errorf("%w: item count %d exceeds payload", ErrBadEnvelope, count)
+			return fmt.Errorf("%w: item count %d exceeds payload", ErrBadEnvelope, count)
 		}
-		f.items = make([]item, 0, min(count, maxPresize))
-		dec := data.NewDecoder(syms)
-		defer dec.Release()
+		if presize := int(min(count, maxPresize)); cap(f.items) < presize {
+			f.items = make([]item, 0, presize)
+		}
 		for i := uint64(0); i < count && c.err == nil; i++ {
 			var it item
 			c.skip("tuple", dec.Tuple)
@@ -433,21 +436,21 @@ func decodeFrame(p []byte, syms *data.Symbols) (*frame, error) {
 		f.wave = read(c, "wave", decodeUvarint)
 		f.acts = read(c, "acts", decodeUvarint)
 	default:
-		return nil, fmt.Errorf("%w: unknown frame kind %d", ErrBadEnvelope, f.kind)
+		return fmt.Errorf("%w: unknown frame kind %d", ErrBadEnvelope, f.kind)
 	}
 	f.signed = p[:c.n]
 	f.tag = read(c, "tag", data.DecodeBytes)
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	if c.n != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(p)-c.n)
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadEnvelope, len(p)-c.n)
 	}
-	return f, nil
+	return nil
 }
 
 // cursor walks a datagram field by field. The first failure sticks and
-// every later read returns a zero value, so decodeFrame checks once.
+// every later read returns a zero value, so decode checks once.
 type cursor struct {
 	b   []byte
 	n   int

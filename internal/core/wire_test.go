@@ -17,6 +17,18 @@ import (
 	"provnet/internal/provenance"
 )
 
+// decodeFrame parses one datagram into a new frame with a pooled decoder
+// (see frame.decode).
+func decodeFrame(p []byte, syms *data.Symbols) (*frame, error) {
+	dec := data.NewDecoder(syms)
+	defer dec.Release()
+	f := new(frame)
+	if err := f.decode(p, syms, dec); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func testDir(t testing.TB) *auth.Directory {
 	t.Helper()
 	dir := auth.NewDeterministicDirectory(11)

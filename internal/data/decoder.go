@@ -102,10 +102,14 @@ func NewDecoder(syms *Symbols) *Decoder {
 	return d
 }
 
+// Oversized reports whether d holds more scratch than a decoder kept for
+// reuse may: Release drops such a decoder instead of pooling it.
+func (d *Decoder) Oversized() bool { return cap(d.open)+cap(d.vals) > maxPooledValues }
+
 // Release drops whatever the decoder still holds and returns it to the
 // pool; d must not be used afterwards.
 func (d *Decoder) Release() {
-	if cap(d.open)+cap(d.vals) > maxPooledValues {
+	if d.Oversized() {
 		return
 	}
 	d.reset()

@@ -76,8 +76,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	vals := make([]data.Value, 2)
 	// Build the index outside the timed loop.
 	vals[0], vals[1] = data.Str("hub"), data.Int(0)
-	sig := colSig(cols)
-	if got := len(tbl.bucket(sig, cols, data.HashValues(vals))); got != 8 {
+	if got := len(bucketRows(tbl, 0, cols, vals)); got != 8 {
 		b.Fatalf("bucket size = %d, want 8", got)
 	}
 	b.ReportAllocs()
@@ -86,8 +85,8 @@ func BenchmarkJoinProbe(b *testing.B) {
 		vals[0] = data.Str("hub")
 		vals[1] = data.Int(int64(i % keys))
 		live := 0
-		for _, en := range tbl.bucket(sig, cols, data.HashValues(vals)) {
-			if !en.Dead && !en.expired(0) {
+		for n := tbl.bucket(0, cols, data.HashValues(vals)); n != nil; n = n.next {
+			if !n.en.Dead && !n.en.expired(0) {
 				live++
 			}
 		}

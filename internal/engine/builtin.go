@@ -134,7 +134,7 @@ func evalExpr(x *expr, env *env, sc *evalScratch) (data.Value, error) {
 			sc.args = append(sc.args, v)
 		}
 		if err == nil {
-			v, err = x.fn(sc.args[base:len(sc.args):len(sc.args)])
+			v, err = x.fn(sc.args[base:len(sc.args):len(sc.args)], sc.newList)
 		}
 		clear(sc.args[base:])
 		sc.args = sc.args[:base]
@@ -214,8 +214,11 @@ func numericOp(op string, l, r data.Value) (data.Value, error) {
 
 // BuiltinFunc is the signature of NDlog builtin functions (f_*). args is
 // the engine's scratch, valid only during the call: a builtin must not
-// keep it, nor return a value whose list aliases it.
-type BuiltinFunc func(args []data.Value) (data.Value, error)
+// keep it, nor return a value whose list aliases it. A builtin that
+// returns a new list takes its n elements from newList, which the engine
+// serves from its wave scratch: fire copies a list that a new head keeps
+// (evalScratch.persist), so nothing else may hold one past the wave.
+type BuiltinFunc func(args []data.Value, newList func(n int) []data.Value) (data.Value, error)
 
 // Builtins is the registry of NDlog builtin functions, the list-and-path
 // helpers used by declarative routing programs. Additional functions may
@@ -243,43 +246,45 @@ func arity(args []data.Value, n int, name string) error {
 }
 
 // fInit builds the initial path list [S, D].
-func fInit(args []data.Value) (data.Value, error) {
+func fInit(args []data.Value, newList func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_init"); err != nil {
 		return data.Value{}, err
 	}
-	return data.List(args[0], args[1]), nil
+	out := newList(2)
+	out[0], out[1] = args[0], args[1]
+	return data.List(out...), nil
 }
 
 // fConcat prepends an element to a list: f_concat(S, P) = [S | P].
-func fConcat(args []data.Value) (data.Value, error) {
+func fConcat(args []data.Value, newList func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_concat"); err != nil {
 		return data.Value{}, err
 	}
 	if args[1].Kind != data.KindList {
 		return data.Value{}, errBadOperand
 	}
-	out := make([]data.Value, 0, len(args[1].List)+1)
-	out = append(out, args[0])
-	out = append(out, args[1].List...)
+	out := newList(len(args[1].List) + 1)
+	out[0] = args[0]
+	copy(out[1:], args[1].List)
 	return data.List(out...), nil
 }
 
 // fAppend appends an element to a list.
-func fAppend(args []data.Value) (data.Value, error) {
+func fAppend(args []data.Value, newList func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_append"); err != nil {
 		return data.Value{}, err
 	}
 	if args[0].Kind != data.KindList {
 		return data.Value{}, errBadOperand
 	}
-	out := make([]data.Value, 0, len(args[0].List)+1)
-	out = append(out, args[0].List...)
-	out = append(out, args[1])
+	out := newList(len(args[0].List) + 1)
+	copy(out, args[0].List)
+	out[len(out)-1] = args[1]
 	return data.List(out...), nil
 }
 
 // fMember returns 1 if the element occurs in the list, else 0.
-func fMember(args []data.Value) (data.Value, error) {
+func fMember(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_member"); err != nil {
 		return data.Value{}, err
 	}
@@ -295,7 +300,7 @@ func fMember(args []data.Value) (data.Value, error) {
 }
 
 // fSize returns the length of a list.
-func fSize(args []data.Value) (data.Value, error) {
+func fSize(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 1, "f_size"); err != nil {
 		return data.Value{}, err
 	}
@@ -306,7 +311,7 @@ func fSize(args []data.Value) (data.Value, error) {
 }
 
 // fFirst returns the first element of a non-empty list.
-func fFirst(args []data.Value) (data.Value, error) {
+func fFirst(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 1, "f_first"); err != nil {
 		return data.Value{}, err
 	}
@@ -317,7 +322,7 @@ func fFirst(args []data.Value) (data.Value, error) {
 }
 
 // fLast returns the last element of a non-empty list.
-func fLast(args []data.Value) (data.Value, error) {
+func fLast(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 1, "f_last"); err != nil {
 		return data.Value{}, err
 	}
@@ -328,7 +333,7 @@ func fLast(args []data.Value) (data.Value, error) {
 }
 
 // fMin2 returns the smaller of two values.
-func fMin2(args []data.Value) (data.Value, error) {
+func fMin2(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_min"); err != nil {
 		return data.Value{}, err
 	}
@@ -339,7 +344,7 @@ func fMin2(args []data.Value) (data.Value, error) {
 }
 
 // fMax2 returns the larger of two values.
-func fMax2(args []data.Value) (data.Value, error) {
+func fMax2(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_max"); err != nil {
 		return data.Value{}, err
 	}
@@ -350,7 +355,7 @@ func fMax2(args []data.Value) (data.Value, error) {
 }
 
 // fAbs returns the absolute value of a number.
-func fAbs(args []data.Value) (data.Value, error) {
+func fAbs(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 1, "f_abs"); err != nil {
 		return data.Value{}, err
 	}
@@ -371,7 +376,7 @@ func fAbs(args []data.Value) (data.Value, error) {
 }
 
 // fMod returns a % b for integers.
-func fMod(args []data.Value) (data.Value, error) {
+func fMod(args []data.Value, _ func(int) []data.Value) (data.Value, error) {
 	if err := arity(args, 2, "f_mod"); err != nil {
 		return data.Value{}, err
 	}

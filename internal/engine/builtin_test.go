@@ -12,8 +12,10 @@ func call(t *testing.T, name string, args ...data.Value) (data.Value, error) {
 	if !ok {
 		t.Fatalf("unknown builtin %s", name)
 	}
-	return fn(args)
+	return fn(args, heapList)
 }
+
+func heapList(n int) []data.Value { return make([]data.Value, n) }
 
 func wantVal(t *testing.T, got data.Value, err error, want data.Value) {
 	t.Helper()
@@ -81,7 +83,7 @@ func TestBuiltinErrors(t *testing.T) {
 		{"f_mod", []data.Value{data.Float(1.5), data.Int(2)}},    // not ints
 	}
 	for _, c := range cases {
-		if _, err := Builtins[c.name](c.args); err == nil {
+		if _, err := Builtins[c.name](c.args, heapList); err == nil {
 			t.Errorf("%s(%v) should fail", c.name, c.args)
 		}
 	}

@@ -341,13 +341,14 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 		})
 	})
 	t.Run("shadow rows", func(t *testing.T) {
-		ps := &pruneSpec{keyCols: []int{0}, col: 1, min: true, cap: defaultShadowCap, groups: newChain((*pruneGroupState).link)}
+		ps := &pruneSpec{keyCols: []int{0}, col: 1, min: true, cap: defaultShadowCap,
+			groups: newChain((*pruneGroupState).link), shadow: newChain((*shadowRow).link)}
 		g := ps.group(tup("p", 0, 0))
 		unlinkHeadMiddleTail(t, chainCase[shadowRow]{
-			chain:  func() chain[shadowRow] { return g.shadow },
+			chain:  func() chain[shadowRow] { return ps.shadow },
 			add:    func(i int) { ps.addShadowRow(g, tup("p", 0, i), nil, supportFrom("")) },
 			remove: func(i int) { ps.dropShadow(g, tup("p", 0, i)) },
-			has:    func(i int) bool { return g.findShadow(tup("p", 0, i)) != nil },
+			has:    func(i int) bool { return ps.findShadow(g, tup("p", 0, i)) != nil },
 			id:     func(r *shadowRow) int { return int(r.tuple.Args[1].Int) },
 		})
 		if g.nshadow != 9 {
@@ -462,11 +463,9 @@ s2 near(@N,Y) :- link(@N,Y,C).
 			}
 			for _, g := range e.prunes["cost"].groups.m {
 				groups = append(groups, chainKeys(g, func(x *pruneGroupState) *pruneGroupState { return x.next }, func(x *pruneGroupState) string { return fmt.Sprint(x.vals) }))
-				for ; g != nil; g = g.next {
-					for _, r := range g.shadow.m {
-						shadows = append(shadows, chainKeys(r, func(x *shadowRow) *shadowRow { return x.next }, func(x *shadowRow) string { return x.tuple.String() }))
-					}
-				}
+			}
+			for _, r := range e.prunes["cost"].shadow.m {
+				shadows = append(shadows, chainKeys(r, func(x *shadowRow) *shadowRow { return x.next }, func(x *shadowRow) string { return x.tuple.String() }))
 			}
 			if st := e.aggState["m1"]; st != nil {
 				for _, g := range st.groups.m {

@@ -68,6 +68,9 @@ type compiledRule struct {
 	headDest    pattern
 	headDestSet bool
 	agg         *aggSpec
+	// computed lists the head arguments an assignment binds, whose lists
+	// fire copies out of the wave scratch.
+	computed []int
 
 	atoms []atomSpec
 	steps []step
@@ -91,10 +94,11 @@ type compiledRule struct {
 
 // probePlan is one precompiled index probe: the bound columns, the
 // argument patterns their values come from (a constant, or a slot bound
-// by then), and the index signature (so the probe allocates nothing).
-// Empty cols means a full table scan.
+// by then), and the slot of the probed table's index on those columns
+// (Engine.indexSlot), so the probe looks nothing up by name. Empty cols
+// means a full table scan.
 type probePlan struct {
-	sig  string
+	slot int
 	cols []int
 	srcs []pattern
 }
@@ -176,7 +180,6 @@ func buildProbePlans(cr *compiledRule) {
 						plan.srcs = append(plan.srcs, p)
 					}
 				}
-				plan.sig = colSig(plan.cols)
 				if n > cr.maxProbe {
 					cr.maxProbe = n
 				}
@@ -288,6 +291,14 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 			}
 		}
 		cr.headArgs = append(cr.headArgs, pat(t))
+	}
+	for i, p := range cr.headArgs {
+		for _, st := range cr.steps {
+			if st.kind == stepAssign && !p.isConst && p.slot == st.assignSlot {
+				cr.computed = append(cr.computed, i)
+				break
+			}
+		}
 	}
 	if h.Dest != nil {
 		cr.headDest = pat(h.Dest)

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"provnet/internal/data"
@@ -143,9 +144,16 @@ type Engine struct {
 	rules    []*compiledRule
 	byPred   map[string][]atomRef
 	aggState map[string]*aggGroupState // keyed by rule label + group key
+	// slots lists, per predicate, the column sets its table is probed on:
+	// a set's position is the slot of its index (Table.indexes), fixed
+	// when the rules that probe it compile.
+	slots map[string][][]int
 
-	queue   []*Entry
-	exports []Export
+	// queue is the delta awaiting evaluation and spareQueue the drained
+	// batch array RunToFixpoint fills next; exports collects the remote
+	// heads RunToFixpoint returns, its array reused by the next call.
+	queue, spareQueue []*Entry
+	exports           []Export
 
 	// deps is the derivation dependency index driving retraction: for
 	// every non-aggregate rule firing it maps each body tuple (keyed by
@@ -224,21 +232,23 @@ type atomRef struct {
 // through pruneGroupState.next (which holds the identity for the
 // equality check); each group carries its installed best, its shadow of
 // rejected candidates, and its lossy flag in one place instead of three
-// parallel string-keyed maps.
+// parallel string-keyed maps. The shadow rows of all groups share one
+// chain, keyed by the group's hash folded with the row's.
 type pruneSpec struct {
 	pred    string
 	keyCols []int
-	// sig is keyCols' index signature, with which a revival probes the
+	// slot is the index on keyCols, with which a revival probes the
 	// group's surviving rows.
-	sig string
-	col int
-	min bool
+	slot int
+	col  int
+	min  bool
 	// cap bounds each group's shadow: overflow evicts
 	// the least-competitive row and marks the group lossy, so a later
 	// revival knows candidates may be missing and falls back to
 	// restricted re-derivation instead of trusting the shadow alone.
 	cap    int
 	groups chain[pruneGroupState]
+	shadow chain[shadowRow]
 	// evictions counts rows enforceCap dropped, summed across specs by
 	// Engine.ShadowEvictions (pruneSpec methods have no engine pointer,
 	// so the count lives here rather than in Stats).
@@ -266,9 +276,9 @@ type pruneGroupState struct {
 	vals     []data.Value
 	hasBest  bool
 	best     data.Value
-	// shadow chains rows by full-tuple hash through shadowRow.next (nil
-	// map until the first row); nshadow counts them.
-	shadow  chain[shadowRow]
+	// shadow lists the group's shadow rows through shadowRow.sib, the
+	// latest first; nshadow counts them.
+	shadow  *shadowRow
 	nshadow int
 	lossy   bool
 }
@@ -335,9 +345,15 @@ type shadowRow struct {
 	tuple data.Tuple
 	ann   Annotation
 	support
-	hash uint64     // tuple's structural hash
-	next *shadowRow // the next row of the group with the same hash
+	g    *pruneGroupState
+	key  uint64     // the spec's shadow chain key: g's hash folded with the tuple's
+	next *shadowRow // the next row of the spec with the same key
+	sib  *shadowRow // the next row of g
 }
+
+// shadowKey keys tuple hash h's row of group g in its spec's shadow
+// chain.
+func shadowKey(g *pruneGroupState, h uint64) uint64 { return (g.hash*hashPrime ^ h) * hashPrime }
 
 // New creates an engine for node self.
 func New(cfg Config) *Engine {
@@ -357,6 +373,7 @@ func New(cfg Config) *Engine {
 		prunes:        make(map[string]*pruneSpec),
 		byPred:        make(map[string][]atomRef),
 		aggState:      make(map[string]*aggGroupState),
+		slots:         make(map[string][][]int),
 		deps:          newChain((*depEntry).link),
 		edges:         newChain((*depEdge).link),
 	}
@@ -432,11 +449,12 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		e.prunes[pr.Pred] = &pruneSpec{
 			pred:    pr.Pred,
 			keyCols: cols,
-			sig:     colSig(cols),
+			slot:    e.indexSlot(pr.Pred, cols),
 			col:     pr.Col - 1,
 			min:     pr.Func == datalog.AggMin,
 			cap:     defaultShadowCap,
 			groups:  newChain((*pruneGroupState).link),
+			shadow:  newChain((*shadowRow).link),
 		}
 	}
 	for _, r := range prog.Rules {
@@ -448,6 +466,13 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 			return err
 		}
 		e.rules = append(e.rules, cr)
+		for si, st := range cr.steps {
+			for v := range cr.plans[si] {
+				if plan := &cr.plans[si][v]; len(plan.cols) > 0 { // an atom's probe
+					plan.slot = e.indexSlot(cr.atoms[st.atom].pred, plan.cols)
+				}
+			}
+		}
 		for i, a := range cr.atoms {
 			e.byPred[a.pred] = append(e.byPred[a.pred], atomRef{rule: cr, atom: i})
 		}
@@ -462,6 +487,18 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		}
 	}
 	return nil
+}
+
+// indexSlot returns the slot of pred's index on cols, assigning the next
+// one to a column set not probed before.
+func (e *Engine) indexSlot(pred string, cols []int) int {
+	for slot, c := range e.slots[pred] {
+		if slices.Equal(c, cols) {
+			return slot
+		}
+	}
+	e.slots[pred] = append(e.slots[pred], cols)
+	return len(e.slots[pred]) - 1
 }
 
 // table returns (creating if needed) the table for pred, configured from
@@ -597,27 +634,25 @@ func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
 		return
 	}
 	var worst *shadowRow
-	for _, row := range g.shadow.m { //provlint:allow mapiter extremum of a total order (ties broken by data.CompareTuples); any iteration order picks the same victim
-		for ; row != nil; row = row.next {
-			betterVictim := false
-			switch {
-			case worst == nil:
-				betterVictim = true
-			case row.local != worst.local:
-				betterVictim = row.local
-			default:
-				c := row.tuple.Args[ps.col].Compare(worst.tuple.Args[ps.col])
-				if c == 0 {
-					betterVictim = data.CompareTuples(worst.tuple, row.tuple) < 0
-				} else if ps.min {
-					betterVictim = c > 0
-				} else {
-					betterVictim = c < 0
-				}
+	for row := g.shadow; row != nil; row = row.sib {
+		betterVictim := false
+		switch {
+		case worst == nil:
+			betterVictim = true
+		case row.local != worst.local:
+			betterVictim = row.local
+		default:
+			c := row.tuple.Args[ps.col].Compare(worst.tuple.Args[ps.col])
+			if c == 0 {
+				betterVictim = data.CompareTuples(worst.tuple, row.tuple) < 0
+			} else if ps.min {
+				betterVictim = c > 0
+			} else {
+				betterVictim = c < 0
 			}
-			if betterVictim {
-				worst = row
-			}
+		}
+		if betterVictim {
+			worst = row
 		}
 	}
 	if worst != nil {
@@ -628,21 +663,34 @@ func (ps *pruneSpec) enforceCap(g *pruneGroupState) {
 }
 
 // findShadow returns t's shadow row in group g, or nil.
-func (g *pruneGroupState) findShadow(t data.Tuple) *shadowRow {
+func (ps *pruneSpec) findShadow(g *pruneGroupState, t data.Tuple) *shadowRow {
 	if g.nshadow == 0 {
 		return nil
 	}
-	for row := g.shadow.first(t.Hash()); row != nil; row = row.next {
-		if row.tuple.Equal(t) {
+	return ps.shadowAt(shadowKey(g, t.Hash()), g, t)
+}
+
+// shadowAt returns t's shadow row in group g, whose chain key is key, or
+// nil.
+func (ps *pruneSpec) shadowAt(key uint64, g *pruneGroupState, t data.Tuple) *shadowRow {
+	for row := ps.shadow.first(key); row != nil; row = row.next {
+		if row.g == g && row.tuple.Equal(t) {
 			return row
 		}
 	}
 	return nil
 }
 
-// removeShadow unlinks one shadow row from its group and releases it.
+// removeShadow unlinks one shadow row from the spec's chain and its
+// group's list, and releases it.
 func (ps *pruneSpec) removeShadow(g *pruneGroupState, row *shadowRow) {
-	g.shadow.unlink(row.hash, row)
+	ps.shadow.unlink(row.key, row)
+	for p := &g.shadow; *p != nil; p = &(*p).sib {
+		if *p == row {
+			*p = row.sib
+			break
+		}
+	}
 	g.nshadow--
 	ps.rowSlab.put(row)
 }
@@ -650,13 +698,15 @@ func (ps *pruneSpec) removeShadow(g *pruneGroupState, row *shadowRow) {
 // dropShadow removes a tuple from its group's shadow (it is being stored
 // for real).
 func (ps *pruneSpec) dropShadow(g *pruneGroupState, t data.Tuple) {
-	if row := g.findShadow(t); row != nil {
+	if row := ps.findShadow(g, t); row != nil {
 		ps.removeShadow(g, row)
 	}
 }
 
 // RunToFixpoint processes queued tuples until this node has no more local
-// work, returning (and clearing) the exports destined to other nodes.
+// work, returning (and clearing) the exports destined to other nodes. The
+// returned slice is valid until the engine's next RunToFixpoint or
+// CompleteRetract, which reuse its array.
 //
 // The queue drains in waves: each wave takes the current delta batch,
 // evaluates every live entry read-only against the stored tables, and
@@ -673,8 +723,9 @@ func (ps *pruneSpec) dropShadow(g *pruneGroupState, t data.Tuple) {
 func (e *Engine) RunToFixpoint() []Export {
 	// Ping-pong two queue arrays: the batch being drained and the queue
 	// the wave's commits fill. A fully-consumed batch array becomes the
-	// next wave's queue storage instead of garbage.
-	var spare []*Entry
+	// next wave's queue storage instead of garbage, and the two stay with
+	// the engine for the next call.
+	spare := e.spareQueue
 	for {
 		if len(e.evicted.list) > 0 {
 			groups := e.evicted.list
@@ -689,9 +740,10 @@ func (e *Engine) RunToFixpoint() []Export {
 		e.runWave(batch)
 		spare = batch[:0]
 	}
+	e.spareQueue = spare
 	e.compactTables()
 	out := e.exports
-	e.exports = nil
+	e.exports = e.exports[:0]
 	return out
 }
 
@@ -732,8 +784,7 @@ func (e *Engine) runWave(batch []*Entry) {
 	}
 	sc := e.scratchBuf()
 	sc.pend = sc.pend[:0]
-	sc.waveVals.reset()
-	sc.waveAnns.reset()
+	sc.resetWave()
 	for i, en := range live {
 		s, t := e.evalEntry(en, sc)
 		fired[i] = sc.pend[s:t:t]
@@ -745,6 +796,9 @@ func (e *Engine) runWave(batch []*Entry) {
 		fired[i] = nil
 	}
 	e.firedBuf = fired[:0]
+	// The firings point into the wave scratch: drop them, so they pin no
+	// chunk the slabs have moved past.
+	clear(sc.pend)
 }
 
 // evalEntry collects the firings of one delta entry (read-only) into the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"provnet/internal/data"
 )
@@ -34,17 +35,20 @@ type evalScratch struct {
 	body  []AnnTuple
 	pend  []pending
 	// args is the stack builtin calls take their arguments from (see
-	// evalExpr).
-	args []data.Value
+	// evalExpr), and newList hands the lists builtins build out of
+	// waveVals.
+	args    []data.Value
+	newList func(n int) []data.Value
 
 	// vals / anns hand out the head-argument and body-copy slices a
 	// firing gives the commit stage that escape (into tables, aggregate
-	// state, provenance). waveVals / waveAnns hand out those that die once
-	// the wave's commit stage consumes them — aggregate-rule head
-	// arguments (aggContribute copies what it keeps) and, under the null
-	// provenance hook, non-aggregate body copies (the dependency index
-	// reads them by value and nothing else retains them) — and runWave
-	// resets them at each wave boundary.
+	// state, provenance), and the lists a new head keeps. waveVals /
+	// waveAnns hand out those that die once the wave's commit stage
+	// consumes them — the lists builtins build (fire copies what a new
+	// head keeps), aggregate-rule head arguments (aggContribute copies
+	// what it keeps) and, under the null provenance hook, non-aggregate
+	// body copies (the dependency index reads them by value and nothing
+	// else retains them) — and runWave resets them at each wave boundary.
 	vals, waveVals slab[data.Value]
 	anns, waveAnns slab[AnnTuple]
 
@@ -64,9 +68,44 @@ func (e *Engine) scratchBuf() *evalScratch {
 			probe: make([]data.Value, e.maxProbe),
 			body:  make([]AnnTuple, e.maxAtoms),
 		}
+		sc.newList = sc.waveVals.take
 		e.scratch = sc
 	}
 	return sc
+}
+
+// poisonScratch makes resetWave fill what the wave slabs handed out with
+// poison instead of zeros, so a value kept past its wave reads wrong
+// instead of stale (PoisonScratchForTesting).
+var poisonScratch atomic.Bool
+
+// scratchPoison is what a poisoned wave slab holds.
+var scratchPoison = data.Str("\x00scratch poison")
+
+// PoisonScratchForTesting makes every engine poison its wave scratch
+// when a wave resets it, until restore is called. Tests use it to catch a
+// list or body copy that outlives the wave it was built in.
+func PoisonScratchForTesting() (restore func()) {
+	prev := poisonScratch.Swap(true)
+	return func() { poisonScratch.Store(prev) }
+}
+
+// resetWave hands the wave slabs out again from their start: nothing
+// taken from them in the previous wave is used any more. Under
+// PoisonScratchForTesting what they handed out is poisoned, not zeroed;
+// every taker overwrites what it takes.
+func (sc *evalScratch) resetWave() {
+	vals, anns := sc.waveVals.chunk[:sc.waveVals.used], sc.waveAnns.chunk[:sc.waveAnns.used]
+	sc.waveVals.reset()
+	sc.waveAnns.reset()
+	if poisonScratch.Load() {
+		for i := range vals {
+			vals[i] = scratchPoison
+		}
+		for i := range anns {
+			anns[i] = AnnTuple{Tuple: data.Tuple{Pred: scratchPoison.Str}}
+		}
+	}
 }
 
 // evalDelta collects into sink the firings of rule r with the delta
@@ -224,34 +263,27 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 			e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
 			return
 		}
-		spec := &r.atoms[st.atom]
-		tbl := e.tables[spec.pred]
+		tbl := e.tables[r.atoms[st.atom].pred]
 		if tbl == nil {
 			return // no table yet: the atom cannot match
 		}
 		plan := &r.plans[si][skipAtom+1]
-		entries := tbl.order
-		if len(plan.cols) > 0 {
-			vals := sc.probe[:len(plan.cols)]
-			for i, src := range plan.srcs {
-				if src.isConst {
-					vals[i] = src.constVal
-				} else {
-					vals[i] = env.vals[src.slot]
-				}
+		if len(plan.cols) == 0 {
+			for _, en := range tbl.order {
+				e.joinRow(r, si, skipAtom, en, env, body, trail, sink, sc)
 			}
-			entries = tbl.bucket(plan.sig, plan.cols, data.HashValues(vals))
+			return
 		}
-		for _, en := range entries {
-			if en.Dead || en.expired(e.now) {
-				continue
+		vals := sc.probe[:len(plan.cols)]
+		for i, src := range plan.srcs {
+			if src.isConst {
+				vals[i] = src.constVal
+			} else {
+				vals[i] = env.vals[src.slot]
 			}
-			mark := len(*trail)
-			if e.matchAtom(spec, en.Tuple, env, trail) {
-				body[st.atom] = AnnTuple{Tuple: en.Tuple, Ann: en.Ann, hash: en.hash}
-				e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
-			}
-			env.undo(trail, mark)
+		}
+		for n := tbl.bucket(plan.slot, plan.cols, data.HashValues(vals)); n != nil; n = n.next {
+			e.joinRow(r, si, skipAtom, n.en, env, body, trail, sink, sc)
 		}
 	case stepAssign:
 		v, err := evalExpr(st.expr, env, sc)
@@ -270,6 +302,21 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 		}
 		e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
 	}
+}
+
+// joinRow binds stored row en into the atom of step si and, when it
+// matches, walks the rest of the plan.
+func (e *Engine) joinRow(r *compiledRule, si, skipAtom int, en *Entry, env *env, body []AnnTuple, trail *[]int, sink *[]pending, sc *evalScratch) {
+	if en.Dead || en.expired(e.now) {
+		return
+	}
+	atom := r.steps[si].atom
+	mark := len(*trail)
+	if e.matchAtom(&r.atoms[atom], en.Tuple, env, trail) {
+		body[atom] = AnnTuple{Tuple: en.Tuple, Ann: en.Ann, hash: en.hash}
+		e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
+	}
+	env.undo(trail, mark)
 }
 
 // matchAtom matches a tuple against an atom spec, binding variables.
@@ -302,7 +349,9 @@ func (e *Engine) matchAtom(spec *atomSpec, tu data.Tuple, env *env, trail *[]int
 // fire constructs the head tuple from the environment and appends it to
 // sink for the caller's ordered-commit stage. The head-argument and
 // body-copy slices come from the scratch's slabs (one malloc per chunk,
-// not two per firing).
+// not two per firing). A list a builtin built lives in the wave scratch:
+// a new head copies the lists of its computed arguments into the
+// persistent slab, and a re-derived head keeps the stored row's.
 func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pending, sc *evalScratch) {
 	n := len(r.headArgs)
 	if cap(sc.headBuf) < n {
@@ -347,6 +396,9 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 			args = sc.vals.take(n)
 		}
 		copy(args, hb)
+		for _, i := range r.computed {
+			args[i] = sc.persist(args[i])
+		}
 		head.Args = args
 	}
 
@@ -397,6 +449,20 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 		}
 	}
 	*sink = append(*sink, pending{r: r, head: head, headHash: headHash, dest: dest, body: bodyCopy})
+}
+
+// persist returns v with its list, and every list nested in it, copied
+// into the persistent value slab.
+func (sc *evalScratch) persist(v data.Value) data.Value {
+	if v.Kind != data.KindList || len(v.List) == 0 {
+		return v
+	}
+	out := sc.vals.take(len(v.List))
+	for i, x := range v.List {
+		out[i] = sc.persist(x)
+	}
+	v.List = out
+	return v
 }
 
 // String renders a compiled rule briefly (for debugging and error text).

@@ -182,10 +182,11 @@ d1 e(@N,X,C,T) :- src(@N,X,C,T).
 		step([]data.Tuple{src(5, a), src(5, b)}, nil)
 		// A third candidate overflows the cap: one of the tied worst goes.
 		step([]data.Tuple{src(3, 0)}, nil)
-		g := e.prunes["e"].findGroup(ev(1, 0))
+		ps := e.prunes["e"]
+		g := ps.findGroup(ev(1, 0))
 		var victim string
 		for _, tag := range []int64{a, b} {
-			if g.findShadow(ev(5, tag)) == nil {
+			if ps.findShadow(g, ev(5, tag)) == nil {
 				victim += ev(5, tag).String()
 			}
 		}

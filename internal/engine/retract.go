@@ -553,7 +553,7 @@ func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) bool
 	if g == nil {
 		return false
 	}
-	row := g.findShadow(t)
+	row := ps.findShadow(g, t)
 	if row == nil {
 		return false
 	}
@@ -591,7 +591,8 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 		g.hasBest = false
 		g.best = data.Value{}
 		if tbl, ok := e.tables[ps.pred]; ok {
-			for _, en := range tbl.bucket(ps.sig, ps.keyCols, data.HashValues(g.vals)) {
+			for n := tbl.bucket(ps.slot, ps.keyCols, data.HashValues(g.vals)); n != nil; n = n.next {
+				en := n.en
 				if en.Dead || en.expired(e.now) || !g.matches(en.Tuple, ps.keyCols) {
 					continue
 				}
@@ -604,16 +605,14 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 		}
 		if g.nshadow > 0 {
 			revived := e.revived[:0]
-			for _, row := range g.shadow.m { //provlint:allow mapiter collected rows are sorted below; the order released rows are reused in changes no result
-				for row != nil {
-					next := row.next
-					revived = append(revived, *row)
-					ps.rowSlab.put(row)
-					row = next
-				}
+			for row := g.shadow; row != nil; {
+				sib := row.sib
+				ps.shadow.unlink(row.key, row)
+				revived = append(revived, *row)
+				ps.rowSlab.put(row)
+				row = sib
 			}
-			clear(g.shadow.m)
-			g.nshadow = 0
+			g.shadow, g.nshadow = nil, 0
 			// Revive best-first (by the pruned column, then
 			// data.CompareTuples for determinism): the winning candidate installs immediately
 			// and re-shadows the rest, instead of storing and
@@ -687,19 +686,16 @@ func (e *Engine) rederiveGroup(pg pruneGroup) {
 // addShadowRow records a prune-rejected candidate for possible revival,
 // merging support when the same tuple is rejected repeatedly.
 func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotation, sup support) {
-	if g.shadow.m == nil {
-		g.shadow = newChain((*shadowRow).link)
-	}
-	h := t.Hash()
-	for row := g.shadow.first(h); row != nil; row = row.next {
-		if row.tuple.Equal(t) {
-			row.add(sup)
-			return
-		}
+	key := shadowKey(g, t.Hash())
+	if row := ps.shadowAt(key, g, t); row != nil {
+		row.add(sup)
+		return
 	}
 	row := ps.rowSlab.alloc()
-	row.tuple, row.ann, row.support, row.hash = t, ann, sup, h
-	g.shadow.push(h, row)
+	row.tuple, row.ann, row.support = t, ann, sup
+	row.g, row.key, row.sib = g, key, g.shadow
+	ps.shadow.push(key, row)
+	g.shadow = row
 	g.nshadow++
 	ps.enforceCap(g)
 }

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"slices"
-	"strconv"
-	"strings"
 
 	"provnet/internal/data"
 )
@@ -141,13 +139,36 @@ const (
 )
 
 // colIndex is one lazily built secondary index: buckets keyed by the
-// structural hash of the indexed columns, entries in insertion order
-// within a bucket. The prober settles collisions by comparing the
-// indexed columns against its probe values. A bucket is a slice
-// rather than a chain so a probe walks it without chasing rows.
+// structural hash of the indexed columns, each a chain of index nodes in
+// insertion order. The prober settles collisions by comparing the
+// indexed columns against its probe values.
 type colIndex struct {
 	cols    []int
-	buckets map[uint64][]*Entry
+	buckets map[uint64]idxBucket
+}
+
+// idxBucket is one bucket's chain: first for the probe's walk, last so an
+// insert appends without walking to the tail.
+type idxBucket struct{ first, last *idxNode }
+
+// idxNode is one row's place in one index bucket.
+type idxNode struct {
+	en   *Entry
+	next *idxNode
+}
+
+// push appends en to h's bucket, its node taken from nodes.
+func (idx *colIndex) push(h uint64, en *Entry, nodes *slab[idxNode]) {
+	n := nodes.alloc()
+	n.en = en
+	b := idx.buckets[h]
+	if b.last == nil {
+		b.first = n
+	} else {
+		b.last.next = n
+	}
+	b.last = n
+	idx.buckets[h] = b
 }
 
 // Table is a materialized soft-state relation: rows keyed by a primary key
@@ -156,8 +177,8 @@ type colIndex struct {
 // size bound evicting the oldest rows (P2's materialize maxSize).
 //
 // All row and index maps key on 64-bit structural hashes with an equality
-// check along the bucket (a chain through the rows, a slice in an index),
-// never on materialized Key() strings: probes and inserts are
+// check along the bucket (a chain through the rows or through an index's
+// nodes), never on materialized Key() strings: probes and inserts are
 // allocation-free.
 type Table struct {
 	name    string
@@ -178,14 +199,18 @@ type Table struct {
 	// the engine compacts the table once they are as many as the live
 	// ones.
 	dirty int
-	// indexes: signature ("2,4") → column index, built lazily on the
-	// first probe (the one table mutation a read-only eval can cause).
-	indexes map[string]*colIndex
+	// indexes holds the column indexes by the slot the engine fixed for
+	// their columns when it compiled the rules (Engine.indexSlot), nil
+	// until the first probe builds one (the one table mutation a
+	// read-only eval can cause).
+	indexes []*colIndex
 
-	// entries supplies the rows, one malloc per chunk, not per row. Chunks
-	// are never reused or moved, so *Entry pointers into them stay valid
-	// for the table's lifetime.
+	// entries supplies the rows and nodes the index nodes, one malloc per
+	// chunk, not per row. Entry chunks are never reused or moved, so
+	// *Entry pointers into them stay valid for the table's lifetime; a
+	// node compact drops goes back to nodes for the next insert.
 	entries slab[Entry]
+	nodes   slab[idxNode]
 }
 
 // NewTable creates a table. keyCols are 0-based primary key columns (nil
@@ -197,7 +222,6 @@ func NewTable(name string, keyCols []int, ttl float64, maxSize int) *Table {
 		ttl:     ttl,
 		maxSize: maxSize,
 		rows:    newChain((*Entry).link),
-		indexes: make(map[string]*colIndex),
 	}
 }
 
@@ -326,7 +350,10 @@ func (t *Table) Get(tu data.Tuple) *Entry {
 
 // Live returns copies of all live, unexpired tuples, in insertion order.
 func (t *Table) Live(now float64) []data.Tuple {
-	var out []data.Tuple
+	if t.nlive == 0 {
+		return nil
+	}
+	out := make([]data.Tuple, 0, t.nlive)
 	for _, en := range t.order {
 		if en.Dead || en.expired(now) {
 			continue
@@ -386,14 +413,18 @@ func (t *Table) ExpireTuples(now float64) []data.Tuple {
 }
 
 // compact drops the dead rows from order and from every index bucket,
-// in place: the indexes stay built. The engine runs it at safe points,
-// when no probe is walking a bucket or the order (the end of
-// RunToFixpoint, of CompleteRetract, and of an expiry sweep).
+// in place: the indexes stay built, and the dropped nodes go back to the
+// slab. The engine runs it at safe points, when no probe is walking a
+// bucket or the order (the end of RunToFixpoint, of CompleteRetract, and
+// of an expiry sweep).
 func (t *Table) compact() {
 	t.order = slices.DeleteFunc(t.order, isDead)
-	for _, idx := range t.indexes { //provlint:allow mapiter independent per-index filters; order cannot escape
+	for _, idx := range t.indexes {
+		if idx == nil {
+			continue
+		}
 		for h, b := range idx.buckets { //provlint:allow mapiter independent per-bucket filters; order cannot escape
-			if b = slices.DeleteFunc(b, isDead); len(b) == 0 {
+			if b = t.filterBucket(b); b.first == nil {
 				delete(idx.buckets, h)
 			} else {
 				idx.buckets[h] = b
@@ -403,53 +434,66 @@ func (t *Table) compact() {
 	t.dirty = 0
 }
 
-func isDead(en *Entry) bool { return en.Dead }
-
-// bucket returns the rows of the cols index (signature sig) whose probe
-// hash is h, building the index on first use. A probe walks the bucket
-// itself: it skips dead and expired rows, and rows whose indexed columns
-// merely collide on h (a join's matchAtom rejects those). Callers must
-// not retain the bucket across table mutations.
-func (t *Table) bucket(sig string, cols []int, h uint64) []*Entry {
-	return t.index(sig, cols).buckets[h]
+// filterBucket unlinks b's dead rows, keeping the others in order.
+func (t *Table) filterBucket(b idxBucket) idxBucket {
+	var out idxBucket
+	for n := b.first; n != nil; {
+		next := n.next
+		if n.en.Dead {
+			t.nodes.put(n)
+		} else {
+			n.next = nil
+			if out.last == nil {
+				out.first = n
+			} else {
+				out.last.next = n
+			}
+			out.last = n
+		}
+		n = next
+	}
+	return out
 }
 
-// index returns the lazily built column index for sig, building it on
-// first use.
-func (t *Table) index(sig string, cols []int) *colIndex {
-	idx, ok := t.indexes[sig]
-	if !ok {
-		idx = &colIndex{cols: append([]int(nil), cols...), buckets: make(map[uint64][]*Entry)}
+func isDead(en *Entry) bool { return en.Dead }
+
+// bucket returns the first node of the bucket of the index in slot
+// (columns cols) whose probe hash is h, building the index on first use.
+// A probe walks the chain itself: it skips dead and expired rows, and
+// rows whose indexed columns merely collide on h (a join's matchAtom
+// rejects those). Callers must not hold a node across table mutations.
+func (t *Table) bucket(slot int, cols []int, h uint64) *idxNode {
+	return t.index(slot, cols).buckets[h].first
+}
+
+// index returns the column index in slot, building it over the live rows
+// on first use. The index keeps cols, which the compiled rules own and
+// never change.
+func (t *Table) index(slot int, cols []int) *colIndex {
+	for len(t.indexes) <= slot {
+		t.indexes = append(t.indexes, nil)
+	}
+	idx := t.indexes[slot]
+	if idx == nil {
+		idx = &colIndex{cols: cols, buckets: make(map[uint64]idxBucket)}
 		for _, en := range t.order {
-			if en.Dead {
-				continue
+			if !en.Dead {
+				idx.push(en.Tuple.HashArgs(cols), en, &t.nodes)
 			}
-			h := en.Tuple.HashArgs(cols)
-			idx.buckets[h] = append(idx.buckets[h], en)
 		}
-		t.indexes[sig] = idx
+		t.indexes[slot] = idx
 	}
 	return idx
 }
 
-// indexInsert adds a new entry to every existing index.
+// indexInsert adds a new entry to every built index.
 func (t *Table) indexInsert(en *Entry) {
-	for _, idx := range t.indexes { //provlint:allow mapiter independent per-index inserts; order cannot escape
-		h := en.Tuple.HashArgs(idx.cols)
-		idx.buckets[h] = append(idx.buckets[h], en)
+	for _, idx := range t.indexes {
+		if idx != nil {
+			idx.push(en.Tuple.HashArgs(idx.cols), en, &t.nodes)
+		}
 	}
 }
 
 // Size returns the number of live rows.
 func (t *Table) Size() int { return t.nlive }
-
-func colSig(cols []int) string {
-	var sb strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(c))
-	}
-	return sb.String()
-}

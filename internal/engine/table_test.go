@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"provnet/internal/data"
@@ -102,13 +103,24 @@ func TestTableExpiry(t *testing.T) {
 	}
 }
 
+// bucketRows lists the rows of the bucket a probe of the index in slot
+// (columns cols) for vals walks, dead and colliding ones included.
+func bucketRows(tbl *Table, slot int, cols []int, vals []data.Value) []*Entry {
+	var rows []*Entry
+	for n := tbl.bucket(slot, cols, data.HashValues(vals)); n != nil; n = n.next {
+		rows = append(rows, n.en)
+	}
+	return rows
+}
+
 // lookup collects the live rows whose columns cols equal vals the way a
-// join probe walks them: the index bucket (the whole order for no
-// columns), skipping dead, expired and merely colliding rows.
-func lookup(tbl *Table, cols []int, vals []data.Value, now float64) []*Entry {
+// join probe walks them: the bucket of the index in slot (the whole
+// order for no columns), skipping dead, expired and merely colliding
+// rows.
+func lookup(tbl *Table, slot int, cols []int, vals []data.Value, now float64) []*Entry {
 	rows := tbl.order
 	if len(cols) > 0 {
-		rows = tbl.bucket(colSig(cols), cols, data.HashValues(vals))
+		rows = bucketRows(tbl, slot, cols, vals)
 	}
 	var out []*Entry
 	for _, en := range rows {
@@ -132,7 +144,7 @@ func TestTableLookupIndex(t *testing.T) {
 		tbl.Insert(tup("edge", fmt.Sprintf("n%d", i%10), i), nil, 0)
 	}
 	// Index on column 0.
-	hits := lookup(tbl, []int{0}, []data.Value{data.Str("n3")}, 0)
+	hits := lookup(tbl, 0, []int{0}, []data.Value{data.Str("n3")}, 0)
 	if len(hits) != 10 {
 		t.Fatalf("lookup hits = %d", len(hits))
 	}
@@ -143,16 +155,16 @@ func TestTableLookupIndex(t *testing.T) {
 	}
 	// Index maintained across subsequent inserts.
 	tbl.Insert(tup("edge", "n3", 999), nil, 0)
-	if got := len(lookup(tbl, []int{0}, []data.Value{data.Str("n3")}, 0)); got != 11 {
+	if got := len(lookup(tbl, 0, []int{0}, []data.Value{data.Str("n3")}, 0)); got != 11 {
 		t.Fatalf("after insert: %d", got)
 	}
 	// Composite index.
-	two := lookup(tbl, []int{0, 1}, []data.Value{data.Str("n3"), data.Int(3)}, 0)
+	two := lookup(tbl, 1, []int{0, 1}, []data.Value{data.Str("n3"), data.Int(3)}, 0)
 	if len(two) != 1 {
 		t.Fatalf("composite lookup = %d", len(two))
 	}
 	// Empty columns scans everything.
-	if got := len(lookup(tbl, nil, nil, 0)); got != 101 {
+	if got := len(lookup(tbl, 0, nil, nil, 0)); got != 101 {
 		t.Fatalf("scan = %d", got)
 	}
 }
@@ -162,11 +174,11 @@ func TestTableLookupSkipsExpiredAndDead(t *testing.T) {
 	tbl.Insert(tup("p", "k", 1), nil, 0)
 	tbl.Insert(tup("p", "k", 2), nil, 5)
 	// Build index before expiry.
-	if got := len(lookup(tbl, []int{0}, []data.Value{data.Str("k")}, 0)); got != 2 {
+	if got := len(lookup(tbl, 0, []int{0}, []data.Value{data.Str("k")}, 0)); got != 2 {
 		t.Fatalf("pre-expiry hits = %d", got)
 	}
 	tbl.Expire(12)
-	if got := len(lookup(tbl, []int{0}, []data.Value{data.Str("k")}, 12)); got != 1 {
+	if got := len(lookup(tbl, 0, []int{0}, []data.Value{data.Str("k")}, 12)); got != 1 {
 		t.Fatalf("post-expiry hits = %d", got)
 	}
 }
@@ -191,14 +203,81 @@ func TestTableMaxSizeEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestColSigDistinct(t *testing.T) {
-	sets := [][]int{{0}, {1}, {1, 3}, {3, 1}, {2, 0, 5}, {13}, {1, 3 + 10}}
-	seen := map[string][]int{}
-	for _, cols := range sets {
-		sig := colSig(cols)
-		if prev, dup := seen[sig]; dup {
-			t.Fatalf("colSig collision: %v and %v both map to %q", prev, cols, sig)
+// TestIndexSlots pins the slots LoadProgram fixes: per predicate, one
+// per distinct probed column set, in the order the rules first probe
+// them, shared by every plan and prune that probes the same columns.
+func TestIndexSlots(t *testing.T) {
+	e := newNode(t, "a", `
+		r1 reach(@S,D) :- link(@S,D).
+		r2 reach(@S,D) :- link(@S,Z), reach(@Z,D).
+		r3 twoHop(@S,D) :- link(@S,Z), link(@Z,D).
+	`, false)
+	for pred, sets := range e.slots {
+		for i, a := range sets {
+			if e.indexSlot(pred, a) != i {
+				t.Errorf("%s: columns %v do not map back to slot %d", pred, a, i)
+			}
+			for _, b := range sets[:i] {
+				if slices.Equal(a, b) {
+					t.Errorf("%s: columns %v hold two slots", pred, a)
+				}
+			}
 		}
-		seen[sig] = cols
 	}
+	if len(e.slots["link"]) == 0 {
+		t.Fatal("no index slot for link's join probes")
+	}
+	n := len(e.slots["link"])
+	if got := e.indexSlot("link", []int{9}); got != n {
+		t.Errorf("a new column set takes slot %d, want %d", got, n)
+	}
+}
+
+// TestIndexBucketKeepsInsertionOrder pins the order a probe walks an
+// index bucket in: the rows' insertion order, with 1-bit hashes putting
+// rows of different column values on one chain, for an index built over
+// stored rows and then grown by inserts, and after compact has unlinked
+// the dead rows from the middle, the head and the tail of a chain.
+func TestIndexBucketKeepsInsertionOrder(t *testing.T) {
+	defer data.LimitHashBitsForTesting(1)()
+	tbl := NewTable("p", nil, -1, -1)
+	cols := []int{0}
+	insert := func(from, to int) {
+		for i := from; i < to; i++ {
+			tbl.Insert(tup("p", fmt.Sprintf("k%d", i%5), i), nil, 0)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for k := 0; k < 5; k++ {
+			vals := []data.Value{data.Str(fmt.Sprintf("k%d", k))}
+			h := data.HashValues(vals)
+			var want []*Entry
+			for _, en := range tbl.order {
+				if en.Tuple.HashArgs(cols) == h {
+					want = append(want, en)
+				}
+			}
+			if got := bucketRows(tbl, 0, cols, vals); !slices.Equal(got, want) {
+				t.Fatalf("%s: bucket of k%d walks %d rows out of insertion order (want %d)", stage, k, len(got), len(want))
+			}
+		}
+	}
+	insert(0, 20)
+	check("built")
+	insert(20, 40)
+	check("grown")
+	for i := 0; i < 40; i += 3 { // rows 0 and 39 head and end a chain
+		tbl.kill(tbl.Get(tup("p", fmt.Sprintf("k%d", i%5), i)))
+	}
+	check("killed")
+	tbl.compact()
+	for _, en := range tbl.order {
+		if en.Dead {
+			t.Fatal("compact left a dead row in the order")
+		}
+	}
+	check("compacted")
+	insert(40, 60)
+	check("grown after compact")
 }

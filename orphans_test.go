@@ -255,7 +255,6 @@ var reachedBy = map[string]string{
 	"internal/auth/auth.go: Principal":                 "auth.Directory.Principals returns it",
 	"internal/benchwork/benchwork.go: CutLinkResult":   "benchwork.LiveCutLink returns it",
 	"internal/benchwork/queryload.go: QueryLoadResult": "benchwork.ConcurrentQueryLoad returns it",
-	"internal/data/decoder.go: Decoder":                "data.NewDecoder returns it (core's decodeFrame)",
 	"internal/core/store.go: NodeState":                "core.StoreState.Nodes holds it (RecoverStoreLog returns the state)",
 	"internal/core/store.go: StoredRow":                "core.NodeState.Rows holds it",
 	"internal/engine/builtin.go: BuiltinFunc":          "the value type of engine.Builtins",
