@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet staticcheck lint test race alloc-budget bench bench-smoke bench-e2e-smoke api-smoke fuzz docs chaos ci
+.PHONY: all build fmt fmt-check vet staticcheck lint test race alloc-budget bench bench-smoke bench-e2e-smoke api-smoke fuzz docs chaos loc ci
 
 all: build
 
@@ -127,5 +127,10 @@ fuzz:
 docs:
 	$(GO) test -run TestDocLinks .
 	$(GO) run ./examples/multiprocess
+
+# The size of the program: non-test Go lines outside bench/ and testdata.
+# Informational; nothing gates on it.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v '/testdata/' | xargs cat | wc -l
 
 ci: fmt-check vet staticcheck lint build race alloc-budget fuzz docs bench-smoke bench-e2e-smoke chaos api-smoke

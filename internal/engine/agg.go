@@ -33,10 +33,12 @@ import (
 // re-evaluates the rule with its group columns bound (evalGroup), then
 // emits the changed head or retires the vanished one. A row whose atom
 // leaves a group column unbound touches every group of the rule, which
-// is then recomputed from one full evaluation. So does any row of a stale
-// rule: a row that leaves a table without a retraction — a primary-key
-// replacement or a size-bound eviction — leaves its contributions behind
-// until the next all-groups recompute of the rules that read it.
+// then recounts each of its live groups the same way. So does any row of
+// a stale rule: a row that leaves a table without a retraction — a
+// primary-key replacement or a size-bound eviction — leaves its
+// contributions behind until the next all-groups recount of the rules
+// that read it. A deletion only shrinks groups, so the recount never
+// needs to look for a group the rule has not formed.
 
 // aggGroupState holds one aggregate rule's groups and the contributions
 // they have counted.
@@ -106,7 +108,7 @@ func (e *Engine) aggStateFor(r *compiledRule) *aggGroupState {
 		e.aggState[r.label] = st
 		// Head tables of aggregate rules are keyed by the group columns
 		// so a changed aggregate replaces the old row.
-		e.SetTableKeys(r.headPred, append([]int{}, r.agg.groupIdx...))
+		e.SetTableKeys(r.headPred, append([]int{}, r.groupIdx...))
 	}
 	return st
 }
@@ -158,8 +160,8 @@ func comboEqual(a []AnnTuple, b []AnnTuple) bool {
 // counted already.
 func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTuple) *aggGroup {
 	spec := st.rule.agg
-	h := head.HashCols(spec.groupIdx)
-	g := findAggGroup(st.groups, h, head.Asserter, head.Args, spec.groupIdx)
+	h := head.HashCols(st.rule.groupIdx)
+	g := findAggGroup(st.groups, h, head.Asserter, head.Args, st.rule.groupIdx)
 	if g == nil {
 		// The group outlives the wave, so its arguments come from the
 		// persistent slab (contributions run on the driving goroutine).
@@ -332,7 +334,7 @@ func (e *Engine) fedGroup(st *aggGroupState, atom int, t data.Tuple) (g *aggGrou
 		sc.headBuf = make([]data.Value, n)
 	}
 	args := sc.headBuf[:n]
-	for _, i := range r.agg.groupIdx {
+	for _, i := range r.groupIdx {
 		switch p := r.headArgs[i]; {
 		case p.isConst:
 			args[i] = p.constVal
@@ -343,7 +345,7 @@ func (e *Engine) fedGroup(st *aggGroupState, atom int, t data.Tuple) (g *aggGrou
 		}
 	}
 	head := data.Tuple{Pred: r.headPred, Asserter: e.asserter(), Args: args}
-	return findAggGroup(st.groups, head.HashCols(r.agg.groupIdx), head.Asserter, args, r.agg.groupIdx), false
+	return findAggGroup(st.groups, head.HashCols(r.groupIdx), head.Asserter, args, r.groupIdx), false
 }
 
 // staleAggs marks the aggregate rules reading pred stale: one of its rows
@@ -357,9 +359,9 @@ func (e *Engine) staleAggs(pred string) {
 }
 
 // repairAggs recounts the queued aggregate groups from the live tables,
-// rule by rule in program order: a touched group from its group-bound
-// evaluation, every group of a rule marked all from one full evaluation.
-// The firings are collected first and counted after, so no probe walks a
+// rule by rule in program order, each from its group-bound evaluation:
+// the touched groups, or every live group of a rule marked all. The
+// firings are collected first and counted after, so no probe walks a
 // table a commit changes. A group left without contributions hands its
 // head to vanished — the retraction path, which cascades it through
 // overdelete — or, when vanished is nil (expiry), has it deleted
@@ -373,16 +375,15 @@ func (e *Engine) repairAggs(vanished *[]retractItem) {
 		if st == nil || !st.all && len(st.touched) == 0 {
 			continue
 		}
-		fired := e.repairBuf[:0]
+		groups := st.touched
 		if st.all {
-			for _, g := range st.order {
+			groups = st.order
+		}
+		fired := e.repairBuf[:0]
+		for _, g := range groups {
+			if !g.dropped {
 				st.uncount(g)
-			}
-			e.evalFull(r, &fired)
-		} else {
-			for _, g := range st.touched {
-				st.uncount(g)
-				e.evalGroup(r, g, &fired)
+				e.evalGroup(r, data.Tuple{Args: g.groupArgs, Asserter: g.asserter}, &fired)
 			}
 		}
 		e.Stats.Derivations += int64(len(fired))
@@ -391,10 +392,6 @@ func (e *Engine) repairAggs(vanished *[]retractItem) {
 		}
 		clear(fired)
 		e.repairBuf = fired[:0]
-		groups := st.touched
-		if st.all {
-			groups = st.order
-		}
 		for _, g := range groups {
 			g.touched = false
 			if !g.dropped {
@@ -456,6 +453,7 @@ func (e *Engine) settleAgg(st *aggGroupState, g *aggGroup, vanished *[]retractIt
 	if en := tbl.Get(dead); en != nil {
 		tbl.kill(en)
 		e.notify(en.Tuple, UpdateRetracted)
+		e.dropDeps(en.Tuple, nil)
 		e.touchAggs(en.Tuple)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"provnet/internal/data"
 	"provnet/internal/datalog"
@@ -44,8 +45,7 @@ type step struct {
 // aggSpec describes an aggregate head.
 type aggSpec struct {
 	fn        datalog.AggFunc
-	argIdx    int   // head arg holding the aggregate result
-	groupIdx  []int // head arg positions forming the group
+	argIdx    int // head arg holding the aggregate result
 	countStar bool
 }
 
@@ -68,6 +68,11 @@ type compiledRule struct {
 	headDest    pattern
 	headDestSet bool
 	agg         *aggSpec
+	// groupIdx lists the head arguments forming the rule's group: an
+	// aggregate's non-aggregate arguments, or the key columns of the
+	// aggregate selection that prunes a non-aggregate head (nil when
+	// neither applies).
+	groupIdx []int
 	// computed lists the head arguments an assignment binds, whose lists
 	// fire copies out of the wave scratch.
 	computed []int
@@ -75,16 +80,15 @@ type compiledRule struct {
 	atoms []atomSpec
 	steps []step
 
-	// plans[si][skip+1] is the precompiled index probe for evaluating
-	// step si when body atom skip is the delta (-1 = full evaluation;
-	// len(atoms) = the head is bound instead, DRed's re-derivation of one
-	// deleted tuple, or for an aggregate rule, which is never re-derived
-	// that way, its group columns, the repair of one aggregate group):
-	// which columns are bound at that point and where each
-	// probe value comes from (a constant or an environment slot). Computed
-	// once at compile time instead of re-derived per wave; the boundness
-	// analysis is exact because reaching a step implies every earlier step
-	// bound all of its slots.
+	// plans[si][v] is the precompiled index probe of step si in plan
+	// variant v, which binds something before the first step: body atom v
+	// to a delta row (v < len(atoms), semi-naive evaluation), the head
+	// (len(atoms), evalHead) or the group columns (groupVariant,
+	// evalGroup). A plan records which columns are bound at that point and
+	// where each probe value comes from (a constant or an environment
+	// slot). Computed once at compile time; the boundness analysis is
+	// exact because reaching a step implies every earlier step bound all
+	// of its slots.
 	plans [][]probePlan
 	// maxProbe is the widest probe across plans, sizing scratch buffers.
 	maxProbe int
@@ -103,13 +107,26 @@ type probePlan struct {
 	srcs []pattern
 }
 
-// buildProbePlans computes cr.plans for every (step, delta-atom)
-// combination, and for the bound head, by static boundness simulation.
-// Every node's engine builds its own, so setup time grows with the node
-// count: the plans share one backing array, and each probe's columns are
-// sized before they are filled.
+// groupVariant is the plan variant evalGroup follows. An aggregate rule
+// is never re-derived through its head, so its group variant takes the
+// head's place.
+func (cr *compiledRule) groupVariant() int {
+	if cr.agg != nil {
+		return len(cr.atoms)
+	}
+	return len(cr.atoms) + 1
+}
+
+// buildProbePlans computes cr.plans for every (step, variant)
+// combination by static boundness simulation. Every node's engine builds
+// its own, so setup time grows with the node count: the plans share one
+// backing array, and each probe's columns are sized before they are
+// filled.
 func buildProbePlans(cr *compiledRule) {
-	variants := len(cr.atoms) + 2
+	variants := len(cr.atoms) + 1
+	if cr.agg == nil && cr.groupIdx != nil {
+		variants++
+	}
 	all := make([]probePlan, len(cr.steps)*variants)
 	cr.plans = make([][]probePlan, len(cr.steps))
 	for si := range cr.steps {
@@ -132,19 +149,19 @@ func buildProbePlans(cr *compiledRule) {
 		}
 	}
 	probed := func(p pattern) bool { return p.isConst || p.slot >= 0 && bound[p.slot] }
-	for skip := -1; skip <= len(cr.atoms); skip++ {
+	for v := range variants {
 		clear(bound)
 		mark(cr.ctxSlot)
 		mark(cr.locSlot)
-		switch {
-		case skip == len(cr.atoms) && cr.agg != nil:
-			// evalGroup binds an aggregate's group columns.
-			for _, i := range cr.agg.groupIdx {
+		switch v {
+		case cr.groupVariant():
+			// evalGroup binds the group columns.
+			for _, i := range cr.groupIdx {
 				if p := cr.headArgs[i]; !p.isConst {
 					mark(p.slot)
 				}
 			}
-		case skip == len(cr.atoms):
+		case len(cr.atoms):
 			// evalHead binds every head variable and the destination.
 			for _, p := range cr.headArgs {
 				if !p.isConst {
@@ -154,13 +171,13 @@ func buildProbePlans(cr *compiledRule) {
 			if cr.headDestSet && !cr.headDest.isConst {
 				mark(cr.headDest.slot)
 			}
-		case skip >= 0:
-			markAtom(&cr.atoms[skip])
+		default:
+			markAtom(&cr.atoms[v])
 		}
 		for si, st := range cr.steps {
 			switch st.kind {
 			case stepAtom:
-				if st.atom == skip {
+				if st.atom == v {
 					continue
 				}
 				spec := &cr.atoms[st.atom]
@@ -170,7 +187,7 @@ func buildProbePlans(cr *compiledRule) {
 						n++
 					}
 				}
-				plan := &cr.plans[si][skip+1]
+				plan := &cr.plans[si][v]
 				if n > 0 {
 					plan.cols, plan.srcs = make([]int, 0, n), make([]pattern, 0, n)
 				}
@@ -192,7 +209,9 @@ func buildProbePlans(cr *compiledRule) {
 }
 
 // compileRule translates a validated, localized rule into executable form.
-func compileRule(r *datalog.Rule) (*compiledRule, error) {
+// pruneKey is the key columns (0-based) of the aggregate selection on
+// the rule's head predicate, nil when there is none.
+func compileRule(r *datalog.Rule, pruneKey []int) (*compiledRule, error) {
 	cr := &compiledRule{
 		label:      r.Label,
 		ctxSlot:    -1,
@@ -311,10 +330,12 @@ func compileRule(r *datalog.Rule) (*compiledRule, error) {
 		}
 		for i := range h.Args {
 			if i != h.AggIdx {
-				spec.groupIdx = append(spec.groupIdx, i)
+				cr.groupIdx = append(cr.groupIdx, i)
 			}
 		}
 		cr.agg = spec
+	} else if len(pruneKey) > 0 && slices.Max(pruneKey) < len(h.Args) {
+		cr.groupIdx = pruneKey
 	}
 	// Expressions compile once every variable has its slot: a delta atom
 	// later in the body binds its variables before the steps ahead of it.

@@ -120,8 +120,8 @@ type Config struct {
 // group: enough to keep every realistic alternate route revivable
 // without letting long-churning runs grow the shadow without bound.
 // Overflow evicts the least-competitive candidate; a revival that may
-// have lost candidates to eviction falls back to restricted
-// re-derivation.
+// have lost candidates to eviction falls back to re-deriving the group
+// (rederiveGroup).
 const defaultShadowCap = 64
 
 // Engine is a single node's query processor. It is not safe for concurrent
@@ -194,11 +194,6 @@ type Engine struct {
 	// belongs to deleted and the exports it withdrew (DRed's
 	// re-derivation phase) instead of inserting/exporting everything.
 	rederive *retractPending
-	// restrict, while non-nil, filters emit to local heads of a single
-	// aggregate-selection group: the shadow-eviction revival fallback,
-	// which re-derives only the candidates the bounded shadow dropped.
-	restrict *restrictState
-
 	// evicted holds the aggregate-selection groups of rows a table's size
 	// bound evicted. RunToFixpoint relaxes them between waves rather than
 	// insert, which may run inside an evaluation.
@@ -245,7 +240,7 @@ type pruneSpec struct {
 	// cap bounds each group's shadow: overflow evicts
 	// the least-competitive row and marks the group lossy, so a later
 	// revival knows candidates may be missing and falls back to
-	// restricted re-derivation instead of trusting the shadow alone.
+	// re-deriving the group instead of trusting the shadow alone.
 	cap    int
 	groups chain[pruneGroupState]
 	shadow chain[shadowRow]
@@ -461,7 +456,11 @@ func (e *Engine) LoadProgram(prog *datalog.Program) error {
 		if locs := datalog.BodyLocations(r); len(locs) > 1 {
 			return fmt.Errorf("engine: rule %s spans locations %v; localize the program first", r.Label, locs)
 		}
-		cr, err := compileRule(r)
+		var pruneKey []int
+		if ps := e.prunes[r.Head.Pred]; ps != nil {
+			pruneKey = ps.keyCols
+		}
+		cr, err := compileRule(r, pruneKey)
 		if err != nil {
 			return err
 		}
@@ -623,7 +622,7 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 
 // enforceCap bounds one group's shadow: when the cap is exceeded, one
 // row is dropped and the group is marked lossy so a later revival knows
-// to fall back to restricted re-derivation. Victim selection: rows with
+// to fall back to re-deriving the group. Victim selection: rows with
 // local support go first — the fallback can re-derive those from this
 // node's own rules, while a remote-only row (shipped by a sender that
 // believes we still hold it) is unrecoverable once dropped. Within a
@@ -829,23 +828,13 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 		// Aggregates are computed where the tuples live; a remote
 		// aggregate head would need re-aggregation at the destination,
 		// which the paper's programs never use. Retraction repairs them
-		// group by group (repairAggs), so the rederive and restricted
-		// shadow-revival passes evaluate non-aggregate rules only.
+		// group by group (repairAggs), so DRed's re-derivation and the
+		// shadow-revival fallback evaluate non-aggregate rules only.
 		st := e.aggStateFor(r)
 		if g := e.aggContribute(st, head, body); g != nil {
 			e.maybeEmitAgg(st, g)
 		}
 		return
-	}
-	if e.restrict != nil {
-		// Shadow-eviction fallback: only local heads of the lossy prune
-		// group re-enter the insert path (and its prune), where they
-		// either install or re-shadow. Everything else is still stored
-		// or already shipped and must not re-propagate.
-		rs := e.restrict
-		if dest != e.self || head.Pred != rs.ps.pred || !rs.g.matches(head, rs.ps.keyCols) {
-			return
-		}
 	}
 	// Record the dependency edges body → head for retraction cascades.
 	// The head hash is shared by every edge.

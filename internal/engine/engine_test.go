@@ -336,22 +336,36 @@ c changes(@S,count<*>) :- change(@S,X).
 // c1) equal a fresh engine's over the facts still unexpired. Events
 // arrive at a varying rate, some are re-inserted (which restarts their
 // TTL), and the window empties twice, so groups shrink, vanish and
-// come back.
+// come back. c4's group column comes from the hard-state label atom,
+// so an expiring change touches every group of the rule: the
+// all-groups recount.
 func TestExpireRecountMatchesFresh(t *testing.T) {
 	const prog = `
 materialize(change, 10, infinity, keys(1,2,3)).
 c1 changes(@S,count<*>) :- change(@S,E,K).
 c2 byKind(@S,K,count<*>) :- change(@S,E,K).
 c3 last(@S,K,max<E>) :- change(@S,E,K).
+c4 byLabel(@S,L,count<*>) :- change(@S,E,K), label(@S,K,L).
 `
-	aggs := []string{"changes", "byKind", "last"}
+	aggs := []string{"changes", "byKind", "last", "byLabel"}
+	labels := []data.Tuple{
+		data.NewTuple("label", data.Str("a"), data.Str("k0"), data.Str("x")),
+		data.NewTuple("label", data.Str("a"), data.Str("k1"), data.Str("x")),
+		data.NewTuple("label", data.Str("a"), data.Str("k2"), data.Str("y")),
+	}
 	e := newNode(t, "a", prog, false)
+	for _, l := range labels {
+		e.InsertFact(l)
+	}
 	created := map[string]float64{} // every change fact inserted, by key
 	facts := map[string]data.Tuple{}
 	check := func(now int, when string) {
 		t.Helper()
 		fresh := newNode(t, "a", prog, false)
 		fresh.Expire(float64(now))
+		for _, l := range labels {
+			fresh.InsertFact(l)
+		}
 		keys := make([]string, 0, len(facts))
 		for k := range facts {
 			keys = append(keys, k)

@@ -125,21 +125,6 @@ func (e *Engine) evalDelta(r *compiledRule, atomIdx int, delta *Entry, sink *[]p
 	env.undo(&sc.trail, 0)
 }
 
-// evalFull collects into sink every firing of rule r over the stored
-// tables (an aggregate's all-groups recompute and the lossy-shadow
-// revival fallback).
-func (e *Engine) evalFull(r *compiledRule, sink *[]pending) {
-	if !e.ruleActive(r) {
-		return
-	}
-	sc := e.scratchBuf()
-	env := &sc.env
-	if e.bindSelf(r, env, &sc.trail) {
-		e.evalSteps(r, 0, -1, env, sc.clearBody(len(r.atoms)), &sc.trail, sink, sc)
-	}
-	env.undo(&sc.trail, 0)
-}
-
 // evalHead evaluates rule r with its head bound to tuple t at
 // destination dest: the head arguments (a constant must match) and the
 // destination pre-bind their slots, so the rule's head-bound plan probes
@@ -158,27 +143,28 @@ func (e *Engine) evalHead(r *compiledRule, dest string, t data.Tuple, sink *[]pe
 	env.undo(&sc.trail, 0)
 }
 
-// evalGroup collects into sink the firings of aggregate rule r that
-// feed group g: the group columns pre-bind their slots, so the plan an
-// aggregate rule keeps in the head-bound variant probes on them (no
-// aggregate rule is re-derived through evalHead).
-func (e *Engine) evalGroup(r *compiledRule, g *aggGroup, sink *[]pending) {
-	if !e.ruleActive(r) {
+// evalGroup collects into sink the firings of rule r whose heads fall in
+// the group that t's arguments at r.groupIdx name (the other arguments
+// are not read) and whose asserter is t's: the group columns pre-bind
+// their slots, so the rule's group-bound plan probes on them. This is
+// the repair of one aggregate group (agg.go) and the revival of one
+// aggregate-selection group whose shadow lost candidates (retract.go).
+func (e *Engine) evalGroup(r *compiledRule, t data.Tuple, sink *[]pending) {
+	if !e.ruleActive(r) || t.Asserter != e.asserter() {
 		return
 	}
 	sc := e.scratchBuf()
 	env := &sc.env
-	if e.bindSelf(r, env, &sc.trail) && bindGroup(r, g.groupArgs, env, &sc.trail) {
-		e.evalSteps(r, 0, len(r.atoms), env, sc.clearBody(len(r.atoms)), &sc.trail, sink, sc)
+	if e.bindSelf(r, env, &sc.trail) && bindGroup(r, t.Args, env, &sc.trail) {
+		e.evalSteps(r, 0, r.groupVariant(), env, sc.clearBody(len(r.atoms)), &sc.trail, sink, sc)
 	}
 	env.undo(&sc.trail, 0)
 }
 
-// bindGroup binds aggregate rule r's group columns to args (a head
-// argument slice; its aggregate column is ignored), reporting whether
-// they agree with what is bound already.
+// bindGroup binds rule r's group columns to args (indexed like the head's
+// arguments), reporting whether they agree with what is bound already.
 func bindGroup(r *compiledRule, args []data.Value, env *env, trail *[]int) bool {
-	for _, i := range r.agg.groupIdx {
+	for _, i := range r.groupIdx {
 		if !env.matchPattern(r.headArgs[i], args[i], trail) {
 			return false
 		}
@@ -240,9 +226,10 @@ func (e *Engine) ruleActive(r *compiledRule) bool {
 	return true
 }
 
-// evalSteps walks the rule plan from step si; atom skipAtom is already
-// bound (the delta), -1 for full evaluation, len(atoms) when the head
-// or an aggregate's group columns are bound instead. It only reads
+// evalSteps walks the rule plan from step si in plan variant v (see
+// compiledRule.plans): v < len(atoms) names the delta atom, already bound
+// and skipped; a larger v bound the head or the group columns instead,
+// and every atom is joined. It only reads
 // engine state (tables are probed, never created), and every firing
 // goes to sink: no caller commits while a probe walks a bucket. Probes
 // follow the rule's precompiled plan: the bound columns and their value
@@ -251,7 +238,7 @@ func (e *Engine) ruleActive(r *compiledRule) bool {
 // table's order) in place, skipping dead and expired rows — no
 // per-probe allocation. matchAtom rejects the rows whose indexed
 // columns merely collide on the hash.
-func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []AnnTuple, trail *[]int, sink *[]pending, sc *evalScratch) {
+func (e *Engine) evalSteps(r *compiledRule, si, v int, env *env, body []AnnTuple, trail *[]int, sink *[]pending, sc *evalScratch) {
 	if si == len(r.steps) {
 		e.fire(r, env, body, sink, sc)
 		return
@@ -259,18 +246,18 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 	st := r.steps[si]
 	switch st.kind {
 	case stepAtom:
-		if st.atom == skipAtom {
-			e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
+		if st.atom == v {
+			e.evalSteps(r, si+1, v, env, body, trail, sink, sc)
 			return
 		}
 		tbl := e.tables[r.atoms[st.atom].pred]
 		if tbl == nil {
 			return // no table yet: the atom cannot match
 		}
-		plan := &r.plans[si][skipAtom+1]
+		plan := &r.plans[si][v]
 		if len(plan.cols) == 0 {
 			for _, en := range tbl.order {
-				e.joinRow(r, si, skipAtom, en, env, body, trail, sink, sc)
+				e.joinRow(r, si, v, en, env, body, trail, sink, sc)
 			}
 			return
 		}
@@ -283,30 +270,30 @@ func (e *Engine) evalSteps(r *compiledRule, si, skipAtom int, env *env, body []A
 			}
 		}
 		for n := tbl.bucket(plan.slot, plan.cols, data.HashValues(vals)); n != nil; n = n.next {
-			e.joinRow(r, si, skipAtom, n.en, env, body, trail, sink, sc)
+			e.joinRow(r, si, v, n.en, env, body, trail, sink, sc)
 		}
 	case stepAssign:
-		v, err := evalExpr(st.expr, env, sc)
+		val, err := evalExpr(st.expr, env, sc)
 		if err != nil {
 			return // expression failure kills this branch
 		}
 		mark := len(*trail)
-		if env.bindOrCheck(st.assignSlot, v, trail) {
-			e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
+		if env.bindOrCheck(st.assignSlot, val, trail) {
+			e.evalSteps(r, si+1, v, env, body, trail, sink, sc)
 		}
 		env.undo(trail, mark)
 	case stepCond:
-		v, err := evalExpr(st.expr, env, sc)
-		if err != nil || !v.IsTrue() {
+		val, err := evalExpr(st.expr, env, sc)
+		if err != nil || !val.IsTrue() {
 			return
 		}
-		e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
+		e.evalSteps(r, si+1, v, env, body, trail, sink, sc)
 	}
 }
 
 // joinRow binds stored row en into the atom of step si and, when it
 // matches, walks the rest of the plan.
-func (e *Engine) joinRow(r *compiledRule, si, skipAtom int, en *Entry, env *env, body []AnnTuple, trail *[]int, sink *[]pending, sc *evalScratch) {
+func (e *Engine) joinRow(r *compiledRule, si, v int, en *Entry, env *env, body []AnnTuple, trail *[]int, sink *[]pending, sc *evalScratch) {
 	if en.Dead || en.expired(e.now) {
 		return
 	}
@@ -314,7 +301,7 @@ func (e *Engine) joinRow(r *compiledRule, si, skipAtom int, en *Entry, env *env,
 	mark := len(*trail)
 	if e.matchAtom(&r.atoms[atom], en.Tuple, env, trail) {
 		body[atom] = AnnTuple{Tuple: en.Tuple, Ann: en.Ann, hash: en.hash}
-		e.evalSteps(r, si+1, skipAtom, env, body, trail, sink, sc)
+		e.evalSteps(r, si+1, v, env, body, trail, sink, sc)
 	}
 	env.undo(trail, mark)
 }

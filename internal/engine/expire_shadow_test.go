@@ -237,3 +237,41 @@ func TestShadowStaysBoundedUnderChurn(t *testing.T) {
 		t.Fatalf("m = %v, want min %d", got, 1000-49-1)
 	}
 }
+
+// TestExpiredAggregateHeadLeavesDeps: when a window's every change
+// expires, the aggregate group vanishes and its head is killed by the
+// recount rather than by its table's TTL. The head must leave the
+// dependency index like any other row that lapses, or each vanished
+// count keeps an entry (and a stale cascade edge to its alert) forever.
+func TestExpiredAggregateHeadLeavesDeps(t *testing.T) {
+	e := newNode(t, "a", `
+materialize(change, 10, infinity, keys(1,2)).
+materialize(alert, 10, infinity, keys(1,2)).
+c1 changes(@S,count<*>) :- change(@S,E).
+a1 alert(@S,N) :- changes(@S,N), N > 1.
+`, false)
+	ev := int64(0)
+	for w, n := range []int{2, 5, 3, 7, 4, 6} {
+		now := float64(w * 20)
+		e.Expire(now)
+		e.RunToFixpoint()
+		for range n {
+			e.InsertFact(data.NewTuple("change", data.Str("a"), data.Int(ev)))
+			ev++
+		}
+		e.RunToFixpoint()
+		if got := e.Count("alert"); got != 1 {
+			t.Fatalf("window %d: %d alerts, want 1", w, got)
+		}
+		e.Expire(now + 10) // the whole window expires
+		e.RunToFixpoint()
+	}
+	for _, pred := range []string{"change", "changes", "alert"} {
+		if got := e.Count(pred); got != 0 {
+			t.Fatalf("%s holds %d rows after every window expired", pred, got)
+		}
+	}
+	if got := e.DepSize(); got != 0 {
+		t.Fatalf("dependency index holds %d entries after every window expired, want 0", got)
+	}
+}

@@ -319,15 +319,6 @@ func (s *groupSet) touch(ps *pruneSpec, g *pruneGroupState) {
 	s.list = append(s.list, pruneGroup{ps: ps, g: g})
 }
 
-// restrictState restricts emit to local heads of one aggregate-selection
-// group while the shadow-eviction revival fallback re-derives the
-// candidates a bounded shadow dropped. Mutually exclusive with
-// Engine.rederive: revival runs before the DRed re-derivation phase.
-type restrictState struct {
-	ps *pruneSpec
-	g  *pruneGroupState
-}
-
 // retractMode distinguishes which support a retraction removes.
 type retractMode uint8
 
@@ -635,8 +626,8 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 		if g.lossy {
 			// The bounded shadow evicted candidates from this group: what
 			// survives in the shadow is not the full alternative set, so
-			// re-derive the group's candidates from live state (restricted
-			// to this group) and let the prune re-rank them.
+			// re-derive the group's candidates from live state and let the
+			// prune re-rank them.
 			g.lossy = false
 			e.rederiveGroup(pg)
 		}
@@ -662,23 +653,32 @@ func comparePruneGroups(a, b pruneGroup) int {
 }
 
 // rederiveGroup is the shadow-eviction revival fallback: every
-// non-aggregate rule producing the pruned predicate re-evaluates, and
-// its firings commit with emit restricted to local heads of group g,
-// re-entering the insert path where each candidate installs or
-// re-shadows. It runs serially — eviction-miss revivals are rare — and
+// non-aggregate rule producing the pruned predicate re-evaluates with
+// group g bound (evalGroup), and the firings addressed to this node
+// re-enter the insert path, where each candidate installs or
+// re-shadows. A firing addressed to another node is still stored or
+// already shipped there: it counts as a derivation and goes no further.
+// It runs serially — eviction-miss revivals are rare — and
 // deterministically.
 func (e *Engine) rederiveGroup(pg pruneGroup) {
+	args := make([]data.Value, slices.Max(pg.ps.keyCols)+1)
+	for k, c := range pg.ps.keyCols {
+		args[c] = pg.g.vals[k]
+	}
+	group := data.Tuple{Args: args, Asserter: pg.g.asserter}
 	fired := e.repairBuf[:0]
 	for _, r := range e.rules {
 		if r.agg == nil && r.headPred == pg.ps.pred {
-			e.evalFull(r, &fired)
+			e.evalGroup(r, group, &fired)
 		}
 	}
-	e.restrict = &restrictState{ps: pg.ps, g: pg.g}
 	for _, pd := range fired {
-		e.emit(pd.r, pd.head, pd.headHash, pd.dest, pd.body)
+		if pd.dest == e.self {
+			e.emit(pd.r, pd.head, pd.headHash, pd.dest, pd.body)
+		} else {
+			e.Stats.Derivations++
+		}
 	}
-	e.restrict = nil
 	clear(fired)
 	e.repairBuf = fired[:0]
 }

@@ -327,12 +327,15 @@ x2 out(@D,X) :- b(@S,D,X).
 // recursion (reachProg); aggregate selection feeding a min aggregate,
 // with the default shadow cap or a cap of 1 (so the lossy-shadow
 // fallback runs); a head with a constant argument and a variable an
-// assignment binds, which re-derivation checks instead of binding; and
+// assignment binds, which re-derivation checks instead of binding;
 // the two aggregate repairs that recount every group of a rule instead
 // of the touched ones: a group column bound only by a second atom, and a
 // keyed body table whose rows a new value replaces (a stale rule; the
 // script's last step retracts a sentinel row, so the final state has
-// been through a repair).
+// been through a repair); and an aggregate-selected predicate derived
+// through a join (joinPrunedProg), whose seed evicts under cap 1, so the
+// lossy-shadow fallback re-derives a group through a multi-atom
+// group-bound plan.
 //
 // A row a changed aggregate replaces under its primary key is not
 // retracted: its consequences are replaced in turn only where they are
@@ -415,13 +418,15 @@ c1 cnt(@N,V,count<*>) :- kv(@N,K,V).
 			key:      func(tu data.Tuple) string { return tu.Args[1].Str },
 			sentinel: data.NewTuple("kv", data.Str("n"), data.Str("sentinel"), data.Int(9)),
 		},
+		{prog: joinPrunedProg, fact: joinPrunedFact, pruned: "e"},
 	}
 	f.Add(byte(0), []byte{1, 0, 1, 0, 1, 1, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0})
 	f.Add(byte(1), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 0, 0, 0, 3, 0, 0, 1, 1})
-	f.Add(byte(6), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0})
+	f.Add(byte(7), []byte{1, 0, 0, 3, 1, 0, 1, 1, 1, 0, 0, 2, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0})
 	f.Add(byte(2), []byte{1, 0, 1, 1, 1, 1, 2, 2, 1, 0, 2, 2, 0, 1, 2, 2, 1, 1, 0, 1, 0, 0, 1, 1})
 	f.Add(byte(3), []byte{1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1})
 	f.Add(byte(4), []byte{1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 2, 0, 0, 1, 1, 0, 1, 1, 2, 0, 1, 1, 0, 0})
+	f.Add(byte(2*len(cases)-1), joinPrunedSeed)
 	f.Fuzz(func(t *testing.T, which byte, ops []byte) {
 		c := cases[int(which)%len(cases)]
 		shadowCap := 0
@@ -481,4 +486,51 @@ c1 cnt(@N,V,count<*>) :- kv(@N,K,V).
 			t.Fatalf("after the script:\n%s--- fresh engine on the surviving facts:\n%s", got, want)
 		}
 	})
+}
+
+// joinPrunedProg is FuzzRetractMatchesFresh's aggregate selection over a
+// join: X comes from hop, so the group (N,X) binds src only on N.
+const joinPrunedProg = `
+materialize(src, infinity, infinity, keys(1,2,3)).
+materialize(hop, infinity, infinity, keys(1,2,3,4)).
+materialize(e, infinity, infinity, keys(1,2,3,4)).
+materialize(m, infinity, infinity, keys(1,2)).
+aggSelection(e, keys(1,2), min, 3).
+d1 e(@N,X,C,Y) :- src(@N,Y,C1), hop(@N,Y,X,C2), C = C1 + C2.
+m1 m(@N,X,min<C>) :- e(@N,X,C,Y).
+`
+
+func joinPrunedFact(x, y, c byte) data.Tuple {
+	if c%2 == 0 {
+		return data.NewTuple("src", data.Str("n"), data.Str(fmt.Sprint("y", y%3)), data.Int(int64(x%4)))
+	}
+	return data.NewTuple("hop", data.Str("n"), data.Str(fmt.Sprint("y", y%3)), data.Str(fmt.Sprint("x", x%2)), data.Int(int64(c%3)))
+}
+
+// joinPrunedSeed is FuzzRetractMatchesFresh's script for joinPrunedProg
+// under cap 1: three candidates of group (n,x0), one of them evicted,
+// then the two best retracted.
+var joinPrunedSeed = []byte{
+	1, 0, 0, 0, 1, 1, 1, 0, 1, 2, 2, 0, // src(n,y0,0), src(n,y1,1), src(n,y2,2)
+	1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 2, 1, // hop(n,yi,x0,1) for i = 0..2
+	0, 0, 0, 0, 0, 1, 1, 0, // retract src(n,y0,0), then src(n,y1,1)
+}
+
+// TestJoinPrunedSeedEvicts pins that joinPrunedSeed evicts from the
+// bounded shadow, so FuzzRetractMatchesFresh's seed corpus runs the
+// lossy-shadow fallback through a multi-atom group-bound plan.
+func TestJoinPrunedSeedEvicts(t *testing.T) {
+	e := cappedEngine(t, "n", joinPrunedProg, 1)
+	for i := 0; i+3 < len(joinPrunedSeed); i += 4 {
+		tu := joinPrunedFact(joinPrunedSeed[i+1], joinPrunedSeed[i+2], joinPrunedSeed[i+3])
+		if joinPrunedSeed[i]%3 == 0 {
+			e.RetractFacts(tu)
+		} else {
+			e.InsertFact(tu)
+		}
+		e.RunToFixpoint()
+	}
+	if e.ShadowEvictions() == 0 {
+		t.Fatal("the seed evicted no shadow row: the lossy-shadow fallback did not run")
+	}
 }

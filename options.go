@@ -6,10 +6,11 @@ import (
 	"provnet/internal/storelog"
 )
 
-// Option configures a network built by New. Every option corresponds to
-// one Config field; New(src, opts...) and NewNetwork(Config{...}) build
-// identical networks, so the two surfaces are interchangeable and the
-// struct remains the wire format for tools that unmarshal configs.
+// Option configures a network built by New: each sets one Config field,
+// and New(src, opts...) builds what NewNetwork builds from a Config with
+// those fields set. A field without an option is set through
+// NewNetwork(Config{...}), which stays the wire format for tools that
+// unmarshal configs.
 type Option func(*Config)
 
 // New builds a network from NDlog/SeNDlog source and options:
@@ -32,11 +33,6 @@ func New(source string, opts ...Option) (*Network, error) {
 // WithGraph supplies the topology; its links become link facts.
 func WithGraph(g *Graph) Option { return func(c *Config) { c.Graph = g } }
 
-// WithExtraNodes registers nodes that appear in no link or fact.
-func WithExtraNodes(names ...string) Option {
-	return func(c *Config) { c.ExtraNodes = append(c.ExtraNodes, names...) }
-}
-
 // WithAuth selects the says implementation for inter-node messages.
 func WithAuth(s AuthScheme) Option { return func(c *Config) { c.Auth = s } }
 
@@ -46,39 +42,8 @@ func WithKeyBits(n int) Option { return func(c *Config) { c.KeyBits = n } }
 // WithProv selects the provenance mode.
 func WithProv(m ProvMode) Option { return func(c *Config) { c.Prov = m } }
 
-// WithAuthProv signs every provenance tree node (ModeLocal only).
-func WithAuthProv() Option { return func(c *Config) { c.AuthProv = true } }
-
-// WithOffline enables the offline provenance store, keeping expired
-// state up to maxAge (<0 keeps forever). ModeDistributed only: NewNetwork
-// refuses it with any other mode.
-func WithOffline(maxAge float64) Option {
-	return func(c *Config) { c.Offline = &maxAge }
-}
-
-// WithSampleEvery records only every k-th derivation into stores (§5).
-// ModeDistributed only: NewNetwork refuses k > 1 with any other mode.
-func WithSampleEvery(k int) Option { return func(c *Config) { c.SampleEvery = k } }
-
-// WithLevels assigns security levels to principals.
-func WithLevels(levels map[string]int64) Option {
-	return func(c *Config) { c.Levels = levels }
-}
-
 // WithSeed drives deterministic key generation.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithSequential runs nodes one after another within each round.
-func WithSequential() Option { return func(c *Config) { c.Sequential = true } }
-
-// WithUnbatched ships one envelope per exported tuple, each signed alone:
-// the paper's per-tuple-signature baseline. The default batches a round's
-// tuples per destination and, under RSA, signs the whole round once.
-func WithUnbatched() Option { return func(c *Config) { c.Unbatched = true } }
-
-// WithRekeyRounds rotates session keys every n scheduler rounds.
-// WithAuth(AuthSession) only: NewNetwork refuses it with any other scheme.
-func WithRekeyRounds(n int) Option { return func(c *Config) { c.RekeyRounds = n } }
 
 // WithTransport overrides the message substrate, and optionally names
 // the node(s) this process hosts (Config.LocalNodes) for multi-process

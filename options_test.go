@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"provnet/internal/auth"
+	"provnet/internal/netsim"
 )
 
 // TestNewMatchesNewNetwork pins the functional-options constructor to
@@ -15,12 +16,11 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 	store := NewMemStore()
 
 	cfg := Config{
-		Source:     BestPath,
-		Graph:      g,
-		Auth:       AuthNone,
-		Prov:       ProvDistributed,
-		Seed:       5,
-		Sequential: true,
+		Source: BestPath,
+		Graph:  g,
+		Auth:   AuthNone,
+		Prov:   ProvDistributed,
+		Seed:   5,
 	}
 	legacy, err := NewNetwork(cfg)
 	if err != nil {
@@ -33,7 +33,6 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 		WithAuth(AuthNone),
 		WithProv(ProvDistributed),
 		WithSeed(5),
-		WithSequential(),
 		WithStore(store),
 	)
 	if err != nil {
@@ -62,20 +61,17 @@ func TestNewMatchesNewNetwork(t *testing.T) {
 // Config field.
 func TestOptionsCoverConfig(t *testing.T) {
 	var c Config
+	tr := netsim.New()
+	m := NewMetrics()
 	for _, o := range []Option{
-		WithExtraNodes("x9"), WithKeyBits(512),
-		WithAuthProv(), WithOffline(3.5), WithSampleEvery(2),
-		WithLevels(map[string]int64{"a": 2}),
-		WithUnbatched(), WithRekeyRounds(7),
-		WithAuth(AuthHMAC),
+		WithKeyBits(512), WithAuth(AuthHMAC), WithProv(ProvCondensed),
+		WithSeed(9), WithTransport(tr, "n1"), WithMetrics(m),
 	} {
 		o(&c)
 	}
 	switch {
-	case len(c.ExtraNodes) != 1, c.KeyBits != 512,
-		!c.AuthProv, c.Offline == nil || *c.Offline != 3.5, c.SampleEvery != 2,
-		c.Levels["a"] != 2, !c.Unbatched,
-		c.RekeyRounds != 7, c.Auth != auth.SchemeHMAC:
+	case c.KeyBits != 512, c.Auth != auth.SchemeHMAC, c.Prov != ProvCondensed,
+		c.Seed != 9, c.Transport != tr, len(c.LocalNodes) != 1, c.Metrics != m:
 		t.Fatalf("option failed to set its field: %+v", c)
 	}
 	// The three parallelism knobs were deleted for want of a measured win
