@@ -15,9 +15,11 @@
 package bdd
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -54,7 +56,9 @@ type Manager struct {
 	varNames []string
 	varIdx   map[string]int32
 
-	tab tableScratch
+	cube cubeScratch
+	tab  tableScratch
+	dec  decodeScratch
 }
 
 // New returns an empty manager with no variables registered.
@@ -266,67 +270,105 @@ func (m *Manager) Support(n Node) []string {
 // already applied absorption (a + a·b = a yields the single cube {a}).
 // Cubes are sorted and deduplicated for deterministic output.
 func (m *Manager) Cubes(n Node) [][]string {
-	var out [][]string
-	var path []string
-	var rec func(Node)
-	rec = func(x Node) {
-		if x == False {
-			return
+	cubes := m.walkCubes(n)
+	out := make([][]string, len(cubes))
+	for i, c := range cubes {
+		out[i] = make([]string, len(c))
+		for k, lv := range c {
+			out[i][k] = m.varNames[lv]
 		}
-		if x == True {
-			cube := make([]string, len(path))
-			copy(cube, path)
-			sort.Strings(cube)
-			out = append(out, cube)
-			return
-		}
-		d := m.nodes[x]
-		rec(d.lo)
-		path = append(path, m.varNames[d.level])
-		rec(d.hi)
-		path = path[:len(path)-1]
 	}
-	rec(n)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if len(a) != len(b) {
-			return len(a) < len(b)
+	return out
+}
+
+// Expr renders n as a provenance-style expression over positive cubes, e.g.
+// "a + b*c", matching the paper's <...> annotations. True renders as "1"
+// and False as "0".
+func (m *Manager) Expr(n Node) string { return string(m.AppendExpr(nil, n)) }
+
+// AppendExpr appends Expr(n) to b. It allocates only to grow b and, for a
+// root with more cubes than the manager has walked before, its scratch.
+func (m *Manager) AppendExpr(b []byte, n Node) []byte {
+	if n == False {
+		return append(b, '0')
+	}
+	for i, c := range m.walkCubes(n) {
+		if i > 0 {
+			b = append(b, " + "...)
 		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+		if len(c) == 0 {
+			b = append(b, '1')
+		}
+		for k, lv := range c {
+			if k > 0 {
+				b = append(b, '*')
 			}
+			b = append(b, m.varNames[lv]...)
 		}
-		return false
+	}
+	return b
+}
+
+// cubeScratch is the walk Cubes and AppendExpr share, kept between calls:
+// the levels taken positively on the way down (path), every cube's levels
+// back to back (lv), and the cubes, each a slice of lv.
+type cubeScratch struct {
+	path, lv []int32
+	cubes    [][]int32
+}
+
+// walkCubes enumerates n's cubes into the manager's cube scratch, each
+// cube's levels ordered by variable name, and returns them ordered by
+// length, then by names, with every cube that repeats or contains another
+// dropped. They stay valid until the next walk.
+func (m *Manager) walkCubes(n Node) [][]int32 {
+	s := &m.cube
+	s.path, s.lv, s.cubes = s.path[:0], s.lv[:0], s.cubes[:0]
+	m.pathCubes(n)
+	byName := func(a, b int32) int { return strings.Compare(m.varNames[a], m.varNames[b]) }
+	for _, c := range s.cubes {
+		slices.SortFunc(c, byName)
+	}
+	slices.SortFunc(s.cubes, func(a, b []int32) int {
+		return cmp.Or(cmp.Compare(len(a), len(b)), slices.CompareFunc(a, b, byName))
 	})
 	// Path enumeration can emit redundant cubes (a path taking the lo edge
 	// of one variable and the hi edge of a later one yields a superset of a
 	// shorter cube). For monotone functions the subset-minimal path cubes
-	// are exactly the prime implicants, so prune any cube that contains
+	// are exactly the prime implicants, so drop any cube that contains
 	// another. Cubes are sorted by length, so each cube need only be
 	// checked against the shorter ones already kept.
-	var kept [][]string
-	for _, c := range out {
-		redundant := false
-		for _, k := range kept {
-			if equalCube(k, c) || cubeSubset(k, c) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
+	kept := s.cubes[:0]
+	for _, c := range s.cubes {
+		if !slices.ContainsFunc(kept, func(k []int32) bool { return within(k, c) }) {
 			kept = append(kept, c)
 		}
 	}
+	s.cubes = kept
 	return kept
 }
 
-// cubeSubset reports whether sorted cube a is a strict subset of sorted
-// cube b.
-func cubeSubset(a, b []string) bool {
-	if len(a) >= len(b) {
-		return false
+// pathCubes appends a cube for every path from x to True.
+func (m *Manager) pathCubes(x Node) {
+	s := &m.cube
+	switch x {
+	case False:
+	case True:
+		start := len(s.lv)
+		s.lv = append(s.lv, s.path...)
+		s.cubes = append(s.cubes, s.lv[start:len(s.lv):len(s.lv)])
+	default:
+		d := m.nodes[x]
+		m.pathCubes(d.lo)
+		s.path = append(s.path, d.level)
+		m.pathCubes(d.hi)
+		s.path = s.path[:len(s.path)-1]
 	}
+}
+
+// within reports whether cube a is cube b or a subset of it. Both are
+// ordered by name, and a name is one level, so levels compare.
+func within(a, b []int32) bool {
 	i := 0
 	for _, v := range b {
 		if i < len(a) && a[i] == v {
@@ -334,40 +376,6 @@ func cubeSubset(a, b []string) bool {
 		}
 	}
 	return i == len(a)
-}
-
-func equalCube(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Expr renders n as a provenance-style expression over positive cubes, e.g.
-// "a + b*c", matching the paper's <...> annotations. True renders as "1"
-// and False as "0".
-func (m *Manager) Expr(n Node) string {
-	if n == True {
-		return "1"
-	}
-	if n == False {
-		return "0"
-	}
-	cubes := m.Cubes(n)
-	parts := make([]string, len(cubes))
-	for i, c := range cubes {
-		if len(c) == 0 {
-			parts[i] = "1"
-			continue
-		}
-		parts[i] = strings.Join(c, "*")
-	}
-	return strings.Join(parts, " + ")
 }
 
 // --- Tables ---
@@ -387,8 +395,8 @@ type tableScratch struct {
 	levels  []int32
 }
 
-// AppendTable appends the table of roots to b and returns each root's ref
-// into it. A table carries any number of BDDs of one manager as one
+// AppendTable appends the table of roots to b and each root's ref into
+// it to refs. A table carries any number of BDDs of one manager as one
 // self-contained encoding, so they share their common subgraphs and every
 // variable name is written once — the condensed provenance of a whole
 // data frame:
@@ -407,13 +415,12 @@ type tableScratch struct {
 // at every node and that is exactly the Shannon node v ? hi : lo;
 // whatever the bytes say, every function a table decodes to is monotone,
 // so its Cubes are its prime implicants.
-func (m *Manager) AppendTable(b []byte, roots []Node) ([]byte, []uint64) {
+func (m *Manager) AppendTable(b []byte, refs []uint64, roots []Node) ([]byte, []uint64) {
 	s := &m.tab
 	s.nodeRef = grow(s.nodeRef, len(m.nodes))
 	s.varIdx = grow(s.varIdx, len(m.varNames))
-	refs := make([]uint64, len(roots))
-	for i, r := range roots {
-		refs[i] = uint64(m.tableRef(r))
+	for _, r := range roots {
+		refs = append(refs, uint64(m.tableRef(r)))
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.levels)))
 	for _, lv := range s.levels {
@@ -485,31 +492,48 @@ func CheckTable(b []byte) (int, error) {
 	return nodes + 2, r.done()
 }
 
+// decodeScratch is where DecodeTable decodes, kept between calls: the
+// table's variables and the function of each of its refs.
+type decodeScratch struct {
+	vars, nodes []Node
+}
+
 // DecodeTable decodes a table into this manager and returns the function
-// each ref names: ref r is nodes[r]. A table that does not check
-// (CheckTable) is refused before the manager is touched.
+// each ref names: ref r is nodes[r]. nodes is the manager's scratch,
+// valid until its next DecodeTable: copy out what is kept. A table that
+// does not check (CheckTable) is refused before the manager is touched.
 func (m *Manager) DecodeTable(b []byte) ([]Node, error) {
 	if _, err := CheckTable(b); err != nil {
 		return nil, err
 	}
 	r := tableReader{b: b}
-	vars := make([]Node, r.count("variable", 1))
-	for i := range vars {
+	d := &m.dec
+	d.vars = d.vars[:0]
+	for i := r.count("variable", 1); i > 0; i-- {
 		name := r.name()
 		lv, ok := m.varIdx[string(name)]
 		if !ok {
 			lv = m.varLevel(string(name))
 		}
-		vars[i] = m.mk(lv, False, True)
+		d.vars = append(d.vars, m.mk(lv, False, True))
 	}
 	count := r.count("node", 3)
-	nodes := make([]Node, 2, 2+count)
-	nodes[0], nodes[1] = False, True
+	d.nodes = append(d.nodes[:0], False, True)
 	for k := 0; k < count; k++ {
-		v, lo, hi := r.node(k, len(vars))
-		nodes = append(nodes, m.ITE(m.ITE(vars[v], nodes[hi], False), True, nodes[lo]))
+		v, lo, hi := r.node(k, len(d.vars))
+		d.nodes = append(d.nodes, m.ITE(m.ITE(d.vars[v], d.nodes[hi], False), True, d.nodes[lo]))
 	}
-	return nodes, nil
+	return d.nodes, nil
+}
+
+// PoisonDecodeForTesting overwrites the nodes the last DecodeTable
+// returned with a node no manager has, so a caller that reads them after
+// it should have copied them out fails instead of reading a later
+// table's functions.
+func (m *Manager) PoisonDecodeForTesting() {
+	for i := range m.dec.nodes {
+		m.dec.nodes[i] = -1
+	}
 }
 
 // tableReader walks a table field by field. The first failure sticks and

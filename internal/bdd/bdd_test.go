@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +92,150 @@ func TestExprRendering(t *testing.T) {
 		if got := m.Expr(cse.n); got != cse.want {
 			t.Errorf("Expr = %q, want %q", got, cse.want)
 		}
+	}
+}
+
+// refExpr is Expr as it was written before AppendExpr: Cubes built as
+// one []string per path, sorted, pruned of supersets and joined with
+// strings.Join. TestAppendExprMatchesCubes holds the one walk Cubes,
+// Expr and AppendExpr now share to it, byte for byte.
+func refExpr(m *Manager, n Node) string {
+	if n == True {
+		return "1"
+	}
+	if n == False {
+		return "0"
+	}
+	var out [][]string
+	var path []string
+	var rec func(Node)
+	rec = func(x Node) {
+		if x == False {
+			return
+		}
+		if x == True {
+			cube := make([]string, len(path))
+			copy(cube, path)
+			sort.Strings(cube)
+			out = append(out, cube)
+			return
+		}
+		d := m.nodes[x]
+		rec(d.lo)
+		path = append(path, m.varNames[d.level])
+		rec(d.hi)
+		path = path[:len(path)-1]
+	}
+	rec(n)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
+	subset := func(a, b []string) bool { // a ⊆ b, both sorted
+		i := 0
+		for _, v := range b {
+			if i < len(a) && a[i] == v {
+				i++
+			}
+		}
+		return i == len(a)
+	}
+	var parts []string
+	var kept [][]string
+	for _, c := range out {
+		redundant := false
+		for _, k := range kept {
+			if len(k) <= len(c) && subset(k, c) {
+				redundant = true
+				break
+			}
+		}
+		if !redundant {
+			kept = append(kept, c)
+			if len(c) == 0 {
+				parts = append(parts, "1")
+			} else {
+				parts = append(parts, strings.Join(c, "*"))
+			}
+		}
+	}
+	return strings.Join(parts, " + ")
+}
+
+// TestAppendExprMatchesCubes pins the renderer to refExpr on random
+// monotone and arbitrary BDDs, on tables decoded into a manager whose
+// variable order is neither the sender's nor the names' own, and on the
+// terminals and single variables; the names are chosen so that their
+// order differs from every manager's variable order. Cubes must list the
+// cubes Expr joins. Rendering into a warm buffer allocates nothing.
+func TestAppendExprMatchesCubes(t *testing.T) {
+	vars := []string{"p10", "b", "p2", "a", "ab", "p1"}
+	check := func(m *Manager, n Node) {
+		t.Helper()
+		want := refExpr(m, n)
+		if got := string(m.AppendExpr([]byte("x"), n)); got != "x"+want {
+			t.Fatalf("AppendExpr(%d) = %q, want %q", n, got, "x"+want)
+		}
+		if got := m.Expr(n); got != want {
+			t.Fatalf("Expr(%d) = %q, want %q", n, got, want)
+		}
+		if n == True || n == False {
+			return
+		}
+		var parts []string
+		for _, c := range m.Cubes(n) {
+			if len(c) == 0 {
+				parts = append(parts, "1")
+			} else {
+				parts = append(parts, strings.Join(c, "*"))
+			}
+		}
+		if got := strings.Join(parts, " + "); got != want {
+			t.Fatalf("Cubes(%d) joins to %q, want %q", n, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(41))
+	m := New()
+	m.DeclareOrder("p2", "a", "p10", "ab", "p1", "b")
+	recv := New()
+	recv.DeclareOrder("ab", "p1", "b", "p10", "a", "p2")
+	check(m, True)
+	check(m, False)
+	for _, v := range vars {
+		check(m, m.Var(v))
+	}
+	for range 300 {
+		roots := make([]Node, 1+r.Intn(5))
+		for i := range roots {
+			e := monoExpr(r, 5)
+			if r.Intn(4) == 0 {
+				e = randExpr(r, 4, len(vars))
+			}
+			roots[i] = e.build(m, vars)
+			check(m, roots[i])
+		}
+		b, refs := m.AppendTable(nil, nil, roots)
+		nodes, err := recv.DecodeTable(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = slices.Clone(nodes)
+		for _, ref := range refs {
+			check(recv, nodes[ref])
+		}
+	}
+	f := m.Or(m.And(m.Var("p10"), m.Var("b")), m.And(m.Var("a"), m.Var("ab"), m.Var("p1")), m.Var("p2"))
+	buf := m.AppendExpr(nil, f)
+	if allocs := testing.AllocsPerRun(100, func() { buf = m.AppendExpr(buf[:0], f) }); allocs != 0 {
+		t.Errorf("AppendExpr into a warm buffer: %v allocations, want 0", allocs)
 	}
 }
 
@@ -177,7 +324,7 @@ func TestCubesMonotone(t *testing.T) {
 // roundTrip ships f from m to m2 as the table of one root.
 func roundTrip(t *testing.T, m *Manager, f Node, m2 *Manager) Node {
 	t.Helper()
-	b, refs := m.AppendTable(nil, []Node{f})
+	b, refs := m.AppendTable(nil, nil, []Node{f})
 	nodes, err := m2.DecodeTable(b)
 	if err != nil {
 		t.Fatalf("DecodeTable: %v", err)
@@ -204,10 +351,10 @@ func TestTableSharesSubgraphs(t *testing.T) {
 	m.DeclareOrder("a", "b", "c", "d", "e") // the sender's own principal above the upstream suffix
 	suffix := m.And(m.Var("c"), m.Var("d"), m.Var("e"))
 	roots := []Node{m.And(m.Var("a"), suffix), m.And(m.Var("b"), suffix), suffix, suffix}
-	shared, refs := m.AppendTable(nil, roots)
+	shared, refs := m.AppendTable(nil, nil, roots)
 	alone := 0
 	for _, r := range roots {
-		b, _ := m.AppendTable(nil, []Node{r})
+		b, _ := m.AppendTable(nil, nil, []Node{r})
 		alone += len(b)
 	}
 	if n, err := CheckTable(shared); err != nil || n != 2+5 {
@@ -230,7 +377,7 @@ func TestTableSharesSubgraphs(t *testing.T) {
 		}
 	}
 	// The scratch is clean again: the same call writes the same bytes.
-	if again, _ := m.AppendTable(nil, roots); !bytes.Equal(again, shared) {
+	if again, _ := m.AppendTable(nil, nil, roots); !bytes.Equal(again, shared) {
 		t.Errorf("second encoding %x, first %x", again, shared)
 	}
 }
@@ -249,7 +396,7 @@ func TestSerializeAcrossDifferentOrders(t *testing.T) {
 func TestDeserializeErrors(t *testing.T) {
 	m := New()
 	f := m.And(m.Var("a"), m.Var("b"))
-	enc, _ := m.AppendTable(nil, []Node{f})
+	enc, _ := m.AppendTable(nil, nil, []Node{f})
 	for name, b := range map[string][]byte{
 		"nil":                 nil,
 		"a count of nothing":  {5},
@@ -437,12 +584,13 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 		for i := len(testVars) - 1; i >= 0; i-- {
 			m2.Var(testVars[i])
 		}
-		b, refs := m.AppendTable(nil, roots)
+		b, refs := m.AppendTable(nil, nil, roots)
 		nodes, err := m2.DecodeTable(b)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
+		nodes = slices.Clone(nodes) // roundTrip decodes again below
 		for i, root := range roots {
 			want := fmt.Sprint(m.Cubes(root))
 			alone := roundTrip(t, m, root, m2)
@@ -469,7 +617,7 @@ func FuzzDecodeTable(f *testing.F) {
 	for _, roots := range [][]Node{
 		{True}, {False}, {a}, {m.And(a, b), m.Or(m.And(a, b), c), m.And(a, b)},
 	} {
-		enc, _ := m.AppendTable(nil, roots)
+		enc, _ := m.AppendTable(nil, nil, roots)
 		f.Add(enc)
 	}
 	f.Add([]byte{1, 1, 'a', 1, 0, 1, 0})
@@ -575,6 +723,6 @@ func BenchmarkAppendTable(b *testing.B) {
 	roots := []Node{f}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AppendTable(nil, roots)
+		m.AppendTable(nil, nil, roots)
 	}
 }

@@ -34,6 +34,18 @@ var budgetCells = []budgetCell{
 		derivs: 11256, stored: 7147, rounds: 11, allocs: 17070,
 	},
 	{
+		// The same batch run under condensed provenance without auth:
+		// fig3-sendlogprov's provenance share, without its RSA. Rendering
+		// every view row through a []string per cube, boxing every BDD
+		// node ≥ 256 into an annotation, and building each frame's table
+		// from nil with its root and ref slices cost 55 313 here.
+		name: "fig3-batch-condensed",
+		stage: func(fatal func(...any)) func() *provnet.Report {
+			return BestPathBatchStaged(fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 40, 4000)
+		},
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 29906,
+	},
+	{
 		// One huge delta wave self-joined at the hub: nearly all engine,
 		// the one shape bench/'s four workloads do not have.
 		name: "fan-in",
@@ -55,12 +67,14 @@ var budgetCells = []budgetCell{
 		// and a data frame ships one BDD table for all its tuples — the
 		// per-tuple encoding this replaced cost 365 083 here, past the
 		// slack. Rendering the expression per store event or view row
-		// instead of once per BDD node costs 56 612, past it too.
+		// instead of once per BDD node costs 56 612, past it too; with
+		// every rendering, frame table and node box allocated afresh it
+		// cost 14 227.
 		name: "bestpath-churn-condensed",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathChurnStaged(fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 14231,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 6504,
 	},
 	{
 		// Cut and restore of 8 links through the Driver: the churn
@@ -84,12 +98,14 @@ var budgetCells = []budgetCell{
 		// and opened with its link's keyed MAC, and every changed row's
 		// expression is rendered once per BDD node, for the view. A fresh
 		// MAC per frame and an expression rendered per row cost 81 273;
-		// the whole-table aggregate recount 51 832 (see bestpath-cut).
+		// the whole-table aggregate recount 51 832 (see bestpath-cut);
+		// renderings, frame tables and node boxes allocated afresh
+		// 22 899.
 		name: "bestpath-cut-session",
 		stage: func(fatal func(...any)) func() *provnet.Report {
 			return BestPathCutStaged(fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 22905,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 14795,
 	},
 }
 

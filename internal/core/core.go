@@ -198,16 +198,26 @@ type Node struct {
 
 // nodeWire is what a node's rounds build frames in and decode them into:
 // the outbound grouping of withdrawals and exports by destination, the
-// frames made from them, and the inbound frames. Nothing in it outlives
-// the phase that fills it — a sent frame is bytes in the transport, a
-// delivered one rows in the engine — so each phase starts it over
-// instead of allocating it anew.
+// frames made from them, the condensed provenance tables of the round's
+// data frames back to back (table; anns gathers one frame's annotations
+// for it), and the inbound frames. Nothing in it outlives the phase that
+// fills it — a sent frame is bytes in the transport, a delivered one rows
+// in the engine — so each phase starts it over instead of allocating it
+// anew.
 type nodeWire struct {
 	retracts, exports destGroups
 	frames            []outFrame
+	table             []byte
+	anns              []engine.Annotation
 	out, in           framePool
 	delivered         []*frame
 }
+
+// poisonWire makes sent overwrite the round's table arena, and decodeProv
+// the manager's decode scratch once it has copied a frame's annotations
+// out, so a table or node kept past its phase reads wrong instead of
+// stale. Tests set it.
+var poisonWire atomic.Bool
 
 // outFrames returns the empty frame list to build a round's frames in.
 func (w *nodeWire) outFrames() []outFrame {
@@ -220,6 +230,12 @@ func (w *nodeWire) outFrames() []outFrame {
 func (w *nodeWire) sent(frames []outFrame) {
 	clear(frames)
 	w.frames = frames[:0]
+	if poisonWire.Load() {
+		for i := range w.table {
+			w.table[i] = 0xff
+		}
+	}
+	w.table = w.table[:0]
 	w.out.done()
 	w.retracts.reset()
 	w.exports.reset()
@@ -1076,7 +1092,7 @@ func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind by
 		*f = frame{kind: kind, from: from, items: items[lo : lo+step]}
 		if kind == kindData {
 			f.mode = n.cfg.Prov
-			f.encodeProv(n.nodes[from].Tracker)
+			f.encodeProv(n.nodes[from].Tracker, &n.nodes[from].wire)
 		}
 		frames = append(frames, outFrame{dest, f})
 	}

@@ -7,31 +7,48 @@ import (
 	"testing"
 
 	"provnet/internal/engine"
+	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
 
-// TestScratchPoisonMatchesClean holds the engines' wave scratch to its
-// contract: what a wave's builtins and body copies put there dies with
-// the wave, and a list a stored row, shadow row, aggregate contribution,
-// dependency edge or export keeps was copied out first. With the scratch
-// poisoned at every wave reset, the §6 Best-Path batch run and 8 link
-// cuts and restores after it must leave every table of every node as a
-// clean run leaves it, after each quiescence. A path list left in the
-// scratch reads back as poison.
+// TestScratchPoisonMatchesClean holds the per-wave and per-round scratch
+// to its contract. The engines' wave scratch: what a wave's builtins and
+// body copies put there dies with the wave, and a list a stored row,
+// shadow row, aggregate contribution, dependency edge or export keeps was
+// copied out first. Under condensed provenance, also the round's table
+// arena (nodeWire.table), which dies when the round's frames are sent, and
+// the BDD manager's decode scratch, which a delivered frame's annotations
+// are copied out of at once. With all of it poisoned where its contract
+// ends, the §6 Best-Path batch run and 8 link cuts and restores after it
+// must leave every table of every node, and every view row's provenance
+// expression, as a clean run leaves them, after each quiescence. A path
+// list left in the wave scratch reads back as poison; a node read from
+// the decode scratch after its frame fails to render.
 func TestScratchPoisonMatchesClean(t *testing.T) {
+	for _, prov := range []provenance.Mode{provenance.ModeNone, provenance.ModeCondensed} {
+		t.Run(prov.String(), func(t *testing.T) { scratchPoisonMatchesClean(t, prov) })
+	}
+}
+
+func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 6})
 	run := func() []string {
-		n, err := NewNetwork(Config{Source: BestPath, Graph: g})
+		n, err := NewNetwork(Config{Source: BestPath, Graph: g, Prov: prov})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := n.Driver()
 		snap := func() string {
 			var b strings.Builder
+			view := d.ReadView()
 			for _, name := range n.Nodes() {
 				e := n.Node(name).Engine
 				for _, pred := range e.Predicates() {
 					for _, tu := range e.Tuples(pred) {
 						fmt.Fprintf(&b, "%s: %s\n", name, tu)
+					}
+					for _, row := range view.Rows(name, pred) {
+						fmt.Fprintf(&b, "%s view: %s %s\n", name, row.Tuple, row.Prov)
 					}
 				}
 			}
@@ -41,7 +58,6 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		snaps := []string{snap()}
-		d := n.Driver()
 		ctx := context.Background()
 		settle := func(err error) {
 			t.Helper()
@@ -61,7 +77,9 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 	}
 	clean := run()
 	restore := engine.PoisonScratchForTesting()
+	poisonWire.Store(true)
 	poisoned := run()
+	poisonWire.Store(false)
 	restore()
 	for i := range clean {
 		if poisoned[i] != clean[i] {
@@ -70,5 +88,8 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 	}
 	if !strings.Contains(clean[0], "bestPath") {
 		t.Fatal("the batch run derived no bestPath rows")
+	}
+	if prov == provenance.ModeCondensed && !strings.Contains(clean[len(clean)-1], "view: bestPath") {
+		t.Fatal("the view holds no bestPath rows")
 	}
 }

@@ -154,17 +154,23 @@ func (f *frame) appendSigned(b []byte) []byte {
 // encodeProv writes the provenance of a data frame's items the way its
 // mode ships it: one table for the whole frame under ModeCondensed, one
 // payload per item under ModeLocal and ModeDistributed, nothing under
-// ModeNone.
-func (f *frame) encodeProv(tr *provenance.Tracker) {
+// ModeNone. A table is appended to the sender's round arena (w.table),
+// capped so that nothing appended to one frame's table can reach into
+// the next one's.
+func (f *frame) encodeProv(tr *provenance.Tracker, w *nodeWire) {
 	switch f.mode {
 	case provenance.ModeNone:
 	case provenance.ModeCondensed:
-		anns := make([]engine.Annotation, len(f.items))
-		for i, it := range f.items {
-			anns[i] = it.ann
+		w.anns = w.anns[:0]
+		for _, it := range f.items {
+			w.anns = append(w.anns, it.ann)
 		}
+		s := len(w.table)
 		var refs []uint64
-		f.table, refs = tr.AppendTable(nil, anns)
+		w.table, refs = tr.AppendTable(w.table, w.anns)
+		clear(w.anns)
+		e := len(w.table)
+		f.table = w.table[s:e:e]
 		for i, ref := range refs {
 			f.items[i].ref = ref + 1
 		}
@@ -188,7 +194,7 @@ func (f *frame) decodeProv(tr *provenance.Tracker) error {
 	if f.mode == provenance.ModeNone {
 		return nil
 	}
-	var tab []bdd.Node
+	var tab []bdd.Node // the manager's decode scratch: copied out here, at once
 	if f.mode == provenance.ModeCondensed {
 		var err error
 		if tab, err = tr.DecodeTable(f.table); err != nil {
@@ -198,13 +204,16 @@ func (f *frame) decodeProv(tr *provenance.Tracker) error {
 	for i := range f.items {
 		it := &f.items[i]
 		if it.ref > 0 {
-			it.ann = tab[it.ref-1]
+			it.ann = tr.Annotation(tab[it.ref-1])
 			continue
 		}
 		var err error
 		if it.ann, err = tr.Import(it.tuple, it.prov); err != nil {
 			return fmt.Errorf("%w: provenance of item %d: %v", ErrBadEnvelope, i, err)
 		}
+	}
+	if tab != nil && poisonWire.Load() {
+		tr.Manager().PoisonDecodeForTesting()
 	}
 	return nil
 }

@@ -173,7 +173,7 @@ func condensedFrame(table []byte, refs ...uint64) *frame {
 func TestCondensedFixtureTable(t *testing.T) {
 	m := bdd.New()
 	b, c := m.Var("b"), m.Var("c")
-	table, refs := m.AppendTable(nil, []bdd.Node{m.And(b, c), c})
+	table, refs := m.AppendTable(nil, nil, []bdd.Node{m.And(b, c), c})
 	if !bytes.Equal(table, condensedTable) || refs[0] != 3 || refs[1] != 2 {
 		t.Fatalf("AppendTable(<b*c>, <c>) = %x %v, want the fixture's %x [3 2]", table, refs, condensedTable)
 	}

@@ -208,7 +208,7 @@ func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTup
 			g.min = val
 			g.hasMinMax = true
 			if !e.noProv {
-				g.witnessBodies = append([]AnnTuple{}, body...)
+				g.witnessBodies = body
 			}
 		}
 	case datalog.AggMax:
@@ -216,7 +216,7 @@ func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTup
 			g.max = val
 			g.hasMinMax = true
 			if !e.noProv {
-				g.witnessBodies = append([]AnnTuple{}, body...)
+				g.witnessBodies = body
 			}
 		}
 	}

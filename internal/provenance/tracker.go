@@ -3,6 +3,7 @@ package provenance
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"provnet/internal/auth"
 	"provnet/internal/bdd"
@@ -78,6 +79,15 @@ type Tracker struct {
 	// guarded by what guards mgr: one node task, or the driver's run
 	// lock, at a time.
 	exprs map[bdd.Node]string
+	// boxes holds each node of mgr as an engine.Annotation, boxed once:
+	// a Node is an int32, and converting one of 256 or more to an
+	// interface allocates. Like exprs it only grows, with mgr.
+	boxes []engine.Annotation
+	// buf, roots and refs are ExprOf's and AppendTable's scratch,
+	// reused call after call.
+	buf   []byte
+	roots []bdd.Node
+	refs  []uint64
 	// derivCounter drives sampling.
 	derivCounter int
 }
@@ -105,6 +115,18 @@ func (tr *Tracker) Manager() *bdd.Manager { return tr.mgr }
 
 // Mode returns the tracker's mode.
 func (tr *Tracker) Mode() Mode { return tr.cfg.Mode }
+
+// Annotation returns n as the engine annotation of a condensed tuple, the
+// one box of n this tracker keeps. ModeCondensed only.
+func (tr *Tracker) Annotation(n bdd.Node) engine.Annotation {
+	if size := tr.mgr.NumNodes(); int(n) >= len(tr.boxes) {
+		tr.boxes = slices.Grow(tr.boxes, size-len(tr.boxes))[:size]
+	}
+	if tr.boxes[n] == nil {
+		tr.boxes[n] = n
+	}
+	return tr.boxes[n]
+}
 
 func (tr *Tracker) now() float64 {
 	if tr.cfg.Clock != nil {
@@ -148,7 +170,7 @@ func (tr *Tracker) Base(t data.Tuple) engine.Annotation {
 	case ModeDistributed:
 		return Ref{Node: tr.cfg.Self, Key: tr.cfg.Store.RecordBase(t, tr.now())}
 	case ModeCondensed:
-		return tr.mgr.Var(principalVar(t, tr.cfg.Self))
+		return tr.Annotation(tr.mgr.Var(principalVar(t, tr.cfg.Self)))
 	default:
 		return nil
 	}
@@ -188,7 +210,7 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 		return ref, nil
 	case ModeCondensed:
 		if len(payload) == 0 {
-			return tr.mgr.Var(principalVar(t, "")), nil
+			return tr.Annotation(tr.mgr.Var(principalVar(t, ""))), nil
 		}
 		ref, n := binary.Uvarint(payload)
 		if n <= 0 {
@@ -201,7 +223,7 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 		if ref >= uint64(len(nodes)) {
 			return nil, fmt.Errorf("%w: root ref %d past a table of %d", bdd.ErrBadEncoding, ref, len(nodes))
 		}
-		return nodes[ref], nil
+		return tr.Annotation(nodes[ref]), nil
 	default:
 		return nil, nil
 	}
@@ -245,7 +267,7 @@ func (tr *Tracker) Derive(rule, node string, head data.Tuple, body []engine.AnnT
 				acc = tr.mgr.And(acc, tr.mgr.Var(principalVar(b.Tuple, tr.cfg.Self)))
 			}
 		}
-		return acc
+		return tr.Annotation(acc)
 	default:
 		return nil
 	}
@@ -274,8 +296,10 @@ func (tr *Tracker) Merge(existing, incoming engine.Annotation) (engine.Annotatio
 		if !ok1 || !ok2 {
 			return existing, false
 		}
-		merged := tr.mgr.Or(en, in)
-		return merged, merged != en
+		if merged := tr.mgr.Or(en, in); merged != en {
+			return tr.Annotation(merged), true
+		}
+		return existing, false
 	default:
 		return existing, false
 	}
@@ -304,7 +328,7 @@ func (tr *Tracker) Export(t data.Tuple, ann engine.Annotation) []byte {
 		return b
 	case ModeCondensed:
 		if n, ok := ann.(bdd.Node); ok {
-			table, refs := tr.mgr.AppendTable(nil, []bdd.Node{n})
+			table, refs := tr.mgr.AppendTable(nil, nil, []bdd.Node{n})
 			return append(binary.AppendUvarint(make([]byte, 0, 1+len(table)), refs[0]), table...)
 		}
 		return nil
@@ -315,19 +339,22 @@ func (tr *Tracker) Export(t data.Tuple, ann engine.Annotation) []byte {
 
 // AppendTable appends to b the one BDD table (bdd.AppendTable) that
 // carries the condensed annotations of a data frame's tuples, and returns
-// each annotation's ref into it. ModeCondensed only, where every
+// each annotation's ref into it, in the tracker's scratch: the refs are
+// valid until its next AppendTable. ModeCondensed only, where every
 // annotation the engine holds is this tracker's BDD.
 func (tr *Tracker) AppendTable(b []byte, anns []engine.Annotation) ([]byte, []uint64) {
-	roots := make([]bdd.Node, len(anns))
-	for i, ann := range anns {
-		roots[i] = ann.(bdd.Node)
+	tr.roots = tr.roots[:0]
+	for _, ann := range anns {
+		tr.roots = append(tr.roots, ann.(bdd.Node))
 	}
-	return tr.mgr.AppendTable(b, roots)
+	b, tr.refs = tr.mgr.AppendTable(b, tr.refs[:0], tr.roots)
+	return b, tr.refs
 }
 
 // DecodeTable decodes a data frame's table into the node's manager, once
-// for all the frame's tuples: table ref r names nodes[r]. ModeCondensed
-// only.
+// for all the frame's tuples: table ref r names nodes[r], in the
+// manager's scratch until its next decode (bdd.DecodeTable); Annotation
+// copies a node out. ModeCondensed only.
 func (tr *Tracker) DecodeTable(b []byte) (nodes []bdd.Node, err error) {
 	return tr.mgr.DecodeTable(b)
 }
@@ -417,7 +444,8 @@ func (tr *Tracker) ExprOf(ann engine.Annotation) string {
 	}
 	s, ok := tr.exprs[n]
 	if !ok {
-		s = "<" + tr.mgr.Expr(n) + ">"
+		tr.buf = append(tr.mgr.AppendExpr(append(tr.buf[:0], '<'), n), '>')
+		s = string(tr.buf)
 		tr.exprs[n] = s
 	}
 	return s

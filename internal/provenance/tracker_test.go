@@ -127,7 +127,7 @@ func TestExprOfMatchesUncached(t *testing.T) {
 	for i := range 60 {
 		n := random(mgr)
 		if i%3 == 2 {
-			table, refs := other.AppendTable(nil, []bdd.Node{random(other)})
+			table, refs := other.AppendTable(nil, nil, []bdd.Node{random(other)})
 			nodes, err := mgr.DecodeTable(table)
 			if err != nil {
 				t.Fatal(err)

@@ -94,8 +94,6 @@ type (
 	Store = core.Store
 	// StoreEvent is one table change (insert/retract/expire/annotation).
 	StoreEvent = core.StoreEvent
-	// StoreEventKind discriminates StoreEvent.
-	StoreEventKind = core.EventKind
 	// StoreState is the replayed materialization of an event stream.
 	StoreState = core.StoreState
 	// MemStore applies events to an in-memory StoreState (testing and

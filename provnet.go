@@ -214,11 +214,6 @@ type (
 	DerivationTree = provenance.Tree
 	// ProvQueryOpts configures traceback queries.
 	ProvQueryOpts = provenance.QueryOpts
-	// ProvQueryStats meters traceback cost.
-	ProvQueryStats = provenance.QueryStats
-	// ProvStore is a node's online/offline provenance store
-	// (ModeDistributed only; Node.Store is nil in the other modes).
-	ProvStore = provenance.Store
 	// Poly is a provenance polynomial (N[X]) over principals.
 	Poly = semiring.Poly
 )
@@ -264,8 +259,6 @@ var (
 type (
 	// TrustPolicy decides on updates from their provenance.
 	TrustPolicy = trust.Policy
-	// TrustDecision is a policy outcome.
-	TrustDecision = trust.Decision
 	// TrustGate audits an update stream against a policy.
 	TrustGate = trust.Gate
 	// TrustLevels maps principals to security levels.
@@ -278,13 +271,9 @@ type (
 	// level; KVotesPolicy needs k independent derivations.
 	MinLevelPolicy = trust.MinLevel
 	KVotesPolicy   = trust.KVotes
-	// WhitelistPolicy / BlacklistPolicy filter by deriving principals.
-	WhitelistPolicy = trust.Whitelist
+	// BlacklistPolicy rejects updates whose every derivation involves a
+	// banned principal.
 	BlacklistPolicy = trust.Blacklist
-	// AllPolicies / AnyPolicy combine policies conjunctively /
-	// disjunctively.
-	AllPolicies = trust.All
-	AnyPolicy   = trust.Any
 )
 
 // NewTrustGate builds a policy gate with an audit log.
