@@ -3,7 +3,9 @@
 // mechanical form of the standing guardrails: determinism of the
 // order-pinned paths (mapiter, detpath), the Key() wire/provenance
 // contract (keystring), the architecture map's import boundaries
-// (layering), and the obs nil-safety contract (nilmetrics). See
+// (layering), the obs nil-safety contract (nilmetrics), and no
+// per-pass heap box for an if or switch init variable whose address
+// escapes (initaddr). See
 // docs/LINTING.md.
 //
 // Usage:

@@ -85,7 +85,7 @@ func TestListAndChecksFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-list: %v\n%s", err, out)
 	}
-	for _, name := range []string{"mapiter", "detpath", "keystring", "layering", "nilmetrics"} {
+	for _, name := range []string{"mapiter", "detpath", "keystring", "layering", "nilmetrics", "initaddr"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out)
 		}

@@ -358,30 +358,32 @@ func (s *SessionSealer) AcceptHandshake(self string, frame []byte) (string, erro
 	return src, nil
 }
 
-// Seal MACs payload under the link's outbound session key. The tag
-// carries the key epoch so the receiver selects the right key across
-// rekey boundaries.
+// Seal MACs payload alone: SealBatch with one envelope.
 func (s *SessionSealer) Seal(src, dst string, payload []byte) ([]byte, error) {
-	s.mu.Lock()
-	sess, ok := s.out[link{src, dst}]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s->%s", ErrNoSession, src, dst)
-	}
-	tag := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+sha256.Size), sess.epoch)
-	sess.mac.Reset()
-	sess.mac.Write(payload)
-	s.sealed.Add(1)
-	return sess.mac.Sum(tag), nil
+	one := [1]Envelope{{Dst: dst, Payload: payload}}
+	_, err := s.SealBatch(src, one[:])
+	return one[0].Tag, err
 }
 
-// SealBatch MACs each envelope under its own link's session key.
+// SealBatch MACs each envelope under its own link's session key. A tag
+// carries the key epoch so the receiver selects the right key across
+// rekey boundaries. The batch's tags are cut from one buffer.
 func (s *SessionSealer) SealBatch(src string, batch []Envelope) (int, error) {
-	for i := range batch {
-		var err error
-		if batch[i].Tag, err = s.Seal(src, batch[i].Dst, batch[i].Payload); err != nil {
-			return 0, err
+	buf := make([]byte, 0, len(batch)*(binary.MaxVarintLen64+sha256.Size))
+	for i, e := range batch {
+		s.mu.Lock()
+		sess, ok := s.out[link{src, e.Dst}]
+		s.mu.Unlock()
+		if !ok {
+			return 0, fmt.Errorf("%w: %s->%s", ErrNoSession, src, e.Dst)
 		}
+		lo := len(buf)
+		buf = binary.AppendUvarint(buf, sess.epoch)
+		sess.mac.Reset()
+		sess.mac.Write(e.Payload)
+		buf = sess.mac.Sum(buf)
+		batch[i].Tag = buf[lo:len(buf):len(buf)]
+		s.sealed.Add(1)
 	}
 	return 0, nil
 }

@@ -97,7 +97,7 @@ func TestRetractRoundShipsWithoutEvaluating(t *testing.T) {
 	// Over-delete n1's link to n2, as applyLink does for a CutLink, and
 	// put one data frame in flight from n2 to n3.
 	n1 := n.Node("n1")
-	n1.pendingRetract = n1.Engine.BeginRetractFacts(data.NewTuple("link", data.Str("n1"), data.Str("n2"), data.Int(1)))
+	n1.pendingRetract = append(n1.pendingRetract, n1.Engine.BeginRetractFacts(data.NewTuple("link", data.Str("n1"), data.Str("n2"), data.Int(1)))...)
 	if len(n1.pendingRetract) == 0 {
 		t.Fatal("cutting n1→n2 queued no withdrawal")
 	}

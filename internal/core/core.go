@@ -200,24 +200,31 @@ type Node struct {
 // the outbound grouping of withdrawals and exports by destination, the
 // frames made from them, the condensed provenance tables of the round's
 // data frames back to back (table; anns gathers one frame's annotations
-// for it), and the inbound frames. Nothing in it outlives the phase that
-// fills it — a sent frame is bytes in the transport, a delivered one rows
-// in the engine — so each phase starts it over instead of allocating it
-// anew.
+// for it), the withdrawals the round took (taken), and the inbound
+// frames and withdrawals. Nothing in it outlives the phase that fills it
+// — a sent frame is bytes in the transport, a delivered one rows in the
+// engine — so each phase starts it over instead of allocating it anew.
 type nodeWire struct {
 	retracts, exports destGroups
 	frames            []outFrame
 	table             []byte
 	anns              []engine.Annotation
+	taken             []engine.Withdrawal
 	out, in           framePool
 	delivered         []*frame
+	inbound           []engine.InboundRetraction
 }
 
-// poisonWire makes sent overwrite the round's table arena, and decodeProv
+// poisonWire makes sent overwrite the round's table arena, decodeProv
 // the manager's decode scratch once it has copied a frame's annotations
-// out, so a table or node kept past its phase reads wrong instead of
-// stale. Tests set it.
+// out, and the import phase the drained inbox and the inbound
+// withdrawals once they are applied, so a table, node, datagram or
+// withdrawal kept past its phase reads wrong instead of stale. Tests set
+// it.
 var poisonWire atomic.Bool
+
+// wirePoison is what poisonWire leaves in the import phase's scratch.
+const wirePoison = "\x00scratch poison"
 
 // outFrames returns the empty frame list to build a round's frames in.
 func (w *nodeWire) outFrames() []outFrame {
@@ -303,10 +310,13 @@ func (p *framePool) done() {
 	p.n = 0
 }
 
-// takeRetracts drains the node's pending withdrawals.
+// takeRetracts drains the node's pending withdrawals for the round's
+// export phase. The array the previous take handed out comes back,
+// cleared, to collect the next ones: its frames have shipped.
 func (nd *Node) takeRetracts() []engine.Withdrawal {
 	ws := nd.pendingRetract
-	nd.pendingRetract = nil
+	clear(nd.wire.taken)
+	nd.pendingRetract, nd.wire.taken = nd.wire.taken[:0], ws
 	return ws
 }
 
@@ -385,6 +395,17 @@ type Network struct {
 	decoders struct {
 		sync.Mutex
 		free []*data.Decoder
+	}
+	// pool is forEachNode's multi-worker scratch, reused call after call:
+	// one progress flag and one error per node in n.order, the next node
+	// to claim, and whether a node failed. Rounds run one at a time, so
+	// calls never overlap.
+	pool struct {
+		prog   []bool
+		errs   []error
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
 	}
 	// syms is the read-only table received frames decode their strings
 	// through (frameSymbols).
@@ -676,9 +697,7 @@ func (n *Network) onEngineUpdate(name string, t data.Tuple, kind engine.UpdateKi
 		if nd != nil && n.cfg.Prov == provenance.ModeCondensed && (ev.Kind == EvInsert || ev.Kind == EvProv) {
 			ev.Prov = nd.Tracker.ExprOf(nd.Engine.AnnotationOf(t))
 		}
-		if err := n.store.Append(ev); err != nil {
-			n.storeErr.CompareAndSwap(nil, &err)
-		}
+		n.latchStoreErr(n.store.Append(ev))
 	}
 	if kind != engine.UpdateAnnotation {
 		if d := n.drv; d != nil {
@@ -693,9 +712,7 @@ func (n *Network) FlushStore() error {
 	if n.store == nil {
 		return nil
 	}
-	if err := n.store.Flush(); err != nil {
-		n.storeErr.CompareAndSwap(nil, &err)
-	}
+	n.latchStoreErr(n.store.Flush())
 	return n.StoreErr()
 }
 
@@ -709,16 +726,23 @@ func (n *Network) sealStore() error {
 	if n.nm != nil {
 		start = time.Now() //provlint:allow detpath metrics flush timing, outside the deterministic state
 	}
-	if err := n.store.Seal(); err != nil {
-		n.storeErr.CompareAndSwap(nil, &err)
-	}
-	if err := n.store.Flush(); err != nil {
-		n.storeErr.CompareAndSwap(nil, &err)
-	}
+	n.latchStoreErr(n.store.Seal())
+	n.latchStoreErr(n.store.Flush())
 	if n.nm != nil {
 		n.nm.flushSec.Observe(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics flush timing, outside the deterministic state
 	}
 	return n.StoreErr()
+}
+
+// latchStoreErr keeps err as the Store's first error; nil keeps nothing.
+// Only the error branch declares the copy whose address escapes: a
+// variable declared in an if statement's init and taken by address would
+// be heap-allocated on every call, successful appends included.
+func (n *Network) latchStoreErr(err error) {
+	if err != nil {
+		first := err
+		n.storeErr.CompareAndSwap(nil, &first)
+	}
 }
 
 // StoreErr returns the first error the configured Store reported, or nil.
@@ -832,30 +856,11 @@ func (n *Network) runRound(ctx context.Context, evaluate bool) (bool, error) {
 	if n.session != nil {
 		n.session.BeginRound()
 	}
-	exported, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-		retracts := node.takeRetracts()
-		var exports []engine.Export
-		if evaluate {
-			exports = node.Engine.RunToFixpoint()
-		}
-		if len(retracts) == 0 && len(exports) == 0 {
-			return false, nil
-		}
-		// Retract frames go ahead of the round's data frames, so receivers
-		// withdraw before they integrate new state.
-		frames, err := n.buildRetractFrames(node.wire.outFrames(), name, retracts)
-		if err == nil {
-			frames, err = n.buildExportFrames(frames, name, exports)
-		}
-		if err != nil {
-			return false, err
-		}
-		return true, n.sealAndSend(name, frames)
-	})
+	exported, err := n.forEachNode(ctx, (*Network).exportNode, evaluate)
 	if err != nil {
 		return false, err
 	}
-	imported, err := n.importPhase(ctx, evaluate)
+	imported, err := n.forEachNode(ctx, (*Network).importNode, evaluate)
 	if err != nil {
 		return false, err
 	}
@@ -869,47 +874,76 @@ func (n *Network) runRound(ctx context.Context, evaluate bool) (bool, error) {
 	return exported || imported, nil
 }
 
-// importPhase drains and applies every node's inbox: the second half of
-// a scheduler round. repair is the round's evaluate (see deliverAll).
-func (n *Network) importPhase(ctx context.Context, repair bool) (bool, error) {
-	return n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-		msgs := n.net.Drain(name)
-		var start time.Time
-		if n.nm != nil {
-			start = time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
-			n.nm.deltasIn.Add(int64(len(msgs)))
+// exportNode is a node's task in a round's export phase: it ships the
+// withdrawals the node owes and, when evaluate is set, runs it to its
+// local fixpoint and ships its exports.
+func (n *Network) exportNode(name string, node *Node, evaluate bool) (bool, error) {
+	retracts := node.takeRetracts()
+	var exports []engine.Export
+	if evaluate {
+		exports = node.Engine.RunToFixpoint()
+	}
+	if len(retracts) == 0 && len(exports) == 0 {
+		return false, nil
+	}
+	// Retract frames go ahead of the round's data frames, so receivers
+	// withdraw before they integrate new state.
+	frames, err := n.buildRetractFrames(node.wire.outFrames(), name, retracts)
+	if err == nil {
+		frames, err = n.buildExportFrames(frames, name, exports)
+	}
+	if err != nil {
+		return false, err
+	}
+	return true, n.sealAndSend(name, frames)
+}
+
+// importNode is a node's task in a round's import phase, the second half
+// of the round: it drains and applies the node's inbox. repair is the
+// round's evaluate (see deliverAll).
+func (n *Network) importNode(name string, node *Node, repair bool) (bool, error) {
+	msgs := n.net.Drain(name)
+	var start time.Time
+	if n.nm != nil {
+		start = time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
+		n.nm.deltasIn.Add(int64(len(msgs)))
+	}
+	w := &node.wire
+	ds := w.delivered[:0]
+	dec := n.takeDecoder()
+	for _, msg := range msgs {
+		d := w.in.get()
+		deliver, err := n.decodeVerify(name, msg, d, dec)
+		if err != nil {
+			// Decoding precedes authentication, so anyone who can
+			// reach the socket can send garbage: drop and count it
+			// like unverifiable input, never fail the run. The
+			// decoder may hold part of a run: swap it for a new one.
+			n.rejectedSig.Add(1)
+			dec.Release()
+			dec = data.NewDecoder(n.syms)
 		}
-		w := &node.wire
-		ds := w.delivered[:0]
-		dec := n.takeDecoder()
-		for _, msg := range msgs {
-			d := w.in.get()
-			deliver, err := n.decodeVerify(name, msg, d, dec)
-			if err != nil {
-				// Decoding precedes authentication, so anyone who can
-				// reach the socket can send garbage: drop and count it
-				// like unverifiable input, never fail the run. The
-				// decoder may hold part of a run: swap it for a new one.
-				n.rejectedSig.Add(1)
-				dec.Release()
-				dec = data.NewDecoder(n.syms)
-			}
-			if !deliver {
-				w.in.n-- // d is free for the next datagram
-				continue
-			}
-			ds = append(ds, d)
+		if !deliver {
+			w.in.n-- // d is free for the next datagram
+			continue
 		}
-		n.putDecoder(dec)
-		if n.nm != nil {
-			n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
+		ds = append(ds, d)
+	}
+	n.putDecoder(dec)
+	if n.nm != nil {
+		n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
+	}
+	n.deliverAll(name, node, ds, repair)
+	clear(ds)
+	w.delivered = ds[:0]
+	w.in.done()
+	if poisonWire.Load() {
+		// The transport takes the array back at the next Drain.
+		for i := range msgs {
+			msgs[i] = netsim.Message{From: wirePoison, To: wirePoison, Payload: []byte(wirePoison)}
 		}
-		n.deliverAll(name, node, ds, repair)
-		clear(ds)
-		w.delivered = ds[:0]
-		w.in.done()
-		return len(msgs) > 0, nil
-	})
+	}
+	return len(msgs) > 0, nil
 }
 
 // takeDecoder takes a frame decoder off the free list, or a new one.
@@ -979,13 +1013,7 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 			}
 			rounds++
 		}
-		completed, err := n.forEachNode(ctx, func(name string, node *Node) (bool, error) {
-			if !node.Engine.HasPendingRetract() {
-				return false, nil
-			}
-			node.pendingRetract = append(node.pendingRetract, node.Engine.CompleteRetract()...)
-			return true, nil
-		})
+		completed, err := n.forEachNode(ctx, (*Network).repairNode, false)
 		if err != nil {
 			return rounds, err
 		}
@@ -995,20 +1023,37 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 	}
 }
 
-// forEachNode applies f to every node: on a pool of GOMAXPROCS workers,
+// repairNode runs a node's repair phase, if over-deleted state awaits
+// one, and queues the withdrawals it produced.
+func (n *Network) repairNode(_ string, node *Node, _ bool) (bool, error) {
+	if !node.Engine.HasPendingRetract() {
+		return false, nil
+	}
+	node.pendingRetract = append(node.pendingRetract, node.Engine.CompleteRetract()...)
+	return true, nil
+}
+
+// nodeTask is one node's share of a scheduler phase; flag is the phase's
+// argument (a round's evaluate). forEachNode takes the tasks as method
+// expressions, which capture nothing and so cost no allocation per call.
+type nodeTask func(n *Network, name string, node *Node, flag bool) (bool, error)
+
+// forEachNode applies task to every node: on a pool of GOMAXPROCS workers,
 // or one after another under Config.Sequential (the reference schedule
-// the pool is pinned against). It returns the OR of the progress flags
-// and the first error in scheduler (node registration) order. A
-// cancelled ctx aborts between node tasks (the mid-round cancellation
-// point of the lifecycle API) and reports the context's error.
-func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Node) (bool, error)) (bool, error) {
-	if n.cfg.Sequential || len(n.order) == 1 {
+// the pool is pinned against) and wherever the pool would have one
+// worker. It returns the OR of the progress flags and the first error in
+// scheduler (node registration) order. A cancelled ctx aborts between
+// node tasks (the mid-round cancellation point of the lifecycle API) and
+// reports the context's error.
+func (n *Network) forEachNode(ctx context.Context, task nodeTask, flag bool) (bool, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(n.order))
+	if n.cfg.Sequential || workers <= 1 {
 		progress := false
 		for _, name := range n.order {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
-			p, err := f(name, n.nodes[name])
+			p, err := task(n, name, n.nodes[name], flag)
 			if err != nil {
 				return false, err
 			}
@@ -1016,42 +1061,49 @@ func (n *Network) forEachNode(ctx context.Context, f func(name string, node *Nod
 		}
 		return progress, nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(n.order) {
-		workers = len(n.order)
+	p := &n.pool
+	if len(p.prog) != len(n.order) {
+		p.prog = make([]bool, len(n.order))
+		p.errs = make([]error, len(n.order))
 	}
-	prog := make([]bool, len(n.order))
-	errs := make([]error, len(n.order))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(n.order) || failed.Load() || ctx.Err() != nil {
-					return
-				}
-				name := n.order[i]
-				prog[i], errs[i] = f(name, n.nodes[name])
-				if errs[i] != nil {
-					failed.Store(true) // fail fast: stop claiming more nodes
-				}
+	// A failure stops the claiming, so the nodes after it keep no
+	// earlier call's result.
+	clear(p.prog)
+	clear(p.errs)
+	p.next.Store(0)
+	p.failed.Store(false)
+	// The caller is one of the workers: a go statement with no arguments
+	// allocates nothing, so the call costs this one closure whatever the
+	// pool's width.
+	work := func() {
+		defer p.wg.Done()
+		for {
+			i := int(p.next.Add(1)) - 1
+			if i >= len(n.order) || p.failed.Load() || ctx.Err() != nil {
+				return
 			}
-		}()
+			name := n.order[i]
+			p.prog[i], p.errs[i] = task(n, name, n.nodes[name], flag)
+			if p.errs[i] != nil {
+				p.failed.Store(true) // fail fast: stop claiming more nodes
+			}
+		}
 	}
-	wg.Wait()
+	p.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	p.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
 	progress := false
 	for i := range n.order {
-		if errs[i] != nil {
-			return false, errs[i]
+		if p.errs[i] != nil {
+			return false, p.errs[i]
 		}
-		progress = progress || prog[i]
+		progress = progress || p.prog[i]
 	}
 	return progress, nil
 }
@@ -1256,7 +1308,7 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) 
 	if len(ds) > 0 {
 		n.markActive(name)
 	}
-	var inbound []engine.InboundRetraction
+	inbound := node.wire.inbound[:0]
 	for _, d := range ds {
 		if d.kind == kindRetract {
 			for _, it := range d.items {
@@ -1277,6 +1329,14 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) 
 		}
 		node.pendingRetract = append(node.pendingRetract, ws...)
 	}
+	if poisonWire.Load() {
+		for i := range inbound {
+			inbound[i] = engine.InboundRetraction{From: wirePoison, Tuple: data.NewTuple(wirePoison)}
+		}
+	} else {
+		clear(inbound)
+	}
+	node.wire.inbound = inbound[:0]
 }
 
 // deliver inserts one verified data frame at node name, with per-tuple

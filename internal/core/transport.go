@@ -21,9 +21,11 @@ import (
 //   - Send enqueues one datagram for a destination node and charges its
 //     bytes to the stats. Sends to unknown destinations are counted as
 //     drops and return an error.
-//   - Drain removes and returns everything queued for one node. Datagrams
-//     from one sender MUST be delivered in send order (the session
-//     handshake precedes the data frames it unlocks). The in-memory
+//   - Drain removes and returns everything queued for one node. The
+//     slice is valid until that node's next Drain (the transport may
+//     take its array back then); the payloads stay the caller's.
+//     Datagrams from one sender MUST be delivered in send order (the
+//     session handshake precedes the data frames it unlocks). The in-memory
 //     fabric additionally guarantees the deterministic
 //     (sender-registration, per-sender send) total order the
 //     bit-equality pins rely on; a socket transport only promises the
@@ -41,7 +43,8 @@ type Transport interface {
 	AddNode(name string)
 	// Send enqueues a datagram, charging its bytes.
 	Send(from, to string, payload []byte) error
-	// Drain removes and returns all datagrams queued for a local node.
+	// Drain removes and returns all datagrams queued for a local node;
+	// the slice is valid until the node's next Drain.
 	Drain(to string) []netsim.Message
 	// PendingCount reports the total local inbound backlog.
 	PendingCount() int
@@ -78,9 +81,7 @@ type Transport interface {
 func (n *Network) Close() error {
 	err := n.Driver().Close()
 	if n.store != nil {
-		if serr := n.store.Close(); serr != nil {
-			n.storeErr.CompareAndSwap(nil, &serr)
-		}
+		n.latchStoreErr(n.store.Close())
 		if err == nil {
 			err = n.StoreErr()
 		}

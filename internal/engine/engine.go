@@ -180,12 +180,16 @@ type Engine struct {
 	// pend accumulates over-deletion state between BeginRetract* and the
 	// CompleteRetract that repairs it (see retract.go). spare is a repaired
 	// one, reset, and wq the withdrawal set, both kept for the next
-	// retraction instead of allocated anew. work is over-deletion's queue,
-	// cands the re-derivation's candidates by predicate, repairBuf a
-	// repair's firings and revived a shadow revival's rows, each reused.
+	// retraction instead of allocated anew. begun and completed are the
+	// arrays the two phases return their withdrawals in. work is
+	// over-deletion's queue, cands the re-derivation's candidates by
+	// predicate, repairBuf a repair's firings and revived a shadow
+	// revival's rows, each reused.
 	pend      *retractPending
 	spare     *retractPending
 	wq        *pairSet
+	begun     []Withdrawal
+	completed []Withdrawal
 	work      []retractItem
 	cands     map[string][]*pair
 	repairBuf []pending

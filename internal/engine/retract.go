@@ -232,10 +232,12 @@ func (s *pairSet) addAll(o *pairSet) {
 	}
 }
 
-// withdrawals lists the set's pairs in insertion order: an outbound
-// retraction queue, deduplicated by (destination, tuple).
-func (s *pairSet) withdrawals() []Withdrawal {
-	var out []Withdrawal
+// withdrawals lists the set's pairs in insertion order into out's
+// array: an outbound retraction queue, deduplicated by (destination,
+// tuple).
+func (s *pairSet) withdrawals(out []Withdrawal) []Withdrawal {
+	clear(out)
+	out = out[:0]
 	for p := s.first; p != nil; p = p.after {
 		if !p.gone {
 			out = append(out, Withdrawal{Dest: p.dest, Tuple: p.t})
@@ -356,7 +358,8 @@ type InboundRetraction struct {
 // RetractFacts removes tuples from this node outright — the engine half
 // of CutLink/SetLink — cascading through everything derived from them.
 // Both phases run back to back; the returned withdrawals must be shipped
-// to their destination nodes, which apply them via RetractInbound.
+// to their destination nodes, which apply them via RetractInbound. The
+// slice is the engine's, as BeginRetractFacts's is.
 func (e *Engine) RetractFacts(tuples ...data.Tuple) []Withdrawal {
 	ws := e.BeginRetractFacts(tuples...)
 	return append(ws, e.CompleteRetract()...)
@@ -372,7 +375,9 @@ func (e *Engine) RetractInbound(items []InboundRetraction) []Withdrawal {
 }
 
 // BeginRetractFacts is the over-delete phase for explicit fact
-// retraction.
+// retraction. The withdrawals it returns sit in an array of the engine's,
+// valid until the next Begin call or single-call form; a caller that
+// keeps them copies them out.
 func (e *Engine) BeginRetractFacts(tuples ...data.Tuple) []Withdrawal {
 	items := e.work[:0]
 	for _, t := range tuples {
@@ -382,6 +387,7 @@ func (e *Engine) BeginRetractFacts(tuples ...data.Tuple) []Withdrawal {
 }
 
 // BeginRetractInbound is the over-delete phase for inbound withdrawals.
+// Its result is the engine's, as BeginRetractFacts's is.
 func (e *Engine) BeginRetractInbound(items []InboundRetraction) []Withdrawal {
 	ri := e.work[:0]
 	for _, it := range items {
@@ -400,14 +406,16 @@ func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
 	wq := e.withdrawalSet()
 	e.overdelete(items, wq)
 	e.pend.shipped.addAll(wq)
-	return wq.withdrawals()
+	e.begun = wq.withdrawals(e.begun)
+	return e.begun
 }
 
 // CompleteRetract runs the repair phase over the accumulated
 // over-deletion state: shadow revival, head-bound re-derivation, and
 // the touched aggregate groups' recount, iterating while aggregate heads
 // keep vanishing. It returns the additional withdrawals those cascades
-// produced (to be shipped like Begin's).
+// produced (to be shipped like Begin's), in an array of the engine's
+// valid until the next CompleteRetract or single-call form.
 func (e *Engine) CompleteRetract() []Withdrawal {
 	if e.pend == nil || e.pend.empty() {
 		if e.pend != nil {
@@ -460,7 +468,8 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 		e.exports = kept
 	}
 	e.compactTables()
-	return wq.withdrawals()
+	e.completed = wq.withdrawals(e.completed)
+	return e.completed
 }
 
 // pruneGroup pairs an aggregate-selection spec with one of its touched

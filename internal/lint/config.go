@@ -37,6 +37,10 @@ type Config struct {
 	// package map.
 	Layers []LayerRule
 
+	// InitAddrPkgs are the hot-path packages, where an if or switch
+	// init variable must not have its address taken.
+	InitAddrPkgs []string
+
 	// ObsPkg is the metrics package; NilMetrics forbids bypassing its
 	// nil-safe method surface (field access or dereference of an
 	// instrument) everywhere outside it.
@@ -71,6 +75,16 @@ func DefaultConfig() *Config {
 			m + "/internal/core", // round functions; metrics/driver timing sites are annotated
 		},
 		DataPkg: m + "/internal/data",
+		InitAddrPkgs: []string{
+			m + "/internal/core",
+			m + "/internal/engine",
+			m + "/internal/data",
+			m + "/internal/netsim",
+			m + "/internal/auth",
+			m + "/internal/provenance",
+			m + "/internal/bdd",
+			m + "/internal/storelog",
+		},
 		KeyStringFuncs: map[string][]string{
 			m + "/internal/provenance": {"KeyOf"},
 		},

@@ -38,7 +38,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapIter, DetPath, KeyString, Layering, NilMetrics}
+	return []*Analyzer{MapIter, DetPath, KeyString, Layering, NilMetrics, InitAddr}
 }
 
 // A Pass hands one type-checked package to an analyzer.

@@ -111,6 +111,8 @@ func goldenConfig(name string) *Config {
 		cfg.MapIterPkgs = []string{tdPath(name)}
 	case "detpath":
 		cfg.DetPathPkgs = []string{tdPath(name)}
+	case "initaddr":
+		cfg.InitAddrPkgs = []string{tdPath(name)}
 	case "keystring":
 		cfg.KeyStringFuncs = map[string][]string{tdPath(name): {"KeyOf"}}
 	case "layering":
@@ -129,7 +131,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 	for _, a := range Analyzers() {
 		byName[a.Name] = a
 	}
-	for _, name := range []string{"mapiter", "detpath", "keystring", "layering", "nilmetrics"} {
+	for _, name := range []string{"mapiter", "detpath", "keystring", "layering", "nilmetrics", "initaddr"} {
 		t.Run(name, func(t *testing.T) {
 			diags := runTestdata(t, name, byName[name], goldenConfig(name))
 			checkWants(t, filepath.Join("testdata", "src", name), diags)
@@ -224,6 +226,7 @@ func TestConfigPathsExist(t *testing.T) {
 	var scoped []string
 	scoped = append(scoped, cfg.MapIterPkgs...)
 	scoped = append(scoped, cfg.DetPathPkgs...)
+	scoped = append(scoped, cfg.InitAddrPkgs...)
 	scoped = append(scoped, cfg.DataPkg, cfg.ObsPkg)
 	for _, r := range cfg.Layers {
 		scoped = append(scoped, r.Pkg)

@@ -73,13 +73,17 @@ type Stats struct {
 	Backpressured int64
 }
 
-// endpoint is one registered node's transport state.
+// endpoint is one registered node's transport state. drained is the
+// inbox the last Drain handed out: the next Drain clears it and makes it
+// the queue, so Send appends into an array that has already grown to a
+// round's traffic instead of regrowing one from nil.
 type endpoint struct {
 	idx int // registration order
 	seq atomic.Uint64
 
-	mu    sync.Mutex
-	queue []Message
+	mu      sync.Mutex
+	queue   []Message
+	drained []Message
 }
 
 // Network is the in-memory fabric connecting named nodes. Send and Drain
@@ -149,6 +153,9 @@ func (n *Network) Send(from, to string, payload []byte) error {
 // Drain removes and returns all messages queued for node to, ordered by
 // (sender registration order, per-sender send order) — the order a
 // sequential round scheduler produces, whatever goroutines enqueued them.
+// The returned slice is valid until the next Drain of the same node,
+// which takes its array back as the inbox; the payloads stay the
+// caller's.
 func (n *Network) Drain(to string) []Message {
 	n.mu.RLock()
 	dst := n.nodes[to]
@@ -158,7 +165,8 @@ func (n *Network) Drain(to string) []Message {
 	}
 	dst.mu.Lock()
 	msgs := dst.queue
-	dst.queue = nil
+	clear(dst.drained) // the inbox keeps no payload of the round drained before
+	dst.queue, dst.drained = dst.drained[:0], msgs
 	dst.mu.Unlock()
 	slices.SortStableFunc(msgs, func(a, b Message) int {
 		if c := cmp.Compare(a.srcIdx, b.srcIdx); c != 0 {

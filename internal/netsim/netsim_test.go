@@ -133,3 +133,63 @@ func TestConcurrentStatsAccounting(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestDrainRecyclesInbox pins Drain's ownership contract: its slice is
+// valid until the node's next Drain, which takes the array back as the
+// inbox. The recycled inbox must hold no reference to the payloads of
+// the round drained before, and interleaved sends and drains must keep
+// delivering each round in (sender registration, send) order, a round's
+// sends never leaking into the round before or after.
+func TestDrainRecyclesInbox(t *testing.T) {
+	n := New()
+	for _, name := range []string{"sink", "a", "b", "c"} {
+		n.AddNode(name)
+	}
+	sink := n.nodes["sink"]
+	var want []string
+	send := func(from string, round, k int) {
+		t.Helper()
+		payload := fmt.Sprintf("%s/%d/%d", from, round, k)
+		if err := n.Send(from, "sink", []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 6; round++ {
+		// Senders in reverse registration order, interleaved, and a
+		// different number of sends each round.
+		for k := 0; k <= round%3+1; k++ {
+			for _, from := range []string{"c", "a", "b"} {
+				send(from, round, k)
+			}
+		}
+		want = want[:0]
+		for _, from := range []string{"a", "b", "c"} {
+			for k := 0; k <= round%3+1; k++ {
+				want = append(want, fmt.Sprintf("%s/%d/%d", from, round, k))
+			}
+		}
+		msgs := n.Drain("sink")
+		if len(msgs) != len(want) {
+			t.Fatalf("round %d: drained %d messages, want %d", round, len(msgs), len(want))
+		}
+		for i, m := range msgs {
+			if string(m.Payload) != want[i] {
+				t.Fatalf("round %d: msgs[%d] = %q, want %q", round, i, m.Payload, want[i])
+			}
+		}
+		if round == 0 {
+			continue
+		}
+		sink.mu.Lock()
+		inbox := sink.queue[:cap(sink.queue)]
+		sink.mu.Unlock()
+		if cap(inbox) == 0 {
+			t.Fatalf("round %d: the inbox was not recycled", round)
+		}
+		for i, m := range inbox {
+			if m.Payload != nil || m.From != "" {
+				t.Fatalf("round %d: recycled inbox slot %d still holds %s's %q", round, i, m.From, m.Payload)
+			}
+		}
+	}
+}

@@ -55,9 +55,14 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue collects appends while the writer encodes the batch it took
+	// before; the writer hands that batch's cleared array back as spare,
+	// and the next take makes it the queue, so appends stop regrowing
+	// a queue from nil.
 	queue    []core.StoreEvent
+	spare    []core.StoreEvent
 	flushers []chan error
 	closed   bool
 	err      error // sticky: first write failure
@@ -195,7 +200,8 @@ func (l *Log) run() {
 			l.cond.Wait()
 		}
 		evs := l.queue
-		l.queue = nil
+		l.queue = l.spare
+		l.spare = nil
 		flushers := l.flushers
 		l.flushers = nil
 		closed := l.closed
@@ -215,6 +221,8 @@ func (l *Log) run() {
 			l.err = err
 		}
 		l.pending -= len(evs)
+		clear(evs) // the spare keeps no tuple of the batch written
+		l.spare = evs[:0]
 		sticky := l.err
 		l.mu.Unlock()
 		for _, ch := range flushers {
