@@ -1,10 +1,14 @@
 package benchwork
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"testing"
 
 	"provnet"
+	"provnet/internal/queryapi"
 )
 
 // budgetCell is one hot-path window with the work it must do and the
@@ -126,8 +130,64 @@ var budgetCells = []budgetCell{
 			t.Cleanup(func() { log.Close() })
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512, Store: log}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 9697,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 9653,
 	},
+	{
+		// /v1/traceback?maxdepth=12 for every bestPath row of a quiescent
+		// network under distributed provenance, served by the query
+		// handler into recorders: traceback-under-churn's read side
+		// without the churn and the loopback. The work counts are the
+		// convergence the queries read. A tree node, derivation, pointer
+		// slice and rendered string allocated one by one, each remote
+		// subtree encoded afresh to meter its bytes, and a strconv error
+		// per bare identifier parsed cost 110 077 here.
+		name: "traceback-distributed",
+		stage: func(t *testing.T) func() *provnet.Report {
+			return tracebackStaged(t, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvDistributed}, 20, 5000)
+		},
+		derivs: 2445, stored: 1589, rounds: 8, allocs: 19098,
+	},
+}
+
+// tracebackStaged converges the Best-Path workload on a random topology
+// of nodes nodes and builds one traceback request and recorder per
+// bestPath row; the closure serves them all through the query handler
+// and returns the convergence report.
+func tracebackStaged(t *testing.T, cfg provnet.Config, nodes int, seed int64) func() *provnet.Report {
+	cfg.Graph = provnet.RandomGraph(provnet.TopoOptions{N: nodes, AvgOutDegree: 3, MaxCost: 10, Seed: seed})
+	cfg.Seed = seed
+	net, err := provnet.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { net.Close() })
+	rep, err := net.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := queryapi.NewServer(net).Handler()
+	view := net.Driver().ReadView()
+	var reqs []*http.Request
+	for _, node := range view.Nodes() {
+		for _, row := range view.Rows(node, "bestPath") {
+			reqs = append(reqs, httptest.NewRequest("GET", "/v1/traceback?maxdepth=12&node="+url.QueryEscape(node)+"&tuple="+url.QueryEscape(row.Tuple.String()), nil))
+		}
+	}
+	recs := make([]*httptest.ResponseRecorder, len(reqs))
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+	}
+	return func() *provnet.Report {
+		for i, req := range reqs {
+			h.ServeHTTP(recs[i], req)
+		}
+		for i, rec := range recs {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", reqs[i].URL, rec.Code)
+			}
+		}
+		return rep
+	}
 }
 
 // allocSlack is how far a window may drift above its recorded
@@ -136,7 +196,9 @@ var budgetCells = []budgetCell{
 // changes, not for noise. The race detector makes sync.Pool drop a share
 // of what is put back, so the sealing scratch is rebuilt more often: the
 // cells read up to 1.8 thousand allocations (at most 14 %) higher under
-// -race, and race_test.go widens the slack there. Frame decoders sit on
+// -race, and traceback-distributed, whose replies draw on encoding/json's
+// pools and FromTree's text scratch, up to 22 %; race_test.go widens the
+// slack there. Frame decoders sit on
 // the network's own free list, not a sync.Pool: from the pool they cost
 // 6–7 thousand more per churn cell under -race.
 var allocSlack = 1.20

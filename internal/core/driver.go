@@ -422,13 +422,16 @@ func (d *Driver) AwaitQuiescence(ctx context.Context) (*Report, error) {
 	}
 	// Live mode: wait for the pump to drain — it published and sealed
 	// before it cleared dirty. The context wake-up is installed so
-	// cancellation interrupts the wait.
-	stop := context.AfterFunc(ctx, func() {
-		d.mu.Lock()
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
-	defer stop()
+	// cancellation interrupts the wait; a context that can never be
+	// cancelled needs none.
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			d.mu.Lock()
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		})
+		defer stop()
+	}
 	for d.dirty && d.err == nil && !d.closed && ctx.Err() == nil {
 		d.cond.Wait()
 	}

@@ -112,15 +112,29 @@ func parseValue(s string) (data.Value, error) {
 		}
 		return data.List(elems...), nil
 	default:
-		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return data.Int(i), nil
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return data.Float(f), nil
+		if looksNumeric(s) {
+			if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+				return data.Int(i), nil
+			}
+			if f, err := strconv.ParseFloat(s, 64); err == nil {
+				return data.Float(f), nil
+			}
 		}
 		if strings.ContainsAny(s, `()[]"`) {
 			return data.Value{}, fmt.Errorf("bad value %q", s)
 		}
 		return data.Str(s), nil
 	}
+}
+
+// looksNumeric reports whether strconv could parse s as a number: it
+// starts with a digit, a sign or a point, or spells inf, infinity or nan
+// in any case. Bare identifiers such as n3 skip the parse attempts and
+// the *NumError each failed one allocates.
+func looksNumeric(s string) bool {
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+		return true
+	}
+	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -83,4 +84,41 @@ func deepList(depth int) data.Value {
 		v = data.List(v)
 	}
 	return v
+}
+
+// TestParseValueNumericTokens pins what a token that may or may not be a
+// number parses to: the spellings strconv accepts become numbers, the
+// rest bare strings.
+func TestParseValueNumericTokens(t *testing.T) {
+	cases := []struct {
+		in   string
+		want data.Value
+	}{
+		{"inf", data.Float(math.Inf(1))},
+		{"-Inf", data.Float(math.Inf(-1))},
+		{"NaN", data.Float(math.NaN())},
+		{"Infinity", data.Float(math.Inf(1))},
+		{"+1", data.Int(1)},
+		{"-7", data.Int(-7)},
+		{".5", data.Float(0.5)},
+		{"1e3", data.Float(1000)},
+		{"e5", data.Str("e5")},
+		{"n3", data.Str("n3")},
+		{"0x1p-2", data.Float(0.25)},
+		{"a1", data.Str("a1")},
+		{"infx", data.Str("infx")},
+		{"-", data.Str("-")},
+	}
+	for _, c := range cases {
+		got, err := parseValue(c.in)
+		if err != nil {
+			t.Errorf("parseValue(%q): %v", c.in, err)
+			continue
+		}
+		same := got.Kind == c.want.Kind && got.Int == c.want.Int && got.Str == c.want.Str &&
+			math.Float64bits(got.Float) == math.Float64bits(c.want.Float)
+		if !same {
+			t.Errorf("parseValue(%q) = %#v, want %#v", c.in, got, c.want)
+		}
+	}
 }

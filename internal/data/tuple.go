@@ -56,13 +56,17 @@ func (t Tuple) Equal(o Tuple) bool {
 // Key returns a canonical injective string encoding of the tuple, suitable
 // for use as a map key. Tuples are Equal iff their keys are equal.
 func (t Tuple) Key() string {
-	b := make([]byte, 0, 16+8*len(t.Args))
+	return string(t.AppendKey(make([]byte, 0, 16+8*len(t.Args))))
+}
+
+// AppendKey appends the bytes of Key to b.
+func (t Tuple) AppendKey(b []byte) []byte {
 	b = appendKeyString(b, t.Pred)
 	b = appendKeyString(b, t.Asserter)
 	for _, v := range t.Args {
 		b = v.appendKey(b)
 	}
-	return string(b)
+	return b
 }
 
 // ValueKey returns a key covering only the projected columns cols, prefixed
@@ -87,21 +91,25 @@ func appendKeyString(b []byte, s string) []byte {
 // String renders the tuple as NDlog syntax, prefixed with "P says" when an
 // asserter is present, e.g. `b says reachable(b, c)`.
 func (t Tuple) String() string {
-	var sb strings.Builder
+	var buf [96]byte
+	return string(t.AppendText(buf[:0]))
+}
+
+// AppendText appends the tuple's String rendering to b.
+func (t Tuple) AppendText(b []byte) []byte {
 	if t.Asserter != "" {
-		sb.WriteString(t.Asserter)
-		sb.WriteString(" says ")
+		b = append(b, t.Asserter...)
+		b = append(b, " says "...)
 	}
-	sb.WriteString(t.Pred)
-	sb.WriteByte('(')
+	b = append(b, t.Pred...)
+	b = append(b, '(')
 	for i, a := range t.Args {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(a.String())
+		b = a.appendText(b)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return append(b, ')')
 }
 
 // Clone returns a deep copy of the tuple (argument slice and nested lists

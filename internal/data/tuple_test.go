@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"testing"
 )
 
@@ -157,6 +158,42 @@ func TestCompareTuplesTotalOrder(t *testing.T) {
 		for i := range want {
 			if CompareTuples(got[i], want[i]) != 0 {
 				t.Fatalf("%d copies: sorted[%d] = %v, want %v", copies, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTupleTextRendering pins String and AppendText to one rendering,
+// value kind by value kind: the text is what /v1 replies and the CLI
+// print, and ParseTuple reads it back.
+func TestTupleTextRendering(t *testing.T) {
+	cases := []struct {
+		tu   Tuple
+		want string
+	}{
+		{NewTuple("empty"), "empty()"},
+		{NewTuple("s", Str(""), Str("node1"), Str("n_2.b:c")), `s("", node1, n_2.b:c)`},
+		{NewTuple("s", Str("Has Space"), Str("Upper"), Str("9lives")), `s("Has Space", "Upper", "9lives")`},
+		{NewTuple("s", Str("a\"b\\c\n"), Str("é")), `s("a\"b\\c\n", "é")`},
+		{NewTuple("i", Int(-5), Int(0), Int(-9223372036854775808)), "i(-5, 0, -9223372036854775808)"},
+		{NewTuple("f", Float(2), Float(1e21), Float(math.NaN()), Float(-0.5), Float(math.Inf(-1))), "f(2, 1e+21, NaN, -0.5, -Inf)"},
+		{NewTuple("b", Bool(true), Bool(false)), "b(true, false)"},
+		{NewTuple("l", List(), List(List(Str("a"), Str("B")), Int(3), List(List()))), `l([], [[a,"B"],3,[[]]])`},
+		{NewTuple("reachable", Str("b"), Str("c")).Says("b"), "b says reachable(b, c)"},
+		{NewTuple("k", Value{Kind: Kind(9)}), "k(?)"},
+	}
+	for _, c := range cases {
+		if got := c.tu.String(); got != c.want {
+			t.Errorf("String = %q, want %q", got, c.want)
+		}
+		prefix := []byte("x|")
+		if got := string(c.tu.AppendText(prefix)); got != "x|"+c.want {
+			t.Errorf("AppendText = %q, want %q", got, "x|"+c.want)
+		}
+		for i, a := range c.tu.Args {
+			want := a.String()
+			if got := string(a.appendText(nil)); got != want {
+				t.Errorf("%s arg %d: appendText = %q, String = %q", c.want, i, got, want)
 			}
 		}
 	}

@@ -219,39 +219,42 @@ func (v Value) AsInt() int64 {
 
 // String renders the value in NDlog literal syntax.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.appendText(buf[:0]))
+}
+
+// appendText appends v in NDlog literal syntax to b: the one renderer
+// behind Value.String and Tuple.AppendText.
+func (v Value) appendText(b []byte) []byte {
 	switch v.Kind {
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(b, v.Int, 10)
 	case KindBool:
-		if v.Int != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.Int != 0)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.Float, 'g', -1, 64)
 	case KindString:
-		return quoteIfNeeded(v.Str)
+		return appendQuotedIfNeeded(b, v.Str)
 	case KindList:
-		var b strings.Builder
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, e := range v.List {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(e.String())
+			b = e.appendText(b)
 		}
-		b.WriteByte(']')
-		return b.String()
+		return append(b, ']')
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 
-// quoteIfNeeded renders a string bare when it looks like an NDlog constant
-// identifier (lower-case start, alphanumeric) and quoted otherwise.
-func quoteIfNeeded(s string) string {
+// appendQuotedIfNeeded appends s bare when it looks like an NDlog
+// constant identifier (lower-case start, alphanumeric) and quoted
+// otherwise.
+func appendQuotedIfNeeded(b []byte, s string) []byte {
 	if s == "" {
-		return `""`
+		return append(b, `""`...)
 	}
 	bare := s[0] >= 'a' && s[0] <= 'z'
 	if bare {
@@ -264,9 +267,9 @@ func quoteIfNeeded(s string) string {
 		}
 	}
 	if bare {
-		return s
+		return append(b, s...)
 	}
-	return strconv.Quote(s)
+	return strconv.AppendQuote(b, s)
 }
 
 // appendKey appends a canonical, injective encoding of v to b. Two values

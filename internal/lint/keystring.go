@@ -6,8 +6,9 @@ import (
 )
 
 // KeyString enforces PR 7's contract on the canonical string
-// encoding: Tuple.Key()/Value.Key() allocate and exist only where
-// their bytes ARE the contract — the wire codec (the data package
+// encoding: Tuple.Key()/Value.Key() allocate, and they and
+// Tuple.AppendKey (the same bytes into a caller's buffer) exist only
+// where their bytes ARE the contract — the wire codec (the data package
 // itself) and the provenance pointer (provenance.KeyOf, sha256 over
 // those bytes, frozen by docs/WIRE.md). Everywhere else comparisons
 // and indexing must go through cached structural hashes + Equal;
@@ -39,7 +40,7 @@ func runKeyString(p *Pass) {
 			}
 			obj := p.Info.Uses[sel.Sel]
 			fn, ok := obj.(*types.Func)
-			if !ok || fn.Name() != "Key" {
+			if !ok || fn.Name() != "Key" && fn.Name() != "AppendKey" {
 				return true
 			}
 			sig, ok := fn.Type().(*types.Signature)
@@ -50,8 +51,8 @@ func runKeyString(p *Pass) {
 				return true
 			}
 			p.Reportf(sel.Pos(), "keystring",
-				"%s.Key() outside the wire codec and provenance.KeyOf: compare with Equal/Hash instead, or annotate the contract site //provlint:allow keystring <reason>",
-				types.TypeString(sig.Recv().Type(), types.RelativeTo(p.Pkg)))
+				"%s.%s() outside the wire codec and provenance.KeyOf: compare with Equal/Hash instead, or annotate the contract site //provlint:allow keystring <reason>",
+				types.TypeString(sig.Recv().Type(), types.RelativeTo(p.Pkg)), fn.Name())
 			return true
 		})
 	})

@@ -13,6 +13,10 @@ func badValue(v data.Value) string {
 	return v.Key() // want "outside the wire codec"
 }
 
+func badAppend(t data.Tuple, b []byte) []byte {
+	return t.AppendKey(b) // want "outside the wire codec"
+}
+
 // KeyOf is allowed by the test config's KeyStringFuncs entry, the same
 // shape that admits provenance.KeyOf in the repo config.
 func KeyOf(t data.Tuple) string {

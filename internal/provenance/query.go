@@ -66,113 +66,165 @@ func Trace(res Resolver, start, key string, opts QueryOpts) (*Tree, *QueryStats,
 		return nil, nil, fmt.Errorf("provenance: moonwalk requires an Rng")
 	}
 	st := &QueryStats{}
-	visitedNodes := map[string]bool{}
-	q := &querier{res: res, opts: opts, stats: st, visitedNodes: visitedNodes}
-	tree, err := q.walk(start, key, map[string]bool{}, 0)
-	if err != nil {
-		return nil, st, err
+	q := querier{res: res, opts: opts, stats: st, visitedNodes: map[string]bool{}, seen: map[pathKey]bool{}}
+	tree := q.walk(start, key, 0)
+	if tree == nil {
+		return nil, st, fmt.Errorf("provenance: no entry for key at node %s", start)
 	}
-	st.NodesVisited = len(visitedNodes)
+	st.NodesVisited = len(q.visitedNodes)
 	return tree, st, nil
 }
+
+// pathKey is one (node, key) pair of the walk's current path.
+type pathKey struct{ node, key string }
 
 type querier struct {
 	res          Resolver
 	opts         QueryOpts
 	stats        *QueryStats
 	visitedNodes map[string]bool
+	// seen guards against cyclic derivations: the (node, key) pairs on
+	// the current path.
+	seen map[pathKey]bool
+	// buf is the scratch encoding of a remote subtree, metered into
+	// QueryStats.Bytes.
+	buf []byte
+	// The tree's nodes, derivations and pointer slices are carved from
+	// per-query chunks (carve) instead of allocated one by one.
+	trees    []Tree
+	derivs   []Deriv
+	derivPtr []*Deriv
+	childPtr []*Tree
 }
 
-func (q *querier) lookup(node, key string) *Entry {
+// carve hands out the next n elements of *chunk, exactly sized (nil for
+// n == 0), refilling the chunk with at least 32 when it runs short. No
+// element is handed out twice, so a carved slice outlives the query.
+func carve[T any](chunk *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*chunk) < n {
+		*chunk = make([]T, max(n, 32))
+	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return s
+}
+
+func (q *querier) newTree(tu data.Tuple) *Tree {
+	t := &carve(&q.trees, 1)[0]
+	t.Tuple = tu
+	return t
+}
+
+func (q *querier) newDeriv(rule, loc string, children int) *Deriv {
+	d := &carve(&q.derivs, 1)[0]
+	d.Rule, d.Loc, d.Children = rule, loc, carve(&q.childPtr, children)
+	return d
+}
+
+// walk reconstructs the subtree of key at node, or returns nil when node
+// holds no entry for key.
+func (q *querier) walk(node, key string, depth int) *Tree {
 	q.visitedNodes[node] = true
 	s := q.res.StoreOf(node)
 	if s == nil {
 		return nil
 	}
-	if q.opts.Offline {
-		return s.GetAny(key)
-	}
-	return s.Get(key)
-}
-
-// walk reconstructs the subtree of key at node. seen guards against
-// cyclic derivations ((node,key) pairs on the current path).
-func (q *querier) walk(node, key string, seen map[string]bool, depth int) (*Tree, error) {
-	e := q.lookup(node, key)
-	if e == nil {
-		return nil, fmt.Errorf("provenance: no entry for key at node %s", node)
+	tu, derivs, origins, ok := s.read(key, q.opts.Offline)
+	if !ok {
+		return nil
 	}
 	q.stats.Entries++
-	t := &Tree{Tuple: e.Tuple}
-	pathKey := node + "\x00" + key
-	if depth >= q.opts.MaxDepth || seen[pathKey] {
+	t := q.newTree(tu)
+	pk := pathKey{node, key}
+	if depth >= q.opts.MaxDepth || q.seen[pk] {
 		t.Truncated = true
-		return t, nil
+		return t
 	}
-	seen[pathKey] = true
-	defer delete(seen, pathKey)
-
-	type branch struct {
-		deriv *Derivation
-		via   *Ref // origin pointer instead of a local derivation
-	}
-	var branches []branch
-	for i := range e.Derivs {
-		branches = append(branches, branch{deriv: &e.Derivs[i]})
-	}
-	for i := range e.Origins {
-		branches = append(branches, branch{via: &e.Origins[i]})
-	}
-	if len(branches) == 0 {
-		return t, nil // base tuple
+	// Branches are the local derivations, then the origin pointers.
+	first, n := 0, len(derivs)+len(origins)
+	if n == 0 {
+		return t // base tuple
 	}
 	if q.opts.Moonwalk {
-		branches = branches[q.opts.Rng.Intn(len(branches)):][:1]
+		first, n = q.opts.Rng.Intn(n), 1
 	}
-	for _, br := range branches {
-		if br.via != nil {
-			// Follow the origin pointer to the node that derived it.
-			sub, err := q.follow(node, *br.via, seen, depth+1)
-			if err != nil {
-				return nil, err
+	q.seen[pk] = true
+	defer delete(q.seen, pk)
+	t.Derivs = carve(&q.derivPtr, n)[:0]
+	for b := first; b < first+n; b++ {
+		if b >= len(derivs) {
+			// Follow the origin pointer to the node that shipped the tuple.
+			sub := q.follow(node, origins[b-len(derivs)], depth+1)
+			if !hasRecv(t.Derivs, node, sub) {
+				d := q.newDeriv(recvRule, node, 1)
+				d.Children[0] = sub
+				t.Derivs = append(t.Derivs, d)
 			}
-			t.Merge(&Tree{Tuple: e.Tuple, Derivs: []*Deriv{{Rule: "@recv", Loc: node, Children: []*Tree{sub}}}})
 			continue
 		}
-		d := &Deriv{Rule: br.deriv.Rule, Loc: br.deriv.Loc}
-		children := br.deriv.Children
+		children := derivs[b].Children
 		if q.opts.Moonwalk && len(children) > 1 {
 			children = children[q.opts.Rng.Intn(len(children)):][:1]
 		}
-		for _, c := range children {
-			sub, err := q.follow(node, c, seen, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			d.Children = append(d.Children, sub)
+		d := q.newDeriv(derivs[b].Rule, derivs[b].Loc, len(children))
+		for i, c := range children {
+			d.Children[i] = q.follow(node, c, depth+1)
 		}
 		t.Derivs = append(t.Derivs, d)
 	}
-	return t, nil
+	return t
 }
 
-// follow resolves a child reference, charging a message when it crosses to
-// another node.
-func (q *querier) follow(from string, ref Ref, seen map[string]bool, depth int) (*Tree, error) {
-	if ref.Node != from {
+// recvRule names the derivation a traceback adds for a tuple another
+// node shipped.
+const recvRule = "@recv"
+
+// hasRecv reports whether derivs already hold an @recv derivation at
+// node over sub: Merge's union rule (derivSig), checked against the only
+// derivations whose signature can match.
+func hasRecv(derivs []*Deriv, node string, sub *Tree) bool {
+	sig := ""
+	for _, d := range derivs {
+		if d.Rule != recvRule || d.Loc != node {
+			continue
+		}
+		if sig == "" {
+			sig = derivSig(recvRule, node, []*Tree{sub})
+		}
+		if derivSig(d.Rule, d.Loc, d.Children) == sig {
+			return true
+		}
+	}
+	return false
+}
+
+// follow resolves a child reference, charging a message and the
+// subtree's encoded size when it crosses to another node.
+func (q *querier) follow(from string, ref Ref, depth int) *Tree {
+	remote := ref.Node != from
+	if remote {
 		q.stats.Messages++
 	}
-	sub, err := q.walk(ref.Node, ref.Key, seen, depth)
-	if err != nil {
+	sub := q.walk(ref.Node, ref.Key, depth)
+	if sub == nil {
 		// A missing remote entry (sampled out, or aged out of the offline
 		// store) becomes a truncated leaf rather than failing the whole
 		// query: partial provenance is still useful for forensics.
-		return &Tree{Tuple: stubTuple(ref), Truncated: true}, nil
+		sub = q.newTree(stubTuple(ref))
+		sub.Truncated = true
+		return sub
 	}
-	if ref.Node != from {
-		q.stats.Bytes += int64(len(sub.Marshal()))
+	if remote {
+		if q.buf == nil {
+			q.buf = make([]byte, 0, 1024) // a typical subtree, without regrowth
+		}
+		q.buf = sub.appendTo(q.buf[:0])
+		q.stats.Bytes += int64(len(q.buf))
 	}
-	return sub, nil
+	return sub
 }
 
 // stubTuple stands in for an unresolvable reference.

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -197,5 +198,69 @@ func TestTraceDepthLimit(t *testing.T) {
 	}
 	if !strings.Contains(tree.Render(nil), "(truncated)") {
 		t.Error("deep chain must truncate")
+	}
+}
+
+// TestTraceRacesRecordDeriv traces one head while another goroutine
+// keeps recording alternate derivations of it: under -race the walk may
+// read an entry only through what the store's read lock hands it.
+func TestTraceRacesRecordDeriv(t *testing.T) {
+	s := NewStore("a")
+	res := ResolverFunc(func(string) *Store { return s })
+	link := data.NewTuple("link", data.Str("a"), data.Str("b"))
+	head := data.NewTuple("reachable", data.Str("a"), data.Str("b"))
+	children := []Ref{{Node: "a", Key: s.RecordBase(link, 0)}}
+	key := s.RecordDeriv(head, "r0", children, 0)
+	const alternates = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= alternates; i++ {
+			s.RecordDeriv(head, "r"+strconv.Itoa(i), children, float64(i))
+		}
+	}()
+	for i := 0; i < alternates; i++ {
+		tree, _, err := Trace(res, "a", key, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(tree.Derivs); n < 1 || n > alternates+1 {
+			t.Fatalf("trace %d: %d derivations", i, n)
+		}
+	}
+	<-done
+	tree, _, err := Trace(res, "a", key, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tree.Derivs); n != alternates+1 {
+		t.Fatalf("after the writer: %d derivations, want %d", n, alternates+1)
+	}
+}
+
+// TestTraceDedupsEqualOrigins pins the union rule for shipped tuples:
+// origins whose subtrees root at the same tuple give one @recv
+// derivation, while every hop is still charged.
+func TestTraceDedupsEqualOrigins(t *testing.T) {
+	x := data.NewTuple("route", data.Str("a"), data.Int(3))
+	xd := x.Says("d")
+	stores := map[string]*Store{"a": NewStore("a"), "b": NewStore("b"), "c": NewStore("c"), "d": NewStore("d")}
+	stores["b"].RecordBase(x, 0)
+	stores["c"].RecordBase(x, 0)
+	stores["d"].RecordBase(xd, 0)
+	stores["a"].RecordOrigin(x, Ref{Node: "b", Key: KeyOf(x)}, 1)
+	stores["a"].RecordOrigin(x, Ref{Node: "c", Key: KeyOf(x)}, 1)
+	stores["a"].RecordOrigin(x, Ref{Node: "d", Key: KeyOf(xd)}, 1)
+	tree, stats, err := Trace(resolver(stores), "a", KeyOf(x), QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "route(a, 3)\n└─ union\n   ├─ @recv @a\n   │  └─ route(a, 3)\n   └─ @recv @a\n      └─ d says route(a, 3)\n"
+	if got := tree.Render(nil); got != want {
+		t.Errorf("tree:\n%s\nwant:\n%s", got, want)
+	}
+	bytes := int64(2*len(NewLeaf(x).Marshal()) + len(NewLeaf(xd).Marshal()))
+	if *stats != (QueryStats{Messages: 3, Bytes: bytes, NodesVisited: 4, Entries: 4}) {
+		t.Errorf("stats = %+v, want 3 messages, %d bytes, 4 nodes, 4 entries", *stats, bytes)
 	}
 }

@@ -18,8 +18,11 @@ import (
 // It is computed once per tuple a Store records; Store.Key returns the
 // recorded key without hashing again.
 func KeyOf(t data.Tuple) string {
-	sum := sha256.Sum256([]byte(t.Key()))
-	return hex.EncodeToString(sum[:12])
+	var buf [128]byte
+	sum := sha256.Sum256(t.AppendKey(buf[:0]))
+	var key [24]byte
+	hex.Encode(key[:], sum[:12])
+	return string(key[:])
 }
 
 // Ref points to a tuple's provenance at a node: the pointer of distributed
@@ -43,7 +46,10 @@ type Derivation struct {
 	At float64
 }
 
-// Entry is a tuple's locally known provenance.
+// Entry is a tuple's locally known provenance. Derivs and Origins only
+// ever grow by append, under the store's lock, and no element is ever
+// rewritten in place: a traceback walk reads the elements of the slice
+// headers the read lock handed it (Store.read) after releasing the lock.
 type Entry struct {
 	Key   string
 	Tuple data.Tuple
@@ -248,6 +254,23 @@ func (s *Store) GetAny(key string) *Entry {
 		return e
 	}
 	return s.offline[key]
+}
+
+// read returns key's entry as the read lock publishes it: its tuple and
+// its Derivs and Origins slice headers, the online entry first and the
+// offline one when offline is set. Entries only append, so the returned
+// elements stay valid and unchanged after the lock is released.
+func (s *Store) read(key string, offline bool) (data.Tuple, []Derivation, []Ref, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e := s.online[key]
+	if e == nil && offline {
+		e = s.offline[key]
+	}
+	if e == nil {
+		return data.Tuple{}, nil, nil, false
+	}
+	return e.Tuple, e.Derivs, e.Origins, true
 }
 
 // Forget drops a tuple's online provenance (called when its soft state

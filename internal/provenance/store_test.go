@@ -1,6 +1,10 @@
 package provenance
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"strings"
 	"testing"
 
 	"provnet/internal/data"
@@ -238,4 +242,32 @@ func FuzzStoreIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKeyOfIsTruncatedSHA256 pins the provenance pointer, which is wire
+// format: the first 12 bytes of sha256 over the tuple's canonical key,
+// hex-encoded, for every value kind. Computing it allocates only the
+// returned string.
+func TestKeyOfIsTruncatedSHA256(t *testing.T) {
+	long := make([]data.Value, 40)
+	for i := range long {
+		long[i] = data.Str(strings.Repeat("x", i))
+	}
+	tuples := []data.Tuple{
+		data.NewTuple("empty"),
+		data.NewTuple("link", data.Str("a"), data.Str(""), data.Str("Has Space")),
+		data.NewTuple("n", data.Int(-5), data.Int(1<<60+1), data.Float(2.5), data.Float(math.NaN()), data.Bool(true), data.Bool(false)),
+		data.NewTuple("path", data.Str("a"), data.List(data.Strings("a", "b"), data.List(), data.List(data.Int(1), data.Float(1)))),
+		data.NewTuple("reachable", data.Str("b"), data.Str("c")).Says("b"),
+		data.NewTuple("long", long...),
+	}
+	for _, tu := range tuples {
+		sum := sha256.Sum256([]byte(tu.Key()))
+		if got, want := KeyOf(tu), hex.EncodeToString(sum[:])[:24]; got != want {
+			t.Errorf("KeyOf(%v) = %s, want %s", tu, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { KeyOf(tuples[4]) }); n != 1 {
+		t.Errorf("KeyOf: %v allocations, want 1", n)
+	}
 }

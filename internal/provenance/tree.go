@@ -49,12 +49,12 @@ func NewDerived(t data.Tuple, rule, loc string, children []*Tree) *Tree {
 
 // derivSig identifies a derivation for deduplication: the rule, location
 // and the keys of its children.
-func (d *Deriv) derivSig() string {
+func derivSig(rule, loc string, children []*Tree) string {
 	var sb strings.Builder
-	sb.WriteString(d.Rule)
+	sb.WriteString(rule)
 	sb.WriteByte('@')
-	sb.WriteString(d.Loc)
-	for _, c := range d.Children {
+	sb.WriteString(loc)
+	for _, c := range children {
 		sb.WriteByte('|')
 		sb.WriteString(c.Tuple.Key()) //provlint:allow keystring derivation signatures dedupe on the canonical bytes; part of the provenance tree contract
 	}
@@ -70,12 +70,12 @@ func (t *Tree) Merge(other *Tree) bool {
 	}
 	have := make(map[string]bool, len(t.Derivs))
 	for _, d := range t.Derivs {
-		have[d.derivSig()] = true
+		have[derivSig(d.Rule, d.Loc, d.Children)] = true
 	}
 	changed := false
 	for _, d := range other.Derivs {
-		if !have[d.derivSig()] {
-			have[d.derivSig()] = true
+		if sig := derivSig(d.Rule, d.Loc, d.Children); !have[sig] {
+			have[sig] = true
 			t.Derivs = append(t.Derivs, d)
 			changed = true
 		}

@@ -11,6 +11,8 @@
 package queryapi
 
 import (
+	"sync"
+
 	"provnet/internal/core"
 	"provnet/internal/provenance"
 )
@@ -96,18 +98,81 @@ type TraceStats struct {
 	Entries      int   `json:"entries"`
 }
 
-// FromTree converts a derivation tree to its JSON schema form.
+// FromTree converts a derivation tree to its JSON schema form, laid out
+// from one counted pass over the tree: every node in one slice, every
+// derivation in a second, every child pointer in a third, and every
+// node's tuple text sliced out of one string.
 func FromTree(t *provenance.Tree) *TracebackNode {
 	if t == nil {
 		return nil
 	}
-	n := &TracebackNode{Tuple: t.Tuple.String(), Truncated: t.Truncated}
+	sc := textScratch.Get().(*treeText)
+	sc.buf, sc.ends, sc.derivs, sc.children = sc.buf[:0], sc.ends[:0], 0, 0
+	sc.render(t)
+	l := treeLayout{
+		nodes:    make([]TracebackNode, len(sc.ends)),
+		derivs:   make([]TracebackDeriv, sc.derivs),
+		children: make([]*TracebackNode, sc.children),
+		text:     string(sc.buf),
+		ends:     sc.ends,
+	}
+	root := l.node(t)
+	textScratch.Put(sc)
+	return root
+}
+
+// textScratch keeps FromTree's rendering buffers between replies.
+var textScratch = sync.Pool{New: func() any { return new(treeText) }}
+
+// treeText is a tree's tuple texts rendered back to back in preorder,
+// each node's end offset, and the tree's derivation and child counts.
+type treeText struct {
+	buf              []byte
+	ends             []int
+	derivs, children int
+}
+
+func (sc *treeText) render(t *provenance.Tree) {
+	sc.buf = t.Tuple.AppendText(sc.buf)
+	sc.ends = append(sc.ends, len(sc.buf))
+	sc.derivs += len(t.Derivs)
 	for _, d := range t.Derivs {
-		jd := TracebackDeriv{Rule: d.Rule, Loc: d.Loc}
+		sc.children += len(d.Children)
 		for _, c := range d.Children {
-			jd.Children = append(jd.Children, FromTree(c))
+			sc.render(c)
 		}
-		n.Derivs = append(n.Derivs, jd)
+	}
+}
+
+// treeLayout hands out a reply's nodes, derivations and child pointers
+// in the preorder treeText rendered the tuples in.
+type treeLayout struct {
+	nodes    []TracebackNode
+	derivs   []TracebackDeriv
+	children []*TracebackNode
+	text     string
+	ends     []int
+	start    int // text offset of the next node's tuple
+}
+
+func (l *treeLayout) node(t *provenance.Tree) *TracebackNode {
+	n := &l.nodes[0]
+	l.nodes = l.nodes[1:]
+	n.Tuple, n.Truncated = l.text[l.start:l.ends[0]], t.Truncated
+	l.start, l.ends = l.ends[0], l.ends[1:]
+	if len(t.Derivs) == 0 {
+		return n
+	}
+	n.Derivs, l.derivs = l.derivs[:len(t.Derivs):len(t.Derivs)], l.derivs[len(t.Derivs):]
+	for i, d := range t.Derivs {
+		jd := &n.Derivs[i]
+		jd.Rule, jd.Loc = d.Rule, d.Loc
+		if len(d.Children) > 0 {
+			jd.Children, l.children = l.children[:len(d.Children):len(d.Children)], l.children[len(d.Children):]
+		}
+		for j, c := range d.Children {
+			jd.Children[j] = l.node(c)
+		}
 	}
 	return n
 }

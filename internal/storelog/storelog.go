@@ -61,12 +61,17 @@ type Log struct {
 	// before; the writer hands that batch's cleared array back as spare,
 	// and the next take makes it the queue, so appends stop regrowing
 	// a queue from nil.
-	queue    []core.StoreEvent
-	spare    []core.StoreEvent
-	flushers []chan error
-	closed   bool
-	err      error // sticky: first write failure
-	pending  int   // queued + in-flight events
+	queue []core.StoreEvent
+	spare []core.StoreEvent
+	// Flush barriers are generations: Flush takes the next request
+	// number and waits on cond until flushed reaches it. The writer
+	// answers every request it took with a batch at once; it alone
+	// writes flushed, so it reads it without the lock.
+	requested, flushed uint64
+	closed             bool
+	err                error  // sticky: first write failure
+	errAfter           uint64 // flushed when err was set: later requests see it
+	pending            int    // queued + in-flight events
 
 	// Writer-goroutine-owned (no lock): the file, its buffer, and the
 	// record being encoded.
@@ -139,7 +144,7 @@ func (l *Log) Append(ev core.StoreEvent) error {
 	}
 	l.queue = append(l.queue, ev)
 	l.pending++
-	l.cond.Signal()
+	l.cond.Broadcast()
 	return nil
 }
 
@@ -159,11 +164,17 @@ func (l *Log) Flush() error {
 		l.mu.Unlock()
 		return err
 	}
-	ch := make(chan error, 1)
-	l.flushers = append(l.flushers, ch)
-	l.cond.Signal()
-	l.mu.Unlock()
-	return <-ch
+	l.requested++
+	gen := l.requested
+	l.cond.Broadcast()
+	for l.flushed < gen {
+		l.cond.Wait()
+	}
+	defer l.mu.Unlock()
+	if gen > l.errAfter {
+		return l.err
+	}
+	return nil
 }
 
 // Pending reports events not yet handed to the OS.
@@ -182,7 +193,7 @@ func (l *Log) Close() error {
 		return err
 	}
 	l.closed = true
-	l.cond.Signal()
+	l.cond.Broadcast()
 	l.mu.Unlock()
 	<-l.done
 	l.mu.Lock()
@@ -196,14 +207,13 @@ func (l *Log) run() {
 	defer close(l.done)
 	for {
 		l.mu.Lock()
-		for len(l.queue) == 0 && len(l.flushers) == 0 && !l.closed {
+		for len(l.queue) == 0 && l.requested == l.flushed && !l.closed {
 			l.cond.Wait()
 		}
 		evs := l.queue
 		l.queue = l.spare
 		l.spare = nil
-		flushers := l.flushers
-		l.flushers = nil
+		requested := l.requested
 		closed := l.closed
 		l.mu.Unlock()
 
@@ -213,21 +223,22 @@ func (l *Log) run() {
 				break
 			}
 		}
-		if err == nil && (len(flushers) > 0 || closed) {
+		if err == nil && (requested > l.flushed || closed) {
 			err = l.sync()
 		}
 		l.mu.Lock()
 		if err != nil && l.err == nil {
 			l.err = err
+			l.errAfter = l.flushed
 		}
 		l.pending -= len(evs)
 		clear(evs) // the spare keeps no tuple of the batch written
 		l.spare = evs[:0]
-		sticky := l.err
-		l.mu.Unlock()
-		for _, ch := range flushers {
-			ch <- sticky
+		if requested > l.flushed {
+			l.flushed = requested
+			l.cond.Broadcast()
 		}
+		l.mu.Unlock()
 		if closed {
 			l.w.Flush()
 			l.f.Close()

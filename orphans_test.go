@@ -259,7 +259,7 @@ var reachedBy = map[string]string{
 	"internal/core/store.go: StoredRow":                "core.NodeState.Rows holds it",
 	"internal/engine/builtin.go: BuiltinFunc":          "the value type of engine.Builtins",
 	"internal/engine/table.go: InsertStatus":           "engine.Table.Insert returns it",
-	"internal/queryapi/schema.go: TraceStats":          "queryapi.FromStats returns it",
+	"internal/provenance/store.go: Derivation":         "provenance.Entry.Derivs holds it",
 	"internal/queryapi/schema.go: TracebackDeriv":      "queryapi.TracebackNode.Derivs holds it",
 	"internal/queryapi/schema.go: TracebackNode":       "queryapi.FromTree returns it",
 	"internal/trust/trust.go: AuditRecord":             "trust.Gate.Audit returns it",
