@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,8 +53,11 @@ type Sealer interface {
 	// SealBatch seals what src sends in one round, setting every
 	// envelope's Tag. signs is the number of says operations the call
 	// performed — one for a whole RSA batch, one per envelope where
-	// sealing together saves nothing, none under a session.
-	SealBatch(src string, batch []Envelope) (signs int, err error)
+	// sealing together saves nothing, none under a session. buf is the
+	// caller's to lend: an implementation may cut the tags from it,
+	// appending from buf[:0], and returns it, grown, as tags — so the
+	// tags are valid only until the caller reuses tags.
+	SealBatch(src string, batch []Envelope, buf []byte) (tags []byte, signs int, err error)
 	// Open checks that tag authenticates payload on the src→dst link.
 	Open(src, dst string, payload, tag []byte) error
 }
@@ -74,22 +78,23 @@ func (w SignerSealer) Scheme() Scheme { return w.S.Scheme() }
 // Seal seals payload alone.
 func (w SignerSealer) Seal(src, dst string, payload []byte) ([]byte, error) {
 	one := [1]Envelope{{Dst: dst, Payload: payload}}
-	_, err := w.SealBatch(src, one[:])
+	_, _, err := w.SealBatch(src, one[:], nil)
 	return one[0].Tag, err
 }
 
-// SealBatch signs the batch as src.
-func (w SignerSealer) SealBatch(src string, batch []Envelope) (int, error) {
+// SealBatch signs the batch as src. The signers allocate their own tags,
+// so buf comes back untouched.
+func (w SignerSealer) SealBatch(src string, batch []Envelope, buf []byte) ([]byte, int, error) {
 	if r, ok := w.S.(*RSASigner); ok {
-		return min(1, len(batch)), r.signTree(src, batch)
+		return buf, min(1, len(batch)), r.signTree(src, batch)
 	}
 	for i := range batch {
 		var err error
 		if batch[i].Tag, err = w.S.Sign(src, batch[i].Payload); err != nil {
-			return 0, err
+			return buf, 0, err
 		}
 	}
-	return len(batch), nil
+	return buf, len(batch), nil
 }
 
 // Open verifies payload against src's identity and, under RSA, against
@@ -361,21 +366,22 @@ func (s *SessionSealer) AcceptHandshake(self string, frame []byte) (string, erro
 // Seal MACs payload alone: SealBatch with one envelope.
 func (s *SessionSealer) Seal(src, dst string, payload []byte) ([]byte, error) {
 	one := [1]Envelope{{Dst: dst, Payload: payload}}
-	_, err := s.SealBatch(src, one[:])
+	_, _, err := s.SealBatch(src, one[:], nil)
 	return one[0].Tag, err
 }
 
 // SealBatch MACs each envelope under its own link's session key. A tag
 // carries the key epoch so the receiver selects the right key across
-// rekey boundaries. The batch's tags are cut from one buffer.
-func (s *SessionSealer) SealBatch(src string, batch []Envelope) (int, error) {
-	buf := make([]byte, 0, len(batch)*(binary.MaxVarintLen64+sha256.Size))
+// rekey boundaries. The batch's tags are cut from buf, each
+// capacity-limited.
+func (s *SessionSealer) SealBatch(src string, batch []Envelope, buf []byte) ([]byte, int, error) {
+	buf = slices.Grow(buf[:0], len(batch)*(binary.MaxVarintLen64+sha256.Size))
 	for i, e := range batch {
 		s.mu.Lock()
 		sess, ok := s.out[link{src, e.Dst}]
 		s.mu.Unlock()
 		if !ok {
-			return 0, fmt.Errorf("%w: %s->%s", ErrNoSession, src, e.Dst)
+			return buf, 0, fmt.Errorf("%w: %s->%s", ErrNoSession, src, e.Dst)
 		}
 		lo := len(buf)
 		buf = binary.AppendUvarint(buf, sess.epoch)
@@ -385,7 +391,7 @@ func (s *SessionSealer) SealBatch(src string, batch []Envelope) (int, error) {
 		batch[i].Tag = buf[lo:len(buf):len(buf)]
 		s.sealed.Add(1)
 	}
-	return 0, nil
+	return buf, 0, nil
 }
 
 // Open checks a session-MAC tag against the link's inbound session,

@@ -49,7 +49,7 @@ func treeBatch(k int) []Envelope {
 func sealTree(t testing.TB, s Sealer, k int) []Envelope {
 	t.Helper()
 	batch := treeBatch(k)
-	signs, err := s.SealBatch("a", batch)
+	_, signs, err := s.SealBatch("a", batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSealIsBatchOfOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := []Envelope{{Dst: "b", Payload: payload}}
-	if _, err := s.SealBatch("a", one); err != nil {
+	if _, _, err := s.SealBatch("a", one, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tag, one[0].Tag) || len(tag) != d.publicKey("a").Size() {
@@ -124,7 +124,7 @@ func TestSealIsBatchOfOne(t *testing.T) {
 	if r.Verify("a", payload, tag) == nil {
 		t.Error("a tag bound to a link verified as bound to none")
 	}
-	if n, err := s.SealBatch("a", nil); n != 0 || err != nil {
+	if _, n, err := s.SealBatch("a", nil, nil); n != 0 || err != nil {
 		t.Errorf("an empty batch signed %d times, %v", n, err)
 	}
 }

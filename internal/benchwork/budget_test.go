@@ -30,40 +30,46 @@ var budgetCells = []budgetCell{
 		// provenance): the shape of bench/'s fig3-ndlog, the baseline of
 		// the paper's overhead ratios. Per-row f_concat lists, index
 		// bucket slices, shadow maps and per-round frame and grouping
-		// allocations cost 39 706 here.
+		// allocations cost 39 706 here; a datagram allocated per frame
+		// and a view built from per-table row slices 16 301.
 		name: "fig3-batch",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 16301,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 15472,
 	},
 	{
 		// The same batch run under condensed provenance without auth:
 		// fig3-sendlogprov's provenance share, without its RSA. Rendering
 		// every view row through a []string per cube, boxing every BDD
 		// node ≥ 256 into an annotation, and building each frame's table
-		// from nil with its root and ref slices cost 55 313 here.
+		// from nil with its root and ref slices cost 55 313 here; a
+		// datagram allocated per frame and a view built from per-table
+		// row slices 29 178.
 		name: "fig3-batch-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 29178,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 28353,
 	},
 	{
 		// One huge delta wave self-joined at the hub: nearly all engine,
-		// the one shape bench/'s four workloads do not have.
+		// the one shape bench/'s four workloads do not have. A datagram
+		// allocated per frame cost 1 962.
 		name: "fan-in",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return FanInStaged(t.Fatal, provnet.Config{}, 8, 64, 6, 4000)
 		},
-		derivs: 6156, stored: 4076, rounds: 2, allocs: 1962,
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 1948,
 	},
 	{
+		// Best-Path under cost churn. A datagram allocated per frame
+		// and a view built from per-table row slices cost 5 277.
 		name: "bestpath-churn",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 5277,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 4399,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -73,12 +79,13 @@ var budgetCells = []budgetCell{
 		// slack. Rendering the expression per store event or view row
 		// instead of once per BDD node costs 56 612, past it too; with
 		// every rendering, frame table and node box allocated afresh it
-		// cost 14 227.
+		// cost 14 227, with a datagram allocated per frame and a view
+		// built from per-table row slices 5 485.
 		name: "bestpath-churn-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 5485,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 4609,
 	},
 	{
 		// Cut and restore of 8 links through the Driver: the churn
@@ -89,12 +96,14 @@ var budgetCells = []budgetCell{
 		// instead fired 5 494 times here (every firing counts as a
 		// derivation) and cost 38 899 allocations, with probes that
 		// copied every bucket holding a dead row and retraction state
-		// allocated afresh per call.
+		// allocated afresh per call. Publishing each view with a cloned
+		// table map, a NodeView and a row slice per touched node and
+		// table, and a datagram per frame, cost 8 466.
 		name: "bestpath-cut",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 8466,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 6745,
 	},
 	{
 		// The same cut and restore with session MACs and condensed
@@ -104,12 +113,14 @@ var budgetCells = []budgetCell{
 		// MAC per frame and an expression rendered per row cost 81 273;
 		// the whole-table aggregate recount 51 832 (see bestpath-cut);
 		// renderings, frame tables and node boxes allocated afresh
-		// 22 899.
+		// 22 899; a cloned table map, NodeView and row slice per
+		// touched node and table in each view, a tag buffer per sealed
+		// batch and a datagram per frame 9 647.
 		name: "bestpath-cut-session",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 9647,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 7475,
 	},
 	{
 		// The same window with a durable store log attached, fsync on:
@@ -120,7 +131,8 @@ var budgetCells = []budgetCell{
 		// included; with that, the scheduler's per-call pool slices and
 		// closures, inboxes regrown from nil, one MAC tag allocation per
 		// envelope and withdrawal lists allocated per call, it cost
-		// 17 680.
+		// 17 680; with a map-backed view, a tag buffer per sealed
+		// batch and a datagram per frame 9 653.
 		name: "bestpath-cut-session-store",
 		stage: func(t *testing.T) func() *provnet.Report {
 			log, err := provnet.OpenStoreLog(t.TempDir(), provnet.StoreLogOptions{})
@@ -130,7 +142,7 @@ var budgetCells = []budgetCell{
 			t.Cleanup(func() { log.Close() })
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512, Store: log}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 9653,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 7478,
 	},
 	{
 		// /v1/traceback?maxdepth=12 for every bestPath row of a quiescent
@@ -140,12 +152,13 @@ var budgetCells = []budgetCell{
 		// convergence the queries read. A tree node, derivation, pointer
 		// slice and rendered string allocated one by one, each remote
 		// subtree encoded afresh to meter its bytes, and a strconv error
-		// per bare identifier parsed cost 110 077 here.
+		// per bare identifier parsed cost 110 077 here; an indenting
+		// JSON encoder built per reply 19 098.
 		name: "traceback-distributed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return tracebackStaged(t, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvDistributed}, 20, 5000)
 		},
-		derivs: 2445, stored: 1589, rounds: 8, allocs: 19098,
+		derivs: 2445, stored: 1589, rounds: 8, allocs: 14155,
 	},
 }
 
@@ -195,12 +208,12 @@ func tracebackStaged(t *testing.T, cfg provnet.Config, nodes int, seed int64) fu
 // of the seed on one processor, so this is room for small intended
 // changes, not for noise. The race detector makes sync.Pool drop a share
 // of what is put back, so the sealing scratch is rebuilt more often: the
-// cells read up to 1.8 thousand allocations (at most 14 %) higher under
+// cells read up to 1.5 thousand allocations (at most 20 %) higher under
 // -race, and traceback-distributed, whose replies draw on encoding/json's
-// pools and FromTree's text scratch, up to 22 %; race_test.go widens the
-// slack there. Frame decoders sit on
-// the network's own free list, not a sync.Pool: from the pool they cost
-// 6–7 thousand more per churn cell under -race.
+// pools and FromTree's text scratch, up to 29 %; race_test.go widens the
+// slack there. Frame decoders and reply encoders sit on free lists of
+// their own, not in a sync.Pool: from the pool the decoders cost 6–7
+// thousand more per churn cell under -race.
 var allocSlack = 1.20
 
 // TestHotPathAllocBudget is the allocation bound of the eval → import →

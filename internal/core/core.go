@@ -182,13 +182,13 @@ type Node struct {
 
 	// view is this node's slice of the latest published ReadView (nil
 	// before the first publish) and dirt what the engine reported since,
-	// per predicate; touched says dirt is not empty. Changes are tracked
+	// per predicate, sorted by it; touched says dirt is not empty. Changes are tracked
 	// only once there is a view to patch, so a batch run that publishes
 	// once pays nothing. Written by onEngineUpdate on this node's
 	// scheduler task and by the driver at quiescence, so no lock (see
 	// buildView).
 	view    *NodeView
-	dirt    map[string]*tableDirt
+	dirt    []tableDirt
 	touched bool
 
 	// wire is the node's frame scratch, reused round after round by its
@@ -1500,7 +1500,7 @@ func (n *Network) advance(dt float64) {
 		// Online provenance follows its tuples: expired state loses its
 		// online entries; the offline tier keeps them for forensics.
 		for _, key := range nd.Store.Keys() {
-			if e := nd.Store.Get(key); e != nil && !nd.Engine.Has(e.Tuple) {
+			if e, ok := nd.Store.Get(key); ok && !nd.Engine.Has(e.Tuple) {
 				nd.Store.Forget(key)
 			}
 		}

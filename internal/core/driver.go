@@ -110,7 +110,7 @@ func (n *Network) Driver() *Driver {
 	n.drvOnce.Do(func() {
 		d := &Driver{n: n, subs: make(map[*Subscription]struct{}), epochStart: time.Now()} //provlint:allow detpath report wall-clock epoch, never feeds evaluation
 		d.cond = sync.NewCond(&d.mu)
-		d.view.Store(&ReadView{nodes: map[string]*NodeView{}})
+		d.view.Store(&ReadView{})
 		n.drv = d
 	})
 	return n.drv

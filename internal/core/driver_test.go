@@ -780,8 +780,8 @@ func TestLiveTracebackSeesStaleProvenance(t *testing.T) {
 	if n.Node("a").Engine.Has(target) {
 		t.Fatal("bestPath(a,c) should be withdrawn after the cut")
 	}
-	entry := n.Node("a").Store.GetAny(provenance.KeyOf(target))
-	if entry == nil {
+	entry, ok := n.Node("a").Store.GetAny(provenance.KeyOf(target))
+	if !ok {
 		t.Fatal("withdrawn tuple's provenance erased; want stale-marked history")
 	}
 	if !entry.Stale {

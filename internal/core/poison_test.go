@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"provnet/internal/auth"
 	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
@@ -16,14 +17,17 @@ import (
 // body copies put there dies with the wave, and a list a stored row,
 // shadow row, aggregate contribution, dependency edge or export keeps was
 // copied out first. Under condensed provenance, also the round's table
-// arena (nodeWire.table), which dies when the round's frames are sent, and
+// arena (nodeWire.table), which dies when the round's frames are sent,
 // the BDD manager's decode scratch, which a delivered frame's annotations
-// are copied out of at once. With all of it poisoned where its contract
-// ends, the §6 Best-Path batch run and 8 link cuts and restores after it
-// must leave every table of every node, and every view row's provenance
-// expression, as a clean run leaves them, after each quiescence. A path
-// list left in the wave scratch reads back as poison; a node read from
-// the decode scratch after its frame fails to render.
+// are copied out of at once, and — that run seals with session MACs, as
+// live-churn does — the tag buffer sealFrames lends the sealer, which
+// dies once the round's datagrams are built. With all of it poisoned
+// where its contract ends, the §6 Best-Path batch run and 8 link cuts
+// and restores after it must leave every table of every node, and every
+// view row's provenance expression, as a clean run leaves them, after
+// each quiescence. A path list left in the wave scratch reads back as
+// poison; a node read from the decode scratch after its frame fails to
+// render; a datagram sharing a tag with the buffer fails to open.
 func TestScratchPoisonMatchesClean(t *testing.T) {
 	for _, prov := range []provenance.Mode{provenance.ModeNone, provenance.ModeCondensed} {
 		t.Run(prov.String(), func(t *testing.T) { scratchPoisonMatchesClean(t, prov) })
@@ -33,7 +37,11 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 6})
 	run := func() []string {
-		n, err := NewNetwork(Config{Source: BestPath, Graph: g, Prov: prov})
+		cfg := Config{Source: BestPath, Graph: g, Prov: prov}
+		if prov == provenance.ModeCondensed {
+			cfg.Auth, cfg.KeyBits = auth.SchemeSession, 512
+		}
+		n, err := NewNetwork(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -14,6 +15,7 @@ import (
 	"provnet/internal/auth"
 	"provnet/internal/data"
 	"provnet/internal/netsim"
+	"provnet/internal/provenance"
 )
 
 // saidFrame is a data frame carrying one tuple no run derives, so a
@@ -213,6 +215,73 @@ func (tp *tap) Drain(to string) []netsim.Message {
 	clear(tp.senders)
 	tp.mu.Unlock()
 	return tp.Network.Drain(to)
+}
+
+// capTap is the in-memory fabric, counting the datagrams it is handed,
+// those with room past their end, and the (sender, round) pairs that
+// shipped more than one — a round's sends all precede its drains.
+type capTap struct {
+	*netsim.Network
+	mu                   sync.Mutex
+	round                map[string]int
+	sent, loose, batched int
+}
+
+func (ct *capTap) Send(from, to string, payload []byte) error {
+	ct.mu.Lock()
+	ct.sent++
+	if cap(payload) != len(payload) {
+		ct.loose++
+	}
+	if ct.round[from]++; ct.round[from] == 2 {
+		ct.batched++
+	}
+	ct.mu.Unlock()
+	return ct.Network.Send(from, to, payload)
+}
+
+func (ct *capTap) Drain(to string) []netsim.Message {
+	ct.mu.Lock()
+	clear(ct.round)
+	ct.mu.Unlock()
+	return ct.Network.Drain(to)
+}
+
+// TestDatagramsCapacityLimited pins the aliasing contract of a round's
+// datagram arena: the datagrams a node seals in one round share one
+// array, so each must end at its capacity — a transport, or a fault
+// injector in front of it, that appends to one must not write into the
+// next one's bytes. Every datagram of a Best-Path batch run and a link
+// flap, under each sealer, has cap == len.
+func TestDatagramsCapacityLimited(t *testing.T) {
+	for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeRSA, auth.SchemeSession} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := bestPathCfg()
+			cfg.Auth, cfg.Prov = scheme, provenance.ModeCondensed
+			ct := &capTap{Network: netsim.New(), round: map[string]int{}}
+			cfg.Transport = ct
+			n, _ := mustRun(t, cfg)
+			l := cfg.Graph.Links[0]
+			d := n.Driver()
+			for _, flap := range []func() error{
+				func() error { return d.CutLink(l.From, l.To) },
+				func() error { return d.SetLink(l.From, l.To, l.Cost) },
+			} {
+				if err := flap(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.AwaitQuiescence(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ct.batched == 0 {
+				t.Fatalf("no node shipped two datagrams in one round")
+			}
+			if ct.loose != 0 {
+				t.Errorf("%d of %d datagrams have capacity past their end", ct.loose, ct.sent)
+			}
+		})
+	}
 }
 
 // TestSignedCountsTrees pins what Report.Signed counts under RSA says

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -31,15 +30,25 @@ type ReadView struct {
 	// Clock is the network's logical time when the view was built.
 	Clock float64
 
-	nodes map[string]*NodeView
+	// names are the hosted nodes, sorted, shared by every view of the
+	// network; nodes holds their slices of the view, in the same order.
+	names []string
+	nodes []NodeView
 	// gen is the mutation generation the view was built at (internal
 	// change detection for Seq stability).
 	gen uint64
 }
 
-// NodeView is one node's slice of a ReadView.
+// NodeView is one node's slice of a ReadView: its tables with live rows,
+// sorted by predicate.
 type NodeView struct {
-	tables map[string][]ViewRow // predicate → sorted rows
+	tables []viewTable
+}
+
+// viewTable is one predicate's rows in a NodeView, sorted by tuple order.
+type viewTable struct {
+	pred string
+	rows []ViewRow
 }
 
 // ViewRow is one fact in a view, with its condensed provenance
@@ -49,27 +58,37 @@ type ViewRow struct {
 	Prov  string
 }
 
-// Nodes returns the hosted node names, sorted.
-func (v *ReadView) Nodes() []string {
-	out := make([]string, 0, len(v.nodes))
-	for name := range v.nodes {
-		out = append(out, name)
+// node returns a node's slice of the view, or nil.
+func (v *ReadView) node(name string) *NodeView {
+	i, found := slices.BinarySearch(v.names, name)
+	if !found {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return &v.nodes[i]
 }
+
+// rows returns pred's rows, or nil when the node has none.
+func (nv *NodeView) rows(pred string) []ViewRow {
+	i, found := slices.BinarySearchFunc(nv.tables, pred, func(t viewTable, pred string) int { return strings.Compare(t.pred, pred) })
+	if !found {
+		return nil
+	}
+	return nv.tables[i].rows
+}
+
+// Nodes returns the hosted node names, sorted.
+func (v *ReadView) Nodes() []string { return slices.Clone(v.names) }
 
 // Predicates returns the predicates with live rows at a node, sorted.
 func (v *ReadView) Predicates(node string) []string {
-	nv := v.nodes[node]
+	nv := v.node(node)
 	if nv == nil {
 		return nil
 	}
-	out := make([]string, 0, len(nv.tables))
-	for pred := range nv.tables {
-		out = append(out, pred)
+	out := make([]string, len(nv.tables))
+	for i, t := range nv.tables {
+		out[i] = t.pred
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -77,24 +96,24 @@ func (v *ReadView) Predicates(node string) []string {
 // returned slice is shared with the immutable view: callers must not
 // mutate it.
 func (v *ReadView) Rows(node, pred string) []ViewRow {
-	nv := v.nodes[node]
+	nv := v.node(node)
 	if nv == nil {
 		return nil
 	}
-	return nv.tables[pred]
+	return nv.rows(pred)
 }
 
 // HasNode reports whether the view covers a node.
-func (v *ReadView) HasNode(node string) bool { return v.nodes[node] != nil }
+func (v *ReadView) HasNode(node string) bool { return v.node(node) != nil }
 
 // Dump renders the whole view as sorted "node\ttuple\tprov" lines — the
 // shape StoreState.LiveDump produces, compared verbatim by the storelog
 // determinism pin.
 func (v *ReadView) Dump() string {
 	var lines []string
-	for name, nv := range v.nodes { //provlint:allow mapiter collected lines are sorted before joining
-		for _, rows := range nv.tables { //provlint:allow mapiter collected lines are sorted before joining
-			for _, r := range rows {
+	for i, name := range v.names {
+		for _, t := range v.nodes[i].tables {
+			for _, r := range t.rows {
 				lines = append(lines, name+"\t"+r.Tuple.String()+"\t"+r.Prov)
 			}
 		}
@@ -109,10 +128,14 @@ func (v *ReadView) Dump() string {
 // soft-state sweep hit the table — only the fact that the table must be
 // rebuilt whole.
 type tableDirt struct {
+	pred    string
 	tuples  []data.Tuple
 	limit   int
 	rebuild bool
 }
+
+// dirty reports whether the table changed since the last published view.
+func (td *tableDirt) dirty() bool { return td.rebuild || len(td.tuples) > 0 }
 
 // dirtLimit is how many change notifications a table of n rows collects
 // before patching stops paying and the table is rebuilt instead: half
@@ -125,14 +148,11 @@ func dirtLimit(n int) int { return n/2 + 32 }
 // onEngineUpdate on the node's scheduler task, only once a first view
 // exists.
 func (nd *Node) markViewDirty(t data.Tuple, expired bool) {
-	td := nd.dirt[t.Pred]
-	if td == nil {
-		if nd.dirt == nil {
-			nd.dirt = make(map[string]*tableDirt)
-		}
-		td = &tableDirt{limit: dirtLimit(len(nd.view.tables[t.Pred]))}
-		nd.dirt[t.Pred] = td
+	i, found := slices.BinarySearchFunc(nd.dirt, t.Pred, func(td tableDirt, pred string) int { return strings.Compare(td.pred, pred) })
+	if !found {
+		nd.dirt = slices.Insert(nd.dirt, i, tableDirt{pred: t.Pred, limit: dirtLimit(len(nd.view.rows(t.Pred)))})
 	}
+	td := &nd.dirt[i]
 	nd.touched = true
 	switch {
 	case td.rebuild:
@@ -157,29 +177,36 @@ func (nd *Node) markViewDirty(t data.Tuple, expired bool) {
 // the driver's evaluation lock (runMu) so no engine mutates concurrently;
 // the dirt is left in place for viewPublished to clear, so building
 // against an empty prev is a side-effect-free full rebuild.
+//
+// A view allocates its node list, and a node built or patched anew its
+// table list and one arena its tables' rows are carved from, each
+// capacity-limited so no table can grow into the next one's rows.
 func (n *Network) buildView(prev *ReadView, seq, gen uint64) *ReadView {
-	v := &ReadView{Seq: seq, Clock: n.Clock(), gen: gen, nodes: make(map[string]*NodeView, len(n.order))}
+	// The hosted nodes never change, so a view with as many as the
+	// network has has the same ones.
+	names := prev.names
+	if len(names) != len(n.order) {
+		names = slices.Sorted(slices.Values(n.order))
+	}
+	v := &ReadView{Seq: seq, Clock: n.Clock(), gen: gen, names: names, nodes: make([]NodeView, len(names))}
+	patch := len(prev.nodes) == len(names)
 	var rebuilt, shared int // rows rendered, tables reused
-	for _, name := range n.order {
+	for i, name := range names {
 		nd := n.nodes[name]
-		pnv := prev.nodes[name]
 		switch {
-		case pnv == nil:
-			nv := &NodeView{tables: make(map[string][]ViewRow)}
-			for _, pred := range nd.Engine.Predicates() {
-				rows := n.tableRows(nd, pred)
-				nv.tables[pred] = rows
-				rebuilt += len(rows)
+		case !patch:
+			v.nodes[i] = n.nodeView(nd)
+			for _, t := range v.nodes[i].tables {
+				rebuilt += len(t.rows)
 			}
-			v.nodes[name] = nv
 		case !nd.touched:
-			v.nodes[name] = pnv
-			shared += len(pnv.tables)
+			v.nodes[i] = prev.nodes[i]
+			shared += len(prev.nodes[i].tables)
 		default:
-			nv, fresh, replaced := n.patchNode(nd, pnv)
-			v.nodes[name] = nv
+			var fresh, replaced int
+			v.nodes[i], fresh, replaced = n.patchNode(nd, prev.nodes[i])
 			rebuilt += fresh
-			shared += len(pnv.tables) - replaced
+			shared += len(prev.nodes[i].tables) - replaced
 		}
 	}
 	if n.nm != nil {
@@ -189,80 +216,123 @@ func (n *Network) buildView(prev *ReadView, seq, gen uint64) *ReadView {
 	return v
 }
 
+// nodeView renders a node's first NodeView from its engine, every table
+// with live rows.
+func (n *Network) nodeView(nd *Node) NodeView {
+	preds := nd.Engine.Predicates()
+	size := 0
+	for _, pred := range preds {
+		size += nd.Engine.Count(pred)
+	}
+	tables := make([]viewTable, len(preds))
+	arena := make([]ViewRow, 0, size)
+	for i, pred := range preds {
+		lo := len(arena)
+		arena = n.tableRows(nd, pred, arena)
+		tables[i] = viewTable{pred: pred, rows: arena[lo:len(arena):len(arena)]}
+	}
+	return NodeView{tables: tables}
+}
+
 // patchNode builds a touched node's NodeView from its previous one: the
 // dirty tables patched or rebuilt, the others shared. It reports the
 // rows it rendered and how many of the previous tables it replaced.
-func (n *Network) patchNode(nd *Node, pnv *NodeView) (nv *NodeView, fresh, replaced int) {
-	nv = &NodeView{tables: maps.Clone(pnv.tables)}
-	for pred, td := range nd.dirt { //provlint:allow mapiter each table is patched on its own and stored under its name; order cannot escape
-		if !td.rebuild && len(td.tuples) == 0 {
+func (n *Network) patchNode(nd *Node, pnv NodeView) (nv NodeView, fresh, replaced int) {
+	size, added := 0, 0
+	for i := range nd.dirt {
+		td := &nd.dirt[i]
+		if !td.dirty() {
 			continue
 		}
-		prevRows, had := pnv.tables[pred]
-		if had {
-			replaced++
+		prev := pnv.rows(td.pred)
+		if prev == nil {
+			added++
 		}
-		var rows []ViewRow
 		if td.rebuild {
-			rows = n.tableRows(nd, pred)
-			fresh += len(rows)
+			size += nd.Engine.Count(td.pred)
 		} else {
-			var rendered int
-			rows, rendered = n.patchRows(nd, prevRows, td.tuples)
-			fresh += rendered
-		}
-		if len(rows) == 0 {
-			delete(nv.tables, pred) // as Engine.Predicates omits it
-		} else {
-			nv.tables[pred] = rows
+			size += len(prev) + len(td.tuples)
 		}
 	}
-	return nv, fresh, replaced
+	tables := make([]viewTable, 0, len(pnv.tables)+added)
+	arena := make([]ViewRow, 0, size)
+	next := 0 // pnv.tables before next are in tables or replaced
+	for i := range nd.dirt {
+		td := &nd.dirt[i]
+		if !td.dirty() {
+			continue
+		}
+		for next < len(pnv.tables) && pnv.tables[next].pred < td.pred {
+			tables = append(tables, pnv.tables[next])
+			next++
+		}
+		var prevRows []ViewRow
+		if next < len(pnv.tables) && pnv.tables[next].pred == td.pred {
+			prevRows = pnv.tables[next].rows
+			next++
+			replaced++
+		}
+		lo := len(arena)
+		if td.rebuild {
+			arena = n.tableRows(nd, td.pred, arena)
+			fresh += len(arena) - lo
+		} else {
+			var rendered int
+			arena, rendered = n.patchRows(nd, prevRows, td.tuples, arena)
+			fresh += rendered
+		}
+		if hi := len(arena); hi > lo { // an emptied table goes, as Engine.Predicates omits it
+			tables = append(tables, viewTable{pred: td.pred, rows: arena[lo:hi:hi]})
+		}
+	}
+	tables = append(tables, pnv.tables[next:]...)
+	return NodeView{tables: tables}, fresh, replaced
 }
 
 // viewPublished makes v the view the next one is patched from: every
 // node remembers its slice of it (which is what turns change tracking
 // on) and the dirt v absorbed is cleared, its buffers kept.
 func (n *Network) viewPublished(v *ReadView) {
-	for _, name := range n.order {
+	for i, name := range v.names {
 		nd := n.nodes[name]
-		nd.view = v.nodes[name]
+		nd.view = &v.nodes[i]
 		if !nd.touched {
 			continue
 		}
 		nd.touched = false
-		for pred, td := range nd.dirt { //provlint:allow mapiter independent per-table resets; order cannot escape
+		for j := range nd.dirt {
+			td := &nd.dirt[j]
 			clear(td.tuples)
 			td.tuples, td.rebuild = td.tuples[:0], false
-			td.limit = dirtLimit(len(nd.view.tables[pred]))
+			td.limit = dirtLimit(len(nd.view.rows(td.pred)))
 		}
 	}
 }
 
-// tableRows renders one table from the engine: every live row, sorted.
-func (n *Network) tableRows(nd *Node, pred string) []ViewRow {
+// tableRows appends one table rendered from the engine to rows: every
+// live row, sorted.
+func (n *Network) tableRows(nd *Node, pred string, rows []ViewRow) []ViewRow {
 	condensed := n.cfg.Prov == provenance.ModeCondensed
-	tuples := nd.Engine.Tuples(pred) // sorted
-	rows := make([]ViewRow, len(tuples))
-	for i, tu := range tuples {
-		rows[i].Tuple = tu
+	for _, tu := range nd.Engine.Tuples(pred) { // sorted
+		row := ViewRow{Tuple: tu}
 		if condensed {
-			rows[i].Prov = nd.Tracker.ExprOf(nd.Engine.AnnotationOf(tu))
+			row.Prov = nd.Tracker.ExprOf(nd.Engine.AnnotationOf(tu))
 		}
+		rows = append(rows, row)
 	}
 	return rows
 }
 
-// patchRows merges a table's dirty tuples into its previous sorted rows:
-// for each distinct dirty tuple the stale row goes out and, if the engine
-// still holds it live, a fresh one comes in — one engine probe and one
-// provenance rendering per changed row, none for the others. It sorts
-// and compacts dirty in place and reports how many rows it rendered.
-func (n *Network) patchRows(nd *Node, prev []ViewRow, dirty []data.Tuple) ([]ViewRow, int) {
+// patchRows merges a table's dirty tuples into its previous sorted rows,
+// appending the result to rows: for each distinct dirty tuple the stale
+// row goes out and, if the engine still holds it live, a fresh one comes
+// in — one engine probe and one provenance rendering per changed row,
+// none for the others. It sorts and compacts dirty in place and reports
+// how many rows it rendered.
+func (n *Network) patchRows(nd *Node, prev []ViewRow, dirty []data.Tuple, rows []ViewRow) ([]ViewRow, int) {
 	condensed := n.cfg.Prov == provenance.ModeCondensed
 	data.SortTuples(dirty)
 	dirty = slices.CompactFunc(dirty, func(a, b data.Tuple) bool { return data.CompareTuples(a, b) == 0 })
-	rows := make([]ViewRow, 0, len(prev)+len(dirty))
 	fresh := 0
 	for _, d := range dirty {
 		at, found := slices.BinarySearchFunc(prev, d, func(r ViewRow, d data.Tuple) int { return data.CompareTuples(r.Tuple, d) })

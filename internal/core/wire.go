@@ -102,16 +102,18 @@ var errNoSessionTransport = errors.New("core: handshake frame without a session 
 
 // wireScratch is what sealFrames holds between serializing a round and
 // shipping it: the frames' signed bytes back to back, where each frame's
-// bytes end, and the envelopes handed to the sealer.
+// bytes end, the envelopes handed to the sealer and the tag buffer lent
+// to it.
 type wireScratch struct {
 	b     []byte
 	ends  []int
 	batch []auth.Envelope
+	tags  []byte
 }
 
 // wireBufs pools the scratch sealFrames works in: sealers hash the bytes
-// without retaining them, so only the final datagrams are freshly sized
-// (transports retain them).
+// without retaining them, and the tags are copied into the datagrams, so
+// only the datagrams' arena is freshly sized (transports retain it).
 var wireBufs = sync.Pool{New: func() any {
 	return &wireScratch{b: make([]byte, 0, 1024)}
 }}
@@ -224,12 +226,22 @@ func (f *frame) decodeProv(tr *provenance.Tracker) error {
 // Handshake frames carry their own signature and are sealed as they come
 // up. It returns the says operations the sealer spent. Tags depend on the
 // frames and their order alone, so either schedule ships the same bytes.
+//
+// The other datagrams are carved from one arena, each capacity-limited
+// so that nothing appended to one can reach the next; nothing writes to
+// the arena once a datagram is carved from it, and it lives until the
+// transport has let go of the last of them.
 func sealFrames(sealer auth.Sealer, from string, frames []outFrame, ship func(f outFrame, datagram []byte) error) (int, error) {
 	w := wireBufs.Get().(*wireScratch)
 	defer func() {
+		if poisonWire.Load() {
+			for i := range w.tags {
+				w.tags[i] = 0xff
+			}
+		}
 		if cap(w.b) <= 1<<20 { // a one-off oversized round is not worth hoarding
-			clear(w.batch) // the tags are the datagrams' business now
-			w.b, w.ends, w.batch = w.b[:0], w.ends[:0], w.batch[:0]
+			clear(w.batch) // the tags are copied into the datagrams
+			w.b, w.ends, w.batch, w.tags = w.b[:0], w.ends[:0], w.batch[:0], w.tags[:0]
 			wireBufs.Put(w)
 		}
 	}()
@@ -245,10 +257,16 @@ func sealFrames(sealer auth.Sealer, from string, frames []outFrame, ship func(f 
 		}
 		lo = w.ends[i]
 	}
-	signs, err := sealer.SealBatch(from, w.batch)
+	tags, signs, err := sealer.SealBatch(from, w.batch, w.tags)
+	w.tags = tags
 	if err != nil {
 		return 0, fmt.Errorf("core: sealing frames from %s: %w", from, err)
 	}
+	size := 0
+	for _, e := range w.batch {
+		size += len(e.Payload) + len(e.Tag) + binary.MaxVarintLen64
+	}
+	arena := make([]byte, 0, size)
 	next := 0
 	for _, f := range frames {
 		var datagram []byte
@@ -259,8 +277,9 @@ func sealFrames(sealer auth.Sealer, from string, frames []outFrame, ship func(f 
 		} else {
 			e := w.batch[next]
 			next++
-			datagram = make([]byte, 0, len(e.Payload)+len(e.Tag)+binary.MaxVarintLen64)
-			datagram = data.AppendBytes(append(datagram, e.Payload...), e.Tag)
+			lo := len(arena)
+			arena = data.AppendBytes(append(arena, e.Payload...), e.Tag)
+			datagram = arena[lo:len(arena):len(arena)]
 		}
 		if err := ship(f, datagram); err != nil {
 			return 0, err

@@ -75,11 +75,11 @@ type placeholder []byte
 
 func (p placeholder) Scheme() auth.Scheme                        { return auth.SchemeNone }
 func (p placeholder) Seal(_, _ string, _ []byte) ([]byte, error) { return p, nil }
-func (p placeholder) SealBatch(_ string, batch []auth.Envelope) (int, error) {
+func (p placeholder) SealBatch(_ string, batch []auth.Envelope, buf []byte) ([]byte, int, error) {
 	for i := range batch {
 		batch[i].Tag = p
 	}
-	return 0, nil
+	return buf, 0, nil
 }
 func (p placeholder) SealHandshake(_, _ string, _ uint64) ([]byte, error) { return p, nil }
 func (p placeholder) AcceptHandshake(_ string, blob []byte) (string, error) {

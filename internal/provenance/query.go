@@ -132,12 +132,13 @@ func (q *querier) walk(node, key string, depth int) *Tree {
 	if s == nil {
 		return nil
 	}
-	tu, derivs, origins, ok := s.read(key, q.opts.Offline)
+	e, ok := s.read(key, q.opts.Offline)
 	if !ok {
 		return nil
 	}
+	derivs, origins := e.Derivs, e.Origins
 	q.stats.Entries++
-	t := q.newTree(tu)
+	t := q.newTree(e.Tuple)
 	pk := pathKey{node, key}
 	if depth >= q.opts.MaxDepth || q.seen[pk] {
 		t.Truncated = true

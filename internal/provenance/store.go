@@ -48,8 +48,9 @@ type Derivation struct {
 
 // Entry is a tuple's locally known provenance. Derivs and Origins only
 // ever grow by append, under the store's lock, and no element is ever
-// rewritten in place: a traceback walk reads the elements of the slice
-// headers the read lock handed it (Store.read) after releasing the lock.
+// rewritten in place: a reader keeps the copy of the entry the read lock
+// handed it (Store.read) and reads its slices' elements after releasing
+// the lock.
 type Entry struct {
 	Key   string
 	Tuple data.Tuple
@@ -229,38 +230,33 @@ func (s *Store) mirrorOffline(e *Entry) {
 	off.Pinned = off.Pinned || e.Pinned
 }
 
-// Get returns the online entry for a tuple key, or nil.
-func (s *Store) Get(key string) *Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.online[key]
-}
+// Get returns a snapshot of the online entry for a tuple key, taken
+// under the read lock (see read).
+func (s *Store) Get(key string) (Entry, bool) { return s.read(key, false) }
 
-// GetOffline returns the offline entry for a tuple key, or nil. Offline
-// entries survive Forget (tuple expiry).
-func (s *Store) GetOffline(key string) *Entry {
+// GetOffline returns a snapshot of the offline entry for a tuple key.
+// Offline entries survive Forget (tuple expiry).
+func (s *Store) GetOffline(key string) (Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.offline[key]
+	e, ok := s.offline[key]
+	if !ok {
+		return Entry{}, false
+	}
+	return *e, true
 }
 
 // GetAny prefers the online entry and falls back to offline (the paper's
 // "in practice, [forensics] would be used in conjunction with online
 // provenance").
-func (s *Store) GetAny(key string) *Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.online[key]; ok {
-		return e
-	}
-	return s.offline[key]
-}
+func (s *Store) GetAny(key string) (Entry, bool) { return s.read(key, true) }
 
-// read returns key's entry as the read lock publishes it: its tuple and
-// its Derivs and Origins slice headers, the online entry first and the
-// offline one when offline is set. Entries only append, so the returned
-// elements stay valid and unchanged after the lock is released.
-func (s *Store) read(key string, offline bool) (data.Tuple, []Derivation, []Ref, bool) {
+// read returns a copy of key's entry as the read lock publishes it, the
+// online entry first and the offline one when offline is set. Entries
+// only append, so the elements of the copied Derivs and Origins headers
+// stay valid and unchanged after the lock is released, while the live
+// entry's headers, flags and times may move on under the next writer.
+func (s *Store) read(key string, offline bool) (Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e := s.online[key]
@@ -268,9 +264,9 @@ func (s *Store) read(key string, offline bool) (data.Tuple, []Derivation, []Ref,
 		e = s.offline[key]
 	}
 	if e == nil {
-		return data.Tuple{}, nil, nil, false
+		return Entry{}, false
 	}
-	return e.Tuple, e.Derivs, e.Origins, true
+	return *e, true
 }
 
 // Forget drops a tuple's online provenance (called when its soft state

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ func TestStoreRecordAndGet(t *testing.T) {
 	s := NewStore("a")
 	tu := data.NewTuple("link", data.Str("a"), data.Str("b"))
 	s.RecordBase(tu, 1)
-	e := s.Get(KeyOf(tu))
-	if e == nil || !e.Tuple.Equal(tu) || len(e.Derivs) != 0 {
+	e, ok := s.Get(KeyOf(tu))
+	if !ok || !e.Tuple.Equal(tu) || len(e.Derivs) != 0 {
 		t.Fatalf("entry = %+v", e)
 	}
 	head := data.NewTuple("reachable", data.Str("a"), data.Str("b"))
@@ -24,12 +25,12 @@ func TestStoreRecordAndGet(t *testing.T) {
 	}
 	// Duplicate derivation dedups (the firing time is not part of it).
 	s.RecordDeriv(head, "r1", []Ref{{Node: "a", Key: KeyOf(tu)}}, 3)
-	if got := s.Get(KeyOf(head)); len(got.Derivs) != 1 {
+	if got, _ := s.Get(KeyOf(head)); len(got.Derivs) != 1 {
 		t.Fatalf("derivs = %d", len(got.Derivs))
 	}
 	// A firing that differs in one child is a second derivation.
 	s.RecordDeriv(head, "r1", []Ref{{Node: "b", Key: KeyOf(tu)}}, 4)
-	if got := s.Get(KeyOf(head)); len(got.Derivs) != 2 {
+	if got, _ := s.Get(KeyOf(head)); len(got.Derivs) != 2 {
 		t.Fatalf("derivs = %d, want 2", len(got.Derivs))
 	}
 	if s.OnlineCount() != 2 {
@@ -43,8 +44,61 @@ func TestStoreOrigins(t *testing.T) {
 	ref := Ref{Node: "a", Key: KeyOf(tu)}
 	s.RecordOrigin(tu, ref, 1)
 	s.RecordOrigin(tu, ref, 2) // a duplicate origin dedups
-	if e := s.Get(KeyOf(tu)); len(e.Origins) != 1 || e.Origins[0] != ref {
+	if e, _ := s.Get(KeyOf(tu)); len(e.Origins) != 1 || e.Origins[0] != ref {
 		t.Fatalf("origins = %v", e.Origins)
+	}
+}
+
+// TestGetSnapshotsUnderWriter reads an entry's derivations and origins
+// through Get and GetAny while a writer records more of both. Under
+// -race it pins that the entry a reader gets is its own copy: reading
+// the live entry's slice headers after the lock is released races the
+// writer's append.
+func TestGetSnapshotsUnderWriter(t *testing.T) {
+	s := NewStore("a")
+	s.EnableOffline(-1)
+	head := data.NewTuple("p", data.Int(1))
+	const n = 200
+	rules := make([]string, n)
+	for i := range rules {
+		rules[i] = "r" + strconv.Itoa(i)
+	}
+	key := s.RecordDeriv(head, rules[0], nil, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i < n; i++ {
+			s.RecordDeriv(head, rules[i], nil, float64(i))
+			s.RecordOrigin(head, Ref{Node: rules[i], Key: key}, float64(i))
+		}
+	}()
+	check := func(e Entry, ok bool) {
+		t.Helper()
+		if !ok {
+			t.Fatal("entry missing")
+		}
+		for i, d := range e.Derivs {
+			if d.Rule != rules[i] {
+				t.Fatalf("derivation %d is %s", i, d.Rule)
+			}
+		}
+		for i, o := range e.Origins {
+			if o.Node != rules[i+1] {
+				t.Fatalf("origin %d is %s", i, o.Node)
+			}
+		}
+	}
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		check(s.Get(key))
+		check(s.GetAny(key))
+	}
+	if e, _ := s.Get(key); len(e.Derivs) != n || len(e.Origins) != n-1 {
+		t.Fatalf("%d derivations and %d origins, want %d and %d", len(e.Derivs), len(e.Origins), n, n-1)
 	}
 }
 
@@ -54,13 +108,13 @@ func TestOfflineSurvivesForget(t *testing.T) {
 	tu := data.NewTuple("event", data.Str("a"), data.Int(1))
 	s.RecordBase(tu, 5)
 	s.Forget(KeyOf(tu))
-	if s.Get(KeyOf(tu)) != nil {
+	if _, ok := s.Get(KeyOf(tu)); ok {
 		t.Fatal("online entry must be gone")
 	}
-	if s.GetOffline(KeyOf(tu)) == nil {
+	if _, ok := s.GetOffline(KeyOf(tu)); !ok {
 		t.Fatal("offline entry must survive")
 	}
-	if s.GetAny(KeyOf(tu)) == nil {
+	if _, ok := s.GetAny(KeyOf(tu)); !ok {
 		t.Fatal("GetAny must fall back to offline")
 	}
 }
@@ -70,7 +124,7 @@ func TestOfflineDisabledByDefault(t *testing.T) {
 	tu := data.NewTuple("event", data.Str("a"), data.Int(1))
 	s.RecordBase(tu, 5)
 	s.Forget(KeyOf(tu))
-	if s.GetAny(KeyOf(tu)) != nil {
+	if _, ok := s.GetAny(KeyOf(tu)); ok {
 		t.Fatal("no offline tier: entry should be gone")
 	}
 }
@@ -89,10 +143,10 @@ func TestAgeOutAndPin(t *testing.T) {
 	if n := s.AgeOut(20); n != 1 {
 		t.Fatalf("aged = %d, want 1 (pinned survives)", n)
 	}
-	if s.GetOffline(KeyOf(t1)) != nil {
+	if _, ok := s.GetOffline(KeyOf(t1)); ok {
 		t.Error("t1 must be aged out")
 	}
-	if s.GetOffline(KeyOf(t2)) == nil {
+	if _, ok := s.GetOffline(KeyOf(t2)); !ok {
 		t.Error("pinned t2 must survive")
 	}
 	if s.OfflineCount() != 1 {
@@ -116,16 +170,16 @@ func TestOfflineSnapshotIsolation(t *testing.T) {
 	s.EnableOffline(-1)
 	head := data.NewTuple("p", data.Int(1))
 	s.RecordDeriv(head, "r1", nil, 0)
-	off := s.GetOffline(KeyOf(head))
+	off, _ := s.GetOffline(KeyOf(head))
 	nDerivs := len(off.Derivs)
 	s.RecordDeriv(head, "r2", nil, 1) // mirrors again
-	if got := s.GetOffline(KeyOf(head)); len(got.Derivs) != nDerivs+1 {
+	if got, _ := s.GetOffline(KeyOf(head)); len(got.Derivs) != nDerivs+1 {
 		t.Fatalf("offline should track while online lives: %d", len(got.Derivs))
 	}
 	s.Forget(KeyOf(head))
 	// Mutating a fresh online entry must not disturb the offline copy.
 	s.RecordDeriv(head, "r3", nil, 2)
-	if got := s.GetOffline(KeyOf(head)); len(got.Derivs) != nDerivs+2 {
+	if got, _ := s.GetOffline(KeyOf(head)); len(got.Derivs) != nDerivs+2 {
 		t.Fatalf("offline entry re-mirrored after forget: %d derivs", len(got.Derivs))
 	}
 }
@@ -138,21 +192,21 @@ func TestMarkStaleAndClear(t *testing.T) {
 	s.RecordBase(tu, 1)
 
 	s.MarkStale(key, 7)
-	for tier, e := range map[string]*Entry{"online": s.Get(key), "offline": s.GetOffline(key)} {
-		if e == nil || !e.Stale || e.StaleAt != 7 {
+	for tier, get := range map[string]func(string) (Entry, bool){"online": s.Get, "offline": s.GetOffline} {
+		if e, ok := get(key); !ok || !e.Stale || e.StaleAt != 7 {
 			t.Fatalf("%s entry = %+v, want stale at 7", tier, e)
 		}
 	}
 	// The history survives the withdrawal: stale is a flag, not a delete.
-	if s.Get(key) == nil {
+	if _, ok := s.Get(key); !ok {
 		t.Fatal("stale entry must stay queryable")
 	}
 
 	s.ClearStale(key)
-	if e := s.Get(key); e == nil || e.Stale {
+	if e, ok := s.Get(key); !ok || e.Stale {
 		t.Fatalf("online entry after ClearStale = %+v, want fresh", e)
 	}
-	if e := s.GetOffline(key); e == nil || e.Stale {
+	if e, ok := s.GetOffline(key); !ok || e.Stale {
 		t.Fatalf("offline entry after ClearStale = %+v, want fresh", e)
 	}
 
@@ -170,7 +224,7 @@ func TestStaleSurvivesOfflineClone(t *testing.T) {
 	// Enabling the offline tier after the fact clones the stale flag.
 	s.EnableOffline(-1)
 	s.RecordBase(tu, 4) // mirror triggers the offline clone
-	if e := s.GetOffline(key); e == nil || !e.Stale {
+	if e, ok := s.GetOffline(key); !ok || !e.Stale {
 		t.Fatalf("offline clone = %+v, want stale carried over", e)
 	}
 }
@@ -229,11 +283,11 @@ func FuzzStoreIndex(f *testing.F) {
 				if got := s.Key(u); got != key {
 					t.Fatalf("step %d: Key(%s) = %s, KeyOf = %s", i/2, u, got, key)
 				}
-				e := s.Get(key)
+				e, ok := s.Get(key)
 				switch {
-				case live[key] && (e == nil || !e.Tuple.Equal(u)):
+				case live[key] && (!ok || !e.Tuple.Equal(u)):
 					t.Fatalf("step %d: Get(Key(%s)) = %+v", i/2, u, e)
-				case !live[key] && e != nil:
+				case !live[key] && ok:
 					t.Fatalf("step %d: forgotten %s still has entry %+v", i/2, u, e)
 				}
 			}

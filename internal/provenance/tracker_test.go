@@ -255,13 +255,13 @@ func TestDistributedModeRecordsPointers(t *testing.T) {
 	if _, e := trB.Import(head, payload); e != nil {
 		t.Fatal(e)
 	}
-	entry := storeB.Get(KeyOf(head))
-	if entry == nil || len(entry.Origins) != 1 || entry.Origins[0].Node != "a" {
+	entry, ok := storeB.Get(KeyOf(head))
+	if !ok || len(entry.Origins) != 1 || entry.Origins[0].Node != "a" {
 		t.Fatalf("origin entry = %+v", entry)
 	}
 	// And a's store has the derivation.
-	ea := storeA.Get(KeyOf(head))
-	if ea == nil || len(ea.Derivs) != 1 || ea.Derivs[0].Rule != "r1" {
+	ea, ok := storeA.Get(KeyOf(head))
+	if !ok || len(ea.Derivs) != 1 || ea.Derivs[0].Rule != "r1" {
 		t.Fatalf("a's entry = %+v", ea)
 	}
 }
@@ -276,7 +276,7 @@ func TestSamplingRecordsFraction(t *testing.T) {
 	// Exactly 1 in 10 derivations recorded.
 	n := 0
 	for i := 0; i < 100; i++ {
-		if store.Get(KeyOf(data.NewTuple("p", data.Int(int64(i))))) != nil {
+		if _, ok := store.Get(KeyOf(data.NewTuple("p", data.Int(int64(i))))); ok {
 			n++
 		}
 	}

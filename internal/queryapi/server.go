@@ -1,11 +1,13 @@
 package queryapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"provnet/internal/core"
@@ -21,6 +23,13 @@ import (
 type Server struct {
 	n *core.Network
 	d *core.Driver
+	// encoders is the free list of reply encoders, which handlers take
+	// one each from and give back. It is not a sync.Pool, which under
+	// the race detector drops a share of what is put back.
+	encoders struct {
+		sync.Mutex
+		free []*replyEncoder
+	}
 }
 
 // NewServer mounts a query server on the network's driver.
@@ -87,24 +96,54 @@ func (s *Server) handleDebugRounds(w http.ResponseWriter, r *http.Request) {
 		recs = []obs.RoundRecord{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(debugRounds{V: debugRoundsVersion, Rounds: recs})
+	s.writeJSON(w, debugRounds{V: debugRoundsVersion, Rounds: recs})
 }
 
 // writeResult marshals the envelope (every response, success or error,
 // is a QueryResult).
-func writeResult(w http.ResponseWriter, status int, res *QueryResult) {
+func (s *Server) writeResult(w http.ResponseWriter, status int, res *QueryResult) {
 	res.V = SchemaVersion
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(res)
+	s.writeJSON(w, res)
 }
 
-func writeError(w http.ResponseWriter, status int, kind string, err error) {
-	writeResult(w, status, &QueryResult{Kind: kind, Error: err.Error()})
+// replyEncoder is an indenting JSON encoder and the buffer it encodes
+// into, kept between replies.
+type replyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// writeJSON writes v as indented JSON in one Write, nothing if it does
+// not encode.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	re := &s.encoders
+	re.Lock()
+	var r *replyEncoder
+	if k := len(re.free); k > 0 {
+		r, re.free = re.free[k-1], re.free[:k-1]
+	}
+	re.Unlock()
+	if r == nil {
+		r = new(replyEncoder)
+		r.enc = json.NewEncoder(&r.buf)
+		r.enc.SetIndent("", "  ")
+	}
+	r.buf.Reset()
+	if r.enc.Encode(v) == nil {
+		_, _ = w.Write(r.buf.Bytes())
+	}
+	if r.buf.Cap() > 1<<20 { // a one-off huge reply is not worth hoarding
+		return
+	}
+	re.Lock()
+	re.free = append(re.free, r)
+	re.Unlock()
+}
+
+func (s *Server) writeError(w http.ResponseWriter, status int, kind string, err error) {
+	s.writeResult(w, status, &QueryResult{Kind: kind, Error: err.Error()})
 }
 
 // handleTables serves GET /v1/tables/{pred}?node=N — the rows of one
@@ -118,7 +157,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	nodes := view.Nodes()
 	if node != "" {
 		if !view.HasNode(node) {
-			writeError(w, http.StatusNotFound, "tables", fmt.Errorf("unknown node %q", node))
+			s.writeError(w, http.StatusNotFound, "tables", fmt.Errorf("unknown node %q", node))
 			return
 		}
 		nodes = []string{node}
@@ -139,7 +178,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !known {
-		writeError(w, http.StatusNotFound, "tables", fmt.Errorf("unknown predicate %q", pred))
+		s.writeError(w, http.StatusNotFound, "tables", fmt.Errorf("unknown predicate %q", pred))
 		return
 	}
 	for _, name := range nodes {
@@ -150,7 +189,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Tables = append(res.Tables, tr)
 	}
-	writeResult(w, http.StatusOK, res)
+	s.writeResult(w, http.StatusOK, res)
 }
 
 // handleBestPath serves GET /v1/bestpath?from=S&dest=D — decoded
@@ -164,7 +203,7 @@ func (s *Server) handleBestPath(w http.ResponseWriter, r *http.Request) {
 	nodes := view.Nodes()
 	if from != "" {
 		if !view.HasNode(from) {
-			writeError(w, http.StatusNotFound, "bestpath", fmt.Errorf("unknown node %q", from))
+			s.writeError(w, http.StatusNotFound, "bestpath", fmt.Errorf("unknown node %q", from))
 			return
 		}
 		nodes = []string{from}
@@ -178,7 +217,7 @@ func (s *Server) handleBestPath(w http.ResponseWriter, r *http.Request) {
 			res.Paths = append(res.Paths, bp)
 		}
 	}
-	writeResult(w, http.StatusOK, res)
+	s.writeResult(w, http.StatusOK, res)
 }
 
 // handleTraceback serves GET /v1/traceback?node=N&tuple=T — the
@@ -192,12 +231,12 @@ func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) {
 	node := q.Get("node")
 	tupleText := q.Get("tuple")
 	if node == "" || tupleText == "" {
-		writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("node and tuple parameters are required"))
+		s.writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("node and tuple parameters are required"))
 		return
 	}
 	target, err := core.ParseTuple(tupleText)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "traceback", err)
+		s.writeError(w, http.StatusBadRequest, "traceback", err)
 		return
 	}
 	view := s.d.ReadView()
@@ -207,17 +246,17 @@ func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) {
 		// Condensed provenance keeps no trees; the snapshot carries the
 		// <...> expression of every live tuple.
 		if !view.HasNode(node) {
-			writeError(w, http.StatusNotFound, "traceback", fmt.Errorf("unknown node %q", node))
+			s.writeError(w, http.StatusNotFound, "traceback", fmt.Errorf("unknown node %q", node))
 			return
 		}
 		for _, row := range view.Rows(node, target.Pred) {
 			if row.Tuple.Equal(target) {
 				res.Condensed = row.Prov
-				writeResult(w, http.StatusOK, res)
+				s.writeResult(w, http.StatusOK, res)
 				return
 			}
 		}
-		writeError(w, http.StatusNotFound, "traceback", fmt.Errorf("no live tuple %s at %s in snapshot %d", target, node, view.Seq))
+		s.writeError(w, http.StatusNotFound, "traceback", fmt.Errorf("no live tuple %s at %s in snapshot %d", target, node, view.Seq))
 		return
 	}
 
@@ -227,25 +266,25 @@ func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) {
 	case "1", "true":
 		opts.Offline = true
 	default:
-		writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("bad offline %q (want 0/1/true/false)", off))
+		s.writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("bad offline %q (want 0/1/true/false)", off))
 		return
 	}
 	if md := q.Get("maxdepth"); md != "" {
 		v, err := strconv.Atoi(md)
 		if err != nil || v < 0 || v > provenance.DefaultMaxDepth {
-			writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("bad maxdepth %q (want 0-%d)", md, provenance.DefaultMaxDepth))
+			s.writeError(w, http.StatusBadRequest, "traceback", fmt.Errorf("bad maxdepth %q (want 0-%d)", md, provenance.DefaultMaxDepth))
 			return
 		}
 		opts.MaxDepth = v
 	}
 	tree, stats, err := s.n.DerivationTree(node, target, opts)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "traceback", err)
+		s.writeError(w, http.StatusNotFound, "traceback", err)
 		return
 	}
 	res.Traceback = FromTree(tree)
 	res.Stats = FromStats(stats)
-	writeResult(w, http.StatusOK, res)
+	s.writeResult(w, http.StatusOK, res)
 }
 
 // subscribeEvent is one SSE data payload.
@@ -269,13 +308,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrTooManySubscriptions) {
 			status = http.StatusTooManyRequests
 		}
-		writeError(w, status, "subscribe", err)
+		s.writeError(w, status, "subscribe", err)
 		return
 	}
 	defer sub.Close()
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "subscribe", fmt.Errorf("streaming unsupported"))
+		s.writeError(w, http.StatusInternalServerError, "subscribe", fmt.Errorf("streaming unsupported"))
 		return
 	}
 	h := w.Header()
