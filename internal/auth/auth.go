@@ -19,6 +19,7 @@
 package auth
 
 import (
+	"crypto"
 	"crypto/hmac"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -189,7 +191,7 @@ type Directory struct {
 	levels map[string]int64
 	keys   map[string]*rsa.PrivateKey
 	bits   int
-	rng    io.Reader
+	rng    *detReader
 }
 
 // NewDeterministicDirectory creates a directory whose key generation draws
@@ -214,7 +216,11 @@ func (d *Directory) SetKeyBits(bits int) {
 }
 
 // AddPrincipal registers a principal with a security level, generating its
-// key pair. Re-adding an existing principal only updates its level.
+// key pair. Re-adding an existing principal only updates its level. The
+// directory's first key signs a fixed digest before it is kept, so a key
+// size crypto/rsa refuses to sign with (below 1024 bits unless
+// GODEBUG=rsa1024min=0) fails here, before the other principals' keys are
+// generated, not at the first seal.
 func (d *Directory) AddPrincipal(name string, level int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -222,18 +228,15 @@ func (d *Directory) AddPrincipal(name string, level int64) error {
 	if _, ok := d.keys[name]; ok {
 		return nil
 	}
-	var key *rsa.PrivateKey
-	var err error
-	if _, det := d.rng.(*detReader); det {
-		// rsa.GenerateKey deliberately de-randomizes its reader
-		// (randutil.MaybeReadByte), so reproducible keys must be derived
-		// from primes directly.
-		key, err = generateKeyFromPrimes(d.rng, d.bits)
-	} else {
-		key, err = rsa.GenerateKey(d.rng, d.bits)
-	}
+	key, err := generateKeyFromPrimes(d.rng, d.bits)
 	if err != nil {
 		return fmt.Errorf("auth: generating key for %q: %w", name, err)
+	}
+	if len(d.keys) == 0 {
+		probe := sha256.Sum256([]byte("provnet-key-probe"))
+		if _, err := rsa.SignPKCS1v15(nil, key, crypto.SHA256, probe[:]); err != nil {
+			return fmt.Errorf("auth: signing with %q's %d-bit key: %w", name, d.bits, err)
+		}
 	}
 	d.keys[name] = key
 	return nil
@@ -283,7 +286,10 @@ func generateKeyFromPrimes(rng io.Reader, bits int) (*rsa.PrivateKey, error) {
 // detPrime draws candidate integers from rng until one passes 20
 // Miller–Rabin rounds. Unlike crypto/rand.Prime it consumes a strictly
 // deterministic number of bytes per candidate, so the same rng stream
-// always yields the same prime.
+// always yields the same prime. A candidate with an odd prime factor
+// below sieveLimit is skipped before ProbablyPrime: it is larger than that
+// factor, hence composite, so ProbablyPrime would have rejected it too and
+// the primes found are the same.
 func detPrime(rng io.Reader, bits int) (*big.Int, error) {
 	if bits < 16 {
 		return nil, errors.New("auth: prime size too small")
@@ -293,7 +299,7 @@ func detPrime(rng io.Reader, bits int) (*big.Int, error) {
 	if b == 0 {
 		b = 8
 	}
-	p := new(big.Int)
+	var p, q, r big.Int
 	for {
 		if _, err := io.ReadFull(rng, bytes); err != nil {
 			return nil, err
@@ -302,10 +308,68 @@ func detPrime(rng io.Reader, bits int) (*big.Int, error) {
 		bytes[0] |= 3 << (b - 2) // top two bits so p*q has full length
 		bytes[len(bytes)-1] |= 1 // odd
 		p.SetBytes(bytes)
-		if p.ProbablyPrime(20) {
-			return new(big.Int).Set(p), nil
+		if !hasSmallFactor(&p, &q, &r) && p.ProbablyPrime(20) {
+			return new(big.Int).Set(&p), nil
 		}
 	}
+}
+
+// sieveLimit bounds the primes detPrime trial-divides by. Sweeping it over
+// 256–65536 for 512-bit primes put the fastest key generation at 4096:
+// below, more composites reach Miller–Rabin; above, the divisions cost
+// more than the rounds they save.
+const sieveLimit = 4096
+
+// sieveGroup is a run of consecutive odd primes whose product fits a
+// uint64, so one multi-word division by the product yields a residue that
+// each prime then divides with machine arithmetic.
+type sieveGroup struct {
+	product *big.Int
+	primes  []uint64
+}
+
+// sieve holds the odd primes below sieveLimit in groups (≈ 100 of them).
+var sieve = sieveGroups(sieveLimit)
+
+func sieveGroups(limit int) []sieveGroup {
+	composite := make([]bool, limit)
+	var groups []sieveGroup
+	var primes []uint64
+	prod := uint64(1)
+	flush := func() {
+		groups = append(groups, sieveGroup{product: new(big.Int).SetUint64(prod), primes: primes})
+		primes, prod = nil, 1
+	}
+	for n := 3; n < limit; n += 2 {
+		if composite[n] {
+			continue
+		}
+		for m := n * n; m < limit; m += 2 * n {
+			composite[m] = true
+		}
+		if hi, _ := bits.Mul64(prod, uint64(n)); hi != 0 {
+			flush()
+		}
+		prod *= uint64(n)
+		primes = append(primes, uint64(n))
+	}
+	flush()
+	return groups
+}
+
+// hasSmallFactor reports whether p, which must exceed sieveLimit, has an
+// odd prime factor below it. q and r are scratch.
+func hasSmallFactor(p, q, r *big.Int) bool {
+	for _, g := range sieve {
+		q.QuoRem(p, g.product, r)
+		res := r.Uint64()
+		for _, f := range g.primes {
+			if res%f == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Level returns the security level of a principal (0 if unknown).
@@ -353,8 +417,8 @@ func (d *Directory) publicKey(name string) *rsa.PublicKey {
 
 // detReader is a SHA-256-based deterministic byte stream. It is not a CSPRNG
 // for production use; it exists so experiment key generation is reproducible.
+// Reads happen under Directory.mu, so it takes no lock of its own.
 type detReader struct {
-	mu      sync.Mutex
 	state   [32]byte
 	buf     []byte
 	counter uint64
@@ -367,8 +431,6 @@ func newDetReader(seed int64) *detReader {
 }
 
 func (r *detReader) Read(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for len(r.buf) < len(p) {
 		var block [40]byte
 		copy(block[:32], r.state[:])

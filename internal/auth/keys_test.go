@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -60,4 +63,60 @@ func TestDeterministicKeysPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSieveRejectsOnlyComposites checks the table detPrime trial-divides by
+// (exactly the odd primes below sieveLimit, grouped under their products)
+// and that a rejection is exactly a candidate one of them divides, which
+// ProbablyPrime(20) then rejects as well.
+func TestSieveRejectsOnlyComposites(t *testing.T) {
+	var table []int64
+	for _, g := range sieve {
+		prod := big.NewInt(1)
+		for _, f := range g.primes {
+			table = append(table, int64(f))
+			prod.Mul(prod, new(big.Int).SetUint64(f))
+		}
+		if prod.Cmp(g.product) != 0 {
+			t.Fatalf("group %v has product %v, want %v", g.primes, g.product, prod)
+		}
+	}
+	var want []int64
+	for n := int64(3); n < sieveLimit; n += 2 {
+		if big.NewInt(n).ProbablyPrime(20) {
+			want = append(want, n)
+		}
+	}
+	if !slices.Equal(table, want) {
+		t.Fatalf("sieve holds %d primes %v…, want the %d odd primes below %d", len(table), table[:min(len(table), 8)], len(want), sieveLimit)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 64)
+	var p, q, r, rem big.Int
+	rejected := 0
+	for i := 0; i < 10000; i++ {
+		rng.Read(buf)
+		buf[0] |= 0x80
+		buf[len(buf)-1] |= 1
+		p.SetBytes(buf)
+		divides := false
+		for _, f := range table {
+			if rem.Mod(&p, big.NewInt(f)).Sign() == 0 {
+				divides = true
+				break
+			}
+		}
+		got := hasSmallFactor(&p, &q, &r)
+		if got != divides {
+			t.Fatalf("hasSmallFactor(%x) = %v, trial division says %v", &p, got, divides)
+		}
+		if got {
+			rejected++
+			if p.ProbablyPrime(20) {
+				t.Fatalf("sieve rejected %x, which ProbablyPrime(20) accepts", &p)
+			}
+		}
+	}
+	t.Logf("sieve rejected %d of 10000 odd 512-bit candidates", rejected)
 }

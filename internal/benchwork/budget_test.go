@@ -208,12 +208,13 @@ func tracebackStaged(t *testing.T, cfg provnet.Config, nodes int, seed int64) fu
 // of the seed on one processor, so this is room for small intended
 // changes, not for noise. The race detector makes sync.Pool drop a share
 // of what is put back, so the sealing scratch is rebuilt more often: the
-// cells read up to 1.5 thousand allocations (at most 20 %) higher under
+// cells read up to 1.6 thousand allocations (at most 21 %) higher under
 // -race, and traceback-distributed, whose replies draw on encoding/json's
-// pools and FromTree's text scratch, up to 29 %; race_test.go widens the
-// slack there. Frame decoders and reply encoders sit on free lists of
-// their own, not in a sync.Pool: from the pool the decoders cost 6–7
-// thousand more per churn cell under -race.
+// pools, up to 19 %; race_test.go widens the slack there. Frame decoders
+// and reply encoders (with the buffers FromTree renders a reply's tuple
+// texts in) sit on free lists of their own, not in a sync.Pool: from the
+// pool the decoders cost 6–7 thousand more per churn cell under -race,
+// and the text buffers up to 1.4 thousand more per traceback cell.
 var allocSlack = 1.20
 
 // TestHotPathAllocBudget is the allocation bound of the eval → import →

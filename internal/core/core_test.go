@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -433,6 +434,20 @@ func TestRekeyRequiresSessions(t *testing.T) {
 		t.Fatalf("session with RekeyRounds=3: %v", err)
 	}
 	n.Close()
+}
+
+// TestRefusedKeySizeFailsAtNew: a key size crypto/rsa will not sign with
+// fails NewNetwork at the first principal's key, not the first seal after
+// every key has been generated.
+func TestRefusedKeySizeFailsAtNew(t *testing.T) {
+	t.Setenv("GODEBUG", "rsa1024min=1")
+	g := topo.Ring(6)
+	for _, scheme := range []auth.Scheme{auth.SchemeRSA, auth.SchemeSession} {
+		_, err := NewNetwork(Config{Source: ReachableNDlog, Graph: g, Auth: scheme, KeyBits: 512})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q's 512-bit key", g.Nodes[0])) {
+			t.Errorf("%v with 512-bit keys under rsa1024min=1: err = %v, want a refusal at %s's key", scheme, err, g.Nodes[0])
+		}
+	}
 }
 
 // TestClosedNetworkIsCollectable pins that nothing process-wide retains

@@ -11,8 +11,6 @@
 package queryapi
 
 import (
-	"sync"
-
 	"provnet/internal/core"
 	"provnet/internal/provenance"
 )
@@ -103,10 +101,26 @@ type TraceStats struct {
 // derivation in a second, every child pointer in a third, and every
 // node's tuple text sliced out of one string.
 func FromTree(t *provenance.Tree) *TracebackNode {
+	var sc treeText
+	return sc.fromTree(t)
+}
+
+// treeText is a tree's tuple texts rendered back to back in preorder,
+// each node's end offset, and the tree's derivation and child counts.
+// The query server keeps one per reply encoder, so a traceback reply
+// renders into buffers kept from earlier ones.
+type treeText struct {
+	buf              []byte
+	ends             []int
+	derivs, children int
+}
+
+// fromTree is FromTree rendering into sc's buffers; what it returns
+// shares no memory with them.
+func (sc *treeText) fromTree(t *provenance.Tree) *TracebackNode {
 	if t == nil {
 		return nil
 	}
-	sc := textScratch.Get().(*treeText)
 	sc.buf, sc.ends, sc.derivs, sc.children = sc.buf[:0], sc.ends[:0], 0, 0
 	sc.render(t)
 	l := treeLayout{
@@ -116,20 +130,7 @@ func FromTree(t *provenance.Tree) *TracebackNode {
 		text:     string(sc.buf),
 		ends:     sc.ends,
 	}
-	root := l.node(t)
-	textScratch.Put(sc)
-	return root
-}
-
-// textScratch keeps FromTree's rendering buffers between replies.
-var textScratch = sync.Pool{New: func() any { return new(treeText) }}
-
-// treeText is a tree's tuple texts rendered back to back in preorder,
-// each node's end offset, and the tree's derivation and child counts.
-type treeText struct {
-	buf              []byte
-	ends             []int
-	derivs, children int
+	return l.node(t)
 }
 
 func (sc *treeText) render(t *provenance.Tree) {

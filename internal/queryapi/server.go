@@ -109,15 +109,16 @@ func (s *Server) writeResult(w http.ResponseWriter, status int, res *QueryResult
 }
 
 // replyEncoder is an indenting JSON encoder and the buffer it encodes
-// into, kept between replies.
+// into, and the buffers a traceback's tuple texts are rendered in, kept
+// between replies.
 type replyEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	text treeText
 }
 
-// writeJSON writes v as indented JSON in one Write, nothing if it does
-// not encode.
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+// takeEncoder takes a reply encoder off the free list, or makes one.
+func (s *Server) takeEncoder() *replyEncoder {
 	re := &s.encoders
 	re.Lock()
 	var r *replyEncoder
@@ -130,16 +131,29 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 		r.enc = json.NewEncoder(&r.buf)
 		r.enc.SetIndent("", "  ")
 	}
+	return r
+}
+
+// giveEncoder puts r back on the free list.
+func (s *Server) giveEncoder(r *replyEncoder) {
+	if r.buf.Cap() > 1<<20 || cap(r.text.buf) > 1<<20 { // a one-off huge reply is not worth hoarding
+		return
+	}
+	re := &s.encoders
+	re.Lock()
+	re.free = append(re.free, r)
+	re.Unlock()
+}
+
+// writeJSON writes v as indented JSON in one Write, nothing if it does
+// not encode.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	r := s.takeEncoder()
 	r.buf.Reset()
 	if r.enc.Encode(v) == nil {
 		_, _ = w.Write(r.buf.Bytes())
 	}
-	if r.buf.Cap() > 1<<20 { // a one-off huge reply is not worth hoarding
-		return
-	}
-	re.Lock()
-	re.free = append(re.free, r)
-	re.Unlock()
+	s.giveEncoder(r)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, kind string, err error) {
@@ -282,7 +296,11 @@ func (s *Server) handleTraceback(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "traceback", err)
 		return
 	}
-	res.Traceback = FromTree(tree)
+	// The reply shares no memory with the rendering buffers, so the
+	// encoder goes back before writeResult takes one to encode it.
+	re := s.takeEncoder()
+	res.Traceback = re.text.fromTree(tree)
+	s.giveEncoder(re)
 	res.Stats = FromStats(stats)
 	s.writeResult(w, http.StatusOK, res)
 }
