@@ -283,13 +283,13 @@ func generateKeyFromPrimes(rng io.Reader, bits int) (*rsa.PrivateKey, error) {
 	}
 }
 
-// detPrime draws candidate integers from rng until one passes 20
-// Miller–Rabin rounds. Unlike crypto/rand.Prime it consumes a strictly
-// deterministic number of bytes per candidate, so the same rng stream
-// always yields the same prime. A candidate with an odd prime factor
-// below sieveLimit is skipped before ProbablyPrime: it is larger than that
-// factor, hence composite, so ProbablyPrime would have rejected it too and
-// the primes found are the same.
+// detPrime draws candidates from rng until one passes Baillie–PSW
+// (ProbablyPrime(0)): the directory's keys are not secure, so it skips
+// crypto/rand.Prime's 20 Miller–Rabin rounds, and unlike rand.Prime it
+// consumes a fixed number of bytes per candidate, so the same stream
+// yields the same prime. A candidate with an odd prime factor below
+// sieveLimit is skipped first: it is composite, so ProbablyPrime would
+// have rejected it too and the primes found are the same.
 func detPrime(rng io.Reader, bits int) (*big.Int, error) {
 	if bits < 16 {
 		return nil, errors.New("auth: prime size too small")
@@ -308,7 +308,7 @@ func detPrime(rng io.Reader, bits int) (*big.Int, error) {
 		bytes[0] |= 3 << (b - 2) // top two bits so p*q has full length
 		bytes[len(bytes)-1] |= 1 // odd
 		p.SetBytes(bytes)
-		if !hasSmallFactor(&p, &q, &r) && p.ProbablyPrime(20) {
+		if !hasSmallFactor(&p, &q, &r) && p.ProbablyPrime(0) {
 			return new(big.Int).Set(&p), nil
 		}
 	}

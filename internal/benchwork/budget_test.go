@@ -31,12 +31,14 @@ var budgetCells = []budgetCell{
 		// the paper's overhead ratios. Per-row f_concat lists, index
 		// bucket slices, shadow maps and per-round frame and grouping
 		// allocations cost 39 706 here; a datagram allocated per frame
-		// and a view built from per-table row slices 16 301.
+		// and a view built from per-table row slices 16 301; a
+		// dependency index recording every firing's body → head edges
+		// for retraction 15 472.
 		name: "fig3-batch",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 15472,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 13925,
 	},
 	{
 		// The same batch run under condensed provenance without auth:
@@ -45,31 +47,33 @@ var budgetCells = []budgetCell{
 		// node ≥ 256 into an annotation, and building each frame's table
 		// from nil with its root and ref slices cost 55 313 here; a
 		// datagram allocated per frame and a view built from per-table
-		// row slices 29 178.
+		// row slices 29 178; the retraction dependency index 28 353.
 		name: "fig3-batch-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 28353,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 26960,
 	},
 	{
 		// One huge delta wave self-joined at the hub: nearly all engine,
 		// the one shape bench/'s four workloads do not have. A datagram
-		// allocated per frame cost 1 962.
+		// allocated per frame cost 1 962, the retraction dependency
+		// index 1 948.
 		name: "fan-in",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return FanInStaged(t.Fatal, provnet.Config{}, 8, 64, 6, 4000)
 		},
-		derivs: 6156, stored: 4076, rounds: 2, allocs: 1948,
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 1648,
 	},
 	{
 		// Best-Path under cost churn. A datagram allocated per frame
-		// and a view built from per-table row slices cost 5 277.
+		// and a view built from per-table row slices cost 5 277, the
+		// retraction dependency index 4 399.
 		name: "bestpath-churn",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 4399,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 3949,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -80,12 +84,13 @@ var budgetCells = []budgetCell{
 		// instead of once per BDD node costs 56 612, past it too; with
 		// every rendering, frame table and node box allocated afresh it
 		// cost 14 227, with a datagram allocated per frame and a view
-		// built from per-table row slices 5 485.
+		// built from per-table row slices 5 485, with the retraction
+		// dependency index 4 609.
 		name: "bestpath-churn-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 4609,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 4200,
 	},
 	{
 		// Cut and restore of 8 links through the Driver: the churn
@@ -98,12 +103,14 @@ var budgetCells = []budgetCell{
 		// copied every bucket holding a dead row and retraction state
 		// allocated afresh per call. Publishing each view with a cloned
 		// table map, a NodeView and a row slice per touched node and
-		// table, and a datagram per frame, cost 8 466.
+		// table, and a datagram per frame, cost 8 466. Over-deleting by
+		// walking a dependency index recorded at every firing, instead
+		// of evaluating the rules on the dying rows, cost 6 745.
 		name: "bestpath-cut",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 6745,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 6674,
 	},
 	{
 		// The same cut and restore with session MACs and condensed
@@ -115,12 +122,13 @@ var budgetCells = []budgetCell{
 		// renderings, frame tables and node boxes allocated afresh
 		// 22 899; a cloned table map, NodeView and row slice per
 		// touched node and table in each view, a tag buffer per sealed
-		// batch and a datagram per frame 9 647.
+		// batch and a datagram per frame 9 647; the dependency index
+		// (see bestpath-cut) 7 475.
 		name: "bestpath-cut-session",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 7475,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 7421,
 	},
 	{
 		// The same window with a durable store log attached, fsync on:
@@ -132,7 +140,8 @@ var budgetCells = []budgetCell{
 		// closures, inboxes regrown from nil, one MAC tag allocation per
 		// envelope and withdrawal lists allocated per call, it cost
 		// 17 680; with a map-backed view, a tag buffer per sealed
-		// batch and a datagram per frame 9 653.
+		// batch and a datagram per frame 9 653; with the dependency
+		// index (see bestpath-cut) 7 478.
 		name: "bestpath-cut-session-store",
 		stage: func(t *testing.T) func() *provnet.Report {
 			log, err := provnet.OpenStoreLog(t.TempDir(), provnet.StoreLogOptions{})
@@ -142,7 +151,7 @@ var budgetCells = []budgetCell{
 			t.Cleanup(func() { log.Close() })
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512, Store: log}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 7478,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 7423,
 	},
 	{
 		// /v1/traceback?maxdepth=12 for every bestPath row of a quiescent

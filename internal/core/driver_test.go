@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -162,6 +163,46 @@ func TestCutRestoreCompactsTables(t *testing.T) {
 	}
 }
 
+// TestCutRestoreShipsNoIdleWithdrawals runs 40 cut+restore pairs of
+// Best-Path through a sequential Driver and counts the inbound
+// withdrawals that found neither a row holding their sender's support nor
+// a shadow row (engine.Stats.IdleWithdrawals): a withdrawal the sender
+// shipped for a head its rules no longer derive. Over-deletion used to
+// walk a dependency index that kept edges to heads already withdrawn or
+// displaced, and on this script its receivers counted 220 such
+// withdrawals; evaluating the rules on the dying rows finds none.
+func TestCutRestoreShipsNoIdleWithdrawals(t *testing.T) {
+	g := topo.RandomConnected(topo.Options{N: 16, AvgOutDegree: 3, MaxCost: 10, Seed: 5})
+	n, err := NewNetwork(Config{Source: BestPath, Graph: g, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := n.Driver()
+	ctx := context.Background()
+	settle := func(err error) {
+		t.Helper()
+		if err == nil {
+			_, err = d.AwaitQuiescence(ctx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(nil)
+	for i := 0; i < 40; i++ {
+		l := g.Links[i%len(g.Links)]
+		settle(d.CutLink(l.From, l.To))
+		settle(d.SetLink(l.From, l.To, l.Cost))
+	}
+	var idle int64
+	for _, name := range n.Nodes() {
+		idle += n.Node(name).Engine.Stats.IdleWithdrawals
+	}
+	if idle != 0 {
+		t.Fatalf("%d inbound withdrawals found nothing to withdraw, want 0", idle)
+	}
+}
+
 // TestCutMatchesFreshAcrossPrograms drives the paper's programs through
 // a script of link cuts and restores on the live Driver, under AuthNone
 // and AuthRSA, and after every quiescence holds the tie-free tables to a
@@ -175,32 +216,233 @@ func TestCutRestoreCompactsTables(t *testing.T) {
 // tables after a cut. A neighbour's dvCost that rises arrives as a
 // primary-key replacement, which retracts nothing, and the dv row it
 // should replace survives because aggregate selection shadows the worse
-// replacement (ROADMAP item 11).
+// replacement (ROADMAP item 11). TestDistanceVectorCutDivergence pins
+// what it gets wrong.
 func TestCutMatchesFreshAcrossPrograms(t *testing.T) {
-	g := topo.RandomConnected(topo.Options{N: 8, AvgOutDegree: 3, MaxCost: 10, Seed: 4})
-	// table is one compared predicate and the argument positions compared
-	// (nil: all of them).
-	type table struct {
-		pred string
-		cols []int
-	}
 	programs := []struct {
 		name, source string
-		tables       []table
+		tables       []cutTable
 	}{
-		{"ReachableNDlog", ReachableNDlog, []table{{"reachable", nil}}},
-		{"ReachableSeNDlog", ReachableSeNDlog, []table{{"reachable", nil}}},
-		{"PathVector", PathVector, []table{{"rCost", nil}, {"bestRoute", []int{0, 1, 3}}}},
+		{"ReachableNDlog", ReachableNDlog, []cutTable{{"reachable", nil}}},
+		{"ReachableSeNDlog", ReachableSeNDlog, []cutTable{{"reachable", nil}}},
+		{"PathVector", PathVector, []cutTable{{"rCost", nil}, {"bestRoute", []int{0, 1, 3}}}},
 	}
-	// Each step toggles one link: cut the first three, restore the
-	// second, then restore the rest.
+	for _, prog := range programs {
+		for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeRSA} {
+			t.Run(fmt.Sprintf("%s/%s", prog.name, scheme), func(t *testing.T) {
+				runCutScript(t, Config{Source: prog.source, Auth: scheme, KeyBits: 512}, prog.tables,
+					func(step int, l topo.Link, cut bool, live, fresh []string) {
+						got, want := strings.Join(live, ""), strings.Join(fresh, "")
+						if got != want {
+							t.Fatalf("step %d (%s→%s cut=%v): live tables differ from a fresh run\n--- live ---\n%s--- fresh ---\n%s", step, l.From, l.To, cut, got, want)
+						}
+						if len(live) == 0 {
+							t.Fatalf("step %d: no rows to compare", step)
+						}
+					})
+			})
+		}
+	}
+}
+
+// TestDistanceVectorCutDivergence runs TestCutMatchesFreshAcrossPrograms's
+// script on DistanceVector (AuthNone) and pins, per step, the dv and
+// dvCost rows the cut run has that a fresh run lacks (+) and lacks that
+// it has (-): ROADMAP item 11's wrong answer, held exactly so that a
+// change to retraction shows up here. Item 11 makes every step's diff
+// empty and moves DistanceVector into the test above.
+//
+// Over-deletion that evaluates the rules on the dying rows differs from
+// the dependency index it replaced in one row here. The index had the
+// same diffs, less "+n0: dv(n0, n5, n1, 14)" at steps 0–3 and plus
+// "-n0: dv(n0, n5, n1, 14)" at steps 4–5. That row is a consequence of a
+// dv row a primary-key replacement displaced: the index reached it
+// through an edge it kept, and evaluation, which cannot see a dead row,
+// does not, so the row stays through the cuts and is present when the
+// restores bring back the fresh run's.
+func TestDistanceVectorCutDivergence(t *testing.T) {
+	want := []string{
+		0: `
++n0: dv(n0, n1, n6, 15)
++n0: dv(n0, n5, n1, 14)
++n0: dvCost(n0, n1, 15)
++n1: dv(n1, n1, n7, 11)
++n1: dvCost(n1, n1, 11)
++n2: dv(n2, n1, n6, 22)
++n2: dvCost(n2, n1, 22)
++n3: dv(n3, n1, n7, 18)
++n3: dvCost(n3, n1, 18)
++n6: dv(n6, n1, n7, 12)
++n6: dvCost(n6, n1, 12)
++n7: dv(n7, n1, n0, 10)
++n7: dvCost(n7, n1, 10)
+-n0: dv(n0, n1, n4, 22)
+-n0: dv(n0, n1, n6, 17)
+-n0: dvCost(n0, n1, 17)
+-n1: dvCost(n1, n1, 17)
+-n2: dv(n2, n1, n6, 24)
+-n2: dvCost(n2, n1, 24)
+-n3: dvCost(n3, n1, 22)
+-n6: dvCost(n6, n1, 14)
+-n7: dv(n7, n1, n0, 22)
+-n7: dvCost(n7, n1, 22)
+`,
+		1: `
++n0: dv(n0, n1, n6, 15)
++n0: dv(n0, n5, n1, 14)
++n0: dvCost(n0, n1, 15)
++n1: dv(n1, n1, n7, 11)
++n1: dvCost(n1, n1, 11)
++n2: dv(n2, n1, n6, 22)
++n2: dvCost(n2, n1, 22)
++n3: dv(n3, n1, n7, 18)
++n3: dvCost(n3, n1, 18)
++n6: dv(n6, n1, n7, 12)
++n6: dvCost(n6, n1, 12)
++n7: dv(n7, n1, n0, 10)
++n7: dvCost(n7, n1, 10)
+-n0: dv(n0, n1, n4, 22)
+-n0: dv(n0, n1, n6, 17)
+-n0: dvCost(n0, n1, 17)
+-n1: dvCost(n1, n1, 17)
+-n2: dv(n2, n1, n6, 24)
+-n2: dvCost(n2, n1, 24)
+-n3: dvCost(n3, n1, 22)
+-n6: dvCost(n6, n1, 14)
+-n7: dv(n7, n1, n0, 22)
+-n7: dvCost(n7, n1, 22)
+`,
+		2: `
++n0: dv(n0, n1, n6, 15)
++n0: dv(n0, n3, n2, 15)
++n0: dv(n0, n5, n1, 14)
++n0: dvCost(n0, n1, 15)
++n1: dv(n1, n1, n7, 11)
++n1: dvCost(n1, n1, 11)
++n2: dv(n2, n1, n6, 22)
++n2: dvCost(n2, n1, 22)
++n3: dv(n3, n1, n7, 18)
++n3: dvCost(n3, n1, 18)
++n4: dv(n4, n3, n2, 13)
++n4: dvCost(n4, n3, 13)
++n5: dv(n5, n3, n2, 15)
++n6: dv(n6, n1, n7, 12)
++n6: dvCost(n6, n1, 12)
++n7: dv(n7, n1, n0, 10)
++n7: dvCost(n7, n1, 10)
+-n0: dv(n0, n1, n4, 22)
+-n0: dv(n0, n1, n6, 17)
+-n0: dvCost(n0, n1, 17)
+-n1: dvCost(n1, n1, 17)
+-n2: dv(n2, n1, n6, 24)
+-n2: dvCost(n2, n1, 24)
+-n3: dvCost(n3, n1, 22)
+-n4: dv(n4, n3, n5, 16)
+-n4: dvCost(n4, n3, 16)
+-n6: dvCost(n6, n1, 14)
+-n7: dv(n7, n1, n0, 22)
+-n7: dvCost(n7, n1, 22)
+`,
+		3: `
++n0: dv(n0, n1, n6, 15)
++n0: dv(n0, n3, n2, 15)
++n0: dv(n0, n5, n1, 14)
++n0: dvCost(n0, n1, 15)
++n1: dv(n1, n1, n7, 11)
++n1: dv(n1, n2, n4, 12)
++n1: dvCost(n1, n1, 11)
++n2: dv(n2, n1, n6, 22)
++n2: dvCost(n2, n1, 22)
++n3: dv(n3, n1, n7, 18)
++n3: dvCost(n3, n1, 18)
++n4: dv(n4, n3, n2, 13)
++n4: dvCost(n4, n3, 13)
++n5: dv(n5, n3, n2, 15)
++n6: dv(n6, n1, n7, 12)
++n6: dvCost(n6, n1, 12)
++n7: dv(n7, n1, n0, 10)
++n7: dvCost(n7, n1, 10)
+-n0: dv(n0, n1, n4, 22)
+-n0: dv(n0, n1, n6, 17)
+-n0: dvCost(n0, n1, 17)
+-n1: dvCost(n1, n1, 17)
+-n2: dv(n2, n1, n6, 24)
+-n2: dvCost(n2, n1, 24)
+-n3: dvCost(n3, n1, 22)
+-n4: dv(n4, n3, n5, 16)
+-n4: dvCost(n4, n3, 16)
+-n6: dvCost(n6, n1, 14)
+-n7: dv(n7, n1, n0, 22)
+-n7: dvCost(n7, n1, 22)
+`,
+		4: `
++n0: dv(n0, n1, n6, 15)
++n0: dv(n0, n3, n2, 15)
++n1: dv(n1, n2, n4, 12)
++n4: dv(n4, n3, n2, 13)
++n4: dvCost(n4, n3, 13)
++n5: dv(n5, n3, n2, 15)
+-n0: dv(n0, n0, n1, 11)
+-n0: dv(n0, n3, n1, 11)
+-n0: dv(n0, n7, n1, 6)
+-n4: dv(n4, n3, n5, 16)
+-n4: dvCost(n4, n3, 16)
+`,
+		5: `
++n0: dv(n0, n1, n6, 15)
++n1: dv(n1, n2, n4, 12)
++n2: dv(n2, n2, n6, 21)
++n2: dv(n2, n3, n6, 17)
++n2: dv(n2, n4, n6, 22)
+-n0: dv(n0, n0, n1, 11)
+-n0: dv(n0, n3, n1, 11)
+-n0: dv(n0, n7, n1, 6)
+-n1: dv(n1, n3, n2, 17)
+-n2: dv(n2, n0, n3, 22)
+-n2: dv(n2, n7, n3, 17)
+`,
+	}
+	runCutScript(t, Config{Source: DistanceVector}, []cutTable{{"dv", nil}, {"dvCost", nil}},
+		func(step int, l topo.Link, cut bool, live, fresh []string) {
+			var diff []string
+			for _, r := range live {
+				if !slices.Contains(fresh, r) {
+					diff = append(diff, "+"+r)
+				}
+			}
+			for _, r := range fresh {
+				if !slices.Contains(live, r) {
+					diff = append(diff, "-"+r)
+				}
+			}
+			if got := "\n" + strings.Join(diff, ""); got != want[step] {
+				t.Errorf("step %d (%s→%s cut=%v): cut run against a fresh run\n--- got ---\n%s--- want ---\n%s", step, l.From, l.To, cut, got, want[step])
+			}
+		})
+}
+
+// cutTable is one predicate a cut script compares, and the argument
+// positions compared (nil: all of them).
+type cutTable struct {
+	pred string
+	cols []int
+}
+
+// runCutScript builds cfg's program on RandomConnected{N 8, degree 3,
+// MaxCost 10, Seed 4} behind a live Driver and toggles one link a step:
+// cut the first three, restore the second, then restore the rest. After
+// every quiescence it hands check the compared rows of the live network
+// and of a fresh Run(0) over the links of that moment, one
+// "node: tuple\n" line each, in node and table order.
+func runCutScript(t *testing.T, cfg Config, tables []cutTable, check func(step int, l topo.Link, cut bool, live, fresh []string)) {
+	t.Helper()
+	g := topo.RandomConnected(topo.Options{N: 8, AvgOutDegree: 3, MaxCost: 10, Seed: 4})
 	script := []struct {
 		link int
 		cut  bool
 	}{{0, true}, {1, true}, {2, true}, {1, false}, {0, false}, {2, false}}
-	snapshot := func(n *Network, tables []table) (string, int) {
-		var b strings.Builder
-		rows := 0
+	snapshot := func(n *Network) []string {
+		var rows []string
 		for _, name := range n.Nodes() {
 			for _, tb := range tables {
 				for _, tu := range n.Node(name).Engine.Tuples(tb.pred) {
@@ -211,67 +453,53 @@ func TestCutMatchesFreshAcrossPrograms(t *testing.T) {
 						}
 						tu.Args = args
 					}
-					fmt.Fprintf(&b, "%s: %s\n", name, tu)
-					rows++
+					rows = append(rows, fmt.Sprintf("%s: %s\n", name, tu))
 				}
 			}
 		}
-		return b.String(), rows
+		return rows
 	}
-	for _, prog := range programs {
-		for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeRSA} {
-			t.Run(fmt.Sprintf("%s/%s", prog.name, scheme), func(t *testing.T) {
-				cfg := Config{Source: prog.source, Graph: g, Auth: scheme, KeyBits: 512}
-				n, err := NewNetwork(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := n.Driver()
-				ctx := context.Background()
-				if _, err := d.AwaitQuiescence(ctx); err != nil {
-					t.Fatal(err)
-				}
-				cut := make([]bool, len(g.Links))
-				for step, s := range script {
-					l := g.Links[s.link]
-					if s.cut {
-						err = d.CutLink(l.From, l.To)
-					} else {
-						err = d.SetLink(l.From, l.To, l.Cost)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := d.AwaitQuiescence(ctx); err != nil {
-						t.Fatal(err)
-					}
-					cut[s.link] = s.cut
-					now := &topo.Graph{Nodes: g.Nodes}
-					for i, l := range g.Links {
-						if !cut[i] {
-							now.Links = append(now.Links, l)
-						}
-					}
-					freshCfg := cfg
-					freshCfg.Graph = now
-					fresh, err := NewNetwork(freshCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := fresh.Run(0); err != nil {
-						t.Fatal(err)
-					}
-					got, rows := snapshot(n, prog.tables)
-					want, _ := snapshot(fresh, prog.tables)
-					if got != want {
-						t.Fatalf("step %d (%s→%s cut=%v): live tables differ from a fresh run\n--- live ---\n%s--- fresh ---\n%s", step, l.From, l.To, s.cut, got, want)
-					}
-					if rows == 0 {
-						t.Fatalf("step %d: no rows to compare", step)
-					}
-				}
-			})
+	cfg.Graph = g
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := n.Driver()
+	ctx := context.Background()
+	if _, err := d.AwaitQuiescence(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cut := make([]bool, len(g.Links))
+	for step, s := range script {
+		l := g.Links[s.link]
+		if s.cut {
+			err = d.CutLink(l.From, l.To)
+		} else {
+			err = d.SetLink(l.From, l.To, l.Cost)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AwaitQuiescence(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cut[s.link] = s.cut
+		now := &topo.Graph{Nodes: g.Nodes}
+		for i, l := range g.Links {
+			if !cut[i] {
+				now.Links = append(now.Links, l)
+			}
+		}
+		freshCfg := cfg
+		freshCfg.Graph = now
+		fresh, err := NewNetwork(freshCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		check(step, l, s.cut, snapshot(n), snapshot(fresh))
 	}
 }
 

@@ -44,7 +44,6 @@ type netMetrics struct {
 	verifySec *obs.Histogram
 	flushSec  *obs.Histogram
 
-	depSize    *obs.Gauge
 	shadowSize *obs.Gauge
 	arenaHW    *obs.Gauge
 	bddNodes   *obs.Gauge
@@ -86,7 +85,6 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 		sealSec:       m.Histogram("provnet_crypto_seal_seconds", "Per-round time sealing outbound frames (signatures, MACs, handshakes).", obs.DefLatencyNanos, 1e-9),
 		verifySec:     m.Histogram("provnet_crypto_verify_seconds", "Per-round time decoding and authenticating inbound datagrams.", obs.DefLatencyNanos, 1e-9),
 		flushSec:      m.Histogram("provnet_store_flush_seconds", "Durable store seal+flush latency at quiescence points.", obs.DefLatencyNanos, 1e-9),
-		depSize:       m.Gauge("provnet_engine_dep_index_size", "Body tuples in the retraction dependency index, all engines."),
 		shadowSize:    m.Gauge("provnet_engine_shadow_size", "Prune-shadow rows retained, all engines."),
 		arenaHW:       m.Gauge("provnet_engine_arena_high_water", "High-water total capacity (elements) of the eval scratch arenas."),
 		bddNodes:      m.Gauge("provnet_provenance_bdd_nodes", "Nodes of the condensed-provenance BDD managers (terminals included), all hosted nodes, sampled at quiescence."),
@@ -163,14 +161,13 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 	}
 	wall := time.Since(start).Nanoseconds() //provlint:allow detpath metrics round timing, outside the deterministic state
 	var sum engine.Stats
-	var evictions, depSize, shadowSize, arenaHW int64
+	var evictions, shadowSize, arenaHW int64
 	for _, name := range n.order {
 		e := n.nodes[name].Engine
 		sum.Waves += e.Stats.Waves
 		sum.Derivations += e.Stats.Derivations
 		sum.Retracted += e.Stats.Retracted
 		evictions += e.ShadowEvictions()
-		depSize += int64(e.DepSize())
 		shadowSize += int64(e.ShadowSize())
 		arenaHW += e.ArenaHighWater()
 	}
@@ -198,7 +195,6 @@ func (nm *netMetrics) roundEnd(n *Network, kind string, start time.Time) {
 	verifyNs := nm.verifyNanos.Load()
 	nm.sealSec.Observe(sealNs)
 	nm.verifySec.Observe(verifyNs)
-	nm.depSize.Set(depSize)
 	nm.shadowSize.Set(shadowSize)
 	nm.arenaHW.SetMax(arenaHW)
 

@@ -57,7 +57,6 @@ func TestMetricsDoNotPerturb(t *testing.T) {
 		"provnet_scheduler_round_seconds_count",
 		"provnet_engine_firings_total",
 		"provnet_engine_waves_total",
-		"provnet_engine_dep_index_size",
 		"provnet_transport_messages_total",
 		"provnet_transport_bytes_total",
 		"provnet_crypto_verify_seconds_count",

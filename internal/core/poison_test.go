@@ -14,9 +14,11 @@ import (
 
 // TestScratchPoisonMatchesClean holds the per-wave and per-round scratch
 // to its contract. The engines' wave scratch: what a wave's builtins and
-// body copies put there dies with the wave, and a list a stored row,
-// shadow row, aggregate contribution, dependency edge or export keeps was
-// copied out first. Under condensed provenance, also the round's table
+// aggregate heads put there dies with the wave, and a list a stored row,
+// shadow row, aggregate contribution or export keeps was copied out
+// first; and the value slab a retraction carves its over-deleted heads
+// from, poisoned when the engine hands it out again two retractions
+// later (engine.TestWithdrawalsOutliveNextRetraction pins that span). Under condensed provenance, also the round's table
 // arena (nodeWire.table), which dies when the round's frames are sent,
 // the BDD manager's decode scratch, which a delivered frame's annotations
 // are copied out of at once, and — that run seals with session MACs, as

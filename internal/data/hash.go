@@ -7,11 +7,10 @@ import (
 
 // Structural 64-bit hashing for values and tuples. These hashes are the
 // allocation-free replacement for the materialized Key()/ValueKey()
-// strings on the hot path: tables, join indexes, the dependency index,
-// aggregate groups and the retraction sets all key on hash buckets with an
-// equality check along each bucket's chain instead of strings. Where a
-// destination string takes part (a withdrawal, a dependency edge), the
-// chain compares it too: nothing maps symbols to ids. Kind tags
+// strings on the hot path: tables, join indexes, aggregate groups and
+// the retraction sets all key on hash buckets with an equality check
+// along each bucket's chain instead of strings. Where a destination
+// string takes part (a withdrawal), the chain compares it too: nothing maps symbols to ids. Kind tags
 // take an FNV-1a byte round; words — numbers, lengths, and strings eight
 // bytes at a time — take one multiply/xor-shift mix each, whose last
 // xor-shift carries the high bits down so that the low bits a masked hash

@@ -453,7 +453,6 @@ func (e *Engine) settleAgg(st *aggGroupState, g *aggGroup, vanished *[]retractIt
 	if en := tbl.Get(dead); en != nil {
 		tbl.kill(en)
 		e.notify(en.Tuple, UpdateRetracted)
-		e.dropDeps(en.Tuple, nil)
 		e.touchAggs(en.Tuple)
 	}
 }

@@ -217,7 +217,7 @@ func numericOp(op string, l, r data.Value) (data.Value, error) {
 // keep it, nor return a value whose list aliases it. A builtin that
 // returns a new list takes its n elements from newList, which the engine
 // serves from its wave scratch: fire copies a list that a new head keeps
-// (evalScratch.persist), so nothing else may hold one past the wave.
+// (persist), so nothing else may hold one past the wave.
 type BuiltinFunc func(args []data.Value, newList func(n int) []data.Value) (data.Value, error)
 
 // Builtins is the registry of NDlog builtin functions, the list-and-path

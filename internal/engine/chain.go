@@ -1,8 +1,8 @@
 package engine
 
-// The engine's hash-keyed state — table rows, the dependency index and
-// its edges, aggregate-selection groups and their shadows, aggregate
-// groups and their contributions, the retraction sets — maps a 64-bit
+// The engine's hash-keyed state — table rows, aggregate-selection groups
+// and their shadows, aggregate groups and their contributions, the
+// retraction sets — maps a 64-bit
 // hash to the first struct with it, and structs whose hashes collide
 // chain through a next field of their own: a bucket costs no slice, and
 // the equality check walks the chain. The structs come from slabs, one

@@ -9,7 +9,7 @@ import (
 	"provnet/internal/data"
 )
 
-// The hash-keyed table, dependency index, and retraction sets all rely on
+// The hash-keyed table, aggregate state and retraction sets all rely on
 // the same invariant: a 64-bit structural hash narrows the search, and an
 // equality check settles it. These tests squeeze every hash into a
 // handful of bits so collision chains are the norm, then require the
@@ -85,8 +85,8 @@ func TestTableKeyedForcedCollisions(t *testing.T) {
 // TestRetractForcedCollisionsMatchesUnmasked replays an insert/retract
 // script twice — once with full hashes, once with 2-bit hashes — and
 // requires identical tables and stats. The masked run drives every
-// hash-keyed structure (dependency index, withdrawal sets, rederive
-// sets, aggregate groups) through its equality fallback.
+// hash-keyed structure (table rows, withdrawal sets, rederive sets,
+// aggregate groups) through its equality fallback.
 func TestRetractForcedCollisionsMatchesUnmasked(t *testing.T) {
 	const prog = `
 materialize(link, infinity, infinity, keys(1,2,3)).
@@ -264,9 +264,8 @@ func chainLen[T any](c chain[T], h uint64) int {
 }
 
 // TestChainUnlinkHeadMiddleTail runs unlinkHeadMiddleTail over every
-// structure that removes from its chain: table rows, dependency entries
-// and edges, the retraction set, aggregate-selection groups, shadow rows
-// and aggregate contributions.
+// structure that removes from its chain: table rows, the retraction set,
+// aggregate-selection groups, shadow rows and aggregate contributions.
 func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 	t.Run("table rows", func(t *testing.T) {
 		tbl := NewTable("p", nil, -1, -1)
@@ -276,42 +275,6 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 			remove: func(i int) { tbl.kill(tbl.Get(tup("p", i))) },
 			has:    func(i int) bool { return tbl.Get(tup("p", i)) != nil },
 			id:     func(en *Entry) int { return int(en.Tuple.Args[0].Int) },
-		})
-	})
-	t.Run("dependency entries", func(t *testing.T) {
-		e := New(Config{Self: "n"})
-		head := tup("q", 0)
-		unlinkHeadMiddleTail(t, chainCase[depEntry]{
-			chain:  func() chain[depEntry] { return e.deps },
-			add:    func(i int) { e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, head.Hash(), "n") },
-			remove: func(i int) { e.dropDeps(tup("p", i), nil) },
-			has:    func(i int) bool { return e.findDeps(tup("p", i).Hash(), tup("p", i)) != nil },
-			id:     func(de *depEntry) int { return int(de.body.Args[0].Int) },
-		})
-		if e.DepSize() != 9 {
-			t.Errorf("dependency index holds %d bodies, want 9", e.DepSize())
-		}
-	})
-	t.Run("dependency edges", func(t *testing.T) {
-		// One edge per body: dropping the body unlinks its edge.
-		e := New(Config{Self: "n"})
-		head := tup("q", 0)
-		unlinkHeadMiddleTail(t, chainCase[depEdge]{
-			chain: func() chain[depEdge] { return e.edges },
-			add: func(i int) {
-				e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, head.Hash(), "n")
-				e.recordDep(AnnTuple{Tuple: tup("p", i)}, head, head.Hash(), "n") // a duplicate adds nothing
-			},
-			remove: func(i int) { e.dropDeps(tup("p", i), nil) },
-			has: func(i int) bool {
-				for d := e.edges.first(edgeHash(tup("p", i).Hash(), head.Hash())); d != nil; d = d.next {
-					if d.from.body.Equal(tup("p", i)) {
-						return true
-					}
-				}
-				return false
-			},
-			id: func(d *depEdge) int { return int(d.from.body.Args[0].Int) },
 		})
 	})
 	t.Run("retraction set", func(t *testing.T) {
@@ -397,8 +360,8 @@ a1 cnt(@N,count<Y>) :- link(@N,Y).
 // once with 1-bit hashes, and requires the same tables, exports and
 // withdrawals after every step and the same stats. The masked run must
 // put at least three members on one chain of each structure — table
-// rows, dependency entries and edges, prune groups, shadow rows,
-// aggregate groups and contributions, and a retraction's sets (censused
+// rows, prune groups, shadow rows, aggregate groups and contributions,
+// and a retraction's sets (censused
 // between its two phases) — and remove members of each again (aggregate
 // state and retraction sets vanish when a recomputation or the next
 // retraction replaces them).
@@ -413,8 +376,8 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 s1 seen(@Y,N) :- link(@N,Y,C).
 s2 near(@N,Y) :- link(@N,Y,C).
 `
-	kinds := []string{"table rows", "dependency entries", "dependency edges", "prune groups",
-		"shadow rows", "aggregate groups", "aggregate contributions", "retraction sets"}
+	kinds := []string{"table rows", "prune groups", "shadow rows", "aggregate groups",
+		"aggregate contributions", "retraction sets"}
 	type census struct{ longest, removed int }
 	run := func(masked bool) ([]string, Stats, map[string]*census) {
 		e := cappedEngine(t, "n", prog, 0)
@@ -445,21 +408,13 @@ s2 near(@N,Y) :- link(@N,Y,C).
 			take(kind, keys, longest)
 		}
 		census := func() {
-			var rows, deps, edges, groups, shadows, aggs, contribs []func(func(string)) int
+			var rows, groups, shadows, aggs, contribs []func(func(string)) int
 			for _, name := range []string{"link", "cost", "m"} {
 				if tbl := e.tables[name]; tbl != nil {
 					for _, en := range tbl.rows.m {
 						rows = append(rows, chainKeys(en, func(x *Entry) *Entry { return x.next }, func(x *Entry) string { return x.Tuple.String() }))
 					}
 				}
-			}
-			for _, de := range e.deps.m {
-				deps = append(deps, chainKeys(de, func(x *depEntry) *depEntry { return x.next }, func(x *depEntry) string { return x.body.String() }))
-			}
-			for _, d := range e.edges.m {
-				edges = append(edges, chainKeys(d, func(x *depEdge) *depEdge { return x.next }, func(x *depEdge) string {
-					return x.from.body.String() + "->" + x.dest + ":" + x.head.String()
-				}))
 			}
 			for _, g := range e.prunes["cost"].groups.m {
 				groups = append(groups, chainKeys(g, func(x *pruneGroupState) *pruneGroupState { return x.next }, func(x *pruneGroupState) string { return fmt.Sprint(x.vals) }))
@@ -478,8 +433,6 @@ s2 near(@N,Y) :- link(@N,Y,C).
 				}
 			}
 			walk("table rows", rows)
-			walk("dependency entries", deps)
-			walk("dependency edges", edges)
 			walk("prune groups", groups)
 			walk("shadow rows", shadows)
 			walk("aggregate groups", aggs)

@@ -155,19 +155,6 @@ type Engine struct {
 	queue, spareQueue []*Entry
 	exports           []Export
 
-	// deps is the derivation dependency index driving retraction: for
-	// every non-aggregate rule firing it maps each body tuple (keyed by
-	// structural hash, colliding entries chained through depEntry.next)
-	// to the derived heads (with their destinations), so a deleted tuple's
-	// cone of influence can be walked without re-running rules. edges
-	// holds every body → head edge once (see depEdge).
-	deps  chain[depEntry]
-	edges chain[depEdge]
-	ndeps int
-
-	depEntries slab[depEntry]
-	depEdges   slab[depEdge]
-
 	// scratch is the reusable evalScratch; firedBuf is the reused
 	// per-wave firing table. maxVars/maxAtoms/maxProbe are the scratch
 	// sizes required by the loaded rules.
@@ -183,8 +170,10 @@ type Engine struct {
 	// retraction instead of allocated anew. begun and completed are the
 	// arrays the two phases return their withdrawals in. work is
 	// over-deletion's queue, cands the re-derivation's candidates by
-	// predicate, repairBuf a repair's firings and revived a shadow
-	// revival's rows, each reused.
+	// predicate, repairBuf an over-deletion's or a repair's firings and
+	// revived a shadow revival's rows, each reused. heads are the value
+	// slabs of the last two retractions begun, headGen the current one's
+	// (retractHeads).
 	pend      *retractPending
 	spare     *retractPending
 	wq        *pairSet
@@ -194,6 +183,8 @@ type Engine struct {
 	cands     map[string][]*pair
 	repairBuf []pending
 	revived   []shadowRow
+	heads     [2]slab[data.Value]
+	headGen   int
 	// rederive, while non-nil, filters emit to the tuples the repair it
 	// belongs to deleted and the exports it withdrew (DRed's
 	// re-derivation phase) instead of inserting/exporting everything.
@@ -218,6 +209,9 @@ type Stats struct {
 	Expired       int64
 	Retracted     int64 // tuples withdrawn by retraction cascades
 	Waves         int64 // non-empty delta waves evaluated
+	// IdleWithdrawals counts inbound withdrawals that found neither a row
+	// holding their sender's support nor a shadow row: nothing to withdraw.
+	IdleWithdrawals int64
 }
 
 // atomRef locates a body atom within a compiled rule.
@@ -373,8 +367,6 @@ func New(cfg Config) *Engine {
 		byPred:        make(map[string][]atomRef),
 		aggState:      make(map[string]*aggGroupState),
 		slots:         make(map[string][][]int),
-		deps:          newChain((*depEntry).link),
-		edges:         newChain((*depEdge).link),
 	}
 }
 
@@ -787,7 +779,7 @@ func (e *Engine) runWave(batch []*Entry) {
 	}
 	sc := e.scratchBuf()
 	sc.pend = sc.pend[:0]
-	sc.resetWave()
+	resetValues(&sc.waveVals)
 	for i, en := range live {
 		s, t := e.evalEntry(en, sc)
 		fired[i] = sc.pend[s:t:t]
@@ -839,16 +831,6 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 			e.maybeEmitAgg(st, g)
 		}
 		return
-	}
-	// Record the dependency edges body → head for retraction cascades.
-	// The head hash is shared by every edge.
-	if len(body) > 0 {
-		if headHash == 0 {
-			headHash = head.Hash()
-		}
-		for i := range body {
-			e.recordDep(body[i], head, headHash, dest)
-		}
 	}
 	if e.rederive != nil {
 		// DRed re-derivation: only tuples deleted by the current
@@ -959,10 +941,6 @@ func (e *Engine) TableSlots(pred string) (live, slots int) {
 	return 0, 0
 }
 
-// DepSize reports the number of body tuples in the retraction
-// dependency index — the structure Expire must purge alongside tables.
-func (e *Engine) DepSize() int { return e.ndeps }
-
 // ShadowEvictions reports the cumulative number of shadow rows dropped
 // by the per-group cap (defaultShadowCap) since the engine started.
 func (e *Engine) ShadowEvictions() int64 {
@@ -982,8 +960,7 @@ func (e *Engine) ArenaHighWater() int64 {
 	if sc == nil {
 		return 0
 	}
-	return int64(len(sc.vals.chunk) + len(sc.waveVals.chunk) +
-		len(sc.anns.chunk) + len(sc.waveAnns.chunk) + cap(sc.pend))
+	return int64(len(sc.vals.chunk) + len(sc.waveVals.chunk) + len(sc.anns.chunk) + cap(sc.pend))
 }
 
 // Predicates returns the names of all tables with live tuples.
@@ -1028,10 +1005,7 @@ func (e *Engine) Expire(now float64) {
 
 // lapse runs the bookkeeping of rows that left pred's table without a
 // retraction — soft-state expiry or a size bound's eviction. Observers
-// hear UpdateExpired (soft-state death, no stale history). The rows'
-// dependency-index entries are purged: they drove the cascade walk, and
-// leaving them would leak memory on long soft-state runs and let a later
-// BeginRetract walk dependents through tuples that no longer exist. The
+// hear UpdateExpired (soft-state death, no stale history). The
 // aggregate-selection groups the rows belonged to go into relax, so
 // shadowed candidates compete again instead of being measured against a
 // vanished best. An expired row queues the aggregate groups it fed for
@@ -1042,7 +1016,6 @@ func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet, expired 
 	ps := e.prunes[pred]
 	for _, t := range gone {
 		e.notify(t, UpdateExpired)
-		e.dropDeps(t, nil)
 		if ps != nil {
 			relax.touch(ps, ps.group(t))
 		}

@@ -42,15 +42,19 @@ type evalScratch struct {
 
 	// vals / anns hand out the head-argument and body-copy slices a
 	// firing gives the commit stage that escape (into tables, aggregate
-	// state, provenance), and the lists a new head keeps. waveVals /
-	// waveAnns hand out those that die once the wave's commit stage
-	// consumes them — the lists builtins build (fire copies what a new
-	// head keeps), aggregate-rule head arguments (aggContribute copies
-	// what it keeps) and, under the null provenance hook, non-aggregate
-	// body copies (the dependency index reads them by value and nothing
-	// else retains them) — and runWave resets them at each wave boundary.
+	// state, provenance), and the lists a new head keeps. waveVals hands
+	// out those that die once the wave's commit stage consumes them — the
+	// lists builtins build (fire copies what a new head keeps) and
+	// aggregate-rule head arguments (aggContribute copies what it keeps)
+	// — and runWave resets it at each wave boundary.
 	vals, waveVals slab[data.Value]
-	anns, waveAnns slab[AnnTuple]
+	anns           slab[AnnTuple]
+
+	// dying, while over-deletion evaluates (consequences), is where fire
+	// carves a head it cannot share with a stored row: the heads only name
+	// what to withdraw, so they live as long as the retraction, and no
+	// body is copied.
+	dying *slab[data.Value]
 
 	// headBuf is the scratch head-argument buffer a firing constructs
 	// into before deciding whether a stored canonical tuple can be reused
@@ -74,36 +78,34 @@ func (e *Engine) scratchBuf() *evalScratch {
 	return sc
 }
 
-// poisonScratch makes resetWave fill what the wave slabs handed out with
-// poison instead of zeros, so a value kept past its wave reads wrong
+// poisonScratch makes resetValues fill what a slab handed out with
+// poison instead of zeros, so a value kept past its lifetime reads wrong
 // instead of stale (PoisonScratchForTesting).
 var poisonScratch atomic.Bool
 
-// scratchPoison is what a poisoned wave slab holds.
+// scratchPoison is what a poisoned slab holds.
 var scratchPoison = data.Str("\x00scratch poison")
 
 // PoisonScratchForTesting makes every engine poison its wave scratch
-// when a wave resets it, until restore is called. Tests use it to catch a
-// list or body copy that outlives the wave it was built in.
+// when a wave resets it, and a retraction's value slab when a later
+// retraction takes it back, until restore is called. Tests use it to
+// catch a list or head that outlives the wave or retraction it was
+// built in.
 func PoisonScratchForTesting() (restore func()) {
 	prev := poisonScratch.Swap(true)
 	return func() { poisonScratch.Store(prev) }
 }
 
-// resetWave hands the wave slabs out again from their start: nothing
-// taken from them in the previous wave is used any more. Under
-// PoisonScratchForTesting what they handed out is poisoned, not zeroed;
-// every taker overwrites what it takes.
-func (sc *evalScratch) resetWave() {
-	vals, anns := sc.waveVals.chunk[:sc.waveVals.used], sc.waveAnns.chunk[:sc.waveAnns.used]
-	sc.waveVals.reset()
-	sc.waveAnns.reset()
+// resetValues hands s out again from its start: nothing taken from it
+// is used any more (the wave slab at each wave, a retraction's slab two
+// retractions later). Under PoisonScratchForTesting what it handed out
+// is poisoned, not zeroed; every taker overwrites what it takes.
+func resetValues(s *slab[data.Value]) {
+	vals := s.chunk[:s.used]
+	s.reset()
 	if poisonScratch.Load() {
 		for i := range vals {
 			vals[i] = scratchPoison
-		}
-		for i := range anns {
-			anns[i] = AnnTuple{Tuple: data.Tuple{Pred: scratchPoison.Str}}
 		}
 	}
 }
@@ -337,8 +339,8 @@ func (e *Engine) matchAtom(spec *atomSpec, tu data.Tuple, env *env, trail *[]int
 // sink for the caller's ordered-commit stage. The head-argument and
 // body-copy slices come from the scratch's slabs (one malloc per chunk,
 // not two per firing). A list a builtin built lives in the wave scratch:
-// a new head copies the lists of its computed arguments into the
-// persistent slab, and a re-derived head keeps the stored row's.
+// a new head copies the lists of its computed arguments into the slab
+// its arguments came from, and a re-derived head keeps the stored row's.
 func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pending, sc *evalScratch) {
 	n := len(r.headArgs)
 	if cap(sc.headBuf) < n {
@@ -376,15 +378,19 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 		}
 	}
 	if !reused {
+		keep := &sc.vals
+		if sc.dying != nil {
+			keep = sc.dying
+		}
 		var args []data.Value
 		if r.agg != nil {
 			args = sc.waveVals.take(n)
 		} else {
-			args = sc.vals.take(n)
+			args = keep.take(n)
 		}
 		copy(args, hb)
 		for _, i := range r.computed {
-			args[i] = sc.persist(args[i])
+			args[i] = persist(keep, args[i])
 		}
 		head.Args = args
 	}
@@ -412,41 +418,39 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 	}
 
 	// Copy the body annotation slice: it is reused across branches.
-	nb := 0
-	for i := range body {
-		if body[i].Tuple.Pred != "" {
-			nb++
-		}
-	}
-	// Aggregate contributions are retained by the group's dedup state, so
-	// they need the persistent slab; under the null provenance hook,
-	// non-aggregate bodies die at commit (the dependency index reads them
-	// by value) and come from the wave slab instead.
+	// Aggregate contributions retain theirs in the group's dedup state;
+	// a non-aggregate body feeds only Derive, so none is copied where
+	// nothing reads it: under the null provenance hook, and for an
+	// over-deletion's heads.
 	var bodyCopy []AnnTuple
-	if r.agg == nil && e.noProv {
-		bodyCopy = sc.waveAnns.take(nb)
-	} else {
+	if r.agg != nil || !e.noProv && sc.dying == nil {
+		nb := 0
+		for i := range body {
+			if body[i].Tuple.Pred != "" {
+				nb++
+			}
+		}
 		bodyCopy = sc.anns.take(nb)
-	}
-	nb = 0
-	for i := range body {
-		if body[i].Tuple.Pred != "" {
-			bodyCopy[nb] = body[i]
-			nb++
+		nb = 0
+		for i := range body {
+			if body[i].Tuple.Pred != "" {
+				bodyCopy[nb] = body[i]
+				nb++
+			}
 		}
 	}
 	*sink = append(*sink, pending{r: r, head: head, headHash: headHash, dest: dest, body: bodyCopy})
 }
 
 // persist returns v with its list, and every list nested in it, copied
-// into the persistent value slab.
-func (sc *evalScratch) persist(v data.Value) data.Value {
+// into slab s.
+func persist(s *slab[data.Value], v data.Value) data.Value {
 	if v.Kind != data.KindList || len(v.List) == 0 {
 		return v
 	}
-	out := sc.vals.take(len(v.List))
+	out := s.take(len(v.List))
 	for i, x := range v.List {
-		out[i] = sc.persist(x)
+		out[i] = persist(s, x)
 	}
 	v.List = out
 	return v

@@ -7,9 +7,9 @@ import (
 	"provnet/internal/data"
 )
 
-// Retraction bookkeeping that must stay bounded: expiry purges the
-// dependency index and relaxes prune groups, and the per-group prune
-// shadow never outgrows its cap.
+// Retraction bookkeeping that must stay bounded: expiry relaxes prune
+// groups, a retraction after an expiry cascades only through what is
+// stored, and the per-group prune shadow never outgrows its cap.
 
 const softDepsProg = `
 materialize(link, 8, infinity, keys(1,2,3)).
@@ -17,10 +17,11 @@ materialize(route, infinity, infinity, keys(1,2,3)).
 s1 route(@N,Y,C) :- link(@N,Y,C).
 `
 
-// TestExpirePurgesRetractionBookkeeping is the regression test for the
-// Expire leak: expired tuples must leave the dependency index, and a
-// retraction issued after their expiry must not walk dependents through
-// them.
+// TestExpirePurgesRetractionBookkeeping: an expiry cascades nothing
+// (derived soft state carries its own lifetime), and a retraction issued
+// after it must not walk dependents through the expired row: retracting
+// the expired fact withdraws nothing, and retracting it once re-inserted
+// withdraws it and the one head it derives.
 func TestExpirePurgesRetractionBookkeeping(t *testing.T) {
 	e := retractEngine(t, "n", softDepsProg)
 	link := data.NewTuple("link", data.Str("n"), data.Str("b"), data.Int(2))
@@ -30,32 +31,32 @@ func TestExpirePurgesRetractionBookkeeping(t *testing.T) {
 	if !e.Has(route) {
 		t.Fatal("route not derived")
 	}
-	if e.DepSize() == 0 {
-		t.Fatal("dependency index empty after derivation")
-	}
 
 	e.Expire(10) // past the link TTL
 	if e.Has(link) {
 		t.Fatal("link should have expired")
 	}
-	if got := e.DepSize(); got != 0 {
-		t.Fatalf("dependency index holds %d entries after expiry, want 0 (leak)", got)
+	if !e.Has(route) {
+		t.Fatal("route should outlive the expired link: expiry cascades nothing")
+	}
+	if ws := e.RetractFacts(link); len(ws) != 0 || e.Stats.Retracted != 0 || !e.Has(route) {
+		t.Fatalf("retracting the expired link: withdrawals %v, %d retracted, route stored %v; want nothing withdrawn",
+			ws, e.Stats.Retracted, e.Has(route))
 	}
 
-	// Re-inserting and retracting the same fact must cascade only through
-	// the fresh derivation, not resurrect stale pre-expiry bookkeeping.
+	// Re-inserting and retracting the same fact cascades through the
+	// fresh derivation.
 	e.InsertFact(link)
 	e.RunToFixpoint()
-	before := e.Stats.Retracted
 	e.RetractFacts(link)
 	if e.Has(route) {
 		t.Fatal("route should be withdrawn with its only support")
 	}
-	if got := e.Stats.Retracted - before; got != 2 { // link + route
+	if got := e.Stats.Retracted; got != 2 { // link + route
 		t.Fatalf("retraction cascade removed %d tuples, want 2", got)
 	}
-	if got := e.DepSize(); got != 0 {
-		t.Fatalf("dependency index holds %d entries after full retraction, want 0", got)
+	if snap := snapshotEngine(e); snap != "" {
+		t.Fatalf("tables after the retraction:\n%s", snap)
 	}
 }
 
@@ -235,43 +236,5 @@ func TestShadowStaysBoundedUnderChurn(t *testing.T) {
 	}
 	if got := e.Tuples("m"); len(got) != 1 || got[0].Args[2].Int != 1000-49-1 {
 		t.Fatalf("m = %v, want min %d", got, 1000-49-1)
-	}
-}
-
-// TestExpiredAggregateHeadLeavesDeps: when a window's every change
-// expires, the aggregate group vanishes and its head is killed by the
-// recount rather than by its table's TTL. The head must leave the
-// dependency index like any other row that lapses, or each vanished
-// count keeps an entry (and a stale cascade edge to its alert) forever.
-func TestExpiredAggregateHeadLeavesDeps(t *testing.T) {
-	e := newNode(t, "a", `
-materialize(change, 10, infinity, keys(1,2)).
-materialize(alert, 10, infinity, keys(1,2)).
-c1 changes(@S,count<*>) :- change(@S,E).
-a1 alert(@S,N) :- changes(@S,N), N > 1.
-`, false)
-	ev := int64(0)
-	for w, n := range []int{2, 5, 3, 7, 4, 6} {
-		now := float64(w * 20)
-		e.Expire(now)
-		e.RunToFixpoint()
-		for range n {
-			e.InsertFact(data.NewTuple("change", data.Str("a"), data.Int(ev)))
-			ev++
-		}
-		e.RunToFixpoint()
-		if got := e.Count("alert"); got != 1 {
-			t.Fatalf("window %d: %d alerts, want 1", w, got)
-		}
-		e.Expire(now + 10) // the whole window expires
-		e.RunToFixpoint()
-	}
-	for _, pred := range []string{"change", "changes", "alert"} {
-		if got := e.Count(pred); got != 0 {
-			t.Fatalf("%s holds %d rows after every window expired", pred, got)
-		}
-	}
-	if got := e.DepSize(); got != 0 {
-		t.Fatalf("dependency index holds %d entries after every window expired, want 0", got)
 	}
 }

@@ -9,16 +9,20 @@ import (
 
 // Retraction: the engine half of live link churn. Deleting a base tuple
 // (a cut link) must withdraw everything derived from it, across nodes,
-// without restarting the computation. The implementation is a
-// delete-and-rederive (DRed) variant over the dependency index recorded
-// at rule-firing time, split into two phases so the scheduler can drain
-// the distributed withdrawal wave before any repair propagates:
+// without restarting the computation. The implementation is
+// delete-and-rederive (DRed: Gupta, Mumick and Subrahmanian, SIGMOD'93),
+// which keeps no record of past firings, split into two phases so the
+// scheduler can drain the distributed withdrawal wave before any repair
+// propagates:
 //
 //   - BeginRetract* (over-delete): walk the cone of influence of the
-//     retracted tuples through the dependency index, deleting local
-//     heads and collecting Withdrawals for exported ones. The touched
-//     state (deleted keys, touched aggregate groups, relaxed prune
-//     groups, shipped withdrawals) accumulates on the engine.
+//     retracted tuples by evaluating the rules. Each row about to die is
+//     the delta of every non-aggregate rule reading its predicate, with
+//     the plan insertion runs (evalDelta), while it is still stored;
+//     local heads found are deleted in turn and exported ones collected
+//     as Withdrawals. The touched state (deleted keys, touched aggregate
+//     groups, relaxed prune groups, shipped withdrawals) accumulates on
+//     the engine.
 //   - CompleteRetract (repair): once no withdrawal is in flight,
 //     aggregate-selection groups re-admit the shadow candidates the
 //     prune had rejected, every non-aggregate rule re-evaluates with its
@@ -50,98 +54,6 @@ import (
 type Withdrawal struct {
 	Dest  string
 	Tuple data.Tuple
-}
-
-// depEntry is one body tuple of the dependency index with the heads its
-// firings derived: a list of edges in insertion order, which keeps
-// retraction cascades deterministic.
-type depEntry struct {
-	body        data.Tuple
-	hash        uint64
-	next        *depEntry // the next entry with the same body hash
-	first, last *depEdge
-}
-
-func (de *depEntry) link() **depEntry { return &de.next }
-
-// depEdge is one dependency body → (head, dest). Every edge also sits on
-// Engine.edges under a mix of its body's and head's hashes, so recording
-// a firing again finds the edge there instead of in a per-body set.
-type depEdge struct {
-	from  *depEntry
-	head  data.Tuple
-	dest  string
-	hash  uint64
-	next  *depEdge // the next edge with the same hash
-	after *depEdge // from's next edge
-}
-
-func (d *depEdge) link() **depEdge { return &d.next }
-
-// edgeHash keys the edge from a body to a head by their hashes.
-func edgeHash(body, head uint64) uint64 { return (body*hashPrime ^ head) * hashPrime }
-
-// recordDep notes the dependency edge body → (head, dest) of a rule
-// firing, the raw material of retraction cascades. The caller hoists the
-// head hash out of the per-body-atom loop; the body AnnTuple usually
-// carries its entry's cached hash.
-func (e *Engine) recordDep(b AnnTuple, head data.Tuple, headHash uint64, dest string) {
-	h := b.tupleHash()
-	de := e.findDeps(h, b.Tuple)
-	if de == nil {
-		de = e.depEntries.alloc()
-		de.body, de.hash = b.Tuple, h
-		e.deps.push(h, de)
-		e.ndeps++
-	}
-	k := edgeHash(h, headHash)
-	for d := e.edges.first(k); d != nil; d = d.next {
-		if d.from == de && d.dest == dest && d.head.Equal(head) {
-			return
-		}
-	}
-	d := e.depEdges.alloc()
-	d.from, d.head, d.dest, d.hash = de, head, dest, k
-	e.edges.push(k, d)
-	if de.last == nil {
-		de.first = d
-	} else {
-		de.last.after = d
-	}
-	de.last = d
-}
-
-// findDeps returns body tuple t's dependency entry, whose hash is h, or
-// nil.
-func (e *Engine) findDeps(h uint64, t data.Tuple) *depEntry {
-	for de := e.deps.first(h); de != nil; de = de.next {
-		if de.body.Equal(t) {
-			return de
-		}
-	}
-	return nil
-}
-
-// dropDeps removes body tuple t's dependency entry and its edges, handing
-// each edge's head and destination to visit (when set) in insertion
-// order.
-func (e *Engine) dropDeps(t data.Tuple, visit func(head data.Tuple, dest string)) {
-	de := e.findDeps(t.Hash(), t)
-	if de == nil {
-		return
-	}
-	e.deps.unlink(de.hash, de)
-	e.ndeps--
-	for d := de.first; d != nil; {
-		if visit != nil {
-			visit(d.head, d.dest)
-		}
-		next := d.after
-		e.edges.unlink(d.hash, d)
-		e.depEdges.put(d)
-		d = next
-	}
-	e.depEntries.put(de)
 }
 
 // pairSet is a set of (destination, tuple) pairs: a chain keyed by the
@@ -377,7 +289,8 @@ func (e *Engine) RetractInbound(items []InboundRetraction) []Withdrawal {
 // BeginRetractFacts is the over-delete phase for explicit fact
 // retraction. The withdrawals it returns sit in an array of the engine's,
 // valid until the next Begin call or single-call form; a caller that
-// keeps them copies them out.
+// keeps them copies them out. Their tuples stay valid until the engine
+// has begun two more retractions (retractHeads).
 func (e *Engine) BeginRetractFacts(tuples ...data.Tuple) []Withdrawal {
 	items := e.work[:0]
 	for _, t := range tuples {
@@ -396,6 +309,17 @@ func (e *Engine) BeginRetractInbound(items []InboundRetraction) []Withdrawal {
 	return e.beginRetract(ri)
 }
 
+// retractHeads starts a retraction's value slab, from which
+// over-deletion carves the heads it cannot share with a stored row. The
+// engine keeps two and alternates: a retraction's withdrawals stay valid
+// through the next retraction begun, so a caller that queued them may
+// begin one more before it ships them. The slab started here held the
+// heads of the retraction before the previous one.
+func (e *Engine) retractHeads() {
+	e.headGen ^= 1
+	resetValues(&e.heads[e.headGen])
+}
+
 // HasPendingRetract reports whether over-deleted state awaits
 // CompleteRetract.
 func (e *Engine) HasPendingRetract() bool {
@@ -403,6 +327,9 @@ func (e *Engine) HasPendingRetract() bool {
 }
 
 func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
+	if e.pend == nil {
+		e.retractHeads()
+	}
 	wq := e.withdrawalSet()
 	e.overdelete(items, wq)
 	e.pend.shipped.addAll(wq)
@@ -501,8 +428,15 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 			// flag however many local derivations gave it, so a row that
 			// loses it becomes a re-derivation candidate like a deleted
 			// row: another derivation may still hold.
-			if ps != nil && e.retractShadow(ps, t, it) {
+			found, lost := false, false
+			if ps != nil {
+				found, lost = e.retractShadow(ps, t, it)
+			}
+			if lost {
 				pend.deleted.add("", t)
+			}
+			if !found && it.mode == retractOrigin {
+				e.Stats.IdleWithdrawals++
 			}
 			continue
 		}
@@ -516,11 +450,17 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 		case retractDeriv:
 			en.local = false
 		case retractOrigin:
-			en.dropOrigin(it.origin)
+			if !en.dropOrigin(it.origin) {
+				e.Stats.IdleWithdrawals++
+			}
 		}
 		if en.supported() {
 			continue // other support keeps the row alive
 		}
+		// The row's consequences are the firings that bind it as their
+		// delta, found before it dies: it still joins itself, and every
+		// row deleted after it.
+		fired := e.consequences(en)
 		tbl.kill(en)
 		pend.deleted.add("", t)
 		e.Stats.Retracted++
@@ -533,31 +473,53 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 		if e.touchAggs(t) {
 			pend.aggs = true
 		}
-		e.dropDeps(t, func(head data.Tuple, dest string) {
-			if dest == e.self {
-				work = append(work, retractItem{t: head, mode: retractDeriv})
+		for _, pd := range fired {
+			if pd.dest == e.self {
+				work = append(work, retractItem{t: pd.head, mode: retractDeriv})
 			} else {
-				wq.add(dest, head)
+				wq.add(pd.dest, pd.head)
 			}
-		})
+		}
+		clear(fired)
+		e.repairBuf = fired[:0]
 	}
 	clear(work)
 	e.work = work[:0]
 }
 
+// consequences collects into repairBuf the firings of every
+// non-aggregate rule with stored row en as the delta at each body atom
+// of its predicate, evaluated against the tables as they stand: the
+// heads over-deletion withdraws with en. Aggregate groups en fed are
+// recounted instead (touchAggs). The heads come from the retraction's
+// value slab (see retractHeads).
+func (e *Engine) consequences(en *Entry) []pending {
+	sc := e.scratchBuf()
+	resetValues(&sc.waveVals)
+	sc.dying = &e.heads[e.headGen]
+	fired := e.repairBuf[:0]
+	for _, ref := range e.byPred[en.Tuple.Pred] {
+		if ref.rule.agg == nil {
+			e.evalDelta(ref.rule, ref.atom, en, &fired, sc)
+		}
+	}
+	sc.dying = nil
+	return fired
+}
+
 // retractShadow removes one support source from a prune-shadowed
-// candidate, dropping the row when none remains. It reports whether the
-// row lost its local support.
-func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) bool {
+// candidate, dropping the row when none remains. It reports whether t
+// had a shadow row and whether the row lost its local support.
+func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) (found, lost bool) {
 	g := ps.findGroup(t)
 	if g == nil {
-		return false
+		return false, false
 	}
 	row := ps.findShadow(g, t)
 	if row == nil {
-		return false
+		return false, false
 	}
-	lost := row.local && it.mode != retractOrigin
+	lost = row.local && it.mode != retractOrigin
 	switch it.mode {
 	case retractForce:
 		row.local = false
@@ -571,7 +533,7 @@ func (e *Engine) retractShadow(ps *pruneSpec, t data.Tuple, it retractItem) bool
 		ps.removeShadow(g, row)
 		ps.maybeDrop(g)
 	}
-	return lost
+	return true, lost
 }
 
 // reviveShadows resets the installed best of every touched prune group

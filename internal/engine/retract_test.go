@@ -534,3 +534,152 @@ func TestJoinPrunedSeedEvicts(t *testing.T) {
 		t.Fatal("the seed evicted no shadow row: the lossy-shadow fallback did not run")
 	}
 }
+
+// The cases below are what an over-deletion that evaluates the rules on
+// the dying rows, instead of walking recorded edges, could miss: each
+// passes with either form.
+
+// TestRetractSelfJoinDelta: e(n,a,a) matches both atoms of t's body, so
+// its firings bind it as the delta at either atom and join it against
+// itself. Retracting it must withdraw every head it fed, the one it
+// derives alone and the one it derives with e(n,a,b).
+func TestRetractSelfJoinDelta(t *testing.T) {
+	const prog = `
+materialize(e, infinity, infinity, keys(1,2,3)).
+materialize(t, infinity, infinity, keys(1,2,3)).
+t1 t(@N,X,Z) :- e(@N,X,Y), e(@N,Y,Z).
+`
+	e := retractEngine(t, "n", prog)
+	aa := data.NewTuple("e", data.Str("n"), data.Str("a"), data.Str("a"))
+	ab := data.NewTuple("e", data.Str("n"), data.Str("a"), data.Str("b"))
+	e.InsertFact(aa)
+	e.InsertFact(ab)
+	e.RunToFixpoint()
+	wantTuples(t, e.Tuples("t"), "t(n, a, a)", "t(n, a, b)")
+	e.RetractFacts(aa)
+	e.RunToFixpoint()
+	wantTuples(t, e.Tuples("t"))
+	wantTuples(t, e.Tuples("e"), "e(n, a, b)")
+}
+
+// TestRetractTwoBodiesOfOneHead: one RetractFacts call deletes both body
+// rows of h(n,x). Whichever dies first, the other is still stored when
+// its firings are found, so h goes exactly once.
+func TestRetractTwoBodiesOfOneHead(t *testing.T) {
+	const prog = `
+materialize(a, infinity, infinity, keys(1,2)).
+materialize(b, infinity, infinity, keys(1,2)).
+materialize(h, infinity, infinity, keys(1,2)).
+h1 h(@N,X) :- a(@N,X), b(@N,X).
+`
+	for _, order := range []string{"ab", "ba"} {
+		e := retractEngine(t, "n", prog)
+		a := data.NewTuple("a", data.Str("n"), data.Str("x"))
+		b := data.NewTuple("b", data.Str("n"), data.Str("x"))
+		e.InsertFact(a)
+		e.InsertFact(b)
+		e.RunToFixpoint()
+		wantTuples(t, e.Tuples("h"), "h(n, x)")
+		if order == "ab" {
+			e.RetractFacts(a, b)
+		} else {
+			e.RetractFacts(b, a)
+		}
+		e.RunToFixpoint()
+		if snap := snapshotEngine(e); snap != "" {
+			t.Fatalf("retracting %s: tables hold\n%s", order, snap)
+		}
+		if e.Stats.Retracted != 3 {
+			t.Fatalf("retracting %s: %d rows retracted, want 3 (a, b, h)", order, e.Stats.Retracted)
+		}
+	}
+}
+
+// TestRetractRemoteHeadOfTwoRules: two rules derive the same remote head
+// from one body row. Retracting the row ships one withdrawal, not one
+// per rule.
+func TestRetractRemoteHeadOfTwoRules(t *testing.T) {
+	const prog = `
+materialize(src, infinity, infinity, keys(1,2,3)).
+materialize(out, infinity, infinity, keys(1,2)).
+x1 out(@D,X) :- src(@S,D,X).
+x2 out(@D,X) :- src(@S,D,X), X > 0.
+`
+	e := retractEngine(t, "a", prog)
+	src := data.NewTuple("src", data.Str("a"), data.Str("b"), data.Int(1))
+	e.InsertFact(src)
+	if exports := e.RunToFixpoint(); len(exports) != 2 {
+		t.Fatalf("exports = %v, want out(b,1) → b from each rule", exports)
+	}
+	ws := e.RetractFacts(src)
+	if len(ws) != 1 || ws[0].Dest != "b" || ws[0].Tuple.String() != "out(b, 1)" {
+		t.Fatalf("withdrawals = %v, want out(b, 1) → b once", ws)
+	}
+	if exports := e.RunToFixpoint(); len(exports) != 0 {
+		t.Fatalf("exports after the repair = %v, want none", exports)
+	}
+}
+
+// TestDisplacedRowConsequencesPinned pins ROADMAP item 11's class of bug
+// at the engine: a row that a primary-key replacement displaces leaves
+// its consequences behind. a(n,x,2) replaces a(n,x,1), which retracts
+// nothing, so h(n,x,1) stays beside h(n,x,2).
+//
+// Retracting b then over-deletes what b's firings derive from the tables
+// as they stand: b joins a(n,x,2) only, so h(n,x,2) goes and the stale
+// h(n,x,1) stays, a row no fact supports. A dependency index recorded
+// at firing time (the form before this one) kept an edge from b to
+// h(n,x,1) and removed both, leaving h empty, by accident: the same
+// stale row outlives any cut that does not reach it through b. Item 11
+// retracts a displaced row's consequences with it, and h is then empty
+// here in every form.
+func TestDisplacedRowConsequencesPinned(t *testing.T) {
+	const prog = `
+materialize(a, infinity, infinity, keys(1,2)).
+materialize(b, infinity, infinity, keys(1,2)).
+materialize(h, infinity, infinity, keys(1,2,3)).
+h1 h(@N,X,V) :- a(@N,X,V), b(@N,X).
+`
+	e := retractEngine(t, "n", prog)
+	a := func(v int64) data.Tuple { return data.NewTuple("a", data.Str("n"), data.Str("x"), data.Int(v)) }
+	b := data.NewTuple("b", data.Str("n"), data.Str("x"))
+	e.InsertFact(a(1))
+	e.InsertFact(b)
+	e.RunToFixpoint()
+	e.InsertFact(a(2))
+	e.RunToFixpoint()
+	wantTuples(t, e.Tuples("a"), "a(n, x, 2)")
+	wantTuples(t, e.Tuples("h"), "h(n, x, 1)", "h(n, x, 2)")
+	e.RetractFacts(b)
+	e.RunToFixpoint()
+	wantTuples(t, e.Tuples("h"), "h(n, x, 1)")
+}
+
+// TestWithdrawalsOutliveNextRetraction pins how long a withdrawal's
+// tuple lives: over-deletion carves a head it cannot share with a stored
+// row from the retraction's value slab, and a caller that queued the
+// withdrawals may begin one more retraction before it ships them. The
+// slab comes back, poisoned here, at the retraction after that.
+func TestWithdrawalsOutliveNextRetraction(t *testing.T) {
+	defer PoisonScratchForTesting()()
+	e := retractEngine(t, "a", exportProg)
+	src := func(d string, x int64) data.Tuple {
+		return data.NewTuple("src", data.Str("a"), data.Str(d), data.Int(x))
+	}
+	for i := range int64(3) {
+		e.InsertFact(src("b", i))
+	}
+	e.RunToFixpoint()
+	ws := append([]Withdrawal(nil), e.RetractFacts(src("b", 0))...)
+	if len(ws) != 1 || ws[0].Tuple.String() != "out(b, 0)" {
+		t.Fatalf("withdrawals = %v, want out(b, 0) → b", ws)
+	}
+	e.RetractFacts(src("b", 1))
+	if got := ws[0].Tuple.String(); got != "out(b, 0)" {
+		t.Fatalf("after one more retraction the first withdrawal reads %s, want out(b, 0)", got)
+	}
+	e.RetractFacts(src("b", 2))
+	if got := ws[0].Tuple.String(); got == "out(b, 0)" {
+		t.Fatal("two retractions later the first withdrawal's slab was not handed out again")
+	}
+}
