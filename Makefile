@@ -131,7 +131,7 @@ docs:
 # The size of the program: non-test Go lines outside bench/ and testdata,
 # printed and held to LOC_MAX. A change that grows the program raises
 # LOC_MAX in the same commit, where review sees it.
-LOC_MAX = 21799
+LOC_MAX = 21745
 
 loc:
 	@n=$$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v '/testdata/' | xargs cat | wc -l); \

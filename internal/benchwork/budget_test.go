@@ -105,12 +105,13 @@ var budgetCells = []budgetCell{
 		// table map, a NodeView and a row slice per touched node and
 		// table, and a datagram per frame, cost 8 466. Over-deleting by
 		// walking a dependency index recorded at every firing, instead
-		// of evaluating the rules on the dying rows, cost 6 745.
+		// of evaluating the rules on the dying rows, cost 6 745; with
+		// two alternating retraction head slabs instead of one, 6 674.
 		name: "bestpath-cut",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 6674,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 6605,
 	},
 	{
 		// The same cut and restore with session MACs and condensed
@@ -123,12 +124,12 @@ var budgetCells = []budgetCell{
 		// 22 899; a cloned table map, NodeView and row slice per
 		// touched node and table in each view, a tag buffer per sealed
 		// batch and a datagram per frame 9 647; the dependency index
-		// (see bestpath-cut) 7 475.
+		// (see bestpath-cut) 7 475; two head slabs 7 421.
 		name: "bestpath-cut-session",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 7421,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 7342,
 	},
 	{
 		// The same window with a durable store log attached, fsync on:
@@ -141,7 +142,7 @@ var budgetCells = []budgetCell{
 		// envelope and withdrawal lists allocated per call, it cost
 		// 17 680; with a map-backed view, a tag buffer per sealed
 		// batch and a datagram per frame 9 653; with the dependency
-		// index (see bestpath-cut) 7 478.
+		// index (see bestpath-cut) 7 478; with two head slabs 7 423.
 		name: "bestpath-cut-session-store",
 		stage: func(t *testing.T) func() *provnet.Report {
 			log, err := provnet.OpenStoreLog(t.TempDir(), provnet.StoreLogOptions{})
@@ -151,7 +152,7 @@ var budgetCells = []budgetCell{
 			t.Cleanup(func() { log.Close() })
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512, Store: log}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 7423,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 7338,
 	},
 	{
 		// /v1/traceback?maxdepth=12 for every bestPath row of a quiescent

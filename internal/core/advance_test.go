@@ -133,10 +133,10 @@ func TestAdvanceRefusesBadStep(t *testing.T) {
 }
 
 // TestAdvanceSurvivesCancelledStep pins that cancellation loses no
-// queued event: a step whose context is dead stops at a retraction's
-// drain, the Advance and the Inject queued behind it wait in the inbox,
-// and the next step resumes the wave and applies them in order. With
-// nothing in flight the cancelled step applies the whole batch.
+// queued event: a step whose context is dead still applies the whole
+// batch in order — the retraction's over-deletion, the Advance's expiry
+// and the Inject — and stops before the drain, and the next step drains
+// the wave and repairs. With nothing retracted nothing is in flight.
 func TestAdvanceSurvivesCancelledStep(t *testing.T) {
 	change := func(e int64) data.Tuple { return data.NewTuple("change", data.Str("router1"), data.Int(e)) }
 	for _, retract := range []bool{true, false} {
@@ -172,6 +172,10 @@ func TestAdvanceSurvivesCancelledStep(t *testing.T) {
 			}
 			if got := n.retractionInFlight(); got != retract {
 				t.Fatalf("retraction in flight after the cancelled step = %v, want %v", got, retract)
+			}
+			if n.Clock() != 5 || !n.Node("router1").Engine.Has(change(3)) {
+				t.Fatalf("the cancelled step left the clock at %v and change(3) stored %v: the batch did not apply in full",
+					n.Clock(), n.Node("router1").Engine.Has(change(3)))
 			}
 			if _, err := d.AwaitQuiescence(context.Background()); err != nil {
 				t.Fatal(err)
@@ -226,13 +230,14 @@ func renderTuples(ts []data.Tuple) string {
 // TestAdvanceMatchesFresh drives expiry through a started driver
 // against independent answers: seeded scripts mix Inject, Retract and
 // Advance, and queue a retraction and an advance in one batch, which
-// the driver must apply in order — the retraction's repair first, the
-// expiry after. window checks a windowed count against a fresh engine
-// loaded with the unexpired events after every quiescence, as
-// engine.TestExpireRecountMatchesFresh does one layer down. receiver
+// the driver applies in order and repairs at one drain. window checks
+// a windowed count against a fresh engine loaded with the unexpired
+// events after every quiescence, as engine.TestExpireRecountMatchesFresh
+// does one layer down. receiver
 // ships soft rows to an aggregate on another node, under a hard-state
 // rule that reads its head, and checks the head and the rule's rows
-// against a recount of the receiver's live body rows.
+// against a recount of the receiver's live body rows: a head whose
+// window empties takes the rule's row with it.
 func TestAdvanceMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("window/seed=%d", seed), func(t *testing.T) { runWindowScript(t, seed) })
@@ -375,11 +380,9 @@ a1 alert(@R,S,N) :- tally(@R,S,N).
 // runReceiverScript drives receiverProgram: a seeded script when r is
 // set, else the fixed script below. The model is the senders' live
 // events and r's trust facts. After every quiescence r's tally must be
-// the recount of its live body rows and alert must follow it, with one
-// exception the model tracks: a group whose last rows expired keeps its
-// alert, since expiry cascades nothing (the lifetime rule for a hard
-// head over a soft body is open; docs/ARCHITECTURE.md). A group emptied
-// by a retraction must lose it.
+// the recount of its live body rows and alert must follow it: a group
+// emptied by a retraction or by expiry loses its tally, and the repair
+// cascades the vanished head to alert.
 func runReceiverScript(t *testing.T, r *rand.Rand) {
 	senders := []string{"s1", "s2"}
 	n, err := NewNetwork(Config{Source: receiverProgram, ExtraNodes: append([]string{"r"}, senders...)})
@@ -397,7 +400,6 @@ func runReceiverScript(t *testing.T, r *rand.Rand) {
 	clock := 0.0
 	events := map[string]map[int64]float64{} // sender → live event → created
 	trusted := map[string]bool{}
-	lapsed := map[string]bool{} // groups whose last rows expired, until rows return
 	for _, s := range senders {
 		events[s] = map[int64]float64{}
 	}
@@ -439,16 +441,7 @@ func runReceiverScript(t *testing.T, r *rand.Rand) {
 		return "distrust " + s, d.Retract("r", trustFact(s))
 	}
 	advance := func(dt float64) (string, error) {
-		before := map[string]int{}
-		for _, s := range senders {
-			before[s] = count(s)
-		}
 		clock += dt
-		for _, s := range senders {
-			if before[s] > 0 && count(s) == 0 {
-				lapsed[s] = true
-			}
-		}
 		return fmt.Sprintf("advance %v", dt), d.Advance(dt)
 	}
 	batch := func(ops ...func() (string, error)) (string, error) {
@@ -486,13 +479,9 @@ func runReceiverScript(t *testing.T, r *rand.Rand) {
 			var want []string
 			if c := count(s); c > 0 {
 				want = []string{fmt.Sprintf("tally(r, %s, %d)", s, c)}
-				lapsed[s] = false
 			}
 			if fmt.Sprint(tally) != fmt.Sprint(want) {
 				t.Fatalf("%s at t=%v: tally for %s is %v, a recount of r's live rows gives %v", step, clock, s, tally, want)
-			}
-			if lapsed[s] {
-				continue
 			}
 			for i := range want {
 				want[i] = "alert" + strings.TrimPrefix(want[i], "tally")
@@ -517,10 +506,10 @@ func runReceiverScript(t *testing.T, r *rand.Rand) {
 	if r == nil {
 		// Two retractions, each queued in one batch with an advance that
 		// expires the rows they empty a group of: a withdrawal r imports
-		// from s1, and a trust fact retracted at r itself. The expiry must
-		// wait for the retraction's repair, which withdraws alert; an
-		// expiry that ran first would retire tally in place and leave
-		// alert behind.
+		// from s1, and a trust fact retracted at r itself. The batch's
+		// over-deletion and expiry share one repair, which must cascade
+		// the vanished tally to alert; the last advance empties the
+		// groups by expiry alone.
 		steps := []func() (string, error){
 			func() (string, error) { return inject("s1") }, // ev 1 at t=0
 			func() (string, error) { return inject("s2") }, // ev 2 at t=0

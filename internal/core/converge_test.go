@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -156,6 +157,8 @@ func TestRetractRoundShipsWithoutEvaluating(t *testing.T) {
 // round whose sender also owes withdrawals: on every link the handshake a
 // new session needs comes first and once, then the retract frame, then
 // the round's data frame — receivers withdraw before they integrate.
+// A withdrawal that lands in an evaluating round over-deletes at once,
+// and its repair waits for the next step's drain.
 func TestRoundShipsRetractsBeforeData(t *testing.T) {
 	tap := newRoundTap()
 	n, err := NewNetwork(Config{Source: BestPath, Graph: topo.Line(3), Transport: tap,
@@ -164,9 +167,14 @@ func TestRoundShipsRetractsBeforeData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// n1 has not evaluated yet, so its first round exports to both
-	// neighbours; queue a withdrawal of something it never sent to each
-	// (a receiver ignores those), last neighbour first.
+	// neighbours; queue a withdrawal of a row to each, last neighbour
+	// first. n0 holds the row with n1's support; n2 never got it and
+	// ignores the withdrawal.
 	gone := data.NewTuple("link", data.Str("n1"), data.Str("zz"), data.Int(1))
+	n0 := n.Node("n0").Engine
+	if err := n0.InsertImportedFrom("n1", gone, nil); err != nil {
+		t.Fatal(err)
+	}
 	n.Node("n1").pendingRetract = []engine.Withdrawal{{Dest: "n2", Tuple: gone}, {Dest: "n0", Tuple: gone}}
 	if _, err := n.runRound(t.Context(), true); err != nil {
 		t.Fatal(err)
@@ -177,6 +185,151 @@ func TestRoundShipsRetractsBeforeData(t *testing.T) {
 		if got := string(sent[[2]string{"n1", dest}]); got != want {
 			t.Errorf("n1→%s shipped kinds %v, want handshake, retract, data %v", dest, []byte(got), []byte(want))
 		}
+	}
+	if n0.Has(gone) || !n0.HasPendingRetract() {
+		t.Fatalf("after the round n0 stores %s: %v, awaits a repair: %v; want over-deleted, repair pending",
+			gone, n0.Has(gone), n0.HasPendingRetract())
+	}
+	if n.Node("n2").Engine.HasPendingRetract() {
+		t.Error("n2 awaits a repair for a withdrawal that found nothing")
+	}
+	if _, err := n.Driver().Step(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if n0.HasPendingRetract() {
+		t.Error("the next step's drain did not repair n0")
+	}
+}
+
+// TestWithdrawalsOutliveNextRetraction pins how long a node's
+// withdrawals must live: their heads come from its engine's retraction
+// value slab, which the engine hands out again when the node starts its
+// next retraction, and the scheduler ships them first. A withdrawal n0
+// owes lands at n1 in an evaluating round and over-deletes there,
+// queueing n1's own withdrawals; then a cut at n1 starts n1's next
+// retraction before those have shipped. The tables must equal a fresh
+// run's without the two links, also with the slab poisoned when it is
+// handed out again. Repairing the landed withdrawal at once, which ends
+// n1's retraction before the cut starts the next, lets the cut's heads
+// overwrite n1's queued withdrawals and fails this.
+func TestWithdrawalsOutliveNextRetraction(t *testing.T) {
+	g := topo.Line(4)
+	run := func() string {
+		n, err := NewNetwork(Config{Source: BestPath, Graph: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		n0 := n.Node("n0")
+		var cut []data.Tuple
+		for _, l := range n0.Engine.Tuples("link") {
+			if l.Args[1].Str == "n1" {
+				cut = append(cut, l)
+			}
+		}
+		n0.pendingRetract = append(n0.pendingRetract, n0.Engine.BeginRetractFacts(cut...)...)
+		if _, err := n.runRound(t.Context(), true); err != nil {
+			t.Fatal(err)
+		}
+		if len(n.Node("n1").pendingRetract) == 0 {
+			t.Fatal("n0's withdrawal left n1 nothing to ship")
+		}
+		d := n.Driver()
+		if err := d.CutLink("n1", "n2"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AwaitQuiescence(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+		return snapshot(t, n)
+	}
+	kept := &topo.Graph{Nodes: g.Nodes}
+	for _, l := range g.Links {
+		if l.From+l.To != "n0n1" && l.From+l.To != "n1n2" {
+			kept.Links = append(kept.Links, l)
+		}
+	}
+	fresh, _ := mustRun(t, Config{Source: BestPath, Graph: kept})
+	want := snapshot(t, fresh)
+	if got := run(); got != want {
+		t.Fatalf("tables after the cuts:\n%s\na fresh run without the two links:\n%s", got, want)
+	}
+	restore := engine.PoisonScratchForTesting()
+	poisoned := run()
+	restore()
+	if poisoned != want {
+		t.Fatalf("poisoned retraction slab: tables after the cuts:\n%s\na fresh run without the two links:\n%s", poisoned, want)
+	}
+	if !strings.Contains(want, "bestPath(n2, n3") {
+		t.Fatal("the fresh run derived no bestPath(n2, n3, …)")
+	}
+}
+
+// repairedCtx reports cancellation while node has run its repair and its
+// withdrawals are still queued: a context cancelled between a drain's
+// repair phase and the round that ships the repair's withdrawals.
+type repairedCtx struct {
+	context.Context
+	node *Node
+}
+
+func (c repairedCtx) Err() error {
+	if len(c.node.pendingRetract) > 0 && !c.node.Engine.HasPendingRetract() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledDrainShipsRepairWithdrawals pins that a drain which has
+// begun repairing runs to its end: an expiry empties a's window, a's
+// repair withdraws the alert its tally fed from b, and a step whose
+// context is cancelled right after that repair must still ship the
+// withdrawal. Left queued, it would meet the next step's retraction at
+// a, which hands the repair's head slab (poisoned here) out again, and b
+// would keep alert.
+func TestCancelledDrainShipsRepairWithdrawals(t *testing.T) {
+	defer engine.PoisonScratchForTesting()()
+	const prog = `
+materialize(ev, 10, infinity, keys(1,2)).
+materialize(peer, infinity, infinity, keys(1,2)).
+materialize(ping, infinity, infinity, keys(1,2)).
+materialize(tally, infinity, infinity, keys(1)).
+t1 tally(@N,count<*>) :- ev(@N,E).
+a1 alert(@M,N,C) :- tally(@N,C), peer(@N,M).
+e1 echo(@M,N,P) :- ping(@N,P), peer(@N,M).
+`
+	n, err := NewNetwork(Config{Source: prog, ExtraNodes: []string{"a", "b"}, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ctx := n.Driver(), t.Context()
+	ping := data.NewTuple("ping", data.Str("a"), data.Int(7))
+	if err := d.Inject("a", data.NewTuple("peer", data.Str("a"), data.Str("b")),
+		data.NewTuple("ev", data.Str("a"), data.Int(1)), ping); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AwaitQuiescence(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotPreds(n, "alert", "echo"); !strings.Contains(got, "alert(b, a, 1)") || !strings.Contains(got, "echo(b, a, 7)") {
+		t.Fatalf("b holds %s, want alert(b, a, 1) and echo(b, a, 7)", got)
+	}
+	if err := d.Advance(10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Step(repairedCtx{ctx, n.Node("a")}); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatal(err)
+	}
+	if err := d.Retract("a", ping); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AwaitQuiescence(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotPreds(n, "alert", "echo"); got != "" {
+		t.Fatalf("after the expiry and the retraction the network holds\n%s", got)
 	}
 }
 

@@ -899,9 +899,8 @@ func (n *Network) exportNode(name string, node *Node, evaluate bool) (bool, erro
 }
 
 // importNode is a node's task in a round's import phase, the second half
-// of the round: it drains and applies the node's inbox. repair is the
-// round's evaluate (see deliverAll).
-func (n *Network) importNode(name string, node *Node, repair bool) (bool, error) {
+// of the round: it drains and applies the node's inbox.
+func (n *Network) importNode(name string, node *Node, _ bool) (bool, error) {
 	msgs := n.net.Drain(name)
 	var start time.Time
 	if n.nm != nil {
@@ -933,7 +932,7 @@ func (n *Network) importNode(name string, node *Node, repair bool) (bool, error)
 	if n.nm != nil {
 		n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
 	}
-	n.deliverAll(name, node, ds, repair)
+	n.deliverAll(name, node, ds)
 	clear(ds)
 	w.delivered = ds[:0]
 	w.in.done()
@@ -1002,8 +1001,9 @@ func (n *Network) retractionInFlight() bool {
 // neighbor's withdrawal is still travelling — would briefly revive
 // routes that neighbor is about to withdraw (zombie routes) and amplify
 // churn traffic; the global drain is what makes incremental
-// re-convergence strictly cheaper than a restart. Returns the number of
-// scheduler rounds consumed.
+// re-convergence strictly cheaper than a restart. Expiry's repair
+// (Network.advance) runs here too. Returns the number of scheduler
+// rounds consumed.
 func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 	rounds := 0
 	for {
@@ -1013,6 +1013,14 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 			}
 			rounds++
 		}
+		// A repaired node must ship its repair's withdrawals before it
+		// starts another retraction, which hands their heads' value slab
+		// out again (engine.Engine.BeginRetractFacts): from the first
+		// repair on, the drain runs to its end.
+		if err := ctx.Err(); err != nil {
+			return rounds, err
+		}
+		ctx = context.WithoutCancel(ctx)
 		completed, err := n.forEachNode(ctx, (*Network).repairNode, false)
 		if err != nil {
 			return rounds, err
@@ -1304,7 +1312,7 @@ func (n *Network) decodeVerify(name string, msg netsim.Message, f *frame, dec *d
 // another frame (a zombie route) and amplifying churn traffic; the
 // origin-support model makes insert-vs-retract of different senders
 // commute, so deferring retractions does not change the fixpoint.
-func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) {
+func (n *Network) deliverAll(name string, node *Node, ds []*frame) {
 	if len(ds) > 0 {
 		n.markActive(name)
 	}
@@ -1319,15 +1327,9 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame, repair bool) 
 		n.deliver(name, node, d)
 	}
 	if len(inbound) > 0 {
-		var ws []engine.Withdrawal
-		if repair {
-			ws = node.Engine.RetractInbound(inbound)
-		} else {
-			// A withdrawal-only round over-deletes; repair runs when
-			// drainRetractions sees the wave quiesce.
-			ws = node.Engine.BeginRetractInbound(inbound)
-		}
-		node.pendingRetract = append(node.pendingRetract, ws...)
+		// Over-delete now; repair runs when drainRetractions sees the
+		// wave quiesce — the next step's, if this round evaluates.
+		node.pendingRetract = append(node.pendingRetract, node.Engine.BeginRetractInbound(inbound)...)
 	}
 	if poisonWire.Load() {
 		for i := range inbound {
@@ -1486,7 +1488,9 @@ func (n *Network) Clock() float64 { return math.Float64frombits(n.clock.Load()) 
 // advance moves logical time forward by dt seconds, expiring soft state
 // everywhere, dropping the online provenance of expired tuples (offline
 // copies persist, §4.2), and aging out offline provenance. The driver
-// applies it between rounds, under its run lock (Driver.Advance).
+// applies it between rounds, under its run lock (Driver.Advance). A row
+// the expiry's repair withdraws at the drain (a head whose window
+// emptied) is marked stale there and forgotten at the next advance.
 func (n *Network) advance(dt float64) {
 	now := n.Clock() + dt
 	n.clock.Store(math.Float64bits(now))

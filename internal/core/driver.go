@@ -275,7 +275,7 @@ func (d *Driver) converge(ctx context.Context, maxSteps int) error {
 func (d *Driver) step(ctx context.Context) (bool, error) {
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
-	mutated, err := d.applyEvents(ctx, d.takeEvents())
+	mutated, err := d.applyEvents(d.takeEvents())
 	if err != nil {
 		return false, err
 	}
@@ -595,9 +595,9 @@ func (d *Driver) Quiet() bool {
 
 // applyEvents applies queued mutations to the engines (called under
 // runMu, between rounds). It reports whether anything changed.
-func (d *Driver) applyEvents(ctx context.Context, evs []driverEvent) (bool, error) {
+func (d *Driver) applyEvents(evs []driverEvent) (bool, error) {
 	mutated := false
-	for i, ev := range evs {
+	for _, ev := range evs {
 		nd := d.n.nodes[ev.node] // the enqueuing call checked the name
 		if nd != nil {
 			d.n.markActive(ev.node)
@@ -619,22 +619,8 @@ func (d *Driver) applyEvents(ctx context.Context, evs []driverEvent) (bool, erro
 				return true, err
 			}
 		case evAdvance:
-			// Expiry must not run inside a repair: Expire settles every
-			// touched aggregate group, those a pending over-delete touched
-			// too, and retires a vanished head in place where the repair
-			// would cascade it. So the retractions queued ahead drain
-			// first; if the drain is cancelled, this event and those
-			// behind it go back to the head of the inbox for the next step.
-			if d.n.retractionInFlight() {
-				rounds, err := d.n.drainRetractions(ctx)
-				d.addRounds(rounds)
-				if err != nil {
-					d.mu.Lock()
-					d.inbox = append(evs[i:len(evs):len(evs)], d.inbox...)
-					d.mu.Unlock()
-					return true, err
-				}
-			}
+			// Expiry joins the pending retractions; step's drain repairs
+			// it with them.
 			d.n.advance(ev.dt)
 		}
 		mutated = true

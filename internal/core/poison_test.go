@@ -17,8 +17,9 @@ import (
 // aggregate heads put there dies with the wave, and a list a stored row,
 // shadow row, aggregate contribution or export keeps was copied out
 // first; and the value slab a retraction carves its over-deleted heads
-// from, poisoned when the engine hands it out again two retractions
-// later (engine.TestWithdrawalsOutliveNextRetraction pins that span). Under condensed provenance, also the round's table
+// from, poisoned when the engine hands it out again at the node's next
+// retraction (TestWithdrawalsOutliveNextRetraction pins that span).
+// Under condensed provenance, also the round's table
 // arena (nodeWire.table), which dies when the round's frames are sent,
 // the BDD manager's decode scratch, which a delivered frame's annotations
 // are copied out of at once, and — that run seals with session MACs, as

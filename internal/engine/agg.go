@@ -14,8 +14,8 @@ import (
 // whenever a group's result changes the head tuple is (re)emitted with
 // primary-key replacement on the group columns. Aggregates over soft-state
 // tables behave as sliding windows: the groups expired rows fed are
-// recomputed, so counts shrink as contributing tuples age out (paper
-// §2.1).
+// recomputed by the same repair a retraction runs, so counts shrink as
+// contributing tuples age out (paper §2.1).
 //
 // Groups key on the head's structural hash over the group columns
 // (colliding groups chain through aggGroup.next and are equality-checked);
@@ -31,7 +31,7 @@ import (
 // are read off the head (touchAggs): that is the one group the row can
 // have fed. repairAggs unlinks each touched group's contributions and
 // re-evaluates the rule with its group columns bound (evalGroup), then
-// emits the changed head or retires the vanished one. A row whose atom
+// emits the changed head or hands the vanished one to over-deletion. A row whose atom
 // leaves a group column unbound touches every group of the rule, which
 // then recounts each of its live groups the same way. So does any row of
 // a stale rule: a row that leaves a table without a retraction — a
@@ -362,11 +362,10 @@ func (e *Engine) staleAggs(pred string) {
 // rule by rule in program order, each from its group-bound evaluation:
 // the touched groups, or every live group of a rule marked all. The
 // firings are collected first and counted after, so no probe walks a
-// table a commit changes. A group left without contributions hands its
-// head to vanished — the retraction path, which cascades it through
-// overdelete — or, when vanished is nil (expiry), has it deleted
-// directly; a changed group re-emits its head.
-func (e *Engine) repairAggs(vanished *[]retractItem) {
+// table a commit changes. A changed group re-emits its head; a group
+// left without contributions appends its head to vanished, which
+// CompleteRetract cascades through overdelete. It returns vanished.
+func (e *Engine) repairAggs(vanished []retractItem) []retractItem {
 	for _, r := range e.rules {
 		if r.agg == nil {
 			continue
@@ -395,7 +394,7 @@ func (e *Engine) repairAggs(vanished *[]retractItem) {
 		for _, g := range groups {
 			g.touched = false
 			if !g.dropped {
-				e.settleAgg(st, g, vanished)
+				vanished = e.settleAgg(st, g, vanished)
 			}
 		}
 		clear(st.touched)
@@ -405,6 +404,7 @@ func (e *Engine) repairAggs(vanished *[]retractItem) {
 		}
 		st.shed(len(st.order) / 2)
 	}
+	return vanished
 }
 
 // shed removes the dropped groups from order once they number more than
@@ -427,32 +427,23 @@ func (st *aggGroupState) shed(keep int) {
 }
 
 // settleAgg finishes a recounted group: it re-emits a changed head, or
-// unlinks a group left without contributions and retires its head (see
-// repairAggs).
-func (e *Engine) settleAgg(st *aggGroupState, g *aggGroup, vanished *[]retractItem) {
+// unlinks a group left without contributions and appends its head to
+// vanished (see repairAggs).
+func (e *Engine) settleAgg(st *aggGroupState, g *aggGroup, vanished []retractItem) []retractItem {
 	if g.contribs != nil {
 		e.maybeEmitAgg(st, g)
-		return
+		return vanished
 	}
 	st.groups.unlink(g.hash, g)
 	g.dropped = true
 	st.dropped++
 	if !g.emitted {
-		return
+		return vanished
 	}
 	r := st.rule
 	args := make([]data.Value, len(g.groupArgs))
 	copy(args, g.groupArgs)
 	args[r.agg.argIdx] = g.current
 	dead := data.Tuple{Pred: r.headPred, Args: args, Asserter: e.asserter()}
-	if vanished != nil {
-		*vanished = append(*vanished, retractItem{t: dead, mode: retractDeriv})
-		return
-	}
-	tbl := e.table(r.headPred)
-	if en := tbl.Get(dead); en != nil {
-		tbl.kill(en)
-		e.notify(en.Tuple, UpdateRetracted)
-		e.touchAggs(en.Tuple)
-	}
+	return append(vanished, retractItem{t: dead, mode: retractDeriv})
 }

@@ -23,7 +23,7 @@ func BenchmarkTableInsertLookup(b *testing.B) {
 		for i := 0; i < b.N; i += rows {
 			tbl := NewTable("edge", nil, -1, -1)
 			for _, tu := range tuples {
-				tbl.Insert(tu, nil, 0)
+				tableInsert(tbl, tu, 0)
 			}
 		}
 	})
@@ -32,14 +32,14 @@ func BenchmarkTableInsertLookup(b *testing.B) {
 		for i := 0; i < b.N; i += rows {
 			tbl := NewTable("edge", []int{0, 1}, -1, -1)
 			for _, tu := range tuples {
-				tbl.Insert(tu, nil, 0)
+				tableInsert(tbl, tu, 0)
 			}
 		}
 	})
 
 	warm := NewTable("edge", nil, -1, -1)
 	for _, tu := range tuples {
-		warm.Insert(tu, nil, 0)
+		tableInsert(warm, tu, 0)
 	}
 	b.Run("get-hit", func(b *testing.B) {
 		b.ReportAllocs()
@@ -68,8 +68,8 @@ func BenchmarkJoinProbe(b *testing.B) {
 	const keys = 64
 	for k := 0; k < keys; k++ {
 		for j := 0; j < 8; j++ {
-			tbl.Insert(data.NewTuple("feed",
-				data.Str("hub"), data.Int(int64(k)), data.Int(int64(k*100+j))), nil, 0)
+			tableInsert(tbl, data.NewTuple("feed",
+				data.Str("hub"), data.Int(int64(k)), data.Int(int64(k*100+j))), 0)
 		}
 	}
 	cols := []int{0, 1}

@@ -22,7 +22,7 @@ func TestTableForcedCollisions(t *testing.T) {
 	tbl := NewTable("p", nil, -1, -1)
 	const rows = 64
 	for i := 0; i < rows; i++ {
-		tbl.Insert(tup("p", i, fmt.Sprintf("v%d", i)), nil, 0)
+		tableInsert(tbl, tup("p", i, fmt.Sprintf("v%d", i)), 0)
 	}
 	if tbl.Size() != rows {
 		t.Fatalf("size = %d, want %d (collisions must not merge distinct rows)", tbl.Size(), rows)
@@ -59,12 +59,12 @@ func TestTableKeyedForcedCollisions(t *testing.T) {
 	tbl := NewTable("route", []int{0}, -1, -1)
 	const rows = 16
 	for i := 0; i < rows; i++ {
-		tbl.Insert(tup("route", i, "old"), nil, 0)
+		tableInsert(tbl, tup("route", i, "old"), 0)
 	}
 	// Replace every row through the primary key; chains must replace the
 	// matching row only.
 	for i := 0; i < rows; i++ {
-		_, st := tbl.Insert(tup("route", i, "new"), nil, 1)
+		_, st := tableInsert(tbl, tup("route", i, "new"), 1)
 		if st != InsertReplaced {
 			t.Fatalf("row %d: status %v, want replacement", i, st)
 		}
@@ -110,7 +110,7 @@ b1 best(@N,Y,min<C>) :- cost(@N,Y,C).
 			tu := data.NewTuple("link", data.Str("n"),
 				data.Str(fmt.Sprintf("y%d", o.y)), data.Int(int64(o.c)))
 			if o.retract {
-				e.RetractFacts(tu)
+				retract(e, e.BeginRetractFacts(tu))
 			} else {
 				e.InsertFact(tu)
 			}
@@ -166,7 +166,7 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 				case 0:
 					e.InsertFact(link)
 				case 1:
-					e.RetractFacts(link)
+					retract(e, e.BeginRetractFacts(link))
 				case 2:
 					for _, ex := range e.RunToFixpoint() {
 						fmt.Fprintf(&exports, "%s<-%s\n", ex.Dest, ex.Tuple)
@@ -174,6 +174,7 @@ m1 m(@N,Y,min<C>) :- cost(@N,Y,C).
 				case 3:
 					now += float64(c % 8)
 					e.Expire(now)
+					e.CompleteRetract()
 				}
 				steps = append(steps, exports.String()+"--\n"+snapshotEngine(e))
 			}
@@ -271,7 +272,7 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 		tbl := NewTable("p", nil, -1, -1)
 		unlinkHeadMiddleTail(t, chainCase[Entry]{
 			chain:  func() chain[Entry] { return tbl.rows },
-			add:    func(i int) { tbl.Insert(tup("p", i), nil, 0) },
+			add:    func(i int) { tableInsert(tbl, tup("p", i), 0) },
 			remove: func(i int) { tbl.kill(tbl.Get(tup("p", i))) },
 			has:    func(i int) bool { return tbl.Get(tup("p", i)) != nil },
 			id:     func(en *Entry) int { return int(en.Tuple.Args[0].Int) },
@@ -333,7 +334,7 @@ a1 cnt(@N,count<Y>) :- link(@N,Y).
 				e.RunToFixpoint()
 			},
 			remove: func(i int) {
-				e.RetractFacts(link(i))
+				retract(e, e.BeginRetractFacts(link(i)))
 				e.RunToFixpoint()
 			},
 			has: func(i int) bool {

@@ -171,9 +171,8 @@ type Engine struct {
 	// arrays the two phases return their withdrawals in. work is
 	// over-deletion's queue, cands the re-derivation's candidates by
 	// predicate, repairBuf an over-deletion's or a repair's firings and
-	// revived a shadow revival's rows, each reused. heads are the value
-	// slabs of the last two retractions begun, headGen the current one's
-	// (retractHeads).
+	// revived a shadow revival's rows, each reused. heads is the current
+	// retraction's value slab (startRetract).
 	pend      *retractPending
 	spare     *retractPending
 	wq        *pairSet
@@ -183,8 +182,7 @@ type Engine struct {
 	cands     map[string][]*pair
 	repairBuf []pending
 	revived   []shadowRow
-	heads     [2]slab[data.Value]
-	headGen   int
+	heads     slab[data.Value]
 	// rederive, while non-nil, filters emit to the tuples the repair it
 	// belongs to deleted and the exports it withdrew (DRed's
 	// re-derivation phase) instead of inserting/exporting everything.
@@ -603,7 +601,7 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 		}
 		e.notify(t, UpdateAdded)
 		if status == InsertNew {
-			e.lapse(t.Pred, tbl.evict(), &e.evicted, false)
+			e.lapse(t.Pred, tbl.evict(), false)
 		}
 	case InsertDuplicate:
 		merged, changed := e.hook.Merge(entry.Ann, ann)
@@ -975,14 +973,13 @@ func (e *Engine) Predicates() []string {
 	return out
 }
 
-// Expire advances the clock and removes expired soft-state, then
-// recounts the aggregate groups the expired rows fed (sliding-window
-// semantics for aggregates over soft-state tables, §2.1). Expired rows
-// go through lapse.
+// Expire advances the clock and kills expired soft state. The rows'
+// prune groups and the aggregate groups they fed join the pending
+// retraction (lapse), which CompleteRetract repairs: sliding-window
+// semantics for aggregates over soft-state tables (§2.1), an emptied
+// group's head cascading like a retracted one.
 func (e *Engine) Expire(now float64) {
 	e.now = now
-	expired := 0
-	var relax groupSet
 	names := make([]string, 0, len(e.tables))
 	for name := range e.tables {
 		names = append(names, name)
@@ -990,37 +987,35 @@ func (e *Engine) Expire(now float64) {
 	sort.Strings(names)
 	for _, name := range names {
 		gone := e.tables[name].ExpireTuples(now)
-		expired += len(gone)
+		e.Stats.Expired += int64(len(gone))
 		data.SortTuples(gone)
-		e.lapse(name, gone, &relax, true)
-	}
-	e.Stats.Expired += int64(expired)
-	if len(relax.list) > 0 {
-		e.reviveShadows(relax.list)
-	}
-	if expired > 0 {
-		e.repairAggs(nil)
+		e.lapse(name, gone, true)
 	}
 }
 
 // lapse runs the bookkeeping of rows that left pred's table without a
 // retraction — soft-state expiry or a size bound's eviction. Observers
-// hear UpdateExpired (soft-state death, no stale history). The
-// aggregate-selection groups the rows belonged to go into relax, so
-// shadowed candidates compete again instead of being measured against a
-// vanished best. An expired row queues the aggregate groups it fed for
-// Expire's recount; an evicted one marks the aggregate rules that read it
-// stale. Unlike a retraction, nothing cascades: derived soft state
-// carries its own TTL.
-func (e *Engine) lapse(pred string, gone []data.Tuple, relax *groupSet, expired bool) {
+// hear UpdateExpired (soft-state death, no stale history), and the
+// aggregate-selection groups the rows belonged to relax, so shadowed
+// candidates compete again instead of being measured against a vanished
+// best. An expired row puts its prune group and the aggregate groups it
+// fed on the pending retraction. An evicted one, gone inside a wave,
+// leaves its prune group to RunToFixpoint's between-wave relax and marks
+// the aggregate rules that read it stale. The rows themselves are no
+// re-derivation candidates: derived soft state carries its own TTL.
+func (e *Engine) lapse(pred string, gone []data.Tuple, expired bool) {
 	ps := e.prunes[pred]
 	for _, t := range gone {
 		e.notify(t, UpdateExpired)
-		if ps != nil {
-			relax.touch(ps, ps.group(t))
+		switch {
+		case ps == nil:
+		case expired:
+			e.startRetract().groups.touch(ps, ps.group(t))
+		default:
+			e.evicted.touch(ps, ps.group(t))
 		}
-		if expired {
-			e.touchAggs(t)
+		if expired && e.touchAggs(t) {
+			e.startRetract().aggs = true
 		}
 	}
 	if !expired && len(gone) > 0 {

@@ -320,13 +320,45 @@ c changes(@S,count<*>) :- change(@S,X).
 	wantTuples(t, e.Tuples("changes"), "changes(a, 3)")
 	// At t=12 the first two changes expired; the window count drops to 1.
 	e.Expire(12)
+	e.CompleteRetract()
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("changes"), "changes(a, 1)")
 	// At t=20 everything expired: the aggregate row disappears.
 	e.Expire(20)
+	e.CompleteRetract()
 	e.RunToFixpoint()
 	if e.Count("changes") != 0 {
 		t.Fatalf("changes = %v", tupleStrings(e.Tuples("changes")))
+	}
+}
+
+// TestExpiryCascadesEmptiedWindow: an expiry that empties a windowed
+// count group only queues the group; the repair then cascades the
+// vanished head like a retracted one, so the rule reading it withdraws
+// the remote head it exported.
+func TestExpiryCascadesEmptiedWindow(t *testing.T) {
+	e := retractEngine(t, "a", `
+materialize(ev, 10, infinity, keys(1,2)).
+materialize(peer, infinity, infinity, keys(1,2)).
+materialize(tally, infinity, infinity, keys(1)).
+t1 tally(@N,count<*>) :- ev(@N,E).
+a1 alert(@M,N,C) :- tally(@N,C), peer(@N,M).
+`)
+	e.InsertFact(data.NewTuple("peer", data.Str("a"), data.Str("b")))
+	e.InsertFact(data.NewTuple("ev", data.Str("a"), data.Int(1)))
+	e.InsertFact(data.NewTuple("ev", data.Str("a"), data.Int(2)))
+	if got := fmt.Sprint(e.RunToFixpoint()); got != "[{b alert(b, a, 2) <nil>}]" {
+		t.Fatalf("exports = %s, want alert(b, a, 2) → b", got)
+	}
+	e.Expire(10)
+	wantTuples(t, e.Tuples("ev"))
+	wantTuples(t, e.Tuples("tally"), "tally(a, 2)") // queued, not repaired
+	if got := fmt.Sprint(e.CompleteRetract()); got != "[{b alert(b, a, 2)}]" {
+		t.Fatalf("withdrawals = %s, want alert(b, a, 2) → b", got)
+	}
+	wantTuples(t, e.Tuples("tally"))
+	if ex := e.RunToFixpoint(); len(ex) != 0 {
+		t.Fatalf("the repair left exports %v", ex)
 	}
 }
 
@@ -386,6 +418,7 @@ c4 byLabel(@S,L,count<*>) :- change(@S,E,K), label(@S,K,L).
 	}
 	for now := 0; now < 60; now++ {
 		e.Expire(float64(now))
+		e.CompleteRetract()
 		e.RunToFixpoint()
 		check(now, "after expiry")
 		if now%20 >= 14 {
@@ -717,7 +750,7 @@ func TestOnUpdateReportsStoredTuple(t *testing.T) {
 	}
 	e.InsertFact(data.NewTuple("p", data.Str("a"), data.Int(2)))
 	e.RunToFixpoint()
-	e.RetractFacts(data.NewTuple("p", data.Str("a"), data.Float(2)))
+	retract(e, e.BeginRetractFacts(data.NewTuple("p", data.Str("a"), data.Float(2))))
 	e.InsertFact(data.NewTuple("p", data.Str("a"), data.Float(2)))
 	e.RunToFixpoint()
 	want := []string{"added p(a, 2)/int", "retracted p(a, 2)/int", "added p(a, 2)/float"}

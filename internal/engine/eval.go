@@ -97,8 +97,8 @@ func PoisonScratchForTesting() (restore func()) {
 }
 
 // resetValues hands s out again from its start: nothing taken from it
-// is used any more (the wave slab at each wave, a retraction's slab two
-// retractions later). Under PoisonScratchForTesting what it handed out
+// is used any more (the wave slab at each wave, a retraction's slab when
+// the next one starts). Under PoisonScratchForTesting what it handed out
 // is poisoned, not zeroed; every taker overwrites what it takes.
 func resetValues(s *slab[data.Value]) {
 	vals := s.chunk[:s.used]

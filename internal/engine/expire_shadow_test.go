@@ -39,7 +39,7 @@ func TestExpirePurgesRetractionBookkeeping(t *testing.T) {
 	if !e.Has(route) {
 		t.Fatal("route should outlive the expired link: expiry cascades nothing")
 	}
-	if ws := e.RetractFacts(link); len(ws) != 0 || e.Stats.Retracted != 0 || !e.Has(route) {
+	if ws := retract(e, e.BeginRetractFacts(link)); len(ws) != 0 || e.Stats.Retracted != 0 || !e.Has(route) {
 		t.Fatalf("retracting the expired link: withdrawals %v, %d retracted, route stored %v; want nothing withdrawn",
 			ws, e.Stats.Retracted, e.Has(route))
 	}
@@ -48,7 +48,7 @@ func TestExpirePurgesRetractionBookkeeping(t *testing.T) {
 	// fresh derivation.
 	e.InsertFact(link)
 	e.RunToFixpoint()
-	e.RetractFacts(link)
+	retract(e, e.BeginRetractFacts(link))
 	if e.Has(route) {
 		t.Fatal("route should be withdrawn with its only support")
 	}
@@ -87,6 +87,7 @@ func TestExpireRelaxesPruneGroup(t *testing.T) {
 	}
 
 	e.Expire(10) // 3 (created at 0) expires; 7 (created at 5) survives
+	e.CompleteRetract()
 	e.RunToFixpoint()
 	if e.Has(ev(3)) {
 		t.Fatal("the 3-candidate should have expired")
@@ -134,7 +135,7 @@ m1 m(@N,X,min<C>) :- e(@N,X,C).
 	// next-best even though candidates beyond the cap were evicted and
 	// only exist via the re-derivation fallback.
 	for want := int64(2); want <= 6; want++ {
-		e.RetractFacts(src(want - 1))
+		retract(e, e.BeginRetractFacts(src(want-1)))
 		e.RunToFixpoint()
 		if !e.Has(m(want)) {
 			t.Fatalf("after retracting %d: m = %v, want m(n,x,%d)", want-1, e.Tuples("m"), want)
@@ -170,12 +171,12 @@ d1 e(@N,X,C,T) :- src(@N,X,C,T).
 	}
 	run := func() string {
 		e := cappedEngine(t, "n", prog, 2)
-		step := func(insert, retract []data.Tuple) {
+		step := func(insert, cut []data.Tuple) {
 			for _, tu := range insert {
 				e.InsertFact(tu)
 			}
-			if len(retract) > 0 {
-				e.RetractFacts(retract...)
+			if len(cut) > 0 {
+				retract(e, e.BeginRetractFacts(cut...))
 			}
 			e.RunToFixpoint()
 		}

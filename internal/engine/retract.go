@@ -32,13 +32,15 @@ import (
 //     deleted row fed recounts with its group columns bound (agg.go) —
 //     heads whose groups vanished cascade back through over-deletion.
 //
+// Expire joins the pending retraction too: it kills the expired rows and
+// queues their prune and aggregate groups for the same repair, so an
+// emptied aggregate head cascades like a retracted one.
+//
 // The phase split matters in a network: completing a node's repair while
 // a neighbor's withdrawal is still in flight briefly revives routes the
 // neighbor is about to withdraw (zombie routes), amplifying churn
 // traffic. The scheduler (internal/core) ships Begin's withdrawals hop
-// by hop until the wave quiesces, then completes every node. The
-// single-call forms (RetractFacts, RetractInbound)
-// compose both phases for single-engine use.
+// by hop until the wave quiesces, then completes every node.
 //
 // Cross-node alternate derivations are handled by per-entry support
 // tracking (the support each Entry carries): a tuple shipped by two
@@ -158,8 +160,8 @@ func (s *pairSet) withdrawals(out []Withdrawal) []Withdrawal {
 	return out
 }
 
-// retractPending is the over-deletion state accumulated between
-// BeginRetract* calls and the CompleteRetract that repairs it.
+// retractPending is the state BeginRetract* calls and Expire accumulate
+// for the CompleteRetract that repairs it.
 type retractPending struct {
 	// deleted holds the tuples removed from this node's tables, and the
 	// shadowed candidates that lost their local support (destination
@@ -267,30 +269,11 @@ type InboundRetraction struct {
 	Tuple data.Tuple
 }
 
-// RetractFacts removes tuples from this node outright — the engine half
-// of CutLink/SetLink — cascading through everything derived from them.
-// Both phases run back to back; the returned withdrawals must be shipped
-// to their destination nodes, which apply them via RetractInbound. The
-// slice is the engine's, as BeginRetractFacts's is.
-func (e *Engine) RetractFacts(tuples ...data.Tuple) []Withdrawal {
-	ws := e.BeginRetractFacts(tuples...)
-	return append(ws, e.CompleteRetract()...)
-}
-
-// RetractInbound applies a batch of inbound retractions (possibly from
-// several senders), running both phases back to back: each tuple loses
-// its sender's support and is deleted (with cascade) only when no local
-// derivation or other origin still supports it.
-func (e *Engine) RetractInbound(items []InboundRetraction) []Withdrawal {
-	ws := e.BeginRetractInbound(items)
-	return append(ws, e.CompleteRetract()...)
-}
-
 // BeginRetractFacts is the over-delete phase for explicit fact
-// retraction. The withdrawals it returns sit in an array of the engine's,
-// valid until the next Begin call or single-call form; a caller that
-// keeps them copies them out. Their tuples stay valid until the engine
-// has begun two more retractions (retractHeads).
+// retraction (CutLink, SetLink). Its withdrawals, which the destinations
+// apply via BeginRetractInbound, sit in an array of the engine's, valid
+// until the next Begin call; their tuples stay valid until the engine
+// starts its next retraction (startRetract).
 func (e *Engine) BeginRetractFacts(tuples ...data.Tuple) []Withdrawal {
 	items := e.work[:0]
 	for _, t := range tuples {
@@ -299,8 +282,9 @@ func (e *Engine) BeginRetractFacts(tuples ...data.Tuple) []Withdrawal {
 	return e.beginRetract(items)
 }
 
-// BeginRetractInbound is the over-delete phase for inbound withdrawals.
-// Its result is the engine's, as BeginRetractFacts's is.
+// BeginRetractInbound is the over-delete phase for inbound withdrawals:
+// a row is deleted only when no local derivation or other sender still
+// supports it. Its result is the engine's, as BeginRetractFacts's is.
 func (e *Engine) BeginRetractInbound(items []InboundRetraction) []Withdrawal {
 	ri := e.work[:0]
 	for _, it := range items {
@@ -309,27 +293,26 @@ func (e *Engine) BeginRetractInbound(items []InboundRetraction) []Withdrawal {
 	return e.beginRetract(ri)
 }
 
-// retractHeads starts a retraction's value slab, from which
-// over-deletion carves the heads it cannot share with a stored row. The
-// engine keeps two and alternates: a retraction's withdrawals stay valid
-// through the next retraction begun, so a caller that queued them may
-// begin one more before it ships them. The slab started here held the
-// heads of the retraction before the previous one.
-func (e *Engine) retractHeads() {
-	e.headGen ^= 1
-	resetValues(&e.heads[e.headGen])
+// startRetract returns the pending retraction, starting one when none
+// is pending. A new retraction hands its value slab, from which
+// over-deletion carves the heads it cannot share with a stored row, out
+// again from the start: the scheduler ships a retraction's withdrawals
+// before its node starts the next one.
+func (e *Engine) startRetract() *retractPending {
+	if e.pend == nil {
+		resetValues(&e.heads)
+	}
+	return e.pending()
 }
 
-// HasPendingRetract reports whether over-deleted state awaits
-// CompleteRetract.
+// HasPendingRetract reports whether over-deleted or expired state
+// awaits CompleteRetract.
 func (e *Engine) HasPendingRetract() bool {
 	return e.pend != nil && !e.pend.empty()
 }
 
 func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
-	if e.pend == nil {
-		e.retractHeads()
-	}
+	e.startRetract()
 	wq := e.withdrawalSet()
 	e.overdelete(items, wq)
 	e.pend.shipped.addAll(wq)
@@ -342,7 +325,7 @@ func (e *Engine) beginRetract(items []retractItem) []Withdrawal {
 // the touched aggregate groups' recount, iterating while aggregate heads
 // keep vanishing. It returns the additional withdrawals those cascades
 // produced (to be shipped like Begin's), in an array of the engine's
-// valid until the next CompleteRetract or single-call form.
+// valid until the next CompleteRetract.
 func (e *Engine) CompleteRetract() []Withdrawal {
 	if e.pend == nil || e.pend.empty() {
 		if e.pend != nil {
@@ -368,7 +351,7 @@ func (e *Engine) CompleteRetract() []Withdrawal {
 		}
 		vanished = vanished[:0]
 		if p.aggs {
-			e.repairAggs(&vanished)
+			vanished = e.repairAggs(vanished)
 		}
 		e.recycle(p)
 		if len(vanished) > 0 {
@@ -492,11 +475,11 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 // of its predicate, evaluated against the tables as they stand: the
 // heads over-deletion withdraws with en. Aggregate groups en fed are
 // recounted instead (touchAggs). The heads come from the retraction's
-// value slab (see retractHeads).
+// value slab (see startRetract).
 func (e *Engine) consequences(en *Entry) []pending {
 	sc := e.scratchBuf()
 	resetValues(&sc.waveVals)
-	sc.dying = &e.heads[e.headGen]
+	sc.dying = &e.heads
 	fired := e.repairBuf[:0]
 	for _, ref := range e.byPred[en.Tuple.Pred] {
 		if ref.rule.agg == nil {

@@ -10,6 +10,13 @@ import (
 	"provnet/internal/datalog"
 )
 
+// retract runs the repair after an over-delete phase whose withdrawals
+// are ws, as the scheduler's drain does once the wave has quiesced, and
+// returns both phases' withdrawals.
+func retract(e *Engine, ws []Withdrawal) []Withdrawal {
+	return append(ws, e.CompleteRetract()...)
+}
+
 func retractEngine(t *testing.T, self, src string) *Engine {
 	t.Helper()
 	return cappedEngine(t, self, src, 0)
@@ -72,7 +79,7 @@ func TestRetractCascadesAndRederives(t *testing.T) {
 
 	// Cutting a→b withdraws reach(a,b); reach(a,c) survives via the
 	// direct edge (DRed re-derivation finds the alternate support).
-	ws := e.RetractFacts(edge("a", "b"))
+	ws := retract(e, e.BeginRetractFacts(edge("a", "b")))
 	if len(ws) != 0 {
 		t.Fatalf("unexpected withdrawals on single-node retraction: %v", ws)
 	}
@@ -91,7 +98,7 @@ func TestRetractCascadesAndRederives(t *testing.T) {
 	}
 
 	// Cutting a→c now removes the last derivation of reach(a,c).
-	e.RetractFacts(edge("a", "c"))
+	retract(e, e.BeginRetractFacts(edge("a", "c")))
 	e.RunToFixpoint()
 	if e.Has(reach("a", "c")) {
 		t.Fatal("reach(a,c) should be withdrawn after both supports are cut")
@@ -129,21 +136,21 @@ func TestRetractRevivesPrunedCandidatesAndRecomputesAggregates(t *testing.T) {
 
 	// Retracting the installed min relaxes the group: the surviving row 5
 	// wins; the shadowed 7 stays shadowed (still worse than 5).
-	e.RetractFacts(ev(3))
+	retract(e, e.BeginRetractFacts(ev(3)))
 	e.RunToFixpoint()
 	if !e.Has(m(5)) {
 		t.Fatalf("after retracting 3: m = %v, want m(n,x,5)", e.Tuples("m"))
 	}
 
 	// Retracting 5 leaves only the shadow candidate, which must revive.
-	e.RetractFacts(ev(5))
+	retract(e, e.BeginRetractFacts(ev(5)))
 	e.RunToFixpoint()
 	if !e.Has(m(7)) {
 		t.Fatalf("after retracting 5: m = %v, want m(n,x,7) revived from shadow", e.Tuples("m"))
 	}
 
 	// Retracting the last support deletes the aggregate head entirely.
-	e.RetractFacts(ev(7))
+	retract(e, e.BeginRetractFacts(ev(7)))
 	e.RunToFixpoint()
 	if got := e.Count("m"); got != 0 {
 		t.Fatalf("after retracting all: m = %v, want empty", e.Tuples("m"))
@@ -164,7 +171,7 @@ func TestRetractCollectsWithdrawalsForExports(t *testing.T) {
 	if len(exports) != 1 || exports[0].Dest != "b" {
 		t.Fatalf("exports = %v, want one export to b", exports)
 	}
-	ws := e.RetractFacts(src)
+	ws := retract(e, e.BeginRetractFacts(src))
 	if len(ws) != 1 || ws[0].Dest != "b" || ws[0].Tuple.Pred != "out" {
 		t.Fatalf("withdrawals = %v, want out(b,1) → b", ws)
 	}
@@ -180,11 +187,11 @@ func TestRetractImportedRespectsMultipleOrigins(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunToFixpoint()
-	e.RetractInbound([]InboundRetraction{{From: "a", Tuple: tu}})
+	retract(e, e.BeginRetractInbound([]InboundRetraction{{From: "a", Tuple: tu}}))
 	if !e.Has(tu) {
 		t.Fatal("tuple should survive: sender c still supports it")
 	}
-	e.RetractInbound([]InboundRetraction{{From: "c", Tuple: tu}})
+	retract(e, e.BeginRetractInbound([]InboundRetraction{{From: "c", Tuple: tu}}))
 	if e.Has(tu) {
 		t.Fatal("tuple should be withdrawn once every origin retracted it")
 	}
@@ -222,7 +229,7 @@ m1 m(@N,X,min<C>) :- e(@N,X,C).
 		t.Fatalf("e7 stored=%v shadow=%d, want one shadow row holding all three rejections", e.Has(e7), e.ShadowSize())
 	}
 
-	e.RetractFacts(src(3)) // the bar goes: e7 revives
+	retract(e, e.BeginRetractFacts(src(3))) // the bar goes: e7 revives
 	e.RunToFixpoint()
 	if !e.Has(e7) || !e.Has(m7) || e.ShadowSize() != 0 {
 		t.Fatalf("after retracting 3: e = %v m = %v shadow=%d, want e7 revived", e.Tuples("e"), e.Tuples("m"), e.ShadowSize())
@@ -232,9 +239,9 @@ m1 m(@N,X,min<C>) :- e(@N,X,C).
 		what string
 		do   func()
 	}{
-		{"sender a", func() { e.RetractInbound([]InboundRetraction{{From: "a", Tuple: e7}}) }},
-		{"the local derivation", func() { e.RetractFacts(src(7)) }},
-		{"sender c", func() { e.RetractInbound([]InboundRetraction{{From: "c", Tuple: e7}}) }},
+		{"sender a", func() { retract(e, e.BeginRetractInbound([]InboundRetraction{{From: "a", Tuple: e7}})) }},
+		{"the local derivation", func() { retract(e, e.BeginRetractFacts(src(7))) }},
+		{"sender c", func() { retract(e, e.BeginRetractInbound([]InboundRetraction{{From: "c", Tuple: e7}})) }},
 	}
 	for i, w := range withdraw {
 		w.do()
@@ -262,7 +269,7 @@ func TestRetractObserverSeesWithdrawals(t *testing.T) {
 	if added != 2 { // edge + reach
 		t.Fatalf("added = %d, want 2", added)
 	}
-	e.RetractFacts(edge)
+	retract(e, e.BeginRetractFacts(edge))
 	if removed != 2 {
 		t.Fatalf("removed = %d, want 2 (edge + reach)", removed)
 	}
@@ -304,11 +311,11 @@ x2 out(@D,X) :- b(@S,D,X).
 		t.Fatal("out(m,1) never reached m")
 	}
 
-	ws := n.RetractFacts(a)
+	ws := retract(n, n.BeginRetractFacts(a))
 	if len(ws) != 1 || ws[0].Dest != "m" || !ws[0].Tuple.Equal(out) {
 		t.Fatalf("withdrawals = %v, want the over-deleted out(m,1) → m", ws)
 	}
-	m.RetractInbound([]InboundRetraction{{From: "n", Tuple: out}})
+	retract(m, m.BeginRetractInbound([]InboundRetraction{{From: "n", Tuple: out}}))
 	m.RunToFixpoint()
 	reship := n.RunToFixpoint()
 	if len(reship) != 1 {
@@ -446,7 +453,7 @@ c1 cnt(@N,V,count<*>) :- kv(@N,K,V).
 		for i := 0; i+3 < len(ops); i += 4 {
 			tu := c.fact(ops[i+1], ops[i+2], ops[i+3])
 			if ops[i]%3 == 0 {
-				e.RetractFacts(tu)
+				retract(e, e.BeginRetractFacts(tu))
 				if cur, ok := live[key(tu)]; ok && cur.Equal(tu) {
 					delete(live, key(tu))
 				}
@@ -457,7 +464,7 @@ c1 cnt(@N,V,count<*>) :- kv(@N,K,V).
 			e.RunToFixpoint()
 		}
 		if c.sentinel.Pred != "" {
-			e.RetractFacts(c.sentinel)
+			retract(e, e.BeginRetractFacts(c.sentinel))
 			e.RunToFixpoint()
 		}
 		fresh := cappedEngine(t, "n", c.prog, shadowCap)
@@ -524,7 +531,7 @@ func TestJoinPrunedSeedEvicts(t *testing.T) {
 	for i := 0; i+3 < len(joinPrunedSeed); i += 4 {
 		tu := joinPrunedFact(joinPrunedSeed[i+1], joinPrunedSeed[i+2], joinPrunedSeed[i+3])
 		if joinPrunedSeed[i]%3 == 0 {
-			e.RetractFacts(tu)
+			retract(e, e.BeginRetractFacts(tu))
 		} else {
 			e.InsertFact(tu)
 		}
@@ -556,15 +563,15 @@ t1 t(@N,X,Z) :- e(@N,X,Y), e(@N,Y,Z).
 	e.InsertFact(ab)
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("t"), "t(n, a, a)", "t(n, a, b)")
-	e.RetractFacts(aa)
+	retract(e, e.BeginRetractFacts(aa))
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("t"))
 	wantTuples(t, e.Tuples("e"), "e(n, a, b)")
 }
 
-// TestRetractTwoBodiesOfOneHead: one RetractFacts call deletes both body
-// rows of h(n,x). Whichever dies first, the other is still stored when
-// its firings are found, so h goes exactly once.
+// TestRetractTwoBodiesOfOneHead: one BeginRetractFacts call deletes
+// both body rows of h(n,x). Whichever dies first, the other is still
+// stored when its firings are found, so h goes exactly once.
 func TestRetractTwoBodiesOfOneHead(t *testing.T) {
 	const prog = `
 materialize(a, infinity, infinity, keys(1,2)).
@@ -581,9 +588,9 @@ h1 h(@N,X) :- a(@N,X), b(@N,X).
 		e.RunToFixpoint()
 		wantTuples(t, e.Tuples("h"), "h(n, x)")
 		if order == "ab" {
-			e.RetractFacts(a, b)
+			retract(e, e.BeginRetractFacts(a, b))
 		} else {
-			e.RetractFacts(b, a)
+			retract(e, e.BeginRetractFacts(b, a))
 		}
 		e.RunToFixpoint()
 		if snap := snapshotEngine(e); snap != "" {
@@ -611,7 +618,7 @@ x2 out(@D,X) :- src(@S,D,X), X > 0.
 	if exports := e.RunToFixpoint(); len(exports) != 2 {
 		t.Fatalf("exports = %v, want out(b,1) → b from each rule", exports)
 	}
-	ws := e.RetractFacts(src)
+	ws := retract(e, e.BeginRetractFacts(src))
 	if len(ws) != 1 || ws[0].Dest != "b" || ws[0].Tuple.String() != "out(b, 1)" {
 		t.Fatalf("withdrawals = %v, want out(b, 1) → b once", ws)
 	}
@@ -650,36 +657,7 @@ h1 h(@N,X,V) :- a(@N,X,V), b(@N,X).
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("a"), "a(n, x, 2)")
 	wantTuples(t, e.Tuples("h"), "h(n, x, 1)", "h(n, x, 2)")
-	e.RetractFacts(b)
+	retract(e, e.BeginRetractFacts(b))
 	e.RunToFixpoint()
 	wantTuples(t, e.Tuples("h"), "h(n, x, 1)")
-}
-
-// TestWithdrawalsOutliveNextRetraction pins how long a withdrawal's
-// tuple lives: over-deletion carves a head it cannot share with a stored
-// row from the retraction's value slab, and a caller that queued the
-// withdrawals may begin one more retraction before it ships them. The
-// slab comes back, poisoned here, at the retraction after that.
-func TestWithdrawalsOutliveNextRetraction(t *testing.T) {
-	defer PoisonScratchForTesting()()
-	e := retractEngine(t, "a", exportProg)
-	src := func(d string, x int64) data.Tuple {
-		return data.NewTuple("src", data.Str("a"), data.Str(d), data.Int(x))
-	}
-	for i := range int64(3) {
-		e.InsertFact(src("b", i))
-	}
-	e.RunToFixpoint()
-	ws := append([]Withdrawal(nil), e.RetractFacts(src("b", 0))...)
-	if len(ws) != 1 || ws[0].Tuple.String() != "out(b, 0)" {
-		t.Fatalf("withdrawals = %v, want out(b, 0) → b", ws)
-	}
-	e.RetractFacts(src("b", 1))
-	if got := ws[0].Tuple.String(); got != "out(b, 0)" {
-		t.Fatalf("after one more retraction the first withdrawal reads %s, want out(b, 0)", got)
-	}
-	e.RetractFacts(src("b", 2))
-	if got := ws[0].Tuple.String(); got == "out(b, 0)" {
-		t.Fatal("two retractions later the first withdrawal's slab was not handed out again")
-	}
 }

@@ -123,7 +123,7 @@ func (en *Entry) ExpiresAt() (float64, bool) {
 	return en.Created + en.TTL, true
 }
 
-// InsertStatus describes the outcome of a Table.Insert.
+// InsertStatus describes the outcome of a table insert (insertHashed).
 type InsertStatus uint8
 
 // Insert outcomes.
@@ -276,19 +276,11 @@ func (t *Table) kill(en *Entry) {
 	t.dirty++
 }
 
-// Insert stores tu. If an identical tuple exists, it returns the existing
-// entry with InsertDuplicate. If a different tuple shares the primary key,
-// the old row is replaced (InsertReplaced). A new row beyond the size
-// bound evicts the oldest.
-func (t *Table) Insert(tu data.Tuple, ann Annotation, now float64) (*Entry, InsertStatus) {
-	en, _, status := t.insertHashed(tu, ann, now, 0)
-	t.evict()
-	return en, status
-}
-
-// insertHashed is Insert without the eviction (the engine runs evict
-// itself, to report the evicted rows), additionally returning the row
-// displaced by a primary-key replacement (nil otherwise). hash is tu's
+// insertHashed stores tu. If an identical tuple exists, it returns the
+// existing entry with InsertDuplicate. If a different tuple shares the
+// primary key, the old row is replaced (InsertReplaced) and returned as
+// the second result (nil otherwise). It does not enforce the size bound:
+// the engine runs evict after it, to report the evicted rows. hash is tu's
 // structural hash when the caller already knows it (0 = compute here),
 // so a hot-path insert hashes the tuple at most once.
 func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash uint64) (*Entry, *Entry, InsertStatus) {
@@ -387,11 +379,6 @@ func (t *Table) anyLive(now float64) bool {
 func (en *Entry) expired(now float64) bool {
 	exp, ok := en.ExpiresAt()
 	return ok && now >= exp
-}
-
-// Expire kills expired rows, returning how many.
-func (t *Table) Expire(now float64) int {
-	return len(t.ExpireTuples(now))
 }
 
 // ExpireTuples kills expired rows and returns their tuples (nil when

@@ -23,13 +23,21 @@ func tup(pred string, args ...any) data.Tuple {
 	return data.NewTuple(pred, vs...)
 }
 
+// tableInsert stores tu in tbl at time now and enforces its size bound,
+// as the engine's insert does.
+func tableInsert(tbl *Table, tu data.Tuple, now float64) (*Entry, InsertStatus) {
+	en, _, st := tbl.insertHashed(tu, nil, now, 0)
+	tbl.evict()
+	return en, st
+}
+
 func TestTableInsertStatuses(t *testing.T) {
 	tbl := NewTable("p", nil, -1, -1)
-	e1, st := tbl.Insert(tup("p", 1, "x"), nil, 0)
+	e1, st := tableInsert(tbl, tup("p", 1, "x"), 0)
 	if st != InsertNew || e1 == nil {
 		t.Fatalf("first insert: %v", st)
 	}
-	e2, st := tbl.Insert(tup("p", 1, "x"), nil, 5)
+	e2, st := tableInsert(tbl, tup("p", 1, "x"), 5)
 	if st != InsertDuplicate || e2 != e1 {
 		t.Fatalf("duplicate insert: %v", st)
 	}
@@ -37,7 +45,7 @@ func TestTableInsertStatuses(t *testing.T) {
 		t.Error("duplicate insert must refresh soft state")
 	}
 	// Identity-keyed table: different tuple is a new row, not replacement.
-	_, st = tbl.Insert(tup("p", 1, "y"), nil, 0)
+	_, st = tableInsert(tbl, tup("p", 1, "y"), 0)
 	if st != InsertNew {
 		t.Fatalf("distinct tuple: %v", st)
 	}
@@ -48,8 +56,8 @@ func TestTableInsertStatuses(t *testing.T) {
 
 func TestTableKeyedReplacement(t *testing.T) {
 	tbl := NewTable("route", []int{0}, -1, -1)
-	tbl.Insert(tup("route", 7, "old"), nil, 0)
-	en, st := tbl.Insert(tup("route", 7, "new"), nil, 1)
+	tableInsert(tbl, tup("route", 7, "old"), 0)
+	en, st := tableInsert(tbl, tup("route", 7, "new"), 1)
 	if st != InsertReplaced {
 		t.Fatalf("status = %v", st)
 	}
@@ -66,7 +74,7 @@ func TestTableKeyedReplacement(t *testing.T) {
 
 func TestTableDelete(t *testing.T) {
 	tbl := NewTable("p", nil, -1, -1)
-	tbl.Insert(tup("p", 1), nil, 0)
+	tableInsert(tbl, tup("p", 1), 0)
 	tbl.kill(tbl.Get(tup("p", 1)))
 	if tbl.Get(tup("p", 1)) != nil {
 		t.Fatal("killed row still found")
@@ -78,12 +86,12 @@ func TestTableDelete(t *testing.T) {
 
 func TestTableExpiry(t *testing.T) {
 	tbl := NewTable("ev", nil, 10, -1)
-	tbl.Insert(tup("ev", 1), nil, 0)
-	tbl.Insert(tup("ev", 2), nil, 5)
-	if n := tbl.Expire(9); n != 0 {
+	tableInsert(tbl, tup("ev", 1), 0)
+	tableInsert(tbl, tup("ev", 2), 5)
+	if n := len(tbl.ExpireTuples(9)); n != 0 {
 		t.Fatalf("premature expiry: %d", n)
 	}
-	if n := tbl.Expire(12); n != 1 {
+	if n := len(tbl.ExpireTuples(12)); n != 1 {
 		t.Fatalf("expired = %d", n)
 	}
 	live := tbl.Live(12)
@@ -97,7 +105,7 @@ func TestTableExpiry(t *testing.T) {
 		t.Errorf("ExpiresAt = %v, %v", exp, ok)
 	}
 	hard := NewTable("h", nil, -1, -1)
-	hEn, _ := hard.Insert(tup("h", 1), nil, 0)
+	hEn, _ := tableInsert(hard, tup("h", 1), 0)
 	if _, ok := hEn.ExpiresAt(); ok {
 		t.Error("hard state never expires")
 	}
@@ -141,7 +149,7 @@ func lookup(tbl *Table, slot int, cols []int, vals []data.Value, now float64) []
 func TestTableLookupIndex(t *testing.T) {
 	tbl := NewTable("edge", nil, -1, -1)
 	for i := 0; i < 100; i++ {
-		tbl.Insert(tup("edge", fmt.Sprintf("n%d", i%10), i), nil, 0)
+		tableInsert(tbl, tup("edge", fmt.Sprintf("n%d", i%10), i), 0)
 	}
 	// Index on column 0.
 	hits := lookup(tbl, 0, []int{0}, []data.Value{data.Str("n3")}, 0)
@@ -154,7 +162,7 @@ func TestTableLookupIndex(t *testing.T) {
 		}
 	}
 	// Index maintained across subsequent inserts.
-	tbl.Insert(tup("edge", "n3", 999), nil, 0)
+	tableInsert(tbl, tup("edge", "n3", 999), 0)
 	if got := len(lookup(tbl, 0, []int{0}, []data.Value{data.Str("n3")}, 0)); got != 11 {
 		t.Fatalf("after insert: %d", got)
 	}
@@ -171,13 +179,13 @@ func TestTableLookupIndex(t *testing.T) {
 
 func TestTableLookupSkipsExpiredAndDead(t *testing.T) {
 	tbl := NewTable("p", nil, 10, -1)
-	tbl.Insert(tup("p", "k", 1), nil, 0)
-	tbl.Insert(tup("p", "k", 2), nil, 5)
+	tableInsert(tbl, tup("p", "k", 1), 0)
+	tableInsert(tbl, tup("p", "k", 2), 5)
 	// Build index before expiry.
 	if got := len(lookup(tbl, 0, []int{0}, []data.Value{data.Str("k")}, 0)); got != 2 {
 		t.Fatalf("pre-expiry hits = %d", got)
 	}
-	tbl.Expire(12)
+	tbl.ExpireTuples(12)
 	if got := len(lookup(tbl, 0, []int{0}, []data.Value{data.Str("k")}, 12)); got != 1 {
 		t.Fatalf("post-expiry hits = %d", got)
 	}
@@ -186,7 +194,7 @@ func TestTableLookupSkipsExpiredAndDead(t *testing.T) {
 func TestTableMaxSizeEvictsOldest(t *testing.T) {
 	tbl := NewTable("log", nil, -1, 3)
 	for i := 0; i < 6; i++ {
-		tbl.Insert(tup("log", i), nil, float64(i))
+		tableInsert(tbl, tup("log", i), float64(i))
 	}
 	if tbl.Size() != 3 {
 		t.Fatalf("size = %d", tbl.Size())
@@ -244,7 +252,7 @@ func TestIndexBucketKeepsInsertionOrder(t *testing.T) {
 	cols := []int{0}
 	insert := func(from, to int) {
 		for i := from; i < to; i++ {
-			tbl.Insert(tup("p", fmt.Sprintf("k%d", i%5), i), nil, 0)
+			tableInsert(tbl, tup("p", fmt.Sprintf("k%d", i%5), i), 0)
 		}
 	}
 	check := func(stage string) {

@@ -258,7 +258,6 @@ var reachedBy = map[string]string{
 	"internal/core/store.go: NodeState":                "core.StoreState.Nodes holds it (RecoverStoreLog returns the state)",
 	"internal/core/store.go: StoredRow":                "core.NodeState.Rows holds it",
 	"internal/engine/builtin.go: BuiltinFunc":          "the value type of engine.Builtins",
-	"internal/engine/table.go: InsertStatus":           "engine.Table.Insert returns it",
 	"internal/provenance/store.go: Derivation":         "provenance.Entry.Derivs holds it",
 	"internal/queryapi/schema.go: TracebackDeriv":      "queryapi.TracebackNode.Derivs holds it",
 	"internal/queryapi/schema.go: TracebackNode":       "queryapi.FromTree returns it",
