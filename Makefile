@@ -44,7 +44,7 @@ race:
 # race_test.go widens the allocation slack for every cell under -race,
 # so only a run without it holds the hot path to 1.20x.
 alloc-budget:
-	$(GO) test -run TestHotPathAllocBudget ./internal/benchwork
+	$(GO) test -run 'TestHotPathAllocBudget|TestSetupAllocBudget' ./internal/benchwork
 
 # Full benchmark run (minutes-scale); see bench_test.go for the figure map.
 bench:
@@ -131,7 +131,7 @@ docs:
 # The size of the program: non-test Go lines outside bench/ and testdata,
 # printed and held to LOC_MAX. A change that grows the program raises
 # LOC_MAX in the same commit, where review sees it.
-LOC_MAX = 21745
+LOC_MAX = 21797
 
 loc:
 	@n=$$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v '/testdata/' | xargs cat | wc -l); \

@@ -261,3 +261,39 @@ func TestHotPathAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// setupAllocs is the allocation count of one Best-Path NewNetwork at
+// N = 40 with no auth and no provenance: fig3-ndlog's set-up (parse,
+// localize, compile, forty engines and their link facts), with the
+// topology generated outside the window. Compiling the program once per
+// node instead of once per network cost 6 743 here.
+const setupAllocs = 1599
+
+// TestSetupAllocBudget is the allocation bound of network construction,
+// held like TestHotPathAllocBudget's cells: the node count must be
+// exactly 40 and the allocations at most allocSlack × setupAllocs.
+func TestSetupAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := provnet.Config{
+		Source: provnet.BestPath,
+		Graph:  provnet.RandomGraph(provnet.TopoOptions{N: 40, AvgOutDegree: 3, MaxCost: 10, Seed: 4000}),
+		Seed:   4000,
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	net, err := provnet.NewNetwork(cfg)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	allocs := m1.Mallocs - m0.Mallocs
+	t.Logf("setup: nodes: %d, allocs: %d", len(net.Nodes()), allocs)
+	if n := len(net.Nodes()); n != 40 {
+		t.Fatalf("workload drift: %d nodes, want 40", n)
+	}
+	if limit := uint64(float64(setupAllocs) * allocSlack); allocs > limit {
+		t.Errorf("%d allocations building the network, budget %d (recorded %d × %.2f)", allocs, limit, setupAllocs, allocSlack)
+	}
+}

@@ -322,8 +322,10 @@ func (nd *Node) takeRetracts() []engine.Withdrawal {
 
 // Network is a fully assembled provenance-aware secure network.
 type Network struct {
-	cfg  Config
-	prog *datalog.Program
+	cfg Config
+	// prog is the localized program, compiled once: every node's engine
+	// shares it.
+	prog *engine.Program
 	// linkArity is the arity of the program's link atoms (3 when no rule
 	// reads link); linkFact shapes topology links to it.
 	linkArity int
@@ -445,6 +447,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	compiled, err := engine.Compile(localized)
+	if err != nil {
+		return nil, err
+	}
 
 	// Says-semantics is on when the program uses SeNDlog contexts.
 	saysSemantics := false
@@ -461,7 +467,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n := &Network{
 		cfg:       cfg,
-		prog:      localized,
+		prog:      compiled,
 		linkArity: linkArity(prog),
 		resupply:  len(cfg.LocalNodes) > 0,
 		net:       transport,
@@ -649,7 +655,7 @@ func (n *Network) addNode(name string, saysSemantics bool) error {
 			n.onEngineUpdate(name, t, kind)
 		},
 	})
-	if err := eng.LoadProgram(n.prog); err != nil {
+	if err := eng.Load(n.prog); err != nil {
 		return err
 	}
 	n.nodes[name] = &Node{Name: name, Engine: eng, Tracker: tracker, Store: tcfg.Store}

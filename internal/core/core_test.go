@@ -10,6 +10,7 @@ import (
 
 	"provnet/internal/auth"
 	"provnet/internal/data"
+	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/semiring"
 	"provnet/internal/topo"
@@ -481,6 +482,25 @@ func TestClosedNetworkIsCollectable(t *testing.T) {
 	}
 	if alive != 0 {
 		t.Fatalf("%d of %d path rows still reachable after Close", alive, len(rows))
+	}
+}
+
+// TestEnginesShareOneProgram pins compile-once: NewNetwork compiles the
+// localized program once, and every engine of the network holds that
+// one *engine.Program.
+func TestEnginesShareOneProgram(t *testing.T) {
+	g := topo.RandomConnected(topo.Options{N: 10, AvgOutDegree: 3, MaxCost: 10, Seed: 1})
+	n, _ := mustRun(t, Config{Source: BestPath, Graph: g})
+	defer n.Close()
+	unloaded := engine.New(engine.Config{}).Program()
+	want := n.Node(n.Nodes()[0]).Engine.Program()
+	if want == unloaded {
+		t.Fatal("the engines hold no program")
+	}
+	for _, name := range n.Nodes() {
+		if got := n.Node(name).Engine.Program(); got != want {
+			t.Errorf("%s holds its own compiled program", name)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"provnet/internal/auth"
+	"provnet/internal/data"
 	"provnet/internal/engine"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
@@ -31,6 +32,14 @@ import (
 // each quiescence. A path list left in the wave scratch reads back as
 // poison; a node read from the decode scratch after its frame fails to
 // render; a datagram sharing a tag with the buffer fails to open.
+//
+// A slab handed out too early can corrupt the clean run as it does the
+// poisoned one, so the poisoned run is also held to oracles outside it.
+// After each cut, its link and spCost rows and its bestPath rows'
+// (S,D,C) equal a fresh run's on the graph without the link; after each
+// restore, the batch run's. Which of two equal-cost paths bestPath keeps
+// depends on arrival order, so each path list is checked on its own: a
+// walk of links the graph has, from S to D, costing C.
 func TestScratchPoisonMatchesClean(t *testing.T) {
 	for _, prov := range []provenance.Mode{provenance.ModeNone, provenance.ModeCondensed} {
 		t.Run(prov.String(), func(t *testing.T) { scratchPoisonMatchesClean(t, prov) })
@@ -39,7 +48,17 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 
 func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 6})
-	run := func() []string {
+	cuts := g.Links[:8]
+	kept := make([]*topo.Graph, len(cuts))
+	for i, l := range cuts {
+		kept[i] = &topo.Graph{Nodes: g.Nodes}
+		for _, k := range g.Links {
+			if k != l {
+				kept[i].Links = append(kept[i].Links, k)
+			}
+		}
+	}
+	run := func() (snaps, tables []string) {
 		cfg := Config{Source: BestPath, Graph: g, Prov: prov}
 		if prov == provenance.ModeCondensed {
 			cfg.Auth, cfg.KeyBits = auth.SchemeSession, 512
@@ -68,9 +87,9 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 		if _, err := n.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		snaps := []string{snap()}
+		snaps, tables = []string{snap()}, []string{oracleRows(t, n, g)}
 		ctx := context.Background()
-		settle := func(err error) {
+		settle := func(err error, now *topo.Graph) {
 			t.Helper()
 			if err == nil {
 				_, err = d.AwaitQuiescence(ctx)
@@ -78,20 +97,29 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps = append(snaps, snap())
+			snaps, tables = append(snaps, snap()), append(tables, oracleRows(t, n, now))
 		}
-		for _, l := range g.Links[:8] {
-			settle(d.CutLink(l.From, l.To))
-			settle(d.SetLink(l.From, l.To, l.Cost))
+		for i, l := range cuts {
+			settle(d.CutLink(l.From, l.To), kept[i])
+			settle(d.SetLink(l.From, l.To, l.Cost), g)
 		}
-		return snaps
+		return snaps, tables
 	}
-	clean := run()
+	clean, _ := run()
 	restore := engine.PoisonScratchForTesting()
 	poisonWire.Store(true)
-	poisoned := run()
+	poisoned, tables := run()
 	poisonWire.Store(false)
 	restore()
+	for i, l := range cuts {
+		fresh, _ := mustRun(t, Config{Source: BestPath, Graph: kept[i]})
+		if want := oracleRows(t, fresh, kept[i]); tables[2*i+1] != want {
+			t.Fatalf("cut %s→%s: poisoned scratch left\n%s\na fresh run without the link:\n%s", l.From, l.To, tables[2*i+1], want)
+		}
+		if tables[2*i+2] != tables[0] {
+			t.Fatalf("restore %s→%s: poisoned scratch left\n%s\nthe batch run:\n%s", l.From, l.To, tables[2*i+2], tables[0])
+		}
+	}
 	for i := range clean {
 		if poisoned[i] != clean[i] {
 			t.Fatalf("step %d: poisoned scratch changed the tables:\n%s\nclean:\n%s", i, poisoned[i], clean[i])
@@ -103,4 +131,39 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 	if prov == provenance.ModeCondensed && !strings.Contains(clean[len(clean)-1], "view: bestPath") {
 		t.Fatal("the view holds no bestPath rows")
 	}
+}
+
+// oracleRows renders n's link and spCost rows and its bestPath rows'
+// (S,D,C), one "node: tuple" line each, after checking that every
+// bestPath row's path list is a walk of g's links from S to D costing C.
+func oracleRows(t *testing.T, n *Network, g *topo.Graph) string {
+	t.Helper()
+	adj := g.Adjacency()
+	var b strings.Builder
+	for _, name := range n.Nodes() {
+		for _, pred := range []string{"link", "spCost", "bestPath"} {
+			for _, tu := range n.Tuples(name, pred) {
+				if pred == "bestPath" {
+					path := tu.Args[2].List
+					if len(path) < 2 || path[0].Str != tu.Args[0].Str || path[len(path)-1].Str != tu.Args[1].Str {
+						t.Fatalf("%s: %s: path does not run from S to D", name, tu)
+					}
+					var sum int64
+					for i := 0; i+1 < len(path); i++ {
+						c, ok := adj[path[i].Str][path[i+1].Str]
+						if !ok {
+							t.Fatalf("%s: %s: path uses missing link %s→%s", name, tu, path[i].Str, path[i+1].Str)
+						}
+						sum += c
+					}
+					if sum != tu.Args[3].AsInt() {
+						t.Fatalf("%s: %s: path costs %d", name, tu, sum)
+					}
+					tu.Args = []data.Value{tu.Args[0], tu.Args[1], tu.Args[3]}
+				}
+				fmt.Fprintf(&b, "%s: %s\n", name, tu)
+			}
+		}
+	}
+	return b.String()
 }

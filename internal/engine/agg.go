@@ -287,7 +287,7 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 // queued anything.
 func (e *Engine) touchAggs(t data.Tuple) bool {
 	queued := false
-	for _, ref := range e.byPred[t.Pred] {
+	for _, ref := range e.prog.byPred[t.Pred] {
 		if ref.rule.agg == nil {
 			continue
 		}
@@ -351,7 +351,7 @@ func (e *Engine) fedGroup(st *aggGroupState, atom int, t data.Tuple) (g *aggGrou
 // staleAggs marks the aggregate rules reading pred stale: one of its rows
 // left the table without a retraction.
 func (e *Engine) staleAggs(pred string) {
-	for _, ref := range e.byPred[pred] {
+	for _, ref := range e.prog.byPred[pred] {
 		if st := e.aggState[ref.rule.label]; st != nil {
 			st.stale = true
 		}
@@ -366,7 +366,7 @@ func (e *Engine) staleAggs(pred string) {
 // left without contributions appends its head to vanished, which
 // CompleteRetract cascades through overdelete. It returns vanished.
 func (e *Engine) repairAggs(vanished []retractItem) []retractItem {
-	for _, r := range e.rules {
+	for _, r := range e.prog.rules {
 		if r.agg == nil {
 			continue
 		}

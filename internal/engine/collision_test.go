@@ -295,7 +295,7 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 		}
 	})
 	t.Run("prune groups", func(t *testing.T) {
-		ps := &pruneSpec{keyCols: []int{0}, groups: newChain((*pruneGroupState).link)}
+		ps := &pruneSpec{pruneDecl: pruneDecl{keyCols: []int{0}}, groups: newChain((*pruneGroupState).link)}
 		unlinkHeadMiddleTail(t, chainCase[pruneGroupState]{
 			chain:  func() chain[pruneGroupState] { return ps.groups },
 			add:    func(i int) { ps.group(tup("p", i, 0)) },
@@ -305,7 +305,7 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 		})
 	})
 	t.Run("shadow rows", func(t *testing.T) {
-		ps := &pruneSpec{keyCols: []int{0}, col: 1, min: true, cap: defaultShadowCap,
+		ps := &pruneSpec{pruneDecl: pruneDecl{keyCols: []int{0}, col: 1, min: true}, cap: defaultShadowCap,
 			groups: newChain((*pruneGroupState).link), shadow: newChain((*shadowRow).link)}
 		g := ps.group(tup("p", 0, 0))
 		unlinkHeadMiddleTail(t, chainCase[shadowRow]{

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"provnet/internal/data"
@@ -99,7 +100,7 @@ type compiledRule struct {
 // probePlan is one precompiled index probe: the bound columns, the
 // argument patterns their values come from (a constant, or a slot bound
 // by then), and the slot of the probed table's index on those columns
-// (Engine.indexSlot), so the probe looks nothing up by name. Empty cols
+// (Program.indexSlot), so the probe looks nothing up by name. Empty cols
 // means a full table scan.
 type probePlan struct {
 	slot int
@@ -118,8 +119,8 @@ func (cr *compiledRule) groupVariant() int {
 }
 
 // buildProbePlans computes cr.plans for every (step, variant)
-// combination by static boundness simulation. Every node's engine builds
-// its own, so setup time grows with the node count: the plans share one
+// combination by static boundness simulation. Compile builds them once
+// per network and every node's engine shares them: the plans share one
 // backing array, and each probe's columns are sized before they are
 // filled.
 func buildProbePlans(cr *compiledRule) {
@@ -206,6 +207,98 @@ func buildProbePlans(cr *compiledRule) {
 			}
 		}
 	}
+}
+
+// Program is a localized program compiled for execution: its rules with
+// their probe plans, the index-slot layout the plans and the prunes
+// probe, and the declarations tables are configured from. Compile builds
+// it once per network and every node's engine shares it (Load): nothing
+// writes it after Compile, so the engines of a parallel round read one
+// Program at once. What changes at run time — tables, prune groups and
+// shadows, aggregate state, scratch — stays with each engine.
+type Program struct {
+	rules  []*compiledRule
+	byPred map[string][]atomRef
+	decls  map[string]*datalog.MaterializeDecl
+	prunes []pruneDecl
+	// slots lists, per predicate, the column sets its table is probed on:
+	// a set's position is the slot of its index (Table.indexes).
+	slots map[string][][]int
+	// maxVars/maxAtoms/maxProbe size an engine's eval scratch for the
+	// largest rule.
+	maxVars, maxAtoms, maxProbe int
+}
+
+// noProgram is what an engine holds before Load: no rules, no
+// declarations.
+var noProgram = new(Program)
+
+// Compile validates a localized program and compiles it for Load. Rules
+// spanning multiple locations are rejected; run datalog.Localize first.
+func Compile(prog *datalog.Program) (*Program, error) {
+	if err := datalog.Validate(prog); err != nil {
+		return nil, err
+	}
+	p := &Program{
+		byPred: make(map[string][]atomRef),
+		decls:  maps.Clone(prog.Materialize),
+		slots:  make(map[string][][]int),
+	}
+	for _, pr := range prog.Prunes {
+		cols := make([]int, len(pr.KeyCols))
+		for i, c := range pr.KeyCols {
+			cols[i] = c - 1
+		}
+		p.prunes = append(p.prunes, pruneDecl{
+			pred:    pr.Pred,
+			keyCols: cols,
+			slot:    p.indexSlot(pr.Pred, cols),
+			col:     pr.Col - 1,
+			min:     pr.Func == datalog.AggMin,
+		})
+	}
+	for _, r := range prog.Rules {
+		if locs := datalog.BodyLocations(r); len(locs) > 1 {
+			return nil, fmt.Errorf("engine: rule %s spans locations %v; localize the program first", r.Label, locs)
+		}
+		var pruneKey []int
+		for _, d := range p.prunes { // the last declaration on a predicate holds, as in Load
+			if d.pred == r.Head.Pred {
+				pruneKey = d.keyCols
+			}
+		}
+		cr, err := compileRule(r, pruneKey)
+		if err != nil {
+			return nil, err
+		}
+		p.rules = append(p.rules, cr)
+		for si, st := range cr.steps {
+			for v := range cr.plans[si] {
+				if plan := &cr.plans[si][v]; len(plan.cols) > 0 { // an atom's probe
+					plan.slot = p.indexSlot(cr.atoms[st.atom].pred, plan.cols)
+				}
+			}
+		}
+		for i, a := range cr.atoms {
+			p.byPred[a.pred] = append(p.byPred[a.pred], atomRef{rule: cr, atom: i})
+		}
+		p.maxVars = max(p.maxVars, cr.nvars)
+		p.maxAtoms = max(p.maxAtoms, len(cr.atoms))
+		p.maxProbe = max(p.maxProbe, cr.maxProbe)
+	}
+	return p, nil
+}
+
+// indexSlot returns the slot of pred's index on cols, assigning the next
+// one to a column set not probed before. Only Compile assigns slots.
+func (p *Program) indexSlot(pred string, cols []int) int {
+	for slot, c := range p.slots[pred] {
+		if slices.Equal(c, cols) {
+			return slot
+		}
+	}
+	p.slots[pred] = append(p.slots[pred], cols)
+	return len(p.slots[pred]) - 1
 }
 
 // compileRule translates a validated, localized rule into executable form.

@@ -12,8 +12,8 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"provnet/internal/data"
@@ -137,17 +137,12 @@ type Engine struct {
 	noProv   bool
 	onUpdate func(t data.Tuple, kind UpdateKind)
 
-	tables map[string]*Table
-	decls  map[string]*datalog.MaterializeDecl
-	prunes map[string]*pruneSpec
-
-	rules    []*compiledRule
-	byPred   map[string][]atomRef
+	// prog is the loaded program, shared read-only with every engine of
+	// the network (noProgram until Load).
+	prog     *Program
+	tables   map[string]*Table
+	prunes   map[string]*pruneSpec
 	aggState map[string]*aggGroupState // keyed by rule label + group key
-	// slots lists, per predicate, the column sets its table is probed on:
-	// a set's position is the slot of its index (Table.indexes), fixed
-	// when the rules that probe it compile.
-	slots map[string][][]int
 
 	// queue is the delta awaiting evaluation and spareQueue the drained
 	// batch array RunToFixpoint fills next; exports collects the remote
@@ -155,14 +150,10 @@ type Engine struct {
 	queue, spareQueue []*Entry
 	exports           []Export
 
-	// scratch is the reusable evalScratch; firedBuf is the reused
-	// per-wave firing table. maxVars/maxAtoms/maxProbe are the scratch
-	// sizes required by the loaded rules.
+	// scratch is the reusable evalScratch, sized by the program;
+	// firedBuf is the reused per-wave firing table.
 	scratch  *evalScratch
 	firedBuf [][]pending
-	maxVars  int
-	maxAtoms int
-	maxProbe int
 
 	// pend accumulates over-deletion state between BeginRetract* and the
 	// CompleteRetract that repairs it (see retract.go). spare is a repaired
@@ -218,21 +209,27 @@ type atomRef struct {
 	atom int // index into rule.atoms
 }
 
-// pruneSpec is one aggregate-selection declaration. Groups are keyed by
-// the structural hash of the group columns, colliding groups chained
-// through pruneGroupState.next (which holds the identity for the
-// equality check); each group carries its installed best, its shadow of
-// rejected candidates, and its lossy flag in one place instead of three
-// parallel string-keyed maps. The shadow rows of all groups share one
-// chain, keyed by the group's hash folded with the row's.
-type pruneSpec struct {
+// pruneDecl is one compiled aggregate-selection declaration: the group
+// key columns, the index slot on them, with which a revival probes a
+// group's surviving rows, and the column whose min or max is kept.
+type pruneDecl struct {
 	pred    string
 	keyCols []int
-	// slot is the index on keyCols, with which a revival probes the
-	// group's surviving rows.
-	slot int
-	col  int
-	min  bool
+	slot    int
+	col     int
+	min     bool
+}
+
+// pruneSpec is one aggregate-selection declaration's state at an engine.
+// Groups are keyed by the structural hash of the group columns,
+// colliding groups chained through pruneGroupState.next (which holds the
+// identity for the equality check); each group carries its installed
+// best, its shadow of rejected candidates, and its lossy flag in one
+// place instead of three parallel string-keyed maps. The shadow rows of
+// all groups share one chain, keyed by the group's hash folded with the
+// row's.
+type pruneSpec struct {
+	pruneDecl
 	// cap bounds each group's shadow: overflow evicts
 	// the least-competitive row and marks the group lossy, so a later
 	// revival knows candidates may be missing and falls back to
@@ -359,12 +356,9 @@ func New(cfg Config) *Engine {
 		hook:          hook,
 		noProv:        noProv,
 		onUpdate:      cfg.OnUpdate,
+		prog:          noProgram,
 		tables:        make(map[string]*Table),
-		decls:         make(map[string]*datalog.MaterializeDecl),
-		prunes:        make(map[string]*pruneSpec),
-		byPred:        make(map[string][]atomRef),
 		aggState:      make(map[string]*aggGroupState),
-		slots:         make(map[string][][]int),
 	}
 }
 
@@ -420,79 +414,38 @@ func (e *Engine) Self() string { return e.self }
 // Now returns the logical clock.
 func (e *Engine) Now() float64 { return e.now }
 
-// LoadProgram compiles a localized, validated program into the engine.
-// Rules spanning multiple locations are rejected; run datalog.Localize
-// first.
+// LoadProgram compiles prog and loads it (Compile, then Load), for an
+// engine that shares its program with no other.
 func (e *Engine) LoadProgram(prog *datalog.Program) error {
-	if err := datalog.Validate(prog); err != nil {
+	p, err := Compile(prog)
+	if err != nil {
 		return err
 	}
-	for pred, d := range prog.Materialize { //provlint:allow mapiter map-to-map copy of declarations; order cannot escape
-		e.decls[pred] = d
+	return e.Load(p)
+}
+
+// Load installs a compiled program, which the engine only reads: one
+// Program serves every engine of a network. An engine holds one program,
+// so a second Load is refused.
+func (e *Engine) Load(p *Program) error {
+	if e.prog != noProgram {
+		return errors.New("engine: a program is already loaded")
 	}
-	for _, pr := range prog.Prunes {
-		cols := make([]int, len(pr.KeyCols))
-		for i, c := range pr.KeyCols {
-			cols[i] = c - 1
-		}
-		e.prunes[pr.Pred] = &pruneSpec{
-			pred:    pr.Pred,
-			keyCols: cols,
-			slot:    e.indexSlot(pr.Pred, cols),
-			col:     pr.Col - 1,
-			min:     pr.Func == datalog.AggMin,
-			cap:     defaultShadowCap,
-			groups:  newChain((*pruneGroupState).link),
-			shadow:  newChain((*shadowRow).link),
-		}
-	}
-	for _, r := range prog.Rules {
-		if locs := datalog.BodyLocations(r); len(locs) > 1 {
-			return fmt.Errorf("engine: rule %s spans locations %v; localize the program first", r.Label, locs)
-		}
-		var pruneKey []int
-		if ps := e.prunes[r.Head.Pred]; ps != nil {
-			pruneKey = ps.keyCols
-		}
-		cr, err := compileRule(r, pruneKey)
-		if err != nil {
-			return err
-		}
-		e.rules = append(e.rules, cr)
-		for si, st := range cr.steps {
-			for v := range cr.plans[si] {
-				if plan := &cr.plans[si][v]; len(plan.cols) > 0 { // an atom's probe
-					plan.slot = e.indexSlot(cr.atoms[st.atom].pred, plan.cols)
-				}
-			}
-		}
-		for i, a := range cr.atoms {
-			e.byPred[a.pred] = append(e.byPred[a.pred], atomRef{rule: cr, atom: i})
-		}
-		if cr.nvars > e.maxVars {
-			e.maxVars = cr.nvars
-		}
-		if len(cr.atoms) > e.maxAtoms {
-			e.maxAtoms = len(cr.atoms)
-		}
-		if cr.maxProbe > e.maxProbe {
-			e.maxProbe = cr.maxProbe
+	e.prog = p
+	e.prunes = make(map[string]*pruneSpec, len(p.prunes))
+	for _, d := range p.prunes {
+		e.prunes[d.pred] = &pruneSpec{
+			pruneDecl: d,
+			cap:       defaultShadowCap,
+			groups:    newChain((*pruneGroupState).link),
+			shadow:    newChain((*shadowRow).link),
 		}
 	}
 	return nil
 }
 
-// indexSlot returns the slot of pred's index on cols, assigning the next
-// one to a column set not probed before.
-func (e *Engine) indexSlot(pred string, cols []int) int {
-	for slot, c := range e.slots[pred] {
-		if slices.Equal(c, cols) {
-			return slot
-		}
-	}
-	e.slots[pred] = append(e.slots[pred], cols)
-	return len(e.slots[pred]) - 1
-}
+// Program returns the loaded program (an empty one before Load).
+func (e *Engine) Program() *Program { return e.prog }
 
 // table returns (creating if needed) the table for pred, configured from
 // its materialize declaration.
@@ -504,7 +457,7 @@ func (e *Engine) table(pred string) *Table {
 	var keyCols []int
 	ttl := -1.0
 	maxSize := -1
-	if d, ok := e.decls[pred]; ok {
+	if d, ok := e.prog.decls[pred]; ok {
 		for _, c := range d.KeyCols {
 			keyCols = append(keyCols, c-1)
 		}
@@ -798,7 +751,7 @@ func (e *Engine) runWave(batch []*Entry) {
 // scratch's pending buffer, returning the appended span.
 func (e *Engine) evalEntry(en *Entry, sc *evalScratch) (int, int) {
 	start := len(sc.pend)
-	for _, ref := range e.byPred[en.Tuple.Pred] {
+	for _, ref := range e.prog.byPred[en.Tuple.Pred] {
 		e.evalDelta(ref.rule, ref.atom, en, &sc.pend, sc)
 	}
 	return start, len(sc.pend)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -555,8 +556,8 @@ func TestConstantContextRestrictsRule(t *testing.T) {
 	}
 }
 
-func TestBestPathProgram(t *testing.T) {
-	src := `
+// bestPathSrc is the §6 Best-Path program.
+const bestPathSrc = `
 materialize(link, infinity, infinity, keys(1,2)).
 materialize(path, infinity, infinity, keys(1,2,3,4)).
 materialize(bestPath, infinity, infinity, keys(1,2)).
@@ -568,9 +569,11 @@ sp2 path(@S,D,Z,P,C) :- link(@S,Z,C1), path(@Z,D,W,P2,C2), C = C1 + C2,
 sp3 spCost(@S,D,min<C>) :- path(@S,D,Z,P,C).
 sp4 bestPath(@S,D,P,C) :- spCost(@S,D,C), path(@S,D,Z,P,C).
 `
+
+func TestBestPathProgram(t *testing.T) {
 	nodes := map[string]*Engine{}
 	for _, n := range []string{"a", "b", "c"} {
-		nodes[n] = newNode(t, n, src, false)
+		nodes[n] = newNode(t, n, bestPathSrc, false)
 	}
 	// a->b cost 1, b->c cost 1, a->c cost 5: best a->c goes via b.
 	nodes["a"].InsertFact(data.NewTuple("link", data.Str("a"), data.Str("b"), data.Int(1)))
@@ -643,6 +646,78 @@ func TestLoadRejectsNonLocalizedProgram(t *testing.T) {
 	e := New(Config{Self: "a"})
 	if err := e.LoadProgram(prog); err == nil {
 		t.Fatal("expected rejection of non-localized rule")
+	}
+}
+
+// TestCompiledProgramIsShared pins the split of LoadProgram into Compile
+// and Load: engines that load one compiled Program get the same index
+// slots and probe plans as engines that each compile the program, and
+// derive the same tables. A second Load is refused: it would write into
+// the program every other engine reads.
+func TestCompiledProgramIsShared(t *testing.T) {
+	loc, err := datalog.Localize(datalog.MustParse(bestPathSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a", "b", "c"}
+	shared, own := map[string]*Engine{}, map[string]*Engine{}
+	for _, n := range names {
+		shared[n] = New(Config{Self: n})
+		if err := shared[n].Load(p); err != nil {
+			t.Fatal(err)
+		}
+		own[n] = newNode(t, n, bestPathSrc, false)
+	}
+	for _, n := range names {
+		if shared[n].Program() != p {
+			t.Fatalf("%s: Load did not install the compiled program", n)
+		}
+		q := own[n].Program()
+		if q == p {
+			t.Fatalf("%s: LoadProgram shares the compiled program", n)
+		}
+		if !reflect.DeepEqual(q.slots, p.slots) {
+			t.Errorf("%s: slots %v, compiled once %v", n, q.slots, p.slots)
+		}
+		if !reflect.DeepEqual(q.prunes, p.prunes) {
+			t.Errorf("%s: prunes %v, compiled once %v", n, q.prunes, p.prunes)
+		}
+		if q.maxVars != p.maxVars || q.maxAtoms != p.maxAtoms || q.maxProbe != p.maxProbe {
+			t.Errorf("%s: scratch sizes %d/%d/%d, compiled once %d/%d/%d", n, q.maxVars, q.maxAtoms, q.maxProbe, p.maxVars, p.maxAtoms, p.maxProbe)
+		}
+		for i, r := range p.rules {
+			if !reflect.DeepEqual(q.rules[i].plans, r.plans) {
+				t.Errorf("%s: rule %s: plans %v, compiled once %v", n, r.label, q.rules[i].plans, r.plans)
+			}
+		}
+	}
+	for _, nodes := range []map[string]*Engine{shared, own} {
+		nodes["a"].InsertFact(data.NewTuple("link", data.Str("a"), data.Str("b"), data.Int(1)))
+		nodes["b"].InsertFact(data.NewTuple("link", data.Str("b"), data.Str("c"), data.Int(1)))
+		nodes["a"].InsertFact(data.NewTuple("link", data.Str("a"), data.Str("c"), data.Int(5)))
+		nodes["c"].InsertFact(data.NewTuple("link", data.Str("c"), data.Str("a"), data.Int(2)))
+		runCluster(t, nodes)
+	}
+	if shared["a"].Count("bestPath") != 2 {
+		t.Fatalf("a holds bestPath %v, want two rows", tupleStrings(shared["a"].Tuples("bestPath")))
+	}
+	for _, n := range names {
+		if got, want := snapshotEngine(shared[n]), snapshotEngine(own[n]); got != want {
+			t.Errorf("%s: sharing the program derives\n%s\nwant\n%s", n, got, want)
+		}
+	}
+	if err := shared["a"].Load(p); err == nil {
+		t.Error("a second Load was accepted")
+	}
+	if err := own["a"].LoadProgram(loc); err == nil {
+		t.Error("a second LoadProgram was accepted")
+	}
+	if shared["a"].Program() != p {
+		t.Error("a refused Load replaced the program")
 	}
 }
 

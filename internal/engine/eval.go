@@ -66,11 +66,11 @@ type evalScratch struct {
 // program load grew the required sizes.
 func (e *Engine) scratchBuf() *evalScratch {
 	sc := e.scratch
-	if sc == nil || len(sc.env.vals) < e.maxVars || len(sc.probe) < e.maxProbe || len(sc.body) < e.maxAtoms {
+	if sc == nil || len(sc.env.vals) < e.prog.maxVars || len(sc.probe) < e.prog.maxProbe || len(sc.body) < e.prog.maxAtoms {
 		sc = &evalScratch{
-			env:   env{vals: make([]data.Value, e.maxVars), bound: make([]bool, e.maxVars)},
-			probe: make([]data.Value, e.maxProbe),
-			body:  make([]AnnTuple, e.maxAtoms),
+			env:   env{vals: make([]data.Value, e.prog.maxVars), bound: make([]bool, e.prog.maxVars)},
+			probe: make([]data.Value, e.prog.maxProbe),
+			body:  make([]AnnTuple, e.prog.maxAtoms),
 		}
 		sc.newList = sc.waveVals.take
 		e.scratch = sc

@@ -481,7 +481,7 @@ func (e *Engine) consequences(en *Entry) []pending {
 	resetValues(&sc.waveVals)
 	sc.dying = &e.heads
 	fired := e.repairBuf[:0]
-	for _, ref := range e.byPred[en.Tuple.Pred] {
+	for _, ref := range e.prog.byPred[en.Tuple.Pred] {
 		if ref.rule.agg == nil {
 			e.evalDelta(ref.rule, ref.atom, en, &fired, sc)
 		}
@@ -621,7 +621,7 @@ func (e *Engine) rederiveGroup(pg pruneGroup) {
 	}
 	group := data.Tuple{Args: args, Asserter: pg.g.asserter}
 	fired := e.repairBuf[:0]
-	for _, r := range e.rules {
+	for _, r := range e.prog.rules {
 		if r.agg == nil && r.headPred == pg.ps.pred {
 			e.evalGroup(r, group, &fired)
 		}
@@ -685,7 +685,7 @@ func (e *Engine) rederiveDeleted(p *retractPending) {
 		}
 	}
 	fired := e.repairBuf[:0]
-	for _, r := range e.rules {
+	for _, r := range e.prog.rules {
 		if r.agg != nil {
 			continue
 		}

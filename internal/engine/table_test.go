@@ -211,18 +211,19 @@ func TestTableMaxSizeEvictsOldest(t *testing.T) {
 	}
 }
 
-// TestIndexSlots pins the slots LoadProgram fixes: per predicate, one
-// per distinct probed column set, in the order the rules first probe
-// them, shared by every plan and prune that probes the same columns.
+// TestIndexSlots pins the slots Compile fixes: per predicate, one per
+// distinct probed column set, in the order the rules first probe them,
+// shared by every plan and prune that probes the same columns.
 func TestIndexSlots(t *testing.T) {
 	e := newNode(t, "a", `
 		r1 reach(@S,D) :- link(@S,D).
 		r2 reach(@S,D) :- link(@S,Z), reach(@Z,D).
 		r3 twoHop(@S,D) :- link(@S,Z), link(@Z,D).
 	`, false)
-	for pred, sets := range e.slots {
+	p := e.Program()
+	for pred, sets := range p.slots {
 		for i, a := range sets {
-			if e.indexSlot(pred, a) != i {
+			if p.indexSlot(pred, a) != i {
 				t.Errorf("%s: columns %v do not map back to slot %d", pred, a, i)
 			}
 			for _, b := range sets[:i] {
@@ -232,11 +233,11 @@ func TestIndexSlots(t *testing.T) {
 			}
 		}
 	}
-	if len(e.slots["link"]) == 0 {
+	if len(p.slots["link"]) == 0 {
 		t.Fatal("no index slot for link's join probes")
 	}
-	n := len(e.slots["link"])
-	if got := e.indexSlot("link", []int{9}); got != n {
+	n := len(p.slots["link"])
+	if got := p.indexSlot("link", []int{9}); got != n {
 		t.Errorf("a new column set takes slot %d, want %d", got, n)
 	}
 }
