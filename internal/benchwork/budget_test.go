@@ -33,12 +33,13 @@ var budgetCells = []budgetCell{
 		// allocations cost 39 706 here; a datagram allocated per frame
 		// and a view built from per-table row slices 16 301; a
 		// dependency index recording every firing's body → head edges
-		// for retraction 15 472.
+		// for retraction 15 472; a frame scratch grown per node, where
+		// one per pool worker serves every node, 13 921.
 		name: "fig3-batch",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 13925,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 11673,
 	},
 	{
 		// The same batch run under condensed provenance without auth:
@@ -47,33 +48,35 @@ var budgetCells = []budgetCell{
 		// node ≥ 256 into an annotation, and building each frame's table
 		// from nil with its root and ref slices cost 55 313 here; a
 		// datagram allocated per frame and a view built from per-table
-		// row slices 29 178; the retraction dependency index 28 353.
+		// row slices 29 178; the retraction dependency index 28 353; a
+		// frame scratch per node 26 958.
 		name: "fig3-batch-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 26960,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 24184,
 	},
 	{
 		// One huge delta wave self-joined at the hub: nearly all engine,
 		// the one shape bench/'s four workloads do not have. A datagram
 		// allocated per frame cost 1 962, the retraction dependency
-		// index 1 948.
+		// index 1 948, a frame scratch per node 1 646.
 		name: "fan-in",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return FanInStaged(t.Fatal, provnet.Config{}, 8, 64, 6, 4000)
 		},
-		derivs: 6156, stored: 4076, rounds: 2, allocs: 1648,
+		derivs: 6156, stored: 4076, rounds: 2, allocs: 1557,
 	},
 	{
 		// Best-Path under cost churn. A datagram allocated per frame
 		// and a view built from per-table row slices cost 5 277, the
-		// retraction dependency index 4 399.
+		// retraction dependency index 4 399, a frame scratch per node
+		// 3 953.
 		name: "bestpath-churn",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 3949,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 3523,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -85,12 +88,12 @@ var budgetCells = []budgetCell{
 		// every rendering, frame table and node box allocated afresh it
 		// cost 14 227, with a datagram allocated per frame and a view
 		// built from per-table row slices 5 485, with the retraction
-		// dependency index 4 609.
+		// dependency index 4 609, with a frame scratch per node 4 200.
 		name: "bestpath-churn-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 4200,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 3739,
 	},
 	{
 		// Cut and restore of 8 links through the Driver: the churn
@@ -106,12 +109,14 @@ var budgetCells = []budgetCell{
 		// table, and a datagram per frame, cost 8 466. Over-deleting by
 		// walking a dependency index recorded at every firing, instead
 		// of evaluating the rules on the dying rows, cost 6 745; with
-		// two alternating retraction head slabs instead of one, 6 674.
+		// two alternating retraction head slabs instead of one, 6 674;
+		// with a frame scratch per node, a sealing scratch from a
+		// sync.Pool and frame decoders on a free list, 6 603.
 		name: "bestpath-cut",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 6605,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 5998,
 	},
 	{
 		// The same cut and restore with session MACs and condensed
@@ -124,12 +129,13 @@ var budgetCells = []budgetCell{
 		// 22 899; a cloned table map, NodeView and row slice per
 		// touched node and table in each view, a tag buffer per sealed
 		// batch and a datagram per frame 9 647; the dependency index
-		// (see bestpath-cut) 7 475; two head slabs 7 421.
+		// (see bestpath-cut) 7 475; two head slabs 7 421; a frame
+		// scratch per node (see bestpath-cut) 7 336.
 		name: "bestpath-cut-session",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 7342,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 6728,
 	},
 	{
 		// The same window with a durable store log attached, fsync on:
@@ -142,7 +148,8 @@ var budgetCells = []budgetCell{
 		// envelope and withdrawal lists allocated per call, it cost
 		// 17 680; with a map-backed view, a tag buffer per sealed
 		// batch and a datagram per frame 9 653; with the dependency
-		// index (see bestpath-cut) 7 478; with two head slabs 7 423.
+		// index (see bestpath-cut) 7 478; with two head slabs 7 423;
+		// with a frame scratch per node 7 335.
 		name: "bestpath-cut-session-store",
 		stage: func(t *testing.T) func() *provnet.Report {
 			log, err := provnet.OpenStoreLog(t.TempDir(), provnet.StoreLogOptions{})
@@ -152,7 +159,7 @@ var budgetCells = []budgetCell{
 			t.Cleanup(func() { log.Close() })
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512, Store: log}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 7338,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 6724,
 	},
 	{
 		// /v1/traceback?maxdepth=12 for every bestPath row of a quiescent
@@ -217,14 +224,15 @@ func tracebackStaged(t *testing.T, cfg provnet.Config, nodes int, seed int64) fu
 // allocation count before the test fails. The count is a pure function
 // of the seed on one processor, so this is room for small intended
 // changes, not for noise. The race detector makes sync.Pool drop a share
-// of what is put back, so the sealing scratch is rebuilt more often: the
-// cells read up to 1.6 thousand allocations (at most 21 %) higher under
-// -race, and traceback-distributed, whose replies draw on encoding/json's
-// pools, up to 19 %; race_test.go widens the slack there. Frame decoders
-// and reply encoders (with the buffers FromTree renders a reply's tuple
-// texts in) sit on free lists of their own, not in a sync.Pool: from the
-// pool the decoders cost 6–7 thousand more per churn cell under -race,
-// and the text buffers up to 1.4 thousand more per traceback cell.
+// of what is put back: traceback-distributed, whose replies draw on
+// encoding/json's pools, reads up to 19 % higher under -race, and
+// race_test.go widens the slack there. The round's wire scratch, frame
+// decoder included, belongs to the pool worker, and reply encoders (with
+// the buffers FromTree renders a reply's tuple texts in) sit on a free
+// list of their own, not in a sync.Pool: from the pool the decoders cost
+// 6–7 thousand more per churn cell under -race, the sealing scratch up
+// to 1.6 thousand, and the text buffers up to 1.4 thousand more per
+// traceback cell.
 var allocSlack = 1.20
 
 // TestHotPathAllocBudget is the allocation bound of the eval → import →

@@ -104,7 +104,7 @@ func TestRetractRoundShipsWithoutEvaluating(t *testing.T) {
 	}
 	inFlight := data.NewTuple("link", data.Str("n3"), data.Str("n9"), data.Int(7))
 	f := &frame{kind: kindData, from: "n2", mode: n.cfg.Prov, items: []item{{tuple: inFlight}}}
-	datagram, err := f.seal(n.sealer, "n3")
+	datagram, err := f.seal(new(roundScratch), n.sealer, "n3")
 	if err != nil {
 		t.Fatal(err)
 	}

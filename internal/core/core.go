@@ -190,62 +190,79 @@ type Node struct {
 	view    *NodeView
 	dirt    []tableDirt
 	touched bool
-
-	// wire is the node's frame scratch, reused round after round by its
-	// scheduler task.
-	wire nodeWire
 }
 
-// nodeWire is what a node's rounds build frames in and decode them into:
-// the outbound grouping of withdrawals and exports by destination, the
-// frames made from them, the condensed provenance tables of the round's
-// data frames back to back (table; anns gathers one frame's annotations
-// for it), the withdrawals the round took (taken), and the inbound
-// frames and withdrawals. Nothing in it outlives the phase that fills it
-// — a sent frame is bytes in the transport, a delivered one rows in the
-// engine — so each phase starts it over instead of allocating it anew.
-type nodeWire struct {
+// roundScratch is what a node task builds frames in and decodes them
+// into. Each pool worker owns one and hands it to every node task it
+// runs; the sequential schedule, a one-worker pool and resupplyAll use
+// the first, and the termination detector seals its control frames in
+// its own. Outbound, it holds the grouping of withdrawals and exports by
+// destination, the frames made from them, the condensed provenance
+// tables of the task's data frames back to back (table; anns gathers one
+// frame's annotations for it), and what sealFrames works in: the frames'
+// signed bytes back to back, where each frame's bytes end, the envelopes
+// handed to the sealer and the tag buffer lent to it. Inbound, it holds
+// the frames decoded from the drained inbox, those delivered, the
+// withdrawals among them and the frame decoder. Nothing in it outlives
+// the node task that fills it — a sent frame is bytes in the transport,
+// a delivered one rows in the engine — so reset starts it over when the
+// task ends.
+type roundScratch struct {
 	retracts, exports destGroups
 	frames            []outFrame
 	table             []byte
 	anns              []engine.Annotation
-	taken             []engine.Withdrawal
+	signed            []byte
+	ends              []int
+	batch             []auth.Envelope
+	tags              []byte
 	out, in           framePool
 	delivered         []*frame
 	inbound           []engine.InboundRetraction
+	dec               *data.Decoder
 }
 
-// poisonWire makes sent overwrite the round's table arena, decodeProv
-// the manager's decode scratch once it has copied a frame's annotations
-// out, and the import phase the drained inbox and the inbound
-// withdrawals once they are applied, so a table, node, datagram or
-// withdrawal kept past its phase reads wrong instead of stale. Tests set
-// it.
+// poisonWire makes reset overwrite the task's table arena, signed bytes,
+// tag buffer and inbound withdrawals, decodeProv the manager's decode
+// scratch once it has copied a frame's annotations out, and the import
+// phase the drained inbox, so a table, node, datagram or withdrawal kept
+// past its task reads wrong instead of stale. Tests set it.
 var poisonWire atomic.Bool
 
 // wirePoison is what poisonWire leaves in the import phase's scratch.
 const wirePoison = "\x00scratch poison"
 
-// outFrames returns the empty frame list to build a round's frames in.
-func (w *nodeWire) outFrames() []outFrame {
-	w.out.n = 0
-	return w.frames[:0]
-}
-
-// sent ends the export phase once frames have shipped: nothing it built
-// may keep the round's tuples, annotations or provenance tables alive.
-func (w *nodeWire) sent(frames []outFrame) {
-	clear(frames)
-	w.frames = frames[:0]
+// reset ends a node task: nothing it built or decoded may keep the
+// task's tuples, annotations, tables or tags alive. A one-off oversized
+// round's signed bytes and decoder are not worth hoarding.
+func (s *roundScratch) reset() {
 	if poisonWire.Load() {
-		for i := range w.table {
-			w.table[i] = 0xff
+		for _, b := range [][]byte{s.table, s.signed, s.tags} {
+			for i := range b {
+				b[i] = 0xff
+			}
 		}
+		for i := range s.inbound {
+			s.inbound[i] = engine.InboundRetraction{From: wirePoison, Tuple: data.NewTuple(wirePoison)}
+		}
+	} else {
+		clear(s.inbound)
 	}
-	w.table = w.table[:0]
-	w.out.done()
-	w.retracts.reset()
-	w.exports.reset()
+	s.retracts.reset()
+	s.exports.reset()
+	clear(s.frames)
+	clear(s.batch)
+	clear(s.delivered)
+	s.out.done()
+	s.in.done()
+	s.frames, s.table, s.signed, s.ends, s.batch, s.tags = s.frames[:0], s.table[:0], s.signed[:0], s.ends[:0], s.batch[:0], s.tags[:0]
+	s.delivered, s.inbound = s.delivered[:0], s.inbound[:0]
+	if cap(s.signed) > 1<<20 {
+		s.signed = nil
+	}
+	if s.dec != nil && s.dec.Oversized() {
+		s.dec = nil
+	}
 }
 
 // destGroups groups outbound items by destination, the destinations in
@@ -283,13 +300,13 @@ func (g *destGroups) add(dest string, it item) {
 	g.items[k] = append(g.items[k], it)
 }
 
-// framePool hands out the frames of one phase, reused phase after phase.
+// framePool hands out the frames of one task, reused task after task.
 type framePool struct {
 	fs []*frame
 	n  int
 }
 
-// get returns the phase's next frame; the caller overwrites it.
+// get returns the task's next frame; the caller overwrites it.
 func (p *framePool) get() *frame {
 	if p.n == len(p.fs) {
 		p.fs = append(p.fs, new(frame))
@@ -298,26 +315,14 @@ func (p *framePool) get() *frame {
 	return p.fs[p.n-1]
 }
 
-// done ends the phase: the frames drop what they reference (tuples,
-// datagram bytes), keeping their item arrays. It clears the whole pool,
-// not just the frames handed out: the import phase hands a frame back
-// for the next datagram when one is not delivered.
+// done ends the task: the frames handed out drop what they reference
+// (tuples, datagram bytes), keeping their item arrays.
 func (p *framePool) done() {
-	for _, f := range p.fs {
+	for _, f := range p.fs[:p.n] {
 		clear(f.items)
 		*f = frame{items: f.items[:0]}
 	}
 	p.n = 0
-}
-
-// takeRetracts drains the node's pending withdrawals for the round's
-// export phase. The array the previous take handed out comes back,
-// cleared, to collect the next ones: its frames have shipped.
-func (nd *Node) takeRetracts() []engine.Withdrawal {
-	ws := nd.pendingRetract
-	clear(nd.wire.taken)
-	nd.pendingRetract, nd.wire.taken = nd.wire.taken[:0], ws
-	return ws
 }
 
 // Network is a fully assembled provenance-aware secure network.
@@ -390,24 +395,18 @@ type Network struct {
 	// program and topology). The termination detector's token ring walks
 	// it in this order.
 	allNodes []string
-	// decoders is the import phase's free list of frame decoders, which
-	// its node tasks take one each from and give back. It is not the
-	// sync.Pool behind data.NewDecoder, which under the race detector
-	// drops a share of what is put back.
-	decoders struct {
-		sync.Mutex
-		free []*data.Decoder
-	}
-	// pool is forEachNode's multi-worker scratch, reused call after call:
-	// one progress flag and one error per node in n.order, the next node
-	// to claim, and whether a node failed. Rounds run one at a time, so
-	// calls never overlap.
+	// pool is forEachNode's scratch, reused call after call: one round
+	// scratch per worker, one progress flag and one error per node in
+	// n.order, the next node and the next scratch to claim, and whether a
+	// node failed. Rounds run one at a time, so calls never overlap.
 	pool struct {
-		prog   []bool
-		errs   []error
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
+		scratch []roundScratch
+		prog    []bool
+		errs    []error
+		next    atomic.Int64
+		slot    atomic.Int64
+		failed  atomic.Bool
+		wg      sync.WaitGroup
 	}
 	// syms is the read-only table received frames decode their strings
 	// through (frameSymbols).
@@ -883,8 +882,8 @@ func (n *Network) runRound(ctx context.Context, evaluate bool) (bool, error) {
 // exportNode is a node's task in a round's export phase: it ships the
 // withdrawals the node owes and, when evaluate is set, runs it to its
 // local fixpoint and ships its exports.
-func (n *Network) exportNode(name string, node *Node, evaluate bool) (bool, error) {
-	retracts := node.takeRetracts()
+func (n *Network) exportNode(name string, node *Node, evaluate bool, s *roundScratch) (bool, error) {
+	retracts := node.pendingRetract
 	var exports []engine.Export
 	if evaluate {
 		exports = node.Engine.RunToFixpoint()
@@ -894,54 +893,57 @@ func (n *Network) exportNode(name string, node *Node, evaluate bool) (bool, erro
 	}
 	// Retract frames go ahead of the round's data frames, so receivers
 	// withdraw before they integrate new state.
-	frames, err := n.buildRetractFrames(node.wire.outFrames(), name, retracts)
+	frames, err := n.buildRetractFrames(s, s.frames, name, retracts)
 	if err == nil {
-		frames, err = n.buildExportFrames(frames, name, exports)
+		frames, err = n.buildExportFrames(s, frames, name, exports)
 	}
+	// The frames hold the withdrawals now. Nothing queues more during the
+	// node's export task, so the array collects the next ones.
+	clear(retracts)
+	node.pendingRetract = retracts[:0]
 	if err != nil {
 		return false, err
 	}
-	return true, n.sealAndSend(name, frames)
+	s.frames = frames
+	return true, n.sealAndSend(s, name, frames)
 }
 
 // importNode is a node's task in a round's import phase, the second half
 // of the round: it drains and applies the node's inbox.
-func (n *Network) importNode(name string, node *Node, _ bool) (bool, error) {
+func (n *Network) importNode(name string, node *Node, _ bool, s *roundScratch) (bool, error) {
 	msgs := n.net.Drain(name)
 	var start time.Time
 	if n.nm != nil {
 		start = time.Now() //provlint:allow detpath metrics verify timing, outside the deterministic state
 		n.nm.deltasIn.Add(int64(len(msgs)))
 	}
-	w := &node.wire
-	ds := w.delivered[:0]
-	dec := n.takeDecoder()
+	if s.dec == nil {
+		s.dec = data.NewDecoder(n.syms)
+	}
+	var d *frame // decoded into until it is delivered
 	for _, msg := range msgs {
-		d := w.in.get()
-		deliver, err := n.decodeVerify(name, msg, d, dec)
+		if d == nil {
+			d = s.in.get()
+		}
+		deliver, err := n.decodeVerify(name, msg, d, s.dec)
 		if err != nil {
 			// Decoding precedes authentication, so anyone who can
 			// reach the socket can send garbage: drop and count it
 			// like unverifiable input, never fail the run. The
 			// decoder may hold part of a run: swap it for a new one.
 			n.rejectedSig.Add(1)
-			dec.Release()
-			dec = data.NewDecoder(n.syms)
+			s.dec.Release()
+			s.dec = data.NewDecoder(n.syms)
 		}
-		if !deliver {
-			w.in.n-- // d is free for the next datagram
-			continue
+		if deliver {
+			s.delivered = append(s.delivered, d)
+			d = nil
 		}
-		ds = append(ds, d)
 	}
-	n.putDecoder(dec)
 	if n.nm != nil {
 		n.nm.verifyNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics verify timing, outside the deterministic state
 	}
-	n.deliverAll(name, node, ds)
-	clear(ds)
-	w.delivered = ds[:0]
-	w.in.done()
+	n.deliverAll(name, node, s)
 	if poisonWire.Load() {
 		// The transport takes the array back at the next Drain.
 		for i := range msgs {
@@ -949,31 +951,6 @@ func (n *Network) importNode(name string, node *Node, _ bool) (bool, error) {
 		}
 	}
 	return len(msgs) > 0, nil
-}
-
-// takeDecoder takes a frame decoder off the free list, or a new one.
-func (n *Network) takeDecoder() *data.Decoder {
-	ds := &n.decoders
-	ds.Lock()
-	defer ds.Unlock()
-	if k := len(ds.free); k > 0 {
-		dec := ds.free[k-1]
-		ds.free = ds.free[:k-1]
-		return dec
-	}
-	return data.NewDecoder(n.syms)
-}
-
-// putDecoder gives a decoder back to the free list, unless a huge frame
-// grew it past what a decoder kept for reuse may hold.
-func (n *Network) putDecoder(dec *data.Decoder) {
-	if dec.Oversized() {
-		return
-	}
-	ds := &n.decoders
-	ds.Lock()
-	ds.free = append(ds.free, dec)
-	ds.Unlock()
 }
 
 // retractsQueued reports whether any node holds unshipped withdrawals.
@@ -1039,7 +1016,7 @@ func (n *Network) drainRetractions(ctx context.Context) (int, error) {
 
 // repairNode runs a node's repair phase, if over-deleted state awaits
 // one, and queues the withdrawals it produced.
-func (n *Network) repairNode(_ string, node *Node, _ bool) (bool, error) {
+func (n *Network) repairNode(_ string, node *Node, _ bool, _ *roundScratch) (bool, error) {
 	if !node.Engine.HasPendingRetract() {
 		return false, nil
 	}
@@ -1048,26 +1025,46 @@ func (n *Network) repairNode(_ string, node *Node, _ bool) (bool, error) {
 }
 
 // nodeTask is one node's share of a scheduler phase; flag is the phase's
-// argument (a round's evaluate). forEachNode takes the tasks as method
-// expressions, which capture nothing and so cost no allocation per call.
-type nodeTask func(n *Network, name string, node *Node, flag bool) (bool, error)
+// argument (a round's evaluate) and s the scratch of the worker running
+// it. forEachNode takes the tasks as method expressions, which capture
+// nothing and so cost no allocation per call.
+type nodeTask func(n *Network, name string, node *Node, flag bool, s *roundScratch) (bool, error)
+
+// runTask runs task at node name in s and resets s when the task ends,
+// whether or not it failed.
+func (n *Network) runTask(task nodeTask, name string, flag bool, s *roundScratch) (bool, error) {
+	p, err := task(n, name, n.nodes[name], flag, s)
+	s.reset()
+	return p, err
+}
+
+// scratch returns the first k workers' round scratch.
+func (n *Network) scratch(k int) []roundScratch {
+	p := &n.pool
+	if len(p.scratch) < k {
+		p.scratch = append(p.scratch, make([]roundScratch, k-len(p.scratch))...)
+	}
+	return p.scratch[:k]
+}
 
 // forEachNode applies task to every node: on a pool of GOMAXPROCS workers,
-// or one after another under Config.Sequential (the reference schedule
-// the pool is pinned against) and wherever the pool would have one
-// worker. It returns the OR of the progress flags and the first error in
-// scheduler (node registration) order. A cancelled ctx aborts between
-// node tasks (the mid-round cancellation point of the lifecycle API) and
-// reports the context's error.
+// each with its own round scratch, or one after another in the first
+// scratch under Config.Sequential (the reference schedule the pool is
+// pinned against) and wherever the pool would have one worker. It
+// returns the OR of the progress flags and the first error in scheduler
+// (node registration) order. A cancelled ctx aborts between node tasks
+// (the mid-round cancellation point of the lifecycle API) and reports
+// the context's error.
 func (n *Network) forEachNode(ctx context.Context, task nodeTask, flag bool) (bool, error) {
 	workers := min(runtime.GOMAXPROCS(0), len(n.order))
 	if n.cfg.Sequential || workers <= 1 {
 		progress := false
+		s := &n.scratch(1)[0]
 		for _, name := range n.order {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
-			p, err := task(n, name, n.nodes[name], flag)
+			p, err := n.runTask(task, name, flag, s)
 			if err != nil {
 				return false, err
 			}
@@ -1075,6 +1072,7 @@ func (n *Network) forEachNode(ctx context.Context, task nodeTask, flag bool) (bo
 		}
 		return progress, nil
 	}
+	scratch := n.scratch(workers)
 	p := &n.pool
 	if len(p.prog) != len(n.order) {
 		p.prog = make([]bool, len(n.order))
@@ -1085,19 +1083,20 @@ func (n *Network) forEachNode(ctx context.Context, task nodeTask, flag bool) (bo
 	clear(p.prog)
 	clear(p.errs)
 	p.next.Store(0)
+	p.slot.Store(0)
 	p.failed.Store(false)
 	// The caller is one of the workers: a go statement with no arguments
 	// allocates nothing, so the call costs this one closure whatever the
 	// pool's width.
 	work := func() {
 		defer p.wg.Done()
+		s := &scratch[p.slot.Add(1)-1]
 		for {
 			i := int(p.next.Add(1)) - 1
 			if i >= len(n.order) || p.failed.Load() || ctx.Err() != nil {
 				return
 			}
-			name := n.order[i]
-			p.prog[i], p.errs[i] = task(n, name, n.nodes[name], flag)
+			p.prog[i], p.errs[i] = n.runTask(task, n.order[i], flag, s)
 			if p.errs[i] != nil {
 				p.failed.Store(true) // fail fast: stop claiming more nodes
 			}
@@ -1130,21 +1129,20 @@ type outFrame struct {
 }
 
 // appendLinkFrames appends what from ships to dest of one frame kind,
-// in frames from from's outbound pool: first the handshake frame a new or
+// in frames from s's outbound pool: first the handshake frame a new or
 // rekeyed session link needs (its RSA work waits for sealAndSend), then
 // items as one frame — or, when each is set, one frame per item. A data
 // frame's provenance is encoded here, per frame, so every frame —
 // Unbatched and replayed ones too — carries what its receiver needs to
 // decode it alone.
-func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind byte, items []item, each bool) ([]outFrame, error) {
-	out := &n.nodes[from].wire.out
+func (n *Network) appendLinkFrames(s *roundScratch, frames []outFrame, from, dest string, kind byte, items []item, each bool) ([]outFrame, error) {
 	if n.session != nil {
 		need, epoch, err := n.session.EnsureSession(from, dest)
 		if err != nil {
 			return nil, err
 		}
 		if need {
-			f := out.get()
+			f := s.out.get()
 			*f = frame{kind: kindHandshake, from: from, epoch: epoch}
 			frames = append(frames, outFrame{dest, f})
 		}
@@ -1154,11 +1152,11 @@ func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind by
 		step = 1
 	}
 	for lo := 0; lo < len(items); lo += step {
-		f := out.get()
+		f := s.out.get()
 		*f = frame{kind: kind, from: from, items: items[lo : lo+step]}
 		if kind == kindData {
 			f.mode = n.cfg.Prov
-			f.encodeProv(n.nodes[from].Tracker, &n.nodes[from].wire)
+			f.encodeProv(n.nodes[from].Tracker, s)
 		}
 		frames = append(frames, outFrame{dest, f})
 	}
@@ -1168,13 +1166,12 @@ func (n *Network) appendLinkFrames(frames []outFrame, from, dest string, kind by
 // buildRetractFrames appends a node's pending withdrawals to frames in
 // deterministic (first-withdrawal per destination) order: one retract
 // frame per destination.
-func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine.Withdrawal) ([]outFrame, error) {
+func (n *Network) buildRetractFrames(s *roundScratch, frames []outFrame, from string, ws []engine.Withdrawal) ([]outFrame, error) {
 	if len(ws) == 0 {
 		return frames, nil
 	}
 	node := n.nodes[from]
-	groups := &node.wire.retracts
-	groups.reset()
+	groups := &s.retracts
 	for _, w := range ws {
 		groups.add(w.Dest, item{tuple: w.Tuple})
 		if n.resupply && node.exports != nil {
@@ -1183,7 +1180,7 @@ func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine
 	}
 	for k, dest := range groups.dests {
 		var err error
-		if frames, err = n.appendLinkFrames(frames, from, dest, kindRetract, groups.items[k], false); err != nil {
+		if frames, err = n.appendLinkFrames(s, frames, from, dest, kindRetract, groups.items[k], false); err != nil {
 			return nil, err
 		}
 	}
@@ -1194,13 +1191,12 @@ func (n *Network) buildRetractFrames(frames []outFrame, from string, ws []engine
 // frames in deterministic (first-export per destination) send order — one
 // per destination, or one per tuple under Config.Unbatched — deferring
 // all cryptographic work (signing, MACing, handshake RSA) to sealAndSend.
-func (n *Network) buildExportFrames(frames []outFrame, from string, exports []engine.Export) ([]outFrame, error) {
+func (n *Network) buildExportFrames(s *roundScratch, frames []outFrame, from string, exports []engine.Export) ([]outFrame, error) {
 	if len(exports) == 0 {
 		return frames, nil
 	}
 	node := n.nodes[from]
-	groups := &node.wire.exports
-	groups.reset()
+	groups := &s.exports
 	for _, ex := range exports {
 		it := item{tuple: ex.Tuple, ann: ex.Ann}
 		if n.resupply {
@@ -1218,7 +1214,7 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 	}
 	for k, dest := range groups.dests {
 		var err error
-		if frames, err = n.appendLinkFrames(frames, from, dest, kindData, groups.items[k], n.cfg.Unbatched); err != nil {
+		if frames, err = n.appendLinkFrames(s, frames, from, dest, kindData, groups.items[k], n.cfg.Unbatched); err != nil {
 			return nil, err
 		}
 	}
@@ -1228,10 +1224,9 @@ func (n *Network) buildExportFrames(frames []outFrame, from string, exports []en
 // sealAndSend performs the cryptographic half of the export path: it
 // seals one sender's prepared frames with one sealer call (one RSA
 // signature for the round, or a session MAC per frame, plus any handshake
-// RSA) and ships them in order. frames is the sender's outbound scratch
-// (nodeWire.outFrames), which it keeps for the next round. Under Config.Unbatched every frame is
-// sealed alone — the paper's one signature per tuple.
-func (n *Network) sealAndSend(from string, frames []outFrame) error {
+// RSA) and ships them in order, working in s. Under Config.Unbatched
+// every frame is sealed alone — the paper's one signature per tuple.
+func (n *Network) sealAndSend(s *roundScratch, from string, frames []outFrame) error {
 	var start time.Time
 	if n.nm != nil {
 		start = time.Now() //provlint:allow detpath metrics seal timing, outside the deterministic state
@@ -1246,18 +1241,17 @@ func (n *Network) sealAndSend(from string, frames []outFrame) error {
 	}
 	var err error
 	for lo := 0; lo < len(frames) && err == nil; lo += step {
-		err = n.sealBatch(from, frames[lo:lo+step])
+		err = n.sealBatch(s, from, frames[lo:lo+step])
 	}
 	if n.nm != nil {
 		n.nm.sealNanos.Add(time.Since(start).Nanoseconds()) //provlint:allow detpath metrics seal timing, outside the deterministic state
 	}
-	n.nodes[from].wire.sent(frames)
 	return err
 }
 
-// sealBatch seals frames together and ships them.
-func (n *Network) sealBatch(from string, frames []outFrame) error {
-	signs, err := sealFrames(n.sealer, from, frames, func(f outFrame, datagram []byte) error {
+// sealBatch seals frames together in s and ships them.
+func (n *Network) sealBatch(s *roundScratch, from string, frames []outFrame) error {
+	signs, err := sealFrames(s, n.sealer, from, frames, func(f outFrame, datagram []byte) error {
 		err := n.net.Send(from, f.dst, datagram)
 		if err == nil && f.kind == kindHandshake {
 			n.hsBytes.Add(int64(len(datagram)))
@@ -1317,13 +1311,14 @@ func (n *Network) decodeVerify(name string, msg netsim.Message, f *frame, dec *d
 // candidate one sender is about to withdraw from briefly reviving off
 // another frame (a zombie route) and amplifying churn traffic; the
 // origin-support model makes insert-vs-retract of different senders
-// commute, so deferring retractions does not change the fixpoint.
-func (n *Network) deliverAll(name string, node *Node, ds []*frame) {
-	if len(ds) > 0 {
+// commute, so deferring retractions does not change the fixpoint. The
+// deliveries and the withdrawals gathered from them are s's.
+func (n *Network) deliverAll(name string, node *Node, s *roundScratch) {
+	if len(s.delivered) > 0 {
 		n.markActive(name)
 	}
-	inbound := node.wire.inbound[:0]
-	for _, d := range ds {
+	inbound := s.inbound
+	for _, d := range s.delivered {
 		if d.kind == kindRetract {
 			for _, it := range d.items {
 				inbound = append(inbound, engine.InboundRetraction{From: d.from, Tuple: it.tuple})
@@ -1337,14 +1332,7 @@ func (n *Network) deliverAll(name string, node *Node, ds []*frame) {
 		// wave quiesce — the next step's, if this round evaluates.
 		node.pendingRetract = append(node.pendingRetract, node.Engine.BeginRetractInbound(inbound)...)
 	}
-	if poisonWire.Load() {
-		for i := range inbound {
-			inbound[i] = engine.InboundRetraction{From: wirePoison, Tuple: data.NewTuple(wirePoison)}
-		}
-	} else {
-		clear(inbound)
-	}
-	node.wire.inbound = inbound[:0]
+	s.inbound = inbound
 }
 
 // deliver inserts one verified data frame at node name, with per-tuple
@@ -1419,51 +1407,59 @@ func (n *Network) markActive(node string) {
 // resupplyAll replays every hosted node's export log (Network.resupply):
 // the soft-state re-announcement after a peer process restart. Outbound
 // sessions are reset first so session links re-handshake — the restarted
-// peer lost its inbound session keys with its tables. Destinations and
-// tuples replay in sorted order so the resupply traffic is deterministic
-// for a given table state. Called between rounds by the driver.
+// peer lost its inbound session keys with its tables. Called between
+// rounds by the driver, so it runs the nodes one after another in the
+// first round scratch.
 func (n *Network) resupplyAll() error {
 	if n.session != nil {
 		n.session.ResetOutbound()
 	}
+	s := &n.scratch(1)[0]
 	for _, name := range n.order {
-		nd := n.nodes[name]
-		if len(nd.exports) == 0 {
-			continue
-		}
-		dests := make([]string, 0, len(nd.exports))
-		for dest := range nd.exports {
-			dests = append(dests, dest)
-		}
-		sort.Strings(dests)
-		frames := nd.wire.outFrames()
-		for _, dest := range dests {
-			perDest := nd.exports[dest]
-			if len(perDest) == 0 {
-				continue
-			}
-			keys := make([]string, 0, len(perDest))
-			for k := range perDest {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			items := make([]item, len(keys))
-			for i, k := range keys {
-				items[i] = perDest[k]
-			}
-			var err error
-			if frames, err = n.appendLinkFrames(frames, name, dest, kindData, items, false); err != nil {
-				return err
-			}
-		}
-		if len(frames) == 0 {
-			continue
-		}
-		if err := n.sealAndSend(name, frames); err != nil {
+		if _, err := n.runTask((*Network).resupplyNode, name, false, s); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// resupplyNode replays one node's export log. Destinations and tuples
+// replay in sorted order so the resupply traffic is deterministic for a
+// given table state.
+func (n *Network) resupplyNode(name string, nd *Node, _ bool, s *roundScratch) (bool, error) {
+	if len(nd.exports) == 0 {
+		return false, nil
+	}
+	dests := make([]string, 0, len(nd.exports))
+	for dest := range nd.exports {
+		dests = append(dests, dest)
+	}
+	sort.Strings(dests)
+	frames := s.frames
+	for _, dest := range dests {
+		perDest := nd.exports[dest]
+		if len(perDest) == 0 {
+			continue
+		}
+		keys := make([]string, 0, len(perDest))
+		for k := range perDest {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		items := make([]item, len(keys))
+		for i, k := range keys {
+			items[i] = perDest[k]
+		}
+		var err error
+		if frames, err = n.appendLinkFrames(s, frames, name, dest, kindData, items, false); err != nil {
+			return false, err
+		}
+	}
+	if len(frames) == 0 {
+		return false, nil
+	}
+	s.frames = frames
+	return true, n.sealAndSend(s, name, frames)
 }
 
 // --- runtime interaction ---

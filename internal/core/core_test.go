@@ -273,7 +273,7 @@ func TestTamperedEnvelopeRejected(t *testing.T) {
 	// Forge a message: correct format, wrong signature.
 	env := &frame{kind: kindData, from: "b", items: []item{
 		{tuple: data.NewTuple("reachable", data.Str("a"), data.Str("zz"))}}}
-	forged, err := env.seal(auth.SignerSealer{S: auth.NoneSigner{}}, "a") // empty signature
+	forged, err := env.seal(new(roundScratch), auth.SignerSealer{S: auth.NoneSigner{}}, "a") // empty signature
 	if err != nil {
 		t.Fatal(err)
 	}

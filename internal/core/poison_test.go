@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,53 +16,78 @@ import (
 	"provnet/internal/topo"
 )
 
-// TestScratchPoisonMatchesClean holds the per-wave and per-round scratch
+// TestScratchPoisonMatchesClean holds the per-wave and per-task scratch
 // to its contract. The engines' wave scratch: what a wave's builtins and
 // aggregate heads put there dies with the wave, and a list a stored row,
 // shadow row, aggregate contribution or export keeps was copied out
 // first; and the value slab a retraction carves its over-deleted heads
 // from, poisoned when the engine hands it out again at the node's next
-// retraction (TestWithdrawalsOutliveNextRetraction pins that span).
-// Under condensed provenance, also the round's table
-// arena (nodeWire.table), which dies when the round's frames are sent,
-// the BDD manager's decode scratch, which a delivered frame's annotations
-// are copied out of at once, and — that run seals with session MACs, as
-// live-churn does — the tag buffer sealFrames lends the sealer, which
-// dies once the round's datagrams are built. With all of it poisoned
-// where its contract ends, the §6 Best-Path batch run and 8 link cuts
-// and restores after it must leave every table of every node, and every
-// view row's provenance expression, as a clean run leaves them, after
-// each quiescence. A path list left in the wave scratch reads back as
-// poison; a node read from the decode scratch after its frame fails to
-// render; a datagram sharing a tag with the buffer fails to open.
+// retraction. The round scratch a pool worker hands its node tasks
+// (roundScratch), poisoned where each task ends: under condensed
+// provenance its table arena, and — that run seals with session MACs,
+// as live-churn does — the tag buffer sealFrames lends the sealer. Also
+// the BDD manager's decode scratch, which a delivered frame's
+// annotations are copied out of at once. With all of it poisoned where
+// its contract ends, the §6 Best-Path batch run, 8 link cuts and
+// restores after it, and a leg where a withdrawal lands in an evaluating
+// round must leave every table of every node, and every view row's
+// provenance expression, as a clean run leaves them, after each
+// quiescence. A path list left in the wave scratch reads back as poison;
+// a node read from the decode scratch after its frame fails to render; a
+// datagram sharing a tag with the buffer fails to open.
+//
+// In that last leg, x's cut of x→y ships its withdrawals in an
+// evaluating round, they over-delete at y and queue y's own, and a cut
+// at y starts y's next retraction before those have shipped or y has
+// repaired (TestWithdrawalsOutliveNextRetraction pins the same span on a
+// line): the head slab must not be handed out again until then.
+//
+// Each run goes twice: sequentially, where one scratch serves every node
+// in turn, as in a one-processor run, and on core's pool of workers,
+// one scratch each.
 //
 // A slab handed out too early can corrupt the clean run as it does the
 // poisoned one, so the poisoned run is also held to oracles outside it.
 // After each cut, its link and spCost rows and its bestPath rows'
-// (S,D,C) equal a fresh run's on the graph without the link; after each
-// restore, the batch run's. Which of two equal-cost paths bestPath keeps
-// depends on arrival order, so each path list is checked on its own: a
-// walk of links the graph has, from S to D, costing C.
+// (S,D,C) equal a fresh run's on the graph without the cut links; after
+// each restore, the batch run's. Which of two equal-cost paths bestPath
+// keeps depends on arrival order, so each path list is checked on its
+// own: a walk of links the graph has, from S to D, costing C.
 func TestScratchPoisonMatchesClean(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		t.Fatalf("GOMAXPROCS %d: the pool schedule needs at least four workers", runtime.GOMAXPROCS(0))
+	}
 	for _, prov := range []provenance.Mode{provenance.ModeNone, provenance.ModeCondensed} {
-		t.Run(prov.String(), func(t *testing.T) { scratchPoisonMatchesClean(t, prov) })
+		t.Run(prov.String(), func(t *testing.T) {
+			t.Run("sequential", func(t *testing.T) { scratchPoisonMatchesClean(t, prov, true) })
+			t.Run("pool", func(t *testing.T) { scratchPoisonMatchesClean(t, prov, false) })
+		})
 	}
 }
 
-func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
+func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bool) {
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 6})
-	cuts := g.Links[:8]
-	kept := make([]*topo.Graph, len(cuts))
-	for i, l := range cuts {
-		kept[i] = &topo.Graph{Nodes: g.Nodes}
+	without := func(cut ...topo.Link) *topo.Graph {
+		kept := &topo.Graph{Nodes: g.Nodes}
 		for _, k := range g.Links {
-			if k != l {
-				kept[i].Links = append(kept[i].Links, k)
+			if !slices.Contains(cut, k) {
+				kept.Links = append(kept.Links, k)
 			}
 		}
+		return kept
 	}
-	run := func() (snaps, tables []string) {
-		cfg := Config{Source: BestPath, Graph: g, Prov: prov}
+	cuts := g.Links[:8]
+	// The landed-withdrawal leg: x→y, and a link of y's to another node.
+	xy := g.Links[0]
+	var yz topo.Link
+	for _, l := range g.Links {
+		if l.From == xy.To && l.To != xy.From {
+			yz = l
+			break
+		}
+	}
+	run := func() (snaps, tables []string, graphs []*topo.Graph) {
+		cfg := Config{Source: BestPath, Graph: g, Prov: prov, Sequential: sequential}
 		if prov == provenance.ModeCondensed {
 			cfg.Auth, cfg.KeyBits = auth.SchemeSession, 512
 		}
@@ -87,7 +115,7 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 		if _, err := n.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		snaps, tables = []string{snap()}, []string{oracleRows(t, n, g)}
+		snaps, tables, graphs = []string{snap()}, []string{oracleRows(t, n, g)}, []*topo.Graph{g}
 		ctx := context.Background()
 		settle := func(err error, now *topo.Graph) {
 			t.Helper()
@@ -97,27 +125,44 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps, tables = append(snaps, snap()), append(tables, oracleRows(t, n, now))
+			snaps, tables, graphs = append(snaps, snap()), append(tables, oracleRows(t, n, now)), append(graphs, now)
 		}
-		for i, l := range cuts {
-			settle(d.CutLink(l.From, l.To), kept[i])
+		for _, l := range cuts {
+			settle(d.CutLink(l.From, l.To), without(l))
 			settle(d.SetLink(l.From, l.To, l.Cost), g)
 		}
-		return snaps, tables
+		x := n.Node(xy.From)
+		var stale []data.Tuple
+		for _, tu := range x.Engine.Tuples("link") {
+			if tu.Args[1].Str == xy.To {
+				stale = append(stale, tu)
+			}
+		}
+		x.pendingRetract = append(x.pendingRetract, x.Engine.BeginRetractFacts(stale...)...)
+		if _, err := n.runRound(ctx, true); err != nil {
+			t.Fatal(err)
+		}
+		if len(n.Node(xy.To).pendingRetract) == 0 || !n.Node(xy.To).Engine.HasPendingRetract() {
+			t.Fatalf("%s→%s's withdrawal left %s nothing to ship or repair", xy.From, xy.To, xy.To)
+		}
+		settle(d.CutLink(yz.From, yz.To), without(xy, yz))
+		settle(errors.Join(d.SetLink(xy.From, xy.To, xy.Cost), d.SetLink(yz.From, yz.To, yz.Cost)), g)
+		return snaps, tables, graphs
 	}
-	clean, _ := run()
+	clean, _, _ := run()
 	restore := engine.PoisonScratchForTesting()
 	poisonWire.Store(true)
-	poisoned, tables := run()
+	poisoned, tables, graphs := run()
 	poisonWire.Store(false)
 	restore()
-	for i, l := range cuts {
-		fresh, _ := mustRun(t, Config{Source: BestPath, Graph: kept[i]})
-		if want := oracleRows(t, fresh, kept[i]); tables[2*i+1] != want {
-			t.Fatalf("cut %s→%s: poisoned scratch left\n%s\na fresh run without the link:\n%s", l.From, l.To, tables[2*i+1], want)
+	for i, now := range graphs {
+		want := tables[0]
+		if now != g {
+			fresh, _ := mustRun(t, Config{Source: BestPath, Graph: now})
+			want = oracleRows(t, fresh, now)
 		}
-		if tables[2*i+2] != tables[0] {
-			t.Fatalf("restore %s→%s: poisoned scratch left\n%s\nthe batch run:\n%s", l.From, l.To, tables[2*i+2], tables[0])
+		if tables[i] != want {
+			t.Fatalf("step %d: poisoned scratch left\n%s\na fresh run on that step's links:\n%s", i, tables[i], want)
 		}
 	}
 	for i := range clean {

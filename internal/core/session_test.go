@@ -140,7 +140,7 @@ func TestSessionRefusesSignedData(t *testing.T) {
 	}
 	signed := &frame{kind: kindData, from: "b", items: []item{
 		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("signed"))}}}
-	p, err := signed.seal(n.control, "a")
+	p, err := signed.seal(new(roundScratch), n.control, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestKindFlippedFrameRejected(t *testing.T) {
 	want := snapshot(t, n)
 	said := &frame{kind: kindData, from: "b", items: []item{
 		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("c"))}}}
-	p, err := said.seal(n.sealer, "a")
+	p, err := said.seal(new(roundScratch), n.sealer, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSessionDropsUnverifiableInput(t *testing.T) {
 	// with an empty tag on a link that never shook hands.
 	orphan := &frame{kind: kindData, from: "b", items: []item{
 		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("forged"))}}}
-	orphanPayload, err := orphan.seal(auth.SignerSealer{S: auth.NoneSigner{}}, "a")
+	orphanPayload, err := orphan.seal(new(roundScratch), auth.SignerSealer{S: auth.NoneSigner{}}, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, f := range c.frames {
-				p, err := f.seal(n.sealer, "a")
+				p, err := f.seal(new(roundScratch), n.sealer, "a")
 				if err != nil {
 					t.Fatal(err)
 				}

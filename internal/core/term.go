@@ -90,6 +90,10 @@ type TermDetector struct {
 	haveTotal bool      // lastTotal is valid
 	sendErr   error     // first control-frame send failure (sticky)
 
+	// scratch is what the detector goroutine seals its tokens in; the
+	// terminate broadcast, on a goroutine of its own, seals in another.
+	scratch roundScratch
+
 	waves      atomic.Uint64 // completed waves (root only)
 	terminated atomic.Bool
 	done       chan struct{}
@@ -301,13 +305,13 @@ func (td *TermDetector) step() {
 	td.mu.Unlock()
 
 	for _, cf := range sends {
-		td.sendControl(cf, td.succ(cf.from))
+		td.sendControl(&td.scratch, cf, td.succ(cf.from))
 	}
 }
 
-// sendControl seals and ships one control frame.
-func (td *TermDetector) sendControl(cf *frame, to string) {
-	payload, err := cf.seal(td.n.control, to)
+// sendControl seals one control frame in s and ships it.
+func (td *TermDetector) sendControl(s *roundScratch, cf *frame, to string) {
+	payload, err := cf.seal(s, td.n.control, to)
 	if err == nil {
 		err = td.n.net.Send(cf.from, to, payload)
 	}
@@ -326,11 +330,12 @@ func (td *TermDetector) sendControl(cf *frame, to string) {
 func (td *TermDetector) broadcastTerminate(wave uint64) {
 	td.terminated.Store(true)
 	root := td.ring[0]
+	var s roundScratch
 	for _, name := range td.ring[1:] {
 		if _, hosted := td.acts[name]; hosted {
 			continue // co-hosted nodes learn via declareLocal below
 		}
-		td.sendControl(&frame{kind: kindTerminate, from: root, wave: wave}, name)
+		td.sendControl(&s, &frame{kind: kindTerminate, from: root, wave: wave}, name)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	_ = td.n.net.Flush(ctx)

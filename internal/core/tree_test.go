@@ -29,7 +29,7 @@ func saidFrame(from, to, what string) outFrame {
 func sealRound(t testing.TB, sealer auth.Sealer, from string, frames ...outFrame) [][]byte {
 	t.Helper()
 	var out [][]byte
-	signs, err := sealFrames(sealer, from, frames, func(_ outFrame, datagram []byte) error {
+	signs, err := sealFrames(new(roundScratch), sealer, from, frames, func(_ outFrame, datagram []byte) error {
 		out = append(out, datagram)
 		return nil
 	})

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"provnet/internal/auth"
 	"provnet/internal/bdd"
@@ -100,24 +99,6 @@ type handshaker interface {
 
 var errNoSessionTransport = errors.New("core: handshake frame without a session transport")
 
-// wireScratch is what sealFrames holds between serializing a round and
-// shipping it: the frames' signed bytes back to back, where each frame's
-// bytes end, the envelopes handed to the sealer and the tag buffer lent
-// to it.
-type wireScratch struct {
-	b     []byte
-	ends  []int
-	batch []auth.Envelope
-	tags  []byte
-}
-
-// wireBufs pools the scratch sealFrames works in: sealers hash the bytes
-// without retaining them, and the tags are copied into the datagrams, so
-// only the datagrams' arena is freshly sized (transports retain it).
-var wireBufs = sync.Pool{New: func() any {
-	return &wireScratch{b: make([]byte, 0, 1024)}
-}}
-
 // appendSigned appends the bytes the frame's tag covers: everything but
 // the tag. A handshake frame has none.
 func (f *frame) appendSigned(b []byte) []byte {
@@ -156,23 +137,23 @@ func (f *frame) appendSigned(b []byte) []byte {
 // encodeProv writes the provenance of a data frame's items the way its
 // mode ships it: one table for the whole frame under ModeCondensed, one
 // payload per item under ModeLocal and ModeDistributed, nothing under
-// ModeNone. A table is appended to the sender's round arena (w.table),
+// ModeNone. A table is appended to the task's table arena (s.table),
 // capped so that nothing appended to one frame's table can reach into
 // the next one's.
-func (f *frame) encodeProv(tr *provenance.Tracker, w *nodeWire) {
+func (f *frame) encodeProv(tr *provenance.Tracker, s *roundScratch) {
 	switch f.mode {
 	case provenance.ModeNone:
 	case provenance.ModeCondensed:
-		w.anns = w.anns[:0]
+		s.anns = s.anns[:0]
 		for _, it := range f.items {
-			w.anns = append(w.anns, it.ann)
+			s.anns = append(s.anns, it.ann)
 		}
-		s := len(w.table)
+		lo := len(s.table)
 		var refs []uint64
-		w.table, refs = tr.AppendTable(w.table, w.anns)
-		clear(w.anns)
-		e := len(w.table)
-		f.table = w.table[s:e:e]
+		s.table, refs = tr.AppendTable(s.table, s.anns)
+		clear(s.anns)
+		hi := len(s.table)
+		f.table = s.table[lo:hi:hi]
 		for i, ref := range refs {
 			f.items[i].ref = ref + 1
 		}
@@ -220,50 +201,41 @@ func (f *frame) decodeProv(tr *provenance.Tracker) error {
 	return nil
 }
 
-// sealFrames serializes the frames from sends in one round, seals them
-// with one sealer call — which is what lets a signature scheme sign the
-// round once (auth/tree.go) — and hands each datagram to ship, in order.
-// Handshake frames carry their own signature and are sealed as they come
-// up. It returns the says operations the sealer spent. Tags depend on the
-// frames and their order alone, so either schedule ships the same bytes.
+// sealFrames serializes the frames from sends in one round into s, seals
+// them with one sealer call — which is what lets a signature scheme sign
+// the round once (auth/tree.go) — and hands each datagram to ship, in
+// order. Handshake frames carry their own signature and are sealed as
+// they come up. It returns the says operations the sealer spent. Tags
+// depend on the frames and their order alone, so either schedule ships
+// the same bytes.
 //
-// The other datagrams are carved from one arena, each capacity-limited
+// Sealers hash the signed bytes without retaining them, and the tags are
+// copied into the datagrams, so only the datagrams' arena is freshly
+// sized: the other datagrams are carved from it, each capacity-limited
 // so that nothing appended to one can reach the next; nothing writes to
 // the arena once a datagram is carved from it, and it lives until the
 // transport has let go of the last of them.
-func sealFrames(sealer auth.Sealer, from string, frames []outFrame, ship func(f outFrame, datagram []byte) error) (int, error) {
-	w := wireBufs.Get().(*wireScratch)
-	defer func() {
-		if poisonWire.Load() {
-			for i := range w.tags {
-				w.tags[i] = 0xff
-			}
-		}
-		if cap(w.b) <= 1<<20 { // a one-off oversized round is not worth hoarding
-			clear(w.batch) // the tags are copied into the datagrams
-			w.b, w.ends, w.batch, w.tags = w.b[:0], w.ends[:0], w.batch[:0], w.tags[:0]
-			wireBufs.Put(w)
-		}
-	}()
+func sealFrames(s *roundScratch, sealer auth.Sealer, from string, frames []outFrame, ship func(f outFrame, datagram []byte) error) (int, error) {
+	s.signed, s.ends, s.batch = s.signed[:0], s.ends[:0], s.batch[:0]
 	for _, f := range frames {
-		w.b = f.appendSigned(w.b)
-		w.ends = append(w.ends, len(w.b))
+		s.signed = f.appendSigned(s.signed)
+		s.ends = append(s.ends, len(s.signed))
 	}
-	// b no longer moves: the signed bytes can be sliced out of it.
+	// The signed bytes no longer move: each frame's can be sliced out.
 	lo := 0
 	for i, f := range frames {
 		if f.kind != kindHandshake {
-			w.batch = append(w.batch, auth.Envelope{Dst: f.dst, Payload: w.b[lo:w.ends[i]]})
+			s.batch = append(s.batch, auth.Envelope{Dst: f.dst, Payload: s.signed[lo:s.ends[i]]})
 		}
-		lo = w.ends[i]
+		lo = s.ends[i]
 	}
-	tags, signs, err := sealer.SealBatch(from, w.batch, w.tags)
-	w.tags = tags
+	tags, signs, err := sealer.SealBatch(from, s.batch, s.tags[:0])
+	s.tags = tags
 	if err != nil {
 		return 0, fmt.Errorf("core: sealing frames from %s: %w", from, err)
 	}
 	size := 0
-	for _, e := range w.batch {
+	for _, e := range s.batch {
 		size += len(e.Payload) + len(e.Tag) + binary.MaxVarintLen64
 	}
 	arena := make([]byte, 0, size)
@@ -275,7 +247,7 @@ func sealFrames(sealer auth.Sealer, from string, frames []outFrame, ship func(f 
 				return 0, err
 			}
 		} else {
-			e := w.batch[next]
+			e := s.batch[next]
 			next++
 			lo := len(arena)
 			arena = data.AppendBytes(append(arena, e.Payload...), e.Tag)
@@ -301,12 +273,14 @@ func (f *frame) sealHandshake(sealer auth.Sealer, to string) ([]byte, error) {
 	return append(append(make([]byte, 0, 1+len(blob)), kindHandshake), blob...), nil
 }
 
-// seal is sealFrames for a frame sealed alone (control frames).
-func (f *frame) seal(sealer auth.Sealer, to string) (datagram []byte, err error) {
-	_, err = sealFrames(sealer, f.from, []outFrame{{to, f}}, func(_ outFrame, d []byte) error {
+// seal is sealFrames for a frame sealed alone (control frames), in s,
+// which it resets.
+func (f *frame) seal(s *roundScratch, sealer auth.Sealer, to string) (datagram []byte, err error) {
+	_, err = sealFrames(s, sealer, f.from, []outFrame{{to, f}}, func(_ outFrame, d []byte) error {
 		datagram = d
 		return nil
 	})
+	s.reset()
 	return datagram, err
 }
 

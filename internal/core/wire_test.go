@@ -208,7 +208,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	for _, c := range wireCases {
 		t.Run(c.name, func(t *testing.T) {
 			want := c.frame
-			b, err := want.seal(sealers[c.sealer], "b")
+			b, err := want.seal(new(roundScratch), sealers[c.sealer], "b")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +245,7 @@ func TestEnvelopeTamperDetection(t *testing.T) {
 		}
 		t.Run(c.name, func(t *testing.T) {
 			f := c.frame
-			b, err := f.seal(sealers[c.sealer], "b")
+			b, err := f.seal(new(roundScratch), sealers[c.sealer], "b")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestEnvelopeTamperDetection(t *testing.T) {
 		})
 	}
 	token := &frame{kind: kindToken, from: "a", wave: 5, acts: 1}
-	b, err := token.seal(sealers["rsa"], "b")
+	b, err := token.seal(new(roundScratch), sealers["rsa"], "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 	sealers := testSealers(t)
 	for _, c := range wireCases {
 		f := c.frame
-		b, err := f.seal(sealers[c.sealer], "b")
+		b, err := f.seal(new(roundScratch), sealers[c.sealer], "b")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := c.frame
-			sealed, err := want.seal(c.tag, "b")
+			sealed, err := want.seal(new(roundScratch), c.tag, "b")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +359,7 @@ func TestOpenCoversReceivedBytes(t *testing.T) {
 	sealer := testSealers(t)["rsa"]
 	tu := data.NewTuple("p", data.Int(1))
 	canonical := &frame{kind: kindData, from: "a", items: []item{{tuple: tu}}}
-	sealed, err := canonical.seal(sealer, "b")
+	sealed, err := canonical.seal(new(roundScratch), sealer, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := &frame{kind: kindData, from: "a", items: []item{{tuple: tu}}}
-		if _, err := f.seal(sealer, "b"); err != nil {
+		if _, err := f.seal(new(roundScratch), sealer, "b"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,7 +454,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		f.Add(golden)
 		fr := c.frame
-		sealed, err := fr.seal(sealers[c.sealer], "b")
+		sealed, err := fr.seal(new(roundScratch), sealers[c.sealer], "b")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	// A tuple argument of 64 nested {KindList, 1} headers: past the
 	// codec's depth bound, so an error, not a recursion.
 	tooDeep := &frame{kind: kindData, from: "a", items: []item{{tuple: data.NewTuple("p", deepList(64))}}}
-	if b, err := tooDeep.seal(sealers["rsa"], "b"); err == nil {
+	if b, err := tooDeep.seal(new(roundScratch), sealers["rsa"], "b"); err == nil {
 		f.Add(b)
 	}
 	// Real rounds of 2, 3 and 5 frames under the RSA tree tag, and every
@@ -488,7 +488,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		condensedFrame([]byte{1, 1, 'a', 2, 0, 0, 3, 0, 0, 1}, 2),
 		condensedFrame(condensedTable, 5),
 	} {
-		if b, err := cf.seal(sealers["rsa"], "b"); err == nil {
+		if b, err := cf.seal(new(roundScratch), sealers["rsa"], "b"); err == nil {
 			f.Add(b)
 		}
 	}
