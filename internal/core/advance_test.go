@@ -3,16 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"provnet/internal/data"
-	"provnet/internal/datalog"
-	"provnet/internal/engine"
 )
 
 // diagnosticsProgram is Example_diagnostics' route-flap monitor: a
@@ -184,56 +183,22 @@ func TestAdvanceSurvivesCancelledStep(t *testing.T) {
 				t.Fatalf("clock = %v, want 5", n.Clock())
 			}
 			if got := len(n.Tuples("router1", "change")); got != want {
-				t.Fatalf("%d change events live, want %d: %s", got, want, renderTuples(n.Tuples("router1", "change")))
+				t.Fatalf("%d change events live, want %d:\n%s", got, want, render(n, only("change")))
 			}
-			if got := renderTuples(n.Tuples("router1", "changes")); got != fmt.Sprintf("changes(router1, %d)", want) {
+			if got := render(n, only("changes")); got != fmt.Sprintf("router1: changes(router1, %d)\n", want) {
 				t.Fatalf("window count %s, want %d", got, want)
 			}
 		})
 	}
 }
 
-// inOneBatch queues events while holding the run lock, so the live
-// pump takes them all in one step: each step locks runMu before it
-// drains the inbox.
-func inOneBatch(d *Driver, queue func() error) error {
-	d.runMu.Lock()
-	defer d.runMu.Unlock()
-	return queue()
-}
-
-// freshEngine loads src, localized, into an engine that has never run.
-func freshEngine(t *testing.T, self, src string) *engine.Engine {
-	t.Helper()
-	prog, err := datalog.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog, err = datalog.Localize(prog); err != nil {
-		t.Fatal(err)
-	}
-	e := engine.New(engine.Config{Self: self})
-	if err := e.LoadProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-func renderTuples(ts []data.Tuple) string {
-	out := make([]string, len(ts))
-	for i, tu := range ts {
-		out[i] = tu.String()
-	}
-	return strings.Join(out, " ")
-}
-
 // TestAdvanceMatchesFresh drives expiry through a started driver
 // against independent answers: seeded scripts mix Inject, Retract and
 // Advance, and queue a retraction and an advance in one batch, which
 // the driver applies in order and repairs at one drain. window checks
-// a windowed count against a fresh engine loaded with the unexpired
-// events after every quiescence, as engine.TestExpireRecountMatchesFresh
-// does one layer down. receiver
+// a windowed count after every quiescence against a fresh network
+// advanced to the clock with the unexpired events injected, as
+// engine.TestExpireRecountMatchesFresh does one layer down. receiver
 // ships soft rows to an aggregate on another node, under a hard-state
 // rule that reads its head, and checks the head and the rule's rows
 // against a recount of the receiver's live body rows: a head whose
@@ -255,112 +220,60 @@ materialize(changes, infinity, infinity, keys(1)).
 c1 changes(@S,count<*>) :- change(@S,E).
 `
 
+// runWindowScript plays a seeded script of injects, retractions and
+// advances on windowProgram through a started driver, the first step
+// empty.
 func runWindowScript(t *testing.T, seed int64) {
 	nodes := []string{"a", "b"}
-	n, err := NewNetwork(Config{Source: windowProgram, ExtraNodes: nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := n.Driver()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := d.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	type fact struct {
-		node    string
-		tuple   data.Tuple
-		created float64
-	}
-	facts := map[string]fact{} // injected and not retracted, by key
-	clock := 0.0
-	check := func(step string) {
-		t.Helper()
-		if _, err := d.AwaitQuiescence(ctx); err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		if n.Clock() != clock {
-			t.Fatalf("%s: clock %v, want %v", step, n.Clock(), clock)
-		}
-		keys := make([]string, 0, len(facts))
-		for k := range facts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, node := range nodes {
-			fresh := freshEngine(t, node, windowProgram)
-			fresh.Expire(clock)
-			for _, k := range keys {
-				if f := facts[k]; f.node == node && clock < f.created+10 {
-					fresh.InsertFact(f.tuple)
-				}
-			}
-			fresh.RunToFixpoint()
-			if got, want := renderTuples(n.Tuples(node, "changes")), renderTuples(fresh.Tuples("changes")); got != want {
-				t.Fatalf("%s at t=%v: %s has changes [%s], a fresh engine on the unexpired events [%s]", step, clock, node, got, want)
-			}
-		}
-	}
 	r := rand.New(rand.NewSource(seed))
-	inject := func() (string, error) {
+	inject := func() event {
 		node := nodes[r.Intn(len(nodes))]
-		var ts []data.Tuple
+		ev := event{op: "inject", node: node}
 		for i, k := 0, 1+r.Intn(3); i < k; i++ {
 			// A small event space: a repeat re-inserts an event, which
 			// restarts its TTL.
-			tu := data.NewTuple("change", data.Str(node), data.Int(int64(r.Intn(12))))
-			ts = append(ts, tu)
-			facts[tu.Key()] = fact{node, tu, clock}
+			ev.tuples = append(ev.tuples, data.NewTuple("change", data.Str(node), data.Int(int64(r.Intn(12)))))
 		}
-		return fmt.Sprintf("inject %d at %s", len(ts), node), d.Inject(node, ts...)
+		return ev
 	}
-	retract := func() (string, error) {
-		keys := make([]string, 0, len(facts))
-		for k := range facts {
-			keys = append(keys, k)
-		}
+	retract := func(in *inputs) []event {
+		keys := slices.Sorted(maps.Keys(in.facts))
 		if len(keys) == 0 {
-			return "retract nothing", nil
+			return nil
 		}
-		sort.Strings(keys)
-		f := facts[keys[r.Intn(len(keys))]]
-		delete(facts, f.tuple.Key())
-		return fmt.Sprintf("retract %s", f.tuple), d.Retract(f.node, f.tuple)
+		f := in.facts[keys[r.Intn(len(keys))]]
+		return []event{{op: "retract", node: f.node, tuples: []data.Tuple{f.tuple}}}
 	}
-	advance := func() (string, error) {
-		dt := float64(1 + r.Intn(4))
-		clock += dt
-		return fmt.Sprintf("advance %v", dt), d.Advance(dt)
-	}
-	check("start")
-	for step := 0; step < 60; step++ {
-		var what string
-		var err error
-		switch r.Intn(5) {
-		case 0, 1:
-			what, err = inject()
-		case 2:
-			what, err = retract()
-		case 3:
-			what, err = advance()
-		default:
-			err = inOneBatch(d, func() error {
-				w1, err := retract()
-				if err != nil {
-					return err
-				}
-				w2, err := advance()
-				what = w1 + ", " + w2 + " in one batch"
-				return err
-			})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("step %d (%s)", step, what))
-	}
+	advance := func() event { return event{op: "advance", dt: float64(1 + r.Intn(4))} }
+	script{
+		cfg:   Config{Source: windowProgram, ExtraNodes: nodes},
+		shape: only("changes"),
+		pump:  true,
+		steps: 61,
+		next: func(i int, in *inputs) []event {
+			if i == 0 {
+				return nil
+			}
+			switch r.Intn(5) {
+			case 0, 1:
+				return []event{inject()}
+			case 2:
+				return retract(in)
+			case 3:
+				return []event{advance()}
+			default:
+				return append(retract(in), advance())
+			}
+		},
+		check: func(m moment) {
+			if m.n.Clock() != m.in.clock {
+				t.Fatalf("step %d %s: clock %v, want %v", m.step, m.what, m.n.Clock(), m.in.clock)
+			}
+			if got, want := strings.Join(m.live, ""), strings.Join(m.fresh, ""); got != want {
+				t.Fatalf("step %d %s at t=%v: the window counts\n%sa fresh network on the unexpired events counts\n%s", m.step, m.what, m.in.clock, got, want)
+			}
+		},
+	}.run(t)
 }
 
 // receiverProgram ships each sender's soft events to r, where tally
@@ -378,187 +291,123 @@ a1 alert(@R,S,N) :- tally(@R,S,N).
 `
 
 // runReceiverScript drives receiverProgram: a seeded script when r is
-// set, else the fixed script below. The model is the senders' live
-// events and r's trust facts. After every quiescence r's tally must be
-// the recount of its live body rows and alert must follow it: a group
+// set, else the fixed script below, after two steps that trust both
+// senders. The model is the script's inputs: the senders' live events
+// and r's trust facts. After every quiescence r's tally must be the
+// recount of its live body rows and alert must follow it: a group
 // emptied by a retraction or by expiry loses its tally, and the repair
-// cascades the vanished head to alert.
+// cascades the vanished head to alert. Both also equal a fresh run's.
 func runReceiverScript(t *testing.T, r *rand.Rand) {
 	senders := []string{"s1", "s2"}
-	n, err := NewNetwork(Config{Source: receiverProgram, ExtraNodes: append([]string{"r"}, senders...)})
-	if err != nil {
-		t.Fatal(err)
+	evFact := func(s string, e int64) []data.Tuple {
+		return []data.Tuple{data.NewTuple("ev", data.Str(s), data.Str("r"), data.Int(e))}
 	}
-	d := n.Driver()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := d.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	clock := 0.0
-	events := map[string]map[int64]float64{} // sender → live event → created
-	trusted := map[string]bool{}
-	for _, s := range senders {
-		events[s] = map[int64]float64{}
-	}
-	count := func(s string) int {
-		if !trusted[s] {
-			return 0
+	trustFact := func(s string) []data.Tuple { return []data.Tuple{data.NewTuple("trust", data.Str("r"), data.Str(s))} }
+	trusted := func(in *inputs, s string) bool { return in.facts[trustFact(s)[0].Key()].node == "r" }
+	inject := func(s string, e int64) event { return event{op: "inject", node: s, tuples: evFact(s, e)} }
+	retractEv := func(s string, e int64) event { return event{op: "retract", node: s, tuples: evFact(s, e)} }
+	setTrust := func(s string, on bool) event {
+		if on {
+			return event{op: "inject", node: "r", tuples: trustFact(s)}
 		}
-		c := 0
-		for _, created := range events[s] {
-			if clock < created+8 {
-				c++
+		return event{op: "retract", node: "r", tuples: trustFact(s)}
+	}
+	advance := func(dt float64) event { return event{op: "advance", dt: dt} }
+	// live lists s's live events, in order.
+	live := func(in *inputs, s string) []int64 {
+		var out []int64
+		for _, f := range in.live() {
+			if f.node == s {
+				out = append(out, f.tuple.Args[2].AsInt())
 			}
 		}
-		return c
+		slices.Sort(out)
+		return out
+	}
+
+	// Two retractions, each queued in one batch with an advance that
+	// expires the rows they empty a group of: a withdrawal r imports from
+	// s1, and a trust fact retracted at r itself. The batch's
+	// over-deletion and expiry share one repair, which must cascade the
+	// vanished tally to alert; the last advance empties the groups by
+	// expiry alone. Injected events are always new: a re-inserted live
+	// event would restart its TTL at the sender only.
+	steps := [][]event{
+		{setTrust("s1", true)},
+		{setTrust("s2", true)},
+		{inject("s1", 1)}, // at t=0
+		{inject("s2", 2)}, // at t=0
+		{advance(4)},
+		{inject("s2", 3)},                   // at t=4
+		{retractEv("s1", 1), advance(5)},    // ev 1 withdrawn, then ev 1 and 2 expire
+		{inject("s1", 4)},                   // at t=9
+		{setTrust("s2", false), advance(4)}, // s2 distrusted, then ev 3 expires
+		{setTrust("s2", true)},
+		{inject("s2", 5)}, // at t=13
+		{advance(20)},     // the rest lapses
+	}
+	if r != nil {
+		steps = append(steps[:2], make([][]event, 60)...) // drawn as they come
 	}
 	nextEv := int64(0)
-	evFact := func(s string, e int64) data.Tuple {
-		return data.NewTuple("ev", data.Str(s), data.Str("r"), data.Int(e))
-	}
-	trustFact := func(s string) data.Tuple { return data.NewTuple("trust", data.Str("r"), data.Str(s)) }
-
-	// Each op updates the model as the driver will apply it, and queues
-	// the event. Injected events are always new: a re-inserted live event
-	// would restart its TTL at the sender only.
-	inject := func(s string) (string, error) {
-		nextEv++
-		events[s][nextEv] = clock
-		return fmt.Sprintf("inject ev %d at %s", nextEv, s), d.Inject(s, evFact(s, nextEv))
-	}
-	retractEv := func(s string, e int64) (string, error) {
-		delete(events[s], e)
-		return fmt.Sprintf("retract ev %d at %s", e, s), d.Retract(s, evFact(s, e))
-	}
-	setTrust := func(s string, on bool) (string, error) {
-		trusted[s] = on
-		if on {
-			return "trust " + s, d.Inject("r", trustFact(s))
-		}
-		return "distrust " + s, d.Retract("r", trustFact(s))
-	}
-	advance := func(dt float64) (string, error) {
-		clock += dt
-		return fmt.Sprintf("advance %v", dt), d.Advance(dt)
-	}
-	batch := func(ops ...func() (string, error)) (string, error) {
-		var what []string
-		err := inOneBatch(d, func() error {
-			for _, op := range ops {
-				w, err := op()
-				what = append(what, w)
-				if err != nil {
-					return err
+	script{
+		cfg:   Config{Source: receiverProgram, ExtraNodes: append([]string{"r"}, senders...)},
+		shape: only("tally", "alert"),
+		pump:  true,
+		steps: len(steps),
+		next: func(i int, in *inputs) []event {
+			if steps[i] != nil {
+				return steps[i]
+			}
+			s := senders[r.Intn(len(senders))]
+			evs := live(in, s)
+			dt := float64(1 + r.Intn(4))
+			switch op := r.Intn(8); {
+			case op <= 2:
+				nextEv++
+				return []event{inject(s, nextEv)}
+			case op == 3 && len(evs) > 0:
+				return []event{retractEv(s, evs[r.Intn(len(evs))]), advance(dt)}
+			case op == 4:
+				return []event{setTrust(s, !trusted(in, s)), advance(dt)}
+			case op == 5:
+				return []event{setTrust(s, !trusted(in, s))}
+			case op == 6 && len(evs) > 0:
+				return []event{retractEv(s, evs[r.Intn(len(evs))])}
+			default:
+				return []event{advance(dt)}
+			}
+		},
+		check: func(m moment) {
+			for _, s := range senders {
+				var tally, alert []string
+				for _, tu := range m.n.Tuples("r", "tally") {
+					if tu.Args[1].Str == s {
+						tally = append(tally, tu.String())
+					}
+				}
+				for _, tu := range m.n.Tuples("r", "alert") {
+					if tu.Args[1].Str == s {
+						alert = append(alert, tu.String())
+					}
+				}
+				var want []string
+				if c := len(live(m.in, s)); c > 0 && trusted(m.in, s) {
+					want = []string{fmt.Sprintf("tally(r, %s, %d)", s, c)}
+				}
+				if fmt.Sprint(tally) != fmt.Sprint(want) {
+					t.Fatalf("step %d %s at t=%v: tally for %s is %v, a recount of r's live rows gives %v", m.step, m.what, m.in.clock, s, tally, want)
+				}
+				for i := range want {
+					want[i] = "alert" + strings.TrimPrefix(want[i], "tally")
+				}
+				if fmt.Sprint(alert) != fmt.Sprint(want) {
+					t.Fatalf("step %d %s at t=%v: alert for %s is %v, want %v", m.step, m.what, m.in.clock, s, alert, want)
 				}
 			}
-			return nil
-		})
-		return strings.Join(what, ", ") + " in one batch", err
-	}
-
-	check := func(step string) {
-		t.Helper()
-		if _, err := d.AwaitQuiescence(ctx); err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		for _, s := range senders {
-			var tally, alert []string
-			for _, tu := range n.Tuples("r", "tally") {
-				if tu.Args[1].Str == s {
-					tally = append(tally, tu.String())
-				}
+			if got, want := strings.Join(m.live, ""), strings.Join(m.fresh, ""); got != want {
+				t.Fatalf("step %d %s at t=%v: r holds\n%sa fresh run on the live facts\n%s", m.step, m.what, m.in.clock, got, want)
 			}
-			for _, tu := range n.Tuples("r", "alert") {
-				if tu.Args[1].Str == s {
-					alert = append(alert, tu.String())
-				}
-			}
-			var want []string
-			if c := count(s); c > 0 {
-				want = []string{fmt.Sprintf("tally(r, %s, %d)", s, c)}
-			}
-			if fmt.Sprint(tally) != fmt.Sprint(want) {
-				t.Fatalf("%s at t=%v: tally for %s is %v, a recount of r's live rows gives %v", step, clock, s, tally, want)
-			}
-			for i := range want {
-				want[i] = "alert" + strings.TrimPrefix(want[i], "tally")
-			}
-			if fmt.Sprint(alert) != fmt.Sprint(want) {
-				t.Fatalf("%s at t=%v: alert for %s is %v, want %v", step, clock, s, alert, want)
-			}
-		}
-	}
-
-	run := func(step string, what string, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(step + " (" + what + ")")
-	}
-	for _, s := range senders {
-		what, err := setTrust(s, true)
-		run("setup", what, err)
-	}
-	if r == nil {
-		// Two retractions, each queued in one batch with an advance that
-		// expires the rows they empty a group of: a withdrawal r imports
-		// from s1, and a trust fact retracted at r itself. The batch's
-		// over-deletion and expiry share one repair, which must cascade
-		// the vanished tally to alert; the last advance empties the
-		// groups by expiry alone.
-		steps := []func() (string, error){
-			func() (string, error) { return inject("s1") }, // ev 1 at t=0
-			func() (string, error) { return inject("s2") }, // ev 2 at t=0
-			func() (string, error) { return advance(4) },   // t=4
-			func() (string, error) { return inject("s2") }, // ev 3 at t=4
-			func() (string, error) { // ev 1 withdrawn, then ev 1 and 2 expire
-				return batch(func() (string, error) { return retractEv("s1", 1) }, func() (string, error) { return advance(5) })
-			},
-			func() (string, error) { return inject("s1") }, // ev 4 at t=9
-			func() (string, error) { // s2 distrusted, then ev 3 expires
-				return batch(func() (string, error) { return setTrust("s2", false) }, func() (string, error) { return advance(4) })
-			},
-			func() (string, error) { return setTrust("s2", true) },
-			func() (string, error) { return inject("s2") }, // ev 5 at t=13
-			func() (string, error) { return advance(20) },  // the rest lapses
-		}
-		for i, op := range steps {
-			what, err := op()
-			run(fmt.Sprintf("step %d", i), what, err)
-		}
-		return
-	}
-	for step := 0; step < 60; step++ {
-		s := senders[r.Intn(len(senders))]
-		var live []int64
-		for e, created := range events[s] {
-			if clock < created+8 {
-				live = append(live, e)
-			}
-		}
-		sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-		dt := float64(1 + r.Intn(4))
-		var what string
-		var err error
-		switch op := r.Intn(8); {
-		case op <= 2:
-			what, err = inject(s)
-		case op == 3 && len(live) > 0:
-			e := live[r.Intn(len(live))]
-			what, err = batch(func() (string, error) { return retractEv(s, e) }, func() (string, error) { return advance(dt) })
-		case op == 4:
-			what, err = batch(func() (string, error) { return setTrust(s, !trusted[s]) }, func() (string, error) { return advance(dt) })
-		case op == 5:
-			what, err = setTrust(s, !trusted[s])
-		case op == 6 && len(live) > 0:
-			what, err = retractEv(s, live[r.Intn(len(live))])
-		default:
-			what, err = advance(dt)
-		}
-		run(fmt.Sprintf("step %d", step), what, err)
-	}
+		},
+	}.run(t)
 }

@@ -25,22 +25,6 @@ func paperGraph() *topo.Graph {
 	})
 }
 
-func mustRun(t *testing.T, cfg Config) (*Network, *Report) {
-	t.Helper()
-	if cfg.KeyBits == 0 {
-		cfg.KeyBits = 512 // small keys keep unit tests fast
-	}
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := n.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, rep
-}
-
 func TestReachableNDlogPaperTopology(t *testing.T) {
 	n, rep := mustRun(t, Config{Source: ReachableNDlog, Graph: paperGraph()})
 	got := n.Tuples("a", "reachable")

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"io/fs"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -16,23 +17,6 @@ import (
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
-
-// snapshotPreds renders the named predicates across all nodes, for
-// comparing the semantic outputs of two runs (the path candidate table
-// legitimately differs between an incremental re-convergence and a
-// restart: aggregate selection stores an order-dependent subset).
-func snapshotPreds(n *Network, preds ...string) string {
-	var b strings.Builder
-	for _, name := range n.Nodes() {
-		node := n.Node(name)
-		for _, pred := range preds {
-			for _, tu := range node.Engine.Tuples(pred) {
-				fmt.Fprintf(&b, "%s: %s\n", name, tu)
-			}
-		}
-	}
-	return b.String()
-}
 
 // TestLiveMatchesBatch pins the compatibility half of the lifecycle API:
 // driving the §6 Best-Path workload through Start/AwaitQuiescence yields
@@ -70,7 +54,7 @@ func TestLiveMatchesBatch(t *testing.T) {
 			}
 			defer d.Close()
 
-			if a, b := snapshot(t, nBatch), snapshot(t, nLive); a != b {
+			if a, b := render(nBatch, shape{}), render(nLive, shape{}); a != b {
 				t.Fatalf("tables differ\n--- batch ---\n%s--- live ---\n%s", a, b)
 			}
 			if repBatch.Rounds != repLive.Rounds {
@@ -204,52 +188,72 @@ func TestCutRestoreShipsNoIdleWithdrawals(t *testing.T) {
 }
 
 // TestCutMatchesFreshAcrossPrograms drives the paper's programs through
-// a script of link cuts and restores on the live Driver, under AuthNone
-// and AuthRSA, and after every quiescence holds the tie-free tables to a
-// fresh Run(0) over the links of that moment. SeNDlog's s3 ships to the
-// destination its @Z binds, and RSA makes every head carry its asserter:
-// the repair's re-derivation must rebuild both. bestRoute is compared on
-// (S,D,C) only, since which of two equal-cost routes survives depends on
-// arrival order.
+// the cut script on the live Driver, under AuthNone on five graphs
+// (seeds 4–8) and AuthRSA on the first, and after every quiescence holds
+// the tie-free tables to a fresh Run(0) over the links of that moment.
+// SeNDlog's s3 ships to the destination its @Z binds, and RSA makes
+// every head carry its asserter: the repair's re-derivation must rebuild
+// both.
 //
-// DistanceVector is not in the list: it does not re-converge to the fresh
-// tables after a cut. A neighbour's dvCost that rises arrives as a
-// primary-key replacement, which retracts nothing, and the dv row it
-// should replace survives because aggregate selection shadows the worse
-// replacement (ROADMAP item 11). TestDistanceVectorCutDivergence pins
-// what it gets wrong.
+// DistanceVector is not in the list, and PathVector runs seeds 4–6
+// only: neither re-converges to the fresh tables after some cuts. A
+// neighbour's cost that rises arrives as a primary-key replacement,
+// which retracts nothing, and the row it should replace survives because
+// aggregate selection shadows the worse replacement (ROADMAP item 11).
+// TestDistanceVectorCutDivergence and TestPathVectorCutDivergence pin
+// what they get wrong.
 func TestCutMatchesFreshAcrossPrograms(t *testing.T) {
 	programs := []struct {
 		name, source string
-		tables       []cutTable
+		shape        shape
+		seeds        []int64
 	}{
-		{"ReachableNDlog", ReachableNDlog, []cutTable{{"reachable", nil}}},
-		{"ReachableSeNDlog", ReachableSeNDlog, []cutTable{{"reachable", nil}}},
-		{"PathVector", PathVector, []cutTable{{"rCost", nil}, {"bestRoute", []int{0, 1, 3}}}},
+		{"ReachableNDlog", ReachableNDlog, only("reachable"), cutSeeds},
+		{"ReachableSeNDlog", ReachableSeNDlog, only("reachable"), cutSeeds},
+		{"PathVector", PathVector, routeCosts, cutSeeds[:3]},
+		{"BestPath", BestPath, pathCosts, cutSeeds},
 	}
 	for _, prog := range programs {
 		for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeRSA} {
+			seeds := prog.seeds
+			if scheme == auth.SchemeRSA {
+				seeds = seeds[:1] // a network's RSA keys cost about 40 ms: the asserters on one graph
+			}
 			t.Run(fmt.Sprintf("%s/%s", prog.name, scheme), func(t *testing.T) {
-				runCutScript(t, Config{Source: prog.source, Auth: scheme, KeyBits: 512}, prog.tables,
-					func(step int, l topo.Link, cut bool, live, fresh []string) {
-						got, want := strings.Join(live, ""), strings.Join(fresh, "")
-						if got != want {
-							t.Fatalf("step %d (%s→%s cut=%v): live tables differ from a fresh run\n--- live ---\n%s--- fresh ---\n%s", step, l.From, l.To, cut, got, want)
-						}
-						if len(live) == 0 {
-							t.Fatalf("step %d: no rows to compare", step)
-						}
+				for _, seed := range seeds {
+					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+						cutScript(t, Config{Source: prog.source, Auth: scheme, KeyBits: 512}, seed, prog.shape, func(m moment) {
+							got, want := strings.Join(m.live, ""), strings.Join(m.fresh, "")
+							if got != want {
+								t.Fatalf("step %d %s: live tables differ from a fresh run\n--- live ---\n%s--- fresh ---\n%s", m.step, m.what, got, want)
+							}
+							if len(m.live) == 0 {
+								t.Fatalf("step %d: no rows to compare", m.step)
+							}
+						})
 					})
+				}
 			})
 		}
 	}
 }
 
+// cutSeeds are the topology seeds the cut script runs on.
+var cutSeeds = []int64{4, 5, 6, 7, 8}
+
+// routeCosts and pathCosts are PathVector's and Best-Path's tie-free
+// tables: which of two equal-cost routes survives depends on arrival
+// order, so bestRoute and bestPath render as (S,D,C).
+var (
+	routeCosts = shape{preds: []string{"rCost", "bestRoute"}, cols: map[string][]int{"bestRoute": {0, 1, 3}}}
+	pathCosts  = shape{preds: []string{"spCost", "bestPath"}, cols: map[string][]int{"bestPath": {0, 1, 3}}}
+)
+
 // TestDistanceVectorCutDivergence runs TestCutMatchesFreshAcrossPrograms's
-// script on DistanceVector (AuthNone) and pins, per step, the dv and
-// dvCost rows the cut run has that a fresh run lacks (+) and lacks that
-// it has (-): ROADMAP item 11's wrong answer, held exactly so that a
-// change to retraction shows up here. Item 11 makes every step's diff
+// script on DistanceVector (AuthNone, seed 4) and pins, per step, the dv
+// and dvCost rows the cut run has that a fresh run lacks (+) and lacks
+// that it has (-): ROADMAP item 11's wrong answer, held exactly so that
+// a change to retraction shows up here. Item 11 makes every step's diff
 // empty and moves DistanceVector into the test above.
 //
 // Over-deletion that evaluates the rules on the dying rows differs from
@@ -402,105 +406,155 @@ func TestDistanceVectorCutDivergence(t *testing.T) {
 -n2: dv(n2, n7, n3, 17)
 `,
 	}
-	runCutScript(t, Config{Source: DistanceVector}, []cutTable{{"dv", nil}, {"dvCost", nil}},
-		func(step int, l topo.Link, cut bool, live, fresh []string) {
-			var diff []string
-			for _, r := range live {
-				if !slices.Contains(fresh, r) {
-					diff = append(diff, "+"+r)
+	cutScript(t, Config{Source: DistanceVector}, 4, only("dv", "dvCost"), func(m moment) {
+		if got := diffRows(m.live, m.fresh); got != want[m.step] {
+			t.Errorf("step %d %s: cut run against a fresh run\n--- got ---\n%s--- want ---\n%s", m.step, m.what, got, want[m.step])
+		}
+	})
+}
+
+// TestPathVectorCutDivergence is item 11's second witness: PathVector
+// under the cut script (AuthNone) on the two graphs where it does not
+// re-converge, pinned per step like TestDistanceVectorCutDivergence. On
+// seed 7, cutting n2→n3 leaves n2 a route costing 13 where a fresh run
+// has 15; on seed 8, cutting n0→n1 leaves n0 and n7 routes to n2
+// cheaper than a fresh run's. A rising route cost arrives as a
+// primary-key replacement, which retracts nothing. Item 11 empties both
+// and moves the seeds into TestCutMatchesFreshAcrossPrograms.
+func TestPathVectorCutDivergence(t *testing.T) {
+	// Each seed's diff stays the same from the cut that makes it until
+	// the restore that takes it away.
+	seed7 := `
++n2: rCost(n2, n4, 13)
++n2: bestRoute(n2, n4, 13)
+-n2: rCost(n2, n4, 15)
+-n2: bestRoute(n2, n4, 15)
+`
+	seed8 := `
++n0: rCost(n0, n2, 9)
++n0: bestRoute(n0, n2, 9)
++n7: rCost(n7, n2, 10)
++n7: bestRoute(n7, n2, 10)
+-n0: rCost(n0, n2, 19)
+-n0: bestRoute(n0, n2, 19)
+-n7: rCost(n7, n2, 15)
+-n7: bestRoute(n7, n2, 15)
+`
+	want := map[int64][]string{
+		7: {"\n", "\n", seed7, seed7, seed7, "\n"},
+		8: {seed8, seed8, seed8, seed8, "\n", "\n"},
+	}
+	for _, seed := range []int64{7, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cutScript(t, Config{Source: PathVector}, seed, routeCosts, func(m moment) {
+				if got := diffRows(m.live, m.fresh); got != want[seed][m.step] {
+					t.Errorf("step %d %s: cut run against a fresh run\n--- got ---\n%s--- want ---\n%s", m.step, m.what, got, want[seed][m.step])
 				}
-			}
-			for _, r := range fresh {
-				if !slices.Contains(live, r) {
-					diff = append(diff, "-"+r)
-				}
-			}
-			if got := "\n" + strings.Join(diff, ""); got != want[step] {
-				t.Errorf("step %d (%s→%s cut=%v): cut run against a fresh run\n--- got ---\n%s--- want ---\n%s", step, l.From, l.To, cut, got, want[step])
-			}
+			})
 		})
+	}
 }
 
-// cutTable is one predicate a cut script compares, and the argument
-// positions compared (nil: all of them).
-type cutTable struct {
-	pred string
-	cols []int
-}
-
-// runCutScript builds cfg's program on RandomConnected{N 8, degree 3,
-// MaxCost 10, Seed 4} behind a live Driver and toggles one link a step:
-// cut the first three, restore the second, then restore the rest. After
-// every quiescence it hands check the compared rows of the live network
-// and of a fresh Run(0) over the links of that moment, one
-// "node: tuple\n" line each, in node and table order.
-func runCutScript(t *testing.T, cfg Config, tables []cutTable, check func(step int, l topo.Link, cut bool, live, fresh []string)) {
-	t.Helper()
-	g := topo.RandomConnected(topo.Options{N: 8, AvgOutDegree: 3, MaxCost: 10, Seed: 4})
-	script := []struct {
-		link int
-		cut  bool
-	}{{0, true}, {1, true}, {2, true}, {1, false}, {0, false}, {2, false}}
-	snapshot := func(n *Network) []string {
-		var rows []string
-		for _, name := range n.Nodes() {
-			for _, tb := range tables {
-				for _, tu := range n.Node(name).Engine.Tuples(tb.pred) {
-					if cols := tb.cols; cols != nil {
-						args := make([]data.Value, len(cols))
-						for i, c := range cols {
-							args[i] = tu.Args[c]
+// TestProvenanceMatchesFresh holds provenance after churn to a fresh
+// run (ROADMAP item 22(a)). It plays the cut script under ModeCondensed
+// on seeds 4–6 and, after every step, compares each fact's FactPoly with
+// a fresh run's: reachable, and for Best-Path spCost and bestPath's
+// (S,D,C). The diffs are pinned as they stand: for each program and seed
+// where the cut run differs, testdata/provenance/<program>-seed<N>.txt
+// lists, step by step, the facts and polynomials it has (+) and lacks
+// (-) against the fresh run; a program and seed without a file match at
+// every step. AuthRSA reads as AuthNone. Item 22(b) and (c) empty the
+// files, which then go.
+//
+// ReachableNDlog differs on every seed until the last restore: a row
+// that loses one derivation and keeps another keeps the lost one's term
+// (after n0→n1 is cut on seed 4, n0 keeps reachable(n0, n1) <n0>).
+// ReachableSeNDlog keeps one row per asserter and matches. Best-Path
+// differs on seed 6 only: after n2→n3 is cut, spCost(n2, n7, 7) keeps
+// the witness <n2*n3> where the fresh run has <n2*n6> at the same cost,
+// and after the last restore bestPath(n2, n7, 7) still reads
+// <n2*n3*n6>.
+//
+// The local subtest checks ModeLocal's soundness on ReachableNDlog:
+// every leaf of every derivation tree should be a link of the moment's
+// graph. The trees that cite a cut link are counted and pinned per step.
+func TestProvenanceMatchesFresh(t *testing.T) {
+	programs := []struct {
+		name, source string
+		shape        shape
+	}{
+		{"ReachableNDlog", ReachableNDlog, only("reachable")},
+		{"ReachableSeNDlog", ReachableSeNDlog, only("reachable")},
+		{"BestPath", BestPath, pathCosts},
+	}
+	for _, prog := range programs {
+		for _, scheme := range []auth.Scheme{auth.SchemeNone, auth.SchemeRSA} {
+			seeds := []int64{4, 5, 6}
+			if scheme == auth.SchemeRSA {
+				seeds = []int64{4, 6}
+			}
+			t.Run(fmt.Sprintf("%s/%s", prog.name, scheme), func(t *testing.T) {
+				for _, seed := range seeds {
+					t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+						want, err := os.ReadFile(fmt.Sprintf("testdata/provenance/%s-seed%d.txt", prog.name, seed))
+						if err != nil && !errors.Is(err, fs.ErrNotExist) {
+							t.Fatal(err)
 						}
-						tu.Args = args
-					}
-					rows = append(rows, fmt.Sprintf("%s: %s\n", name, tu))
+						var got strings.Builder
+						cfg := Config{Source: prog.source, Auth: scheme, KeyBits: 512, Prov: provenance.ModeCondensed}
+						polys := prog.shape
+						polys.poly = true
+						cutScript(t, cfg, seed, polys, func(m moment) {
+							if len(m.live) == 0 {
+								t.Fatalf("step %d: no rows to compare", m.step)
+							}
+							if diff := diffRows(m.live, m.fresh); diff != "\n" {
+								fmt.Fprintf(&got, "step %d %s:%s", m.step, m.what, diff)
+							}
+						})
+						if got.String() != string(want) {
+							t.Errorf("provenance after the cuts against a fresh run's\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+						}
+					})
 				}
+			})
+		}
+	}
+	t.Run("ReachableNDlog/local", func(t *testing.T) {
+		unsound := map[int64][]int{
+			4: {21, 29, 47, 46, 31, 0},
+			5: {15, 44, 48, 32, 21, 0},
+			6: {27, 35, 39, 32, 16, 0},
+		}
+		for _, seed := range []int64{4, 5, 6} {
+			var got []int
+			cutScript(t, Config{Source: ReachableNDlog, Prov: provenance.ModeLocal}, seed, only("reachable"), func(m moment) {
+				links := map[[2]string]bool{}
+				for _, l := range m.in.graph().Links {
+					links[[2]string{l.From, l.To}] = true
+				}
+				bad := 0
+				for _, name := range m.n.Nodes() {
+					for _, tu := range m.n.Tuples(name, "reachable") {
+						tree, _, err := m.n.DerivationTree(name, tu, provenance.QueryOpts{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, leaf := range tree.Leaves() {
+							if leaf.Pred != "link" || !links[[2]string{leaf.Args[0].Str, leaf.Args[1].Str}] {
+								bad++
+								break
+							}
+						}
+					}
+				}
+				got = append(got, bad)
+			})
+			if fmt.Sprint(got) != fmt.Sprint(unsound[seed]) {
+				t.Errorf("seed %d: trees citing a cut link, per step: %v, want %v", seed, got, unsound[seed])
 			}
 		}
-		return rows
-	}
-	cfg.Graph = g
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := n.Driver()
-	ctx := context.Background()
-	if _, err := d.AwaitQuiescence(ctx); err != nil {
-		t.Fatal(err)
-	}
-	cut := make([]bool, len(g.Links))
-	for step, s := range script {
-		l := g.Links[s.link]
-		if s.cut {
-			err = d.CutLink(l.From, l.To)
-		} else {
-			err = d.SetLink(l.From, l.To, l.Cost)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.AwaitQuiescence(ctx); err != nil {
-			t.Fatal(err)
-		}
-		cut[s.link] = s.cut
-		now := &topo.Graph{Nodes: g.Nodes}
-		for i, l := range g.Links {
-			if !cut[i] {
-				now.Links = append(now.Links, l)
-			}
-		}
-		freshCfg := cfg
-		freshCfg.Graph = now
-		fresh, err := NewNetwork(freshCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fresh.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		check(step, l, s.cut, snapshot(n), snapshot(fresh))
-	}
+	})
 }
 
 // TestCutLinkReconverges is the tentpole acceptance test: after CutLink,
@@ -510,7 +564,7 @@ func runCutScript(t *testing.T, cfg Config, tables []cutTable, check func(step i
 // costs measurably fewer rounds and bytes than that restart.
 func TestCutLinkReconverges(t *testing.T) {
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 9})
-	cfg := Config{Source: BestPath, Graph: g, Auth: auth.SchemeRSA}
+	cfg := Config{Source: BestPath, Graph: g, Auth: auth.SchemeRSA, KeyBits: 512} // the restart's key size
 	n, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -546,23 +600,9 @@ func TestCutLinkReconverges(t *testing.T) {
 	}
 
 	// The re-converged routing state equals a restart on the cut topology.
-	rest := &topo.Graph{Nodes: g.Nodes}
-	for _, l := range g.Links {
-		if l != cut {
-			rest.Links = append(rest.Links, l)
-		}
-	}
-	cfgRest := cfg
-	cfgRest.Graph = rest
-	nRest, err := NewNetwork(cfgRest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repRest, err := nRest.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := snapshotPreds(n, "bestPath", "spCost"), snapshotPreds(nRest, "bestPath", "spCost"); a != b {
+	cfg.Graph = without(g, cut)
+	nRest, repRest := mustRun(t, cfg)
+	if a, b := render(n, only("bestPath", "spCost")), render(nRest, only("bestPath", "spCost")); a != b {
 		t.Fatalf("re-converged tables differ from restart\n--- live ---\n%s--- restart ---\n%s", a, b)
 	}
 
@@ -610,22 +650,9 @@ func TestCutLinkAcrossTransports(t *testing.T) {
 			if _, err := d.AwaitQuiescence(ctx); err != nil {
 				t.Fatal(err)
 			}
-			rest := &topo.Graph{Nodes: g.Nodes}
-			for _, l := range g.Links {
-				if l != cut {
-					rest.Links = append(rest.Links, l)
-				}
-			}
-			cfgRest := cfg
-			cfgRest.Graph = rest
-			nRest, err := NewNetwork(cfgRest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := nRest.Run(0); err != nil {
-				t.Fatal(err)
-			}
-			if a, b := snapshotPreds(n, "bestPath", "spCost"), snapshotPreds(nRest, "bestPath", "spCost"); a != b {
+			cfg.Graph = without(g, cut)
+			nRest, _ := mustRun(t, cfg)
+			if a, b := render(n, only("bestPath", "spCost")), render(nRest, only("bestPath", "spCost")); a != b {
 				t.Fatalf("re-converged tables differ from restart\n--- live ---\n%s--- restart ---\n%s", a, b)
 			}
 		})
@@ -733,7 +760,7 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nRef, _ := mustRun(t, cfg)
-	if a, b := snapshot(t, n), snapshot(t, nRef); a != b {
+	if a, b := render(n, shape{}), render(nRef, shape{}); a != b {
 		t.Fatalf("tables after cancel+resume differ from a clean run\n--- resumed ---\n%s--- clean ---\n%s", a, b)
 	}
 }

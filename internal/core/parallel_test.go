@@ -1,29 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"provnet/internal/auth"
 	"provnet/internal/provenance"
 	"provnet/internal/topo"
 )
-
-// snapshot renders every node's live tables into one comparable string.
-func snapshot(t *testing.T, n *Network) string {
-	t.Helper()
-	var b strings.Builder
-	for _, name := range n.Nodes() {
-		node := n.Node(name)
-		for _, pred := range node.Engine.Predicates() {
-			for _, tu := range node.Engine.Tuples(pred) {
-				fmt.Fprintf(&b, "%s: %s\n", name, tu)
-			}
-		}
-	}
-	return b.String()
-}
 
 // TestParallelMatchesSequential asserts the tentpole invariant: the
 // parallel worker-pool scheduler produces exactly the same fixpoint
@@ -72,7 +55,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				par.Unbatched = unbatched
 				nPar, repPar := mustRun(t, par)
 
-				if a, b := snapshot(t, nSeq), snapshot(t, nPar); a != b {
+				if a, b := render(nSeq, shape{}), render(nPar, shape{}); a != b {
 					t.Fatalf("fixpoint tables differ\n--- sequential ---\n%s--- parallel ---\n%s", a, b)
 				}
 				if repSeq.Rounds != repPar.Rounds {
@@ -109,7 +92,7 @@ func TestBatchingReducesMessagesAndBytes(t *testing.T) {
 	unbatched.Unbatched = true
 	nU, repU := mustRun(t, unbatched)
 
-	if a, b := snapshot(t, nB), snapshot(t, nU); a != b {
+	if a, b := render(nB, shape{}), render(nU, shape{}); a != b {
 		t.Fatal("wire format must not change the fixpoint")
 	}
 	if repB.Messages >= repU.Messages {

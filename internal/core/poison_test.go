@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -67,15 +65,7 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 
 func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bool) {
 	g := topo.RandomConnected(topo.Options{N: 12, AvgOutDegree: 3, MaxCost: 10, Seed: 6})
-	without := func(cut ...topo.Link) *topo.Graph {
-		kept := &topo.Graph{Nodes: g.Nodes}
-		for _, k := range g.Links {
-			if !slices.Contains(cut, k) {
-				kept.Links = append(kept.Links, k)
-			}
-		}
-		return kept
-	}
+	everything := shape{view: true} // every table, and the view's rows with their provenance
 	cuts := g.Links[:8]
 	// The landed-withdrawal leg: x→y, and a link of y's to another node.
 	xy := g.Links[0]
@@ -96,26 +86,10 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 			t.Fatal(err)
 		}
 		d := n.Driver()
-		snap := func() string {
-			var b strings.Builder
-			view := d.ReadView()
-			for _, name := range n.Nodes() {
-				e := n.Node(name).Engine
-				for _, pred := range e.Predicates() {
-					for _, tu := range e.Tuples(pred) {
-						fmt.Fprintf(&b, "%s: %s\n", name, tu)
-					}
-					for _, row := range view.Rows(name, pred) {
-						fmt.Fprintf(&b, "%s view: %s %s\n", name, row.Tuple, row.Prov)
-					}
-				}
-			}
-			return b.String()
-		}
 		if _, err := n.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		snaps, tables, graphs = []string{snap()}, []string{oracleRows(t, n, g)}, []*topo.Graph{g}
+		snaps, tables, graphs = []string{render(n, everything)}, []string{render(n, tieFree(t, g))}, []*topo.Graph{g}
 		ctx := context.Background()
 		settle := func(err error, now *topo.Graph) {
 			t.Helper()
@@ -125,10 +99,10 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps, tables, graphs = append(snaps, snap()), append(tables, oracleRows(t, n, now)), append(graphs, now)
+			snaps, tables, graphs = append(snaps, render(n, everything)), append(tables, render(n, tieFree(t, now))), append(graphs, now)
 		}
 		for _, l := range cuts {
-			settle(d.CutLink(l.From, l.To), without(l))
+			settle(d.CutLink(l.From, l.To), without(g, l))
 			settle(d.SetLink(l.From, l.To, l.Cost), g)
 		}
 		x := n.Node(xy.From)
@@ -145,7 +119,7 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 		if len(n.Node(xy.To).pendingRetract) == 0 || !n.Node(xy.To).Engine.HasPendingRetract() {
 			t.Fatalf("%s→%s's withdrawal left %s nothing to ship or repair", xy.From, xy.To, xy.To)
 		}
-		settle(d.CutLink(yz.From, yz.To), without(xy, yz))
+		settle(d.CutLink(yz.From, yz.To), without(g, xy, yz))
 		settle(errors.Join(d.SetLink(xy.From, xy.To, xy.Cost), d.SetLink(yz.From, yz.To, yz.Cost)), g)
 		return snaps, tables, graphs
 	}
@@ -159,7 +133,7 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 		want := tables[0]
 		if now != g {
 			fresh, _ := mustRun(t, Config{Source: BestPath, Graph: now})
-			want = oracleRows(t, fresh, now)
+			want = render(fresh, tieFree(t, now))
 		}
 		if tables[i] != want {
 			t.Fatalf("step %d: poisoned scratch left\n%s\na fresh run on that step's links:\n%s", i, tables[i], want)
@@ -178,37 +152,33 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 	}
 }
 
-// oracleRows renders n's link and spCost rows and its bestPath rows'
-// (S,D,C), one "node: tuple" line each, after checking that every
-// bestPath row's path list is a walk of g's links from S to D costing C.
-func oracleRows(t *testing.T, n *Network, g *topo.Graph) string {
-	t.Helper()
+// tieFree is the shape of the rows a fresh run must reproduce: link,
+// spCost, and bestPath's (S,D,C), after checking that every bestPath
+// row's path list is a walk of g's links from S to D costing C.
+func tieFree(t *testing.T, g *topo.Graph) shape {
 	adj := g.Adjacency()
-	var b strings.Builder
-	for _, name := range n.Nodes() {
-		for _, pred := range []string{"link", "spCost", "bestPath"} {
-			for _, tu := range n.Tuples(name, pred) {
-				if pred == "bestPath" {
-					path := tu.Args[2].List
-					if len(path) < 2 || path[0].Str != tu.Args[0].Str || path[len(path)-1].Str != tu.Args[1].Str {
-						t.Fatalf("%s: %s: path does not run from S to D", name, tu)
-					}
-					var sum int64
-					for i := 0; i+1 < len(path); i++ {
-						c, ok := adj[path[i].Str][path[i+1].Str]
-						if !ok {
-							t.Fatalf("%s: %s: path uses missing link %s→%s", name, tu, path[i].Str, path[i+1].Str)
-						}
-						sum += c
-					}
-					if sum != tu.Args[3].AsInt() {
-						t.Fatalf("%s: %s: path costs %d", name, tu, sum)
-					}
-					tu.Args = []data.Value{tu.Args[0], tu.Args[1], tu.Args[3]}
-				}
-				fmt.Fprintf(&b, "%s: %s\n", name, tu)
+	return shape{
+		preds: []string{"link", "spCost", "bestPath"},
+		cols:  map[string][]int{"bestPath": {0, 1, 3}},
+		each: func(name string, tu data.Tuple) {
+			if tu.Pred != "bestPath" {
+				return
 			}
-		}
+			path := tu.Args[2].List
+			if len(path) < 2 || path[0].Str != tu.Args[0].Str || path[len(path)-1].Str != tu.Args[1].Str {
+				t.Fatalf("%s: %s: path does not run from S to D", name, tu)
+			}
+			var sum int64
+			for i := 0; i+1 < len(path); i++ {
+				c, ok := adj[path[i].Str][path[i+1].Str]
+				if !ok {
+					t.Fatalf("%s: %s: path uses missing link %s→%s", name, tu, path[i].Str, path[i+1].Str)
+				}
+				sum += c
+			}
+			if sum != tu.Args[3].AsInt() {
+				t.Fatalf("%s: %s: path costs %d", name, tu, sum)
+			}
+		},
 	}
-	return b.String()
 }

@@ -32,7 +32,7 @@ func TestTransportSchedulesMatch(t *testing.T) {
 	seqRSA.Sequential = true
 	seqRSA.Unbatched = true
 	nBase, repBase := mustRun(t, seqRSA)
-	want, wantRounds := snapshot(t, nBase), repBase.Rounds
+	want, wantRounds := render(nBase, shape{}), repBase.Rounds
 
 	schedules := []struct {
 		name string
@@ -48,7 +48,7 @@ func TestTransportSchedulesMatch(t *testing.T) {
 			cfg := base
 			s.mut(&cfg)
 			n, rep := mustRun(t, cfg)
-			if got := snapshot(t, n); got != want {
+			if got := render(n, shape{}); got != want {
 				t.Fatalf("fixpoint tables differ from sequential/per-tuple-RSA baseline\n--- want ---\n%s--- got ---\n%s", want, got)
 			}
 			if rep.Rounds != wantRounds {
@@ -111,7 +111,7 @@ func TestSessionRekeyBoundaries(t *testing.T) {
 	rekey.RekeyRounds = 1 // fresh keys every round: every boundary is a rekey boundary
 	nR, repR := mustRun(t, rekey)
 
-	if a, b := snapshot(t, nN), snapshot(t, nR); a != b {
+	if a, b := render(nN, shape{}), render(nR, shape{}); a != b {
 		t.Fatal("rekeying must not change the fixpoint")
 	}
 	if repR.Rounds != repN.Rounds {
@@ -157,7 +157,7 @@ func TestSessionRefusesSignedData(t *testing.T) {
 	if rep.RejectedSig != 1 {
 		t.Errorf("RejectedSig = %d, want 1", rep.RejectedSig)
 	}
-	if got, want := snapshot(t, n), snapshot(t, clean); got != want {
+	if got, want := render(n, shape{}), render(clean, shape{}); got != want {
 		t.Errorf("a per-envelope-signed frame reached a session network's tables\n--- clean ---\n%s--- got ---\n%s", want, got)
 	}
 }
@@ -170,7 +170,7 @@ func TestKindFlippedFrameRejected(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	n, _ := mustRun(t, cfg)
-	want := snapshot(t, n)
+	want := render(n, shape{})
 	said := &frame{kind: kindData, from: "b", items: []item{
 		{tuple: data.NewTuple("reachable", data.Str("b"), data.Str("c"))}}}
 	p, err := said.seal(new(roundScratch), n.sealer, "a")
@@ -188,7 +188,7 @@ func TestKindFlippedFrameRejected(t *testing.T) {
 	if rep.RejectedSig != 1 {
 		t.Errorf("RejectedSig = %d, want 1", rep.RejectedSig)
 	}
-	if got := snapshot(t, n); got != want {
+	if got := render(n, shape{}); got != want {
 		t.Errorf("a kind-flipped frame changed the tables\n--- before ---\n%s--- after ---\n%s", want, got)
 	}
 }
@@ -271,7 +271,7 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 	if rep.RejectedSig != int64(len(garbage)) {
 		t.Errorf("RejectedSig = %d, want %d (one per malformed datagram)", rep.RejectedSig, len(garbage))
 	}
-	if got, want := snapshot(t, n), snapshot(t, clean); got != want {
+	if got, want := render(n, shape{}), render(clean, shape{}); got != want {
 		t.Errorf("tables polluted by malformed input\n--- clean ---\n%s--- got ---\n%s", want, got)
 	}
 
@@ -317,7 +317,7 @@ func TestMalformedDatagramsAreDropped(t *testing.T) {
 			if rep.RejectedSig != int64(len(c.frames)) {
 				t.Errorf("RejectedSig = %d, want %d (one per frame)", rep.RejectedSig, len(c.frames))
 			}
-			if got, want := snapshot(t, n), snapshot(t, clean); got != want {
+			if got, want := render(n, shape{}), render(clean, shape{}); got != want {
 				t.Errorf("tables polluted by undecodable provenance\n--- clean ---\n%s--- got ---\n%s", want, got)
 			}
 		})
@@ -363,7 +363,7 @@ func TestSessionWithCondensedProvenance(t *testing.T) {
 		Prov:   provenance.ModeCondensed,
 	}
 	nB, _ := mustRun(t, base)
-	if a, b := snapshot(t, n), snapshot(t, nB); a != b {
+	if a, b := render(n, shape{}), render(nB, shape{}); a != b {
 		t.Fatal("session transport must not change condensed-provenance fixpoint")
 	}
 }

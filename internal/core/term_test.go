@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -83,7 +82,7 @@ func TestTerminationDeclaresOnCleanRun(t *testing.T) {
 	if err := td.Err(); err != nil {
 		t.Fatalf("control-frame send error: %v", err)
 	}
-	if a, b := snapshotPreds(n, "bestPath", "spCost"), snapshotPreds(nRef, "bestPath", "spCost"); a != b {
+	if a, b := render(n, only("bestPath", "spCost")), render(nRef, only("bestPath", "spCost")); a != b {
 		t.Fatalf("tables at declaration differ from batch reference\n--- live ---\n%s--- batch ---\n%s", a, b)
 	}
 }
@@ -144,7 +143,7 @@ func TestTerminationNoFalseFixpoint(t *testing.T) {
 			// Compare spCost only: min-cost is delivery-order independent,
 			// while the bestPath chosen between equal-cost ties is keyed
 			// last-writer-wins and legitimately differs under reordering.
-			if a, b := snapshotPreds(n, "spCost"), snapshotPreds(nRef, "spCost"); a != b {
+			if a, b := render(n, only("spCost")), render(nRef, only("spCost")); a != b {
 				t.Fatalf("tables at declaration differ from reference\n--- live ---\n%s--- ref ---\n%s", a, b)
 			}
 		})
@@ -200,8 +199,9 @@ func TestTerminationOverTCPReplaysNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range hosted[p] {
-			if a, b := fmt.Sprint(n.Tuples(name, "spCost")), fmt.Sprint(nRef.Tuples(name, "spCost")); a != b {
-				t.Errorf("%s at declaration: %s, want %s", name, a, b)
+			spCost := shape{node: name, preds: []string{"spCost"}}
+			if a, b := render(n, spCost), render(nRef, spCost); a != b {
+				t.Errorf("%s at declaration:\n%swant\n%s", name, a, b)
 			}
 		}
 		s := trs[p].Stats()
@@ -231,7 +231,7 @@ func TestIdleHeuristicFalseFixpoint(t *testing.T) {
 		Auth: auth.SchemeHMAC,
 	}
 	nRef, _ := mustRun(t, cfg)
-	ref := snapshotPreds(nRef, "bestPath", "spCost")
+	ref := render(nRef, only("bestPath", "spCost"))
 
 	// Path facts flow against link direction (rule sp2 ships path(@Z,…)
 	// to the link's source), so a never-healing b→a partition starves a
@@ -267,7 +267,7 @@ func TestIdleHeuristicFalseFixpoint(t *testing.T) {
 	if fn.Faults().Limbo == 0 {
 		t.Fatal("idle heuristic fired with no frames in flight; partition injected nothing")
 	}
-	if got := snapshotPreds(n, "bestPath", "spCost"); got == ref {
+	if got := render(n, only("bestPath", "spCost")); got == ref {
 		t.Fatal("tables complete despite the partition; the false fixpoint is not false")
 	}
 	if td.Terminated() {
@@ -290,20 +290,9 @@ func TestIdleHeuristicFalseFixpoint(t *testing.T) {
 		}
 	}()
 	awaitDone(t, td, 60*time.Second)
-	if got := snapshotPreds(n, "bestPath", "spCost"); got != ref {
+	if got := render(n, only("bestPath", "spCost")); got != ref {
 		t.Fatalf("tables after heal differ from reference\n--- live ---\n%s--- ref ---\n%s", got, ref)
 	}
-}
-
-// condensedExprs renders the condensed provenance of every bestPath row.
-func condensedExprs(n *Network) string {
-	var b strings.Builder
-	for _, name := range n.Nodes() {
-		for _, tu := range n.Tuples(name, "bestPath") {
-			fmt.Fprintf(&b, "%s: %s %s\n", name, tu, n.CondensedExpr(name, tu))
-		}
-	}
-	return b.String()
 }
 
 // TestResupplyReplaysExports pins the soft-state half of the restart
@@ -335,8 +324,9 @@ func TestResupplyReplaysExports(t *testing.T) {
 			if _, err := d.AwaitQuiescence(ctx); err != nil {
 				t.Fatal(err)
 			}
-			before := snapshotPreds(n, "bestPath", "spCost")
-			exprs := condensedExprs(n)
+			before := render(n, only("bestPath", "spCost"))
+			provs := shape{preds: []string{"bestPath"}, expr: true}
+			exprs := render(n, provs)
 			msgs := n.Transport().Stats().Messages
 
 			if err := d.Resupply(); err != nil {
@@ -345,10 +335,10 @@ func TestResupplyReplaysExports(t *testing.T) {
 			if _, err := d.AwaitQuiescence(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if after := snapshotPreds(n, "bestPath", "spCost"); after != before {
+			if after := render(n, only("bestPath", "spCost")); after != before {
 				t.Fatalf("tables changed across resupply\n--- before ---\n%s--- after ---\n%s", before, after)
 			}
-			if after := condensedExprs(n); after != exprs {
+			if after := render(n, provs); after != exprs {
 				t.Fatalf("provenance changed across resupply\n--- before ---\n%s--- after ---\n%s", exprs, after)
 			}
 			if n.Transport().Stats().Messages == msgs {

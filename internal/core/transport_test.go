@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -167,28 +165,6 @@ func TestFaultnetKeepsPeerQueues(t *testing.T) {
 	}
 }
 
-// snapshotNodeSorted renders one node's tables (with condensed
-// annotations when available) as sorted lines, so runs whose arrival
-// order differs can still be compared for set equality.
-func snapshotNodeSorted(n *Network, name string) string {
-	node := n.Node(name)
-	if node == nil {
-		return ""
-	}
-	var lines []string
-	for _, pred := range node.Engine.Predicates() {
-		for _, tu := range node.Engine.Tuples(pred) {
-			line := fmt.Sprintf("%s: %s", name, tu)
-			if n.cfg.Prov == provenance.ModeCondensed {
-				line += "\t" + n.CondensedExpr(name, tu)
-			}
-			lines = append(lines, line)
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
-}
-
 // TestTCPMatchesNetsim pins the multi-process story in-process: three
 // core.Networks, each hosting one node of the paper topology over its
 // own nettcp transport on loopback TCP, converge to the same tables and
@@ -289,8 +265,8 @@ func TestTCPMatchesNetsim(t *testing.T) {
 			}
 
 			for i, name := range names {
-				want := snapshotNodeSorted(ref, name)
-				got := snapshotNodeSorted(nets[i], name)
+				one := shape{node: name, expr: true}
+				want, got := render(ref, one), render(nets[i], one)
 				if want != got {
 					t.Errorf("node %s tables differ\n--- netsim ---\n%s--- tcp ---\n%s", name, want, got)
 				}

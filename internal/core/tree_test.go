@@ -81,7 +81,7 @@ func TestForgedTreeFramesRejected(t *testing.T) {
 	cfg := Config{Source: ReachableNDlog, Graph: paperGraph(),
 		Auth: auth.SchemeRSA, KeyBits: 512}
 	clean, _ := mustRun(t, cfg)
-	want := snapshot(t, clean)
+	want := render(clean, shape{})
 	const sigSize = 512 / 8
 
 	type injection struct {
@@ -174,7 +174,7 @@ func TestForgedTreeFramesRejected(t *testing.T) {
 			if rep.RejectedSig != int64(len(in)) {
 				t.Errorf("RejectedSig = %d, want %d", rep.RejectedSig, len(in))
 			}
-			if got := snapshot(t, n); got != want {
+			if got := render(n, shape{}); got != want {
 				t.Errorf("tables polluted\n--- clean ---\n%s--- got ---\n%s", want, got)
 			}
 		})
