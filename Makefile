@@ -42,9 +42,11 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # race_test.go widens the allocation slack for every cell under -race,
-# so only a run without it holds the hot path to 1.20x.
+# so only a run without it holds the hot path to 1.20x; soak_race_test.go
+# shortens the heap soak under -race, so only a run without it drives
+# all 1 000 cut+restores.
 alloc-budget:
-	$(GO) test -run 'TestHotPathAllocBudget|TestSetupAllocBudget' ./internal/benchwork
+	$(GO) test -run 'TestHotPathAllocBudget|TestSetupAllocBudget|TestSoakHeapPlateau' ./internal/benchwork ./internal/core
 
 # Full benchmark run (minutes-scale); see bench_test.go for the figure map.
 bench:
@@ -137,7 +139,7 @@ docs:
 # LOC_MAX in the same commit, where review sees it. The second line is
 # the test lines outside bench/, printed only, so a test-only change
 # shows its size in the log.
-LOC_MAX = 21772
+LOC_MAX = 22118
 
 loc:
 	@n=$$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v '/testdata/' | xargs cat | wc -l); \

@@ -34,12 +34,15 @@ var budgetCells = []budgetCell{
 		// and a view built from per-table row slices 16 301; a
 		// dependency index recording every firing's body → head edges
 		// for retraction 15 472; a frame scratch grown per node, where
-		// one per pool worker serves every node, 13 921.
+		// one per pool worker serves every node, 13 921; a value array
+		// allocated per decoded frame, which the rows it stored kept
+		// alive, where the pool worker lends one arena and a stored row
+		// owns a copy, 11 673.
 		name: "fig3-batch",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 11673,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 11203,
 	},
 	{
 		// The same batch run under condensed provenance without auth:
@@ -49,12 +52,13 @@ var budgetCells = []budgetCell{
 		// from nil with its root and ref slices cost 55 313 here; a
 		// datagram allocated per frame and a view built from per-table
 		// row slices 29 178; the retraction dependency index 28 353; a
-		// frame scratch per node 26 958.
+		// frame scratch per node 26 958; a value array per decoded frame
+		// (see fig3-batch) 24 184.
 		name: "fig3-batch-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathBatchStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 40, 4000)
 		},
-		derivs: 11256, stored: 7147, rounds: 11, allocs: 24184,
+		derivs: 11256, stored: 7147, rounds: 11, allocs: 23714,
 	},
 	{
 		// One huge delta wave self-joined at the hub: nearly all engine,
@@ -71,12 +75,13 @@ var budgetCells = []budgetCell{
 		// Best-Path under cost churn. A datagram allocated per frame
 		// and a view built from per-table row slices cost 5 277, the
 		// retraction dependency index 4 399, a frame scratch per node
-		// 3 953.
+		// 3 953, a value array per decoded frame (see fig3-batch) and
+		// entries never reused (see bestpath-cut) 3 523.
 		name: "bestpath-churn",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 3523,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 3080,
 	},
 	{
 		// The same churn under condensed provenance: the BDD annotation
@@ -88,12 +93,14 @@ var budgetCells = []budgetCell{
 		// every rendering, frame table and node box allocated afresh it
 		// cost 14 227, with a datagram allocated per frame and a view
 		// built from per-table row slices 5 485, with the retraction
-		// dependency index 4 609, with a frame scratch per node 4 200.
+		// dependency index 4 609, with a frame scratch per node 4 200,
+		// with a value array per decoded frame and entries never reused
+		// 3 739.
 		name: "bestpath-churn-condensed",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathChurnStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Prov: provnet.ProvCondensed}, 12, 4, 512, 5000)
 		},
-		derivs: 13907, stored: 4364, rounds: 7, allocs: 3739,
+		derivs: 13907, stored: 4364, rounds: 7, allocs: 3296,
 	},
 	{
 		// Cut and restore of 8 links through the Driver: the churn
@@ -111,12 +118,15 @@ var budgetCells = []budgetCell{
 		// of evaluating the rules on the dying rows, cost 6 745; with
 		// two alternating retraction head slabs instead of one, 6 674;
 		// with a frame scratch per node, a sealing scratch from a
-		// sync.Pool and frame decoders on a free list, 6 603.
+		// sync.Pool and frame decoders on a free list, 6 603; with a
+		// value array per decoded frame (see fig3-batch) and an entry
+		// allocated anew for every row a dead one's place could take,
+		// 5 998.
 		name: "bestpath-cut",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 5998,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 4891,
 	},
 	{
 		// The same cut and restore with session MACs and condensed
@@ -130,12 +140,14 @@ var budgetCells = []budgetCell{
 		// touched node and table in each view, a tag buffer per sealed
 		// batch and a datagram per frame 9 647; the dependency index
 		// (see bestpath-cut) 7 475; two head slabs 7 421; a frame
-		// scratch per node (see bestpath-cut) 7 336.
+		// scratch per node (see bestpath-cut) 7 336; a value array per
+		// decoded frame and entries never reused (see bestpath-cut)
+		// 6 728.
 		name: "bestpath-cut-session",
 		stage: func(t *testing.T) func() *provnet.Report {
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 6728,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 5617,
 	},
 	{
 		// The same window with a durable store log attached, fsync on:
@@ -149,7 +161,8 @@ var budgetCells = []budgetCell{
 		// 17 680; with a map-backed view, a tag buffer per sealed
 		// batch and a datagram per frame 9 653; with the dependency
 		// index (see bestpath-cut) 7 478; with two head slabs 7 423;
-		// with a frame scratch per node 7 335.
+		// with a frame scratch per node 7 335; with a value array per
+		// decoded frame and entries never reused 6 724.
 		name: "bestpath-cut-session-store",
 		stage: func(t *testing.T) func() *provnet.Report {
 			log, err := provnet.OpenStoreLog(t.TempDir(), provnet.StoreLogOptions{})
@@ -159,7 +172,7 @@ var budgetCells = []budgetCell{
 			t.Cleanup(func() { log.Close() })
 			return BestPathCutStaged(t.Fatal, provnet.Config{Source: provnet.BestPath, Auth: provnet.AuthSession, Prov: provnet.ProvCondensed, KeyBits: 512, Store: log}, 24, 8, 5000)
 		},
-		derivs: 2593, stored: 1352, rounds: 132, allocs: 6724,
+		derivs: 2593, stored: 1352, rounds: 132, allocs: 5615,
 	},
 	{
 		// /v1/traceback?maxdepth=12 for every bestPath row of a quiescent

@@ -147,6 +147,8 @@ type Config struct {
 	// dropped and counted (Orchestra-style trust gating, §3). The parallel
 	// scheduler calls it concurrently from the import workers of different
 	// nodes, so stateful filters must synchronize (or set Sequential).
+	// t's values are valid only during the call: a filter that keeps the
+	// tuple keeps a Clone.
 	ImportFilter func(self string, t data.Tuple, p semiring.Poly) bool
 
 	// Metrics, when set, receives runtime observability: scheduler,
@@ -203,10 +205,11 @@ type Node struct {
 // signed bytes back to back, where each frame's bytes end, the envelopes
 // handed to the sealer and the tag buffer lent to it. Inbound, it holds
 // the frames decoded from the drained inbox, those delivered, the
-// withdrawals among them and the frame decoder. Nothing in it outlives
-// the node task that fills it — a sent frame is bytes in the transport,
-// a delivered one rows in the engine — so reset starts it over when the
-// task ends.
+// withdrawals among them and the frame decoder, a lender whose arena
+// holds every decoded tuple's values. Nothing in it outlives the node
+// task that fills it — a sent frame is bytes in the transport, a
+// delivered one rows in the engine, which copies what it keeps — so
+// reset starts it over when the task ends.
 type roundScratch struct {
 	retracts, exports destGroups
 	frames            []outFrame
@@ -223,14 +226,18 @@ type roundScratch struct {
 }
 
 // poisonWire makes reset overwrite the task's table arena, signed bytes,
-// tag buffer and inbound withdrawals, decodeProv the manager's decode
-// scratch once it has copied a frame's annotations out, and the import
-// phase the drained inbox, so a table, node, datagram or withdrawal kept
-// past its task reads wrong instead of stale. Tests set it.
+// tag buffer, inbound withdrawals and decoded values, decodeProv the
+// manager's decode scratch once it has copied a frame's annotations out,
+// and the import phase the drained inbox, so a table, node, datagram,
+// withdrawal or tuple kept past its task reads wrong instead of stale.
+// Tests set it.
 var poisonWire atomic.Bool
 
-// wirePoison is what poisonWire leaves in the import phase's scratch.
+// wirePoison is what poisonWire leaves in the import phase's scratch,
+// and decodedPoison in the values it decoded.
 const wirePoison = "\x00scratch poison"
+
+var decodedPoison = data.Str(wirePoison)
 
 // reset ends a node task: nothing it built or decoded may keep the
 // task's tuples, annotations, tables or tags alive. A one-off oversized
@@ -260,8 +267,14 @@ func (s *roundScratch) reset() {
 	if cap(s.signed) > 1<<20 {
 		s.signed = nil
 	}
-	if s.dec != nil && s.dec.Oversized() {
+	switch {
+	case s.dec == nil:
+	case s.dec.Oversized():
 		s.dec = nil
+	case poisonWire.Load():
+		s.dec.Reclaim(&decodedPoison)
+	default:
+		s.dec.Reclaim(nil)
 	}
 }
 
@@ -918,7 +931,7 @@ func (n *Network) importNode(name string, node *Node, _ bool, s *roundScratch) (
 		n.nm.deltasIn.Add(int64(len(msgs)))
 	}
 	if s.dec == nil {
-		s.dec = data.NewDecoder(n.syms)
+		s.dec = data.NewLender(n.syms)
 	}
 	var d *frame // decoded into until it is delivered
 	for _, msg := range msgs {
@@ -931,9 +944,9 @@ func (n *Network) importNode(name string, node *Node, _ bool, s *roundScratch) (
 			// reach the socket can send garbage: drop and count it
 			// like unverifiable input, never fail the run. The
 			// decoder may hold part of a run: swap it for a new one.
+			// The frames delivered before keep what the old one lent.
 			n.rejectedSig.Add(1)
-			s.dec.Release()
-			s.dec = data.NewDecoder(n.syms)
+			s.dec = data.NewLender(n.syms)
 		}
 		if deliver {
 			s.delivered = append(s.delivered, d)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,7 +57,7 @@ func TestScratchPoisonMatchesClean(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Fatalf("GOMAXPROCS %d: the pool schedule needs at least four workers", runtime.GOMAXPROCS(0))
 	}
-	for _, prov := range []provenance.Mode{provenance.ModeNone, provenance.ModeCondensed} {
+	for _, prov := range []provenance.Mode{provenance.ModeNone, provenance.ModeCondensed, provenance.ModeLocal, provenance.ModeDistributed} {
 		t.Run(prov.String(), func(t *testing.T) {
 			t.Run("sequential", func(t *testing.T) { scratchPoisonMatchesClean(t, prov, true) })
 			t.Run("pool", func(t *testing.T) { scratchPoisonMatchesClean(t, prov, false) })
@@ -89,7 +91,7 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 		if _, err := n.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		snaps, tables, graphs = []string{render(n, everything)}, []string{render(n, tieFree(t, g))}, []*topo.Graph{g}
+		snaps, tables, graphs = []string{render(n, everything) + kept(n)}, []string{render(n, tieFree(t, g))}, []*topo.Graph{g}
 		ctx := context.Background()
 		settle := func(err error, now *topo.Graph) {
 			t.Helper()
@@ -99,7 +101,7 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps, tables, graphs = append(snaps, render(n, everything)), append(tables, render(n, tieFree(t, now))), append(graphs, now)
+			snaps, tables, graphs = append(snaps, render(n, everything)+kept(n)), append(tables, render(n, tieFree(t, now))), append(graphs, now)
 		}
 		for _, l := range cuts {
 			settle(d.CutLink(l.From, l.To), without(g, l))
@@ -150,6 +152,31 @@ func scratchPoisonMatchesClean(t *testing.T, prov provenance.Mode, sequential bo
 	if prov == provenance.ModeCondensed && !strings.Contains(clean[len(clean)-1], "view: bestPath") {
 		t.Fatal("the view holds no bestPath rows")
 	}
+}
+
+// kept renders what ModeLocal and ModeDistributed keep of the tuples a
+// node imports: each row's provenance tree (its encoding, hashed), and
+// each node's provenance store entries with the origins that shipped
+// them.
+func kept(n *Network) string {
+	var sb strings.Builder
+	for _, name := range n.Nodes() {
+		nd := n.Node(name)
+		for _, pred := range nd.Engine.Predicates() {
+			for _, tu := range nd.Engine.Tuples(pred) {
+				if tr, ok := nd.Engine.AnnotationOf(tu).(*provenance.Tree); ok {
+					fmt.Fprintf(&sb, "%s tree: %s %x\n", name, tu, sha256.Sum256(tr.Marshal()))
+				}
+			}
+		}
+		if nd.Store != nil {
+			for _, k := range nd.Store.Keys() {
+				e, _ := nd.Store.Get(k)
+				fmt.Fprintf(&sb, "%s store: %s %s %v\n", name, k, e.Tuple, e.Origins)
+			}
+		}
+	}
+	return sb.String()
 }
 
 // tieFree is the shape of the rows a fresh run must reproduce: link,

@@ -132,10 +132,20 @@ type tableDirt struct {
 	tuples  []data.Tuple
 	limit   int
 	rebuild bool
+	// moves is the table's Engine.Moves when the view last read it. A
+	// patch keeps the rows it does not change, so a table that moved its
+	// storage since is rebuilt instead: the view would keep the old
+	// storage alive.
+	moves int
 }
 
 // dirty reports whether the table changed since the last published view.
 func (td *tableDirt) dirty() bool { return td.rebuild || len(td.tuples) > 0 }
+
+// whole reports whether the table is rendered whole rather than patched.
+func (td *tableDirt) whole(nd *Node) bool {
+	return td.rebuild || td.moves != nd.Engine.Moves(td.pred)
+}
 
 // dirtLimit is how many change notifications a table of n rows collects
 // before patching stops paying and the table is rebuilt instead: half
@@ -248,7 +258,7 @@ func (n *Network) patchNode(nd *Node, pnv NodeView) (nv NodeView, fresh, replace
 		if prev == nil {
 			added++
 		}
-		if td.rebuild {
+		if td.whole(nd) {
 			size += nd.Engine.Count(td.pred)
 		} else {
 			size += len(prev) + len(td.tuples)
@@ -273,7 +283,7 @@ func (n *Network) patchNode(nd *Node, pnv NodeView) (nv NodeView, fresh, replace
 			replaced++
 		}
 		lo := len(arena)
-		if td.rebuild {
+		if td.whole(nd) {
 			arena = n.tableRows(nd, td.pred, arena)
 			fresh += len(arena) - lo
 		} else {
@@ -302,6 +312,9 @@ func (n *Network) viewPublished(v *ReadView) {
 		nd.touched = false
 		for j := range nd.dirt {
 			td := &nd.dirt[j]
+			if td.dirty() {
+				td.moves = nd.Engine.Moves(td.pred)
+			}
 			clear(td.tuples)
 			td.tuples, td.rebuild = td.tuples[:0], false
 			td.limit = dirtLimit(len(nd.view.rows(td.pred)))

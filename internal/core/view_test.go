@@ -439,7 +439,7 @@ func TestPublishAllocations(t *testing.T) {
 				touched++
 				for _, td := range nd.dirt {
 					tuples := td.tuples
-					if td.rebuild {
+					if td.whole(nd) {
 						rebuilt++
 						tuples = nd.Engine.Tuples(td.pred)
 					}

@@ -372,8 +372,8 @@ func frameSymbols(prog *datalog.Program, nodes []string) *data.Symbols {
 // here runs on bytes anyone who can reach the socket may have written: it
 // must return an error, never panic, and never allocate more than the
 // bytes it was handed can account for. A data or retract frame's tuples
-// share one value array (data.Decoder). After an error dec may hold part
-// of a run and must be released.
+// share one value array (data.Decoder), which a lender's Reclaim takes
+// back. After an error dec may hold part of a run and must be replaced.
 func (f *frame) decode(p []byte, syms *data.Symbols, dec *data.Decoder) error {
 	*f = frame{items: f.items[:0]}
 	if len(p) == 0 {

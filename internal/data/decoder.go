@@ -63,7 +63,9 @@ const minValueSize = 2
 // decoder's scratch, which grows with what the bytes actually hold, and
 // copied into a backing array of exactly their number when the run ends
 // (Tuples). Decoders come from a pool: get one with NewDecoder, return it
-// with Release. A Decoder is not safe for concurrent use.
+// with Release. A lender (NewLender) carves each run's backing array out
+// of an arena of its own instead, until Reclaim takes the arena back; it
+// is never pooled. A Decoder is not safe for concurrent use.
 type Decoder struct {
 	syms *Symbols
 	// open holds decoded values whose enclosing list or tuple has not
@@ -77,6 +79,11 @@ type Decoder struct {
 	// ts are the run's tuples, whose arguments are vals[args[i]].
 	ts   []Tuple
 	args []span
+	// lends marks a lender; lent is its arena, of which the first nlent
+	// values are handed out.
+	lends bool
+	lent  []Value
+	nlent int
 }
 
 // openValue is a decoded value waiting in Decoder.open; a list's elements
@@ -102,14 +109,36 @@ func NewDecoder(syms *Symbols) *Decoder {
 	return d
 }
 
+// NewLender returns an empty lender resolving strings through syms (nil
+// = none): a decoder whose runs' values stay valid only until its next
+// Reclaim, which hands its arena out again. A lender never comes from the
+// pool and never goes back to it, so a value it lent is never handed to a
+// NewDecoder caller (DecodeTuple, DecodeValue).
+func NewLender(syms *Symbols) *Decoder { return &Decoder{syms: syms, lends: true} }
+
 // Oversized reports whether d holds more scratch than a decoder kept for
 // reuse may: Release drops such a decoder instead of pooling it.
-func (d *Decoder) Oversized() bool { return cap(d.open)+cap(d.vals) > maxPooledValues }
+func (d *Decoder) Oversized() bool { return cap(d.open)+cap(d.vals)+len(d.lent) > maxPooledValues }
+
+// Reclaim ends the lifetime of every value the lender handed out: its
+// arena is handed out again from the start, cleared, or under poison
+// with every lent value overwritten by one a test can recognise.
+func (d *Decoder) Reclaim(poison *Value) {
+	lent := d.lent[:d.nlent]
+	if poison == nil {
+		clear(lent)
+	} else {
+		for i := range lent {
+			lent[i] = *poison
+		}
+	}
+	d.nlent = 0
+}
 
 // Release drops whatever the decoder still holds and returns it to the
-// pool; d must not be used afterwards.
+// pool; d must not be used afterwards. A lender is left to the collector.
 func (d *Decoder) Release() {
-	if d.Oversized() {
+	if d.lends || d.Oversized() {
 		return
 	}
 	d.reset()
@@ -175,9 +204,10 @@ func (d *Decoder) tuple(b []byte) (int, error) {
 }
 
 // Tuples ends the run: it returns the tuples decoded since the last call,
-// with their values in one new backing array, and starts the next run. The
-// returned slice is the decoder's and valid until its next use; the tuples
-// in it are the caller's.
+// with their values in one new backing array (a lender's: lent until its
+// next Reclaim), and starts the next run. The returned slice is the
+// decoder's and valid until its next use; the tuples in it are the
+// caller's.
 func (d *Decoder) Tuples() []Tuple {
 	ts := d.ts
 	vals := d.finish()
@@ -193,7 +223,7 @@ func (d *Decoder) Tuples() []Tuple {
 func (d *Decoder) finish() []Value {
 	var vals []Value
 	if len(d.vals) > 0 {
-		vals = make([]Value, len(d.vals))
+		vals = d.backing(len(d.vals))
 		copy(vals, d.vals)
 		for _, l := range d.lists {
 			vals[l.at].List = vals[l.off : l.off+l.n : l.off+l.n]
@@ -201,6 +231,25 @@ func (d *Decoder) finish() []Value {
 	}
 	d.truncate(len(d.open), 0, 0)
 	return vals
+}
+
+// minLent is the smallest arena a lender allocates.
+const minLent = 256
+
+// backing returns a run's backing array of n values: a new one, or the
+// next n of a lender's arena. An arena too short for the run is replaced
+// by one twice as long; the values lent from the old one stay valid, and
+// the collector takes it once they are no longer used.
+func (d *Decoder) backing(n int) []Value {
+	if !d.lends {
+		return make([]Value, n)
+	}
+	if d.nlent+n > len(d.lent) {
+		d.lent, d.nlent = make([]Value, max(n, 2*len(d.lent), minLent)), 0
+	}
+	out := d.lent[d.nlent : d.nlent+n : d.nlent+n]
+	d.nlent += n
+	return out
 }
 
 // close ends the list or tuple holding the last n open values: they move

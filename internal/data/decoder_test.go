@@ -148,3 +148,79 @@ func TestDecoderRunSurvivesABadTuple(t *testing.T) {
 		t.Fatalf("run after a bad tuple: %v, want [%v]", ts, good)
 	}
 }
+
+// TestLenderKeepsToItself pins what a lender lends. A lent run is cut
+// from the lender's arena as a run is from its one array: every tuple's
+// Args and every list capacity-limited, so appending to one leaves every
+// other tuple of the run byte-identical, as TestDecodedValuesDoNotAlias
+// holds for a run. And a lender never lends to a caller of the pool
+// (DecodeTuple, DecodeValue, the store log's replay), even once it is
+// released: their values survive the Reclaim that poisons every lent
+// one.
+func TestLenderKeepsToItself(t *testing.T) {
+	in := []Tuple{
+		NewTuple("path", Str("a"), Strings("a", "b"), Int(1)),
+		NewTuple("path", Str("b"), Strings("b", "c", "d"), Int(2)),
+		NewTuple("path", Str("c"), List(Strings("c"), Strings()), Int(3)),
+	}
+	l := NewLender(NewSymbols([]string{"a", "b", "path"}))
+	var ts []Tuple
+	for round := 0; round < 2; round++ { // the second run is cut after the first
+		for _, tu := range in {
+			if _, err := l.Tuple(EncodeTuple(tu)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts = append(ts, l.Tuples()...)
+	}
+	for i, tu := range ts {
+		if !tu.Equal(in[i%len(in)]) {
+			t.Fatalf("lent tuple %d decoded as %v, want %v", i, tu, in[i%len(in)])
+		}
+	}
+	var want [][]byte
+	for _, tu := range ts {
+		want = append(want, EncodeTuple(tu))
+	}
+	for i := range ts {
+		grown := append(ts[i].Args, Str("clobber"))
+		list := append(ts[i].Args[1].List, Str("clobber"))
+		if len(grown) != 4 || len(list) != len(ts[i].Args[1].List)+1 {
+			t.Fatalf("appends lost: %v %v", grown, list)
+		}
+	}
+	nested := append(ts[2].Args[1].List[0].List, Str("clobber"))
+	if len(nested) != 2 {
+		t.Fatalf("append lost: %v", nested)
+	}
+	for i, tu := range ts {
+		if !bytes.Equal(EncodeTuple(tu), want[i]) {
+			t.Fatalf("lent tuple %d changed under an append to a neighbour: %v", i, tu)
+		}
+	}
+
+	l.Release() // a lender is left to the collector, never pooled
+	var pooled []Tuple
+	var values []Value
+	for i := 0; i < 64; i++ {
+		tu, _, err := DecodeTuple(EncodeTuple(in[i%len(in)]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := DecodeValue(AppendValue(nil, in[i%len(in)].Args[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, values = append(pooled, tu), append(values, v)
+	}
+	poison := Str("\x00poison")
+	l.Reclaim(&poison)
+	if !ts[0].Args[0].Equal(poison) {
+		t.Fatalf("Reclaim left a lent value as it was: %v", ts[0])
+	}
+	for i, tu := range pooled {
+		if !tu.Equal(in[i%len(in)]) || !values[i].Equal(in[i%len(in)].Args[1]) {
+			t.Fatalf("decode %d after a lender's release read %v and %v once it reclaimed: a pooled decoder lent its arena", i, tu, values[i])
+		}
+	}
+}

@@ -60,6 +60,9 @@ type aggGroupState struct {
 
 	slab        slab[aggGroup]
 	contribSlab slab[contribution]
+	// vals holds the groups' argument arrays: a group shed goes back to
+	// slab with its array, which the next group takes over.
+	vals slab[data.Value]
 }
 
 // contribution is one body combination a group has counted.
@@ -104,7 +107,7 @@ func (g *aggGroup) link() **aggGroup { return &g.next }
 func (e *Engine) aggStateFor(r *compiledRule) *aggGroupState {
 	st, ok := e.aggState[r.label]
 	if !ok {
-		st = &aggGroupState{rule: r, groups: newChain((*aggGroup).link), contribs: newChain((*contribution).link)}
+		st = &aggGroupState{rule: r, groups: newChain((*aggGroup).link), contribs: newChain((*contribution).link), vals: newStorage()}
 		e.aggState[r.label] = st
 		// Head tables of aggregate rules are keyed by the group columns
 		// so a changed aggregate replaces the old row.
@@ -163,12 +166,14 @@ func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTup
 	h := head.HashCols(st.rule.groupIdx)
 	g := findAggGroup(st.groups, h, head.Asserter, head.Args, st.rule.groupIdx)
 	if g == nil {
-		// The group outlives the wave, so its arguments come from the
-		// persistent slab (contributions run on the driving goroutine).
-		groupArgs := e.scratchBuf().vals.take(len(head.Args))
-		copy(groupArgs, head.Args)
+		// The group outlives the wave, so its arguments are copied into
+		// the state's own storage.
 		g = st.slab.alloc()
-		g.hash, g.asserter, g.groupArgs = h, head.Asserter, groupArgs
+		if len(g.groupArgs) != len(head.Args) {
+			g.groupArgs = st.vals.take(len(head.Args))
+		}
+		copy(g.groupArgs, head.Args)
+		g.hash, g.asserter = h, head.Asserter
 		st.groups.push(h, g)
 		st.order = append(st.order, g)
 	}
@@ -178,6 +183,7 @@ func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTup
 	ch := comboHash(g.hash, body)
 	for c := st.contribs.first(ch); c != nil; c = c.next {
 		if c.g == g && comboEqual(c.body, body) {
+			clear(body) // kept by no one, it must keep no row's values alive
 			return nil
 		}
 	}
@@ -228,6 +234,9 @@ func (e *Engine) aggContribute(st *aggGroupState, head data.Tuple, body []AnnTup
 func (st *aggGroupState) uncount(g *aggGroup) {
 	for c := g.contribs; c != nil; {
 		next := c.after
+		// The body's tuples point into their tables' storage: a
+		// contribution handed back keeps none alive.
+		clear(c.body)
 		st.contribs.unlink(c.hash, c)
 		st.contribSlab.put(c)
 		c = next
@@ -267,19 +276,17 @@ func (e *Engine) maybeEmitAgg(st *aggGroupState, g *aggGroup) {
 	}
 	g.emitted = true
 	g.current = val
-	// The emitted head's argument slice escapes into the stored table, so
-	// it comes from the persistent slab of the commit-stage scratch
-	// (emission always runs on the driving goroutine).
-	args := e.scratchBuf().vals.take(len(g.groupArgs))
-	copy(args, g.groupArgs)
-	args[st.rule.agg.argIdx] = val
-	head := data.Tuple{Pred: st.rule.headPred, Args: args, Asserter: e.asserter()}
+	// The emitted head is stored, so it is carved from its table's
+	// storage.
+	head := data.Tuple{Pred: st.rule.headPred, Args: g.groupArgs, Asserter: e.asserter()}
+	head = e.table(head.Pred).own(head)
+	head.Args[st.rule.agg.argIdx] = val
 	bodies := g.witnessBodies
 	if st.rule.agg.fn == datalog.AggCount || st.rule.agg.fn == datalog.AggSum {
 		bodies = g.allBodies
 	}
 	ann := e.hook.Derive(st.rule.label, e.self, head, bodies)
-	e.insert(head, ann, support{local: true}, 0)
+	e.insert(head, ann, support{local: true}, 0, true)
 }
 
 // touchAggs queues for repair the aggregate groups that row t, deleted
@@ -416,7 +423,10 @@ func (st *aggGroupState) shed(keep int) {
 	live := st.order[:0]
 	for _, g := range st.order {
 		if g.dropped {
+			args := g.groupArgs
+			clear(args)
 			st.slab.put(g)
+			g.groupArgs = args
 		} else {
 			live = append(live, g)
 		}

@@ -1,5 +1,7 @@
 package engine
 
+import "provnet/internal/data"
+
 // The engine's hash-keyed state — table rows, aggregate-selection groups
 // and their shadows, aggregate groups and their contributions, the
 // retraction sets — maps a 64-bit
@@ -71,12 +73,23 @@ type slab[T any] struct {
 	used  int // elements of chunk handed out
 	size  int
 	spare []*T
+	// taken counts the elements take handed out.
+	taken int
 }
 
 const (
 	slabMin = 16
 	slabMax = 256
 )
+
+// storageChunk is the first chunk of the storage a table or an aggregate
+// state keeps its values in. Such storage outgrows a few rows, and a
+// ramp from slabMin would cost a malloc per doubling in every one.
+const storageChunk = 192
+
+// newStorage returns an empty value slab whose first chunk holds
+// storageChunk values.
+func newStorage() slab[data.Value] { return slab[data.Value]{size: storageChunk / 2} }
 
 // take returns n contiguous zeroed Ts, capacity n (nil when n is 0).
 func (s *slab[T]) take(n int) []T {
@@ -89,6 +102,7 @@ func (s *slab[T]) take(n int) []T {
 	}
 	out := s.chunk[s.used : s.used+n : s.used+n]
 	s.used += n
+	s.taken += n
 	return out
 }
 

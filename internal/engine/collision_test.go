@@ -306,11 +306,11 @@ func TestChainUnlinkHeadMiddleTail(t *testing.T) {
 	})
 	t.Run("shadow rows", func(t *testing.T) {
 		ps := &pruneSpec{pruneDecl: pruneDecl{keyCols: []int{0}, col: 1, min: true}, cap: defaultShadowCap,
-			groups: newChain((*pruneGroupState).link), shadow: newChain((*shadowRow).link)}
+			groups: newChain((*pruneGroupState).link), shadow: newChain((*shadowRow).link), tbl: NewTable("p", nil, -1, -1)}
 		g := ps.group(tup("p", 0, 0))
 		unlinkHeadMiddleTail(t, chainCase[shadowRow]{
 			chain:  func() chain[shadowRow] { return ps.shadow },
-			add:    func(i int) { ps.addShadowRow(g, tup("p", 0, i), nil, supportFrom("")) },
+			add:    func(i int) { ps.addShadowRow(g, tup("p", 0, i), nil, supportFrom(""), false) },
 			remove: func(i int) { ps.dropShadow(g, tup("p", 0, i)) },
 			has:    func(i int) bool { return ps.findShadow(g, tup("p", 0, i)) != nil },
 			id:     func(r *shadowRow) int { return int(r.tuple.Args[1].Int) },

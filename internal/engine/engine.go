@@ -14,6 +14,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"provnet/internal/data"
@@ -245,10 +246,13 @@ type pruneSpec struct {
 	// Groups and their identity values, and shadow rows, come from slabs.
 	// A removed shadow row goes back to its slab for the next one: rows
 	// come and go with every relaxation, and no pointer to one outlives
-	// its removal.
+	// its removal. A shadow row's values live in the predicate's table
+	// (tbl), as a stored row's do.
 	groupSlab slab[pruneGroupState]
 	valSlab   slab[data.Value]
 	rowSlab   slab[shadowRow]
+	tbl       *Table
+	dropped   *pruneGroupState
 }
 
 // pruneGroupState is one aggregate-selection group: identity (asserter +
@@ -269,6 +273,7 @@ type pruneGroupState struct {
 	shadow  *shadowRow
 	nshadow int
 	lossy   bool
+	dropped bool
 }
 
 func (g *pruneGroupState) link() **pruneGroupState { return &g.next }
@@ -296,9 +301,12 @@ func (ps *pruneSpec) group(t data.Tuple) *pruneGroupState {
 		return g
 	}
 	g := ps.groupSlab.alloc()
-	g.hash, g.asserter, g.vals = h, t.Asserter, ps.valSlab.take(len(ps.keyCols))
+	if g.vals == nil {
+		g.vals = ps.valSlab.take(len(ps.keyCols))
+	}
+	g.hash, g.asserter = h, t.Asserter
 	for i, c := range ps.keyCols {
-		g.vals[i] = t.Args[c]
+		g.vals[i] = persist(&ps.valSlab, t.Args[c])
 	}
 	ps.groups.push(h, g)
 	return g
@@ -319,12 +327,28 @@ func (ps *pruneSpec) find(h uint64, t data.Tuple) *pruneGroupState {
 }
 
 // maybeDrop removes an emptied group (no best, no shadow, not lossy) from
-// the spec so long-churning runs do not accumulate dead group states.
+// the spec so long-churning runs do not accumulate dead group states. A
+// relaxed-group list may still hold it, so it waits on dropped, chained
+// through next, for recycle.
 func (ps *pruneSpec) maybeDrop(g *pruneGroupState) {
-	if g.hasBest || g.nshadow > 0 || g.lossy {
+	if g.hasBest || g.nshadow > 0 || g.lossy || g.dropped {
 		return
 	}
 	ps.groups.unlink(g.hash, g)
+	g.dropped, g.next, ps.dropped = true, ps.dropped, g
+}
+
+// recycle hands the dropped groups back to the slab, each keeping its
+// identity array for the next group. Nothing may point at them: the
+// engine calls it when no retraction is pending.
+func (ps *pruneSpec) recycle() {
+	for g := ps.dropped; g != nil; {
+		next, vals := g.next, g.vals
+		ps.groupSlab.put(g)
+		g.vals = vals
+		g = next
+	}
+	ps.dropped = nil
 }
 
 // shadowRow is one prune-rejected candidate kept for possible revival,
@@ -439,6 +463,7 @@ func (e *Engine) Load(p *Program) error {
 			cap:       defaultShadowCap,
 			groups:    newChain((*pruneGroupState).link),
 			shadow:    newChain((*shadowRow).link),
+			tbl:       e.tables[d.pred], // nil until table creates it
 		}
 	}
 	return nil
@@ -466,6 +491,9 @@ func (e *Engine) table(pred string) *Table {
 	}
 	t = NewTable(pred, keyCols, ttl, maxSize)
 	e.tables[pred] = t
+	if ps := e.prunes[pred]; ps != nil {
+		ps.tbl = t
+	}
 	return t
 }
 
@@ -478,12 +506,13 @@ func (e *Engine) SetTableKeys(pred string, cols []int) {
 
 // InsertFact inserts a base tuple at this node with its declared TTL. In
 // authenticated mode the fact is asserted by this node unless it already
-// carries an asserter.
+// carries an asserter. The caller hands t over: a row or shadow row keeps
+// its values as they are, so the caller must not change them afterwards.
 func (e *Engine) InsertFact(t data.Tuple) {
 	if e.authenticated && t.Asserter == "" {
 		t.Asserter = e.self
 	}
-	e.insert(t, e.hook.Base(t), support{local: true}, 0)
+	e.insert(t, e.hook.Base(t), support{local: true}, 0, true)
 }
 
 // InsertImportedFrom inserts a tuple received from the network together
@@ -497,7 +526,7 @@ func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byt
 	if err != nil {
 		return err
 	}
-	e.insert(t, ann, supportFrom(from), 0)
+	e.insert(t, ann, supportFrom(from), 0, false)
 	return nil
 }
 
@@ -508,7 +537,7 @@ func (e *Engine) InsertImportedFrom(from string, t data.Tuple, provPayload []byt
 // as support origin. Like every insert it only queues the tuple: the
 // whole delta is processed by the next RunToFixpoint.
 func (e *Engine) InsertImportedAnnFrom(from string, t data.Tuple, ann Annotation) {
-	e.insert(t, ann, supportFrom(from), 0)
+	e.insert(t, ann, supportFrom(from), 0, false)
 }
 
 // insert stores a tuple and queues it for semi-naive processing: the one
@@ -517,7 +546,13 @@ func (e *Engine) InsertImportedAnnFrom(from string, t data.Tuple, ann Annotation
 // source on the per-tuple path (a local one, or one remote sender), and
 // everything a candidate accumulated in the shadow when it is revived.
 // hash is t's cached structural hash when known (0 = compute on demand).
-func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) {
+// owned says t's values may be kept as they are: they live in its
+// table's storage already (a head fire carved there, a stored row's
+// tuple, a shadow row's) or were handed over (a base fact). Any other
+// tuple's are the caller's, such as a received tuple, whose values die
+// with its import: a row or shadow row that keeps it keeps a copy. A
+// duplicate keeps nothing and copies nothing.
+func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64, owned bool) {
 	// Aggregate selection: drop tuples that do not improve their group.
 	// A tuple identical to a stored live row bypasses the prune and takes
 	// the duplicate path below instead: shadowing a stored tuple would
@@ -525,25 +560,29 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 	// would resurrect it from its own shadow entry (and the re-insert
 	// must refresh the row's TTL and merge its support, which the shadow
 	// never did).
-	if ps, ok := e.prunes[t.Pred]; ok && !e.storedLive(t) {
-		g := ps.group(t)
-		val := t.Args[ps.col]
+	tbl := e.table(t.Pred)
+	var g *pruneGroupState
+	ps, ok := e.prunes[t.Pred]
+	if ok && !e.storedLive(t) {
+		g = ps.group(t)
 		if g.hasBest {
-			c := val.Compare(g.best)
+			c := t.Args[ps.col].Compare(g.best)
 			if (ps.min && c >= 0) || (!ps.min && c <= 0) {
 				e.Stats.TuplesDropped++
-				ps.addShadowRow(g, t, ann, sup)
+				ps.addShadowRow(g, t, ann, sup, owned)
 				return
 			}
 		}
-		g.best = val
 		g.hasBest = true
 		ps.dropShadow(g, t)
 	}
 
-	tbl := e.table(t.Pred)
-	entry, replaced, status := tbl.insertHashed(t, ann, e.now, hash)
+	entry, replaced, status := tbl.insertHashed(t, ann, e.now, hash, owned)
 	entry.support.add(sup)
+	if g != nil {
+		// The installed best is the stored row's value, not the caller's.
+		g.best = entry.Tuple.Args[ps.col]
+	}
 	switch status {
 	case InsertNew, InsertReplaced:
 		e.Stats.TuplesStored++
@@ -552,7 +591,7 @@ func (e *Engine) insert(t data.Tuple, ann Annotation, sup support, hash uint64) 
 			e.notify(replaced.Tuple, UpdateRetracted)
 			e.staleAggs(replaced.Tuple.Pred)
 		}
-		e.notify(t, UpdateAdded)
+		e.notify(entry.Tuple, UpdateAdded)
 		if status == InsertNew {
 			e.lapse(t.Pred, tbl.evict(), false)
 		}
@@ -638,6 +677,7 @@ func (ps *pruneSpec) removeShadow(g *pruneGroupState, row *shadowRow) {
 		}
 	}
 	g.nshadow--
+	ps.tbl.held -= size(row.tuple.Args)
 	ps.rowSlab.put(row)
 }
 
@@ -686,21 +726,53 @@ func (e *Engine) RunToFixpoint() []Export {
 		e.runWave(batch)
 		spare = batch[:0]
 	}
+	// The arrays keep no pointer past their length: a stale entry or
+	// export would keep a row's values alive after the table moved them.
+	clear(spare[:cap(spare)])
+	clear(e.queue[:cap(e.queue)])
 	e.spareQueue = spare
 	e.compactTables()
 	out := e.exports
+	clear(out[len(out):cap(out)])
 	e.exports = e.exports[:0]
 	return out
 }
 
-// compactTables compacts every table whose dead rows are at least as many
-// as its live ones, so the rows a retraction or replacement killed do not
-// pile up in its order and indexes. It runs where no probe is walking a
-// table: the end of RunToFixpoint and of CompleteRetract.
+// compactTables compacts every table (compact). It runs where no probe
+// is walking a table and no firing holds a row's values: the end of
+// RunToFixpoint and of CompleteRetract.
 func (e *Engine) compactTables() {
+	e.queue = slices.DeleteFunc(e.queue, isDead)
+	if e.pend == nil {
+		for _, ps := range e.prunes { //provlint:allow mapiter independent per-spec recycling; order cannot escape
+			ps.recycle()
+		}
+	}
 	for _, tbl := range e.tables { //provlint:allow mapiter independent per-table compaction; order cannot escape
-		if tbl.dirty > 0 && tbl.dirty >= tbl.nlive {
-			tbl.compact()
+		e.compact(tbl)
+	}
+}
+
+// compact compacts tbl once its dead rows are at least as many as its
+// live ones, so the rows a retraction or replacement killed do not pile
+// up in its order and indexes, and rewrites its storage once it is
+// wasteful: the live rows, then the shadow rows of its predicate, are
+// copied into fresh storage.
+func (e *Engine) compact(tbl *Table) {
+	wasteful := tbl.wasteful()
+	if tbl.dirty > 0 && (tbl.dirty >= tbl.nlive || wasteful) {
+		tbl.compact()
+	}
+	if !wasteful {
+		return
+	}
+	tbl.renew()
+	e.rebind(tbl)
+	if ps := e.prunes[tbl.name]; ps != nil {
+		for _, row := range ps.shadow.m { //provlint:allow mapiter independent per-row copies; order cannot escape
+			for ; row != nil; row = row.next {
+				row.tuple = tbl.own(row.tuple)
+			}
 		}
 	}
 }
@@ -790,18 +862,24 @@ func (e *Engine) emit(r *compiledRule, head data.Tuple, headHash uint64, dest st
 		// still stored (locally or at dest) and must not re-propagate.
 		if dest == e.self {
 			if !e.rederive.deleted.has("", head) {
+				clear(body)
 				return
 			}
 		} else {
 			if !e.rederive.shipped.remove(dest, head) {
+				clear(body)
 				return
 			}
 			// Fall through: the export re-establishes the tuple at dest.
 		}
 	}
 	ann := e.hook.Derive(r.label, e.self, head, body)
+	// Nothing keeps a non-aggregate body after Derive: the copy shares
+	// its slab chunk with the bodies aggregate groups keep, and must not
+	// keep the rows' values alive with them.
+	clear(body)
 	if dest == e.self {
-		e.insert(head, ann, support{local: true}, headHash)
+		e.insert(head, ann, support{local: true}, headHash, true)
 		return
 	}
 	e.exports = append(e.exports, Export{Dest: dest, Tuple: head, Ann: ann})
@@ -892,6 +970,44 @@ func (e *Engine) TableSlots(pred string) (live, slots int) {
 	return 0, 0
 }
 
+// rebind points the body tuples the aggregate groups keep that tbl's
+// rows gave at those rows' moved values, so the groups keep the old
+// storage alive no longer. A body tuple whose row died stays as it is.
+func (e *Engine) rebind(tbl *Table) {
+	rebind := func(body []AnnTuple) {
+		for i := range body {
+			if body[i].Tuple.Pred == tbl.name {
+				if en := tbl.Get(body[i].Tuple); en != nil {
+					body[i].Tuple = en.Tuple
+				}
+			}
+		}
+	}
+	for _, ref := range e.prog.byPred[tbl.name] {
+		st := e.aggState[ref.rule.label]
+		if st == nil {
+			continue
+		}
+		for _, g := range st.order {
+			for c := g.contribs; c != nil; c = c.after {
+				rebind(c.body)
+			}
+			rebind(g.allBodies)
+		}
+	}
+}
+
+// Moves reports how many times pred's table has rewritten its storage
+// (compact). A tuple read from the table before its last move still
+// reads the same, but keeps the old storage alive: a reader that keeps
+// rows reads them again once the count moves.
+func (e *Engine) Moves(pred string) int {
+	if tbl, ok := e.tables[pred]; ok {
+		return tbl.moves
+	}
+	return 0
+}
+
 // ShadowEvictions reports the cumulative number of shadow rows dropped
 // by the per-group cap (defaultShadowCap) since the engine started.
 func (e *Engine) ShadowEvictions() int64 {
@@ -944,6 +1060,7 @@ func (e *Engine) Expire(now float64) {
 		data.SortTuples(gone)
 		e.lapse(name, gone, true)
 	}
+	e.compactTables()
 }
 
 // lapse runs the bookkeeping of rows that left pred's table without a

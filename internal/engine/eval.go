@@ -41,9 +41,10 @@ type evalScratch struct {
 	newList func(n int) []data.Value
 
 	// vals / anns hand out the head-argument and body-copy slices a
-	// firing gives the commit stage that escape (into tables, aggregate
-	// state, provenance), and the lists a new head keeps. waveVals hands
-	// out those that die once the wave's commit stage consumes them — the
+	// firing gives the commit stage that escape (into exports, aggregate
+	// state, provenance), and the lists a new head keeps; a head this
+	// node stores is carved from its table's storage instead. waveVals
+	// hands out those that die once the wave's commit stage consumes them — the
 	// lists builtins build (fire copies what a new head keeps) and
 	// aggregate-rule head arguments (aggContribute copies what it keeps)
 	// — and runWave resets it at each wave boundary.
@@ -231,10 +232,11 @@ func (e *Engine) ruleActive(r *compiledRule) bool {
 // evalSteps walks the rule plan from step si in plan variant v (see
 // compiledRule.plans): v < len(atoms) names the delta atom, already bound
 // and skipped; a larger v bound the head or the group columns instead,
-// and every atom is joined. It only reads
-// engine state (tables are probed, never created), and every firing
-// goes to sink: no caller commits while a probe walks a bucket. Probes
-// follow the rule's precompiled plan: the bound columns and their value
+// and every atom is joined. It only reads engine state (tables are
+// probed, never created, but for the storage fire carves a new head
+// from), and every firing goes to sink: no caller commits while a probe
+// walks a bucket. Probes follow the rule's precompiled plan: the bound
+// columns and their value
 // sources were resolved at compile time, so a probe fills a reused value
 // buffer, hashes it and walks the index bucket (or, for a scan, the
 // table's order) in place, skipping dead and expired rows — no
@@ -337,10 +339,12 @@ func (e *Engine) matchAtom(spec *atomSpec, tu data.Tuple, env *env, trail *[]int
 
 // fire constructs the head tuple from the environment and appends it to
 // sink for the caller's ordered-commit stage. The head-argument and
-// body-copy slices come from the scratch's slabs (one malloc per chunk,
-// not two per firing). A list a builtin built lives in the wave scratch:
-// a new head copies the lists of its computed arguments into the slab
-// its arguments came from, and a re-derived head keeps the stored row's.
+// body-copy slices come from slabs (one malloc per chunk, not two per
+// firing): a new head addressed to this node is carved from its table's
+// storage, which keeps it if it is stored, and any other from the
+// scratch's. A list a builtin built lives in the wave scratch: a new head
+// copies the lists of its computed arguments into the slab its arguments
+// came from, and a re-derived head keeps the stored row's.
 func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pending, sc *evalScratch) {
 	n := len(r.headArgs)
 	if cap(sc.headBuf) < n {
@@ -377,31 +381,13 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 			}
 		}
 	}
-	if !reused {
-		keep := &sc.vals
-		if sc.dying != nil {
-			keep = sc.dying
-		}
-		var args []data.Value
-		if r.agg != nil {
-			args = sc.waveVals.take(n)
-		} else {
-			args = keep.take(n)
-		}
-		copy(args, hb)
-		for _, i := range r.computed {
-			args[i] = persist(keep, args[i])
-		}
-		head.Args = args
-	}
-
 	dest := e.self
 	switch {
 	case r.headLocIdx >= 0:
-		if head.Args[r.headLocIdx].Kind != data.KindString {
+		if hb[r.headLocIdx].Kind != data.KindString {
 			return
 		}
-		dest = head.Args[r.headLocIdx].Str
+		dest = hb[r.headLocIdx].Str
 	case r.headDestSet:
 		var v data.Value
 		if r.headDest.isConst {
@@ -415,6 +401,26 @@ func (e *Engine) fire(r *compiledRule, env *env, body []AnnTuple, sink *[]pendin
 			return
 		}
 		dest = v.Str
+	}
+	if !reused {
+		keep := &sc.vals
+		switch {
+		case sc.dying != nil:
+			keep = sc.dying
+		case dest == e.self && r.agg == nil:
+			keep = &e.table(r.headPred).vals
+		}
+		var args []data.Value
+		if r.agg != nil {
+			args = sc.waveVals.take(n)
+		} else {
+			args = keep.take(n)
+		}
+		copy(args, hb)
+		for _, i := range r.computed {
+			args[i] = persist(keep, args[i])
+		}
+		head.Args = args
 	}
 
 	// Copy the body annotation slice: it is reused across branches.
@@ -448,12 +454,21 @@ func persist(s *slab[data.Value], v data.Value) data.Value {
 	if v.Kind != data.KindList || len(v.List) == 0 {
 		return v
 	}
-	out := s.take(len(v.List))
-	for i, x := range v.List {
-		out[i] = persist(s, x)
-	}
-	v.List = out
+	v.List = persistAll(s, v.List)
 	return v
+}
+
+// persistAll returns a copy of vs in slab s, with every list nested in it
+// copied there too.
+func persistAll(s *slab[data.Value], vs []data.Value) []data.Value {
+	out := s.take(len(vs))
+	copy(out, vs)
+	for i := range out {
+		if out[i].Kind == data.KindList {
+			out[i] = persist(s, out[i])
+		}
+	}
+	return out
 }
 
 // String renders a compiled rule briefly (for debugging and error text).

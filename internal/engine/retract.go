@@ -440,14 +440,17 @@ func (e *Engine) overdelete(items []retractItem, wq *pairSet) {
 		if en.supported() {
 			continue // other support keeps the row alive
 		}
-		// The row's consequences are the firings that bind it as their
-		// delta, found before it dies: it still joins itself, and every
-		// row deleted after it.
+		// From here on t is the row's own tuple: the caller's may be a
+		// received one, whose values die with its import. The row's
+		// consequences are the firings that bind it as their delta,
+		// found before it dies: it still joins itself, and every row
+		// deleted after it.
+		t = en.Tuple
 		fired := e.consequences(en)
 		tbl.kill(en)
 		pend.deleted.add("", t)
 		e.Stats.Retracted++
-		e.notify(en.Tuple, UpdateRetracted)
+		e.notify(t, UpdateRetracted)
 		if ps != nil {
 			// The group hash embeds the predicate (and asserter), so
 			// groups never collide across pruned predicates.
@@ -553,6 +556,7 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 			for row := g.shadow; row != nil; {
 				sib := row.sib
 				ps.shadow.unlink(row.key, row)
+				ps.tbl.held -= size(row.tuple.Args)
 				revived = append(revived, *row)
 				ps.rowSlab.put(row)
 				row = sib
@@ -572,7 +576,7 @@ func (e *Engine) reviveShadows(groups []pruneGroup) {
 				return data.CompareTuples(a.tuple, b.tuple)
 			})
 			for _, row := range revived {
-				e.insert(row.tuple, row.ann, row.support, 0)
+				e.insert(row.tuple, row.ann, row.support, 0, true)
 			}
 			clear(revived)
 			e.revived = revived[:0]
@@ -638,13 +642,19 @@ func (e *Engine) rederiveGroup(pg pruneGroup) {
 }
 
 // addShadowRow records a prune-rejected candidate for possible revival,
-// merging support when the same tuple is rejected repeatedly.
-func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotation, sup support) {
+// merging support when the same tuple is rejected repeatedly. A new row
+// keeps t's values in the table's storage, copied there unless owned
+// (see insert).
+func (ps *pruneSpec) addShadowRow(g *pruneGroupState, t data.Tuple, ann Annotation, sup support, owned bool) {
 	key := shadowKey(g, t.Hash())
 	if row := ps.shadowAt(key, g, t); row != nil {
 		row.add(sup)
 		return
 	}
+	if !owned {
+		t = ps.tbl.own(t)
+	}
+	ps.tbl.held += size(t.Args)
 	row := ps.rowSlab.alloc()
 	row.tuple, row.ann, row.support = t, ann, sup
 	row.g, row.key, row.sib = g, key, g.shadow

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"slices"
-
 	"provnet/internal/data"
 )
 
@@ -206,11 +204,29 @@ type Table struct {
 	indexes []*colIndex
 
 	// entries supplies the rows and nodes the index nodes, one malloc per
-	// chunk, not per row. Entry chunks are never reused or moved, so
-	// *Entry pointers into them stay valid for the table's lifetime; a
-	// node compact drops goes back to nodes for the next insert.
+	// chunk, not per row. Entry chunks are never moved, so *Entry
+	// pointers into them stay valid; an entry or node compact drops goes
+	// back for the next insert, the entries chained through next on free.
 	entries slab[Entry]
+	free    *Entry
 	nodes   slab[idxNode]
+
+	// vals is the storage the table owns for the values of what it
+	// keeps: its rows' arguments and those of its predicate's
+	// prune-shadowed candidates, every list nested in them included.
+	// A kept tuple's values are carved here (a derived head) or copied
+	// in (own), never left in a decoded frame or a wave's scratch. held
+	// counts the values the kept tuples use; what a dead row or a head
+	// carved but never kept leaves behind is waste, and once the waste
+	// outgrows both held and a slab chunk the engine rewrites the kept
+	// tuples into fresh storage (Engine.compact). Storage is never
+	// handed out twice: the old chunks are left to the collector, so a
+	// tuple still pointing into them (a view row, a withdrawal) stays
+	// valid.
+	vals slab[data.Value]
+	held int
+	// moves counts the rewrites (Engine.Moves).
+	moves int
 }
 
 // NewTable creates a table. keyCols are 0-based primary key columns (nil
@@ -222,6 +238,7 @@ func NewTable(name string, keyCols []int, ttl float64, maxSize int) *Table {
 		ttl:     ttl,
 		maxSize: maxSize,
 		rows:    newChain((*Entry).link),
+		vals:    newStorage(),
 	}
 }
 
@@ -274,16 +291,54 @@ func (t *Table) kill(en *Entry) {
 	t.rows.unlink(en.pkHash, en)
 	t.nlive--
 	t.dirty++
+	t.held -= size(en.Tuple.Args)
+}
+
+// size counts vs's values and those of every list nested in them.
+func size(vs []data.Value) int {
+	n := len(vs)
+	for _, v := range vs {
+		if v.Kind == data.KindList {
+			n += size(v.List)
+		}
+	}
+	return n
+}
+
+// own returns tu with its arguments, and every list nested in them,
+// copied into the table's storage.
+func (t *Table) own(tu data.Tuple) data.Tuple {
+	tu.Args = persistAll(&t.vals, tu.Args)
+	return tu
+}
+
+// wasteful reports whether the values the table's storage handed out
+// that no kept tuple uses outnumber both those it uses and a slab chunk.
+func (t *Table) wasteful() bool { return t.vals.taken-t.held > max(t.held, slabMax) }
+
+// renew starts the table's storage over, in one chunk the size of what
+// it holds, and copies the live rows into it. The caller copies the
+// predicate's shadow rows after them.
+func (t *Table) renew() {
+	t.moves++
+	t.vals = slab[data.Value]{chunk: make([]data.Value, t.held), size: slabMax}
+	for _, en := range t.order {
+		if !en.Dead {
+			en.Tuple = t.own(en.Tuple)
+		}
+	}
 }
 
 // insertHashed stores tu. If an identical tuple exists, it returns the
 // existing entry with InsertDuplicate. If a different tuple shares the
 // primary key, the old row is replaced (InsertReplaced) and returned as
-// the second result (nil otherwise). It does not enforce the size bound:
-// the engine runs evict after it, to report the evicted rows. hash is tu's
-// structural hash when the caller already knows it (0 = compute here),
-// so a hot-path insert hashes the tuple at most once.
-func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash uint64) (*Entry, *Entry, InsertStatus) {
+// the second result (nil otherwise). A stored row owns its values: tu's
+// are copied into the table's storage unless owned says they live there
+// already. It does not enforce the size bound: the engine runs evict
+// after it, to report the evicted rows. hash is tu's structural hash when
+// the caller already knows it (0 = compute here), so a hot-path insert
+// hashes the tuple at most once.
+func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash uint64, owned bool) (*Entry, *Entry, InsertStatus) {
 	if hash == 0 {
 		hash = tu.Hash()
 	}
@@ -298,14 +353,23 @@ func (t *Table) insertHashed(tu data.Tuple, ann Annotation, now float64, hash ui
 			return old, nil, InsertDuplicate
 		}
 		t.kill(old)
-		return t.addEntry(tu, ann, now, pk, hash), old, InsertReplaced
+		return t.addEntry(tu, ann, now, pk, hash, owned), old, InsertReplaced
 	}
-	return t.addEntry(tu, ann, now, pk, hash), nil, InsertNew
+	return t.addEntry(tu, ann, now, pk, hash, owned), nil, InsertNew
 }
 
 // addEntry stores a new live row.
-func (t *Table) addEntry(tu data.Tuple, ann Annotation, now float64, pk, hash uint64) *Entry {
-	entry := t.entries.alloc()
+func (t *Table) addEntry(tu data.Tuple, ann Annotation, now float64, pk, hash uint64, owned bool) *Entry {
+	if !owned {
+		tu = t.own(tu)
+	}
+	t.held += size(tu.Args)
+	entry := t.free
+	if entry != nil {
+		t.free = entry.next
+	} else {
+		entry = t.entries.alloc()
+	}
 	*entry = Entry{Tuple: tu, Ann: ann, Created: now, TTL: t.ttl, hash: hash, pkHash: pk}
 	t.rows.push(pk, entry)
 	t.nlive++
@@ -383,7 +447,8 @@ func (en *Entry) expired(now float64) bool {
 
 // ExpireTuples kills expired rows and returns their tuples (nil when
 // nothing expired), in insertion order, so callers can stream the
-// removals to subscribers deterministically.
+// removals to subscribers deterministically. The engine compacts the
+// table after.
 func (t *Table) ExpireTuples(now float64) []data.Tuple {
 	var out []data.Tuple
 	for _, en := range t.order {
@@ -393,19 +458,16 @@ func (t *Table) ExpireTuples(now float64) []data.Tuple {
 		t.kill(en)
 		out = append(out, en.Tuple)
 	}
-	if len(out) > 0 {
-		t.compact()
-	}
 	return out
 }
 
 // compact drops the dead rows from order and from every index bucket,
-// in place: the indexes stay built, and the dropped nodes go back to the
-// slab. The engine runs it at safe points, when no probe is walking a
-// bucket or the order (the end of RunToFixpoint, of CompleteRetract, and
-// of an expiry sweep).
+// in place: the indexes stay built, the dropped nodes go back to their
+// slab and the dead entries, cleared, on the free list. The engine runs it at safe points, when no probe
+// is walking a bucket or the order and nothing else points at a dead
+// entry (the end of RunToFixpoint, of CompleteRetract, and of an expiry
+// sweep, each after dropping the dead entries from the engine's queue).
 func (t *Table) compact() {
-	t.order = slices.DeleteFunc(t.order, isDead)
 	for _, idx := range t.indexes {
 		if idx == nil {
 			continue
@@ -418,6 +480,17 @@ func (t *Table) compact() {
 			}
 		}
 	}
+	live := t.order[:0]
+	for _, en := range t.order {
+		if en.Dead {
+			*en = Entry{next: t.free}
+			t.free = en
+		} else {
+			live = append(live, en)
+		}
+	}
+	clear(t.order[len(live):])
+	t.order = live
 	t.dirty = 0
 }
 

@@ -26,7 +26,7 @@ func tup(pred string, args ...any) data.Tuple {
 // tableInsert stores tu in tbl at time now and enforces its size bound,
 // as the engine's insert does.
 func tableInsert(tbl *Table, tu data.Tuple, now float64) (*Entry, InsertStatus) {
-	en, _, st := tbl.insertHashed(tu, nil, now, 0)
+	en, _, st := tbl.insertHashed(tu, nil, now, 0, false)
 	tbl.evict()
 	return en, st
 }

@@ -120,7 +120,15 @@ type Store struct {
 	offline        map[string]*Entry
 	offlineEnabled bool
 	offlineMaxAge  float64 // <0: keep forever
+
+	// vals holds the values of the tuples that arrived from the network,
+	// which an entry keeps a copy of (RecordOrigin): chunks of
+	// storeChunk values, carved from front to back and never reused.
+	vals []data.Value
 }
+
+// storeChunk is the size of a chunk of Store.vals.
+const storeChunk = 256
 
 // NewStore creates a store for node self with the offline tier disabled.
 func NewStore(self string) *Store {
@@ -168,9 +176,14 @@ func (s *Store) Key(t data.Tuple) string {
 	return KeyOf(t)
 }
 
-func (s *Store) entryLocked(t data.Tuple, at float64) *Entry {
+// entryLocked returns t's entry, creating it (with a copy of t in vals,
+// if clone is set) when there is none.
+func (s *Store) entryLocked(t data.Tuple, at float64, clone bool) *Entry {
 	e, h := s.findLocked(t)
 	if e == nil {
+		if clone {
+			t.Args = s.copyLocked(t.Args)
+		}
 		e = &Entry{Key: KeyOf(t), Tuple: t, At: at, hash: h}
 		s.online[e.Key] = e
 		s.byHash[h] = append(s.byHash[h], e)
@@ -178,11 +191,27 @@ func (s *Store) entryLocked(t data.Tuple, at float64) *Entry {
 	return e
 }
 
+// copyLocked returns vs copied into vals, with every list nested in it.
+func (s *Store) copyLocked(vs []data.Value) []data.Value {
+	if len(vs) > cap(s.vals)-len(s.vals) {
+		s.vals = make([]data.Value, 0, max(len(vs), storeChunk))
+	}
+	n := len(s.vals)
+	s.vals = append(s.vals, vs...)
+	out := s.vals[n:len(s.vals):len(s.vals)]
+	for i := range out {
+		if out[i].Kind == data.KindList {
+			out[i].List = s.copyLocked(out[i].List)
+		}
+	}
+	return out
+}
+
 // RecordBase notes a base tuple inserted at this node and returns its key.
 func (s *Store) RecordBase(t data.Tuple, at float64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(t, at)
+	e := s.entryLocked(t, at, false)
 	s.mirrorOffline(e)
 	return e.Key
 }
@@ -191,7 +220,7 @@ func (s *Store) RecordBase(t data.Tuple, at float64) string {
 func (s *Store) RecordDeriv(head data.Tuple, rule string, children []Ref, at float64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(head, at)
+	e := s.entryLocked(head, at, false)
 	e.addDeriv(Derivation{Rule: rule, Loc: s.self, Children: children, At: at})
 	// Mirror even when unchanged: the offline tier may have been enabled
 	// after the first recording.
@@ -199,11 +228,13 @@ func (s *Store) RecordDeriv(head data.Tuple, rule string, children []Ref, at flo
 	return e.Key
 }
 
-// RecordOrigin notes that a tuple arrived from a remote node.
+// RecordOrigin notes that a tuple arrived from a remote node. A new entry
+// keeps a copy of t: a received tuple's values live only as long as the
+// import that decoded them.
 func (s *Store) RecordOrigin(t data.Tuple, from Ref, at float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(t, at)
+	e := s.entryLocked(t, at, true)
 	e.addOrigin(from)
 	s.mirrorOffline(e)
 }

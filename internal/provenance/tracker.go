@@ -182,7 +182,8 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 	case ModeLocal:
 		if len(payload) == 0 {
 			// Sender had no provenance for it; treat as opaque leaf.
-			return NewLeaf(t), nil
+			// The leaf keeps the tuple, which is the caller's.
+			return NewLeaf(t.Clone()), nil
 		}
 		tree, err := UnmarshalTree(payload)
 		if err != nil {
