@@ -139,7 +139,7 @@ docs:
 # LOC_MAX in the same commit, where review sees it. The second line is
 # the test lines outside bench/, printed only, so a test-only change
 # shows its size in the log.
-LOC_MAX = 22118
+LOC_MAX = 22001
 
 loc:
 	@n=$$(git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v '/testdata/' | xargs cat | wc -l); \

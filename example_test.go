@@ -109,7 +109,7 @@ func Example_quickstart() {
 	// == Provenance-aware Secure Networks: quickstart ==
 	// Topology: link(a,b), link(a,c), link(b,c)
 	//
-	// -- NDlog run: 4 messages, 543 bytes --
+	// -- NDlog run: 4 messages, 532 bytes --
 	//   a holds reachable(a, b)
 	//   a holds reachable(a, c)
 	//   b holds reachable(b, c)
@@ -589,7 +589,6 @@ func Example_trustmgmt() {
 	})
 	cfg := provnet.VariantConfig(provnet.VariantSeNDlogProv, provnet.ReachableSeNDlog)
 	cfg.Graph = g
-	cfg.Levels = levels
 	cfg.KeyBits = 1024 // the paper's 2008 setup
 	n, err := provnet.NewNetwork(cfg)
 	if err != nil {

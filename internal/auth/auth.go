@@ -379,13 +379,6 @@ func (d *Directory) Level(name string) int64 {
 	return d.levels[name]
 }
 
-// SetLevel updates a principal's security level.
-func (d *Directory) SetLevel(name string, level int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.levels[name] = level
-}
-
 // Principals returns all registered principals sorted by name.
 func (d *Directory) Principals() []Principal {
 	d.mu.RLock()

@@ -109,9 +109,8 @@ func TestRSASignVerify(t *testing.T) {
 
 func TestDirectoryLevels(t *testing.T) {
 	d := testDirectory(t)
-	d.SetLevel("alice", 2)
-	if d.Level("alice") != 2 {
-		t.Error("SetLevel")
+	if d.Level("alice") != 1 {
+		t.Error("AddPrincipal's level")
 	}
 	if d.Level("nobody") != 0 {
 		t.Error("unknown level should be 0")

@@ -85,9 +85,6 @@ type Config struct {
 	KeyBits int
 	// Prov selects the provenance mode.
 	Prov provenance.Mode
-	// AuthProv signs every provenance tree node (ModeLocal only): the
-	// authenticated provenance of §4.3.
-	AuthProv bool
 	// Offline enables the offline provenance store with the given
 	// maximum age (<0 keeps forever); nil disables it. ModeDistributed only.
 	Offline *float64
@@ -95,8 +92,6 @@ type Config struct {
 	// ModeDistributed only).
 	SampleEvery int
 
-	// Levels assigns security levels to principals (default 1 each).
-	Levels map[string]int64
 	// Seed drives deterministic key generation.
 	Seed int64
 
@@ -141,15 +136,6 @@ type Config struct {
 	// in-memory maps. internal/storelog supplies the durable append-only
 	// implementation; the network closes the Store on Network.Close.
 	Store Store
-
-	// ImportFilter, when set with ModeCondensed, is consulted for every
-	// imported tuple with its provenance polynomial; rejected tuples are
-	// dropped and counted (Orchestra-style trust gating, §3). The parallel
-	// scheduler calls it concurrently from the import workers of different
-	// nodes, so stateful filters must synchronize (or set Sequential).
-	// t's values are valid only during the call: a filter that keeps the
-	// tuple keeps a Clone.
-	ImportFilter func(self string, t data.Tuple, p semiring.Poly) bool
 
 	// Metrics, when set, receives runtime observability: scheduler,
 	// engine, transport, and store counters/histograms plus the
@@ -368,15 +354,13 @@ type Network struct {
 	// wrapper over it.
 	drvOnce sync.Once
 	drv     *Driver
-	// signer implements the per-principal says operator (used by
-	// authenticated provenance and the says transport).
-	signer auth.Signer
 	// sealer seals and opens data, retract and handshake frames: control,
 	// or the session sealer under auth.SchemeSession.
 	sealer auth.Sealer
-	// control is the says adapter over signer. Termination frames are
-	// sealed with it, each alone, under every configuration: a token must
-	// verify before any session exists, and across restarts that lose them.
+	// control is the says adapter over the scheme's signer. Termination
+	// frames are sealed with it, each alone, under every configuration: a
+	// token must verify before any session exists, and across restarts
+	// that lose them.
 	control auth.Sealer
 	// session is non-nil iff Auth is auth.SchemeSession.
 	session *auth.SessionSealer
@@ -399,10 +383,9 @@ type Network struct {
 	signed  atomic.Int64
 	checked atomic.Int64
 	hsBytes atomic.Int64 // Report.HandshakeBytes
-	// Rejected counts imports dropped by signature failure or the trust
-	// filter.
-	rejectedSig    atomic.Int64
-	rejectedFilter atomic.Int64
+	// rejectedSig counts frames dropped by signature or annotation
+	// failure.
+	rejectedSig atomic.Int64
 	// allNodes is the sorted full node list — hosted and remote — shared
 	// by every process of a deployment (all derive it from the same
 	// program and topology). The termination detector's token ring walks
@@ -439,8 +422,6 @@ var ErrNoFixpoint = errors.New("core: no distributed fixpoint within round budge
 // topology links).
 func NewNetwork(cfg Config) (*Network, error) {
 	switch {
-	case cfg.AuthProv && cfg.Prov != provenance.ModeLocal:
-		return nil, fmt.Errorf("core: AuthProv requires ModeLocal provenance, not %v", cfg.Prov)
 	case cfg.Offline != nil && cfg.Prov != provenance.ModeDistributed:
 		return nil, fmt.Errorf("core: Offline requires ModeDistributed provenance, not %v", cfg.Prov)
 	case cfg.SampleEvery > 1 && cfg.Prov != provenance.ModeDistributed:
@@ -494,17 +475,18 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n.dir.SetKeyBits(bits)
 
+	var signer auth.Signer
 	switch cfg.Auth {
 	case auth.SchemeNone:
-		n.signer = auth.NoneSigner{}
+		signer = auth.NoneSigner{}
 	case auth.SchemeHMAC:
-		n.signer = auth.NewHMACSigner([]byte(fmt.Sprintf("provnet-master-%d", cfg.Seed)))
+		signer = auth.NewHMACSigner([]byte(fmt.Sprintf("provnet-master-%d", cfg.Seed)))
 	case auth.SchemeRSA, auth.SchemeSession:
-		n.signer = auth.NewRSASigner(n.dir)
+		signer = auth.NewRSASigner(n.dir)
 	default:
 		return nil, fmt.Errorf("core: unknown auth scheme %v", cfg.Auth)
 	}
-	n.control = auth.SignerSealer{S: n.signer}
+	n.control = auth.SignerSealer{S: signer}
 	n.sealer = n.control
 	if cfg.Auth == auth.SchemeSession {
 		n.session = auth.NewSessionSealer(n.dir, cfg.RekeyRounds)
@@ -539,21 +521,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.syms = frameSymbols(localized, n.allNodes)
 
 	// Only the RSA says operator and the session handshake ever read a
-	// key pair; the other schemes register the security level alone and
-	// skip a 1024-bit key generation per principal. Under RSA the keys
-	// come off the deterministic stream in the same order as ever.
-	needKeys := cfg.Auth == auth.SchemeRSA || n.session != nil
-	for _, name := range names {
-		level := int64(1)
-		if l, ok := cfg.Levels[name]; ok {
-			level = l
-		}
-		if !needKeys {
-			n.dir.SetLevel(name, level)
-			continue
-		}
-		if err := n.dir.AddPrincipal(name, level); err != nil {
-			return nil, err
+	// key pair; the other schemes skip a key generation per principal.
+	// Under RSA the keys come off the deterministic stream in the same
+	// order as ever.
+	if cfg.Auth == auth.SchemeRSA || n.session != nil {
+		for _, name := range names {
+			if err := n.dir.AddPrincipal(name, 1); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -650,9 +625,6 @@ func (n *Network) addNode(name string, saysSemantics bool) error {
 		if n.cfg.Offline != nil {
 			tcfg.Store.EnableOffline(*n.cfg.Offline)
 		}
-	}
-	if n.cfg.AuthProv {
-		tcfg.Signer = n.signer
 	}
 	tracker := provenance.NewTracker(tcfg)
 	var hook engine.ProvHook // nil: the engine's NoProv fast path
@@ -805,10 +777,8 @@ type Report struct {
 	// HandshakeBytes sums the sealed handshake datagrams, without
 	// transport framing (session transport only).
 	HandshakeBytes int64
-	// RejectedSig counts envelopes dropped for bad signatures;
-	// RejectedFilter counts tuples dropped by the trust filter.
-	RejectedSig    int64
-	RejectedFilter int64
+	// RejectedSig counts envelopes dropped for bad signatures.
+	RejectedSig int64
 	// Derivations and TuplesStored aggregate engine activity.
 	Derivations  int64
 	TuplesStored int64
@@ -1338,7 +1308,7 @@ func (n *Network) deliverAll(name string, node *Node, s *roundScratch) {
 			}
 			continue
 		}
-		n.deliver(name, node, d)
+		n.deliver(node, d)
 	}
 	if len(inbound) > 0 {
 		// Over-delete now; repair runs when drainRetractions sees the
@@ -1348,26 +1318,17 @@ func (n *Network) deliverAll(name string, node *Node, s *roundScratch) {
 	s.inbound = inbound
 }
 
-// deliver inserts one verified data frame at node name, with per-tuple
-// trust gating (§3) when an import filter is configured. Every item's
+// deliver inserts one verified data frame at node. Every item's
 // annotation is decoded before any item is inserted: a frame with one
-// that does not decode or verify is dropped whole and counted like
+// that does not decode is dropped whole and counted like
 // unverifiable input, never an error — the sender authenticated it, but
 // one bad frame must not stop a node.
-func (n *Network) deliver(name string, node *Node, d *frame) {
+func (n *Network) deliver(node *Node, d *frame) {
 	if err := d.decodeProv(node.Tracker); err != nil {
 		n.rejectedSig.Add(1)
 		return
 	}
-	filter := n.cfg.ImportFilter
-	if n.cfg.Prov != provenance.ModeCondensed {
-		filter = nil
-	}
 	for _, it := range d.items {
-		if filter != nil && !filter(name, it.tuple, node.Tracker.PolyOf(it.ann)) {
-			n.rejectedFilter.Add(1)
-			continue
-		}
 		node.Engine.InsertImportedAnnFrom(d.from, it.tuple, it.ann)
 	}
 }
@@ -1389,7 +1350,6 @@ func (n *Network) report(start time.Time, rounds int) *Report {
 		Signed:         n.signed.Load(),
 		Verified:       n.checked.Load(),
 		RejectedSig:    n.rejectedSig.Load(),
-		RejectedFilter: n.rejectedFilter.Load(),
 	}
 	if n.session != nil {
 		hs, acc, sealed, opened := n.session.SessionStats()

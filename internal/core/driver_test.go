@@ -475,9 +475,12 @@ func TestPathVectorCutDivergence(t *testing.T) {
 // and after the last restore bestPath(n2, n7, 7) still reads
 // <n2*n3*n6>.
 //
-// The local subtest checks ModeLocal's soundness on ReachableNDlog:
-// every leaf of every derivation tree should be a link of the moment's
-// graph. The trees that cite a cut link are counted and pinned per step.
+// The local and distributed subtests check the soundness of ModeLocal's
+// shipped trees and of ModeDistributed's traceback on ReachableNDlog:
+// every leaf of every derivation tree, but the cycles a traceback
+// truncates, should be a link of the moment's graph. The trees that cite
+// a cut link are counted and pinned per step, one table of counts per
+// mode.
 func TestProvenanceMatchesFresh(t *testing.T) {
 	programs := []struct {
 		name, source string
@@ -520,41 +523,68 @@ func TestProvenanceMatchesFresh(t *testing.T) {
 			})
 		}
 	}
-	t.Run("ReachableNDlog/local", func(t *testing.T) {
-		unsound := map[int64][]int{
+	unsound := []struct {
+		mode   provenance.Mode
+		counts map[int64][]int
+	}{
+		{provenance.ModeLocal, map[int64][]int{
 			4: {21, 29, 47, 46, 31, 0},
 			5: {15, 44, 48, 32, 21, 0},
 			6: {27, 35, 39, 32, 16, 0},
-		}
-		for _, seed := range []int64{4, 5, 6} {
-			var got []int
-			cutScript(t, Config{Source: ReachableNDlog, Prov: provenance.ModeLocal}, seed, only("reachable"), func(m moment) {
-				links := map[[2]string]bool{}
-				for _, l := range m.in.graph().Links {
-					links[[2]string{l.From, l.To}] = true
-				}
-				bad := 0
-				for _, name := range m.n.Nodes() {
-					for _, tu := range m.n.Tuples(name, "reachable") {
-						tree, _, err := m.n.DerivationTree(name, tu, provenance.QueryOpts{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, leaf := range tree.Leaves() {
-							if leaf.Pred != "link" || !links[[2]string{leaf.Args[0].Str, leaf.Args[1].Str}] {
+		}},
+		{provenance.ModeDistributed, map[int64][]int{
+			4: {12, 25, 35, 24, 12, 0},
+			5: {25, 37, 48, 39, 14, 0},
+			6: {30, 34, 47, 46, 17, 0},
+		}},
+	}
+	for _, u := range unsound {
+		t.Run("ReachableNDlog/"+u.mode.String(), func(t *testing.T) {
+			for _, seed := range []int64{4, 5, 6} {
+				var got []int
+				cutScript(t, Config{Source: ReachableNDlog, Prov: u.mode}, seed, only("reachable"), func(m moment) {
+					links := map[[2]string]bool{}
+					for _, l := range m.in.graph().Links {
+						links[[2]string{l.From, l.To}] = true
+					}
+					bad := 0
+					for _, name := range m.n.Nodes() {
+						for _, tu := range m.n.Tuples(name, "reachable") {
+							tree, _, err := m.n.DerivationTree(name, tu, provenance.QueryOpts{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if citesCutLink(tree, links) {
 								bad++
-								break
 							}
 						}
 					}
+					got = append(got, bad)
+				})
+				if fmt.Sprint(got) != fmt.Sprint(u.counts[seed]) {
+					t.Errorf("seed %d: trees citing a cut link, per step: %v, want %v", seed, got, u.counts[seed])
 				}
-				got = append(got, bad)
-			})
-			if fmt.Sprint(got) != fmt.Sprint(unsound[seed]) {
-				t.Errorf("seed %d: trees citing a cut link, per step: %v, want %v", seed, got, unsound[seed])
+			}
+		})
+	}
+}
+
+// citesCutLink reports whether a leaf of tr is anything but a link of
+// links. A truncated leaf is where a traceback cut a cycle, not a base
+// tuple, so it cites nothing.
+func citesCutLink(tr *provenance.Tree, links map[[2]string]bool) bool {
+	if len(tr.Derivs) == 0 {
+		l := tr.Tuple
+		return !tr.Truncated && (l.Pred != "link" || !links[[2]string{l.Args[0].Str, l.Args[1].Str}])
+	}
+	for _, d := range tr.Derivs {
+		for _, c := range d.Children {
+			if citesCutLink(c, links) {
+				return true
 			}
 		}
-	})
+	}
+	return false
 }
 
 // TestCutLinkReconverges is the tentpole acceptance test: after CutLink,

@@ -130,7 +130,6 @@ func newNetMetrics(m *obs.Metrics, n *Network) *netMetrics {
 		return hs
 	})
 	m.CounterFunc("provnet_crypto_rejected_signatures_total", "Envelopes dropped for failed authentication.", func() int64 { return n.rejectedSig.Load() })
-	m.CounterFunc("provnet_import_rejected_filter_total", "Imported tuples dropped by the trust filter.", func() int64 { return n.rejectedFilter.Load() })
 
 	// Store writer lag (queued + in-flight events; always 0 for MemStore).
 	if n.store != nil {

@@ -166,7 +166,7 @@ func (f *frame) encodeProv(tr *provenance.Tracker, s *roundScratch) {
 
 // decodeProv reconstructs the annotations of a received data frame's
 // items at the node tr tracks, all of them or none: the first that does
-// not decode or verify is returned as the frame's error. The receiver's
+// not decode is returned as the frame's error. The receiver's
 // own mode decides, as its own configuration picks the sealer, so a frame
 // in another mode is refused. Refs were checked against the table by
 // decode.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"provnet/internal/auth"
 	"provnet/internal/bdd"
 	"provnet/internal/data"
 	"provnet/internal/engine"
@@ -59,9 +58,6 @@ type TrackerConfig struct {
 	Store *Store
 	// Clock supplies logical timestamps for store records.
 	Clock func() float64
-	// Signer, when set with ModeLocal, signs every tree node it creates
-	// and verifies imported trees (authenticated provenance, §4.3).
-	Signer auth.Signer
 	// SampleEvery records only every k-th derivation into the Store (the
 	// IP-traceback-style sampling optimization of §5; ModeDistributed
 	// only). 0 or 1 records everything.
@@ -164,9 +160,7 @@ func principalVar(t data.Tuple, self string) string {
 func (tr *Tracker) Base(t data.Tuple) engine.Annotation {
 	switch tr.cfg.Mode {
 	case ModeLocal:
-		leaf := NewLeaf(t)
-		tr.sign(leaf)
-		return leaf
+		return NewLeaf(t)
 	case ModeDistributed:
 		return Ref{Node: tr.cfg.Self, Key: tr.cfg.Store.RecordBase(t, tr.now())}
 	case ModeCondensed:
@@ -187,10 +181,7 @@ func (tr *Tracker) Import(t data.Tuple, payload []byte) (engine.Annotation, erro
 		}
 		tree, err := UnmarshalTree(payload)
 		if err != nil {
-			return nil, err
-		}
-		if err := tr.verify(tree); err != nil {
-			return nil, err
+			return nil, err // not a typed nil in the interface
 		}
 		return tree, nil
 	case ModeDistributed:
@@ -242,9 +233,7 @@ func (tr *Tracker) Derive(rule, node string, head data.Tuple, body []engine.AnnT
 				children = append(children, NewLeaf(b.Tuple))
 			}
 		}
-		t := NewDerived(head, rule, node, children)
-		tr.sign(t)
-		return t
+		return NewDerived(head, rule, node, children)
 	case ModeDistributed:
 		st := tr.cfg.Store
 		if !tr.sampled() {
@@ -375,52 +364,6 @@ func (tr *Tracker) Restore(t data.Tuple) {
 	if tr.cfg.Mode == ModeDistributed {
 		tr.cfg.Store.ClearStale(tr.cfg.Store.Key(t))
 	}
-}
-
-// --- authenticated provenance (§4.3) ---
-
-// sign attaches the asserting principal's signature to a tree node (its
-// immediate tuple only; children carry their own signatures).
-func (tr *Tracker) sign(t *Tree) {
-	if tr.cfg.Signer == nil {
-		return
-	}
-	principal := t.Tuple.Asserter
-	if principal == "" {
-		principal = tr.cfg.Self
-	}
-	sig, err := tr.cfg.Signer.Sign(principal, data.EncodeTuple(t.Tuple))
-	if err == nil {
-		t.Sig = sig
-	}
-}
-
-// verify checks every signed node of an imported tree. Unsigned nodes are
-// rejected when a signer is configured: in an untrusted environment every
-// provenance node must validate (§4.3).
-func (tr *Tracker) verify(t *Tree) error {
-	if tr.cfg.Signer == nil {
-		return nil
-	}
-	var rec func(*Tree) error
-	rec = func(n *Tree) error {
-		principal := n.Tuple.Asserter
-		if principal == "" {
-			principal = tr.cfg.Self
-		}
-		if err := tr.cfg.Signer.Verify(principal, data.EncodeTuple(n.Tuple), n.Sig); err != nil {
-			return fmt.Errorf("provenance: node %s: %w", n.Tuple, err)
-		}
-		for _, d := range n.Derivs {
-			for _, c := range d.Children {
-				if err := rec(c); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return rec(t)
 }
 
 // --- quantifiable provenance (§4.5) ---

@@ -1,7 +1,7 @@
 // Package provenance implements the paper's network provenance taxonomy
 // (§4): local vs distributed provenance, online vs offline stores,
-// authenticated provenance, condensed (BDD-encoded semiring) provenance,
-// and quantifiable provenance, together with the distributed traceback
+// condensed (BDD-encoded semiring) provenance and quantifiable
+// provenance, together with the distributed traceback
 // query and the random-moonwalk sampling optimization (§5).
 package provenance
 
@@ -20,13 +20,10 @@ import (
 // leaves (no derivations) are base tuples.
 type Tree struct {
 	// Tuple is the derived fact. Its Asserter is the principal that says
-	// it (authenticated provenance, §4.3).
+	// it.
 	Tuple data.Tuple
 	// Derivs are the alternative derivations; empty marks a base tuple.
 	Derivs []*Deriv
-	// Sig is the asserting principal's signature over the tuple encoding
-	// (authenticated provenance); nil when authentication is off.
-	Sig []byte
 	// Truncated marks nodes cut off by cycle detection or depth limits
 	// during distributed reconstruction.
 	Truncated bool
@@ -209,7 +206,6 @@ func (t *Tree) Marshal() []byte { return t.appendTo(nil) }
 
 func (t *Tree) appendTo(b []byte) []byte {
 	b = data.AppendTuple(b, t.Tuple)
-	b = data.AppendBytes(b, t.Sig)
 	flags := byte(0)
 	if t.Truncated {
 		flags = 1
@@ -247,11 +243,6 @@ func decodeTree(b []byte, depth int) (*Tree, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	sig, m, err := data.DecodeBytes(b[n:])
-	if err != nil {
-		return nil, 0, err
-	}
-	n += m
 	if n >= len(b) {
 		return nil, 0, fmt.Errorf("provenance: truncated tree")
 	}
@@ -263,9 +254,6 @@ func decodeTree(b []byte, depth int) (*Tree, int, error) {
 	}
 	n += m
 	t := &Tree{Tuple: tu, Truncated: flags&1 != 0}
-	if len(sig) > 0 {
-		t.Sig = append([]byte{}, sig...)
-	}
 	if nd > uint64(len(b)) {
 		return nil, 0, fmt.Errorf("provenance: corrupt deriv count")
 	}
